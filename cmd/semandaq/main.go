@@ -158,7 +158,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 		opts := []core.Option{core.WithWorkers(*workers)}
 		// For -stream an unset -engine keeps DetectStream's default (the
-		// sharded columnar detector) instead of forcing the flag's "sql"
+		// columnar detector) instead of forcing the flag's "sql"
 		// default through the blocking fallback.
 		if engineSet || !*stream {
 			opts = append(opts, core.WithEngine(kind))

@@ -205,22 +205,17 @@ func Audit(snap *relstore.Snapshot, cfds []*cfd.CFD, rep *detect.Report) (*Repor
 func AuditFactorised(snap *relstore.Snapshot, cfds []*cfd.CFD, fr *detect.FactorReport) (*Report, error) {
 	ix := newAuditIndex(fr.Table, fr.TupleCount, fr.Version)
 	ix.perCFD = fr.PerCFD
-	// vio(t): +1 per CFD with a single-tuple violation (dedup across
-	// patterns), +partners per group — the finish() accounting, computed
-	// without the violation records.
-	type idCFD struct {
-		id relstore.TupleID
-		c  string
+	// vio(t) comes from the report's dense vector, not the violation records.
+	d := fr.Digest()
+	for i, n := range d.Vio {
+		if n > 0 {
+			ix.vio[d.IDs[i]] = int(n)
+		}
 	}
-	seen := map[idCFD]bool{}
 	for i := range fr.Violations {
 		v := &fr.Violations[i]
 		ix.hasSingle[v.TupleID] = true
 		ix.noteAttrViol(v.TupleID, v.Attr, v.Kind)
-		if k := (idCFD{v.TupleID, v.CFDID}); !seen[k] {
-			seen[k] = true
-			ix.vio[v.TupleID]++
-		}
 	}
 	for _, g := range fr.FactorGroups {
 		ix.groupSizes = append(ix.groupSizes, g.Size())
@@ -228,7 +223,6 @@ func AuditFactorised(snap *relstore.Snapshot, cfds []*cfd.CFD, fr *detect.Factor
 		for i := 0; i < g.Size(); i++ {
 			id := g.MemberAt(i)
 			rk := g.RHSKeyAt(i)
-			ix.vio[id] += g.Size() - g.RHSCounts[rk]
 			ix.inGroup[id] = true
 			ix.noteAttrViol(id, g.Attr, detect.MultiTuple)
 			if !strict || rk != g.MajorityKey {

@@ -46,8 +46,9 @@ type Semandaq struct {
 	engine *sqleng.Engine
 	// cfds maps lowercased table name to its registered constraints.
 	cfds map[string][]*cfd.CFD
-	// reports caches the last detection per table, keyed by table version.
-	reports map[string]cachedReport
+	// reports caches the last detection per table (lowercased name): one
+	// table version at a time, one entry per report producer.
+	reports map[string]*tableReports
 	// workers is the ParallelDetection worker count; 0 means GOMAXPROCS.
 	workers int
 	// monitors holds the active data monitor per table (lowercased name):
@@ -77,9 +78,89 @@ type tableSession struct {
 	sess *discovery.Session
 }
 
-type cachedReport struct {
+// tableReports is one table's report cache. It holds a single version:
+// filling an entry for a newer version drops every entry of the older one,
+// so a superseded report — and the columnar snapshot a factorised one pins
+// — becomes collectable as soon as its readers let go.
+type tableReports struct {
 	version int64
-	rep     *detect.Report
+	entries map[DetectorKind]*reportEntry // by cacheKind
+}
+
+// reportEntry is one detection result in the form its producer built it:
+// factorised (fr) for the columnar kinds, flat (rep) for SQL, native and
+// the monitor's tracker. The flat form of a factorised entry is exploded
+// lazily, once, and only for callers that ask the facade for a
+// *detect.Report; the detect endpoint and the audit never do.
+type reportEntry struct {
+	fr   *detect.FactorReport
+	once sync.Once
+	rep  *detect.Report
+}
+
+// flat returns the entry's flat report, exploding a factorised one on
+// first use.
+func (e *reportEntry) flat() *detect.Report {
+	e.once.Do(func() {
+		if e.rep == nil {
+			e.rep = e.fr.Explode()
+		}
+	})
+	return e.rep
+}
+
+// digest returns the entry's wire digest with the violation count clipped
+// to limit (0: unclipped), as limited() clips the flat report's records.
+func (e *reportEntry) digest(limit int) *detect.Digest {
+	var d *detect.Digest
+	if e.fr != nil {
+		d = e.fr.Digest()
+	} else {
+		d = e.rep.Digest()
+	}
+	if limit > 0 {
+		d.Violations = min(d.Violations, limit)
+	}
+	return d
+}
+
+// cacheKind maps an engine kind to its report producer: the columnar and
+// parallel kinds run the same factorised core with a worker-independent
+// result, so they share one cache entry.
+func cacheKind(kind DetectorKind) DetectorKind {
+	if kind == ParallelDetection {
+		return ColumnarDetection
+	}
+	return kind
+}
+
+// cachedEntry returns the table's cached entry for the kind at exactly the
+// given version.
+func (s *Semandaq) cachedEntry(key string, kind DetectorKind, version int64) (*reportEntry, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	tr := s.reports[key]
+	if tr == nil || tr.version != version {
+		return nil, false
+	}
+	e, ok := tr.entries[cacheKind(kind)]
+	return e, ok
+}
+
+// cacheEntry stores e as the table's report for the kind at version,
+// superseding entries of older versions. A fill that lost the race to a
+// newer version is dropped instead of evicting it.
+func (s *Semandaq) cacheEntry(key string, kind DetectorKind, version int64, e *reportEntry) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	tr := s.reports[key]
+	if tr == nil || tr.version < version {
+		tr = &tableReports{version: version, entries: map[DetectorKind]*reportEntry{}}
+		s.reports[key] = tr
+	}
+	if tr.version == version {
+		tr.entries[cacheKind(kind)] = e
+	}
 }
 
 // New creates a Semandaq instance over an empty store.
@@ -91,7 +172,7 @@ func NewWithStore(store *relstore.Store) *Semandaq {
 		store:       store,
 		engine:      sqleng.New(store),
 		cfds:        map[string][]*cfd.CFD{},
-		reports:     map[string]cachedReport{},
+		reports:     map[string]*tableReports{},
 		monitors:    map[string]*monitor.Monitor{},
 		monitorBusy: map[string]bool{},
 		gates:       map[string]*sync.Mutex{},
@@ -172,9 +253,7 @@ func (s *Semandaq) RegisterTable(tab *relstore.Table) {
 	s.mu.Lock()
 	delete(s.monitors, key)
 	delete(s.sessions, key)
-	for _, kind := range detect.EngineKinds() {
-		delete(s.reports, key+"\x00"+kind.String())
-	}
+	delete(s.reports, key)
 	s.mu.Unlock()
 }
 
@@ -230,9 +309,7 @@ func (s *Semandaq) RegisterCFDs(table string, cfds []*cfd.CFD) error {
 		return fmt.Errorf("semandaq: CFD set for %s is unsatisfiable: %s", table, rep.Conflict)
 	}
 	s.cfds[key] = all
-	for _, kind := range detect.EngineKinds() {
-		delete(s.reports, key+"\x00"+kind.String())
-	}
+	delete(s.reports, key)
 	return nil
 }
 
@@ -278,18 +355,17 @@ const (
 	// NativeDetection uses in-memory hash grouping over the row store
 	// (the single-threaded reference baseline).
 	NativeDetection = detect.NativeEngine
-	// ParallelDetection shards detection over the table's columnar
-	// snapshot across runtime.GOMAXPROCS workers by a hash of each CFD's
-	// LHS code vector; the report is identical to NativeDetection's.
+	// ParallelDetection is ColumnarDetection with the per-CFD passes
+	// fanned over runtime.GOMAXPROCS workers; same report, same cache entry.
 	ParallelDetection = detect.ParallelEngine
-	// ColumnarDetection runs the sequential scan over the table's
-	// columnar snapshot with dictionary-code group keys; the report is
-	// identical to NativeDetection's.
+	// ColumnarDetection runs the factorised evaluation over the table's
+	// columnar snapshot (dictionary-code matching, PLI-partition grouping);
+	// the report is identical to NativeDetection's.
 	ColumnarDetection = detect.ColumnarEngine
 )
 
 // DefaultEngine is the engine blocking requests use when WithEngine is not
-// given: the sequential columnar scan, the fastest single-core engine.
+// given: the single-worker columnar evaluation.
 const DefaultEngine = ColumnarDetection
 
 // ParseDetectorKind maps the CLI/HTTP engine names ("sql", "native",
@@ -372,33 +448,61 @@ func limited(rep *detect.Report, k int) *detect.Report {
 // Without options it uses DefaultEngine, every registered CFD and the
 // session's worker count. A cancelled ctx aborts the scan mid-flight and
 // returns ctx.Err(). Unscoped reports are cached until the table changes;
-// WithCFDs-scoped requests bypass the cache.
+// WithCFDs-scoped requests bypass the cache. The columnar kinds compute and
+// cache the factorised report; Detect explodes it to the flat form on
+// first use — callers that only need totals and vio(t) should take
+// DetectDigest, which never does.
 func (s *Semandaq) Detect(ctx context.Context, table string, opts ...Option) (*detect.Report, error) {
 	o := s.resolve(DefaultEngine, opts)
-	tab, cfds, err := s.requestCFDs(table, o)
+	e, _, _, err := s.detectRequest(ctx, table, o)
 	if err != nil {
 		return nil, err
 	}
-	return s.detectPrepared(ctx, table, tab.Snapshot(), cfds, o)
+	return limited(e.flat(), o.limit), nil
 }
 
-// detectPrepared is Detect after option resolution and CFD scoping: cache
-// lookup, registry dispatch, cache fill, limit. The whole evaluation runs
-// over the given pinned snapshot, so the returned report reflects exactly
-// snap.Version() (and says so in Report.Version). Audit and Explore reuse
-// it with the snapshot they drive their own scans from, which makes the
-// report and those scans consistent by construction.
-func (s *Semandaq) detectPrepared(ctx context.Context, table string, snap *relstore.Snapshot,
-	cfds []*cfd.CFD, o requestOptions) (*detect.Report, error) {
+// DetectDigest is Detect for callers that put the result on the wire (the
+// detect endpoint): same options, scoping, cache, monitor fast path and
+// version pinning, but the result is the report's digest — totals, per-CFD
+// statistics and vio(t) — taken straight from whichever form the producer
+// built, so a factorised report is never exploded for it. WithLimit clips
+// Digest.Violations as it clips Detect's records.
+func (s *Semandaq) DetectDigest(ctx context.Context, table string, opts ...Option) (*detect.Digest, error) {
+	o := s.resolve(DefaultEngine, opts)
+	e, _, _, err := s.detectRequest(ctx, table, o)
+	if err != nil {
+		return nil, err
+	}
+	return e.digest(o.limit), nil
+}
+
+// detectRequest scopes the request's constraints, pins the table's current
+// snapshot and detects over it. Audit and Explore drive their own scans
+// from the returned snapshot, which makes the report and those scans
+// consistent by construction.
+func (s *Semandaq) detectRequest(ctx context.Context, table string, o requestOptions) (*reportEntry, *relstore.Snapshot, []*cfd.CFD, error) {
+	tab, cfds, err := s.requestCFDs(table, o)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	snap := tab.Snapshot()
+	e, err := s.detectEntry(ctx, table, snap, cfds, o)
+	return e, snap, cfds, err
+}
+
+// detectEntry is detection after option resolution and CFD scoping: cache
+// lookup, registry dispatch, cache fill. The whole evaluation runs over the
+// given pinned snapshot, so the returned entry reflects exactly
+// snap.Version() (and says so in its report's Version). Only complete
+// results are cached: a cancelled run leaves no entry behind.
+func (s *Semandaq) detectEntry(ctx context.Context, table string, snap *relstore.Snapshot,
+	cfds []*cfd.CFD, o requestOptions) (*reportEntry, error) {
 	cacheable := len(o.cfdIDs) == 0
-	key := strings.ToLower(table) + "\x00" + o.kind.String()
+	key := strings.ToLower(table)
 	if cacheable {
-		s.mu.Lock()
-		if c, ok := s.reports[key]; ok && c.version == snap.Version() {
-			s.mu.Unlock()
-			return limited(c.rep, o.limit), nil
+		if e, ok := s.cachedEntry(key, o.kind, snap.Version()); ok {
+			return e, nil
 		}
-		s.mu.Unlock()
 		// Incremental-first serving: when the table's active monitor tracks
 		// exactly the requested constraints, its tracker has maintained the
 		// violation state in O(delta) per write — materializing its report is
@@ -408,10 +512,9 @@ func (s *Semandaq) detectPrepared(ctx context.Context, table string, snap *relst
 		// the batch engine instead of answering for the wrong version.
 		if m, err := s.ActiveMonitor(table); err == nil && m != nil && sameCFDSet(m.CFDs(), cfds) {
 			if rep := m.Report(); rep.Version == snap.Version() {
-				s.mu.Lock()
-				s.reports[key] = cachedReport{version: rep.Version, rep: rep}
-				s.mu.Unlock()
-				return limited(rep, o.limit), nil
+				e := &reportEntry{rep: rep}
+				s.cacheEntry(key, o.kind, rep.Version, e)
+				return e, nil
 			}
 		}
 	}
@@ -419,34 +522,38 @@ func (s *Semandaq) detectPrepared(ctx context.Context, table string, snap *relst
 	if err != nil {
 		return nil, err
 	}
-	var rep *detect.Report
-	if sd, ok := det.(detect.SnapshotDetector); ok {
-		rep, err = sd.DetectSnapshot(ctx, snap, cfds)
-	} else {
+	e := &reportEntry{}
+	version := snap.Version()
+	switch d := det.(type) {
+	case detect.FactorDetector:
+		e.fr, err = d.DetectFactorised(ctx, snap, cfds)
+	case detect.SnapshotDetector:
+		e.rep, err = d.DetectSnapshot(ctx, snap, cfds)
+	default:
 		// Registry-extended engine without a snapshot entry point: fall
 		// back to the live table. Its report may describe a version newer
 		// than snap's (and callers pairing it with snap — Audit, Explore —
 		// lose the by-construction consistency), so custom engines should
-		// implement SnapshotDetector.
+		// implement SnapshotDetector. It is cached under the version the
+		// report itself claims; one that does not stamp Version (0 on a
+		// non-empty table) is simply not cached rather than cached under a
+		// bogus key.
 		var tab *relstore.Table
-		tab, err = s.Table(table)
-		if err != nil {
+		if tab, err = s.Table(table); err != nil {
 			return nil, err
 		}
-		rep, err = det.Detect(ctx, tab, cfds)
+		if e.rep, err = det.Detect(ctx, tab, cfds); err == nil {
+			version = e.rep.Version
+			cacheable = cacheable && (version == snap.Version() || version > 0)
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	// Cache keyed by the version the report itself claims; a fallback
-	// engine that does not stamp Version (0 on a non-empty table) is
-	// simply not cached rather than cached under a bogus key.
-	if cacheable && (rep.Version == snap.Version() || rep.Version > 0) {
-		s.mu.Lock()
-		s.reports[key] = cachedReport{version: rep.Version, rep: rep}
-		s.mu.Unlock()
+	if cacheable {
+		s.cacheEntry(key, o.kind, version, e)
 	}
-	return limited(rep, o.limit), nil
+	return e, nil
 }
 
 // DetectStream runs violation detection as a stream: the returned iterator
@@ -454,10 +561,10 @@ func (s *Semandaq) detectPrepared(ctx context.Context, table string, snap *relst
 // full report — on a million-tuple table the first violation arrives while
 // the scan is still running. Breaking out of the loop (or a done ctx)
 // cancels the underlying scan. The default engine is ParallelDetection,
-// whose sharded columnar evaluation feeds the stream through a bounded
-// channel; engines without a streaming path (sql, native) fall back to a
-// blocking pass whose report is then replayed. Over a full iteration the
-// yielded set equals the blocking report's Violations, in engine order.
+// whose factorised core yields straight into the stream; engines without a
+// streaming path (sql, native) fall back to a blocking pass whose report is
+// then replayed. Over a full iteration the yielded set equals the blocking
+// report's Violations, in engine order.
 func (s *Semandaq) DetectStream(ctx context.Context, table string, opts ...Option) iter.Seq2[detect.Violation, error] {
 	return func(yield func(detect.Violation, error) bool) {
 		seq, _, err := s.DetectStreamVersion(ctx, table, opts...)
@@ -507,15 +614,15 @@ func (s *Semandaq) DetectStreamVersion(ctx context.Context, table string, opts .
 			return
 		}
 		// Non-streaming engine: replay a blocking pass through the
-		// iterator. detectPrepared keeps the report cache in play, so a
+		// iterator. detectEntry keeps the report cache in play, so a
 		// repeated sql/native stream on an unchanged table is served from
-		// cache (the limit is already applied by the truncation).
-		rep, err := s.detectPrepared(ctx, table, snap, cfds, o)
+		// cache.
+		e, err := s.detectEntry(ctx, table, snap, cfds, o)
 		if err != nil {
 			yield(detect.Violation{}, err)
 			return
 		}
-		for _, v := range rep.Violations {
+		for _, v := range limited(e.flat(), o.limit).Violations {
 			if err := ctx.Err(); err != nil {
 				yield(detect.Violation{}, err)
 				return
@@ -537,7 +644,7 @@ func (s *Semandaq) DetectKind(table string, kind DetectorKind) (*detect.Report, 
 }
 
 // DetectWorkers is DetectKind with an explicit worker count for this call
-// only (0 = GOMAXPROCS); non-sharded kinds ignore it.
+// only (0 = GOMAXPROCS); kinds other than parallel ignore it.
 //
 // Deprecated: use Detect(ctx, table, WithEngine(kind), WithWorkers(n)).
 func (s *Semandaq) DetectWorkers(table string, kind DetectorKind, workers int) (*detect.Report, error) {
@@ -565,35 +672,25 @@ func (s *Semandaq) DetectionSQL(table string) ([]string, error) {
 // WithEngine/WithWorkers/WithCFDs select how and over which constraints;
 // WithLimit is ignored — the audit needs the full violation set.
 func (s *Semandaq) Audit(ctx context.Context, table string, opts ...Option) (*audit.Report, error) {
-	o := s.resolve(DefaultEngine, opts)
-	o.limit = 0 // the audit consumes the full violation set
-	tab, cfds, err := s.requestCFDs(table, o)
+	e, snap, cfds, err := s.detectRequest(ctx, table, s.resolve(DefaultEngine, opts))
 	if err != nil {
 		return nil, err
 	}
-	snap := tab.Snapshot()
-	rep, err := s.detectPrepared(ctx, table, snap, cfds, o)
-	if err != nil {
-		return nil, err
+	if e.fr != nil {
+		return audit.AuditFactorised(snap, cfds, e.fr)
 	}
-	return audit.Audit(snap, cfds, rep)
+	return audit.Audit(snap, cfds, e.rep)
 }
 
 // Explore builds the drill-down explorer over the current detection state.
 // The explorer's scans and the report it drills into share one pinned
 // snapshot, so every level of the drill-down reflects the same version.
 func (s *Semandaq) Explore(ctx context.Context, table string) (*explore.Explorer, error) {
-	o := s.resolve(DefaultEngine, nil)
-	tab, cfds, err := s.requestCFDs(table, o)
+	e, snap, cfds, err := s.detectRequest(ctx, table, s.resolve(DefaultEngine, nil))
 	if err != nil {
 		return nil, err
 	}
-	snap := tab.Snapshot()
-	rep, err := s.detectPrepared(ctx, table, snap, cfds, o)
-	if err != nil {
-		return nil, err
-	}
-	return explore.New(snap, cfds, rep)
+	return explore.New(snap, cfds, e.flat())
 }
 
 // Repair computes a candidate repair (the original table is not modified;

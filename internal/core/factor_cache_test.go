@@ -1,0 +1,239 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"semandaq/internal/audit"
+	"semandaq/internal/detect"
+	"semandaq/internal/explore"
+	"semandaq/internal/types"
+)
+
+// allKinds is the engine matrix of the cache tests.
+var allKinds = []DetectorKind{SQLDetection, NativeDetection, ColumnarDetection, ParallelDetection}
+
+// TestReportCacheHoldsOneVersion is the cache-hygiene contract: however
+// many edit→detect rounds run through however many engines, a table's
+// cache never holds a superseded version — a dead factorised report would
+// pin a whole old columnar snapshot — and the columnar kinds share an entry.
+func TestReportCacheHoldsOneVersion(t *testing.T) {
+	s, _ := datasetSession(t)
+	ctx := context.Background()
+	tab, _ := s.Table("customer")
+	ids := tab.IDs()
+	for round := 0; round < 5; round++ {
+		if _, err := s.SetCell("customer", ids[round], "CITY", types.NewString("Nowhere")); err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range allKinds {
+			if _, err := s.DetectDigest(ctx, "customer", WithEngine(kind)); err != nil {
+				t.Fatal(err)
+			}
+			s.mu.Lock()
+			if len(s.reports) != 1 {
+				t.Fatalf("round %d: %d tables cached, want 1", round, len(s.reports))
+			}
+			tr := s.reports["customer"]
+			if tr.version != tab.Version() {
+				t.Fatalf("round %d %v: cache holds version %d, table is at %d", round, kind, tr.version, tab.Version())
+			}
+			if len(tr.entries) > 3 {
+				t.Fatalf("round %d: %d entries for one version, want at most 3 (sql, native, columnar)", round, len(tr.entries))
+			}
+			s.mu.Unlock()
+		}
+		col, _ := s.cachedEntry("customer", ColumnarDetection, tab.Version())
+		par, _ := s.cachedEntry("customer", ParallelDetection, tab.Version())
+		if col == nil || col != par || col.fr == nil {
+			t.Fatalf("round %d: columnar and parallel do not share one factorised entry", round)
+		}
+	}
+	// A fill for a version the cache has moved past must not evict the
+	// newer one.
+	s.cacheEntry("customer", NativeDetection, tab.Version()-1, &reportEntry{})
+	if _, ok := s.cachedEntry("customer", ColumnarDetection, tab.Version()); !ok {
+		t.Error("a stale fill evicted the current version's entries")
+	}
+	// Both invalidation paths cover the entry shape.
+	if err := s.RegisterCFDs("customer", nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.reports) != 0 {
+		t.Error("RegisterCFDs left reports cached")
+	}
+	if _, err := s.Detect(ctx, "customer"); err != nil {
+		t.Fatal(err)
+	}
+	s.RegisterTable(tab)
+	if len(s.reports) != 0 {
+		t.Error("RegisterTable left reports cached")
+	}
+}
+
+// TestDigestMatchesFlatReport pins the digest entry point to the flat
+// facade: every engine, cached and WithCFDs-scoped, with and without a
+// limit, under a monitor too — the digest is exactly the flat report's.
+func TestDigestMatchesFlatReport(t *testing.T) {
+	s, ids := datasetSession(t)
+	ctx := context.Background()
+	check := func(name string, opts ...Option) {
+		t.Helper()
+		rep, err := s.Detect(ctx, "customer", opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := s.DetectDigest(ctx, "customer", opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := rep.Digest()
+		got := *d
+		got.IDs, got.Vio = nil, nil
+		for i, n := range d.Vio { // the factorised digest also lists clean tuples, at 0
+			if n > 0 {
+				got.IDs, got.Vio = append(got.IDs, d.IDs[i]), append(got.Vio, n)
+			}
+		}
+		if !reflect.DeepEqual(&got, want) {
+			t.Errorf("%s: digest differs from the flat report's\ngot:  %+v\nwant: %+v", name, got, *want)
+		}
+	}
+	for _, kind := range allKinds {
+		check(kind.String(), WithEngine(kind))
+		check(kind.String()+" limited", WithEngine(kind), WithLimit(3))
+		check(kind.String()+" scoped", WithEngine(kind), WithCFDs(ids[0], ids[2]))
+	}
+	if _, err := s.Monitor(ctx, "customer"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SetCell("customer", 1, "CITY", types.NewString("Elsewhere")); err != nil {
+		t.Fatal(err)
+	}
+	check("tracker-served", WithEngine(ColumnarDetection))
+}
+
+// TestLazyExplodeRunsOnce hammers one cached factorised entry from
+// concurrent Detect, Audit and Explore calls: the flat report is exploded
+// once and shared (same pointer), and the audits agree with each other.
+func TestLazyExplodeRunsOnce(t *testing.T) {
+	s, _ := datasetSession(t)
+	ctx := context.Background()
+	if _, err := s.DetectDigest(ctx, "customer"); err != nil { // fills the entry, un-exploded
+		t.Fatal(err)
+	}
+	tab, _ := s.Table("customer")
+	e, ok := s.cachedEntry("customer", DefaultEngine, tab.Version())
+	if !ok || e.fr == nil || e.rep != nil {
+		t.Fatal("DetectDigest should cache the factorised report without exploding it")
+	}
+	const workers = 8
+	reps := make([]*detect.Report, workers)
+	audits := make([]*audit.Report, workers)
+	exps := make([]*explore.Explorer, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if reps[w], err = s.Detect(ctx, "customer"); err != nil {
+				t.Error(err)
+			}
+			if audits[w], err = s.Audit(ctx, "customer"); err != nil {
+				t.Error(err)
+			}
+			if exps[w], err = s.Explore(ctx, "customer"); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for w := 1; w < workers; w++ {
+		if reps[w] != reps[0] {
+			t.Fatalf("caller %d got a different flat report: the explosion ran more than once", w)
+		}
+		if !reflect.DeepEqual(audits[w], audits[0]) {
+			t.Fatalf("caller %d audited differently", w)
+		}
+	}
+	native, err := s.Detect(ctx, "customer", WithEngine(NativeDetection))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(reps[0], native) {
+		t.Error("lazily exploded report differs from the native reference")
+	}
+	flatAudit, err := audit.Audit(tab.Snapshot(), s.CFDs("customer"), native)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(audits[0], flatAudit) {
+		t.Error("factorised audit differs from the flat audit")
+	}
+}
+
+// countdownCtx is done from its n-th Err() poll on: it cancels a pass at an
+// exact stride instead of at a wall-clock instant.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelAtEveryStride cancels the factorised pass at each of its
+// context polls in turn. Every cancelled request must fail with the
+// context's error and cache nothing, so that the next request at the same
+// version equals a cold run.
+func TestCancelAtEveryStride(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		s, _ := datasetSession(t) // 3000 tuples: each scan polls once, each grouping several times
+		cold, err := s.DetectDigest(context.Background(), "customer", WithEngine(ParallelDetection), WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, _ := s.Table("customer")
+		cancelled := 0
+		for n := int64(0); ; n++ {
+			s.mu.Lock()
+			delete(s.reports, "customer")
+			s.mu.Unlock()
+			ctx := &countdownCtx{Context: context.Background()}
+			ctx.left.Store(n)
+			d, err := s.DetectDigest(ctx, "customer", WithEngine(ParallelDetection), WithWorkers(workers))
+			if err == nil {
+				if !reflect.DeepEqual(d, cold) {
+					t.Fatalf("workers=%d: run that survived %d polls differs from the cold run", workers, n)
+				}
+				break
+			}
+			cancelled++
+			if !errors.Is(err, context.Canceled) || d != nil {
+				t.Fatalf("workers=%d poll %d: got (%v, %v), want a bare cancellation", workers, n, d, err)
+			}
+			if _, ok := s.cachedEntry("customer", ParallelDetection, tab.Version()); ok {
+				t.Fatalf("workers=%d poll %d: a cancelled pass left an entry cached", workers, n)
+			}
+			again, err := s.DetectDigest(context.Background(), "customer", WithEngine(ParallelDetection), WithWorkers(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(again, cold) {
+				t.Fatalf("workers=%d: request after a cancellation at poll %d differs from the cold run", workers, n)
+			}
+		}
+		if cancelled < 5 {
+			t.Errorf("workers=%d: only %d cancellation points exercised", workers, cancelled)
+		}
+	}
+}

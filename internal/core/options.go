@@ -41,7 +41,7 @@ func WithEngine(kind DetectorKind) Option {
 	}
 }
 
-// WithWorkers overrides the worker count for the sharded engines for this
+// WithWorkers overrides the worker count for the parallel engine for this
 // request only (the shared session is not mutated). n <= 0 means
 // runtime.GOMAXPROCS. Other engines ignore it.
 func WithWorkers(n int) Option {

@@ -2,35 +2,32 @@ package detect
 
 import (
 	"context"
-	"encoding/binary"
 	"runtime"
-	"sync"
 
 	"semandaq/internal/cfd"
 	"semandaq/internal/relstore"
-	"semandaq/internal/types"
 )
 
 // ColumnarDetector computes the NativeDetector report over the table's
-// columnar snapshot (relstore.Columnar) instead of the row store. The
-// semantics and the produced report are identical — same violations, same
-// group and member order — but the hot loop is integer work:
+// columnar snapshot (relstore.Columnar) instead of the row store: it runs
+// the factorised core (factor.go) and explodes the result at this compat
+// edge. The semantics and the produced report are identical — same
+// violations, same group and member order — but the work is integer work:
 //
 //   - a pattern constant is translated once per detection into the
 //     column's Equal-class code, so matching a tuple against a pattern
 //     cell is one uint32 comparison instead of a Value.Equal call;
-//   - the multi-tuple group key is the fixed-width vector of the tuple's
-//     LHS Equal-class codes, packed into a small byte buffer, instead of a
-//     length-prefixed Key() string rebuilt per tuple per CFD (the
-//     WriteGroupKey encoding remains the cross-snapshot key format, used
-//     by the incremental tracker and the SQL engine's generic paths);
+//   - multi-tuple groups are classes of the LHS columns' cached PLI
+//     partitions, refined by intersection, instead of a length-prefixed
+//     Key() string rebuilt per tuple per CFD (the WriteGroupKey encoding
+//     remains the cross-snapshot key format, used by the incremental
+//     tracker and the SQL engine's generic paths);
 //   - the RHS value key of a group member is the dictionary's precomputed
 //     Key() string, shared by every member with that value.
 //
-// Workers selects the evaluation shape: <= 1 runs a sequential scan; more
-// run the two-phase sharded evaluation ParallelDetector describes (chunked
-// scan, then per-shard grouping routed by a hash of the code vector). The
-// report does not depend on the worker count.
+// Workers > 1 fans the per-CFD passes over that many goroutines; the
+// report does not depend on the worker count. Callers that can consume the
+// factorised form should take DetectFactorised and skip the explosion.
 type ColumnarDetector struct {
 	Workers int
 }
@@ -116,41 +113,6 @@ func matchCells(cells []colCell, cols []*relstore.Column, idx int) bool {
 	return true
 }
 
-// appendConstViolationsColumnar is appendConstViolations over codes: it
-// appends row idx's single-tuple violations and reports whether any fired.
-func appendConstViolationsColumnar(dst []Violation, cp *colPrep, idx int,
-	id relstore.TupleID) ([]Violation, bool) {
-	if len(cp.constPats) == 0 {
-		return dst, false
-	}
-	fired := false
-	rhsExact := cp.rhsCol.Code(idx)
-	if cp.hasNull && rhsExact == cp.rhsNull {
-		return dst, false // NULL RHS is never flagged, matching the SQL path
-	}
-	rhsEq := cp.rhsCol.EqOf(rhsExact)
-	for pi := range cp.constPats {
-		pat := &cp.constPats[pi]
-		if pat.dead || !matchCells(pat.lhs, cp.lhsCols, idx) {
-			continue
-		}
-		if pat.expOK && rhsEq == pat.expCode {
-			continue
-		}
-		dst = append(dst, Violation{
-			CFDID:    cp.p.c.ID,
-			Kind:     SingleTuple,
-			Pattern:  pat.idx,
-			TupleID:  id,
-			Attr:     cp.p.c.RHS[0],
-			Expected: cp.p.c.Tableau[pat.idx].RHS[0].Const,
-			Got:      cp.rhsCol.Value(rhsExact),
-		})
-		fired = true
-	}
-	return dst, fired
-}
-
 // matchesVarColumnar reports whether row idx matches at least one live
 // variable pattern's LHS.
 func matchesVarColumnar(cp *colPrep, idx int) bool {
@@ -163,280 +125,33 @@ func matchesVarColumnar(cp *colPrep, idx int) bool {
 	return false
 }
 
-// packLHSCodes writes row idx's LHS Equal-class code vector into buf
-// (little-endian uint32 per attribute). Two rows pack identically iff
-// their LHS projections are component-wise Equal, so string(buf) is a
-// collision-free group key within one snapshot.
-func packLHSCodes(buf []byte, cp *colPrep, idx int) {
-	for k, col := range cp.lhsCols {
-		binary.LittleEndian.PutUint32(buf[4*k:], col.EqCode(idx))
-	}
-}
-
-// addToGroupColumnar folds row idx into the group keyed by its packed code
-// vector, materializing the representative LHS values (exact, from the
-// first member — exactly what the row path stores) on group creation.
-func addToGroupColumnar(groups map[string]*groupAcc, keyBuf []byte,
-	cp *colPrep, idx int, id relstore.TupleID) {
-	g, ok := groups[string(keyBuf)]
-	if !ok {
-		lhsVals := make([]types.Value, len(cp.lhsCols))
-		for k, col := range cp.lhsCols {
-			lhsVals[k] = col.Value(col.Code(idx))
-		}
-		g = &groupAcc{
-			lhsVals:   lhsVals,
-			rhsOf:     map[relstore.TupleID]string{},
-			rhsCounts: map[string]int{},
-		}
-		groups[string(keyBuf)] = g
-	}
-	g.members = append(g.members, id)
-	rk := cp.rhsCol.KeyOf(cp.rhsCol.Code(idx))
-	g.rhsOf[id] = rk
-	g.rhsCounts[rk]++
-}
-
 // Detect implements Detector.
 func (d ColumnarDetector) Detect(ctx context.Context, tab *relstore.Table, cfds []*cfd.CFD) (*Report, error) {
 	return d.DetectSnapshot(ctx, tab.Snapshot(), cfds)
 }
 
-// DetectSnapshot implements SnapshotDetector: the columnar evaluation over
-// one pinned table version (its lazily built columnar decomposition).
-func (d ColumnarDetector) DetectSnapshot(ctx context.Context, rsnap *relstore.Snapshot, cfds []*cfd.CFD) (*Report, error) {
-	preps, err := prepare(rsnap.Schema(), cfds)
+// DetectSnapshot implements SnapshotDetector: the factorised evaluation
+// over one pinned table version, exploded to the flat report.
+func (d ColumnarDetector) DetectSnapshot(ctx context.Context, snap *relstore.Snapshot, cfds []*cfd.CFD) (*Report, error) {
+	fr, err := d.DetectFactorised(ctx, snap, cfds)
 	if err != nil {
 		return nil, err
 	}
-	snap := rsnap.Columnar()
-	rep := &Report{
-		Table:      snap.Schema().Name,
-		TupleCount: snap.Len(),
-		Version:    snap.Version(),
-		PerCFD:     make(map[string]*CFDStats),
+	if err := ctx.Err(); err != nil {
+		return nil, err // the explosion below is not interruptible
 	}
-	cps := make([]colPrep, len(preps))
-	for i, p := range preps {
-		rep.PerCFD[p.c.ID] = &CFDStats{}
-		cps[i] = newColPrep(p, snap)
-	}
-	workers := clampWorkers(d.Workers, snap.Len())
-	if workers <= 1 {
-		for i := range cps {
-			if err := detectOneColumnar(ctx, snap, &cps[i], rep, rep.PerCFD[preps[i].c.ID]); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		if err := detectShardedColumnar(ctx, snap, cps, rep, workers); err != nil {
-			return nil, err
-		}
-	}
-	finish(rep)
-	return rep, nil
+	return fr.Explode(), nil
+}
+
+// DetectFactorised implements FactorDetector: the report in its primary,
+// un-exploded form.
+func (d ColumnarDetector) DetectFactorised(ctx context.Context, snap *relstore.Snapshot, cfds []*cfd.CFD) (*FactorReport, error) {
+	return detectFactorised(ctx, snap, cfds, d.Workers)
 }
 
 // clampWorkers bounds untrusted worker counts (the HTTP API forwards
-// them): beyond the core count extra workers only add scheduling and
-// routing-buffer overhead, and beyond the tuple count they do nothing at
-// all.
-func clampWorkers(workers, tuples int) int {
-	if maxW := 8 * runtime.GOMAXPROCS(0); workers > maxW {
-		workers = maxW
-	}
-	if workers > tuples {
-		workers = tuples
-	}
-	return workers
-}
-
-// detectOneColumnar is the sequential scan for one CFD: single-tuple
-// checks inline, group accumulation keyed by packed code vectors.
-func detectOneColumnar(ctx context.Context, snap *relstore.Columnar, cp *colPrep, rep *Report, st *CFDStats) error {
-	groups := map[string]*groupAcc{}
-	keyBuf := make([]byte, 4*len(cp.lhsCols))
-	ids := snap.IDs()
-	for idx := range ids {
-		if idx%cancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		var fired bool
-		rep.Violations, fired = appendConstViolationsColumnar(rep.Violations, cp, idx, ids[idx])
-		if fired {
-			st.SingleTuple++
-		}
-		if matchesVarColumnar(cp, idx) {
-			packLHSCodes(keyBuf, cp, idx)
-			addToGroupColumnar(groups, keyBuf, cp, idx, ids[idx])
-		}
-	}
-	var ng, nm int
-	rep.Groups, rep.Violations, ng, nm = flushGroups(groups, cp.p, rep.Groups, rep.Violations)
-	st.Groups += ng
-	st.MultiTuple += nm
-	return nil
-}
-
-// colChunkResult is one scan worker's output in the sharded evaluation.
-type colChunkResult struct {
-	violations []Violation
-	// singles counts, per prepared CFD, the chunk's tuples with at least
-	// one single-tuple violation (chunks partition the tuples, so these
-	// add up without double counting).
-	singles []int
-	// routed[cfdIdx][shard] lists the snapshot indexes of this chunk's
-	// tuples whose group lands in that shard, in snapshot order.
-	routed [][][]int32
-}
-
-// colShardResult is one group worker's output.
-type colShardResult struct {
-	violations []Violation
-	groups     []*Group
-	// multis and groupCounts are per prepared CFD.
-	multis      []int
-	groupCounts []int
-}
-
-// detectShardedColumnar runs the two-phase evaluation: chunked scan (phase
-// 1), then per-shard grouping (phase 2), merged by concatenation under the
-// deterministic finish() ordering — the same structure the row-based
-// ParallelDetector used, now routing 4-byte code vectors instead of keys.
-// Cancellation is checked inside every worker; a cancelled run returns
-// ctx.Err() after the workers unwind.
-func detectShardedColumnar(ctx context.Context, snap *relstore.Columnar, cps []colPrep, rep *Report, workers int) error {
-	ids := snap.IDs()
-	shards := workers
-	bounds := chunkBounds(len(ids), workers)
-	chunks := make([]colChunkResult, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			scanChunkColumnar(ctx, &chunks[w], cps, ids, bounds[w], bounds[w+1], shards)
-		}(w)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-
-	// Phase 2: shard s consumes, for every CFD, the indexes routed to it
-	// by every chunk, in chunk order — which is snapshot order, so group
-	// members accumulate exactly as the sequential scan would.
-	results := make([]colShardResult, shards)
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			groupShardColumnar(ctx, &results[s], cps, chunks, s, ids)
-		}(s)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-
-	for w := range chunks {
-		rep.Violations = append(rep.Violations, chunks[w].violations...)
-		for ci, n := range chunks[w].singles {
-			rep.PerCFD[cps[ci].p.c.ID].SingleTuple += n
-		}
-	}
-	for s := range results {
-		rep.Violations = append(rep.Violations, results[s].violations...)
-		rep.Groups = append(rep.Groups, results[s].groups...)
-		for ci := range cps {
-			st := rep.PerCFD[cps[ci].p.c.ID]
-			st.MultiTuple += results[s].multis[ci]
-			st.Groups += results[s].groupCounts[ci]
-		}
-	}
-	return nil
-}
-
-// scanChunkColumnar is phase 1 for one worker: single-tuple checks inline,
-// variable matches routed to shards by a hash of the packed code vector.
-// On cancellation the worker abandons its chunk; the caller notices via
-// ctx.Err() and discards every chunk's partial output.
-func scanChunkColumnar(ctx context.Context, out *colChunkResult, cps []colPrep,
-	ids []relstore.TupleID, lo, hi, shards int) {
-	out.singles = make([]int, len(cps))
-	out.routed = make([][][]int32, len(cps))
-	keyBufs := make([][]byte, len(cps))
-	for ci := range cps {
-		out.routed[ci] = make([][]int32, shards)
-		keyBufs[ci] = make([]byte, 4*len(cps[ci].lhsCols))
-	}
-	for idx := lo; idx < hi; idx++ {
-		if (idx-lo)%cancelStride == 0 && ctx.Err() != nil {
-			return
-		}
-		id := ids[idx]
-		for ci := range cps {
-			cp := &cps[ci]
-			var fired bool
-			out.violations, fired = appendConstViolationsColumnar(out.violations, cp, idx, id)
-			if fired {
-				out.singles[ci]++
-			}
-			if matchesVarColumnar(cp, idx) {
-				packLHSCodes(keyBufs[ci], cp, idx)
-				s := shardOfBytes(keyBufs[ci], shards)
-				out.routed[ci][s] = append(out.routed[ci][s], int32(idx))
-			}
-		}
-	}
-}
-
-// groupShardColumnar is phase 2 for one shard: re-pack each routed index's
-// code vector and accumulate groups, exactly as the sequential scan does.
-func groupShardColumnar(ctx context.Context, out *colShardResult, cps []colPrep,
-	chunks []colChunkResult, shard int, ids []relstore.TupleID) {
-	out.multis = make([]int, len(cps))
-	out.groupCounts = make([]int, len(cps))
-	n := 0
-	for ci := range cps {
-		cp := &cps[ci]
-		groups := map[string]*groupAcc{}
-		keyBuf := make([]byte, 4*len(cp.lhsCols))
-		for w := range chunks {
-			for _, idx := range chunks[w].routed[ci][shard] {
-				if n++; n%cancelStride == 0 && ctx.Err() != nil {
-					return
-				}
-				packLHSCodes(keyBuf, cp, int(idx))
-				addToGroupColumnar(groups, keyBuf, cp, int(idx), ids[idx])
-			}
-		}
-		var ng, nm int
-		out.groups, out.violations, ng, nm = flushGroups(groups, cp.p, out.groups, out.violations)
-		out.groupCounts[ci] += ng
-		out.multis[ci] += nm
-	}
-}
-
-// chunkBounds splits n items into w contiguous ranges; returns w+1 offsets.
-func chunkBounds(n, w int) []int {
-	bounds := make([]int, w+1)
-	for i := 0; i <= w; i++ {
-		bounds[i] = i * n / w
-	}
-	return bounds
-}
-
-// shardOfBytes assigns a packed code vector to a shard with FNV-1a; any
-// deterministic hash works, since the merged report is re-sorted by
-// finish().
-func shardOfBytes(key []byte, shards int) int {
-	h := uint32(2166136261)
-	for _, b := range key {
-		h ^= uint32(b)
-		h *= 16777619
-	}
-	return int(h % uint32(shards))
+// them): beyond the core count extra workers only add scheduling overhead,
+// and beyond the task count they do nothing at all.
+func clampWorkers(workers, tasks int) int {
+	return min(workers, 8*runtime.GOMAXPROCS(0), tasks)
 }

@@ -21,15 +21,16 @@
 // end); NativeDetector computes the same report with hand-rolled hash
 // grouping over the row store (the reference semantics and the row-path
 // baseline the benches compare against); ColumnarDetector evaluates over
-// the table's columnar snapshot with dictionary-code group keys, either
-// sequentially or sharded across workers (ParallelDetector is its
-// multi-worker configuration). The incremental layer builds on the native
-// semantics.
+// the table's columnar snapshot with the factorised core — dictionary-code
+// pattern matching, PLI-partition grouping — and explodes the result
+// (ParallelDetector is its multi-worker configuration). The incremental
+// layer builds on the native semantics.
 package detect
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -136,7 +137,7 @@ func (r *Report) DirtyTuples() []relstore.TupleID {
 	for id := range r.Vio {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -174,6 +175,15 @@ type SnapshotDetector interface {
 	DetectSnapshot(ctx context.Context, snap *relstore.Snapshot, cfds []*cfd.CFD) (*Report, error)
 }
 
+// FactorDetector is implemented by detectors whose native result is the
+// factorised report (the columnar kinds): callers that can consume it —
+// the facade's report cache, the detect endpoint's digest, the factorised
+// audit — take it un-exploded instead of paying for DetectSnapshot's flat
+// form.
+type FactorDetector interface {
+	DetectFactorised(ctx context.Context, snap *relstore.Snapshot, cfds []*cfd.CFD) (*FactorReport, error)
+}
+
 // prepared is a normalized CFD with resolved attribute positions.
 type prepared struct {
 	c      *cfd.CFD
@@ -207,41 +217,34 @@ func prepare(sc *schema.Relation, cfds []*cfd.CFD) ([]prepared, error) {
 	return out, nil
 }
 
-// finish sorts the report deterministically and fills vio(t).
+// finish sorts the report deterministically and fills vio(t): per the
+// paper, +1 per CFD with a single-tuple violation (however many patterns
+// fire), +partners per CFD with a multi-tuple violation. After the sort
+// records with equal (tuple, CFD, kind) are adjacent, so both the dirty
+// count that sizes the map and the per-CFD deduplication are adjacency
+// checks.
 func finish(rep *Report) {
-	sortViolations(rep.Violations)
-	rep.Vio = make(map[relstore.TupleID]int)
-	// Per the paper: +1 per CFD with a single-tuple violation (however many
-	// patterns fire), +partners per CFD with a multi-tuple violation.
-	type key struct {
-		id relstore.TupleID
-		c  string
-		k  Kind
+	vs := rep.Violations
+	sortViolations(vs)
+	dirty := 0
+	for i := range vs {
+		if i == 0 || vs[i].TupleID != vs[i-1].TupleID {
+			dirty++
+		}
 	}
-	seen := map[key]bool{}
-	for _, v := range rep.Violations {
-		kk := key{v.TupleID, v.CFDID, v.Kind}
+	rep.Vio = make(map[relstore.TupleID]int, dirty)
+	for i := range vs {
+		v := &vs[i]
+		if i > 0 && vs[i-1].TupleID == v.TupleID && vs[i-1].CFDID == v.CFDID && vs[i-1].Kind == v.Kind {
+			continue
+		}
 		if v.Kind == SingleTuple {
-			if seen[kk] {
-				continue
-			}
-			seen[kk] = true
 			rep.Vio[v.TupleID]++
 		} else {
-			if seen[kk] {
-				continue
-			}
-			seen[kk] = true
 			rep.Vio[v.TupleID] += v.Partners
 		}
 	}
-	sort.Slice(rep.Groups, func(i, j int) bool {
-		a, b := rep.Groups[i], rep.Groups[j]
-		if a.CFDID != b.CFDID {
-			return a.CFDID < b.CFDID
-		}
-		return lhsKey(a.LHSValues) < lhsKey(b.LHSValues)
-	})
+	sortByLHS(rep.Groups, func(g *Group) (string, []types.Value) { return g.CFDID, g.LHSValues })
 }
 
 // lhsKey encodes an LHS value vector as a grouping key, in the shared
@@ -310,9 +313,9 @@ func (NativeDetector) DetectSnapshot(ctx context.Context, snap *relstore.Snapsho
 	return rep, nil
 }
 
-// detectOne processes one prepared CFD over the whole snapshot. The group
-// bookkeeping (groupAcc, flushGroups) is shared with ColumnarDetector,
-// whose code-vector evaluation must stay byte-identical to this row scan.
+// detectOne processes one prepared CFD over the whole snapshot. The
+// columnar core (factor.go) shares none of this: its exploded report must
+// stay byte-identical to this row scan.
 func detectOne(ctx context.Context, snap *relstore.Snapshot, p prepared, rep *Report, st *CFDStats) error {
 	constPatterns, varPatterns := splitPatterns(p)
 	groups := map[string]*groupAcc{}

@@ -10,8 +10,8 @@ import (
 
 // EngineKind identifies one of the interchangeable detection engines. All
 // registered engines produce byte-identical reports; they differ only in
-// evaluation strategy (generated SQL, row scan, columnar scan, sharded
-// columnar scan).
+// evaluation strategy (generated SQL, row scan, factorised columnar
+// evaluation on one or several workers).
 type EngineKind int
 
 // The built-in engines. The constants double as the wire/CLI order, so
@@ -22,9 +22,10 @@ const (
 	SQLEngine EngineKind = iota
 	// NativeEngine is the single-threaded in-memory row scan.
 	NativeEngine
-	// ParallelEngine shards the columnar evaluation across workers.
+	// ParallelEngine is the columnar evaluation on several workers.
 	ParallelEngine
-	// ColumnarEngine is the sequential columnar-snapshot scan.
+	// ColumnarEngine is the single-worker factorised evaluation over the
+	// columnar snapshot.
 	ColumnarEngine
 )
 
@@ -60,7 +61,7 @@ func ParseEngineKind(s string) (EngineKind, error) {
 // Config carries the per-request parameters an engine factory may consume.
 // Engines ignore fields they do not need.
 type Config struct {
-	// Workers is the goroutine count for sharded engines; <= 0 means
+	// Workers is the goroutine count for the parallel engine; <= 0 means
 	// runtime.GOMAXPROCS.
 	Workers int
 	// Store must contain the data table for the SQL engine (the generated

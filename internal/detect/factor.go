@@ -2,15 +2,19 @@
 // already maintains *are* a factorised representation of the relation, so
 // multi-tuple violations don't need exploding into per-tuple rows and
 // per-member maps to be reported. A FactorGroup carries the group's row
-// refs (on the common all-wildcard path a zero-copy alias of the LHS
+// refs (for a single-attribute LHS a zero-copy alias of the column's
 // partition class) plus an RHS histogram; everything per-member — the
 // member's RHS key, its partner count, its Violation row — is derivable
 // in O(1) from the columnar dictionaries, so reporting a 10k-member dirty
 // group allocates O(distinct RHS values), not O(members).
 //
-// The factorised report is the primary form; Explode() lowers it to the
-// exact legacy Report (byte-identity is the oracle, enforced by the fuzz
-// and cross-check tiers), and WriteNDJSON streams it one group per line
+// The factorised report is the primary form: this file is the one columnar
+// scan→group core, the facade caches its result un-exploded, and the
+// detect endpoint encodes its Digest (totals plus the dense vio(t)).
+// Explode() lowers it to the exact flat Report at the compat edge
+// (ColumnarDetector.DetectSnapshot, the facade's Detect and Explore —
+// byte-identity with NativeDetector is the oracle, enforced by the fuzz and
+// cross-check tiers), and WriteNDJSON streams it one group per line
 // without ever materializing members. Audit and repair consume the
 // factorised form directly (AuditFactorised, repair.RunFactorised);
 // calling Explode() inside those hot paths is forbidden by the noexplode
@@ -18,10 +22,14 @@
 package detect
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"io"
-	"sort"
+	"maps"
+	"slices"
+	"strings"
+	"sync"
 
 	"semandaq/internal/cfd"
 	"semandaq/internal/relstore"
@@ -42,9 +50,9 @@ type FactorGroup struct {
 	// LHSValues is the shared LHS value vector (exact values of the first
 	// member, matching the legacy Group contract).
 	LHSValues []types.Value
-	// Rows lists the members as ascending snapshot row indexes. On the
-	// all-wildcard fast path this aliases the LHS partition class's
-	// backing storage — callers must not mutate it.
+	// Rows lists the members as ascending snapshot row indexes. It aliases
+	// the LHS partition class's backing storage — callers must not mutate
+	// it.
 	Rows []int32
 	// RHSCounts counts members per RHS value key; MajorityKey is the key
 	// of the largest sub-group (ties broken by key order).
@@ -77,6 +85,20 @@ func (g *FactorGroup) PartnersAt(i int) int {
 	return len(g.Rows) - g.RHSCounts[g.RHSKeyAt(i)]
 }
 
+// violationAt returns the i-th member's multi-tuple violation record, as
+// the exploded report and the violation stream carry it, given the member's
+// RHS key.
+func (g *FactorGroup) violationAt(i int, rhsKey string) Violation {
+	return Violation{
+		CFDID:    g.CFDID,
+		Kind:     MultiTuple,
+		Pattern:  -1,
+		TupleID:  g.MemberAt(i),
+		Attr:     g.Attr,
+		Partners: len(g.Rows) - g.RHSCounts[rhsKey],
+	}
+}
+
 // Members materializes the member tuple IDs, in snapshot order.
 func (g *FactorGroup) Members() []relstore.TupleID {
 	return g.AppendMembers(make([]relstore.TupleID, 0, len(g.Rows)))
@@ -96,131 +118,274 @@ func (g *FactorGroup) AppendMembers(dst []relstore.TupleID) []relstore.TupleID {
 // violations are factorised into FactorGroups. PerCFD statistics match
 // the legacy report's exactly. Ordering is deterministic: violations in
 // the legacy sort order, groups by (CFDID, LHS key) — the same order
-// finish() gives the exploded report.
+// finish() gives the exploded report. A report is immutable once built and
+// safe to share.
 type FactorReport struct {
 	Table      string
 	TupleCount int
 	// Version is the pinned snapshot version the report describes.
-	Version    int64
-	Violations []Violation
-	PerCFD     map[string]*CFDStats
+	Version      int64
+	Violations   []Violation
+	PerCFD       map[string]*CFDStats
 	FactorGroups []*FactorGroup
+
+	// vio is vio(t) over snapshot row index, parallel to ids (the snapshot's
+	// id vector, ascending: tuple ids are assigned monotonically).
+	ids           []relstore.TupleID
+	vio           []int32
+	dirty, maxVio int
 }
 
-// DirtyGroups returns the number of factor groups.
-func (fr *FactorReport) DirtyGroups() int { return len(fr.FactorGroups) }
+// records returns the exploded report's violation count: the single-tuple
+// rows plus one row per group member.
+func (fr *FactorReport) records() int {
+	n := len(fr.Violations)
+	for _, st := range fr.PerCFD {
+		n += st.MultiTuple
+	}
+	return n
+}
+
+// Digest is what the detect endpoint puts on the wire: the report's totals
+// and vio(t), without the violation records or the groups. IDs and Vio are
+// parallel and ascending by tuple id; entries with Vio[i] == 0 are clean
+// tuples (a factorised report's digest aliases the snapshot's id vector and
+// its dense vio(t), so building one allocates nothing per tuple). Callers
+// must not mutate the slices or the map.
+type Digest struct {
+	Table      string
+	TupleCount int
+	Version    int64
+	// Violations counts the violation records of the exploded report.
+	Violations int
+	Dirty      int
+	MaxVio     int
+	PerCFD     map[string]*CFDStats
+	IDs        []relstore.TupleID
+	Vio        []int32
+}
+
+// Digest summarizes the factorised report for the wire.
+func (fr *FactorReport) Digest() *Digest {
+	return &Digest{
+		Table:      fr.Table,
+		TupleCount: fr.TupleCount,
+		Version:    fr.Version,
+		Violations: fr.records(),
+		Dirty:      fr.dirty,
+		MaxVio:     fr.maxVio,
+		PerCFD:     fr.PerCFD,
+		IDs:        fr.ids,
+		Vio:        fr.vio,
+	}
+}
+
+// Digest summarizes a flat report for the wire: the same digest the
+// factorised report over the same snapshot produces, so SQL, native and
+// tracker reports share the endpoint's encoder.
+func (r *Report) Digest() *Digest {
+	d := &Digest{
+		Table:      r.Table,
+		TupleCount: r.TupleCount,
+		Version:    r.Version,
+		Violations: len(r.Violations),
+		Dirty:      len(r.Vio),
+		PerCFD:     r.PerCFD,
+		IDs:        r.DirtyTuples(),
+		Vio:        make([]int32, len(r.Vio)),
+	}
+	for i, id := range d.IDs {
+		d.Vio[i] = int32(r.Vio[id])
+		d.MaxVio = max(d.MaxVio, r.Vio[id])
+	}
+	return d
+}
 
 // DetectFactorised evaluates the CFDs over one pinned snapshot and
-// returns the factorised report. CFDs whose variable patterns include an
-// all-wildcard row (plain FDs — the common case, and everything
-// discovery's variable lattice emits globally) group through the LHS
-// columns' cached PLI partitions: the group rows are partition classes,
-// zero-copy, and only the RHS histogram is computed per class. Patterns
-// with LHS constants fall back to a code-filtered scan. Either way no
-// per-member map or per-member violation row is built.
+// returns the factorised report: the single-worker run of the columnar
+// core every columnar entry point (ColumnarDetector, ParallelDetector,
+// the violation stream) is built on.
 func DetectFactorised(ctx context.Context, rsnap *relstore.Snapshot, cfds []*cfd.CFD) (*FactorReport, error) {
+	return detectFactorised(ctx, rsnap, cfds, 1)
+}
+
+// bindCFDs prepares the CFDs and resolves their patterns into the
+// snapshot's code space.
+func bindCFDs(rsnap *relstore.Snapshot, cfds []*cfd.CFD) (*relstore.Columnar, []colPrep, error) {
 	preps, err := prepare(rsnap.Schema(), cfds)
+	if err != nil {
+		return nil, nil, err
+	}
+	snap := rsnap.Columnar()
+	cps := make([]colPrep, len(preps))
+	for i, p := range preps {
+		cps[i] = newColPrep(p, snap)
+	}
+	return snap, cps, nil
+}
+
+// detectFactorised is the columnar scan→group core. Each prepared CFD
+// contributes two independent passes — the constant-pattern scan and the
+// LHS-partition grouping — which workers > 1 fans over a bounded pool. The
+// passes write disjoint parts that merge in CFD order before the canonical
+// sort, so the report does not depend on the worker count. No per-member
+// map or per-member violation row is built.
+func detectFactorised(ctx context.Context, rsnap *relstore.Snapshot, cfds []*cfd.CFD, workers int) (*FactorReport, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	snap, cps, err := bindCFDs(rsnap, cfds)
 	if err != nil {
 		return nil, err
 	}
-	snap := rsnap.Columnar()
+	ids := snap.IDs()
+	type part struct {
+		viols   []Violation
+		singles int
+		groups  []*FactorGroup
+	}
+	parts := make([]part, 2*len(cps)) // [2i] constant scan, [2i+1] grouping of CFD i
+	err = runTasks(clampWorkers(workers, len(parts)), len(parts), func(t int) error {
+		cp, out := &cps[t/2], &parts[t]
+		if t%2 == 1 {
+			var err error
+			out.groups, err = factorGroups(ctx, cp, ids)
+			return err
+		}
+		last := relstore.TupleID(-1)
+		for v, err := range constScan(ctx, cp, ids) {
+			if err != nil {
+				return err
+			}
+			if v.TupleID != last { // the statistic counts tuples, not pattern firings
+				last = v.TupleID
+				out.singles++
+			}
+			out.viols = append(out.viols, v)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	fr := &FactorReport{
 		Table:      snap.Schema().Name,
 		TupleCount: snap.Len(),
 		Version:    snap.Version(),
-		PerCFD:     make(map[string]*CFDStats),
+		PerCFD:     make(map[string]*CFDStats, len(cps)),
+		ids:        ids,
 	}
-	ids := snap.IDs()
-	for i := range preps {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	for i := range cps {
+		scan, grouping := &parts[2*i], &parts[2*i+1]
+		st := &CFDStats{SingleTuple: scan.singles, Groups: len(grouping.groups)}
+		for _, g := range grouping.groups {
+			st.MultiTuple += len(g.Rows)
 		}
-		cp := newColPrep(preps[i], snap)
-		st := &CFDStats{}
-		fr.PerCFD[cp.p.c.ID] = st
-		if len(cp.constPats) > 0 {
-			if err := factorConstScan(ctx, &cp, ids, fr, st); err != nil {
-				return nil, err
-			}
-		}
-		if len(cp.varPats) == 0 {
-			continue
-		}
-		if hasAllWildcardVar(&cp) {
-			err = factorFromPartitions(ctx, snap, &cp, ids, fr, st)
-		} else {
-			err = factorFromScan(ctx, &cp, ids, fr, st)
-		}
-		if err != nil {
-			return nil, err
-		}
+		fr.PerCFD[cps[i].p.c.ID] = st
+		fr.Violations = append(fr.Violations, scan.viols...)
+		fr.FactorGroups = append(fr.FactorGroups, grouping.groups...)
 	}
 	sortViolations(fr.Violations)
-	sort.Slice(fr.FactorGroups, func(i, j int) bool {
-		a, b := fr.FactorGroups[i], fr.FactorGroups[j]
-		if a.CFDID != b.CFDID {
-			return a.CFDID < b.CFDID
-		}
-		return lhsKey(a.LHSValues) < lhsKey(b.LHSValues)
-	})
+	sortByLHS(fr.FactorGroups, func(g *FactorGroup) (string, []types.Value) { return g.CFDID, g.LHSValues })
+	fr.fillVio()
 	return fr, nil
 }
 
-// factorConstScan finds the single-tuple violations for one CFD — the
-// same code-filtered scan the columnar detector runs.
-func factorConstScan(ctx context.Context, cp *colPrep, ids []relstore.TupleID,
-	fr *FactorReport, st *CFDStats) error {
-	for idx := range ids {
-		if idx%cancelStride == 0 {
-			if err := ctx.Err(); err != nil {
+// runTasks runs task(0..n-1), at most workers at a time (inline when
+// workers <= 1), and returns the first error in task order — here always
+// the context's: a done ctx fails every task at its next stride.
+func runTasks(workers, n int, task func(i int) error) error {
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := task(i); err != nil {
 				return err
 			}
 		}
-		var fired bool
-		fr.Violations, fired = appendConstViolationsColumnar(fr.Violations, cp, idx, ids[idx])
-		if fired {
-			st.SingleTuple++
+		return nil
+	}
+	errs := make([]error, n)
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for i := range errs {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = task(i)
+			<-sem
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// hasAllWildcardVar reports whether some variable pattern's LHS is all
-// wildcards — then every row matches the variable side and grouping is
-// exactly the LHS partition.
-func hasAllWildcardVar(cp *colPrep) bool {
-	for pi := range cp.varPats {
-		pat := &cp.varPats[pi]
-		if pat.dead {
-			continue
+// constScan yields one CFD's single-tuple violations in row order: each
+// row's RHS code is checked against every live constant pattern its LHS
+// codes match. A done ctx ends the sequence with one terminal error.
+func constScan(ctx context.Context, cp *colPrep, ids []relstore.TupleID) ViolationSeq {
+	return func(yield func(Violation, error) bool) {
+		if len(cp.constPats) == 0 {
+			return
 		}
-		all := true
-		for k := range pat.lhs {
-			if !pat.lhs[k].wild {
-				all = false
-				break
+		for idx, id := range ids {
+			if idx%cancelStride == 0 {
+				if err := ctx.Err(); err != nil {
+					yield(Violation{}, err)
+					return
+				}
+			}
+			rhsExact := cp.rhsCol.Code(idx)
+			if cp.hasNull && rhsExact == cp.rhsNull {
+				continue // NULL RHS is never flagged, matching the SQL path
+			}
+			rhsEq := cp.rhsCol.EqOf(rhsExact)
+			for pi := range cp.constPats {
+				pat := &cp.constPats[pi]
+				if pat.dead || !matchCells(pat.lhs, cp.lhsCols, idx) {
+					continue
+				}
+				if pat.expOK && rhsEq == pat.expCode {
+					continue
+				}
+				if !yield(Violation{
+					CFDID:    cp.p.c.ID,
+					Kind:     SingleTuple,
+					Pattern:  pat.idx,
+					TupleID:  id,
+					Attr:     cp.p.c.RHS[0],
+					Expected: cp.p.c.Tableau[pat.idx].RHS[0].Const,
+					Got:      cp.rhsCol.Value(rhsExact),
+				}, nil) {
+					return
+				}
 			}
 		}
-		if all {
-			return true
-		}
 	}
-	return false
 }
 
-// factorFromPartitions is the fast path: the LHS partition (the first LHS
-// column's cached PLI, refined by Intersect per further attribute) is the
-// grouping — each multi-row class is a candidate group whose rows are
-// emitted by reference.
-func factorFromPartitions(ctx context.Context, snap *relstore.Columnar, cp *colPrep,
-	ids []relstore.TupleID, fr *FactorReport, st *CFDStats) error {
-	part := cp.lhsCols[0].PLI()
+// factorGroups finds one CFD's multi-tuple violation groups. The LHS
+// partition (the first LHS column's cached PLI, refined by Intersect per
+// further attribute) is the grouping: rows of one class share their LHS
+// codes, so a class matches the variable patterns as a whole, and each
+// matching multi-row class is a candidate group whose rows are emitted by
+// reference.
+func factorGroups(ctx context.Context, cp *colPrep, ids []relstore.TupleID) ([]*FactorGroup, error) {
+	if len(cp.varPats) == 0 {
+		return nil, nil
+	}
+	part := cp.lhsCols[0].PLI() // prepare() rejects an empty LHS
 	for _, col := range cp.lhsCols[1:] {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
 		part = part.Intersect(col.EqProbe())
 	}
+	var out []*FactorGroup
 	codeCounts := make(map[uint32]int, 8)
 	seen := 0
 	for c := 0; c < part.NumClasses(); c++ {
@@ -231,55 +396,25 @@ func factorFromPartitions(ctx context.Context, snap *relstore.Columnar, cp *colP
 		if seen += len(rows); seen >= cancelStride {
 			seen = 0
 			if err := ctx.Err(); err != nil {
-				return err
+				return nil, err
 			}
 		}
-		emitFactorGroup(cp, rows, codeCounts, ids, fr, st)
-	}
-	return nil
-}
-
-// factorFromScan is the fallback for variable patterns with LHS
-// constants: a code-filtered scan routes matching rows into per-LHS-class
-// row lists (no per-member maps), then each list factorises like a
-// partition class.
-func factorFromScan(ctx context.Context, cp *colPrep, ids []relstore.TupleID,
-	fr *FactorReport, st *CFDStats) error {
-	rowsByClass := map[string][]int32{}
-	var order []string // first-occurrence order, for deterministic emission
-	keyBuf := make([]byte, 4*len(cp.lhsCols))
-	for idx := range ids {
-		if idx%cancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if !matchesVarColumnar(cp, idx) {
+		if !matchesVarColumnar(cp, int(rows[0])) {
 			continue
 		}
-		packLHSCodes(keyBuf, cp, idx)
-		k := string(keyBuf)
-		if _, ok := rowsByClass[k]; !ok {
-			order = append(order, k)
+		if g := newFactorGroup(cp, rows, codeCounts, ids); g != nil {
+			out = append(out, g)
 		}
-		rowsByClass[k] = append(rowsByClass[k], int32(idx))
 	}
-	codeCounts := make(map[uint32]int, 8)
-	for _, k := range order {
-		rows := rowsByClass[k]
-		if len(rows) < 2 {
-			continue
-		}
-		emitFactorGroup(cp, rows, codeCounts, ids, fr, st)
-	}
-	return nil
+	return out, nil
 }
 
-// emitFactorGroup computes one candidate group's RHS histogram over exact
-// dictionary codes and, when the group disagrees, appends the factorised
-// group. codeCounts is the caller's reusable scratch map.
-func emitFactorGroup(cp *colPrep, rows []int32, codeCounts map[uint32]int,
-	ids []relstore.TupleID, fr *FactorReport, st *CFDStats) {
+// newFactorGroup computes one candidate group's RHS histogram over exact
+// dictionary codes and returns the factorised group when the group
+// disagrees, nil when it is clean. codeCounts is the caller's reusable
+// scratch map.
+func newFactorGroup(cp *colPrep, rows []int32, codeCounts map[uint32]int,
+	ids []relstore.TupleID) *FactorGroup {
 	// Purity pre-check in raw codes: a clean group (the overwhelmingly
 	// common case) costs zero allocations.
 	rhs := cp.rhsCol
@@ -292,7 +427,7 @@ func emitFactorGroup(cp *colPrep, rows []int32, codeCounts map[uint32]int,
 		}
 	}
 	if pure {
-		return
+		return nil
 	}
 	clear(codeCounts)
 	for _, r := range rows {
@@ -303,13 +438,13 @@ func emitFactorGroup(cp *colPrep, rows []int32, codeCounts map[uint32]int,
 		counts[rhs.KeyOf(code)] += n
 	}
 	if len(counts) <= 1 {
-		return // distinct codes rendered one key (cannot happen; belt and braces)
+		return nil // distinct exact codes sharing one key: INT 1 and FLOAT 1.0 agree
 	}
 	lhsVals := make([]types.Value, len(cp.lhsCols))
 	for k, col := range cp.lhsCols {
 		lhsVals[k] = col.Value(col.Code(int(rows[0])))
 	}
-	fr.FactorGroups = append(fr.FactorGroups, &FactorGroup{
+	return &FactorGroup{
 		CFDID:       cp.p.c.ID,
 		Attr:        cp.p.c.RHS[0],
 		LHSAttrs:    append([]string(nil), cp.p.c.LHS...),
@@ -319,9 +454,45 @@ func emitFactorGroup(cp *colPrep, rows []int32, codeCounts map[uint32]int,
 		MajorityKey: majorityKey(counts),
 		rhsCol:      rhs,
 		ids:         ids,
-	})
-	st.Groups++
-	st.MultiTuple += len(rows)
+	}
+}
+
+// fillVio computes the dense vio(t) and its totals with integer adds: +1
+// per (tuple, CFD) with a single-tuple violation — equal pairs are adjacent
+// in the sorted slice, however many patterns fired — and +partners per
+// group member, resolved per distinct RHS code instead of per member key.
+func (fr *FactorReport) fillVio() {
+	fr.vio = make([]int32, len(fr.ids))
+	row := 0
+	for i := range fr.Violations {
+		v := &fr.Violations[i]
+		if i > 0 && fr.Violations[i-1].TupleID == v.TupleID && fr.Violations[i-1].CFDID == v.CFDID {
+			continue
+		}
+		for fr.ids[row] != v.TupleID {
+			row++
+		}
+		fr.vio[row]++
+	}
+	partners := make(map[uint32]int32, 8)
+	for _, g := range fr.FactorGroups {
+		clear(partners)
+		for _, r := range g.Rows {
+			code := g.rhsCol.Code(int(r))
+			p, ok := partners[code]
+			if !ok {
+				p = int32(len(g.Rows) - g.RHSCounts[g.rhsCol.KeyOf(code)])
+				partners[code] = p
+			}
+			fr.vio[r] += p
+		}
+	}
+	for _, v := range fr.vio {
+		if v > 0 {
+			fr.dirty++
+			fr.maxVio = max(fr.maxVio, int(v))
+		}
+	}
 }
 
 // AsGroup materializes the legacy Group view of one factor group WITHOUT
@@ -329,27 +500,23 @@ func emitFactorGroup(cp *colPrep, rows []int32, codeCounts map[uint32]int,
 // the repair planner consumes. Per-member RHS keys stay lazy (RHSKeyAt);
 // consumers needing the full map should Explode the report instead.
 func (g *FactorGroup) AsGroup() *Group {
-	counts := make(map[string]int, len(g.RHSCounts))
-	for k, n := range g.RHSCounts {
-		counts[k] = n
-	}
 	return &Group{
 		CFDID:       g.CFDID,
 		Attr:        g.Attr,
 		LHSAttrs:    append([]string(nil), g.LHSAttrs...),
 		LHSValues:   append([]types.Value(nil), g.LHSValues...),
 		Members:     g.Members(),
-		RHSCounts:   counts,
+		RHSCounts:   maps.Clone(g.RHSCounts),
 		MajorityKey: g.MajorityKey,
 	}
 }
 
-// Explode lowers the factorised report to the exact legacy Report: every
+// Explode lowers the factorised report to the exact flat Report: every
 // member's Violation row, the RHSOf maps, vio(t) and the finish() sort
-// order — byte-identical (DeepEqual) to what the legacy engines produce
-// over the same snapshot. It is the compatibility shim for consumers that
-// still want the exploded form; hot paths consume the factorised report
-// directly instead (the noexplode analyzer enforces this).
+// order — byte-identical (DeepEqual) to what NativeDetector produces over
+// the same snapshot. It is the compatibility edge for consumers that want
+// the exploded form; hot paths consume the factorised report directly
+// instead (the noexplode analyzer enforces this).
 func (fr *FactorReport) Explode() *Report {
 	rep := &Report{
 		Table:      fr.Table,
@@ -361,32 +528,16 @@ func (fr *FactorReport) Explode() *Report {
 		cp := *st
 		rep.PerCFD[id] = &cp
 	}
-	total := 0
-	for _, g := range fr.FactorGroups {
-		total += len(g.Rows)
-	}
-	if len(fr.Violations)+total > 0 {
-		rep.Violations = make([]Violation, 0, len(fr.Violations)+total)
+	if total := fr.records(); total > 0 {
+		rep.Violations = make([]Violation, 0, total)
 		rep.Violations = append(rep.Violations, fr.Violations...)
 	}
 	for _, g := range fr.FactorGroups {
 		members := g.Members()
 		rhsOf := make(map[relstore.TupleID]string, len(members))
-		counts := make(map[string]int, len(g.RHSCounts))
-		for k, n := range g.RHSCounts {
-			counts[k] = n
-		}
 		for i, id := range members {
-			rk := g.RHSKeyAt(i)
-			rhsOf[id] = rk
-			rep.Violations = append(rep.Violations, Violation{
-				CFDID:    g.CFDID,
-				Kind:     MultiTuple,
-				Pattern:  -1,
-				TupleID:  id,
-				Attr:     g.Attr,
-				Partners: len(members) - g.RHSCounts[rk],
-			})
+			rhsOf[id] = g.RHSKeyAt(i)
+			rep.Violations = append(rep.Violations, g.violationAt(i, rhsOf[id]))
 		}
 		rep.Groups = append(rep.Groups, &Group{
 			CFDID:       g.CFDID,
@@ -395,7 +546,7 @@ func (fr *FactorReport) Explode() *Report {
 			LHSValues:   append([]types.Value(nil), g.LHSValues...),
 			Members:     members,
 			RHSOf:       rhsOf,
-			RHSCounts:   counts,
+			RHSCounts:   maps.Clone(g.RHSCounts),
 			MajorityKey: g.MajorityKey,
 		})
 	}
@@ -452,19 +603,37 @@ func (fr *FactorReport) WriteNDJSON(w io.Writer) error {
 		"violations": len(fr.Violations), "groups": len(fr.FactorGroups)})
 }
 
-// sortViolations applies the canonical report order (the finish() sort).
+// sortViolations applies the canonical report order: (tuple, CFD, kind,
+// pattern). The key is unique per record, so the order is total.
 func sortViolations(vs []Violation) {
-	sort.Slice(vs, func(i, j int) bool {
-		a, b := vs[i], vs[j]
-		if a.TupleID != b.TupleID {
-			return a.TupleID < b.TupleID
+	slices.SortFunc(vs, func(a, b Violation) int {
+		if c := cmp.Compare(a.TupleID, b.TupleID); c != 0 {
+			return c // the common case, decided without the string compare
 		}
-		if a.CFDID != b.CFDID {
-			return a.CFDID < b.CFDID
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		return a.Pattern < b.Pattern
+		return cmp.Or(
+			strings.Compare(a.CFDID, b.CFDID),
+			cmp.Compare(a.Kind, b.Kind),
+			cmp.Compare(a.Pattern, b.Pattern),
+		)
 	})
+}
+
+// sortByLHS orders groups (of either form) by (CFD id, LHS group key),
+// encoding each group's key once instead of per comparison.
+func sortByLHS[G any](gs []G, groupKey func(G) (cfdID string, lhs []types.Value)) {
+	type keyed struct {
+		cfdID, lhs string
+		g          G
+	}
+	ks := make([]keyed, len(gs))
+	for i, g := range gs {
+		id, lhs := groupKey(g)
+		ks[i] = keyed{id, lhsKey(lhs), g}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
+		return cmp.Or(strings.Compare(a.cfdID, b.cfdID), strings.Compare(a.lhs, b.lhs))
+	})
+	for i := range ks {
+		gs[i] = ks[i].g
+	}
 }

@@ -17,19 +17,20 @@ import (
 	"semandaq/internal/types"
 )
 
-// TestFactorisedExplodeMatchesColumnar is the byte-identity oracle on the
+// TestFactorisedExplodeMatchesNative is the byte-identity oracle on the
 // generated workload: DetectFactorised().Explode() must DeepEqual the
-// legacy columnar report — violations, groups, member order, RHSOf maps,
-// vio(t), everything — across noise rates. StandardCFDs cover both
-// factorisation paths: phi1/phi4 have all-wildcard variable patterns
-// (partition fast path), phi2 conditions on CNT=UK (scan fallback).
-func TestFactorisedExplodeMatchesColumnar(t *testing.T) {
+// reference row-scan report — violations, groups, member order, RHSOf
+// maps, vio(t), everything — across noise rates. StandardCFDs cover both
+// grouping shapes: phi1/phi4 have all-wildcard variable patterns (every
+// partition class is a candidate), phi2 conditions on CNT=UK (classes are
+// filtered by the pattern).
+func TestFactorisedExplodeMatchesNative(t *testing.T) {
 	ctx := context.Background()
 	cfds := datagen.StandardCFDs()
 	for _, noise := range []float64{0, 0.05, 0.2} {
 		ds := datagen.Generate(datagen.Config{Tuples: 900, Seed: 11, NoiseRate: noise})
 		snap := ds.Dirty.Snapshot()
-		want, err := ColumnarDetector{}.DetectSnapshot(ctx, snap, cfds)
+		want, err := NativeDetector{}.DetectSnapshot(ctx, snap, cfds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +40,7 @@ func TestFactorisedExplodeMatchesColumnar(t *testing.T) {
 		}
 		got := fr.Explode()
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("noise=%.2f: exploded factorised report != columnar report", noise)
+			t.Fatalf("noise=%.2f: exploded factorised report != native report", noise)
 		}
 		// Exploding twice must not corrupt the factorised form (it is served
 		// repeatedly): the second explosion matches too.
@@ -92,7 +93,7 @@ func TestFactorisedAdversarial(t *testing.T) {
 	}
 	for name, cfds := range suites {
 		snap := tab.Snapshot()
-		want, err := ColumnarDetector{}.DetectSnapshot(ctx, snap, cfds)
+		want, err := NativeDetector{}.DetectSnapshot(ctx, snap, cfds)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -101,7 +102,7 @@ func TestFactorisedAdversarial(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if got := fr.Explode(); !reflect.DeepEqual(keyNormalize(got), keyNormalize(want)) {
-			t.Fatalf("%s: exploded factorised report != columnar report\ngot:  %+v\nwant: %+v",
+			t.Fatalf("%s: exploded factorised report != native report\ngot:  %+v\nwant: %+v",
 				name, got, want)
 		}
 	}
@@ -271,5 +272,93 @@ func TestFactorisedNDJSON(t *testing.T) {
 	if viols != len(fr.Violations) || groups != len(fr.FactorGroups) {
 		t.Fatalf("stream emitted %d violations, %d groups; report has %d, %d",
 			viols, groups, len(fr.Violations), len(fr.FactorGroups))
+	}
+}
+
+// digestOfNative is the reference digest: the native report's own.
+func digestOfNative(t *testing.T, snap *relstore.Snapshot, cfds []*cfd.CFD) *Digest {
+	t.Helper()
+	rep, err := NativeDetector{}.DetectSnapshot(context.Background(), snap, cfds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep.Digest()
+}
+
+// dirtyOnly drops a factorised digest's clean tuples (listed at vio 0), the
+// form a flat report's digest has.
+func dirtyOnly(d *Digest) *Digest {
+	out := *d
+	out.IDs, out.Vio = []relstore.TupleID{}, []int32{}
+	for i, n := range d.Vio {
+		if n > 0 {
+			out.IDs, out.Vio = append(out.IDs, d.IDs[i]), append(out.Vio, n)
+		}
+	}
+	return &out
+}
+
+// TestFactorisedWorkerIndependent: the factorised report — groups, row
+// refs, the dense vio(t), every field — is DeepEqual whatever the worker
+// count, and its digest is the native report's.
+func TestFactorisedWorkerIndependent(t *testing.T) {
+	ctx := context.Background()
+	cfds := datagen.StandardCFDs()
+	for _, noise := range []float64{0, 0.05, 0.2} {
+		ds := datagen.Generate(datagen.Config{Tuples: 1200, Seed: 23, NoiseRate: noise})
+		snap := ds.Dirty.Snapshot()
+		want, err := DetectFactorised(ctx, snap, cfds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 8} {
+			got, err := ColumnarDetector{Workers: workers}.DetectFactorised(ctx, snap, cfds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("noise=%v: factorised report at %d workers differs from the single-worker one", noise, workers)
+			}
+		}
+		if got, ref := dirtyOnly(want.Digest()), digestOfNative(t, snap, cfds); !reflect.DeepEqual(got, ref) {
+			t.Errorf("noise=%v: factorised digest differs from the native report's\ngot:  %+v\nwant: %+v", noise, got, ref)
+		}
+	}
+}
+
+// TestFactorisedDenseVioEdgeCases pins the integer vio(t) on the shapes
+// that would break it: several constant patterns firing for one (tuple,
+// CFD) count once; INT 1 / FLOAT 1.0 members share a partner count.
+func TestFactorisedDenseVioEdgeCases(t *testing.T) {
+	ctx := context.Background()
+	tab := adversarialTable()
+	twice := cfd.New("twice", "f", []string{"K"}, []string{"V"}, cfd.PatternTuple{
+		LHS: []cfd.PatternValue{cfd.Constant(types.NewString("x"))},
+		RHS: []cfd.PatternValue{cfd.Constant(types.NewString("y"))},
+	})
+	if err := twice.AddPattern(cfd.PatternTuple{
+		LHS: []cfd.PatternValue{cfd.Wild},
+		RHS: []cfd.PatternValue{cfd.Constant(types.NewString("y"))},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	suites := map[string][]*cfd.CFD{
+		"two-patterns-one-tuple": {twice},
+		"numeric-equal-class":    {cfd.NewFD("num", "f", []string{"W"}, []string{"K"})},
+		"all-together":           {twice, cfd.NewFD("num", "f", []string{"W"}, []string{"K"}), cfd.NewFD("kv", "f", []string{"K"}, []string{"V"})},
+	}
+	for name, cfds := range suites {
+		snap := tab.Snapshot()
+		fr, err := DetectFactorised(ctx, snap, cfds)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, ref := dirtyOnly(fr.Digest()), digestOfNative(t, snap, cfds)
+		if !reflect.DeepEqual(got, ref) {
+			t.Errorf("%s: factorised digest differs from the native report's\ngot:  %+v\nwant: %+v", name, got, ref)
+		}
+		if ref.Dirty == 0 {
+			t.Errorf("%s: fixture produced no violations", name)
+		}
 	}
 }

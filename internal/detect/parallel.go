@@ -8,27 +8,11 @@ import (
 	"semandaq/internal/relstore"
 )
 
-// ParallelDetector computes the same report as NativeDetector with the
-// work partitioned across multiple goroutines. Since the columnar
-// read-path refactor it is the multi-worker configuration of
-// ColumnarDetector: detection runs in two phases over the table's columnar
-// snapshot:
-//
-//  1. Scan: the tuples are split into contiguous chunks, one per worker.
-//     Each chunk worker checks every constant pattern directly against
-//     dictionary codes (single-tuple violations are per-tuple independent)
-//     and, for tuples matching a variable pattern, routes the tuple's
-//     snapshot index to a shard chosen by hashing the CFD's packed LHS
-//     code vector — so every multi-tuple violation group lands wholly in
-//     one shard.
-//  2. Group: one worker per shard folds the routed tuples into per-shard
-//     group maps (the same accumulation the sequential scan performs
-//     globally) and emits the multi-tuple violations for groups
-//     disagreeing on the RHS.
-//
-// Shard results merge by concatenation under the shared finish() ordering,
-// so the report is byte-identical to NativeDetector's. Workers selects the
-// goroutine count; <= 0 means runtime.GOMAXPROCS(0).
+// ParallelDetector is the multi-worker configuration of ColumnarDetector:
+// the factorised core's per-CFD passes (constant scan, partition grouping)
+// run on Workers goroutines and merge in CFD order, so the report is
+// byte-identical to NativeDetector's whatever the count. Workers <= 0 means
+// runtime.GOMAXPROCS(0).
 type ParallelDetector struct {
 	Workers int
 }
@@ -38,26 +22,30 @@ func (d ParallelDetector) Detect(ctx context.Context, tab *relstore.Table, cfds 
 	return d.DetectSnapshot(ctx, tab.Snapshot(), cfds)
 }
 
-// DetectSnapshot implements SnapshotDetector over one pinned table version.
-func (d ParallelDetector) DetectSnapshot(ctx context.Context, snap *relstore.Snapshot, cfds []*cfd.CFD) (*Report, error) {
-	workers := d.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// columnar resolves the worker default.
+func (d ParallelDetector) columnar() ColumnarDetector {
+	if d.Workers <= 0 {
+		return ColumnarDetector{Workers: runtime.GOMAXPROCS(0)}
 	}
-	return ColumnarDetector{Workers: workers}.DetectSnapshot(ctx, snap, cfds)
+	return ColumnarDetector{Workers: d.Workers}
 }
 
-// DetectStream implements Streamer by delegating to the sharded columnar
-// streaming path with the configured worker count.
+// DetectSnapshot implements SnapshotDetector over one pinned table version.
+func (d ParallelDetector) DetectSnapshot(ctx context.Context, snap *relstore.Snapshot, cfds []*cfd.CFD) (*Report, error) {
+	return d.columnar().DetectSnapshot(ctx, snap, cfds)
+}
+
+// DetectFactorised implements FactorDetector.
+func (d ParallelDetector) DetectFactorised(ctx context.Context, snap *relstore.Snapshot, cfds []*cfd.CFD) (*FactorReport, error) {
+	return d.columnar().DetectFactorised(ctx, snap, cfds)
+}
+
+// DetectStream streams the table's current snapshot.
 func (d ParallelDetector) DetectStream(ctx context.Context, tab *relstore.Table, cfds []*cfd.CFD) ViolationSeq {
 	return d.DetectStreamSnapshot(ctx, tab.Snapshot(), cfds)
 }
 
 // DetectStreamSnapshot implements SnapshotStreamer over one pinned version.
 func (d ParallelDetector) DetectStreamSnapshot(ctx context.Context, snap *relstore.Snapshot, cfds []*cfd.CFD) ViolationSeq {
-	workers := d.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return ColumnarDetector{Workers: workers}.DetectStreamSnapshot(ctx, snap, cfds)
+	return d.columnar().DetectStreamSnapshot(ctx, snap, cfds)
 }

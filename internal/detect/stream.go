@@ -3,7 +3,6 @@ package detect
 import (
 	"context"
 	"iter"
-	"sync"
 
 	"semandaq/internal/cfd"
 	"semandaq/internal/relstore"
@@ -13,184 +12,70 @@ import (
 // violation as the engine finds it, or one terminal non-nil error (bad
 // CFDs, or ctx cancelled mid-scan). The set of yielded violations over a
 // full, uncancelled iteration equals the blocking Report's Violations —
-// only the order differs, since workers emit concurrently.
+// only the order differs: single-tuple violations first, then groups.
 type ViolationSeq = iter.Seq2[Violation, error]
 
-// Streamer is implemented by detectors that can emit violations
-// incrementally instead of materializing a full Report. Consumers that
-// stop iterating early cancel the underlying scan; no goroutines leak.
-type Streamer interface {
-	DetectStream(ctx context.Context, tab *relstore.Table, cfds []*cfd.CFD) ViolationSeq
-}
-
-// SnapshotStreamer is the snapshot-pinned face of Streamer: the stream
-// evaluates exactly the given table version, so the caller can surface the
-// version alongside the violations (the HTTP streaming endpoint stamps its
-// terminal line with it).
+// SnapshotStreamer is implemented by detectors that can emit violations
+// incrementally instead of materializing a full Report; a consumer that
+// stops iterating early ends the scan. The stream evaluates exactly the
+// given table version, so the caller can surface the version alongside the
+// violations (the HTTP streaming endpoint stamps its terminal line with
+// it).
 type SnapshotStreamer interface {
 	DetectStreamSnapshot(ctx context.Context, snap *relstore.Snapshot, cfds []*cfd.CFD) ViolationSeq
 }
 
-// streamBuffer is the bounded channel capacity between the scan workers
-// and the consumer: deep enough to decouple producer bursts from a slow
-// consumer, small enough that a cancelled consumer wastes little work.
-const streamBuffer = 256
-
-// DetectStream implements Streamer over the sharded columnar evaluation.
-// Single-tuple violations are emitted while the scan chunks are still
-// running — on a large table the first violation reaches the consumer long
-// before the pass completes — and multi-tuple violations follow as each
-// grouping shard flushes. The stream never materializes a Report.
+// DetectStream streams the table's current snapshot.
 func (d ColumnarDetector) DetectStream(ctx context.Context, tab *relstore.Table, cfds []*cfd.CFD) ViolationSeq {
 	return d.DetectStreamSnapshot(ctx, tab.Snapshot(), cfds)
 }
 
-// DetectStreamSnapshot implements SnapshotStreamer: the same sharded
-// streaming evaluation over one pinned table version.
+// DetectStreamSnapshot implements SnapshotStreamer: the factorised core
+// with the consumer as its sink. The constant scans run first and yield
+// their single-tuple violations inline — on a large table the first
+// violation reaches the consumer long before the pass completes — then
+// each CFD's factor groups yield their members. The stream runs on the
+// consumer's goroutine (Workers does not apply) and never materializes a
+// Report; a consumer that stops iterating simply ends the scan.
 func (d ColumnarDetector) DetectStreamSnapshot(ctx context.Context, rsnap *relstore.Snapshot, cfds []*cfd.CFD) ViolationSeq {
 	return func(yield func(Violation, error) bool) {
-		preps, err := prepare(rsnap.Schema(), cfds)
+		snap, cps, err := bindCFDs(rsnap, cfds)
 		if err != nil {
 			yield(Violation{}, err)
 			return
 		}
-		snap := rsnap.Columnar()
-		cps := make([]colPrep, len(preps))
-		for i, p := range preps {
-			cps[i] = newColPrep(p, snap)
-		}
-		workers := clampWorkers(d.Workers, snap.Len())
-		if workers < 1 {
-			workers = 1
-		}
-		// cancel stops the producers when the consumer breaks out of the
-		// loop early (range-over-func runs deferred calls on break).
-		sctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		ch := make(chan Violation, streamBuffer)
-		go func() {
-			defer close(ch)
-			streamSharded(sctx, snap, cps, workers, ch)
-		}()
-		for v := range ch {
-			// The producers stop and close ch on cancellation; checking
-			// here as well stops the replay without draining the buffer.
-			if sctx.Err() != nil {
-				break
+		ids := snap.IDs()
+		// emit forwards one violation; a done ctx (noticed here per
+		// violation, in the scans per stride) becomes the terminal error.
+		emit := func(v Violation, err error) bool {
+			if err == nil {
+				err = ctx.Err()
 			}
-			if !yield(v, nil) {
-				return
+			if err != nil {
+				yield(Violation{}, err)
+				return false
 			}
+			return yield(v, nil)
 		}
-		// The channel closed: either the scan finished or ctx was
-		// cancelled. Surface the cancellation as the terminal error.
-		if err := ctx.Err(); err != nil {
-			yield(Violation{}, err)
-		}
-	}
-}
-
-// streamSend delivers one violation to the consumer, or reports false when
-// the stream is cancelled.
-func streamSend(ctx context.Context, ch chan<- Violation, v Violation) bool {
-	select {
-	case ch <- v:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// streamSharded runs the same two-phase sharded evaluation as
-// detectShardedColumnar, but emits violations into ch as they are found
-// instead of accumulating a Report. Phase 1 chunk scanners emit
-// single-tuple violations inline while routing variable-pattern matches to
-// shards; phase 2 shard workers emit each dirty group's multi-tuple
-// violations as the group flushes.
-func streamSharded(ctx context.Context, snap *relstore.Columnar, cps []colPrep, workers int, ch chan<- Violation) {
-	ids := snap.IDs()
-	shards := workers
-	bounds := chunkBounds(len(ids), workers)
-	chunks := make([]colChunkResult, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			streamScanChunk(ctx, &chunks[w], cps, ids, bounds[w], bounds[w+1], shards, ch)
-		}(w)
-	}
-	wg.Wait()
-	if ctx.Err() != nil {
-		return
-	}
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			streamGroupShard(ctx, cps, chunks, s, ids, ch)
-		}(s)
-	}
-	wg.Wait()
-}
-
-// streamScanChunk is the streaming variant of scanChunkColumnar: identical
-// routing, but single-tuple violations go straight to the channel.
-func streamScanChunk(ctx context.Context, out *colChunkResult, cps []colPrep,
-	ids []relstore.TupleID, lo, hi, shards int, ch chan<- Violation) {
-	out.routed = make([][][]int32, len(cps))
-	keyBufs := make([][]byte, len(cps))
-	for ci := range cps {
-		out.routed[ci] = make([][]int32, shards)
-		keyBufs[ci] = make([]byte, 4*len(cps[ci].lhsCols))
-	}
-	var scratch []Violation
-	for idx := lo; idx < hi; idx++ {
-		if (idx-lo)%cancelStride == 0 && ctx.Err() != nil {
-			return
-		}
-		id := ids[idx]
-		for ci := range cps {
-			cp := &cps[ci]
-			scratch, _ = appendConstViolationsColumnar(scratch[:0], cp, idx, id)
-			for _, v := range scratch {
-				if !streamSend(ctx, ch, v) {
+		for i := range cps {
+			for v, err := range constScan(ctx, &cps[i], ids) {
+				if !emit(v, err) {
 					return
 				}
 			}
-			if matchesVarColumnar(cp, idx) {
-				packLHSCodes(keyBufs[ci], cp, idx)
-				s := shardOfBytes(keyBufs[ci], shards)
-				out.routed[ci][s] = append(out.routed[ci][s], int32(idx))
-			}
 		}
-	}
-}
-
-// streamGroupShard is the streaming variant of groupShardColumnar: groups
-// accumulate exactly as in the blocking path, and each dirty group's
-// violations are emitted as it flushes.
-func streamGroupShard(ctx context.Context, cps []colPrep,
-	chunks []colChunkResult, shard int, ids []relstore.TupleID, ch chan<- Violation) {
-	n := 0
-	for ci := range cps {
-		cp := &cps[ci]
-		groups := map[string]*groupAcc{}
-		keyBuf := make([]byte, 4*len(cp.lhsCols))
-		for w := range chunks {
-			for _, idx := range chunks[w].routed[ci][shard] {
-				if n++; n%cancelStride == 0 && ctx.Err() != nil {
-					return
-				}
-				packLHSCodes(keyBuf, cp, int(idx))
-				addToGroupColumnar(groups, keyBuf, cp, int(idx), ids[idx])
-			}
-		}
-		var viols []Violation
-		_, viols, _, _ = flushGroups(groups, cp.p, nil, nil)
-		for _, v := range viols {
-			if !streamSend(ctx, ch, v) {
+		for i := range cps {
+			groups, err := factorGroups(ctx, &cps[i], ids)
+			if err != nil {
+				yield(Violation{}, err)
 				return
+			}
+			for _, g := range groups {
+				for m := range g.Rows {
+					if !emit(g.violationAt(m, g.RHSKeyAt(m)), nil) {
+						return
+					}
+				}
 			}
 		}
 	}

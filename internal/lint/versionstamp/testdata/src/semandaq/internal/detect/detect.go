@@ -13,6 +13,20 @@ type Result struct { // want `detect.Result must carry a Version`
 	N int
 }
 
+// Digest is the wire form of a report and under the same contract.
+type Digest struct {
+	Version int64
+	Dirty   int
+}
+
+func digest(r *Report) *Digest {
+	return &Digest{Version: r.Version, Dirty: len(r.Vio)}
+}
+
+func unstampedDigest(r *Report) *Digest {
+	return &Digest{Dirty: len(r.Vio)} // want `detect.Digest constructed without stamping Version`
+}
+
 // Summary is not a contract name; no field is required.
 type Summary struct {
 	N int

@@ -1,7 +1,7 @@
 // Package versionstamp enforces the versioned-report contract from PR 4:
-// the exported Report / Result structs of the read-path packages (detect,
-// audit, discovery, sqleng) must carry a Version (or per-table Versions)
-// field, and every construction site must stamp it — either in the
+// the exported Report / Result / FactorReport / Digest structs of the
+// read-path packages (detect, audit, discovery, sqleng) must carry a
+// Version (or per-table Versions) field, and every construction site must stamp it — either in the
 // composite literal itself or by an explicit assignment in the same
 // function. A report that does not name the snapshot version it reflects
 // is unverifiable against concurrent writers.
@@ -25,7 +25,7 @@ var StampedPackages = map[string]bool{
 }
 
 // stampedNames are the struct type names under contract.
-var stampedNames = map[string]bool{"Report": true, "Result": true}
+var stampedNames = map[string]bool{"Report": true, "Result": true, "FactorReport": true, "Digest": true}
 
 // versionFields are the accepted stamp field names: Version for a single
 // pinned snapshot, Versions for the SQL engine's per-base-table map.

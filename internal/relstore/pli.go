@@ -248,14 +248,22 @@ func (c *Column) ClassRows(eq uint32) []int32 {
 // EqProbe returns the per-row Equal-class code vector (probe[i] =
 // EqCode(i), materialized): the lookup side of partition intersection and
 // purity checks. Built on first use and cached for the snapshot's lifetime.
-// The slice is backing storage: callers must not mutate it.
+// When every dictionary entry is its own Equal-class (any column without
+// an INT/FLOAT or NaN collision — every all-string column) the exact codes
+// already are the probe, and the vector aliases Codes() instead of copying
+// 4 B/row. The slice is backing storage: callers must not mutate it.
 func (c *Column) EqProbe() []uint32 {
 	c.probeOnce.Do(func() {
-		probe := make([]uint32, len(c.codes))
-		for i, code := range c.codes {
-			probe[i] = c.eq[code]
+		c.probe = c.codes
+		for code, canon := range c.eq {
+			if canon != uint32(code) {
+				c.probe = make([]uint32, len(c.codes))
+				for i, code := range c.codes {
+					c.probe[i] = c.eq[code]
+				}
+				break
+			}
 		}
-		c.probe = probe
 		c.probeReady.Store(true)
 	})
 	return c.probe

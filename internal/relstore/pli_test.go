@@ -221,3 +221,37 @@ func TestPLIClassesByKeyDeterministicOrder(t *testing.T) {
 		t.Errorf("order = %v", got)
 	}
 }
+
+// TestEqProbeAliasesCodesWhenIdentity: a column whose every dictionary
+// entry is its own Equal-class serves its exact codes as the probe vector
+// (no second 4 B/row copy); a column where INT 1 and FLOAT 1.0 collapse
+// must materialize the canonicalized vector. Either way probe[i] == EqCode(i).
+func TestEqProbeAliasesCodesWhenIdentity(t *testing.T) {
+	tab := NewTable(schema.New("t", "S", "N"))
+	for i, n := range []types.Value{types.NewInt(1), types.NewFloat(1.0), types.NewInt(2), types.NewInt(1)} {
+		tab.MustInsert(Tuple{types.NewString([]string{"a", "b", "a", "c"}[i]), n})
+	}
+	col := tab.Columnar()
+	for j, wantAlias := range []bool{true, false} {
+		c := col.Col(j)
+		probe := c.EqProbe()
+		if alias := &probe[0] == &c.Codes()[0]; alias != wantAlias {
+			t.Errorf("column %d: probe aliases codes = %v, want %v", j, alias, wantAlias)
+		}
+		for i := range probe {
+			if probe[i] != c.EqCode(i) {
+				t.Errorf("column %d row %d: probe %d, EqCode %d", j, i, probe[i], c.EqCode(i))
+			}
+		}
+	}
+	// A patched successor carries the probe forward the same way.
+	if _, err := tab.SetCell(3, 0, types.NewString("a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := DiffSnapshots(tab.Snapshot(), tab.RebuildSnapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if c := tab.Columnar().Col(0); &c.EqProbe()[0] != &c.Codes()[0] {
+		t.Error("patched string column materialized a separate probe vector")
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"iter"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -64,8 +65,8 @@ func (sv *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /api/cfds/{table}", sv.handleListCFDs)
 	mux.HandleFunc("GET /api/consistency/{table}", sv.handleConsistency)
 	// ?engine=sql|native|parallel|columnar&workers=N&cfds=id1,id2&limit=K
-	// — and &stream=1 switches to NDJSON streaming over the sharded
-	// columnar detector, one violation per line as it is found.
+	// — and &stream=1 switches to NDJSON streaming over the columnar
+	// detector, one violation per line as it is found.
 	mux.HandleFunc("POST /api/detect/{table}", sv.handleDetect)
 	mux.HandleFunc("GET /api/detect/{table}", sv.handleDetect) // curl -N friendly
 	mux.HandleFunc("GET /api/detect/{table}/sql", sv.handleDetectSQL)
@@ -238,8 +239,8 @@ func (sv *Server) handleConsistency(w http.ResponseWriter, r *http.Request) {
 
 // detectOptions maps the detect endpoint's query parameters onto request
 // options. The engine defaults to the paper's SQL technique for blocking
-// requests (the original endpoint contract) and to the sharded columnar
-// detector for streaming ones.
+// requests (the original endpoint contract) and to the columnar detector
+// for streaming ones.
 func detectOptions(r *http.Request, stream bool) ([]core.Option, error) {
 	q := r.URL.Query()
 	var opts []core.Option
@@ -272,31 +273,72 @@ func detectOptions(r *http.Request, stream bool) ([]core.Option, error) {
 	return opts, nil
 }
 
-// reportJSON shapes a detection report for the wire; the blocking and
-// streaming detect endpoints share it.
-func reportJSON(rep *detect.Report) map[string]any {
-	perCFD := map[string]any{}
-	for id, st := range rep.PerCFD {
-		perCFD[id] = map[string]int{
-			"singleTuple": st.SingleTuple,
-			"multiTuple":  st.MultiTuple,
-			"groups":      st.Groups,
+// bufPool recycles the detect response buffers: a dense report's vio(t)
+// runs to hundreds of kilobytes, which is not worth regrowing per request.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendJSONString appends s as a JSON string. Table names and CFD ids are
+// almost always plain ASCII, which is appended as is; anything encoding/json
+// would escape goes through it.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
 		}
 	}
-	vio := map[string]int{}
-	for id, n := range rep.Vio {
-		vio[strconv.FormatInt(int64(id), 10)] = n
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendDetectJSON appends the detect response for a digest: the object
+// encoding/json would produce for the equivalent map — members in key
+// order, perCFD by CFD id — except that vio's members run in ascending
+// tuple-id order instead of the order of their decimal strings. It walks
+// the digest's id and vio(t) vectors directly: no per-tuple key string, no
+// intermediate map, no sort.
+func appendDetectJSON(b []byte, d *detect.Digest, durationMs float64) []byte {
+	num := func(key string, n int64) {
+		b = strconv.AppendInt(append(b, key...), n, 10)
 	}
-	return map[string]any{
-		"table":      rep.Table,
-		"tuples":     rep.TupleCount,
-		"version":    rep.Version,
-		"violations": rep.TotalViolations(),
-		"dirty":      len(rep.Vio),
-		"maxVio":     rep.MaxVio(),
-		"perCFD":     perCFD,
-		"vio":        vio,
+	// One growth instead of a doubling ladder: a vio member is a quoted id,
+	// a colon, a count and a comma.
+	b = slices.Grow(b, 256+96*len(d.PerCFD)+20*d.Dirty)
+	num(`{"dirty":`, int64(d.Dirty))
+	b = strconv.AppendFloat(append(b, `,"durationMs":`...), durationMs, 'f', -1, 64)
+	num(`,"maxVio":`, int64(d.MaxVio))
+	b = append(b, `,"perCFD":{`...)
+	ids := make([]string, 0, len(d.PerCFD))
+	for id := range d.PerCFD {
+		ids = append(ids, id)
 	}
+	slices.Sort(ids)
+	for i, id := range ids {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		st := d.PerCFD[id]
+		b = appendJSONString(b, id)
+		num(`:{"groups":`, int64(st.Groups))
+		num(`,"multiTuple":`, int64(st.MultiTuple))
+		num(`,"singleTuple":`, int64(st.SingleTuple))
+		b = append(b, '}')
+	}
+	b = appendJSONString(append(b, `},"table":`...), d.Table)
+	num(`,"tuples":`, int64(d.TupleCount))
+	num(`,"version":`, d.Version)
+	b = append(b, `,"vio":{`...)
+	sep := `"`
+	for i, n := range d.Vio {
+		if n != 0 {
+			num(sep, int64(d.IDs[i]))
+			num(`":`, int64(n))
+			sep = `,"`
+		}
+	}
+	num(`},"violations":`, int64(d.Violations))
+	return append(b, '}', '\n')
 }
 
 // violationJSON shapes one streamed violation as an NDJSON line payload.
@@ -333,18 +375,20 @@ func (sv *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		sv.streamDetect(w, r, table, opts, start)
 		return
 	}
-	rep, err := sv.s.Detect(r.Context(), table, opts...)
+	d, err := sv.s.DetectDigest(r.Context(), table, opts...)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	out := reportJSON(rep)
-	out["durationMs"] = float64(time.Since(start)) / float64(time.Millisecond)
-	writeJSON(w, out)
+	buf := bufPool.Get().(*[]byte)
+	*buf = appendDetectJSON((*buf)[:0], d, float64(time.Since(start))/float64(time.Millisecond))
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(*buf) // a failed write means the client went away
+	bufPool.Put(buf)
 }
 
 // streamDetect writes the detection stream as NDJSON: one violation object
-// per line as the sharded scan finds it, flushed eagerly so a `curl -N`
+// per line as the scan finds it, flushed eagerly so a `curl -N`
 // client sees the first violation long before the scan completes, and a
 // terminal {"done":true,...} line with the totals and the pinned table
 // version the whole stream evaluated. A dropped client cancels the scan

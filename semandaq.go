@@ -12,12 +12,12 @@
 //
 // Four interchangeable detection engines produce the same report:
 // SQLDetection (the paper's generated-SQL technique), NativeDetection (a
-// single-threaded in-memory row scan), ColumnarDetection (a scan over the
-// table's columnar snapshot with per-column interned dictionaries, so
-// grouping runs on fixed-width code vectors) and ParallelDetection (the
-// columnar evaluation sharded across all CPU cores by a hash of each
-// CFD's LHS code vector, for multi-core throughput on large tables).
-// docs/ENGINES.md has the full matrix and when-to-use guidance.
+// single-threaded in-memory row scan), ColumnarDetection (the factorised
+// evaluation over the table's columnar snapshot: patterns match on
+// dictionary codes, groups are classes of the columns' partition indexes)
+// and ParallelDetection (the same evaluation with its per-CFD passes
+// fanned over the CPU cores). docs/ENGINES.md has the full matrix and
+// when-to-use guidance.
 //
 // Requests take a context.Context and functional options, so callers can
 // cancel long scans (a dropped HTTP client, a CLI timeout) and tune each
@@ -33,8 +33,8 @@
 //	audit, _  := sys.Audit(ctx, "customer")
 //	repair, _ := sys.Repair(ctx, "customer")
 //
-// DetectStream yields violations as the sharded columnar scan finds them,
-// without materializing the report:
+// DetectStream yields violations as the columnar scan finds them, without
+// materializing the report:
 //
 //	for v, err := range sys.DetectStream(ctx, "customer") { ... }
 //
@@ -162,6 +162,10 @@ type (
 	// DetectionReport is the result of violation detection, including the
 	// per-tuple counts vio(t).
 	DetectionReport = detect.Report
+	// DetectionDigest is a report's wire summary — totals, per-CFD
+	// statistics and vio(t) — as System.DetectDigest returns it without
+	// materializing the violation records.
+	DetectionDigest = detect.Digest
 	// Violation is one tuple's involvement in one CFD violation.
 	Violation = detect.Violation
 	// ViolationGroup is one multi-tuple violation group.
@@ -180,7 +184,7 @@ type (
 var (
 	// WithEngine selects the detection engine for one request.
 	WithEngine = core.WithEngine
-	// WithWorkers overrides the sharded engines' worker count for one
+	// WithWorkers overrides the parallel engine's worker count for one
 	// request (n <= 0 means GOMAXPROCS).
 	WithWorkers = core.WithWorkers
 	// WithCFDs scopes a request to the registered CFDs with these IDs.
