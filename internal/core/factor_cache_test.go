@@ -191,14 +191,20 @@ func (c *countdownCtx) Err() error {
 	return nil
 }
 
-// TestCancelAtEveryStride cancels the factorised pass at each of its
-// context polls in turn. Every cancelled request must fail with the
-// context's error and cache nothing, so that the next request at the same
-// version equals a cold run.
+// TestCancelAtEveryStride cancels the factorised pass, and one SQL
+// detection (the detector's per-CFD polls, the engine's stride checks in
+// index builds, scans, joins and group finishing), at each of its context
+// polls in turn. Every cancelled request must fail with the context's error
+// and cache nothing, so that the next request at the same version equals a
+// cold run.
 func TestCancelAtEveryStride(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	for _, run := range []struct {
+		engine  DetectorKind
+		workers int
+	}{{ParallelDetection, 1}, {ParallelDetection, 4}, {SQLDetection, 1}} {
+		engine, workers := run.engine, run.workers
 		s, _ := datasetSession(t) // 3000 tuples: each scan polls once, each grouping several times
-		cold, err := s.DetectDigest(context.Background(), "customer", WithEngine(ParallelDetection), WithWorkers(workers))
+		cold, err := s.DetectDigest(context.Background(), "customer", WithEngine(engine), WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,30 +216,30 @@ func TestCancelAtEveryStride(t *testing.T) {
 			s.mu.Unlock()
 			ctx := &countdownCtx{Context: context.Background()}
 			ctx.left.Store(n)
-			d, err := s.DetectDigest(ctx, "customer", WithEngine(ParallelDetection), WithWorkers(workers))
+			d, err := s.DetectDigest(ctx, "customer", WithEngine(engine), WithWorkers(workers))
 			if err == nil {
 				if !reflect.DeepEqual(d, cold) {
-					t.Fatalf("workers=%d: run that survived %d polls differs from the cold run", workers, n)
+					t.Fatalf("%v workers=%d: run that survived %d polls differs from the cold run", engine, workers, n)
 				}
 				break
 			}
 			cancelled++
 			if !errors.Is(err, context.Canceled) || d != nil {
-				t.Fatalf("workers=%d poll %d: got (%v, %v), want a bare cancellation", workers, n, d, err)
+				t.Fatalf("%v workers=%d poll %d: got (%v, %v), want a bare cancellation", engine, workers, n, d, err)
 			}
-			if _, ok := s.cachedEntry("customer", ParallelDetection, tab.Version()); ok {
-				t.Fatalf("workers=%d poll %d: a cancelled pass left an entry cached", workers, n)
+			if _, ok := s.cachedEntry("customer", engine, tab.Version()); ok {
+				t.Fatalf("%v workers=%d poll %d: a cancelled pass left an entry cached", engine, workers, n)
 			}
-			again, err := s.DetectDigest(context.Background(), "customer", WithEngine(ParallelDetection), WithWorkers(workers))
+			again, err := s.DetectDigest(context.Background(), "customer", WithEngine(engine), WithWorkers(workers))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(again, cold) {
-				t.Fatalf("workers=%d: request after a cancellation at poll %d differs from the cold run", workers, n)
+				t.Fatalf("%v workers=%d: request after a cancellation at poll %d differs from the cold run", engine, workers, n)
 			}
 		}
 		if cancelled < 5 {
-			t.Errorf("workers=%d: only %d cancellation points exercised", workers, cancelled)
+			t.Errorf("%v workers=%d: only %d cancellation points exercised", engine, workers, cancelled)
 		}
 	}
 }

@@ -275,3 +275,60 @@ func TestConcurrentReadWriteStress(t *testing.T) {
 func TestConcurrentReadWriteStressMonitored(t *testing.T) {
 	runStress(t, newStressSession(t), true)
 }
+
+// TestConcurrentSQLDetections runs four SQL detections at once over a dirty
+// table while a writer churns NAME, a column no CFD mentions: the report
+// cache misses on every read, every run executes Qv's join-back, and every
+// run must report exactly what a quiet run does. Runs that kept their
+// tableau and group tables in the shared store replaced and dropped each
+// other's (`sql: no table "_vg_3_phi4"`, or another run's groups joined).
+func TestConcurrentSQLDetections(t *testing.T) {
+	s, _ := datasetSession(t)
+	ctx := context.Background()
+	quiet, err := s.Detect(ctx, "customer", WithEngine(NativeDetection))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, _ := s.Table("customer")
+	ids := tab.Snapshot().Columnar().IDs()
+
+	stopWriting := make(chan struct{})
+	var writer, readers sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stopWriting:
+				return
+			default:
+			}
+			if _, err := s.SetCell("customer", ids[i%len(ids)], "NAME", types.NewString(fmt.Sprintf("renamed%d", i))); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; i < 6; i++ {
+				rep, err := s.Detect(ctx, "customer", WithEngine(SQLDetection))
+				if err != nil {
+					t.Errorf("concurrent SQL detect: %v", err)
+					return
+				}
+				if rep.TotalViolations() != quiet.TotalViolations() || len(rep.Groups) != len(quiet.Groups) || len(rep.Vio) != len(quiet.Vio) {
+					t.Errorf("concurrent SQL detect: %d violations, %d groups, %d dirty; a quiet run has %d, %d, %d",
+						rep.TotalViolations(), len(rep.Groups), len(rep.Vio),
+						quiet.TotalViolations(), len(quiet.Groups), len(quiet.Vio))
+					return
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(stopWriting)
+	writer.Wait()
+}

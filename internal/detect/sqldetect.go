@@ -18,20 +18,21 @@ import (
 // (variable-pattern) violations — and runs them on the sqleng engine over
 // the relationally encoded tableau. The number of queries is independent of
 // the number of pattern tuples, which is the technique's selling point.
+//
+// NULL is a value like any other to a CFD (the native detector groups it
+// by Key()), so the generated SQL compares LHS values null-safely (IS NOT
+// DISTINCT FROM) and counts NULL as one more distinct RHS class.
 type SQLDetector struct {
 	// Engine runs the generated SQL. Its store must contain the data table.
+	// A run pins its tableau and group tables on the engine, so concurrent
+	// runs need an engine each (NewSQLDetector makes one).
 	Engine *sqleng.Engine
-	// KeepArtifacts, when set, leaves the tableau and group tables in the
-	// store after detection (the CLI uses it for -explain).
+	// KeepArtifacts, when set, also publishes the tableau and group tables
+	// to the store and leaves them there (the CLI uses it for -explain).
 	KeepArtifacts bool
 	// Trace receives every generated SQL statement, when non-nil.
 	Trace func(sql string)
 }
-
-// nullSentinel stands in for NULL inside COALESCE-normalized join keys and
-// COUNT(DISTINCT ...) so that NULL behaves as an ordinary (single) value,
-// matching the native detector's Key()-based grouping.
-const nullSentinel = "\x00null"
 
 // NewSQLDetector builds a SQL detector over the store holding the data.
 func NewSQLDetector(store *relstore.Store) *SQLDetector {
@@ -98,13 +99,6 @@ func sanitizeIdent(id string) string {
 	return b.String()
 }
 
-func (d *SQLDetector) run(ctx context.Context, sql string) (*sqleng.Result, error) {
-	if d.Trace != nil {
-		d.Trace(sql)
-	}
-	return d.Engine.QueryContext(ctx, sql)
-}
-
 // stream runs sql through the engine's lazy executor, calling yield once
 // per output row. The non-grouped Qc and Qv join-back queries go through
 // here so violations are assembled as the join produces rows, without the
@@ -120,44 +114,71 @@ func (d *SQLDetector) stream(ctx context.Context, sql string, yield func(row []t
 	return ss.Each(ctx, yield)
 }
 
+// artefact makes a tableau or group table readable by this run's queries
+// alone: pinned on the detector's engine, never in the shared store (where
+// a concurrent run's table of the same name would replace it mid-query) —
+// unless KeepArtifacts asks for it to be published too. The returned func
+// unpins it.
+func (d *SQLDetector) artefact(tab *relstore.Table) (release func()) {
+	d.Engine.Pin(tab.Snapshot())
+	if d.KeepArtifacts {
+		d.Engine.Store().Put(tab)
+	}
+	return func() { d.Engine.Unpin(tab.Schema().Name) }
+}
+
+func quoteIdent(a string) string { return `"` + a + `"` }
+
+// cfdSQL is the SQL text Detect and GenerateSQL share for one merged CFD.
+type cfdSQL struct {
+	tpName           string
+	lhs              string // the embedded FD's LHS columns of the data table, comma-separated
+	match            string // each X attribute is the pattern's wildcard or equals the data value
+	having           string // more than one distinct RHS class, NULL being one
+	hasConst, hasVar bool
+}
+
+func sqlFor(c *cfd.CFD, seq int) cfdSQL {
+	q := quoteIdent
+	out := cfdSQL{tpName: fmt.Sprintf("_tp_%d_%s", seq, sanitizeIdent(c.ID))}
+	var lhs, matchConds []string
+	for _, a := range c.LHS {
+		lhs = append(lhs, "t."+q(a))
+		matchConds = append(matchConds,
+			fmt.Sprintf("(tp.%s = '%s' OR t.%s = tp.%s)", q(a), cfd.WildcardToken, q(a), q(a)))
+	}
+	out.lhs, out.match = strings.Join(lhs, ", "), strings.Join(matchConds, " AND ")
+	rhs := "t." + q(c.RHS[0])
+	out.having = fmt.Sprintf("COUNT(DISTINCT %s) > 1 OR (COUNT(DISTINCT %s) = 1 AND COUNT(%s) < COUNT(*))", rhs, rhs, rhs)
+	for i := range c.Tableau {
+		if c.Tableau[i].RHS[0].Wildcard {
+			out.hasVar = true
+		} else {
+			out.hasConst = true
+		}
+	}
+	return out
+}
+
 // detectOneSQL generates and runs Qc and Qv for one merged CFD. The
 // context reaches the SQL engine's scan loops, so a mid-query cancel
 // aborts inside the generated query rather than between queries.
 func (d *SQLDetector) detectOneSQL(ctx context.Context, dataName string, p prepared, seq int, rep *Report, st *CFDStats) error {
-	store := d.Engine.Store()
-	tpName := fmt.Sprintf("_tp_%d_%s", seq, sanitizeIdent(p.c.ID))
-	store.Drop(tpName)
-	if _, err := cfd.EncodeTableau(store, p.c, tpName); err != nil {
+	gen := sqlFor(p.c, seq)
+	tpName, match := gen.tpName, gen.match
+	// Encoded into a scratch store: the table is this run's own.
+	tp, err := cfd.EncodeTableau(relstore.NewStore(), p.c, tpName)
+	if err != nil {
 		return err
 	}
-	if !d.KeepArtifacts {
-		defer store.Drop(tpName)
-	}
+	defer d.artefact(tp)()
 
-	q := func(a string) string { return `"` + a + `"` }
+	q := quoteIdent
 	rhs := p.c.RHS[0]
-
-	// The LHS match condition shared by both queries: each X attribute is
-	// either the wildcard in the pattern or equal to the data value.
-	var matchConds []string
-	for _, a := range p.c.LHS {
-		matchConds = append(matchConds,
-			fmt.Sprintf("(tp.%s = '%s' OR t.%s = tp.%s)", q(a), cfd.WildcardToken, q(a), q(a)))
-	}
-	match := strings.Join(matchConds, " AND ")
-
-	hasConst, hasVar := false, false
-	for i := range p.c.Tableau {
-		if p.c.Tableau[i].RHS[0].Wildcard {
-			hasVar = true
-		} else {
-			hasConst = true
-		}
-	}
 
 	// Qc — single-tuple violations: the tuple matches the LHS pattern but
 	// its RHS value differs from the pattern's RHS constant.
-	if hasConst {
+	if gen.hasConst {
 		qc := fmt.Sprintf(
 			"SELECT t.%s, tp.%s, tp.%s, t.%s FROM %s t, %s tp WHERE %s AND tp.%s <> '%s' AND t.%s <> tp.%s",
 			sqleng.TIDColumn, sqleng.TIDColumn, q(rhs), q(rhs),
@@ -189,27 +210,24 @@ func (d *SQLDetector) detectOneSQL(ctx context.Context, dataName string, p prepa
 	// matching some wildcard-RHS pattern by the embedded FD's LHS and keep
 	// groups with more than one distinct RHS value; (2) join the groups
 	// back to fetch the member tuples.
-	if hasVar {
-		coalesce := func(col string) string {
-			return fmt.Sprintf("COALESCE(%s, '%s')", col, nullSentinel)
-		}
-		var groupCols, selCols []string
+	if gen.hasVar {
+		var selCols, joinConds []string
 		for _, a := range p.c.LHS {
-			groupCols = append(groupCols, "t."+q(a))
 			selCols = append(selCols, fmt.Sprintf("t.%s AS %s", q(a), q(a)))
+			joinConds = append(joinConds, fmt.Sprintf("t.%s IS NOT DISTINCT FROM g.%s", q(a), q(a)))
 		}
 		qv1 := fmt.Sprintf(
-			"SELECT %s FROM %s t, %s tp WHERE %s AND tp.%s = '%s' GROUP BY %s HAVING COUNT(DISTINCT %s) > 1",
+			"SELECT %s FROM %s t, %s tp WHERE %s AND tp.%s = '%s' GROUP BY %s HAVING %s",
 			strings.Join(selCols, ", "),
 			q(dataName), q(tpName), match,
-			q(rhs), cfd.WildcardToken,
-			strings.Join(groupCols, ", "),
-			coalesce("t."+q(rhs)))
+			q(rhs), cfd.WildcardToken, gen.lhs, gen.having)
 		// Stream the violating group keys straight into the group table:
 		// the engine yields each finished group without materializing a
 		// result, and the table is the only buffer the keys ever occupy.
 		gName := fmt.Sprintf("_vg_%d_%s", seq, sanitizeIdent(p.c.ID))
-		store.Drop(gName)
+		if d.KeepArtifacts {
+			d.Engine.Store().Drop(gName) // a kept table of an earlier run
+		}
 		gTab := relstore.NewTable(schema.New(gName, p.c.LHS...))
 		var insErr error
 		if err := d.stream(ctx, qv1, func(row []types.Value) bool {
@@ -226,22 +244,10 @@ func (d *SQLDetector) detectOneSQL(ctx context.Context, dataName string, p prepa
 		if gTab.Len() == 0 {
 			return nil
 		}
-		store.Put(gTab)
-		if !d.KeepArtifacts {
-			defer store.Drop(gName)
-		}
-		var joinConds []string
-		for _, a := range p.c.LHS {
-			joinConds = append(joinConds, fmt.Sprintf("%s = %s",
-				coalesce("t."+q(a)), coalesce("g."+q(a))))
-		}
-		var lhsSel []string
-		for _, a := range p.c.LHS {
-			lhsSel = append(lhsSel, "t."+q(a))
-		}
+		defer d.artefact(gTab)()
 		qv2 := fmt.Sprintf(
 			"SELECT t.%s, t.%s, %s FROM %s t, %s g WHERE %s",
-			sqleng.TIDColumn, q(rhs), strings.Join(lhsSel, ", "),
+			sqleng.TIDColumn, q(rhs), gen.lhs,
 			q(dataName), q(gName), strings.Join(joinConds, " AND "))
 		// Assemble groups in Go as the join streams: key on the LHS vector.
 		type acc struct {
@@ -317,41 +323,22 @@ func GenerateSQL(tab *relstore.Table, cfds []*cfd.CFD) ([]string, error) {
 		return nil, err
 	}
 	var out []string
+	q := quoteIdent
 	for seq, p := range preps {
-		tpName := fmt.Sprintf("_tp_%d_%s", seq, sanitizeIdent(p.c.ID))
-		q := func(a string) string { return `"` + a + `"` }
+		gen := sqlFor(p.c, seq)
 		rhs := p.c.RHS[0]
-		var matchConds []string
-		for _, a := range p.c.LHS {
-			matchConds = append(matchConds,
-				fmt.Sprintf("(tp.%s = '%s' OR t.%s = tp.%s)", q(a), cfd.WildcardToken, q(a), q(a)))
-		}
-		match := strings.Join(matchConds, " AND ")
-		hasConst, hasVar := false, false
-		for i := range p.c.Tableau {
-			if p.c.Tableau[i].RHS[0].Wildcard {
-				hasVar = true
-			} else {
-				hasConst = true
-			}
-		}
-		if hasConst {
+		if gen.hasConst {
 			out = append(out, fmt.Sprintf(
 				"-- %s: Qc (single-tuple violations)\nSELECT t.* FROM %s t, %s tp WHERE %s AND tp.%s <> '%s' AND t.%s <> tp.%s",
-				p.c.ID, q(tab.Schema().Name), q(tpName), match,
+				p.c.ID, q(tab.Schema().Name), q(gen.tpName), gen.match,
 				q(rhs), cfd.WildcardToken, q(rhs), q(rhs)))
 		}
-		if hasVar {
-			var groupCols []string
-			for _, a := range p.c.LHS {
-				groupCols = append(groupCols, "t."+q(a))
-			}
+		if gen.hasVar {
 			out = append(out, fmt.Sprintf(
-				"-- %s: Qv (multi-tuple violation groups)\nSELECT %s FROM %s t, %s tp WHERE %s AND tp.%s = '%s' GROUP BY %s HAVING COUNT(DISTINCT COALESCE(t.%s, '%s')) > 1",
-				p.c.ID, strings.Join(groupCols, ", "),
-				q(tab.Schema().Name), q(tpName), match,
-				q(rhs), cfd.WildcardToken,
-				strings.Join(groupCols, ", "), q(rhs), nullSentinel))
+				"-- %s: Qv (multi-tuple violation groups)\nSELECT %s FROM %s t, %s tp WHERE %s AND tp.%s = '%s' GROUP BY %s HAVING %s",
+				p.c.ID, gen.lhs,
+				q(tab.Schema().Name), q(gen.tpName), gen.match,
+				q(rhs), cfd.WildcardToken, gen.lhs, gen.having))
 		}
 	}
 	return out, nil

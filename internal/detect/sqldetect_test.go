@@ -1,0 +1,141 @@
+package detect
+
+import (
+	"context"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"semandaq/internal/cfd"
+	"semandaq/internal/datagen"
+	"semandaq/internal/relstore"
+	"semandaq/internal/schema"
+	"semandaq/internal/sqleng"
+	"semandaq/internal/types"
+)
+
+// TestSQLNullIsNotASentinel: NULL and the string "\x00null" (the value the
+// generated SQL used to COALESCE NULL onto) are different values, on the
+// LHS — where the join-back matched each tuple with both groups and
+// reported every member twice — and on the RHS, where a group holding
+// exactly {NULL, "\x00null"} counted one distinct value and went
+// unreported. The native detector is the reference.
+func TestSQLNullIsNotASentinel(t *testing.T) {
+	sentinel := types.NewString("\x00null")
+	str := types.NewString
+	for name, rows := range map[string][]relstore.Tuple{
+		"lhs": {{types.Null, str("x")}, {types.Null, str("y")}, {sentinel, str("p")}, {sentinel, str("q")}},
+		"rhs": {{str("k"), types.Null}, {str("k"), sentinel}, {str("m"), types.Null}, {str("m"), types.Null}},
+	} {
+		store := relstore.NewStore()
+		tab, err := store.Create(schema.New("r", "A", "B"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range rows {
+			tab.MustInsert(row)
+		}
+		cfds, err := cfd.ParseSet("r: [A=_] -> [B=_]")
+		if err != nil {
+			t.Fatal(err)
+		}
+		native, err := NativeDetector{}.Detect(context.Background(), tab, cfds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sql, err := NewSQLDetector(store).Detect(context.Background(), tab, cfds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Equivalent(native, sql); err != nil {
+			t.Errorf("%s: native vs sql: %v", name, err)
+		}
+		members := func(rep *Report) (out [][]relstore.TupleID) {
+			for _, g := range rep.Groups {
+				out = append(out, g.Members)
+			}
+			return out
+		}
+		if !reflect.DeepEqual(native.Groups, sql.Groups) || len(native.Violations) != len(sql.Violations) {
+			t.Errorf("%s: native has %d violations, members %v; sql %d, members %v", name,
+				len(native.Violations), members(native), len(sql.Violations), members(sql))
+		}
+	}
+}
+
+// sparseCustomers returns a registered n-tuple customer table that is clean
+// but for typos in the STR of a given number of UK tuples (each makes its
+// whole ZIP group violate phi2) — the shape of the benchmark's
+// sqldetect-sparse workload.
+func sparseCustomers(t testing.TB, n, typos int) (*relstore.Store, *relstore.Table) {
+	t.Helper()
+	tab := datagen.Generate(datagen.Config{Tuples: n, Seed: 1}).Clean
+	snap := tab.Snapshot()
+	rows, ids := snap.Rows(), snap.Columnar().IDs()
+	rng := rand.New(rand.NewSource(1))
+	for typos > 0 {
+		if i := rng.Intn(len(rows)); rows[i][1].Str() == "UK" {
+			if _, err := tab.SetCell(ids[i], 4, types.NewString(rows[i][4].Str()+"x")); err != nil {
+				t.Fatal(err)
+			}
+			typos--
+		}
+	}
+	store := relstore.NewStore()
+	store.Put(tab)
+	return store, tab
+}
+
+// TestSQLDetectMaterialisesOnlyOutput: every predicate, join key, GROUP BY
+// key and aggregate of the generated statements runs on dictionary codes,
+// so each statement fetches exactly its output — rows out times projected
+// columns — from the dictionaries, whatever the size of the table.
+func TestSQLDetectMaterialisesOnlyOutput(t *testing.T) {
+	store, tab := sparseCustomers(t, 5000, 25)
+	var stmts []string
+	d := &SQLDetector{Engine: sqleng.New(store), KeepArtifacts: true, Trace: func(s string) { stmts = append(stmts, s) }}
+	rep, err := d.Detect(context.Background(), tab, datagen.StandardCFDs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stmts) != 5 || len(rep.Groups) == 0 {
+		t.Fatalf("%d statements, %d groups: want the five statements of a phi2-only dirty table", len(stmts), len(rep.Groups))
+	}
+	out := 0
+	for _, sql := range stmts {
+		d.Engine.ResetOpStats()
+		res, err := d.Engine.QueryContext(context.Background(), sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out += len(res.Rows)
+		if got, want := d.Engine.OpStats().ValuesMaterialized, int64(len(res.Rows)*len(res.Columns)); got > want {
+			t.Errorf("%d values materialised for %d rows x %d columns by\n%s", got, len(res.Rows), len(res.Columns), sql)
+		}
+	}
+	if out == 0 {
+		t.Fatal("the statements returned no rows: the bound was not exercised")
+	}
+}
+
+// TestSQLDetectAllocsIndependentOfSize: on clean tables a SQL detection
+// allocates for its plans and a few growing vectors, not per tuple or per
+// group — four times the table (and four times the LHS groups) moves the
+// allocation count by under 5 %.
+func TestSQLDetectAllocsIndependentOfSize(t *testing.T) {
+	allocs := func(n int) float64 {
+		store, tab := sparseCustomers(t, n, 0)
+		snap, cfds := tab.Snapshot(), datagen.StandardCFDs()
+		snap.Columnar()
+		return testing.AllocsPerRun(5, func() {
+			rep, err := NewSQLDetector(store).DetectSnapshot(context.Background(), snap, cfds)
+			if err != nil || len(rep.Violations) != 0 {
+				t.Fatalf("clean table: %d violations, err %v", len(rep.Violations), err)
+			}
+		})
+	}
+	small, large := allocs(5000), allocs(20000)
+	if large > small*1.05 || large < small*0.95 {
+		t.Errorf("allocations per detection: %.0f on 5k tuples, %.0f on 20k", small, large)
+	}
+}

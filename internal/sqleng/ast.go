@@ -125,9 +125,13 @@ type Literal struct {
 
 // BinaryExpr applies a binary operator.
 type BinaryExpr struct {
-	Op   string // =, <>, <, <=, >, >=, +, -, *, /, AND, OR, LIKE, ||
+	Op   string // =, <>, <, <=, >, >=, +, -, *, /, AND, OR, LIKE, ||, opNullSafeEq
 	L, R Expr
 }
+
+// opNullSafeEq is null-safe equality: NULL equals NULL and nothing else, so
+// the result is never unknown. As a join key it matches NULL with NULL.
+const opNullSafeEq = "IS NOT DISTINCT FROM"
 
 // UnaryExpr applies NOT or unary minus.
 type UnaryExpr struct {

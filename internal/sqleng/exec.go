@@ -268,38 +268,43 @@ func splitConjuncts(e Expr) []Expr {
 	return []Expr{e}
 }
 
-// columnRefs collects every column reference in an expression.
-func columnRefs(e Expr, out *[]*ColumnRef) {
+// columnRefs collects every column reference in an expression; with
+// inAggs false it stays outside aggregate calls (whose values a grouped row
+// reads from the aggregate slots, not from the columns).
+func columnRefs(e Expr, inAggs bool, out *[]*ColumnRef) {
 	switch n := e.(type) {
 	case nil:
 	case *ColumnRef:
 		*out = append(*out, n)
 	case *Literal:
 	case *BinaryExpr:
-		columnRefs(n.L, out)
-		columnRefs(n.R, out)
+		columnRefs(n.L, inAggs, out)
+		columnRefs(n.R, inAggs, out)
 	case *UnaryExpr:
-		columnRefs(n.E, out)
+		columnRefs(n.E, inAggs, out)
 	case *IsNullExpr:
-		columnRefs(n.E, out)
+		columnRefs(n.E, inAggs, out)
 	case *InExpr:
-		columnRefs(n.E, out)
+		columnRefs(n.E, inAggs, out)
 		for _, v := range n.List {
-			columnRefs(v, out)
+			columnRefs(v, inAggs, out)
 		}
 	case *BetweenExpr:
-		columnRefs(n.E, out)
-		columnRefs(n.Lo, out)
-		columnRefs(n.Hi, out)
+		columnRefs(n.E, inAggs, out)
+		columnRefs(n.Lo, inAggs, out)
+		columnRefs(n.Hi, inAggs, out)
 	case *CaseExpr:
 		for _, w := range n.Whens {
-			columnRefs(w.Cond, out)
-			columnRefs(w.Then, out)
+			columnRefs(w.Cond, inAggs, out)
+			columnRefs(w.Then, inAggs, out)
 		}
-		columnRefs(n.Else, out)
+		columnRefs(n.Else, inAggs, out)
 	case *FuncExpr:
+		if !inAggs && aggregateFuncs[n.Name] {
+			return
+		}
 		for _, a := range n.Args {
-			columnRefs(a, out)
+			columnRefs(a, inAggs, out)
 		}
 	}
 }
@@ -307,7 +312,7 @@ func columnRefs(e Expr, out *[]*ColumnRef) {
 // resolvable reports whether every column reference in e resolves in cat.
 func resolvable(e Expr, cat catalog) bool {
 	var refs []*ColumnRef
-	columnRefs(e, &refs)
+	columnRefs(e, true, &refs)
 	for _, r := range refs {
 		if _, err := cat.resolve(r); err != nil {
 			return false
@@ -319,15 +324,16 @@ func resolvable(e Expr, cat catalog) bool {
 // validateRefs rejects ambiguous unqualified column references against the
 // final joined catalog. Without this up-front pass, an ambiguous WHERE
 // conjunct could be silently pushed down to the first table it resolves on.
-func (e *Engine) validateRefs(st *SelectStmt) error {
+// Tables resolve through the query's pins (engine pins before the store).
+func validateRefs(st *SelectStmt, qp *queryPins) error {
 	var fullCat catalog
 	load := func(fi FromItem) error {
-		tab, ok := e.store.Table(fi.Table)
+		snap, ok := qp.snapshot(fi.Table)
 		if !ok {
 			return fmt.Errorf("sql: no table %q", fi.Table)
 		}
 		fullCat = append(fullCat, colInfo{qual: fi.Alias, name: TIDColumn})
-		for _, a := range tab.Schema().Attrs {
+		for _, a := range snap.Schema().Attrs {
 			fullCat = append(fullCat, colInfo{qual: fi.Alias, name: a.Name})
 		}
 		return nil
@@ -345,7 +351,7 @@ func (e *Engine) validateRefs(st *SelectStmt) error {
 	check := func(exprs ...Expr) error {
 		var refs []*ColumnRef
 		for _, ex := range exprs {
-			columnRefs(ex, &refs)
+			columnRefs(ex, true, &refs)
 		}
 		for _, r := range refs {
 			if _, err := fullCat.resolve(r); err != nil {
@@ -418,15 +424,14 @@ func (e *Engine) runExplain(st *ExplainStmt) (*Result, error) {
 // join relation by relation, then project. Retained verbatim as the oracle
 // the streaming path is cross-checked against.
 func (e *Engine) runSelectLegacy(ctx context.Context, st *SelectStmt) (*Result, error) {
-	if err := e.validateRefs(st); err != nil {
-		return nil, err
-	}
-	pending := splitConjuncts(st.Where)
-
 	// One pin set per statement: every base table resolves to a single
 	// snapshot for the whole query, so the result reflects exactly one
 	// version of each table it reads.
 	qp := e.newQueryPins()
+	if err := validateRefs(st, qp); err != nil {
+		return nil, err
+	}
+	pending := splitConjuncts(st.Where)
 
 	// Build the join tree left to right: comma-list tables first, then the
 	// explicit JOIN clauses.
@@ -591,11 +596,15 @@ func joinRelations(ctx context.Context, left, right *relation, pending, on []Exp
 	}
 
 	// Harvest equi-join keys: conjuncts of form L = R bridging the sides.
-	type keyPair struct{ l, r evalFn }
+	// A null-safe key (IS NOT DISTINCT FROM) hashes NULL like any value.
+	type keyPair struct {
+		l, r     evalFn
+		nullSafe bool
+	}
 	var keys []keyPair
 	takeKey := func(c Expr) bool {
 		b, ok := c.(*BinaryExpr)
-		if !ok || b.Op != "=" || hasAggregate(c) {
+		if !ok || (b.Op != "=" && b.Op != opNullSafeEq) || hasAggregate(c) {
 			return false
 		}
 		switch {
@@ -606,7 +615,7 @@ func joinRelations(ctx context.Context, left, right *relation, pending, on []Exp
 			if err1 != nil || err2 != nil {
 				return false
 			}
-			keys = append(keys, keyPair{lf, rf})
+			keys = append(keys, keyPair{lf, rf, b.Op == opNullSafeEq})
 			return true
 		case resolvable(b.R, left.cat) && resolvable(b.L, right.cat) &&
 			!resolvable(b.R, right.cat) && !resolvable(b.L, left.cat):
@@ -615,7 +624,7 @@ func joinRelations(ctx context.Context, left, right *relation, pending, on []Exp
 			if err1 != nil || err2 != nil {
 				return false
 			}
-			keys = append(keys, keyPair{lf, rf})
+			keys = append(keys, keyPair{lf, rf, b.Op == opNullSafeEq})
 			return true
 		}
 		return false
@@ -678,7 +687,7 @@ func joinRelations(ctx context.Context, left, right *relation, pending, on []Exp
 				if err != nil {
 					return nil, nil, err
 				}
-				if v.IsNull() {
+				if v.IsNull() && !k.nullSafe {
 					null = true
 					break
 				}
@@ -702,7 +711,7 @@ func joinRelations(ctx context.Context, left, right *relation, pending, on []Exp
 				if err != nil {
 					return nil, nil, err
 				}
-				if v.IsNull() {
+				if v.IsNull() && !k.nullSafe {
 					null = true
 					break
 				}
@@ -755,10 +764,19 @@ func joinRelations(ctx context.Context, left, right *relation, pending, on []Exp
 	return applyResolvable(ctx, out, pendingRest)
 }
 
-// aggCall pairs an aggregate expression with its accumulator factory.
+// aggCall pairs an aggregate expression with its compiled operand. The
+// streaming sink adds what lets it count on dictionary codes: term when
+// the operand of a COUNT compiles to a code term (vslot is then -1, else
+// the call's slot among the value-level states), and the call's DISTINCT
+// bookkeeping — intern maps a value-level operand to a code, dseen holds
+// every (group, code) pair past a group's first code.
 type aggCall struct {
-	fn  *FuncExpr
-	arg evalFn // nil for COUNT(*)
+	fn     *FuncExpr
+	arg    evalFn // nil for COUNT(*)
+	term   *codeTerm
+	vslot  int
+	intern map[string]uint32
+	dseen  map[uint64]struct{}
 }
 
 // collectAggs finds the distinct aggregate calls in the given expressions.
@@ -847,17 +865,19 @@ func collectAggs(cat catalog, exprs ...Expr) (map[string]int, []aggCall, error) 
 
 // aggState accumulates one aggregate over one group.
 type aggState struct {
-	call     aggCall
-	count    int64
-	sumI     int64
-	sumF     float64
-	allInt   bool
-	min, max types.Value
+	call   *aggCall
+	count  int64
+	sumI   int64
+	sumF   float64
+	allInt bool
+	ext    types.Value // the running MIN or MAX
+	// distinct is the legacy oracle's DISTINCT set, by Value.Key(); the
+	// streaming sink tracks DISTINCT by code (aggCount).
 	distinct map[string]bool
 }
 
 func newAggState(c aggCall) *aggState {
-	s := &aggState{call: c, allInt: true, min: types.Null, max: types.Null}
+	s := &aggState{call: &c, allInt: true}
 	if c.fn.Distinct {
 		s.distinct = map[string]bool{}
 	}
@@ -883,6 +903,12 @@ func (s *aggState) add(row []types.Value) error {
 		}
 		s.distinct[k] = true
 	}
+	return s.accumulate(v)
+}
+
+// accumulate folds one non-NULL (and, under DISTINCT, first-seen) operand
+// value into the aggregate.
+func (s *aggState) accumulate(v types.Value) error {
 	s.count++
 	switch s.call.fn.Name {
 	case "SUM", "AVG":
@@ -897,12 +923,12 @@ func (s *aggState) add(row []types.Value) error {
 			return fmt.Errorf("sql: %s over %s values", s.call.fn.Name, v.Kind())
 		}
 	case "MIN":
-		if s.min.IsNull() || v.Compare(s.min) < 0 {
-			s.min = v
+		if s.ext.IsNull() || v.Compare(s.ext) < 0 {
+			s.ext = v
 		}
 	case "MAX":
-		if s.max.IsNull() || v.Compare(s.max) > 0 {
-			s.max = v
+		if s.ext.IsNull() || v.Compare(s.ext) > 0 {
+			s.ext = v
 		}
 	}
 	return nil
@@ -925,10 +951,8 @@ func (s *aggState) result() types.Value {
 			return types.Null
 		}
 		return types.NewFloat(s.sumF / float64(s.count))
-	case "MIN":
-		return s.min
-	case "MAX":
-		return s.max
+	case "MIN", "MAX":
+		return s.ext
 	}
 	return types.Null
 }

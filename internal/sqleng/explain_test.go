@@ -107,8 +107,8 @@ func TestExplainThreeTableJoin(t *testing.T) {
 		t.Errorf("prod probe not hoisted above cust scan:\n%s", text)
 	}
 
-	// WHERE c.CITY = 'York' is pushed into the cust scan.
-	filter := indexOfLine(lines, "filter", "c.CITY", "York")
+	// WHERE c.CITY = 'York' is pushed into the cust scan, compiled to codes.
+	filter := indexOfLine(lines, "filter code-pred", "c.CITY", "York")
 	if filter < custScan {
 		t.Errorf("cust filter not pushed down below its scan:\n%s", text)
 	}
@@ -126,6 +126,51 @@ func TestExplainThreeTableJoin(t *testing.T) {
 	}
 	if !strings.Contains(lines[len(lines)-1], "pure plan") {
 		t.Errorf("expected pure-plan note last:\n%s", text)
+	}
+}
+
+// TestExplainCodePipeline pins what EXPLAIN says about the cursor pipeline:
+// which predicates run on codes, the translation tables they read, grouping
+// on codes, and which columns are materialised where — late, at the sink,
+// for a fully code-compiled statement (the detector's Qv shape), per row for
+// the column a value-level predicate still reads.
+func TestExplainCodePipeline(t *testing.T) {
+	e := New(fuzzStore(t))
+	lines := planLines(t, e, `EXPLAIN SELECT r.A AS A FROM r, s
+		WHERE (s.A = 9 OR r.A = s.A) AND s.D = 's' GROUP BY r.A
+		HAVING COUNT(DISTINCT r.B) > 1 OR (COUNT(DISTINCT r.B) = 1 AND COUNT(r.B) < COUNT(*))`)
+	for _, want := range [][]string{
+		{"filter code-pred (s.D = 's')"},
+		{"stage-filter code-pred ((s.A = 9) OR (r.A = s.A))"},
+		{"xlat r.A→s.A (5 codes)"},
+		{"sink group on codes(1) aggs=3", "having"},
+		{"materialise [r.A] at the sink"},
+	} {
+		if indexOfLine(lines, want...) < 0 {
+			t.Errorf("missing %q in:\n%s", want, strings.Join(lines, "\n"))
+		}
+	}
+	if indexOfLine(lines, "per row") >= 0 {
+		t.Errorf("a fully code-compiled plan fills no column per row:\n%s", strings.Join(lines, "\n"))
+	}
+
+	lines = planLines(t, e, `EXPLAIN SELECT r.A + 1, s.D FROM r, s
+		WHERE r.A IS NOT DISTINCT FROM s.A AND COALESCE(r.B, 'q') = s.D AND r.C > 0.5 GROUP BY r.A + 1, s.D`)
+	for _, want := range [][]string{
+		{"materialise [r.C] per row"},
+		{"stage-filter (r.C > 0.5)"},
+		{"join inner hash on r.A IS NOT DISTINCT FROM s.A, COALESCE(r.B, 'q') = s.D"},
+		{"xlat r.A→s.A null-safe (5 codes)"},
+		{"xlat COALESCE(r.B, 'q')→s.D (6 codes)"},
+		{"sink group(keys=2 aggs=0)"},
+		{"materialise [r.A s.D] at the sink"},
+	} {
+		if indexOfLine(lines, want...) < 0 {
+			t.Errorf("missing %q in:\n%s", want, strings.Join(lines, "\n"))
+		}
+	}
+	if indexOfLine(lines, "code-pred", "r.C") >= 0 {
+		t.Errorf("an ordering compare cannot run on codes:\n%s", strings.Join(lines, "\n"))
 	}
 }
 

@@ -301,7 +301,7 @@ func compileBinary(n *BinaryExpr, cat catalog, aggEnv map[string]int) (evalFn, e
 			}
 			return or3(lv, rv), nil
 		}, nil
-	case "=", "<>", "<", "<=", ">", ">=":
+	case "=", "<>", "<", "<=", ">", ">=", opNullSafeEq:
 		op := n.Op
 		return func(row []types.Value) (types.Value, error) {
 			lv, err := l(row)
@@ -311,6 +311,9 @@ func compileBinary(n *BinaryExpr, cat catalog, aggEnv map[string]int) (evalFn, e
 			rv, err := r(row)
 			if err != nil {
 				return types.Null, err
+			}
+			if op == opNullSafeEq {
+				return types.NewBool(lv.Equal(rv)), nil // Equal: NULL equals only NULL
 			}
 			if lv.IsNull() || rv.IsNull() {
 				return types.Null, nil

@@ -36,21 +36,11 @@ import (
 	"semandaq/internal/fdset"
 )
 
-// flushOps folds the execution's locally accumulated counters into the
-// engine's, one atomic add per field — the hot loops count on plain ints.
-func (px *planExec) flushOps() {
-	o := px.p.ops
-	atomic.AddInt64(&o.PLIProbes, px.ops.PLIProbes)
-	atomic.AddInt64(&o.HashProbes, px.ops.HashProbes)
-	atomic.AddInt64(&o.HashBuildRows, px.ops.HashBuildRows)
-	atomic.AddInt64(&o.CollapsedProbes, px.ops.CollapsedProbes)
-	atomic.AddInt64(&o.CollapsedBuilds, px.ops.CollapsedBuilds)
-}
-
-// OpCounters profiles the executor's join index work. Counters accumulate
-// across queries on one engine, atomically (concurrent queries on a
-// shared engine each add their work); read a consistent copy via OpStats.
-// The factorised-evaluation experiment (D9) gates on them.
+// OpCounters profiles the executor's work. Counters accumulate across
+// queries on one engine, atomically (concurrent queries on a shared engine
+// each add their work); read a consistent copy via OpStats. The
+// factorised-evaluation experiment (D9) and the late-materialisation gate
+// read them.
 type OpCounters struct {
 	// PLIProbes counts single-column PLI class lookups.
 	PLIProbes int64
@@ -65,6 +55,26 @@ type OpCounters struct {
 	// class count.
 	CollapsedProbes int64
 	CollapsedBuilds int64
+	// ValuesMaterialized counts the Values fetched from dictionaries (and
+	// tuple ids boxed) into the row buffer. A query whose predicates, keys
+	// and aggregates all compile to codes fetches output rows x projected
+	// columns and nothing else.
+	ValuesMaterialized int64
+}
+
+// fields lists the counters, for the whole-struct atomic operations.
+func (o *OpCounters) fields() []*int64 {
+	return []*int64{&o.PLIProbes, &o.HashProbes, &o.HashBuildRows,
+		&o.CollapsedProbes, &o.CollapsedBuilds, &o.ValuesMaterialized}
+}
+
+// flushOps folds the execution's locally accumulated counters into the
+// engine's, one atomic add per field — the hot loops count on plain ints.
+func (px *planExec) flushOps() {
+	local := px.ops.fields()
+	for i, f := range px.p.ops.fields() {
+		atomic.AddInt64(f, *local[i])
+	}
 }
 
 // RegisterFDs records exact FDs for the named table, keyed by attribute
@@ -106,22 +116,19 @@ func (e *Engine) snapshotFDs() map[string]*fdset.Set {
 
 // OpStats returns a copy of the accumulated executor operation counters.
 func (e *Engine) OpStats() OpCounters {
-	return OpCounters{
-		PLIProbes:       atomic.LoadInt64(&e.ops.PLIProbes),
-		HashProbes:      atomic.LoadInt64(&e.ops.HashProbes),
-		HashBuildRows:   atomic.LoadInt64(&e.ops.HashBuildRows),
-		CollapsedProbes: atomic.LoadInt64(&e.ops.CollapsedProbes),
-		CollapsedBuilds: atomic.LoadInt64(&e.ops.CollapsedBuilds),
+	var out OpCounters
+	dst := out.fields()
+	for i, f := range e.ops.fields() {
+		*dst[i] = atomic.LoadInt64(f)
 	}
+	return out
 }
 
 // ResetOpStats zeroes the executor operation counters.
 func (e *Engine) ResetOpStats() {
-	atomic.StoreInt64(&e.ops.PLIProbes, 0)
-	atomic.StoreInt64(&e.ops.HashProbes, 0)
-	atomic.StoreInt64(&e.ops.HashBuildRows, 0)
-	atomic.StoreInt64(&e.ops.CollapsedProbes, 0)
-	atomic.StoreInt64(&e.ops.CollapsedBuilds, 0)
+	for _, f := range e.ops.fields() {
+		atomic.StoreInt64(f, 0)
+	}
 }
 
 // collapseStep rewrites a composite-key step as an FD-collapsed PLI probe
@@ -132,16 +139,16 @@ func (e *Engine) ResetOpStats() {
 // left key expressions lead-first instead of in written order, which is
 // unobservable only when none of them can error.
 func collapseStep(step *joinStep, fds *fdset.Set) bool {
-	if fds == nil || step.kind != stepHash || len(step.keyR) < 2 || !step.keyPure {
+	if fds == nil || step.kind != stepHash || len(step.keys) < 2 || !step.keyPure {
 		return false
 	}
 	snap := step.right.snap
 	if fds.Arity() != snap.Schema().Arity() {
 		return false // registered against a different schema shape
 	}
-	cols := make([]int, len(step.keyR))
-	for i, src := range step.keyRSrc {
-		c, ok := bareScanCol(src, step.right)
+	cols := make([]int, len(step.keys))
+	for i, k := range step.keys {
+		c, ok := bareScanCol(k.rsrc, step.right)
 		if !ok {
 			return false
 		}
@@ -214,24 +221,15 @@ func (px *planExec) collapsedLookup(si int, eq uint32) ([]int32, error) {
 	idx := px.idx[si]
 	px.ops.CollapsedProbes++
 
-	key := px.keyBuf[:0]
-	key = append(key, byte(eq), byte(eq>>8), byte(eq>>16), byte(eq>>24))
+	key := appendCode(px.keyBuf[:0], int32(eq))
 	for gi, ki := range step.guardKeys {
-		v, err := step.keyL[ki](px.buf)
-		if err != nil {
-			return nil, err
-		}
-		if v.IsNull() {
+		code, err := px.keyCode(&step.keys[ki])
+		if err != nil || code < 0 {
 			px.keyBuf = key
-			return nil, nil // NULL never equi-joins
+			return nil, err // NULL, or a value absent from the right column
 		}
-		code, ok := idx.guardCols[gi].EqCodeOf(v)
-		if !ok {
-			px.keyBuf = key
-			return nil, nil // value absent from the right column
-		}
-		px.guard[gi] = code
-		key = append(key, byte(code), byte(code>>8), byte(code>>16), byte(code>>24))
+		idx.guard[gi] = uint32(code)
+		key = appendCode(key, code)
 	}
 	px.keyBuf = key
 
@@ -246,7 +244,7 @@ func (px *planExec) collapsedLookup(si int, eq uint32) ([]int32, error) {
 		}
 		pass := true
 		for gi, col := range idx.guardCols {
-			if col.EqCode(int(r)) != px.guard[gi] {
+			if col.EqCode(int(r)) != idx.guard[gi] {
 				pass = false
 				break
 			}

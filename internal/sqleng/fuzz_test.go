@@ -111,6 +111,28 @@ func checkSQLIdentity(t *testing.T, sql string) {
 	}
 }
 
+// codeSeeds cover what the cursor pipeline decides on dictionary codes:
+// cross-dictionary joins (FLOAT 1.0 meets INT 1 through a translation
+// table), COALESCE keys with present and absent defaults, null-safe keys,
+// grouped COUNT(DISTINCT) with NULLs (the detector's HAVING), value-level
+// group keys beside coded ones, outer-join null extension under a cursor,
+// three-valued IN/NOT, and the retired NULL sentinel as an ordinary string.
+var codeSeeds = []string{
+	"SELECT r.B, s.D FROM r, s WHERE r.B = s.D",
+	"SELECT r.C, s.A FROM r, s WHERE r.C = s.A AND r.A <> s.A",
+	"SELECT r.A, s.D FROM r, s WHERE COALESCE(r.A, 0) = COALESCE(s.A, 0)",
+	"SELECT r.B FROM r, s WHERE COALESCE(r.B, 'q') = s.D AND COALESCE(s.D, 'none') <> 'none'",
+	"SELECT r.A, s.D FROM r, s WHERE r.A IS NOT DISTINCT FROM s.A",
+	"SELECT r.B, s.D FROM r LEFT JOIN s ON r.A IS NOT DISTINCT FROM s.A AND r.B IS NOT DISTINCT FROM s.D",
+	"SELECT A, COUNT(DISTINCT B), COUNT(B), COUNT(*) FROM r GROUP BY A HAVING COUNT(DISTINCT B) > 1 OR (COUNT(DISTINCT B) = 1 AND COUNT(B) < COUNT(*))",
+	"SELECT COALESCE(B, 'none'), COUNT(DISTINCT C), SUM(DISTINCT A) FROM r GROUP BY COALESCE(B, 'none')",
+	"SELECT A + 0, COUNT(DISTINCT C) FROM r GROUP BY A + 0, B",
+	"SELECT r.A, s.D FROM r LEFT JOIN s ON r.A = s.A WHERE s.D IS NULL OR COALESCE(s.D, 'x') <> 'q'",
+	"SELECT r.B, COUNT(s.D), COUNT(DISTINCT s.A) FROM r LEFT JOIN s ON r.A = s.A AND s.D <> 'q' GROUP BY r.B",
+	"SELECT * FROM r WHERE B NOT IN ('x', NULL) OR A IN (1.0, 7) OR NOT (C = 1 AND B <> 'y')",
+	"SELECT r.B, s.D FROM r, s WHERE COALESCE(r.B, '\x00null') = COALESCE(s.D, '\x00null')",
+}
+
 // FuzzSQLExec feeds arbitrary SQL text through both executors and demands
 // byte-identical results. The seed corpus (testdata/fuzz/FuzzSQLExec)
 // covers every pipeline stage: code filters, PLI/hash/nested joins, outer
@@ -146,7 +168,7 @@ func FuzzSQLExec(f *testing.F) {
 		"SELECT r1.A FROM r r1, r r2 WHERE r1.A = r2.A AND r1.B = r2.B AND r1.C = r2.C",
 		"SELECT A, B FROM r ORDER BY C LIMIT 3",
 	}
-	for _, s := range seeds {
+	for _, s := range append(seeds, codeSeeds...) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, sql string) {
@@ -174,7 +196,10 @@ func TestFuzzSeedsIdentity(t *testing.T) {
 		"SELECT r1.A FROM r r1, r r2 WHERE r1.A = r2.A AND r1.B = r2.B AND r1.C = r2.C",
 		"SELECT A, B FROM r ORDER BY C LIMIT 3",
 	}
-	for _, sql := range seeds {
+	for _, sql := range append(seeds, codeSeeds...) {
+		if _, err := Parse(sql); err != nil {
+			t.Errorf("seed %q does not parse (checkSQLIdentity would skip it): %v", sql, err)
+		}
 		checkSQLIdentity(t, sql)
 	}
 }

@@ -1,10 +1,15 @@
 // The streaming executor: runs a selectPlan as a push-style pipeline over
-// the pinned columnar snapshots. One reusable full-width row buffer is
-// filled scan segment by scan segment; join steps look partners up through
-// PLI classes or hash indexes over snapshot row numbers; the sink projects,
-// groups, orders and limits. No intermediate relation is ever materialized
-// — the only per-row state retained is what the sink keeps (projected
-// output rows, or group accumulators).
+// the pinned columnar snapshots. What flows through it is a cursor — one
+// snapshot row index per scan — not a row of Values: code-compiled
+// predicates, join keys, GROUP BY keys and COUNT operands (codepred.go) read
+// dictionary codes at the cursor; join steps look partners up through PLI
+// classes or hash indexes keyed by packed codes; the sink groups on codes
+// and keeps a group's representative as a cursor. One row buffer exists
+// beside the cursor for value-level expressions (arithmetic, LIKE, SUBSTR,
+// ordering compares, impure plans): a scan fills just the columns such an
+// expression reads as its cursor moves, and the sink fills projected
+// columns for the rows that survived. No intermediate relation is ever
+// materialized.
 //
 // Identity with the legacy materializing path is by construction: rows are
 // enumerated in exactly the legacy nested order (driver scan in snapshot
@@ -19,6 +24,7 @@ package sqleng
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -26,39 +32,32 @@ import (
 	"semandaq/internal/types"
 )
 
-// scanReader caches the per-scan snapshot accessors the hot loops touch.
-type scanReader struct {
-	ids  []relstore.TupleID
-	cols []*relstore.Column
-}
-
 // rightIndex is the build side of one join step: which right rows survive
 // the pushed-down filters, plus the lookup structure of the step's kind.
 type rightIndex struct {
 	surv     []bool  // nil: every row survives (no right-side filters)
 	survRows []int32 // stepNested: surviving rows in snapshot order
-	allRows  bool    // stepNested: no filters, iterate the whole snapshot
 	buckets  map[string][]int32
 	pliCol   *relstore.Column
 	// FD-collapsed steps: the guarded key columns, and the memoized
 	// guard-filtered candidates per (lead class, guard codes) probe key.
 	guardCols []*relstore.Column
+	guard     []uint32 // scratch: guard codes of the current probe
 	memo      map[string][]int32
 }
 
 // planExec is one execution of a selectPlan.
 type planExec struct {
-	p       *selectPlan
-	ctx     context.Context
-	buf     []types.Value // one reusable full-width row
-	readers []scanReader  // per scan
-	idx     []*rightIndex // per step
-	cached  [][]int32     // per step: candidates from a hoisted probe
-	keyBuf  []byte
-	guard   []uint32   // scratch: guard codes of the current collapsed probe
-	ops     OpCounters // local counters, flushed to the engine once per run
-	n       int        // shared row counter for stride context checks
-	stop    bool
+	p      *selectPlan
+	ctx    context.Context
+	cur    []int32       // the cursor: one snapshot row per scan, -1 null-extended
+	buf    []types.Value // the lazily filled row, plus the sink's aggregate slots
+	idx    []*rightIndex // per step
+	cached [][]int32     // per step: candidates from a hoisted probe
+	keyBuf []byte
+	ops    OpCounters // local counters, flushed to the engine once per run
+	n      int        // shared row counter for stride context checks
+	stop   bool
 }
 
 // stride ticks the shared row counter and returns ctx.Err() every
@@ -74,25 +73,14 @@ func (px *planExec) stride() error {
 // sink. It may be called once per plan.
 func (p *selectPlan) run(ctx context.Context) error {
 	px := &planExec{
-		p:       p,
-		ctx:     ctx,
-		buf:     make([]types.Value, len(p.cat)),
-		readers: make([]scanReader, len(p.scans)),
-		idx:     make([]*rightIndex, len(p.steps)),
-		cached:  make([][]int32, len(p.steps)),
+		p:      p,
+		ctx:    ctx,
+		cur:    make([]int32, len(p.scans)),
+		buf:    make([]types.Value, len(p.cat)+len(p.sink.calls)),
+		idx:    make([]*rightIndex, len(p.steps)),
+		cached: make([][]int32, len(p.steps)),
 	}
-	for i, sc := range p.scans {
-		r := scanReader{ids: sc.cnr.IDs(), cols: make([]*relstore.Column, sc.arity-1)}
-		for j := range r.cols {
-			r.cols[j] = sc.cnr.Col(j)
-		}
-		px.readers[i] = r
-	}
-	for _, step := range p.steps {
-		if len(step.guardKeys) > len(px.guard) {
-			px.guard = make([]uint32, len(step.guardKeys))
-		}
-	}
+	p.sink.px = px
 	defer px.flushOps()
 	// Build every join index eagerly, in step order: the legacy path
 	// evaluates right-side filters and hash keys over the full right side
@@ -106,21 +94,52 @@ func (p *selectPlan) run(ctx context.Context) error {
 	return px.scanDriver()
 }
 
-// fillScan materializes scan s's snapshot row r into the row buffer:
-// hidden _tid first, then the attribute values straight from the exact
-// dictionary (bit-identical to the stored tuple).
-func (px *planExec) fillScan(s int, r int32) {
-	sc := px.p.scans[s]
-	rd := &px.readers[s]
-	px.buf[sc.start] = types.NewInt(int64(rd.ids[r]))
-	for j, col := range rd.cols {
-		px.buf[sc.start+1+j] = col.Value(col.Code(int(r)))
+// materialise fetches the row-buffer positions cols at cursor cur: the
+// tuple id for a scan's hidden _tid, else the value straight from the exact
+// dictionary (bit-identical to the stored tuple), NULL on a null-extended
+// scan.
+func (px *planExec) materialise(cols, cur []int32) {
+	for _, pos := range cols {
+		sc := px.p.scans[px.p.posScan[pos]]
+		switch r, j := cur[px.p.posScan[pos]], int(pos)-sc.start; {
+		case r < 0:
+			px.buf[pos] = types.Null
+		case j == 0:
+			px.buf[pos] = types.NewInt(int64(sc.cnr.IDs()[r]))
+		default:
+			col := sc.cnr.Col(j - 1)
+			px.buf[pos] = col.Value(col.Code(int(r)))
+		}
+	}
+	px.ops.ValuesMaterialized += int64(len(cols))
+}
+
+// setCur moves scan s's cursor to snapshot row r (-1: null-extended) and
+// fills the columns the pipeline's value-level expressions read there.
+func (px *planExec) setCur(s int, r int32) {
+	px.cur[s] = r
+	if fill := px.p.scans[s].fill; len(fill) > 0 {
+		px.materialise(fill, px.cur)
 	}
 }
 
+// pass decides one predicate at the cursor.
+func (px *planExec) pass(f *filterPred) (bool, error) {
+	if f.code != nil {
+		return f.code(px.cur) == 1, nil
+	}
+	v, err := f.fn(px.buf)
+	return err == nil && truthy(v), err
+}
+
+// appendCode packs one non-negative code into a byte key.
+func appendCode(key []byte, c int32) []byte {
+	return append(key, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
+}
+
 // buildIndex builds step si's right-side index: applies the pushed-down
-// filters row by row on a local scratch row, then indexes the survivors
-// according to the step's kind.
+// filters row by row at the right scan's cursor, then indexes the
+// survivors according to the step's kind.
 func (px *planExec) buildIndex(si int) error {
 	step := px.p.steps[si]
 	sc := step.right
@@ -132,26 +151,15 @@ func (px *planExec) buildIndex(si int) error {
 	}
 	if step.collapsed {
 		idx.memo = make(map[string][]int32)
+		idx.guard = make([]uint32, len(step.guardCols))
 		for _, c := range step.guardCols {
 			idx.guardCols = append(idx.guardCols, sc.cnr.Col(c))
 		}
 	}
-
-	needScratch := len(sc.filters) > 0 || step.kind == stepHash
-	if !needScratch {
-		// PLI steps read candidates straight from the cached partition and
-		// nested steps iterate the snapshot; with no filters there is
-		// nothing to precompute.
-		idx.allRows = true
+	if len(sc.filters) == 0 && step.kind == stepPLI {
+		// Candidates come straight from the cached partition: with no
+		// filters there is nothing to precompute.
 		return nil
-	}
-
-	var scratch []types.Value
-	var rd scanReader
-	scratch = make([]types.Value, sc.arity)
-	rd = scanReader{ids: sc.cnr.IDs(), cols: make([]*relstore.Column, sc.arity-1)}
-	for j := range rd.cols {
-		rd.cols[j] = sc.cnr.Col(j)
 	}
 	if len(sc.filters) > 0 {
 		idx.surv = make([]bool, n)
@@ -165,16 +173,11 @@ rows:
 		if err := px.stride(); err != nil {
 			return err
 		}
-		scratch[0] = types.NewInt(int64(rd.ids[r]))
-		for j, col := range rd.cols {
-			scratch[1+j] = col.Value(col.Code(r))
-		}
-		for _, f := range sc.filters {
-			v, err := f.fn(scratch)
-			if err != nil {
+		px.setCur(step.rightIdx, int32(r))
+		for i := range sc.filters {
+			if ok, err := px.pass(&sc.filters[i]); err != nil {
 				return err
-			}
-			if !truthy(v) {
+			} else if !ok {
 				continue rows
 			}
 		}
@@ -184,22 +187,28 @@ rows:
 		switch step.kind {
 		case stepHash:
 			key := px.keyBuf[:0]
-			null := false
-			for _, kf := range step.keyR {
-				v, err := kf(scratch)
+			for k := range step.keys {
+				jk := &step.keys[k]
+				if jk.rt != nil {
+					c := jk.rt.own(px.cur)
+					if c == codeNull {
+						px.keyBuf = key
+						continue rows // NULL never equi-joins
+					}
+					key = appendCode(key, c)
+					continue
+				}
+				v, err := jk.rfn(px.buf)
 				if err != nil {
 					return err
 				}
-				if v.IsNull() {
-					null = true
-					break
+				if v.IsNull() && !jk.nullSafe {
+					px.keyBuf = key
+					continue rows
 				}
 				key = v.AppendGroupKey(key)
 			}
 			px.keyBuf = key
-			if null {
-				continue // NULL never equi-joins
-			}
 			idx.buckets[string(key)] = append(idx.buckets[string(key)], int32(r))
 		case stepNested:
 			idx.survRows = append(idx.survRows, int32(r))
@@ -208,36 +217,22 @@ rows:
 	return nil
 }
 
-// scanDriver iterates the driver scan: code filters on dictionary codes
-// first, then the filled row through the stage-0 filters and probes, then
-// down the join steps.
+// scanDriver iterates the driver scan: each row through the stage-0
+// filters and probes, then down the join steps.
 func (px *planExec) scanDriver() error {
-	p := px.p
-	sc := p.scans[0]
-	n := sc.cnr.Len()
-rows:
-	for r := 0; r < n; r++ {
+	n := px.p.scans[0].cnr.Len()
+	for r := 0; r < n && !px.stop; r++ {
 		if err := px.stride(); err != nil {
 			return err
 		}
-		for i := range sc.codeFs {
-			if !sc.codeFs[i].match(r) {
-				continue rows
-			}
-		}
-		px.fillScan(0, int32(r))
-		ok, err := px.stageGate(0)
-		if err != nil {
+		px.setCur(0, int32(r))
+		if ok, err := px.stageGate(0); err != nil {
 			return err
-		}
-		if !ok {
+		} else if !ok {
 			continue
 		}
 		if err := px.descend(0); err != nil {
 			return err
-		}
-		if px.stop {
-			return nil
 		}
 	}
 	return nil
@@ -246,25 +241,30 @@ rows:
 // stageGate runs stage d's filters and hoisted probes over the current
 // prefix, reporting whether the prefix survives.
 func (px *planExec) stageGate(d int) (bool, error) {
-	for _, f := range px.p.stages[d] {
-		v, err := f.fn(px.buf)
-		if err != nil {
+	stage := px.p.stages[d]
+	for i := range stage {
+		if ok, err := px.pass(&stage[i]); err != nil || !ok {
 			return false, err
-		}
-		if !truthy(v) {
-			return false, nil
 		}
 	}
 	for _, si := range px.p.probesAt[d] {
-		ok, err := px.probe(si)
-		if err != nil {
+		if ok, err := px.probe(si); err != nil || !ok {
 			return false, err
-		}
-		if !ok {
-			return false, nil
 		}
 	}
 	return true, nil
+}
+
+// keyCode returns the current prefix's value of a code-keyed join key in
+// the right term's code space: through the translation table when the left
+// side is a term (one array load), else by looking the evaluated value up.
+// Negative: NULL, or a value the right column lacks — no partner.
+func (px *planExec) keyCode(jk *joinKey) (int32, error) {
+	if jk.tab != nil {
+		return jk.tab.get()[jk.lt.exact(px.cur)], nil
+	}
+	v, err := jk.lfn(px.buf)
+	return jk.rt.codeOf(v), err
 }
 
 // lookup finds step si's candidate right rows for the current prefix key,
@@ -272,41 +272,39 @@ func (px *planExec) stageGate(d int) (bool, error) {
 func (px *planExec) lookup(si int) ([]int32, error) {
 	step := px.p.steps[si]
 	idx := px.idx[si]
-	switch step.kind {
-	case stepPLI:
-		v, err := step.keyL[step.leadKey](px.buf)
-		if err != nil {
+	if step.kind == stepPLI {
+		eq, err := px.keyCode(&step.keys[step.leadKey])
+		if err != nil || eq < 0 {
 			return nil, err
 		}
-		if v.IsNull() {
-			return nil, nil
-		}
-		eq, ok := idx.pliCol.EqCodeOf(v)
-		if !ok {
-			return nil, nil
-		}
 		if step.collapsed {
-			return px.collapsedLookup(si, eq)
+			return px.collapsedLookup(si, uint32(eq))
 		}
 		px.ops.PLIProbes++
-		return idx.pliCol.ClassRows(eq), nil
-	default: // stepHash
-		key := px.keyBuf[:0]
-		for _, kf := range step.keyL {
-			v, err := kf(px.buf)
-			if err != nil {
+		return idx.pliCol.ClassRows(uint32(eq)), nil
+	}
+	key := px.keyBuf[:0]
+	for k := range step.keys {
+		jk := &step.keys[k]
+		if jk.rt != nil {
+			c, err := px.keyCode(jk)
+			if err != nil || c < 0 {
+				px.keyBuf = key
 				return nil, err
 			}
-			if v.IsNull() {
-				px.keyBuf = key
-				return nil, nil
-			}
-			key = v.AppendGroupKey(key)
+			key = appendCode(key, c)
+			continue
 		}
-		px.keyBuf = key
-		px.ops.HashProbes++
-		return idx.buckets[string(key)], nil
+		v, err := jk.lfn(px.buf)
+		if err != nil || (v.IsNull() && !jk.nullSafe) {
+			px.keyBuf = key
+			return nil, err
+		}
+		key = v.AppendGroupKey(key)
 	}
+	px.keyBuf = key
+	px.ops.HashProbes++
+	return idx.buckets[string(key)], nil
 }
 
 // probe runs step si's index lookup early, at a stage before the step's
@@ -335,23 +333,19 @@ func (px *planExec) probe(si int) (bool, error) {
 }
 
 // descend runs the pipeline below stage d: the next join step, or the sink
-// when every scan is filled.
+// when every scan's cursor is set.
 func (px *planExec) descend(d int) error {
 	if d == len(px.p.scans)-1 {
-		stop, err := px.p.sink.add(px.buf)
-		if err != nil {
-			return err
-		}
+		stop, err := px.p.sink.add()
 		px.stop = px.stop || stop
-		return nil
+		return err
 	}
 	step := px.p.steps[d]
 	idx := px.idx[d]
 
-	var cands []int32
+	cands := idx.survRows // a nested step pairs with every surviving row
 	switch {
 	case step.kind == stepNested:
-		// handled below: nested steps iterate rows, not candidate lists
 	case step.probeAt < d:
 		cands = px.cached[d] // the hoisted probe already looked it up
 	default:
@@ -367,58 +361,31 @@ func (px *planExec) descend(d int) error {
 		if err := px.stride(); err != nil {
 			return err
 		}
-		px.fillScan(d+1, r)
-		for _, f := range step.residuals {
-			v, err := f.fn(px.buf)
-			if err != nil {
+		px.setCur(d+1, r)
+		for i := range step.residuals {
+			if ok, err := px.pass(&step.residuals[i]); err != nil || !ok {
 				return err
-			}
-			if !truthy(v) {
-				return nil
 			}
 		}
 		// The legacy path counts a pair as matched once the ON residuals
 		// pass, before the later WHERE conjuncts run — the distinction
 		// decides null-extension, so it is preserved exactly.
 		matched = true
-		ok, err := px.stageGate(d + 1)
-		if err != nil {
+		if ok, err := px.stageGate(d + 1); err != nil || !ok {
 			return err
-		}
-		if !ok {
-			return nil
 		}
 		return px.descend(d + 1)
 	}
 
-	switch {
-	case step.kind == stepNested && idx.allRows:
-		n := int32(step.right.cnr.Len())
-		for r := int32(0); r < n && !px.stop; r++ {
-			if err := tryRight(r); err != nil {
-				return err
-			}
+	for _, r := range cands {
+		if px.stop {
+			return nil
 		}
-	case step.kind == stepNested:
-		for _, r := range idx.survRows {
-			if px.stop {
-				break
-			}
-			if err := tryRight(r); err != nil {
-				return err
-			}
+		if idx.surv != nil && !idx.surv[r] {
+			continue
 		}
-	default:
-		for _, r := range cands {
-			if px.stop {
-				break
-			}
-			if idx.surv != nil && !idx.surv[r] {
-				continue
-			}
-			if err := tryRight(r); err != nil {
-				return err
-			}
+		if err := tryRight(r); err != nil {
+			return err
 		}
 	}
 	if px.stop {
@@ -426,20 +393,14 @@ func (px *planExec) descend(d int) error {
 	}
 
 	if step.outer && !matched {
-		// Null-extend: the zero types.Value is NULL, so clearing the right
-		// segment materializes the unmatched-left row the legacy path
-		// appends, and the later-stage WHERE conjuncts see it as such.
-		sc := step.right
-		for i := sc.start; i < sc.start+sc.arity; i++ {
-			px.buf[i] = types.Null
-		}
-		ok, err := px.stageGate(d + 1)
-		if err != nil {
+		// Null-extend: a cursor of -1 reads as NULL in every column of the
+		// right scan, which is the unmatched-left row the legacy path
+		// appends; the later-stage WHERE conjuncts see it as such.
+		px.setCur(d+1, -1)
+		if ok, err := px.stageGate(d + 1); err != nil || !ok {
 			return err
 		}
-		if ok {
-			return px.descend(d + 1)
-		}
+		return px.descend(d + 1)
 	}
 	return nil
 }
@@ -478,27 +439,34 @@ type sinkOutRow struct {
 	seq  int
 }
 
-// sinkGroup is one GROUP BY group: the representative row (a retained copy
-// of the first member) plus the aggregate accumulators.
-type sinkGroup struct {
-	rep    []types.Value
-	states []*aggState
-}
-
 // streamSink terminates the pipeline: grouping/aggregation, HAVING,
 // projection, DISTINCT, ORDER BY, OFFSET/LIMIT. It is fully compiled at
 // plan time, mirroring the legacy projectAndFinish semantics stage by
-// stage, and consumes rows incrementally — for non-grouped queries only
-// the projected output rows are retained, never the pipeline rows.
+// stage, and consumes the pipeline incrementally — for non-grouped queries
+// only the projected output rows are retained; a group retains a cursor
+// (its first member) and its aggregate states.
 type streamSink struct {
 	st         *SelectStmt
-	width      int // width of the pipeline row
+	px         *planExec // the running execution: cursor, row buffer, counters
+	width      int       // width of the pipeline row
+	nscans     int
 	needsGroup bool
 	calls      []aggCall
-	keyFns     []evalFn
-	having     evalFn
-	projs      []sinkProj
-	orderKeys  []sinkOrderKey
+	// GROUP BY keys: keyTerms[i] when key i is a code term, else keyFns[i]
+	// evaluates it and intern[i] gives its value a code. Either way a group
+	// is a vector of uint32s, resolved to its index one key at a time
+	// through levels[i]: (index so far, next code) -> index.
+	keyTerms  []*codeTerm
+	keyFns    []evalFn
+	having    evalFn
+	projs     []sinkProj
+	orderKeys []sinkOrderKey
+	// Late materialisation: the row-buffer positions the sink's value-level
+	// expressions read, by when they are fetched. rowCols per arriving
+	// pipeline row (value-level group keys and aggregate operands; when not
+	// grouping, the projection); havingCols per group from its
+	// representative cursor; outCols per group that passed HAVING.
+	rowCols, havingCols, outCols []int32
 	// earlyStop: with a LIMIT, no ORDER BY, no grouping and a pure plan
 	// and projection, the pipeline can stop as soon as OFFSET+LIMIT output
 	// rows exist — no later row could change the result.
@@ -514,93 +482,112 @@ type streamSink struct {
 	heapK int
 
 	// Runtime state.
-	groups   map[string]*sinkGroup
-	gorder   []string
+	levels   []map[uint64]int32
+	intern   []map[string]uint32
+	reps     []int32    // per group: its first member's cursor, nscans wide
+	counts   []aggCount // per group: one per call
+	vals     []aggState // per group: one per value-level call (aggCall.vslot)
+	zero     []aggCount // a new group's counts
+	fresh    []aggState // a new group's vals
 	out      []sinkOutRow
 	seen     map[string]bool
 	keyBuf   []byte
 	seq      int           // arrival counter for heap tie-breaks
 	valBuf   []types.Value // heap path: projected row before acceptance
-	ordBuf   []types.Value // heap path: order keys before acceptance
+	ordBuf   []types.Value // order keys before acceptance
 	streamed int           // rows already passed to yield
 	yield    func(row []types.Value) bool
 	yieldend bool // yield returned false: consumer stopped
 }
 
-// newStreamSink compiles the sink for st over the pipeline catalog. The
-// compile steps and error messages mirror the legacy projectAndFinish
-// exactly; only the point in time moves (plan time instead of interleaved
-// with execution), which preserves error presence.
-func newStreamSink(st *SelectStmt, cat catalog, hidden []bool, planPure bool) (*streamSink, error) {
-	s := &streamSink{st: st, width: len(cat), heapK: -1}
+// newStreamSink compiles the sink for p's statement over the pipeline
+// catalog. The compile steps and error messages mirror the legacy
+// projectAndFinish exactly; only the point in time moves (plan time instead
+// of interleaved with execution), which preserves error presence.
+func newStreamSink(p *selectPlan) (*streamSink, error) {
+	st, cat, hidden := p.st, p.cat, p.hidden
+	s := &streamSink{st: st, width: len(cat), nscans: len(p.scans), heapK: -1}
 
-	var orderExprs []Expr
-	for _, oi := range st.OrderBy {
-		orderExprs = append(orderExprs, oi.Expr)
-	}
-	var itemExprs []Expr
+	var outExprs []Expr // the select items, then the ORDER BY keys
 	for _, it := range st.Items {
 		if !it.Star {
-			itemExprs = append(itemExprs, it.Expr)
+			outExprs = append(outExprs, it.Expr)
 		}
 	}
-	s.needsGroup = len(st.GroupBy) > 0 || st.Having != nil
-	if !s.needsGroup {
-		for _, ex := range append(append([]Expr{}, itemExprs...), orderExprs...) {
-			if hasAggregate(ex) {
-				s.needsGroup = true
-				break
-			}
-		}
+	for _, oi := range st.OrderBy {
+		outExprs = append(outExprs, oi.Expr)
 	}
+	s.needsGroup = len(st.GroupBy) > 0 || st.Having != nil || slices.ContainsFunc(outExprs, hasAggregate)
 
 	var aggEnv map[string]int
-	gcat, ghidden := cat, hidden
+	gcat := cat // the grouped row: the pipeline row, then one slot per aggregate
 	if s.needsGroup {
-		all := append(append([]Expr{}, itemExprs...), orderExprs...)
+		all := outExprs
 		if st.Having != nil {
-			all = append(all, st.Having)
+			all = append(append([]Expr{}, outExprs...), st.Having)
 		}
 		env, calls, err := collectAggs(cat, all...)
 		if err != nil {
 			return nil, err
 		}
 		aggEnv = env
-		s.calls = calls
+		s.calls, s.zero = calls, make([]aggCount, len(calls))
+		for i := range s.calls {
+			c := &s.calls[i]
+			c.vslot = -1
+			if c.fn.Star {
+				continue
+			}
+			// COUNT only asks whether the operand is NULL and, under
+			// DISTINCT, which class it is in: codes answer both.
+			if t, _, _ := p.termOf(c.fn.Args[0], false); t != nil && c.fn.Name == "COUNT" {
+				c.term = t
+			} else {
+				c.vslot = len(s.fresh)
+				s.fresh = append(s.fresh, aggState{call: c, allInt: true})
+				s.rowCols = p.colsOf(s.rowCols, nil, c.fn.Args[0])
+			}
+			if c.fn.Distinct {
+				c.dseen, c.intern = map[uint64]struct{}{}, map[string]uint32{}
+			}
+		}
 		for _, g := range st.GroupBy {
 			f, err := compileExpr(g, cat)
 			if err != nil {
 				return nil, err
 			}
+			t, _, _ := p.termOf(g, false)
+			if t == nil {
+				s.rowCols = p.colsOf(s.rowCols, nil, g)
+			}
+			s.keyTerms = append(s.keyTerms, t)
 			s.keyFns = append(s.keyFns, f)
+			s.levels = append(s.levels, map[uint64]int32{})
+			s.intern = append(s.intern, map[string]uint32{})
 		}
 		gcat = append(append(catalog{}, cat...), make(catalog, len(calls))...)
-		ghidden = append(append([]bool{}, hidden...), make([]bool, len(calls))...)
-		for i := range calls {
-			ghidden[len(cat)+i] = true
-		}
 		if st.Having != nil {
 			f, err := compileExprAgg(st.Having, gcat, aggEnv)
 			if err != nil {
 				return nil, err
 			}
 			s.having = f
+			s.havingCols = p.colsOf(nil, nil, st.Having)
 		}
-		s.groups = map[string]*sinkGroup{}
 	}
 
 	for _, it := range st.Items {
 		if it.Star {
-			for i, ci := range gcat {
-				if ghidden[i] {
-					continue
-				}
-				if it.StarTable != "" && !strings.EqualFold(ci.qual, it.StarTable) {
+			for i, ci := range cat {
+				if hidden[i] || (it.StarTable != "" && !strings.EqualFold(ci.qual, it.StarTable)) {
 					continue
 				}
 				idx := i
 				s.projs = append(s.projs, sinkProj{name: ci.name, pure: true,
 					fn: func(row []types.Value) (types.Value, error) { return row[idx], nil }})
+				if !slices.Contains(s.outCols, int32(i)) {
+					s.outCols = append(s.outCols, int32(i))
+				}
 			}
 			continue
 		}
@@ -619,21 +606,24 @@ func newStreamSink(st *SelectStmt, cat catalog, hidden []bool, planPure bool) (*
 		if f, err := compileExprAgg(oi.Expr, gcat, aggEnv); err == nil {
 			ok.fn = f
 		} else if cr, isRef := oi.Expr.(*ColumnRef); isRef && cr.Table == "" {
-			found := -1
-			for i, pr := range s.projs {
-				if strings.EqualFold(pr.name, cr.Column) {
-					found = i
-					break
-				}
-			}
-			if found < 0 {
+			ok.byOut = slices.IndexFunc(s.projs, func(pr sinkProj) bool { return strings.EqualFold(pr.name, cr.Column) })
+			if ok.byOut < 0 {
 				return nil, err
 			}
-			ok.byOut = found
 		} else {
 			return nil, err
 		}
 		s.orderKeys = append(s.orderKeys, ok)
+	}
+
+	// What the output expressions read is fetched per surviving group, or,
+	// when not grouping, per arriving row beside what the scans filled.
+	s.outCols = p.colsOf(s.outCols, s.havingCols, outExprs...)
+	if !s.needsGroup {
+		s.rowCols, s.outCols = s.outCols, nil
+	}
+	for _, sc := range p.scans {
+		s.rowCols = slices.DeleteFunc(s.rowCols, func(pos int32) bool { return slices.Contains(sc.fill, pos) })
 	}
 
 	if st.Distinct {
@@ -641,17 +631,11 @@ func newStreamSink(st *SelectStmt, cat catalog, hidden []bool, planPure bool) (*
 	}
 	if len(s.orderKeys) > 0 && st.Limit >= 0 {
 		s.heapK = st.Offset + st.Limit
-		s.valBuf = make([]types.Value, len(s.projs))
 	}
-	if planPure && !s.needsGroup && len(s.orderKeys) == 0 && st.Limit >= 0 {
-		s.earlyStop = true
-		for _, pr := range s.projs {
-			if !pr.pure {
-				s.earlyStop = false
-			}
-		}
-		s.target = st.Offset + st.Limit
-	}
+	s.valBuf = make([]types.Value, len(s.projs))
+	s.earlyStop = p.pure && !s.needsGroup && len(s.orderKeys) == 0 && st.Limit >= 0 &&
+		!slices.ContainsFunc(s.projs, func(pr sinkProj) bool { return !pr.pure })
+	s.target = st.Offset + st.Limit
 	return s, nil
 }
 
@@ -664,16 +648,10 @@ func (s *streamSink) columns() []string {
 	return cols
 }
 
-// canStream reports whether output rows can be yielded as they are
-// produced (no grouping or ordering barrier).
-func (s *streamSink) canStream() bool {
-	return !s.needsGroup && len(s.orderKeys) == 0
-}
-
 // canYield reports whether a streaming consumer can receive output rows
-// without the sink ever materializing them: directly from the pipeline
-// (canStream), or group by group out of finishGroups — only an ORDER BY
-// forces the full output to exist at once.
+// without the sink ever materializing them: directly from the pipeline, or
+// group by group out of finishGroups — only an ORDER BY forces the full
+// output to exist at once.
 func (s *streamSink) canYield() bool {
 	return len(s.orderKeys) == 0
 }
@@ -681,7 +659,9 @@ func (s *streamSink) canYield() bool {
 // describe renders the sink stage for EXPLAIN output.
 func (s *streamSink) describe() string {
 	var parts []string
-	if s.needsGroup {
+	if s.needsGroup && !slices.Contains(s.keyTerms, nil) {
+		parts = append(parts, fmt.Sprintf("group on codes(%d) aggs=%d", len(s.keyTerms), len(s.calls)))
+	} else if s.needsGroup {
 		parts = append(parts, fmt.Sprintf("group(keys=%d aggs=%d)", len(s.keyFns), len(s.calls)))
 	}
 	if s.having != nil {
@@ -709,53 +689,129 @@ func (s *streamSink) describe() string {
 	return strings.Join(parts, ", ")
 }
 
-// add consumes one pipeline row. The row buffer is reused by the caller:
-// everything the sink retains is copied. Returns stop=true when the
-// pipeline may terminate early (LIMIT satisfied, or a streaming consumer
-// declined more rows).
-func (s *streamSink) add(row []types.Value) (bool, error) {
-	if s.needsGroup {
-		key := s.keyBuf[:0]
-		for _, f := range s.keyFns {
-			v, err := f(row)
+// add consumes the pipeline row under the cursor. Returns stop=true when
+// the pipeline may terminate early (LIMIT satisfied, or a streaming
+// consumer declined more rows).
+func (s *streamSink) add() (bool, error) {
+	px := s.px
+	px.materialise(s.rowCols, px.cur)
+	if !s.needsGroup {
+		return s.emit(px.buf)
+	}
+	// Resolve the group: its keys' codes, interned level by level. Indexes
+	// are handed out in first-appearance order, so a fresh index is a new
+	// group.
+	gid := uint64(0)
+	for i, t := range s.keyTerms {
+		var c uint32
+		if t != nil {
+			c = uint32(t.own(px.cur) + 2) // NULL (-2) groups as a value of its own
+		} else {
+			v, err := s.keyFns[i](px.buf)
 			if err != nil {
 				return false, err
 			}
-			key = v.AppendGroupKey(key)
+			c = s.internValue(s.intern[i], v)
 		}
-		s.keyBuf = key
-		g, ok := s.groups[string(key)]
+		id, ok := s.levels[i][gid<<32|uint64(c)]
 		if !ok {
-			g = &sinkGroup{rep: append([]types.Value(nil), row...)}
-			for _, c := range s.calls {
-				g.states = append(g.states, newAggState(c))
-			}
-			s.groups[string(key)] = g
-			s.gorder = append(s.gorder, string(key))
+			id = int32(len(s.levels[i]))
+			s.levels[i][gid<<32|uint64(c)] = id
 		}
-		for _, st := range g.states {
-			if err := st.add(row); err != nil {
+		gid = uint64(id)
+	}
+	if int(gid) == len(s.reps)/s.nscans {
+		s.newGroup(px.cur)
+	}
+	for ci := range s.calls {
+		c, n := &s.calls[ci], &s.counts[int(gid)*len(s.calls)+ci]
+		switch {
+		case c.fn.Star:
+			n.n++
+		case c.term != nil:
+			if x := c.term.own(px.cur); x != codeNull && (!c.fn.Distinct || n.firstSeen(c, gid, uint32(x))) {
+				n.n++
+			}
+		default:
+			v, err := c.arg(px.buf)
+			if err != nil {
+				return false, err
+			}
+			if v.IsNull() || (c.fn.Distinct && !n.firstSeen(c, gid, s.internValue(c.intern, v))) {
+				continue // aggregates skip NULLs, DISTINCT ones repeats
+			}
+			if err := s.vals[int(gid)*len(s.fresh)+c.vslot].accumulate(v); err != nil {
 				return false, err
 			}
 		}
-		return false, nil
 	}
+	return false, nil
+}
 
-	if s.heapK >= 0 && s.yield == nil {
-		return false, s.addBounded(row)
+// aggCount is a group's pointer-free state for one call: the count a
+// code-level COUNT reports and, under DISTINCT, the first operand code the
+// group saw.
+type aggCount struct {
+	n    int64
+	d0   uint32
+	has0 bool
+}
+
+// newGroup opens a group represented by the cursor cur.
+func (s *streamSink) newGroup(cur []int32) {
+	s.reps = append(s.reps, cur...)
+	s.counts = append(s.counts, s.zero...)
+	s.vals = append(s.vals, s.fresh...)
+}
+
+// internValue gives v's Equal-class a dense code, by its group-key bytes.
+func (s *streamSink) internValue(m map[string]uint32, v types.Value) uint32 {
+	s.keyBuf = v.AppendGroupKey(s.keyBuf[:0])
+	c, ok := m[string(s.keyBuf)]
+	if !ok {
+		c = uint32(len(m))
+		m[string(s.keyBuf)] = c
 	}
+	return c
+}
 
-	or := sinkOutRow{vals: make([]types.Value, len(s.projs))}
+// firstSeen records call's operand code c under DISTINCT for group gid,
+// reporting whether the group had not seen it. A group's first code lives
+// inline — most groups never see a second — and later ones in the call's
+// shared set.
+func (st *aggCount) firstSeen(call *aggCall, gid uint64, c uint32) bool {
+	if !st.has0 {
+		st.d0, st.has0 = c, true
+		return true
+	}
+	if c == st.d0 {
+		return false
+	}
+	k := gid<<32 | uint64(c)
+	_, dup := call.dseen[k]
+	call.dseen[k] = struct{}{}
+	return !dup
+}
+
+// emit projects one (grouped) row and routes it: through DISTINCT, then to
+// the streaming consumer, the bounded heap or the output set. The sequence
+// of expression evaluations (and hence of possible errors) is the same on
+// every route; only the retention differs, and a row the heap rejects
+// allocates nothing.
+func (s *streamSink) emit(row []types.Value) (stop bool, err error) {
+	bounded := s.heapK >= 0 && s.yield == nil
+	vals := s.valBuf
+	if !bounded {
+		vals = make([]types.Value, len(s.projs))
+	}
 	for i, pr := range s.projs {
-		v, err := pr.fn(row)
-		if err != nil {
+		if vals[i], err = pr.fn(row); err != nil {
 			return false, err
 		}
-		or.vals[i] = v
 	}
 	if s.seen != nil {
 		key := s.keyBuf[:0]
-		for _, v := range or.vals {
+		for _, v := range vals {
 			key = v.AppendGroupKey(key)
 		}
 		s.keyBuf = key
@@ -764,21 +820,20 @@ func (s *streamSink) add(row []types.Value) (bool, error) {
 		}
 		s.seen[string(key)] = true
 	}
+	keys := s.ordBuf[:0]
 	for _, okey := range s.orderKeys {
-		var v types.Value
+		v := types.Null
 		if okey.byOut >= 0 {
-			v = or.vals[okey.byOut]
-		} else {
-			var err error
-			v, err = okey.fn(row)
-			if err != nil {
-				return false, err
-			}
+			v = vals[okey.byOut]
+		} else if v, err = okey.fn(row); err != nil {
+			return false, err
 		}
-		or.keys = append(or.keys, v)
+		keys = append(keys, v)
 	}
+	s.ordBuf = keys
 
-	if s.yield != nil {
+	switch {
+	case s.yield != nil:
 		// Streaming consumer: apply OFFSET/LIMIT inline and hand the row
 		// over instead of retaining it.
 		s.streamed++
@@ -788,70 +843,24 @@ func (s *streamSink) add(row []types.Value) (bool, error) {
 		if s.st.Limit >= 0 && s.streamed > s.st.Offset+s.st.Limit {
 			return true, nil
 		}
-		if !s.yield(or.vals) {
+		if !s.yield(vals) {
 			s.yieldend = true
 			return true, nil
 		}
-		if s.st.Limit >= 0 && s.streamed == s.st.Offset+s.st.Limit {
-			return true, nil
+		return s.st.Limit >= 0 && s.streamed == s.st.Offset+s.st.Limit, nil
+	case bounded:
+		cand := sinkOutRow{vals: vals, keys: keys, seq: s.seq}
+		s.seq++
+		if s.heapK == 0 || (len(s.out) == s.heapK && !s.outLess(&cand, &s.out[0])) {
+			return false, nil // cannot enter the top k: rejected without a copy
 		}
+		cand.vals = append([]types.Value(nil), vals...)
+		cand.keys = append([]types.Value(nil), keys...)
+		s.boundedInsert(cand)
 		return false, nil
 	}
-
-	s.out = append(s.out, or)
+	s.out = append(s.out, sinkOutRow{vals: vals, keys: append([]types.Value(nil), keys...)})
 	return s.earlyStop && len(s.out) >= s.target, nil
-}
-
-// addBounded is the non-grouped add path when heapK >= 0: project and key
-// the row into scratch buffers, then copy it into the bounded heap only if
-// it beats the current k-th best. The sequence of expression evaluations
-// (and hence of possible errors) is identical to the unbounded path; only
-// the retention differs, and a rejected row allocates nothing.
-func (s *streamSink) addBounded(row []types.Value) error {
-	vals := s.valBuf[:len(s.projs)]
-	for i, pr := range s.projs {
-		v, err := pr.fn(row)
-		if err != nil {
-			return err
-		}
-		vals[i] = v
-	}
-	if s.seen != nil {
-		key := s.keyBuf[:0]
-		for _, v := range vals {
-			key = v.AppendGroupKey(key)
-		}
-		s.keyBuf = key
-		if s.seen[string(key)] {
-			return nil
-		}
-		s.seen[string(key)] = true
-	}
-	keys := s.ordBuf[:0]
-	for _, okey := range s.orderKeys {
-		var v types.Value
-		if okey.byOut >= 0 {
-			v = vals[okey.byOut]
-		} else {
-			var err error
-			v, err = okey.fn(row)
-			if err != nil {
-				return err
-			}
-		}
-		keys = append(keys, v)
-	}
-	s.ordBuf = keys
-
-	cand := sinkOutRow{vals: vals, keys: keys, seq: s.seq}
-	s.seq++
-	if s.heapK == 0 || (len(s.out) == s.heapK && !s.outLess(&cand, &s.out[0])) {
-		return nil // cannot enter the top k: rejected without a copy
-	}
-	cand.vals = append([]types.Value(nil), vals...)
-	cand.keys = append([]types.Value(nil), keys...)
-	s.boundedInsert(cand)
-	return nil
 }
 
 // outLess is the total order the heap maintains: ORDER BY keys first, then
@@ -944,28 +953,32 @@ func (s *streamSink) finish(ctx context.Context, versions map[string]int64) (*Re
 }
 
 // finishGroups turns the accumulated groups into output rows: one row per
-// group in first-appearance order (representative + aggregate results),
-// filtered by HAVING, projected like the non-grouped path.
+// group in first-appearance order (the representative's columns that HAVING
+// and the projection read, fetched at its cursor, plus the aggregate
+// results), filtered by HAVING, projected like the non-grouped path. A
+// group HAVING rejects materialises nothing the projection alone reads.
 func (s *streamSink) finishGroups(ctx context.Context) error {
 	// A global aggregate over an empty input still yields one group, with
 	// an all-NULL representative row.
-	if len(s.groups) == 0 && len(s.st.GroupBy) == 0 {
-		g := &sinkGroup{rep: make([]types.Value, s.width)}
-		for _, c := range s.calls {
-			g.states = append(g.states, newAggState(c))
+	if len(s.reps) == 0 && len(s.st.GroupBy) == 0 {
+		for i := range s.px.cur {
+			s.px.cur[i] = -1
 		}
-		s.groups[""] = g
-		s.gorder = append(s.gorder, "")
+		s.newGroup(s.px.cur)
 	}
-	for gi, key := range s.gorder {
+	row := s.px.buf
+	for gi := 0; gi*s.nscans < len(s.reps); gi++ {
 		if err := strideCheck(ctx, gi); err != nil {
 			return err
 		}
-		g := s.groups[key]
-		row := make([]types.Value, 0, s.width+len(s.calls))
-		row = append(row, g.rep...)
-		for _, st := range g.states {
-			row = append(row, st.result())
+		rep := s.reps[gi*s.nscans : (gi+1)*s.nscans]
+		s.px.materialise(s.havingCols, rep)
+		for ci, c := range s.calls {
+			if c.vslot < 0 {
+				row[s.width+ci] = types.NewInt(s.counts[gi*len(s.calls)+ci].n)
+			} else {
+				row[s.width+ci] = s.vals[gi*len(s.fresh)+c.vslot].result()
+			}
 		}
 		if s.having != nil {
 			v, err := s.having(row)
@@ -976,67 +989,10 @@ func (s *streamSink) finishGroups(ctx context.Context) error {
 				continue
 			}
 		}
-		or := sinkOutRow{vals: make([]types.Value, len(s.projs))}
-		for i, pr := range s.projs {
-			v, err := pr.fn(row)
-			if err != nil {
-				return err
-			}
-			or.vals[i] = v
+		s.px.materialise(s.outCols, rep)
+		if stop, err := s.emit(row); err != nil || stop {
+			return err
 		}
-		if s.seen != nil {
-			kb := s.keyBuf[:0]
-			for _, v := range or.vals {
-				kb = v.AppendGroupKey(kb)
-			}
-			s.keyBuf = kb
-			if s.seen[string(kb)] {
-				continue
-			}
-			s.seen[string(kb)] = true
-		}
-		for _, okey := range s.orderKeys {
-			var v types.Value
-			if okey.byOut >= 0 {
-				v = or.vals[okey.byOut]
-			} else {
-				var err error
-				v, err = okey.fn(row)
-				if err != nil {
-					return err
-				}
-			}
-			or.keys = append(or.keys, v)
-		}
-		if s.yield != nil {
-			// Streaming consumer (only reachable without ORDER BY): apply
-			// OFFSET/LIMIT inline, exactly as the non-grouped add path.
-			s.streamed++
-			if s.streamed <= s.st.Offset {
-				continue
-			}
-			if s.st.Limit >= 0 && s.streamed > s.st.Offset+s.st.Limit {
-				return nil
-			}
-			if !s.yield(or.vals) {
-				s.yieldend = true
-				return nil
-			}
-			continue
-		}
-		if s.heapK >= 0 {
-			// Grouped top-k: the group rows are already materialized, but
-			// routing them through the bounded heap keeps the retained set
-			// (and the seq tie-break finish sorts by) consistent.
-			or.seq = s.seq
-			s.seq++
-			if s.heapK == 0 || (len(s.out) == s.heapK && !s.outLess(&or, &s.out[0])) {
-				continue
-			}
-			s.boundedInsert(or)
-			continue
-		}
-		s.out = append(s.out, or)
 	}
 	return nil
 }
@@ -1088,18 +1044,8 @@ func (e *Engine) Stream(ctx context.Context, sql string) (*SelectStream, error) 
 // Yielded rows are freshly allocated and may be retained. A false return
 // from yield stops iteration early (no error). Each may be called once.
 func (s *SelectStream) Each(ctx context.Context, yield func(row []types.Value) bool) error {
-	if s.eager != nil {
-		for i, row := range s.eager.Rows {
-			if err := strideCheck(ctx, i); err != nil {
-				return err
-			}
-			if !yield(row) {
-				return nil
-			}
-		}
-		return nil
-	}
-	if s.plan.sink.canYield() {
+	res := s.eager
+	if res == nil && s.plan.sink.canYield() {
 		s.plan.sink.yield = yield
 		if err := s.plan.run(ctx); err != nil {
 			return err
@@ -1112,9 +1058,11 @@ func (s *SelectStream) Each(ctx context.Context, yield func(row []types.Value) b
 		}
 		return nil
 	}
-	res, err := s.plan.collect(ctx)
-	if err != nil {
-		return err
+	if res == nil {
+		var err error
+		if res, err = s.plan.collect(ctx); err != nil {
+			return err
+		}
 	}
 	for i, row := range res.Rows {
 		if err := strideCheck(ctx, i); err != nil {

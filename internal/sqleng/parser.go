@@ -535,7 +535,8 @@ func (p *parser) parseDropTable() (*DropTableStmt, error) {
 //   andExpr := notExpr (AND notExpr)*
 //   notExpr := NOT notExpr | predicate
 //   predicate := additive ((=|<>|<|<=|>|>=|LIKE) additive
-//               | IS [NOT] NULL | [NOT] IN (...) | [NOT] BETWEEN a AND b)?
+//               | IS [NOT] NULL | IS NOT DISTINCT FROM additive
+//               | [NOT] IN (...) | [NOT] BETWEEN a AND b)?
 //   additive := multiplicative ((+|-|'||') multiplicative)*
 //   multiplicative := unary ((*|/|%) unary)*
 //   unary   := - unary | primary
@@ -613,6 +614,17 @@ func (p *parser) parsePredicate() (Expr, error) {
 		case "IS":
 			p.advance()
 			not := p.acceptKeyword("NOT")
+			if not && p.acceptKeyword("DISTINCT") {
+				// l IS NOT DISTINCT FROM r: null-safe equality.
+				if _, err := p.expect(tokKeyword, "FROM"); err != nil {
+					return nil, err
+				}
+				r, err := p.parseAdditive()
+				if err != nil {
+					return nil, err
+				}
+				return &BinaryExpr{Op: opNullSafeEq, L: l, R: r}, nil
+			}
 			if _, err := p.expect(tokKeyword, "NULL"); err != nil {
 				return nil, err
 			}

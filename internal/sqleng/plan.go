@@ -10,8 +10,11 @@
 // On top of the legacy-faithful skeleton the planner layers optimizations
 // that provably cannot change the result:
 //
-//   - code filters: equality-with-literal and IS [NOT] NULL conjuncts on a
-//     scan run against dictionary codes before any value is materialized;
+//   - code compilation (codepred.go): the pipeline carries a cursor of
+//     snapshot row indices, and every conjunct, join key, GROUP BY key and
+//     COUNT operand in the code-compilable subset is decided on dictionary
+//     codes; a Value is fetched only for a column some value-level
+//     expression reads, and for projected columns only at the sink;
 //   - join indexes: equi-join steps probe the right side through its PLI
 //     classes (single bare column) or a hash index over composite keys,
 //     instead of nesting loops;
@@ -32,6 +35,7 @@ package sqleng
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"semandaq/internal/fdset"
@@ -39,47 +43,15 @@ import (
 	"semandaq/internal/types"
 )
 
-// filterPred is one compiled conjunct plus the metadata the planner needs:
-// the source expression (for EXPLAIN and recompilation) and whether it is
-// pure (evaluation can never error).
+// filterPred is one compiled conjunct: a code predicate over the cursor
+// when its shape allows (codepred.go), else an evaluator over the lazily
+// filled row buffer. src feeds EXPLAIN; pure means evaluation can never
+// error.
 type filterPred struct {
+	code codeFn
 	fn   evalFn
 	src  Expr
 	pure bool
-}
-
-// Code-filter operators: predicates decided per row from dictionary codes
-// alone, before any value materializes.
-const (
-	cfNone    uint8 = iota // no row matches (e.g. col = NULL, absent literal)
-	cfEq                   // EqCode(row) == code
-	cfIsNull               // Code(row) == code (the NULL code)
-	cfNotNull              // Code(row) != code
-	cfTrue                 // every row matches (IS NOT NULL, no NULLs stored)
-)
-
-// codeFilter is one code-level predicate on a scan's column.
-type codeFilter struct {
-	op   uint8
-	col  *relstore.Column
-	code uint32
-	src  Expr
-}
-
-// match decides the predicate for snapshot row r.
-func (cf *codeFilter) match(r int) bool {
-	switch cf.op {
-	case cfEq:
-		return cf.col.EqCode(r) == cf.code
-	case cfIsNull:
-		return cf.col.Code(r) == cf.code
-	case cfNotNull:
-		return cf.col.Code(r) != cf.code
-	case cfTrue:
-		return true
-	default: // cfNone
-		return false
-	}
 }
 
 // scanNode is one base-table access: a pinned columnar snapshot plus the
@@ -93,13 +65,14 @@ type scanNode struct {
 	cat   catalog // this scan's own catalog: [_tid, attrs...]
 	start int     // offset of the scan's segment in the full row
 	arity int     // segment width (1 + number of attributes)
-	// codeFs run against dictionary codes; filters are compiled against the
-	// scan's own catalog and evaluated on the scan's local row. The driver
-	// scan keeps its compiled WHERE conjuncts in plan.stages[0] instead
-	// (they may reference the full prefix catalog conventions); filters here
-	// hold right-side pushdown only.
-	codeFs  []codeFilter
+	// filters hold right-side pushdown only: they decide, at index build
+	// time, which rows of a join's right side survive. The driver scan keeps
+	// its WHERE conjuncts in plan.stages[0].
 	filters []filterPred
+	// fill lists the row-buffer positions of this scan that some value-level
+	// expression of the pipeline reads: materialised each time the scan's
+	// cursor moves. Empty when everything on the scan compiled to codes.
+	fill []int32
 }
 
 // stepKind selects the join algorithm of one step.
@@ -122,20 +95,31 @@ func (k stepKind) String() string {
 	}
 }
 
-// joinStep joins the pipeline prefix with one more scan. Key expressions
-// were harvested exactly like the legacy takeKey (bare `=` conjuncts
-// bridging the sides, from ON first, then — inner joins only — from the
-// pending WHERE list).
+// joinKey is one harvested equi-join key lsrc = rsrc (nullSafe: IS NOT
+// DISTINCT FROM, NULL matches NULL). When the right side is a code term
+// (rt) the key lives in rt's code space: the left side reaches it through
+// the translation table tab when it is a term too, else by looking its
+// value up (rt.codeOf). With rt nil both sides are evaluated and the key is
+// their group-key bytes.
+type joinKey struct {
+	lsrc, rsrc Expr
+	lfn, rfn   evalFn // value-level sides: lfn when tab is nil, rfn when rt is nil
+	lt, rt     *codeTerm
+	tab        *xlatTab
+	nullSafe   bool
+}
+
+// joinStep joins the pipeline prefix with one more scan. Keys were
+// harvested exactly like the legacy takeKey (bare `=` conjuncts bridging
+// the sides, from ON first, then — inner joins only — from the pending
+// WHERE list).
 type joinStep struct {
 	right    *scanNode
 	rightIdx int // scan index of the right side (= step index + 1)
 	outer    bool
 	kind     stepKind
 
-	keyL    []evalFn // against the full row's filled prefix
-	keyLSrc []Expr
-	keyR    []evalFn // against the right scan's local row
-	keyRSrc []Expr
+	keys    []joinKey
 	keyRCol int  // stepPLI: snapshot column index of the key column
 	keyPure bool // every key expression on both sides is pure
 
@@ -186,6 +170,8 @@ type selectPlan struct {
 	versions map[string]int64
 	pure     bool // every predicate and key in the plan is pure
 	sink     *streamSink
+	posScan  []int32    // row-buffer position -> owning scan
+	xlats    []*xlatTab // the plan's code translation tables (codepred.go)
 	// ops points at the owning engine's executor operation counters
 	// (fdjoin.go); the executor increments them as it probes and builds.
 	ops *OpCounters
@@ -199,13 +185,48 @@ func (p *selectPlan) prefixCat(i int) catalog {
 }
 
 // scanOf maps a full-row column position to the owning scan index.
-func (p *selectPlan) scanOf(pos int) int {
-	for i := len(p.scans) - 1; i > 0; i-- {
-		if pos >= p.scans[i].start {
-			return i
+func (p *selectPlan) scanOf(pos int) int { return int(p.posScan[pos]) }
+
+// colsOf appends to dst the row-buffer positions exprs read outside
+// aggregate calls, skipping those in dst or skip already. References that
+// do not resolve (an ORDER BY output alias) read no column.
+func (p *selectPlan) colsOf(dst, skip []int32, exprs ...Expr) []int32 {
+	var refs []*ColumnRef
+	for _, e := range exprs {
+		columnRefs(e, false, &refs)
+	}
+	for _, r := range refs {
+		if pos, err := p.cat.resolve(r); err == nil &&
+			!slices.Contains(dst, int32(pos)) && !slices.Contains(skip, int32(pos)) {
+			dst = append(dst, int32(pos))
 		}
 	}
-	return 0
+	return dst
+}
+
+// pred compiles one conjunct against the full row layout: to codes when its
+// shape allows, else value-level, registering the columns it reads for
+// filling as their scans' cursors move.
+func (p *selectPlan) pred(c Expr) (filterPred, error) {
+	if code, ok := p.compileCode(c); ok {
+		return filterPred{code: code, src: c, pure: true}, nil
+	}
+	f, err := compileExpr(c, p.cat)
+	if err != nil {
+		return filterPred{}, err
+	}
+	p.fillInPipe(c)
+	return filterPred{fn: f, src: c, pure: pureExpr(c)}, nil
+}
+
+// fillInPipe registers the columns a value-level pipeline expression reads
+// with their scans' fill lists.
+func (p *selectPlan) fillInPipe(e Expr) {
+	for _, pos := range p.colsOf(nil, nil, e) {
+		if sc := p.scans[p.scanOf(int(pos))]; !slices.Contains(sc.fill, pos) {
+			sc.fill = append(sc.fill, pos)
+		}
+	}
 }
 
 // buildSelectPlan compiles st against the engine's store and pins. Every
@@ -213,25 +234,24 @@ func (p *selectPlan) scanOf(pos int) int {
 // (compilation is deterministic, so error presence is preserved; only the
 // point in time moves).
 func (e *Engine) buildSelectPlan(st *SelectStmt) (*selectPlan, error) {
-	if err := e.validateRefs(st); err != nil {
+	qp := e.newQueryPins()
+	if err := validateRefs(st, qp); err != nil {
 		return nil, err
 	}
 	pending := splitConjuncts(st.Where)
-	qp := e.newQueryPins()
 	p := &selectPlan{st: st, ops: &e.ops}
 
 	type fromSpec struct {
 		fi    FromItem
 		on    []Expr
 		outer bool
-		join  bool // false for the driver scan
 	}
 	var specs []fromSpec
-	for i, fi := range st.From {
-		specs = append(specs, fromSpec{fi: fi, join: i > 0})
+	for _, fi := range st.From {
+		specs = append(specs, fromSpec{fi: fi})
 	}
 	for _, jc := range st.Joins {
-		specs = append(specs, fromSpec{fi: jc.Item, on: splitConjuncts(jc.On), outer: jc.Left, join: true})
+		specs = append(specs, fromSpec{fi: jc.Item, on: splitConjuncts(jc.On), outer: jc.Left})
 	}
 
 	for _, spec := range specs {
@@ -255,45 +275,25 @@ func (e *Engine) buildSelectPlan(st *SelectStmt) (*selectPlan, error) {
 			p.hidden = append(p.hidden, false)
 		}
 		sc.arity = len(sc.cat)
+		for range sc.cat {
+			p.posScan = append(p.posScan, int32(len(p.scans)))
+		}
 		p.scans = append(p.scans, sc)
 	}
 	p.stages = make([][]filterPred, len(p.scans))
 	p.versions = qp.versions()
 
+	// Every predicate compiles against the full row layout p.cat: a
+	// reference that resolves in a prefix (or one scan's) catalog resolves
+	// to the same position in the full one, validateRefs having rejected
+	// the ambiguous ones. The per-stage catalogs only decide placement.
+
 	// Driver scan: claim WHERE conjuncts resolvable on the first table in
-	// order, exactly as the legacy applyResolvable does. Code-comparable
-	// shapes are implemented as dictionary-code filters, which execute
-	// before the compiled ones regardless of claim position — legal only
-	// while no impure filter was claimed ahead of them (the code shapes are
-	// pure, and jumping a pure filter over another pure filter cannot
-	// change any observable outcome; jumping over an impure one could move
-	// an evaluation error).
-	driver := p.scans[0]
-	impureSeen := false
-	var later []Expr
-	for _, c := range pending {
-		if !resolvable(c, driver.cat) || hasAggregate(c) {
-			later = append(later, c)
-			continue
-		}
-		if !impureSeen {
-			if cf, ok := codeFilterOf(driver, c); ok {
-				driver.codeFs = append(driver.codeFs, cf)
-				continue
-			}
-		}
-		f, err := compileExpr(c, driver.cat)
-		if err != nil {
-			return nil, err
-		}
-		pure := pureExpr(c)
-		p.stages[0] = append(p.stages[0], filterPred{fn: f, src: c, pure: pure})
-		if !pure {
-			impureSeen = true
-		}
+	// order, exactly as the legacy applyResolvable does.
+	pending, err := p.claimStage(0, pending)
+	if err != nil {
+		return nil, err
 	}
-	pending = later
-	var err error
 
 	// Join steps, in written order (the enumeration order is part of the
 	// result for queries without ORDER BY, so it is never reordered; the
@@ -308,11 +308,11 @@ func (e *Engine) buildSelectPlan(st *SelectStmt) (*selectPlan, error) {
 		var onRest []Expr
 		for _, c := range spec.on {
 			if resolvable(c, right.cat) {
-				f, err := compileExpr(c, right.cat)
+				f, err := p.pred(c)
 				if err != nil {
 					return nil, err
 				}
-				right.filters = append(right.filters, filterPred{fn: f, src: c, pure: pureExpr(c)})
+				right.filters = append(right.filters, f)
 				continue
 			}
 			onRest = append(onRest, c)
@@ -335,20 +335,18 @@ func (e *Engine) buildSelectPlan(st *SelectStmt) (*selectPlan, error) {
 			pending = rest
 		}
 
-		combined := p.prefixCat(i + 1)
 		for _, c := range onResidual {
-			f, err := compileExpr(c, combined)
+			f, err := p.pred(c)
 			if err != nil {
 				return nil, err
 			}
-			step.residuals = append(step.residuals, filterPred{fn: f, src: c, pure: pureExpr(c)})
+			step.residuals = append(step.residuals, f)
 		}
 		p.steps = append(p.steps, step)
 
 		// WHERE conjuncts that become resolvable on the widened prefix run
 		// as stage i+1 filters (the legacy tail applyResolvable after each
-		// join; no code pass there — the joined shape has no single
-		// columnar snapshot).
+		// join).
 		pending, err = p.claimStage(i+1, pending)
 		if err != nil {
 			return nil, err
@@ -360,23 +358,22 @@ func (e *Engine) buildSelectPlan(st *SelectStmt) (*selectPlan, error) {
 	// leftover is an unknown column or a misplaced aggregate and this
 	// reproduces the legacy error.
 	for _, c := range pending {
-		f, err := compileExpr(c, p.cat)
+		f, err := p.pred(c)
 		if err != nil {
 			return nil, err
 		}
 		last := len(p.scans) - 1
-		p.stages[last] = append(p.stages[last], filterPred{fn: f, src: c, pure: pureExpr(c)})
+		p.stages[last] = append(p.stages[last], f)
 	}
 
 	p.finalizeSteps(e.snapshotFDs())
 	p.pure = p.allPure()
 	p.optimize()
 
-	sink, err := newStreamSink(st, p.cat, p.hidden, p.pure)
+	p.sink, err = newStreamSink(p)
 	if err != nil {
 		return nil, err
 	}
-	p.sink = sink
 	return p, nil
 }
 
@@ -391,112 +388,60 @@ func (p *selectPlan) claimStage(d int, pending []Expr) ([]Expr, error) {
 			rest = append(rest, c)
 			continue
 		}
-		f, err := compileExpr(c, cat)
+		f, err := p.pred(c)
 		if err != nil {
 			return nil, err
 		}
-		p.stages[d] = append(p.stages[d], filterPred{fn: f, src: c, pure: pureExpr(c)})
+		p.stages[d] = append(p.stages[d], f)
 	}
 	return rest, nil
 }
 
 // takeKey harvests one equi-join key from conjunct c if it has the legacy
-// shape: a bare `=` whose sides resolve exclusively on the left prefix and
-// the right scan. Mirrors exec.go's takeKey, including treating a compile
-// failure as "not a key" (the conjunct then falls to the residual compile,
-// which surfaces the same error the legacy path would).
+// shape: a bare `=` (or IS NOT DISTINCT FROM) whose sides resolve
+// exclusively on the left prefix and the right scan. Mirrors exec.go's
+// takeKey, including treating a compile failure as "not a key" (the
+// conjunct then falls to the residual compile, which surfaces the same
+// error the legacy path would).
 func (p *selectPlan) takeKey(step *joinStep, c Expr, leftCat, rightCat catalog) bool {
 	b, ok := c.(*BinaryExpr)
-	if !ok || b.Op != "=" || hasAggregate(c) {
+	if !ok || (b.Op != "=" && b.Op != opNullSafeEq) || hasAggregate(c) {
 		return false
 	}
-	var lsrc, rsrc Expr
+	k := joinKey{nullSafe: b.Op == opNullSafeEq}
 	switch {
 	case resolvable(b.L, leftCat) && resolvable(b.R, rightCat) &&
 		!resolvable(b.L, rightCat) && !resolvable(b.R, leftCat):
-		lsrc, rsrc = b.L, b.R
+		k.lsrc, k.rsrc = b.L, b.R
 	case resolvable(b.R, leftCat) && resolvable(b.L, rightCat) &&
 		!resolvable(b.R, rightCat) && !resolvable(b.L, leftCat):
-		lsrc, rsrc = b.R, b.L
+		k.lsrc, k.rsrc = b.R, b.L
 	default:
 		return false
 	}
-	lf, err1 := compileExpr(lsrc, leftCat)
-	rf, err2 := compileExpr(rsrc, rightCat)
+	// Each side references a column, so a recognised term is never a literal.
+	k.rt, _, _ = p.termOf(k.rsrc, k.nullSafe)
+	if lt, _, ok := p.termOf(k.lsrc, k.nullSafe); ok && k.rt != nil {
+		k.lt, k.tab = lt, p.xlat(lt, k.rt)
+	}
+	var err1, err2 error
+	if k.tab == nil {
+		k.lfn, err1 = compileExpr(k.lsrc, p.cat)
+	}
+	if k.rt == nil {
+		k.rfn, err2 = compileExpr(k.rsrc, p.cat)
+	}
 	if err1 != nil || err2 != nil {
 		return false
 	}
-	step.keyL = append(step.keyL, lf)
-	step.keyLSrc = append(step.keyLSrc, lsrc)
-	step.keyR = append(step.keyR, rf)
-	step.keyRSrc = append(step.keyRSrc, rsrc)
+	if k.lfn != nil {
+		p.fillInPipe(k.lsrc)
+	}
+	if k.rfn != nil {
+		p.fillInPipe(k.rsrc)
+	}
+	step.keys = append(step.keys, k)
 	return true
-}
-
-// codeFilterOf recognizes the code-comparable conjunct shapes: `col =
-// literal` (either side) and `col IS [NOT] NULL`, with col a non-_tid
-// column of the scan. These are exactly the predicates whose SQL semantics
-// coincide with dictionary-code comparison: `=` is true iff both sides are
-// non-NULL and Compare as equal (one Equal-class code equality); a literal
-// absent from the dictionary, or a NULL literal, selects nothing.
-func codeFilterOf(sc *scanNode, c Expr) (codeFilter, bool) {
-	colOf := func(e Expr) (*relstore.Column, bool) {
-		ref, ok := e.(*ColumnRef)
-		if !ok {
-			return nil, false
-		}
-		idx, err := sc.cat.resolve(ref)
-		if err != nil || idx == 0 {
-			return nil, false // unresolvable, or the synthetic _tid column
-		}
-		return sc.cnr.Col(idx - 1), true
-	}
-	switch n := c.(type) {
-	case *BinaryExpr:
-		if n.Op != "=" {
-			return codeFilter{}, false
-		}
-		var col *relstore.Column
-		var lit *Literal
-		if cc, ok := colOf(n.L); ok {
-			if l, ok := n.R.(*Literal); ok {
-				col, lit = cc, l
-			}
-		} else if cc, ok := colOf(n.R); ok {
-			if l, ok := n.L.(*Literal); ok {
-				col, lit = cc, l
-			}
-		}
-		if col == nil || lit == nil {
-			return codeFilter{}, false
-		}
-		if lit.Value.IsNull() {
-			// x = NULL is NULL for every x: nothing survives.
-			return codeFilter{op: cfNone, col: col, src: c}, true
-		}
-		want, present := col.EqCodeOf(lit.Value)
-		if !present {
-			return codeFilter{op: cfNone, col: col, src: c}, true
-		}
-		return codeFilter{op: cfEq, col: col, code: want, src: c}, true
-	case *IsNullExpr:
-		col, ok := colOf(n.E)
-		if !ok {
-			return codeFilter{}, false
-		}
-		nullCode, hasNull := col.NullCode()
-		switch {
-		case !n.Not && !hasNull:
-			return codeFilter{op: cfNone, col: col, src: c}, true
-		case !n.Not:
-			return codeFilter{op: cfIsNull, col: col, code: nullCode, src: c}, true
-		case hasNull:
-			return codeFilter{op: cfNotNull, col: col, code: nullCode, src: c}, true
-		default:
-			return codeFilter{op: cfTrue, col: col, src: c}, true
-		}
-	}
-	return codeFilter{}, false
 }
 
 // finalizeSteps picks each step's algorithm and fills in the exact
@@ -506,22 +451,22 @@ func codeFilterOf(sc *scanNode, c Expr) (codeFilter, bool) {
 func (p *selectPlan) finalizeSteps(fds map[string]*fdset.Set) {
 	for _, step := range p.steps {
 		step.keyPure = true
-		for i := range step.keyLSrc {
-			if !pureExpr(step.keyLSrc[i]) || !pureExpr(step.keyRSrc[i]) {
+		for _, k := range step.keys {
+			if !pureExpr(k.lsrc) || !pureExpr(k.rsrc) {
 				step.keyPure = false
 			}
 		}
 		step.probeAt = step.rightIdx - 1 // own stage by default
 		step.expected = float64(step.rightLen)
-		if len(step.keyL) == 0 {
+		if len(step.keys) == 0 {
 			step.kind = stepNested
 			continue
 		}
 		// Single bare right column: join through its PLI classes. The class
 		// count is the exact number of distinct Equal-classes, so
 		// rightLen/classes is the exact mean class size.
-		if len(step.keyR) == 1 {
-			if col, ok := bareScanCol(step.keyRSrc[0], step.right); ok {
+		if len(step.keys) == 1 {
+			if col, ok := bareScanCol(step.keys[0].rsrc, step.right); ok {
 				step.kind = stepPLI
 				step.keyRCol = col
 				step.classes = step.right.snap.ColClassCount(col)
@@ -540,8 +485,8 @@ func (p *selectPlan) finalizeSteps(fds map[string]*fdset.Set) {
 		// the row count (there cannot be more occupied classes than rows).
 		classes := 1
 		statable := true
-		for _, src := range step.keyRSrc {
-			col, ok := bareScanCol(src, step.right)
+		for _, k := range step.keys {
+			col, ok := bareScanCol(k.rsrc, step.right)
 			if !ok {
 				statable = false
 				break
@@ -629,10 +574,8 @@ func (p *selectPlan) optimize() {
 		kept := p.stages[d][:0]
 		for _, f := range p.stages[d] {
 			if p.refsOnlyScan(f.src, d) {
-				if rf, err := compileExpr(f.src, p.scans[d].cat); err == nil {
-					p.scans[d].filters = append(p.scans[d].filters, filterPred{fn: rf, src: f.src, pure: true})
-					continue
-				}
+				p.scans[d].filters = append(p.scans[d].filters, f)
+				continue
 			}
 			kept = append(kept, f)
 		}
@@ -667,18 +610,13 @@ func (p *selectPlan) optimize() {
 // scan d's segment of the full catalog.
 func (p *selectPlan) refsOnlyScan(e Expr, d int) bool {
 	var refs []*ColumnRef
-	columnRefs(e, &refs)
-	if len(refs) == 0 {
-		return false
-	}
-	sc := p.scans[d]
+	columnRefs(e, true, &refs)
 	for _, r := range refs {
-		pos, err := p.cat.resolve(r)
-		if err != nil || pos < sc.start || pos >= sc.start+sc.arity {
+		if pos, err := p.cat.resolve(r); err != nil || p.scanOf(pos) != d {
 			return false
 		}
 	}
-	return true
+	return len(refs) > 0
 }
 
 // keyDepth returns the earliest stage at which step i's left key is fully
@@ -687,9 +625,9 @@ func (p *selectPlan) refsOnlyScan(e Expr, d int) bool {
 func (p *selectPlan) keyDepth(step *joinStep, i int) int {
 	depth := 0
 	cat := p.prefixCat(i)
-	for _, src := range step.keyLSrc {
+	for _, k := range step.keys {
 		var refs []*ColumnRef
-		columnRefs(src, &refs)
+		columnRefs(k.lsrc, true, &refs)
 		for _, r := range refs {
 			pos, err := cat.resolve(r)
 			if err != nil {
@@ -717,7 +655,7 @@ func pureExpr(e Expr) bool {
 		return true
 	case *BinaryExpr:
 		switch n.Op {
-		case "=", "<>", "<", "<=", ">", ">=", "AND", "OR", "LIKE", "||":
+		case "=", "<>", "<", "<=", ">", ">=", "AND", "OR", "LIKE", "||", opNullSafeEq:
 			return pureExpr(n.L) && pureExpr(n.R)
 		}
 		return false // arithmetic can error (type mismatch, division by zero)
@@ -766,7 +704,7 @@ func boolShaped(e Expr) bool {
 	switch n := e.(type) {
 	case *BinaryExpr:
 		switch n.Op {
-		case "=", "<>", "<", "<=", ">", ">=", "AND", "OR", "LIKE":
+		case "=", "<>", "<", "<=", ">", ">=", "AND", "OR", "LIKE", opNullSafeEq:
 			return true
 		}
 		return false
@@ -782,7 +720,9 @@ func boolShaped(e Expr) bool {
 
 // describe renders the plan for EXPLAIN: one line per scan, join step and
 // probe, quoting the pushed-down predicates and the exact cardinalities
-// that justified each ordering choice.
+// that justified each ordering choice, which predicates run on codes
+// (code-pred), the translation tables they read (xlat) and which columns
+// are materialised where.
 func (p *selectPlan) describe() []string {
 	var out []string
 	add := func(format string, args ...any) {
@@ -794,17 +734,24 @@ func (p *selectPlan) describe() []string {
 		}
 		return sc.table + " AS " + sc.alias
 	}
+	preds := func(role string, fs []filterPred) {
+		for _, f := range fs {
+			if f.code != nil {
+				add("  %s code-pred %s", role, exprString(f.src))
+			} else {
+				add("  %s %s", role, exprString(f.src))
+			}
+		}
+	}
 	for i, sc := range p.scans {
 		role := "scan"
 		if i == 0 {
 			role = "drive"
 		}
 		add("%s %s rows=%d distinct[%s]", role, name(sc), sc.cnr.Len(), scanStats(sc))
-		for _, cf := range sc.codeFs {
-			add("  code-filter %s", exprString(cf.src))
-		}
-		for _, f := range sc.filters {
-			add("  filter %s", exprString(f.src))
+		preds("filter", sc.filters)
+		if len(sc.fill) > 0 {
+			add("  materialise %s per row", p.colNames(sc.fill))
 		}
 		if i > 0 {
 			step := p.steps[i-1]
@@ -815,8 +762,12 @@ func (p *selectPlan) describe() []string {
 				kindTag = "inner " + kindTag
 			}
 			var keys []string
-			for k := range step.keyLSrc {
-				keys = append(keys, exprString(step.keyLSrc[k])+" = "+exprString(step.keyRSrc[k]))
+			for _, k := range step.keys {
+				op := " = "
+				if k.nullSafe {
+					op = " " + opNullSafeEq + " "
+				}
+				keys = append(keys, exprString(k.lsrc)+op+exprString(k.rsrc))
 			}
 			line := fmt.Sprintf("  join %s", kindTag)
 			if len(keys) > 0 {
@@ -837,25 +788,42 @@ func (p *selectPlan) describe() []string {
 			for _, fl := range step.fdLines {
 				add("  %s", fl)
 			}
-			for _, f := range step.residuals {
-				add("  residual %s", exprString(f.src))
-			}
+			preds("residual", step.residuals)
 		}
-		for _, f := range p.stages[i] {
-			add("  stage-filter %s", exprString(f.src))
-		}
+		preds("stage-filter", p.stages[i])
 		for _, si := range p.probesAt[i] {
 			st := p.steps[si]
 			add("  probe join#%d (%s, expect=%.3g)", si+1, st.kind, st.expected)
 		}
 	}
+	for _, x := range p.xlats {
+		add("xlat %s (%d codes)", x.label, x.a.col.Card()+1)
+	}
 	add("sink %s", p.sink.describe())
+	late := slices.Clone(p.sink.rowCols)
+	for _, pos := range append(slices.Clone(p.sink.havingCols), p.sink.outCols...) {
+		if !slices.Contains(late, pos) {
+			late = append(late, pos)
+		}
+	}
+	if len(late) > 0 {
+		add("  materialise %s at the sink", p.colNames(late))
+	}
 	if p.pure {
 		out = append(out, "pure plan: probe hoisting, pushdown and early-stop enabled")
 	} else {
 		out = append(out, "impure predicates: legacy staging preserved verbatim")
 	}
 	return out
+}
+
+// colNames renders row-buffer positions as [alias.column ...].
+func (p *selectPlan) colNames(cols []int32) string {
+	names := make([]string, len(cols))
+	for i, pos := range cols {
+		names[i] = p.cat[pos].qual + "." + p.cat[pos].name
+	}
+	return "[" + strings.Join(names, " ") + "]"
 }
 
 // scanStats renders the exact per-attribute class counts of a scan — the
