@@ -1,22 +1,12 @@
-// Command semandaq-bench regenerates the paper's figures and the imported
-// performance claims as text tables. Run it with no arguments for every
-// experiment, or select specific ones:
+// Command semandaq-bench regenerates the paper's figures (Figs. 2–5) as
+// text tables. Run it with no arguments for every figure, or select some:
 //
 //	semandaq-bench                 # everything, full workloads
 //	semandaq-bench -quick          # everything, shrunk workloads
-//	semandaq-bench -exp F2 -exp D1 # selected experiments
+//	semandaq-bench -exp F2 -exp F5 # selected figures
 //	semandaq-bench -list           # list experiment IDs
-//	semandaq-bench -json BENCH_detect.json   # machine-readable detection
-//	                                         # sweep (ns/op, rows/s per
-//	                                         # engine and size)
-//	semandaq-bench -discoverjson BENCH_discover.json  # machine-readable
-//	                                         # discovery sweep (legacy vs
-//	                                         # lattice miner per size/depth)
 //
-// The experiment index (workloads, parameters, expected shapes) is in
-// DESIGN.md; EXPERIMENTS.md records paper-vs-measured for each. The -json,
-// -discoverjson, -incrjson and -factorjson sweeps feed the BENCH_*.json
-// performance trajectories the CI bench-smoke job uploads.
+// Performance is measured by `sh benchmark/run.sh`, not here.
 package main
 
 import (
@@ -42,46 +32,13 @@ func main() {
 	var sel expFlags
 	quick := flag.Bool("quick", false, "shrink workloads for a fast pass")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
-	jsonPath := flag.String("json", "", "run the detection bench sweep and write machine-readable results to this file")
-	discoverJSONPath := flag.String("discoverjson", "", "run the discovery bench sweep and write machine-readable results to this file")
-	incrJSONPath := flag.String("incrjson", "", "run the incremental-serving ops sweep and write machine-readable results to this file")
-	factorJSONPath := flag.String("factorjson", "", "run the factorised-evaluation ops sweep and write machine-readable results to this file")
 	flag.Var(&sel, "exp", "experiment ID to run (repeatable); default all")
 	flag.Parse()
 
 	// Interrupt cancels the context, so a Ctrl-C lands between detection
-	// strides instead of waiting out a million-tuple sweep.
+	// strides instead of waiting out the full-size figures.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-
-	if *jsonPath != "" {
-		if _, err := experiments.WriteDetectBenchJSON(ctx, *jsonPath, *quick, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "semandaq-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *discoverJSONPath != "" {
-		if _, err := experiments.WriteDiscoverBenchJSON(ctx, *discoverJSONPath, *quick, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "semandaq-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *incrJSONPath != "" {
-		if _, err := experiments.WriteIncrementalBenchJSON(ctx, *incrJSONPath, *quick, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "semandaq-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *factorJSONPath != "" {
-		if _, err := experiments.WriteFactorisedBenchJSON(ctx, *factorJSONPath, *quick, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "semandaq-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list {
 		for _, e := range experiments.All() {

@@ -35,7 +35,7 @@ func TestSetWorkersResetsOnZeroAndNegative(t *testing.T) {
 		t.Errorf("resolved workers = %d, want session default 4", o.workers)
 	}
 	// ...and WithWorkers overrides per request, with <= 0 meaning the
-	// GOMAXPROCS default again (the old DetectWorkers contract).
+	// GOMAXPROCS default again.
 	if o := s.resolve(DefaultEngine, []Option{WithWorkers(2)}); o.workers != 2 {
 		t.Errorf("WithWorkers(2) resolved to %d", o.workers)
 	}
@@ -241,30 +241,6 @@ func TestDetectStreamParity(t *testing.T) {
 		if !reflect.DeepEqual(got, want.Violations) {
 			t.Errorf("%v: streamed set (%d) != blocking report (%d)", kind, len(got), len(want.Violations))
 		}
-	}
-}
-
-// TestDeprecatedWrappers keeps the pre-context signatures working and
-// equal to the options API.
-func TestDeprecatedWrappers(t *testing.T) {
-	s, _ := datasetSession(t)
-	want, err := s.Detect(context.Background(), "customer", WithEngine(NativeDetection))
-	if err != nil {
-		t.Fatal(err)
-	}
-	byKind, err := s.DetectKind("customer", NativeDetection)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if byKind != want {
-		t.Error("DetectKind should hit the same cached report")
-	}
-	byWorkers, err := s.DetectWorkers("customer", ParallelDetection, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := detect.Equivalent(want, byWorkers); err != nil {
-		t.Errorf("DetectWorkers: %v", err)
 	}
 }
 

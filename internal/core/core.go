@@ -342,9 +342,8 @@ func (s *Semandaq) CheckConsistency(table string, domains consistency.Domains) (
 	return consistency.Check(tab.Schema(), s.CFDs(table), domains)
 }
 
-// DetectorKind selects the detection implementation. It aliases the
-// engine registry's kind (internal/detect), where the engines register
-// themselves; core no longer switches on it.
+// DetectorKind selects the detection implementation. It aliases
+// internal/detect's engine kind; detect.NewDetector does the dispatch.
 type DetectorKind = detect.EngineKind
 
 // The available detectors.
@@ -491,7 +490,7 @@ func (s *Semandaq) detectRequest(ctx context.Context, table string, o requestOpt
 }
 
 // detectEntry is detection after option resolution and CFD scoping: cache
-// lookup, registry dispatch, cache fill. The whole evaluation runs over the
+// lookup, engine dispatch, cache fill. The whole evaluation runs over the
 // given pinned snapshot, so the returned entry reflects exactly
 // snap.Version() (and says so in its report's Version). Only complete
 // results are cached: a cancelled run leaves no entry behind.
@@ -523,35 +522,17 @@ func (s *Semandaq) detectEntry(ctx context.Context, table string, snap *relstore
 		return nil, err
 	}
 	e := &reportEntry{}
-	version := snap.Version()
-	switch d := det.(type) {
-	case detect.FactorDetector:
-		e.fr, err = d.DetectFactorised(ctx, snap, cfds)
-	case detect.SnapshotDetector:
-		e.rep, err = d.DetectSnapshot(ctx, snap, cfds)
-	default:
-		// Registry-extended engine without a snapshot entry point: fall
-		// back to the live table. Its report may describe a version newer
-		// than snap's (and callers pairing it with snap — Audit, Explore —
-		// lose the by-construction consistency), so custom engines should
-		// implement SnapshotDetector. It is cached under the version the
-		// report itself claims; one that does not stamp Version (0 on a
-		// non-empty table) is simply not cached rather than cached under a
-		// bogus key.
-		var tab *relstore.Table
-		if tab, err = s.Table(table); err != nil {
-			return nil, err
-		}
-		if e.rep, err = det.Detect(ctx, tab, cfds); err == nil {
-			version = e.rep.Version
-			cacheable = cacheable && (version == snap.Version() || version > 0)
-		}
+	if fd, ok := det.(detect.FactorDetector); ok {
+		e.fr, err = fd.DetectFactorised(ctx, snap, cfds)
+	} else {
+		// Every engine kind evaluates a pinned snapshot.
+		e.rep, err = det.(detect.SnapshotDetector).DetectSnapshot(ctx, snap, cfds)
 	}
 	if err != nil {
 		return nil, err
 	}
 	if cacheable {
-		s.cacheEntry(key, o.kind, version, e)
+		s.cacheEntry(key, o.kind, snap.Version(), e)
 	}
 	return e, nil
 }
@@ -633,23 +614,6 @@ func (s *Semandaq) DetectStreamVersion(ctx context.Context, table string, opts .
 		}
 	}
 	return seq, snap.Version(), nil
-}
-
-// DetectKind runs Detect with the pre-options positional signature.
-//
-// Deprecated: use Detect(ctx, table, WithEngine(kind)).
-func (s *Semandaq) DetectKind(table string, kind DetectorKind) (*detect.Report, error) {
-	//semandaq:vet-ignore ctxloop deprecated context-free wrapper by design
-	return s.Detect(context.Background(), table, WithEngine(kind))
-}
-
-// DetectWorkers is DetectKind with an explicit worker count for this call
-// only (0 = GOMAXPROCS); kinds other than parallel ignore it.
-//
-// Deprecated: use Detect(ctx, table, WithEngine(kind), WithWorkers(n)).
-func (s *Semandaq) DetectWorkers(table string, kind DetectorKind, workers int) (*detect.Report, error) {
-	//semandaq:vet-ignore ctxloop deprecated context-free wrapper by design
-	return s.Detect(context.Background(), table, WithEngine(kind), WithWorkers(workers))
 }
 
 // DetectionSQL returns the SQL statements Detect would generate (the
@@ -1002,24 +966,4 @@ func (s *Semandaq) discoverySession(name string, tab *relstore.Table) *discovery
 		s.sessions[key] = ts
 	}
 	return ts.sess
-}
-
-// DiscoverCFDs mines constraints from a reference table (does not register
-// them; inspect and register explicitly).
-//
-// Deprecated: use Discover(ctx, table, WithMinSupport(n), WithMaxLHS(k),
-// ...), which runs the snapshot-pinned lattice miner and returns the
-// versioned report with per-candidate support and confidence.
-func (s *Semandaq) DiscoverCFDs(refTable string, opts discovery.Options) ([]*cfd.CFD, error) {
-	//semandaq:vet-ignore ctxloop deprecated context-free wrapper by design
-	rep, err := s.Discover(context.Background(), refTable,
-		WithMinSupport(opts.MinSupport),
-		WithMaxLHS(opts.MaxLHS),
-		WithMaxPatterns(opts.MaxPatternsPerFD),
-		WithMinConfidence(opts.MinConfidence),
-		WithWorkers(opts.Workers))
-	if err != nil {
-		return nil, err
-	}
-	return rep.CFDs, nil
 }

@@ -8,7 +8,6 @@ import (
 	"semandaq/internal/consistency"
 	"semandaq/internal/datagen"
 	"semandaq/internal/detect"
-	"semandaq/internal/discovery"
 	"semandaq/internal/monitor"
 	"semandaq/internal/relstore"
 	"semandaq/internal/types"
@@ -230,8 +229,8 @@ func TestUnknownTableErrors(t *testing.T) {
 	if _, err := s.Monitor(context.Background(), "nope"); err == nil {
 		t.Error("Monitor")
 	}
-	if _, err := s.DiscoverCFDs("nope", discovery.Options{}); err == nil {
-		t.Error("DiscoverCFDs")
+	if _, err := s.Discover(context.Background(), "nope"); err == nil {
+		t.Error("Discover")
 	}
 	if _, err := s.CheckConsistency("nope", nil); err == nil {
 		t.Error("CheckConsistency")
@@ -344,31 +343,6 @@ func TestDiscoverVersionTracksMutation(t *testing.T) {
 	}
 	if rep2.Tuples != rep1.Tuples+1 {
 		t.Errorf("tuples = %d, want %d", rep2.Tuples, rep1.Tuples+1)
-	}
-}
-
-// TestDeprecatedDiscoverCFDs pins the wrapper's contract: same rule set as
-// the options path.
-func TestDeprecatedDiscoverCFDs(t *testing.T) {
-	ds := datagen.Generate(datagen.Config{Tuples: 400, Seed: 3})
-	s := New()
-	s.RegisterTable(ds.Clean)
-	cfds, err := s.DiscoverCFDs("customer", discovery.Options{MinSupport: 20, MaxLHS: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := s.Discover(context.Background(), "customer",
-		WithMinSupport(20), WithMaxLHS(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cfds) == 0 || len(cfds) != len(rep.CFDs) {
-		t.Fatalf("wrapper returned %d CFDs, options path %d", len(cfds), len(rep.CFDs))
-	}
-	for i := range cfds {
-		if cfds[i].String() != rep.CFDs[i].String() {
-			t.Errorf("CFD %d differs:\n%s\nvs\n%s", i, cfds[i], rep.CFDs[i])
-		}
 	}
 }
 

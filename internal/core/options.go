@@ -10,8 +10,8 @@ type requestOptions struct {
 	kind    DetectorKind
 	kindSet bool
 	// workers overrides the session's ParallelDetection worker count when
-	// workersSet; 0 still means GOMAXPROCS (the old DetectWorkers
-	// contract, which servers rely on for per-request overrides).
+	// workersSet; 0 still means GOMAXPROCS (servers rely on that for
+	// per-request overrides).
 	workers    int
 	workersSet bool
 	// cfdIDs scopes detection to the named registered CFDs; empty means

@@ -24,7 +24,7 @@ func TestCleanDataSatisfiesStandardCFDs(t *testing.T) {
 // TestCleanDataSatisfiesCFDsAtLargeZipPools is a regression test for zip
 // collisions across cities: with ZipsPerCity > 1000 the old US zip scheme
 // overlapped neighbouring cities' ranges, silently breaking phi1 on
-// "clean" data (and wrecking the R2 experiment at 80k tuples).
+// "clean" data.
 func TestCleanDataSatisfiesCFDsAtLargeZipPools(t *testing.T) {
 	ds := Generate(Config{Tuples: 6000, Seed: 2, ZipsPerCity: 1500})
 	rep, err := detect.NativeDetector{}.Detect(context.Background(), ds.Clean, StandardCFDs())

@@ -12,14 +12,14 @@ import (
 )
 
 // cancelEngines is the engine matrix for the cancellation tests: every
-// registered kind, built the way the registry builds it (the SQL engine
-// over a store holding the table).
+// kind, built the way NewDetector builds it (the SQL engine over a store
+// holding the table).
 func cancelEngines(store *relstore.Store) map[string]Detector {
 	return map[string]Detector{
 		"sql":      NewSQLDetector(store),
 		"native":   NativeDetector{},
 		"columnar": ColumnarDetector{Workers: 1},
-		"parallel": ParallelDetector{Workers: 4},
+		"parallel": ColumnarDetector{Workers: 4},
 	}
 }
 
@@ -143,8 +143,8 @@ func TestCancelErrorsDoNotPoisonDetectors(t *testing.T) {
 	}
 }
 
-// TestEngineRegistry pins the registry round-trip: every built-in kind
-// resolves to a working detector and parses back from its name.
+// TestEngineRegistry pins the engine-kind round-trip: every kind resolves
+// to a working detector and parses back from its name.
 func TestEngineRegistry(t *testing.T) {
 	kinds := EngineKinds()
 	if len(kinds) != 4 {
@@ -179,6 +179,6 @@ func TestEngineRegistry(t *testing.T) {
 		t.Error("ParseEngineKind accepted an unknown engine")
 	}
 	if _, err := NewDetector(EngineKind(99), Config{}); err == nil {
-		t.Error("NewDetector accepted an unregistered kind")
+		t.Error("NewDetector accepted an unknown kind")
 	}
 }

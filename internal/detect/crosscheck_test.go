@@ -82,7 +82,7 @@ func TestCrossCheckRandomized(t *testing.T) {
 			t.Fatalf("trial %d: detectors disagree: %v\ncfds:\n%v", trial, err, cfds)
 		}
 		workers := []int{1, 2, 8}[trial%3]
-		parRep, err := ParallelDetector{Workers: workers}.Detect(context.Background(), tab, cfds)
+		parRep, err := ColumnarDetector{Workers: workers}.Detect(context.Background(), tab, cfds)
 		if err != nil {
 			t.Fatalf("trial %d: parallel: %v", trial, err)
 		}
@@ -112,9 +112,10 @@ func TestCrossCheckRandomized(t *testing.T) {
 }
 
 // TestParallelCrossCheckDatagen runs the three detectors over generated
-// customer tables at several noise rates and worker counts: ParallelDetector
-// must be Equivalent to both NativeDetector and SQLDetector on realistic
-// workloads (the standard CFD set mixes constant and variable patterns).
+// customer tables at several noise rates and worker counts: the
+// multi-worker ColumnarDetector must be Equivalent to both NativeDetector
+// and SQLDetector on realistic workloads (the standard CFD set mixes
+// constant and variable patterns).
 func TestParallelCrossCheckDatagen(t *testing.T) {
 	for _, noise := range []float64{0, 0.02, 0.10} {
 		ds := datagen.Generate(datagen.Config{Tuples: 2000, Seed: 42, NoiseRate: noise})
@@ -136,7 +137,7 @@ func TestParallelCrossCheckDatagen(t *testing.T) {
 			t.Fatalf("noise=%.2f produced no violations; test is vacuous", noise)
 		}
 		for _, workers := range []int{1, 2, 8} {
-			par, err := ParallelDetector{Workers: workers}.Detect(context.Background(), ds.Dirty, cfds)
+			par, err := ColumnarDetector{Workers: workers}.Detect(context.Background(), ds.Dirty, cfds)
 			if err != nil {
 				t.Fatalf("noise=%.2f workers=%d: %v", noise, workers, err)
 			}
@@ -210,7 +211,7 @@ func TestVioDefinitionOnKnownGroups(t *testing.T) {
 	for name, det := range map[string]Detector{
 		"native":   NativeDetector{},
 		"sql":      NewSQLDetector(store),
-		"parallel": ParallelDetector{Workers: 3},
+		"parallel": ColumnarDetector{Workers: 3},
 		"columnar": ColumnarDetector{Workers: 1},
 	} {
 		t.Run(name, func(t *testing.T) {

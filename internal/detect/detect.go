@@ -20,11 +20,11 @@
 // CFD and runs them on the sqleng engine (the paper's technique, end to
 // end); NativeDetector computes the same report with hand-rolled hash
 // grouping over the row store (the reference semantics and the row-path
-// baseline the benches compare against); ColumnarDetector evaluates over
-// the table's columnar snapshot with the factorised core — dictionary-code
-// pattern matching, PLI-partition grouping — and explodes the result
-// (ParallelDetector is its multi-worker configuration). The incremental
-// layer builds on the native semantics.
+// baseline); ColumnarDetector evaluates over the table's columnar snapshot
+// with the factorised core — dictionary-code pattern matching,
+// PLI-partition grouping — and explodes the result (the parallel engine is
+// the same detector with Workers > 1). The incremental layer builds on the
+// native semantics.
 package detect
 
 import (

@@ -203,8 +203,8 @@ func (r *Report) Digest() *Digest {
 
 // DetectFactorised evaluates the CFDs over one pinned snapshot and
 // returns the factorised report: the single-worker run of the columnar
-// core every columnar entry point (ColumnarDetector, ParallelDetector,
-// the violation stream) is built on.
+// core every columnar entry point (ColumnarDetector, the violation stream)
+// is built on.
 func DetectFactorised(ctx context.Context, rsnap *relstore.Snapshot, cfds []*cfd.CFD) (*FactorReport, error) {
 	return detectFactorised(ctx, rsnap, cfds, 1)
 }

@@ -41,8 +41,8 @@ func TestLHSKeySeparatorCollision(t *testing.T) {
 	dets := map[string]Detector{
 		"native":    NativeDetector{},
 		"sql":       NewSQLDetector(store),
-		"parallel1": ParallelDetector{Workers: 1},
-		"parallel4": ParallelDetector{Workers: 4},
+		"parallel1": ColumnarDetector{Workers: 1},
+		"parallel4": ColumnarDetector{Workers: 4},
 		"columnar":  ColumnarDetector{Workers: 1},
 	}
 	for name, det := range dets {
@@ -94,7 +94,7 @@ func TestParallelIdenticalToNative(t *testing.T) {
 		t.Fatal("workload produced no violations; test is vacuous")
 	}
 	for _, w := range []int{0, 1, 2, 3, 8, 500} {
-		par, err := ParallelDetector{Workers: w}.Detect(context.Background(), tab, cfds)
+		par, err := ColumnarDetector{Workers: w}.Detect(context.Background(), tab, cfds)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -110,7 +110,7 @@ func TestParallelEmptyAndCleanTables(t *testing.T) {
 	tab, _ := store.Create(schema.New("r", "A", "B"))
 	fd := cfd.NewFD("f", "r", []string{"A"}, []string{"B"})
 
-	rep, err := ParallelDetector{Workers: 4}.Detect(context.Background(), tab, []*cfd.CFD{fd})
+	rep, err := ColumnarDetector{Workers: 4}.Detect(context.Background(), tab, []*cfd.CFD{fd})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestParallelEmptyAndCleanTables(t *testing.T) {
 		tab.MustInsert(relstore.Tuple{
 			types.NewString(fmt.Sprintf("a%d", i)), types.NewString("b")})
 	}
-	rep, err = ParallelDetector{Workers: 4}.Detect(context.Background(), tab, []*cfd.CFD{fd})
+	rep, err = ColumnarDetector{Workers: 4}.Detect(context.Background(), tab, []*cfd.CFD{fd})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,11 @@ func TestParallelValidatesCFDs(t *testing.T) {
 	store := relstore.NewStore()
 	tab, _ := store.Create(schema.New("r", "A", "B"))
 	bad := cfd.NewFD("f", "r", []string{"NOPE"}, []string{"B"})
-	if _, err := (ParallelDetector{}).Detect(context.Background(), tab, []*cfd.CFD{bad}); err == nil {
+	det, err := NewDetector(ParallelEngine, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := det.Detect(context.Background(), tab, []*cfd.CFD{bad}); err == nil {
 		t.Fatal("expected validation error for unknown attribute")
 	}
 }

@@ -62,7 +62,8 @@ type Options struct {
 	// (partition collapse and derived verdicts, see lattice.go). The
 	// report is byte-identical either way — closure reasoning only skips
 	// work the emitted exact cover proves redundant; the flag exists so
-	// experiments can measure the pruning (D9) and as an escape hatch.
+	// the closure tests can hold the two runs identical and as an escape
+	// hatch.
 	DisableClosure bool
 }
 
@@ -155,7 +156,7 @@ func Mine(ctx context.Context, snap *relstore.Snapshot, opts Options) (*Report, 
 }
 
 // MineStats profiles one cold mining run's lattice work — the counters
-// the D9 experiment gates on. It lives outside the Report on purpose:
+// the closure tests gate on. It lives outside the Report on purpose:
 // reports are DeepEqual-compared across engines and sessions, and the
 // work profile legitimately differs while the output must not.
 type MineStats struct {

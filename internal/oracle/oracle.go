@@ -15,8 +15,7 @@
 //     rebuilt snapshot (DeepEqual).
 //
 // The detect-package cross-check tests and the FuzzIncrementalOracle fuzz
-// target both drive this harness; experiments reuse its mutation decoding
-// for reproducible edit workloads. Values are drawn from small per-column
+// target both drive this harness. Values are drawn from small per-column
 // alphabets that include the adversarial representations (INT 1 vs FLOAT
 // 1.0, NaN, NULL) so the Equal-vs-exact distinction the patcher relies on
 // is always in play.

@@ -513,9 +513,9 @@ func spliceU32(src []uint32, drops []int32, extra int) []uint32 {
 }
 
 // Build-operation counters: the machine-checkable face of the O(delta)
-// claim. Wall-clock comparisons are forbidden by the 1-CPU rule, so
-// experiment D7 (and the unit tests) assert on these instead — a warm
-// serving path that patches 100 edits must intern ~100 cells, not 7M.
+// claim. Wall-clock comparisons are forbidden by the 1-CPU rule, so the
+// unit tests assert on these instead — a warm serving path that patches
+// 100 edits must intern ~100 cells, not 7M.
 var buildOps struct {
 	internedCells    atomic.Int64
 	patchedCells     atomic.Int64

@@ -223,8 +223,8 @@ func (t *Table) buildSnapshotLocked() *Snapshot {
 // RebuildSnapshot builds a fresh, batch-built snapshot of the current
 // version, bypassing both the version cache and the delta patcher. It is
 // the cold side of the byte-identity oracle — every artifact a patched
-// snapshot serves must equal what this one builds — and of the cold-rebuild
-// measurements in experiment D7. Serving paths use Snapshot.
+// snapshot serves must equal what this one builds. Serving paths use
+// Snapshot.
 func (t *Table) RebuildSnapshot() *Snapshot {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

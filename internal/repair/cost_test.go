@@ -1,11 +1,7 @@
 package repair
 
 import (
-	"context"
 	"testing"
-
-	"semandaq/internal/cfd"
-	"semandaq/internal/schema"
 
 	"semandaq/internal/relstore"
 	"semandaq/internal/types"
@@ -72,64 +68,4 @@ func TestPickCheapestTieBreak(t *testing.T) {
 	if best.Value.Str() != "only" || len(alts) != 0 {
 		t.Errorf("single candidate = %v, %v", best, alts)
 	}
-}
-
-func TestNaiveMergesAblationPath(t *testing.T) {
-	// The NaiveMerges knob exists for the A2 ablation: on the tug workload
-	// it must terminate (via the per-cell cap) but fail to converge.
-	tab := relstore.NewTable(tugSchema())
-	fillTug(tab)
-	cfds := tugCFDs(t)
-	r := NewRepairer()
-	r.NaiveMerges = true
-	res, err := r.Repair(context.Background(), tab, cfds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Converged {
-		t.Skip("naive strategy happened to converge on this instance")
-	}
-	if res.Remaining == 0 {
-		t.Error("non-converged result must report remaining violations")
-	}
-	// The full strategy converges on the same input.
-	full, err := NewRepairer().Repair(context.Background(), tab, cfds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !full.Converged {
-		t.Error("full strategy should converge")
-	}
-}
-
-// tugSchema / fillTug / tugCFDs build the two-FDs-sharing-an-RHS workload
-// shared with the oscillation tests.
-func tugSchema() *schema.Relation {
-	return schema.New("customer", "CNT", "CITY", "ZIP", "AC")
-}
-
-func fillTug(tab *relstore.Table) {
-	ins := func(cnt, city, zip string, ac int64) {
-		tab.MustInsert(relstore.Tuple{
-			types.NewString(cnt), types.NewString(city),
-			types.NewString(zip), types.NewInt(ac)})
-	}
-	ins("UK", "Edinburgh", "EH2", 131)
-	ins("UK", "Edinburgh", "EH2", 131)
-	ins("UK", "Edinburgh", "EH2", 20) // victim with wrong AC
-	ins("UK", "London", "SW1", 20)
-	ins("UK", "London", "SW1", 20)
-	ins("UK", "London", "SW1", 20)
-}
-
-func tugCFDs(t *testing.T) []*cfd.CFD {
-	t.Helper()
-	cfds, err := cfd.ParseSet(`
-zipcity@ customer: [CNT=_, ZIP=_] -> [CITY=_]
-accity@  customer: [CNT=_, AC=_] -> [CITY=_]
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cfds
 }

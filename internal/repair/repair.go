@@ -22,26 +22,10 @@ type Repairer struct {
 	// MaxPasses caps the detect-resolve fixpoint; BatchRepair converges in
 	// a handful of passes on satisfiable CFD sets. Default 20.
 	MaxPasses int
-	// Detector finds the violations to resolve; defaults to the native
-	// detector.
-	Detector detect.Detector
 	// MaxCellChanges freezes a cell after this many modifications in one
 	// run, guaranteeing termination of pathological interactions.
 	// Default 4.
 	MaxCellChanges int
-	// NaiveMerges disables the oscillation arbitration and LHS
-	// membership-breaking: groups are always merged to their cost-optimal
-	// value. Exists for the A2 ablation experiment; with interacting
-	// constraints the naive strategy thrashes until the per-cell cap.
-	NaiveMerges bool
-	// Factorised makes each pass consume detect.DetectFactorised directly:
-	// multi-tuple groups arrive as partition-class refs plus an RHS
-	// histogram and are resolved without ever materializing the exploded
-	// report (per-member violation records and RHSOf maps are never
-	// built — resolution only needs the member list, which repair walks
-	// anyway). The produced repair is identical to the default path's;
-	// Detector is ignored when set.
-	Factorised bool
 }
 
 // NewRepairer builds a repairer with defaults.
@@ -49,7 +33,6 @@ func NewRepairer() *Repairer {
 	return &Repairer{
 		Cost:           DefaultCostModel(),
 		MaxPasses:      20,
-		Detector:       detect.NativeDetector{},
 		MaxCellChanges: 4,
 	}
 }
@@ -141,10 +124,6 @@ func (r *Repairer) Repair(ctx context.Context, tab *relstore.Table, cfds []*cfd.
 	if maxChanges <= 0 {
 		maxChanges = 4
 	}
-	det := r.Detector
-	if det == nil {
-		det = detect.NativeDetector{}
-	}
 	work := tab.Clone()
 	res := &Result{Repaired: work}
 	sc := work.Schema()
@@ -157,40 +136,32 @@ func (r *Repairer) Repair(ctx context.Context, tab *relstore.Table, cfds []*cfd.
 
 	history := map[cellKey]*cellHistory{}
 
-	// detectPass runs one detection round in the configured mode and
-	// normalizes the result: the single-tuple violations, the groups to
-	// resolve, and the total violation-record count (the legacy report's
-	// len(Violations) — the factorised form counts one record per dirty
-	// group member without materializing them).
+	// detectPass runs one factorised detection round over the working
+	// table's snapshot and returns the single-tuple violations, the groups
+	// to resolve, and the total violation-record count (one record per
+	// dirty group member, counted without materializing them). Multi-tuple
+	// groups arrive as partition-class refs and become slim group headers,
+	// not AsGroup(): resolution re-reads the members' current values from
+	// the working table (earlier fixes this pass may have changed them), so
+	// the exploded per-member RHS maps would be dead weight.
 	detectPass := func() ([]detect.Violation, []*detect.Group, int, error) {
-		if r.Factorised {
-			fr, err := detect.DetectFactorised(ctx, work.Snapshot(), cfds)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			// Build slim group headers, not AsGroup(): resolution re-reads
-			// the members' current values from the working table (earlier
-			// fixes this pass may have changed them), so the exploded
-			// per-member RHS maps would be dead weight.
-			groups := make([]*detect.Group, len(fr.FactorGroups))
-			remaining := len(fr.Violations)
-			for i, g := range fr.FactorGroups {
-				groups[i] = &detect.Group{
-					CFDID:     g.CFDID,
-					Attr:      g.Attr,
-					LHSAttrs:  g.LHSAttrs,
-					LHSValues: g.LHSValues,
-					Members:   g.Members(),
-				}
-				remaining += g.Size()
-			}
-			return fr.Violations, groups, remaining, nil
-		}
-		rep, err := det.Detect(ctx, work, cfds)
+		fr, err := detect.DetectFactorised(ctx, work.Snapshot(), cfds)
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		return rep.Violations, rep.Groups, len(rep.Violations), nil
+		groups := make([]*detect.Group, len(fr.FactorGroups))
+		remaining := len(fr.Violations)
+		for i, g := range fr.FactorGroups {
+			groups[i] = &detect.Group{
+				CFDID:     g.CFDID,
+				Attr:      g.Attr,
+				LHSAttrs:  g.LHSAttrs,
+				LHSValues: g.LHSValues,
+				Members:   g.Members(),
+			}
+			remaining += g.Size()
+		}
+		return fr.Violations, groups, remaining, nil
 	}
 
 	// change applies one modification with history bookkeeping. Returns
@@ -243,7 +214,8 @@ func (r *Repairer) Repair(ctx context.Context, tab *relstore.Table, cfds []*cfd.
 
 		changed := false
 
-		// Step 2: constant-pattern fixes. Violations are grouped per cell,
+		// Step 2: constant-pattern fixes (a factorised report's Violations
+		// are the single-tuple ones only). Violations are grouped per cell,
 		// but only ONE constant fix is applied per tuple per pass — two
 		// mutually-triggered constant patterns (e.g. CITY→AC and AC→CITY)
 		// would otherwise flip both cells in tandem forever. Fixing the
@@ -257,9 +229,6 @@ func (r *Repairer) Repair(ctx context.Context, tab *relstore.Table, cfds []*cfd.
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
-			}
-			if v.Kind != detect.SingleTuple {
-				continue
 			}
 			k := cellKey{v.TupleID, strings.ToLower(v.Attr)}
 			if _, ok := constFix[k]; !ok {
@@ -405,7 +374,7 @@ func (r *Repairer) resolveGroup(work *relstore.Table, g *detect.Group, history m
 			continue
 		}
 		ck := cellKey{id, strings.ToLower(g.Attr)}
-		if h := history[ck]; !r.NaiveMerges && h != nil && h.held(target.val) {
+		if h := history[ck]; h != nil && h.held(target.val) {
 			// Oscillation: another constraint moved this cell away from
 			// target before. Arbitrate by the total modification cost of
 			// the two consistent outcomes, measured from the tuple's

@@ -239,33 +239,6 @@ func TestRepairCleanTableNoop(t *testing.T) {
 	}
 }
 
-func TestRepairSQLDetectorAgrees(t *testing.T) {
-	// Repair driven by the SQL detector yields a clean table too.
-	store := relstore.NewStore()
-	tab, cfds := customerTable(t)
-	store.Put(tab)
-	r := NewRepairer()
-	// The working snapshot must be registered for the SQL detector; use a
-	// wrapper that registers on the fly.
-	r.Detector = registeringDetector{store: store}
-	res, err := r.Repair(context.Background(), tab, cfds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("not converged: %d remaining", res.Remaining)
-	}
-}
-
-// registeringDetector registers the (snapshot) table in a store before
-// delegating to the SQL detector.
-type registeringDetector struct{ store *relstore.Store }
-
-func (d registeringDetector) Detect(ctx context.Context, tab *relstore.Table, cfds []*cfd.CFD) (*detect.Report, error) {
-	d.store.Put(tab)
-	return detect.NewSQLDetector(d.store).Detect(ctx, tab, cfds)
-}
-
 func TestApply(t *testing.T) {
 	tab, cfds := customerTable(t)
 	res, err := NewRepairer().Repair(context.Background(), tab, cfds)

@@ -56,7 +56,7 @@ func TestQueryContextPreCancelled(t *testing.T) {
 // does not change results: Query and QueryContext(Background) agree.
 func TestQueryContextBackgroundUnaffected(t *testing.T) {
 	e := cancelFixture(t, 500)
-	a, err := e.Query("SELECT A, COUNT(*) AS n FROM r GROUP BY A ORDER BY n DESC, A LIMIT 5")
+	a, err := e.QueryContext(context.Background(), "SELECT A, COUNT(*) AS n FROM r GROUP BY A ORDER BY n DESC, A LIMIT 5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,21 +80,21 @@ func TestQueryContextBackgroundUnaffected(t *testing.T) {
 // applies nothing: mutations only run after a complete uncancelled scan.
 func TestCancelledDMLLeavesTableIntact(t *testing.T) {
 	e := cancelFixture(t, 2*cancelStride)
-	before := e.MustQuery("SELECT COUNT(*) FROM r WHERE B = 'x'").Rows[0][0].Int()
+	before := mustQuery(e, "SELECT COUNT(*) FROM r WHERE B = 'x'").Rows[0][0].Int()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := e.QueryContext(ctx, "UPDATE r SET B = 'x'"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
-	after := e.MustQuery("SELECT COUNT(*) FROM r WHERE B = 'x'").Rows[0][0].Int()
+	after := mustQuery(e, "SELECT COUNT(*) FROM r WHERE B = 'x'").Rows[0][0].Int()
 	if before != after {
 		t.Errorf("cancelled UPDATE modified %d rows", after-before)
 	}
-	total := e.MustQuery("SELECT COUNT(*) FROM r").Rows[0][0].Int()
+	total := mustQuery(e, "SELECT COUNT(*) FROM r").Rows[0][0].Int()
 	if _, err := e.QueryContext(ctx, "DELETE FROM r"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
-	if got := e.MustQuery("SELECT COUNT(*) FROM r").Rows[0][0].Int(); got != total {
+	if got := mustQuery(e, "SELECT COUNT(*) FROM r").Rows[0][0].Int(); got != total {
 		t.Errorf("cancelled DELETE removed %d rows", total-got)
 	}
 }

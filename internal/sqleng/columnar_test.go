@@ -1,6 +1,7 @@
 package sqleng
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -101,8 +102,8 @@ func TestColumnarScanMatchesRowScan(t *testing.T) {
 		rowEng := New(store)
 		rowEng.SetColumnarScan(false)
 
-		colRes, colErr := colEng.Query(q)
-		rowRes, rowErr := rowEng.Query(q)
+		colRes, colErr := colEng.QueryContext(context.Background(), q)
+		rowRes, rowErr := rowEng.QueryContext(context.Background(), q)
 		if (colErr == nil) != (rowErr == nil) {
 			t.Fatalf("query %q: columnar err %v, row err %v", q, colErr, rowErr)
 		}
@@ -126,7 +127,7 @@ func TestColumnarScanAfterMutation(t *testing.T) {
 	}
 	eng := New(store)
 	count := func() int64 {
-		res := eng.MustQuery("SELECT COUNT(*) AS n FROM t WHERE A = 'x'")
+		res := mustQuery(eng, "SELECT COUNT(*) AS n FROM t WHERE A = 'x'")
 		return res.Rows[0][0].Int()
 	}
 	if count() != 0 {
@@ -150,20 +151,20 @@ func TestColumnarScanAfterMutation(t *testing.T) {
 		t.Fatalf("after delete: count = %d", got)
 	}
 	// DML through the engine itself.
-	if _, err := eng.Query("INSERT INTO t VALUES ('x', 5)"); err != nil {
+	if _, err := eng.QueryContext(context.Background(), "INSERT INTO t VALUES ('x', 5)"); err != nil {
 		t.Fatal(err)
 	}
 	if got := count(); got != 1 {
 		t.Fatalf("after SQL insert: count = %d", got)
 	}
-	if _, err := eng.Query("UPDATE t SET B = 6 WHERE A = 'x'"); err != nil {
+	if _, err := eng.QueryContext(context.Background(), "UPDATE t SET B = 6 WHERE A = 'x'"); err != nil {
 		t.Fatal(err)
 	}
-	res := eng.MustQuery("SELECT B FROM t WHERE A = 'x'")
+	res := mustQuery(eng, "SELECT B FROM t WHERE A = 'x'")
 	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 6 {
 		t.Fatalf("after SQL update: %+v", res.Rows)
 	}
-	if _, err := eng.Query("DELETE FROM t WHERE A = 'x'"); err != nil {
+	if _, err := eng.QueryContext(context.Background(), "DELETE FROM t WHERE A = 'x'"); err != nil {
 		t.Fatal(err)
 	}
 	if got := count(); got != 0 {

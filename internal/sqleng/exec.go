@@ -141,15 +141,6 @@ func (q *queryPins) versions() map[string]int64 {
 	return out
 }
 
-// Query parses and executes a single statement without cancellation.
-//
-// Deprecated: use QueryContext so callers can cancel long scans and
-// joins; Query is kept only for context-free compatibility.
-func (e *Engine) Query(sql string) (*Result, error) {
-	//semandaq:vet-ignore ctxloop deprecated context-free wrapper by design
-	return e.QueryContext(context.Background(), sql)
-}
-
 // QueryContext parses and executes a single statement under a context: a
 // cancelled ctx aborts the executor's scan, join and grouping loops
 // promptly and returns ctx.Err().
@@ -159,28 +150,6 @@ func (e *Engine) QueryContext(ctx context.Context, sql string) (*Result, error) 
 		return nil, err
 	}
 	return e.RunContext(ctx, st)
-}
-
-// MustQuery is Query for tests; it panics on error.
-//
-// Deprecated: production callers use QueryContext; MustQuery exists for
-// test fixtures only.
-func (e *Engine) MustQuery(sql string) *Result {
-	//semandaq:vet-ignore ctxloop deprecated context-free wrapper by design
-	r, err := e.QueryContext(context.Background(), sql)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// Run executes a pre-parsed statement without cancellation.
-//
-// Deprecated: use RunContext so callers can cancel long scans and joins;
-// Run is kept only for context-free compatibility.
-func (e *Engine) Run(st Statement) (*Result, error) {
-	//semandaq:vet-ignore ctxloop deprecated context-free wrapper by design
-	return e.RunContext(context.Background(), st)
 }
 
 // RunContext executes a pre-parsed statement under a context.

@@ -1,6 +1,7 @@
 package sqleng
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -35,6 +36,15 @@ func newTestEngine(t *testing.T) *Engine {
 	return New(store)
 }
 
+// mustQuery runs one statement for a test fixture; it panics on error.
+func mustQuery(e *Engine, sql string) *Result {
+	r, err := e.QueryContext(context.Background(), sql)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
 func rowStrings(res *Result) []string {
 	var out []string
 	for _, row := range res.Rows {
@@ -49,7 +59,7 @@ func rowStrings(res *Result) []string {
 
 func TestSelectStar(t *testing.T) {
 	e := newTestEngine(t)
-	res := e.MustQuery("SELECT * FROM customer")
+	res := mustQuery(e, "SELECT * FROM customer")
 	if len(res.Columns) != 7 {
 		t.Fatalf("columns = %v", res.Columns)
 	}
@@ -63,7 +73,7 @@ func TestSelectStar(t *testing.T) {
 
 func TestSelectWhere(t *testing.T) {
 	e := newTestEngine(t)
-	res := e.MustQuery("SELECT NAME FROM customer WHERE CNT = 'UK' AND CITY = 'Edinburgh'")
+	res := mustQuery(e, "SELECT NAME FROM customer WHERE CNT = 'UK' AND CITY = 'Edinburgh'")
 	got := rowStrings(res)
 	if len(got) != 2 || got[0] != "Mike" || got[1] != "Rick" {
 		t.Errorf("rows = %v", got)
@@ -72,7 +82,7 @@ func TestSelectWhere(t *testing.T) {
 
 func TestSelectProjectionAndAlias(t *testing.T) {
 	e := newTestEngine(t)
-	res := e.MustQuery("SELECT NAME AS who, CC + 1 AS cc1 FROM customer WHERE NAME = 'Joe'")
+	res := mustQuery(e, "SELECT NAME AS who, CC + 1 AS cc1 FROM customer WHERE NAME = 'Joe'")
 	if res.Columns[0] != "who" || res.Columns[1] != "cc1" {
 		t.Errorf("columns = %v", res.Columns)
 	}
@@ -83,7 +93,7 @@ func TestSelectProjectionAndAlias(t *testing.T) {
 
 func TestSelectTIDPseudoColumn(t *testing.T) {
 	e := newTestEngine(t)
-	res := e.MustQuery("SELECT t._tid, t.NAME FROM customer t WHERE t.NAME = 'Rick'")
+	res := mustQuery(e, "SELECT t._tid, t.NAME FROM customer t WHERE t.NAME = 'Rick'")
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows = %v", rowStrings(res))
 	}
@@ -91,7 +101,7 @@ func TestSelectTIDPseudoColumn(t *testing.T) {
 		t.Errorf("_tid kind = %v", res.Rows[0][0].Kind())
 	}
 	// _tid must not leak through *.
-	star := e.MustQuery("SELECT * FROM customer")
+	star := mustQuery(e, "SELECT * FROM customer")
 	for _, c := range star.Columns {
 		if c == TIDColumn {
 			t.Error("_tid leaked into *")
@@ -119,7 +129,7 @@ func TestComparisonOperators(t *testing.T) {
 		{"SELECT * FROM customer WHERE AC NOT BETWEEN 100 AND 1000", 1},
 	}
 	for _, c := range cases {
-		res := e.MustQuery(c.sql)
+		res := mustQuery(e, c.sql)
 		if len(res.Rows) != c.want {
 			t.Errorf("%s: %d rows, want %d", c.sql, len(res.Rows), c.want)
 		}
@@ -134,35 +144,35 @@ func TestThreeValuedLogic(t *testing.T) {
 	e := New(store)
 
 	// NULL comparisons never match.
-	if res := e.MustQuery("SELECT * FROM r WHERE B = 5"); len(res.Rows) != 1 {
+	if res := mustQuery(e, "SELECT * FROM r WHERE B = 5"); len(res.Rows) != 1 {
 		t.Errorf("B = 5 rows = %d", len(res.Rows))
 	}
-	if res := e.MustQuery("SELECT * FROM r WHERE B <> 5"); len(res.Rows) != 0 {
+	if res := mustQuery(e, "SELECT * FROM r WHERE B <> 5"); len(res.Rows) != 0 {
 		t.Errorf("B <> 5 rows = %d", len(res.Rows))
 	}
-	if res := e.MustQuery("SELECT * FROM r WHERE B IS NULL"); len(res.Rows) != 1 {
+	if res := mustQuery(e, "SELECT * FROM r WHERE B IS NULL"); len(res.Rows) != 1 {
 		t.Errorf("IS NULL rows = %d", len(res.Rows))
 	}
-	if res := e.MustQuery("SELECT * FROM r WHERE B IS NOT NULL"); len(res.Rows) != 1 {
+	if res := mustQuery(e, "SELECT * FROM r WHERE B IS NOT NULL"); len(res.Rows) != 1 {
 		t.Errorf("IS NOT NULL rows = %d", len(res.Rows))
 	}
 	// OR with one true side survives a NULL.
-	if res := e.MustQuery("SELECT * FROM r WHERE B = 999 OR A = 1"); len(res.Rows) != 1 {
+	if res := mustQuery(e, "SELECT * FROM r WHERE B = 999 OR A = 1"); len(res.Rows) != 1 {
 		t.Errorf("OR rows = %d", len(res.Rows))
 	}
 	// NOT(NULL) is NULL → filtered out.
-	if res := e.MustQuery("SELECT * FROM r WHERE NOT (B = 5)"); len(res.Rows) != 0 {
+	if res := mustQuery(e, "SELECT * FROM r WHERE NOT (B = 5)"); len(res.Rows) != 0 {
 		t.Errorf("NOT rows = %d", len(res.Rows))
 	}
 	// IN with NULL in list: no match yields NULL, not FALSE.
-	if res := e.MustQuery("SELECT * FROM r WHERE A NOT IN (2, NULL)"); len(res.Rows) != 0 {
+	if res := mustQuery(e, "SELECT * FROM r WHERE A NOT IN (2, NULL)"); len(res.Rows) != 0 {
 		t.Errorf("NOT IN with NULL rows = %d", len(res.Rows))
 	}
 }
 
 func TestAggregatesGlobal(t *testing.T) {
 	e := newTestEngine(t)
-	res := e.MustQuery("SELECT COUNT(*), COUNT(DISTINCT CNT), MIN(CC), MAX(AC), SUM(CC), AVG(CC) FROM customer")
+	res := mustQuery(e, "SELECT COUNT(*), COUNT(DISTINCT CNT), MIN(CC), MAX(AC), SUM(CC), AVG(CC) FROM customer")
 	row := res.Rows[0]
 	if row[0].Int() != 5 {
 		t.Errorf("COUNT(*) = %v", row[0])
@@ -186,7 +196,7 @@ func TestAggregatesGlobal(t *testing.T) {
 
 func TestAggregatesEmptyInput(t *testing.T) {
 	e := newTestEngine(t)
-	res := e.MustQuery("SELECT COUNT(*), SUM(CC), MIN(CC) FROM customer WHERE CNT = 'FR'")
+	res := mustQuery(e, "SELECT COUNT(*), SUM(CC), MIN(CC) FROM customer WHERE CNT = 'FR'")
 	row := res.Rows[0]
 	if row[0].Int() != 0 {
 		t.Errorf("COUNT over empty = %v", row[0])
@@ -198,7 +208,7 @@ func TestAggregatesEmptyInput(t *testing.T) {
 
 func TestGroupByHaving(t *testing.T) {
 	e := newTestEngine(t)
-	res := e.MustQuery(`
+	res := mustQuery(e, `
 		SELECT CNT, COUNT(*) AS n FROM customer
 		GROUP BY CNT HAVING COUNT(*) >= 2 ORDER BY CNT`)
 	got := rowStrings(res)
@@ -209,7 +219,7 @@ func TestGroupByHaving(t *testing.T) {
 
 func TestGroupByMultiKey(t *testing.T) {
 	e := newTestEngine(t)
-	res := e.MustQuery(`
+	res := mustQuery(e, `
 		SELECT CNT, ZIP, COUNT(DISTINCT STR) AS streets FROM customer
 		GROUP BY CNT, ZIP HAVING COUNT(DISTINCT STR) > 1`)
 	got := rowStrings(res)
@@ -220,7 +230,7 @@ func TestGroupByMultiKey(t *testing.T) {
 
 func TestOrderByLimitOffset(t *testing.T) {
 	e := newTestEngine(t)
-	res := e.MustQuery("SELECT NAME FROM customer ORDER BY NAME")
+	res := mustQuery(e, "SELECT NAME FROM customer ORDER BY NAME")
 	got := rowStrings(res)
 	want := []string{"Ann", "Ben", "Joe", "Mike", "Rick"}
 	for i, w := range want {
@@ -228,17 +238,17 @@ func TestOrderByLimitOffset(t *testing.T) {
 			t.Errorf("order %d = %q, want %q", i, got[i], w)
 		}
 	}
-	res = e.MustQuery("SELECT NAME FROM customer ORDER BY NAME DESC LIMIT 2")
+	res = mustQuery(e, "SELECT NAME FROM customer ORDER BY NAME DESC LIMIT 2")
 	got = rowStrings(res)
 	if len(got) != 2 || got[0] != "Rick" || got[1] != "Mike" {
 		t.Errorf("desc limit = %v", got)
 	}
-	res = e.MustQuery("SELECT NAME FROM customer ORDER BY NAME LIMIT 2 OFFSET 4")
+	res = mustQuery(e, "SELECT NAME FROM customer ORDER BY NAME LIMIT 2 OFFSET 4")
 	got = rowStrings(res)
 	if len(got) != 1 || got[0] != "Rick" {
 		t.Errorf("offset = %v", got)
 	}
-	res = e.MustQuery("SELECT NAME FROM customer ORDER BY NAME OFFSET 99")
+	res = mustQuery(e, "SELECT NAME FROM customer ORDER BY NAME OFFSET 99")
 	if len(res.Rows) != 0 {
 		t.Errorf("big offset rows = %d", len(res.Rows))
 	}
@@ -246,7 +256,7 @@ func TestOrderByLimitOffset(t *testing.T) {
 
 func TestOrderByOutputAlias(t *testing.T) {
 	e := newTestEngine(t)
-	res := e.MustQuery("SELECT CNT, COUNT(*) AS n FROM customer GROUP BY CNT ORDER BY n DESC")
+	res := mustQuery(e, "SELECT CNT, COUNT(*) AS n FROM customer GROUP BY CNT ORDER BY n DESC")
 	got := rowStrings(res)
 	if got[0] != "UK|3" {
 		t.Errorf("rows = %v", got)
@@ -255,7 +265,7 @@ func TestOrderByOutputAlias(t *testing.T) {
 
 func TestDistinct(t *testing.T) {
 	e := newTestEngine(t)
-	res := e.MustQuery("SELECT DISTINCT CNT FROM customer ORDER BY CNT")
+	res := mustQuery(e, "SELECT DISTINCT CNT FROM customer ORDER BY CNT")
 	got := rowStrings(res)
 	if len(got) != 2 || got[0] != "UK" || got[1] != "US" {
 		t.Errorf("rows = %v", got)
@@ -266,7 +276,7 @@ func TestCommaJoinWithHash(t *testing.T) {
 	e := newTestEngine(t)
 	// Self-join: pairs in the same CNT+ZIP with different STR — the shape
 	// of the paper's multi-tuple violation query.
-	res := e.MustQuery(`
+	res := mustQuery(e, `
 		SELECT t1.NAME, t2.NAME FROM customer t1, customer t2
 		WHERE t1.CNT = t2.CNT AND t1.ZIP = t2.ZIP AND t1.STR <> t2.STR`)
 	if len(res.Rows) != 2 { // (Mike,Rick) and (Rick,Mike)
@@ -284,7 +294,7 @@ func TestInnerJoinOn(t *testing.T) {
 	o.MustInsert(relstore.Tuple{types.NewInt(1), types.NewString("y")})
 	o.MustInsert(relstore.Tuple{types.NewInt(3), types.NewString("z")})
 	e := New(store)
-	res := e.MustQuery("SELECT c.NAME, o.ITEM FROM c JOIN o ON c.ID = o.CID ORDER BY o.ITEM")
+	res := mustQuery(e, "SELECT c.NAME, o.ITEM FROM c JOIN o ON c.ID = o.CID ORDER BY o.ITEM")
 	got := rowStrings(res)
 	if len(got) != 2 || got[0] != "a|x" || got[1] != "a|y" {
 		t.Errorf("rows = %v", got)
@@ -299,7 +309,7 @@ func TestLeftJoin(t *testing.T) {
 	c.MustInsert(relstore.Tuple{types.NewInt(2), types.NewString("b")})
 	o.MustInsert(relstore.Tuple{types.NewInt(1), types.NewString("x")})
 	e := New(store)
-	res := e.MustQuery("SELECT c.NAME, o.ITEM FROM c LEFT JOIN o ON c.ID = o.CID ORDER BY c.NAME")
+	res := mustQuery(e, "SELECT c.NAME, o.ITEM FROM c LEFT JOIN o ON c.ID = o.CID ORDER BY c.NAME")
 	got := rowStrings(res)
 	if len(got) != 2 || got[0] != "a|x" || got[1] != "b|NULL" {
 		t.Errorf("rows = %v", got)
@@ -315,12 +325,12 @@ func TestCrossJoinNoKeys(t *testing.T) {
 		b.MustInsert(relstore.Tuple{types.NewInt(int64(i))})
 	}
 	e := New(store)
-	res := e.MustQuery("SELECT * FROM a, b")
+	res := mustQuery(e, "SELECT * FROM a, b")
 	if len(res.Rows) != 9 {
 		t.Errorf("cross join rows = %d", len(res.Rows))
 	}
 	// Non-equi condition still applies via residual filter.
-	res = e.MustQuery("SELECT * FROM a, b WHERE a.X < b.Y")
+	res = mustQuery(e, "SELECT * FROM a, b WHERE a.X < b.Y")
 	if len(res.Rows) != 3 {
 		t.Errorf("filtered cross join rows = %d", len(res.Rows))
 	}
@@ -335,7 +345,7 @@ func TestJoinThreeTables(t *testing.T) {
 		}
 	}
 	e := New(store)
-	res := e.MustQuery(`SELECT a.Va, b.Vb, c.Vc FROM a, b, c
+	res := mustQuery(e, `SELECT a.Va, b.Vb, c.Vc FROM a, b, c
 		WHERE a.K = b.K AND b.K = c.K AND a.K >= 2 ORDER BY a.Va`)
 	got := rowStrings(res)
 	if len(got) != 2 || got[0] != "a2|b2|c2" || got[1] != "a3|b3|c3" {
@@ -345,7 +355,7 @@ func TestJoinThreeTables(t *testing.T) {
 
 func TestScalarFunctions(t *testing.T) {
 	e := newTestEngine(t)
-	res := e.MustQuery(`SELECT UPPER(NAME), LOWER(CNT), LENGTH(NAME),
+	res := mustQuery(e, `SELECT UPPER(NAME), LOWER(CNT), LENGTH(NAME),
 		SUBSTR(NAME, 1, 2), COALESCE(NULL, NAME), CONCAT(NAME, '-', CNT), ABS(-5)
 		FROM customer WHERE NAME = 'Mike'`)
 	row := res.Rows[0]
@@ -359,7 +369,7 @@ func TestScalarFunctions(t *testing.T) {
 
 func TestCaseExpression(t *testing.T) {
 	e := newTestEngine(t)
-	res := e.MustQuery(`SELECT NAME, CASE WHEN CC = 44 THEN 'gb' WHEN CC = 1 THEN 'us' ELSE 'other' END AS tag
+	res := mustQuery(e, `SELECT NAME, CASE WHEN CC = 44 THEN 'gb' WHEN CC = 1 THEN 'us' ELSE 'other' END AS tag
 		FROM customer ORDER BY NAME`)
 	got := rowStrings(res)
 	if got[0] != "Ann|gb" || got[2] != "Joe|us" {
@@ -369,7 +379,7 @@ func TestCaseExpression(t *testing.T) {
 
 func TestArithmetic(t *testing.T) {
 	e := newTestEngine(t)
-	res := e.MustQuery("SELECT 2 + 3 * 4, 10 / 3, 10 % 3, 1.5 + 1, -(2 - 5)")
+	res := mustQuery(e, "SELECT 2 + 3 * 4, 10 / 3, 10 % 3, 1.5 + 1, -(2 - 5)")
 	row := res.Rows[0]
 	if row[0].Int() != 14 || row[1].Int() != 3 || row[2].Int() != 1 {
 		t.Errorf("ints = %v", row)
@@ -384,46 +394,46 @@ func TestArithmetic(t *testing.T) {
 
 func TestDivisionByZero(t *testing.T) {
 	e := newTestEngine(t)
-	if _, err := e.Query("SELECT 1 / 0"); err == nil {
+	if _, err := e.QueryContext(context.Background(), "SELECT 1 / 0"); err == nil {
 		t.Error("expected division-by-zero error")
 	}
-	if _, err := e.Query("SELECT 1 % 0"); err == nil {
+	if _, err := e.QueryContext(context.Background(), "SELECT 1 % 0"); err == nil {
 		t.Error("expected modulo-by-zero error")
 	}
 }
 
 func TestInsertUpdateDelete(t *testing.T) {
 	e := newTestEngine(t)
-	res, err := e.Query("INSERT INTO customer VALUES ('Zed', 'NL', 'Amsterdam', '1011', 'Dam', 31, 20)")
+	res, err := e.QueryContext(context.Background(), "INSERT INTO customer VALUES ('Zed', 'NL', 'Amsterdam', '1011', 'Dam', 31, 20)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Affected != 1 {
 		t.Errorf("affected = %d", res.Affected)
 	}
-	res, err = e.Query("INSERT INTO customer (NAME, CNT) VALUES ('Part', 'DE')")
+	res, err = e.QueryContext(context.Background(), "INSERT INTO customer (NAME, CNT) VALUES ('Part', 'DE')")
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := e.MustQuery("SELECT CITY FROM customer WHERE NAME = 'Part'")
+	check := mustQuery(e, "SELECT CITY FROM customer WHERE NAME = 'Part'")
 	if !check.Rows[0][0].IsNull() {
 		t.Errorf("unspecified column = %v", check.Rows[0][0])
 	}
 
-	res, err = e.Query("UPDATE customer SET CITY = 'Rotterdam' WHERE NAME = 'Zed'")
+	res, err = e.QueryContext(context.Background(), "UPDATE customer SET CITY = 'Rotterdam' WHERE NAME = 'Zed'")
 	if err != nil || res.Affected != 1 {
 		t.Fatalf("update: %v affected=%d", err, res.Affected)
 	}
-	check = e.MustQuery("SELECT CITY FROM customer WHERE NAME = 'Zed'")
+	check = mustQuery(e, "SELECT CITY FROM customer WHERE NAME = 'Zed'")
 	if check.Rows[0][0].Str() != "Rotterdam" {
 		t.Errorf("city = %v", check.Rows[0][0])
 	}
 
-	res, err = e.Query("DELETE FROM customer WHERE CNT = 'US'")
+	res, err = e.QueryContext(context.Background(), "DELETE FROM customer WHERE CNT = 'US'")
 	if err != nil || res.Affected != 2 {
 		t.Fatalf("delete: %v affected=%d", err, res.Affected)
 	}
-	if n := e.MustQuery("SELECT COUNT(*) FROM customer").Rows[0][0].Int(); n != 5 {
+	if n := mustQuery(e, "SELECT COUNT(*) FROM customer").Rows[0][0].Int(); n != 5 {
 		t.Errorf("count after delete = %d", n)
 	}
 }
@@ -433,10 +443,10 @@ func TestUpdateUsesOldValues(t *testing.T) {
 	tab, _ := store.Create(schema.New("r", "A", "B"))
 	tab.MustInsert(relstore.Tuple{types.NewInt(1), types.NewInt(2)})
 	e := New(store)
-	if _, err := e.Query("UPDATE r SET A = B, B = A"); err != nil {
+	if _, err := e.QueryContext(context.Background(), "UPDATE r SET A = B, B = A"); err != nil {
 		t.Fatal(err)
 	}
-	res := e.MustQuery("SELECT A, B FROM r")
+	res := mustQuery(e, "SELECT A, B FROM r")
 	if res.Rows[0][0].Int() != 2 || res.Rows[0][1].Int() != 1 {
 		t.Errorf("swap failed: %v", rowStrings(res))
 	}
@@ -444,25 +454,25 @@ func TestUpdateUsesOldValues(t *testing.T) {
 
 func TestCreateDropTable(t *testing.T) {
 	e := New(relstore.NewStore())
-	if _, err := e.Query("CREATE TABLE t (a INT, b STRING)"); err != nil {
+	if _, err := e.QueryContext(context.Background(), "CREATE TABLE t (a INT, b STRING)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Query("INSERT INTO t VALUES (1, 'x')"); err != nil {
+	if _, err := e.QueryContext(context.Background(), "INSERT INTO t VALUES (1, 'x')"); err != nil {
 		t.Fatal(err)
 	}
-	if n := e.MustQuery("SELECT COUNT(*) FROM t").Rows[0][0].Int(); n != 1 {
+	if n := mustQuery(e, "SELECT COUNT(*) FROM t").Rows[0][0].Int(); n != 1 {
 		t.Errorf("count = %d", n)
 	}
-	if _, err := e.Query("CREATE TABLE t (a INT)"); err == nil {
+	if _, err := e.QueryContext(context.Background(), "CREATE TABLE t (a INT)"); err == nil {
 		t.Error("duplicate create should fail")
 	}
-	if _, err := e.Query("DROP TABLE t"); err != nil {
+	if _, err := e.QueryContext(context.Background(), "DROP TABLE t"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Query("SELECT * FROM t"); err == nil {
+	if _, err := e.QueryContext(context.Background(), "SELECT * FROM t"); err == nil {
 		t.Error("select after drop should fail")
 	}
-	if _, err := e.Query("DROP TABLE t"); err == nil {
+	if _, err := e.QueryContext(context.Background(), "DROP TABLE t"); err == nil {
 		t.Error("double drop should fail")
 	}
 }
@@ -484,7 +494,7 @@ func TestExecErrors(t *testing.T) {
 		"SELECT *",
 	}
 	for _, sql := range cases {
-		if _, err := e.Query(sql); err == nil {
+		if _, err := e.QueryContext(context.Background(), sql); err == nil {
 			t.Errorf("Query(%q) should fail", sql)
 		}
 	}
@@ -492,7 +502,7 @@ func TestExecErrors(t *testing.T) {
 
 func TestAggregateInWhereRejected(t *testing.T) {
 	e := newTestEngine(t)
-	if _, err := e.Query("SELECT NAME FROM customer WHERE COUNT(*) > 1"); err == nil {
+	if _, err := e.QueryContext(context.Background(), "SELECT NAME FROM customer WHERE COUNT(*) > 1"); err == nil {
 		t.Error("aggregate in WHERE should be rejected")
 	}
 }
@@ -526,7 +536,7 @@ func TestLikeMatch(t *testing.T) {
 
 func TestSelectNoFrom(t *testing.T) {
 	e := New(relstore.NewStore())
-	res := e.MustQuery("SELECT 1 + 1 AS two, 'x'")
+	res := mustQuery(e, "SELECT 1 + 1 AS two, 'x'")
 	if res.Rows[0][0].Int() != 2 || res.Rows[0][1].Str() != "x" {
 		t.Errorf("rows = %v", rowStrings(res))
 	}
@@ -537,7 +547,7 @@ func TestSelectNoFrom(t *testing.T) {
 
 func TestGroupByExpression(t *testing.T) {
 	e := newTestEngine(t)
-	res := e.MustQuery(`SELECT SUBSTR(NAME, 1, 1) AS initial, COUNT(*) FROM customer
+	res := mustQuery(e, `SELECT SUBSTR(NAME, 1, 1) AS initial, COUNT(*) FROM customer
 		GROUP BY SUBSTR(NAME, 1, 1) ORDER BY initial`)
 	if len(res.Rows) != 5 {
 		t.Errorf("rows = %v", rowStrings(res))
@@ -561,7 +571,7 @@ func TestPatternTableauJoinShape(t *testing.T) {
 	// Pattern (UK, _, _) on LHS — matches UK rows only.
 	tp.MustInsert(relstore.Tuple{types.NewString("UK"), types.NewString("_"), types.NewString("_")})
 	e := New(store)
-	res := e.MustQuery(`
+	res := mustQuery(e, `
 		SELECT t.CNT, t.ZIP, t.STR FROM customer t, tp
 		WHERE (tp.CNT = '_' OR t.CNT = tp.CNT)
 		  AND (tp.ZIP = '_' OR t.ZIP = tp.ZIP)`)
@@ -576,18 +586,8 @@ func TestRunPreparsedStatement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(st)
+	res, err := e.RunContext(context.Background(), st)
 	if err != nil || res.Rows[0][0].Int() != 5 {
 		t.Errorf("Run: %v %v", res, err)
 	}
-}
-
-func TestMustQueryPanics(t *testing.T) {
-	e := newTestEngine(t)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	e.MustQuery("SELECT nope FROM customer")
 }

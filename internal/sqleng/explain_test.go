@@ -1,6 +1,7 @@
 package sqleng
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -48,7 +49,7 @@ func newJoinStore(t *testing.T) *relstore.Store {
 // planLines runs EXPLAIN and returns the plan rows as strings.
 func planLines(t *testing.T, e *Engine, sql string) []string {
 	t.Helper()
-	res, err := e.Query(sql)
+	res, err := e.QueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatalf("EXPLAIN failed: %v", err)
 	}

@@ -39,8 +39,7 @@ import (
 // OpCounters profiles the executor's work. Counters accumulate across
 // queries on one engine, atomically (concurrent queries on a shared engine
 // each add their work); read a consistent copy via OpStats. The
-// factorised-evaluation experiment (D9) and the late-materialisation gate
-// read them.
+// FD-collapse probe gate and the late-materialisation gate read them.
 type OpCounters struct {
 	// PLIProbes counts single-column PLI class lookups.
 	PLIProbes int64

@@ -1,6 +1,7 @@
 package sqleng
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -131,11 +132,11 @@ func TestFDCollapseIdentity(t *testing.T) {
 	oracle.SetColumnarScan(false)
 
 	for _, q := range queries {
-		got, err := collapsed.Query(q)
+		got, err := collapsed.QueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		want, err := oracle.Query(q)
+		want, err := oracle.QueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", q, err)
 		}
@@ -155,7 +156,7 @@ func TestFDCollapseProbeGate(t *testing.T) {
 	e := New(store)
 	e.RegisterFDs("dept", deptFDs())
 
-	if _, err := e.Query(fdJoinQuery); err != nil {
+	if _, err := e.QueryContext(context.Background(), fdJoinQuery); err != nil {
 		t.Fatal(err)
 	}
 	ops := e.OpStats()
@@ -171,7 +172,7 @@ func TestFDCollapseProbeGate(t *testing.T) {
 
 	e.RegisterFDs("dept", nil)
 	e.ResetOpStats()
-	if _, err := e.Query(fdJoinQuery); err != nil {
+	if _, err := e.QueryContext(context.Background(), fdJoinQuery); err != nil {
 		t.Fatal(err)
 	}
 	ops = e.OpStats()

@@ -1,6 +1,7 @@
 package sqleng
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -86,9 +87,9 @@ func checkSQLIdentity(t *testing.T, sql string) {
 	legacy := New(store)
 	legacy.SetColumnarScan(false)
 
-	sres, serr := stream.Query(sql)
-	cres, cerr := collapsed.Query(sql)
-	lres, lerr := legacy.Query(sql)
+	sres, serr := stream.QueryContext(context.Background(), sql)
+	cres, cerr := collapsed.QueryContext(context.Background(), sql)
+	lres, lerr := legacy.QueryContext(context.Background(), sql)
 	if (serr == nil) != (lerr == nil) {
 		t.Fatalf("error presence diverged for %q:\n streaming: %v\n legacy:    %v", sql, serr, lerr)
 	}

@@ -1,6 +1,7 @@
 package sqleng
 
 import (
+	"context"
 	"testing"
 
 	"semandaq/internal/relstore"
@@ -36,7 +37,7 @@ func TestEnginePinFreezesReads(t *testing.T) {
 		tab.MustInsert(relstore.Tuple{types.NewString("c"), types.NewString("3")})
 		tab.SetCell(0, 1, types.NewString("mutated"))
 
-		res, err := e.Query(`SELECT K, V FROM p`)
+		res, err := e.QueryContext(context.Background(), `SELECT K, V FROM p`)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +52,7 @@ func TestEnginePinFreezesReads(t *testing.T) {
 		}
 
 		e.Unpin("p")
-		res, err = e.Query(`SELECT K, V FROM p`)
+		res, err = e.QueryContext(context.Background(), `SELECT K, V FROM p`)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +71,7 @@ func TestEnginePinFreezesReads(t *testing.T) {
 func TestSelfJoinSingleVersion(t *testing.T) {
 	store, tab := pinTable(t)
 	e := New(store)
-	res, err := e.Query(`SELECT t1.K FROM p t1, p t2 WHERE t1.K = t2.K AND t1.V <> t2.V`)
+	res, err := e.QueryContext(context.Background(), `SELECT t1.K FROM p t1, p t2 WHERE t1.K = t2.K AND t1.V <> t2.V`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,21 +88,21 @@ func TestSelfJoinSingleVersion(t *testing.T) {
 func TestDMLStampsVersion(t *testing.T) {
 	store, tab := pinTable(t)
 	e := New(store)
-	res, err := e.Query(`INSERT INTO p VALUES ('d', '4')`)
+	res, err := e.QueryContext(context.Background(), `INSERT INTO p VALUES ('d', '4')`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Versions["p"] != tab.Version() {
 		t.Fatalf("insert version %d, want %d", res.Versions["p"], tab.Version())
 	}
-	res, err = e.Query(`UPDATE p SET V = '9' WHERE K = 'b'`)
+	res, err = e.QueryContext(context.Background(), `UPDATE p SET V = '9' WHERE K = 'b'`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Affected != 1 || res.Versions["p"] != tab.Version() {
 		t.Fatalf("update = %+v, table at %d", res, tab.Version())
 	}
-	res, err = e.Query(`DELETE FROM p WHERE K = 'a'`)
+	res, err = e.QueryContext(context.Background(), `DELETE FROM p WHERE K = 'a'`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sqleng
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -70,7 +71,7 @@ func TestFilterAgainstReference(t *testing.T) {
 		}},
 	}
 	for _, p := range preds {
-		res, err := e.Query("SELECT COUNT(*) FROM r WHERE " + p.sql)
+		res, err := e.QueryContext(context.Background(), "SELECT COUNT(*) FROM r WHERE "+p.sql)
 		if err != nil {
 			t.Fatalf("%s: %v", p.sql, err)
 		}
@@ -106,7 +107,7 @@ func TestGroupByAgainstReference(t *testing.T) {
 		tab.MustInsert(relstore.Tuple{types.NewInt(g), types.NewInt(x)})
 	}
 	e := New(store)
-	res := e.MustQuery("SELECT G, COUNT(*), SUM(X), COUNT(DISTINCT X), MIN(X), MAX(X), AVG(X) FROM r GROUP BY G ORDER BY G")
+	res := mustQuery(e, "SELECT G, COUNT(*), SUM(X), COUNT(DISTINCT X), MIN(X), MAX(X), AVG(X) FROM r GROUP BY G ORDER BY G")
 	if len(res.Rows) != len(counts) {
 		t.Fatalf("groups = %d, want %d", len(res.Rows), len(counts))
 	}
@@ -158,7 +159,7 @@ func TestJoinAgainstReference(t *testing.T) {
 			}
 		}
 		e := New(store)
-		res := e.MustQuery("SELECT COUNT(*) FROM l, r WHERE l.K = r.K")
+		res := mustQuery(e, "SELECT COUNT(*) FROM l, r WHERE l.K = r.K")
 		if got := res.Rows[0][0].Int(); got != int64(want) {
 			t.Fatalf("trial %d: join count %d, want %d", trial, got, want)
 		}
@@ -176,7 +177,7 @@ func TestJoinAgainstReference(t *testing.T) {
 				unmatched++
 			}
 		}
-		res = e.MustQuery("SELECT COUNT(*) FROM l LEFT JOIN r ON l.K = r.K")
+		res = mustQuery(e, "SELECT COUNT(*) FROM l LEFT JOIN r ON l.K = r.K")
 		if got := res.Rows[0][0].Int(); got != int64(want+unmatched) {
 			t.Fatalf("trial %d: left join count %d, want %d", trial, got, want+unmatched)
 		}
@@ -192,7 +193,7 @@ func TestOrderByIsStableSort(t *testing.T) {
 		tab.MustInsert(relstore.Tuple{types.NewInt(int64(i % 3)), types.NewInt(int64(i))})
 	}
 	e := New(store)
-	res := e.MustQuery("SELECT K, Seq FROM r ORDER BY K")
+	res := mustQuery(e, "SELECT K, Seq FROM r ORDER BY K")
 	lastSeq := map[int64]int64{}
 	for _, row := range res.Rows {
 		k, seq := row[0].Int(), row[1].Int()
@@ -214,8 +215,8 @@ func TestDistinctMatchesGroupBy(t *testing.T) {
 			types.NewString(fmt.Sprintf("x%d", rng.Intn(4)))})
 	}
 	e := New(store)
-	d := e.MustQuery("SELECT DISTINCT A, B FROM r")
-	g := e.MustQuery("SELECT A, B FROM r GROUP BY A, B")
+	d := mustQuery(e, "SELECT DISTINCT A, B FROM r")
+	g := mustQuery(e, "SELECT A, B FROM r GROUP BY A, B")
 	if len(d.Rows) != len(g.Rows) {
 		t.Errorf("DISTINCT %d rows, GROUP BY %d rows", len(d.Rows), len(g.Rows))
 	}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"semandaq/internal/datagen"
 	"semandaq/internal/relstore"
 	"semandaq/internal/schema"
 	"semandaq/internal/types"
@@ -15,7 +16,7 @@ import (
 func TestStreamBasic(t *testing.T) {
 	e := New(newJoinStore(t))
 	sql := `SELECT o.OID, c.CITY FROM orders o, cust c WHERE o.CID = c.CID`
-	want := e.MustQuery(sql)
+	want := mustQuery(e, sql)
 	ss, err := e.Stream(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +96,7 @@ func TestStreamVersionsPinnedAtCreation(t *testing.T) {
 
 	// The eager path stamps the same way: a fresh query now sees the new
 	// versions, proving the old stamp was the pinned one.
-	res := e.MustQuery("SELECT l.A, r.B FROM l, r WHERE l.K = r.K")
+	res := mustQuery(e, "SELECT l.A, r.B FROM l, r WHERE l.K = r.K")
 	if res.Versions["l"] != left.Version() || res.Versions["r"] != right.Version() {
 		t.Errorf("fresh query versions = %v", res.Versions)
 	}
@@ -129,7 +130,7 @@ func TestStreamGroupedQuery(t *testing.T) {
 	e := New(newJoinStore(t))
 	sql := `SELECT c.CITY, COUNT(*) AS n FROM orders o, cust c
 	        WHERE o.CID = c.CID GROUP BY c.CITY ORDER BY n DESC, c.CITY`
-	want := e.MustQuery(sql)
+	want := mustQuery(e, sql)
 	ss, err := e.Stream(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +153,7 @@ func TestStreamLegacyEngine(t *testing.T) {
 	e := New(newJoinStore(t))
 	e.SetColumnarScan(false)
 	sql := "SELECT OID FROM orders WHERE CID = 1"
-	want := e.MustQuery(sql)
+	want := mustQuery(e, sql)
 	ss, err := e.Stream(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +185,7 @@ func TestStreamGroupedYield(t *testing.T) {
 		`SELECT COUNT(*) FROM orders WHERE OID < 0`,
 	}
 	for _, sql := range queries {
-		want := e.MustQuery(sql)
+		want := mustQuery(e, sql)
 		ss, err := e.Stream(context.Background(), sql)
 		if err != nil {
 			t.Fatal(err)
@@ -216,5 +217,38 @@ func TestStreamGroupedYield(t *testing.T) {
 	}
 	if n != 1 {
 		t.Errorf("yielded %d group rows after stop, want 1", n)
+	}
+}
+
+// TestStreamedQueryAllocsFlat pins the pipeline's constant intermediate
+// state: a filter-count, a GROUP BY over a fixed set of groups and an
+// equi-self-join count stream their input through the aggregate, so a 10x
+// larger table costs no more allocations once the snapshot's columnar
+// caches are warm.
+func TestStreamedQueryAllocsFlat(t *testing.T) {
+	queries := []string{
+		`SELECT COUNT(*) FROM customer WHERE CNT = 'UK' AND CITY = 'Edinburgh'`,
+		`SELECT CITY, COUNT(*) AS n FROM customer GROUP BY CITY`,
+		`SELECT COUNT(*) FROM customer t1, customer t2 WHERE t1.ZIP = t2.ZIP`,
+	}
+	engineAt := func(tuples int) *Engine {
+		store := relstore.NewStore()
+		store.Put(datagen.Generate(datagen.Config{Tuples: tuples, Seed: 7}).Clean)
+		return New(store)
+	}
+	small, large := engineAt(2_000), engineAt(20_000)
+	for _, q := range queries {
+		allocs := func(e *Engine) float64 {
+			run := func() {
+				if _, err := e.QueryContext(context.Background(), q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // warm the snapshot's columnar caches
+			return testing.AllocsPerRun(5, run)
+		}
+		if s, l := allocs(small), allocs(large); l > s+8 {
+			t.Errorf("allocations scale with input: %s\n2000 tuples -> %.0f allocs, 20000 tuples -> %.0f", q, s, l)
+		}
 	}
 }

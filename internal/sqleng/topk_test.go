@@ -1,6 +1,7 @@
 package sqleng
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -52,11 +53,11 @@ func TestTopKHeapIdentity(t *testing.T) {
 		`SELECT B, MAX(A) FROM t GROUP BY B ORDER BY B DESC LIMIT 3 OFFSET 1`,
 	}
 	for _, q := range queries {
-		got, err := heap.Query(q)
+		got, err := heap.QueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		want, err := oracle.Query(q)
+		want, err := oracle.QueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", q, err)
 		}
@@ -89,11 +90,11 @@ func TestTopKHeapAllocsBounded(t *testing.T) {
 	const query = `SELECT A, B FROM t ORDER BY B LIMIT 5`
 	allocsAt := func(rows int) float64 {
 		e := New(newTopKStore(t, rows))
-		if _, err := e.Query(query); err != nil {
+		if _, err := e.QueryContext(context.Background(), query); err != nil {
 			t.Fatal(err) // warm the snapshot's columnar caches
 		}
 		return testing.AllocsPerRun(5, func() {
-			if _, err := e.Query(query); err != nil {
+			if _, err := e.QueryContext(context.Background(), query); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -126,12 +127,12 @@ func TestTopKHeapErrorParity(t *testing.T) {
 
 	const q = `SELECT A, 10 / B FROM t ORDER BY B LIMIT 2`
 	heap := New(store)
-	if _, err := heap.Query(q); err == nil {
+	if _, err := heap.QueryContext(context.Background(), q); err == nil {
 		t.Fatal("heap path swallowed the projection error")
 	}
 	oracle := New(store)
 	oracle.SetColumnarScan(false)
-	if _, err := oracle.Query(q); err == nil {
+	if _, err := oracle.QueryContext(context.Background(), q); err == nil {
 		t.Fatal("oracle did not error; fixture is wrong")
 	}
 	wantMsg := fmt.Sprintf("%v", errQuery(t, oracle, q))
@@ -144,7 +145,7 @@ func TestTopKHeapErrorParity(t *testing.T) {
 // errQuery runs q expecting an error and returns it.
 func errQuery(t *testing.T, e *Engine, q string) error {
 	t.Helper()
-	_, err := e.Query(q)
+	_, err := e.QueryContext(context.Background(), q)
 	if err == nil {
 		t.Fatalf("%s: expected error", q)
 	}

@@ -255,10 +255,7 @@ type (
 	Monitor = monitor.Monitor
 	// MonitorUpdate is one element of a monitored update batch.
 	MonitorUpdate = monitor.Update
-	// DiscoveryOptions tunes CFD mining from reference data (the options
-	// struct behind the deprecated System.DiscoverCFDs; new callers pass
-	// WithMinSupport / WithMaxLHS / WithMinConfidence / WithMaxPatterns to
-	// System.Discover).
+	// DiscoveryOptions tunes CFD mining from reference data.
 	DiscoveryOptions = discovery.Options
 	// DiscoveryReport is the result of System.Discover: the mined CFD set
 	// plus every candidate's support and confidence, stamped with the
