@@ -17,8 +17,9 @@
 //     resolved options — cached under the column set, reused iff no member
 //     column changed;
 //   - a constant-lattice itemset is identified by its (position, PLI class
-//     index) pairs — class indices are first-occurrence stable, so the key
-//     survives for unchanged columns — and carries its row cover and a
+//     index) pairs — classes are indexed in order of their first rows, a
+//     function of the column's rows alone, so the key survives for
+//     unchanged columns — and carries its row cover and a
 //     verdict per candidate RHS column; a changed RHS column invalidates
 //     only that column's verdicts (re-scanning the cached cover), not the
 //     itemset.

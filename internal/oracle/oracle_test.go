@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -59,6 +60,14 @@ func FuzzIncrementalOracle(f *testing.F) {
 	// Set-heavy program: rewrite V across existing rows so groups flip
 	// clean <-> violating without membership changes.
 	f.Add([]byte{3, 0, 1, 0, 3, 1, 1, 1, 3, 2, 1, 2, 3, 3, 1, 3, 3, 4, 1, 4, 3, 5, 1, 5})
+	// The deltas a first-occurrence code numbering could not patch. Column V
+	// of the seed table reads v1, INT 1, FLOAT 1.0, NaN, NULL, v0, v1, INT 1.
+	f.Add([]byte{1, 0})                               // delete a first occurrence
+	f.Add([]byte{2, 0, 1, 0xC0, 2, 3, 0, 0xC1})       // novel-value edits (V, then K)
+	f.Add([]byte{2, 5, 1, 1, 2, 5, 1, 0})             // v0 dies, then returns to its old code
+	f.Add([]byte{2, 1, 1, 0, 2, 7, 1, 0, 2, 0, 1, 2}) // canonical INT 1 dies beside FLOAT 1.0, then revives
+	f.Add([]byte{2, 1, 1, 0, 2, 7, 1, 0, 2, 2, 1, 0}) // the {INT 1, FLOAT 1.0} class empties
+	f.Add(bytes.Repeat([]byte{2, 0, 1, 0xC0}, 100))   // dead codes pile up past the compaction threshold
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			data = data[:512] // bound per-exec cost, not coverage

@@ -18,9 +18,18 @@
 // cross-kind numeric equality — INT 1 and FLOAT 1.0 are Equal and must
 // land in one group — mirroring exactly the classes types.Value.Key()
 // induces. Grouping and predicate pushdown use Equal-class codes;
-// materialization uses exact codes. Codes are only meaningful within one
-// snapshot: layers comparing keys across snapshots (the incremental
-// tracker, cross-table joins) keep using the WriteGroupKey encoding.
+// materialization uses exact codes.
+//
+// Codes are opaque, stable handles. A value keeps its code along its
+// column's lineage — the chain of columns the delta patcher (patch.go)
+// derives from one batch build — whether or not any row still carries it:
+// a code whose count reaches 0 is dead (every lookup treats it as absent),
+// the value coming back revives it, a novel value takes the next code. So
+// numbering records edit history and must stay unobservable: nothing may
+// order, emit or compare by code value, and codes mean nothing across
+// lineages or tables — layers comparing keys across snapshots (the
+// incremental tracker, cross-table joins) keep using the WriteGroupKey
+// encoding or a translation table.
 package relstore
 
 import (
@@ -32,20 +41,39 @@ import (
 	"semandaq/internal/types"
 )
 
+// interner is the value -> exact code lookup of one column lineage. It only
+// grows, and only at the lineage's newest column: the batch build fills it
+// before publishing, each patch adds its novel values under mu. Older
+// columns keep reading it (from any number of request goroutines, hence the
+// RWMutex); a hit at or past their own dictionary length is a miss to them.
+type interner struct {
+	mu    sync.RWMutex
+	byInt map[int64]uint32  // KindInt
+	byFlt map[uint64]uint32 // KindFloat, keyed by Float64bits so -0.0
+	// and 0.0 (and distinct NaN payloads) keep distinct exact codes
+	byStr map[string]uint32 // KindString
+	// byNumClass maps an integral-number class — keyed by the int64 that
+	// Key() would render, so INT payloads and integral FLOATs share a slot,
+	// exactly the "d<n>" key class — to its canonical code.
+	byNumClass map[int64]uint32
+}
+
 // Column is one attribute's vector in a columnar snapshot: a dense code per
-// row plus the dictionary the codes index. All fields are immutable after
-// the snapshot is built; a Column is safe for concurrent use.
+// row plus the dictionary the codes index. A Column is immutable once its
+// snapshot is built and safe for concurrent use; its successor in the
+// lineage appends to the shared dict/eq/keys arrays past this column's
+// lengths, which this column never reads.
 type Column struct {
 	codes []uint32      // per row: exact dictionary code
-	dict  []types.Value // exact code -> value (first occurrence wins)
+	dict  []types.Value // exact code -> value, dead codes included
 	eq    []uint32      // exact code -> canonical Equal-class code
-	// counts and first are the occurrence bookkeeping the delta patcher
-	// (patch.go) decides on: counts[c] is how many rows carry exact code c,
-	// first[c] the row index of c's first occurrence — the position that
-	// fixes c's dictionary slot. Both are maintained by intern and by the
-	// patch builders, so a patched column can itself be patched again.
-	counts []int32
-	first  []int32
+	// counts[c] is how many rows carry exact code c, live how many codes
+	// have a non-zero count, clsCounts[q] how many rows carry any code of
+	// the Equal-class with canonical code q: the canonical can be dead
+	// while a class-mate lives (INT 1 gone, FLOAT 1.0 still stored).
+	counts    []int32
+	clsCounts []int32
+	live      int
 	// keys materializes dict[code].Key() lazily (keysOnce): only columns
 	// serving as a variable CFD's RHS ever need it, and skipping it at
 	// build time saves one string allocation per distinct value on
@@ -54,14 +82,11 @@ type Column struct {
 	keys     []string
 	// pli and probe are the column's position list index and per-row
 	// Equal-class probe vector (pli.go), built lazily for the CFD miner and
-	// shared by every discovery pass over this snapshot. pliClassCode maps a
-	// PLI class index to its canonical dictionary code.
-	pliOnce      sync.Once
-	pli          *Partition
-	pliClassCode []uint32
-	// pliClassOf inverts pliClassCode: Equal-class canonical code -> PLI
-	// class index, -1 for codes that are not an occurring class canonical.
-	// Retained so the patcher can route row moves to their classes.
+	// shared by every discovery pass over this snapshot. pliClassOf maps an
+	// Equal-class canonical code to its PLI class index, -1 for codes no
+	// row's class is filed under.
+	pliOnce    sync.Once
+	pli        *Partition
 	pliClassOf []int32
 	orderOnce  sync.Once
 	classOrder []int
@@ -78,104 +103,96 @@ type Column struct {
 	probeReady atomic.Bool
 	// Interner state, retained so EqCodeOf stays O(1) after the build.
 	// Strings, bools, NULL and NaN are their own Equal-classes; only the
-	// numeric kinds collapse across each other, via byNumClass (keyed by
-	// the int64 that Key() would render — INT payloads and integral
-	// FLOATs share a slot, exactly the "d<n>" key class).
-	byInt map[int64]uint32  // KindInt
-	byFlt map[uint64]uint32 // KindFloat, keyed by Float64bits so -0.0
-	// and 0.0 (and distinct NaN payloads) keep distinct exact codes
-	byStr      map[string]uint32 // KindString
-	byNumClass map[int64]uint32  // integral-number class -> canonical code
-	nullCode   int64             // exact code of NULL, -1 if absent
-	trueCode   int64             // exact code of TRUE, -1 if absent
-	flsCode    int64             // exact code of FALSE, -1 if absent
-	nanCode    int64             // canonical Equal-class code of NaN, -1 if absent
+	// numeric kinds collapse across each other. The maps are the lineage's,
+	// the four singleton codes this column's own.
+	in       *interner
+	nullCode int64 // exact code of NULL, -1 if never stored
+	trueCode int64 // exact code of TRUE, -1 if never stored
+	flsCode  int64 // exact code of FALSE, -1 if never stored
+	nanCode  int64 // canonical Equal-class code of NaN, -1 if never stored
 }
 
-// newColumn returns an empty column with n rows of capacity.
+// newColumn returns an empty column with n rows of capacity, heading a new
+// lineage.
 func newColumn(n int) *Column {
 	return &Column{
-		codes:      make([]uint32, 0, n),
-		byInt:      map[int64]uint32{},
-		byFlt:      map[uint64]uint32{},
-		byStr:      map[string]uint32{},
-		byNumClass: map[int64]uint32{},
-		nullCode:   -1,
-		trueCode:   -1,
-		flsCode:    -1,
-		nanCode:    -1,
+		codes: make([]uint32, 0, n),
+		in: &interner{
+			byInt:      map[int64]uint32{},
+			byFlt:      map[uint64]uint32{},
+			byStr:      map[string]uint32{},
+			byNumClass: map[int64]uint32{},
+		},
+		nullCode: -1,
+		trueCode: -1,
+		flsCode:  -1,
+		nanCode:  -1,
 	}
 }
 
-// integralClass reports whether f belongs to an integral-number Equal
-// class and which, mirroring the check types.Value.Key() performs.
-func integralClass(f float64) (int64, bool) {
-	if f == float64(int64(f)) {
-		return int64(f), true
+// numClass reports whether v belongs to an integral-number Equal class and
+// which, mirroring the check types.Value.Key() performs: INT n and an
+// integral FLOAT n share the "d<n>" key class.
+func numClass(v types.Value) (int64, bool) {
+	switch v.Kind() {
+	case types.KindInt:
+		return v.Int(), true
+	case types.KindFloat:
+		if f := v.Float(); f == float64(int64(f)) {
+			return int64(f), true
+		}
 	}
 	return 0, false
 }
 
-// intern appends v's exact code for the next row, growing the dictionary on
-// first occurrence.
-func (c *Column) intern(v types.Value) {
-	var (
-		code uint32
-		ok   bool
-	)
-	switch v.Kind() {
-	case types.KindNull:
-		if c.nullCode >= 0 {
-			code, ok = uint32(c.nullCode), true
-		}
-	case types.KindBool:
-		if v.Bool() {
-			if c.trueCode >= 0 {
-				code, ok = uint32(c.trueCode), true
-			}
-		} else if c.flsCode >= 0 {
-			code, ok = uint32(c.flsCode), true
-		}
-	case types.KindInt:
-		code, ok = c.byInt[v.Int()]
-	case types.KindFloat:
-		code, ok = c.byFlt[math.Float64bits(v.Float())]
-	case types.KindString:
-		code, ok = c.byStr[v.Str()]
-	}
+func isNaN(v types.Value) bool { return v.Kind() == types.KindFloat && math.IsNaN(v.Float()) }
+
+// acquire counts one more row carrying v and returns v's exact code,
+// growing the dictionary when the lineage has never seen v. Only the
+// lineage's newest, unpublished column may call it; a patched one holds
+// in.mu for writing.
+func (c *Column) acquire(v types.Value) uint32 {
+	code, ok := c.find(v)
 	if !ok {
 		code = c.addEntry(v)
 	}
-	c.counts[code]++
-	c.codes = append(c.codes, code)
+	if c.counts[code]++; c.counts[code] == 1 {
+		c.live++
+	}
+	c.clsCounts[c.eq[code]]++
+	return code
 }
 
-// exactCode looks v's exact dictionary code up without interning: ok is
-// false when no stored value has v's exact (kind, payload) identity, even
-// if an Equal value exists. This is the read-only face of intern's lookup,
-// used by the patcher's guard checks.
-func (c *Column) exactCode(v types.Value) (uint32, bool) {
+// release counts one row fewer carrying code. The dictionary entry stays:
+// a count of 0 is what "dead" means.
+func (c *Column) release(code uint32) {
+	if c.counts[code]--; c.counts[code] == 0 {
+		c.live--
+	}
+	c.clsCounts[c.eq[code]]--
+}
+
+// find looks v's exact code up, dead or alive: ok is false when the lineage
+// has never stored v's exact (kind, payload) identity, even if an Equal
+// value exists. The caller holds in.mu or owns the unpublished lineage; on
+// a column with a successor the result can lie past len(dict).
+func (c *Column) find(v types.Value) (uint32, bool) {
 	switch v.Kind() {
 	case types.KindNull:
-		if c.nullCode >= 0 {
-			return uint32(c.nullCode), true
-		}
+		return uint32(c.nullCode), c.nullCode >= 0
 	case types.KindBool:
 		if v.Bool() {
-			if c.trueCode >= 0 {
-				return uint32(c.trueCode), true
-			}
-		} else if c.flsCode >= 0 {
-			return uint32(c.flsCode), true
+			return uint32(c.trueCode), c.trueCode >= 0
 		}
+		return uint32(c.flsCode), c.flsCode >= 0
 	case types.KindInt:
-		code, ok := c.byInt[v.Int()]
+		code, ok := c.in.byInt[v.Int()]
 		return code, ok
 	case types.KindFloat:
-		code, ok := c.byFlt[math.Float64bits(v.Float())]
+		code, ok := c.in.byFlt[math.Float64bits(v.Float())]
 		return code, ok
 	case types.KindString:
-		code, ok := c.byStr[v.Str()]
+		code, ok := c.in.byStr[v.Str()]
 		return code, ok
 	}
 	return 0, false
@@ -209,11 +226,7 @@ func (c *Column) addEntry(v types.Value) uint32 {
 	code := uint32(len(c.dict))
 	c.dict = append(c.dict, v)
 	c.counts = append(c.counts, 0)
-	c.first = append(c.first, int32(len(c.codes)))
-	// Canonical Equal-class code: entries are their own class except
-	// integral numbers, where INT n and FLOAT n share the "d<n>" key
-	// class and the first occurrence wins.
-	canon := code
+	c.clsCounts = append(c.clsCounts, 0)
 	switch v.Kind() {
 	case types.KindNull:
 		c.nullCode = int64(code)
@@ -224,35 +237,27 @@ func (c *Column) addEntry(v types.Value) uint32 {
 			c.flsCode = int64(code)
 		}
 	case types.KindInt:
-		c.byInt[v.Int()] = code
-		if first, seen := c.byNumClass[v.Int()]; seen {
+		c.in.byInt[v.Int()] = code
+	case types.KindFloat:
+		c.in.byFlt[math.Float64bits(v.Float())] = code
+	case types.KindString:
+		c.in.byStr[v.Str()] = code
+	}
+	// Canonical Equal-class code: entries are their own class except
+	// integral numbers and NaNs (all Equal, whatever their payload bits),
+	// where the first member interned stays the canonical for good.
+	canon := code
+	if k, ok := numClass(v); ok {
+		if first, seen := c.in.byNumClass[k]; seen {
 			canon = first
 		} else {
-			c.byNumClass[v.Int()] = code
+			c.in.byNumClass[k] = code
 		}
-	case types.KindFloat:
-		f := v.Float()
-		c.byFlt[math.Float64bits(f)] = code
-		switch {
-		case math.IsNaN(f):
-			// All NaNs are Equal (types.Value.Compare), whatever their
-			// payload bits: the first one becomes the class canonical.
-			if c.nanCode >= 0 {
-				canon = uint32(c.nanCode)
-			} else {
-				c.nanCode = int64(code)
-			}
-		default:
-			if k, integral := integralClass(f); integral {
-				if first, seen := c.byNumClass[k]; seen {
-					canon = first
-				} else {
-					c.byNumClass[k] = code
-				}
-			}
+	} else if isNaN(v) {
+		if c.nanCode < 0 {
+			c.nanCode = int64(code)
 		}
-	case types.KindString:
-		c.byStr[v.Str()] = code
+		canon = uint32(c.nanCode)
 	}
 	c.eq = append(c.eq, canon)
 	return code
@@ -261,8 +266,14 @@ func (c *Column) addEntry(v types.Value) uint32 {
 // Len returns the number of rows in the column.
 func (c *Column) Len() int { return len(c.codes) }
 
-// Card returns the dictionary cardinality (distinct exact values).
-func (c *Column) Card() int { return len(c.dict) }
+// Card returns the number of distinct exact values the column stores: the
+// statistic planners and EXPLAIN read, a function of the rows alone.
+func (c *Column) Card() int { return c.live }
+
+// CodeSpace returns the size of the exact code space, dead codes included:
+// what code-indexed tables are sized by. It depends on edit history and is
+// not a statistic.
+func (c *Column) CodeSpace() int { return len(c.dict) }
 
 // Code returns row i's exact dictionary code.
 func (c *Column) Code(i int) uint32 { return c.codes[i] }
@@ -306,53 +317,26 @@ func (c *Column) KeyOf(code uint32) string {
 // literal) to its Equal-class code in this column, reporting whether any
 // stored value Equals it. A false report means no row of the column can
 // ever compare equal to v.
-func (c *Column) EqCodeOf(v types.Value) (uint32, bool) {
-	switch v.Kind() {
-	case types.KindNull:
-		if c.nullCode >= 0 {
-			return uint32(c.nullCode), true
-		}
-	case types.KindBool:
-		if v.Bool() {
-			if c.trueCode >= 0 {
-				return uint32(c.trueCode), true
-			}
-		} else if c.flsCode >= 0 {
-			return uint32(c.flsCode), true
-		}
-	case types.KindInt:
-		if code, ok := c.byNumClass[v.Int()]; ok {
-			return code, true
-		}
-	case types.KindFloat:
-		f := v.Float()
-		if math.IsNaN(f) {
-			if c.nanCode >= 0 {
-				return uint32(c.nanCode), true
-			}
-			return 0, false
-		}
-		if k, integral := integralClass(f); integral {
-			if code, ok := c.byNumClass[k]; ok {
-				return code, true
-			}
-			return 0, false
-		}
-		if code, ok := c.byFlt[math.Float64bits(f)]; ok {
-			return c.eq[code], true
-		}
-	case types.KindString:
-		if code, ok := c.byStr[v.Str()]; ok {
-			return code, true
-		}
+func (c *Column) EqCodeOf(v types.Value) (canon uint32, ok bool) {
+	c.in.mu.RLock()
+	if k, num := numClass(v); num {
+		canon, ok = c.in.byNumClass[k]
+	} else if isNaN(v) {
+		canon, ok = uint32(c.nanCode), c.nanCode >= 0
+	} else {
+		canon, ok = c.find(v) // every other value is a class of its own
 	}
-	return 0, false
+	c.in.mu.RUnlock()
+	if !ok || int(canon) >= len(c.dict) || c.clsCounts[canon] == 0 {
+		return 0, false
+	}
+	return canon, true
 }
 
 // NullCode returns the Equal-class (= exact) code of NULL and whether the
 // column contains any NULLs.
 func (c *Column) NullCode() (uint32, bool) {
-	if c.nullCode < 0 {
+	if c.nullCode < 0 || c.counts[c.nullCode] == 0 {
 		return 0, false
 	}
 	return uint32(c.nullCode), true

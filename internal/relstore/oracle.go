@@ -1,18 +1,26 @@
-// The byte-identity oracle: DiffSnapshots force-builds every artifact two
+// The snapshot oracle: DiffSnapshots force-builds every artifact two
 // snapshots can materialize — row vectors, columnar dictionaries, code
-// vectors, occurrence bookkeeping, interner maps, PLIs, probe vectors, key
-// tables, class orders — and compares them field by field. The fuzz targets
-// and cross-check tests run it between a patched snapshot and a cold
-// Table.RebuildSnapshot at every intermediate version; any divergence is a
-// patcher bug, reported with enough coordinates to reproduce.
+// vectors, occurrence counts, lookups, PLIs, probe vectors, key tables,
+// class orders — and compares them. Rows, ids, PLIs and class orders must
+// match exactly; dictionary codes are opaque (columnar.go), so everything
+// indexed by code is compared under the renaming the two code vectors
+// induce row by row. The fuzz targets and cross-check tests run it between a
+// patched snapshot and a cold Table.RebuildSnapshot at every intermediate
+// version; any divergence is a patcher bug, reported with enough
+// coordinates to reproduce.
 //
-// reflect.DeepEqual over whole Snapshots would be both too strict (sync.Once
-// and atomic scheduling state differ between a warm and a cold build) and
-// too vague (a mismatch names no field), hence the explicit walk. Slices
-// compare as sequences: nil and empty are the same artifact.
+// reflect.DeepEqual over whole Snapshots would be both too strict (codes,
+// sync.Once and atomic scheduling state differ between a warm and a cold
+// build) and too vague (a mismatch names no field), hence the explicit
+// walk. Slices compare as sequences: nil and empty are the same artifact.
 package relstore
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+
+	"semandaq/internal/types"
+)
 
 // DiffSnapshots compares every observable artifact of got against want and
 // returns a precise error for the first divergence, nil if the snapshots
@@ -29,8 +37,10 @@ func DiffSnapshots(got, want *Snapshot) error {
 		if got.ids[i] != id {
 			return fmt.Errorf("ids[%d]: got %d, want %d", i, got.ids[i], id)
 		}
-		if err := diffTuple(got.rows[i], want.rows[i]); err != nil {
-			return fmt.Errorf("row %d (id %d): %w", i, id, err)
+		for j, v := range want.rows[i] {
+			if !exactEqual(got.rows[i][j], v) {
+				return fmt.Errorf("row %d (id %d) cell %d: got %v, want %v (exact)", i, id, j, got.rows[i][j], v)
+			}
 		}
 	}
 	gc, wc := got.Columnar(), want.Columnar()
@@ -48,65 +58,133 @@ func DiffSnapshots(got, want *Snapshot) error {
 	return nil
 }
 
-func diffTuple(got, want Tuple) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("arity: got %d, want %d", len(got), len(want))
+// exactCode is find restricted to what this column stores: ok is false for
+// a value no row carries — never interned, interned by a successor, or dead.
+func (c *Column) exactCode(v types.Value) (uint32, bool) {
+	c.in.mu.RLock()
+	code, ok := c.find(v)
+	c.in.mu.RUnlock()
+	if !ok || int(code) >= len(c.dict) || c.counts[code] == 0 {
+		return 0, false
 	}
-	for j := range want {
-		if !exactEqual(got[j], want[j]) {
-			return fmt.Errorf("cell %d: got %v, want %v (exact)", j, got[j], want[j])
+	return code, true
+}
+
+// renaming is a partial bijection between two code spaces, grown pair by
+// pair.
+type renaming struct{ fwd, back map[uint32]uint32 }
+
+// pair records got <-> want, failing if either is already paired elsewhere.
+func (r renaming) pair(got, want uint32) bool {
+	if w, ok := r.fwd[got]; ok {
+		return w == want
+	}
+	if _, ok := r.back[want]; ok {
+		return false
+	}
+	r.fwd[got], r.back[want] = want, got
+	return true
+}
+
+// checkColumn verifies what one column must satisfy on its own: the counts
+// are those of its code vector, dead codes are within the compaction
+// bound, and the PLI's class index and the probe vector agree with eq.
+func checkColumn(c *Column) error {
+	counts, cls, live := make([]int32, len(c.dict)), make([]int32, len(c.dict)), 0
+	for _, code := range c.codes {
+		if counts[code]++; counts[code] == 1 {
+			live++
+		}
+		cls[c.eq[code]]++
+	}
+	if err := diffSeq("counts", c.counts, counts); err != nil {
+		return err
+	}
+	if err := diffSeq("clsCounts", c.clsCounts, cls); err != nil {
+		return err
+	}
+	if c.live != live {
+		return fmt.Errorf("live = %d, rows carry %d codes", c.live, live)
+	}
+	if dead := len(c.dict) - live; dead > deadLimit(live) {
+		return fmt.Errorf("%d dead codes beside %d live: past the compaction threshold", dead, live)
+	}
+	p, filed := c.PLI(), 0
+	for canon, cl := range c.pliClassOf {
+		if cl < 0 {
+			continue
+		}
+		filed++
+		if got := c.eq[c.codes[p.Class(int(cl))[0]]]; got != uint32(canon) {
+			return fmt.Errorf("pliClassOf[%d] = %d, whose rows are of class %d", canon, cl, got)
+		}
+	}
+	if filed != p.NumClasses() {
+		return fmt.Errorf("pliClassOf files %d classes, pli has %d", filed, p.NumClasses())
+	}
+	for i, pv := range c.EqProbe() {
+		if pv != c.eq[c.codes[i]] {
+			return fmt.Errorf("probe[%d] = %d, want %d", i, pv, c.eq[c.codes[i]])
 		}
 	}
 	return nil
 }
 
 func diffColumn(g, w *Column) error {
-	if err := diffSeq("codes", g.codes, w.codes); err != nil {
-		return err
+	if len(g.codes) != len(w.codes) {
+		return fmt.Errorf("codes len: got %d, want %d", len(g.codes), len(w.codes))
 	}
-	if len(g.dict) != len(w.dict) {
-		return fmt.Errorf("dict len: got %d, want %d", len(g.dict), len(w.dict))
+	if err := checkColumn(g); err != nil {
+		return fmt.Errorf("got: %w", err)
 	}
-	for c := range w.dict {
-		if !exactEqual(g.dict[c], w.dict[c]) {
-			return fmt.Errorf("dict[%d]: got %v, want %v (exact)", c, g.dict[c], w.dict[c])
+	if err := checkColumn(w); err != nil {
+		return fmt.Errorf("want: %w", err)
+	}
+	// The row-wise walk induces the renaming of exact codes and, through
+	// eq, of Equal-class codes: the same rows must carry the same value and
+	// fall in the same class on both sides.
+	exact := renaming{map[uint32]uint32{}, map[uint32]uint32{}}
+	class := renaming{map[uint32]uint32{}, map[uint32]uint32{}}
+	for i, wc := range w.codes {
+		gc := g.codes[i]
+		if !exact.pair(gc, wc) {
+			return fmt.Errorf("codes[%d]: got %d, want %d: not a renaming", i, gc, wc)
+		}
+		if !class.pair(g.eq[gc], w.eq[wc]) {
+			return fmt.Errorf("eq at row %d: got class %d, want %d: partitions differ", i, g.eq[gc], w.eq[wc])
 		}
 	}
-	if err := diffSeq("eq", g.eq, w.eq); err != nil {
-		return err
-	}
-	if err := diffSeq("counts", g.counts, w.counts); err != nil {
-		return err
-	}
-	if err := diffSeq("first", g.first, w.first); err != nil {
-		return err
-	}
-	for _, s := range []struct {
-		name      string
-		got, want int64
-	}{
-		{"nullCode", g.nullCode, w.nullCode},
-		{"trueCode", g.trueCode, w.trueCode},
-		{"flsCode", g.flsCode, w.flsCode},
-		{"nanCode", g.nanCode, w.nanCode},
-	} {
-		if s.got != s.want {
-			return fmt.Errorf("%s: got %d, want %d", s.name, s.got, s.want)
+	g.EnsureKeys()
+	w.EnsureKeys()
+	for gc, wc := range exact.fwd {
+		if !exactEqual(g.dict[gc], w.dict[wc]) {
+			return fmt.Errorf("dict[%d~%d]: got %v, want %v (exact)", gc, wc, g.dict[gc], w.dict[wc])
+		}
+		if g.keys[gc] != w.keys[wc] {
+			return fmt.Errorf("keys[%d~%d]: got %q, want %q", gc, wc, g.keys[gc], w.keys[wc])
 		}
 	}
-	if err := diffMap("byInt", g.byInt, w.byInt); err != nil {
-		return err
+	// Lookups agree on every value either side has ever held — live, dead
+	// or revived — and on three no test domain stores.
+	probes := append(append([]types.Value{types.NewString("\x00absent"), types.NewInt(math.MinInt64 + 7),
+		types.NewFloat(-1.25e-300)}, g.dict...), w.dict...)
+	for _, v := range probes {
+		gc, gok := g.exactCode(v)
+		wc, wok := w.exactCode(v)
+		if gok != wok || (gok && exact.fwd[gc] != wc) {
+			return fmt.Errorf("exactCode(%v): got %d/%v, want %d/%v", v, gc, gok, wc, wok)
+		}
+		gq, gok := g.EqCodeOf(v)
+		wq, wok := w.EqCodeOf(v)
+		if gok != wok || (gok && class.fwd[gq] != wq) {
+			return fmt.Errorf("EqCodeOf(%v): got %d/%v, want %d/%v", v, gq, gok, wq, wok)
+		}
 	}
-	if err := diffMap("byFlt", g.byFlt, w.byFlt); err != nil {
-		return err
+	if _, gok := g.NullCode(); gok != (w.nullCode >= 0 && w.counts[w.nullCode] > 0) {
+		return fmt.Errorf("NullCode: got %v", gok)
 	}
-	if err := diffMap("byStr", g.byStr, w.byStr); err != nil {
-		return err
-	}
-	if err := diffMap("byNumClass", g.byNumClass, w.byNumClass); err != nil {
-		return err
-	}
-	// Force the lazy artifacts on both sides and compare them too.
+	// PLIs list classes by first row and rows ascending, so they match
+	// exactly, codes or no codes; so do the class representatives.
 	gp, wp := g.PLI(), w.PLI()
 	if gp.NumRows() != wp.NumRows() {
 		return fmt.Errorf("pli rows: got %d, want %d", gp.NumRows(), wp.NumRows())
@@ -117,24 +195,12 @@ func diffColumn(g, w *Column) error {
 	if err := diffSeq("pli offsets", gp.offsets, wp.offsets); err != nil {
 		return err
 	}
-	if err := diffSeq("pliClassCode", g.pliClassCode, w.pliClassCode); err != nil {
-		return err
+	for cl := 0; cl < wp.NumClasses(); cl++ {
+		if gv, wv := g.PLIClassValue(cl), w.PLIClassValue(cl); !exactEqual(gv, wv) {
+			return fmt.Errorf("PLIClassValue(%d): got %v, want %v (exact)", cl, gv, wv)
+		}
 	}
-	if err := diffSeq("pliClassOf", g.pliClassOf, w.pliClassOf); err != nil {
-		return err
-	}
-	if err := diffSeq("probe", g.EqProbe(), w.EqProbe()); err != nil {
-		return err
-	}
-	if err := diffSeq("classOrder", g.PLIClassesByKey(), w.PLIClassesByKey()); err != nil {
-		return err
-	}
-	g.EnsureKeys()
-	w.EnsureKeys()
-	if err := diffSeq("keys", g.keys, w.keys); err != nil {
-		return err
-	}
-	return nil
+	return diffSeq("classOrder", g.PLIClassesByKey(), w.PLIClassesByKey())
 }
 
 func diffSeq[T comparable](what string, got, want []T) error {
@@ -144,22 +210,6 @@ func diffSeq[T comparable](what string, got, want []T) error {
 	for i := range want {
 		if got[i] != want[i] {
 			return fmt.Errorf("%s[%d]: got %v, want %v", what, i, got[i], want[i])
-		}
-	}
-	return nil
-}
-
-func diffMap[K comparable](what string, got, want map[K]uint32) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("%s len: got %d, want %d", what, len(got), len(want))
-	}
-	for k, wv := range want {
-		gv, ok := got[k]
-		if !ok {
-			return fmt.Errorf("%s[%v]: missing, want %d", what, k, wv)
-		}
-		if gv != wv {
-			return fmt.Errorf("%s[%v]: got %d, want %d", what, k, gv, wv)
 		}
 	}
 	return nil

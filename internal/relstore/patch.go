@@ -4,34 +4,27 @@
 // derived from the previous version's caches by applying the delta, instead
 // of re-interning every cell of every column.
 //
-// The contract is byte-identity: a patched artifact must be
-// indistinguishable (DeepEqual on every observable field, including
-// occurrence bookkeeping and class order) from what the batch builders in
-// snapshot.go / columnar.go / pli.go would produce for the same version.
-// The patcher therefore only patches when it can prove identity cheaply and
-// falls back — per column — to a rebuild otherwise:
-//
-//   - dictionary codes are assigned in first-occurrence order, so any
-//     removal of a value's first occurrence, or an edit that would move a
-//     first occurrence earlier, forces a column rebuild (the whole dict
-//     numbering could shift);
-//   - appended rows are interned normally at the tail, which is exactly
-//     where the batch build would discover novel values, so appends always
-//     patch;
-//   - PLI classes are listed in first-occurrence order of the Equal-class
-//     and the dictionary guards keep every class's first occurrence alive,
-//     so class order survives patching and touched classes are edited by
-//     member splicing.
+// Every delta patches; there is no case the patcher hands back. Exact
+// dictionary codes are stable along a column's lineage (columnar.go): a
+// row leaving a value decrements its count, a row taking one looks it up
+// and increments, a novel value takes the next code, a dead code is
+// revived by its value. So a patched column equals a batch build of the
+// same rows up to a renaming of codes, and the contract is on what a
+// consumer can observe — rows, ids, stored values, the Equal-class
+// partition, the PLI (classes by first row, rows ascending: history-free,
+// so patched to the very bytes a batch build emits), class representatives
+// and statistics are exactly the batch build's. Dead codes are bounded:
+// past compactDead below the column is re-interned from its rows, which
+// starts a fresh lineage.
 //
 // The oracle (oracle.go, the fuzz targets and the cross-check tests) holds
-// the patcher to the contract: patched state is compared field-by-field
-// against Table.RebuildSnapshot at every intermediate version.
+// the patcher to the contract at every intermediate version, comparing
+// against Table.RebuildSnapshot under the code bijection the rows induce.
 package relstore
 
 import (
-	"maps"
+	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -40,10 +33,21 @@ const (
 	// snapshot may bridge before patching is abandoned: past that, the
 	// batch rebuild is no slower and the op bookkeeping stops paying.
 	maxPatchOps = 4096
+	// compactDead is the dead-code allowance: a patched column whose dead
+	// codes outnumber compactDead plus an eighth of its live ones (see
+	// deadLimit) is compacted — re-interned from its rows — so churn
+	// cannot grow a dictionary past 1.125 x live + compactDead entries.
+	// The flat part keeps a low-cardinality column from paying an O(rows)
+	// compaction for every value that dies.
+	compactDead = 64
 	// maxChangeLog bounds the ChangesSince log; on overflow the oldest
 	// half is evicted and the floor advances.
 	maxChangeLog = 4096
 )
+
+// deadLimit is how many dead codes a column with live distinct values may
+// carry before it is compacted.
+func deadLimit(live int) int { return live/8 + compactDead }
 
 // structuralChange marks a change-log record (and mutation note) that adds
 // or removes a row, as opposed to editing one column's cell in place.
@@ -223,281 +227,210 @@ func (t *Table) patchSnapshotLocked() *Snapshot {
 	return snap
 }
 
-// patchedColumnar derives the columnar view from the predecessor's by
-// patching each column independently (same fan-out as the batch build).
-func (s *Snapshot) patchedColumnar(p *snapPatch, pc *Columnar) *Columnar {
-	col := &Columnar{
-		schema:  s.schema,
-		version: s.version,
-		ids:     s.ids,
-		cols:    make([]*Column, len(pc.cols)),
-	}
-	var wg sync.WaitGroup
-	for j := range col.cols {
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			col.cols[j] = s.patchColumn(p, pc.cols[j], j)
-		}(j)
-	}
-	wg.Wait()
-	return col
-}
-
-// rebuildColumn is the per-column fallback: a fresh intern pass over the
-// new snapshot's rows, exactly the batch build of this one column.
-func (s *Snapshot) rebuildColumn(j int) *Column {
+// buildColumn interns column j from the snapshot's rows: the batch build of
+// one column, heading a fresh lineage with its lazy artifacts unbuilt.
+func (s *Snapshot) buildColumn(j int) *Column {
 	c := newColumn(len(s.rows))
 	for _, row := range s.rows {
-		c.intern(row[j])
+		c.codes = append(c.codes, c.acquire(row[j]))
 	}
-	buildOps.internedCells.Add(int64(len(s.rows)))
-	buildOps.rebuiltColumns.Add(1)
 	return c
 }
 
 // patchColumn derives column j of the patched snapshot from its
 // predecessor pcol. Untouched columns are shared wholesale (lazy caches
 // included — identical rows build identical artifacts); touched columns
-// are patched when the guards prove the batch build would produce the same
-// dictionary numbering, and rebuilt otherwise.
+// take the delta in O(delta) hashing: the code vector is spliced, the
+// counts are copied, and the dictionary grows in place — pcol has this one
+// successor and never reads past its own lengths. The predecessor's built
+// lazy artifacts are carried over, so a warm serving path stays warm
+// across mutations; those it never built stay lazy here too.
 func (s *Snapshot) patchColumn(p *snapPatch, pcol *Column, j int) *Column {
 	edits := p.edits[j]
 	if len(p.drops) == 0 && p.nAppend == 0 && len(edits) == 0 {
 		buildOps.sharedColumns.Add(1)
 		return pcol
 	}
-	oldCard := len(pcol.dict)
-
-	// Guard pass. Dictionary codes are first-occurrence ordered, so the
-	// patch is provably identical to a rebuild only if no first occurrence
-	// is removed or moved earlier, no touched code's occurrence count can
-	// reach zero, and no edit introduces a value absent from the dictionary
-	// (its batch code would depend on its position). Any violation —
-	// including the subtle ones — takes the per-column rebuild.
-	var removals map[uint32]int32
-	countRemoval := func(code uint32) {
-		if removals == nil {
-			removals = make(map[uint32]int32, len(p.drops)+len(edits))
-		}
-		removals[code]++
-	}
-	for _, d := range p.drops {
-		code := pcol.codes[d]
-		if pcol.first[code] == d {
-			return s.rebuildColumn(j)
-		}
-		countRemoval(code)
-	}
-	type colEdit struct {
-		prevPos, newPos  int32
-		oldCode, newCode uint32
-	}
-	ces := make([]colEdit, len(edits))
-	for i, e := range edits {
-		oldCode := pcol.codes[e.prevPos]
-		if pcol.first[oldCode] == e.prevPos {
-			return s.rebuildColumn(j)
-		}
-		nc, ok := pcol.exactCode(s.rows[e.newPos][j])
-		if !ok || e.prevPos < pcol.first[nc] {
-			return s.rebuildColumn(j)
-		}
-		countRemoval(oldCode)
-		ces[i] = colEdit{e.prevPos, e.newPos, oldCode, nc}
-	}
-	for code, rem := range removals {
-		if pcol.counts[code] <= rem {
-			// Unreachable while the first-occurrence guards hold (removing
-			// every occurrence removes the first), kept as belt and braces:
-			// an empty dict entry must not survive.
-			return s.rebuildColumn(j)
-		}
-	}
-
-	// Build: spliced code vector, shared dictionary (full slice
-	// expressions, so tail growth reallocates instead of clobbering the
-	// predecessor), cloned occurrence bookkeeping.
-	n := len(s.rows)
+	grow := len(edits) + p.nAppend
 	out := &Column{
-		codes:      spliceU32(pcol.codes, p.drops, p.nAppend),
-		dict:       pcol.dict[:oldCard:oldCard],
-		eq:         pcol.eq[:oldCard:oldCard],
-		counts:     append(make([]int32, 0, oldCard+4), pcol.counts...),
-		first:      pcol.first[:oldCard:oldCard],
-		byInt:      pcol.byInt,
-		byFlt:      pcol.byFlt,
-		byStr:      pcol.byStr,
-		byNumClass: pcol.byNumClass,
-		nullCode:   pcol.nullCode,
-		trueCode:   pcol.trueCode,
-		flsCode:    pcol.flsCode,
-		nanCode:    pcol.nanCode,
+		codes:     spliceU32(pcol.codes, p.drops, p.nAppend),
+		dict:      pcol.dict,
+		eq:        pcol.eq,
+		counts:    append(make([]int32, 0, len(pcol.counts)+grow), pcol.counts...),
+		clsCounts: append(make([]int32, 0, len(pcol.counts)+grow), pcol.clsCounts...),
+		live:      pcol.live,
+		in:        pcol.in,
+		nullCode:  pcol.nullCode,
+		trueCode:  pcol.trueCode,
+		flsCode:   pcol.flsCode,
+		nanCode:   pcol.nanCode,
 	}
-	if p.remap != nil {
-		// Drops shift later positions down; first occurrences all survive
-		// (guarded above), so the remap is total on them.
-		first := make([]int32, oldCard)
-		for c := range first {
-			first[c] = p.remap[pcol.first[c]]
-		}
-		out.first = first
-	}
+	out.in.mu.Lock()
 	for _, d := range p.drops {
-		out.counts[pcol.codes[d]]--
+		out.release(pcol.codes[d])
 	}
-	for _, e := range ces {
-		out.codes[e.newPos] = e.newCode
-		out.counts[e.oldCode]--
-		out.counts[e.newCode]++
+	for _, e := range edits {
+		out.release(pcol.codes[e.prevPos])
+		out.codes[e.newPos] = out.acquire(s.rows[e.newPos][j])
 	}
-	// Tail rows intern normally — exactly where the batch build would
-	// discover novel values, so dictionary growth order matches. The
-	// interner mutates the lookup maps, which are shared with the
-	// predecessor: clone them first iff any tail value is novel.
-	tail := s.rows[n-p.nAppend:]
-	for _, row := range tail {
-		if _, ok := pcol.exactCode(row[j]); !ok {
-			out.byInt = maps.Clone(pcol.byInt)
-			out.byFlt = maps.Clone(pcol.byFlt)
-			out.byStr = maps.Clone(pcol.byStr)
-			out.byNumClass = maps.Clone(pcol.byNumClass)
-			break
-		}
+	for _, row := range s.rows[len(s.rows)-p.nAppend:] {
+		out.codes = append(out.codes, out.acquire(row[j]))
 	}
-	for _, row := range tail {
-		out.intern(row[j])
+	out.in.mu.Unlock()
+	if len(out.dict)-out.live > deadLimit(out.live) {
+		// Compaction: too many dead codes, re-intern the column.
+		buildOps.internedCells.Add(int64(len(s.rows)))
+		buildOps.rebuiltColumns.Add(1)
+		return s.buildColumn(j)
 	}
 	buildOps.internedCells.Add(int64(p.nAppend))
-	buildOps.patchedCells.Add(int64(len(p.drops) + len(ces) + p.nAppend))
+	buildOps.patchedCells.Add(int64(len(p.drops) + len(edits) + p.nAppend))
 	buildOps.patchedColumns.Add(1)
 
-	s.patchColumnCaches(p, pcol, out, oldCard, func() [][2]int32 {
-		moves := make([][2]int32, 0, len(ces))
-		for _, e := range ces {
-			moves = append(moves, [2]int32{e.prevPos, e.newPos})
-		}
-		return moves
-	}())
-	return out
-}
-
-// patchColumnCaches carries the predecessor's built lazy artifacts (PLI,
-// probe vector, key table, class order) over to the patched column, so a
-// warm serving path stays warm across mutations. Artifacts the predecessor
-// never built stay lazy on the patched column too. moves lists the edited
-// cells as (prevPos, newPos) pairs, both ascending.
-func (s *Snapshot) patchColumnCaches(p *snapPatch, pcol, out *Column, oldCard int, moves [][2]int32) {
-	n := len(s.rows)
-	newEntries := len(out.dict) > oldCard
-
-	var newCanon []uint32
+	sameClasses := false
 	if pcol.pliReady.Load() {
-		oldP := pcol.pli
-		nOld := int32(oldP.NumClasses())
-
-		// Route edited rows between classes. The dictionary guards ensure
-		// class first occurrences survive and edits land after them, so
-		// the class list keeps its first-occurrence order: surviving
-		// classes in place, novel Equal-classes appended in tail order —
-		// exactly the batch enumeration.
-		classOf := make([]int32, len(out.dict))
-		copy(classOf, pcol.pliClassOf)
-		for i := oldCard; i < len(classOf); i++ {
-			classOf[i] = -1
-		}
-		remOut := map[int32][]int32{}
-		addIn := map[int32][]int32{}
-		for _, mv := range moves {
-			prevPos, newPos := mv[0], mv[1]
-			oldEq := pcol.eq[pcol.codes[prevPos]]
-			newEq := out.eq[out.codes[newPos]]
-			if oldEq == newEq {
-				continue // same Equal-class: membership unchanged
-			}
-			co, ci := pcol.pliClassOf[oldEq], pcol.pliClassOf[newEq]
-			remOut[co] = append(remOut[co], prevPos)
-			addIn[ci] = append(addIn[ci], newPos)
-		}
-		nClasses := nOld
-		var newMembers [][]int32
-		for pos := int32(n - p.nAppend); pos < int32(n); pos++ {
-			eqc := out.eq[out.codes[pos]]
-			switch cl := classOf[eqc]; {
-			case cl < 0:
-				classOf[eqc] = nClasses
-				nClasses++
-				newCanon = append(newCanon, eqc)
-				newMembers = append(newMembers, []int32{pos})
-			case cl < nOld:
-				addIn[cl] = append(addIn[cl], pos)
-			default:
-				newMembers[cl-nOld] = append(newMembers[cl-nOld], pos)
-			}
-		}
-		// Emit: splice each surviving class (skip removals, remap survivors,
-		// merge additions — all position lists are ascending), then append
-		// the novel classes.
-		elems := make([]int32, 0, n)
-		offsets := make([]int32, 1, nClasses+1)
-		for c := int32(0); c < nOld; c++ {
-			rem, add := remOut[c], addIn[c]
-			ri, ai := 0, 0
-			for _, pos := range oldP.Class(int(c)) {
-				if ri < len(rem) && rem[ri] == pos {
-					ri++
-					continue
-				}
-				np := pos
-				if p.remap != nil {
-					if np = p.remap[pos]; np < 0 {
-						continue
-					}
-				}
-				for ai < len(add) && add[ai] < np {
-					elems = append(elems, add[ai])
-					ai++
-				}
-				elems = append(elems, np)
-			}
-			for ; ai < len(add); ai++ {
-				elems = append(elems, add[ai])
-			}
-			offsets = append(offsets, int32(len(elems)))
-		}
-		for _, mem := range newMembers {
-			elems = append(elems, mem...)
-			offsets = append(offsets, int32(len(elems)))
-		}
-		out.pliOnce.Do(func() {
-			out.pli = &Partition{n: n, elems: elems, offsets: offsets}
-			out.pliClassCode = append(pcol.pliClassCode[:nOld:nOld], newCanon...)
-			out.pliClassOf = classOf
-			out.pliReady.Store(true)
-		})
-		buildOps.pliPatches.Add(1)
+		sameClasses = s.patchPLI(p, pcol, out, edits)
 	}
 	if pcol.probeReady.Load() {
 		out.EqProbe()
 	}
 	if pcol.keysReady.Load() {
 		out.keysOnce.Do(func() {
-			keys := pcol.keys[:oldCard:oldCard]
-			for _, v := range out.dict[oldCard:] {
+			// Like dict, the key table grows in place past pcol's length.
+			keys := pcol.keys
+			for _, v := range out.dict[len(keys):] {
 				keys = append(keys, v.Key())
 			}
 			out.keys = keys
 			out.keysReady.Store(true)
 		})
 	}
-	if pcol.orderReady.Load() && !newEntries && len(newCanon) == 0 {
-		// No new classes and no new dict entries: the key-sorted class
+	if pcol.orderReady.Load() && sameClasses {
+		// Same classes at the same indices: the key-sorted class
 		// enumeration is unchanged and can be shared.
 		out.orderOnce.Do(func() {
 			out.classOrder = pcol.classOrder
 			out.orderReady.Store(true)
 		})
 	}
+	return out
+}
+
+// patchPLI derives out's PLI from pcol's. Classes are listed by first row,
+// so the classes the delta leaves alone keep their relative order and only
+// the touched ones — rows moved in or out, a member dropped, a novel or
+// revived Equal-class — are re-formed and merged back in by their new
+// first row; a class left without rows disappears. It reports whether
+// every class kept its index, i.e. the class list is pcol's.
+func (s *Snapshot) patchPLI(p *snapPatch, pcol, out *Column, edits []cellEdit) bool {
+	n, oldP := len(s.rows), pcol.pli
+	newPos := func(pos int32) int32 {
+		if p.remap == nil {
+			return pos
+		}
+		return p.remap[pos]
+	}
+	oldClass := func(canon uint32) int32 {
+		if int(canon) >= len(pcol.pliClassOf) {
+			return -1
+		}
+		return pcol.pliClassOf[canon]
+	}
+	// The touched Equal-classes, by canonical code, each with the new
+	// positions joining it (ascending: edits precede the appended tail).
+	touched := map[uint32][]int32{}
+	touch := func(canon uint32, joining ...int32) { touched[canon] = append(touched[canon], joining...) }
+	for _, d := range p.drops {
+		touch(pcol.eq[pcol.codes[d]])
+	}
+	for _, e := range edits {
+		oldEq, newEq := pcol.eq[pcol.codes[e.prevPos]], out.eq[out.codes[e.newPos]]
+		if oldEq != newEq { // else same Equal-class: membership unchanged
+			touch(oldEq)
+			touch(newEq, e.newPos)
+		}
+	}
+	for pos := n - p.nAppend; pos < n; pos++ {
+		touch(out.eq[out.codes[pos]], int32(pos))
+	}
+	// Re-form them — the members that stayed, merged with the joiners —
+	// and mark them in classOf so the emit loop skips their old selves.
+	const touchedMark = -2
+	classOf := make([]int32, len(out.dict))
+	for i := range classOf {
+		classOf[i] = -1
+	}
+	type class struct {
+		canon uint32
+		rows  []int32
+	}
+	var formed []class
+	for canon, add := range touched {
+		classOf[canon] = touchedMark
+		var old []int32
+		if cl := oldClass(canon); cl >= 0 {
+			old = oldP.Class(int(cl))
+		}
+		rows := make([]int32, 0, len(old)+len(add))
+		for _, pos := range old {
+			if pos = newPos(pos); pos < 0 || out.eq[out.codes[pos]] != canon {
+				continue // dropped, or edited out of the class
+			}
+			for ; len(add) > 0 && add[0] < pos; add = add[1:] {
+				rows = append(rows, add[0])
+			}
+			rows = append(rows, pos)
+		}
+		if rows = append(rows, add...); len(rows) > 0 {
+			formed = append(formed, class{canon, rows})
+		}
+	}
+	slices.SortFunc(formed, func(a, b class) int { return int(a.rows[0] - b.rows[0]) })
+
+	// Emit: untouched classes in their old order, each preceded by the
+	// re-formed classes that now start before it.
+	elems := make([]int32, 0, n)
+	offsets := make([]int32, 1, oldP.NumClasses()+len(formed)+1)
+	same := true
+	emit := func(canon uint32, rows []int32) {
+		cl := int32(len(offsets) - 1)
+		same = same && oldClass(canon) == cl
+		classOf[canon] = cl
+		elems = append(elems, rows...)
+		offsets = append(offsets, int32(len(elems)))
+	}
+	for c := 0; c < oldP.NumClasses(); c++ {
+		rows := oldP.Class(c)
+		canon := pcol.eq[pcol.codes[rows[0]]]
+		if classOf[canon] != -1 {
+			continue // touched: emitted from formed, or emptied
+		}
+		for ; len(formed) > 0 && formed[0].rows[0] < newPos(rows[0]); formed = formed[1:] {
+			emit(formed[0].canon, formed[0].rows)
+		}
+		at := len(elems)
+		emit(canon, rows)
+		if p.remap != nil {
+			for i, pos := range elems[at:] {
+				elems[at+i] = p.remap[pos]
+			}
+		}
+	}
+	for _, f := range formed {
+		emit(f.canon, f.rows)
+	}
+	for canon := range touched {
+		if classOf[canon] == touchedMark {
+			classOf[canon] = -1 // the class emptied
+		}
+	}
+	out.pliOnce.Do(func() {
+		out.pli = &Partition{n: n, elems: elems, offsets: offsets}
+		out.pliClassOf = classOf
+		out.pliReady.Store(true)
+	})
+	buildOps.pliPatches.Add(1)
+	return same && len(offsets) == len(oldP.offsets)
 }
 
 // spliceU32 copies src with the (ascending) drop positions removed, leaving

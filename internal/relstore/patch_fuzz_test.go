@@ -1,24 +1,29 @@
 package relstore
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"semandaq/internal/schema"
+	"semandaq/internal/types"
 )
 
 // FuzzSnapshotPatch decodes an arbitrary byte string into a mutation
 // sequence over a seeded three-column table and asserts, after every single
-// mutation, that the served (patched) snapshot is byte-identical to a cold
-// batch rebuild — dictionaries, code vectors, occurrence bookkeeping, PLIs,
-// probe vectors, key tables and class orders included. The per-version
-// check force-builds every artifact, so each next version patches a fully
-// warm predecessor.
+// mutation, that the served (patched) snapshot equals a cold batch rebuild
+// up to a renaming of dictionary codes — dictionaries, code vectors,
+// occurrence counts, lookups, PLIs, probe vectors, key tables and class
+// orders included. The per-version check force-builds every artifact, so
+// each next version patches a fully warm predecessor.
 //
 // Byte vocabulary: each op reads an opcode byte (low two bits select
 // insert/delete/setcell/update) and then value/row/column selector bytes
 // from the stream; missing bytes read as zero. The value domain is
 // patchValues (patch_test.go), which packs the Equal-vs-exact corner cases
-// (INT 1 / FLOAT 1.0, NULL, NaN) into eleven values.
+// (INT 1 / FLOAT 1.0, NULL, NaN) into eleven values; a value byte of 0xC0
+// or above is a string the table has never held, so programs can grow
+// dictionaries and leave dead codes behind without bound.
 func FuzzSnapshotPatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3})
@@ -28,6 +33,14 @@ func FuzzSnapshotPatch(f *testing.F) {
 	f.Add([]byte{0, 3, 3, 3, 2, 0, 0, 4, 2, 0, 0, 3, 2, 0, 1, 4, 3, 0, 4, 4, 4})
 	// interleave inserts and deletes so positions shift under the patcher
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 1, 0, 0, 5, 6, 7, 1, 1, 0, 8, 9, 10})
+	// The deltas a first-occurrence code numbering could not patch. Column A
+	// of the seed table reads a, b, c, INT 1, FLOAT 1.0, INT 2 top to bottom.
+	f.Add([]byte{1, 0})                                         // delete a first occurrence (of three values)
+	f.Add([]byte{2, 1, 0, 0xC0, 2, 1, 0, 0xC1})                 // novel-value edits
+	f.Add([]byte{2, 0, 0, 1, 2, 0, 0, 0})                       // "a" dies, then returns to its old code
+	f.Add([]byte{1, 3, 2, 0, 0, 3})                             // canonical INT 1 dies beside FLOAT 1.0, then revives
+	f.Add([]byte{1, 3, 1, 3, 0, 4, 4, 4})                       // the {INT 1, FLOAT 1.0} class empties, then returns via FLOAT
+	f.Add(bytes.Repeat([]byte{2, 0, 0, 0xC0}, 3*compactDead/2)) // dead codes pile up past the compaction threshold
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runMutationSequence(t, data)
 	})
@@ -49,9 +62,15 @@ func runMutationSequence(t *testing.T, data []byte) {
 		pos++
 		return int(b)
 	}
-	row := func() Tuple {
-		return Tuple{patchValue(next()), patchValue(next()), patchValue(next())}
+	novel := 0
+	value := func() types.Value {
+		if b := next(); b < 0xC0 {
+			return patchValue(b)
+		}
+		novel++
+		return types.NewString(fmt.Sprintf("n%d", novel))
 	}
+	row := func() Tuple { return Tuple{value(), value(), value()} }
 	check := func() {
 		if err := DiffSnapshots(tab.Snapshot(), tab.RebuildSnapshot()); err != nil {
 			t.Fatalf("version %d after %d input bytes: %v", tab.Version(), pos, err)
@@ -67,7 +86,7 @@ func runMutationSequence(t *testing.T, data []byte) {
 		case op%4 == 1:
 			tab.Delete(ids[next()%len(ids)])
 		case op%4 == 2:
-			if _, err := tab.SetCell(ids[next()%len(ids)], next()%3, patchValue(next())); err != nil {
+			if _, err := tab.SetCell(ids[next()%len(ids)], next()%3, value()); err != nil {
 				t.Fatal(err)
 			}
 		default:

@@ -1,8 +1,10 @@
 package relstore
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"semandaq/internal/schema"
@@ -30,9 +32,9 @@ func patchValue(i int) types.Value {
 	return patchValues[((i%len(patchValues))+len(patchValues))%len(patchValues)]
 }
 
-// checkAgainstRebuild asserts the served (possibly patched) snapshot is
-// byte-identical to a cold batch rebuild, force-building every artifact on
-// both sides.
+// checkAgainstRebuild asserts the served (possibly patched) snapshot equals
+// a cold batch rebuild up to a renaming of dictionary codes, force-building
+// every artifact on both sides.
 func checkAgainstRebuild(t *testing.T, tab *Table) {
 	t.Helper()
 	if err := DiffSnapshots(tab.Snapshot(), tab.RebuildSnapshot()); err != nil {
@@ -42,8 +44,8 @@ func checkAgainstRebuild(t *testing.T, tab *Table) {
 }
 
 // TestPatchedSnapshotMatchesRebuild drives random mutation sequences and
-// holds the serving path to the byte-identity contract at every
-// intermediate version. The per-version check also force-builds every lazy
+// holds the serving path to the delta contract at every intermediate
+// version. The per-version check also force-builds every lazy
 // artifact, so each subsequent snapshot derives from a fully warm
 // predecessor — the hardest case for the patcher.
 func TestPatchedSnapshotMatchesRebuild(t *testing.T) {
@@ -104,66 +106,184 @@ func TestUpdateRepresentationChange(t *testing.T) {
 	checkAgainstRebuild(t, tab)
 }
 
-// TestPatchOpsAreODelta is the unit-level face of the D7 claim: serving a
-// snapshot after k cell edits on a warm table must cost O(k) interner work,
-// not a batch rebuild.
-func TestPatchOpsAreODelta(t *testing.T) {
-	const n, arity, edits = 2000, 3, 20
-	tab := NewTable(schema.New("p", "A", "B", "C"))
-	rng := rand.New(rand.NewSource(1))
-	// Column B cycles through a 50-value domain, so every value's first
-	// occurrence sits in the first 50 rows; the edits below touch only rows
-	// past 1000 and swap within the domain, so the patcher never faces a
-	// first-occurrence disturbance and must take the pure patch path.
+// churn replays the benchmark's write bundle (benchmark/gen.go, mix) on a
+// customer-shaped table: per round 40 cells take a never-seen NAME, 8 STR
+// cells a never-seen typo, 8 older typos are reverted, 4 rows are inserted
+// and 4 deleted — always the table's first rows, which hold the first
+// occurrence of every value they carry. That is one novel value or one
+// removed first occurrence per edit: what dirty data looks like, and what
+// a first-occurrence code numbering could not patch.
+type churn struct {
+	tab    *Table
+	rng    *rand.Rand
+	serial int
+	typod  []typo // pending typos, oldest first
+}
+
+type typo struct {
+	id    TupleID
+	clean types.Value
+}
+
+const (
+	churnNAME = 0
+	churnSTR  = 4
+)
+
+func newChurn(n int) *churn {
+	c := &churn{
+		tab: NewTable(schema.New("customer", "NAME", "CNT", "CITY", "ZIP", "STR", "CC", "AC")),
+		rng: rand.New(rand.NewSource(1)),
+	}
 	for i := 0; i < n; i++ {
-		tab.MustInsert(Tuple{
-			types.NewString("k" + string(rune('a'+rng.Intn(20)))),
-			types.NewInt(int64(i % 50)),
-			types.NewString("v" + string(rune('a'+rng.Intn(5)))),
+		zip := i % (n / 40)
+		c.tab.MustInsert(Tuple{
+			c.fresh("name"),
+			types.NewString([]string{"UK", "US"}[zip%2]),
+			types.NewString(fmt.Sprintf("city%d", zip/8)),
+			types.NewString(fmt.Sprintf("zip%d", zip)),
+			types.NewString(fmt.Sprintf("street%d", zip/2)),
+			types.NewInt(int64(44 - 43*(zip%2))),
+			types.NewInt(int64(100 + zip/8)),
 		})
 	}
-	// Warm every artifact on the current version.
-	snap := tab.Snapshot()
-	for j := 0; j < arity; j++ {
-		col := snap.Columnar().Col(j)
-		col.PLI()
-		col.EqProbe()
-		col.PLIClassesByKey()
-		col.EnsureKeys()
+	c.round() // leave typos pending for the first measured round to revert
+	return c
+}
+
+func (c *churn) fresh(prefix string) types.Value {
+	c.serial++
+	return types.NewString(fmt.Sprintf("%s%06d", prefix, c.serial))
+}
+
+func (c *churn) set(id TupleID, pos int, v types.Value) types.Value {
+	old, err := c.tab.SetCell(id, pos, v)
+	if err != nil {
+		panic(err)
 	}
-	ids := tab.IDs()
-	before := ReadBuildOps()
-	for i := 0; i < edits; i++ {
-		id := ids[1000+rng.Intn(len(ids)-1000)]
-		row, _ := tab.Get(id)
-		nv := (row[1].Int() + 1) % 50
-		if _, err := tab.SetCell(id, 1, types.NewInt(nv)); err != nil {
-			t.Fatal(err)
+	return old
+}
+
+func (c *churn) round() {
+	ids := c.tab.IDs()
+	pick := func() TupleID { return ids[4+c.rng.Intn(len(ids)-4)] } // never a row deleted below
+	for i := 0; i < 40; i++ {
+		c.set(pick(), churnNAME, c.fresh("edit"))
+	}
+	for i := 0; i < 8 && len(c.typod) > 0; i++ {
+		t := c.typod[0]
+		c.typod = c.typod[1:]
+		if _, ok := c.tab.Get(t.id); ok {
+			c.set(t.id, churnSTR, t.clean)
 		}
 	}
-	checkAgainstRebuild(t, tab) // includes the cold rebuild's own cost
+	for i := 0; i < 8; i++ {
+		id := pick()
+		c.typod = append(c.typod, typo{id, c.set(id, churnSTR, c.fresh("typo"))})
+	}
+	for i := 0; i < 4; i++ {
+		row, _ := c.tab.Get(pick())
+		row = row.Clone()
+		row[churnNAME] = c.fresh("edit")
+		c.tab.MustInsert(row)
+		c.tab.Delete(ids[i])
+	}
+}
+
+// warm builds every lazy artifact of the served snapshot, so the next
+// version has all of them to carry over.
+func warm(tab *Table) {
+	col := tab.Snapshot().Columnar()
+	for j := 0; j < col.NumCols(); j++ {
+		col.Col(j).PLI()
+		col.Col(j).EqProbe()
+		col.Col(j).PLIClassesByKey()
+		col.Col(j).EnsureKeys()
+	}
+}
+
+// TestPatchOpsAreODelta is the unit-level face of the O(delta) claim, on the
+// benchmark's edit mix at the benchmark's size: serving a snapshot after 64
+// row edits — 52 novel values, 4 deleted first occurrences — on a warm
+// 20 000-row table patches all seven columns, interns only the appended
+// cells, and allocates flat 4-byte vectors only: nothing proportional to a
+// dictionary's cardinality is hashed or cloned.
+func TestPatchOpsAreODelta(t *testing.T) {
+	const n, arity = 20000, 7
+	c := newChurn(n)
+	warm(c.tab)
+	c.round()
+	warm(c.tab)
+	c.round()
+
+	before := ReadBuildOps()
+	snap := c.tab.Snapshot()
+	dicts := 0
+	for _, col := range snap.patch.Load().prev.Columnar().cols {
+		dicts += col.CodeSpace()
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	snap.Columnar()
+	runtime.ReadMemStats(&m1)
 	ops := ReadBuildOps().Sub(before)
-	if ops.PatchedSnapshots != 1 {
-		t.Fatalf("PatchedSnapshots = %d, want 1 (ops: %+v)", ops.PatchedSnapshots, ops)
+
+	if ops.PatchedSnapshots != 1 || ops.BatchSnapshots != 0 {
+		t.Fatalf("PatchedSnapshots = %d BatchSnapshots = %d, want 1/0 (ops: %+v)", ops.PatchedSnapshots, ops.BatchSnapshots, ops)
 	}
-	if ops.SharedColumns != arity-1 {
-		t.Errorf("SharedColumns = %d, want %d (only column B changed)", ops.SharedColumns, arity-1)
+	if ops.PatchedColumns != arity || ops.RebuiltColumns != 0 || ops.BatchColumns != 0 {
+		t.Errorf("PatchedColumns = %d RebuiltColumns = %d BatchColumns = %d, want %d/0/0",
+			ops.PatchedColumns, ops.RebuiltColumns, ops.BatchColumns, arity)
 	}
-	if ops.PatchedColumns != 1 || ops.RebuiltColumns != 0 {
-		t.Errorf("PatchedColumns = %d RebuiltColumns = %d, want 1/0", ops.PatchedColumns, ops.RebuiltColumns)
+	if ops.InternedCells > 64 {
+		t.Errorf("InternedCells = %d, want <= 64 for 64 row edits", ops.InternedCells)
 	}
-	if ops.PatchedCells > edits {
-		t.Errorf("PatchedCells = %d, want <= %d", ops.PatchedCells, edits)
+	if ops.PLIPatches != arity || ops.PLIBuilds != 0 {
+		t.Errorf("PLIPatches = %d PLIBuilds = %d, want %d/0", ops.PLIPatches, ops.PLIBuilds, arity)
 	}
-	// The serving path interned nothing; all interning belongs to the cold
-	// rebuild the check performed (1 batch snapshot, arity batch columns).
-	wantInterned := int64(n * arity)
-	if ops.InternedCells != wantInterned || ops.BatchColumns != arity || ops.BatchSnapshots != 1 {
-		t.Errorf("cold-side ops off: InternedCells=%d (want %d) BatchColumns=%d (want %d) BatchSnapshots=%d (want 1)",
-			ops.InternedCells, wantInterned, ops.BatchColumns, arity, ops.BatchSnapshots)
+	// What a patch may allocate per column: the spliced code vector, the
+	// PLI's elems (4 B a row each), and a handful of vectors indexed by
+	// code (counts, class counts, class index, offsets: 4 B a code each).
+	// Cloning NAME's 20 000-entry string map alone would add ~0.5 MB.
+	budget := uint64(4*(2*n*arity+5*dicts)) * 5 / 4
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > budget {
+		t.Errorf("patch allocated %d bytes, budget %d: something O(cardinality) beyond flat code vectors", got, budget)
 	}
-	if ops.PLIPatches != 1 {
-		t.Errorf("PLIPatches = %d, want 1", ops.PLIPatches)
+	if got := m1.Mallocs - m0.Mallocs; got > 1000 {
+		t.Errorf("patch made %d allocations for 64 row edits, want a few per edit", got)
+	}
+	checkAgainstRebuild(t, c.tab)
+}
+
+// TestChurnBoundsDeadCodes: 240 rounds of the benchmark's edit mix kill
+// ~50 values a round; compaction must keep every dictionary within
+// 1.25 x live + 64 entries at every version (dead codes cannot grow the
+// heap; deadLimit is tighter still), and the patched state must stay
+// correct across the compactions.
+func TestChurnBoundsDeadCodes(t *testing.T) {
+	c := newChurn(2000)
+	warm(c.tab)
+	before := ReadBuildOps()
+	for round := 0; round < 240; round++ {
+		c.round()
+		col := c.tab.Snapshot().Columnar()
+		for j := 0; j < col.NumCols(); j++ {
+			if cc := col.Col(j); cc.CodeSpace() > cc.Card()+cc.Card()/4+compactDead {
+				t.Fatalf("round %d column %d: %d codes for %d live values", round, j, cc.CodeSpace(), cc.Card())
+			}
+		}
+		if round%16 == 0 {
+			checkAgainstRebuild(t, c.tab)
+			warm(c.tab)
+		}
+	}
+	checkAgainstRebuild(t, c.tab)
+	ops := ReadBuildOps().Sub(before)
+	if ops.RebuiltColumns == 0 {
+		t.Error("240 rounds of dying values never compacted a column")
+	}
+	if ops.RebuiltColumns > 240*7/8 {
+		t.Errorf("%d compactions in 240 rounds: the threshold does not amortise", ops.RebuiltColumns)
 	}
 }
 

@@ -152,15 +152,12 @@ func (p *Partition) Intersect(probe []uint32) *Partition {
 }
 
 // PLI returns the column's position list index over the snapshot: one class
-// per Equal-class that occurs, in first-occurrence order, singletons
-// included. Built on first use and cached for the snapshot's lifetime.
+// per Equal-class that occurs, in order of the classes' first rows,
+// singletons included. Built on first use and cached for the snapshot's
+// lifetime.
 func (c *Column) PLI() *Partition {
 	c.pliOnce.Do(func() {
 		probe := c.EqProbe()
-		counts := make([]int32, len(c.dict))
-		for _, pv := range probe {
-			counts[pv]++
-		}
 		// Class slots in first-occurrence order of the Equal-class code.
 		classOf := make([]int32, len(c.dict))
 		for i := range classOf {
@@ -173,7 +170,7 @@ func (c *Column) PLI() *Partition {
 			if classOf[pv] < 0 {
 				classOf[pv] = nc
 				nc++
-				starts = append(starts, counts[pv])
+				starts = append(starts, c.clsCounts[pv])
 			}
 		}
 		p.offsets = make([]int32, nc+1)
@@ -188,12 +185,6 @@ func (c *Column) PLI() *Partition {
 			fill[cl]++
 		}
 		c.pli = p
-		c.pliClassCode = make([]uint32, nc)
-		for code, cl := range classOf {
-			if cl >= 0 {
-				c.pliClassCode[cl] = uint32(code)
-			}
-		}
 		c.pliClassOf = classOf
 		c.pliReady.Store(true)
 		buildOps.pliBuilds.Add(1)
@@ -201,9 +192,13 @@ func (c *Column) PLI() *Partition {
 	return c.pli
 }
 
-// PLIClassValue returns the representative value of PLI class cl (the
-// Equal-class canonical dictionary entry).
-func (c *Column) PLIClassValue(cl int) types.Value { return c.dict[c.pliClassCode[cl]] }
+// PLIClassValue returns the representative value of PLI class cl: the
+// stored value of the class's first row, which is what a row scan meeting
+// the class would see first — a function of the rows alone, whatever order
+// the lineage interned the class's members in.
+func (c *Column) PLIClassValue(cl int) types.Value {
+	return c.dict[c.codes[c.pli.Class(cl)[0]]]
+}
 
 // PLIClassesByKey returns the PLI's class indices ordered by the
 // representative value's Key() — the canonical enumeration order miners use
@@ -218,9 +213,9 @@ func (c *Column) PLIClassesByKey() []int {
 		for i := range order {
 			order[i] = i
 		}
-		sort.Slice(order, func(i, j int) bool {
-			return c.keys[c.pliClassCode[order[i]]] < c.keys[c.pliClassCode[order[j]]]
-		})
+		// Class-mates share their Key(), so any member's stands for the class.
+		key := func(cl int) string { return c.keys[c.codes[p.Class(cl)[0]]] }
+		sort.Slice(order, func(i, j int) bool { return key(order[i]) < key(order[j]) })
 		c.classOrder = order
 		c.orderReady.Store(true)
 	})

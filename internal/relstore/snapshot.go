@@ -118,23 +118,28 @@ func (s *Snapshot) Scan(fn func(id TupleID, row Tuple) bool) {
 //
 // When the snapshot was derived from a predecessor by patching and the
 // predecessor's columnar view was built, the view is patched too — the
-// delta contract (docs/INCREMENTAL.md) guarantees the result is
-// indistinguishable from the batch build below.
+// delta contract (docs/INCREMENTAL.md) guarantees no reader can tell the
+// result from the batch build below.
 func (s *Snapshot) Columnar() *Columnar {
 	s.colOnce.Do(func() {
-		if p := s.patch.Load(); p != nil {
-			if pc := p.prev.builtColumnar(); pc != nil {
-				s.col = s.patchedColumnar(p, pc)
-			}
+		col := &Columnar{
+			schema:  s.schema,
+			version: s.version,
+			ids:     s.ids,
+			cols:    make([]*Column, s.schema.Arity()),
 		}
-		if s.col == nil {
-			n := len(s.rows)
-			col := &Columnar{
-				schema:  s.schema,
-				version: s.version,
-				ids:     s.ids,
-				cols:    make([]*Column, s.schema.Arity()),
+		var pc *Columnar
+		p := s.patch.Load()
+		if p != nil {
+			pc = p.prev.builtColumnar()
+		}
+		if pc != nil {
+			// Patch each column in turn: a patch is microseconds of work,
+			// less than the goroutine the batch build gives each column.
+			for j := range col.cols {
+				col.cols[j] = s.patchColumn(p, pc.cols[j], j)
 			}
+		} else {
 			// Columns intern independently, so the build fans out one goroutine
 			// per attribute (the interleaved single-pass alternative defeats the
 			// branch predictor and the per-column map locality).
@@ -143,18 +148,14 @@ func (s *Snapshot) Columnar() *Columnar {
 				wg.Add(1)
 				go func(j int) {
 					defer wg.Done()
-					c := newColumn(n)
-					for _, row := range s.rows {
-						c.intern(row[j])
-					}
-					col.cols[j] = c
+					col.cols[j] = s.buildColumn(j)
 				}(j)
 			}
 			wg.Wait()
-			buildOps.internedCells.Add(int64(n * len(col.cols)))
+			buildOps.internedCells.Add(int64(len(s.rows) * len(col.cols)))
 			buildOps.batchColumns.Add(int64(len(col.cols)))
-			s.col = col
 		}
+		s.col = col
 		s.colReady.Store(true)
 		s.patch.Store(nil) // the predecessor link is no longer needed
 	})
@@ -222,9 +223,9 @@ func (t *Table) buildSnapshotLocked() *Snapshot {
 
 // RebuildSnapshot builds a fresh, batch-built snapshot of the current
 // version, bypassing both the version cache and the delta patcher. It is
-// the cold side of the byte-identity oracle — every artifact a patched
-// snapshot serves must equal what this one builds. Serving paths use
-// Snapshot.
+// the cold side of the snapshot oracle — every artifact a patched snapshot
+// serves must equal what this one builds, dictionary codes up to renaming.
+// Serving paths use Snapshot.
 func (t *Table) RebuildSnapshot() *Snapshot {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

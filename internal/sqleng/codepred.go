@@ -27,9 +27,9 @@ const (
 
 // codeTerm is a code-level operand: a column of one scan, optionally
 // COALESCEd onto a literal. Its own code space is the column's Equal-class
-// codes plus up to two virtual codes past the dictionary: Card() for a
-// default the column lacks, Card()+1 for NULL as a value of its own (the
-// IS NOT DISTINCT FROM reading) when the column stores no NULL.
+// codes plus up to two virtual codes past the dictionary: CodeSpace() for a
+// default the column lacks, CodeSpace()+1 for NULL as a value of its own
+// (the IS NOT DISTINCT FROM reading) when the column stores no NULL.
 type codeTerm struct {
 	src    Expr
 	scan   int
@@ -75,7 +75,7 @@ func (p *selectPlan) termOf(e Expr, nullSafe bool) (*codeTerm, types.Value, bool
 		t.null = int32(nc)
 	}
 	if nullSafe {
-		t.nullAs = int32(col.Card()) + 1
+		t.nullAs = int32(col.CodeSpace()) + 1
 		if t.null >= 0 {
 			t.nullAs = t.null
 		}
@@ -84,7 +84,7 @@ func (p *selectPlan) termOf(e Expr, nullSafe bool) (*codeTerm, types.Value, bool
 	if c, has := col.EqCodeOf(dflt); has && !dflt.IsNull() {
 		t.def = int32(c)
 	} else if !dflt.IsNull() {
-		t.def = int32(col.Card())
+		t.def = int32(col.CodeSpace())
 	}
 	return t, types.Null, true
 }
@@ -103,12 +103,12 @@ func (t *codeTerm) own(cur []int32) int32 {
 }
 
 // exact returns the index of the cursor's row into a translation table out
-// of this term: the exact dictionary code, Card() when null-extended.
+// of this term: the exact dictionary code, CodeSpace() when null-extended.
 func (t *codeTerm) exact(cur []int32) int {
 	if r := cur[t.scan]; r >= 0 {
 		return int(t.col.Code(int(r)))
 	}
-	return t.col.Card()
+	return t.col.CodeSpace()
 }
 
 // codeOf maps an arbitrary value into the term's own code space.
@@ -136,7 +136,7 @@ type xlatTab struct {
 
 func (x *xlatTab) get() []int32 {
 	if x.tab == nil {
-		a, b, n := x.a, x.b, x.a.col.Card()
+		a, b, n := x.a, x.b, x.a.col.CodeSpace()
 		x.tab = make([]int32, n+1)
 		for c := range x.tab {
 			switch {
