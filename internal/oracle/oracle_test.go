@@ -3,7 +3,10 @@ package oracle
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
+
+	"semandaq/internal/relstore"
 )
 
 // TestHarnessRandomizedSequences drives seeded random mutation programs
@@ -43,6 +46,40 @@ func TestHarnessEmptiesTable(t *testing.T) {
 	}
 	if err := h.Drive(prog, 1, func() error { return h.Check(t.Context()) }); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHarnessOverIngestBuiltTable: every other harness table is built by
+// Insert; this one comes from relstore.ReadCSV, whose columns are interned
+// during the load and head the lineage every later edit patches. The raw
+// texts spell one Equal-class five ways (1, 01, +1 are INT 1; 1.0, 1e0 are
+// FLOAT 1), so memoised raw fields, shared codes and class counts are all in
+// play when the mutation programs start killing and reviving values.
+func TestHarnessOverIngestBuiltTable(t *testing.T) {
+	const body = "K,V,W\nk0,v0,good\nk1,1,bad\nk2,1.0,\nk0,NaN,good\nk1,,bad\n" +
+		"k0,01,\nk2,1e0,good\nk0,+1,bad\nk1,v1,good\nk2,nan,\n"
+	cfg := DefaultConfig()
+	for seed := int64(0); seed < 4; seed++ {
+		tab, err := relstore.ReadCSV("f", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := Attach(tab, cfg.CFDs, cfg.Discovery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Cfg.Domain, h.ids = cfg.Domain, tab.IDs()
+		if err := h.Check(t.Context()); err != nil {
+			t.Fatalf("seed %d, as loaded: %v", seed, err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, 160)
+		for i := range data {
+			data[i] = byte(rng.Intn(256))
+		}
+		if err := h.Drive(data, 1, func() error { return h.Check(t.Context()) }); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 	}
 }
 

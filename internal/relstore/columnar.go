@@ -156,11 +156,16 @@ func (c *Column) acquire(v types.Value) uint32 {
 	if !ok {
 		code = c.addEntry(v)
 	}
+	c.retain(code)
+	return code
+}
+
+// retain counts one more row carrying code: release's inverse.
+func (c *Column) retain(code uint32) {
 	if c.counts[code]++; c.counts[code] == 1 {
 		c.live++
 	}
 	c.clsCounts[c.eq[code]]++
-	return code
 }
 
 // release counts one row fewer carrying code. The dictionary entry stays:

@@ -9,10 +9,10 @@
 //     the clone in), so a snapshot only needs to copy the id order and the
 //     row *references* — building one is O(n) pointer copies, not a deep
 //     copy of the data;
-//   - snapshots are version-cached on the table, exactly like the columnar
-//     snapshot machinery they now subsume: every reader of an unchanged
-//     table shares one Snapshot, and the Columnar view is built lazily
-//     from the Snapshot (same version, same rows, same insertion order).
+//   - snapshots are version-cached on the table: every reader of an
+//     unchanged table shares one Snapshot, and the Columnar view is built
+//     lazily from it (same version, rows, insertion order) — or arrives
+//     with it, when a bulk load interned the columns (tableFromColumns).
 //
 // A reader that works off one Snapshot is guaranteed a single table
 // version end to end: concurrent writers keep mutating the live table, but
@@ -219,6 +219,35 @@ func (t *Table) buildSnapshotLocked() *Snapshot {
 		}
 	}
 	return snap
+}
+
+// tableFromColumns returns the table whose rows a bulk loader has interned
+// into cols (one per attribute, equal lengths), as n Inserts would leave it
+// — ids 0..n-1, version n, where its change log starts — plus what the first
+// read would build: the pinned Snapshot with cols as its columnar view. Rows
+// are allocated one by one: a shared array would stay live for its last row.
+func tableFromColumns(sc *schema.Relation, cols []*Column) *Table {
+	n := cols[0].Len()
+	t := NewTable(sc)
+	snap := &Snapshot{schema: sc, version: int64(n), ids: make([]TupleID, n), rows: make([]Tuple, n)}
+	t.rows, t.order, t.snap = make(map[TupleID]Tuple, n), make([]TupleID, n), snap
+	t.nextID, t.version, t.chfloor = TupleID(n), snap.version, snap.version
+	for i := range snap.rows {
+		row := make(Tuple, len(cols))
+		for j, c := range cols {
+			row[j] = c.dict[c.codes[i]]
+		}
+		id := TupleID(i)
+		t.rows[id], t.order[i], snap.ids[i], snap.rows[i] = row, id, id, row
+	}
+	snap.colOnce.Do(func() {
+		snap.col = &Columnar{schema: sc, version: snap.version, ids: snap.ids, cols: cols}
+		snap.colReady.Store(true)
+	})
+	buildOps.internedCells.Add(int64(n * len(cols)))
+	buildOps.batchColumns.Add(int64(len(cols)))
+	buildOps.batchSnapshots.Add(1)
+	return t
 }
 
 // RebuildSnapshot builds a fresh, batch-built snapshot of the current

@@ -85,6 +85,35 @@ func TestLoadCSVErrors(t *testing.T) {
 	do(t, ts, "GET", "/api/tables/missing", "", http.StatusNotFound)
 }
 
+// TestLoadCSVHeader: a header that would leave a column unreachable by name
+// is a 400 naming the column, and the table already registered under that
+// name keeps serving; a byte order mark is not part of the first attribute.
+func TestLoadCSVHeader(t *testing.T) {
+	ts := testServer(t)
+	for body, want := range map[string]string{
+		"NAME,name\nMike,Rick\n": `column 2 ("name") repeats column 1 ("NAME")`,
+		"NAME,\nMike,Rick\n":     "column 2 has no name",
+	} {
+		out := do(t, ts, "POST", "/api/tables/customer", body, http.StatusBadRequest)
+		if msg, _ := out["error"].(string); !strings.Contains(msg, want) {
+			t.Errorf("POST %q: error = %q, want it to say %s", body, msg, want)
+		}
+	}
+	if out := do(t, ts, "GET", "/api/tables/customer", "", http.StatusOK); out["tuples"].(float64) != 5 {
+		t.Errorf("after refused loads: tuples = %v, want the registered table's 5", out["tuples"])
+	}
+	if out := do(t, ts, "POST", "/api/detect/customer", "", http.StatusOK); out["dirty"].(float64) != 4 {
+		t.Errorf("after refused loads: dirty = %v, want 4", out["dirty"])
+	}
+
+	out := do(t, ts, "POST", "/api/tables/marked", "\ufeff"+customersCSV, http.StatusOK)
+	if attrs := out["attrs"].([]any); attrs[0] != "NAME" {
+		t.Errorf("attrs = %v, want the byte order mark stripped", attrs)
+	}
+	body, _ := json.Marshal(map[string]string{"text": "marked: [NAME=_] -> [CNT=_]"})
+	do(t, ts, "POST", "/api/cfds/marked", string(body), http.StatusOK)
+}
+
 func TestRegisterAndListCFDs(t *testing.T) {
 	ts := testServer(t)
 	out := do(t, ts, "GET", "/api/cfds/customer", "", http.StatusOK)

@@ -327,16 +327,21 @@ func Parse(raw string) Value {
 	if raw == "" {
 		return Null
 	}
-	if i, err := strconv.ParseInt(raw, 10, 64); err == nil {
-		return NewInt(i)
+	// strconv fails with a heap-allocated *NumError, so it only sees text that
+	// may be numeric: a digit, sign, '.', or the i/n of inf and nan comes first.
+	switch raw[0] {
+	case '0', '1', '2', '3', '4', '5', '6', '7', '8', '9', '+', '-', '.', 'i', 'I', 'n', 'N':
+		if i, err := strconv.ParseInt(raw, 10, 64); err == nil {
+			return NewInt(i)
+		}
+		if f, err := strconv.ParseFloat(raw, 64); err == nil {
+			return NewFloat(f)
+		}
 	}
-	if f, err := strconv.ParseFloat(raw, 64); err == nil {
-		return NewFloat(f)
-	}
-	switch strings.ToUpper(raw) {
-	case "TRUE":
+	switch {
+	case strings.EqualFold(raw, "TRUE"):
 		return NewBool(true)
-	case "FALSE":
+	case strings.EqualFold(raw, "FALSE"):
 		return NewBool(false)
 	}
 	return NewString(raw)
