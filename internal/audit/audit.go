@@ -284,10 +284,15 @@ func auditCore(snap *relstore.Snapshot, cfds []*cfd.CFD, ix *auditIndex) (*Repor
 		}
 	}
 
-	// Attribute-level accumulators, schema order.
+	// Attribute-level accumulators, schema order. lower holds the names as
+	// attrViol keys them; verified marks, for the row being scanned, the
+	// attributes a matching constant pattern vouches for.
 	attrAcc := make([]AttrQuality, sc.Arity())
+	lower := make([]string, sc.Arity())
+	verified := make([]bool, sc.Arity())
 	for i, a := range sc.Attrs {
 		attrAcc[i].Attr = a.Name
+		lower[i] = strings.ToLower(a.Name)
 	}
 
 	// majorityHolder reports whether t agrees with the strict majority in
@@ -302,7 +307,7 @@ func auditCore(snap *relstore.Snapshot, cfds []*cfd.CFD, ix *auditIndex) (*Repor
 
 		// Does a constant-RHS pattern apply to (and verify) this tuple?
 		verifiedApplies := false
-		verifiedAttrs := map[string]bool{}
+		clear(verified)
 		for _, a := range appliers {
 			for _, pi := range a.consts {
 				if !a.c.MatchLHS(pi, row, a.lhsPos) {
@@ -310,7 +315,7 @@ func auditCore(snap *relstore.Snapshot, cfds []*cfd.CFD, ix *auditIndex) (*Repor
 				}
 				if a.c.MatchRHS(pi, row, a.rhsPos) {
 					verifiedApplies = true
-					verifiedAttrs[strings.ToLower(a.c.RHS[0])] = true
+					verified[a.rhsPos[0]] = true
 				}
 			}
 		}
@@ -340,12 +345,13 @@ func auditCore(snap *relstore.Snapshot, cfds []*cfd.CFD, ix *auditIndex) (*Repor
 
 		// Attribute-value level: a cell is implicated when its attribute
 		// carries one of the tuple's violations.
-		for i, attr := range sc.Attrs {
+		viol := ix.attrViol[id]
+		for i := range attrAcc {
 			acc := &attrAcc[i]
 			acc.Total++
-			kind, implicated := ix.attrViol[id][strings.ToLower(attr.Name)]
+			kind, implicated := viol[lower[i]]
 			switch {
-			case !implicated && verifiedAttrs[strings.ToLower(attr.Name)]:
+			case !implicated && verified[i]:
 				acc.Verified++
 				acc.Probably++
 				acc.Arguably++

@@ -1,0 +1,165 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"semandaq/internal/datagen"
+	"semandaq/internal/monitor"
+	"semandaq/internal/relstore"
+	"semandaq/internal/repair"
+	"semandaq/internal/types"
+)
+
+// stewardBatch builds one round of the benchmark's steward-cycle update
+// batch (benchmark/gen.go, stewardRound) against snap: typos street typos in
+// UK zip groups of three or more, flips countries flipped against their
+// calling code, and moves inserts plus as many deletes — every update in a
+// (CNT, ZIP) group of its own. salt keeps two rounds' values apart.
+func stewardBatch(t *testing.T, snap *relstore.Snapshot, typos, flips, moves, salt int) []monitor.Update {
+	t.Helper()
+	sc := snap.Schema()
+	cnt, zip, str, name := sc.MustPos("CNT"), sc.MustPos("ZIP"), sc.MustPos("STR"), sc.MustPos("NAME")
+	groupOf := func(row relstore.Tuple) string { return row.KeyOn([]int{cnt, zip}) }
+	size := map[string]int{}
+	for _, row := range snap.Rows() {
+		size[groupOf(row)]++
+	}
+	taken := map[string]bool{}
+	at := salt * 977 % snap.Len()
+	pick := func(uk bool, minSize int) int {
+		for tries := 0; tries < snap.Len(); tries++ {
+			i := at
+			at = (at + 1) % snap.Len()
+			row := snap.Row(i)
+			g := groupOf(row)
+			if taken[g] || size[g] < minSize || (uk && row[cnt].Str() != "UK") {
+				continue
+			}
+			taken[g] = true
+			return i
+		}
+		t.Fatal("steward batch: table has too few free groups")
+		return -1
+	}
+	var batch []monitor.Update
+	for i := 0; i < typos; i++ {
+		r := pick(true, 3)
+		s := []byte(snap.Row(r)[str].Str())
+		s[0], s[1] = s[1], s[0]
+		batch = append(batch, monitor.Update{Op: monitor.OpSet, ID: snap.IDs()[r], Attr: "STR",
+			Value: types.NewString(fmt.Sprintf("%s~%d", s, salt))})
+	}
+	for i := 0; i < flips; i++ {
+		r := pick(false, 0)
+		flip := "UK"
+		if snap.Row(r)[cnt].Str() == "UK" {
+			flip = "US"
+		}
+		batch = append(batch, monitor.Update{Op: monitor.OpSet, ID: snap.IDs()[r], Attr: "CNT", Value: types.NewString(flip)})
+	}
+	for i := 0; i < moves; i++ {
+		row := snap.Row(pick(false, 0)).Clone()
+		row[name] = types.NewString(fmt.Sprintf("moved-%d-%d", salt, i))
+		batch = append(batch,
+			monitor.Update{Op: monitor.OpInsert, Row: row},
+			monitor.Update{Op: monitor.OpDelete, ID: snap.IDs()[pick(false, 4)]})
+	}
+	return batch
+}
+
+// deepCopy rebuilds snap's table through the row API alone — fresh rows,
+// same ids (a deleted id is inserted and deleted again), nothing shared with
+// the live table: the reference a forked repair is compared against.
+func deepCopy(snap *relstore.Snapshot) *relstore.Table {
+	tab := relstore.NewTable(snap.Schema())
+	for i, id := range snap.IDs() {
+		for got := tab.MustInsert(snap.Row(i)); got != id; got = tab.MustInsert(snap.Row(i)) {
+			tab.Delete(got)
+		}
+	}
+	return tab
+}
+
+// TestStewardRoundBuildsNothing: a steady-state round of the paper's Fig. 1
+// loop — a monitored update batch, detect, audit, explore, a candidate
+// repair on a working copy, its apply, re-discovery — interns the rows the
+// batch inserted and nothing else: no batch snapshot, column or PLI build,
+// no compaction. And the repair computed on the copy-on-write fork is the
+// one a deep copy of the table yields.
+func TestStewardRoundBuildsNothing(t *testing.T) {
+	const typos, flips, moves = 96, 32, 8
+	ctx := context.Background()
+	ds := datagen.Generate(datagen.Config{Tuples: 10000, Seed: 5})
+	arity := ds.Clean.Schema().Arity()
+	s := New()
+	s.RegisterTable(ds.Clean)
+	if err := s.RegisterCFDs("customer", datagen.StandardCFDs()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Monitor(ctx, "customer"); err != nil {
+		t.Fatal(err)
+	}
+
+	// round runs the loop once and returns the repair with the snapshot it
+	// was computed from.
+	round := func(salt int) (*repair.Result, *relstore.Snapshot) {
+		t.Helper()
+		batch := stewardBatch(t, ds.Clean.Snapshot(), typos, flips, moves, salt)
+		if _, err := s.ApplyUpdates("customer", batch); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.Detect(ctx, "customer")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Vio) < typos+flips {
+			t.Fatalf("round %d: %d dirty tuples after %d injected errors", salt, len(rep.Vio), typos+flips)
+		}
+		if _, err := s.Audit(ctx, "customer"); err != nil {
+			t.Fatal(err)
+		}
+		ex, err := s.Explore(ctx, "customer")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex.CFDs()
+		before := ds.Clean.Snapshot()
+		res, err := s.Repair(ctx, "customer")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if applied, skipped, err := s.ApplyRepair("customer", res.Modifications); err != nil || applied != len(res.Modifications) || len(skipped) != 0 {
+			t.Fatalf("round %d: applied %d of %d modifications, %d skipped, err %v", salt, applied, len(res.Modifications), len(skipped), err)
+		}
+		if _, err := s.Discover(ctx, "customer", WithMaxLHS(2)); err != nil {
+			t.Fatal(err)
+		}
+		return res, before
+	}
+
+	round(1) // the first round builds what every later one patches
+	start := relstore.ReadBuildOps()
+	res, before := round(2)
+	ops := relstore.ReadBuildOps().Sub(start)
+	if ops.BatchColumns != 0 || ops.RebuiltColumns != 0 || ops.PLIBuilds != 0 || ops.BatchSnapshots != 0 {
+		t.Errorf("steady-state round built from scratch: %+v", ops)
+	}
+	if limit := int64(moves*arity + 128); ops.InternedCells > limit {
+		t.Errorf("InternedCells = %d, want <= %d (the inserted rows' cells plus the repair's)", ops.InternedCells, limit)
+	}
+	if len(res.Modifications) < typos+flips || !res.Converged {
+		t.Errorf("repair made %d modifications for %d injected errors, converged=%v", len(res.Modifications), typos+flips, res.Converged)
+	}
+
+	want, err := repair.NewRepairer().Repair(ctx, deepCopy(before), datagen.StandardCFDs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Modifications, want.Modifications) || res.Cost != want.Cost || res.Passes != want.Passes {
+		t.Errorf("repair on the fork: %d modifications, cost %v, %d passes; on a deep copy: %d, %v, %d",
+			len(res.Modifications), res.Cost, res.Passes, len(want.Modifications), want.Cost, want.Passes)
+	}
+}

@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -78,6 +79,51 @@ func TestHarnessOverIngestBuiltTable(t *testing.T) {
 			data[i] = byte(rng.Intn(256))
 		}
 		if err := h.Drive(data, 1, func() error { return h.Check(t.Context()) }); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// TestHarnessOverForkedTable: the harness table is a Clone() of an
+// ingest-built one, so its tracker, detectors and discovery session read
+// columns borrowed from the source's lineage and its edits fork them — while
+// a second harness keeps mutating the source, one op per op. Both sides must
+// hold every layer's oracle at every version.
+func TestHarnessOverForkedTable(t *testing.T) {
+	const body = "K,V,W\nk0,v0,good\nk1,1,bad\nk2,1.0,\nk0,NaN,good\nk1,,bad\n" +
+		"k0,01,\nk2,1e0,good\nk0,+1,bad\nk1,v1,good\nk2,nan,\n"
+	cfg := DefaultConfig()
+	for seed := int64(0); seed < 4; seed++ {
+		tab, err := relstore.ReadCSV("f", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm(tab)
+		var sides [2]*Harness // the source, then its clone
+		for i, tab := range []*relstore.Table{tab, tab.Clone()} {
+			if sides[i], err = Attach(tab, cfg.CFDs, cfg.Discovery); err != nil {
+				t.Fatal(err)
+			}
+			sides[i].Cfg.Domain, sides[i].ids = cfg.Domain, tab.IDs()
+		}
+		src, fork := sides[0], sides[1]
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, 240)
+		for i := range data {
+			data[i] = byte(rng.Intn(256))
+		}
+		// The source's program is the first third, dealt out five bytes — an
+		// op or two — per op of the clone's.
+		srcProg := data[:80]
+		err = fork.Drive(data[80:], 1, func() error {
+			n := min(5, len(srcProg))
+			if err := src.Drive(srcProg[:n], 1, func() error { return src.Check(t.Context()) }); err != nil {
+				return fmt.Errorf("source: %w", err)
+			}
+			srcProg = srcProg[n:]
+			return fork.Check(t.Context())
+		})
+		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}

@@ -46,6 +46,9 @@ import (
 // before publishing, each patch adds its novel values under mu. Older
 // columns keep reading it (from any number of request goroutines, hence the
 // RWMutex); a hit at or past their own dictionary length is a miss to them.
+// A column has one in-place successor, so one writer at a time; a second
+// derivation from the same column heads a lineage of its own with a copy of
+// what that column can see (fork).
 type interner struct {
 	mu    sync.RWMutex
 	byInt map[int64]uint32  // KindInt
@@ -60,9 +63,9 @@ type interner struct {
 
 // Column is one attribute's vector in a columnar snapshot: a dense code per
 // row plus the dictionary the codes index. A Column is immutable once its
-// snapshot is built and safe for concurrent use; its successor in the
-// lineage appends to the shared dict/eq/keys arrays past this column's
-// lengths, which this column never reads.
+// snapshot is built and safe for concurrent use; its one in-place successor
+// in the lineage appends to the shared dict/eq/keys arrays past this
+// column's lengths, which this column — and any fork of it — never reads.
 type Column struct {
 	codes []uint32      // per row: exact dictionary code
 	dict  []types.Value // exact code -> value, dead codes included
@@ -110,6 +113,30 @@ type Column struct {
 	trueCode int64 // exact code of TRUE, -1 if never stored
 	flsCode  int64 // exact code of FALSE, -1 if never stored
 	nanCode  int64 // canonical Equal-class code of NaN, -1 if never stored
+}
+
+// fork returns a copy of the lookups a column with n dictionary entries can
+// see: entries at or past n are its successors', and an entry below n never
+// changes once made.
+func (in *interner) fork(n int) *interner {
+	in.mu.RLock()
+	defer in.mu.RUnlock()
+	return &interner{
+		byInt:      codesBelow(in.byInt, n),
+		byFlt:      codesBelow(in.byFlt, n),
+		byStr:      codesBelow(in.byStr, n),
+		byNumClass: codesBelow(in.byNumClass, n),
+	}
+}
+
+func codesBelow[K comparable](m map[K]uint32, n int) map[K]uint32 {
+	out := make(map[K]uint32, min(len(m), n))
+	for k, code := range m {
+		if int(code) < n {
+			out[k] = code
+		}
+	}
+	return out
 }
 
 // newColumn returns an empty column with n rows of capacity, heading a new
@@ -356,6 +383,10 @@ type Columnar struct {
 	version int64
 	ids     []TupleID
 	cols    []*Column
+	// borrowed, when non-nil, marks the columns that belong to another
+	// table's lineage (Table.Clone): a patch that touches one forks it
+	// instead of growing it in place.
+	borrowed []bool
 }
 
 // Schema returns the snapshot's relation schema.

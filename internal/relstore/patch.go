@@ -67,10 +67,17 @@ type chRec struct {
 // removed; a representation-preserving mutation passes none (version still
 // advances, nothing is logged — no cache content depends on it). Caller
 // holds t.mu.
+//
+// A snapshot that was only read by rows still holds its patch link. It hands
+// the link's base on instead of becoming one itself: the rows are diffed by
+// pointer, so any earlier snapshot is a valid base, and this one has no
+// columns to patch from.
 func (t *Table) noteMutationLocked(cols ...int32) {
 	if t.snap != nil {
-		t.prev = t.snap
-		t.npending = 0
+		t.prev, t.npending = t.snap, 0
+		if p := t.snap.patch.Swap(nil); p != nil {
+			t.prev, t.npending = p.prev, p.nops
+		}
 	}
 	t.version++
 	t.snap = nil
@@ -125,9 +132,11 @@ func (t *Table) ChangesSince(since int64) (changed []bool, rowsStable bool, ok b
 // were appended at the tail, edits[j] are the in-place cell changes of
 // column j at surviving rows (ascending), and remap — present iff rows were
 // dropped — maps every predecessor position to its final position, -1 for
-// dropped rows.
+// dropped rows. nops is the table's logged op count across the delta, for a
+// successor that inherits prev as its base.
 type snapPatch struct {
 	prev    *Snapshot
+	nops    int
 	drops   []int32
 	nAppend int
 	edits   [][]cellEdit
@@ -168,7 +177,7 @@ func (t *Table) patchSnapshotLocked() *Snapshot {
 		ids:     make([]TupleID, 0, n),
 		rows:    make([]Tuple, 0, n),
 	}
-	p := &snapPatch{prev: prev, edits: make([][]cellEdit, arity)}
+	p := &snapPatch{prev: prev, nops: t.npending, edits: make([][]cellEdit, arity)}
 	for i, id := range prev.ids {
 		cur, live := t.rows[id]
 		if !live {
@@ -218,10 +227,8 @@ func (t *Table) patchSnapshotLocked() *Snapshot {
 		}
 		p.remap = remap
 	}
-	// Sever the predecessor's own patch link: at most one link is ever
-	// live, so superseded snapshots (and their retained predecessors)
-	// become collectable as soon as readers let go.
-	prev.patch.Store(nil)
+	// prev holds no link of its own (noteMutationLocked took it before prev
+	// could become a base), so snapshots never chain.
 	snap.patch.Store(p)
 	buildOps.patchedSnapshots.Add(1)
 	return snap
@@ -242,24 +249,33 @@ func (s *Snapshot) buildColumn(j int) *Column {
 // included — identical rows build identical artifacts); touched columns
 // take the delta in O(delta) hashing: the code vector is spliced, the
 // counts are copied, and the dictionary grows in place — pcol has this one
-// successor and never reads past its own lengths. The predecessor's built
-// lazy artifacts are carried over, so a warm serving path stays warm
-// across mutations; those it never built stay lazy here too.
-func (s *Snapshot) patchColumn(p *snapPatch, pcol *Column, j int) *Column {
+// in-place successor and never reads past its own lengths. Every other
+// derivation is a fork (pcol is borrowed from the table a Clone forked,
+// whose own next patch is that successor): it first clips the dictionary,
+// Equal-class and key tables, so growing reallocates them, and copies the
+// lookups pcol can see — O(distinct values) of the touched column, once.
+// The predecessor's built lazy artifacts are carried over, so a warm
+// serving path stays warm across mutations; those it never built stay lazy
+// here too.
+func (s *Snapshot) patchColumn(p *snapPatch, pcol *Column, j int, fork bool) *Column {
 	edits := p.edits[j]
 	if len(p.drops) == 0 && p.nAppend == 0 && len(edits) == 0 {
 		buildOps.sharedColumns.Add(1)
 		return pcol
 	}
+	dict, eq, in := pcol.dict, pcol.eq, pcol.in
+	if fork {
+		dict, eq, in = slices.Clip(dict), slices.Clip(eq), in.fork(len(dict))
+	}
 	grow := len(edits) + p.nAppend
 	out := &Column{
 		codes:     spliceU32(pcol.codes, p.drops, p.nAppend),
-		dict:      pcol.dict,
-		eq:        pcol.eq,
+		dict:      dict,
+		eq:        eq,
 		counts:    append(make([]int32, 0, len(pcol.counts)+grow), pcol.counts...),
 		clsCounts: append(make([]int32, 0, len(pcol.counts)+grow), pcol.clsCounts...),
 		live:      pcol.live,
-		in:        pcol.in,
+		in:        in,
 		nullCode:  pcol.nullCode,
 		trueCode:  pcol.trueCode,
 		flsCode:   pcol.flsCode,
@@ -298,6 +314,9 @@ func (s *Snapshot) patchColumn(p *snapPatch, pcol *Column, j int) *Column {
 		out.keysOnce.Do(func() {
 			// Like dict, the key table grows in place past pcol's length.
 			keys := pcol.keys
+			if fork {
+				keys = slices.Clip(keys)
+			}
 			for _, v := range out.dict[len(keys):] {
 				keys = append(keys, v.Key())
 			}

@@ -23,7 +23,10 @@ import (
 // patchValues (patch_test.go), which packs the Equal-vs-exact corner cases
 // (INT 1 / FLOAT 1.0, NULL, NaN) into eleven values; a value byte of 0xC0
 // or above is a string the table has never held, so programs can grow
-// dictionaries and leave dead codes behind without bound.
+// dictionaries and leave dead codes behind without bound. An opcode with
+// forkBit set forks first: the table the op was headed for is Clone()d, the
+// remaining ops alternate between it and its clone, and every check holds
+// both to their own rebuilds.
 func FuzzSnapshotPatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3})
@@ -41,13 +44,47 @@ func FuzzSnapshotPatch(f *testing.F) {
 	f.Add([]byte{1, 3, 2, 0, 0, 3})                             // canonical INT 1 dies beside FLOAT 1.0, then revives
 	f.Add([]byte{1, 3, 1, 3, 0, 4, 4, 4})                       // the {INT 1, FLOAT 1.0} class empties, then returns via FLOAT
 	f.Add(bytes.Repeat([]byte{2, 0, 0, 0xC0}, 3*compactDead/2)) // dead codes pile up past the compaction threshold
+	for _, seed := range forkSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runMutationSequence(t, data)
 	})
 }
 
+// forkBit on an opcode byte forks before the op. No seed written before the
+// bit existed sets it on an opcode (their value bytes >= 0xC0 are never read
+// as one), so those programs run as they always did.
+const forkBit = 0x80
+
+var forkSeeds = [][]byte{
+	// Fork, then novel values in column A on both sides, twice each, then
+	// the first one's old value back on each side.
+	{forkBit | 2, 1, 0, 0xC0, 2, 1, 0, 0xC1, 2, 2, 0, 0xC2, 2, 2, 0, 0xC3, 2, 1, 0, 1, 2, 1, 0, 1},
+	// Fork, then only the clone strands dead codes past the compaction
+	// threshold; the source keeps rewriting one cell with values it holds.
+	append([]byte{forkBit | 2, 0, 1, 0}, bytes.Repeat([]byte{2, 0, 0, 0xC0, 2, 0, 1, 1, 2, 0, 0, 0xC0, 2, 0, 1, 0}, 3*compactDead/4)...),
+}
+
+// FuzzForkedSnapshotPatch is FuzzSnapshotPatch with every program forking at
+// its first op, so a short fuzz burst spends all of its time on two tables
+// sharing one lineage.
+func FuzzForkedSnapshotPatch(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3})
+	f.Add([]byte{2, 1, 0, 0xC0, 2, 1, 0, 0xC1, 1, 0, 1, 0, 0, 3, 4, 0xC2})
+	for _, seed := range forkSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 0 {
+			data = append([]byte{data[0] | forkBit}, data[1:]...)
+		}
+		runMutationSequence(t, data)
+	})
+}
+
 // runMutationSequence is the shared driver behind FuzzSnapshotPatch and
-// TestSnapshotPatchSeeds.
+// FuzzForkedSnapshotPatch.
 func runMutationSequence(t *testing.T, data []byte) {
 	tab := NewTable(schema.New("f", "A", "B", "C"))
 	for i := 0; i < 6; i++ {
@@ -71,14 +108,24 @@ func runMutationSequence(t *testing.T, data []byte) {
 		return types.NewString(fmt.Sprintf("n%d", novel))
 	}
 	row := func() Tuple { return Tuple{value(), value(), value()} }
+	// tabs[1] is tabs[0]'s clone once a program has forked; turn is the side
+	// the next op goes to.
+	tabs, turn := []*Table{tab}, 0
 	check := func() {
-		if err := DiffSnapshots(tab.Snapshot(), tab.RebuildSnapshot()); err != nil {
-			t.Fatalf("version %d after %d input bytes: %v", tab.Version(), pos, err)
+		for side, tab := range tabs {
+			if err := DiffSnapshots(tab.Snapshot(), tab.RebuildSnapshot()); err != nil {
+				t.Fatalf("side %d, version %d after %d input bytes: %v", side, tab.Version(), pos, err)
+			}
 		}
 	}
 	check()
 	for pos < len(data) {
 		op := next()
+		tab := tabs[turn]
+		if op&forkBit != 0 {
+			tabs, turn = []*Table{tab, tab.Clone()}, 0
+		}
+		turn = (turn + 1) % len(tabs)
 		ids := tab.IDs()
 		switch {
 		case op%4 == 0 || len(ids) == 0:

@@ -48,12 +48,14 @@ type Snapshot struct {
 	colOnce sync.Once
 	col     *Columnar
 
-	// patch, when non-nil, links this snapshot to its predecessor and the
+	// patch, when non-nil, links this snapshot to a predecessor and the
 	// delta separating them, so Columnar() can derive the columnar view by
 	// patching the predecessor's instead of re-interning every cell
-	// (patch.go). It is cleared once this snapshot's columnar view exists,
-	// and a successor snapshot severs it when it takes over as the patch
-	// target, so snapshots never chain more than one version back.
+	// (patch.go). Whoever swaps the link out owns it, and with it the right
+	// to grow the predecessor's columns in place: Columnar() when it builds
+	// this snapshot's view, or the table's next mutation when nobody asked
+	// for the view — the link's base then serves the next snapshot
+	// (noteMutationLocked), and a late Columnar() here batch-builds.
 	patch atomic.Pointer[snapPatch]
 	// colReady mirrors colOnce: set (with release semantics) once col is
 	// built, so the patcher can ask whether a predecessor's columnar view
@@ -129,15 +131,23 @@ func (s *Snapshot) Columnar() *Columnar {
 			cols:    make([]*Column, s.schema.Arity()),
 		}
 		var pc *Columnar
-		p := s.patch.Load()
+		p := s.patch.Swap(nil)
 		if p != nil {
 			pc = p.prev.builtColumnar()
 		}
 		if pc != nil {
 			// Patch each column in turn: a patch is microseconds of work,
 			// less than the goroutine the batch build gives each column.
+			// A column pc borrowed stays borrowed while it is shared.
+			if pc.borrowed != nil {
+				col.borrowed = make([]bool, len(col.cols))
+			}
 			for j := range col.cols {
-				col.cols[j] = s.patchColumn(p, pc.cols[j], j)
+				fork := pc.borrowed != nil && pc.borrowed[j]
+				col.cols[j] = s.patchColumn(p, pc.cols[j], j, fork)
+				if fork {
+					col.borrowed[j] = col.cols[j] == pc.cols[j]
+				}
 			}
 		} else {
 			// Columns intern independently, so the build fans out one goroutine
@@ -157,9 +167,17 @@ func (s *Snapshot) Columnar() *Columnar {
 		}
 		s.col = col
 		s.colReady.Store(true)
-		s.patch.Store(nil) // the predecessor link is no longer needed
 	})
 	return s.col
+}
+
+// setColumnar hands the snapshot a columnar view built elsewhere — by a bulk
+// loader, or borrowed from the table a Clone forked — before it is published.
+func (s *Snapshot) setColumnar(cols []*Column, borrowed []bool) {
+	s.colOnce.Do(func() {
+		s.col = &Columnar{schema: s.schema, version: s.version, ids: s.ids, cols: cols, borrowed: borrowed}
+		s.colReady.Store(true)
+	})
 }
 
 // builtColumnar returns the columnar view iff it has already been built,
@@ -186,6 +204,11 @@ func (t *Table) Snapshot() *Snapshot {
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.snapshotLocked()
+}
+
+// snapshotLocked is Snapshot under t.mu held for writing.
+func (t *Table) snapshotLocked() *Snapshot {
 	if snap := t.snap; snap != nil && snap.version == t.version {
 		return snap
 	}
@@ -240,10 +263,7 @@ func tableFromColumns(sc *schema.Relation, cols []*Column) *Table {
 		id := TupleID(i)
 		t.rows[id], t.order[i], snap.ids[i], snap.rows[i] = row, id, id, row
 	}
-	snap.colOnce.Do(func() {
-		snap.col = &Columnar{schema: sc, version: snap.version, ids: snap.ids, cols: cols}
-		snap.colReady.Store(true)
-	})
+	snap.setColumnar(cols, nil)
 	buildOps.internedCells.Add(int64(n * len(cols)))
 	buildOps.batchColumns.Add(int64(len(cols)))
 	buildOps.batchSnapshots.Add(1)

@@ -1,8 +1,7 @@
 // Package relstore implements the in-memory relational store that stands in
 // for the RDBMS at the bottom of the Semandaq architecture (Fig. 1 of the
 // paper). It provides tables with stable tuple IDs, insert/delete/update,
-// hash indexes on attribute lists, full scans, CSV import/export and
-// copy-on-read snapshots.
+// full scans, CSV import/export and copy-on-read snapshots.
 //
 // Tuple identity matters throughout Semandaq: the error detector attributes
 // violation counts vio(t) to tuples, the repair algorithm edits cells
@@ -12,6 +11,7 @@ package relstore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -78,7 +78,6 @@ type Table struct {
 	order   []TupleID // insertion order, compacted lazily
 	deleted int       // count of tombstones in order
 	nextID  TupleID
-	indexes map[string]*Index
 	version int64 // bumped on every mutation; lets caches invalidate
 	// snap caches the pinned read view built by Snapshot() for the current
 	// version; mutations drop it so the memory is reclaimable immediately.
@@ -101,11 +100,7 @@ type Table struct {
 
 // NewTable creates an empty table with the given schema.
 func NewTable(s *schema.Relation) *Table {
-	return &Table{
-		schema:  s,
-		rows:    make(map[TupleID]Tuple),
-		indexes: make(map[string]*Index),
-	}
+	return &Table{schema: s, rows: make(map[TupleID]Tuple)}
 }
 
 // Schema returns the table schema.
@@ -139,9 +134,6 @@ func (t *Table) Insert(row Tuple) (TupleID, error) {
 	t.rows[id] = r
 	t.order = append(t.order, id)
 	t.noteMutationLocked(structuralChange)
-	for _, ix := range t.indexes {
-		ix.add(id, r)
-	}
 	return id, nil
 }
 
@@ -171,12 +163,8 @@ func (t *Table) Get(id TupleID) (Tuple, bool) {
 func (t *Table) Delete(id TupleID) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	row, ok := t.rows[id]
-	if !ok {
+	if _, ok := t.rows[id]; !ok {
 		return false
-	}
-	for _, ix := range t.indexes {
-		ix.remove(id, row)
 	}
 	delete(t.rows, id)
 	t.deleted++
@@ -202,9 +190,6 @@ func (t *Table) Update(id TupleID, row Tuple) error {
 	if !ok {
 		return fmt.Errorf("relstore: update %s: no tuple %d", t.schema.Name, id)
 	}
-	for _, ix := range t.indexes {
-		ix.remove(id, old)
-	}
 	r := row.Clone()
 	t.rows[id] = r
 	// Log the columns whose stored representation actually changed —
@@ -217,9 +202,6 @@ func (t *Table) Update(id TupleID, row Tuple) error {
 		}
 	}
 	t.noteMutationLocked(cols...)
-	for _, ix := range t.indexes {
-		ix.add(id, r)
-	}
 	return nil
 }
 
@@ -239,9 +221,6 @@ func (t *Table) SetCell(id TupleID, pos int, v types.Value) (types.Value, error)
 	if old.Equal(v) {
 		return old, nil
 	}
-	for _, ix := range t.indexes {
-		ix.remove(id, row)
-	}
 	// Copy-on-write: the stored row may be shared by a pinned Snapshot (and
 	// by any Scan callback running off one), so the cell update goes into a
 	// fresh tuple and the map entry is swapped — the old row is never
@@ -250,9 +229,6 @@ func (t *Table) SetCell(id TupleID, pos int, v types.Value) (types.Value, error)
 	nrow[pos] = v
 	t.rows[id] = nrow
 	t.noteMutationLocked(int32(pos))
-	for _, ix := range t.indexes {
-		ix.add(id, nrow)
-	}
 	return old, nil
 }
 
@@ -312,130 +288,42 @@ func (t *Table) Rows() ([]TupleID, []Tuple) {
 	return ids, rows
 }
 
-// Clone returns an independent mutable copy of the table (same schema
-// object, fresh rows, IDs preserved). Indexes are not copied. For a cheap
-// immutable read view, use Snapshot instead.
+// Clone returns an independent mutable table holding the source's current
+// version (same schema object, ids, version and next id): a copy-on-write
+// fork, not a deep copy. Stored rows are never mutated in place, so the clone
+// shares the source's row references and its pinned snapshot's vectors, and
+// it borrows the source's columnar view — dictionaries, code vectors, built
+// PLIs — when that view exists or is one O(delta) patch away. A borrowed
+// column still belongs to the source's lineage, whose one in-place successor
+// is the source's next patch: the clone's first patch that touches it forks
+// it (patchColumn), so neither table ever sees the other's edits. For a
+// cheap immutable read view, use Snapshot instead.
 func (t *Table) Clone() *Table {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	c := NewTable(t.schema)
-	c.nextID = t.nextID
-	c.order = make([]TupleID, 0, len(t.rows))
-	for _, id := range t.order {
-		if row, ok := t.rows[id]; ok {
-			c.rows[id] = row.Clone()
-			c.order = append(c.order, id)
-		}
+	t.mu.Lock()
+	src, nextID := t.snapshotLocked(), t.nextID
+	t.mu.Unlock()
+	c := &Table{
+		schema:  t.schema,
+		rows:    make(map[TupleID]Tuple, len(src.ids)),
+		order:   slices.Clone(src.ids), // compactLocked rewrites order in place
+		nextID:  nextID,
+		version: src.version,
+		chfloor: src.version,
+		snap:    &Snapshot{schema: t.schema, version: src.version, ids: src.ids, rows: src.rows},
+	}
+	for i, id := range src.ids {
+		c.rows[id] = src.rows[i]
+	}
+	// Outside the lock: if a mutation of t takes src's link between the check
+	// and the call, Columnar batch-builds instead — slower, equally correct.
+	col := src.builtColumnar()
+	if p := src.patch.Load(); col == nil && p != nil && p.prev.builtColumnar() != nil {
+		col = src.Columnar()
+	}
+	if col != nil {
+		c.snap.setColumnar(col.cols, slices.Repeat([]bool{true}, len(col.cols)))
 	}
 	return c
-}
-
-// EnsureIndex builds (or returns) a hash index on the named attributes.
-func (t *Table) EnsureIndex(attrs ...string) (*Index, error) {
-	pos, err := t.schema.Positions(attrs)
-	if err != nil {
-		return nil, err
-	}
-	key := indexKey(attrs)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if ix, ok := t.indexes[key]; ok {
-		return ix, nil
-	}
-	ix := &Index{attrs: append([]string(nil), attrs...), pos: pos,
-		buckets: make(map[string][]TupleID)}
-	for id, row := range t.rows {
-		ix.add(id, row)
-	}
-	t.indexes[key] = ix
-	return ix, nil
-}
-
-// Index returns the existing index on attrs, if any.
-func (t *Table) Index(attrs ...string) (*Index, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ix, ok := t.indexes[indexKey(attrs)]
-	return ix, ok
-}
-
-func indexKey(attrs []string) string {
-	low := make([]string, len(attrs))
-	for i, a := range attrs {
-		low[i] = strings.ToLower(a)
-	}
-	return strings.Join(low, "\x1f")
-}
-
-// Index is a hash index from projected attribute values to tuple IDs. The
-// owning table maintains it under the table's write lock; Lookup and
-// Buckets take the index's own read lock, so readers that hold only an
-// *Index (no table reference) are still safe against concurrent mutation.
-type Index struct {
-	mu      sync.RWMutex
-	attrs   []string
-	pos     []int
-	buckets map[string][]TupleID
-}
-
-// Attrs returns the indexed attribute names.
-func (ix *Index) Attrs() []string { return append([]string(nil), ix.attrs...) }
-
-func (ix *Index) add(id TupleID, row Tuple) {
-	k := row.KeyOn(ix.pos)
-	ix.mu.Lock()
-	ix.buckets[k] = append(ix.buckets[k], id)
-	ix.mu.Unlock()
-}
-
-func (ix *Index) remove(id TupleID, row Tuple) {
-	k := row.KeyOn(ix.pos)
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	b := ix.buckets[k]
-	for i, v := range b {
-		if v == id {
-			b[i] = b[len(b)-1]
-			b = b[:len(b)-1]
-			break
-		}
-	}
-	if len(b) == 0 {
-		delete(ix.buckets, k)
-	} else {
-		ix.buckets[k] = b
-	}
-}
-
-// Lookup returns the IDs of tuples whose projection equals vals. The result
-// is a fresh slice in unspecified order.
-func (ix *Index) Lookup(vals []types.Value) []TupleID {
-	var b strings.Builder
-	for _, v := range vals {
-		v.WriteGroupKey(&b)
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	src := ix.buckets[b.String()]
-	out := make([]TupleID, len(src))
-	copy(out, src)
-	return out
-}
-
-// Buckets calls fn for every (key, ids) bucket. Used by group-based
-// detection. The ids slice must not be mutated or retained, and fn must
-// not call into the owning table at all — not even read methods: the index
-// read lock is held for the whole iteration, and a table writer blocked on
-// this index while fn blocks on the table lock is a deadlock. Resolve rows
-// after Buckets returns (a Snapshot taken beforehand is the safe way).
-func (ix *Index) Buckets(fn func(key string, ids []TupleID) bool) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	for k, ids := range ix.buckets {
-		if !fn(k, ids) {
-			return
-		}
-	}
 }
 
 // Store is a named collection of tables — the "database" a Semandaq

@@ -168,66 +168,6 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
-func TestIndexMaintenance(t *testing.T) {
-	tab := newCustomerTable()
-	ix, err := tab.EnsureIndex("CNT", "ZIP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(cnt, zip string) Tuple {
-		return strs("n", cnt, "city", zip, "str", "44", "131")
-	}
-	a := tab.MustInsert(mk("UK", "EH2"))
-	b := tab.MustInsert(mk("UK", "EH2"))
-	c := tab.MustInsert(mk("US", "07974"))
-	key := []types.Value{types.NewString("UK"), types.NewString("EH2")}
-	got := ix.Lookup(key)
-	if len(got) != 2 {
-		t.Fatalf("Lookup = %v", got)
-	}
-	// Update moves a tuple between buckets.
-	pos := tab.Schema().MustPos("ZIP")
-	tab.SetCell(b, pos, types.NewString("G1"))
-	if got := ix.Lookup(key); len(got) != 1 || got[0] != a {
-		t.Errorf("after move Lookup = %v", got)
-	}
-	// Delete removes from index.
-	tab.Delete(c)
-	usKey := []types.Value{types.NewString("US"), types.NewString("07974")}
-	if got := ix.Lookup(usKey); len(got) != 0 {
-		t.Errorf("after delete Lookup = %v", got)
-	}
-	// EnsureIndex twice returns the same index.
-	ix2, _ := tab.EnsureIndex("cnt", "zip")
-	if ix2 != ix {
-		t.Error("EnsureIndex should be idempotent (case-insensitive)")
-	}
-	if _, ok := tab.Index("CNT", "ZIP"); !ok {
-		t.Error("Index lookup failed")
-	}
-	if _, err := tab.EnsureIndex("NOPE"); err == nil {
-		t.Error("expected unknown attribute error")
-	}
-}
-
-func TestIndexBuiltOverExistingRows(t *testing.T) {
-	tab := NewTable(schema.New("r", "A"))
-	tab.MustInsert(strs("x"))
-	tab.MustInsert(strs("x"))
-	ix, err := tab.EnsureIndex("A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ix.Lookup([]types.Value{types.NewString("x")}); len(got) != 2 {
-		t.Errorf("Lookup = %v", got)
-	}
-	n := 0
-	ix.Buckets(func(key string, ids []TupleID) bool { n++; return true })
-	if n != 1 {
-		t.Errorf("buckets = %d", n)
-	}
-}
-
 func TestCompaction(t *testing.T) {
 	tab := NewTable(schema.New("r", "A"))
 	var ids []TupleID
@@ -296,9 +236,6 @@ func TestStoreCRUD(t *testing.T) {
 
 func TestConcurrentAccess(t *testing.T) {
 	tab := NewTable(schema.New("r", "A", "B"))
-	if _, err := tab.EnsureIndex("A"); err != nil {
-		t.Fatal(err)
-	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

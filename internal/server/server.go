@@ -35,16 +35,17 @@ import (
 type Server struct {
 	s  *core.Semandaq
 	mu sync.Mutex
-	// pending holds the last computed candidate repair per table, for the
-	// review-then-apply flow.
-	pending map[string]*repair.Result
+	// pending holds the modifications of the last computed candidate repair
+	// per lowercased table name, for the review-then-apply flow — not the
+	// result, whose working table would stay alive until applied.
+	pending map[string][]repair.Modification
 }
 
 // New builds a server over the session.
 func New(s *core.Semandaq) *Server {
 	return &Server{
 		s:       s,
-		pending: map[string]*repair.Result{},
+		pending: map[string][]repair.Modification{},
 	}
 }
 
@@ -614,7 +615,7 @@ func (sv *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sv.mu.Lock()
-	sv.pending[table] = res
+	sv.pending[strings.ToLower(table)] = res.Modifications
 	sv.mu.Unlock()
 	mods := make([]map[string]any, 0, len(res.Modifications))
 	for _, m := range res.Modifications {
@@ -631,14 +632,15 @@ func (sv *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 
 func (sv *Server) handleRepairApply(w http.ResponseWriter, r *http.Request) {
 	table := r.PathValue("table")
+	key := strings.ToLower(table)
 	sv.mu.Lock()
-	res := sv.pending[table]
+	mods, ok := sv.pending[key]
 	sv.mu.Unlock()
-	if res == nil {
+	if !ok {
 		writeError(w, http.StatusConflict, fmt.Errorf("no pending repair for %s; POST /api/repair/%s first", table, table))
 		return
 	}
-	applied, skipped, err := sv.s.ApplyRepair(table, res.Modifications)
+	applied, skipped, err := sv.s.ApplyRepair(table, mods)
 	if err != nil {
 		// The pending repair stays available: a transient 409 (monitor
 		// being replaced) is retryable without recomputing the repair.
@@ -649,7 +651,7 @@ func (sv *Server) handleRepairApply(w http.ResponseWriter, r *http.Request) {
 	// the second pass skips every modification whose Old value no longer
 	// matches.
 	sv.mu.Lock()
-	delete(sv.pending, table)
+	delete(sv.pending, key)
 	sv.mu.Unlock()
 	sk := make([]map[string]any, 0, len(skipped))
 	for _, m := range skipped {

@@ -247,6 +247,18 @@ func TestRepairReviewApplyFlow(t *testing.T) {
 	do(t, ts, "POST", "/api/repair/customer/apply", "", http.StatusConflict)
 }
 
+// TestRepairApplyMixedCaseTable: table names are case-insensitive on every
+// endpoint, the pending-repair key included.
+func TestRepairApplyMixedCaseTable(t *testing.T) {
+	ts := testServer(t)
+	do(t, ts, "POST", "/api/repair/Customer", "", http.StatusOK)
+	out := do(t, ts, "POST", "/api/repair/customer/apply", "", http.StatusOK)
+	if out["applied"].(float64) == 0 {
+		t.Errorf("apply = %v", out)
+	}
+	do(t, ts, "POST", "/api/repair/CUSTOMER/apply", "", http.StatusConflict)
+}
+
 func TestMonitorFlow(t *testing.T) {
 	ts := testServer(t)
 	// Repair + apply so the table is clean, then monitor cleansed.
