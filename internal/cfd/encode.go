@@ -1,8 +1,6 @@
 package cfd
 
 import (
-	"fmt"
-
 	"semandaq/internal/relstore"
 	"semandaq/internal/schema"
 	"semandaq/internal/types"
@@ -59,44 +57,4 @@ func encodeCell(p PatternValue) types.Value {
 		return wildcardValue
 	}
 	return p.Const
-}
-
-// DecodeTableau reconstructs a CFD from an encoded tableau table. The
-// caller supplies the embedded FD's attribute split (the encoding stores X
-// then Y, but the table alone does not record where X ends).
-func DecodeTableau(tab *relstore.Table, id, dataTable string, lhs, rhs []string) (*CFD, error) {
-	sc := tab.Schema()
-	if sc.Arity() != len(lhs)+len(rhs) {
-		return nil, fmt.Errorf("cfd: tableau %s has %d columns, want %d",
-			sc.Name, sc.Arity(), len(lhs)+len(rhs))
-	}
-	c := &CFD{ID: id, Table: dataTable,
-		LHS: append([]string(nil), lhs...),
-		RHS: append([]string(nil), rhs...)}
-	var err error
-	tab.Snapshot().Scan(func(_ relstore.TupleID, row relstore.Tuple) bool {
-		pt := PatternTuple{}
-		for i := range lhs {
-			pt.LHS = append(pt.LHS, decodeCell(row[i]))
-		}
-		for i := range rhs {
-			pt.RHS = append(pt.RHS, decodeCell(row[len(lhs)+i]))
-		}
-		c.Tableau = append(c.Tableau, pt)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	if cerr := c.checkArity(); cerr != nil {
-		return nil, cerr
-	}
-	return c, nil
-}
-
-func decodeCell(v types.Value) PatternValue {
-	if v.Kind() == types.KindString && v.Str() == WildcardToken {
-		return Wild
-	}
-	return Constant(v)
 }

@@ -46,42 +46,6 @@ func TestEncodePreservesTypes(t *testing.T) {
 	}
 }
 
-func TestDecodeTableauRoundTrip(t *testing.T) {
-	store := relstore.NewStore()
-	orig := phi2()
-	orig.AddPattern(PatternTuple{
-		LHS: []PatternValue{ConstStr("US"), ConstStr("07974")},
-		RHS: []PatternValue{ConstStr("Mtn Ave")},
-	})
-	tab, err := EncodeTableau(store, orig, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeTableau(tab, "phi2", "customer", orig.LHS, orig.RHS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Tableau) != 2 {
-		t.Fatalf("tableau = %d", len(back.Tableau))
-	}
-	for i := range orig.Tableau {
-		if !back.Tableau[i].Equal(orig.Tableau[i]) {
-			t.Errorf("pattern %d: %v != %v", i, back.Tableau[i], orig.Tableau[i])
-		}
-	}
-}
-
-func TestDecodeTableauArityMismatch(t *testing.T) {
-	store := relstore.NewStore()
-	tab, err := EncodeTableau(store, phi2(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeTableau(tab, "x", "customer", []string{"A"}, []string{"B"}); err == nil {
-		t.Error("arity mismatch should fail")
-	}
-}
-
 func TestEncodeReplacesPrevious(t *testing.T) {
 	store := relstore.NewStore()
 	c := phi2()

@@ -328,90 +328,3 @@ func witness(sc *schema.Relation, assign map[string]assigned, rules []rule, dom 
 	}
 	return out
 }
-
-// ImpliesConstant tests whether Σ implies the single-pattern constant CFD
-// target over infinite domains: starting from the target's LHS constants
-// (its wildcard LHS attributes stand for arbitrary fresh values), the chase
-// must force the target's RHS constant. Implication also holds vacuously
-// when the premise assignment already clashes.
-func ImpliesConstant(sigma []*cfd.CFD, target *cfd.CFD) (bool, error) {
-	norm := target.Normalize()
-	for _, nt := range norm {
-		for i, pt := range nt.Tableau {
-			if pt.RHS[0].Wildcard {
-				return false, fmt.Errorf("consistency: ImpliesConstant requires a constant RHS (pattern %d of %s)", i, nt.ID)
-			}
-			assign := map[string]assigned{}
-			for k, p := range pt.LHS {
-				if !p.Wildcard {
-					assign[strings.ToLower(nt.LHS[k])] = assigned{val: p.Const, by: "premise"}
-				}
-			}
-			rules := collectRules(sigma)
-			if _, ok := chase(rules, assign, nil); !ok {
-				continue // clashing premise: vacuously implied
-			}
-			got, ok := assign[strings.ToLower(nt.RHS[0])]
-			if !ok || !got.val.Equal(pt.RHS[0].Const) {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
-}
-
-// Subsumes reports whether pattern q makes pattern p redundant within one
-// CFD: q's LHS is at least as general cell-wise (so q matches every tuple p
-// matches) and q's RHS constraint implies p's (equal cells, or p wildcard
-// with q constant — a forced constant implies pairwise equality).
-func Subsumes(q, p cfd.PatternTuple) bool {
-	if len(q.LHS) != len(p.LHS) || len(q.RHS) != len(p.RHS) {
-		return false
-	}
-	for i := range q.LHS {
-		if q.LHS[i].Wildcard {
-			continue
-		}
-		if p.LHS[i].Wildcard || !q.LHS[i].Equal(p.LHS[i]) {
-			return false
-		}
-	}
-	for i := range q.RHS {
-		if q.RHS[i].Equal(p.RHS[i]) {
-			continue
-		}
-		if p.RHS[i].Wildcard && !q.RHS[i].Wildcard {
-			continue
-		}
-		return false
-	}
-	return true
-}
-
-// MinimizeTableau removes patterns subsumed by another pattern of the same
-// CFD, returning a copy with an irredundant tableau (order preserved).
-func MinimizeTableau(c *cfd.CFD) *cfd.CFD {
-	out := c.Clone()
-	var kept []cfd.PatternTuple
-	for i, p := range out.Tableau {
-		redundant := false
-		for j, q := range out.Tableau {
-			if i == j {
-				continue
-			}
-			if Subsumes(q, p) {
-				// Break symmetric ties (identical patterns) by index.
-				if Subsumes(p, q) && i < j {
-					continue
-				}
-				redundant = true
-				break
-			}
-		}
-		if !redundant {
-			kept = append(kept, p)
-		}
-	}
-	out.Tableau = kept
-	return out
-}

@@ -201,102 +201,3 @@ func TestFiniteDomainExcludesForcedValue(t *testing.T) {
 		t.Fatal("forced value outside finite domain should be unsatisfiable")
 	}
 }
-
-func TestImpliesConstant(t *testing.T) {
-	sigma := mustParseSet(t, `
-customer: [CC=44] -> [CNT=UK]
-customer: [CNT=UK] -> [CITY=Edinburgh]
-`)
-	implied := mustParseSet(t, "customer: [CC=44] -> [CITY=Edinburgh]")[0]
-	got, err := ImpliesConstant(sigma, implied)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got {
-		t.Error("transitive implication should hold")
-	}
-	notImplied := mustParseSet(t, "customer: [CC=1] -> [CITY=Edinburgh]")[0]
-	got, err = ImpliesConstant(sigma, notImplied)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got {
-		t.Error("CC=1 premise implies nothing")
-	}
-	variable := mustParseSet(t, "customer: [CC=44] -> [CITY=_]")[0]
-	if _, err := ImpliesConstant(sigma, variable); err == nil {
-		t.Error("variable target should error")
-	}
-}
-
-func TestImpliesConstantVacuous(t *testing.T) {
-	// The premise CC=44 clashes inside sigma (CNT forced two ways under a
-	// singleton chain), so any conclusion is vacuously implied... build a
-	// premise that the chase itself contradicts:
-	sigma := mustParseSet(t, `
-customer: [CC=44] -> [CNT=UK]
-customer: [CC=44] -> [CNT=US]
-`)
-	target := mustParseSet(t, "customer: [CC=44] -> [CITY=Anything]")[0]
-	got, err := ImpliesConstant(sigma, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got {
-		t.Error("clashing premise implies everything")
-	}
-}
-
-func TestSubsumes(t *testing.T) {
-	wild := cfd.Wild
-	uk := cfd.ConstStr("UK")
-	lon := cfd.ConstStr("London")
-	// q = ([_, _] || [_]) subsumes p = ([UK, _] || [_]).
-	q := cfd.PatternTuple{LHS: []cfd.PatternValue{wild, wild}, RHS: []cfd.PatternValue{wild}}
-	p := cfd.PatternTuple{LHS: []cfd.PatternValue{uk, wild}, RHS: []cfd.PatternValue{wild}}
-	if !Subsumes(q, p) {
-		t.Error("more general LHS should subsume")
-	}
-	if Subsumes(p, q) {
-		t.Error("less general LHS should not subsume")
-	}
-	// Constant RHS subsumes wildcard RHS at same LHS.
-	qc := cfd.PatternTuple{LHS: []cfd.PatternValue{uk, wild}, RHS: []cfd.PatternValue{lon}}
-	if !Subsumes(qc, p) {
-		t.Error("constant RHS should subsume wildcard RHS")
-	}
-	if Subsumes(p, qc) {
-		t.Error("wildcard RHS should not subsume constant RHS")
-	}
-	// Different constants on RHS: no subsumption either way.
-	qd := cfd.PatternTuple{LHS: []cfd.PatternValue{uk, wild}, RHS: []cfd.PatternValue{cfd.ConstStr("Leeds")}}
-	if Subsumes(qc, qd) || Subsumes(qd, qc) {
-		t.Error("different RHS constants should not subsume")
-	}
-}
-
-func TestMinimizeTableau(t *testing.T) {
-	c, err := cfd.ParseLine("customer: [CNT=_, ZIP=_] -> [CITY=_]")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Add a pattern subsumed by the all-wildcard one.
-	c.AddPattern(cfd.PatternTuple{
-		LHS: []cfd.PatternValue{cfd.ConstStr("UK"), cfd.Wild},
-		RHS: []cfd.PatternValue{cfd.Wild},
-	})
-	min := MinimizeTableau(c)
-	if len(min.Tableau) != 1 {
-		t.Errorf("minimized tableau = %d patterns", len(min.Tableau))
-	}
-	if !min.Tableau[0].LHS[0].Wildcard {
-		t.Error("kept pattern should be the general one")
-	}
-	// Identical duplicates: exactly one survives.
-	d := c.Clone()
-	d.Tableau = []cfd.PatternTuple{c.Tableau[0], c.Tableau[0].Clone()}
-	min = MinimizeTableau(d)
-	if len(min.Tableau) != 1 {
-		t.Errorf("duplicate minimize = %d", len(min.Tableau))
-	}
-}

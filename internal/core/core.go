@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"iter"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -38,6 +39,15 @@ var ErrMonitorBusy = errors.New("semandaq: monitor is being (re)started; retry s
 // ErrNoMonitor is returned by ApplyUpdates when the table has no active
 // monitor.
 var ErrNoMonitor = errors.New("semandaq: no active monitor for table")
+
+// The request errors a caller may need to tell apart (the HTTP layer maps
+// them to 404, 409 and 400): the named table is not registered, the table
+// has no constraints to evaluate yet, a WithCFDs id names none of them.
+var (
+	ErrNoTable    = errors.New("semandaq: no table")
+	ErrNoCFDs     = errors.New("semandaq: no CFDs registered")
+	ErrUnknownCFD = errors.New("semandaq: no CFD")
+)
 
 // Semandaq is one data-quality session over a store of tables.
 type Semandaq struct {
@@ -243,7 +253,11 @@ func (s *Semandaq) LoadCSV(name string, r io.Reader) (*relstore.Table, error) {
 // of the same name. Per-table state bound to the replaced instance — its
 // active monitor and cached reports — is detached: a monitor left
 // registered would keep routing writes into the orphaned old table, and a
-// cached report could alias the new table's version counter.
+// cached report could alias the new table's version counter. Of the
+// replaced table's constraints, exactly those that still validate against
+// the new schema stay registered (all of them, the same pointers, on a
+// same-schema reload); one naming a column the new table lacks would fail
+// every later request, RegisterCFDs included.
 func (s *Semandaq) RegisterTable(tab *relstore.Table) {
 	key := strings.ToLower(tab.Schema().Name)
 	g := s.gate(key)
@@ -254,6 +268,9 @@ func (s *Semandaq) RegisterTable(tab *relstore.Table) {
 	delete(s.monitors, key)
 	delete(s.sessions, key)
 	delete(s.reports, key)
+	if cur := s.cfds[key]; len(cur) > 0 {
+		s.cfds[key] = slices.DeleteFunc(cur, func(c *cfd.CFD) bool { return c.Validate(tab.Schema()) != nil })
+	}
 	s.mu.Unlock()
 }
 
@@ -261,7 +278,7 @@ func (s *Semandaq) RegisterTable(tab *relstore.Table) {
 func (s *Semandaq) Table(name string) (*relstore.Table, error) {
 	tab, ok := s.store.Table(name)
 	if !ok {
-		return nil, fmt.Errorf("semandaq: no table %q", name)
+		return nil, fmt.Errorf("%w %q", ErrNoTable, name)
 	}
 	return tab, nil
 }
@@ -382,7 +399,7 @@ func (s *Semandaq) requestCFDs(table string, o requestOptions) (*relstore.Table,
 	}
 	cfds := s.CFDs(table)
 	if len(cfds) == 0 {
-		return nil, nil, fmt.Errorf("semandaq: no CFDs registered for %s", table)
+		return nil, nil, fmt.Errorf("%w for %s", ErrNoCFDs, table)
 	}
 	if len(o.cfdIDs) > 0 {
 		want := make(map[string]bool, len(o.cfdIDs))
@@ -402,7 +419,7 @@ func (s *Semandaq) requestCFDs(table string, o requestOptions) (*relstore.Table,
 				missing = append(missing, id)
 			}
 			sort.Strings(missing)
-			return nil, nil, fmt.Errorf("semandaq: no CFD %s registered for %s", strings.Join(missing, ", "), table)
+			return nil, nil, fmt.Errorf("%w %s registered for %s", ErrUnknownCFD, strings.Join(missing, ", "), table)
 		}
 		cfds = scoped
 	}
@@ -625,7 +642,7 @@ func (s *Semandaq) DetectionSQL(table string) ([]string, error) {
 	}
 	cfds := s.CFDs(table)
 	if len(cfds) == 0 {
-		return nil, fmt.Errorf("semandaq: no CFDs registered for %s", table)
+		return nil, fmt.Errorf("%w for %s", ErrNoCFDs, table)
 	}
 	return detect.GenerateSQL(tab, cfds)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -395,5 +396,57 @@ func TestDetectorKindMatrix(t *testing.T) {
 		if err := detect.Equivalent(base, rep); err != nil {
 			t.Errorf("%s vs native: %v", kind, err)
 		}
+	}
+}
+
+// TestReloadKeepsOnlyValidCFDs pins RegisterTable's contract for a table it
+// replaces: constraints that still validate against the new schema stay (the
+// same pointers, so a same-schema reload changes nothing a request can see),
+// the rest are dropped — a constraint naming a column the new table lacks
+// used to fail every later Detect/Audit/Repair and RegisterCFDs itself, with
+// no way to unregister it.
+func TestReloadKeepsOnlyValidCFDs(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name, csv string
+		keep      []string // ids that survive the reload
+		fresh     string   // registered afterwards; must succeed
+	}{
+		{"same-schema", customersCSV, []string{"phi2", "phi4"}, "phi5@ customer: [ZIP=_] -> [CITY=_]"},
+		{"renamed-column", strings.Replace(customersCSV, "STR", "STREET", 1), []string{"phi4"},
+			"phi5@ customer: [CNT=UK, ZIP=_] -> [STREET=_]"},
+		{"narrower-schema", "X,Y\n1,2\n1,3\n", nil, "phi5@ customer: [X=_] -> [Y=_]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := session(t)
+			before := s.CFDs("customer")
+			if _, err := s.LoadCSV("customer", strings.NewReader(tc.csv)); err != nil {
+				t.Fatal(err)
+			}
+			after := s.CFDs("customer")
+			if len(after) != len(tc.keep) {
+				t.Fatalf("kept %v, want ids %v", after, tc.keep)
+			}
+			for i, c := range after {
+				if c.ID != tc.keep[i] {
+					t.Errorf("kept[%d] = %s, want %s", i, c.ID, tc.keep[i])
+				}
+				if !slices.Contains(before, c) {
+					t.Errorf("%s was re-created; a kept constraint must be the registered pointer", c.ID)
+				}
+			}
+			if _, err := s.RegisterCFDText("customer", tc.fresh); err != nil {
+				t.Fatalf("registering after the reload: %v", err)
+			}
+			if _, err := s.Detect(ctx, "customer", WithEngine(NativeDetection)); err != nil {
+				t.Errorf("Detect after the reload: %v", err)
+			}
+			if _, err := s.Audit(ctx, "customer"); err != nil {
+				t.Errorf("Audit after the reload: %v", err)
+			}
+			if _, err := s.Repair(ctx, "customer"); err != nil {
+				t.Errorf("Repair after the reload: %v", err)
+			}
+		})
 	}
 }

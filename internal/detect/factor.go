@@ -14,18 +14,14 @@
 // Explode() lowers it to the exact flat Report at the compat edge
 // (ColumnarDetector.DetectSnapshot, the facade's Detect and Explore —
 // byte-identity with NativeDetector is the oracle, enforced by the fuzz and
-// cross-check tiers), and WriteNDJSON streams it one group per line
-// without ever materializing members. Audit and repair consume the
-// factorised form directly (AuditFactorised, repair.RunFactorised);
-// calling Explode() inside those hot paths is forbidden by the noexplode
-// vet analyzer.
+// cross-check tiers). Audit and repair consume the factorised form
+// directly (AuditFactorised, repair.RunFactorised); calling Explode() inside
+// those hot paths is forbidden by the noexplode vet analyzer.
 package detect
 
 import (
 	"cmp"
 	"context"
-	"encoding/json"
-	"io"
 	"maps"
 	"slices"
 	"strings"
@@ -552,55 +548,6 @@ func (fr *FactorReport) Explode() *Report {
 	}
 	finish(rep)
 	return rep
-}
-
-// WriteNDJSON streams the factorised report: a header line, one line per
-// single-tuple violation, one line per factor group (member count + RHS
-// histogram — members stay factorised), and a terminal line. Lines are
-// self-describing JSON objects keyed "header", "violation", "group",
-// "done".
-func (fr *FactorReport) WriteNDJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(map[string]any{"header": map[string]any{
-		"table":   fr.Table,
-		"tuples":  fr.TupleCount,
-		"version": fr.Version,
-	}}); err != nil {
-		return err
-	}
-	for i := range fr.Violations {
-		v := &fr.Violations[i]
-		if err := enc.Encode(map[string]any{"violation": map[string]any{
-			"cfd":      v.CFDID,
-			"kind":     v.Kind.String(),
-			"pattern":  v.Pattern,
-			"tuple":    int64(v.TupleID),
-			"attr":     v.Attr,
-			"expected": v.Expected.String(),
-			"got":      v.Got.String(),
-		}}); err != nil {
-			return err
-		}
-	}
-	for _, g := range fr.FactorGroups {
-		lhs := make([]string, len(g.LHSValues))
-		for i, v := range g.LHSValues {
-			lhs[i] = v.String()
-		}
-		if err := enc.Encode(map[string]any{"group": map[string]any{
-			"cfd":        g.CFDID,
-			"attr":       g.Attr,
-			"lhs_attrs":  g.LHSAttrs,
-			"lhs":        lhs,
-			"members":    len(g.Rows),
-			"rhs_counts": g.RHSCounts,
-			"majority":   g.MajorityKey,
-		}}); err != nil {
-			return err
-		}
-	}
-	return enc.Encode(map[string]any{"done": true,
-		"violations": len(fr.Violations), "groups": len(fr.FactorGroups)})
 }
 
 // sortViolations applies the canonical report order: (tuple, CFD, kind,

@@ -1,10 +1,7 @@
 package detect
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
@@ -209,69 +206,6 @@ func TestFactorisedAllocsSublinear(t *testing.T) {
 	if large > small+8 {
 		t.Fatalf("factorised allocations scale with group size: %d rows -> %.0f allocs, %d rows -> %.0f",
 			2_000, small, 20_000, large)
-	}
-}
-
-// TestFactorisedNDJSON checks the stream shape: one header, the exact
-// single-tuple violations, one line per group (no per-member lines), one
-// terminal line with the totals.
-func TestFactorisedNDJSON(t *testing.T) {
-	ctx := context.Background()
-	ds := datagen.Generate(datagen.Config{Tuples: 400, Seed: 5, NoiseRate: 0.15})
-	fr, err := DetectFactorised(ctx, ds.Dirty.Snapshot(), datagen.StandardCFDs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := fr.WriteNDJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var headers, viols, groups, dones int
-	sc := bufio.NewScanner(&buf)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var line map[string]json.RawMessage
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
-		}
-		switch {
-		case line["header"] != nil:
-			headers++
-		case line["violation"] != nil:
-			viols++
-		case line["group"] != nil:
-			groups++
-			var g struct {
-				Group struct {
-					Members   int            `json:"members"`
-					RHSCounts map[string]int `json:"rhs_counts"`
-				} `json:"group"`
-			}
-			if err := json.Unmarshal(sc.Bytes(), &g); err != nil {
-				t.Fatal(err)
-			}
-			sum := 0
-			for _, n := range g.Group.RHSCounts {
-				sum += n
-			}
-			if sum != g.Group.Members || len(g.Group.RHSCounts) < 2 {
-				t.Fatalf("group line inconsistent: %s", sc.Text())
-			}
-		case line["done"] != nil:
-			dones++
-		default:
-			t.Fatalf("unrecognized NDJSON line: %s", sc.Text())
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if headers != 1 || dones != 1 {
-		t.Fatalf("want exactly one header and one done line, got %d/%d", headers, dones)
-	}
-	if viols != len(fr.Violations) || groups != len(fr.FactorGroups) {
-		t.Fatalf("stream emitted %d violations, %d groups; report has %d, %d",
-			viols, groups, len(fr.Violations), len(fr.FactorGroups))
 	}
 }
 

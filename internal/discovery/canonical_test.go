@@ -10,10 +10,9 @@ import (
 
 // CanonicalRules renders a CFD set as a sorted list of per-pattern strings
 // — table, LHS attributes with their pattern cells, RHS attribute with its
-// cell — so two miners can be compared for semantic identity regardless of
-// rule IDs, tableau merging or emission order. It is the single definition
-// of the miner-equivalence contract, shared by the package's cross-check
-// tests and the D6 benchmark's verification pass.
+// cell — so two rule sets can be compared for semantic identity regardless of
+// rule IDs, tableau merging or emission order: the rendering the lattice
+// miner and the definitional reference (internal/cfddef) are compared in.
 func CanonicalRules(cfds []*cfd.CFD) []string {
 	var out []string
 	for _, c := range cfds {

@@ -34,7 +34,7 @@ func fdTable(t *testing.T, n int) *relstore.Table {
 // TestClosureCollapseFires asserts the tentpole pruning actually happens:
 // with A → B in the emitted cover, the {A,B} node's partition is shared
 // from {A} instead of intersected, so the closure run performs strictly
-// fewer intersections than the DisableClosure run — and the reports stay
+// fewer intersections than the disableClosure run — and the reports stay
 // DeepEqual (the pruning may only skip work, never change output).
 func TestClosureCollapseFires(t *testing.T) {
 	ctx := context.Background()
@@ -46,13 +46,11 @@ func TestClosureCollapseFires(t *testing.T) {
 		t.Fatal(err)
 	}
 	off := opts
-	off.DisableClosure = true
+	off.disableClosure = true
 	flat, fs, err := MineWithStats(ctx, tab.RebuildSnapshot(), off)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Options are echoed in the report; align the flag before comparing.
-	flat.Options.DisableClosure = false
 	if !reflect.DeepEqual(pruned, flat) {
 		t.Fatalf("closure pruning changed the report:\npruned: %+v\nflat:   %+v", pruned, flat)
 	}
@@ -60,7 +58,7 @@ func TestClosureCollapseFires(t *testing.T) {
 		t.Fatalf("no partition collapsed despite A -> B in the cover: %+v", ps)
 	}
 	if fs.PartitionsCollapsed != 0 {
-		t.Fatalf("DisableClosure still collapsed partitions: %+v", fs)
+		t.Fatalf("disableClosure still collapsed partitions: %+v", fs)
 	}
 	if ps.PartitionsIntersected >= fs.PartitionsIntersected {
 		t.Fatalf("closure run intersected %d partitions, flat run %d — pruning saved nothing",
@@ -87,12 +85,11 @@ func TestClosureIdentityOnGeneratedData(t *testing.T) {
 				t.Fatal(err)
 			}
 			off := opts
-			off.DisableClosure = true
+			off.disableClosure = true
 			flat, err := Mine(ctx, ds.Dirty.RebuildSnapshot(), off)
 			if err != nil {
 				t.Fatal(err)
 			}
-			flat.Options.DisableClosure = false
 			if !reflect.DeepEqual(pruned, flat) {
 				t.Fatalf("noise=%.2f conf=%.2f: closure pruning changed the report", noise, conf)
 			}

@@ -17,8 +17,9 @@
 // relstore.Snapshot — the Report carries the snapshot version it mined,
 // joining the system-wide versioning contract.
 //
-// The original row-store miner is preserved in legacy.go (LegacyDiscover)
-// as the reference the lattice miner is cross-checked against.
+// The reference the lattice is checked against is internal/cfddef: the
+// search policy above executed by definition on the rows, with equality
+// required at every depth (crosscheck_test.go, FuzzMineDefinition).
 package discovery
 
 import (
@@ -58,13 +59,11 @@ type Options struct {
 	// Workers is the goroutine count for per-level parallel lattice
 	// expansion. Non-positive selects runtime.GOMAXPROCS.
 	Workers int
-	// DisableClosure turns off FD-closure pruning of the variable lattice
-	// (partition collapse and derived verdicts, see lattice.go). The
-	// report is byte-identical either way — closure reasoning only skips
-	// work the emitted exact cover proves redundant; the flag exists so
-	// the closure tests can hold the two runs identical and as an escape
-	// hatch.
-	DisableClosure bool
+	// disableClosure is the closure tests' hook: it turns off FD-closure
+	// pruning of the variable lattice (partition collapse and derived
+	// verdicts, see lattice.go) so they can hold the two runs identical.
+	// The report is byte-identical either way and does not echo it.
+	disableClosure bool
 }
 
 // withDefaults resolves the defaulting rule against a table of n tuples:
@@ -210,9 +209,9 @@ func mineSession(ctx context.Context, snap *relstore.Snapshot, opts Options, reu
 	if err != nil {
 		return nil, err
 	}
-	// Merge order matches the legacy miner: variable rules first, then
-	// constants, so tableaux of a shared embedded FD accumulate the same
-	// way and IDs stay stable across the two engines.
+	// Variable rules first, then constants: the order tableaux of a shared
+	// embedded FD accumulate in, and so the disc<i> IDs, are part of the
+	// report.
 	candidates := append(variable, constant...)
 	all := make([]*cfd.CFD, len(candidates))
 	for i, c := range candidates {
@@ -222,6 +221,7 @@ func mineSession(ctx context.Context, snap *relstore.Snapshot, opts Options, reu
 	for i, c := range merged {
 		c.ID = fmt.Sprintf("disc%d", i+1)
 	}
+	opts.disableClosure = false
 	return &Report{
 		Version:    snap.Version(),
 		Tuples:     snap.Len(),

@@ -2,6 +2,7 @@ package discovery
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -26,7 +27,24 @@ func mkTable(t *testing.T, attrs []string, data [][]string) *relstore.Table {
 	return tab
 }
 
-func TestMineConstantCFDs(t *testing.T) {
+// minedOfKind runs the lattice miner and keeps the candidates of the given
+// kinds, as single-pattern CFDs.
+func minedOfKind(t *testing.T, tab *relstore.Table, opts Options, kinds ...string) []*cfd.CFD {
+	t.Helper()
+	rep, err := Mine(context.Background(), tab.Snapshot(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*cfd.CFD
+	for _, c := range rep.Candidates {
+		if slices.Contains(kinds, c.Kind) {
+			out = append(out, c.CFD)
+		}
+	}
+	return out
+}
+
+func TestMineConstantRules(t *testing.T) {
 	// CC=44 always comes with CNT=UK; CC=1 with CNT=US.
 	tab := mkTable(t, []string{"CC", "CNT", "CITY"}, [][]string{
 		{"44", "UK", "Edinburgh"},
@@ -36,10 +54,7 @@ func TestMineConstantCFDs(t *testing.T) {
 		{"1", "US", "Chicago"},
 		{"1", "US", "NYC"},
 	})
-	cfds, err := MineConstantCFDs(tab, Options{MinSupport: 2, MaxLHS: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfds := minedOfKind(t, tab, Options{MinSupport: 2, MaxLHS: 1}, "constant")
 	var found44, found1 bool
 	for _, c := range cfds {
 		s := c.String()
@@ -66,10 +81,7 @@ func TestMineConstantMinimality(t *testing.T) {
 		{"1", "NYC", "US"},
 		{"1", "NYC", "US"},
 	})
-	cfds, err := MineConstantCFDs(tab, Options{MinSupport: 2, MaxLHS: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfds := minedOfKind(t, tab, Options{MinSupport: 2, MaxLHS: 2}, "constant")
 	for _, c := range cfds {
 		if len(c.LHS) == 2 && c.RHS[0] == "CNT" {
 			hasCC := false
@@ -90,10 +102,7 @@ func TestMineConstantSupportThreshold(t *testing.T) {
 		{"x", "1"},
 		{"y", "2"}, {"y", "2"}, {"y", "2"},
 	})
-	cfds, err := MineConstantCFDs(tab, Options{MinSupport: 3, MaxLHS: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfds := minedOfKind(t, tab, Options{MinSupport: 3, MaxLHS: 1}, "constant")
 	for _, c := range cfds {
 		if strings.Contains(c.String(), "A=x") {
 			t.Errorf("low-support rule emitted: %s", c)
@@ -109,10 +118,7 @@ func TestMineVariableGlobalFD(t *testing.T) {
 		{"z2", "London", "c"},
 		{"z2", "London", "d"},
 	})
-	cfds, err := MineVariableCFDs(tab, Options{MinSupport: 2, MaxLHS: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfds := minedOfKind(t, tab, Options{MinSupport: 2, MaxLHS: 1}, "global-fd", "conditional-fd")
 	found := false
 	for _, c := range cfds {
 		if len(c.LHS) == 1 && c.LHS[0] == "ZIP" && c.RHS[0] == "CITY" &&
@@ -133,10 +139,7 @@ func TestMineVariableConditionalFD(t *testing.T) {
 		{"US", "z3", "a"}, {"US", "z3", "b"}, // violates in US
 		{"US", "z4", "c"}, {"US", "z4", "d"},
 	})
-	cfds, err := MineVariableCFDs(tab, Options{MinSupport: 2, MaxLHS: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfds := minedOfKind(t, tab, Options{MinSupport: 2, MaxLHS: 2}, "global-fd", "conditional-fd")
 	found := false
 	for _, c := range cfds {
 		s := c.String()
@@ -157,10 +160,7 @@ func TestMineVariableMinimality(t *testing.T) {
 		{"a2", "b2", "c1"},
 		{"a2", "b2", "c2"},
 	})
-	cfds, err := MineVariableCFDs(tab, Options{MinSupport: 2, MaxLHS: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfds := minedOfKind(t, tab, Options{MinSupport: 2, MaxLHS: 2}, "global-fd", "conditional-fd")
 	for _, c := range cfds {
 		if c.RHS[0] == "B" && len(c.LHS) == 2 {
 			for _, a := range c.LHS {

@@ -181,7 +181,7 @@ type SessionStats struct {
 	ConstVerdictsComputed int64 `json:"const_verdicts_computed"`
 	CoversReused          int64 `json:"covers_reused"`
 	CoversComputed        int64 `json:"covers_computed"`
-	// Closure-pruning counters for the last run (see Options.DisableClosure):
+	// Closure-pruning counters for the last run (see miner.exact in lattice.go):
 	// lattice partitions paid for with an O(n) Intersect, partitions
 	// collapsed onto their parent because the exact-FD cover proved the
 	// intersection a no-op, and verdicts derived from the cover without a

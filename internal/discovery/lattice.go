@@ -29,6 +29,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -68,7 +69,7 @@ type miner struct {
 	rec   *recorder
 	stats *mineStats
 	// exact accumulates the exact (confidence 1.0) global FDs emitted by
-	// completed levels; nil when Options.DisableClosure is set. The lattice
+	// completed levels; nil under the disableClosure test hook. The lattice
 	// consults it for closure pruning: a node whose added attribute is in
 	// the closure of its parent's set shares the parent's partition instead
 	// of paying an O(n) Intersect, and a candidate already implied holds
@@ -90,7 +91,7 @@ func newMiner(ctx context.Context, snap *relstore.Snapshot, opts Options) *miner
 		probes:     make([][]uint32, snap.Schema().Arity()),
 		classOrder: make([][]int, snap.Schema().Arity()),
 	}
-	if !opts.DisableClosure {
+	if !opts.disableClosure {
 		m.exact = fdset.New(m.arity)
 	}
 	// Materialize every column's probe vector, PLI and class order up
@@ -312,7 +313,7 @@ func (m *miner) checkCandidate(ctx context.Context, nd *vnode, ai int) error {
 		nd.res[ai] = vaResult{
 			holds: true,
 			emits: []Candidate{{
-				CFD:        wildcardCFD(m.sc, nd.xs, a, nil, types.Null),
+				CFD:        wildcardCFD(m.sc, nd.xs, a, -1, types.Null),
 				Kind:       "global-fd",
 				Support:    m.n,
 				Confidence: 1.0,
@@ -337,7 +338,7 @@ func (m *miner) checkCandidate(ctx context.Context, nd *vnode, ai int) error {
 		nd.res[ai] = vaResult{
 			holds: true,
 			emits: []Candidate{{
-				CFD:        wildcardCFD(m.sc, nd.xs, a, nil, types.Null),
+				CFD:        wildcardCFD(m.sc, nd.xs, a, -1, types.Null),
 				Kind:       "global-fd",
 				Support:    m.n,
 				Confidence: conf,
@@ -383,7 +384,7 @@ func (m *miner) mineConditional(ctx context.Context, nd *vnode, a int) ([]Candid
 			}
 			if ok {
 				emits = append(emits, Candidate{
-					CFD:        wildcardCFD(m.sc, nd.xs, a, []int{b}, rep),
+					CFD:        wildcardCFD(m.sc, nd.xs, a, b, rep),
 					Kind:       "conditional-fd",
 					Support:    len(rows),
 					Confidence: conf,
@@ -512,7 +513,7 @@ func (m *miner) generateVNodes(level []*vnode) []*vnode {
 	for i, ndA := range level {
 		var parentClo fdset.Bits // closure(ndA.xs), computed on first use
 		for _, ndB := range level[i+1:] {
-			if !samePrefix(ndA.xs, ndB.xs) {
+			if ell := len(ndA.xs) - 1; !slices.Equal(ndA.xs[:ell], ndB.xs[:ell]) {
 				break // level is sorted; prefix group is contiguous
 			}
 			xs := make([]int, len(ndA.xs)+1)
@@ -560,23 +561,15 @@ func candidateRHS(xs []int, byKey map[string]*vnode) []int {
 		}
 		subs[skip] = nd
 	}
-	inXS := func(a int) bool {
-		for _, x := range xs {
-			if x == a {
-				return true
-			}
-		}
-		return false
-	}
 	// Arity is small: linear membership tests beat building sets.
 	var cand []int
 	for _, a := range subs[0].cand {
-		if inXS(a) {
+		if slices.Contains(xs, a) {
 			continue
 		}
 		ok := true
 		for _, nd := range subs {
-			if !containsInt(nd.cand, a) || containsInt(nd.holds, a) {
+			if !slices.Contains(nd.cand, a) || slices.Contains(nd.holds, a) {
 				ok = false
 				break
 			}
@@ -586,24 +579,6 @@ func candidateRHS(xs []int, byKey map[string]*vnode) []int {
 		}
 	}
 	return cand
-}
-
-func containsInt(xs []int, a int) bool {
-	for _, x := range xs {
-		if x == a {
-			return true
-		}
-	}
-	return false
-}
-
-func samePrefix(a, b []int) bool {
-	for i := 0; i < len(a)-1; i++ {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func xsKeyOfInts(xs []int) string {
@@ -703,8 +678,7 @@ func (m *miner) mineConstant(ctx context.Context) ([]Candidate, error) {
 		// pruned iff a proper sub-itemset already implies the same RHS.
 		// Pruned itemsets are marked implied too — implication must
 		// propagate transitively down the lattice, or a depth-ℓ+2 superset
-		// whose only marked ancestor is ℓ levels up would slip through
-		// (the legacy miner's depth>=3 defect).
+		// whose only marked ancestor is ℓ levels up would slip through.
 		for _, nd := range level {
 			for _, h := range nd.consts {
 				redundant := m.subsetImplies(implied, items, nd.items, h.pos)
@@ -872,9 +846,28 @@ func itemsetKey(items []citem, set []int, rhsPos int) string {
 	return string(buf)
 }
 
-// constantCFD builds the [items] -> [p=v] rule, matching the legacy
-// miner's shape: every LHS cell a constant, the RHS the constant found
-// over the cover.
+// wildcardCFD builds the variable CFD xs -> a: every LHS cell a wildcard,
+// except that the cell at position cond (if non-negative) carries condVal.
+func wildcardCFD(sc *schema.Relation, xs []int, a, cond int, condVal types.Value) *cfd.CFD {
+	names := sc.AttrNames()
+	lhsAttrs := make([]string, len(xs))
+	pats := make([]cfd.PatternValue, len(xs))
+	for i, x := range xs {
+		lhsAttrs[i], pats[i] = names[x], cfd.Wild
+		if x == cond {
+			pats[i] = cfd.Constant(condVal)
+		}
+	}
+	id := fmt.Sprintf("var_%s_%s", strings.Join(lhsAttrs, "_"), names[a])
+	if cond >= 0 {
+		id += "_cond"
+	}
+	return cfd.New(id, sc.Name, lhsAttrs, []string{names[a]},
+		cfd.PatternTuple{LHS: pats, RHS: []cfd.PatternValue{cfd.Wild}})
+}
+
+// constantCFD builds the [items] -> [p=v] rule: every LHS cell a constant,
+// the RHS the constant found over the cover.
 func constantCFD(sc *schema.Relation, items []citem, set []int, h constHit) *cfd.CFD {
 	lhsAttrs := make([]string, len(set))
 	pats := make([]cfd.PatternValue, len(set))

@@ -6,6 +6,7 @@
 package explore
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -354,11 +355,14 @@ type Relevance struct {
 // Version returns the table version the explorer's drill-down reflects.
 func (e *Explorer) Version() int64 { return e.tab.Version() }
 
+// ErrNoTuple is ForTuple's error for an id the pinned table does not hold.
+var ErrNoTuple = errors.New("explore: no tuple")
+
 // ForTuple lists every CFD pattern whose LHS the tuple matches.
 func (e *Explorer) ForTuple(id relstore.TupleID) ([]Relevance, error) {
 	row, ok := e.tab.Get(id)
 	if !ok {
-		return nil, fmt.Errorf("explore: no tuple %d", id)
+		return nil, fmt.Errorf("%w %d", ErrNoTuple, id)
 	}
 	// Index this tuple's violations by CFD and kind.
 	kinds := map[string]detect.Kind{}

@@ -1,7 +1,7 @@
 // Package fdset reasons over sets of exact functional dependencies as
 // algebraic facts: attribute-set closure under Armstrong's axioms, FD
-// implication, attribute-set equivalence, minimal covers, and derivation
-// witnesses. Attributes are integer positions (schema/snapshot column
+// implication, attribute-set equivalence, and derivation witnesses.
+// Attributes are integer positions (schema/snapshot column
 // indices), so the same Set built from a discovery report serves the
 // lattice miner (prune partition intersections a mined FD proves
 // redundant), the sqleng planner (collapse joins along functionally
@@ -80,15 +80,6 @@ func (b Bits) Equal(other Bits) bool {
 		}
 	}
 	return true
-}
-
-// Count returns the number of set positions.
-func (b Bits) Count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }
 
 // Positions lists the set positions in ascending order.
@@ -192,11 +183,6 @@ func (s *Set) Closure(xs Bits) Bits {
 	return out
 }
 
-// ClosureOf is Closure over a position slice, returning sorted positions.
-func (s *Set) ClosureOf(xs []int) []int {
-	return s.Closure(BitsOf(s.arity, xs)).Positions()
-}
-
 // ImpliesBits reports whether the Set entails xs → rhs.
 func (s *Set) ImpliesBits(xs Bits, rhs int) bool {
 	if xs.Has(rhs) {
@@ -264,62 +250,6 @@ func (s *Set) Derivation(lhs []int, rhs int) (witness []FD, ok bool) {
 		}
 	}
 	return witness, true
-}
-
-// Cover returns a minimal cover of the Set: every FD's LHS reduced (no
-// extraneous attributes) and every redundant FD removed, deterministic
-// in the input order. The receiver is unchanged.
-func (s *Set) Cover() *Set {
-	// Reduce each LHS against the full set.
-	reduced := make([]FD, 0, len(s.fds))
-	for _, f := range s.fds {
-		lhs := f.Lhs.Clone()
-		for _, x := range f.Lhs.Positions() {
-			if lhs.Count() == 1 {
-				break
-			}
-			trial := lhs.Clone()
-			trial.Clear(x)
-			if s.ImpliesBits(trial, f.Rhs) {
-				lhs = trial
-			}
-		}
-		reduced = append(reduced, FD{Lhs: lhs, Rhs: f.Rhs})
-	}
-	// Drop FDs the remainder still implies.
-	cover := &Set{arity: s.arity}
-	alive := make([]bool, len(reduced))
-	for i := range alive {
-		alive[i] = true
-	}
-	for i, f := range reduced {
-		alive[i] = false
-		rest := &Set{arity: s.arity}
-		for j, g := range reduced {
-			if alive[j] {
-				rest.fds = append(rest.fds, g)
-			}
-		}
-		if !rest.ImpliesBits(f.Lhs, f.Rhs) {
-			alive[i] = true
-		}
-	}
-	for i, f := range reduced {
-		if alive[i] {
-			// Deduplicate: LHS reduction can converge distinct inputs.
-			dup := false
-			for _, g := range cover.fds {
-				if g.Rhs == f.Rhs && g.Lhs.Equal(f.Lhs) {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				cover.fds = append(cover.fds, f)
-			}
-		}
-	}
-	return cover
 }
 
 // String renders the Set sorted by (RHS, LHS positions) for stable

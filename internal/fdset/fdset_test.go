@@ -1,6 +1,7 @@
 package fdset
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -10,10 +11,10 @@ func TestClosureTransitivity(t *testing.T) {
 	s.Add([]int{0}, 1)
 	s.Add([]int{1}, 2)
 	s.Add([]int{2, 3}, 4)
-	if got := s.ClosureOf([]int{0}); !reflect.DeepEqual(got, []int{0, 1, 2}) {
+	if got := s.Closure(BitsOf(5, []int{0})).Positions(); !reflect.DeepEqual(got, []int{0, 1, 2}) {
 		t.Fatalf("closure(0) = %v", got)
 	}
-	if got := s.ClosureOf([]int{0, 3}); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4}) {
+	if got := s.Closure(BitsOf(5, []int{0, 3})).Positions(); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4}) {
 		t.Fatalf("closure(0,3) = %v", got)
 	}
 	if !s.Implies([]int{0, 3}, 4) {
@@ -76,24 +77,90 @@ func TestDerivationWitness(t *testing.T) {
 	}
 }
 
-func TestCoverRemovesRedundancy(t *testing.T) {
-	s := New(4)
-	s.Add([]int{0}, 1)
-	s.Add([]int{1}, 2)
-	s.Add([]int{0}, 2)    // transitively redundant
-	s.Add([]int{0, 3}, 1) // extraneous attribute 3
-	c := s.Cover()
-	if c.Len() != 2 {
-		t.Fatalf("cover = %s (len %d), want 2 FDs", c, c.Len())
-	}
-	if got := c.String(); got != "{0}->1 {1}->2" {
-		t.Fatalf("cover = %q", got)
-	}
-	// The cover still implies everything the input did.
-	for _, f := range s.FDs() {
-		if !c.ImpliesBits(f.Lhs, f.Rhs) {
-			t.Fatalf("cover lost %s", f)
+// TestAgainstArmstrongAxioms checks Closure, Implies and Derivation against
+// the definition of entailment: the set of FDs over <= 8 attributes obtained
+// by saturating the input under reflexivity, augmentation and transitivity,
+// held as one bit per (LHS subset, RHS attribute).
+func TestAgainstArmstrongAxioms(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	derived := 0 // non-trivial entailments met, so the sweep is not vacuous
+	for round := 0; round < 60; round++ {
+		arity := 2 + rng.Intn(7)
+		s := New(arity)
+		// derives[x] is the set of attributes the subset x is known to determine.
+		derives := make([]uint, 1<<arity)
+		for x := range derives {
+			derives[x] = uint(x) // reflexivity
 		}
+		for i, n := 0, rng.Intn(7); i < n; i++ {
+			// One- and two-attribute LHSs, so chains form.
+			lhs := 1<<rng.Intn(arity) | 1<<rng.Intn(arity)
+			rhs := rng.Intn(arity)
+			var pos []int
+			for a := 0; a < arity; a++ {
+				if lhs&(1<<a) != 0 {
+					pos = append(pos, a)
+				}
+			}
+			s.Add(pos, rhs)
+			derives[lhs] |= 1 << rhs
+		}
+		for changed := true; changed; {
+			changed = false
+			for x := range derives {
+				for y := range derives {
+					// Augmentation: x → A gives y → A for every y ⊇ x.
+					if x&y == x && derives[y]|derives[x] != derives[y] {
+						derives[y] |= derives[x]
+						changed = true
+					}
+					// Transitivity: x → y and y → A give x → A.
+					if derives[x]&uint(y) == uint(y) && derives[x]|derives[y] != derives[x] {
+						derives[x] |= derives[y]
+						changed = true
+					}
+				}
+			}
+		}
+		for x := 1; x < 1<<arity; x++ {
+			var pos []int
+			for a := 0; a < arity; a++ {
+				if x&(1<<a) != 0 {
+					pos = append(pos, a)
+				}
+			}
+			clo := s.Closure(BitsOf(arity, pos))
+			for a := 0; a < arity; a++ {
+				want := derives[x]&(1<<a) != 0
+				if clo.Has(a) != want || s.Implies(pos, a) != want {
+					t.Fatalf("round %d: %s: %v -> %d: closure %v, implies %v, axioms %v",
+						round, s, pos, a, clo.Has(a), s.Implies(pos, a), want)
+				}
+				if want && x&(1<<a) == 0 {
+					derived++
+				}
+				w, ok := s.Derivation(pos, a)
+				if ok != want {
+					t.Fatalf("round %d: %s: Derivation(%v -> %d) ok = %v, axioms %v", round, s, pos, a, ok, want)
+				}
+				if ok {
+					// The witness alone, fired in order from pos, must reach a.
+					have := BitsOf(arity, pos)
+					for _, f := range w {
+						if !have.ContainsAll(f.Lhs) {
+							t.Fatalf("round %d: witness step %s fires before its LHS is derived", round, f)
+						}
+						have.Set(f.Rhs)
+					}
+					if !have.Has(a) {
+						t.Fatalf("round %d: witness %v does not derive %v -> %d", round, w, pos, a)
+					}
+				}
+			}
+		}
+	}
+	if derived < 1000 {
+		t.Fatalf("only %d non-trivial entailments checked", derived)
 	}
 }
 
@@ -114,7 +181,7 @@ func TestWideArity(t *testing.T) {
 		t.Fatal("129 -> 64 via 0 should hold across words")
 	}
 	b := BitsOf(130, []int{1, 64, 129})
-	if b.Count() != 3 || !b.Has(129) || b.Has(128) {
+	if len(b.Positions()) != 3 || !b.Has(129) || b.Has(128) {
 		t.Fatalf("bitset bookkeeping broken: %v", b.Positions())
 	}
 }

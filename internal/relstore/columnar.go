@@ -310,10 +310,6 @@ func (c *Column) CodeSpace() int { return len(c.dict) }
 // Code returns row i's exact dictionary code.
 func (c *Column) Code(i int) uint32 { return c.codes[i] }
 
-// Codes returns the full exact-code vector. The slice is the snapshot's
-// backing storage: callers must not mutate it.
-func (c *Column) Codes() []uint32 { return c.codes }
-
 // EqCode returns row i's Equal-class code: two rows have the same EqCode
 // iff their values are Equal under the types.Value model.
 func (c *Column) EqCode(i int) uint32 { return c.eq[c.codes[i]] }

@@ -245,8 +245,8 @@ func (c *Column) ClassRows(eq uint32) []int32 {
 // purity checks. Built on first use and cached for the snapshot's lifetime.
 // When every dictionary entry is its own Equal-class (any column without
 // an INT/FLOAT or NaN collision — every all-string column) the exact codes
-// already are the probe, and the vector aliases Codes() instead of copying
-// 4 B/row. The slice is backing storage: callers must not mutate it.
+// already are the probe, and the vector aliases the code vector instead of
+// copying 4 B/row. The slice is backing storage: callers must not mutate it.
 func (c *Column) EqProbe() []uint32 {
 	c.probeOnce.Do(func() {
 		c.probe = c.codes

@@ -235,7 +235,7 @@ func TestEqProbeAliasesCodesWhenIdentity(t *testing.T) {
 	for j, wantAlias := range []bool{true, false} {
 		c := col.Col(j)
 		probe := c.EqProbe()
-		if alias := &probe[0] == &c.Codes()[0]; alias != wantAlias {
+		if alias := &probe[0] == &c.codes[0]; alias != wantAlias {
 			t.Errorf("column %d: probe aliases codes = %v, want %v", j, alias, wantAlias)
 		}
 		for i := range probe {
@@ -251,7 +251,7 @@ func TestEqProbeAliasesCodesWhenIdentity(t *testing.T) {
 	if err := DiffSnapshots(tab.Snapshot(), tab.RebuildSnapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if c := tab.Columnar().Col(0); &c.EqProbe()[0] != &c.Codes()[0] {
+	if c := tab.Columnar().Col(0); &c.EqProbe()[0] != &c.codes[0] {
 		t.Error("patched string column materialized a separate probe vector")
 	}
 }

@@ -7,14 +7,6 @@
 // is the value-equality partition itself.
 package relstore
 
-// ColCardinality returns the exact number of distinct stored values
-// (dictionary cardinality, NULL included as one entry) of the snapshot's
-// j-th attribute. Building the columnar view on first use, the count is
-// O(1) afterwards and shared by every reader of this version.
-func (s *Snapshot) ColCardinality(j int) int {
-	return s.Columnar().Col(j).Card()
-}
-
 // ColClassCount returns the exact number of Equal-classes of the
 // snapshot's j-th attribute — the class count of its PLI, collapsing
 // cross-kind Equal values (INT 1 and FLOAT 1.0) into one class. The PLI is

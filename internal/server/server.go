@@ -97,10 +97,32 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// writeError maps an error to a JSON error payload.
-func writeError(w http.ResponseWriter, status int, err error) {
+// errNoPendingRepair is the apply endpoint's refusal when no candidate
+// repair was computed (or it was already applied).
+var errNoPendingRepair = errors.New("no pending repair")
+
+// statusOf is the one place an error becomes an HTTP status: what the
+// request named does not exist (404), the table is not in the state the
+// request needs — retry or set it up first (409), the client went away
+// (499); anything else is a malformed or unsatisfiable request (400).
+func statusOf(err error) int {
+	switch {
+	case errors.Is(err, core.ErrNoTable), errors.Is(err, explore.ErrNoTuple):
+		return http.StatusNotFound
+	case errors.Is(err, core.ErrNoCFDs), errors.Is(err, core.ErrNoMonitor),
+		errors.Is(err, core.ErrMonitorBusy), errors.Is(err, errNoPendingRepair):
+		return http.StatusConflict
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		return statusClientClosedRequest
+	default: // core.ErrUnknownCFD, bad parameters, undecodable bodies, unsatisfiable CFD sets
+		return http.StatusBadRequest
+	}
+}
+
+// writeError writes the JSON error payload under the error's status.
+func writeError(w http.ResponseWriter, err error) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
+	w.WriteHeader(statusOf(err))
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
@@ -136,7 +158,7 @@ func (sv *Server) handleLoadCSV(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	tab, err := sv.s.LoadCSV(name, r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, map[string]any{
@@ -149,7 +171,7 @@ func (sv *Server) handleLoadCSV(w http.ResponseWriter, r *http.Request) {
 func (sv *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 	tab, err := sv.s.Table(r.PathValue("name"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		writeError(w, err)
 		return
 	}
 	limit := 100
@@ -195,12 +217,12 @@ func (sv *Server) handleRegisterCFDs(w http.ResponseWriter, r *http.Request) {
 		Text string `json:"text"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, err)
 		return
 	}
 	cfds, err := sv.s.RegisterCFDText(table, body.Text)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, err)
 		return
 	}
 	var out []map[string]any
@@ -211,6 +233,10 @@ func (sv *Server) handleRegisterCFDs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (sv *Server) handleListCFDs(w http.ResponseWriter, r *http.Request) {
+	if _, err := sv.s.Table(r.PathValue("table")); err != nil {
+		writeError(w, err)
+		return
+	}
 	cfds := sv.s.CFDs(r.PathValue("table"))
 	var out []map[string]any
 	for _, c := range cfds {
@@ -228,7 +254,7 @@ func (sv *Server) handleListCFDs(w http.ResponseWriter, r *http.Request) {
 func (sv *Server) handleConsistency(w http.ResponseWriter, r *http.Request) {
 	rep, err := sv.s.CheckConsistency(r.PathValue("table"), nil)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, err)
 		return
 	}
 	out := map[string]any{"satisfiable": rep.Satisfiable}
@@ -367,7 +393,7 @@ func (sv *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	}
 	opts, err := detectOptions(r, stream)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, err)
 		return
 	}
 	table := r.PathValue("table")
@@ -378,7 +404,7 @@ func (sv *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	}
 	d, err := sv.s.DetectDigest(r.Context(), table, opts...)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, err)
 		return
 	}
 	buf := bufPool.Get().(*[]byte)
@@ -397,7 +423,7 @@ func (sv *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 func (sv *Server) streamDetect(w http.ResponseWriter, r *http.Request, table string, opts []core.Option, start time.Time) {
 	seq, version, err := sv.s.DetectStreamVersion(r.Context(), table, opts...)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, err)
 		return
 	}
 	next, stop := iter.Pull2(seq)
@@ -406,7 +432,7 @@ func (sv *Server) streamDetect(w http.ResponseWriter, r *http.Request, table str
 	// unknown CFD id or empty constraint set still gets a proper status.
 	v, err, ok := next()
 	if ok && err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -445,7 +471,7 @@ func (sv *Server) streamDetect(w http.ResponseWriter, r *http.Request, table str
 func (sv *Server) handleDetectSQL(w http.ResponseWriter, r *http.Request) {
 	stmts, err := sv.s.DetectionSQL(r.PathValue("table"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, map[string]any{"sql": stmts})
@@ -454,7 +480,7 @@ func (sv *Server) handleDetectSQL(w http.ResponseWriter, r *http.Request) {
 func (sv *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	a, err := sv.s.Audit(r.Context(), r.PathValue("table"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, err)
 		return
 	}
 	attrs := make([]map[string]any, 0, len(a.Attrs))
@@ -500,7 +526,7 @@ func (sv *Server) explorer(r *http.Request) (*explore.Explorer, error) {
 func (sv *Server) handleExploreCFDs(w http.ResponseWriter, r *http.Request) {
 	ex, err := sv.explorer(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, map[string]any{"cfds": ex.CFDs()})
@@ -509,12 +535,12 @@ func (sv *Server) handleExploreCFDs(w http.ResponseWriter, r *http.Request) {
 func (sv *Server) handleExplorePatterns(w http.ResponseWriter, r *http.Request) {
 	ex, err := sv.explorer(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, err)
 		return
 	}
 	pats, err := ex.Patterns(r.URL.Query().Get("cfd"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, map[string]any{"patterns": pats})
@@ -523,13 +549,13 @@ func (sv *Server) handleExplorePatterns(w http.ResponseWriter, r *http.Request) 
 func (sv *Server) handleExploreLHS(w http.ResponseWriter, r *http.Request) {
 	ex, err := sv.explorer(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, err)
 		return
 	}
 	pattern, _ := strconv.Atoi(r.URL.Query().Get("pattern"))
 	groups, err := ex.LHSGroups(r.URL.Query().Get("cfd"), pattern)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, err)
 		return
 	}
 	out := make([]map[string]any, 0, len(groups))
@@ -551,7 +577,7 @@ func (sv *Server) handleExploreLHS(w http.ResponseWriter, r *http.Request) {
 func (sv *Server) handleExploreMap(w http.ResponseWriter, r *http.Request) {
 	ex, err := sv.explorer(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, err)
 		return
 	}
 	entries, hist := ex.QualityMap()
@@ -567,17 +593,17 @@ func (sv *Server) handleExploreMap(w http.ResponseWriter, r *http.Request) {
 func (sv *Server) handleExploreTuple(w http.ResponseWriter, r *http.Request) {
 	ex, err := sv.explorer(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, err)
 		return
 	}
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad tuple id: %w", err))
+		writeError(w, fmt.Errorf("bad tuple id: %w", err))
 		return
 	}
 	rels, err := ex.ForTuple(relstore.TupleID(id))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		writeError(w, err)
 		return
 	}
 	out := make([]map[string]any, 0, len(rels))
@@ -611,7 +637,7 @@ func (sv *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	table := r.PathValue("table")
 	res, err := sv.s.Repair(r.Context(), table)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, err)
 		return
 	}
 	sv.mu.Lock()
@@ -636,15 +662,19 @@ func (sv *Server) handleRepairApply(w http.ResponseWriter, r *http.Request) {
 	sv.mu.Lock()
 	mods, ok := sv.pending[key]
 	sv.mu.Unlock()
+	if _, err := sv.s.Table(table); err != nil {
+		writeError(w, err)
+		return
+	}
 	if !ok {
-		writeError(w, http.StatusConflict, fmt.Errorf("no pending repair for %s; POST /api/repair/%s first", table, table))
+		writeError(w, fmt.Errorf("%w for %s; POST /api/repair/%s first", errNoPendingRepair, table, table))
 		return
 	}
 	applied, skipped, err := sv.s.ApplyRepair(table, mods)
 	if err != nil {
 		// The pending repair stays available: a transient 409 (monitor
 		// being replaced) is retryable without recomputing the repair.
-		writeError(w, mutationStatus(err), err)
+		writeError(w, err)
 		return
 	}
 	// Consumed only on success. A concurrent duplicate apply is harmless:
@@ -668,11 +698,7 @@ func (sv *Server) handleMonitorStart(w http.ResponseWriter, r *http.Request) {
 	// 409 instead of racing the handover.
 	m, err := sv.s.Monitor(r.Context(), table, core.WithCleansed(cleansed))
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, core.ErrMonitorBusy) {
-			status = http.StatusConflict
-		}
-		writeError(w, status, err)
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, map[string]any{
@@ -771,38 +797,28 @@ func rowForSchema(sc *schema.Relation, in []any) (relstore.Tuple, error) {
 	return row, nil
 }
 
-// mutationStatus maps a session write-path error to an HTTP status.
-func mutationStatus(err error) int {
-	switch {
-	case errors.Is(err, core.ErrMonitorBusy), errors.Is(err, core.ErrNoMonitor):
-		return http.StatusConflict
-	default:
-		return http.StatusBadRequest
-	}
-}
-
 func (sv *Server) handleInsertRow(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	tab, err := sv.s.Table(name)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		writeError(w, err)
 		return
 	}
 	var body struct {
 		Row []any `json:"row"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, err)
 		return
 	}
 	row, err := rowForSchema(tab.Schema(), body.Row)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, err)
 		return
 	}
 	id, version, err := sv.s.Insert(name, row)
 	if err != nil {
-		writeError(w, mutationStatus(err), err)
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, map[string]any{"id": int64(id), "version": version})
@@ -812,12 +828,12 @@ func (sv *Server) handleSetCell(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	tab, err := sv.s.Table(name)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		writeError(w, err)
 		return
 	}
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad tuple id: %w", err))
+		writeError(w, fmt.Errorf("bad tuple id: %w", err))
 		return
 	}
 	var body struct {
@@ -825,37 +841,32 @@ func (sv *Server) handleSetCell(w http.ResponseWriter, r *http.Request) {
 		Value any    `json:"value"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, err)
 		return
 	}
 	sc := tab.Schema()
 	pos, ok := sc.Pos(body.Attr)
 	if !ok {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("no attribute %q in %s", body.Attr, name))
+		writeError(w, fmt.Errorf("no attribute %q in %s", body.Attr, name))
 		return
 	}
 	version, err := sv.s.SetCell(name, relstore.TupleID(id), body.Attr, valueForAttr(sc, pos, body.Value))
 	if err != nil {
-		writeError(w, mutationStatus(err), err)
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, map[string]any{"id": id, "version": version})
 }
 
 func (sv *Server) handleDeleteRow(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	if _, err := sv.s.Table(name); err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad tuple id: %w", err))
+		writeError(w, fmt.Errorf("bad tuple id: %w", err))
 		return
 	}
-	version, err := sv.s.Delete(name, relstore.TupleID(id))
+	version, err := sv.s.Delete(r.PathValue("name"), relstore.TupleID(id))
 	if err != nil {
-		writeError(w, mutationStatus(err), err)
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, map[string]any{"deleted": id, "version": version})
@@ -865,7 +876,7 @@ func (sv *Server) handleMonitorUpdates(w http.ResponseWriter, r *http.Request) {
 	table := r.PathValue("table")
 	tab, err := sv.s.Table(table)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		writeError(w, err)
 		return
 	}
 	sc := tab.Schema()
@@ -873,7 +884,7 @@ func (sv *Server) handleMonitorUpdates(w http.ResponseWriter, r *http.Request) {
 		Updates []updateJSON `json:"updates"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, err)
 		return
 	}
 	batch := make([]monitor.Update, 0, len(body.Updates))
@@ -882,7 +893,7 @@ func (sv *Server) handleMonitorUpdates(w http.ResponseWriter, r *http.Request) {
 		case "insert":
 			row, err := rowForSchema(sc, u.Row)
 			if err != nil {
-				writeError(w, http.StatusBadRequest, err)
+				writeError(w, err)
 				return
 			}
 			batch = append(batch, monitor.Update{Op: monitor.OpInsert, Row: row})
@@ -897,20 +908,16 @@ func (sv *Server) handleMonitorUpdates(w http.ResponseWriter, r *http.Request) {
 				Op: monitor.OpSet, ID: relstore.TupleID(u.ID),
 				Attr: u.Attr, Value: val})
 		default:
-			writeError(w, http.StatusBadRequest, fmt.Errorf("unknown op %q", u.Op))
+			writeError(w, fmt.Errorf("unknown op %q", u.Op))
 			return
 		}
 	}
 	res, err := sv.s.ApplyUpdates(table, batch)
+	if errors.Is(err, core.ErrNoMonitor) {
+		err = fmt.Errorf("%w %s; POST /api/monitor/%s first", err, table, table)
+	}
 	if err != nil {
-		switch {
-		case errors.Is(err, core.ErrNoMonitor):
-			writeError(w, http.StatusConflict, fmt.Errorf("no monitor for %s; POST /api/monitor/%s first", table, table))
-		case errors.Is(err, core.ErrMonitorBusy):
-			writeError(w, http.StatusConflict, err)
-		default:
-			writeError(w, http.StatusBadRequest, err)
-		}
+		writeError(w, err)
 		return
 	}
 	repairs := make([]map[string]any, 0, len(res.Repairs))
@@ -959,11 +966,7 @@ func (sv *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 		core.WithMaxPatterns(body.MaxPatterns),
 		core.WithWorkers(body.Workers))
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			writeError(w, statusClientClosedRequest, err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, err)
 		return
 	}
 	out := make([]map[string]any, 0, len(rep.CFDs))

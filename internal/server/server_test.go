@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -162,7 +163,7 @@ func TestDetectEndpoint(t *testing.T) {
 	if len(stmts) == 0 {
 		t.Error("no SQL")
 	}
-	do(t, ts, "POST", "/api/detect/nope", "", http.StatusBadRequest)
+	do(t, ts, "POST", "/api/detect/nope", "", http.StatusNotFound)
 	do(t, ts, "POST", "/api/detect/customer?engine=warp", "", http.StatusBadRequest)
 	do(t, ts, "POST", "/api/detect/customer?engine=parallel&workers=x", "", http.StatusBadRequest)
 }
@@ -345,7 +346,7 @@ func TestDiscoverEndpoint(t *testing.T) {
 			t.Errorf("bad candidate %v", m)
 		}
 	}
-	do(t, ts, "POST", "/api/discover/none", "{}", http.StatusBadRequest)
+	do(t, ts, "POST", "/api/discover/none", "{}", http.StatusNotFound)
 }
 
 // TestDiscoverEndpointCancellation pins the context propagation fix: a
@@ -395,5 +396,87 @@ func TestJSONValueRoundTrip(t *testing.T) {
 	}
 	if row[5].(float64) != 33 || row[6].(float64) != 1.5 {
 		t.Errorf("row = %v", row)
+	}
+}
+
+// TestEveryRouteErrorContract walks all 23 routes twice, always with a body
+// that is not JSON — naming a table that does not exist, then the table that
+// does — and pins the error contract of docs/API.md: an unknown table
+// is 404 on every route that names one, no malformed request is a 5xx, the
+// status is one statusOf can produce, and every non-200 body is a JSON
+// object with an "error" member.
+func TestEveryRouteErrorContract(t *testing.T) {
+	ts := testServer(t)
+	routes := []struct {
+		method, path string
+		noTable      int // status when {t} is unknown
+	}{
+		{"GET", "/api/tables", http.StatusOK},             // names no table
+		{"POST", "/api/tables/%s", http.StatusBadRequest}, // creates it; the body is no CSV
+		{"GET", "/api/tables/%s", http.StatusNotFound},
+		{"POST", "/api/tables/%s/rows", http.StatusNotFound},
+		{"PATCH", "/api/tables/%s/rows/1", http.StatusNotFound},
+		{"DELETE", "/api/tables/%s/rows/1", http.StatusNotFound},
+		{"POST", "/api/cfds/%s", http.StatusBadRequest}, // the body is decoded first
+		{"GET", "/api/cfds/%s", http.StatusNotFound},
+		{"GET", "/api/consistency/%s", http.StatusNotFound},
+		{"POST", "/api/detect/%s", http.StatusNotFound},
+		{"GET", "/api/detect/%s", http.StatusNotFound},
+		{"GET", "/api/detect/%s/sql", http.StatusNotFound},
+		{"GET", "/api/audit/%s", http.StatusNotFound},
+		{"GET", "/api/explore/%s/cfds", http.StatusNotFound},
+		{"GET", "/api/explore/%s/patterns", http.StatusNotFound},
+		{"GET", "/api/explore/%s/lhs", http.StatusNotFound},
+		{"GET", "/api/explore/%s/map", http.StatusNotFound},
+		{"GET", "/api/explore/%s/tuple/1", http.StatusNotFound},
+		{"POST", "/api/repair/%s", http.StatusNotFound},
+		{"POST", "/api/repair/%s/apply", http.StatusNotFound},
+		{"POST", "/api/monitor/%s", http.StatusNotFound},
+		{"POST", "/api/monitor/%s/updates", http.StatusNotFound},
+		{"POST", "/api/discover/%s", http.StatusNotFound},
+	}
+	if len(routes) != 23 {
+		t.Fatalf("walking %d routes, the mux has 23", len(routes))
+	}
+	documented := []int{http.StatusOK, http.StatusBadRequest, http.StatusNotFound, http.StatusConflict, statusClientClosedRequest}
+	request := func(method, path string) (int, map[string]any) {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(`{"text": `))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatalf("%s %s: status %d with a body that is not a JSON object: %v", method, path, resp.StatusCode, err)
+		}
+		if !slices.Contains(documented, resp.StatusCode) {
+			t.Errorf("%s %s: status %d is not in the documented set %v", method, path, resp.StatusCode, documented)
+		}
+		if msg, _ := out["error"].(string); (resp.StatusCode != http.StatusOK) != (msg != "") {
+			t.Errorf("%s %s: status %d with error member %q", method, path, resp.StatusCode, msg)
+		}
+		return resp.StatusCode, out
+	}
+	for _, rt := range routes {
+		named := strings.Contains(rt.path, "%s")
+		path := rt.path
+		if named {
+			path = fmt.Sprintf(rt.path, "ghost")
+		}
+		if status, out := request(rt.method, path); status != rt.noTable {
+			t.Errorf("%s %s: status %d, want %d (%v)", rt.method, path, status, rt.noTable, out)
+		}
+		if named && rt.path != "/api/tables/%s" { // a malformed load would replace the table
+			request(rt.method, fmt.Sprintf(rt.path, "customer"))
+		}
+	}
+	// The malformed load above must not have registered anything.
+	if status, _ := request("GET", "/api/tables/ghost"); status != http.StatusNotFound {
+		t.Errorf("a refused load left table ghost behind (status %d)", status)
 	}
 }

@@ -82,13 +82,13 @@ func TestDetectStreamNDJSON(t *testing.T) {
 // fail with a real HTTP status instead of a 200 NDJSON error line.
 func TestDetectStreamBadRequests(t *testing.T) {
 	ts := testServer(t)
-	for _, path := range []string{
-		"/api/detect/nope?stream=1",
-		"/api/detect/customer?stream=1&cfds=ghost",
-		"/api/detect/customer?stream=1&engine=warp",
-		"/api/detect/customer?stream=1&workers=-1",
+	for path, status := range map[string]int{
+		"/api/detect/nope?stream=1":                 http.StatusNotFound,
+		"/api/detect/customer?stream=1&cfds=ghost":  http.StatusBadRequest,
+		"/api/detect/customer?stream=1&engine=warp": http.StatusBadRequest,
+		"/api/detect/customer?stream=1&workers=-1":  http.StatusBadRequest,
 	} {
-		out := do(t, ts, "GET", path, "", http.StatusBadRequest)
+		out := do(t, ts, "GET", path, "", status)
 		if out["error"] == "" {
 			t.Errorf("%s: no error payload", path)
 		}

@@ -41,7 +41,7 @@ func TestQueryContextPreCancelled(t *testing.T) {
 	}
 	for _, rowScan := range []bool{false, true} {
 		e := cancelFixture(t, 3*cancelStride)
-		e.SetColumnarScan(!rowScan)
+		e.rowScan = rowScan
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		for _, q := range queries {

@@ -100,7 +100,7 @@ func TestColumnarScanMatchesRowScan(t *testing.T) {
 		store := newColumnarCrossStore(t)
 		colEng := New(store)
 		rowEng := New(store)
-		rowEng.SetColumnarScan(false)
+		rowEng.rowScan = true
 
 		colRes, colErr := colEng.QueryContext(context.Background(), q)
 		rowRes, rowErr := rowEng.QueryContext(context.Background(), q)

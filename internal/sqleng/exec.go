@@ -51,20 +51,21 @@ type Result struct {
 // Engine executes SQL statements against a relstore.Store.
 type Engine struct {
 	store *relstore.Store
-	// rowScan disables the columnar scan fast path, forcing base-table
-	// loads through the snapshot's row scan; the cross-check tests use it
-	// to compare both read paths on identical queries.
+	// rowScan is the package tests' hook: it routes SELECTs to the legacy
+	// materializing executor (base tables loaded by the snapshot's row
+	// scan), the oracle the streaming path is cross-checked against. No
+	// caller outside this package's tests sets it.
 	rowScan bool
 	// pins maps lowercased table names to externally pinned snapshots;
 	// queries read a pinned table at that exact version regardless of
 	// concurrent mutations. Set via Pin/Unpin.
 	pins map[string]*relstore.Snapshot
 	// fds maps lowercased table names to registered exact-FD sets; the
-	// planner consults them for FD-collapsed joins (fdjoin.go). Unlike
-	// Pin and SetColumnarScan, registration is safe against concurrent
-	// queries: the map is copy-on-write under fdmu (discovery runs
-	// register facts on live engines), and a stale set can never change
-	// results — the collapsed probe re-checks every key per candidate.
+	// planner consults them for FD-collapsed joins (fdjoin.go). Unlike Pin,
+	// registration is safe against concurrent queries: the map is
+	// copy-on-write under fdmu (discovery runs register facts on live
+	// engines), and a stale set can never change results — the collapsed
+	// probe re-checks every key per candidate.
 	fdmu sync.RWMutex
 	fds  map[string]*fdset.Set
 	// ops accumulates executor operation counters (fdjoin.go), read via
@@ -76,17 +77,12 @@ type Engine struct {
 // New creates an engine over the given store.
 func New(store *relstore.Store) *Engine { return &Engine{store: store} }
 
-// SetColumnarScan toggles the columnar scan fast path (on by default).
-// Both paths produce identical results; the switch exists so tests can
-// cross-check them and benchmarks can isolate the row path.
-func (e *Engine) SetColumnarScan(enabled bool) { e.rowScan = !enabled }
-
 // Pin makes every subsequent query read the snapshot's table at the
 // snapshot's version, regardless of concurrent mutations of the live table.
 // The SQL detector pins the data table once per detection so the multiple
-// generated queries of one run all see a single version. Like
-// SetColumnarScan, Pin configures the engine and must not race with
-// running queries: use it on a private engine, not a shared one.
+// generated queries of one run all see a single version. Pin configures
+// the engine and must not race with running queries: use it on a private
+// engine, not a shared one.
 func (e *Engine) Pin(snap *relstore.Snapshot) {
 	if e.pins == nil {
 		e.pins = map[string]*relstore.Snapshot{}
@@ -182,8 +178,8 @@ func (e *Engine) RunContext(ctx context.Context, st Statement) (*Result, error) 
 }
 
 // relation is an intermediate materialized result with a column catalog.
-// It belongs to the legacy materializing executor, kept behind
-// SetColumnarScan(false) as the cross-check oracle for the streaming path.
+// It belongs to the legacy materializing executor, kept behind the rowScan
+// test hook as the cross-check oracle for the streaming path.
 type relation struct {
 	cat    catalog
 	hidden []bool // parallel to cat; hidden columns are excluded from `*`
@@ -349,9 +345,9 @@ func validateRefs(st *SelectStmt, qp *queryPins) error {
 }
 
 // runSelect dispatches a SELECT to the streaming planner/executor
-// (plan.go, iterator.go) or, when SetColumnarScan(false) forced the row
-// path, to the legacy materializing executor below. Both produce
-// byte-identical Results; the legacy path is the cross-check oracle.
+// (plan.go, iterator.go) or, under the rowScan test hook, to the legacy
+// materializing executor below. Both produce byte-identical Results; the
+// legacy path is the cross-check oracle.
 func (e *Engine) runSelect(ctx context.Context, st *SelectStmt) (*Result, error) {
 	if len(st.From) == 0 {
 		return e.selectNoFrom(st)

@@ -99,12 +99,6 @@ func (e *Engine) RegisterFDs(table string, fds *fdset.Set) {
 	e.fds = next
 }
 
-// RegisteredFDs returns the FD set registered for the named table, nil
-// when none is.
-func (e *Engine) RegisteredFDs(table string) *fdset.Set {
-	return e.snapshotFDs()[strings.ToLower(table)]
-}
-
 // snapshotFDs returns the current FD registry. The returned map is never
 // mutated (copy-on-write), so callers may read it lock-free afterwards.
 func (e *Engine) snapshotFDs() map[string]*fdset.Set {

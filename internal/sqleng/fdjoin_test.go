@@ -129,7 +129,7 @@ func TestFDCollapseIdentity(t *testing.T) {
 	collapsed.RegisterFDs("dept", deptFDs())
 	collapsed.RegisterFDs("dept2", staleFDs)
 	oracle := New(store)
-	oracle.SetColumnarScan(false)
+	oracle.rowScan = true
 
 	for _, q := range queries {
 		got, err := collapsed.QueryContext(context.Background(), q)

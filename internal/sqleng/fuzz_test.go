@@ -85,7 +85,7 @@ func checkSQLIdentity(t *testing.T, sql string) {
 	collapsed.RegisterFDs("r", rf)
 	collapsed.RegisterFDs("s", sf)
 	legacy := New(store)
-	legacy.SetColumnarScan(false)
+	legacy.rowScan = true
 
 	sres, serr := stream.QueryContext(context.Background(), sql)
 	cres, cerr := collapsed.QueryContext(context.Background(), sql)

@@ -42,30 +42,6 @@ func Parse(src string) (Statement, error) {
 	return st, nil
 }
 
-// ParseScript parses a semicolon-separated sequence of statements.
-func ParseScript(src string) ([]Statement, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	var out []Statement
-	for !p.atEOF() {
-		if p.accept(tokSymbol, ";") {
-			continue
-		}
-		st, err := p.parseStatement()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, st)
-		if !p.accept(tokSymbol, ";") && !p.atEOF() {
-			return nil, p.errorf("expected ';' between statements, got %q", p.peek().text)
-		}
-	}
-	return out, nil
-}
-
 func (p *parser) peek() token { return p.toks[p.i] }
 func (p *parser) atEOF() bool { return p.peek().kind == tokEOF }
 func (p *parser) advance() token {

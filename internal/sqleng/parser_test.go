@@ -172,16 +172,6 @@ func TestParseDDL(t *testing.T) {
 	}
 }
 
-func TestParseScript(t *testing.T) {
-	stmts, err := ParseScript("CREATE TABLE r (a INT); INSERT INTO r VALUES (1); SELECT * FROM r;")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stmts) != 3 {
-		t.Errorf("stmts = %d", len(stmts))
-	}
-}
-
 func TestParseErrors(t *testing.T) {
 	cases := []string{
 		"",

@@ -30,7 +30,7 @@ func TestEnginePinFreezesReads(t *testing.T) {
 	for _, rowScan := range []bool{false, true} {
 		store, tab := pinTable(t)
 		e := New(store)
-		e.SetColumnarScan(!rowScan)
+		e.rowScan = rowScan
 		snap := tab.Snapshot()
 		e.Pin(snap)
 

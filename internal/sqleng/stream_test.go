@@ -151,7 +151,7 @@ func TestStreamGroupedQuery(t *testing.T) {
 // (materialized eagerly) with identical output.
 func TestStreamLegacyEngine(t *testing.T) {
 	e := New(newJoinStore(t))
-	e.SetColumnarScan(false)
+	e.rowScan = true
 	sql := "SELECT OID FROM orders WHERE CID = 1"
 	want := mustQuery(e, sql)
 	ss, err := e.Stream(context.Background(), sql)

@@ -40,7 +40,7 @@ func TestTopKHeapIdentity(t *testing.T) {
 	store := newTopKStore(t, 64)
 	heap := New(store)
 	oracle := New(store)
-	oracle.SetColumnarScan(false)
+	oracle.rowScan = true
 
 	queries := []string{
 		`SELECT A, B FROM t ORDER BY B LIMIT 5`,
@@ -131,7 +131,7 @@ func TestTopKHeapErrorParity(t *testing.T) {
 		t.Fatal("heap path swallowed the projection error")
 	}
 	oracle := New(store)
-	oracle.SetColumnarScan(false)
+	oracle.rowScan = true
 	if _, err := oracle.QueryContext(context.Background(), q); err == nil {
 		t.Fatal("oracle did not error; fixture is wrong")
 	}

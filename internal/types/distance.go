@@ -5,41 +5,6 @@ package types
 // is w(t, A) * dist(v, v') / max(|v|, |v'|), where dist is the
 // Damerau–Levenshtein edit distance.
 
-// Levenshtein returns the classic edit distance (insert, delete, substitute)
-// between a and b, operating on bytes. It is O(len(a)*len(b)) time and
-// O(min) space.
-func Levenshtein(a, b string) int {
-	if a == b {
-		return 0
-	}
-	if len(a) == 0 {
-		return len(b)
-	}
-	if len(b) == 0 {
-		return len(a)
-	}
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	prev := make([]int, len(a)+1)
-	cur := make([]int, len(a)+1)
-	for i := range prev {
-		prev[i] = i
-	}
-	for j := 1; j <= len(b); j++ {
-		cur[0] = j
-		for i := 1; i <= len(a); i++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			cur[i] = min3(prev[i]+1, cur[i-1]+1, prev[i-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(a)]
-}
-
 // DamerauLevenshtein returns the restricted Damerau–Levenshtein distance
 // (edit distance with adjacent transposition) between a and b.
 func DamerauLevenshtein(a, b string) int {

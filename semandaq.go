@@ -276,15 +276,20 @@ const (
 	OpSet    = monitor.OpSet
 )
 
-// Mutation-path sentinel errors. The session's write API
+// Sentinel errors, for errors.Is. The session's write API
 // (System.Insert/Delete/SetCell/ApplyUpdates) routes writes through a
 // table's active monitor when one exists; while a monitor is being
 // (re)started the write path refuses with ErrMonitorBusy instead of racing
 // the tracker handover, and ApplyUpdates without a monitor returns
-// ErrNoMonitor.
+// ErrNoMonitor. Every request naming an unregistered table returns
+// ErrNoTable, one over a table without constraints ErrNoCFDs, and a
+// WithCFDs id that names none of them ErrUnknownCFD.
 var (
 	ErrMonitorBusy = core.ErrMonitorBusy
 	ErrNoMonitor   = core.ErrNoMonitor
+	ErrNoTable     = core.ErrNoTable
+	ErrNoCFDs      = core.ErrNoCFDs
+	ErrUnknownCFD  = core.ErrUnknownCFD
 )
 
 // GenerateCustomers builds the synthetic customer workload used by the
