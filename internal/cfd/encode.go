@@ -1,6 +1,9 @@
 package cfd
 
 import (
+	"fmt"
+	"slices"
+
 	"semandaq/internal/relstore"
 	"semandaq/internal/schema"
 	"semandaq/internal/types"
@@ -14,9 +17,9 @@ import (
 //
 // Encoding: one column per attribute of X followed by one per attribute of
 // Y; constants keep their typed value, the wildcard is stored as the string
-// "_" (the paper's convention). A data value that is literally the string
-// "_" would be indistinguishable from the wildcard — the same caveat the
-// paper's SQL technique carries.
+// "_" (the paper's convention). A pattern constant that is literally the
+// string "_" would read back as the wildcard, so it is refused: the CFD
+// stays valid for the engines that do not go through this encoding.
 
 // TableauTableName returns the canonical name for a CFD's encoded tableau.
 func TableauTableName(c *CFD) string { return "cfd_tp_" + c.ID }
@@ -26,7 +29,8 @@ var wildcardValue = types.NewString(WildcardToken)
 
 // EncodeTableau materializes the CFD's tableau as a table named name (or
 // TableauTableName(c) if name is empty) and registers it in the store,
-// replacing any previous version.
+// replacing any previous version. A STRING constant equal to WildcardToken
+// is an error naming the CFD and the attribute.
 func EncodeTableau(store *relstore.Store, c *CFD, name string) (*relstore.Table, error) {
 	if err := c.checkArity(); err != nil {
 		return nil, err
@@ -37,12 +41,12 @@ func EncodeTableau(store *relstore.Store, c *CFD, name string) (*relstore.Table,
 	attrs := append(append([]string{}, c.LHS...), c.RHS...)
 	tab := relstore.NewTable(schema.New(name, attrs...))
 	for _, pt := range c.Tableau {
-		row := make(relstore.Tuple, 0, len(attrs))
-		for _, p := range pt.LHS {
-			row = append(row, encodeCell(p))
-		}
-		for _, p := range pt.RHS {
-			row = append(row, encodeCell(p))
+		row := make(relstore.Tuple, len(attrs))
+		for i, p := range slices.Concat(pt.LHS, pt.RHS) {
+			if row[i] = encodeCell(p); !p.Wildcard && row[i].Equal(wildcardValue) {
+				return nil, fmt.Errorf("cfd %s: the constant '%s' for %s cannot be stored in a tableau relation, where that string is the wildcard",
+					c.ID, WildcardToken, attrs[i])
+			}
 		}
 		if _, err := tab.Insert(row); err != nil {
 			return nil, err

@@ -301,3 +301,45 @@ func TestVioMetamorphic(t *testing.T) {
 		t.Errorf("value renaming changed the result:\n got  %v %v\n want %v %v", w.vio, w.per, base.vio, base.per)
 	}
 }
+
+// TestQuotedWildcardConstant: the constant '_' is a value like any other to
+// the definition and to the engines that read patterns directly; the tableau
+// relation stores the wildcard as that very string, so the SQL engine — which
+// used to read the constant back as "any A" and report the q row — refuses
+// the CFD, naming it and the attribute.
+func TestQuotedWildcardConstant(t *testing.T) {
+	tab := relstore.NewTable(schema.New("r", "A", "B"))
+	tab.MustInsert(relstore.Tuple{types.NewString("_"), types.NewString("x")})
+	tab.MustInsert(relstore.Tuple{types.NewString("q"), types.NewString("y")})
+	cfds, err := cfd.ParseSet("c1@ r: [A='_'] -> [B=x]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := cfds[0].Tableau[0].LHS[0]; p.Wildcard || !p.Const.Equal(types.NewString("_")) {
+		t.Fatalf("the quoted '_' parsed as %+v, want the constant", p)
+	}
+	snap := tab.Snapshot()
+	w := define(t, snap, cfds)
+	if len(w.vio) != 0 {
+		t.Fatalf("definition: vio = %v, want none (only the '_' row matches, and it has B = x)", w.vio)
+	}
+	store := relstore.NewStore()
+	store.Put(tab)
+	for _, kind := range detect.EngineKinds() {
+		det, err := detect.NewDetector(kind, detect.Config{Workers: 2, Store: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := det.(detect.SnapshotDetector).DetectSnapshot(context.Background(), snap, cfds)
+		if kind == detect.SQLEngine {
+			if err == nil || !strings.Contains(err.Error(), "c1") || !strings.Contains(err.Error(), " A ") {
+				t.Errorf("sql: report %v, err %v; want a refusal naming c1 and A", rep, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		w.checkReport(t, kind.String(), rep)
+	}
+}

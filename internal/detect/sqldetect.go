@@ -3,6 +3,7 @@ package detect
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"semandaq/internal/cfd"
@@ -265,7 +266,7 @@ func (d *SQLDetector) detectOneSQL(ctx context.Context, dataName string, p prepa
 			g, ok := groups[key]
 			if !ok {
 				g = &acc{
-					lhsVals:   lhsVals,
+					lhsVals:   slices.Clone(lhsVals), // the streamed row is the engine's to reuse
 					rhsOf:     map[relstore.TupleID]string{},
 					rhsCounts: map[string]int{},
 				}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"semandaq/internal/relstore"
@@ -96,5 +97,52 @@ func TestCancelledDMLLeavesTableIntact(t *testing.T) {
 	}
 	if got := mustQuery(e, "SELECT COUNT(*) FROM r").Rows[0][0].Int(); got != total {
 		t.Errorf("cancelled DELETE removed %d rows", total-got)
+	}
+}
+
+// countdownCtx is done from its n-th Err() poll on: it cancels a run at an
+// exact stride instead of at a wall-clock instant.
+type countdownCtx struct {
+	context.Context
+	left int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left--; c.left < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelAtEveryPollOfMemoisedPlan cancels a self-join the driver memo
+// serves (97 classes, every later row of a class replayed) at each of its
+// context polls in turn: every cancelled run fails bare, the first run that
+// survives equals the uncancelled result, and the number of polls a full run
+// makes is one per cancelStride rows visited — driver rows plus joined pairs,
+// replayed or not — so a replayed tail is no further from a poll than a
+// probed one was.
+func TestCancelAtEveryPollOfMemoisedPlan(t *testing.T) {
+	e := cancelFixture(t, 2*cancelStride)
+	const q = "SELECT COUNT(*) FROM r t1, r t2 WHERE t1.A = t2.A"
+	want := mustQuery(e, q)
+	if ops := e.OpStats(); ops.MemoClasses != 97 || ops.MemoReplays != 2*cancelStride-97 {
+		t.Fatalf("the memo recorded %d classes and replayed %d rows, want 97 and the rest", ops.MemoClasses, ops.MemoReplays)
+	}
+	polls := 0
+	for ; ; polls++ {
+		res, err := e.QueryContext(&countdownCtx{Context: context.Background(), left: polls}, q)
+		if err == nil {
+			if !reflect.DeepEqual(res, want) {
+				t.Fatalf("the run that survived %d polls returned %v, want %v", polls, res.Rows, want.Rows)
+			}
+			break
+		}
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Fatalf("poll %d: got (%v, %v), want a bare cancellation", polls, res, err)
+		}
+	}
+	visited := 2*cancelStride + int(want.Rows[0][0].Int())
+	if polls < visited/cancelStride || polls > visited/cancelStride+2 {
+		t.Errorf("a full run polled %d times over %d rows visited, want one poll per %d", polls, visited, cancelStride)
 	}
 }

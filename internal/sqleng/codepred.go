@@ -11,6 +11,8 @@
 package sqleng
 
 import (
+	"cmp"
+
 	"semandaq/internal/relstore"
 	"semandaq/internal/types"
 )
@@ -138,12 +140,32 @@ func (x *xlatTab) get() []int32 {
 	if x.tab == nil {
 		a, b, n := x.a, x.b, x.a.col.CodeSpace()
 		x.tab = make([]int32, n+1)
+		// A smaller b is looked up in a instead, one lookup per value of b:
+		// its classes are filed under a's canonical codes first, every other
+		// code of a then reads its canonical's entry.
+		small := a.col != b.col && b.col.Card() < a.col.Card()
+		if small {
+			for c := range x.tab {
+				x.tab[c] = codeAbsent
+			}
+			for cb := -1; cb < b.col.CodeSpace(); cb++ {
+				v := b.dflt // cb -1: a default b's column may lack
+				if cb >= 0 {
+					v = b.col.Value(uint32(cb))
+				}
+				if q, ok := a.col.EqCodeOf(v); ok && !v.IsNull() {
+					x.tab[q] = b.codeOf(v)
+				}
+			}
+		}
 		for c := range x.tab {
 			switch {
 			case c == n || int32(c) == a.null:
 				x.tab[c] = b.codeOf(a.dflt)
 			case a.col == b.col: // a self-join: the dictionary is shared
 				x.tab[c] = int32(a.col.EqOf(uint32(c)))
+			case small:
+				x.tab[c] = x.tab[a.col.EqOf(uint32(c))]
 			default:
 				x.tab[c] = b.codeOf(a.col.Value(uint32(c)))
 			}
@@ -288,4 +310,62 @@ func (p *selectPlan) compileCode(e Expr) (codeFn, bool) {
 		}, true
 	}
 	return nil, false
+}
+
+// countFn is a HAVING decided on a group's counts alone.
+type countFn func(counts []aggCount) bool
+
+// compileCounts compiles a HAVING made of =, <>, <, <=, >, >= between
+// code-level COUNTs (aggCall.vslot < 0) and INT literals under AND/OR: such a
+// COUNT is an INT and never NULL, so the logic is two-valued and a compare is
+// Value.Compare's int64 one. Any other shape — a FLOAT or STRING literal, SUM,
+// NOT — reports nil and stays value-level.
+func (s *streamSink) compileCounts(e Expr, env map[string]int) countFn {
+	b, ok := e.(*BinaryExpr)
+	if !ok {
+		return nil
+	}
+	if and := b.Op == "AND"; and || b.Op == "OR" {
+		l, r := s.compileCounts(b.L, env), s.compileCounts(b.R, env)
+		if l == nil || r == nil {
+			return nil
+		}
+		return func(c []aggCount) bool {
+			if l(c) != and {
+				return !and // the operand that decides
+			}
+			return r(c)
+		}
+	}
+	// side reports a count's call index, or -1 and an INT literal's value.
+	side := func(e Expr) (int, int64, bool) {
+		switch n := e.(type) {
+		case *Literal:
+			if n.Value.Kind() == types.KindInt {
+				return -1, n.Value.Int(), true
+			}
+		case *FuncExpr:
+			if slot, ok := env[exprString(n)]; ok && s.calls[slot-s.width].vslot < 0 {
+				return slot - s.width, 0, true
+			}
+		}
+		return 0, 0, false
+	}
+	li, lv, ok1 := side(b.L)
+	ri, rv, ok2 := side(b.R)
+	// The signs of a three-way compare the operator accepts: bit 0 <, 1 =, 2 >.
+	signs, ok3 := map[string]uint8{"<": 1, "=": 2, "<=": 3, ">": 4, "<>": 5, ">=": 6}[b.Op]
+	if !ok1 || !ok2 || !ok3 || (li < 0 && ri < 0) { // two literals are the evaluator's
+		return nil
+	}
+	return func(c []aggCount) bool {
+		x, y := lv, rv
+		if li >= 0 {
+			x = c[li].n
+		}
+		if ri >= 0 {
+			y = c[ri].n
+		}
+		return signs>>(cmp.Compare(x, y)+1)&1 == 1
+	}
 }

@@ -59,12 +59,17 @@ type OpCounters struct {
 	// and aggregates all compile to codes fetches output rows x projected
 	// columns and nothing else.
 	ValuesMaterialized int64
+	// MemoClasses counts the driver-row classes whose tails the
+	// driver-signature memo recorded, MemoReplays the driver rows it served
+	// from a recording instead of running the pipeline.
+	MemoClasses int64
+	MemoReplays int64
 }
 
 // fields lists the counters, for the whole-struct atomic operations.
 func (o *OpCounters) fields() []*int64 {
 	return []*int64{&o.PLIProbes, &o.HashProbes, &o.HashBuildRows,
-		&o.CollapsedProbes, &o.CollapsedBuilds, &o.ValuesMaterialized}
+		&o.CollapsedProbes, &o.CollapsedBuilds, &o.ValuesMaterialized, &o.MemoClasses, &o.MemoReplays}
 }
 
 // flushOps folds the execution's locally accumulated counters into the

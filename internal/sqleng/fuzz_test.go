@@ -3,6 +3,8 @@ package sqleng
 import (
 	"context"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"semandaq/internal/fdset"
@@ -13,7 +15,11 @@ import (
 
 // fuzzStore seeds the store both fuzz engines query: two joinable tables
 // with NULLs, duplicate join keys, mixed INT/FLOAT/STRING/BOOL cells and
-// an Equal-vs-exact corner (INT 1 next to FLOAT 1.0).
+// an Equal-vs-exact corner (INT 1 next to FLOAT 1.0), and a third, u, whose
+// 40 rows repeat few values per column so that two- and three-column driver
+// signatures fit the row count and the driver-signature memo replays: INT 1
+// and FLOAT 1.0 are two exact codes of one Equal class there, and NULL and
+// the empty string are values.
 func fuzzStore(tb testing.TB) *relstore.Store {
 	store := relstore.NewStore()
 	r, err := store.Create(schema.New("r", "A", "B", "C"))
@@ -44,6 +50,17 @@ func fuzzStore(tb testing.TB) *relstore.Store {
 	}
 	for _, row := range sRows {
 		s.MustInsert(row)
+	}
+	u, err := store.Create(schema.New("u", "A", "B", "C", "D"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	uA := []types.Value{types.NewInt(1), types.NewFloat(1.0), types.NewInt(2)}
+	uB := []types.Value{types.NewString("x"), types.NewString(""), types.Null}
+	uC := []types.Value{types.NewString("p"), types.NewString("q")}
+	uD := []types.Value{types.NewInt(1), types.Null, types.NewInt(2), types.NewInt(9)}
+	for i := 0; i < 40; i++ {
+		u.MustInsert(relstore.Tuple{uA[i%3], uB[i%5%3], uC[i%7%2], uD[i%4]})
 	}
 	return store
 }
@@ -134,6 +151,54 @@ var codeSeeds = []string{
 	"SELECT r.B, s.D FROM r, s WHERE COALESCE(r.B, '\x00null') = COALESCE(s.D, '\x00null')",
 }
 
+// memoSeeds aim at the driver-signature memo's replay path over u: each is
+// served by a memo (TestMemoSeedsReplay holds them to it), and between them
+// they replay two- and three-column signatures, the detector's Qc and Qv
+// shapes, a null-extended tail, LIMIT/OFFSET stopping inside a class's
+// replay, DISTINCT, a hoisted probe in a three-table join, a self-join, a
+// group key outside the signature, classes that outrun the tail budget, a
+// value-level predicate and aggregate, and HAVING on both sides of the
+// integer compile.
+var memoSeeds = []string{
+	"SELECT u.A, s.D FROM u, s WHERE u.A = s.A AND u.B <> s.D",
+	"SELECT u.B, s.D FROM u, s WHERE u.A = s.A AND (u.B = s.D OR u.C = 'p')",
+	"SELECT u._tid, s._tid, s.D, u.B FROM u, s WHERE (s.A = 9 OR u.A = s.A) AND s.D <> 's' AND u.B <> s.D",
+	"SELECT u.A AS A, u.B AS B FROM u, s WHERE (s.A = 9 OR u.A = s.A) AND (s.D = 's' OR u.B = s.D) GROUP BY u.A, u.B HAVING COUNT(DISTINCT u.C) > 1 OR (COUNT(DISTINCT u.C) = 1 AND COUNT(u.C) < COUNT(*))",
+	"SELECT u._tid, u.C, u.A, u.B FROM u, r WHERE u.A IS NOT DISTINCT FROM r.A AND u.B IS NOT DISTINCT FROM r.B",
+	"SELECT u.A, u.B, s.D FROM u LEFT JOIN s ON u.D = s.A AND s.D <> 'q' AND u.B <> s.D",
+	"SELECT u.A, s.D FROM u, s WHERE u.A = s.A LIMIT 7 OFFSET 5",
+	"SELECT DISTINCT u.B, s.D FROM u, s WHERE u.A = s.A",
+	"SELECT u.A, s.D, r.B FROM u, s, r WHERE u.A = s.A AND u.B = r.B",
+	"SELECT u1.A, u2.C FROM u u1, u u2 WHERE u1.A = u2.A AND u1.B = u2.B AND u1.C <> u2.C",
+	"SELECT u.A, u.C, COUNT(*), COUNT(s.D) FROM u, s WHERE u.A = s.A GROUP BY u.A, u.C",
+	"SELECT COUNT(*) FROM u u1, u u2 WHERE u1.A <> u2.A",
+	"SELECT u.A, s.A FROM u, s WHERE u.D < s.A AND u.C LIKE 'p%'",
+	"SELECT B, SUM(D), MIN(C) FROM u WHERE A = 1 GROUP BY B",
+	"SELECT C, SUM(B) FROM u WHERE A = 2 GROUP BY C",
+	"SELECT A, COUNT(*) FROM u WHERE B <> 'x' GROUP BY A HAVING COUNT(B) <= COUNT(*) AND 2 < COUNT(*)",
+	"SELECT A, COUNT(*) FROM u WHERE B <> 'x' GROUP BY A HAVING COUNT(*) > 1.5",
+	"SELECT A, COUNT(*) FROM u WHERE B <> 'x' GROUP BY A HAVING COUNT(*) > 9 OR COUNT(*) > 1.5",
+	"SELECT A, COUNT(*) FROM u WHERE B <> 'x' GROUP BY A HAVING COUNT(*) > '1'",
+	"SELECT A, COUNT(*) FROM u WHERE B <> 'x' GROUP BY A HAVING SUM(A) > 1",
+	"SELECT C, COUNT(B) FROM u WHERE A = 1 GROUP BY C HAVING NOT (COUNT(B) = COUNT(*))",
+}
+
+// TestMemoSeedsReplay: every memo seed is planned with a driver memo, and
+// running it replays rows — the identity battery would otherwise pass
+// without ever entering the path the seeds exist for.
+func TestMemoSeedsReplay(t *testing.T) {
+	for _, sql := range memoSeeds {
+		e := New(fuzzStore(t))
+		if lines := planLines(t, e, "EXPLAIN "+sql); indexOfLine(lines, "driver memo on") < 0 {
+			t.Errorf("%s\nis planned without a memo:\n%s", sql, strings.Join(lines, "\n"))
+		}
+		e.QueryContext(context.Background(), sql) // SUM(B) errors, on a replayed row
+		if ops := e.OpStats(); ops.MemoReplays == 0 || ops.MemoClasses == 0 {
+			t.Errorf("%s\nreplayed %d rows of %d recorded classes", sql, ops.MemoReplays, ops.MemoClasses)
+		}
+	}
+}
+
 // FuzzSQLExec feeds arbitrary SQL text through both executors and demands
 // byte-identical results. The seed corpus (testdata/fuzz/FuzzSQLExec)
 // covers every pipeline stage: code filters, PLI/hash/nested joins, outer
@@ -169,7 +234,7 @@ func FuzzSQLExec(f *testing.F) {
 		"SELECT r1.A FROM r r1, r r2 WHERE r1.A = r2.A AND r1.B = r2.B AND r1.C = r2.C",
 		"SELECT A, B FROM r ORDER BY C LIMIT 3",
 	}
-	for _, s := range append(seeds, codeSeeds...) {
+	for _, s := range slices.Concat(seeds, codeSeeds, memoSeeds) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, sql string) {
@@ -197,7 +262,7 @@ func TestFuzzSeedsIdentity(t *testing.T) {
 		"SELECT r1.A FROM r r1, r r2 WHERE r1.A = r2.A AND r1.B = r2.B AND r1.C = r2.C",
 		"SELECT A, B FROM r ORDER BY C LIMIT 3",
 	}
-	for _, sql := range append(seeds, codeSeeds...) {
+	for _, sql := range slices.Concat(seeds, codeSeeds, memoSeeds) {
 		if _, err := Parse(sql); err != nil {
 			t.Errorf("seed %q does not parse (checkSQLIdentity would skip it): %v", sql, err)
 		}

@@ -54,6 +54,7 @@ type planExec struct {
 	buf    []types.Value // the lazily filled row, plus the sink's aggregate slots
 	idx    []*rightIndex // per step
 	cached [][]int32     // per step: candidates from a hoisted probe
+	memo   *driverMemo   // nil when the plan does not qualify (selectPlan.planMemo)
 	keyBuf []byte
 	ops    OpCounters // local counters, flushed to the engine once per run
 	n      int        // shared row counter for stride context checks
@@ -79,6 +80,7 @@ func (p *selectPlan) run(ctx context.Context) error {
 		buf:    make([]types.Value, len(p.cat)+len(p.sink.calls)),
 		idx:    make([]*rightIndex, len(p.steps)),
 		cached: make([][]int32, len(p.steps)),
+		memo:   p.newMemo(),
 	}
 	p.sink.px = px
 	defer px.flushOps()
@@ -217,23 +219,134 @@ rows:
 	return nil
 }
 
-// scanDriver iterates the driver scan: each row through the stage-0
-// filters and probes, then down the join steps.
+// driverMemo decides the join once per class of driver rows. Below the driver
+// scan a pure plan's pipeline is a function of the row's exact values on the
+// columns D that WHERE and ON read (selectPlan.planMemo), so a class's first
+// row runs it and records the cursor suffixes cur[1:] that reach the sink
+// (the tails, null-extended -1s included) and every later row replays them.
+// Rows are served in driver order and tails in recorded order: enumeration
+// order, group numbering and early stops are the unmemoised loop's, and
+// purity licenses skipping the repeated evaluations.
+type driverMemo struct {
+	cols    []*relstore.Column // D
+	dense   [][]int32          // per column left with dead codes (patch.go): code -> index among the live ones
+	classOf []int32            // value vector -> 1 + its class's entry in tails; 0: not seen yet
+	// tails holds per class its tail count (-1: given up), the group its rows
+	// fall in (-1: the sink resolves it) and the tails, a cursor per
+	// non-driver scan each. Every class's header fits without growing it.
+	tails  []int32
+	budget int // tails that may still be recorded, of one per driver row in total
+	rec    int // the entry being recorded, -1: none
+}
+
+func (p *selectPlan) newMemo() *driverMemo {
+	if p.memoOff != "" {
+		return nil
+	}
+	m := &driverMemo{classOf: make([]int32, p.memoSpace), tails: make([]int32, 0, 2*p.memoSpace),
+		budget: p.scans[0].cnr.Len(), rec: -1}
+	for _, pos := range p.memoCols {
+		col, dense := p.scans[0].cnr.Col(int(pos)-1), []int32(nil)
+		if col.CodeSpace() > col.Card() { // keep the table the size the plan admitted
+			dense = make([]int32, col.CodeSpace())
+			for r := 0; r < col.Len(); r++ {
+				dense[col.Code(r)] = 1
+			}
+			next := int32(0)
+			for c, live := range dense {
+				dense[c], next = next, next+live
+			}
+		}
+		m.cols, m.dense = append(m.cols, col), append(m.dense, dense)
+	}
+	return m
+}
+
+// appendDoubling is append for the vectors that grow with the classes and
+// groups met: it doubles a full slice, where append's 1.25x steps past 256
+// elements allocate some five times the final size along the way.
+func appendDoubling[T any](s []T, v ...T) []T {
+	if len(s)+len(v) > cap(s) {
+		s = slices.Grow(s, cap(s)+len(v))
+	}
+	return append(s, v...)
+}
+
+// record notes that the cursor suffix tail reached the sink as a row of
+// group gid. A class that outruns the budget is given up — it runs the
+// pipeline for each of its rows — so a fan-out join cannot blow memory.
+func (m *driverMemo) record(tail []int32, gid int32) {
+	if m.budget == 0 {
+		m.budget += int(m.tails[m.rec])
+		m.tails = m.tails[:m.rec+2]
+		m.tails[m.rec], m.rec = -1, -1
+		return
+	}
+	m.tails = appendDoubling(m.tails, tail...)
+	m.tails[m.rec]++
+	m.tails[m.rec+1] = gid
+	m.budget--
+}
+
+// scanDriver iterates the driver scan: each row — with a memo, each class's
+// first — through the stage-0 filters and probes, then down the join steps.
 func (px *planExec) scanDriver() error {
-	n := px.p.scans[0].cnr.Len()
+	n, m := px.p.scans[0].cnr.Len(), px.memo
 	for r := 0; r < n && !px.stop; r++ {
 		if err := px.stride(); err != nil {
 			return err
 		}
 		px.setCur(0, int32(r))
+		if m != nil {
+			sig := 0
+			for i, c := range m.cols {
+				code := int32(c.Code(r))
+				if m.dense[i] != nil {
+					code = m.dense[i][code]
+				}
+				sig = sig*c.Card() + int(code)
+			}
+			if e := int(m.classOf[sig]) - 1; e < 0 {
+				m.classOf[sig], m.rec = int32(len(m.tails))+1, len(m.tails)
+				m.tails = appendDoubling(m.tails, 0, -1)
+			} else if m.tails[e] >= 0 {
+				if err := px.replay(m.tails[e:]); err != nil {
+					return err
+				}
+				continue
+			}
+		}
 		if ok, err := px.stageGate(0); err != nil {
 			return err
-		} else if !ok {
-			continue
+		} else if ok {
+			if err := px.descend(0); err != nil {
+				return err
+			}
 		}
-		if err := px.descend(0); err != nil {
+		if m != nil && m.rec >= 0 {
+			m.rec = -1
+			px.ops.MemoClasses++
+		}
+	}
+	return nil
+}
+
+// replay feeds a recorded class entry's tails to the sink for the driver row
+// under the cursor, polling the context as the join steps would have.
+func (px *planExec) replay(e []int32) error {
+	px.ops.MemoReplays++
+	for i, w := 0, len(px.cur)-1; i < int(e[0]) && !px.stop; i++ {
+		if err := px.stride(); err != nil {
 			return err
 		}
+		for s := 1; s <= w; s++ {
+			px.setCur(s, e[1+i*w+s])
+		}
+		stop, err := px.p.sink.add(e[1])
+		if err != nil {
+			return err
+		}
+		px.stop = stop
 	}
 	return nil
 }
@@ -336,8 +449,11 @@ func (px *planExec) probe(si int) (bool, error) {
 // when every scan's cursor is set.
 func (px *planExec) descend(d int) error {
 	if d == len(px.p.scans)-1 {
-		stop, err := px.p.sink.add()
+		stop, err := px.p.sink.add(-1)
 		px.stop = px.stop || stop
+		if m := px.memo; m != nil && m.rec >= 0 {
+			m.record(px.cur[1:], px.p.sink.gid)
+		}
 		return err
 	}
 	step := px.p.steps[d]
@@ -456,11 +572,17 @@ type streamSink struct {
 	// evaluates it and intern[i] gives its value a code. Either way a group
 	// is a vector of uint32s, resolved to its index one key at a time
 	// through levels[i]: (index so far, next code) -> index.
-	keyTerms  []*codeTerm
-	keyFns    []evalFn
-	having    evalFn
-	projs     []sinkProj
-	orderKeys []sinkOrderKey
+	keyTerms []*codeTerm
+	keyFns   []evalFn
+	// memoGroups: every key is a code term over a column of the memo's D, so
+	// a class lies in one group and a replayed row arrives with its index.
+	memoGroups bool
+	// HAVING: on the group's counts alone when its shape allows
+	// (compileCounts), else value-level.
+	havingCounts countFn
+	having       evalFn
+	projs        []sinkProj
+	orderKeys    []sinkOrderKey
 	// Late materialisation: the row-buffer positions the sink's value-level
 	// expressions read, by when they are fetched. rowCols per arriving
 	// pipeline row (value-level group keys and aggregate operands; when not
@@ -485,6 +607,7 @@ type streamSink struct {
 	levels   []map[uint64]int32
 	intern   []map[string]uint32
 	reps     []int32    // per group: its first member's cursor, nscans wide
+	gid      int32      // memoGroups: the group add last resolved, else -1
 	counts   []aggCount // per group: one per call
 	vals     []aggState // per group: one per value-level call (aggCall.vslot)
 	zero     []aggCount // a new group's counts
@@ -506,7 +629,7 @@ type streamSink struct {
 // of interleaved with execution), which preserves error presence.
 func newStreamSink(p *selectPlan) (*streamSink, error) {
 	st, cat, hidden := p.st, p.cat, p.hidden
-	s := &streamSink{st: st, width: len(cat), nscans: len(p.scans), heapK: -1}
+	s := &streamSink{st: st, width: len(cat), nscans: len(p.scans), heapK: -1, gid: -1}
 
 	var outExprs []Expr // the select items, then the ORDER BY keys
 	for _, it := range st.Items {
@@ -573,7 +696,15 @@ func newStreamSink(p *selectPlan) (*streamSink, error) {
 			}
 			s.having = f
 			s.havingCols = p.colsOf(nil, nil, st.Having)
+			if s.havingCounts = s.compileCounts(st.Having, aggEnv); s.havingCounts != nil {
+				s.having = nil
+			}
 		}
+		s.memoGroups = p.memoOff == "" && !slices.ContainsFunc(s.keyTerms, func(t *codeTerm) bool {
+			return t == nil || t.scan != 0 || !slices.ContainsFunc(p.memoCols, func(pos int32) bool {
+				return p.scans[0].cnr.Col(int(pos)-1) == t.col
+			})
+		})
 	}
 
 	for _, it := range st.Items {
@@ -664,7 +795,12 @@ func (s *streamSink) describe() string {
 	} else if s.needsGroup {
 		parts = append(parts, fmt.Sprintf("group(keys=%d aggs=%d)", len(s.keyFns), len(s.calls)))
 	}
-	if s.having != nil {
+	if s.memoGroups {
+		parts = append(parts, "group index from memo")
+	}
+	if s.havingCounts != nil {
+		parts = append(parts, "having on counts")
+	} else if s.having != nil {
 		parts = append(parts, "having")
 	}
 	parts = append(parts, fmt.Sprintf("project %d cols", len(s.projs)))
@@ -689,10 +825,11 @@ func (s *streamSink) describe() string {
 	return strings.Join(parts, ", ")
 }
 
-// add consumes the pipeline row under the cursor. Returns stop=true when
-// the pipeline may terminate early (LIMIT satisfied, or a streaming
-// consumer declined more rows).
-func (s *streamSink) add() (bool, error) {
+// add consumes the pipeline row under the cursor, a row of group known when
+// the memo replays it (else -1). Returns stop=true when the pipeline may
+// terminate early (LIMIT satisfied, or a streaming consumer declined more
+// rows).
+func (s *streamSink) add(known int32) (bool, error) {
 	px := s.px
 	px.materialise(s.rowCols, px.cur)
 	if !s.needsGroup {
@@ -701,8 +838,11 @@ func (s *streamSink) add() (bool, error) {
 	// Resolve the group: its keys' codes, interned level by level. Indexes
 	// are handed out in first-appearance order, so a fresh index is a new
 	// group.
-	gid := uint64(0)
-	for i, t := range s.keyTerms {
+	gid, keys := uint64(0), s.keyTerms
+	if known >= 0 {
+		gid, keys = uint64(known), nil
+	}
+	for i, t := range keys {
 		var c uint32
 		if t != nil {
 			c = uint32(t.own(px.cur) + 2) // NULL (-2) groups as a value of its own
@@ -722,6 +862,9 @@ func (s *streamSink) add() (bool, error) {
 	}
 	if int(gid) == len(s.reps)/s.nscans {
 		s.newGroup(px.cur)
+	}
+	if s.memoGroups {
+		s.gid = int32(gid)
 	}
 	for ci := range s.calls {
 		c, n := &s.calls[ci], &s.counts[int(gid)*len(s.calls)+ci]
@@ -759,9 +902,9 @@ type aggCount struct {
 
 // newGroup opens a group represented by the cursor cur.
 func (s *streamSink) newGroup(cur []int32) {
-	s.reps = append(s.reps, cur...)
-	s.counts = append(s.counts, s.zero...)
-	s.vals = append(s.vals, s.fresh...)
+	s.reps = appendDoubling(s.reps, cur...)
+	s.counts = appendDoubling(s.counts, s.zero...)
+	s.vals = appendDoubling(s.vals, s.fresh...)
 }
 
 // internValue gives v's Equal-class a dense code, by its group-key bytes.
@@ -796,12 +939,12 @@ func (st *aggCount) firstSeen(call *aggCall, gid uint64, c uint32) bool {
 // emit projects one (grouped) row and routes it: through DISTINCT, then to
 // the streaming consumer, the bounded heap or the output set. The sequence
 // of expression evaluations (and hence of possible errors) is the same on
-// every route; only the retention differs, and a row the heap rejects
-// allocates nothing.
+// every route; only the retention differs: a row the heap rejects or a
+// consumer takes allocates nothing.
 func (s *streamSink) emit(row []types.Value) (stop bool, err error) {
 	bounded := s.heapK >= 0 && s.yield == nil
 	vals := s.valBuf
-	if !bounded {
+	if !bounded && s.yield == nil {
 		vals = make([]types.Value, len(s.projs))
 	}
 	for i, pr := range s.projs {
@@ -971,6 +1114,9 @@ func (s *streamSink) finishGroups(ctx context.Context) error {
 		if err := strideCheck(ctx, gi); err != nil {
 			return err
 		}
+		if s.havingCounts != nil && !s.havingCounts(s.counts[gi*len(s.calls):]) {
+			continue // decided on the counts: nothing fetched, nothing boxed
+		}
 		rep := s.reps[gi*s.nscans : (gi+1)*s.nscans]
 		s.px.materialise(s.havingCols, rep)
 		for ci, c := range s.calls {
@@ -1041,8 +1187,9 @@ func (e *Engine) Stream(ctx context.Context, sql string) (*SelectStream, error) 
 }
 
 // Each runs the query, calling yield once per output row in result order.
-// Yielded rows are freshly allocated and may be retained. A false return
-// from yield stops iteration early (no error). Each may be called once.
+// The row is valid only during the call — the pipeline reuses it for the
+// next one — so a consumer that keeps a row copies it. A false return from
+// yield stops iteration early (no error). Each may be called once.
 func (s *SelectStream) Each(ctx context.Context, yield func(row []types.Value) bool) error {
 	res := s.eager
 	if res == nil && s.plan.sink.canYield() {

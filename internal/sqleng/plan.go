@@ -45,13 +45,11 @@ import (
 
 // filterPred is one compiled conjunct: a code predicate over the cursor
 // when its shape allows (codepred.go), else an evaluator over the lazily
-// filled row buffer. src feeds EXPLAIN; pure means evaluation can never
-// error.
+// filled row buffer. src feeds EXPLAIN.
 type filterPred struct {
 	code codeFn
 	fn   evalFn
 	src  Expr
-	pure bool
 }
 
 // scanNode is one base-table access: a pinned columnar snapshot plus the
@@ -168,10 +166,20 @@ type selectPlan struct {
 	// filters pass, most selective first (ascending expected matches).
 	probesAt [][]int
 	versions map[string]int64
-	pure     bool // every predicate and key in the plan is pure
-	sink     *streamSink
-	posScan  []int32    // row-buffer position -> owning scan
-	xlats    []*xlatTab // the plan's code translation tables (codepred.go)
+	// pure: WHERE and every ON are pure, so no predicate or key of the plan
+	// can return an evaluation error, which licenses the optimizer to change
+	// evaluation sets (probe hoisting, right pushdown, early termination, the
+	// driver memo) without risking error-presence divergence from the legacy
+	// path.
+	pure    bool
+	sink    *streamSink
+	posScan []int32    // row-buffer position -> owning scan
+	xlats   []*xlatTab // the plan's code translation tables (codepred.go)
+	// The driver-signature memo (planMemo): its columns D, the number of
+	// value vectors over them, and why the plan has none.
+	memoCols  []int32
+	memoSpace int
+	memoOff   string
 	// ops points at the owning engine's executor operation counters
 	// (fdjoin.go); the executor increments them as it probes and builds.
 	ops *OpCounters
@@ -209,14 +217,14 @@ func (p *selectPlan) colsOf(dst, skip []int32, exprs ...Expr) []int32 {
 // filling as their scans' cursors move.
 func (p *selectPlan) pred(c Expr) (filterPred, error) {
 	if code, ok := p.compileCode(c); ok {
-		return filterPred{code: code, src: c, pure: true}, nil
+		return filterPred{code: code, src: c}, nil
 	}
 	f, err := compileExpr(c, p.cat)
 	if err != nil {
 		return filterPred{}, err
 	}
 	p.fillInPipe(c)
-	return filterPred{fn: f, src: c, pure: pureExpr(c)}, nil
+	return filterPred{fn: f, src: c}, nil
 }
 
 // fillInPipe registers the columns a value-level pipeline expression reads
@@ -367,14 +375,45 @@ func (e *Engine) buildSelectPlan(st *SelectStmt) (*selectPlan, error) {
 	}
 
 	p.finalizeSteps(e.snapshotFDs())
-	p.pure = p.allPure()
+	p.pure = !slices.ContainsFunc(p.conds(), func(e Expr) bool { return !pureExpr(e) })
 	p.optimize()
 
+	p.planMemo()
 	p.sink, err = newStreamSink(p)
 	if err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// planMemo decides whether the driver-signature memo (iterator.go) serves
+// the plan. D is every driver column WHERE and ON read: what the stage
+// filters, join keys and residuals below the driver scan see of its row. The
+// memo is on when the plan is pure, D holds no _tid and the product of D's
+// distinct counts is at most half the driver's row count, so that at least
+// every other row is a replay (on a key the memo is all cost) — exact
+// statistics, like finalizeSteps' choices, so a patched snapshot plans like
+// a rebuilt one.
+func (p *selectPlan) planMemo() {
+	if !p.pure {
+		p.memoOff = "impure plan"
+		return
+	}
+	drv, rows := p.scans[0], p.scans[0].cnr.Len()
+	p.memoSpace = 1
+	for _, pos := range p.colsOf(nil, nil, p.conds()...) {
+		if pos == 0 {
+			p.memoOff = "reads " + p.cat[0].qual + "." + TIDColumn
+			return
+		}
+		if int(pos) < drv.arity && 2*p.memoSpace <= rows { // past that the product only grows
+			p.memoCols = append(p.memoCols, pos)
+			p.memoSpace *= drv.cnr.Col(int(pos) - 1).Card()
+		}
+	}
+	if 2*p.memoSpace > rows {
+		p.memoOff = fmt.Sprintf("space %d > half of rows %d", p.memoSpace, rows)
+	}
 }
 
 // claimStage claims every pending conjunct resolvable on the prefix through
@@ -518,37 +557,14 @@ func bareScanCol(e Expr, sc *scanNode) (int, bool) {
 	return idx - 1, true
 }
 
-// allPure reports whether every predicate and key expression in the plan is
-// pure. Pure plans cannot produce evaluation errors, which licenses the
-// optimizer to change evaluation sets (probe hoisting, right pushdown,
-// early termination) without risking error-presence divergence from the
-// legacy path.
-func (p *selectPlan) allPure() bool {
-	for _, fs := range p.stages {
-		for _, f := range fs {
-			if !f.pure {
-				return false
-			}
-		}
+// conds lists WHERE and every ON: between them, all that the pipeline's
+// filters, join keys and residuals evaluate.
+func (p *selectPlan) conds() []Expr {
+	out := []Expr{p.st.Where}
+	for _, jc := range p.st.Joins {
+		out = append(out, jc.On)
 	}
-	for _, sc := range p.scans {
-		for _, f := range sc.filters {
-			if !f.pure {
-				return false
-			}
-		}
-	}
-	for _, step := range p.steps {
-		if !step.keyPure {
-			return false
-		}
-		for _, f := range step.residuals {
-			if !f.pure {
-				return false
-			}
-		}
-	}
-	return true
+	return out
 }
 
 // optimize applies the result-preserving rewrites gated on plan purity:
@@ -798,6 +814,11 @@ func (p *selectPlan) describe() []string {
 	}
 	for _, x := range p.xlats {
 		add("xlat %s (%d codes)", x.label, x.a.col.Card()+1)
+	}
+	if p.memoOff != "" {
+		add("driver memo off: %s", p.memoOff)
+	} else {
+		add("driver memo on %s space=%d rows=%d", p.colNames(p.memoCols), p.memoSpace, p.scans[0].cnr.Len())
 	}
 	add("sink %s", p.sink.describe())
 	late := slices.Clone(p.sink.rowCols)

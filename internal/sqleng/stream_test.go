@@ -3,6 +3,8 @@ package sqleng
 import (
 	"context"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"semandaq/internal/datagen"
@@ -26,7 +28,7 @@ func TestStreamBasic(t *testing.T) {
 	}
 	var got [][]types.Value
 	if err := ss.Each(context.Background(), func(row []types.Value) bool {
-		got = append(got, row)
+		got = append(got, slices.Clone(row)) // the row is the stream's to reuse
 		return true
 	}); err != nil {
 		t.Fatal(err)
@@ -137,7 +139,7 @@ func TestStreamGroupedQuery(t *testing.T) {
 	}
 	var got [][]types.Value
 	if err := ss.Each(context.Background(), func(row []types.Value) bool {
-		got = append(got, row)
+		got = append(got, slices.Clone(row)) // the row is the stream's to reuse
 		return true
 	}); err != nil {
 		t.Fatal(err)
@@ -160,7 +162,7 @@ func TestStreamLegacyEngine(t *testing.T) {
 	}
 	var got [][]types.Value
 	if err := ss.Each(context.Background(), func(row []types.Value) bool {
-		got = append(got, row)
+		got = append(got, slices.Clone(row)) // the row is the stream's to reuse
 		return true
 	}); err != nil {
 		t.Fatal(err)
@@ -192,7 +194,7 @@ func TestStreamGroupedYield(t *testing.T) {
 		}
 		var got [][]types.Value
 		if err := ss.Each(context.Background(), func(row []types.Value) bool {
-			got = append(got, row)
+			got = append(got, slices.Clone(row)) // the row is the stream's to reuse
 			return true
 		}); err != nil {
 			t.Fatal(err)
@@ -224,7 +226,10 @@ func TestStreamGroupedYield(t *testing.T) {
 // state: a filter-count, a GROUP BY over a fixed set of groups and an
 // equi-self-join count stream their input through the aggregate, so a 10x
 // larger table costs no more allocations once the snapshot's columnar
-// caches are warm.
+// caches are warm. The driver memo's tables keep to it: they are sized from
+// the dictionaries for every class's header, and the tail store doubles past
+// that, log2(tails per class) times whatever the size — the self-join's
+// eight tails per ZIP class cost three doublings at both.
 func TestStreamedQueryAllocsFlat(t *testing.T) {
 	queries := []string{
 		`SELECT COUNT(*) FROM customer WHERE CNT = 'UK' AND CITY = 'Edinburgh'`,
@@ -250,5 +255,39 @@ func TestStreamedQueryAllocsFlat(t *testing.T) {
 		if s, l := allocs(small), allocs(large); l > s+8 {
 			t.Errorf("allocations scale with input: %s\n2000 tuples -> %.0f allocs, 20000 tuples -> %.0f", q, s, l)
 		}
+	}
+}
+
+// TestMemoTailBudget: a driver memo records at most as many tails as the
+// driver has rows. t1.CITY <> t2.CITY on 2 000 tuples has 6 classes of some
+// 1 670 tails each: the first fits the budget, the others are given up and
+// run the pipeline row by row, so the count is what the legacy executor's
+// city sizes add up to and the run allocates a bounded table — 57 kB against
+// the 33 kB of the parent commit (a7f862a), which had no memo — not one
+// entry per joined pair.
+func TestMemoTailBudget(t *testing.T) {
+	store := relstore.NewStore()
+	store.Put(datagen.Generate(datagen.Config{Tuples: 2_000, Seed: 7}).Clean)
+	e, legacy := New(store), New(store)
+	legacy.rowScan = true
+	const q = `SELECT COUNT(*) FROM customer t1, customer t2 WHERE t1.CITY <> t2.CITY`
+	want := int64(2_000 * 2_000) // less the pairs within a city
+	for _, row := range mustQuery(legacy, `SELECT COUNT(*) FROM customer GROUP BY CITY`).Rows {
+		want -= row[0].Int() * row[0].Int()
+	}
+	mustQuery(e, q) // warm the snapshot's columnar caches
+	e.ResetOpStats()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := mustQuery(e, q)
+	runtime.ReadMemStats(&after)
+	if len(got.Rows) != 1 || got.Rows[0][0].Int() != want {
+		t.Errorf("count = %v, want %d", got.Rows, want)
+	}
+	if ops := e.OpStats(); ops.MemoClasses < 1 || ops.MemoClasses >= 6 || ops.MemoReplays == 0 {
+		t.Errorf("recorded %d classes, replayed %d rows: want some classes within the budget and some past it", ops.MemoClasses, ops.MemoReplays)
+	}
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 33<<10+64<<10 {
+		t.Errorf("the run allocated %d bytes, want at most 64 kB over the parent's 33 kB", bytes)
 	}
 }
