@@ -24,7 +24,7 @@ func TestEncodeTableau(t *testing.T) {
 	if tab.Schema().Arity() != 3 || tab.Len() != 2 {
 		t.Errorf("shape = %d cols, %d rows", tab.Schema().Arity(), tab.Len())
 	}
-	_, rows := tab.Rows()
+	rows := tab.Snapshot().Rows()
 	if rows[0][0].Str() != "UK" || rows[0][1].Str() != "_" || rows[0][2].Str() != "_" {
 		t.Errorf("row0 = %v", rows[0])
 	}
@@ -40,7 +40,7 @@ func TestEncodePreservesTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rows := tab.Rows()
+	rows := tab.Snapshot().Rows()
 	if rows[0][0].Kind() != types.KindInt || rows[0][0].Int() != 44 {
 		t.Errorf("CC pattern = %v (%v)", rows[0][0], rows[0][0].Kind())
 	}

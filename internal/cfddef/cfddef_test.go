@@ -245,7 +245,7 @@ func TestVioMetamorphic(t *testing.T) {
 	tab := adversarialTable(rng, "adv", 150)
 	cfds := adversarialCFDs(t, "adv")
 	base := checkEveryReader(t, tab, cfds)
-	ids, rows := tab.Rows()
+	ids, rows := tab.Snapshot().IDs(), tab.Snapshot().Rows()
 
 	// Row permutation: tuple perm[i] of the new table is row i of the old.
 	permuted := relstore.NewTable(tab.Schema())

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"semandaq/internal/datagen"
@@ -87,8 +88,14 @@ func deepCopy(snap *relstore.Snapshot) *relstore.Table {
 // loop — a monitored update batch, detect, audit, explore, a candidate
 // repair on a working copy, its apply, re-discovery — interns the rows the
 // batch inserted and nothing else: no batch snapshot, column or PLI build,
-// no compaction. And the repair computed on the copy-on-write fork is the
-// one a deep copy of the table yields.
+// no compaction. It allocates no more than it did when rows were stored
+// beside the columns, and the repair computed on the copy-on-write fork is
+// the one a deep copy of the table yields.
+//
+// The typos are salted, so every round strands ~95 dead codes in STR (~1 000
+// live values), and deadLimit compacts the column every second or third
+// round; the first two rounds take the loop through its first builds and
+// compaction, the third is measured.
 func TestStewardRoundBuildsNothing(t *testing.T) {
 	const typos, flips, moves = 96, 32, 8
 	ctx := context.Background()
@@ -104,10 +111,13 @@ func TestStewardRoundBuildsNothing(t *testing.T) {
 	}
 
 	// round runs the loop once and returns the repair with the snapshot it
-	// was computed from.
-	round := func(salt int) (*repair.Result, *relstore.Snapshot) {
+	// was computed from, and the allocations the loop made (the batch is
+	// built before counting).
+	round := func(salt int) (*repair.Result, *relstore.Snapshot, uint64) {
 		t.Helper()
 		batch := stewardBatch(t, ds.Clean.Snapshot(), typos, flips, moves, salt)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
 		if _, err := s.ApplyUpdates("customer", batch); err != nil {
 			t.Fatal(err)
 		}
@@ -137,13 +147,21 @@ func TestStewardRoundBuildsNothing(t *testing.T) {
 		if _, err := s.Discover(ctx, "customer", WithMaxLHS(2)); err != nil {
 			t.Fatal(err)
 		}
-		return res, before
+		runtime.ReadMemStats(&m1)
+		return res, before, m1.Mallocs - m0.Mallocs
 	}
 
-	round(1) // the first round builds what every later one patches
+	round(1) // the first rounds build what every later one patches
+	round(2)
 	start := relstore.ReadBuildOps()
-	res, before := round(2)
+	res, before, allocs := round(3)
 	ops := relstore.ReadBuildOps().Sub(start)
+	// With rows stored beside the columns (PR 24) this round allocated
+	// 71 665-71 670 times; storing the data once must not cost more.
+	t.Logf("round allocated %d times", allocs)
+	if allocs > 71670 {
+		t.Errorf("round allocated %d times, more than the 71 670 of the row-storing parent", allocs)
+	}
 	if ops.BatchColumns != 0 || ops.RebuiltColumns != 0 || ops.PLIBuilds != 0 || ops.BatchSnapshots != 0 {
 		t.Errorf("steady-state round built from scratch: %+v", ops)
 	}

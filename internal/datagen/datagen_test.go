@@ -40,8 +40,8 @@ func TestCleanDataSatisfiesCFDsAtLargeZipPools(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	a := Generate(Config{Tuples: 500, Seed: 42, NoiseRate: 0.05})
 	b := Generate(Config{Tuples: 500, Seed: 42, NoiseRate: 0.05})
-	_, ra := a.Dirty.Rows()
-	_, rb := b.Dirty.Rows()
+	ra := a.Dirty.Snapshot().Rows()
+	rb := b.Dirty.Snapshot().Rows()
 	for i := range ra {
 		if !ra[i].Equal(rb[i]) {
 			t.Fatalf("row %d differs: %v vs %v", i, ra[i], rb[i])
@@ -51,7 +51,7 @@ func TestDeterminism(t *testing.T) {
 		t.Error("corruption lists differ")
 	}
 	c := Generate(Config{Tuples: 500, Seed: 43, NoiseRate: 0.05})
-	_, rc := c.Dirty.Rows()
+	rc := c.Dirty.Snapshot().Rows()
 	same := true
 	for i := range ra {
 		if !ra[i].Equal(rc[i]) {
@@ -111,8 +111,8 @@ func TestZeroNoise(t *testing.T) {
 	if len(ds.Corruptions) != 0 {
 		t.Errorf("corruptions = %d", len(ds.Corruptions))
 	}
-	_, cleanRows := ds.Clean.Rows()
-	_, dirtyRows := ds.Dirty.Rows()
+	cleanRows := ds.Clean.Snapshot().Rows()
+	dirtyRows := ds.Dirty.Snapshot().Rows()
 	for i := range cleanRows {
 		if !cleanRows[i].Equal(dirtyRows[i]) {
 			t.Fatal("zero noise should leave data identical")

@@ -105,8 +105,9 @@ func NewTracker(tab *relstore.Table, cfds []*cfd.CFD) (*Tracker, error) {
 		}
 		t.state = append(t.state, cs)
 	}
-	// Seed from one pinned snapshot (rows are frozen, no clone needed);
-	// the tracker is not shared yet, so no locking either.
+	// Seed from one pinned snapshot (addTuple copies the values it keeps out
+	// of the scan's borrowed row); the tracker is not shared yet, so no
+	// locking either.
 	tab.Snapshot().Scan(func(id relstore.TupleID, row relstore.Tuple) bool {
 		t.addTuple(id, row, nil)
 		return true

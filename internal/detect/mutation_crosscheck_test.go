@@ -57,7 +57,6 @@ func TestOracleAcrossNoiseRates(t *testing.T) {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(int64(noise * 100)))
-			sc := tab.Schema()
 			cities := []string{"Edinburgh", "London", "New York", "Chicago"}
 			countries := []string{"UK", "US"}
 			ids := tab.IDs()
@@ -65,11 +64,11 @@ func TestOracleAcrossNoiseRates(t *testing.T) {
 				id := ids[rng.Intn(len(ids))]
 				switch rng.Intn(3) {
 				case 0:
-					if _, err := h.Tracker.SetCell(id, "CITY", types.NewString(cities[rng.Intn(len(cities))])); err != nil {
+					if err := h.SetCell(id, "CITY", types.NewString(cities[rng.Intn(len(cities))])); err != nil {
 						t.Fatal(err)
 					}
 				case 1:
-					if _, err := h.Tracker.SetCell(id, "CNT", types.NewString(countries[rng.Intn(len(countries))])); err != nil {
+					if err := h.SetCell(id, "CNT", types.NewString(countries[rng.Intn(len(countries))])); err != nil {
 						t.Fatal(err)
 					}
 				default:
@@ -77,15 +76,14 @@ func TestOracleAcrossNoiseRates(t *testing.T) {
 					if !ok {
 						t.Fatalf("lost tuple %d", id)
 					}
-					if _, err := h.Tracker.Delete(id); err != nil {
+					if err := h.Delete(id); err != nil {
 						t.Fatal(err)
 					}
-					nid, _, err := h.Tracker.Insert(append(relstore.Tuple(nil), row...))
+					nid, err := h.Insert(row)
 					if err != nil {
 						t.Fatal(err)
 					}
 					ids[len(ids)-1] = nid
-					_ = sc
 				}
 				if err := h.Check(t.Context()); err != nil {
 					t.Fatalf("step %d: %v", step, err)

@@ -1,20 +1,26 @@
 // Package mutationlog enforces the relstore change-log contract that the
-// PR 7 O(delta) incremental patcher depends on: every code path that
-// mutates a Table's row storage (the rows map or the order slice) must
+// O(delta) fold depends on: every code path that writes a Table's storage —
+// its column lineage (base) or its write overlay (over, vals, order) — must
 // reach noteMutationLocked before the table lock is released or the
-// function returns. A write that escapes the log leaves snapshots and the
-// version counter stale, which silently corrupts every incremental
-// consumer downstream.
+// function returns. A write that escapes the log leaves the cached
+// snapshot and the version counter stale: the next read serves the old
+// version without folding the write, which silently corrupts every
+// incremental consumer downstream.
+//
+// The one writer exempt is the fold itself (foldLocked): it moves the
+// overlay into a new lineage member at the same version, changing where the
+// data lives but not what it is, so a version bump there would be wrong.
 //
 // The analysis is scoped to semandaq/internal/relstore (the only package
 // allowed to touch Table storage directly — touchstore guards the rest of
-// the module). Within it, the walk is path-sensitive: a write to
-// t.rows/t.order sets a "pending" bit, a direct noteMutationLocked call
-// (or a deferred one) clears it, and a return or a Table-mutex Unlock
-// with the bit still set is a finding. Calls to same-package functions
-// propagate pending-ness through MutFact summaries, so a helper that
-// mutates without noting taints its callers too — the caller must note
-// after the helper, or the helper must note itself.
+// the module). Within it, the walk is path-sensitive: a write to a guarded
+// field (an assignment, or delete/copy/clear on it) sets a "pending" bit, a
+// direct noteMutationLocked call (or a deferred one) clears it, and a
+// return or a Table-mutex Unlock with the bit still set is a finding.
+// Calls to same-package functions propagate pending-ness through MutFact
+// summaries, so a helper that mutates without noting taints its callers
+// too — the caller must note after the helper, or the helper must note
+// itself.
 package mutationlog
 
 import (
@@ -29,14 +35,19 @@ import (
 // the same import path so the analyzer sees the real shape.
 const RelstorePath = "semandaq/internal/relstore"
 
-// noteMethod is the mutation epilogue every row-storage write must reach.
+// noteMethod is the mutation epilogue every storage write must reach.
 const noteMethod = "noteMutationLocked"
 
-// guardedFields are the Table fields whose writes must be logged.
-var guardedFields = map[string]bool{"rows": true, "order": true}
+// foldMethod is the Table method whose storage writes need no note: the
+// overlay fold, which preserves the table's content and version.
+const foldMethod = "foldLocked"
+
+// guardedFields are the Table fields whose writes must be logged: the
+// lineage pointer and the overlay.
+var guardedFields = map[string]bool{"base": true, "over": true, "vals": true, "order": true}
 
 // MutFact summarizes a function for its callers: WritesPending means some
-// path through the function can end (return) with a row-storage write not
+// path through the function can end (return) with a storage write not
 // yet noted, so the caller inherits the logging obligation.
 type MutFact struct {
 	WritesPending bool
@@ -48,9 +59,9 @@ func (*MutFact) AFact() {}
 // Analyzer is the mutationlog check.
 var Analyzer = &analysis.Analyzer{
 	Name: "mutationlog",
-	Doc: "require every relstore function that writes Table.rows/Table.order " +
-		"to reach noteMutationLocked before the table lock is released or " +
-		"the function returns",
+	Doc: "require every relstore function that writes Table storage (base, " +
+		"over, vals, order) to reach noteMutationLocked before the table lock " +
+		"is released or the function returns",
 	Run:       run,
 	Requires:  []*analysis.Analyzer{callgraph.Analyzer},
 	FactTypes: []analysis.Fact{(*MutFact)(nil)},
@@ -98,6 +109,9 @@ func (pa *pkgAnalysis) summarize(key analysis.ObjKey) bool {
 	}
 	pa.inflight[key] = true
 	w := &walker{pa: pa, fi: fi, bases: paramBases(pa.pass.TypesInfo, fi.Decl)}
+	if recv := methodRecvType(fi.Fn); recv != nil && isTable(recv) && fi.Fn.Name() == foldMethod {
+		w.bases = nil // the fold's writes move data, they do not change it
+	}
 	exit := w.stmts(fi.Decl.Body.List, state{})
 	pending := exit.pending && !w.deferredNote
 	if !exit.terminated && pending {
@@ -105,7 +119,7 @@ func (pa *pkgAnalysis) summarize(key analysis.ObjKey) bool {
 		// epilogue on the implicit return), and a suppression directive above
 		// the func line can cover it.
 		pa.pass.Reportf(fi.Decl.Name.Pos(),
-			"%s writes Table row storage but falls off the end without calling %s",
+			"%s writes Table storage but falls off the end without calling %s",
 			fi.Fn.Name(), noteMethod)
 	}
 	delete(pa.inflight, key)
@@ -325,9 +339,9 @@ func (w *walker) caseBodies(body *ast.BlockStmt, st state) state {
 }
 
 // expr processes calls inside an expression in source order: note calls
-// clear pending, delete(t.rows, ...) sets it, other same-module calls
-// propagate their summaries, and a Table-mutex Unlock with pending set is
-// a finding. Function literals are not walked: their bodies run at some
+// clear pending, delete/copy/clear of a guarded field sets it, other
+// same-module calls propagate their summaries, and a Table-mutex Unlock
+// with pending set is a finding. Function literals are not walked: their bodies run at some
 // other time (or not at all) and are summarized only if they are
 // themselves declared functions.
 func (w *walker) expr(e ast.Expr, st state) state {
@@ -347,7 +361,7 @@ func (w *walker) expr(e ast.Expr, st state) state {
 		switch {
 		case w.isNoteCall(call):
 			st.pending = false
-		case w.isGuardedDelete(call):
+		case w.isGuardedBuiltin(call):
 			st.pending = true
 		case w.isTableUnlock(call):
 			if st.pending && !w.deferredNote {
@@ -388,11 +402,11 @@ func methodRecvType(fn *types.Func) types.Type {
 	return sig.Recv().Type()
 }
 
-// isGuardedDelete reports whether call is delete(t.rows, ...) with t a
-// tracked base.
-func (w *walker) isGuardedDelete(call *ast.CallExpr) bool {
+// isGuardedBuiltin reports whether call is delete, copy or clear writing a
+// guarded field of a tracked base (delete(t.over, id), copy(t.vals[i:], row)).
+func (w *walker) isGuardedBuiltin(call *ast.CallExpr) bool {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "delete" {
+	if !ok || (id.Name != "delete" && id.Name != "copy" && id.Name != "clear") {
 		return false
 	}
 	if _, ok := w.pa.pass.TypesInfo.Uses[id].(*types.Builtin); !ok {
@@ -427,8 +441,9 @@ func (w *walker) isTableUnlock(call *ast.CallExpr) bool {
 	return w.trackedBase(muSel.X)
 }
 
-// guardedWrite reports whether lhs denotes t.rows / t.order (possibly via
-// indexing or slicing) with t a tracked receiver or parameter.
+// guardedWrite reports whether lhs denotes a guarded field such as t.over or
+// t.vals (possibly via indexing or slicing) with t a tracked receiver or
+// parameter.
 func (w *walker) guardedWrite(lhs ast.Expr) bool {
 	e := ast.Unparen(lhs)
 	for {

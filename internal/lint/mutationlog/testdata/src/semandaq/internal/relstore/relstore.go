@@ -1,6 +1,7 @@
 // Package relstore is a fixture stand-in shaped like the real store: the
-// analyzer keys on this import path, the Table type, its rows/order
-// fields, and the noteMutationLocked epilogue.
+// analyzer keys on this import path, the Table type, its lineage and overlay
+// fields (base, over, vals, order), the noteMutationLocked epilogue and the
+// foldLocked fold.
 package relstore
 
 import "sync"
@@ -9,36 +10,51 @@ type TupleID int64
 
 type Tuple []string
 
+type Snapshot struct{ ver uint64 }
+
 type Table struct {
 	mu    sync.Mutex
-	rows  map[TupleID]Tuple
+	base  *Snapshot
+	over  map[TupleID]int32
+	vals  []string
 	order []TupleID
 	ver   uint64
 }
 
 func NewTable() *Table {
-	return &Table{rows: map[TupleID]Tuple{}}
+	return &Table{base: &Snapshot{}}
 }
 
 func (t *Table) noteMutationLocked(ids ...TupleID) {
 	t.ver++
 }
 
+// slot stages id's overlay row; its caller owns the note.
+func (t *Table) slot(id TupleID, tup Tuple) int32 {
+	if t.over == nil {
+		t.over = map[TupleID]int32{}
+	}
+	k := int32(len(t.vals) / len(tup))
+	t.over[id] = k
+	t.vals = append(t.vals, tup...)
+	return k // want `slot returns with an unlogged Table mutation`
+}
+
 // goodInsert notes the write before returning: clean.
 func (t *Table) goodInsert(id TupleID, tup Tuple) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.rows[id] = tup
+	t.slot(id, tup)
 	t.order = append(t.order, id)
 	t.noteMutationLocked(id)
 }
 
 // goodDeferredNote notes through a defer, which covers every return path.
-func (t *Table) goodDeferredNote(id TupleID, tup Tuple) {
+func (t *Table) goodDeferredNote(id TupleID, v string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	defer t.noteMutationLocked(id)
-	t.rows[id] = tup
+	t.vals[t.over[id]] = v
 }
 
 // goodBranches notes on each writing path.
@@ -46,11 +62,11 @@ func (t *Table) goodBranches(id TupleID, tup Tuple, drop bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if drop {
-		delete(t.rows, id)
+		t.over[id] = -1
 		t.noteMutationLocked(id)
 		return
 	}
-	t.rows[id] = tup
+	copy(t.vals[t.over[id]:], tup)
 	t.noteMutationLocked(id)
 }
 
@@ -58,37 +74,66 @@ func (t *Table) goodBranches(id TupleID, tup Tuple, drop bool) {
 // publication, so there is no logging obligation.
 func (t *Table) goodClone() *Table {
 	c := NewTable()
-	for id, tup := range t.rows {
-		c.rows[id] = tup
-	}
-	c.order = append(c.order, t.order...)
+	c.base = t.base
+	c.vals = append(c.vals, t.vals...)
 	return c
 }
 
-// badReturn writes and returns without noting.
-func (t *Table) badReturn(id TupleID, tup Tuple) error {
+// foldLocked is the fold: it moves the overlay into a new base at the same
+// version, so it writes storage without a note.
+func (t *Table) foldLocked() {
+	t.base = &Snapshot{ver: t.ver}
+	t.over, t.vals, t.order = nil, nil, nil
+}
+
+// goodRead folds under the lock and notes nothing: a read.
+func (t *Table) goodRead() *Snapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.rows[id] = tup
+	if t.base.ver != t.ver {
+		t.foldLocked()
+	}
+	return t.base
+}
+
+// badReturn writes the overlay and returns without noting.
+func (t *Table) badReturn(id TupleID, v string) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.vals[t.over[id]] = v
 	return nil // want `badReturn returns with an unlogged Table mutation`
 }
 
-// badFallOff writes and falls off the end.
-func (t *Table) badFallOff(id TupleID) { // want `badFallOff writes Table row storage but falls off the end without calling noteMutationLocked`
+// badFallOff deletes from the overlay and falls off the end.
+func (t *Table) badFallOff(id TupleID) { // want `badFallOff writes Table storage but falls off the end without calling noteMutationLocked`
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	delete(t.rows, id)
+	delete(t.over, id)
+}
+
+// badCopy overwrites an overlay row with copy and never notes.
+func (t *Table) badCopy(id TupleID, tup Tuple) { // want `badCopy writes Table storage but falls off the end without calling noteMutationLocked`
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	copy(t.vals[t.over[id]:], tup)
+}
+
+// badRebase swaps the lineage outside the fold: a new base is new content.
+func (t *Table) badRebase(s *Snapshot) { // want `badRebase writes Table storage but falls off the end without calling noteMutationLocked`
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.base = s
 }
 
 // badBranch notes on one path but not the other.
-func (t *Table) badBranch(id TupleID, tup Tuple, drop bool) {
+func (t *Table) badBranch(id TupleID, v string, drop bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if drop {
-		delete(t.rows, id)
+		t.over[id] = -1
 		return // want `badBranch returns with an unlogged Table mutation`
 	}
-	t.rows[id] = tup
+	t.vals[t.over[id]] = v
 	t.noteMutationLocked(id)
 }
 
@@ -96,34 +141,20 @@ func (t *Table) badBranch(id TupleID, tup Tuple, drop bool) {
 // reader can observe the mutation before the version advances.
 func (t *Table) badUnlock(id TupleID, tup Tuple) {
 	t.mu.Lock()
-	t.rows[id] = tup
+	t.order = append(t.order, id)
 	t.mu.Unlock() // want `badUnlock releases the table lock with an unlogged mutation`
 	t.noteMutationLocked(id)
 }
 
-// helperWrite mutates without noting; the pending write escapes to its
-// callers through the summary fact.
-func (t *Table) helperWrite(id TupleID, tup Tuple) { // want `helperWrite writes Table row storage but falls off the end without calling noteMutationLocked`
-	t.rows[id] = tup
-}
-
-// goodCaller notes after the tainted helper: clean.
-func (t *Table) goodCaller(id TupleID, tup Tuple) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.helperWrite(id, tup)
-	t.noteMutationLocked(id)
-}
-
 // badCaller inherits the helper's pending write and never notes.
-func (t *Table) badCaller(id TupleID, tup Tuple) { // want `badCaller writes Table row storage but falls off the end without calling noteMutationLocked`
+func (t *Table) badCaller(id TupleID, tup Tuple) { // want `badCaller writes Table storage but falls off the end without calling noteMutationLocked`
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.helperWrite(id, tup)
+	t.slot(id, tup)
 }
 
-// suppressedCompact mirrors the real compactLocked: a locked helper whose
-// caller owns the note, with the contract stated at the directive.
+// suppressedCompact is a locked helper whose caller owns the note, with the
+// contract stated at the directive.
 //
 //semandaq:vet-ignore mutationlog the caller's epilogue logs the write
 func (t *Table) suppressedCompact() {

@@ -1,20 +1,23 @@
 // Package oracle is the reusable incremental-vs-batch cross-check harness:
 // it decodes byte strings into mutation sequences over a seeded schema,
 // applies them through the incremental serving stack (the detect.Tracker,
-// which also drives the relstore snapshot patcher, plus a discovery
-// Session), and asserts at every intermediate version that the patched
-// state cannot be told from a cold rebuild:
+// which also drives the relstore overlay fold, plus a discovery Session) and
+// to a naive row model — the live ids and one Tuple each — and asserts at
+// every intermediate version that the served state cannot be told from a
+// cold batch build of the model (relstore.BuildSnapshot; the table stores its
+// data only in the columns the fold writes, so the model is the one place a
+// wrong value would show):
 //
-//   - the patched Snapshot/Columnar/PLI artifacts equal a from-scratch
-//     batch build up to a renaming of dictionary codes
+//   - the served Snapshot/Columnar/PLI artifacts and decoded rows equal the
+//     model's batch build up to a renaming of dictionary codes
 //     (relstore.DiffSnapshots);
 //   - the tracker's materialized report equals a batch NativeDetector pass
 //     and the factorised core's exploded report (ColumnarDetector at 1, 2
-//     and 8 workers) and the SQL engine's report, each over a rebuilt
-//     snapshot and over the patched one the server serves (DeepEqual) —
+//     and 8 workers) and the SQL engine's report, each over the model's
+//     snapshot and over the folded one the server serves (DeepEqual) —
 //     lossless, schedule-independent and blind to code numbering;
 //   - the discovery session's refreshed report, and a cold Mine over the
-//     patched snapshot, equal a cold Mine over a rebuilt one (DeepEqual).
+//     served snapshot, equal a cold Mine over the model's (DeepEqual).
 //
 // The detect-package cross-check tests and the FuzzIncrementalOracle fuzz
 // target both drive this harness. Values are drawn from small per-column
@@ -27,6 +30,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"semandaq/internal/cfd"
 	"semandaq/internal/detect"
@@ -74,13 +78,16 @@ f: [K=k0] -> [W=good]
 }
 
 // Harness is one live oracle run: the table, the incremental maintainers
-// over it, and the id set the mutation decoder targets.
+// over it, and the row model — the live ids ascending, a Tuple each, and the
+// version — that the mutation decoder targets and the checks compare to.
 type Harness struct {
 	Cfg     Config
 	Tab     *relstore.Table
 	Tracker *detect.Tracker
 	Sess    *discovery.Session
 	ids     []relstore.TupleID
+	rows    []relstore.Tuple
+	version int64
 	novel   int // never-seen values decoded so far
 }
 
@@ -88,39 +95,85 @@ type Harness struct {
 // attaches the tracker and the discovery session.
 func New(cfg Config) (*Harness, error) {
 	tab := relstore.NewTable(cfg.Schema)
-	arity := cfg.Schema.Arity()
-	h := &Harness{Cfg: cfg, Tab: tab}
 	for i := 0; i < cfg.SeedRows; i++ {
-		row := make(relstore.Tuple, arity)
+		row := make(relstore.Tuple, cfg.Schema.Arity())
 		for j := range row {
 			row[j] = cfg.Domain[j][(i+j)%len(cfg.Domain[j])]
 		}
-		h.ids = append(h.ids, tab.MustInsert(row))
+		tab.MustInsert(row)
 	}
-	tr, err := detect.NewTracker(tab, cfg.CFDs)
+	h, err := Attach(tab, cfg.CFDs, cfg.Discovery)
 	if err != nil {
 		return nil, err
 	}
-	h.Tracker = tr
-	h.Sess = discovery.NewSession(tab)
+	h.Cfg = cfg
 	return h, nil
 }
 
 // Attach wraps an existing table — e.g. a datagen workload at a chosen
 // noise rate — in a harness: tracker and discovery session attach to the
-// table as it stands. The returned harness has no decoder domain; callers
-// drive their own mutations through Tracker and call the Check methods.
+// table as it stands, and the row model starts from its rows. The returned
+// harness has no decoder domain; callers drive their own mutations through
+// the harness's Insert, Delete and SetCell and call the Check methods.
 func Attach(tab *relstore.Table, cfds []*cfd.CFD, opts discovery.Options) (*Harness, error) {
 	tr, err := detect.NewTracker(tab, cfds)
 	if err != nil {
 		return nil, err
 	}
+	snap := tab.Snapshot()
 	return &Harness{
 		Cfg:     Config{Schema: tab.Schema(), CFDs: cfds, Discovery: opts},
 		Tab:     tab,
 		Tracker: tr,
 		Sess:    discovery.NewSession(tab),
+		ids:     slices.Clone(snap.IDs()),
+		rows:    snap.Rows(),
+		version: snap.Version(),
 	}, nil
+}
+
+// Insert adds row through the tracker and to the model.
+func (h *Harness) Insert(row relstore.Tuple) (relstore.TupleID, error) {
+	id, _, err := h.Tracker.Insert(row)
+	if err != nil {
+		return 0, err
+	}
+	h.ids = append(h.ids, id)
+	h.rows = append(h.rows, slices.Clone(row))
+	h.version++
+	return id, nil
+}
+
+// Delete removes id through the tracker and from the model.
+func (h *Harness) Delete(id relstore.TupleID) error {
+	if _, err := h.Tracker.Delete(id); err != nil {
+		return err
+	}
+	i, _ := slices.BinarySearch(h.ids, id)
+	h.ids = slices.Delete(h.ids, i, i+1)
+	h.rows = slices.Delete(h.rows, i, i+1)
+	h.version++
+	return nil
+}
+
+// SetCell sets id's attr through the tracker and in the model; like the
+// table, the model keeps a cell that Equals v as it is.
+func (h *Harness) SetCell(id relstore.TupleID, attr string, v types.Value) error {
+	if _, err := h.Tracker.SetCell(id, attr, v); err != nil {
+		return err
+	}
+	i, _ := slices.BinarySearch(h.ids, id)
+	j := h.Cfg.Schema.MustPos(attr)
+	if !h.rows[i][j].Equal(v) {
+		h.rows[i][j] = v
+		h.version++
+	}
+	return nil
+}
+
+// model is the cold side of every check: a batch build of the row model.
+func (h *Harness) model() *relstore.Snapshot {
+	return relstore.BuildSnapshot(h.Cfg.Schema, h.version, h.ids, h.rows)
 }
 
 // Drive decodes data as a mutation program and applies it through the
@@ -156,29 +209,23 @@ func (h *Harness) Drive(data []byte, checkEvery int, check func() error) error {
 		if len(h.ids) == 0 {
 			op = 0 // only inserts make sense on an empty table
 		}
+		var err error
 		switch op {
 		case 0: // insert
 			row := make(relstore.Tuple, arity)
 			for j := range row {
 				row[j] = value(j)
 			}
-			id, _, err := h.Tracker.Insert(row)
-			if err != nil {
-				return err
-			}
-			h.ids = append(h.ids, id)
+			_, err = h.Insert(row)
 		case 1: // delete
-			k := int(next()) % len(h.ids)
-			if _, err := h.Tracker.Delete(h.ids[k]); err != nil {
-				return err
-			}
-			h.ids = append(h.ids[:k], h.ids[k+1:]...)
+			err = h.Delete(h.ids[int(next())%len(h.ids)])
 		default: // set cell (two opcodes: sets dominate real workloads)
 			id := h.ids[int(next())%len(h.ids)]
 			j := int(next()) % arity
-			if _, err := h.Tracker.SetCell(id, h.Cfg.Schema.Attrs[j].Name, value(j)); err != nil {
-				return err
-			}
+			err = h.SetCell(id, h.Cfg.Schema.Attrs[j].Name, value(j))
+		}
+		if err != nil {
+			return err
 		}
 		if nops++; nops%checkEvery == 0 {
 			if err := check(); err != nil {
@@ -202,20 +249,20 @@ func (h *Harness) Check(ctx context.Context) error {
 	return h.CheckDiscovery(ctx)
 }
 
-// CheckStore asserts the (possibly delta-patched) snapshot and all its
-// columnar/PLI artifacts equal a from-scratch batch build up to a renaming
-// of dictionary codes.
+// CheckStore asserts the (folded) snapshot's rows and all its columnar/PLI
+// artifacts equal a batch build of the row model up to a renaming of
+// dictionary codes.
 func (h *Harness) CheckStore() error {
-	if err := relstore.DiffSnapshots(h.Tab.Snapshot(), h.Tab.RebuildSnapshot()); err != nil {
-		return fmt.Errorf("relstore: patched snapshot != cold rebuild: %w", err)
+	if err := relstore.DiffSnapshots(h.Tab.Snapshot(), h.model()); err != nil {
+		return fmt.Errorf("relstore: served snapshot != batch build of the row model: %w", err)
 	}
 	return nil
 }
 
 // CheckDetect asserts the tracker's materialized report is DeepEqual to
-// batch detection — the row-store engine on the live table and the
-// columnar and SQL engines on both a freshly rebuilt snapshot and the
-// patched one the serving path hands out.
+// batch detection — the row-scan engine on the live table and the
+// columnar and SQL engines on both the row model's snapshot and the
+// folded one the serving path hands out.
 func (h *Harness) CheckDetect(ctx context.Context) error {
 	got := h.Tracker.Report()
 	batch, err := detect.NativeDetector{}.Detect(ctx, h.Tab, h.Cfg.CFDs)
@@ -239,7 +286,7 @@ func (h *Harness) CheckDetect(ctx context.Context) error {
 		"columnar, 8 workers": detect.ColumnarDetector{Workers: 8},
 		"sql":                 detect.NewSQLDetector(store),
 	}
-	for side, snap := range map[string]*relstore.Snapshot{"rebuilt": h.Tab.RebuildSnapshot(), "patched": h.Tab.Snapshot()} {
+	for side, snap := range map[string]*relstore.Snapshot{"model": h.model(), "served": h.Tab.Snapshot()} {
 		for name, engine := range engines {
 			rep, err := engine.DetectSnapshot(ctx, snap, h.Cfg.CFDs)
 			if err != nil {
@@ -254,10 +301,10 @@ func (h *Harness) CheckDetect(ctx context.Context) error {
 }
 
 // CheckDiscovery asserts the session's (possibly cache-refreshed) report
-// and a cold Mine over the patched snapshot are both DeepEqual to a cold
-// Mine over a freshly rebuilt snapshot.
+// and a cold Mine over the served snapshot are both DeepEqual to a cold
+// Mine over the row model's.
 func (h *Harness) CheckDiscovery(ctx context.Context) error {
-	want, err := discovery.Mine(ctx, h.Tab.RebuildSnapshot(), h.Cfg.Discovery)
+	want, err := discovery.Mine(ctx, h.model(), h.Cfg.Discovery)
 	if err != nil {
 		return err
 	}
@@ -265,13 +312,13 @@ func (h *Harness) CheckDiscovery(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	patched, err := discovery.Mine(ctx, h.Tab.Snapshot(), h.Cfg.Discovery)
+	served, err := discovery.Mine(ctx, h.Tab.Snapshot(), h.Cfg.Discovery)
 	if err != nil {
 		return err
 	}
-	for name, got := range map[string]*discovery.Report{"session report": session, "mine over patched snapshot": patched} {
+	for name, got := range map[string]*discovery.Report{"session report": session, "mine over served snapshot": served} {
 		if !deepEqual(got, want) {
-			return fmt.Errorf("discovery: %s != cold mine over rebuilt snapshot (got %d/%d candidates/cfds, want %d/%d)",
+			return fmt.Errorf("discovery: %s != cold mine over the row model (got %d/%d candidates/cfds, want %d/%d)",
 				name, len(got.Candidates), len(got.CFDs), len(want.Candidates), len(want.CFDs))
 		}
 	}

@@ -69,7 +69,7 @@ func TestHarnessOverIngestBuiltTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.Cfg.Domain, h.ids = cfg.Domain, tab.IDs()
+		h.Cfg.Domain = cfg.Domain
 		if err := h.Check(t.Context()); err != nil {
 			t.Fatalf("seed %d, as loaded: %v", seed, err)
 		}
@@ -104,7 +104,7 @@ func TestHarnessOverForkedTable(t *testing.T) {
 			if sides[i], err = Attach(tab, cfg.CFDs, cfg.Discovery); err != nil {
 				t.Fatal(err)
 			}
-			sides[i].Cfg.Domain, sides[i].ids = cfg.Domain, tab.IDs()
+			sides[i].Cfg.Domain = cfg.Domain
 		}
 		src, fork := sides[0], sides[1]
 		rng := rand.New(rand.NewSource(seed))

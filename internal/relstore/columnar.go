@@ -1,7 +1,7 @@
 // Columnar snapshots: an immutable, column-oriented view of a Table with
-// per-attribute interned dictionaries. The row store (map[TupleID]Tuple)
-// is the system of record; the hot read paths — detection group-builds and
-// SQL-engine scans — walk these snapshots instead, because
+// per-attribute interned dictionaries. They are the system of record — a
+// row is decoded from them on demand — and the hot read paths (detection
+// group-builds, SQL-engine scans) walk the codes directly, because
 //
 //   - a column's values are interned once into a dense dictionary, so a
 //     tuple's grouping key is a fixed-width vector of uint32 codes instead
@@ -370,10 +370,10 @@ func (c *Column) NullCode() (uint32, bool) {
 	return uint32(c.nullCode), true
 }
 
-// Columnar is an immutable columnar snapshot of a table: the live tuples in
-// insertion order, decomposed into per-attribute Columns. Snapshots are
-// built by Table.Columnar and shared by every reader of the same table
-// version; all methods are safe for concurrent use.
+// Columnar is a Snapshot's data: the live tuples in insertion order,
+// decomposed into per-attribute Columns — the only copy there is. It is
+// immutable and shared by every reader of the same table version; all
+// methods are safe for concurrent use.
 type Columnar struct {
 	schema  *schema.Relation
 	version int64
@@ -406,14 +406,24 @@ func (c *Columnar) NumCols() int { return len(c.cols) }
 
 // Row materializes row i as a fresh Tuple, bit-identical to the stored row
 // (exact codes round-trip the original values).
-func (c *Columnar) Row(i int) Tuple {
-	row := make(Tuple, len(c.cols))
-	for j, col := range c.cols {
-		row[j] = col.dict[col.codes[i]]
+func (c *Columnar) Row(i int) Tuple { return c.appendRow(make(Tuple, 0, len(c.cols)), i) }
+
+// appendRow appends row i's decoded cells to dst. Scan passes the same
+// empty buffer for every row, so each decodes into one array. Every row
+// decode goes through here.
+func (c *Columnar) appendRow(dst []types.Value, i int) []types.Value {
+	if decodeHook != nil {
+		decodeHook()
 	}
-	return row
+	for _, col := range c.cols {
+		dst = append(dst, col.cell(i))
+	}
+	return dst
 }
 
-// Table.Columnar lives in snapshot.go: the columnar view is built lazily
-// from the table's pinned row Snapshot, so both views of one version share
-// ids, rows and the version stamp.
+// decodeHook, when set, is called once per decoded row: tests only
+// (export_test.go), to show that a read path decodes none.
+var decodeHook func()
+
+// cell decodes row i's value.
+func (c *Column) cell(i int) types.Value { return c.dict[c.codes[i]] }

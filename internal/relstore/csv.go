@@ -94,7 +94,7 @@ func WriteCSV(t *Table, w io.Writer) error {
 	}
 	var werr error
 	rec := make([]string, t.Schema().Arity()) // csv.Writer.Write does not retain it
-	t.Scan(func(id TupleID, row Tuple) bool {
+	t.Snapshot().Scan(func(id TupleID, row Tuple) bool {
 		for i, v := range row {
 			rec[i] = v.CoerceString()
 		}

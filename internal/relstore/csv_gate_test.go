@@ -5,14 +5,15 @@ import (
 	"testing"
 
 	"semandaq/internal/datagen"
+	"semandaq/internal/detect"
 	"semandaq/internal/relstore"
 )
 
 // TestIngestBuildsTheLineage is the count face of column-direct ingest, on
 // the benchmark's reload-clean table (datagen's 20 000 x 7 clean relation):
-// the load leaves nothing for the first read to build, costs under one
-// allocation per cell (the row-at-a-time loader made 4.3), and the columns
-// it interned head the lineage the first edits patch.
+// the load leaves nothing for the first read to build and builds no rows —
+// 0.35 allocations a cell at most — a detection pass over it decodes no row,
+// and the columns it interned head the lineage the first edits patch.
 func TestIngestBuildsTheLineage(t *testing.T) {
 	const n, arity = 20000, 7
 	clean := datagen.Generate(datagen.Config{Tuples: n, Seed: 1}).Clean
@@ -55,8 +56,24 @@ func TestIngestBuildsTheLineage(t *testing.T) {
 		if _, err := relstore.ReadCSV("customer", bytes.NewReader(body.Bytes())); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs > 100000 {
-		t.Errorf("ReadCSV made %.0f allocations for %d cells, want <= 100000", allocs, n*arity)
+	}); allocs > 0.35*n*arity {
+		t.Errorf("ReadCSV made %.0f allocations for %d cells, want <= %.0f", allocs, n*arity, 0.35*n*arity)
+	}
+
+	// The served detect path and the columnar engine read codes, not rows.
+	fresh, err := relstore.ReadCSV("customer", bytes.NewReader(body.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := relstore.CountDecodes()
+	if _, err := detect.DetectFactorised(t.Context(), fresh.Snapshot(), datagen.StandardCFDs()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (detect.ColumnarDetector{}).DetectSnapshot(t.Context(), fresh.Snapshot(), datagen.StandardCFDs()); err != nil {
+		t.Fatal(err)
+	}
+	if rows := stop(); rows != 0 {
+		t.Errorf("a load and two detection passes decoded %d rows, want none", rows)
 	}
 
 	before = relstore.ReadBuildOps()

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"semandaq/internal/schema"
 	"semandaq/internal/types"
 )
 
@@ -44,10 +45,11 @@ func holdsString(snap *Snapshot, pred func(string) bool) (string, bool) {
 	return "", false
 }
 
-// forkChurn returns a churn over a Clone of c's table whose fresh values
-// carry serials from 500 000 up, so they are told from the source's by name.
+// forkChurn returns a churn over a Clone of c's table (and model) whose
+// fresh values carry serials from 500 000 up, so they are told from the
+// source's by name.
 func forkChurn(c *churn) *churn {
-	return &churn{tab: c.tab.Clone(), rng: rand.New(rand.NewSource(2)), serial: 500000,
+	return &churn{twin: c.clone(), rng: rand.New(rand.NewSource(2)), serial: 500000,
 		typod: append([]typo(nil), c.typod...)}
 }
 
@@ -66,12 +68,23 @@ func TestCloneForksTheLineage(t *testing.T) {
 	warm(c.tab) // the served view is itself a patched one
 
 	before := ReadBuildOps()
-	clone := c.tab.Clone()
+	cw := c.clone()
+	clone := cw.tab
 	if ops := ReadBuildOps().Sub(before); ops != (BuildOps{}) {
 		t.Fatalf("Clone of a warm table built something: %+v", ops)
 	}
-	if allocs := testing.AllocsPerRun(3, func() { c.tab.Clone() }); allocs > 64 {
-		t.Errorf("Clone makes %.0f allocations on %d rows, want <= 64: something per row", allocs, n)
+	// O(columns + overlay): the same allocations at 2 000 and 20 000 rows,
+	// with an empty overlay and with one round of edits pending.
+	var allocs [2][2]float64
+	for i, rows := range []int{2000, 20000} {
+		small := newChurn(rows)
+		warm(small.tab)
+		allocs[i][0] = testing.AllocsPerRun(3, func() { small.tab.Clone() })
+		small.round()
+		allocs[i][1] = testing.AllocsPerRun(3, func() { small.tab.Clone() })
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("Clone allocations (empty overlay, one round pending): %v at 2 000 rows, %v at 20 000", allocs[0], allocs[1])
 	}
 	if clone.Version() != c.tab.Version() || clone.Len() != c.tab.Len() {
 		t.Fatalf("clone at version %d with %d rows, source at %d with %d", clone.Version(), clone.Len(), c.tab.Version(), c.tab.Len())
@@ -86,31 +99,29 @@ func TestCloneForksTheLineage(t *testing.T) {
 			t.Fatalf("column %d of the clone's first view is not the source's warm column", j)
 		}
 	}
-	checkAgainstRebuild(t, clone)
+	checkTwin(t, cw)
 
 	// A novel value on each side, in both orders.
-	ids := c.tab.IDs()
+	id := c.m.ids[100]
 	for i, cloneFirst := range []bool{true, false} {
-		fork := c.tab.Clone()
+		fork := c.clone()
 		sides := []struct {
-			tab *Table
+			w   *twin
 			val string
-		}{{fork, fmt.Sprintf("fork-only-%d", i)}, {c.tab, fmt.Sprintf("source-only-%d", i)}}
+		}{{fork, fmt.Sprintf("fork-only-%d", i)}, {c.twin, fmt.Sprintf("source-only-%d", i)}}
 		if !cloneFirst {
 			sides[0], sides[1] = sides[1], sides[0]
 		}
 		for _, s := range sides {
-			if _, err := s.tab.SetCell(ids[100], churnSTR, types.NewString(s.val)); err != nil {
-				t.Fatal(err)
-			}
-			_, ops := servedOps(s.tab)
+			s.w.setCell(id, churnSTR, types.NewString(s.val))
+			_, ops := servedOps(s.w.tab)
 			mustPatch(t, s.val, ops, 1, arity)
-			checkAgainstRebuild(t, s.tab)
+			checkTwin(t, s.w)
 		}
 		if v, ok := holdsString(c.tab.Snapshot(), func(s string) bool { return strings.HasPrefix(s, "fork-only") }); ok {
 			t.Fatalf("source dictionary holds the clone's %q", v)
 		}
-		if v, ok := holdsString(fork.Snapshot(), func(s string) bool { return s == fmt.Sprintf("source-only-%d", i) }); ok {
+		if v, ok := holdsString(fork.tab.Snapshot(), func(s string) bool { return s == fmt.Sprintf("source-only-%d", i) }); ok {
 			t.Fatalf("clone dictionary holds the source's %q", v)
 		}
 	}
@@ -119,7 +130,7 @@ func TestCloneForksTheLineage(t *testing.T) {
 	// round patches all seven columns of its side (it inserts and deletes;
 	// STR's reverted typos cross the compaction threshold on the way) and
 	// batch-builds nothing on either. (On a smaller pair: each version is
-	// checked against a cold rebuild of its table.)
+	// checked against its table's model.)
 	c = newChurn(2000)
 	warm(c.tab)
 	f := forkChurn(c)
@@ -130,17 +141,17 @@ func TestCloneForksTheLineage(t *testing.T) {
 			side = f
 		}
 		side.round()
-		for _, tab := range []*Table{c.tab, f.tab} {
-			snap, ops := servedOps(tab)
-			if tab == side.tab {
+		for _, w := range []*twin{c.twin, f.twin} {
+			_, ops := servedOps(w.tab)
+			if w == side.twin {
 				if ops.PatchedColumns+ops.RebuiltColumns != arity || ops.BatchColumns != 0 || ops.BatchSnapshots != 0 || ops.PLIBuilds != 0 {
 					t.Fatalf("round %d: want %d columns patched and nothing batch-built, got %+v", round, arity, ops)
 				}
 			} else if ops != (BuildOps{}) {
 				t.Fatalf("round %d: the idle side built something: %+v", round, ops)
 			}
-			if err := DiffSnapshots(snap, tab.RebuildSnapshot()); err != nil {
-				t.Fatalf("round %d, version %d: %v", round, tab.Version(), err)
+			if err := w.check(); err != nil {
+				t.Fatalf("round %d, version %d: %v", round, w.tab.Version(), err)
 			}
 		}
 	}
@@ -193,15 +204,13 @@ func TestForkedLineagesUnderReaders(t *testing.T) {
 		side.round()
 		// A second fork mid-run, patched once and dropped: forks of one
 		// column do not see each other either.
-		extra := side.tab.Clone()
-		if _, err := extra.SetCell(extra.IDs()[5], churnSTR, types.NewString("extra")); err != nil {
-			t.Fatal(err)
-		}
-		for _, tab := range []*Table{c.tab, f.tab, extra} {
-			if err := DiffSnapshots(tab.Snapshot(), tab.RebuildSnapshot()); err != nil {
+		extra := side.clone()
+		extra.setCell(extra.m.ids[5], churnSTR, types.NewString("extra"))
+		for _, w := range []*twin{c.twin, f.twin, extra} {
+			if err := w.check(); err != nil {
 				done.Store(true)
 				wg.Wait()
-				t.Fatalf("round %d, version %d: %v", round, tab.Version(), err)
+				t.Fatalf("round %d, version %d: %v", round, w.tab.Version(), err)
 			}
 		}
 	}
@@ -209,44 +218,104 @@ func TestForkedLineagesUnderReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRowOnlyReadsKeepTheLineage: a version that was only ever read by rows
-// does not end the column lineage — it hands its patch base on, so the next
-// columnar read patches across both deltas — and a reader still holding the
-// row-only snapshot who asks for columns afterwards batch-builds its own,
-// leaving the successor's alone.
+// TestRowOnlyReadsKeepTheLineage: rows are a view over the columns, so a
+// version that was only ever read by rows is a lineage member like any
+// other — the next read patches across the delta, and the superseded
+// snapshot keeps decoding its own version.
 func TestRowOnlyReadsKeepTheLineage(t *testing.T) {
 	const arity = 7
 	c := newChurn(2000)
 	warm(c.tab)
 	c.round()
 	rowOnly := c.tab.Snapshot()
+	pinned := c.m.snapshot(c.tab.Schema())
 	rows := 0
 	rowOnly.Scan(func(TupleID, Tuple) bool { rows++; return true })
-	rowOnlyRebuilt := c.tab.RebuildSnapshot()
 	c.round()
 
-	snap, ops := servedOps(c.tab)
-	if ops.PatchedSnapshots < 1 || ops.BatchSnapshots != 0 || ops.BatchColumns != 0 || ops.RebuiltColumns != 0 ||
-		ops.PatchedColumns != arity || ops.PLIBuilds != 0 {
-		t.Fatalf("columnar read after a row-only version did not patch: %+v", ops)
+	_, ops := servedOps(c.tab)
+	mustPatch(t, "after a row-only version", ops, arity, arity)
+	if appended := int64(4 * arity); ops.InternedCells > appended {
+		t.Errorf("InternedCells = %d, want <= %d (the rows the round appended)", ops.InternedCells, appended)
 	}
-	if appended := int64(2 * 4 * arity); ops.InternedCells > appended {
-		t.Errorf("InternedCells = %d, want <= %d (the rows two rounds appended)", ops.InternedCells, appended)
-	}
-
-	before := ReadBuildOps()
-	rowOnly.Columnar()
-	if ops := ReadBuildOps().Sub(before); ops.BatchColumns != arity || ops.PatchedColumns != 0 {
-		t.Errorf("late Columnar() on the superseded row-only snapshot: want a batch build of its own, got %+v", ops)
-	}
-	if err := DiffSnapshots(rowOnly, rowOnlyRebuilt); err != nil {
+	if err := DiffSnapshots(rowOnly, pinned); err != nil {
 		t.Errorf("superseded row-only snapshot (%d rows scanned): %v", rows, err)
 	}
-	if err := DiffSnapshots(snap, c.tab.RebuildSnapshot()); err != nil {
-		t.Errorf("successor after the late build: %v", err)
+	checkTwin(t, c.twin)
+}
+
+// TestOverlayFoldUnderReaders: writers fill the overlay — inserts, deletes,
+// whole-row updates — while readers fold it, scan pinned snapshots through
+// the shared decode buffer, and read points through the overlay. Every row
+// any reader sees must be one some writer stored whole (B is always "v"+A),
+// and a pinned snapshot must scan the same rows twice: under -race, a fold
+// or a write touching memory a reader decodes from shows.
+func TestOverlayFoldUnderReaders(t *testing.T) {
+	tab := NewTable(schema.New("r", "A", "B", "C"))
+	row := func(k, junk int) Tuple {
+		return Tuple{types.NewInt(int64(k)), types.NewString(fmt.Sprint("v", k)), types.NewInt(int64(junk))}
 	}
-	c.round()
-	_, ops = servedOps(c.tab)
-	mustPatch(t, "next round", ops, arity, arity)
-	checkAgainstRebuild(t, c.tab)
+	for i := 0; i < 500; i++ {
+		tab.MustInsert(row(i%37, i))
+	}
+	whole := func(r Tuple) bool { return r[1].Str() == fmt.Sprint("v", r[0].Int()) }
+	var (
+		wg      sync.WaitGroup
+		done    atomic.Bool
+		readers sync.WaitGroup
+	)
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < 3000; i++ {
+				id := TupleID(rng.Intn(500 + 2*i + 1)) // may be deleted, or not yet inserted
+				switch rng.Intn(4) {
+				case 0:
+					tab.MustInsert(row(rng.Intn(50), i))
+				case 1:
+					tab.Delete(id)
+				default:
+					_ = tab.Update(id, row(rng.Intn(50), i)) // the id may be gone
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; i < 20 || !done.Load(); i++ {
+				snap := tab.Snapshot()
+				var first []string
+				snap.Scan(func(id TupleID, row Tuple) bool {
+					if !whole(row) {
+						t.Errorf("scan of version %d: row %d = %v is torn", snap.Version(), id, row)
+					}
+					first = append(first, row.String())
+					return true
+				})
+				i := 0
+				snap.Scan(func(id TupleID, row Tuple) bool {
+					if got, _ := snap.Get(id); row.String() != first[i] || got.String() != first[i] {
+						t.Errorf("version %d row %d: scanned %s, then %s, Get %s", snap.Version(), id, first[i], row, got)
+					}
+					i++
+					return true
+				})
+				for id := TupleID(0); id < 50; id++ {
+					if got, ok := tab.Get(id); ok && !whole(got) {
+						t.Errorf("Get(%d) = %v is torn", id, got)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	done.Store(true)
+	readers.Wait()
+	if err := DiffSnapshots(tab.Snapshot(), tab.RebuildSnapshot()); err != nil {
+		t.Fatal(err)
+	}
 }

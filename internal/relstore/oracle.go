@@ -1,13 +1,15 @@
 // The snapshot oracle: DiffSnapshots force-builds every artifact two
-// snapshots can materialize — row vectors, columnar dictionaries, code
+// snapshots can materialize — decoded rows, columnar dictionaries, code
 // vectors, occurrence counts, lookups, PLIs, probe vectors, key tables,
 // class orders — and compares them. Rows, ids, PLIs and class orders must
 // match exactly; dictionary codes are opaque (columnar.go), so everything
 // indexed by code is compared under the renaming the two code vectors
-// induce row by row. The fuzz targets and cross-check tests run it between a
-// patched snapshot and a cold Table.RebuildSnapshot at every intermediate
-// version; any divergence is a patcher bug, reported with enough
-// coordinates to reproduce.
+// induce row by row. The columns are the only copy of the data, so the
+// ground truth lives with the caller: the fuzz targets and cross-check
+// harnesses keep a naive (ids, rows) model of every op they apply and run
+// DiffSnapshots between the served snapshot and BuildSnapshot of that model
+// at every intermediate version; any divergence is a fold bug, reported with
+// enough coordinates to reproduce.
 //
 // reflect.DeepEqual over whole Snapshots would be both too strict (codes,
 // sync.Once and atomic scheduling state differ between a warm and a cold
@@ -18,9 +20,35 @@ package relstore
 import (
 	"fmt"
 	"math"
+	"slices"
 
+	"semandaq/internal/schema"
 	"semandaq/internal/types"
 )
+
+// BuildSnapshot batch-builds the snapshot holding rows under ids (strictly
+// ascending, parallel to rows) at version: every column interned from
+// scratch, heading a lineage of its own. It is the cold side of the snapshot
+// oracle, through which the tests' row models go; serving paths fold.
+func BuildSnapshot(sc *schema.Relation, version int64, ids []TupleID, rows []Tuple) *Snapshot {
+	c := Columnar{schema: sc, version: version, ids: slices.Clone(ids), cols: make([]*Column, sc.Arity())}
+	for j := range c.cols {
+		c.cols[j] = buildColumn(len(rows), func(i int) types.Value { return rows[i][j] })
+	}
+	buildOps.internedCells.Add(int64(len(rows) * len(c.cols)))
+	buildOps.batchColumns.Add(int64(len(c.cols)))
+	buildOps.batchSnapshots.Add(1)
+	return &Snapshot{c: c}
+}
+
+// RebuildSnapshot batch-builds a fresh copy of the current version's
+// snapshot (BuildSnapshot of its decoded rows): the same data on columns of
+// a lineage of their own. It re-interns what the fold wrote, so it checks
+// the fold's artifacts but not its values; only a row model can.
+func (t *Table) RebuildSnapshot() *Snapshot {
+	s := t.Snapshot()
+	return BuildSnapshot(s.Schema(), s.Version(), s.IDs(), s.Rows())
+}
 
 // DiffSnapshots compares every observable artifact of got against want and
 // returns a precise error for the first divergence, nil if the snapshots
@@ -33,26 +61,45 @@ func DiffSnapshots(got, want *Snapshot) error {
 	if got.Len() != want.Len() {
 		return fmt.Errorf("len: got %d, want %d", got.Len(), want.Len())
 	}
-	for i, id := range want.ids {
-		if got.ids[i] != id {
-			return fmt.Errorf("ids[%d]: got %d, want %d", i, got.ids[i], id)
-		}
-		for j, v := range want.rows[i] {
-			if !exactEqual(got.rows[i][j], v) {
-				return fmt.Errorf("row %d (id %d) cell %d: got %v, want %v (exact)", i, id, j, got.rows[i][j], v)
-			}
-		}
+	if err := checkShape(got); err != nil {
+		return fmt.Errorf("got: %w", err)
+	}
+	if err := checkShape(want); err != nil {
+		return fmt.Errorf("want: %w", err)
 	}
 	gc, wc := got.Columnar(), want.Columnar()
-	if gc.Version() != wc.Version() {
-		return fmt.Errorf("columnar version: got %d, want %d", gc.Version(), wc.Version())
-	}
 	if gc.NumCols() != wc.NumCols() {
 		return fmt.Errorf("columnar arity: got %d, want %d", gc.NumCols(), wc.NumCols())
 	}
+	for i, id := range want.c.ids {
+		if got.c.ids[i] != id {
+			return fmt.Errorf("ids[%d]: got %d, want %d", i, got.c.ids[i], id)
+		}
+		for j, wcol := range wc.cols {
+			if g, w := gc.cols[j].cell(i), wcol.cell(i); !exactEqual(g, w) {
+				return fmt.Errorf("row %d (id %d) cell %d: got %v, want %v (exact)", i, id, j, g, w)
+			}
+		}
+	}
 	for j := 0; j < wc.NumCols(); j++ {
 		if err := diffColumn(gc.Col(j), wc.Col(j)); err != nil {
-			return fmt.Errorf("column %d (%s): %w", j, want.schema.Attrs[j].Name, err)
+			return fmt.Errorf("column %d (%s): %w", j, want.Schema().Attrs[j].Name, err)
+		}
+	}
+	return nil
+}
+
+// checkShape verifies what Get and the row decoders rely on: ids strictly
+// ascending and every column as long as the ids.
+func checkShape(s *Snapshot) error {
+	for i := 1; i < s.Len(); i++ {
+		if s.c.ids[i-1] >= s.c.ids[i] {
+			return fmt.Errorf("ids[%d] = %d after ids[%d] = %d: not strictly ascending", i, s.c.ids[i], i-1, s.c.ids[i-1])
+		}
+	}
+	for j, col := range s.c.cols {
+		if col.Len() != s.Len() {
+			return fmt.Errorf("column %d holds %d rows, ids %d", j, col.Len(), s.Len())
 		}
 	}
 	return nil

@@ -1,8 +1,9 @@
-// Delta patching of version-cached read artifacts: when a table mutates a
-// little and is then read, the new Snapshot — and, transitively, its
-// columnar dictionaries, code vectors and per-column PLI partitions — is
-// derived from the previous version's caches by applying the delta, instead
-// of re-interning every cell of every column.
+// Delta folding: a table stores its data once, as the column lineage of its
+// latest snapshot plus a write overlay (store.go), and the first read after a
+// mutation folds the overlay into the next lineage member — dictionaries,
+// code vectors and per-column PLI partitions patched in O(delta) hashing —
+// instead of re-interning every cell of every column. The overlay's keys are
+// the touched rows, so the fold never diffs the rows it did not touch.
 //
 // Every delta patches; there is no case the patcher hands back. Exact
 // dictionary codes are stable along a column's lineage (columnar.go): a
@@ -14,28 +15,26 @@
 // partition, the PLI (classes by first row, rows ascending: history-free,
 // so patched to the very bytes a batch build emits), class representatives
 // and statistics are exactly the batch build's. Dead codes are bounded:
-// past compactDead below the column is re-interned from its rows, which
-// starts a fresh lineage.
+// past compactDead below the column is re-interned from its own values,
+// which starts a fresh lineage.
 //
 // The oracle (oracle.go, the fuzz targets and the cross-check tests) holds
-// the patcher to the contract at every intermediate version, comparing
-// against Table.RebuildSnapshot under the code bijection the rows induce.
+// the fold to the contract at every intermediate version, comparing against
+// BuildSnapshot of a naive row model under the code bijection the rows
+// induce.
 package relstore
 
 import (
 	"slices"
-	"sort"
 	"sync/atomic"
+
+	"semandaq/internal/types"
 )
 
 const (
-	// maxPatchOps caps how many logged cell/row ops a retained predecessor
-	// snapshot may bridge before patching is abandoned: past that, the
-	// batch rebuild is no slower and the op bookkeeping stops paying.
-	maxPatchOps = 4096
 	// compactDead is the dead-code allowance: a patched column whose dead
 	// codes outnumber compactDead plus an eighth of its live ones (see
-	// deadLimit) is compacted — re-interned from its rows — so churn
+	// deadLimit) is compacted — re-interned from its values — so churn
 	// cannot grow a dictionary past 1.125 x live + compactDead entries.
 	// The flat part keeps a low-cardinality column from paying an O(rows)
 	// compaction for every value that dies.
@@ -61,33 +60,13 @@ type chRec struct {
 }
 
 // noteMutationLocked is the single mutation epilogue: it advances the
-// version, drops the cached snapshot (retaining it as the patch base),
-// counts the delta, and logs which columns changed. cols holds one entry
-// per changed cell's schema position, or structuralChange per row added or
-// removed; a representation-preserving mutation passes none (version still
-// advances, nothing is logged — no cache content depends on it). Caller
-// holds t.mu.
-//
-// A snapshot that was only read by rows still holds its patch link. It hands
-// the link's base on instead of becoming one itself: the rows are diffed by
-// pointer, so any earlier snapshot is a valid base, and this one has no
-// columns to patch from.
+// version — so the next Snapshot() folds the overlay — and logs which
+// columns changed. cols holds one entry per changed cell's schema position,
+// or structuralChange per row added or removed; a mutation that changes no
+// stored representation passes none (version still advances, nothing is
+// logged — no cache content depends on it). Caller holds t.mu.
 func (t *Table) noteMutationLocked(cols ...int32) {
-	if t.snap != nil {
-		t.prev, t.npending = t.snap, 0
-		if p := t.snap.patch.Swap(nil); p != nil {
-			t.prev, t.npending = p.prev, p.nops
-		}
-	}
 	t.version++
-	t.snap = nil
-	if t.prev != nil {
-		t.npending += len(cols)
-		if t.npending > maxPatchOps {
-			t.prev = nil
-			t.npending = 0
-		}
-	}
 	for _, col := range cols {
 		t.chlog = append(t.chlog, chRec{ver: t.version, col: col})
 	}
@@ -126,120 +105,104 @@ func (t *Table) ChangesSince(since int64) (changed []bool, rowsStable bool, ok b
 	return changed, rowsStable, true
 }
 
-// snapPatch links a patched Snapshot to its predecessor plus the delta
-// separating them, in the coordinates the columnar patcher consumes: drops
-// are ascending predecessor row positions that were removed, nAppend rows
-// were appended at the tail, edits[j] are the in-place cell changes of
-// column j at surviving rows (ascending), and remap — present iff rows were
-// dropped — maps every predecessor position to its final position, -1 for
-// dropped rows. nops is the table's logged op count across the delta, for a
-// successor that inherits prev as its base.
+// snapPatch is the overlay of one fold in the coordinates the column
+// patcher consumes: drops are ascending predecessor row positions that were
+// removed, edits[j] are the in-place cell changes of column j at surviving
+// rows (ascending), and tail holds the nAppend rows appended at the end,
+// arity cells each. remap — present iff rows were dropped — maps every
+// predecessor position to its final position, -1 for dropped rows.
 type snapPatch struct {
-	prev    *Snapshot
-	nops    int
 	drops   []int32
-	nAppend int
 	edits   [][]cellEdit
+	nAppend int
+	tail    []types.Value
 	remap   []int32
 }
 
 // cellEdit is one surviving row whose cell in some column changed its exact
-// stored representation, addressed in both coordinate systems.
+// stored representation, addressed in both coordinate systems, with the
+// value it takes.
 type cellEdit struct {
 	prevPos int32 // row position in the predecessor snapshot
 	newPos  int32 // row position in the patched snapshot
+	v       types.Value
 }
 
-// sameRow reports whether two stored tuples are the same allocation.
-// Stored rows are copy-on-write — a mutation always swaps in a fresh clone
-// — so pointer identity is exactly "this row was not touched".
-func sameRow(a, b Tuple) bool {
-	if len(a) == 0 {
-		return true
+// foldLocked folds the overlay into the next lineage member at the table's
+// version and makes it the base. It reads only the overlay's rows: written
+// and deleted ids are located by binary search in the base, inserted ones
+// append. The fold moves data, it does not change it, so the version stays
+// put. Caller holds t.mu for writing.
+func (t *Table) foldLocked() {
+	base, arity := &t.base.c, t.schema.Arity()
+	p := &snapPatch{edits: make([][]cellEdit, arity)}
+	var written []int32 // base positions of the rows the overlay holds
+	for id := range t.over {
+		if i, ok := t.base.pos(id); ok {
+			written = append(written, int32(i))
+		}
 	}
-	return &a[0] == &b[0]
-}
-
-// patchSnapshotLocked derives the current version's snapshot from t.prev by
-// diffing the retained view against the live rows: O(prev rows) pointer
-// comparisons and copies — the same row-vector cost a batch build pays —
-// plus a recorded delta that lets the expensive artifacts (dictionaries,
-// PLIs) be patched in O(delta) later. Returns nil if the diff violates the
-// append-only id assumptions (the caller then batch-builds). Caller holds
-// t.mu for writing.
-func (t *Table) patchSnapshotLocked() *Snapshot {
-	prev := t.prev
-	arity := t.schema.Arity()
-	n := len(t.rows)
-	snap := &Snapshot{
-		schema:  t.schema,
-		version: t.version,
-		ids:     make([]TupleID, 0, n),
-		rows:    make([]Tuple, 0, n),
-	}
-	p := &snapPatch{prev: prev, nops: t.npending, edits: make([][]cellEdit, arity)}
-	for i, id := range prev.ids {
-		cur, live := t.rows[id]
-		if !live {
-			p.drops = append(p.drops, int32(i))
+	slices.Sort(written)
+	for _, i := range written {
+		k := t.over[base.ids[i]]
+		if k < 0 {
+			p.drops = append(p.drops, i)
 			continue
 		}
-		if old := prev.rows[i]; !sameRow(old, cur) {
-			newPos := int32(len(snap.ids))
-			for j := 0; j < arity; j++ {
-				if !exactEqual(old[j], cur[j]) {
-					p.edits[j] = append(p.edits[j], cellEdit{prevPos: int32(i), newPos: newPos})
-				}
+		newPos := i - int32(len(p.drops))
+		for j, v := range t.vals[int(k)*arity : int(k+1)*arity] {
+			if !exactEqual(base.cols[j].cell(int(i)), v) {
+				p.edits[j] = append(p.edits[j], cellEdit{prevPos: i, newPos: newPos, v: v})
 			}
 		}
-		snap.ids = append(snap.ids, id)
-		snap.rows = append(snap.rows, cur)
 	}
-	// Appended rows: ids above the predecessor's range. IDs are assigned
-	// monotonically and t.order only ever appends (compaction preserves
-	// order), so the tail of t.order past the predecessor's last id is
-	// exactly the insertions, in insertion order.
-	floor := TupleID(-1)
-	if len(prev.ids) > 0 {
-		floor = prev.ids[len(prev.ids)-1]
-	}
-	start := sort.Search(len(t.order), func(i int) bool { return t.order[i] > floor })
-	for _, id := range t.order[start:] {
-		if cur, ok := t.rows[id]; ok {
-			snap.ids = append(snap.ids, id)
-			snap.rows = append(snap.rows, cur)
-			p.nAppend++
+	ids := base.ids
+	if len(p.drops) > 0 || len(t.order) > 0 {
+		ids = splice(base.ids, p.drops, len(t.order))
+		for _, id := range t.order {
+			if k := t.over[id]; k >= 0 {
+				ids = append(ids, id)
+				p.tail = append(p.tail, t.vals[int(k)*arity:int(k+1)*arity]...)
+			}
 		}
-	}
-	if len(snap.ids) != n {
-		return nil
+		p.nAppend = len(ids) - (len(base.ids) - len(p.drops))
 	}
 	if len(p.drops) > 0 {
-		remap := make([]int32, len(prev.ids))
+		p.remap = make([]int32, len(base.ids))
 		d := 0
-		for i := range remap {
+		for i := range p.remap {
 			if d < len(p.drops) && p.drops[d] == int32(i) {
-				remap[i] = -1
+				p.remap[i] = -1
 				d++
 			} else {
-				remap[i] = int32(i - d)
+				p.remap[i] = int32(i - d)
 			}
 		}
-		p.remap = remap
 	}
-	// prev holds no link of its own (noteMutationLocked took it before prev
-	// could become a base), so snapshots never chain.
-	snap.patch.Store(p)
+	// Patch each column in turn: a patch is microseconds of work. A column
+	// the base borrowed stays borrowed while it is shared.
+	next := Columnar{schema: t.schema, version: t.version, ids: ids, cols: make([]*Column, arity)}
+	if base.borrowed != nil {
+		next.borrowed = make([]bool, arity)
+	}
+	for j, pcol := range base.cols {
+		fork := base.borrowed != nil && base.borrowed[j]
+		next.cols[j] = p.patchColumn(pcol, j, fork)
+		if fork {
+			next.borrowed[j] = next.cols[j] == pcol
+		}
+	}
+	t.base = &Snapshot{c: next}
+	t.over, t.vals, t.order = map[TupleID]int32{}, nil, nil
 	buildOps.patchedSnapshots.Add(1)
-	return snap
 }
 
-// buildColumn interns column j from the snapshot's rows: the batch build of
-// one column, heading a fresh lineage with its lazy artifacts unbuilt.
-func (s *Snapshot) buildColumn(j int) *Column {
-	c := newColumn(len(s.rows))
-	for _, row := range s.rows {
-		c.codes = append(c.codes, c.acquire(row[j]))
+// buildColumn interns n values into a fresh column heading a new lineage,
+// with its lazy artifacts unbuilt: the batch build of one column.
+func buildColumn(n int, at func(i int) types.Value) *Column {
+	c := newColumn(n)
+	for i := range n {
+		c.codes = append(c.codes, c.acquire(at(i)))
 	}
 	return c
 }
@@ -257,7 +220,7 @@ func (s *Snapshot) buildColumn(j int) *Column {
 // The predecessor's built lazy artifacts are carried over, so a warm
 // serving path stays warm across mutations; those it never built stay lazy
 // here too.
-func (s *Snapshot) patchColumn(p *snapPatch, pcol *Column, j int, fork bool) *Column {
+func (p *snapPatch) patchColumn(pcol *Column, j int, fork bool) *Column {
 	edits := p.edits[j]
 	if len(p.drops) == 0 && p.nAppend == 0 && len(edits) == 0 {
 		buildOps.sharedColumns.Add(1)
@@ -269,7 +232,7 @@ func (s *Snapshot) patchColumn(p *snapPatch, pcol *Column, j int, fork bool) *Co
 	}
 	grow := len(edits) + p.nAppend
 	out := &Column{
-		codes:     spliceU32(pcol.codes, p.drops, p.nAppend),
+		codes:     splice(pcol.codes, p.drops, p.nAppend),
 		dict:      dict,
 		eq:        eq,
 		counts:    append(make([]int32, 0, len(pcol.counts)+grow), pcol.counts...),
@@ -287,17 +250,17 @@ func (s *Snapshot) patchColumn(p *snapPatch, pcol *Column, j int, fork bool) *Co
 	}
 	for _, e := range edits {
 		out.release(pcol.codes[e.prevPos])
-		out.codes[e.newPos] = out.acquire(s.rows[e.newPos][j])
+		out.codes[e.newPos] = out.acquire(e.v)
 	}
-	for _, row := range s.rows[len(s.rows)-p.nAppend:] {
-		out.codes = append(out.codes, out.acquire(row[j]))
+	for r := j; r < len(p.tail); r += len(p.edits) {
+		out.codes = append(out.codes, out.acquire(p.tail[r]))
 	}
 	out.in.mu.Unlock()
 	if len(out.dict)-out.live > deadLimit(out.live) {
 		// Compaction: too many dead codes, re-intern the column.
-		buildOps.internedCells.Add(int64(len(s.rows)))
+		buildOps.internedCells.Add(int64(out.Len()))
 		buildOps.rebuiltColumns.Add(1)
-		return s.buildColumn(j)
+		return buildColumn(out.Len(), out.cell)
 	}
 	buildOps.internedCells.Add(int64(p.nAppend))
 	buildOps.patchedCells.Add(int64(len(p.drops) + len(edits) + p.nAppend))
@@ -305,7 +268,7 @@ func (s *Snapshot) patchColumn(p *snapPatch, pcol *Column, j int, fork bool) *Co
 
 	sameClasses := false
 	if pcol.pliReady.Load() {
-		sameClasses = s.patchPLI(p, pcol, out, edits)
+		sameClasses = p.patchPLI(pcol, out, edits)
 	}
 	if pcol.probeReady.Load() {
 		out.EqProbe()
@@ -341,8 +304,8 @@ func (s *Snapshot) patchColumn(p *snapPatch, pcol *Column, j int, fork bool) *Co
 // revived Equal-class — are re-formed and merged back in by their new
 // first row; a class left without rows disappears. It reports whether
 // every class kept its index, i.e. the class list is pcol's.
-func (s *Snapshot) patchPLI(p *snapPatch, pcol, out *Column, edits []cellEdit) bool {
-	n, oldP := len(s.rows), pcol.pli
+func (p *snapPatch) patchPLI(pcol, out *Column, edits []cellEdit) bool {
+	n, oldP := out.Len(), pcol.pli
 	newPos := func(pos int32) int32 {
 		if p.remap == nil {
 			return pos
@@ -452,10 +415,10 @@ func (s *Snapshot) patchPLI(p *snapPatch, pcol, out *Column, edits []cellEdit) b
 	return same && len(offsets) == len(oldP.offsets)
 }
 
-// spliceU32 copies src with the (ascending) drop positions removed, leaving
+// splice copies src with the (ascending) drop positions removed, leaving
 // extra capacity for appends.
-func spliceU32(src []uint32, drops []int32, extra int) []uint32 {
-	out := make([]uint32, 0, len(src)-len(drops)+extra)
+func splice[T any](src []T, drops []int32, extra int) []T {
+	out := make([]T, 0, len(src)-len(drops)+extra)
 	prev := 0
 	for _, d := range drops {
 		out = append(out, src[prev:d]...)

@@ -10,12 +10,14 @@ import (
 )
 
 // FuzzSnapshotPatch decodes an arbitrary byte string into a mutation
-// sequence over a seeded three-column table and asserts, after every single
-// mutation, that the served (patched) snapshot equals a cold batch rebuild
-// up to a renaming of dictionary codes — dictionaries, code vectors,
-// occurrence counts, lookups, PLIs, probe vectors, key tables and class
-// orders included. The per-version check force-builds every artifact, so
-// each next version patches a fully warm predecessor.
+// sequence over a seeded three-column table, applies it to the table and to
+// a naive row model (twin, model_test.go), and asserts after every single
+// mutation that the table's point reads agree with the model and the served
+// (folded) snapshot equals a batch build of the model up to a renaming of
+// dictionary codes — rows, dictionaries, code vectors, occurrence counts,
+// lookups, PLIs, probe vectors, key tables and class orders included. The
+// per-version check force-builds every artifact, so each next version
+// patches a fully warm predecessor.
 //
 // Byte vocabulary: each op reads an opcode byte (low two bits select
 // insert/delete/setcell/update) and then value/row/column selector bytes
@@ -24,9 +26,9 @@ import (
 // (INT 1 / FLOAT 1.0, NULL, NaN) into eleven values; a value byte of 0xC0
 // or above is a string the table has never held, so programs can grow
 // dictionaries and leave dead codes behind without bound. An opcode with
-// forkBit set forks first: the table the op was headed for is Clone()d, the
-// remaining ops alternate between it and its clone, and every check holds
-// both to their own rebuilds.
+// forkBit set forks first: the table the op was headed for is Clone()d with
+// its model, the remaining ops alternate between it and its clone, and every
+// check holds both to their own models.
 func FuzzSnapshotPatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3})
@@ -86,9 +88,9 @@ func FuzzForkedSnapshotPatch(f *testing.F) {
 // runMutationSequence is the shared driver behind FuzzSnapshotPatch and
 // FuzzForkedSnapshotPatch.
 func runMutationSequence(t *testing.T, data []byte) {
-	tab := NewTable(schema.New("f", "A", "B", "C"))
+	w := newTwin(schema.New("f", "A", "B", "C"))
 	for i := 0; i < 6; i++ {
-		tab.MustInsert(Tuple{patchValue(i), patchValue(i + 1), patchValue(i + 2)})
+		w.insert(Tuple{patchValue(i), patchValue(i + 1), patchValue(i + 2)})
 	}
 	pos := 0
 	next := func() int {
@@ -108,38 +110,34 @@ func runMutationSequence(t *testing.T, data []byte) {
 		return types.NewString(fmt.Sprintf("n%d", novel))
 	}
 	row := func() Tuple { return Tuple{value(), value(), value()} }
-	// tabs[1] is tabs[0]'s clone once a program has forked; turn is the side
-	// the next op goes to.
-	tabs, turn := []*Table{tab}, 0
+	// sides[1] is sides[0]'s clone once a program has forked; turn is the
+	// side the next op goes to.
+	sides, turn := []*twin{w}, 0
 	check := func() {
-		for side, tab := range tabs {
-			if err := DiffSnapshots(tab.Snapshot(), tab.RebuildSnapshot()); err != nil {
-				t.Fatalf("side %d, version %d after %d input bytes: %v", side, tab.Version(), pos, err)
+		for side, w := range sides {
+			if err := w.check(); err != nil {
+				t.Fatalf("side %d, version %d after %d input bytes: %v", side, w.tab.Version(), pos, err)
 			}
 		}
 	}
 	check()
 	for pos < len(data) {
 		op := next()
-		tab := tabs[turn]
+		w := sides[turn]
 		if op&forkBit != 0 {
-			tabs, turn = []*Table{tab, tab.Clone()}, 0
+			sides, turn = []*twin{w, w.clone()}, 0
 		}
-		turn = (turn + 1) % len(tabs)
-		ids := tab.IDs()
+		turn = (turn + 1) % len(sides)
+		ids := w.m.ids
 		switch {
 		case op%4 == 0 || len(ids) == 0:
-			tab.MustInsert(row())
+			w.insert(row())
 		case op%4 == 1:
-			tab.Delete(ids[next()%len(ids)])
+			w.delete(ids[next()%len(ids)])
 		case op%4 == 2:
-			if _, err := tab.SetCell(ids[next()%len(ids)], next()%3, value()); err != nil {
-				t.Fatal(err)
-			}
+			w.setCell(ids[next()%len(ids)], next()%3, value())
 		default:
-			if err := tab.Update(ids[next()%len(ids)], row()); err != nil {
-				t.Fatal(err)
-			}
+			w.update(ids[next()%len(ids)], row())
 		}
 		check()
 	}

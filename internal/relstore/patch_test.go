@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"semandaq/internal/schema"
@@ -32,14 +33,13 @@ func patchValue(i int) types.Value {
 	return patchValues[((i%len(patchValues))+len(patchValues))%len(patchValues)]
 }
 
-// checkAgainstRebuild asserts the served (possibly patched) snapshot equals
-// a cold batch rebuild up to a renaming of dictionary codes, force-building
-// every artifact on both sides.
-func checkAgainstRebuild(t *testing.T, tab *Table) {
+// checkTwin holds w's table to its model (twin.check): point reads, and the
+// served snapshot against a batch build of the model up to a renaming of
+// dictionary codes, every artifact force-built on both sides.
+func checkTwin(t *testing.T, w *twin) {
 	t.Helper()
-	if err := DiffSnapshots(tab.Snapshot(), tab.RebuildSnapshot()); err != nil {
-		t.Fatalf("patched snapshot diverged from rebuild at version %d: %v",
-			tab.Version(), err)
+	if err := w.check(); err != nil {
+		t.Fatalf("table diverged from its model at version %d: %v", w.tab.Version(), err)
 	}
 }
 
@@ -51,41 +51,31 @@ func checkAgainstRebuild(t *testing.T, tab *Table) {
 func TestPatchedSnapshotMatchesRebuild(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tab := NewTable(schema.New("p", "A", "B", "C"))
-		for i := 0; i < 12; i++ {
-			tab.MustInsert(Tuple{
+		row := func() Tuple {
+			return Tuple{
 				patchValue(rng.Intn(len(patchValues))),
 				patchValue(rng.Intn(len(patchValues))),
 				patchValue(rng.Intn(len(patchValues))),
-			})
+			}
 		}
-		checkAgainstRebuild(t, tab)
+		w := newTwin(schema.New("p", "A", "B", "C"))
+		for i := 0; i < 12; i++ {
+			w.insert(row())
+		}
+		checkTwin(t, w)
 		for step := 0; step < 60; step++ {
-			ids := tab.IDs()
+			ids := w.m.ids
 			switch op := rng.Intn(4); {
 			case op == 0 || len(ids) == 0:
-				tab.MustInsert(Tuple{
-					patchValue(rng.Intn(len(patchValues))),
-					patchValue(rng.Intn(len(patchValues))),
-					patchValue(rng.Intn(len(patchValues))),
-				})
+				w.insert(row())
 			case op == 1:
-				tab.Delete(ids[rng.Intn(len(ids))])
+				w.delete(ids[rng.Intn(len(ids))])
 			case op == 2:
-				if _, err := tab.SetCell(ids[rng.Intn(len(ids))], rng.Intn(3),
-					patchValue(rng.Intn(len(patchValues)))); err != nil {
-					t.Fatal(err)
-				}
+				w.setCell(ids[rng.Intn(len(ids))], rng.Intn(3), patchValue(rng.Intn(len(patchValues))))
 			default:
-				if err := tab.Update(ids[rng.Intn(len(ids))], Tuple{
-					patchValue(rng.Intn(len(patchValues))),
-					patchValue(rng.Intn(len(patchValues))),
-					patchValue(rng.Intn(len(patchValues))),
-				}); err != nil {
-					t.Fatal(err)
-				}
+				w.update(ids[rng.Intn(len(ids))], row())
 			}
-			checkAgainstRebuild(t, tab)
+			checkTwin(t, w)
 		}
 	}
 }
@@ -95,15 +85,13 @@ func TestPatchedSnapshotMatchesRebuild(t *testing.T) {
 // dictionary) even though the values compare Equal, so the patcher must
 // see it.
 func TestUpdateRepresentationChange(t *testing.T) {
-	tab := NewTable(schema.New("p", "A"))
-	tab.MustInsert(Tuple{types.NewFloat(1.0)})
-	id := tab.MustInsert(Tuple{types.NewInt(1)})
-	tab.MustInsert(Tuple{types.NewInt(1)})
-	checkAgainstRebuild(t, tab)
-	if err := tab.Update(id, Tuple{types.NewFloat(1.0)}); err != nil {
-		t.Fatal(err)
-	}
-	checkAgainstRebuild(t, tab)
+	w := newTwin(schema.New("p", "A"))
+	w.insert(Tuple{types.NewFloat(1.0)})
+	id := w.insert(Tuple{types.NewInt(1)})
+	w.insert(Tuple{types.NewInt(1)})
+	checkTwin(t, w)
+	w.update(id, Tuple{types.NewFloat(1.0)})
+	checkTwin(t, w)
 }
 
 // churn replays the benchmark's write bundle (benchmark/gen.go, mix) on a
@@ -114,7 +102,7 @@ func TestUpdateRepresentationChange(t *testing.T) {
 // removed first occurrence per edit: what dirty data looks like, and what
 // a first-occurrence code numbering could not patch.
 type churn struct {
-	tab    *Table
+	*twin
 	rng    *rand.Rand
 	serial int
 	typod  []typo // pending typos, oldest first
@@ -132,12 +120,12 @@ const (
 
 func newChurn(n int) *churn {
 	c := &churn{
-		tab: NewTable(schema.New("customer", "NAME", "CNT", "CITY", "ZIP", "STR", "CC", "AC")),
-		rng: rand.New(rand.NewSource(1)),
+		twin: newTwin(schema.New("customer", "NAME", "CNT", "CITY", "ZIP", "STR", "CC", "AC")),
+		rng:  rand.New(rand.NewSource(1)),
 	}
 	for i := 0; i < n; i++ {
 		zip := i % (n / 40)
-		c.tab.MustInsert(Tuple{
+		c.insert(Tuple{
 			c.fresh("name"),
 			types.NewString([]string{"UK", "US"}[zip%2]),
 			types.NewString(fmt.Sprintf("city%d", zip/8)),
@@ -156,37 +144,28 @@ func (c *churn) fresh(prefix string) types.Value {
 	return types.NewString(fmt.Sprintf("%s%06d", prefix, c.serial))
 }
 
-func (c *churn) set(id TupleID, pos int, v types.Value) types.Value {
-	old, err := c.tab.SetCell(id, pos, v)
-	if err != nil {
-		panic(err)
-	}
-	return old
-}
-
 func (c *churn) round() {
-	ids := c.tab.IDs()
+	ids := slices.Clone(c.m.ids)
 	pick := func() TupleID { return ids[4+c.rng.Intn(len(ids)-4)] } // never a row deleted below
 	for i := 0; i < 40; i++ {
-		c.set(pick(), churnNAME, c.fresh("edit"))
+		c.setCell(pick(), churnNAME, c.fresh("edit"))
 	}
 	for i := 0; i < 8 && len(c.typod) > 0; i++ {
 		t := c.typod[0]
 		c.typod = c.typod[1:]
 		if _, ok := c.tab.Get(t.id); ok {
-			c.set(t.id, churnSTR, t.clean)
+			c.setCell(t.id, churnSTR, t.clean)
 		}
 	}
 	for i := 0; i < 8; i++ {
 		id := pick()
-		c.typod = append(c.typod, typo{id, c.set(id, churnSTR, c.fresh("typo"))})
+		c.typod = append(c.typod, typo{id, c.setCell(id, churnSTR, c.fresh("typo"))})
 	}
 	for i := 0; i < 4; i++ {
 		row, _ := c.tab.Get(pick())
-		row = row.Clone()
 		row[churnNAME] = c.fresh("edit")
-		c.tab.MustInsert(row)
-		c.tab.Delete(ids[i])
+		c.insert(row)
+		c.delete(ids[i])
 	}
 }
 
@@ -216,15 +195,14 @@ func TestPatchOpsAreODelta(t *testing.T) {
 	warm(c.tab)
 	c.round()
 
-	before := ReadBuildOps()
-	snap := c.tab.Snapshot()
 	dicts := 0
-	for _, col := range snap.patch.Load().prev.Columnar().cols {
+	for _, col := range c.tab.base.c.cols {
 		dicts += col.CodeSpace()
 	}
+	before := ReadBuildOps()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	snap.Columnar()
+	c.tab.Snapshot()
 	runtime.ReadMemStats(&m1)
 	ops := ReadBuildOps().Sub(before)
 
@@ -241,18 +219,19 @@ func TestPatchOpsAreODelta(t *testing.T) {
 	if ops.PLIPatches != arity || ops.PLIBuilds != 0 {
 		t.Errorf("PLIPatches = %d PLIBuilds = %d, want %d/0", ops.PLIPatches, ops.PLIBuilds, arity)
 	}
-	// What a patch may allocate per column: the spliced code vector, the
-	// PLI's elems (4 B a row each), and a handful of vectors indexed by
-	// code (counts, class counts, class index, offsets: 4 B a code each).
-	// Cloning NAME's 20 000-entry string map alone would add ~0.5 MB.
-	budget := uint64(4*(2*n*arity+5*dicts)) * 5 / 4
+	// What a fold may allocate: the spliced id vector (8 B a row) and, per
+	// column, the spliced code vector, the PLI's elems (4 B a row each), and
+	// a handful of vectors indexed by code (counts, class counts, class
+	// index, offsets: 4 B a code each). Cloning NAME's 20 000-entry string
+	// map alone would add ~0.5 MB.
+	budget := uint64(8*n+4*(2*n*arity+5*dicts)) * 5 / 4
 	if got := m1.TotalAlloc - m0.TotalAlloc; got > budget {
 		t.Errorf("patch allocated %d bytes, budget %d: something O(cardinality) beyond flat code vectors", got, budget)
 	}
 	if got := m1.Mallocs - m0.Mallocs; got > 1000 {
 		t.Errorf("patch made %d allocations for 64 row edits, want a few per edit", got)
 	}
-	checkAgainstRebuild(t, c.tab)
+	checkTwin(t, c.twin)
 }
 
 // TestChurnBoundsDeadCodes: 240 rounds of the benchmark's edit mix kill
@@ -273,11 +252,11 @@ func TestChurnBoundsDeadCodes(t *testing.T) {
 			}
 		}
 		if round%16 == 0 {
-			checkAgainstRebuild(t, c.tab)
+			checkTwin(t, c.twin)
 			warm(c.tab)
 		}
 	}
-	checkAgainstRebuild(t, c.tab)
+	checkTwin(t, c.twin)
 	ops := ReadBuildOps().Sub(before)
 	if ops.RebuiltColumns == 0 {
 		t.Error("240 rounds of dying values never compacted a column")
@@ -352,43 +331,41 @@ func TestChangesSinceLogOverflow(t *testing.T) {
 	}
 }
 
-// TestPatchAbandonedPastCap: a delta larger than maxPatchOps falls back to
-// a batch build (and still serves correct data).
-func TestPatchAbandonedPastCap(t *testing.T) {
-	tab := NewTable(schema.New("p", "A"))
-	id := tab.MustInsert(strs("x"))
-	tab.Snapshot() // retained as the patch base
-	for i := 0; i <= maxPatchOps; i++ {
-		v := "a"
-		if i%2 == 0 {
-			v = "b"
-		}
-		if _, err := tab.SetCell(id, 0, types.NewString(v)); err != nil {
-			t.Fatal(err)
-		}
+// TestLargeOverlayFolds: there is no delta too large to fold — the overlay
+// is the only copy of what changed. 4 097 rewrites of one cell, then 4 097
+// inserts into the same version, fold into one patched snapshot with no batch
+// build, and the table still equals its model.
+func TestLargeOverlayFolds(t *testing.T) {
+	w := newTwin(schema.New("p", "A"))
+	id := w.insert(strs("x"))
+	w.tab.Snapshot() // the base the overlay builds on
+	for i := 0; i <= 4096; i++ {
+		w.setCell(id, 0, types.NewString([]string{"a", "b"}[i%2]))
+		w.insert(strs(fmt.Sprint(i % 300)))
 	}
 	before := ReadBuildOps()
-	tab.Snapshot()
-	ops := ReadBuildOps().Sub(before)
-	if ops.PatchedSnapshots != 0 || ops.BatchSnapshots != 1 {
-		t.Errorf("past-cap delta: Patched=%d Batch=%d, want 0/1", ops.PatchedSnapshots, ops.BatchSnapshots)
+	w.tab.Snapshot()
+	if ops := ReadBuildOps().Sub(before); ops.PatchedSnapshots != 1 || ops.BatchSnapshots != 0 || ops.BatchColumns != 0 {
+		t.Errorf("a large overlay: %+v, want one patched snapshot and nothing batch-built", ops)
 	}
-	checkAgainstRebuild(t, tab)
+	checkTwin(t, w)
 }
 
 // TestPatchSharesUntouchedColumns: a patched snapshot shares untouched
 // columns with its predecessor wholesale — pointer identity, caches and
 // all.
 func TestPatchSharesUntouchedColumns(t *testing.T) {
-	tab := NewTable(schema.New("p", "A", "B"))
-	id := tab.MustInsert(strs("x", "y"))
-	tab.MustInsert(strs("x", "z"))
-	prevCol := tab.Snapshot().Columnar().Col(0)
-	if _, err := tab.SetCell(id, 1, types.NewString("q")); err != nil {
-		t.Fatal(err)
-	}
-	if got := tab.Snapshot().Columnar().Col(0); got != prevCol {
+	w := newTwin(schema.New("p", "A", "B"))
+	id := w.insert(strs("x", "y"))
+	w.insert(strs("x", "z"))
+	prev := w.tab.Snapshot().Columnar()
+	w.setCell(id, 1, types.NewString("q"))
+	next := w.tab.Snapshot().Columnar()
+	if next.Col(0) != prev.Col(0) {
 		t.Error("untouched column was not shared with the predecessor")
 	}
-	checkAgainstRebuild(t, tab)
+	if &next.IDs()[0] != &prev.IDs()[0] {
+		t.Error("a fold that dropped and appended nothing copied the id vector")
+	}
+	checkTwin(t, w)
 }

@@ -9,25 +9,29 @@ import (
 	"semandaq/internal/types"
 )
 
-// TestSetCellCopyOnWrite pins the COW contract directly: a row handed out
-// by Scan (or pinned in a Snapshot) never changes, even while SetCell keeps
-// rewriting the same cell.
+// TestSetCellCopyOnWrite pins the snapshot contract under cell writes: a
+// Snapshot taken before SetCell keeps decoding the old cell — through Scan,
+// Get and Row — while the table, which stores the row only in the columns
+// each read folds the writes into, moves on.
 func TestSetCellCopyOnWrite(t *testing.T) {
 	tab := NewTable(schema.New("r", "A", "B"))
 	id := tab.MustInsert(Tuple{types.NewString("a0"), types.NewString("b0")})
 
-	var pinned Tuple
-	tab.Scan(func(_ TupleID, row Tuple) bool {
-		pinned = row // the scan hands out the stored row; COW keeps it frozen
-		return true
-	})
+	pinned := tab.Snapshot()
 	for i := 1; i <= 10; i++ {
 		if _, err := tab.SetCell(id, 1, types.NewString(fmt.Sprintf("b%d", i))); err != nil {
 			t.Fatal(err)
 		}
+		tab.Snapshot() // fold each write into a new lineage member
 	}
-	if got := pinned[1].Str(); got != "b0" {
-		t.Fatalf("scanned row mutated in place: B = %q, want b0", got)
+	pinned.Scan(func(_ TupleID, row Tuple) bool {
+		if got := row[1].Str(); got != "b0" {
+			t.Fatalf("pinned scan: B = %q, want b0", got)
+		}
+		return true
+	})
+	if row, _ := pinned.Get(id); row[1].Str() != "b0" || pinned.Row(0)[1].Str() != "b0" {
+		t.Fatalf("pinned Get/Row: B = %q / %q, want b0", row[1].Str(), pinned.Row(0)[1].Str())
 	}
 	if row, _ := tab.Get(id); row[1].Str() != "b10" {
 		t.Fatalf("table cell = %q, want b10", row[1].Str())
@@ -36,8 +40,8 @@ func TestSetCellCopyOnWrite(t *testing.T) {
 
 // TestScanVsSetCellRace is the regression for the original data race:
 // Scan callbacks reading rows while SetCell mutates them concurrently.
-// Run under -race (the CI race job does), this fails loudly if SetCell
-// ever writes a shared Tuple in place.
+// Run under -race (the CI race job does), this fails loudly if SetCell or
+// the fold ever writes memory a scan decodes from.
 func TestScanVsSetCellRace(t *testing.T) {
 	tab := NewTable(schema.New("r", "A", "B"))
 	const rows = 64
@@ -68,7 +72,7 @@ func TestScanVsSetCellRace(t *testing.T) {
 		}(w)
 	}
 	for r := 0; r < 50; r++ {
-		tab.Scan(func(_ TupleID, row Tuple) bool {
+		tab.Snapshot().Scan(func(_ TupleID, row Tuple) bool {
 			// Read both cells; -race flags any in-place writer.
 			_ = row[0].Str()
 			_ = row[1].Int()

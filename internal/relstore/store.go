@@ -1,7 +1,8 @@
 // Package relstore implements the in-memory relational store that stands in
 // for the RDBMS at the bottom of the Semandaq architecture (Fig. 1 of the
 // paper). It provides tables with stable tuple IDs, insert/delete/update,
-// full scans, CSV import/export and copy-on-read snapshots.
+// full scans, CSV import/export and immutable versioned snapshots, all over
+// one column-wise copy of the data.
 //
 // Tuple identity matters throughout Semandaq: the error detector attributes
 // violation counts vio(t) to tuples, the repair algorithm edits cells
@@ -11,6 +12,7 @@ package relstore
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -68,39 +70,46 @@ func (t Tuple) String() string {
 }
 
 // Table is a mutable relation instance. All methods are safe for concurrent
-// use by multiple goroutines. Stored rows are copy-on-write: no mutation
-// ever changes a Tuple in place once it has been stored, so read snapshots
-// (Snapshot, Columnar) stay stable while writers proceed.
+// use by multiple goroutines. The data is stored once, column-wise: the
+// table's state is its latest column lineage (base, a Snapshot) plus a small
+// write overlay holding what changed since. Snapshot() folds the overlay into
+// the next lineage member (foldLocked); point reads (Get) decode from the
+// overlay or the base without folding.
 type Table struct {
-	mu      sync.RWMutex
-	schema  *schema.Relation
-	rows    map[TupleID]Tuple
-	order   []TupleID // insertion order, compacted lazily
-	deleted int       // count of tombstones in order
+	mu     sync.RWMutex
+	schema *schema.Relation
+	// base is the latest column lineage member: what the last fold produced,
+	// or what a bulk load or a Clone handed over. Its version is the table's
+	// iff the overlay is empty.
+	base *Snapshot
+	// The write overlay since base. over (never nil) maps every id inserted
+	// or written since base to its row in vals — cells [k*arity,
+	// (k+1)*arity) — or to -1 once deleted; order lists the ids inserted
+	// since base, ascending (ids only grow, so that is insertion order, after
+	// every id in base).
+	over  map[TupleID]int32
+	vals  []types.Value
+	order []TupleID
+	live  int // live tuples
+	// nextID is the id the next Insert takes; version is bumped on every
+	// mutation and lets caches invalidate.
 	nextID  TupleID
-	version int64 // bumped on every mutation; lets caches invalidate
-	// snap caches the pinned read view built by Snapshot() for the current
-	// version; mutations drop it so the memory is reclaimable immediately.
-	snap *Snapshot
-	// prev retains the last materialized snapshot across mutations, and
-	// npending counts the ops applied since it was taken, so the next
-	// Snapshot() call can derive the new view (and, transitively, its
-	// columnar dictionaries and PLIs) by patching prev instead of an O(n)
-	// batch rebuild (patch.go). prev is dropped once the delta grows past
-	// patch-worthiness or a new snapshot supersedes it.
-	prev     *Snapshot
-	npending int
-	// chlog is a bounded, version-ascending log of (version, column)
-	// change records backing ChangesSince; chfloor is the newest version
-	// whose records may have been evicted, i.e. queries reach back to it
-	// but no further.
+	version int64
+	// chlog is a bounded, version-ascending log of (version, column) change
+	// records backing ChangesSince; chfloor is the newest version whose
+	// records may have been evicted, i.e. queries reach back to it but no
+	// further.
 	chlog   []chRec
 	chfloor int64
 }
 
 // NewTable creates an empty table with the given schema.
 func NewTable(s *schema.Relation) *Table {
-	return &Table{schema: s, rows: make(map[TupleID]Tuple)}
+	cols := make([]*Column, s.Arity())
+	for j := range cols {
+		cols[j] = newColumn(0)
+	}
+	return &Table{schema: s, base: &Snapshot{c: Columnar{schema: s, cols: cols}}, over: map[TupleID]int32{}}
 }
 
 // Schema returns the table schema.
@@ -110,7 +119,7 @@ func (t *Table) Schema() *schema.Relation { return t.schema }
 func (t *Table) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.rows)
+	return t.live
 }
 
 // Version returns a counter that changes with every mutation.
@@ -130,9 +139,10 @@ func (t *Table) Insert(row Tuple) (TupleID, error) {
 	defer t.mu.Unlock()
 	id := t.nextID
 	t.nextID++
-	r := row.Clone()
-	t.rows[id] = r
+	t.over[id] = int32(len(t.vals) / len(row))
+	t.vals = append(t.vals, row...)
 	t.order = append(t.order, id)
+	t.live++
 	t.noteMutationLocked(structuralChange)
 	return id, nil
 }
@@ -147,15 +157,19 @@ func (t *Table) MustInsert(row Tuple) TupleID {
 	return id
 }
 
-// Get returns a copy of the tuple with the given ID.
+// Get returns a fresh copy of the tuple with the given ID.
 func (t *Table) Get(id TupleID) (Tuple, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	row, ok := t.rows[id]
-	if !ok {
+	k, i, live := t.locateLocked(id)
+	if !live {
 		return nil, false
 	}
-	return row.Clone(), true
+	if k < 0 {
+		return t.base.c.Row(i), true
+	}
+	a := t.schema.Arity()
+	return slices.Clone(Tuple(t.vals[int(k)*a : int(k+1)*a])), true
 }
 
 // Delete removes the tuple with the given ID. It reports whether the tuple
@@ -163,17 +177,11 @@ func (t *Table) Get(id TupleID) (Tuple, bool) {
 func (t *Table) Delete(id TupleID) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.rows[id]; !ok {
+	if _, _, live := t.locateLocked(id); !live {
 		return false
 	}
-	delete(t.rows, id)
-	t.deleted++
-	if t.deleted > len(t.rows) && t.deleted > 64 {
-		t.compactLocked()
-	}
-	// The note is the last write of the critical section so the mutation —
-	// including any compaction — is fully logged before the lock drops
-	// (mutationlog enforces this ordering).
+	t.over[id] = -1
+	t.live--
 	t.noteMutationLocked(structuralChange)
 	return true
 }
@@ -186,20 +194,25 @@ func (t *Table) Update(id TupleID, row Tuple) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old, ok := t.rows[id]
+	k, i, ok := t.locateLocked(id)
 	if !ok {
 		return fmt.Errorf("relstore: update %s: no tuple %d", t.schema.Name, id)
 	}
-	r := row.Clone()
-	t.rows[id] = r
+	if k < 0 { // id's cells are in base: stage them as its overlay row
+		k = int32(len(t.vals) / len(row))
+		t.over[id] = k
+		t.vals = t.base.c.appendRow(t.vals, i)
+	}
 	// Log the columns whose stored representation actually changed —
 	// exactEqual, not Equal: replacing INT 1 with FLOAT 1.0 re-shapes the
 	// columnar dictionary even though the values compare Equal.
 	var cols []int32
-	for j := range r {
-		if !exactEqual(old[j], r[j]) {
+	at := int(k) * len(row)
+	for j, v := range row {
+		if !exactEqual(t.vals[at+j], v) {
 			cols = append(cols, int32(j))
 		}
+		t.vals[at+j] = v
 	}
 	t.noteMutationLocked(cols...)
 	return nil
@@ -210,120 +223,73 @@ func (t *Table) Update(id TupleID, row Tuple) error {
 func (t *Table) SetCell(id TupleID, pos int, v types.Value) (types.Value, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	row, ok := t.rows[id]
+	a := t.schema.Arity()
+	if pos < 0 || pos >= a {
+		return types.Null, fmt.Errorf("relstore: set cell in %s: position %d out of range", t.schema.Name, pos)
+	}
+	k, i, ok := t.locateLocked(id)
 	if !ok {
 		return types.Null, fmt.Errorf("relstore: set cell in %s: no tuple %d", t.schema.Name, id)
 	}
-	if pos < 0 || pos >= len(row) {
-		return types.Null, fmt.Errorf("relstore: set cell in %s: position %d out of range", t.schema.Name, pos)
+	var old types.Value
+	if k >= 0 {
+		old = t.vals[int(k)*a+pos]
+	} else {
+		old = t.base.c.cols[pos].cell(i)
 	}
-	old := row[pos]
 	if old.Equal(v) {
 		return old, nil
 	}
-	// Copy-on-write: the stored row may be shared by a pinned Snapshot (and
-	// by any Scan callback running off one), so the cell update goes into a
-	// fresh tuple and the map entry is swapped — the old row is never
-	// touched.
-	nrow := row.Clone()
-	nrow[pos] = v
-	t.rows[id] = nrow
+	if k < 0 { // id's cells are in base: stage them as its overlay row
+		k = int32(len(t.vals) / a)
+		t.over[id] = k
+		t.vals = t.base.c.appendRow(t.vals, i)
+	}
+	t.vals[int(k)*a+pos] = v
 	t.noteMutationLocked(int32(pos))
 	return old, nil
 }
 
-// compactLocked drops tombstones from the order slice. Caller holds mu and
-// must call noteMutationLocked afterwards (Delete does): the compaction is
-// representation-preserving — live ids keep their relative order and every
-// row survives — but it rewrites t.order, and the version must advance
-// before the lock drops so cached artifacts are never rebuilt against a
-// silently reshaped order slice.
-//
-//semandaq:vet-ignore mutationlog the caller's epilogue logs the enclosing delete; see above
-func (t *Table) compactLocked() {
-	live := t.order[:0]
-	for _, id := range t.order {
-		if _, ok := t.rows[id]; ok {
-			live = append(live, id)
-		}
+// locateLocked reports whether id is live and where its cells are: its
+// overlay row k, or — k is -1 — position i of base. Caller holds mu.
+func (t *Table) locateLocked(id TupleID) (k int32, i int, live bool) {
+	if k, ok := t.over[id]; ok {
+		return k, -1, k >= 0
 	}
-	t.order = live
-	t.deleted = 0
-}
-
-// Scan calls fn for every live tuple in insertion order. The whole scan
-// observes one table version: it walks the pinned read view (Snapshot), so
-// concurrent mutations neither tear the iteration nor change a row mid-
-// callback. The rows are frozen (copy-on-write protected); the callback
-// must not mutate them.
-func (t *Table) Scan(fn func(id TupleID, row Tuple) bool) {
-	t.Snapshot().Scan(fn)
+	i, live = t.base.pos(id)
+	return -1, i, live
 }
 
 // IDs returns the live tuple IDs in insertion order.
 func (t *Table) IDs() []TupleID {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ids := make([]TupleID, 0, len(t.rows))
-	for _, id := range t.order {
-		if _, ok := t.rows[id]; ok {
-			ids = append(ids, id)
-		}
-	}
-	return ids
-}
-
-// Rows returns copies of all live tuples in insertion order, paired with IDs.
-func (t *Table) Rows() ([]TupleID, []Tuple) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ids := make([]TupleID, 0, len(t.rows))
-	rows := make([]Tuple, 0, len(t.rows))
-	for _, id := range t.order {
-		if row, ok := t.rows[id]; ok {
-			ids = append(ids, id)
-			rows = append(rows, row.Clone())
-		}
-	}
-	return ids, rows
+	return slices.Clone(t.Snapshot().IDs())
 }
 
 // Clone returns an independent mutable table holding the source's current
 // version (same schema object, ids, version and next id): a copy-on-write
-// fork, not a deep copy. Stored rows are never mutated in place, so the clone
-// shares the source's row references and its pinned snapshot's vectors, and
-// it borrows the source's columnar view — dictionaries, code vectors, built
-// PLIs — when that view exists or is one O(delta) patch away. A borrowed
-// column still belongs to the source's lineage, whose one in-place successor
-// is the source's next patch: the clone's first patch that touches it forks
-// it (patchColumn), so neither table ever sees the other's edits. For a
-// cheap immutable read view, use Snapshot instead.
+// fork, not a deep copy, in O(columns + overlay). The clone borrows the
+// source's column lineage — dictionaries, code vectors, built PLIs — and
+// copies its overlay. A borrowed column still belongs to the source's
+// lineage, whose one in-place successor is the source's next fold: the
+// clone's first fold that touches it forks it (patchColumn), so neither
+// table ever sees the other's edits. For a cheap immutable read view, use
+// Snapshot instead.
 func (t *Table) Clone() *Table {
-	t.mu.Lock()
-	src, nextID := t.snapshotLocked(), t.nextID
-	t.mu.Unlock()
-	c := &Table{
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	b := t.base.c
+	b.borrowed = slices.Repeat([]bool{true}, len(b.cols))
+	return &Table{
 		schema:  t.schema,
-		rows:    make(map[TupleID]Tuple, len(src.ids)),
-		order:   slices.Clone(src.ids), // compactLocked rewrites order in place
-		nextID:  nextID,
-		version: src.version,
-		chfloor: src.version,
-		snap:    &Snapshot{schema: t.schema, version: src.version, ids: src.ids, rows: src.rows},
+		base:    &Snapshot{c: b},
+		over:    maps.Clone(t.over), // non-nil: t.over is
+		vals:    slices.Clone(t.vals),
+		order:   slices.Clone(t.order),
+		live:    t.live,
+		nextID:  t.nextID,
+		version: t.version,
+		chfloor: t.version,
 	}
-	for i, id := range src.ids {
-		c.rows[id] = src.rows[i]
-	}
-	// Outside the lock: if a mutation of t takes src's link between the check
-	// and the call, Columnar batch-builds instead — slower, equally correct.
-	col := src.builtColumnar()
-	if p := src.patch.Load(); col == nil && p != nil && p.prev.builtColumnar() != nil {
-		col = src.Columnar()
-	}
-	if col != nil {
-		c.snap.setColumnar(col.cols, slices.Repeat([]bool{true}, len(col.cols)))
-	}
-	return c
 }
 
 // Store is a named collection of tables — the "database" a Semandaq

@@ -107,7 +107,7 @@ func TestScanOrderAndEarlyStop(t *testing.T) {
 	}
 	tab.Delete(want[3])
 	var got []TupleID
-	tab.Scan(func(id TupleID, row Tuple) bool {
+	tab.Snapshot().Scan(func(id TupleID, row Tuple) bool {
 		got = append(got, id)
 		return true
 	})
@@ -120,7 +120,7 @@ func TestScanOrderAndEarlyStop(t *testing.T) {
 		}
 	}
 	n := 0
-	tab.Scan(func(id TupleID, row Tuple) bool {
+	tab.Snapshot().Scan(func(id TupleID, row Tuple) bool {
 		n++
 		return n < 3
 	})
@@ -138,7 +138,7 @@ func TestIDsAndRows(t *testing.T) {
 	if len(ids) != 1 || ids[0] != b {
 		t.Errorf("IDs = %v", ids)
 	}
-	ids2, rows := tab.Rows()
+	ids2, rows := tab.Snapshot().IDs(), tab.Snapshot().Rows()
 	if len(ids2) != 1 || rows[0][0].Str() != "2" {
 		t.Errorf("Rows = %v %v", ids2, rows)
 	}
@@ -181,7 +181,7 @@ func TestCompaction(t *testing.T) {
 		t.Fatalf("Len = %d", tab.Len())
 	}
 	n := 0
-	tab.Scan(func(id TupleID, row Tuple) bool { n++; return true })
+	tab.Snapshot().Scan(func(id TupleID, row Tuple) bool { n++; return true })
 	if n != 50 {
 		t.Errorf("scan visited %d", n)
 	}
@@ -256,7 +256,7 @@ func TestConcurrentAccess(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			tab.Scan(func(id TupleID, row Tuple) bool { return true })
+			tab.Snapshot().Scan(func(id TupleID, row Tuple) bool { return true })
 		}
 	}()
 	wg.Wait()

@@ -112,8 +112,8 @@ func TestOriginalTableUntouched(t *testing.T) {
 	if _, err := NewRepairer().Repair(context.Background(), tab, cfds); err != nil {
 		t.Fatal(err)
 	}
-	ids, rows := tab.Rows()
-	_, beforeRows := before.Rows()
+	ids, rows := tab.Snapshot().IDs(), tab.Snapshot().Rows()
+	beforeRows := before.Snapshot().Rows()
 	for i := range ids {
 		if !rows[i].Equal(beforeRows[i]) {
 			t.Fatalf("original row %d changed: %v", ids[i], rows[i])

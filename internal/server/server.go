@@ -89,6 +89,16 @@ func (sv *Server) Handler() http.Handler {
 // away and the request's work was cancelled server-side.
 const statusClientClosedRequest = 499
 
+// maxBodyBytes caps every request body the server reads — a CSV load or a
+// JSON document — so no client can make it buffer or ingest without bound;
+// a longer body is a 413 (statusOf) and changes nothing.
+const maxBodyBytes = 16 << 20
+
+// decodeJSON decodes r's body, read through the body limit, into v.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+}
+
 // writeJSON writes a 200 JSON response.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -103,10 +113,13 @@ var errNoPendingRepair = errors.New("no pending repair")
 
 // statusOf is the one place an error becomes an HTTP status: what the
 // request named does not exist (404), the table is not in the state the
-// request needs — retry or set it up first (409), the client went away
-// (499); anything else is a malformed or unsatisfiable request (400).
+// request needs — retry or set it up first (409), the body is over
+// maxBodyBytes (413), the client went away (499); anything else is a
+// malformed or unsatisfiable request (400).
 func statusOf(err error) int {
 	switch {
+	case errors.As(err, new(*http.MaxBytesError)):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, core.ErrNoTable), errors.Is(err, explore.ErrNoTuple):
 		return http.StatusNotFound
 	case errors.Is(err, core.ErrNoCFDs), errors.Is(err, core.ErrNoMonitor),
@@ -156,7 +169,7 @@ func (sv *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 
 func (sv *Server) handleLoadCSV(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	tab, err := sv.s.LoadCSV(name, r.Body)
+	tab, err := sv.s.LoadCSV(name, http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		writeError(w, err)
 		return
@@ -216,7 +229,7 @@ func (sv *Server) handleRegisterCFDs(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Text string `json:"text"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	if err := decodeJSON(w, r, &body); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -807,7 +820,7 @@ func (sv *Server) handleInsertRow(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Row []any `json:"row"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	if err := decodeJSON(w, r, &body); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -840,7 +853,7 @@ func (sv *Server) handleSetCell(w http.ResponseWriter, r *http.Request) {
 		Attr  string `json:"attr"`
 		Value any    `json:"value"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	if err := decodeJSON(w, r, &body); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -883,7 +896,7 @@ func (sv *Server) handleMonitorUpdates(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Updates []updateJSON `json:"updates"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	if err := decodeJSON(w, r, &body); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -955,8 +968,11 @@ func (sv *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 		MaxPatterns   int     `json:"maxPatterns"`
 		Workers       int     `json:"workers"`
 	}
-	if r.Body != nil {
-		_ = json.NewDecoder(r.Body).Decode(&body) // defaults on empty body
+	if r.Body != nil { // defaults on an empty or malformed body, not on an oversized one
+		if err := decodeJSON(w, r, &body); errors.As(err, new(*http.MaxBytesError)) {
+			writeError(w, err)
+			return
+		}
 	}
 	start := time.Now()
 	rep, err := sv.s.Discover(r.Context(), table,

@@ -58,6 +58,30 @@ func do(t *testing.T, ts *httptest.Server, method, path, body string, wantStatus
 	return out
 }
 
+// TestOversizedBodiesAre413: a body past maxBodyBytes — a CSV load, or a
+// JSON document on any route that decodes one — is a 413, and the table the
+// request named is still registered and unchanged.
+func TestOversizedBodiesAre413(t *testing.T) {
+	ts := testServer(t)
+	before := do(t, ts, "GET", "/api/tables/customer", "", http.StatusOK)
+	huge := strings.Repeat("x", maxBodyBytes)
+	for _, c := range []struct{ method, path, body string }{
+		{"POST", "/api/tables/customer", "NAME,CNT\n" + huge + ",UK\n"},
+		{"POST", "/api/cfds/customer", `{"text": "` + huge + `"}`},
+		{"POST", "/api/tables/customer/rows", `{"row": ["` + huge + `"]}`},
+		{"PATCH", "/api/tables/customer/rows/1", `{"attr": "CNT", "value": "` + huge + `"}`},
+		{"POST", "/api/discover/customer", `{"minSupport": 2, "pad": "` + huge + `"}`},
+	} {
+		out := do(t, ts, c.method, c.path, c.body, http.StatusRequestEntityTooLarge)
+		if msg, _ := out["error"].(string); !strings.Contains(msg, "too large") {
+			t.Errorf("%s %s: error %q does not say the body is too large", c.method, c.path, msg)
+		}
+	}
+	if after := do(t, ts, "GET", "/api/tables/customer", "", http.StatusOK); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Errorf("the refused requests changed the table:\nbefore %v\nafter  %v", before, after)
+	}
+}
+
 func TestLoadAndListTables(t *testing.T) {
 	ts := testServer(t)
 	out := do(t, ts, "GET", "/api/tables", "", http.StatusOK)

@@ -77,21 +77,25 @@ func TestParseMatchesReference(t *testing.T) {
 }
 
 // TestParseGateIsExact: the bytes the gate admits are the only ones an
-// accepted ParseInt(…, 10, 64) or ParseFloat input can start with.
+// accepted ParseInt(…, 10, 64) or ParseFloat input can start with — or hold
+// anywhere after that.
 func TestParseGateIsExact(t *testing.T) {
 	tails := []string{"", "1", "1.5", "nf", "nfinity", "an", "x1p-2", ".5", "e5", "_1"}
+	heads := []string{"1", "0x1", "1.", "in", "-", "1e", "0", "+In"}
 	for b := 0; b < 256; b++ {
 		for _, tail := range tails {
-			raw := string([]byte{byte(b)}) + tail
-			if got, want := Parse(raw), parseRef(raw); !sameValue(got, want) {
-				t.Errorf("Parse(%q) = %v (%v), reference %v (%v)", raw, got, got.Kind(), want, want.Kind())
+			for _, head := range append(heads, "") {
+				raw := head + string([]byte{byte(b)}) + tail
+				if got, want := Parse(raw), parseRef(raw); !sameValue(got, want) {
+					t.Errorf("Parse(%q) = %v (%v), reference %v (%v)", raw, got, got.Kind(), want, want.Kind())
+				}
 			}
 		}
 	}
 }
 
 func TestParseTextAllocatesNothing(t *testing.T) {
-	for _, raw := range []string{"Mayfield Rd", "UK", "EH4 8LE", "true", "False", "44"} {
+	for _, raw := range []string{"Mayfield Rd", "UK", "EH4 8LE", "true", "False", "44", "136 Oak Ave", "1-800 FLOWERS"} {
 		var sink Value
 		if n := testing.AllocsPerRun(100, func() { sink = Parse(raw) }); n != 0 {
 			t.Errorf("Parse(%q) allocates %v times per call, want 0", raw, n)

@@ -328,9 +328,13 @@ func Parse(raw string) Value {
 		return Null
 	}
 	// strconv fails with a heap-allocated *NumError, so it only sees text that
-	// may be numeric: a digit, sign, '.', or the i/n of inf and nan comes first.
+	// may be numeric: a digit, sign, '.', or the i/n of inf and nan comes
+	// first, and no byte lies outside every numeric grammar.
 	switch raw[0] {
 	case '0', '1', '2', '3', '4', '5', '6', '7', '8', '9', '+', '-', '.', 'i', 'I', 'n', 'N':
+		if !numericBytes(raw) {
+			break
+		}
 		if i, err := strconv.ParseInt(raw, 10, 64); err == nil {
 			return NewInt(i)
 		}
@@ -345,6 +349,23 @@ func Parse(raw string) Value {
 		return NewBool(false)
 	}
 	return NewString(raw)
+}
+
+// numericBytes reports whether every byte of raw occurs in the union of
+// strconv's numeric grammars: digits and hex digits, "+-._xXpP", and the
+// letters of inf, infinity and nan. Text with any other byte ("136 Oak
+// Ave") is a number to neither ParseInt nor ParseFloat.
+func numericBytes(raw string) bool {
+	for i := 0; i < len(raw); i++ {
+		switch c := raw[i] | 0x20; { // ASCII lower case; no other byte maps into these ranges
+		case '0' <= raw[i] && raw[i] <= '9', 'a' <= c && c <= 'f':
+		case c == 'x', c == 'p', c == 'i', c == 'n', c == 't', c == 'y':
+		case raw[i] == '+', raw[i] == '-', raw[i] == '.', raw[i] == '_':
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // CoerceString renders any value as the string the CFD layer pattern-matches
