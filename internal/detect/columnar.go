@@ -38,13 +38,56 @@ type colCell struct {
 	code uint32 // Equal-class code of the constant; valid when !wild
 }
 
-// colPattern is one tableau pattern resolved against a snapshot. dead
-// marks patterns with an LHS constant that no stored value Equals: they
-// cannot match any row of this snapshot.
-type colPattern struct {
-	idx  int // index in the (merged, normalized) tableau
-	lhs  []colCell
+// LHSMatcher is one tableau pattern's LHS bound to a snapshot's code space:
+// each constant is resolved once, with EqCodeOf, to its column's
+// Equal-class code, so matching a row is one integer compare per constant.
+// It is the one code-level LHS matcher: detection's constant scan and
+// grouping and the explorer's drill-down all match through it.
+type LHSMatcher struct {
+	cols  []*relstore.Column
+	cells []colCell
+	// dead marks an LHS constant that no stored value Equals, or an LHS of
+	// another arity than cols: the pattern cannot match any row of this
+	// snapshot.
 	dead bool
+}
+
+// BindLHS binds the LHS cells of pattern pt to cols, the snapshot columns
+// of the CFD's LHS attributes in order.
+func BindLHS(pt cfd.PatternTuple, cols []*relstore.Column) LHSMatcher {
+	m := LHSMatcher{cols: cols, cells: make([]colCell, len(cols)), dead: len(pt.LHS) != len(cols)}
+	if m.dead {
+		return m
+	}
+	for k, pv := range pt.LHS {
+		if pv.Wildcard {
+			m.cells[k].wild = true
+			continue
+		}
+		code, ok := cols[k].EqCodeOf(pv.Const)
+		m.dead = m.dead || !ok
+		m.cells[k].code = code
+	}
+	return m
+}
+
+// Match reports whether snapshot row idx matches the pattern's LHS.
+func (m *LHSMatcher) Match(idx int) bool {
+	if m.dead {
+		return false
+	}
+	for k := range m.cells {
+		if !m.cells[k].wild && m.cols[k].EqCode(idx) != m.cells[k].code {
+			return false
+		}
+	}
+	return true
+}
+
+// colPattern is one tableau pattern resolved against a snapshot.
+type colPattern struct {
+	idx int // index in the (merged, normalized) tableau
+	lhs LHSMatcher
 	// Constant-RHS patterns only: the expected Equal-class code. expOK is
 	// false when the constant is absent from the column's dictionary, in
 	// which case every matching tuple with a non-NULL RHS is a violation.
@@ -61,6 +104,7 @@ type colPrep struct {
 	hasNull   bool
 	constPats []colPattern
 	varPats   []colPattern
+	part      *lhsPartition // shared with the call's CFDs of the same LHS
 }
 
 // newColPrep resolves the prepared CFD's patterns into snapshot codes.
@@ -78,18 +122,7 @@ func newColPrep(p prepared, snap *relstore.Columnar) colPrep {
 		cp.rhsCol.EnsureKeys() // group RHS keys sit in the scan's hot loop
 	}
 	for i := range p.c.Tableau {
-		pat := colPattern{idx: i, lhs: make([]colCell, len(p.lhsPos))}
-		for k, pv := range p.c.Tableau[i].LHS {
-			if pv.Wildcard {
-				pat.lhs[k] = colCell{wild: true}
-				continue
-			}
-			code, ok := cp.lhsCols[k].EqCodeOf(pv.Const)
-			if !ok {
-				pat.dead = true
-			}
-			pat.lhs[k] = colCell{code: code}
-		}
+		pat := colPattern{idx: i, lhs: BindLHS(p.c.Tableau[i], cp.lhsCols)}
 		if rhs := p.c.Tableau[i].RHS[0]; rhs.Wildcard {
 			cp.varPats = append(cp.varPats, pat)
 		} else {
@@ -100,25 +133,11 @@ func newColPrep(p prepared, snap *relstore.Columnar) colPrep {
 	return cp
 }
 
-// matchCells reports whether snapshot row idx matches the pattern cells.
-func matchCells(cells []colCell, cols []*relstore.Column, idx int) bool {
-	for k := range cells {
-		if cells[k].wild {
-			continue
-		}
-		if cols[k].EqCode(idx) != cells[k].code {
-			return false
-		}
-	}
-	return true
-}
-
 // matchesVarColumnar reports whether row idx matches at least one live
 // variable pattern's LHS.
 func matchesVarColumnar(cp *colPrep, idx int) bool {
 	for pi := range cp.varPats {
-		pat := &cp.varPats[pi]
-		if !pat.dead && matchCells(pat.lhs, cp.lhsCols, idx) {
+		if cp.varPats[pi].lhs.Match(idx) {
 			return true
 		}
 	}

@@ -22,6 +22,7 @@ package detect
 import (
 	"cmp"
 	"context"
+	"fmt"
 	"maps"
 	"slices"
 	"strings"
@@ -206,7 +207,8 @@ func DetectFactorised(ctx context.Context, rsnap *relstore.Snapshot, cfds []*cfd
 }
 
 // bindCFDs prepares the CFDs and resolves their patterns into the
-// snapshot's code space.
+// snapshot's code space. CFDs with one LHS attribute list share one
+// lhsPartition.
 func bindCFDs(rsnap *relstore.Snapshot, cfds []*cfd.CFD) (*relstore.Columnar, []colPrep, error) {
 	preps, err := prepare(rsnap.Schema(), cfds)
 	if err != nil {
@@ -214,10 +216,43 @@ func bindCFDs(rsnap *relstore.Snapshot, cfds []*cfd.CFD) (*relstore.Columnar, []
 	}
 	snap := rsnap.Columnar()
 	cps := make([]colPrep, len(preps))
+	parts := make(map[string]*lhsPartition, len(preps))
 	for i, p := range preps {
 		cps[i] = newColPrep(p, snap)
+		lhs := fmt.Sprint(p.lhsPos)
+		if parts[lhs] == nil {
+			parts[lhs] = new(lhsPartition)
+		}
+		cps[i].part = parts[lhs]
 	}
 	return snap, cps, nil
+}
+
+// lhsPartition is the partition of a snapshot's rows by one LHS attribute
+// list, computed once per detect call by the first grouping pass that needs
+// it and shared with every CFD grouping on the same list (phi1 and phi2 of
+// the running example both group on [CNT, ZIP]). It is not cached on the
+// snapshot.
+type lhsPartition struct {
+	once sync.Once
+	part *relstore.Partition
+	err  error
+}
+
+// get returns the partition of cols: the first column's cached PLI, refined
+// by Intersect per further column.
+func (lp *lhsPartition) get(ctx context.Context, cols []*relstore.Column) (*relstore.Partition, error) {
+	lp.once.Do(func() {
+		part := cols[0].PLI() // prepare() rejects an empty LHS
+		for _, col := range cols[1:] {
+			if lp.err = ctx.Err(); lp.err != nil {
+				return
+			}
+			part = part.Intersect(col.EqProbe())
+		}
+		lp.part = part
+	})
+	return lp.part, lp.err
 }
 
 // detectFactorised is the columnar scan→group core. Each prepared CFD
@@ -342,7 +377,7 @@ func constScan(ctx context.Context, cp *colPrep, ids []relstore.TupleID) Violati
 			rhsEq := cp.rhsCol.EqOf(rhsExact)
 			for pi := range cp.constPats {
 				pat := &cp.constPats[pi]
-				if pat.dead || !matchCells(pat.lhs, cp.lhsCols, idx) {
+				if !pat.lhs.Match(idx) {
 					continue
 				}
 				if pat.expOK && rhsEq == pat.expCode {
@@ -364,22 +399,20 @@ func constScan(ctx context.Context, cp *colPrep, ids []relstore.TupleID) Violati
 	}
 }
 
-// factorGroups finds one CFD's multi-tuple violation groups. The LHS
-// partition (the first LHS column's cached PLI, refined by Intersect per
-// further attribute) is the grouping: rows of one class share their LHS
-// codes, so a class matches the variable patterns as a whole, and each
-// matching multi-row class is a candidate group whose rows are emitted by
-// reference.
+// factorGroups finds one CFD's multi-tuple violation groups. The shared LHS
+// partition is the grouping: rows of one class share their LHS codes, so a
+// class matches the variable patterns as a whole, and each matching
+// multi-row class is a candidate group whose rows are emitted by reference.
 func factorGroups(ctx context.Context, cp *colPrep, ids []relstore.TupleID) ([]*FactorGroup, error) {
 	if len(cp.varPats) == 0 {
 		return nil, nil
 	}
-	part := cp.lhsCols[0].PLI() // prepare() rejects an empty LHS
-	for _, col := range cp.lhsCols[1:] {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		part = part.Intersect(col.EqProbe())
+	if err := ctx.Err(); err != nil {
+		return nil, err // polled per pass: a shared partition may need no build here
+	}
+	part, err := cp.part.get(ctx, cp.lhsCols)
+	if err != nil {
+		return nil, err
 	}
 	var out []*FactorGroup
 	codeCounts := make(map[uint32]int, 8)

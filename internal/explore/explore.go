@@ -6,6 +6,7 @@
 package explore
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -87,9 +88,9 @@ func New(snap *relstore.Snapshot, cfds []*cfd.CFD, rep *detect.Report) (*Explore
 	return e, nil
 }
 
-// groupKey mirrors relstore's Tuple.KeyOn encoding (the shared
-// WriteGroupKey form) so the drill-down can match detector groups against
-// scanned rows.
+// groupKey encodes an LHS value vector in the shared WriteGroupKey form:
+// the key New indexes the report's groups by and RHSValues looks its
+// group's majority up with, once per call.
 func groupKey(vals []types.Value) string {
 	var b strings.Builder
 	for _, v := range vals {
@@ -146,19 +147,21 @@ func (e *Explorer) Patterns(cfdID string) ([]PatternInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	lhsPos := e.lhsPos[cfdID]
+	lhs, _ := e.cols(cfdID)
 	out := make([]PatternInfo, len(c.Tableau))
+	match := make([]detect.LHSMatcher, len(c.Tableau))
 	for i := range c.Tableau {
 		out[i] = PatternInfo{
 			Index:    i,
 			Pattern:  c.Tableau[i].String(),
 			Constant: c.IsConstantPattern(i),
 		}
+		match[i] = detect.BindLHS(c.Tableau[i], lhs)
 	}
 	viol := e.violatingIDs[cfdID]
-	e.tab.Scan(func(id relstore.TupleID, row relstore.Tuple) bool {
-		for i := range c.Tableau {
-			if !c.MatchLHS(i, row, lhsPos) {
+	for idx, id := range e.tab.IDs() {
+		for i := range match {
+			if !match[i].Match(idx) {
 				continue
 			}
 			out[i].Matches++
@@ -166,9 +169,52 @@ func (e *Explorer) Patterns(cfdID string) ([]PatternInfo, error) {
 				out[i].Violations++
 			}
 		}
-		return true
-	})
+	}
 	return out, nil
+}
+
+// cols returns the pinned snapshot's columns of one CFD's LHS attributes,
+// in order, and of its RHS attribute.
+func (e *Explorer) cols(cfdID string) ([]*relstore.Column, *relstore.Column) {
+	snap := e.tab.Columnar()
+	lhs := make([]*relstore.Column, len(e.lhsPos[cfdID]))
+	for k, pos := range e.lhsPos[cfdID] {
+		lhs[k] = snap.Col(pos)
+	}
+	return lhs, snap.Col(e.rhsPos[cfdID])
+}
+
+// scope is one (CFD, pattern) bound to the pinned snapshot's codes.
+type scope struct {
+	match detect.LHSMatcher
+	lhs   []*relstore.Column
+	rhs   *relstore.Column
+	viol  map[relstore.TupleID]bool
+}
+
+// scope binds pattern of CFD cfdID, failing on an unknown CFD or pattern.
+func (e *Explorer) scope(cfdID string, pattern int) (*scope, error) {
+	c, err := e.find(cfdID)
+	if err != nil {
+		return nil, err
+	}
+	if pattern < 0 || pattern >= len(c.Tableau) {
+		return nil, fmt.Errorf("explore: CFD %s has no pattern %d", cfdID, pattern)
+	}
+	s := &scope{viol: e.violatingIDs[cfdID]}
+	s.lhs, s.rhs = e.cols(cfdID)
+	s.match = detect.BindLHS(c.Tableau[pattern], s.lhs)
+	return s, nil
+}
+
+// group binds an LHS value vector as an all-constant pattern: it matches
+// the rows of that LHS group, and no row when the vector's arity is wrong.
+func (s *scope) group(vals []types.Value) detect.LHSMatcher {
+	pt := cfd.PatternTuple{LHS: make([]cfd.PatternValue, len(vals))}
+	for k, v := range vals {
+		pt.LHS[k] = cfd.Constant(v)
+	}
+	return detect.BindLHS(pt, s.lhs)
 }
 
 // LHSGroup is the third level: one distinct LHS value vector among the
@@ -182,55 +228,43 @@ type LHSGroup struct {
 
 // LHSGroups lists the distinct matching LHS values for one pattern.
 func (e *Explorer) LHSGroups(cfdID string, pattern int) ([]LHSGroup, error) {
-	c, err := e.find(cfdID)
+	s, err := e.scope(cfdID, pattern)
 	if err != nil {
 		return nil, err
 	}
-	if pattern < 0 || pattern >= len(c.Tableau) {
-		return nil, fmt.Errorf("explore: CFD %s has no pattern %d", cfdID, pattern)
-	}
-	lhsPos := e.lhsPos[cfdID]
-	rhsPos := e.rhsPos[cfdID]
-	viol := e.violatingIDs[cfdID]
-	type acc struct {
-		vals  []types.Value
-		n     int
-		rhs   map[string]bool
-		nViol int
-	}
-	groups := map[string]*acc{}
-	var order []string
-	e.tab.Scan(func(id relstore.TupleID, row relstore.Tuple) bool {
-		if !c.MatchLHS(pattern, row, lhsPos) {
-			return true
+	// Groups are keyed by the LHS columns' Equal-class codes, and a group's
+	// distinct RHS values are its distinct (group, RHS Equal-class) pairs.
+	out := []LHSGroup{}
+	index := map[string]int{}
+	pairs := map[uint64]struct{}{}
+	key := make([]byte, 0, 4*len(s.lhs))
+	for idx, id := range e.tab.IDs() {
+		if !s.match.Match(idx) {
+			continue
 		}
-		key := row.KeyOn(lhsPos)
-		g, ok := groups[key]
+		key = key[:0]
+		for _, col := range s.lhs {
+			key = binary.LittleEndian.AppendUint32(key, col.EqCode(idx))
+		}
+		g, ok := index[string(key)]
 		if !ok {
-			vals := make([]types.Value, len(lhsPos))
-			for k, p := range lhsPos {
-				vals[k] = row[p]
+			g = len(out)
+			index[string(key)] = g
+			vals := make([]types.Value, len(s.lhs))
+			for k, col := range s.lhs {
+				vals[k] = col.Value(col.Code(idx))
 			}
-			g = &acc{vals: vals, rhs: map[string]bool{}}
-			groups[key] = g
-			order = append(order, key)
+			out = append(out, LHSGroup{Values: vals})
 		}
-		g.n++
-		g.rhs[row[rhsPos].Key()] = true
-		if viol[id] {
-			g.nViol++
+		out[g].Tuples++
+		pair := uint64(g)<<32 | uint64(s.rhs.EqCode(idx))
+		if _, seen := pairs[pair]; !seen {
+			pairs[pair] = struct{}{}
+			out[g].RHSValues++
 		}
-		return true
-	})
-	out := make([]LHSGroup, 0, len(order))
-	for _, key := range order {
-		g := groups[key]
-		out = append(out, LHSGroup{
-			Values:     g.vals,
-			Tuples:     g.n,
-			RHSValues:  len(g.rhs),
-			Violations: g.nViol,
-		})
+		if s.viol[id] {
+			out[g].Violations++
+		}
 	}
 	// Violating groups first, then by size.
 	sort.SliceStable(out, func(i, j int) bool {
@@ -253,56 +287,33 @@ type RHSValue struct {
 
 // RHSValues lists the distinct RHS values within one LHS group.
 func (e *Explorer) RHSValues(cfdID string, pattern int, lhsVals []types.Value) ([]RHSValue, error) {
-	c, err := e.find(cfdID)
+	s, err := e.scope(cfdID, pattern)
 	if err != nil {
 		return nil, err
 	}
-	if pattern < 0 || pattern >= len(c.Tableau) {
-		return nil, fmt.Errorf("explore: CFD %s has no pattern %d", cfdID, pattern)
-	}
-	lhsPos := e.lhsPos[cfdID]
-	rhsPos := e.rhsPos[cfdID]
-	viol := e.violatingIDs[cfdID]
-	want := groupKey(lhsVals)
-	type acc struct {
-		val   types.Value
-		n     int
-		nViol int
-	}
-	vals := map[string]*acc{}
-	var order []string
-	e.tab.Scan(func(id relstore.TupleID, row relstore.Tuple) bool {
-		if !c.MatchLHS(pattern, row, lhsPos) || row.KeyOn(lhsPos) != want {
-			return true
+	out := []RHSValue{}
+	grp := s.group(lhsVals)
+	index := map[uint32]int{} // RHS Equal-class code -> out index
+	for idx, id := range e.tab.IDs() {
+		if !grp.Match(idx) || !s.match.Match(idx) {
+			continue
 		}
-		k := row[rhsPos].Key()
-		a, ok := vals[k]
+		code := s.rhs.Code(idx)
+		i, ok := index[s.rhs.EqOf(code)]
 		if !ok {
-			a = &acc{val: row[rhsPos]}
-			vals[k] = a
-			order = append(order, k)
+			i = len(out)
+			index[s.rhs.EqOf(code)] = i
+			out = append(out, RHSValue{Value: s.rhs.Value(code)})
 		}
-		a.n++
-		if viol[id] {
-			a.nViol++
-		}
-		return true
-	})
-	var majKey string
-	if m := e.groupByLHSKey[cfdID]; m != nil {
-		if g, ok := m[want]; ok {
-			majKey = g.MajorityKey
+		out[i].Tuples++
+		if s.viol[id] {
+			out[i].Violations++
 		}
 	}
-	out := make([]RHSValue, 0, len(order))
-	for _, k := range order {
-		a := vals[k]
-		out = append(out, RHSValue{
-			Value:      a.val,
-			Tuples:     a.n,
-			Violations: a.nViol,
-			Majority:   majKey != "" && k == majKey,
-		})
+	if g, ok := e.groupByLHSKey[cfdID][groupKey(lhsVals)]; ok && g.MajorityKey != "" {
+		for i := range out {
+			out[i].Majority = out[i].Value.Key() == g.MajorityKey
+		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Tuples > out[j].Tuples })
 	return out, nil
@@ -317,27 +328,21 @@ type TupleRow struct {
 
 // Tuples lists the tuples of one LHS group holding one RHS value.
 func (e *Explorer) Tuples(cfdID string, pattern int, lhsVals []types.Value, rhsVal types.Value) ([]TupleRow, error) {
-	c, err := e.find(cfdID)
+	s, err := e.scope(cfdID, pattern)
 	if err != nil {
 		return nil, err
 	}
-	if pattern < 0 || pattern >= len(c.Tableau) {
-		return nil, fmt.Errorf("explore: CFD %s has no pattern %d", cfdID, pattern)
+	rhs, ok := s.rhs.EqCodeOf(rhsVal)
+	if !ok {
+		return nil, nil
 	}
-	lhsPos := e.lhsPos[cfdID]
-	rhsPos := e.rhsPos[cfdID]
-	want := groupKey(lhsVals)
+	grp := s.group(lhsVals)
 	var out []TupleRow
-	e.tab.Scan(func(id relstore.TupleID, row relstore.Tuple) bool {
-		if !c.MatchLHS(pattern, row, lhsPos) || row.KeyOn(lhsPos) != want {
-			return true
+	for idx, id := range e.tab.IDs() {
+		if s.rhs.EqCode(idx) == rhs && grp.Match(idx) && s.match.Match(idx) {
+			out = append(out, TupleRow{ID: id, Row: e.tab.Row(idx), Vio: e.rep.Vio[id]})
 		}
-		if !row[rhsPos].Equal(rhsVal) {
-			return true
-		}
-		out = append(out, TupleRow{ID: id, Row: row.Clone(), Vio: e.rep.Vio[id]})
-		return true
-	})
+	}
 	return out, nil
 }
 
@@ -407,14 +412,14 @@ type MapEntry struct {
 func (e *Explorer) QualityMap() ([]MapEntry, [5]int) {
 	max := e.rep.MaxVio()
 	var hist [5]int
-	var out []MapEntry
-	e.tab.Scan(func(id relstore.TupleID, _ relstore.Tuple) bool {
+	ids := e.tab.IDs()
+	out := make([]MapEntry, len(ids))
+	for i, id := range ids {
 		v := e.rep.Vio[id]
 		b := bucket(v, max)
 		hist[b]++
-		out = append(out, MapEntry{ID: id, Vio: v, Bucket: b})
-		return true
-	})
+		out[i] = MapEntry{ID: id, Vio: v, Bucket: b}
+	}
 	return out, hist
 }
 

@@ -1,0 +1,285 @@
+package explore
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"sort"
+	"testing"
+
+	"semandaq/internal/cfd"
+	"semandaq/internal/datagen"
+	"semandaq/internal/detect"
+	"semandaq/internal/relstore"
+	"semandaq/internal/schema"
+	"semandaq/internal/types"
+)
+
+// The row-scan explorer the code-keyed one replaced, kept as its reference:
+// every level decodes each row, matches patterns with Value.Equal and groups
+// by the rows' WriteGroupKey strings.
+
+func refPatterns(e *Explorer, cfdID string) []PatternInfo {
+	c, _ := e.find(cfdID)
+	lhsPos := e.lhsPos[cfdID]
+	out := make([]PatternInfo, len(c.Tableau))
+	for i := range c.Tableau {
+		out[i] = PatternInfo{Index: i, Pattern: c.Tableau[i].String(), Constant: c.IsConstantPattern(i)}
+	}
+	viol := e.violatingIDs[cfdID]
+	e.tab.Scan(func(id relstore.TupleID, row relstore.Tuple) bool {
+		for i := range c.Tableau {
+			if !c.MatchLHS(i, row, lhsPos) {
+				continue
+			}
+			out[i].Matches++
+			if viol[id] {
+				out[i].Violations++
+			}
+		}
+		return true
+	})
+	return out
+}
+
+func refLHSGroups(e *Explorer, cfdID string, pattern int) []LHSGroup {
+	c, _ := e.find(cfdID)
+	lhsPos, rhsPos, viol := e.lhsPos[cfdID], e.rhsPos[cfdID], e.violatingIDs[cfdID]
+	type acc struct {
+		vals  []types.Value
+		n     int
+		rhs   map[string]bool
+		nViol int
+	}
+	groups := map[string]*acc{}
+	var order []string
+	e.tab.Scan(func(id relstore.TupleID, row relstore.Tuple) bool {
+		if !c.MatchLHS(pattern, row, lhsPos) {
+			return true
+		}
+		key := row.KeyOn(lhsPos)
+		g, ok := groups[key]
+		if !ok {
+			vals := make([]types.Value, len(lhsPos))
+			for k, p := range lhsPos {
+				vals[k] = row[p]
+			}
+			g = &acc{vals: vals, rhs: map[string]bool{}}
+			groups[key] = g
+			order = append(order, key)
+		}
+		g.n++
+		g.rhs[row[rhsPos].Key()] = true
+		if viol[id] {
+			g.nViol++
+		}
+		return true
+	})
+	out := make([]LHSGroup, 0, len(order))
+	for _, key := range order {
+		g := groups[key]
+		out = append(out, LHSGroup{Values: g.vals, Tuples: g.n, RHSValues: len(g.rhs), Violations: g.nViol})
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if (out[i].Violations > 0) != (out[j].Violations > 0) {
+			return out[i].Violations > 0
+		}
+		return out[i].Tuples > out[j].Tuples
+	})
+	return out
+}
+
+func refRHSValues(e *Explorer, cfdID string, pattern int, lhsVals []types.Value) []RHSValue {
+	c, _ := e.find(cfdID)
+	lhsPos, rhsPos, viol := e.lhsPos[cfdID], e.rhsPos[cfdID], e.violatingIDs[cfdID]
+	want := groupKey(lhsVals)
+	type acc struct {
+		val      types.Value
+		n, nViol int
+	}
+	vals := map[string]*acc{}
+	var order []string
+	e.tab.Scan(func(id relstore.TupleID, row relstore.Tuple) bool {
+		if !c.MatchLHS(pattern, row, lhsPos) || row.KeyOn(lhsPos) != want {
+			return true
+		}
+		k := row[rhsPos].Key()
+		a, ok := vals[k]
+		if !ok {
+			a = &acc{val: row[rhsPos]}
+			vals[k] = a
+			order = append(order, k)
+		}
+		a.n++
+		if viol[id] {
+			a.nViol++
+		}
+		return true
+	})
+	var majKey string
+	if g, ok := e.groupByLHSKey[cfdID][want]; ok {
+		majKey = g.MajorityKey
+	}
+	out := make([]RHSValue, 0, len(order))
+	for _, k := range order {
+		a := vals[k]
+		out = append(out, RHSValue{Value: a.val, Tuples: a.n, Violations: a.nViol, Majority: majKey != "" && k == majKey})
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Tuples > out[j].Tuples })
+	return out
+}
+
+func refTuples(e *Explorer, cfdID string, pattern int, lhsVals []types.Value, rhsVal types.Value) []TupleRow {
+	c, _ := e.find(cfdID)
+	lhsPos, rhsPos := e.lhsPos[cfdID], e.rhsPos[cfdID]
+	want := groupKey(lhsVals)
+	var out []TupleRow
+	e.tab.Scan(func(id relstore.TupleID, row relstore.Tuple) bool {
+		if c.MatchLHS(pattern, row, lhsPos) && row.KeyOn(lhsPos) == want && row[rhsPos].Equal(rhsVal) {
+			out = append(out, TupleRow{ID: id, Row: row.Clone(), Vio: e.rep.Vio[id]})
+		}
+		return true
+	})
+	return out
+}
+
+func refQualityMap(e *Explorer) ([]MapEntry, [5]int) {
+	max := e.rep.MaxVio()
+	var hist [5]int
+	var out []MapEntry
+	e.tab.Scan(func(id relstore.TupleID, _ relstore.Tuple) bool {
+		v := e.rep.Vio[id]
+		b := bucket(v, max)
+		hist[b]++
+		out = append(out, MapEntry{ID: id, Vio: v, Bucket: b})
+		return true
+	})
+	return out, hist
+}
+
+// checkAgainstReference compares every level of the explorer with the
+// reference: every CFD's patterns, every pattern's LHS groups, and every
+// group's RHS values and the tuples of each of them. Extra LHS vectors
+// (a wrong arity, values absent from their column) go through RHSValues and
+// Tuples too.
+func checkAgainstReference(t *testing.T, e *Explorer, extra ...[]types.Value) {
+	t.Helper()
+	// %#v spells every field of a Value (kind and payload), nil apart from
+	// empty, and NaN like NaN, where DeepEqual finds no NaN equal to itself.
+	same := func(what string, got, want any) {
+		t.Helper()
+		if g, w := fmt.Sprintf("%#v", got), fmt.Sprintf("%#v", want); g != w {
+			t.Fatalf("%s:\n got %s\nwant %s", what, g, w)
+		}
+	}
+	gotMap, gotHist := e.QualityMap()
+	wantMap, wantHist := refQualityMap(e)
+	same("QualityMap", gotMap, wantMap)
+	same("QualityMap histogram", gotHist, wantHist)
+	for _, info := range e.CFDs() {
+		pats, err := e.Patterns(info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same("Patterns "+info.ID, pats, refPatterns(e, info.ID))
+		for p := range pats {
+			groups, err := e.LHSGroups(info.ID, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := fmt.Sprintf("%s pattern %d", info.ID, p)
+			same("LHSGroups "+at, groups, refLHSGroups(e, info.ID, p))
+			lhsVecs := extra
+			for _, g := range groups {
+				lhsVecs = append(lhsVecs, g.Values)
+			}
+			for _, lhs := range lhsVecs {
+				vals, err := e.RHSValues(info.ID, p, lhs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				same(fmt.Sprintf("RHSValues %s %v", at, lhs), vals, refRHSValues(e, info.ID, p, lhs))
+				for _, v := range vals {
+					rows, err := e.Tuples(info.ID, p, lhs, v.Value)
+					if err != nil {
+						t.Fatal(err)
+					}
+					same(fmt.Sprintf("Tuples %s %v %v", at, lhs, v.Value), rows, refTuples(e, info.ID, p, lhs, v.Value))
+				}
+			}
+		}
+	}
+}
+
+func explorerOver(t *testing.T, tab *relstore.Table, cfds []*cfd.CFD) *Explorer {
+	t.Helper()
+	snap := tab.Snapshot()
+	rep, err := detect.ColumnarDetector{}.DetectSnapshot(context.Background(), snap, cfds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(snap, cfds, rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+func TestExplorerMatchesRowScanReference(t *testing.T) {
+	for _, noise := range []float64{0, 0.02, 0.1} {
+		t.Run(fmt.Sprint("noise=", noise), func(t *testing.T) {
+			ds := datagen.Generate(datagen.Config{Tuples: 600, Seed: 7, NoiseRate: noise})
+			checkAgainstReference(t, explorerOver(t, ds.Dirty, datagen.StandardCFDs()))
+		})
+	}
+}
+
+// TestExplorerMatchesReferenceOnAdversarialValues: INT 1 beside FLOAT 1.0
+// (one Equal-class, two exact values), NULL LHS cells, NaN, raw 0x1f bytes
+// (the separator a naive key encoding would collide on) and pattern
+// constants no stored value Equals.
+func TestExplorerMatchesReferenceOnAdversarialValues(t *testing.T) {
+	tab := relstore.NewTable(schema.New("r", "A", "B", "C"))
+	nan := types.NewFloat(math.NaN())
+	i1, f1 := types.NewInt(1), types.NewFloat(1.0)
+	s := types.NewString
+	rows := []relstore.Tuple{
+		{i1, s("x"), s("p")},
+		{f1, s("x"), s("q")},
+		{i1, s("x"), s("p")},
+		{types.Null, s("x"), s("p")},
+		{types.Null, s("x"), types.Null},
+		{types.Null, types.Null, s("r")},
+		{nan, s("y"), s("p")},
+		{nan, s("y"), nan},
+		{s("a\x1fb"), s("c"), s("p")},
+		{s("a"), s("b\x1fc"), s("q")},
+		{s("a\x1fb"), s("c"), s("q")},
+		{f1, s("x"), types.NewFloat(2.0)},
+		{i1, s("x"), types.NewInt(2)},
+		{s("z"), nan, s("p")},
+	}
+	for _, r := range rows {
+		tab.MustInsert(r)
+	}
+	cfds, err := cfd.ParseSet(`
+v@ r: [A=_, B=_] -> [C=_]
+k@ r: [A=1, B=_] -> [C=p]
+w@ r: [B=x] -> [C=_]
+d@ r: [A=absent, B=_] -> [C=_]
+n@ r: [B=_] -> [A=_]
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := explorerOver(t, tab, cfds)
+	checkAgainstReference(t, e,
+		[]types.Value{s("absent"), s("x")},
+		[]types.Value{i1},
+		[]types.Value{i1, s("x"), s("p")},
+		[]types.Value{types.NewFloat(1.5), s("nowhere")},
+	)
+	if groups, _ := e.LHSGroups("d", 0); len(groups) != 0 {
+		t.Errorf("a pattern constant absent from its column matched %v", groups)
+	}
+}

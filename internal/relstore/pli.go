@@ -114,38 +114,47 @@ func (p *Partition) Keep(probe []uint32) int {
 // Singleton result classes are stripped. With probe = EqProbe(b) the result
 // is the stripped partition π_{X ∪ {b}} given p = π_X — the refinement
 // step a level-wise lattice search descends by.
+//
+// It is TANE's stripped-partition product over one slot table indexed by
+// probe code: per class, the slots count rows per code, each code's first
+// row claims a run that long in the output (its slot then holds the run's
+// write cursor, complemented), and the touched slots are reset. The
+// allocations do not grow with the number of classes.
 func (p *Partition) Intersect(probe []uint32) *Partition {
 	out := &Partition{
 		n:       p.n,
 		elems:   make([]int32, 0, len(p.elems)),
-		offsets: make([]int32, 0, p.NumClasses()+1),
+		offsets: make([]int32, 1, p.NumClasses()+1),
 	}
-	out.offsets = append(out.offsets, 0)
-	// Per-class grouping by probe code. Classes are usually split into few
-	// subgroups, so a small reused map beats a snapshot-wide scratch table.
-	groups := make(map[uint32][]int32)
+	var space uint32
+	for _, r := range p.elems {
+		space = max(space, probe[r]+1)
+	}
+	slot := make([]int32, space)
 	for c := 0; c < p.NumClasses(); c++ {
 		cls := p.Class(c)
 		if len(cls) < 2 {
 			continue
 		}
-		clear(groups)
-		order := make([]uint32, 0, 4)
 		for _, r := range cls {
-			pv := probe[r]
-			g, ok := groups[pv]
-			if !ok {
-				order = append(order, pv)
-			}
-			groups[pv] = append(g, r)
+			slot[probe[r]]++
 		}
-		for _, pv := range order {
-			g := groups[pv]
-			if len(g) < 2 {
-				continue
+		for _, r := range cls {
+			s := &slot[probe[r]]
+			if *s == 1 {
+				continue // a singleton sub-class: stripped
 			}
-			out.elems = append(out.elems, g...)
-			out.offsets = append(out.offsets, int32(len(out.elems)))
+			if *s > 1 { // the sub-class's first row claims its run
+				end := len(out.elems) + int(*s)
+				*s = ^int32(len(out.elems))
+				out.elems = out.elems[:end]
+				out.offsets = append(out.offsets, int32(end))
+			}
+			out.elems[^*s] = r
+			*s--
+		}
+		for _, r := range cls {
+			slot[probe[r]] = 0
 		}
 	}
 	return out

@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"semandaq/internal/schema"
@@ -205,6 +206,95 @@ func TestPLISingleClassColumn(t *testing.T) {
 	if self.NumClasses() != 1 || self.Size() != 4 {
 		t.Errorf("self-Intersect: classes=%d size=%d, want 1/4", self.NumClasses(), self.Size())
 	}
+}
+
+// intersectRef is Intersect's map-based body before the one-table product,
+// kept as its reference: a map of growing row slices per class, emitted in
+// first-row order.
+func intersectRef(p *Partition, probe []uint32) *Partition {
+	out := &Partition{n: p.n, offsets: []int32{0}}
+	groups := make(map[uint32][]int32)
+	for c := 0; c < p.NumClasses(); c++ {
+		cls := p.Class(c)
+		if len(cls) < 2 {
+			continue
+		}
+		clear(groups)
+		var order []uint32
+		for _, r := range cls {
+			pv := probe[r]
+			g, ok := groups[pv]
+			if !ok {
+				order = append(order, pv)
+			}
+			groups[pv] = append(g, r)
+		}
+		for _, pv := range order {
+			if g := groups[pv]; len(g) >= 2 {
+				out.elems = append(out.elems, g...)
+				out.offsets = append(out.offsets, int32(len(out.elems)))
+			}
+		}
+	}
+	return out
+}
+
+// samePartition reports how got differs from want, "" when it does not.
+func samePartition(got, want *Partition) string {
+	if got.NumRows() != want.NumRows() || got.NumClasses() != want.NumClasses() || got.Size() != want.Size() {
+		return fmt.Sprintf("rows/classes/size %d/%d/%d, want %d/%d/%d",
+			got.NumRows(), got.NumClasses(), got.Size(), want.NumRows(), want.NumClasses(), want.Size())
+	}
+	for c := 0; c < want.NumClasses(); c++ {
+		if g, w := fmt.Sprint(got.Class(c)), fmt.Sprint(want.Class(c)); g != w {
+			return fmt.Sprintf("class %d = %s, want %s", c, g, w)
+		}
+	}
+	return ""
+}
+
+// FuzzPartitionIntersect checks the one-table product against intersectRef
+// on the partitions lattice search and detection build: PLI(A), then
+// Intersect by B's probe, then by C's. The three columns hold up to 256 rows
+// over an 8-value alphabet with INT 1 beside FLOAT 1.0, NULL and NaN, so the
+// Equal-class probe is not the exact code vector; a tail of edits leaves dead
+// codes, so probe codes range over the column's whole CodeSpace.
+func FuzzPartitionIntersect(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1, 1}, []byte{})
+	f.Add([]byte{1, 2, 3, 2, 2, 3, 1, 2, 4, 6, 6, 6, 7, 7, 7}, []byte{0, 0, 5})
+	f.Add([]byte{0, 3, 5, 0, 3, 5, 0, 4, 5, 1, 3, 5, 1, 3, 6, 2, 2, 2}, []byte{3, 1, 1, 4, 2, 7})
+	alphabet := []types.Value{
+		types.NewInt(1), types.NewFloat(1.0), types.Null, types.NewFloat(math.NaN()),
+		types.NewString("a"), types.NewString("b"), types.NewInt(2), types.NewString("a\x1f"),
+	}
+	f.Fuzz(func(t *testing.T, cells, edits []byte) {
+		const arity = 3
+		n := min(len(cells)/arity, 256)
+		tab := NewTable(schema.New("r", "A", "B", "C"))
+		for i := range n {
+			row := make(Tuple, arity)
+			for j := range row {
+				row[j] = alphabet[cells[i*arity+j]%8]
+			}
+			tab.MustInsert(row)
+		}
+		tab.Snapshot()
+		for i := 0; i+2 < len(edits) && n > 0; i += 3 {
+			if _, err := tab.SetCell(TupleID(int(edits[i])%n), int(edits[i+1])%arity, alphabet[edits[i+2]%8]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		col := tab.Snapshot().Columnar()
+		p := col.Col(0).PLI()
+		for j := 1; j < arity; j++ {
+			probe := col.Col(j).EqProbe()
+			got, want := p.Intersect(probe), intersectRef(p, probe)
+			if diff := samePartition(got, want); diff != "" {
+				t.Fatalf("step %d: %s", j, diff)
+			}
+			p = got
+		}
+	})
 }
 
 func TestPLIClassesByKeyDeterministicOrder(t *testing.T) {

@@ -565,24 +565,33 @@ func (sv *Server) handleExploreLHS(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	pattern, _ := strconv.Atoi(r.URL.Query().Get("pattern"))
+	pattern := 0
+	if ps := r.URL.Query().Get("pattern"); ps != "" {
+		if pattern, err = strconv.Atoi(ps); err != nil {
+			writeError(w, fmt.Errorf("bad pattern value %q", ps))
+			return
+		}
+	}
 	groups, err := ex.LHSGroups(r.URL.Query().Get("cfd"), pattern)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	out := make([]map[string]any, 0, len(groups))
+	// Fields in the alphabetical order encoding/json gives map keys, so the
+	// bytes are those of the map form this struct replaced.
+	type group struct {
+		RHSValues  int   `json:"rhsValues"`
+		Tuples     int   `json:"tuples"`
+		Values     []any `json:"values"`
+		Violations int   `json:"violations"`
+	}
+	out := make([]group, 0, len(groups))
 	for _, g := range groups {
 		vals := make([]any, len(g.Values))
 		for i, v := range g.Values {
 			vals[i] = jsonValue(v)
 		}
-		out = append(out, map[string]any{
-			"values":     vals,
-			"tuples":     g.Tuples,
-			"rhsValues":  g.RHSValues,
-			"violations": g.Violations,
-		})
+		out = append(out, group{RHSValues: g.RHSValues, Tuples: g.Tuples, Values: vals, Violations: g.Violations})
 	}
 	writeJSON(w, map[string]any{"groups": out})
 }

@@ -239,6 +239,57 @@ func TestExploreEndpoints(t *testing.T) {
 	do(t, ts, "GET", "/api/explore/customer/tuple/abc", "", http.StatusBadRequest)
 	do(t, ts, "GET", "/api/explore/customer/tuple/999", "", http.StatusNotFound)
 	do(t, ts, "GET", "/api/explore/customer/patterns?cfd=nope", "", http.StatusBadRequest)
+	// A pattern index that is no integer is refused, not read as pattern 0.
+	out = do(t, ts, "GET", "/api/explore/customer/lhs?cfd=phi2&pattern=abc", "", http.StatusBadRequest)
+	if msg, _ := out["error"].(string); !strings.Contains(msg, `"abc"`) {
+		t.Errorf("error %q does not name the bad pattern value", msg)
+	}
+	do(t, ts, "GET", "/api/explore/customer/lhs?cfd=phi2&pattern=7", "", http.StatusBadRequest)
+	// No pattern parameter still means pattern 0.
+	if out := do(t, ts, "GET", "/api/explore/customer/lhs?cfd=phi2", "", http.StatusOK); len(out["groups"].([]any)) != 1 {
+		t.Errorf("lhs without a pattern = %v", out)
+	}
+}
+
+// TestExploreLHSBytesMatchMapForm: the lhs route's typed groups encode to
+// the bytes of the map form they replaced, for every CFD and pattern of a
+// generated table (string and integer LHS values, dirty and clean groups).
+func TestExploreLHSBytesMatchMapForm(t *testing.T) {
+	sys := datasetSession(t, 400, 0.05)
+	h := New(sys).Handler()
+	ex, err := sys.Explore(context.Background(), "customer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, info := range ex.CFDs() {
+		for p := range info.Patterns {
+			groups, err := ex.LHSGroups(info.ID, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := make([]map[string]any, 0, len(groups))
+			for _, g := range groups {
+				vals := make([]any, len(g.Values))
+				for i, v := range g.Values {
+					vals[i] = jsonValue(v)
+				}
+				out = append(out, map[string]any{
+					"values":     vals,
+					"tuples":     g.Tuples,
+					"rhsValues":  g.RHSValues,
+					"violations": g.Violations,
+				})
+			}
+			var want bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(map[string]any{"groups": out}); err != nil {
+				t.Fatal(err)
+			}
+			rec := serve(h, fmt.Sprintf("/api/explore/customer/lhs?cfd=%s&pattern=%d", info.ID, p))
+			if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+				t.Fatalf("%s pattern %d: status %d\n got %.300s\nwant %.300s", info.ID, p, rec.Code, rec.Body.Bytes(), want.Bytes())
+			}
+		}
+	}
 }
 
 func TestRepairReviewApplyFlow(t *testing.T) {

@@ -18,10 +18,14 @@ func DamerauLevenshtein(a, b string) int {
 	if lb == 0 {
 		return la
 	}
-	// Three rolling rows: two-back, previous, current.
-	d2 := make([]int, lb+1)
-	d1 := make([]int, lb+1)
-	d0 := make([]int, lb+1)
+	// Three rolling rows: two-back, previous, current, carved from one
+	// buffer that stays on the stack for the short values repair prices.
+	var stack [3 * 64]int
+	buf := stack[:]
+	if lb >= 64 {
+		buf = make([]int, 3*(lb+1))
+	}
+	d2, d1, d0 := buf[:lb+1], buf[lb+1:2*(lb+1)], buf[2*(lb+1):3*(lb+1)]
 	for j := 0; j <= lb; j++ {
 		d1[j] = j
 	}

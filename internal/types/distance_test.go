@@ -1,6 +1,7 @@
 package types
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -77,6 +78,75 @@ func TestDamerauLevenshtein(t *testing.T) {
 		if got := DamerauLevenshtein(c.a, c.b); got != c.want {
 			t.Errorf("DL(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
 		}
+	}
+}
+
+// damerauLevenshteinRef is DamerauLevenshtein's body before its rows moved
+// to one stack buffer, kept as its reference: three heap rows per call.
+func damerauLevenshteinRef(a, b string) int {
+	if a == b {
+		return 0
+	}
+	la, lb := len(a), len(b)
+	if la == 0 {
+		return lb
+	}
+	if lb == 0 {
+		return la
+	}
+	d2 := make([]int, lb+1)
+	d1 := make([]int, lb+1)
+	d0 := make([]int, lb+1)
+	for j := 0; j <= lb; j++ {
+		d1[j] = j
+	}
+	for i := 1; i <= la; i++ {
+		d0[0] = i
+		for j := 1; j <= lb; j++ {
+			cost := 1
+			if a[i-1] == b[j-1] {
+				cost = 0
+			}
+			d0[j] = min3(d1[j]+1, d0[j-1]+1, d1[j-1]+cost)
+			if i > 1 && j > 1 && a[i-1] == b[j-2] && a[i-2] == b[j-1] {
+				if t := d2[j-2] + 1; t < d0[j] {
+					d0[j] = t
+				}
+			}
+		}
+		d2, d1, d0 = d1, d0, d2
+	}
+	return d1[lb]
+}
+
+// TestDamerauLevenshteinMatchesReference runs both bodies over random
+// strings on a small alphabet (so transpositions and repeats are common)
+// across the stack buffer's 64-byte edge.
+func TestDamerauLevenshteinMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	str := func() string {
+		b := make([]byte, rng.Intn(80))
+		for i := range b {
+			b[i] = "abcd"[rng.Intn(4)]
+		}
+		return string(b)
+	}
+	for range 3000 {
+		a, b := str(), str()
+		if got, want := DamerauLevenshtein(a, b), damerauLevenshteinRef(a, b); got != want {
+			t.Fatalf("DL(%q,%q) = %d, reference %d", a, b, got, want)
+		}
+	}
+}
+
+func TestDamerauLevenshteinAllocatesNothingOnShortStrings(t *testing.T) {
+	a := "Flat 12, 1024 Mayfield Road, Edinburgh X"
+	b := "Flat 21, 1024 Mayfeild Raod, Edinburgh Y"
+	if len(a) != 40 || len(b) != 40 {
+		t.Fatalf("fixture lengths %d/%d, want 40", len(a), len(b))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { DamerauLevenshtein(a, b) }); allocs != 0 {
+		t.Errorf("DamerauLevenshtein made %.0f allocations for two 40-byte strings, want 0", allocs)
 	}
 }
 
