@@ -57,13 +57,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	srv := &http.Server{
-		Addr:    *addr,
-		Handler: server.New(s).Handler(),
-		// BaseContext ties every request context to the process signal
-		// context, so shutdown cancels in-flight scans too.
-		BaseContext: func(net.Listener) context.Context { return ctx },
-	}
+	srv := newHTTPServer(ctx, *addr, server.New(s).Handler())
 	go func() {
 		<-ctx.Done()
 		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -75,4 +69,21 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Print("semandaq-server stopped")
+}
+
+// newHTTPServer builds the server for handler on addr, its request contexts
+// derived from base (cancelling base cancels in-flight scans). Headers must
+// arrive within 10 s, a whole request within 3 minutes (a 16 MiB CSV body at
+// 1 Mbit/s takes 134 s), and idle keep-alives close after 2 minutes. There is
+// no WriteTimeout on purpose: a ?stream=1 detection writes NDJSON for as long
+// as its scan runs, and a client that leaves cancels it through its context.
+func newHTTPServer(base context.Context, addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       3 * time.Minute,
+		IdleTimeout:       2 * time.Minute,
+		BaseContext:       func(net.Listener) context.Context { return base },
+	}
 }

@@ -18,6 +18,7 @@ package audit
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -106,9 +107,6 @@ type Report struct {
 	// scan runs over the same pinned snapshot the detection report was
 	// computed from.
 	Version int64
-	// Tuples classifies every tuple (class of the cleanest bucket it
-	// reaches; the cumulative counts below follow the nesting).
-	Tuples map[relstore.TupleID]TupleClass
 	// Cumulative tuple counts per class.
 	VerifiedTuples int
 	ProbablyTuples int
@@ -119,124 +117,153 @@ type Report struct {
 	// Pie is the violations-per-CFD pie chart data, sorted descending.
 	Pie   []CFDSlice
 	Stats VioStats
+
+	// classes classifies every tuple of the audited snapshot, parallel to
+	// its ids (see Class).
+	ids     []relstore.TupleID
+	classes []TupleClass
 }
 
-// auditIndex is the per-tuple violation evidence the classification scan
-// consumes, abstracted over the report representation: the legacy exploded
-// Report and the factorised FactorReport both project onto it, and the
-// shared core guarantees the two audit paths classify identically.
-type auditIndex struct {
-	table      string
-	tupleCount int
-	version    int64
-	// vio is vio(t) for every dirty tuple (the legacy Report.Vio).
-	vio map[relstore.TupleID]int
-	// hasSingle marks tuples with at least one single-tuple violation.
-	hasSingle map[relstore.TupleID]bool
-	// attrViol maps tuple -> lowercased attribute -> strongest violation
-	// kind on that attribute (single-tuple beats multi-tuple).
-	attrViol map[relstore.TupleID]map[string]detect.Kind
-	// inGroup marks multi-tuple group members; majorityBad marks members
-	// that fail the strict-majority test in at least one of their groups.
-	inGroup     map[relstore.TupleID]bool
-	majorityBad map[relstore.TupleID]bool
-	perCFD      map[string]*detect.CFDStats
-	groupSizes  []int
+// Class returns the class of the cleanest bucket tuple id reaches (the
+// cumulative counts follow the nesting), and false when the audited
+// snapshot does not hold id.
+func (r *Report) Class(id relstore.TupleID) (TupleClass, bool) {
+	i, ok := slices.BinarySearch(r.ids, id)
+	if !ok {
+		return Dirty, false
+	}
+	return r.classes[i], true
 }
 
-// noteAttrViol records one violated attribute with kind precedence.
-func (ix *auditIndex) noteAttrViol(id relstore.TupleID, attr string, kind detect.Kind) {
-	m := ix.attrViol[id]
-	if m == nil {
-		m = map[string]detect.Kind{}
-		ix.attrViol[id] = m
-	}
-	// Single-tuple beats multi-tuple when both hit the same attribute.
-	if prev, ok := m[strings.ToLower(attr)]; !ok || prev == detect.MultiTuple {
-		m[strings.ToLower(attr)] = kind
+// evidence is the violation state the classification scan reads, dense
+// over the pinned snapshot's rows: the flat Report and the factorised
+// FactorReport both project onto it, so the two audit paths classify
+// identically.
+type evidence struct {
+	snap *relstore.Snapshot
+	ids  []relstore.TupleID
+	vio  []int32 // vio(t)
+	// hasSingle marks rows with a single-tuple violation, inGroup members
+	// of a multi-tuple violation group, majorityBad members that fail the
+	// strict-majority test in at least one of their groups.
+	hasSingle, inGroup, majorityBad []bool
+	// single and multi are per-row bitsets over schema positions, words
+	// uint64s a row: the attributes carrying a single-tuple, respectively a
+	// multi-tuple, violation of the row. Single-tuple beats multi-tuple.
+	words         int
+	single, multi []uint64
+	attrPos       map[string]int
+	stats         VioStats // the group figures, filled by group
+	groupTotal    int
+}
+
+func newEvidence(snap *relstore.Snapshot) *evidence {
+	n, words := snap.Len(), (snap.Schema().Arity()+63)/64
+	return &evidence{
+		snap:        snap,
+		ids:         snap.IDs(),
+		hasSingle:   make([]bool, n),
+		inGroup:     make([]bool, n),
+		majorityBad: make([]bool, n),
+		words:       words,
+		single:      make([]uint64, n*words),
+		multi:       make([]uint64, n*words),
+		attrPos:     map[string]int{},
 	}
 }
 
-func newAuditIndex(table string, tupleCount int, version int64) *auditIndex {
-	return &auditIndex{
-		table:       table,
-		tupleCount:  tupleCount,
-		version:     version,
-		vio:         map[relstore.TupleID]int{},
-		hasSingle:   map[relstore.TupleID]bool{},
-		attrViol:    map[relstore.TupleID]map[string]detect.Kind{},
-		inGroup:     map[relstore.TupleID]bool{},
-		majorityBad: map[relstore.TupleID]bool{},
+// row returns the snapshot row of tuple id.
+func (ev *evidence) row(id relstore.TupleID) (int, bool) { return slices.BinarySearch(ev.ids, id) }
+
+// note records a violation of attr by kind in row r.
+func (ev *evidence) note(r int, attr string, kind detect.Kind) {
+	j, ok := ev.attrPos[attr]
+	if !ok {
+		if j, ok = ev.snap.Schema().Pos(attr); !ok {
+			return
+		}
+		ev.attrPos[attr] = j
 	}
+	set := ev.multi
+	if kind == detect.SingleTuple {
+		set, ev.hasSingle[r] = ev.single, true
+	}
+	set[r*ev.words+j/64] |= 1 << (j % 64)
+}
+
+// group records one multi-tuple group of size members.
+func (ev *evidence) group(size int) {
+	st := &ev.stats
+	if st.Groups == 0 || size < st.MinGroup {
+		st.MinGroup = size
+	}
+	st.MaxGroup = max(st.MaxGroup, size)
+	st.Groups++
+	ev.groupTotal += size
 }
 
 // Audit computes the quality report from a detection report. snap must be
 // the pinned snapshot the detection ran on (same version — the
-// classification scan re-reads the rows and must agree with the report's
+// classification scan reads its columns and must agree with the report's
 // violations), and cfds the same constraint set.
 func Audit(snap *relstore.Snapshot, cfds []*cfd.CFD, rep *detect.Report) (*Report, error) {
-	ix := newAuditIndex(rep.Table, rep.TupleCount, rep.Version)
-	ix.vio = rep.Vio
-	ix.perCFD = rep.PerCFD
+	ev := newEvidence(snap)
+	ev.vio = make([]int32, len(ev.ids))
+	for id, n := range rep.Vio {
+		if r, ok := ev.row(id); ok {
+			ev.vio[r] = int32(n)
+		}
+	}
 	for i := range rep.Violations {
 		v := &rep.Violations[i]
-		if v.Kind == detect.SingleTuple {
-			ix.hasSingle[v.TupleID] = true
+		if r, ok := ev.row(v.TupleID); ok {
+			ev.note(r, v.Attr, v.Kind)
 		}
-		ix.noteAttrViol(v.TupleID, v.Attr, v.Kind)
 	}
 	for _, g := range rep.Groups {
-		ix.groupSizes = append(ix.groupSizes, len(g.Members))
+		ev.group(len(g.Members))
 		strict := 2*g.MajoritySize() > len(g.Members)
 		for _, id := range g.Members {
-			ix.inGroup[id] = true
-			if !strict || g.RHSOf[id] != g.MajorityKey {
-				ix.majorityBad[id] = true
+			if r, ok := ev.row(id); ok {
+				ev.inGroup[r] = true
+				ev.majorityBad[r] = ev.majorityBad[r] || !strict || g.RHSOf[id] != g.MajorityKey
 			}
 		}
 	}
-	return auditCore(snap, cfds, ix)
+	return auditCore(ev, cfds, rep.Table, rep.TupleCount, rep.Version, rep.PerCFD)
 }
 
 // AuditFactorised computes the same quality report directly from the
-// factorised detection result: group evidence is folded per member via the
-// lazy RHSKeyAt accessor, so the exploded report — its per-member
-// violation records and RHSOf maps — is never materialized.
+// factorised detection result: vio(t) is the report's dense vector, and
+// group evidence is folded per member row through the lazy RHSKeyAt
+// accessor, so the exploded report — its per-member violation records and
+// RHSOf maps — is never materialized.
 func AuditFactorised(snap *relstore.Snapshot, cfds []*cfd.CFD, fr *detect.FactorReport) (*Report, error) {
-	ix := newAuditIndex(fr.Table, fr.TupleCount, fr.Version)
-	ix.perCFD = fr.PerCFD
-	// vio(t) comes from the report's dense vector, not the violation records.
-	d := fr.Digest()
-	for i, n := range d.Vio {
-		if n > 0 {
-			ix.vio[d.IDs[i]] = int(n)
-		}
-	}
+	ev := newEvidence(snap)
+	ev.vio = fr.Digest().Vio
 	for i := range fr.Violations {
 		v := &fr.Violations[i]
-		ix.hasSingle[v.TupleID] = true
-		ix.noteAttrViol(v.TupleID, v.Attr, v.Kind)
-	}
-	for _, g := range fr.FactorGroups {
-		ix.groupSizes = append(ix.groupSizes, g.Size())
-		strict := 2*g.MajoritySize() > g.Size()
-		for i := 0; i < g.Size(); i++ {
-			id := g.MemberAt(i)
-			rk := g.RHSKeyAt(i)
-			ix.inGroup[id] = true
-			ix.noteAttrViol(id, g.Attr, detect.MultiTuple)
-			if !strict || rk != g.MajorityKey {
-				ix.majorityBad[id] = true
-			}
+		if r, ok := ev.row(v.TupleID); ok {
+			ev.note(r, v.Attr, v.Kind)
 		}
 	}
-	return auditCore(snap, cfds, ix)
+	for _, g := range fr.FactorGroups {
+		ev.group(g.Size())
+		strict := 2*g.MajoritySize() > g.Size()
+		for i, r := range g.Rows {
+			ev.note(int(r), g.Attr, detect.MultiTuple)
+			ev.inGroup[r] = true
+			ev.majorityBad[r] = ev.majorityBad[r] || !strict || g.RHSKeyAt(i) != g.MajorityKey
+		}
+	}
+	return auditCore(ev, cfds, fr.Table, fr.TupleCount, fr.Version, fr.PerCFD)
 }
 
 // auditCore is the classification scan shared by Audit and
-// AuditFactorised.
-func auditCore(snap *relstore.Snapshot, cfds []*cfd.CFD, ix *auditIndex) (*Report, error) {
-	sc := snap.Schema()
+// AuditFactorised, over the snapshot's code vectors: no row is decoded.
+func auditCore(ev *evidence, cfds []*cfd.CFD, table string, tupleCount int, version int64,
+	perCFD map[string]*detect.CFDStats) (*Report, error) {
+	sc, cols := ev.snap.Schema(), ev.snap.Columnar()
 	// Normalize + merge the same way detection does so pattern bookkeeping
 	// lines up with violation records.
 	var normalized []*cfd.CFD
@@ -246,25 +273,14 @@ func auditCore(snap *relstore.Snapshot, cfds []*cfd.CFD, ix *auditIndex) (*Repor
 		}
 		normalized = append(normalized, c.Normalize()...)
 	}
-	merged := cfd.MergeByFD(normalized)
-
-	out := &Report{
-		Table:      ix.table,
-		TupleCount: ix.tupleCount,
-		Version:    ix.version,
-		Tuples:     make(map[relstore.TupleID]TupleClass, ix.tupleCount),
+	// A verifier is one constant-RHS pattern bound to the snapshot's codes:
+	// a row it applies to and whose RHS cell it matches is vouched for on rhs.
+	type verifier struct {
+		lhs, rhsCell detect.LHSMatcher
+		rhs          int
 	}
-
-	// Precompute, per merged CFD, the positions needed for the "applies"
-	// check of verified-cleanliness.
-	type applier struct {
-		c      *cfd.CFD
-		lhsPos []int
-		rhsPos []int
-		consts []int // constant-RHS pattern indexes
-	}
-	var appliers []applier
-	for _, c := range merged {
+	var verifiers []verifier
+	for _, c := range cfd.MergeByFD(normalized) {
 		lhsPos, err := sc.Positions(c.LHS)
 		if err != nil {
 			return nil, err
@@ -273,111 +289,108 @@ func auditCore(snap *relstore.Snapshot, cfds []*cfd.CFD, ix *auditIndex) (*Repor
 		if err != nil {
 			return nil, err
 		}
-		a := applier{c: c, lhsPos: lhsPos, rhsPos: rhsPos}
-		for i := range c.Tableau {
-			if !c.Tableau[i].RHS[0].Wildcard {
-				a.consts = append(a.consts, i)
+		lhs := make([]*relstore.Column, len(lhsPos))
+		for k, pos := range lhsPos {
+			lhs[k] = cols.Col(pos)
+		}
+		rhs := []*relstore.Column{cols.Col(rhsPos[0])}
+		for _, pt := range c.Tableau {
+			if !pt.RHS[0].Wildcard {
+				verifiers = append(verifiers, verifier{
+					lhs:     detect.BindLHS(pt, lhs),
+					rhsCell: detect.BindLHS(cfd.PatternTuple{LHS: pt.RHS}, rhs),
+					rhs:     rhsPos[0],
+				})
 			}
 		}
-		if len(a.consts) > 0 {
-			appliers = append(appliers, a)
-		}
 	}
 
-	// Attribute-level accumulators, schema order. lower holds the names as
-	// attrViol keys them; verified marks, for the row being scanned, the
-	// attributes a matching constant pattern vouches for.
-	attrAcc := make([]AttrQuality, sc.Arity())
-	lower := make([]string, sc.Arity())
-	verified := make([]bool, sc.Arity())
+	out := &Report{
+		Table:      table,
+		TupleCount: tupleCount,
+		Version:    version,
+		Attrs:      make([]AttrQuality, sc.Arity()),
+		Stats:      ev.stats,
+		ids:        ev.ids,
+		classes:    make([]TupleClass, len(ev.ids)),
+	}
 	for i, a := range sc.Attrs {
-		attrAcc[i].Attr = a.Name
-		lower[i] = strings.ToLower(a.Name)
+		out.Attrs[i] = AttrQuality{Attr: a.Name, Total: len(ev.ids)}
 	}
-
-	// majorityHolder reports whether t agrees with the strict majority in
-	// every group it belongs to.
-	majorityHolder := func(id relstore.TupleID) bool {
-		return ix.inGroup[id] && !ix.majorityBad[id]
-	}
-
-	snap.Scan(func(id relstore.TupleID, row relstore.Tuple) bool {
-		hasViolation := ix.vio[id] > 0
-		hasSingle := ix.hasSingle[id]
-
-		// Does a constant-RHS pattern apply to (and verify) this tuple?
+	verified := make([]bool, sc.Arity()) // the scanned row's vouched-for attributes
+	plain := 0                           // rows with no implicated cell
+	for r := range ev.ids {
 		verifiedApplies := false
 		clear(verified)
-		for _, a := range appliers {
-			for _, pi := range a.consts {
-				if !a.c.MatchLHS(pi, row, a.lhsPos) {
-					continue
-				}
-				if a.c.MatchRHS(pi, row, a.rhsPos) {
-					verifiedApplies = true
-					verified[a.rhsPos[0]] = true
-				}
+		for i := range verifiers {
+			if v := &verifiers[i]; v.lhs.Match(r) && v.rhsCell.Match(r) {
+				verifiedApplies, verified[v.rhs] = true, true
 			}
 		}
-
+		// majorityHolder: t agrees with the strict majority in every group
+		// it belongs to.
+		majorityHolder := ev.inGroup[r] && !ev.majorityBad[r]
 		var class TupleClass
 		switch {
-		case !hasViolation && verifiedApplies:
+		case ev.vio[r] == 0 && verifiedApplies:
 			class = VerifiedClean
-		case !hasViolation:
-			class = ProbablyClean
-		case !hasSingle && majorityHolder(id):
-			class = ArguablyClean
-		default:
-			class = Dirty
-		}
-		out.Tuples[id] = class
-		switch class {
-		case VerifiedClean:
 			out.VerifiedTuples++
-		case ProbablyClean:
+		case ev.vio[r] == 0:
+			class = ProbablyClean
 			out.ProbablyTuples++
-		case ArguablyClean:
+		case !ev.hasSingle[r] && majorityHolder:
+			class = ArguablyClean
 			out.ArguablyTuples++
 		default:
+			class = Dirty
 			out.DirtyTuples++
 		}
+		out.classes[r] = class
 
 		// Attribute-value level: a cell is implicated when its attribute
-		// carries one of the tuple's violations.
-		viol := ix.attrViol[id]
-		for i := range attrAcc {
-			acc := &attrAcc[i]
-			acc.Total++
-			kind, implicated := viol[lower[i]]
+		// carries one of the tuple's violations. A row with none counts its
+		// cells probably clean after the scan.
+		single, multi := ev.single[r*ev.words:(r+1)*ev.words], ev.multi[r*ev.words:(r+1)*ev.words]
+		implicated := uint64(0)
+		for w := range single {
+			implicated |= single[w] | multi[w]
+		}
+		if implicated == 0 {
+			plain++
+			for j := range verified {
+				if verified[j] {
+					out.Attrs[j].Verified++
+				}
+			}
+			continue
+		}
+		for j := range out.Attrs {
+			acc, w, bit := &out.Attrs[j], j/64, uint64(1)<<(j%64)
 			switch {
-			case !implicated && verified[i]:
-				acc.Verified++
+			case single[w]&bit == 0 && multi[w]&bit == 0:
 				acc.Probably++
 				acc.Arguably++
-			case !implicated:
-				acc.Probably++
+				if verified[j] {
+					acc.Verified++
+				}
+			case single[w]&bit == 0 && majorityHolder:
 				acc.Arguably++
-			case kind == detect.MultiTuple && majorityHolder(id):
-				acc.Arguably++
-			default:
-				acc.Dirty++
 			}
 		}
-		return true
-	})
-	// Dirty at the attribute level = total - arguably.
-	for i := range attrAcc {
-		attrAcc[i].Dirty = attrAcc[i].Total - attrAcc[i].Arguably
 	}
-	out.Attrs = attrAcc
+	for i := range out.Attrs {
+		a := &out.Attrs[i]
+		a.Probably += plain
+		a.Arguably += plain
+		a.Dirty = a.Total - a.Arguably
+	}
 
 	// Cumulative nesting at the tuple level.
 	out.ProbablyTuples += out.VerifiedTuples
 	out.ArguablyTuples += out.ProbablyTuples
 
 	// Pie chart: tuples involved per CFD.
-	for id, st := range ix.perCFD {
+	for id, st := range perCFD {
 		n := st.SingleTuple + st.MultiTuple
 		if n > 0 {
 			out.Pie = append(out.Pie, CFDSlice{CFDID: id, Violations: n})
@@ -392,36 +405,22 @@ func auditCore(snap *relstore.Snapshot, cfds []*cfd.CFD, ix *auditIndex) (*Repor
 
 	// Distribution statistics.
 	st := &out.Stats
-	st.DirtyTuples = len(ix.vio)
-	first := true
-	for _, n := range ix.vio {
-		st.TotalVio += n
-		if first || n < st.MinVio {
-			st.MinVio = n
+	for _, n := range ev.vio {
+		if n == 0 {
+			continue
 		}
-		if n > st.MaxVio {
-			st.MaxVio = n
+		if st.DirtyTuples == 0 || int(n) < st.MinVio {
+			st.MinVio = int(n)
 		}
-		first = false
+		st.MaxVio = max(st.MaxVio, int(n))
+		st.TotalVio += int(n)
+		st.DirtyTuples++
 	}
 	if st.DirtyTuples > 0 {
 		st.AvgVio = float64(st.TotalVio) / float64(st.DirtyTuples)
 	}
-	st.Groups = len(ix.groupSizes)
-	firstG := true
-	totalG := 0
-	for _, n := range ix.groupSizes {
-		totalG += n
-		if firstG || n < st.MinGroup {
-			st.MinGroup = n
-		}
-		if n > st.MaxGroup {
-			st.MaxGroup = n
-		}
-		firstG = false
-	}
 	if st.Groups > 0 {
-		st.AvgGroup = float64(totalG) / float64(st.Groups)
+		st.AvgGroup = float64(ev.groupTotal) / float64(st.Groups)
 	}
 	return out, nil
 }

@@ -68,9 +68,12 @@ func TestTupleClassification(t *testing.T) {
 		5: ProbablyClean,
 	}
 	for id, cls := range want {
-		if got := a.Tuples[id]; got != cls {
-			t.Errorf("tuple %d = %v, want %v", id, got, cls)
+		if got, ok := a.Class(id); !ok || got != cls {
+			t.Errorf("tuple %d = %v (held: %v), want %v", id, got, ok, cls)
 		}
+	}
+	if _, ok := a.Class(99); ok {
+		t.Error("a tuple the snapshot does not hold was classified")
 	}
 }
 

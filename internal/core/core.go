@@ -98,14 +98,19 @@ type tableReports struct {
 }
 
 // reportEntry is one detection result in the form its producer built it:
-// factorised (fr) for the columnar kinds, flat (rep) for SQL, native and
-// the monitor's tracker. The flat form of a factorised entry is exploded
+// factorised (fr) for the columnar kinds and the monitor's tracker, flat
+// (rep) for SQL and native. The flat form of a factorised entry is exploded
 // lazily, once, and only for callers that ask the facade for a
-// *detect.Report; the detect endpoint and the audit never do.
+// *detect.Report; the detect endpoint, the audit and the explorer (also
+// built once, lazily) never do.
 type reportEntry struct {
 	fr   *detect.FactorReport
 	once sync.Once
 	rep  *detect.Report
+
+	exOnce sync.Once
+	ex     *explore.Explorer
+	exErr  error
 }
 
 // flat returns the entry's flat report, exploding a factorised one on
@@ -117,6 +122,19 @@ func (e *reportEntry) flat() *detect.Report {
 		}
 	})
 	return e.rep
+}
+
+// explorer returns the entry's explorer over snap, the snapshot of its
+// version, building it on first use.
+func (e *reportEntry) explorer(snap *relstore.Snapshot, cfds []*cfd.CFD) (*explore.Explorer, error) {
+	e.exOnce.Do(func() {
+		if e.fr != nil {
+			e.ex, e.exErr = explore.NewFactorised(snap, cfds, e.fr)
+		} else {
+			e.ex, e.exErr = explore.New(snap, cfds, e.rep)
+		}
+	})
+	return e.ex, e.exErr
 }
 
 // digest returns the entry's wire digest with the violation count clipped
@@ -521,15 +539,19 @@ func (s *Semandaq) detectEntry(ctx context.Context, table string, snap *relstore
 		}
 		// Incremental-first serving: when the table's active monitor tracks
 		// exactly the requested constraints, its tracker has maintained the
-		// violation state in O(delta) per write — materializing its report is
-		// far cheaper than a batch scan and provably identical to one (the
-		// mutation cross-check tier). Served only when the tracker's version
-		// matches the pinned snapshot's, so a racing write falls through to
-		// the batch engine instead of answering for the wrong version.
+		// violation state in O(delta) per write — materializing its
+		// factorised report is far cheaper than a batch scan and provably
+		// identical to one (the mutation cross-check tier). Served only when
+		// the tracker's version matches the pinned snapshot's, so a racing
+		// write falls through to the batch engine instead of answering for
+		// the wrong version. The report does not depend on the engine, so it
+		// is cached for every kind.
 		if m, err := s.ActiveMonitor(table); err == nil && m != nil && sameCFDSet(m.CFDs(), cfds) {
-			if rep := m.Report(); rep.Version == snap.Version() {
-				e := &reportEntry{rep: rep}
-				s.cacheEntry(key, o.kind, rep.Version, e)
+			if fr, ok := m.FactorReport(snap); ok {
+				e := &reportEntry{fr: fr}
+				for _, kind := range detect.EngineKinds() {
+					s.cacheEntry(key, kind, fr.Version, e)
+				}
 				return e, nil
 			}
 		}
@@ -663,15 +685,15 @@ func (s *Semandaq) Audit(ctx context.Context, table string, opts ...Option) (*au
 	return audit.Audit(snap, cfds, e.rep)
 }
 
-// Explore builds the drill-down explorer over the current detection state.
-// The explorer's scans and the report it drills into share one pinned
-// snapshot, so every level of the drill-down reflects the same version.
+// Explore returns the drill-down explorer over the current detection state,
+// one per cached report. The explorer's scans and the report it drills into
+// share one pinned snapshot, so every level reflects the same version.
 func (s *Semandaq) Explore(ctx context.Context, table string) (*explore.Explorer, error) {
 	e, snap, cfds, err := s.detectRequest(ctx, table, s.resolve(DefaultEngine, nil))
 	if err != nil {
 		return nil, err
 	}
-	return explore.New(snap, cfds, e.flat())
+	return e.explorer(snap, cfds)
 }
 
 // Repair computes a candidate repair (the original table is not modified;

@@ -117,6 +117,64 @@ func TestDigestMatchesFlatReport(t *testing.T) {
 	check("tracker-served", WithEngine(ColumnarDetection))
 }
 
+// TestTrackerReportServesEveryKind: on a monitored table the tracker's
+// report is engine-independent, so one build per version serves the
+// server's default SQL detect, the columnar audit and the drill-down — and
+// the explorer over it is built once too. Both equal the batch engines'.
+func TestTrackerReportServesEveryKind(t *testing.T) {
+	s, _ := datasetSession(t)
+	ctx := context.Background()
+	if _, err := s.Monitor(ctx, "customer"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SetCell("customer", 1, "CITY", types.NewString("Elsewhere")); err != nil {
+		t.Fatal(err)
+	}
+	tab, _ := s.Table("customer")
+	rep, err := s.Detect(ctx, "customer", WithEngine(SQLDetection))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok := s.cachedEntry("customer", SQLDetection, tab.Version())
+	if !ok || e.fr == nil {
+		t.Fatal("the SQL request was not served from the tracker's factorised report")
+	}
+	for _, kind := range allKinds {
+		if got, _ := s.cachedEntry("customer", kind, tab.Version()); got != e {
+			t.Errorf("%v: the tracker's report is not cached for this kind", kind)
+		}
+	}
+	got, err := s.Audit(ctx, "customer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex1, err := s.Explore(ctx, "customer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex2, err := s.Explore(ctx, "customer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := s.cachedEntry("customer", ColumnarDetection, tab.Version()); after != e || ex1 != ex2 {
+		t.Error("the audit or the drill-down built a second report or explorer for the version")
+	}
+	native, err := detect.NativeDetector{}.Detect(ctx, tab, s.CFDs("customer"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep, native) {
+		t.Error("tracker-served report differs from the native reference")
+	}
+	want, err := audit.Audit(tab.Snapshot(), s.CFDs("customer"), native)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("tracker-served audit differs from the batch audit")
+	}
+}
+
 // TestLazyExplodeRunsOnce hammers one cached factorised entry from
 // concurrent Detect, Audit and Explore calls: the flat report is exploded
 // once and shared (same pointer), and the audits agree with each other.

@@ -9,14 +9,16 @@
 // group allocates O(distinct RHS values), not O(members).
 //
 // The factorised report is the primary form: this file is the one columnar
-// scan→group core, the facade caches its result un-exploded, and the
-// detect endpoint encodes its Digest (totals plus the dense vio(t)).
-// Explode() lowers it to the exact flat Report at the compat edge
-// (ColumnarDetector.DetectSnapshot, the facade's Detect and Explore —
-// byte-identity with NativeDetector is the oracle, enforced by the fuzz and
-// cross-check tiers). Audit and repair consume the factorised form
-// directly (AuditFactorised, repair.RunFactorised); calling Explode() inside
-// those hot paths is forbidden by the noexplode vet analyzer.
+// scan→group core and the one report assembly (the incremental Tracker
+// emits the same report from its maintained state), the facade caches its
+// result un-exploded, and the detect endpoint encodes its Digest (totals
+// plus the dense vio(t)). Explode() lowers it to the exact flat Report at
+// the compat edge (ColumnarDetector.DetectSnapshot, Tracker.Report, the
+// facade's flat Detect — byte-identity with NativeDetector is the oracle,
+// enforced by the fuzz and cross-check tiers). Audit, explore and repair
+// consume the factorised form directly (audit.AuditFactorised,
+// explore.NewFactorised, the Repairer's detect passes); calling Explode()
+// inside those hot paths is forbidden by the noexplode vet analyzer.
 package detect
 
 import (
@@ -98,16 +100,11 @@ func (g *FactorGroup) violationAt(i int, rhsKey string) Violation {
 
 // Members materializes the member tuple IDs, in snapshot order.
 func (g *FactorGroup) Members() []relstore.TupleID {
-	return g.AppendMembers(make([]relstore.TupleID, 0, len(g.Rows)))
-}
-
-// AppendMembers appends the member tuple IDs to dst (the allocation-free
-// form for consumers reusing a buffer across groups).
-func (g *FactorGroup) AppendMembers(dst []relstore.TupleID) []relstore.TupleID {
-	for _, r := range g.Rows {
-		dst = append(dst, g.ids[r])
+	out := make([]relstore.TupleID, len(g.Rows))
+	for i, r := range g.Rows {
+		out[i] = g.ids[r]
 	}
-	return dst
+	return out
 }
 
 // FactorReport is the factorised detection result: single-tuple
@@ -270,14 +267,11 @@ func detectFactorised(ctx context.Context, rsnap *relstore.Snapshot, cfds []*cfd
 		return nil, err
 	}
 	ids := snap.IDs()
-	type part struct {
-		viols   []Violation
-		singles int
-		groups  []*FactorGroup
-	}
-	parts := make([]part, 2*len(cps)) // [2i] constant scan, [2i+1] grouping of CFD i
-	err = runTasks(clampWorkers(workers, len(parts)), len(parts), func(t int) error {
-		cp, out := &cps[t/2], &parts[t]
+	parts := make([]cfdPart, len(cps))
+	// Task 2i is CFD i's constant scan, task 2i+1 its grouping: they write
+	// disjoint fields of parts[i].
+	err = runTasks(clampWorkers(workers, 2*len(cps)), 2*len(cps), func(t int) error {
+		cp, out := &cps[t/2], &parts[t/2]
 		if t%2 == 1 {
 			var err error
 			out.groups, err = factorGroups(ctx, cp, ids)
@@ -299,27 +293,41 @@ func detectFactorised(ctx context.Context, rsnap *relstore.Snapshot, cfds []*cfd
 	if err != nil {
 		return nil, err
 	}
+	return assemble(snap, cps, parts), nil
+}
+
+// cfdPart is one prepared CFD's share of a report: its single-tuple
+// violations with the number of tuples they name, and its violating groups.
+type cfdPart struct {
+	viols   []Violation
+	singles int
+	groups  []*FactorGroup
+}
+
+// assemble merges the per-CFD parts over snap in CFD order and applies the
+// canonical order and vio(t): the one finish of every factorised report,
+// batch-detected or tracker-maintained.
+func assemble(snap *relstore.Columnar, cps []colPrep, parts []cfdPart) *FactorReport {
 	fr := &FactorReport{
 		Table:      snap.Schema().Name,
 		TupleCount: snap.Len(),
 		Version:    snap.Version(),
 		PerCFD:     make(map[string]*CFDStats, len(cps)),
-		ids:        ids,
+		ids:        snap.IDs(),
 	}
-	for i := range cps {
-		scan, grouping := &parts[2*i], &parts[2*i+1]
-		st := &CFDStats{SingleTuple: scan.singles, Groups: len(grouping.groups)}
-		for _, g := range grouping.groups {
+	for i, pt := range parts {
+		st := &CFDStats{SingleTuple: pt.singles, Groups: len(pt.groups)}
+		for _, g := range pt.groups {
 			st.MultiTuple += len(g.Rows)
 		}
 		fr.PerCFD[cps[i].p.c.ID] = st
-		fr.Violations = append(fr.Violations, scan.viols...)
-		fr.FactorGroups = append(fr.FactorGroups, grouping.groups...)
+		fr.Violations = append(fr.Violations, pt.viols...)
+		fr.FactorGroups = append(fr.FactorGroups, pt.groups...)
 	}
 	sortViolations(fr.Violations)
 	sortByLHS(fr.FactorGroups, func(g *FactorGroup) (string, []types.Value) { return g.CFDID, g.LHSValues })
 	fr.fillVio()
-	return fr, nil
+	return fr
 }
 
 // runTasks runs task(0..n-1), at most workers at a time (inline when
@@ -363,6 +371,7 @@ func constScan(ctx context.Context, cp *colPrep, ids []relstore.TupleID) Violati
 		if len(cp.constPats) == 0 {
 			return
 		}
+		emit := func(v Violation) bool { return yield(v, nil) }
 		for idx, id := range ids {
 			if idx%cancelStride == 0 {
 				if err := ctx.Err(); err != nil {
@@ -370,33 +379,40 @@ func constScan(ctx context.Context, cp *colPrep, ids []relstore.TupleID) Violati
 					return
 				}
 			}
-			rhsExact := cp.rhsCol.Code(idx)
-			if cp.hasNull && rhsExact == cp.rhsNull {
-				continue // NULL RHS is never flagged, matching the SQL path
-			}
-			rhsEq := cp.rhsCol.EqOf(rhsExact)
-			for pi := range cp.constPats {
-				pat := &cp.constPats[pi]
-				if !pat.lhs.Match(idx) {
-					continue
-				}
-				if pat.expOK && rhsEq == pat.expCode {
-					continue
-				}
-				if !yield(Violation{
-					CFDID:    cp.p.c.ID,
-					Kind:     SingleTuple,
-					Pattern:  pat.idx,
-					TupleID:  id,
-					Attr:     cp.p.c.RHS[0],
-					Expected: cp.p.c.Tableau[pat.idx].RHS[0].Const,
-					Got:      cp.rhsCol.Value(rhsExact),
-				}, nil) {
-					return
-				}
+			if !cp.constAt(idx, id, emit) {
+				return
 			}
 		}
 	}
+}
+
+// constAt passes emit row idx's single-tuple violations — one per live
+// constant pattern whose LHS codes the row matches and whose expected RHS
+// it misses — and reports false as soon as emit does.
+func (cp *colPrep) constAt(idx int, id relstore.TupleID, emit func(Violation) bool) bool {
+	rhsExact := cp.rhsCol.Code(idx)
+	if cp.hasNull && rhsExact == cp.rhsNull {
+		return true // NULL RHS is never flagged, matching the SQL path
+	}
+	rhsEq := cp.rhsCol.EqOf(rhsExact)
+	for pi := range cp.constPats {
+		pat := &cp.constPats[pi]
+		if !pat.lhs.Match(idx) || (pat.expOK && rhsEq == pat.expCode) {
+			continue
+		}
+		if !emit(Violation{
+			CFDID:    cp.p.c.ID,
+			Kind:     SingleTuple,
+			Pattern:  pat.idx,
+			TupleID:  id,
+			Attr:     cp.p.c.RHS[0],
+			Expected: cp.p.c.Tableau[pat.idx].RHS[0].Const,
+			Got:      cp.rhsCol.Value(rhsExact),
+		}) {
+			return false
+		}
+	}
+	return true
 }
 
 // factorGroups finds one CFD's multi-tuple violation groups. The shared LHS
@@ -521,22 +537,6 @@ func (fr *FactorReport) fillVio() {
 			fr.dirty++
 			fr.maxVio = max(fr.maxVio, int(v))
 		}
-	}
-}
-
-// AsGroup materializes the legacy Group view of one factor group WITHOUT
-// the per-member RHSOf map — Members and the histogram only, which is all
-// the repair planner consumes. Per-member RHS keys stay lazy (RHSKeyAt);
-// consumers needing the full map should Explode the report instead.
-func (g *FactorGroup) AsGroup() *Group {
-	return &Group{
-		CFDID:       g.CFDID,
-		Attr:        g.Attr,
-		LHSAttrs:    append([]string(nil), g.LHSAttrs...),
-		LHSValues:   append([]types.Value(nil), g.LHSValues...),
-		Members:     g.Members(),
-		RHSCounts:   maps.Clone(g.RHSCounts),
-		MajorityKey: g.MajorityKey,
 	}
 }
 

@@ -2,8 +2,7 @@ package detect
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 	"sync"
 
 	"semandaq/internal/cfd"
@@ -29,13 +28,12 @@ import (
 //
 // A Tracker is safe for concurrent use: mutations (Insert, Delete,
 // SetCell) serialize on an internal write lock, while the read surface
-// (Vio, VioMap, DirtyCount, Report) runs under a shared read lock, so any
-// number of readers proceed concurrently between updates and always
-// observe a fully applied update — never a half-indexed tuple.
+// (Vio, VioMap, DirtyCount, FactorReport, Report) runs under a shared read
+// lock, so any number of readers proceed concurrently between updates and
+// always observe a fully applied update — never a half-indexed tuple.
 type Tracker struct {
 	mu    sync.RWMutex
 	tab   *relstore.Table
-	preps []prepared
 	state []*cfdState
 	// dirtyRef counts, per tuple, how many sources make it dirty: CFDs
 	// with a single-tuple violation plus violating groups it belongs to.
@@ -58,7 +56,6 @@ type cfdState struct {
 
 // groupState is one LHS-value group of tuples matching a variable pattern.
 type groupState struct {
-	lhsVals   []types.Value
 	members   map[relstore.TupleID]string // tuple → RHS value key
 	rhsCounts map[string]int
 }
@@ -86,7 +83,6 @@ func NewTracker(tab *relstore.Table, cfds []*cfd.CFD) (*Tracker, error) {
 	}
 	t := &Tracker{
 		tab:      tab,
-		preps:    preps,
 		dirtyRef: make(map[relstore.TupleID]int),
 	}
 	for _, p := range preps {
@@ -96,18 +92,12 @@ func NewTracker(tab *relstore.Table, cfds []*cfd.CFD) (*Tracker, error) {
 			groups:    map[string]*groupState{},
 			memberKey: map[relstore.TupleID]string{},
 		}
-		for i := range p.c.Tableau {
-			if p.c.Tableau[i].RHS[0].Wildcard {
-				cs.varPatterns = append(cs.varPatterns, i)
-			} else {
-				cs.constPatterns = append(cs.constPatterns, i)
-			}
-		}
+		cs.constPatterns, cs.varPatterns = splitPatterns(p)
 		t.state = append(t.state, cs)
 	}
-	// Seed from one pinned snapshot (addTuple copies the values it keeps out
-	// of the scan's borrowed row); the tracker is not shared yet, so no
-	// locking either.
+	// Seed from one pinned snapshot (addTuple keeps only key strings, never
+	// the scan's borrowed row); the tracker is not shared yet, so no locking
+	// either.
 	tab.Snapshot().Scan(func(id relstore.TupleID, row relstore.Tuple) bool {
 		t.addTuple(id, row, nil)
 		return true
@@ -159,12 +149,6 @@ func (t *Tracker) DirtyCount() int {
 	defer t.mu.RUnlock()
 	return len(t.dirtyRef)
 }
-
-// Version returns the tracked table's current version. Between tracker
-// updates (which serialize on the tracker lock) it is the version every
-// tracker read reflects, provided mutations are routed through the
-// tracker as the contract requires.
-func (t *Tracker) Version() int64 { return t.tab.Version() }
 
 // Delta lists the tuples an operation touched or whose dirty status
 // flipped, with their new vio(t) (0 = now clean). Members of a large
@@ -307,12 +291,7 @@ func (t *Tracker) addTuple(id relstore.TupleID, row relstore.Tuple, d *Delta) {
 		key := row.KeyOn(cs.p.lhsPos)
 		g, ok := cs.groups[key]
 		if !ok {
-			lhsVals := make([]types.Value, len(cs.p.lhsPos))
-			for k, pos := range cs.p.lhsPos {
-				lhsVals[k] = row[pos]
-			}
 			g = &groupState{
-				lhsVals:   lhsVals,
 				members:   map[relstore.TupleID]string{},
 				rhsCounts: map[string]int{},
 			}
@@ -373,109 +352,70 @@ func (t *Tracker) removeTuple(id relstore.TupleID, row relstore.Tuple, d *Delta)
 	}
 }
 
-// Report materializes a full detection report from the tracked state; it
-// matches what a batch detector would produce on the current table, and is
-// stamped with the table version it reflects. It runs under the tracker's
-// read lock, so it never observes a half-applied update; with mutations
-// routed through the tracker (the contract), the whole report describes
-// one table version.
-func (t *Tracker) Report() *Report {
+// FactorReport materializes the factorised detection report of the tracked
+// state against snap, the pinned snapshot of the tracker's current version:
+// the tracker says which tuples are single-tuple violations and which
+// groups disagree, and the snapshot's columns supply row positions (by
+// binary search over its ids), LHS values, RHS values and histograms — so
+// the report equals the batch core's over the same snapshot. It reports
+// false when snap is of another version than the tracker's. It runs under
+// the tracker's read lock, so it never observes a half-applied update.
+func (t *Tracker) FactorReport(snap *relstore.Snapshot) (*FactorReport, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	rep := &Report{
-		Table:   t.tab.Schema().Name,
-		Version: t.tab.Version(),
-		PerCFD:  make(map[string]*CFDStats),
+	if snap.Version() != t.tab.Version() {
+		return nil, false
 	}
-	rep.TupleCount = t.tab.Len()
-	for _, cs := range t.state {
-		st := &CFDStats{}
-		rep.PerCFD[cs.p.c.ID] = st
-		// Single-tuple violations: re-derive details from the live rows.
-		ids := make([]relstore.TupleID, 0, len(cs.single))
+	return t.factorReportLocked(snap), true
+}
+
+// factorReportLocked is FactorReport under an already-held lock.
+func (t *Tracker) factorReportLocked(snap *relstore.Snapshot) *FactorReport {
+	cols := snap.Columnar()
+	ids := cols.IDs()
+	cps := make([]colPrep, len(t.state))
+	parts := make([]cfdPart, len(t.state))
+	codeCounts := make(map[uint32]int, 8)
+	for i, cs := range t.state {
+		cp, pt := &cps[i], &parts[i]
+		*cp = newColPrep(cs.p, cols)
+		add := func(v Violation) bool { pt.viols = append(pt.viols, v); return true }
 		for id := range cs.single {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			row, ok := t.tab.Get(id)
-			if !ok {
-				continue
-			}
-			had := false
-			for _, i := range cs.constPatterns {
-				if !cs.p.c.MatchLHS(i, row, cs.p.lhsPos) {
-					continue
-				}
-				got := row[cs.p.rhsPos]
-				want := cs.p.c.Tableau[i].RHS[0].Const
-				if got.IsNull() || got.Equal(want) {
-					continue
-				}
-				rep.Violations = append(rep.Violations, Violation{
-					CFDID:    cs.p.c.ID,
-					Kind:     SingleTuple,
-					Pattern:  i,
-					TupleID:  id,
-					Attr:     cs.p.c.RHS[0],
-					Expected: want,
-					Got:      got,
-				})
-				had = true
-			}
-			if had {
-				st.SingleTuple++
+			r, _ := slices.BinarySearch(ids, id)
+			n := len(pt.viols)
+			if cp.constAt(r, id, add); len(pt.viols) > n {
+				pt.singles++
 			}
 		}
 		for _, g := range cs.groups {
 			if !g.violating() {
 				continue
 			}
-			st.Groups++
-			grp := &Group{
-				CFDID:       cs.p.c.ID,
-				Attr:        cs.p.c.RHS[0],
-				LHSAttrs:    append([]string(nil), cs.p.c.LHS...),
-				LHSValues:   append([]types.Value(nil), g.lhsVals...),
-				RHSOf:       map[relstore.TupleID]string{},
-				RHSCounts:   map[string]int{},
-				MajorityKey: majorityKey(g.rhsCounts),
-			}
-			memberIDs := make([]relstore.TupleID, 0, len(g.members))
+			rows := make([]int32, 0, len(g.members))
 			for id := range g.members {
-				memberIDs = append(memberIDs, id)
+				r, _ := slices.BinarySearch(ids, id)
+				rows = append(rows, int32(r))
 			}
-			sort.Slice(memberIDs, func(i, j int) bool { return memberIDs[i] < memberIDs[j] })
-			for _, id := range memberIDs {
-				grp.Members = append(grp.Members, id)
-				grp.RHSOf[id] = g.members[id]
-			}
-			for k, n := range g.rhsCounts {
-				grp.RHSCounts[k] = n
-			}
-			rep.Groups = append(rep.Groups, grp)
-			for _, id := range memberIDs {
-				rep.Violations = append(rep.Violations, Violation{
-					CFDID:    cs.p.c.ID,
-					Kind:     MultiTuple,
-					Pattern:  -1,
-					TupleID:  id,
-					Attr:     cs.p.c.RHS[0],
-					Partners: g.contribution(id),
-				})
-				st.MultiTuple++
+			slices.Sort(rows)
+			if fg := newFactorGroup(cp, rows, codeCounts, ids); fg != nil {
+				pt.groups = append(pt.groups, fg)
 			}
 		}
 	}
-	finish(rep)
-	return rep
+	return assemble(cols, cps, parts)
+}
+
+// Report is the tracked state's flat report over the table's current
+// snapshot: FactorReport exploded, stamped with the version it reflects.
+func (t *Tracker) Report() *Report {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.factorReportLocked(t.tab.Snapshot()).Explode()
 }
 
 // String renders a short tracker summary.
 func (t *Tracker) String() string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var b strings.Builder
-	fmt.Fprintf(&b, "tracker(%s): %d tuples, %d dirty", t.tab.Schema().Name, t.tab.Len(), len(t.dirtyRef))
-	return b.String()
+	return fmt.Sprintf("tracker(%s): %d tuples, %d dirty", t.tab.Schema().Name, t.tab.Len(), len(t.dirtyRef))
 }

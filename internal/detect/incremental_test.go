@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"semandaq/internal/cfd"
@@ -272,4 +273,49 @@ func TestTrackerNullTransitions(t *testing.T) {
 		t.Errorf("vio = %d", tr.Vio(id))
 	}
 	assertMatchesBatch(t, tab, cfds, tr)
+}
+
+// TestTrackerFactorReportReadsTheSnapshot: the tracker's factorised report
+// takes its values from the snapshot it is given, so a group whose first
+// member left keeps no stale LHS value (the FLOAT 1.0 the group was opened
+// with), and a snapshot of another version is refused.
+func TestTrackerFactorReportReadsTheSnapshot(t *testing.T) {
+	tab := relstore.NewTable(schema.New("r", "K", "V"))
+	s := types.NewString
+	first := tab.MustInsert(relstore.Tuple{types.NewFloat(1.0), s("a")})
+	tab.MustInsert(relstore.Tuple{types.NewInt(1), s("a")})
+	tab.MustInsert(relstore.Tuple{types.NewInt(1), s("b")})
+	cfds, err := cfd.ParseSet("r: [K=_] -> [V=_]\nr: [K=1] -> [V=a]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewTracker(tab, cfds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := tab.Snapshot()
+	if _, err := tr.Delete(first); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := tr.FactorReport(old); ok {
+		t.Error("a snapshot of an older version was served")
+	}
+	snap := tab.Snapshot()
+	fr, ok := tr.FactorReport(snap)
+	if !ok {
+		t.Fatal("the current snapshot was refused")
+	}
+	want, err := ColumnarDetector{}.DetectSnapshot(context.Background(), snap, cfds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fr.Explode(); !reflect.DeepEqual(got, want) {
+		t.Errorf("tracker's report differs from the batch core's\ngot:  %+v\nwant: %+v", got, want)
+	}
+	if got := want.Groups[0].LHSValues[0]; got.Kind() != types.KindInt {
+		t.Errorf("group LHS value %v, want the INT 1 of its first member", got)
+	}
+	if !reflect.DeepEqual(tr.Report(), want) {
+		t.Error("Report differs from the exploded factorised report")
+	}
 }

@@ -6,11 +6,12 @@
 package explore
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"semandaq/internal/cfd"
@@ -23,24 +24,76 @@ import (
 // CFD set and one detection report — every level of the drill-down reads
 // the exact version the report was detected on, so counts never drift
 // while the live table keeps mutating. Build a new Explorer to see fresher
-// data.
+// data. An Explorer is immutable once built and safe for concurrent use.
 type Explorer struct {
 	tab    *relstore.Snapshot
 	merged []*cfd.CFD
-	rep    *detect.Report
 
 	lhsPos map[string][]int // by CFD ID
 	rhsPos map[string]int
-	// violatingIDs is the set of tuples with a violation per CFD.
-	violatingIDs map[string]map[relstore.TupleID]bool
-	// groupByLHSKey indexes multi-tuple groups by CFD and LHS key.
-	groupByLHSKey map[string]map[string]*detect.Group
+	// The report's index, dense over the snapshot's rows: per CFD, each
+	// row's violation of it and the number of violating rows; per CFD, the
+	// majority RHS key of each violating group by LHS group key; vio(t).
+	viol     map[string][]violation
+	nViol    map[string]int
+	majority map[string]map[string]string
+	vio      []int32
+	maxVio   int
 }
 
-// New builds an explorer. snap must be the pinned snapshot the report was
-// detected on; cfds must be the set the report was detected with (they are
-// normalized and merged identically).
+// violation is one row's violation of one CFD: none, only as a member of a
+// multi-tuple group, or single-tuple (which outranks multi-tuple).
+type violation uint8
+
+const (
+	clean violation = iota
+	multiOnly
+	single
+)
+
+// New builds an explorer from a flat report. snap must be the pinned
+// snapshot the report was detected on; cfds must be the set the report was
+// detected with (they are normalized and merged identically).
 func New(snap *relstore.Snapshot, cfds []*cfd.CFD, rep *detect.Report) (*Explorer, error) {
+	e, err := newExplorer(snap, cfds, rep.Violations)
+	if err != nil {
+		return nil, err
+	}
+	for _, g := range rep.Groups {
+		e.addMajority(g.CFDID, g.LHSValues, g.MajorityKey)
+	}
+	e.vio = make([]int32, snap.Len())
+	for id, n := range rep.Vio {
+		if r, ok := slices.BinarySearch(snap.IDs(), id); ok {
+			e.vio[r] = int32(n)
+		}
+	}
+	e.maxVio = rep.MaxVio()
+	return e, nil
+}
+
+// NewFactorised builds the same explorer as New from the factorised report
+// over snap: group members mark their rows directly and vio(t) is the
+// report's dense vector, so nothing is exploded.
+func NewFactorised(snap *relstore.Snapshot, cfds []*cfd.CFD, fr *detect.FactorReport) (*Explorer, error) {
+	e, err := newExplorer(snap, cfds, fr.Violations)
+	if err != nil {
+		return nil, err
+	}
+	for _, g := range fr.FactorGroups {
+		for _, r := range g.Rows {
+			e.mark(g.CFDID, int(r), detect.MultiTuple)
+		}
+		e.addMajority(g.CFDID, g.LHSValues, g.MajorityKey)
+	}
+	d := fr.Digest()
+	e.vio, e.maxVio = d.Vio, d.MaxVio
+	return e, nil
+}
+
+// newExplorer validates and merges cfds against snap, sizes the index and
+// marks the rows of the report's violation records viols.
+func newExplorer(snap *relstore.Snapshot, cfds []*cfd.CFD, viols []detect.Violation) (*Explorer, error) {
 	sc := snap.Schema()
 	var normalized []*cfd.CFD
 	for _, c := range cfds {
@@ -51,13 +104,13 @@ func New(snap *relstore.Snapshot, cfds []*cfd.CFD, rep *detect.Report) (*Explore
 	}
 	merged := cfd.MergeByFD(normalized)
 	e := &Explorer{
-		tab:           snap,
-		merged:        merged,
-		rep:           rep,
-		lhsPos:        map[string][]int{},
-		rhsPos:        map[string]int{},
-		violatingIDs:  map[string]map[relstore.TupleID]bool{},
-		groupByLHSKey: map[string]map[string]*detect.Group{},
+		tab:      snap,
+		merged:   merged,
+		lhsPos:   map[string][]int{},
+		rhsPos:   map[string]int{},
+		viol:     map[string][]violation{},
+		nViol:    map[string]int{},
+		majority: map[string]map[string]string{},
 	}
 	for _, c := range merged {
 		lp, err := sc.Positions(c.LHS)
@@ -70,27 +123,42 @@ func New(snap *relstore.Snapshot, cfds []*cfd.CFD, rep *detect.Report) (*Explore
 		}
 		e.lhsPos[c.ID] = lp
 		e.rhsPos[c.ID] = rp[0]
-		e.violatingIDs[c.ID] = map[relstore.TupleID]bool{}
+		e.viol[c.ID] = make([]violation, snap.Len())
+		e.majority[c.ID] = map[string]string{}
 	}
-	for _, v := range rep.Violations {
-		if m := e.violatingIDs[v.CFDID]; m != nil {
-			m[v.TupleID] = true
+	for _, v := range viols {
+		if r, ok := slices.BinarySearch(snap.IDs(), v.TupleID); ok {
+			e.mark(v.CFDID, r, v.Kind)
 		}
-	}
-	for _, g := range rep.Groups {
-		m := e.groupByLHSKey[g.CFDID]
-		if m == nil {
-			m = map[string]*detect.Group{}
-			e.groupByLHSKey[g.CFDID] = m
-		}
-		m[groupKey(g.LHSValues)] = g
 	}
 	return e, nil
 }
 
+// mark records row r's violation of CFD cfdID by kind.
+func (e *Explorer) mark(cfdID string, r int, kind detect.Kind) {
+	rows := e.viol[cfdID]
+	if rows == nil {
+		return
+	}
+	if rows[r] == clean {
+		e.nViol[cfdID]++
+		rows[r] = multiOnly
+	}
+	if kind == detect.SingleTuple {
+		rows[r] = single
+	}
+}
+
+// addMajority indexes a violating group's majority RHS key by its LHS.
+func (e *Explorer) addMajority(cfdID string, lhs []types.Value, key string) {
+	if m := e.majority[cfdID]; m != nil {
+		m[groupKey(lhs)] = key
+	}
+}
+
 // groupKey encodes an LHS value vector in the shared WriteGroupKey form:
-// the key New indexes the report's groups by and RHSValues looks its
-// group's majority up with, once per call.
+// the key the majorities are indexed by and RHSValues looks its group's
+// majority up with, once per call.
 func groupKey(vals []types.Value) string {
 	var b strings.Builder
 	for _, v := range vals {
@@ -116,7 +184,7 @@ func (e *Explorer) CFDs() []CFDInfo {
 			ID:         c.ID,
 			FD:         fmt.Sprintf("%s: [%s] -> [%s]", c.Table, strings.Join(c.LHS, ", "), strings.Join(c.RHS, ", ")),
 			Patterns:   len(c.Tableau),
-			Violations: len(e.violatingIDs[c.ID]),
+			Violations: e.nViol[c.ID],
 		})
 	}
 	return out
@@ -158,14 +226,14 @@ func (e *Explorer) Patterns(cfdID string) ([]PatternInfo, error) {
 		}
 		match[i] = detect.BindLHS(c.Tableau[i], lhs)
 	}
-	viol := e.violatingIDs[cfdID]
-	for idx, id := range e.tab.IDs() {
+	viol := e.viol[cfdID]
+	for idx := range viol {
 		for i := range match {
 			if !match[i].Match(idx) {
 				continue
 			}
 			out[i].Matches++
-			if viol[id] {
+			if viol[idx] != clean {
 				out[i].Violations++
 			}
 		}
@@ -189,7 +257,7 @@ type scope struct {
 	match detect.LHSMatcher
 	lhs   []*relstore.Column
 	rhs   *relstore.Column
-	viol  map[relstore.TupleID]bool
+	viol  []violation
 }
 
 // scope binds pattern of CFD cfdID, failing on an unknown CFD or pattern.
@@ -201,7 +269,7 @@ func (e *Explorer) scope(cfdID string, pattern int) (*scope, error) {
 	if pattern < 0 || pattern >= len(c.Tableau) {
 		return nil, fmt.Errorf("explore: CFD %s has no pattern %d", cfdID, pattern)
 	}
-	s := &scope{viol: e.violatingIDs[cfdID]}
+	s := &scope{viol: e.viol[cfdID]}
 	s.lhs, s.rhs = e.cols(cfdID)
 	s.match = detect.BindLHS(c.Tableau[pattern], s.lhs)
 	return s, nil
@@ -238,7 +306,7 @@ func (e *Explorer) LHSGroups(cfdID string, pattern int) ([]LHSGroup, error) {
 	index := map[string]int{}
 	pairs := map[uint64]struct{}{}
 	key := make([]byte, 0, 4*len(s.lhs))
-	for idx, id := range e.tab.IDs() {
+	for idx := range s.viol {
 		if !s.match.Match(idx) {
 			continue
 		}
@@ -262,16 +330,13 @@ func (e *Explorer) LHSGroups(cfdID string, pattern int) ([]LHSGroup, error) {
 			pairs[pair] = struct{}{}
 			out[g].RHSValues++
 		}
-		if s.viol[id] {
+		if s.viol[idx] != clean {
 			out[g].Violations++
 		}
 	}
 	// Violating groups first, then by size.
-	sort.SliceStable(out, func(i, j int) bool {
-		if (out[i].Violations > 0) != (out[j].Violations > 0) {
-			return out[i].Violations > 0
-		}
-		return out[i].Tuples > out[j].Tuples
+	slices.SortStableFunc(out, func(a, b LHSGroup) int {
+		return cmp.Or(cmp.Compare(min(b.Violations, 1), min(a.Violations, 1)), cmp.Compare(b.Tuples, a.Tuples))
 	})
 	return out, nil
 }
@@ -294,7 +359,7 @@ func (e *Explorer) RHSValues(cfdID string, pattern int, lhsVals []types.Value) (
 	out := []RHSValue{}
 	grp := s.group(lhsVals)
 	index := map[uint32]int{} // RHS Equal-class code -> out index
-	for idx, id := range e.tab.IDs() {
+	for idx := range s.viol {
 		if !grp.Match(idx) || !s.match.Match(idx) {
 			continue
 		}
@@ -306,16 +371,16 @@ func (e *Explorer) RHSValues(cfdID string, pattern int, lhsVals []types.Value) (
 			out = append(out, RHSValue{Value: s.rhs.Value(code)})
 		}
 		out[i].Tuples++
-		if s.viol[id] {
+		if s.viol[idx] != clean {
 			out[i].Violations++
 		}
 	}
-	if g, ok := e.groupByLHSKey[cfdID][groupKey(lhsVals)]; ok && g.MajorityKey != "" {
+	if key := e.majority[cfdID][groupKey(lhsVals)]; key != "" {
 		for i := range out {
-			out[i].Majority = out[i].Value.Key() == g.MajorityKey
+			out[i].Majority = out[i].Value.Key() == key
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Tuples > out[j].Tuples })
+	slices.SortStableFunc(out, func(a, b RHSValue) int { return cmp.Compare(b.Tuples, a.Tuples) })
 	return out, nil
 }
 
@@ -340,7 +405,7 @@ func (e *Explorer) Tuples(cfdID string, pattern int, lhsVals []types.Value, rhsV
 	var out []TupleRow
 	for idx, id := range e.tab.IDs() {
 		if s.rhs.EqCode(idx) == rhs && grp.Match(idx) && s.match.Match(idx) {
-			out = append(out, TupleRow{ID: id, Row: e.tab.Row(idx), Vio: e.rep.Vio[id]})
+			out = append(out, TupleRow{ID: id, Row: e.tab.Row(idx), Vio: int(e.vio[idx])})
 		}
 	}
 	return out, nil
@@ -369,32 +434,19 @@ func (e *Explorer) ForTuple(id relstore.TupleID) ([]Relevance, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w %d", ErrNoTuple, id)
 	}
-	// Index this tuple's violations by CFD and kind.
-	kinds := map[string]detect.Kind{}
-	violated := map[string]bool{}
-	for _, v := range e.rep.Violations {
-		if v.TupleID != id {
-			continue
-		}
-		violated[v.CFDID] = true
-		if prev, ok := kinds[v.CFDID]; !ok || prev == detect.MultiTuple {
-			kinds[v.CFDID] = v.Kind
-		}
-	}
+	r, _ := slices.BinarySearch(e.tab.IDs(), id)
 	var out []Relevance
 	for _, c := range e.merged {
-		lhsPos := e.lhsPos[c.ID]
+		lhsPos, viol := e.lhsPos[c.ID], e.viol[c.ID][r]
 		for i := range c.Tableau {
 			if !c.MatchLHS(i, row, lhsPos) {
 				continue
 			}
-			out = append(out, Relevance{
-				CFDID:    c.ID,
-				Pattern:  i,
-				Text:     c.Tableau[i].String(),
-				Violated: violated[c.ID],
-				Kind:     kinds[c.ID],
-			})
+			rel := Relevance{CFDID: c.ID, Pattern: i, Text: c.Tableau[i].String(), Violated: viol != clean}
+			if viol == multiOnly {
+				rel.Kind = detect.MultiTuple
+			}
+			out = append(out, rel)
 		}
 	}
 	return out, nil
@@ -410,13 +462,12 @@ type MapEntry struct {
 // QualityMap returns every tuple's vio(t) bucketed into 5 intensity levels
 // scaled by the maximum observed vio, plus a histogram of the buckets.
 func (e *Explorer) QualityMap() ([]MapEntry, [5]int) {
-	max := e.rep.MaxVio()
 	var hist [5]int
 	ids := e.tab.IDs()
 	out := make([]MapEntry, len(ids))
 	for i, id := range ids {
-		v := e.rep.Vio[id]
-		b := bucket(v, max)
+		v := int(e.vio[i])
+		b := bucket(v, e.maxVio)
 		hist[b]++
 		out[i] = MapEntry{ID: id, Vio: v, Bucket: b}
 	}

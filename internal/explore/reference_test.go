@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"semandaq/internal/cfd"
@@ -17,16 +18,79 @@ import (
 
 // The row-scan explorer the code-keyed one replaced, kept as its reference:
 // every level decodes each row, matches patterns with Value.Equal and groups
-// by the rows' WriteGroupKey strings.
+// by the rows' WriteGroupKey strings, and reads the flat report through the
+// maps it used to index it by.
 
-func refPatterns(e *Explorer, cfdID string) []PatternInfo {
+// ref is the reference's index of a flat report: the violating tuple ids
+// per CFD and the groups per CFD by LHS key.
+type ref struct {
+	rep    *detect.Report
+	viol   map[string]map[relstore.TupleID]bool
+	groups map[string]map[string]*detect.Group
+}
+
+func newRef(rep *detect.Report) *ref {
+	x := &ref{rep: rep, viol: map[string]map[relstore.TupleID]bool{}, groups: map[string]map[string]*detect.Group{}}
+	for _, v := range rep.Violations {
+		if x.viol[v.CFDID] == nil {
+			x.viol[v.CFDID] = map[relstore.TupleID]bool{}
+		}
+		x.viol[v.CFDID][v.TupleID] = true
+	}
+	for _, g := range rep.Groups {
+		if x.groups[g.CFDID] == nil {
+			x.groups[g.CFDID] = map[string]*detect.Group{}
+		}
+		x.groups[g.CFDID][groupKey(g.LHSValues)] = g
+	}
+	return x
+}
+
+func (x *ref) cfds(e *Explorer) []CFDInfo {
+	var out []CFDInfo
+	for _, c := range e.merged {
+		out = append(out, CFDInfo{
+			ID:         c.ID,
+			FD:         fmt.Sprintf("%s: [%s] -> [%s]", c.Table, strings.Join(c.LHS, ", "), strings.Join(c.RHS, ", ")),
+			Patterns:   len(c.Tableau),
+			Violations: len(x.viol[c.ID]),
+		})
+	}
+	return out
+}
+
+func (x *ref) forTuple(e *Explorer, id relstore.TupleID) []Relevance {
+	row, _ := e.tab.Get(id)
+	kinds := map[string]detect.Kind{}
+	violated := map[string]bool{}
+	for _, v := range x.rep.Violations {
+		if v.TupleID != id {
+			continue
+		}
+		violated[v.CFDID] = true
+		if prev, ok := kinds[v.CFDID]; !ok || prev == detect.MultiTuple {
+			kinds[v.CFDID] = v.Kind
+		}
+	}
+	var out []Relevance
+	for _, c := range e.merged {
+		for i := range c.Tableau {
+			if c.MatchLHS(i, row, e.lhsPos[c.ID]) {
+				out = append(out, Relevance{CFDID: c.ID, Pattern: i, Text: c.Tableau[i].String(), Violated: violated[c.ID], Kind: kinds[c.ID]})
+			}
+		}
+	}
+	return out
+}
+
+func (x *ref) patterns(e *Explorer, cfdID string) []PatternInfo {
 	c, _ := e.find(cfdID)
 	lhsPos := e.lhsPos[cfdID]
 	out := make([]PatternInfo, len(c.Tableau))
 	for i := range c.Tableau {
 		out[i] = PatternInfo{Index: i, Pattern: c.Tableau[i].String(), Constant: c.IsConstantPattern(i)}
 	}
-	viol := e.violatingIDs[cfdID]
+	viol := x.viol[cfdID]
 	e.tab.Scan(func(id relstore.TupleID, row relstore.Tuple) bool {
 		for i := range c.Tableau {
 			if !c.MatchLHS(i, row, lhsPos) {
@@ -42,9 +106,9 @@ func refPatterns(e *Explorer, cfdID string) []PatternInfo {
 	return out
 }
 
-func refLHSGroups(e *Explorer, cfdID string, pattern int) []LHSGroup {
+func (x *ref) lhsGroups(e *Explorer, cfdID string, pattern int) []LHSGroup {
 	c, _ := e.find(cfdID)
-	lhsPos, rhsPos, viol := e.lhsPos[cfdID], e.rhsPos[cfdID], e.violatingIDs[cfdID]
+	lhsPos, rhsPos, viol := e.lhsPos[cfdID], e.rhsPos[cfdID], x.viol[cfdID]
 	type acc struct {
 		vals  []types.Value
 		n     int
@@ -89,9 +153,9 @@ func refLHSGroups(e *Explorer, cfdID string, pattern int) []LHSGroup {
 	return out
 }
 
-func refRHSValues(e *Explorer, cfdID string, pattern int, lhsVals []types.Value) []RHSValue {
+func (x *ref) rhsValues(e *Explorer, cfdID string, pattern int, lhsVals []types.Value) []RHSValue {
 	c, _ := e.find(cfdID)
-	lhsPos, rhsPos, viol := e.lhsPos[cfdID], e.rhsPos[cfdID], e.violatingIDs[cfdID]
+	lhsPos, rhsPos, viol := e.lhsPos[cfdID], e.rhsPos[cfdID], x.viol[cfdID]
 	want := groupKey(lhsVals)
 	type acc struct {
 		val      types.Value
@@ -117,7 +181,7 @@ func refRHSValues(e *Explorer, cfdID string, pattern int, lhsVals []types.Value)
 		return true
 	})
 	var majKey string
-	if g, ok := e.groupByLHSKey[cfdID][want]; ok {
+	if g, ok := x.groups[cfdID][want]; ok {
 		majKey = g.MajorityKey
 	}
 	out := make([]RHSValue, 0, len(order))
@@ -129,26 +193,26 @@ func refRHSValues(e *Explorer, cfdID string, pattern int, lhsVals []types.Value)
 	return out
 }
 
-func refTuples(e *Explorer, cfdID string, pattern int, lhsVals []types.Value, rhsVal types.Value) []TupleRow {
+func (x *ref) tuples(e *Explorer, cfdID string, pattern int, lhsVals []types.Value, rhsVal types.Value) []TupleRow {
 	c, _ := e.find(cfdID)
 	lhsPos, rhsPos := e.lhsPos[cfdID], e.rhsPos[cfdID]
 	want := groupKey(lhsVals)
 	var out []TupleRow
 	e.tab.Scan(func(id relstore.TupleID, row relstore.Tuple) bool {
 		if c.MatchLHS(pattern, row, lhsPos) && row.KeyOn(lhsPos) == want && row[rhsPos].Equal(rhsVal) {
-			out = append(out, TupleRow{ID: id, Row: row.Clone(), Vio: e.rep.Vio[id]})
+			out = append(out, TupleRow{ID: id, Row: row.Clone(), Vio: x.rep.Vio[id]})
 		}
 		return true
 	})
 	return out
 }
 
-func refQualityMap(e *Explorer) ([]MapEntry, [5]int) {
-	max := e.rep.MaxVio()
+func (x *ref) qualityMap(e *Explorer) ([]MapEntry, [5]int) {
+	max := x.rep.MaxVio()
 	var hist [5]int
 	var out []MapEntry
 	e.tab.Scan(func(id relstore.TupleID, _ relstore.Tuple) bool {
-		v := e.rep.Vio[id]
+		v := x.rep.Vio[id]
 		b := bucket(v, max)
 		hist[b]++
 		out = append(out, MapEntry{ID: id, Vio: v, Bucket: b})
@@ -159,10 +223,10 @@ func refQualityMap(e *Explorer) ([]MapEntry, [5]int) {
 
 // checkAgainstReference compares every level of the explorer with the
 // reference: every CFD's patterns, every pattern's LHS groups, and every
-// group's RHS values and the tuples of each of them. Extra LHS vectors
-// (a wrong arity, values absent from their column) go through RHSValues and
-// Tuples too.
-func checkAgainstReference(t *testing.T, e *Explorer, extra ...[]types.Value) {
+// group's RHS values and the tuples of each of them, plus the quality map
+// and every tuple's reverse exploration. Extra LHS vectors (a wrong arity,
+// values absent from their column) go through RHSValues and Tuples too.
+func checkAgainstReference(t *testing.T, e *Explorer, x *ref, extra ...[]types.Value) {
 	t.Helper()
 	// %#v spells every field of a Value (kind and payload), nil apart from
 	// empty, and NaN like NaN, where DeepEqual finds no NaN equal to itself.
@@ -173,22 +237,30 @@ func checkAgainstReference(t *testing.T, e *Explorer, extra ...[]types.Value) {
 		}
 	}
 	gotMap, gotHist := e.QualityMap()
-	wantMap, wantHist := refQualityMap(e)
+	wantMap, wantHist := x.qualityMap(e)
 	same("QualityMap", gotMap, wantMap)
 	same("QualityMap histogram", gotHist, wantHist)
+	for _, id := range e.tab.IDs() {
+		rels, err := e.ForTuple(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(fmt.Sprint("ForTuple ", id), rels, x.forTuple(e, id))
+	}
+	same("CFDs", e.CFDs(), x.cfds(e))
 	for _, info := range e.CFDs() {
 		pats, err := e.Patterns(info.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		same("Patterns "+info.ID, pats, refPatterns(e, info.ID))
+		same("Patterns "+info.ID, pats, x.patterns(e, info.ID))
 		for p := range pats {
 			groups, err := e.LHSGroups(info.ID, p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			at := fmt.Sprintf("%s pattern %d", info.ID, p)
-			same("LHSGroups "+at, groups, refLHSGroups(e, info.ID, p))
+			same("LHSGroups "+at, groups, x.lhsGroups(e, info.ID, p))
 			lhsVecs := extra
 			for _, g := range groups {
 				lhsVecs = append(lhsVecs, g.Values)
@@ -198,38 +270,49 @@ func checkAgainstReference(t *testing.T, e *Explorer, extra ...[]types.Value) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				same(fmt.Sprintf("RHSValues %s %v", at, lhs), vals, refRHSValues(e, info.ID, p, lhs))
+				same(fmt.Sprintf("RHSValues %s %v", at, lhs), vals, x.rhsValues(e, info.ID, p, lhs))
 				for _, v := range vals {
 					rows, err := e.Tuples(info.ID, p, lhs, v.Value)
 					if err != nil {
 						t.Fatal(err)
 					}
-					same(fmt.Sprintf("Tuples %s %v %v", at, lhs, v.Value), rows, refTuples(e, info.ID, p, lhs, v.Value))
+					same(fmt.Sprintf("Tuples %s %v %v", at, lhs, v.Value), rows, x.tuples(e, info.ID, p, lhs, v.Value))
 				}
 			}
 		}
 	}
 }
 
-func explorerOver(t *testing.T, tab *relstore.Table, cfds []*cfd.CFD) *Explorer {
+// checkExplorers walks the drill-down of both constructors — New over the
+// flat report and NewFactorised over the factorised one — against the
+// reference reading the flat report.
+func checkExplorers(t *testing.T, tab *relstore.Table, cfds []*cfd.CFD, extra ...[]types.Value) *Explorer {
 	t.Helper()
 	snap := tab.Snapshot()
-	rep, err := detect.ColumnarDetector{}.DetectSnapshot(context.Background(), snap, cfds)
+	fr, err := detect.DetectFactorised(context.Background(), snap, cfds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(snap, cfds, rep)
+	rep := fr.Explode()
+	flat, err := New(snap, cfds, rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e
+	factorised, err := NewFactorised(snap, cfds, fr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*Explorer{flat, factorised} {
+		checkAgainstReference(t, e, newRef(rep), extra...)
+	}
+	return factorised
 }
 
 func TestExplorerMatchesRowScanReference(t *testing.T) {
 	for _, noise := range []float64{0, 0.02, 0.1} {
 		t.Run(fmt.Sprint("noise=", noise), func(t *testing.T) {
 			ds := datagen.Generate(datagen.Config{Tuples: 600, Seed: 7, NoiseRate: noise})
-			checkAgainstReference(t, explorerOver(t, ds.Dirty, datagen.StandardCFDs()))
+			checkExplorers(t, ds.Dirty, datagen.StandardCFDs())
 		})
 	}
 }
@@ -272,8 +355,7 @@ n@ r: [B=_] -> [A=_]
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := explorerOver(t, tab, cfds)
-	checkAgainstReference(t, e,
+	e := checkExplorers(t, tab, cfds,
 		[]types.Value{s("absent"), s("x")},
 		[]types.Value{i1},
 		[]types.Value{i1, s("x"), s("p")},

@@ -118,6 +118,12 @@ func (m *Monitor) DirtyCount() int { return m.tracker.DirtyCount() }
 // Report returns the current full detection report.
 func (m *Monitor) Report() *detect.Report { return m.tracker.Report() }
 
+// FactorReport returns the factorised detection report over snap, or false
+// when snap is not of the monitored table's current version.
+func (m *Monitor) FactorReport(snap *relstore.Snapshot) (*detect.FactorReport, bool) {
+	return m.tracker.FactorReport(snap)
+}
+
 // Apply runs one update batch through the monitor. All updates are applied
 // through the violation tracker (incremental detection); in cleansed mode
 // the monitor then incrementally repairs the tuples the batch touched.

@@ -11,11 +11,12 @@
 //   - the served Snapshot/Columnar/PLI artifacts and decoded rows equal the
 //     model's batch build up to a renaming of dictionary codes
 //     (relstore.DiffSnapshots);
-//   - the tracker's materialized report equals a batch NativeDetector pass
-//     and the factorised core's exploded report (ColumnarDetector at 1, 2
-//     and 8 workers) and the SQL engine's report, each over the model's
-//     snapshot and over the folded one the server serves (DeepEqual) —
-//     lossless, schedule-independent and blind to code numbering;
+//   - the tracker's materialized report, and its factorised report over
+//     either snapshot exploded, equal a batch NativeDetector pass and the
+//     factorised core's exploded report (ColumnarDetector at 1, 2 and 8
+//     workers) and the SQL engine's report, each over the model's snapshot
+//     and over the folded one the server serves (DeepEqual) — lossless,
+//     schedule-independent and blind to code numbering;
 //   - the discovery session's refreshed report, and a cold Mine over the
 //     served snapshot, equal a cold Mine over the model's (DeepEqual).
 //
@@ -262,7 +263,8 @@ func (h *Harness) CheckStore() error {
 // CheckDetect asserts the tracker's materialized report is DeepEqual to
 // batch detection — the row-scan engine on the live table and the
 // columnar and SQL engines on both the row model's snapshot and the
-// folded one the serving path hands out.
+// folded one the serving path hands out — and so is its factorised report
+// over each of the two snapshots, exploded.
 func (h *Harness) CheckDetect(ctx context.Context) error {
 	got := h.Tracker.Report()
 	batch, err := detect.NativeDetector{}.Detect(ctx, h.Tab, h.Cfg.CFDs)
@@ -287,6 +289,14 @@ func (h *Harness) CheckDetect(ctx context.Context) error {
 		"sql":                 detect.NewSQLDetector(store),
 	}
 	for side, snap := range map[string]*relstore.Snapshot{"model": h.model(), "served": h.Tab.Snapshot()} {
+		// The tracker's factorised report over either snapshot of its version.
+		fr, ok := h.Tracker.FactorReport(snap)
+		if !ok {
+			return fmt.Errorf("detect: tracker refused the %s snapshot of its own version %d", side, snap.Version())
+		}
+		if rep := fr.Explode(); !deepEqual(rep, got) {
+			return fmt.Errorf("detect: tracker's factorised report over the %s snapshot != its report\nfactorised: %+v\nreport: %+v", side, rep, got)
+		}
 		for name, engine := range engines {
 			rep, err := engine.DetectSnapshot(ctx, snap, h.Cfg.CFDs)
 			if err != nil {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"iter"
 	"net/http"
+	"net/url"
 	"slices"
 	"strconv"
 	"strings"
@@ -181,23 +182,36 @@ func (sv *Server) handleLoadCSV(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// intParam reads the non-negative integer query parameter name: def when it
+// is absent or empty, an error naming the value when it is no such integer.
+func intParam(q url.Values, name string, def int) (int, error) {
+	s := q.Get(name)
+	if s == "" {
+		return def, nil
+	}
+	if n, err := strconv.Atoi(s); err == nil && n >= 0 {
+		return n, nil
+	}
+	return 0, fmt.Errorf("bad %s value %q", name, s)
+}
+
+// handleTable serves one page of the table, ?limit=100&offset=0 by default:
+// only the page's rows are decoded.
 func (sv *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 	tab, err := sv.s.Table(r.PathValue("name"))
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	limit := 100
-	if l := r.URL.Query().Get("limit"); l != "" {
-		if n, err := strconv.Atoi(l); err == nil && n >= 0 {
-			limit = n
-		}
+	limit, err := intParam(r.URL.Query(), "limit", 100)
+	if err != nil {
+		writeError(w, err)
+		return
 	}
-	offset := 0
-	if o := r.URL.Query().Get("offset"); o != "" {
-		if n, err := strconv.Atoi(o); err == nil && n >= 0 {
-			offset = n
-		}
+	offset, err := intParam(r.URL.Query(), "offset", 0)
+	if err != nil {
+		writeError(w, err)
+		return
 	}
 	type rowOut struct {
 		ID  int64 `json:"id"`
@@ -206,15 +220,12 @@ func (sv *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 	// One pinned snapshot: the page, the tuple count and the version all
 	// describe the same table state.
 	snap := tab.Snapshot()
+	offset = min(offset, snap.Len())
+	end := offset + min(limit, snap.Len()-offset)
 	var rows []rowOut
-	i := 0
-	snap.Scan(func(id relstore.TupleID, row relstore.Tuple) bool {
-		if i >= offset && len(rows) < limit {
-			rows = append(rows, rowOut{ID: int64(id), Row: jsonRow(row)})
-		}
-		i++
-		return len(rows) < limit || i <= offset
-	})
+	for i := offset; i < end; i++ {
+		rows = append(rows, rowOut{ID: int64(snap.IDs()[i]), Row: jsonRow(snap.Row(i))})
+	}
 	writeJSON(w, map[string]any{
 		"table":   snap.Schema().Name,
 		"attrs":   snap.Schema().AttrNames(),
@@ -293,22 +304,22 @@ func detectOptions(r *http.Request, stream bool) ([]core.Option, error) {
 	} else if !stream {
 		opts = append(opts, core.WithEngine(core.SQLDetection))
 	}
-	if ws := q.Get("workers"); ws != "" {
-		n, err := strconv.Atoi(ws)
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("bad workers value %q", ws)
-		}
-		opts = append(opts, core.WithWorkers(n)) // request-scoped; does not touch the shared session
+	workers, err := intParam(q, "workers", -1)
+	if err != nil {
+		return nil, err
+	}
+	if workers >= 0 {
+		opts = append(opts, core.WithWorkers(workers)) // request-scoped; does not touch the shared session
 	}
 	if ids := q.Get("cfds"); ids != "" {
 		opts = append(opts, core.WithCFDs(strings.Split(ids, ",")...))
 	}
-	if ls := q.Get("limit"); ls != "" {
-		n, err := strconv.Atoi(ls)
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("bad limit value %q", ls)
-		}
-		opts = append(opts, core.WithLimit(n))
+	limit, err := intParam(q, "limit", -1)
+	if err != nil {
+		return nil, err
+	}
+	if limit >= 0 {
+		opts = append(opts, core.WithLimit(limit))
 	}
 	return opts, nil
 }

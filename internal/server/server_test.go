@@ -7,11 +7,15 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
 
 	"semandaq/internal/core"
+	"semandaq/internal/datagen"
+	"semandaq/internal/relstore"
+	"semandaq/internal/types"
 )
 
 const customersCSV = `NAME,CNT,CITY,ZIP,STR,CC,AC
@@ -553,5 +557,102 @@ func TestEveryRouteErrorContract(t *testing.T) {
 	// The malformed load above must not have registered anything.
 	if status, _ := request("GET", "/api/tables/ghost"); status != http.StatusNotFound {
 		t.Errorf("a refused load left table ghost behind (status %d)", status)
+	}
+}
+
+// TestTablePaging: the table route pages with limit and offset, decoding
+// the page only; a limit or offset that is no non-negative integer is a 400
+// naming the value instead of a silent default.
+func TestTablePaging(t *testing.T) {
+	ts := testServer(t)
+	for _, c := range []struct {
+		query string
+		ids   []float64 // the page's tuple ids
+		bad   string    // the refused value, quoted
+	}{
+		{query: "", ids: []float64{0, 1, 2, 3, 4}},
+		{query: "?limit=2", ids: []float64{0, 1}},
+		{query: "?limit=2&offset=1", ids: []float64{1, 2}},
+		{query: "?offset=4", ids: []float64{4}},
+		{query: "?offset=5"},
+		{query: "?offset=99&limit=3"},
+		{query: "?limit=0"},
+		{query: "?limit=9223372036854775807&offset=3", ids: []float64{3, 4}},
+		{query: "?limit=&offset=", ids: []float64{0, 1, 2, 3, 4}},
+		{query: "?limit=abc", bad: `"abc"`},
+		{query: "?limit=-1", bad: `"-1"`},
+		{query: "?offset=1.5", bad: `"1.5"`},
+		{query: "?limit=1&offset=-2", bad: `"-2"`},
+		{query: "?offset=99999999999999999999", bad: `"99999999999999999999"`},
+	} {
+		path := "/api/tables/customer" + c.query
+		if c.bad != "" {
+			out := do(t, ts, "GET", path, "", http.StatusBadRequest)
+			if msg, _ := out["error"].(string); !strings.Contains(msg, c.bad) {
+				t.Errorf("GET %s: error %q does not name %s", path, msg, c.bad)
+			}
+			continue
+		}
+		out := do(t, ts, "GET", path, "", http.StatusOK)
+		var ids []float64
+		rows, _ := out["rows"].([]any)
+		for _, row := range rows {
+			ids = append(ids, row.(map[string]any)["id"].(float64))
+		}
+		if !slices.Equal(ids, c.ids) || out["tuples"].(float64) != 5 {
+			t.Errorf("GET %s: ids %v of %v tuples, want %v of 5", path, ids, out["tuples"], c.ids)
+		}
+	}
+}
+
+// TestMonitoredReadsMatchBatch: with a monitor active, detect, audit and the
+// drill-down are served from the tracker's factorised report; their bodies
+// are byte-identical to those a session without a monitor serves from
+// batch detection, after the same edits.
+func TestMonitoredReadsMatchBatch(t *testing.T) {
+	ctx := context.Background()
+	monitored, batch := datasetSession(t, 600, 0.05), datasetSession(t, 600, 0.05)
+	if _, err := monitored.Monitor(ctx, "customer"); err != nil {
+		t.Fatal(err)
+	}
+	for _, sys := range []*core.Semandaq{monitored, batch} {
+		for i, id := range []relstore.TupleID{3, 40, 41, 200, 599} {
+			if _, err := sys.SetCell("customer", id, "STR", types.NewString(fmt.Sprintf("typo %d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := sys.SetCell("customer", 7, "CNT", types.NewString("US")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Delete("customer", 12); err != nil {
+			t.Fatal(err)
+		}
+	}
+	duration := regexp.MustCompile(`"durationMs":[0-9.e+-]+`)
+	targets := []string{
+		"/api/detect/customer", "/api/detect/customer?engine=columnar", "/api/detect/customer?engine=native&limit=5",
+		"/api/audit/customer", "/api/explore/customer/cfds", "/api/explore/customer/map",
+		"/api/explore/customer/tuple/3", "/api/explore/customer/tuple/7", "/api/explore/customer/tuple/40",
+	}
+	for _, info := range datagen.StandardCFDs() {
+		targets = append(targets, "/api/explore/customer/patterns?cfd="+info.ID)
+		for p := range info.Tableau {
+			targets = append(targets, fmt.Sprintf("/api/explore/customer/lhs?cfd=%s&pattern=%d", info.ID, p))
+		}
+	}
+	hm, hb := New(monitored).Handler(), New(batch).Handler()
+	for _, target := range targets {
+		got, want := serve(hm, target), serve(hb, target)
+		if got.Code != http.StatusOK || want.Code != http.StatusOK {
+			t.Fatalf("%s: status %d monitored, %d batch", target, got.Code, want.Code)
+		}
+		g, w := duration.ReplaceAll(got.Body.Bytes(), nil), duration.ReplaceAll(want.Body.Bytes(), nil)
+		if !bytes.Equal(g, w) {
+			t.Errorf("%s: monitored body differs from the batch-served one\n got %.400s\nwant %.400s", target, g, w)
+		}
+	}
+	tab, _ := monitored.Table("customer")
+	if m, _ := monitored.ActiveMonitor("customer"); m == nil || m.Version() != tab.Version() {
+		t.Fatal("the monitor does not track the table it served")
 	}
 }
