@@ -17,9 +17,9 @@
 package audit
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"semandaq/internal/cfd"
@@ -157,9 +157,11 @@ type evidence struct {
 	groupTotal    int
 }
 
-func newEvidence(snap *relstore.Snapshot) *evidence {
+// newEvidence sizes the evidence over snap and notes the report's
+// violation records viols.
+func newEvidence(snap *relstore.Snapshot, viols []detect.Violation) *evidence {
 	n, words := snap.Len(), (snap.Schema().Arity()+63)/64
-	return &evidence{
+	ev := &evidence{
 		snap:        snap,
 		ids:         snap.IDs(),
 		hasSingle:   make([]bool, n),
@@ -170,6 +172,13 @@ func newEvidence(snap *relstore.Snapshot) *evidence {
 		multi:       make([]uint64, n*words),
 		attrPos:     map[string]int{},
 	}
+	for i := range viols {
+		v := &viols[i]
+		if r, ok := ev.row(v.TupleID); ok {
+			ev.note(r, v.Attr, v.Kind)
+		}
+	}
+	return ev
 }
 
 // row returns the snapshot row of tuple id.
@@ -207,17 +216,11 @@ func (ev *evidence) group(size int) {
 // classification scan reads its columns and must agree with the report's
 // violations), and cfds the same constraint set.
 func Audit(snap *relstore.Snapshot, cfds []*cfd.CFD, rep *detect.Report) (*Report, error) {
-	ev := newEvidence(snap)
+	ev := newEvidence(snap, rep.Violations)
 	ev.vio = make([]int32, len(ev.ids))
 	for id, n := range rep.Vio {
 		if r, ok := ev.row(id); ok {
 			ev.vio[r] = int32(n)
-		}
-	}
-	for i := range rep.Violations {
-		v := &rep.Violations[i]
-		if r, ok := ev.row(v.TupleID); ok {
-			ev.note(r, v.Attr, v.Kind)
 		}
 	}
 	for _, g := range rep.Groups {
@@ -239,14 +242,8 @@ func Audit(snap *relstore.Snapshot, cfds []*cfd.CFD, rep *detect.Report) (*Repor
 // accessor, so the exploded report — its per-member violation records and
 // RHSOf maps — is never materialized.
 func AuditFactorised(snap *relstore.Snapshot, cfds []*cfd.CFD, fr *detect.FactorReport) (*Report, error) {
-	ev := newEvidence(snap)
+	ev := newEvidence(snap, fr.Violations)
 	ev.vio = fr.Digest().Vio
-	for i := range fr.Violations {
-		v := &fr.Violations[i]
-		if r, ok := ev.row(v.TupleID); ok {
-			ev.note(r, v.Attr, v.Kind)
-		}
-	}
 	for _, g := range fr.FactorGroups {
 		ev.group(g.Size())
 		strict := 2*g.MajoritySize() > g.Size()
@@ -396,11 +393,8 @@ func auditCore(ev *evidence, cfds []*cfd.CFD, table string, tupleCount int, vers
 			out.Pie = append(out.Pie, CFDSlice{CFDID: id, Violations: n})
 		}
 	}
-	sort.Slice(out.Pie, func(i, j int) bool {
-		if out.Pie[i].Violations != out.Pie[j].Violations {
-			return out.Pie[i].Violations > out.Pie[j].Violations
-		}
-		return out.Pie[i].CFDID < out.Pie[j].CFDID
+	slices.SortFunc(out.Pie, func(a, b CFDSlice) int {
+		return cmp.Or(cmp.Compare(b.Violations, a.Violations), strings.Compare(a.CFDID, b.CFDID))
 	})
 
 	// Distribution statistics.
@@ -452,12 +446,6 @@ func (r *Report) Render() string {
 
 // bar renders a 0–100 percentage as a 20-char bar.
 func bar(p float64) string {
-	n := int(p / 5)
-	if n < 0 {
-		n = 0
-	}
-	if n > 20 {
-		n = 20
-	}
+	n := min(max(int(p/5), 0), 20)
 	return strings.Repeat("#", n) + strings.Repeat(".", 20-n)
 }

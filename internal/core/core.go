@@ -125,14 +125,12 @@ func (e *reportEntry) flat() *detect.Report {
 }
 
 // explorer returns the entry's explorer over snap, the snapshot of its
-// version, building it on first use.
+// version, building it on first use from the factorised report. Explore
+// only reads the columnar slot, whose entries are always factorised (the
+// factorised core's or the tracker's), so there is no flat-report path.
 func (e *reportEntry) explorer(snap *relstore.Snapshot, cfds []*cfd.CFD) (*explore.Explorer, error) {
 	e.exOnce.Do(func() {
-		if e.fr != nil {
-			e.ex, e.exErr = explore.NewFactorised(snap, cfds, e.fr)
-		} else {
-			e.ex, e.exErr = explore.New(snap, cfds, e.rep)
-		}
+		e.ex, e.exErr = explore.NewFactorised(snap, cfds, e.fr)
 	})
 	return e.ex, e.exErr
 }
@@ -686,7 +684,9 @@ func (s *Semandaq) Audit(ctx context.Context, table string, opts ...Option) (*au
 }
 
 // Explore returns the drill-down explorer over the current detection state,
-// one per cached report. The explorer's scans and the report it drills into
+// one per cached report. It always detects with DefaultEngine, whose entry
+// is factorised, so the explorer never needs a flat report. The explorer's
+// scans and the report it drills into
 // share one pinned snapshot, so every level reflects the same version.
 func (s *Semandaq) Explore(ctx context.Context, table string) (*explore.Explorer, error) {
 	e, snap, cfds, err := s.detectRequest(ctx, table, s.resolve(DefaultEngine, nil))

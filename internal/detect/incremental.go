@@ -358,30 +358,40 @@ func (t *Tracker) removeTuple(id relstore.TupleID, row relstore.Tuple, d *Delta)
 // groups disagree, and the snapshot's columns supply row positions (by
 // binary search over its ids), LHS values, RHS values and histograms — so
 // the report equals the batch core's over the same snapshot. It reports
-// false when snap is of another version than the tracker's. It runs under
-// the tracker's read lock, so it never observes a half-applied update.
+// false when snap is of another version or lacks a tracked tuple (one
+// deleted around the tracker). It runs under the tracker's read lock, so
+// it never observes a half-applied update.
 func (t *Tracker) FactorReport(snap *relstore.Snapshot) (*FactorReport, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if snap.Version() != t.tab.Version() {
 		return nil, false
 	}
-	return t.factorReportLocked(snap), true
+	if fr, complete := t.factorReportLocked(snap); complete {
+		return fr, true
+	}
+	return nil, false
 }
 
-// factorReportLocked is FactorReport under an already-held lock.
-func (t *Tracker) factorReportLocked(snap *relstore.Snapshot) *FactorReport {
+// factorReportLocked is FactorReport under an already-held lock; it skips
+// tracked tuples missing from snap and reports whether there were none.
+func (t *Tracker) factorReportLocked(snap *relstore.Snapshot) (fr *FactorReport, complete bool) {
 	cols := snap.Columnar()
 	ids := cols.IDs()
 	cps := make([]colPrep, len(t.state))
 	parts := make([]cfdPart, len(t.state))
 	codeCounts := make(map[uint32]int, 8)
+	complete = true
 	for i, cs := range t.state {
 		cp, pt := &cps[i], &parts[i]
 		*cp = newColPrep(cs.p, cols)
 		add := func(v Violation) bool { pt.viols = append(pt.viols, v); return true }
 		for id := range cs.single {
-			r, _ := slices.BinarySearch(ids, id)
+			r, ok := slices.BinarySearch(ids, id)
+			if !ok {
+				complete = false
+				continue
+			}
 			n := len(pt.viols)
 			if cp.constAt(r, id, add); len(pt.viols) > n {
 				pt.singles++
@@ -393,8 +403,15 @@ func (t *Tracker) factorReportLocked(snap *relstore.Snapshot) *FactorReport {
 			}
 			rows := make([]int32, 0, len(g.members))
 			for id := range g.members {
-				r, _ := slices.BinarySearch(ids, id)
+				r, ok := slices.BinarySearch(ids, id)
+				if !ok {
+					complete = false
+					continue
+				}
 				rows = append(rows, int32(r))
+			}
+			if len(rows) < 2 {
+				continue
 			}
 			slices.Sort(rows)
 			if fg := newFactorGroup(cp, rows, codeCounts, ids); fg != nil {
@@ -402,7 +419,7 @@ func (t *Tracker) factorReportLocked(snap *relstore.Snapshot) *FactorReport {
 			}
 		}
 	}
-	return assemble(cols, cps, parts)
+	return assemble(cols, cps, parts), complete
 }
 
 // Report is the tracked state's flat report over the table's current
@@ -410,7 +427,8 @@ func (t *Tracker) factorReportLocked(snap *relstore.Snapshot) *FactorReport {
 func (t *Tracker) Report() *Report {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.factorReportLocked(t.tab.Snapshot()).Explode()
+	fr, _ := t.factorReportLocked(t.tab.Snapshot())
+	return fr.Explode()
 }
 
 // String renders a short tracker summary.

@@ -319,3 +319,33 @@ func TestTrackerFactorReportReadsTheSnapshot(t *testing.T) {
 		t.Error("Report differs from the exploded factorised report")
 	}
 }
+
+// TestTrackerRefusesTuplesDeletedAroundIt: tuples deleted on the table
+// directly, not through the tracker, are missing from the snapshot. The
+// factorised report is then refused (so the facade falls back to batch
+// detection) instead of indexing rows that are not there, and Report
+// leaves them out.
+func TestTrackerRefusesTuplesDeletedAroundIt(t *testing.T) {
+	tab := relstore.NewTable(schema.New("r", "K", "V"))
+	s := types.NewString
+	tab.MustInsert(relstore.Tuple{s("k"), s("a")})
+	mid := tab.MustInsert(relstore.Tuple{s("k"), s("b")})
+	last := tab.MustInsert(relstore.Tuple{s("k"), s("b")})
+	cfds, err := cfd.ParseSet("r: [K=_] -> [V=_]\nr: [K=k] -> [V=a]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewTracker(tab, cfds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Deleting the largest id puts its search position past the last row.
+	tab.Delete(last)
+	tab.Delete(mid)
+	if _, ok := tr.FactorReport(tab.Snapshot()); ok {
+		t.Error("a snapshot missing tracked tuples was served")
+	}
+	if rep := tr.Report(); len(rep.Violations) != 0 || len(rep.Groups) != 0 {
+		t.Errorf("Report kept deleted tuples: %+v", rep)
+	}
+}

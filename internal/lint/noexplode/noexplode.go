@@ -2,16 +2,15 @@
 // detection, audit and repair packages consume violation groups in their
 // factorised form (FactorGroup refs + RHS histograms), and the exploding
 // compatibility surface — FactorReport.Explode, which materializes the
-// full per-tuple legacy report, and FactorGroup.AsGroup, which rebuilds a
-// group's per-member maps — exists only as a one-shot bridge for callers
-// that still need the legacy shape. Calling either inside a loop of a hot
-// package reintroduces exactly the O(members) (or O(groups x members))
+// full per-tuple legacy report — exists only as a one-shot bridge for
+// callers that still need the legacy shape. Calling it inside a loop of a
+// hot package reintroduces exactly the O(members) (or O(groups x members))
 // cost the factorisation removed, silently, at the call site hardest to
 // spot in review.
 //
 // The rule is lexical and package-scoped: inside semandaq/internal/detect,
-// internal/audit and internal/repair, no Explode/AsGroup call may appear
-// within a for or range statement. Top-level one-shot calls (the
+// internal/audit and internal/repair, no Explode call may appear within a
+// for or range statement. Top-level one-shot calls (the
 // compatibility shims themselves) are allowed; a deliberate in-loop use
 // carries a //semandaq:vet-ignore noexplode directive with a reason.
 package noexplode
@@ -35,15 +34,13 @@ var hotPkgs = map[string]bool{
 // report types to the accessor callers should use instead.
 var exploders = map[[2]string]string{
 	{"FactorReport", "Explode"}: "keep the report factorised or hoist the one-shot explode out of the loop",
-	{"FactorGroup", "AsGroup"}:  "use the FactorGroup accessors (MemberAt/RHSKeyAt/PartnersAt) instead of rebuilding per-member maps",
 }
 
 // Analyzer is the noexplode check.
 var Analyzer = &analysis.Analyzer{
 	Name: "noexplode",
-	Doc: "forbid FactorReport.Explode / FactorGroup.AsGroup inside loops of " +
-		"the detect/audit/repair hot paths; the factorised form must survive " +
-		"hot loops",
+	Doc: "forbid FactorReport.Explode inside loops of the detect/audit/repair " +
+		"hot paths; the factorised form must survive hot loops",
 	Run: run,
 }
 

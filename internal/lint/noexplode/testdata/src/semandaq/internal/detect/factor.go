@@ -5,14 +5,8 @@ package detect
 // Report is the exploded legacy shape.
 type Report struct{}
 
-// Group is one exploded violation group.
-type Group struct{}
-
 // FactorGroup is one factorised violation group.
 type FactorGroup struct{}
-
-// AsGroup rebuilds the exploded per-member maps — the O(members) bridge.
-func (g *FactorGroup) AsGroup() *Group { return &Group{} }
 
 // MemberAt is the factorised accessor loops should use.
 func (g *FactorGroup) MemberAt(i int) int { return i }
@@ -30,12 +24,13 @@ func shim(fr *FactorReport) *Report {
 	return fr.Explode()
 }
 
-// hotLoop pays the exploded cost once per iteration: both calls flagged.
+// hotLoop pays the exploded cost once per iteration: flagged, also when
+// the loop is nested.
 func hotLoop(frs []*FactorReport) {
 	for _, fr := range frs {
 		_ = fr.Explode() // want `FactorReport\.Explode\(\) inside a loop of a factorised hot path`
-		for _, g := range fr.FactorGroups {
-			_ = g.AsGroup() // want `FactorGroup\.AsGroup\(\) inside a loop of a factorised hot path`
+		for range fr.FactorGroups {
+			_ = fr.Explode() // want `FactorReport\.Explode\(\) inside a loop of a factorised hot path`
 		}
 	}
 }

@@ -140,10 +140,10 @@ func (r *Repairer) Repair(ctx context.Context, tab *relstore.Table, cfds []*cfd.
 	// table's snapshot and returns the single-tuple violations, the groups
 	// to resolve, and the total violation-record count (one record per
 	// dirty group member, counted without materializing them). Multi-tuple
-	// groups arrive as partition-class refs and become slim group headers,
-	// not AsGroup(): resolution re-reads the members' current values from
-	// the working table (earlier fixes this pass may have changed them), so
-	// the exploded per-member RHS maps would be dead weight.
+	// groups arrive as partition-class refs and become slim group headers
+	// without per-member RHS maps: resolution re-reads the members' current
+	// values from the working table (earlier fixes this pass may have
+	// changed them), so those maps would be dead weight.
 	detectPass := func() ([]detect.Violation, []*detect.Group, int, error) {
 		fr, err := detect.DetectFactorised(ctx, work.Snapshot(), cfds)
 		if err != nil {

@@ -204,12 +204,8 @@ func (sv *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	limit, err := intParam(r.URL.Query(), "limit", 100)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	offset, err := intParam(r.URL.Query(), "offset", 0)
-	if err != nil {
+	offset, oerr := intParam(r.URL.Query(), "offset", 0)
+	if err := errors.Join(err, oerr); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -305,7 +301,8 @@ func detectOptions(r *http.Request, stream bool) ([]core.Option, error) {
 		opts = append(opts, core.WithEngine(core.SQLDetection))
 	}
 	workers, err := intParam(q, "workers", -1)
-	if err != nil {
+	limit, lerr := intParam(q, "limit", -1)
+	if err := errors.Join(err, lerr); err != nil {
 		return nil, err
 	}
 	if workers >= 0 {
@@ -313,10 +310,6 @@ func detectOptions(r *http.Request, stream bool) ([]core.Option, error) {
 	}
 	if ids := q.Get("cfds"); ids != "" {
 		opts = append(opts, core.WithCFDs(strings.Split(ids, ",")...))
-	}
-	limit, err := intParam(q, "limit", -1)
-	if err != nil {
-		return nil, err
 	}
 	if limit >= 0 {
 		opts = append(opts, core.WithLimit(limit))
