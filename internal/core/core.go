@@ -699,21 +699,28 @@ func (s *Semandaq) Explore(ctx context.Context, table string) (*explore.Explorer
 // Repair computes a candidate repair (the original table is not modified;
 // review then ApplyRepair). WithCFDs scopes the constraints being
 // repaired; a cancelled ctx aborts the repairer's detect-resolve passes.
+// The repairer's first pass reads the default engine's report of the
+// version it clones, which a read of that version has usually cached.
 func (s *Semandaq) Repair(ctx context.Context, table string, opts ...Option) (*repair.Result, error) {
 	o := s.resolve(DefaultEngine, opts)
 	tab, cfds, err := s.requestCFDs(table, o)
 	if err != nil {
 		return nil, err
 	}
-	return repair.NewRepairer().Repair(ctx, tab, cfds)
+	e, err := s.detectEntry(ctx, table, tab.Snapshot(), cfds, o)
+	if err != nil {
+		return nil, err
+	}
+	return repair.NewRepairer().RepairFrom(ctx, tab, cfds, e.fr)
 }
 
 // ApplyRepair commits reviewed modifications to the live table, through
-// the session's write path: with a monitor active each cell edit routes
-// through its tracker (the violation index follows the repair), and the
-// whole apply runs under the table's mutation gate. A modification whose
-// Old value no longer matches the live cell is skipped and reported, as
-// in repair.Apply. Returns ErrMonitorBusy while a monitor is being
+// the session's write path, under the table's mutation gate. The
+// modifications repair.Fresh finds stale are skipped and reported; the
+// rest land, through repair.Apply or — with a monitor active — as one
+// update batch through its tracker (the violation index follows the
+// repair, and in cleansed mode its incremental repair runs once, after the
+// whole batch). Returns ErrMonitorBusy while a monitor is being
 // (re)started.
 func (s *Semandaq) ApplyRepair(table string, mods []repair.Modification) (int, []repair.Modification, error) {
 	applied := 0
@@ -724,22 +731,18 @@ func (s *Semandaq) ApplyRepair(table string, mods []repair.Modification) (int, [
 			applied, skipped, err = repair.Apply(tab, mods)
 			return err
 		}
-		sc := tab.Schema()
-		for _, mod := range mods {
-			pos, ok := sc.Pos(mod.Attr)
-			if !ok {
-				return fmt.Errorf("semandaq: apply repair: no attribute %q", mod.Attr)
-			}
-			row, ok := tab.Get(mod.TupleID)
-			if !ok || !row[pos].Equal(mod.Old) {
-				skipped = append(skipped, mod)
-				continue
-			}
-			if _, err := m.Apply([]monitor.Update{{Op: monitor.OpSet, ID: mod.TupleID, Attr: mod.Attr, Value: mod.New}}); err != nil {
-				return err
-			}
-			applied++
+		fresh, stale, err := repair.Fresh(tab.Snapshot(), mods)
+		if err != nil {
+			return err
 		}
+		batch := make([]monitor.Update, len(fresh))
+		for i, mod := range fresh {
+			batch[i] = monitor.Update{Op: monitor.OpSet, ID: mod.TupleID, Attr: mod.Attr, Value: mod.New}
+		}
+		if _, err := m.Apply(batch); err != nil {
+			return err
+		}
+		applied, skipped = len(fresh), stale
 		return nil
 	})
 	return applied, skipped, err

@@ -15,10 +15,10 @@
 // plus the dense vio(t)). Explode() lowers it to the exact flat Report at
 // the compat edge (ColumnarDetector.DetectSnapshot, Tracker.Report, the
 // facade's flat Detect — byte-identity with NativeDetector is the oracle,
-// enforced by the fuzz and cross-check tiers). Audit, explore and repair
-// consume the factorised form directly (audit.AuditFactorised,
-// explore.NewFactorised, the Repairer's detect passes); calling Explode()
-// inside those hot paths is forbidden by the noexplode vet analyzer.
+// enforced by the fuzz and cross-check tiers). Audit, explore and both
+// repairers read the factorised form on column codes (the batch repairer's
+// first pass from the facade's cache); calling Explode() inside those hot
+// paths is forbidden by the noexplode vet analyzer.
 package detect
 
 import (

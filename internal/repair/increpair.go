@@ -1,7 +1,10 @@
 package repair
 
 import (
-	"sort"
+	"cmp"
+	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"semandaq/internal/cfd"
@@ -35,14 +38,15 @@ func NewIncRepairer() *IncRepairer {
 	return &IncRepairer{Cost: DefaultCostModel(), MaxPasses: 15}
 }
 
-// proposal is one candidate fix for a delta tuple.
+// proposal is one candidate fix for the delta tuple at row.
 type proposal struct {
-	attr  string
-	val   types.Value
-	votes int
-	cost  float64
-	group *detect.Group // strongest group backing it (nil: constants only)
-	cfdID string
+	row, pos int
+	attr     string
+	val      types.Value
+	votes    int
+	cost     float64
+	group    *detect.FactorGroup // strongest group backing it (nil: constants only)
+	cfdID    string
 }
 
 // RepairDelta repairs the tuples in delta against the CFDs, in place,
@@ -57,278 +61,130 @@ func (ir *IncRepairer) RepairDelta(tr *detect.Tracker, tab *relstore.Table, cfds
 	for _, id := range delta {
 		inDelta[id] = true
 	}
-	sc := tab.Schema()
-	var mods []Modification
-	// history: every value each delta cell has held during this run.
-	history := map[cellKey][]types.Value{}
-	lastGroup := map[cellKey]*detect.Group{}
-
-	held := func(ck cellKey, v types.Value) bool {
-		for _, x := range history[ck] {
-			if x.Equal(v) {
-				return true
-			}
-		}
-		return false
-	}
-
-	set := func(id relstore.TupleID, attr string, val types.Value, g *detect.Group, cfdID, reason string) error {
-		pos := sc.MustPos(attr)
-		row, ok := tab.Get(id)
-		if !ok || row[pos].Equal(val) {
-			return nil
-		}
-		old := row[pos]
-		ck := cellKey{id, strings.ToLower(attr)}
-		if len(history[ck]) == 0 {
-			history[ck] = append(history[ck], old)
-		}
-		if _, err := tr.SetCell(id, attr, val); err != nil {
-			return err
-		}
-		history[ck] = append(history[ck], val)
-		lastGroup[ck] = g
-		mods = append(mods, Modification{
-			TupleID: id, Attr: attr, Old: old, New: val,
-			Cost: ir.Cost.Cost(id, attr, old, val), CFDID: cfdID, Reason: reason,
-		})
-		return nil
-	}
-
+	r := &run{cost: ir.Cost, history: map[cellKey]cellHistory{}, set: func(id relstore.TupleID, _ int, attr string, v types.Value) error {
+		_, err := tr.SetCell(id, attr, v)
+		return err
+	}}
+	c := &r.c
+	var deltaRows, fixedRows []int32
 	for pass := 0; pass < maxPasses; pass++ {
-		rep := tr.Report()
-		before := len(mods)
+		snap := tab.Snapshot()
+		rep, ok := tr.FactorReport(snap)
+		if !ok {
+			return nil, fmt.Errorf("repair: the tracker does not describe %s at version %d", tab.Schema().Name, snap.Version())
+		}
+		c.reset(snap)
+		ids := snap.IDs()
+		start := len(r.mods)
 
 		// Gather proposals per delta tuple.
-		props := map[relstore.TupleID]map[string]*proposal{} // key: attr|valKey
-		add := func(id relstore.TupleID, attr string, val types.Value, g *detect.Group, cfdID string) {
-			row, ok := tab.Get(id)
-			if !ok {
+		props := map[relstore.TupleID][]proposal{}
+		add := func(row int, attr string, val types.Value, g *detect.FactorGroup, cfdID string) {
+			pos := c.pos(attr)
+			cur := c.value(pos, c.code(row, pos))
+			if cur.Equal(val) {
 				return
 			}
-			pos := sc.MustPos(attr)
-			if row[pos].Equal(val) {
-				return
+			id := ids[row]
+			list := props[id]
+			k := slices.IndexFunc(list, func(p proposal) bool { return p.pos == pos && p.val.Equal(val) })
+			if k < 0 {
+				k = len(list)
+				list = append(list, proposal{row: row, pos: pos, attr: attr, val: val,
+					cost: ir.Cost.Cost(id, attr, cur, val), cfdID: cfdID})
+				props[id] = list
 			}
-			m := props[id]
-			if m == nil {
-				m = map[string]*proposal{}
-				props[id] = m
-			}
-			key := strings.ToLower(attr) + "|" + val.Key()
-			p := m[key]
-			if p == nil {
-				p = &proposal{attr: attr, val: val,
-					cost:  ir.Cost.Cost(id, attr, row[pos], val),
-					cfdID: cfdID}
-				m[key] = p
-			}
+			p := &list[k]
 			p.votes++
-			if g != nil && (p.group == nil || len(g.Members) > len(p.group.Members)) {
+			if g != nil && (p.group == nil || g.Size() > p.group.Size()) {
 				p.group = g
 			}
 		}
 
 		// Constant-pattern violations vote for the pattern constant.
 		for _, v := range rep.Violations {
-			if v.Kind != detect.SingleTuple || !inDelta[v.TupleID] {
-				continue
+			if inDelta[v.TupleID] {
+				row, _ := slices.BinarySearch(ids, v.TupleID)
+				add(row, v.Attr, v.Expected, nil, v.CFDID)
 			}
-			add(v.TupleID, v.Attr, v.Expected, nil, v.CFDID)
 		}
 		// Violating groups vote: fixed-majority value for delta members,
 		// or the cheapest merge value for all-delta groups.
-		for _, g := range rep.Groups {
-			pos := sc.MustPos(g.Attr)
-			var deltaMembers, fixedMembers []relstore.TupleID
-			for _, id := range g.Members {
-				if inDelta[id] {
-					deltaMembers = append(deltaMembers, id)
+		for _, g := range rep.FactorGroups {
+			deltaRows, fixedRows = deltaRows[:0], fixedRows[:0]
+			for _, row := range g.Rows {
+				if inDelta[ids[row]] {
+					deltaRows = append(deltaRows, row)
 				} else {
-					fixedMembers = append(fixedMembers, id)
+					fixedRows = append(fixedRows, row)
 				}
 			}
-			if len(deltaMembers) == 0 {
+			if len(deltaRows) == 0 {
 				continue // pre-existing conflict among trusted tuples
 			}
-			var target types.Value
-			ok := false
-			if len(fixedMembers) > 0 {
-				target, ok = majorityValue(tab, fixedMembers, pos)
+			pos := c.pos(g.Attr)
+			var target uint32
+			if t := &r.group; len(fixedRows) > 0 {
+				t.count(c, pos, fixedRows, -1)
+				target, _ = t.majority(c)
 			} else {
-				target, ok = cheapestMerge(ir.Cost, tab, deltaMembers, g.Attr, pos)
+				t.count(c, pos, deltaRows, -1)
+				target = t.rank(c, ir.Cost, ids, deltaRows, g.Attr)[0].code
 			}
-			if !ok {
-				continue
-			}
-			for _, id := range deltaMembers {
-				add(id, g.Attr, target, g, g.CFDID)
+			for _, row := range deltaRows {
+				add(int(row), g.Attr, c.value(pos, target), g, g.CFDID)
 			}
 		}
 
 		// Apply the best-corroborated proposal per tuple.
-		ids := make([]relstore.TupleID, 0, len(props))
-		for id := range props {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			var list []*proposal
-			for _, p := range props[id] {
-				list = append(list, p)
-			}
-			sort.SliceStable(list, func(i, j int) bool {
-				if list[i].votes != list[j].votes {
-					return list[i].votes > list[j].votes
+		for _, id := range slices.Sorted(maps.Keys(props)) {
+			list := props[id]
+			slices.SortStableFunc(list, func(a, b proposal) int {
+				switch {
+				case a.votes != b.votes:
+					return cmp.Compare(b.votes, a.votes)
+				case a.cost != b.cost:
+					return byCost(a.cost, b.cost)
+				case !a.val.Equal(b.val):
+					return strings.Compare(a.val.Key(), b.val.Key())
 				}
-				if list[i].cost != list[j].cost {
-					return list[i].cost < list[j].cost
-				}
-				if !list[i].val.Equal(list[j].val) {
-					return list[i].val.Key() < list[j].val.Key()
-				}
-				return list[i].attr < list[j].attr
+				return strings.Compare(a.attr, b.attr)
 			})
-			applied := false
-			for _, p := range list {
-				ck := cellKey{id, strings.ToLower(p.attr)}
-				if !held(ck, p.val) {
-					if err := set(id, p.attr, p.val, p.group, p.cfdID, "inc: "+reasonOf(p)); err != nil {
-						return nil, err
-					}
-					applied = true
-					break
+			k := slices.IndexFunc(list, func(p proposal) bool { return !r.history[cellKey{id, p.pos}].held(p.val) })
+			if k >= 0 {
+				p, reason := list[k], "inc: constant pattern"
+				if p.group != nil {
+					reason = "inc: align with clean data"
 				}
-			}
-			if applied {
+				if _, err := r.modify(p.row, p.pos, p.attr, p.val, p.group, 0, p.cfdID, reason, nil); err != nil {
+					return nil, err
+				}
 				continue
 			}
-			// Every proposal reverts an earlier change: oscillation.
-			// Arbitrate the top proposal against the cell's current state
-			// by total cost from the original value; the loser's group
-			// membership is broken via a LHS cell (as in BatchRepair).
+			// Every proposal reverts an earlier change: oscillation. The
+			// top proposal is arbitrated against the cell's current state,
+			// as BatchRepair does.
 			p := list[0]
-			ck := cellKey{id, strings.ToLower(p.attr)}
-			orig := history[ck][0]
-			prev := lastGroup[ck]
-			row, ok := tab.Get(id)
-			if !ok {
-				continue
-			}
-			pos := sc.MustPos(p.attr)
-			const unbreakable = 1e9
-			costKeep := ir.Cost.Cost(id, p.attr, orig, row[pos])
-			breakKeep := planBreakWith(ir.Cost, tab, id, p.group, prev)
-			if breakKeep == nil {
-				costKeep += unbreakable
-			} else {
-				costKeep += breakKeep.cost
-			}
-			costApply := ir.Cost.Cost(id, p.attr, orig, p.val)
-			breakApply := planBreakWith(ir.Cost, tab, id, prev, p.group)
-			if breakApply == nil {
-				costApply += unbreakable
-			} else {
-				costApply += breakApply.cost
-			}
-			if costKeep <= costApply {
-				if breakKeep != nil {
-					ck2 := cellKey{id, strings.ToLower(breakKeep.attr)}
-					if !held(ck2, breakKeep.val) {
-						if err := set(id, breakKeep.attr, breakKeep.val, prev, p.cfdID,
-							"inc: break membership via "+breakKeep.attr); err != nil {
-							return nil, err
-						}
-					}
+			h := r.history[cellKey{id, p.pos}]
+			adopt, brk, ok := r.arbitrate(p.row, p.attr, h.values[0], c.value(p.pos, c.code(p.row, p.pos)), p.val, h.group, p.group)
+			g := h.group
+			if adopt {
+				if _, err := r.modify(p.row, p.pos, p.attr, p.val, p.group, 0, p.cfdID, "inc: arbitrated merge", nil); err != nil {
+					return nil, err
 				}
-				continue
+				g = p.group
 			}
-			if err := set(id, p.attr, p.val, p.group, p.cfdID, "inc: arbitrated merge"); err != nil {
-				return nil, err
-			}
-			if breakApply != nil {
-				ck2 := cellKey{id, strings.ToLower(breakApply.attr)}
-				if !held(ck2, breakApply.val) {
-					if err := set(id, breakApply.attr, breakApply.val, p.group, p.cfdID,
-						"inc: break membership via "+breakApply.attr); err != nil {
-						return nil, err
-					}
+			if ok && !r.history[cellKey{id, brk.pos}].held(brk.val) {
+				if _, err := r.modify(p.row, brk.pos, brk.attr, brk.val, g, 0, p.cfdID,
+					"inc: break membership via "+brk.attr, nil); err != nil {
+					return nil, err
 				}
 			}
 		}
 
-		if len(mods) == before {
+		if len(r.mods) == start {
 			break
 		}
 	}
-	return mods, nil
-}
-
-func reasonOf(p *proposal) string {
-	if p.group != nil {
-		return "align with clean data"
-	}
-	return "constant pattern"
-}
-
-// majorityValue returns the most frequent value of the given cell position
-// among the listed tuples (ties broken by value key).
-func majorityValue(tab *relstore.Table, ids []relstore.TupleID, pos int) (types.Value, bool) {
-	counts := map[string]int{}
-	rep := map[string]types.Value{}
-	for _, id := range ids {
-		row, ok := tab.Get(id)
-		if !ok {
-			continue
-		}
-		k := row[pos].Key()
-		counts[k]++
-		rep[k] = row[pos]
-	}
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	bestN := 0
-	var best types.Value
-	for _, k := range keys {
-		if counts[k] > bestN {
-			bestN = counts[k]
-			best = rep[k]
-		}
-	}
-	return best, bestN > 0
-}
-
-// cheapestMerge returns the value among the members' current values that
-// minimizes the total change cost.
-func cheapestMerge(cost CostModel, tab *relstore.Table, ids []relstore.TupleID, attr string, pos int) (types.Value, bool) {
-	vals := map[relstore.TupleID]types.Value{}
-	var distinct []types.Value
-	seen := map[string]bool{}
-	for _, id := range ids {
-		row, ok := tab.Get(id)
-		if !ok {
-			continue
-		}
-		vals[id] = row[pos]
-		if !seen[row[pos].Key()] {
-			seen[row[pos].Key()] = true
-			distinct = append(distinct, row[pos])
-		}
-	}
-	bestCost := -1.0
-	var best types.Value
-	for _, cand := range distinct {
-		total := 0.0
-		for _, id := range ids {
-			total += cost.Cost(id, attr, vals[id], cand)
-		}
-		if bestCost < 0 || total < bestCost ||
-			(total == bestCost && cand.Key() < best.Key()) {
-			best, bestCost = cand, total
-		}
-	}
-	return best, bestCost >= 0
+	return r.mods, nil
 }

@@ -3,7 +3,7 @@ package repair
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"semandaq/internal/cfd"
@@ -11,10 +11,6 @@ import (
 	"semandaq/internal/relstore"
 	"semandaq/internal/types"
 )
-
-// cancelStride is how many items the repair pass loops process between
-// context cancellation checks.
-const cancelStride = 4096
 
 // Repairer runs the batch repair algorithm.
 type Repairer struct {
@@ -76,30 +72,6 @@ func (r *Result) ModifiedCells() map[string]bool {
 	return out
 }
 
-// cellKey identifies a cell (tuple, attribute).
-type cellKey struct {
-	id   relstore.TupleID
-	attr string // lowercased
-}
-
-// cellHistory remembers how a cell was last changed, to detect oscillation
-// between interacting CFDs (two groups tugging the same RHS cell).
-type cellHistory struct {
-	values  []types.Value // every value the cell has held this run
-	support int           // backing of the last change (agreeing members)
-	group   *detect.Group // group context of the last change (nil: constant)
-	changes int
-}
-
-func (h *cellHistory) held(v types.Value) bool {
-	for _, x := range h.values {
-		if x.Equal(v) {
-			return true
-		}
-	}
-	return false
-}
-
 // Repair computes a candidate repair of tab under the CFDs. It follows the
 // BatchRepair shape of the VLDB 2007 paper:
 //
@@ -116,429 +88,215 @@ func (h *cellHistory) held(v types.Value) bool {
 //     Bohannon et al.;
 //  5. repeat until clean, or MaxPasses / per-cell change caps hit.
 func (r *Repairer) Repair(ctx context.Context, tab *relstore.Table, cfds []*cfd.CFD) (*Result, error) {
+	return r.RepairFrom(ctx, tab, cfds, nil)
+}
+
+// RepairFrom is Repair given seed, a factorised report of tab under cfds (the
+// facade's cached one): the first pass reads it instead of detecting when it
+// describes the version the working copy is cloned at. A nil seed is Repair.
+func (r *Repairer) RepairFrom(ctx context.Context, tab *relstore.Table, cfds []*cfd.CFD, seed *detect.FactorReport) (*Result, error) {
+	work := tab.Clone()
+	for _, c := range cfds {
+		if err := c.Validate(work.Schema()); err != nil {
+			return nil, err
+		}
+	}
+	b := &batch{ctx: ctx, cfds: cfds, work: work, maxChanges: r.MaxCellChanges, merges: map[string]string{}}
+	b.run = run{cost: r.Cost, history: map[cellKey]cellHistory{}, set: func(id relstore.TupleID, pos int, _ string, v types.Value) error {
+		_, err := work.SetCell(id, pos, v)
+		return err
+	}}
+	if b.maxChanges <= 0 {
+		b.maxChanges = 4
+	}
 	maxPasses := r.MaxPasses
 	if maxPasses <= 0 {
 		maxPasses = 20
 	}
-	maxChanges := r.MaxCellChanges
-	if maxChanges <= 0 {
-		maxChanges = 4
-	}
-	work := tab.Clone()
 	res := &Result{Repaired: work}
-	sc := work.Schema()
-
-	for _, c := range cfds {
-		if err := c.Validate(sc); err != nil {
-			return nil, err
+	done := func(remaining int) (*Result, error) {
+		res.Modifications, res.Remaining, res.Converged = b.mods, remaining, remaining == 0
+		for _, m := range b.mods {
+			res.Cost += m.Cost
 		}
+		return res, nil
 	}
-
-	history := map[cellKey]*cellHistory{}
-
-	// detectPass runs one factorised detection round over the working
-	// table's snapshot and returns the single-tuple violations, the groups
-	// to resolve, and the total violation-record count (one record per
-	// dirty group member, counted without materializing them). Multi-tuple
-	// groups arrive as partition-class refs and become slim group headers
-	// without per-member RHS maps: resolution re-reads the members' current
-	// values from the working table (earlier fixes this pass may have
-	// changed them), so those maps would be dead weight.
-	detectPass := func() ([]detect.Violation, []*detect.Group, int, error) {
-		fr, err := detect.DetectFactorised(ctx, work.Snapshot(), cfds)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		groups := make([]*detect.Group, len(fr.FactorGroups))
-		remaining := len(fr.Violations)
-		for i, g := range fr.FactorGroups {
-			groups[i] = &detect.Group{
-				CFDID:     g.CFDID,
-				Attr:      g.Attr,
-				LHSAttrs:  g.LHSAttrs,
-				LHSValues: g.LHSValues,
-				Members:   g.Members(),
-			}
-			remaining += g.Size()
-		}
-		return fr.Violations, groups, remaining, nil
-	}
-
-	// change applies one modification with history bookkeeping. Returns
-	// false when the cell is frozen.
-	change := func(id relstore.TupleID, attr string, newVal types.Value, support int, g *detect.Group, cfdID, reason string, alts []Alternative) (bool, error) {
-		ck := cellKey{id, strings.ToLower(attr)}
-		h := history[ck]
-		if h != nil && h.changes >= maxChanges {
-			return false, nil
-		}
-		pos := sc.MustPos(attr)
-		row, ok := work.Get(id)
-		if !ok {
-			return false, nil
-		}
-		old := row[pos]
-		if old.Equal(newVal) {
-			return false, nil
-		}
-		if _, err := work.SetCell(id, pos, newVal); err != nil {
-			return false, err
-		}
-		if h == nil {
-			h = &cellHistory{values: []types.Value{old}}
-			history[ck] = h
-		}
-		h.values = append(h.values, newVal)
-		h.support = support
-		h.group = g
-		h.changes++
-		cost := r.Cost.Cost(id, attr, old, newVal)
-		res.Modifications = append(res.Modifications, Modification{
-			TupleID: id, Attr: attr, Old: old, New: newVal,
-			Cost: cost, CFDID: cfdID, Reason: reason, Alternatives: alts,
-		})
-		res.Cost += cost
-		return true, nil
-	}
-
 	for pass := 0; pass < maxPasses; pass++ {
-		violations, groups, remaining, err := detectPass()
+		fr, remaining, err := b.detect(seed)
 		if err != nil {
 			return nil, err
 		}
-		res.Passes = pass + 1
-		if remaining == 0 {
-			res.Converged = true
-			return res, nil
+		if res.Passes, seed = pass+1, nil; remaining == 0 {
+			return done(0)
 		}
-
-		changed := false
-
-		// Step 2: constant-pattern fixes (a factorised report's Violations
-		// are the single-tuple ones only). Violations are grouped per cell,
-		// but only ONE constant fix is applied per tuple per pass — two
-		// mutually-triggered constant patterns (e.g. CITY→AC and AC→CITY)
-		// would otherwise flip both cells in tandem forever. Fixing the
-		// cheapest cell first removes the other rule's premise.
-		constFix := map[cellKey][]detect.Violation{}
-		perTuple := map[relstore.TupleID][]cellKey{}
-		var tupleOrder []relstore.TupleID
-		n := 0
-		for _, v := range violations {
-			if n++; n%cancelStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			k := cellKey{v.TupleID, strings.ToLower(v.Attr)}
-			if _, ok := constFix[k]; !ok {
-				if len(perTuple[v.TupleID]) == 0 {
-					tupleOrder = append(tupleOrder, v.TupleID)
-				}
-				perTuple[v.TupleID] = append(perTuple[v.TupleID], k)
-			}
-			constFix[k] = append(constFix[k], v)
-		}
-		for _, id := range tupleOrder {
-			if n++; n%cancelStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			row, ok := work.Get(id)
-			if !ok {
-				continue
-			}
-			// Cheapest fix across this tuple's violated cells. A cell that
-			// different rules want to set to DIFFERENT constants is
-			// contested evidence (e.g. [CITY=x]→CNT=UK vs [CC=1]→CNT=US);
-			// prefer an uncontested cell — fixing it usually removes the
-			// contested rules' premises.
-			type fix struct {
-				attr      string
-				best      Alternative
-				alts      []Alternative
-				cfd       string
-				contested bool
-			}
-			var chosen *fix
-			better := func(a, b *fix) bool {
-				if a.contested != b.contested {
-					return !a.contested
-				}
-				return a.best.Cost < b.best.Cost
-			}
-			for _, k := range perTuple[id] {
-				vs := constFix[k]
-				pos := sc.MustPos(vs[0].Attr)
-				targets := constantTargets(vs)
-				best, alts := pickCheapest(r.Cost, id, vs[0].Attr, row[pos], targets)
-				f := &fix{attr: vs[0].Attr, best: best, alts: alts,
-					cfd: vs[0].CFDID, contested: len(targets) > 1}
-				if chosen == nil || better(f, chosen) {
-					chosen = f
-				}
-			}
-			if chosen == nil {
-				continue
-			}
-			did, err := change(id, chosen.attr, chosen.best.Value, 1<<30, nil, chosen.cfd,
-				"constant pattern "+chosen.best.Value.String(), chosen.alts)
-			if err != nil {
-				return nil, err
-			}
+		// Step 2, then step 3 with oscillation arbitration.
+		changed, err := b.fixConstants(fr.Violations)
+		for i := 0; err == nil && i < len(fr.FactorGroups); i++ {
+			var did bool
+			did, err = b.resolveGroup(fr.FactorGroups[i])
 			changed = changed || did
 		}
-
-		// Step 3: multi-tuple group merges with oscillation arbitration.
-		for _, g := range groups {
-			if n++; n%cancelStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			did, err := r.resolveGroup(work, g, history, change)
-			if err != nil {
-				return nil, err
-			}
-			changed = changed || did
+		if err != nil {
+			return nil, err
 		}
-
 		if !changed {
-			res.Remaining = remaining
-			return res, nil
+			return done(remaining)
 		}
 	}
-
-	_, _, remaining, err := detectPass()
+	_, remaining, err := b.detect(nil)
 	if err != nil {
 		return nil, err
 	}
-	res.Remaining = remaining
-	res.Converged = res.Remaining == 0
-	return res, nil
+	return done(remaining)
 }
 
-// changeFn is the history-aware cell modifier used by resolveGroup.
-type changeFn func(id relstore.TupleID, attr string, newVal types.Value, support int, g *detect.Group, cfdID, reason string, alts []Alternative) (bool, error)
+// batch is one Repair run's state.
+type batch struct {
+	run
+	ctx        context.Context
+	cfds       []*cfd.CFD
+	work       *relstore.Table
+	maxChanges int
+	merges     map[string]string // RHS attribute → its merge Reason
+	targets    []types.Value
+}
 
-// resolveGroup merges one violating group to its cost-optimal value,
-// arbitrating oscillations via majority support and LHS breaking.
-func (r *Repairer) resolveGroup(work *relstore.Table, g *detect.Group, history map[cellKey]*cellHistory, change changeFn) (bool, error) {
-	sc := work.Schema()
-	pos := sc.MustPos(g.Attr)
+// detect pins the working table for a pass and returns its report (fr when
+// of the pinned version) and the count of violation records it explodes to.
+func (b *batch) detect(fr *detect.FactorReport) (*detect.FactorReport, int, error) {
+	snap := b.work.Snapshot()
+	if fr == nil || fr.Version != snap.Version() {
+		var err error
+		if fr, err = detect.DetectFactorised(b.ctx, snap, b.cfds); err != nil {
+			return nil, 0, err
+		}
+	}
+	b.c.reset(snap)
+	remaining := len(fr.Violations)
+	for _, g := range fr.FactorGroups {
+		remaining += g.Size()
+	}
+	return fr, remaining, nil
+}
 
-	members := append([]relstore.TupleID(nil), g.Members...)
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-	vals := map[relstore.TupleID]types.Value{}
-	counts := map[string]int{}
-	type cand struct {
-		val   types.Value
-		total float64
+// change is modify unless the cell is frozen: changed maxChanges times.
+func (b *batch) change(row, pos int, attr string, v types.Value, g *detect.FactorGroup, support int, cfdID, reason string, alts []Alternative) (bool, error) {
+	if b.history[cellKey{b.c.cols.IDs()[row], pos}].changes >= b.maxChanges {
+		return false, nil
 	}
-	var candidates []cand
-	seen := map[string]bool{}
-	for _, id := range members {
-		row, ok := work.Get(id)
-		if !ok {
-			continue
-		}
-		vals[id] = row[pos]
-		counts[row[pos].Key()]++
-		if !seen[row[pos].Key()] {
-			seen[row[pos].Key()] = true
-			candidates = append(candidates, cand{val: row[pos]})
-		}
-	}
-	if len(candidates) <= 1 {
-		return false, nil // already resolved by an earlier fix this pass
-	}
-	for i := range candidates {
-		for _, id := range members {
-			candidates[i].total += r.Cost.Cost(id, g.Attr, vals[id], candidates[i].val)
-		}
-	}
-	sort.SliceStable(candidates, func(i, j int) bool {
-		if candidates[i].total != candidates[j].total {
-			return candidates[i].total < candidates[j].total
-		}
-		return candidates[i].val.Key() < candidates[j].val.Key()
-	})
-	target := candidates[0]
-	support := counts[target.val.Key()]
+	return b.modify(row, pos, attr, v, g, support, cfdID, reason, alts)
+}
 
-	anyChange := false
-	for _, id := range members {
-		old, ok := vals[id]
-		if !ok || old.Equal(target.val) {
-			continue
+// fixConstants applies the constant-pattern fixes (a factorised report's
+// Violations are the single-tuple ones only), ONE per tuple per pass — two
+// mutually-triggered constant patterns (e.g. CITY→AC and AC→CITY) would
+// otherwise flip both cells in tandem forever; fixing the cheapest cell
+// first removes the other rule's premise. The violations are sorted by
+// tuple, so each tuple's are adjacent.
+func (b *batch) fixConstants(vs []detect.Violation) (bool, error) {
+	changed := false
+	for i, j := 0, 0; i < len(vs); i = j {
+		if err := b.ctx.Err(); err != nil {
+			return false, err
 		}
-		ck := cellKey{id, strings.ToLower(g.Attr)}
-		if h := history[ck]; h != nil && h.held(target.val) {
-			// Oscillation: another constraint moved this cell away from
-			// target before. Arbitrate by the total modification cost of
-			// the two consistent outcomes, measured from the tuple's
-			// ORIGINAL values (reverting to the original is free — the
-			// minimal-change principle of the cost-based repair model):
-			//
-			//	plan A: keep the previous value, break this group's
-			//	        membership (change a LHS cell of this CFD);
-			//	plan B: adopt this group's target, break the previous
-			//	        group's membership.
-			orig := h.values[0]
-			const unbreakable = 1e9
-			costA := r.Cost.Cost(id, g.Attr, orig, old)
-			breakA := r.planBreak(work, id, g, h.group)
-			if breakA == nil {
-				costA += unbreakable
-			} else {
-				costA += breakA.cost
+		for j = i + 1; j < len(vs) && vs[j].TupleID == vs[i].TupleID; j++ {
+		}
+		tuple := vs[i:j]
+		row, _ := slices.BinarySearch(b.c.cols.IDs(), tuple[0].TupleID)
+		// Cheapest fix across this tuple's violated cells. A cell that
+		// different rules want to set to DIFFERENT constants is contested
+		// evidence (e.g. [CITY=x]→CNT=UK vs [CC=1]→CNT=US); prefer an
+		// uncontested cell — fixing it usually removes the contested rules'
+		// premises.
+		var fix struct {
+			v         detect.Violation
+			pos       int
+			best      Alternative
+			alts      []Alternative
+			contested bool
+		}
+		for k, v := range tuple {
+			pos := b.c.pos(v.Attr)
+			if slices.ContainsFunc(tuple[:k], func(u detect.Violation) bool { return b.c.pos(u.Attr) == pos }) {
+				continue // the cell's first violation priced it
 			}
-			costB := r.Cost.Cost(id, g.Attr, orig, target.val)
-			breakB := r.planBreak(work, id, h.group, g)
-			if breakB == nil {
-				costB += unbreakable
-			} else {
-				costB += breakB.cost
-			}
-			if costA <= costB {
-				// Plan A: previous change stands; leave the RHS cell and
-				// repair this group's LHS membership.
-				if breakA != nil {
-					did, err := change(id, breakA.attr, breakA.val, h.support, h.group,
-						g.CFDID, "break membership via "+breakA.attr, nil)
-					if err != nil {
-						return false, err
-					}
-					anyChange = anyChange || did
+			b.targets = b.targets[:0]
+			for _, u := range tuple[k:] {
+				if b.c.pos(u.Attr) == pos && !slices.ContainsFunc(b.targets, u.Expected.Equal) {
+					b.targets = append(b.targets, u.Expected)
 				}
-				continue
 			}
-			// Plan B: this group wins; apply the merge and break the
-			// previous group's membership.
-			losing := h.group
-			var alts []Alternative
-			for _, c := range candidates[1:] {
-				alts = append(alts, Alternative{Value: c.val, Cost: r.Cost.Cost(id, g.Attr, old, c.val)})
+			best, alts := pickCheapest(b.cost, v.TupleID, v.Attr, b.c.value(pos, b.c.code(row, pos)), b.targets)
+			if contested := len(b.targets) > 1; k == 0 || contested != fix.contested && !contested ||
+				contested == fix.contested && best.Cost < fix.best.Cost {
+				fix.v, fix.pos, fix.best, fix.alts, fix.contested = v, pos, best, alts, contested
 			}
-			did, err := change(id, g.Attr, target.val, support, g, g.CFDID,
-				"merge group on "+g.Attr, alts)
-			if err != nil {
-				return false, err
-			}
-			anyChange = anyChange || did
-			if losing != nil && breakB != nil {
-				did, err := change(id, breakB.attr, breakB.val, support, g,
-					losing.CFDID, "break membership via "+breakB.attr, nil)
-				if err != nil {
-					return false, err
-				}
-				anyChange = anyChange || did
-			}
-			continue
 		}
-		var alts []Alternative
-		for _, c := range candidates[1:] {
-			alts = append(alts, Alternative{Value: c.val, Cost: r.Cost.Cost(id, g.Attr, old, c.val)})
-		}
-		sort.SliceStable(alts, func(i, j int) bool { return alts[i].Cost < alts[j].Cost })
-		did, err := change(id, g.Attr, target.val, support, g, g.CFDID,
-			"merge group on "+g.Attr, alts)
+		did, err := b.change(row, fix.pos, fix.v.Attr, fix.best.Value, nil, 1<<30, fix.v.CFDID,
+			"constant pattern "+fix.best.Value.String(), fix.alts)
 		if err != nil {
 			return false, err
 		}
-		anyChange = anyChange || did
+		changed = changed || did
+	}
+	return changed, nil
+}
+
+// resolveGroup merges one violating group to its cost-optimal value,
+// arbitrating oscillations via majority support and LHS breaking.
+func (b *batch) resolveGroup(g *detect.FactorGroup) (bool, error) {
+	if err := b.ctx.Err(); err != nil {
+		return false, err
+	}
+	pos, ids, t := b.c.pos(g.Attr), b.c.cols.IDs(), &b.group
+	t.count(&b.c, pos, g.Rows, -1)
+	if len(t.classes) <= 1 {
+		return false, nil // already resolved by an earlier fix this pass
+	}
+	cands := t.rank(&b.c, b.cost, ids, g.Rows, g.Attr)
+	target, support := b.c.value(pos, cands[0].code), cands[0].n
+	merge, ok := b.merges[g.Attr]
+	if !ok {
+		merge = "merge group on " + g.Attr
+		b.merges[g.Attr] = merge
+	}
+	anyChange := false
+	for i, r := range g.Rows {
+		if b.c.eq(pos, t.codes[i]) == b.c.eq(pos, cands[0].code) {
+			continue
+		}
+		id, row, old := ids[r], int(r), b.c.value(pos, t.codes[i])
+		alts := make([]Alternative, 0, len(cands)-1)
+		for _, c := range cands[1:] {
+			v := b.c.value(pos, c.code)
+			alts = append(alts, Alternative{Value: v, Cost: b.cost.Cost(id, g.Attr, old, v)})
+		}
+		var did, did2 bool
+		var err error
+		if h := b.history[cellKey{id, pos}]; !h.held(target) {
+			slices.SortStableFunc(alts, func(a, b Alternative) int { return byCost(a.Cost, b.Cost) })
+			did, err = b.change(row, pos, g.Attr, target, g, support, g.CFDID, merge, alts)
+		} else if adopt, brk, ok := b.arbitrate(row, g.Attr, h.values[0], old, target, h.group, g); !adopt && ok {
+			// Oscillation, another constraint having moved this cell away
+			// from target before, and its change stands: move the tuple out
+			// of this group instead.
+			did, err = b.change(row, brk.pos, brk.attr, brk.val, h.group, h.support,
+				g.CFDID, "break membership via "+brk.attr, nil)
+		} else if adopt {
+			// This group wins: merge, and move the tuple out of the group
+			// behind the previous change.
+			did, err = b.change(row, pos, g.Attr, target, g, support, g.CFDID, merge, alts)
+			if err == nil && ok {
+				did2, err = b.change(row, brk.pos, brk.attr, brk.val, g, support,
+					h.group.CFDID, "break membership via "+brk.attr, nil)
+			}
+		}
+		if err != nil {
+			return false, err
+		}
+		anyChange = anyChange || did || did2
 	}
 	return anyChange, nil
-}
-
-// breakOption is a planned LHS-cell repair that moves a tuple out of a
-// losing group.
-type breakOption struct {
-	attr string
-	val  types.Value
-	cost float64
-}
-
-// planBreak finds the cheapest LHS attribute of the losing constraint whose
-// repair moves the tuple out of the losing group: the new value is the
-// majority value of that attribute among the winner group's members (the
-// tuples the winner says this tuple belongs with). Returns nil when no LHS
-// attribute can be repaired this way.
-func (r *Repairer) planBreak(work *relstore.Table, id relstore.TupleID, losing, winner *detect.Group) *breakOption {
-	return planBreakWith(r.Cost, work, id, losing, winner)
-}
-
-// planBreakWith is planBreak with an explicit cost model; shared with the
-// incremental repairer.
-func planBreakWith(cost CostModel, work *relstore.Table, id relstore.TupleID, losing, winner *detect.Group) *breakOption {
-	if losing == nil || winner == nil || len(losing.LHSAttrs) == 0 {
-		return nil
-	}
-	sc := work.Schema()
-	row, ok := work.Get(id)
-	if !ok {
-		return nil
-	}
-	var best *breakOption
-	for _, attr := range losing.LHSAttrs {
-		pos, ok := sc.Pos(attr)
-		if !ok {
-			continue
-		}
-		// Majority value of attr among the winner group's other members.
-		counts := map[string]int{}
-		rep := map[string]types.Value{}
-		for _, wid := range winner.Members {
-			if wid == id {
-				continue
-			}
-			wrow, ok := work.Get(wid)
-			if !ok {
-				continue
-			}
-			k := wrow[pos].Key()
-			counts[k]++
-			rep[k] = wrow[pos]
-		}
-		var bestKey string
-		bestN := 0
-		keys := make([]string, 0, len(counts))
-		for k := range counts {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if counts[k] > bestN {
-				bestKey, bestN = k, counts[k]
-			}
-		}
-		if bestN == 0 {
-			continue
-		}
-		val := rep[bestKey]
-		if val.Equal(row[pos]) {
-			continue // would not break the membership
-		}
-		c := cost.Cost(id, attr, row[pos], val)
-		if best == nil || c < best.cost {
-			best = &breakOption{attr: attr, val: val, cost: c}
-		}
-	}
-	return best
-}
-
-// constantTargets lists the distinct expected constants of the violations.
-func constantTargets(vs []detect.Violation) []types.Value {
-	var out []types.Value
-	seen := map[string]bool{}
-	for _, v := range vs {
-		if !seen[v.Expected.Key()] {
-			seen[v.Expected.Key()] = true
-			out = append(out, v.Expected)
-		}
-	}
-	return out
 }
 
 // pickCheapest prices each candidate and returns the cheapest plus the
@@ -548,40 +306,55 @@ func pickCheapest(m CostModel, id relstore.TupleID, attr string, old types.Value
 	for _, c := range cands {
 		alts = append(alts, Alternative{Value: c, Cost: m.Cost(id, attr, old, c)})
 	}
-	sort.SliceStable(alts, func(i, j int) bool {
-		if alts[i].Cost != alts[j].Cost {
-			return alts[i].Cost < alts[j].Cost
+	slices.SortStableFunc(alts, func(a, b Alternative) int {
+		if a.Cost != b.Cost {
+			return byCost(a.Cost, b.Cost)
 		}
-		return alts[i].Value.Key() < alts[j].Value.Key()
+		return strings.Compare(a.Value.Key(), b.Value.Key())
 	})
 	return alts[0], alts[1:]
 }
 
 // Apply commits a reviewed candidate repair back to the original table.
-// Each modification is applied through SetCell; a modification whose Old
-// value no longer matches the live cell is skipped and reported (the data
-// changed under the review, mirroring the paper's incremental re-detection
-// during review).
+// Each Fresh modification is applied through SetCell; the others are
+// skipped and reported (the data changed under the review, mirroring the
+// paper's incremental re-detection during review).
 func Apply(tab *relstore.Table, mods []Modification) (applied int, skipped []Modification, err error) {
-	sc := tab.Schema()
-	for _, m := range mods {
-		pos, ok := sc.Pos(m.Attr)
-		if !ok {
-			return applied, skipped, fmt.Errorf("repair: apply: no attribute %q", m.Attr)
-		}
-		row, ok := tab.Get(m.TupleID)
-		if !ok {
-			skipped = append(skipped, m)
-			continue
-		}
-		if !row[pos].Equal(m.Old) {
-			skipped = append(skipped, m)
-			continue
-		}
-		if _, err := tab.SetCell(m.TupleID, pos, m.New); err != nil {
+	fresh, skipped, err := Fresh(tab.Snapshot(), mods)
+	if err != nil {
+		return 0, nil, err
+	}
+	for _, m := range fresh {
+		if _, err := tab.SetCell(m.TupleID, tab.Schema().MustPos(m.Attr), m.New); err != nil {
 			return applied, skipped, err
 		}
 		applied++
 	}
 	return applied, skipped, nil
+}
+
+// Fresh splits reviewed modifications, in order, into those that still
+// apply to snap and the stale rest: a modification is fresh when its Old
+// value Equals the cell's value after the fresh modifications before it, or
+// in snap when none of them touched the cell.
+func Fresh(snap *relstore.Snapshot, mods []Modification) (fresh, stale []Modification, err error) {
+	sc, cols := snap.Schema(), snap.Columnar()
+	accepted := map[cellKey]types.Value{}
+	for _, m := range mods {
+		pos, ok := sc.Pos(m.Attr)
+		if !ok {
+			return nil, nil, fmt.Errorf("repair: apply: no attribute %q", m.Attr)
+		}
+		cur, ok := accepted[cellKey{m.TupleID, pos}]
+		if row, live := slices.BinarySearch(cols.IDs(), m.TupleID); !ok && live {
+			cur, ok = cols.Col(pos).Value(cols.Col(pos).Code(row)), true
+		}
+		if !ok || !cur.Equal(m.Old) {
+			stale = append(stale, m)
+			continue
+		}
+		accepted[cellKey{m.TupleID, pos}] = m.New
+		fresh = append(fresh, m)
+	}
+	return fresh, stale, nil
 }

@@ -12,8 +12,10 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"log"
 	"net/http"
 	"net/url"
+	"runtime/debug"
 	"slices"
 	"strconv"
 	"strings"
@@ -83,7 +85,51 @@ func (sv *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /api/monitor/{table}", sv.handleMonitorStart)
 	mux.HandleFunc("POST /api/monitor/{table}/updates", sv.handleMonitorUpdates)
 	mux.HandleFunc("POST /api/discover/{table}", sv.handleDiscover)
-	return mux
+	return recoverJSON(mux)
+}
+
+// guardPool recycles recoverJSON's response wrappers: serving a request
+// allocates nothing for them.
+var guardPool = sync.Pool{New: func() any { return new(guardWriter) }}
+
+// guardWriter notes whether the handler has written anything yet.
+type guardWriter struct {
+	http.ResponseWriter
+	wrote bool
+}
+
+func (g *guardWriter) WriteHeader(code int)        { g.wrote = true; g.ResponseWriter.WriteHeader(code) }
+func (g *guardWriter) Write(p []byte) (int, error) { g.wrote = true; return g.ResponseWriter.Write(p) }
+func (g *guardWriter) Flush() {
+	if f, ok := g.ResponseWriter.(http.Flusher); ok {
+		g.wrote = true
+		f.Flush()
+	}
+}
+
+// recoverJSON is the recover middleware: a handler panic is logged and
+// answered 500 with a JSON error body, or — when the handler has already
+// written — aborts the response, and the server goes on serving.
+func recoverJSON(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		g := guardPool.Get().(*guardWriter)
+		g.ResponseWriter, g.wrote = w, false
+		defer func() {
+			wrote := g.wrote
+			g.ResponseWriter = nil
+			guardPool.Put(g)
+			if p := recover(); p != nil {
+				if p != http.ErrAbortHandler {
+					log.Printf("semandaq: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
+				}
+				if wrote || p == http.ErrAbortHandler {
+					panic(http.ErrAbortHandler)
+				}
+				writeError(w, errInternal)
+			}
+		}()
+		h.ServeHTTP(g, r)
+	})
 }
 
 // statusClientClosedRequest is the nginx 499 convention: the client went
@@ -109,16 +155,22 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 // errNoPendingRepair is the apply endpoint's refusal when no candidate
-// repair was computed (or it was already applied).
-var errNoPendingRepair = errors.New("no pending repair")
+// repair was computed (or it was already applied); errInternal answers a
+// request whose handler panicked.
+var (
+	errNoPendingRepair = errors.New("no pending repair")
+	errInternal        = errors.New("internal error")
+)
 
 // statusOf is the one place an error becomes an HTTP status: what the
 // request named does not exist (404), the table is not in the state the
 // request needs — retry or set it up first (409), the body is over
-// maxBodyBytes (413), the client went away (499); anything else is a
-// malformed or unsatisfiable request (400).
+// maxBodyBytes (413), the client went away (499), the server failed (500);
+// anything else is a malformed or unsatisfiable request (400).
 func statusOf(err error) int {
 	switch {
+	case errors.Is(err, errInternal):
+		return http.StatusInternalServerError
 	case errors.As(err, new(*http.MaxBytesError)):
 		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, core.ErrNoTable), errors.Is(err, explore.ErrNoTuple):
@@ -645,18 +697,40 @@ func (sv *Server) handleExploreTuple(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"relevant": out})
 }
 
-// modJSON serializes a repair modification for review.
-func modJSON(m repair.Modification) map[string]any {
-	alts := make([]map[string]any, 0, len(m.Alternatives))
-	for _, a := range m.Alternatives {
-		alts = append(alts, map[string]any{"value": jsonValue(a.Value), "cost": a.Cost})
+// modWire is a modification's review form, its fields in the key order of
+// the map encoding/json would write for it.
+type modWire struct {
+	Alternatives []altWire `json:"alternatives"`
+	Attr         string    `json:"attr"`
+	CFD          string    `json:"cfd"`
+	Cost         float64   `json:"cost"`
+	New          any       `json:"new"`
+	Old          any       `json:"old"`
+	Reason       string    `json:"reason"`
+	Tuple        int64     `json:"tuple"`
+}
+
+type altWire struct {
+	Cost  float64 `json:"cost"`
+	Value any     `json:"value"`
+}
+
+// modsWire shapes modifications for review, their alternatives in one
+// backing array.
+func modsWire(ms []repair.Modification) []modWire {
+	n := 0
+	for _, m := range ms {
+		n += len(m.Alternatives)
 	}
-	return map[string]any{
-		"tuple": int64(m.TupleID), "attr": m.Attr,
-		"old": jsonValue(m.Old), "new": jsonValue(m.New),
-		"cost": m.Cost, "cfd": m.CFDID, "reason": m.Reason,
-		"alternatives": alts,
+	out, alts := make([]modWire, len(ms)), make([]altWire, 0, n)
+	for i, m := range ms {
+		for _, a := range m.Alternatives {
+			alts = append(alts, altWire{Cost: a.Cost, Value: jsonValue(a.Value)})
+		}
+		out[i] = modWire{Alternatives: alts[len(alts)-len(m.Alternatives) : len(alts) : len(alts)], Attr: m.Attr,
+			CFD: m.CFDID, Cost: m.Cost, New: jsonValue(m.New), Old: jsonValue(m.Old), Reason: m.Reason, Tuple: int64(m.TupleID)}
 	}
+	return out
 }
 
 func (sv *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
@@ -669,17 +743,13 @@ func (sv *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	sv.mu.Lock()
 	sv.pending[strings.ToLower(table)] = res.Modifications
 	sv.mu.Unlock()
-	mods := make([]map[string]any, 0, len(res.Modifications))
-	for _, m := range res.Modifications {
-		mods = append(mods, modJSON(m))
-	}
-	writeJSON(w, map[string]any{
-		"converged":     res.Converged,
-		"remaining":     res.Remaining,
-		"passes":        res.Passes,
-		"cost":          res.Cost,
-		"modifications": mods,
-	})
+	writeJSON(w, struct {
+		Converged     bool      `json:"converged"`
+		Cost          float64   `json:"cost"`
+		Modifications []modWire `json:"modifications"`
+		Passes        int       `json:"passes"`
+		Remaining     int       `json:"remaining"`
+	}{res.Converged, res.Cost, modsWire(res.Modifications), res.Passes, res.Remaining})
 }
 
 func (sv *Server) handleRepairApply(w http.ResponseWriter, r *http.Request) {
@@ -709,11 +779,10 @@ func (sv *Server) handleRepairApply(w http.ResponseWriter, r *http.Request) {
 	sv.mu.Lock()
 	delete(sv.pending, key)
 	sv.mu.Unlock()
-	sk := make([]map[string]any, 0, len(skipped))
-	for _, m := range skipped {
-		sk = append(sk, modJSON(m))
-	}
-	writeJSON(w, map[string]any{"applied": applied, "skipped": sk})
+	writeJSON(w, struct {
+		Applied int       `json:"applied"`
+		Skipped []modWire `json:"skipped"`
+	}{applied, modsWire(skipped)})
 }
 
 func (sv *Server) handleMonitorStart(w http.ResponseWriter, r *http.Request) {
@@ -946,20 +1015,12 @@ func (sv *Server) handleMonitorUpdates(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	repairs := make([]map[string]any, 0, len(res.Repairs))
-	for _, mod := range res.Repairs {
-		repairs = append(repairs, modJSON(mod))
-	}
-	inserted := make([]int64, 0, len(res.Inserted))
-	for _, id := range res.Inserted {
-		inserted = append(inserted, int64(id))
-	}
-	writeJSON(w, map[string]any{
-		"inserted": inserted,
-		"dirty":    res.Dirty,
-		"repairs":  repairs,
-		"version":  res.Version,
-	})
+	writeJSON(w, struct {
+		Dirty    int                `json:"dirty"`
+		Inserted []relstore.TupleID `json:"inserted"` // [] when none, never null
+		Repairs  []modWire          `json:"repairs"`
+		Version  int64              `json:"version"`
+	}{res.Dirty, append([]relstore.TupleID{}, res.Inserted...), modsWire(res.Repairs), res.Version})
 }
 
 // handleDiscover runs the lattice miner over the table. The request
