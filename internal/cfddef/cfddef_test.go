@@ -211,11 +211,11 @@ func TestVioByDefinition(t *testing.T) {
 			for i := 0; i < 24; i++ {
 				src, _ := tab.Get(ids[rng.Intn(len(ids))])
 				pos := rng.Intn(arity)
-				if _, err := tr.SetCell(ids[rng.Intn(len(ids))], tab.Schema().Attrs[pos].Name, src[pos]); err != nil {
+				if err := tr.SetCell(ids[rng.Intn(len(ids))], tab.Schema().Attrs[pos].Name, src[pos]); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if _, err := tr.Delete(ids[0]); err != nil {
+			if err := tr.Delete(ids[0]); err != nil {
 				t.Fatal(err)
 			}
 			w := checkEveryReader(t, tab, cfds)

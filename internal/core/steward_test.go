@@ -156,12 +156,13 @@ func TestStewardRoundBuildsNothing(t *testing.T) {
 	start := relstore.ReadBuildOps()
 	res, before, allocs := round(3)
 	ops := relstore.ReadBuildOps().Sub(start)
-	// With the repair on codes and its apply one monitor batch, this round
-	// allocates 16 606-16 611 times (24 071 before; 71 670 when rows were
-	// stored beside the columns): the ceiling is that plus 5 %.
+	// With the tracker keying each group and RHS class once, this round
+	// allocates 10 447-10 453 times (16 606 when every update built its keys
+	// and a delta; 71 670 when rows were stored beside the columns): the
+	// ceiling is that plus 5 %.
 	t.Logf("round allocated %d times", allocs)
-	if allocs > 17442 {
-		t.Errorf("round allocated %d times, more than 17 442", allocs)
+	if allocs > 10976 {
+		t.Errorf("round allocated %d times, more than 10 976", allocs)
 	}
 	if ops.BatchColumns != 0 || ops.RebuiltColumns != 0 || ops.PLIBuilds != 0 || ops.BatchSnapshots != 0 {
 		t.Errorf("steady-state round built from scratch: %+v", ops)
@@ -180,6 +181,57 @@ func TestStewardRoundBuildsNothing(t *testing.T) {
 	if !reflect.DeepEqual(res.Modifications, want.Modifications) || res.Cost != want.Cost || res.Passes != want.Passes {
 		t.Errorf("repair on the fork: %d modifications, cost %v, %d passes; on a deep copy: %d, %v, %d",
 			len(res.Modifications), res.Cost, res.Passes, len(want.Modifications), want.Cost, want.Passes)
+	}
+}
+
+// TestStewardBatchAllocs gates the monitor's write path at two allocations
+// per update, over the two batches of a steward round: the updates (street
+// typos, country flips, moves) and the reviewed repair's apply. The tracker
+// allocates a key only for a group or RHS class it has not held, looks
+// every other key up in its scratch buffer, and builds no per-update delta.
+func TestStewardBatchAllocs(t *testing.T) {
+	const typos, flips, moves = 96, 32, 8
+	ctx := context.Background()
+	ds := datagen.Generate(datagen.Config{Tuples: 10000, Seed: 5})
+	s := New()
+	s.RegisterTable(ds.Clean)
+	if err := s.RegisterCFDs("customer", datagen.StandardCFDs()); err != nil {
+		t.Fatal(err)
+	}
+	m, err := s.Monitor(ctx, "customer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	apply := func(batch []monitor.Update) uint64 {
+		t.Helper()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if _, err := m.Apply(batch); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		return m1.Mallocs - m0.Mallocs
+	}
+	var perUpdate float64
+	for salt := 1; salt <= 3; salt++ {
+		batch := stewardBatch(t, ds.Clean.Snapshot(), typos, flips, moves, salt)
+		n := apply(batch)
+		res, err := s.Repair(ctx, "customer")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fix := make([]monitor.Update, len(res.Modifications))
+		for i, mod := range res.Modifications {
+			fix[i] = monitor.Update{Op: monitor.OpSet, ID: mod.TupleID, Attr: mod.Attr, Value: mod.New}
+		}
+		nfix := apply(fix)
+		t.Logf("round %d: %d updates, %d allocations; %d repairs, %d allocations", salt, len(batch), n, len(fix), nfix)
+		perUpdate = float64(n+nfix) / float64(len(batch)+len(fix))
+	}
+	// Measured 1.8 (the updates 3.2, the repairs 0.2); the tracker that keyed
+	// every update anew allocated 19 times per SetCell.
+	if perUpdate > 2 {
+		t.Errorf("a steward round's batches allocate %.2f times per update, want <= 2", perUpdate)
 	}
 }
 

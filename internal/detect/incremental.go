@@ -21,7 +21,11 @@ import (
 // updates O(|group|). Instead the tracker maintains a dirty-status
 // reference count per tuple (transitions are O(1) amortized; a whole group
 // flipping between clean and violating costs O(|group|) exactly once per
-// flip) and computes vio(t) on demand in O(#CFDs).
+// flip) and computes vio(t) on demand in O(#CFDs); an update returns no
+// delta. Keys are WriteGroupKey bytes, not dictionary codes, which mean
+// nothing across a column's compaction: an update writes them into a
+// scratch buffer and looks them up without allocating, and a key string is
+// allocated only for a new RHS class (its group's key is a prefix of it).
 //
 // The Tracker owns mutations: route inserts, deletes and cell updates
 // through it so the violation index stays in sync with the table.
@@ -38,6 +42,10 @@ type Tracker struct {
 	// dirtyRef counts, per tuple, how many sources make it dirty: CFDs
 	// with a single-tuple violation plus violating groups it belongs to.
 	dirtyRef map[relstore.TupleID]int
+	// key and row are write-path scratch: the key being looked up and the
+	// row SetCell decodes. Only the holder of the write lock touches them.
+	key []byte
+	row relstore.Tuple
 }
 
 // cfdState is the per-CFD violation index.
@@ -46,32 +54,36 @@ type cfdState struct {
 	// constPatterns / varPatterns split the tableau by RHS kind.
 	constPatterns []int
 	varPatterns   []int
-	// single counts violated constant patterns per tuple (absent = 0).
-	single map[relstore.TupleID]int
-	// groups indexes multi-tuple state by LHS key.
-	groups map[string]*groupState
-	// memberKey records which group each tuple belongs to.
-	memberKey map[relstore.TupleID]string
+	// single holds the tuples violating a constant pattern.
+	single map[relstore.TupleID]bool
+	// groups indexes multi-tuple state by LHS group key, and classes the
+	// groups' live RHS Equal-classes by LHS key followed by RHS key; member
+	// records each grouped tuple's class and place in its group.
+	groups  map[string]*groupState
+	classes map[string]*rhsClass
+	member  map[relstore.TupleID]membership
 }
 
 // groupState is one LHS-value group of tuples matching a variable pattern.
 type groupState struct {
-	members   map[relstore.TupleID]string // tuple → RHS value key
-	rhsCounts map[string]int
+	key     string
+	members []relstore.TupleID
+	classes int // live RHS Equal-classes
 }
 
-func (g *groupState) violating() bool { return len(g.rhsCounts) > 1 }
+func (g *groupState) violating() bool { return g.classes > 1 }
 
-// contribution returns the vio(t) contribution of this group for member id.
-func (g *groupState) contribution(id relstore.TupleID) int {
-	if !g.violating() {
-		return 0
-	}
-	rk, ok := g.members[id]
-	if !ok {
-		return 0
-	}
-	return len(g.members) - g.rhsCounts[rk]
+// rhsClass is one RHS Equal-class of a group and its member count.
+type rhsClass struct {
+	key string
+	g   *groupState
+	n   int
+}
+
+// membership is a grouped tuple's class and index in the group's members.
+type membership struct {
+	c  *rhsClass
+	at int
 }
 
 // NewTracker builds a tracker over the table and CFD set, performing one
@@ -87,19 +99,21 @@ func NewTracker(tab *relstore.Table, cfds []*cfd.CFD) (*Tracker, error) {
 	}
 	for _, p := range preps {
 		cs := &cfdState{
-			p:         p,
-			single:    map[relstore.TupleID]int{},
-			groups:    map[string]*groupState{},
-			memberKey: map[relstore.TupleID]string{},
+			p:       p,
+			single:  map[relstore.TupleID]bool{},
+			groups:  map[string]*groupState{},
+			classes: map[string]*rhsClass{},
+			member:  map[relstore.TupleID]membership{},
 		}
 		cs.constPatterns, cs.varPatterns = splitPatterns(p)
 		t.state = append(t.state, cs)
 	}
-	// Seed from one pinned snapshot (addTuple keeps only key strings, never
-	// the scan's borrowed row); the tracker is not shared yet, so no locking
-	// either.
+	// Seed from one pinned snapshot (the index keeps no borrowed row); the
+	// tracker is not shared yet, so no locking either.
 	tab.Snapshot().Scan(func(id relstore.TupleID, row relstore.Tuple) bool {
-		t.addTuple(id, row, nil)
+		for _, cs := range t.state {
+			t.index(cs, id, row)
+		}
 		return true
 	})
 	return t, nil
@@ -120,11 +134,11 @@ func (t *Tracker) vioLocked(id relstore.TupleID) int {
 	}
 	n := 0
 	for _, cs := range t.state {
-		if cs.single[id] > 0 {
+		if cs.single[id] {
 			n++
 		}
-		if key, ok := cs.memberKey[id]; ok {
-			n += cs.groups[key].contribution(id)
+		if m, ok := cs.member[id]; ok && m.c.g.violating() {
+			n += len(m.c.g.members) - m.c.n
 		}
 	}
 	return n
@@ -150,205 +164,148 @@ func (t *Tracker) DirtyCount() int {
 	return len(t.dirtyRef)
 }
 
-// Delta lists the tuples an operation touched or whose dirty status
-// flipped, with their new vio(t) (0 = now clean). Members of a large
-// violating group whose partner count merely shifted are not listed —
-// tracking them would make updates O(|group|).
-type Delta struct {
-	Changed map[relstore.TupleID]int
-}
-
-func newDelta() *Delta { return &Delta{Changed: map[relstore.TupleID]int{}} }
-
-// touch records id's current vio in the delta. Caller holds the lock.
-func (t *Tracker) touch(d *Delta, id relstore.TupleID) {
-	if d != nil {
-		d.Changed[id] = t.vioLocked(id)
-	}
-}
-
-// ref adjusts a tuple's dirty reference count, recording transitions.
-func (t *Tracker) ref(d *Delta, id relstore.TupleID, diff int) {
-	if diff == 0 {
-		return
-	}
-	old := t.dirtyRef[id]
-	n := old + diff
-	switch {
-	case n <= 0:
-		delete(t.dirtyRef, id)
-		if old > 0 && d != nil {
-			d.Changed[id] = 0
-		}
-	default:
+// ref adjusts a tuple's dirty reference count.
+func (t *Tracker) ref(id relstore.TupleID, diff int) {
+	if n := t.dirtyRef[id] + diff; n > 0 {
 		t.dirtyRef[id] = n
-		if old == 0 && d != nil {
-			d.Changed[id] = -1 // placeholder; resolved in finishDelta
-		}
+	} else {
+		delete(t.dirtyRef, id)
 	}
-}
-
-// finishDelta fills in the vio values for transition placeholders. Caller
-// holds the lock.
-func (t *Tracker) finishDelta(d *Delta) *Delta {
-	if d == nil {
-		return nil
-	}
-	for id, v := range d.Changed {
-		if v < 0 {
-			d.Changed[id] = t.vioLocked(id)
-		}
-	}
-	return d
 }
 
 // Insert adds a tuple through the tracker.
-func (t *Tracker) Insert(row relstore.Tuple) (relstore.TupleID, *Delta, error) {
+func (t *Tracker) Insert(row relstore.Tuple) (relstore.TupleID, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	id, err := t.tab.Insert(row)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	d := newDelta()
-	stored, _ := t.tab.Get(id)
-	t.addTuple(id, stored, d)
-	t.touch(d, id)
-	return id, t.finishDelta(d), nil
+	for _, cs := range t.state {
+		t.index(cs, id, row)
+	}
+	return id, nil
 }
 
 // Delete removes a tuple through the tracker.
-func (t *Tracker) Delete(id relstore.TupleID) (*Delta, error) {
+func (t *Tracker) Delete(id relstore.TupleID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	row, ok := t.tab.Get(id)
-	if !ok {
-		return nil, fmt.Errorf("detect: tracker delete: no tuple %d", id)
+	if !t.tab.Delete(id) {
+		return fmt.Errorf("detect: tracker delete: no tuple %d", id)
 	}
-	d := newDelta()
-	t.removeTuple(id, row, d)
-	t.tab.Delete(id)
-	delete(t.dirtyRef, id)
-	d.Changed[id] = 0
-	return t.finishDelta(d), nil
+	for _, cs := range t.state {
+		t.unindex(cs, id)
+	}
+	return nil
 }
 
-// SetCell updates one attribute through the tracker.
-func (t *Tracker) SetCell(id relstore.TupleID, attr string, v types.Value) (*Delta, error) {
+// SetCell updates one attribute through the tracker. Only the CFDs that
+// read the attribute re-index the tuple, from its row decoded once.
+func (t *Tracker) SetCell(id relstore.TupleID, attr string, v types.Value) error {
 	pos, ok := t.tab.Schema().Pos(attr)
 	if !ok {
-		return nil, fmt.Errorf("detect: tracker set: no attribute %q", attr)
+		return fmt.Errorf("detect: tracker set: no attribute %q", attr)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old, ok := t.tab.Get(id)
-	if !ok {
-		return nil, fmt.Errorf("detect: tracker set: no tuple %d", id)
-	}
-	d := newDelta()
-	t.removeTuple(id, old, d)
 	if _, err := t.tab.SetCell(id, pos, v); err != nil {
-		// Re-index the unchanged row: the removal above must not leak.
-		t.addTuple(id, old, nil)
-		return nil, err
+		return fmt.Errorf("detect: tracker set: %w", err)
 	}
-	nrow, _ := t.tab.Get(id)
-	t.addTuple(id, nrow, d)
-	t.touch(d, id)
-	return t.finishDelta(d), nil
+	t.row, _ = t.tab.AppendRow(t.row[:0], id)
+	for _, cs := range t.state {
+		if pos == cs.p.rhsPos || slices.Contains(cs.p.lhsPos, pos) {
+			t.unindex(cs, id)
+			t.index(cs, id, t.row)
+		}
+	}
+	return nil
 }
 
-// addTuple indexes a tuple into every CFD state.
-func (t *Tracker) addTuple(id relstore.TupleID, row relstore.Tuple, d *Delta) {
-	for _, cs := range t.state {
-		// Single-tuple violations.
-		n := 0
-		for _, i := range cs.constPatterns {
-			if !cs.p.c.MatchLHS(i, row, cs.p.lhsPos) {
-				continue
-			}
-			got := row[cs.p.rhsPos]
-			if got.IsNull() || got.Equal(cs.p.c.Tableau[i].RHS[0].Const) {
-				continue
-			}
-			n++
+// index adds a tuple to one CFD's state, under the write lock.
+func (t *Tracker) index(cs *cfdState, id relstore.TupleID, row relstore.Tuple) {
+	// Single-tuple violations: a non-NULL RHS unlike a matched constant.
+	if got := row[cs.p.rhsPos]; !got.IsNull() && slices.ContainsFunc(cs.constPatterns, func(i int) bool {
+		return cs.p.c.MatchLHS(i, row, cs.p.lhsPos) && !got.Equal(cs.p.c.Tableau[i].RHS[0].Const)
+	}) {
+		cs.single[id] = true
+		t.ref(id, 1)
+	}
+	// Multi-tuple group membership.
+	if !slices.ContainsFunc(cs.varPatterns, func(i int) bool { return cs.p.c.MatchLHS(i, row, cs.p.lhsPos) }) {
+		return
+	}
+	t.key = t.key[:0]
+	for _, p := range cs.p.lhsPos {
+		t.key = row[p].AppendGroupKey(t.key)
+	}
+	lhs := len(t.key)
+	t.key = row[cs.p.rhsPos].AppendGroupKey(t.key)
+	c := cs.classes[string(t.key)]
+	if c == nil {
+		key := string(t.key)
+		g := cs.groups[key[:lhs]]
+		if g == nil {
+			g = &groupState{key: key[:lhs]}
+			cs.groups[g.key] = g
 		}
-		if n > 0 {
-			cs.single[id] = n
-			t.ref(d, id, 1)
+		c = &rhsClass{key: key, g: g}
+		cs.classes[key] = c
+	}
+	g := c.g
+	wasViolating := g.violating()
+	if c.n++; c.n == 1 {
+		g.classes++
+	}
+	cs.member[id] = membership{c, len(g.members)}
+	g.members = append(g.members, id)
+	switch {
+	case !wasViolating && g.violating():
+		// The group flipped: every member becomes dirty.
+		for _, mid := range g.members {
+			t.ref(mid, 1)
 		}
-		// Multi-tuple group membership.
-		matched := false
-		for _, i := range cs.varPatterns {
-			if cs.p.c.MatchLHS(i, row, cs.p.lhsPos) {
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			continue
-		}
-		key := row.KeyOn(cs.p.lhsPos)
-		g, ok := cs.groups[key]
-		if !ok {
-			g = &groupState{
-				members:   map[relstore.TupleID]string{},
-				rhsCounts: map[string]int{},
-			}
-			cs.groups[key] = g
-		}
-		wasViolating := g.violating()
-		rk := row[cs.p.rhsPos].Key()
-		g.members[id] = rk
-		g.rhsCounts[rk]++
-		cs.memberKey[id] = key
-		switch {
-		case !wasViolating && g.violating():
-			// The group flipped: every member becomes dirty.
-			for mid := range g.members {
-				t.ref(d, mid, 1)
-			}
-		case g.violating():
-			t.ref(d, id, 1)
-		}
+	case g.violating():
+		t.ref(id, 1)
 	}
 }
 
-// removeTuple unindexes a tuple from every CFD state.
-func (t *Tracker) removeTuple(id relstore.TupleID, row relstore.Tuple, d *Delta) {
-	for _, cs := range t.state {
-		if n, ok := cs.single[id]; ok && n > 0 {
-			delete(cs.single, id)
-			t.ref(d, id, -1)
+// unindex removes a tuple from one CFD's state, reading only the index.
+func (t *Tracker) unindex(cs *cfdState, id relstore.TupleID) {
+	if cs.single[id] {
+		delete(cs.single, id)
+		t.ref(id, -1)
+	}
+	m, ok := cs.member[id]
+	if !ok {
+		return
+	}
+	delete(cs.member, id)
+	c, g := m.c, m.c.g
+	wasViolating := g.violating()
+	// Swap-delete id from the members, re-pointing the member moved.
+	if last := g.members[len(g.members)-1]; last != id {
+		g.members[m.at] = last
+		cs.member[last] = membership{cs.member[last].c, m.at}
+	}
+	g.members = g.members[:len(g.members)-1]
+	if c.n--; c.n == 0 {
+		delete(cs.classes, c.key)
+		g.classes--
+	}
+	if len(g.members) == 0 {
+		delete(cs.groups, g.key)
+	}
+	switch {
+	case wasViolating && !g.violating():
+		// The group healed: the removed member plus all remaining
+		// members lose this dirty source.
+		t.ref(id, -1)
+		for _, mid := range g.members {
+			t.ref(mid, -1)
 		}
-		key, ok := cs.memberKey[id]
-		if !ok {
-			continue
-		}
-		g := cs.groups[key]
-		wasViolating := g.violating()
-		rk := g.members[id]
-		delete(g.members, id)
-		if g.rhsCounts[rk] <= 1 {
-			delete(g.rhsCounts, rk)
-		} else {
-			g.rhsCounts[rk]--
-		}
-		delete(cs.memberKey, id)
-		if len(g.members) == 0 {
-			delete(cs.groups, key)
-		}
-		switch {
-		case wasViolating && !g.violating():
-			// The group healed: the removed member plus all remaining
-			// members lose this dirty source.
-			t.ref(d, id, -1)
-			for mid := range g.members {
-				t.ref(d, mid, -1)
-			}
-		case wasViolating:
-			t.ref(d, id, -1)
-		}
+	case wasViolating:
+		t.ref(id, -1)
 	}
 }
 
@@ -402,7 +359,7 @@ func (t *Tracker) factorReportLocked(snap *relstore.Snapshot) (fr *FactorReport,
 				continue
 			}
 			rows := make([]int32, 0, len(g.members))
-			for id := range g.members {
+			for _, id := range g.members {
 				r, ok := slices.BinarySearch(ids, id)
 				if !ok {
 					complete = false
@@ -429,11 +386,4 @@ func (t *Tracker) Report() *Report {
 	defer t.mu.RUnlock()
 	fr, _ := t.factorReportLocked(t.tab.Snapshot())
 	return fr.Explode()
-}
-
-// String renders a short tracker summary.
-func (t *Tracker) String() string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return fmt.Sprintf("tracker(%s): %d tuples, %d dirty", t.tab.Schema().Name, t.tab.Len(), len(t.dirtyRef))
 }

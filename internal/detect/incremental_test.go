@@ -29,9 +29,6 @@ func TestTrackerMatchesBatchInitially(t *testing.T) {
 	if tr.DirtyCount() != 3 {
 		t.Errorf("dirty = %d", tr.DirtyCount())
 	}
-	if tr.String() == "" {
-		t.Error("String should render")
-	}
 }
 
 func TestTrackerInsertCreatesViolation(t *testing.T) {
@@ -46,7 +43,7 @@ func TestTrackerInsertCreatesViolation(t *testing.T) {
 		types.NewString("New"), types.NewString("UK"), types.NewString("Edinburgh"),
 		types.NewString("EH2 4SD"), types.NewString("ThirdSt"),
 		types.NewInt(44), types.NewInt(131)}
-	id, delta, err := tr.Insert(row)
+	id, err := tr.Insert(row)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,10 +53,9 @@ func TestTrackerInsertCreatesViolation(t *testing.T) {
 	if tr.Vio(0) != 2 || tr.Vio(1) != 2 {
 		t.Errorf("vio(Mike)=%d vio(Rick)=%d, want 2,2", tr.Vio(0), tr.Vio(1))
 	}
-	// The group was already violating: only the new tuple is a status
-	// change, existing members merely gained a partner.
-	if delta.Changed[id] != 2 {
-		t.Errorf("delta = %v", delta.Changed)
+	// The group was already violating: only the new tuple turned dirty.
+	if want := map[relstore.TupleID]int{0: 2, 1: 2, 2: 1, id: 2}; !reflect.DeepEqual(tr.VioMap(), want) || tr.DirtyCount() != 4 {
+		t.Errorf("VioMap = %v, DirtyCount = %d; want %v, 4", tr.VioMap(), tr.DirtyCount(), want)
 	}
 	assertMatchesBatch(t, tab, cfds, tr)
 }
@@ -67,19 +63,20 @@ func TestTrackerInsertCreatesViolation(t *testing.T) {
 func TestTrackerInsertCleanTuple(t *testing.T) {
 	_, tab, cfds := paperStore(t)
 	tr, _ := NewTracker(tab, cfds)
+	before := tr.VioMap()
 	row := relstore.Tuple{
 		types.NewString("Cl"), types.NewString("FR"), types.NewString("Paris"),
 		types.NewString("75001"), types.NewString("Rivoli"),
 		types.NewInt(33), types.NewInt(1)}
-	id, delta, err := tr.Insert(row)
+	id, err := tr.Insert(row)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr.Vio(id) != 0 {
 		t.Errorf("vio = %d", tr.Vio(id))
 	}
-	if delta.Changed[id] != 0 {
-		t.Errorf("delta = %v", delta.Changed)
+	if !reflect.DeepEqual(tr.VioMap(), before) || tr.DirtyCount() != len(before) {
+		t.Errorf("VioMap = %v, DirtyCount = %d; want %v unchanged", tr.VioMap(), tr.DirtyCount(), before)
 	}
 	assertMatchesBatch(t, tab, cfds, tr)
 }
@@ -88,18 +85,18 @@ func TestTrackerDeleteResolvesGroup(t *testing.T) {
 	_, tab, cfds := paperStore(t)
 	tr, _ := NewTracker(tab, cfds)
 	// Deleting Rick resolves the Mike/Rick conflict.
-	delta, err := tr.Delete(1)
-	if err != nil {
+	if err := tr.Delete(1); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Vio(0) != 0 {
-		t.Errorf("vio(Mike) = %d after delete", tr.Vio(0))
+	if tr.Vio(0) != 0 || tr.Vio(1) != 0 {
+		t.Errorf("vio(Mike) = %d, vio(Rick) = %d after delete", tr.Vio(0), tr.Vio(1))
 	}
-	if delta.Changed[0] != 0 || delta.Changed[1] != 0 {
-		t.Errorf("delta = %v", delta.Changed)
+	// Only Joe's single-tuple violation is left.
+	if want := map[relstore.TupleID]int{2: 1}; !reflect.DeepEqual(tr.VioMap(), want) || tr.DirtyCount() != 1 {
+		t.Errorf("VioMap = %v, DirtyCount = %d; want %v, 1", tr.VioMap(), tr.DirtyCount(), want)
 	}
 	assertMatchesBatch(t, tab, cfds, tr)
-	if _, err := tr.Delete(999); err == nil {
+	if err := tr.Delete(999); err == nil {
 		t.Error("deleting a missing tuple should fail")
 	}
 }
@@ -108,15 +105,14 @@ func TestTrackerSetCellRepairsViolation(t *testing.T) {
 	_, tab, cfds := paperStore(t)
 	tr, _ := NewTracker(tab, cfds)
 	// Fix Joe's CNT: the phi4 single-tuple violation disappears.
-	delta, err := tr.SetCell(2, "CNT", types.NewString("UK"))
-	if err != nil {
+	if err := tr.SetCell(2, "CNT", types.NewString("UK")); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Vio(2) != 0 {
 		t.Errorf("vio(Joe) = %d", tr.Vio(2))
 	}
-	if _, ok := delta.Changed[2]; !ok {
-		t.Errorf("delta = %v", delta.Changed)
+	if want := map[relstore.TupleID]int{0: 1, 1: 1}; !reflect.DeepEqual(tr.VioMap(), want) || tr.DirtyCount() != 2 {
+		t.Errorf("VioMap = %v, DirtyCount = %d; want %v, 2", tr.VioMap(), tr.DirtyCount(), want)
 	}
 	assertMatchesBatch(t, tab, cfds, tr)
 }
@@ -126,10 +122,10 @@ func TestTrackerSetCellCreatesViolation(t *testing.T) {
 	tr, _ := NewTracker(tab, cfds)
 	// Move Ben into the Edinburgh ZIP with a different street: new member
 	// of the multi-tuple group.
-	if _, err := tr.SetCell(4, "CNT", types.NewString("UK")); err != nil {
+	if err := tr.SetCell(4, "CNT", types.NewString("UK")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.SetCell(4, "ZIP", types.NewString("EH2 4SD")); err != nil {
+	if err := tr.SetCell(4, "ZIP", types.NewString("EH2 4SD")); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Vio(4) == 0 {
@@ -137,10 +133,10 @@ func TestTrackerSetCellCreatesViolation(t *testing.T) {
 	}
 	assertMatchesBatch(t, tab, cfds, tr)
 
-	if _, err := tr.SetCell(4, "NOPE", types.Null); err == nil {
+	if err := tr.SetCell(4, "NOPE", types.Null); err == nil {
 		t.Error("unknown attribute should fail")
 	}
-	if _, err := tr.SetCell(999, "CNT", types.Null); err == nil {
+	if err := tr.SetCell(999, "CNT", types.Null); err == nil {
 		t.Error("missing tuple should fail")
 	}
 }
@@ -210,14 +206,14 @@ r: [K1=a] -> [W=ok]
 	for step := 0; step < 200; step++ {
 		switch op := rng.Intn(3); {
 		case op == 0:
-			id, _, err := tr.Insert(randRow())
+			id, err := tr.Insert(randRow())
 			if err != nil {
 				t.Fatal(err)
 			}
 			ids = append(ids, id)
 		case op == 1 && len(ids) > 5:
 			k := rng.Intn(len(ids))
-			if _, err := tr.Delete(ids[k]); err != nil {
+			if err := tr.Delete(ids[k]); err != nil {
 				t.Fatal(err)
 			}
 			ids = append(ids[:k], ids[k+1:]...)
@@ -228,7 +224,7 @@ r: [K1=a] -> [W=ok]
 			id := ids[rng.Intn(len(ids))]
 			attr := []string{"K1", "K2", "V", "W"}[rng.Intn(4)]
 			val := types.NewString(fmt.Sprintf("v%d", rng.Intn(3)))
-			if _, err := tr.SetCell(id, attr, val); err != nil {
+			if err := tr.SetCell(id, attr, val); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -251,7 +247,7 @@ func TestTrackerNullTransitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	// NULL RHS: not a violation.
-	id, _, err := tr.Insert(relstore.Tuple{types.NewString("k"), types.Null})
+	id, err := tr.Insert(relstore.Tuple{types.NewString("k"), types.Null})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,14 +255,14 @@ func TestTrackerNullTransitions(t *testing.T) {
 		t.Errorf("NULL RHS vio = %d", tr.Vio(id))
 	}
 	// Setting it to a wrong constant creates the violation.
-	if _, err := tr.SetCell(id, "B", types.NewString("wrong")); err != nil {
+	if err := tr.SetCell(id, "B", types.NewString("wrong")); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Vio(id) != 1 {
 		t.Errorf("vio = %d", tr.Vio(id))
 	}
 	// Back to NULL clears it.
-	if _, err := tr.SetCell(id, "B", types.Null); err != nil {
+	if err := tr.SetCell(id, "B", types.Null); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Vio(id) != 0 {
@@ -294,7 +290,7 @@ func TestTrackerFactorReportReadsTheSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := tab.Snapshot()
-	if _, err := tr.Delete(first); err != nil {
+	if err := tr.Delete(first); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := tr.FactorReport(old); ok {

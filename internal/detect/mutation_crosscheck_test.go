@@ -94,8 +94,9 @@ func TestOracleAcrossNoiseRates(t *testing.T) {
 }
 
 // TestTrackerConcurrentUseRace hits the tracker from concurrent writers
-// and readers. Writes serialize on the tracker's lock; Vio, VioMap,
-// DirtyCount and Report run concurrently. Before the tracker was
+// and readers. Writes serialize on the tracker's lock — the only lock under
+// which its scratch buffers are touched; Vio, VioMap, DirtyCount,
+// FactorReport and Report run concurrently. Before the tracker was
 // goroutine-safe this was a guaranteed -race failure (and often a runtime
 // "concurrent map writes" crash).
 func TestTrackerConcurrentUseRace(t *testing.T) {
@@ -126,18 +127,18 @@ func TestTrackerConcurrentUseRace(t *testing.T) {
 				case len(mine) > 0 && rng.Intn(3) == 0:
 					id := mine[len(mine)-1]
 					mine = mine[:len(mine)-1]
-					if _, err := tr.Delete(id); err != nil {
+					if err := tr.Delete(id); err != nil {
 						t.Error(err)
 						return
 					}
 				case len(mine) > 0 && rng.Intn(3) == 0:
-					if _, err := tr.SetCell(mine[len(mine)-1], "V",
+					if err := tr.SetCell(mine[len(mine)-1], "V",
 						types.NewString(fmt.Sprintf("v%d", rng.Intn(2)))); err != nil {
 						t.Error(err)
 						return
 					}
 				default:
-					id, _, err := tr.Insert(relstore.Tuple{
+					id, err := tr.Insert(relstore.Tuple{
 						types.NewString(fmt.Sprintf("k%d", rng.Intn(5))),
 						types.NewString(fmt.Sprintf("v%d", rng.Intn(2))),
 					})
@@ -157,6 +158,12 @@ func TestTrackerConcurrentUseRace(t *testing.T) {
 			for i := 0; i < 60; i++ {
 				_ = tr.DirtyCount()
 				_ = tr.VioMap()
+				// A snapshot a write overtook is refused; one of the
+				// tracker's version is served.
+				if fr, ok := tr.FactorReport(tab.Snapshot()); ok && fr.Explode().Version != fr.Version {
+					t.Error("exploded factorised report changed version")
+					return
+				}
 				rep := tr.Report()
 				// Internal sanity: every reported dirty tuple has vio > 0.
 				for id, n := range rep.Vio {

@@ -249,12 +249,28 @@ func RunF5(ctx context.Context, w io.Writer, quick bool) error {
 	if err != nil {
 		return err
 	}
-	before := tr.DirtyCount()
-	delta, err := tr.SetCell(m.TupleID, m.Attr, m.Old)
-	if err != nil {
+	before := tr.VioMap()
+	if err := tr.SetCell(m.TupleID, m.Attr, m.Old); err != nil {
 		return err
 	}
+	after := tr.VioMap()
 	fmt.Fprintf(w, "\nuser reverts t%d.%s to %v: incremental re-detection flags %d tuple(s) (dirty %d -> %d)\n",
-		m.TupleID, m.Attr, m.Old, len(delta.Changed), before, tr.DirtyCount())
+		m.TupleID, m.Attr, m.Old, vioChanges(before, after), len(before), len(after))
 	return nil
+}
+
+// vioChanges counts the tuples whose vio(t) differs between two VioMaps.
+func vioChanges(before, after map[relstore.TupleID]int) int {
+	n := 0
+	for id, v := range after {
+		if before[id] != v {
+			n++
+		}
+	}
+	for id := range before {
+		if _, ok := after[id]; !ok {
+			n++
+		}
+	}
+	return n
 }

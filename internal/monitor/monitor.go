@@ -43,9 +43,6 @@ type Update struct {
 type BatchResult struct {
 	// Inserted lists IDs assigned to OpInsert updates, in order.
 	Inserted []relstore.TupleID
-	// Changed maps tuples whose vio(t) changed to the new value
-	// (post-repair when the monitor is in cleansed mode).
-	Changed map[relstore.TupleID]int
 	// Repairs lists incremental repairs applied (cleansed mode only).
 	Repairs []repair.Modification
 	// Dirty is the table's dirty-tuple count after the batch.
@@ -127,38 +124,33 @@ func (m *Monitor) FactorReport(snap *relstore.Snapshot) (*detect.FactorReport, b
 // Apply runs one update batch through the monitor. All updates are applied
 // through the violation tracker (incremental detection); in cleansed mode
 // the monitor then incrementally repairs the tuples the batch touched.
-// Concurrent Apply calls serialize: one batch fully lands (including its
-// repairs) before the next begins.
+// The whole batch is validated before its first write, so a batch with a
+// bad update changes nothing. Concurrent Apply calls serialize: one batch
+// fully lands (including its repairs) before the next begins.
 func (m *Monitor) Apply(batch []Update) (*BatchResult, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	res := &BatchResult{Changed: map[relstore.TupleID]int{}}
-	var touched []relstore.TupleID
+	if err := m.validate(batch); err != nil {
+		return nil, err
+	}
+	res := &BatchResult{}
+	touched := make([]relstore.TupleID, 0, len(batch))
 	for i, u := range batch {
+		var err error
+		var id relstore.TupleID
 		switch u.Op {
 		case OpInsert:
-			id, d, err := m.tracker.Insert(u.Row)
-			if err != nil {
-				return nil, fmt.Errorf("monitor: update %d: %w", i, err)
-			}
+			id, err = m.tracker.Insert(u.Row)
 			res.Inserted = append(res.Inserted, id)
 			touched = append(touched, id)
-			mergeDelta(res.Changed, d)
 		case OpDelete:
-			d, err := m.tracker.Delete(u.ID)
-			if err != nil {
-				return nil, fmt.Errorf("monitor: update %d: %w", i, err)
-			}
-			mergeDelta(res.Changed, d)
+			err = m.tracker.Delete(u.ID)
 		case OpSet:
-			d, err := m.tracker.SetCell(u.ID, u.Attr, u.Value)
-			if err != nil {
-				return nil, fmt.Errorf("monitor: update %d: %w", i, err)
-			}
+			err = m.tracker.SetCell(u.ID, u.Attr, u.Value)
 			touched = append(touched, u.ID)
-			mergeDelta(res.Changed, d)
-		default:
-			return nil, fmt.Errorf("monitor: update %d: unknown op %d", i, u.Op)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("monitor: update %d: %w", i, err)
 		}
 	}
 	if m.cleansed && len(touched) > 0 {
@@ -167,27 +159,40 @@ func (m *Monitor) Apply(batch []Update) (*BatchResult, error) {
 			return nil, err
 		}
 		res.Repairs = mods
-		// Refresh the changed map with post-repair values.
-		for id := range res.Changed {
-			res.Changed[id] = m.tracker.Vio(id)
-		}
-		for _, mod := range mods {
-			res.Changed[mod.TupleID] = m.tracker.Vio(mod.TupleID)
-		}
 	}
 	res.Dirty = m.tracker.DirtyCount()
 	res.Version = m.tab.Version()
 	return res, nil
 }
 
+// validate rejects a batch with an unknown op, an insert of the wrong arity,
+// a set of an unknown attribute, or a set or delete of a tuple not live —
+// deleted by an earlier update of the batch included.
+func (m *Monitor) validate(batch []Update) error {
+	sc := m.tab.Schema()
+	deleted := map[relstore.TupleID]bool{}
+	for i, u := range batch {
+		var err error
+		switch _, known := sc.Pos(u.Attr); {
+		case u.Op == OpInsert:
+			if len(u.Row) != sc.Arity() {
+				err = fmt.Errorf("insert into %s: got %d values, want %d", sc.Name, len(u.Row), sc.Arity())
+			}
+		case u.Op != OpDelete && u.Op != OpSet:
+			err = fmt.Errorf("unknown op %d", u.Op)
+		case !m.tab.Live(u.ID) || deleted[u.ID]:
+			err = fmt.Errorf("no tuple %d in %s", u.ID, sc.Name)
+		case u.Op == OpDelete:
+			deleted[u.ID] = true
+		case !known:
+			err = fmt.Errorf("no attribute %q in %s", u.Attr, sc.Name)
+		}
+		if err != nil {
+			return fmt.Errorf("monitor: update %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // Version returns the monitored table's current version.
 func (m *Monitor) Version() int64 { return m.tab.Version() }
-
-func mergeDelta(into map[relstore.TupleID]int, d *detect.Delta) {
-	if d == nil {
-		return
-	}
-	for id, v := range d.Changed {
-		into[id] = v
-	}
-}

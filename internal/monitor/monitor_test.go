@@ -2,6 +2,8 @@ package monitor
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"testing"
 
 	"semandaq/internal/cfd"
@@ -64,8 +66,8 @@ func TestDetectionModeReportsViolations(t *testing.T) {
 	if res.Dirty != 3 { // new tuple + the two Mayfield tuples
 		t.Errorf("dirty = %d", res.Dirty)
 	}
-	if res.Changed[res.Inserted[0]] == 0 {
-		t.Errorf("changed = %v", res.Changed)
+	if vio := m.Tracker().VioMap(); vio[res.Inserted[0]] == 0 || len(vio) != res.Dirty {
+		t.Errorf("vio(t) = %v after inserting %d, dirty %d", vio, res.Inserted[0], res.Dirty)
 	}
 }
 
@@ -98,11 +100,9 @@ func TestRepairModeFixesIncoming(t *testing.T) {
 	if got[sc.MustPos("CNT")].Str() != "UK" {
 		t.Errorf("CNT = %v", got[sc.MustPos("CNT")])
 	}
-	// Changed map reflects post-repair state (all zero).
-	for id, v := range res.Changed {
-		if v != 0 {
-			t.Errorf("changed[%d] = %d after repair", id, v)
-		}
+	// vio(t) reflects the post-repair state: every tuple clean.
+	if vio := m.Tracker().VioMap(); len(vio) != 0 || m.DirtyCount() != 0 {
+		t.Errorf("vio(t) = %v after repair", vio)
 	}
 }
 
@@ -198,6 +198,50 @@ func TestApplyErrors(t *testing.T) {
 	}
 	if _, err := m.Apply([]Update{{Op: OpInsert, Row: relstore.Tuple{}}}); err == nil {
 		t.Error("bad arity should fail")
+	}
+}
+
+// TestRejectedBatchChangesNothing: a batch whose k-th update cannot apply
+// is refused before its first write, in either mode — the version, the
+// rows and the tracked vio(t) are those before the batch.
+func TestRejectedBatchChangesNothing(t *testing.T) {
+	for _, cleansed := range []bool{false, true} {
+		tab, cfds := setup(t)
+		m, err := New(tab, cfds, cleansed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		good := []Update{
+			{Op: OpInsert, Row: row("UK", "EH2", "Wrongstreet", 44)},
+			{Op: OpSet, ID: 0, Attr: "STR", Value: types.NewString("Other")},
+			{Op: OpDelete, ID: 2},
+		}
+		for name, bad := range map[string]Update{
+			"bad arity":        {Op: OpInsert, Row: relstore.Tuple{types.NewString("UK")}},
+			"unknown attr":     {Op: OpSet, ID: 1, Attr: "NOPE", Value: types.Null},
+			"dead id":          {Op: OpSet, ID: 999, Attr: "STR", Value: types.Null},
+			"deleted in batch": {Op: OpSet, ID: 2, Attr: "STR", Value: types.Null},
+			"deleted twice":    {Op: OpDelete, ID: 2},
+			"unknown op":       {Op: Op(99)},
+		} {
+			version, rows, vio := tab.Version(), tab.Snapshot().Rows(), m.Tracker().VioMap()
+			if _, err := m.Apply(append(slices.Clone(good), bad)); err == nil {
+				t.Fatalf("cleansed=%v, %s: the batch was accepted", cleansed, name)
+			}
+			if tab.Version() != version || !reflect.DeepEqual(tab.Snapshot().Rows(), rows) || !reflect.DeepEqual(m.Tracker().VioMap(), vio) {
+				t.Errorf("cleansed=%v, %s: a rejected batch changed the table or its vio(t)", cleansed, name)
+			}
+		}
+		if _, err := m.Apply(good); err != nil {
+			t.Fatalf("cleansed=%v: %v", cleansed, err)
+		}
+		batch, err := detect.NativeDetector{}.Detect(context.Background(), tab, cfds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := detect.Equivalent(batch, m.Report()); err != nil {
+			t.Errorf("cleansed=%v: %v", cleansed, err)
+		}
 	}
 }
 

@@ -16,7 +16,8 @@
 //     factorised core's exploded report (ColumnarDetector at 1, 2 and 8
 //     workers) and the SQL engine's report, each over the model's snapshot
 //     and over the folded one the server serves (DeepEqual) — lossless,
-//     schedule-independent and blind to code numbering;
+//     schedule-independent and blind to code numbering — and the tracker's
+//     own VioMap and DirtyCount equal the batch pass's vio(t);
 //   - the discovery session's refreshed report, and a cold Mine over the
 //     served snapshot, equal a cold Mine over the model's (DeepEqual).
 //
@@ -30,6 +31,7 @@ package oracle
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 
@@ -53,13 +55,14 @@ type Config struct {
 }
 
 // DefaultConfig returns the standard oracle workload: a 3-attribute
-// relation under one variable and one constant CFD, with tiny domains so
+// relation under two variable and one constant CFD, with tiny domains so
 // multi-tuple groups constantly flip between clean and violating, and with
-// Equal-but-not-identical numerics in the V column.
+// Equal-but-not-identical numerics and NaN in V, an RHS and an LHS cell.
 func DefaultConfig() Config {
 	cfds, err := cfd.ParseSet(`
 f: [K=_] -> [V=_]
 f: [K=k0] -> [W=good]
+f: [V=_] -> [W=_]
 `)
 	if err != nil {
 		panic(err) // static text; cannot fail
@@ -135,7 +138,7 @@ func Attach(tab *relstore.Table, cfds []*cfd.CFD, opts discovery.Options) (*Harn
 
 // Insert adds row through the tracker and to the model.
 func (h *Harness) Insert(row relstore.Tuple) (relstore.TupleID, error) {
-	id, _, err := h.Tracker.Insert(row)
+	id, err := h.Tracker.Insert(row)
 	if err != nil {
 		return 0, err
 	}
@@ -147,7 +150,7 @@ func (h *Harness) Insert(row relstore.Tuple) (relstore.TupleID, error) {
 
 // Delete removes id through the tracker and from the model.
 func (h *Harness) Delete(id relstore.TupleID) error {
-	if _, err := h.Tracker.Delete(id); err != nil {
+	if err := h.Tracker.Delete(id); err != nil {
 		return err
 	}
 	i, _ := slices.BinarySearch(h.ids, id)
@@ -160,7 +163,7 @@ func (h *Harness) Delete(id relstore.TupleID) error {
 // SetCell sets id's attr through the tracker and in the model; like the
 // table, the model keeps a cell that Equals v as it is.
 func (h *Harness) SetCell(id relstore.TupleID, attr string, v types.Value) error {
-	if _, err := h.Tracker.SetCell(id, attr, v); err != nil {
+	if err := h.Tracker.SetCell(id, attr, v); err != nil {
 		return err
 	}
 	i, _ := slices.BinarySearch(h.ids, id)
@@ -276,6 +279,11 @@ func (h *Harness) CheckDetect(ctx context.Context) error {
 			return fmt.Errorf("detect: tracker diverged from batch: %w", err)
 		}
 		return fmt.Errorf("detect: tracker report equivalent but not byte-identical to batch\nbatch: %+v\ntracker: %+v", batch, got)
+	}
+	// The tracker's own vio(t) bookkeeping, which the updates endpoint and a
+	// cleansed monitor read, not only the report recomputed from columns.
+	if vio := h.Tracker.VioMap(); !maps.Equal(vio, batch.Vio) || h.Tracker.DirtyCount() != len(batch.Vio) {
+		return fmt.Errorf("detect: tracker vio(t) %v (dirty %d) != batch %v", vio, h.Tracker.DirtyCount(), batch.Vio)
 	}
 	// The factorised core, exploded, at several worker counts, and the SQL
 	// engine: the report must depend neither on how the passes were

@@ -151,6 +151,12 @@ func FuzzIncrementalOracle(f *testing.F) {
 	f.Add([]byte{2, 1, 1, 0, 2, 7, 1, 0, 2, 0, 1, 2}) // canonical INT 1 dies beside FLOAT 1.0, then revives
 	f.Add([]byte{2, 1, 1, 0, 2, 7, 1, 0, 2, 2, 1, 0}) // the {INT 1, FLOAT 1.0} class empties
 	f.Add(bytes.Repeat([]byte{2, 0, 1, 0xC0}, 100))   // dead codes pile up past the compaction threshold
+	// The tracker's index. V is the RHS of [K=_] -> [V=_] and the LHS of
+	// [V=_] -> [W=_], so each V write below lands in both roles. Group k0
+	// holds ids 0 (v1), 3 (NaN) and 6 (v1).
+	f.Add([]byte{2, 3, 1, 1, 2, 3, 1, 4, 2, 3, 1, 1, 0, 0, 4, 0})             // k0's NaN class empties, re-forms by SetCell, empties, re-forms by insert
+	f.Add([]byte{2, 1, 1, 3, 2, 1, 1, 0, 2, 1, 1, 3, 2, 7, 1, 3, 2, 2, 1, 2}) // INT 1 <-> FLOAT 1.0: kept as Equal, then written across v0
+	f.Add([]byte{2, 0, 1, 4, 2, 3, 1, 4, 2, 0, 1, 1, 2, 6, 1, 4})             // NaN written into, kept in, and moved out of a group and a class
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			data = data[:512] // bound per-exec cost, not coverage

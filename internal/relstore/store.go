@@ -158,18 +158,31 @@ func (t *Table) MustInsert(row Tuple) TupleID {
 }
 
 // Get returns a fresh copy of the tuple with the given ID.
-func (t *Table) Get(id TupleID) (Tuple, bool) {
+func (t *Table) Get(id TupleID) (Tuple, bool) { return t.AppendRow(nil, id) }
+
+// AppendRow appends the cells of the tuple with the given ID to dst, or
+// reports false and returns dst unchanged when id is not live.
+func (t *Table) AppendRow(dst Tuple, id TupleID) (Tuple, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	k, i, live := t.locateLocked(id)
 	if !live {
-		return nil, false
-	}
-	if k < 0 {
-		return t.base.c.Row(i), true
+		return dst, false
 	}
 	a := t.schema.Arity()
-	return slices.Clone(Tuple(t.vals[int(k)*a : int(k+1)*a])), true
+	dst = slices.Grow(dst, a)
+	if k < 0 {
+		return t.base.c.appendRow(dst, i), true
+	}
+	return append(dst, t.vals[int(k)*a:int(k+1)*a]...), true
+}
+
+// Live reports whether the tuple with the given ID exists.
+func (t *Table) Live(id TupleID) bool {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	_, _, live := t.locateLocked(id)
+	return live
 }
 
 // Delete removes the tuple with the given ID. It reports whether the tuple

@@ -160,7 +160,7 @@ func checkDelta(t *testing.T, tab *relstore.Table, cfds []*cfd.CFD, delta int, m
 		}
 		var ids []relstore.TupleID
 		for i := snap.Len() - delta; i < snap.Len(); i++ {
-			id, _, err := tr.Insert(snap.Row(i))
+			id, err := tr.Insert(snap.Row(i))
 			if err != nil {
 				return nil, "", err
 			}

@@ -62,8 +62,7 @@ func (ir *IncRepairer) RepairDelta(tr *detect.Tracker, tab *relstore.Table, cfds
 		inDelta[id] = true
 	}
 	r := &run{cost: ir.Cost, history: map[cellKey]cellHistory{}, set: func(id relstore.TupleID, _ int, attr string, v types.Value) error {
-		_, err := tr.SetCell(id, attr, v)
-		return err
+		return tr.SetCell(id, attr, v)
 	}}
 	c := &r.c
 	var deltaRows, fixedRows []int32

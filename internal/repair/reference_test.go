@@ -452,7 +452,7 @@ func refRepairDelta(ir *IncRepairer, tr *detect.Tracker, tab *relstore.Table, cf
 		if len(history[ck]) == 0 {
 			history[ck] = append(history[ck], old)
 		}
-		if _, err := tr.SetCell(id, attr, val); err != nil {
+		if err := tr.SetCell(id, attr, val); err != nil {
 			return err
 		}
 		history[ck] = append(history[ck], val)

@@ -320,7 +320,7 @@ func TestIncRepairNewTupleAlignsWithCleanData(t *testing.T) {
 		types.NewString("New"), types.NewString("US"), types.NewString("Edinburgh"),
 		types.NewString("EH2 4SD"), types.NewString("Wrongside"),
 		types.NewInt(44), types.NewInt(131)}
-	id, _, err := tr.Insert(row)
+	id, err := tr.Insert(row)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,8 +358,8 @@ func TestIncRepairAllDeltaGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _, _ := tr.Insert(relstore.Tuple{types.NewString("k"), types.NewString("val")})
-	b, _, _ := tr.Insert(relstore.Tuple{types.NewString("k"), types.NewString("valx")})
+	a, _ := tr.Insert(relstore.Tuple{types.NewString("k"), types.NewString("val")})
+	b, _ := tr.Insert(relstore.Tuple{types.NewString("k"), types.NewString("valx")})
 	mods, err := NewIncRepairer().RepairDelta(tr, tab, []*cfd.CFD{fd}, []relstore.TupleID{a, b})
 	if err != nil {
 		t.Fatal(err)
@@ -382,7 +382,7 @@ func TestIncRepairLeavesPreexistingConflicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, _, _ := tr.Insert(relstore.Tuple{types.NewString("other"), types.NewString("x")})
+	id, _ := tr.Insert(relstore.Tuple{types.NewString("other"), types.NewString("x")})
 	mods, err := NewIncRepairer().RepairDelta(tr, tab, []*cfd.CFD{fd}, []relstore.TupleID{id})
 	if err != nil {
 		t.Fatal(err)

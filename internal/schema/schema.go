@@ -22,7 +22,7 @@ type Relation struct {
 	Name  string
 	Attrs []Attribute
 
-	index map[string]int // lowercase attribute name -> position
+	index map[string]int // attribute name, lowercased and as written -> position
 }
 
 // New builds a relation schema from attribute names, all untyped.
@@ -43,9 +43,13 @@ func NewTyped(name string, attrs ...Attribute) *Relation {
 }
 
 func (r *Relation) reindex() {
-	r.index = make(map[string]int, len(r.Attrs))
+	r.index = make(map[string]int, 2*len(r.Attrs))
 	for i, a := range r.Attrs {
 		r.index[strings.ToLower(a.Name)] = i
+	}
+	// Each name as written too: an exact-case Pos allocates no lowered copy.
+	for _, a := range r.Attrs {
+		r.index[a.Name] = r.index[strings.ToLower(a.Name)]
 	}
 }
 
@@ -55,6 +59,9 @@ func (r *Relation) Arity() int { return len(r.Attrs) }
 // Pos returns the position of the named attribute (case-insensitive) and
 // whether it exists.
 func (r *Relation) Pos(attr string) (int, bool) {
+	if i, ok := r.index[attr]; ok {
+		return i, true
+	}
 	i, ok := r.index[strings.ToLower(attr)]
 	return i, ok
 }

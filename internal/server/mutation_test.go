@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"semandaq/internal/core"
+	"semandaq/internal/detect"
 	"semandaq/internal/relstore"
 	"semandaq/internal/schema"
 	"semandaq/internal/types"
@@ -70,6 +72,49 @@ func TestMutationsRouteThroughMonitor(t *testing.T) {
 	// count includes the violating row without any fresh detection pass.
 	if after := int(out["dirty"].(float64)); after <= startDirty {
 		t.Fatalf("monitor missed the violating insert: dirty %d -> %d", startDirty, after)
+	}
+}
+
+// TestRejectedUpdateBatchChangesNothing: an updates request whose last
+// update cannot apply is a 400 that leaves the table at its version and the
+// monitor's tracker equal to batch detection, its vio(t) included.
+func TestRejectedUpdateBatchChangesNothing(t *testing.T) {
+	s := core.New()
+	ts := httptest.NewServer(New(s).Handler())
+	t.Cleanup(ts.Close)
+	do(t, ts, "POST", "/api/tables/customer", customersCSV, http.StatusOK)
+	body, _ := json.Marshal(map[string]string{"text": cfdText})
+	do(t, ts, "POST", "/api/cfds/customer", string(body), http.StatusOK)
+	do(t, ts, "POST", "/api/monitor/customer", "", http.StatusOK)
+	version := do(t, ts, "GET", "/api/tables/customer", "", http.StatusOK)["version"]
+	for _, bad := range []string{
+		`{"op":"set","id":0,"attr":"NOPE","value":"x"}`,
+		`{"op":"set","id":99999,"attr":"STR","value":"x"}`,
+		`{"op":"delete","id":1}`, // deleted earlier in the batch
+	} {
+		batch := `{"updates":[{"op":"insert","row":["Zoe","UK","Edinburgh","EH2 4SD","Elm",44,131]},` +
+			`{"op":"set","id":0,"attr":"STR","value":"Other"},{"op":"delete","id":1},` + bad + `]}`
+		do(t, ts, "POST", "/api/monitor/customer/updates", batch, http.StatusBadRequest)
+		if got := do(t, ts, "GET", "/api/tables/customer", "", http.StatusOK)["version"]; got != version {
+			t.Fatalf("%s: the rejected batch moved the version %v -> %v", bad, version, got)
+		}
+	}
+	tab, err := s.Table("customer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := s.ActiveMonitor("customer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := tab.Snapshot()
+	want, err := detect.ColumnarDetector{}.DetectSnapshot(t.Context(), snap, m.CFDs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, ok := m.FactorReport(snap)
+	if !ok || !reflect.DeepEqual(fr.Explode(), want) || !reflect.DeepEqual(m.Tracker().VioMap(), want.Vio) {
+		t.Fatal("after rejected batches the tracker differs from batch detection")
 	}
 }
 
