@@ -5,7 +5,7 @@
 //	semandaq-vet ./...            # check the whole module (CI does this)
 //	semandaq-vet -list            # list analyzers
 //	semandaq-vet -json ./...      # machine-readable diagnostics on stdout
-//	semandaq-vet -run snapshotpin ./internal/detect/...
+//	semandaq-vet -run versionstamp ./internal/detect/...
 //
 // Packages are analyzed in import-DAG order so interprocedural analyzers
 // (lockorder, mutationlog, ctxflow) see their dependencies' facts before

@@ -9,7 +9,7 @@
 // Commands:
 //
 //	check      check the CFD set for satisfiability
-//	detect     run violation detection (use -engine sql|native|parallel|columnar;
+//	detect     run violation detection (use -engine sql|parallel|columnar;
 //	           -stream prints violations as NDJSON while the scan runs)
 //	sql        print the generated detection SQL without running it
 //	audit      print the data quality report
@@ -53,7 +53,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	dataPath := fs.String("data", "", "CSV file holding the relation to check")
 	tableName := fs.String("table", "", "table name (default: file base name)")
 	cfdPath := fs.String("cfds", "", "file with CFDs, one pattern per line")
-	engine := fs.String("engine", "sql", "detection engine: sql, native, parallel or columnar")
+	engine := fs.String("engine", "sql", "detection engine: sql, parallel or columnar (native is an alias of columnar)")
 	workers := fs.Int("workers", 0, "parallel engine worker count (default GOMAXPROCS)")
 	stream := fs.Bool("stream", false, "detect: print violations as NDJSON while the scan runs")
 	timeout := fs.Duration("timeout", 0, "abort the command after this duration (0 = none)")

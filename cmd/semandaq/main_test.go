@@ -55,7 +55,7 @@ func TestCLIDetect(t *testing.T) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
 	}
-	// Native and parallel engines agree.
+	// The native alias (columnar) and the parallel engine agree.
 	for _, engine := range []string{"native", "parallel"} {
 		out2, err := runCLI(t, "-data", csv, "-cfds", cfds, "-engine", engine, "detect")
 		if err != nil {

@@ -116,7 +116,7 @@ func main() {
 	if _, _, err := sys.ApplyRepair("customer", res.Modifications); err != nil {
 		log.Fatal(err)
 	}
-	rep, err = sys.Detect(ctx, "customer", semandaq.WithEngine(semandaq.NativeDetection))
+	rep, err = sys.Detect(ctx, "customer", semandaq.WithEngine(semandaq.ColumnarDetection))
 	if err != nil {
 		log.Fatal(err)
 	}

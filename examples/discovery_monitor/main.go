@@ -49,7 +49,7 @@ func main() {
 	fmt.Println("\ndiscovered set registered: satisfiable")
 
 	// The reference data itself is clean under the mined rules.
-	det, err := sys.Detect(ctx, "customer", semandaq.WithEngine(semandaq.NativeDetection))
+	det, err := sys.Detect(ctx, "customer", semandaq.WithEngine(semandaq.ColumnarDetection))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -46,7 +46,7 @@ phi4@ customer: [CC=44] -> [CNT=UK]
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := detect.NativeDetector{}.Detect(context.Background(), tab, cfds)
+	rep, err := detect.ColumnarDetector{Workers: 1}.Detect(context.Background(), tab, cfds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestCleanTableAudit(t *testing.T) {
 	tab := relstore.NewTable(schema.New("r", "A", "B"))
 	tab.MustInsert(relstore.Tuple{types.NewString("x"), types.NewString("1")})
 	fd := cfd.NewFD("f", "r", []string{"A"}, []string{"B"})
-	rep, err := detect.NativeDetector{}.Detect(context.Background(), tab, []*cfd.CFD{fd})
+	rep, err := detect.ColumnarDetector{Workers: 1}.Detect(context.Background(), tab, []*cfd.CFD{fd})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestMajorityNotStrictIsDirty(t *testing.T) {
 		tab.MustInsert(relstore.Tuple{types.NewString("k"), types.NewString(v)})
 	}
 	fd := cfd.NewFD("f", "r", []string{"K"}, []string{"V"})
-	rep, err := detect.NativeDetector{}.Detect(context.Background(), tab, []*cfd.CFD{fd})
+	rep, err := detect.ColumnarDetector{Workers: 1}.Detect(context.Background(), tab, []*cfd.CFD{fd})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -291,17 +291,6 @@ func (c *CFD) MatchLHS(i int, row relstore.Tuple, lhsPos []int) bool {
 	return true
 }
 
-// MatchRHS reports whether the tuple matches the RHS of pattern i.
-func (c *CFD) MatchRHS(i int, row relstore.Tuple, rhsPos []int) bool {
-	pt := c.Tableau[i]
-	for k, p := range pt.RHS {
-		if !p.Matches(row[rhsPos[k]]) {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the CFD in the paper's notation, one pattern per line for
 // multi-pattern tableaux:
 //
@@ -339,16 +328,27 @@ func (c *CFD) String() string {
 	return b.String()
 }
 
-// patternToken renders a pattern cell in the parseable syntax: wildcards as
-// "_", string constants quoted when they contain delimiters.
+// patternToken renders a pattern cell in the parseable syntax so that it
+// parses back to the same value of the same kind: wildcards as "_", string
+// constants quoted unless the bare token reads back as that very string (no
+// delimiters, no edge space the parser would trim, not "_", and not text
+// such as "42" or "true" that parses as another kind), and floats with a
+// ".0" when their shortest form would read back as an INT.
 func patternToken(p PatternValue) string {
 	if p.Wildcard {
 		return WildcardToken
 	}
 	s := p.Const.String()
-	if p.Const.Kind() == types.KindString && strings.ContainsAny(s, ",[]'= \t") ||
-		s == WildcardToken || s == "" {
-		return "'" + strings.ReplaceAll(s, "'", "''") + "'"
+	switch p.Const.Kind() {
+	case types.KindString:
+		if back := types.Parse(s); back.Kind() != types.KindString || back.Str() != s ||
+			s == WildcardToken || strings.TrimSpace(s) != s || strings.ContainsAny(s, ",[]'= \t") {
+			return "'" + strings.ReplaceAll(s, "'", "''") + "'"
+		}
+	case types.KindFloat:
+		if types.Parse(s).Kind() != types.KindFloat {
+			return s + ".0"
+		}
 	}
 	return s
 }

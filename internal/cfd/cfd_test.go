@@ -1,6 +1,7 @@
 package cfd
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -121,7 +122,7 @@ func TestMatchLHSAndRHS(t *testing.T) {
 	sc := customerSchema()
 	c := phi2()
 	lhsPos, _ := sc.Positions(c.LHS)
-	rhsPos, _ := sc.Positions(c.RHS)
+	rhsPos, _ := sc.Pos(c.RHS[0])
 	ukRow := relstore.Tuple{
 		types.NewString("Mike"), types.NewString("UK"), types.NewString("Edinburgh"),
 		types.NewString("EH2 4SD"), types.NewString("Mayfield"),
@@ -134,17 +135,17 @@ func TestMatchLHSAndRHS(t *testing.T) {
 	if c.MatchLHS(0, usRow, lhsPos) {
 		t.Error("US row should not match LHS")
 	}
-	if !c.MatchRHS(0, ukRow, rhsPos) {
+	if !c.Tableau[0].RHS[0].Matches(ukRow[rhsPos]) {
 		t.Error("wildcard RHS always matches")
 	}
 
 	c4 := phi4()
 	lhs4, _ := sc.Positions(c4.LHS)
-	rhs4, _ := sc.Positions(c4.RHS)
-	if !c4.MatchLHS(0, ukRow, lhs4) || !c4.MatchRHS(0, ukRow, rhs4) {
+	rhs4, _ := sc.Pos(c4.RHS[0])
+	if !c4.MatchLHS(0, ukRow, lhs4) || !c4.Tableau[0].RHS[0].Matches(ukRow[rhs4]) {
 		t.Error("CC=44/CNT=UK row should match phi4 on both sides")
 	}
-	if c4.MatchRHS(0, usRow, rhs4) {
+	if c4.Tableau[0].RHS[0].Matches(usRow[rhs4]) {
 		t.Error("CC=44/CNT=US should fail phi4's RHS")
 	}
 }
@@ -283,6 +284,25 @@ func TestStringQuotesAwkwardConstants(t *testing.T) {
 	}
 	if back.Tableau[0].LHS[0].Const.Str() != "EH2 4SD" {
 		t.Errorf("quoted constant = %v", back.Tableau[0].LHS[0])
+	}
+	// Strings whose bare token would parse as another kind, or lose edge
+	// space to the parser's trim, stay strings through a print and a
+	// re-parse; a float whose shortest form reads as an INT stays a float.
+	for _, v := range []types.Value{
+		types.NewString("42"), types.NewString("true"), types.NewString("1e3"),
+		types.NewString("NaN"), types.NewString("\u00a0x"), types.NewString("x\u2003"),
+		types.NewString(""), types.NewFloat(1000), types.NewFloat(math.Copysign(0, -1)),
+	} {
+		c := New("q", "r", []string{"A"}, []string{"B"},
+			PatternTuple{LHS: []PatternValue{Constant(v)}, RHS: []PatternValue{Wild}})
+		back, err := ParseLine(c.String())
+		if err != nil {
+			t.Fatalf("%q: %v", c.String(), err)
+		}
+		got := back.Tableau[0].LHS[0].Const
+		if got.Kind() != v.Kind() || !got.Equal(v) {
+			t.Errorf("%s %q printed as %q parses back as %s %q", v.Kind(), v, c.String(), got.Kind(), got)
+		}
 	}
 }
 

@@ -57,17 +57,25 @@ func ParseSet(text string) ([]*CFD, error) {
 		singles = append(singles, c)
 	}
 	merged := MergeByFD(singles)
-	n := 0
-	for _, c := range merged {
-		n++
+	for n, c := range merged {
+		// Merged IDs have accumulated "+" (with a leading one when the
+		// first line had no ID): keep the first name, else number the CFD.
+		c.ID = firstName(c.ID)
 		if c.ID == "" {
-			c.ID = fmt.Sprintf("phi%d", n)
-		} else {
-			// Merged IDs may have accumulated "+"; keep the first token.
-			c.ID = strings.SplitN(c.ID, "+", 2)[0]
+			c.ID = fmt.Sprintf("phi%d", n+1)
 		}
 	}
 	return merged, nil
+}
+
+// firstName is the first non-blank "+"-separated token of a merged ID.
+func firstName(id string) string {
+	for _, tok := range strings.Split(id, "+") {
+		if tok = strings.TrimSpace(tok); tok != "" {
+			return tok
+		}
+	}
+	return ""
 }
 
 type lineParser struct {

@@ -118,6 +118,14 @@ func TestParseSetExplicitID(t *testing.T) {
 	if cfds[0].ID != "zipstr" {
 		t.Errorf("ID = %q", cfds[0].ID)
 	}
+	// A name on a later line of the same FD names the merged CFD.
+	cfds, err = ParseSet("[A] -> [B]\nx@ [A=1] -> [B=2]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfds[0].ID != "x" {
+		t.Errorf("merged ID = %q, want x", cfds[0].ID)
+	}
 }
 
 func TestParseSetErrorsCarryLine(t *testing.T) {

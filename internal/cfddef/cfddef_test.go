@@ -207,7 +207,7 @@ func TestVioByDefinition(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ids, arity := tab.IDs(), tab.Schema().Arity()
+			ids, arity := tab.Snapshot().IDs(), tab.Schema().Arity()
 			for i := 0; i < 24; i++ {
 				src, _ := tab.Get(ids[rng.Intn(len(ids))])
 				pos := rng.Intn(arity)

@@ -128,7 +128,7 @@ func TestWithCFDsScopingMatrix(t *testing.T) {
 		{ids[1], ids[2]},
 		ids, // scoping to everything must equal the full report
 	}
-	for _, kind := range []DetectorKind{SQLDetection, NativeDetection, ParallelDetection, ColumnarDetection} {
+	for _, kind := range []DetectorKind{SQLDetection, ParallelDetection, ColumnarDetection} {
 		full, err := s.Detect(ctx, "customer", WithEngine(kind))
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
@@ -213,7 +213,7 @@ func TestWithLimit(t *testing.T) {
 func TestDetectStreamParity(t *testing.T) {
 	s, _ := datasetSession(t)
 	ctx := context.Background()
-	for _, kind := range []DetectorKind{ParallelDetection, ColumnarDetection, NativeDetection, SQLDetection} {
+	for _, kind := range []DetectorKind{ParallelDetection, ColumnarDetection, SQLDetection} {
 		want, err := s.Detect(ctx, "customer", WithEngine(kind))
 		if err != nil {
 			t.Fatal(err)
@@ -250,7 +250,7 @@ func TestDetectPreCancelled(t *testing.T) {
 	s, _ := datasetSession(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, kind := range []DetectorKind{SQLDetection, NativeDetection, ParallelDetection, ColumnarDetection} {
+	for _, kind := range []DetectorKind{SQLDetection, ParallelDetection, ColumnarDetection} {
 		if _, err := s.Detect(ctx, "customer", WithEngine(kind)); !errors.Is(err, context.Canceled) {
 			t.Errorf("%v: err = %v, want context.Canceled", kind, err)
 		}

@@ -99,7 +99,7 @@ type tableReports struct {
 
 // reportEntry is one detection result in the form its producer built it:
 // factorised (fr) for the columnar kinds and the monitor's tracker, flat
-// (rep) for SQL and native. The flat form of a factorised entry is exploded
+// (rep) for SQL. The flat form of a factorised entry is exploded
 // lazily, once, and only for callers that ask the facade for a
 // *detect.Report; the detect endpoint, the audit and the explorer (also
 // built once, lazily) never do.
@@ -384,15 +384,12 @@ const (
 	// SQLDetection generates and runs the two SQL queries per CFD (the
 	// paper's technique).
 	SQLDetection = detect.SQLEngine
-	// NativeDetection uses in-memory hash grouping over the row store
-	// (the single-threaded reference baseline).
-	NativeDetection = detect.NativeEngine
 	// ParallelDetection is ColumnarDetection with the per-CFD passes
 	// fanned over runtime.GOMAXPROCS workers; same report, same cache entry.
 	ParallelDetection = detect.ParallelEngine
 	// ColumnarDetection runs the factorised evaluation over the table's
 	// columnar snapshot (dictionary-code matching, PLI-partition grouping);
-	// the report is identical to NativeDetection's.
+	// the report is identical to SQLDetection's.
 	ColumnarDetection = detect.ColumnarEngine
 )
 
@@ -400,8 +397,8 @@ const (
 // given: the single-worker columnar evaluation.
 const DefaultEngine = ColumnarDetection
 
-// ParseDetectorKind maps the CLI/HTTP engine names ("sql", "native",
-// "parallel", "columnar") to a DetectorKind.
+// ParseDetectorKind maps the CLI/HTTP engine names ("sql", "parallel",
+// "columnar", and "native" as an alias of "columnar") to a DetectorKind.
 func ParseDetectorKind(s string) (DetectorKind, error) {
 	return detect.ParseEngineKind(s)
 }
@@ -580,7 +577,7 @@ func (s *Semandaq) detectEntry(ctx context.Context, table string, snap *relstore
 // the scan is still running. Breaking out of the loop (or a done ctx)
 // cancels the underlying scan. The default engine is ParallelDetection,
 // whose factorised core yields straight into the stream; engines without a
-// streaming path (sql, native) fall back to a blocking pass whose report is
+// streaming path (sql) fall back to a blocking pass whose report is
 // then replayed. Over a full iteration the yielded set equals the blocking
 // report's Violations, in engine order.
 func (s *Semandaq) DetectStream(ctx context.Context, table string, opts ...Option) iter.Seq2[detect.Violation, error] {
@@ -633,7 +630,7 @@ func (s *Semandaq) DetectStreamVersion(ctx context.Context, table string, opts .
 		}
 		// Non-streaming engine: replay a blocking pass through the
 		// iterator. detectEntry keeps the report cache in play, so a
-		// repeated sql/native stream on an unchanged table is served from
+		// repeated sql stream on an unchanged table is served from
 		// cache.
 		e, err := s.detectEntry(ctx, table, snap, cfds, o)
 		if err != nil {

@@ -49,7 +49,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	// Detection, both paths, must agree.
-	native, err := s.Detect(context.Background(), "customer", WithEngine(NativeDetection))
+	columnar, err := s.Detect(context.Background(), "customer", WithEngine(ColumnarDetection))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +57,11 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := detect.Equivalent(native, sql); err != nil {
+	if err := detect.Equivalent(columnar, sql); err != nil {
 		t.Fatal(err)
 	}
-	if len(native.Vio) != 4 { // Mike, Rick, Nora (group) + Joe (constant)
-		t.Errorf("vio = %v", native.Vio)
+	if len(columnar.Vio) != 4 { // Mike, Rick, Nora (group) + Joe (constant)
+		t.Errorf("vio = %v", columnar.Vio)
 	}
 
 	// Audit.
@@ -99,7 +99,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 	// After applying, detection is clean (and the cache was invalidated by
 	// the table version change).
-	rep, err := s.Detect(context.Background(), "customer", WithEngine(NativeDetection))
+	rep, err := s.Detect(context.Background(), "customer", WithEngine(ColumnarDetection))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +110,11 @@ func TestEndToEndPipeline(t *testing.T) {
 
 func TestDetectCache(t *testing.T) {
 	s := session(t)
-	r1, err := s.Detect(context.Background(), "customer", WithEngine(NativeDetection))
+	r1, err := s.Detect(context.Background(), "customer", WithEngine(ColumnarDetection))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := s.Detect(context.Background(), "customer", WithEngine(NativeDetection))
+	r2, err := s.Detect(context.Background(), "customer", WithEngine(ColumnarDetection))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestDetectCache(t *testing.T) {
 	}
 	tab, _ := s.Table("customer")
 	tab.SetCell(0, 0, types.NewString("Mike2"))
-	r3, err := s.Detect(context.Background(), "customer", WithEngine(NativeDetection))
+	r3, err := s.Detect(context.Background(), "customer", WithEngine(ColumnarDetection))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestNoCFDsErrors(t *testing.T) {
 	if _, err := s.LoadCSV("customer", strings.NewReader(customersCSV)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Detect(context.Background(), "customer", WithEngine(NativeDetection)); err == nil {
+	if _, err := s.Detect(context.Background(), "customer", WithEngine(ColumnarDetection)); err == nil {
 		t.Error("Detect without CFDs should fail")
 	}
 	if _, err := s.Repair(context.Background(), "customer"); err == nil {
@@ -212,7 +212,7 @@ func TestUnknownTableErrors(t *testing.T) {
 	if _, err := s.Table("nope"); err == nil {
 		t.Error("Table")
 	}
-	if _, err := s.Detect(context.Background(), "nope", WithEngine(NativeDetection)); err == nil {
+	if _, err := s.Detect(context.Background(), "nope", WithEngine(ColumnarDetection)); err == nil {
 		t.Error("Detect")
 	}
 	if _, err := s.Audit(context.Background(), "nope"); err == nil {
@@ -366,7 +366,6 @@ func TestTablesHidesArtifacts(t *testing.T) {
 func TestDetectorKindMatrix(t *testing.T) {
 	names := map[DetectorKind]string{
 		SQLDetection:      "sql",
-		NativeDetection:   "native",
 		ParallelDetection: "parallel",
 		ColumnarDetection: "columnar",
 	}
@@ -379,12 +378,15 @@ func TestDetectorKindMatrix(t *testing.T) {
 			t.Errorf("ParseDetectorKind(%q) = %v, %v", name, parsed, err)
 		}
 	}
+	if kind, err := ParseDetectorKind("native"); err != nil || kind != ColumnarDetection {
+		t.Errorf(`ParseDetectorKind("native") = %v, %v; want the columnar alias`, kind, err)
+	}
 	if _, err := ParseDetectorKind("vectorized"); err == nil {
 		t.Error("ParseDetectorKind accepted an unknown engine")
 	}
 
 	s := session(t)
-	base, err := s.Detect(context.Background(), "customer", WithEngine(NativeDetection))
+	base, err := s.Detect(context.Background(), "customer", WithEngine(SQLDetection))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +396,7 @@ func TestDetectorKindMatrix(t *testing.T) {
 			t.Fatalf("%s: %v", kind, err)
 		}
 		if err := detect.Equivalent(base, rep); err != nil {
-			t.Errorf("%s vs native: %v", kind, err)
+			t.Errorf("%s vs sql: %v", kind, err)
 		}
 	}
 }
@@ -438,7 +440,7 @@ func TestReloadKeepsOnlyValidCFDs(t *testing.T) {
 			if _, err := s.RegisterCFDText("customer", tc.fresh); err != nil {
 				t.Fatalf("registering after the reload: %v", err)
 			}
-			if _, err := s.Detect(ctx, "customer", WithEngine(NativeDetection)); err != nil {
+			if _, err := s.Detect(ctx, "customer", WithEngine(ColumnarDetection)); err != nil {
 				t.Errorf("Detect after the reload: %v", err)
 			}
 			if _, err := s.Audit(ctx, "customer"); err != nil {

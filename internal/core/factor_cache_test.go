@@ -15,7 +15,7 @@ import (
 )
 
 // allKinds is the engine matrix of the cache tests.
-var allKinds = []DetectorKind{SQLDetection, NativeDetection, ColumnarDetection, ParallelDetection}
+var allKinds = []DetectorKind{SQLDetection, ColumnarDetection, ParallelDetection}
 
 // TestReportCacheHoldsOneVersion is the cache-hygiene contract: however
 // many edit→detect rounds run through however many engines, a table's
@@ -25,7 +25,7 @@ func TestReportCacheHoldsOneVersion(t *testing.T) {
 	s, _ := datasetSession(t)
 	ctx := context.Background()
 	tab, _ := s.Table("customer")
-	ids := tab.IDs()
+	ids := tab.Snapshot().IDs()
 	for round := 0; round < 5; round++ {
 		if _, err := s.SetCell("customer", ids[round], "CITY", types.NewString("Nowhere")); err != nil {
 			t.Fatal(err)
@@ -42,8 +42,8 @@ func TestReportCacheHoldsOneVersion(t *testing.T) {
 			if tr.version != tab.Version() {
 				t.Fatalf("round %d %v: cache holds version %d, table is at %d", round, kind, tr.version, tab.Version())
 			}
-			if len(tr.entries) > 3 {
-				t.Fatalf("round %d: %d entries for one version, want at most 3 (sql, native, columnar)", round, len(tr.entries))
+			if len(tr.entries) > 2 {
+				t.Fatalf("round %d: %d entries for one version, want at most 2 (sql, columnar)", round, len(tr.entries))
 			}
 			s.mu.Unlock()
 		}
@@ -55,7 +55,7 @@ func TestReportCacheHoldsOneVersion(t *testing.T) {
 	}
 	// A fill for a version the cache has moved past must not evict the
 	// newer one.
-	s.cacheEntry("customer", NativeDetection, tab.Version()-1, &reportEntry{})
+	s.cacheEntry("customer", SQLDetection, tab.Version()-1, &reportEntry{})
 	if _, ok := s.cachedEntry("customer", ColumnarDetection, tab.Version()); !ok {
 		t.Error("a stale fill evicted the current version's entries")
 	}
@@ -159,14 +159,14 @@ func TestTrackerReportServesEveryKind(t *testing.T) {
 	if after, _ := s.cachedEntry("customer", ColumnarDetection, tab.Version()); after != e || ex1 != ex2 {
 		t.Error("the audit or the drill-down built a second report or explorer for the version")
 	}
-	native, err := detect.NativeDetector{}.Detect(ctx, tab, s.CFDs("customer"))
+	batch, err := detect.ColumnarDetector{Workers: 1}.Detect(ctx, tab, s.CFDs("customer"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rep, native) {
-		t.Error("tracker-served report differs from the native reference")
+	if !reflect.DeepEqual(rep, batch) {
+		t.Error("tracker-served report differs from a batch detection")
 	}
-	want, err := audit.Audit(tab.Snapshot(), s.CFDs("customer"), native)
+	want, err := audit.Audit(tab.Snapshot(), s.CFDs("customer"), batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,14 +219,14 @@ func TestLazyExplodeRunsOnce(t *testing.T) {
 			t.Fatalf("caller %d audited differently", w)
 		}
 	}
-	native, err := s.Detect(ctx, "customer", WithEngine(NativeDetection))
+	sql, err := s.Detect(ctx, "customer", WithEngine(SQLDetection))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(reps[0], native) {
-		t.Error("lazily exploded report differs from the native reference")
+	if !reflect.DeepEqual(reps[0], sql) {
+		t.Error("lazily exploded report differs from the SQL engine's")
 	}
-	flatAudit, err := audit.Audit(tab.Snapshot(), s.CFDs("customer"), native)
+	flatAudit, err := audit.Audit(tab.Snapshot(), s.CFDs("customer"), sql)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func stewardBatch(t *testing.T, snap *relstore.Snapshot, typos, flips, moves, sa
 	t.Helper()
 	sc := snap.Schema()
 	cnt, zip, str, name := sc.MustPos("CNT"), sc.MustPos("ZIP"), sc.MustPos("STR"), sc.MustPos("NAME")
-	groupOf := func(row relstore.Tuple) string { return row.KeyOn([]int{cnt, zip}) }
+	groupOf := func(row relstore.Tuple) string { return string(row[zip].AppendGroupKey(row[cnt].AppendGroupKey(nil))) }
 	size := map[string]int{}
 	for _, row := range snap.Rows() {
 		size[groupOf(row)]++

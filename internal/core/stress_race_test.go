@@ -124,7 +124,7 @@ func runStress(t *testing.T, s *Semandaq, withMonitor bool) {
 	}
 
 	// Blocking detection, one reader per engine.
-	for _, kind := range []DetectorKind{SQLDetection, NativeDetection, ColumnarDetection, ParallelDetection} {
+	for _, kind := range []DetectorKind{SQLDetection, ColumnarDetection, ParallelDetection} {
 		readerWG.Add(1)
 		go func(kind DetectorKind) {
 			defer readerWG.Done()
@@ -248,7 +248,7 @@ func runStress(t *testing.T, s *Semandaq, withMonitor bool) {
 
 	// Quiesced: one final pass per engine agrees on the final version.
 	final := int64(0)
-	for _, kind := range []DetectorKind{SQLDetection, NativeDetection, ColumnarDetection, ParallelDetection} {
+	for _, kind := range []DetectorKind{SQLDetection, ColumnarDetection, ParallelDetection} {
 		rep, err := s.Detect(ctx, "traffic", WithEngine(kind))
 		if err != nil {
 			t.Fatal(err)
@@ -285,7 +285,7 @@ func TestConcurrentReadWriteStressMonitored(t *testing.T) {
 func TestConcurrentSQLDetections(t *testing.T) {
 	s, _ := datasetSession(t)
 	ctx := context.Background()
-	quiet, err := s.Detect(ctx, "customer", WithEngine(NativeDetection))
+	quiet, err := s.Detect(ctx, "customer", WithEngine(ColumnarDetection))
 	if err != nil {
 		t.Fatal(err)
 	}

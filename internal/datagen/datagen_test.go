@@ -11,7 +11,7 @@ import (
 
 func TestCleanDataSatisfiesStandardCFDs(t *testing.T) {
 	ds := Generate(Config{Tuples: 2000, Seed: 1})
-	rep, err := detect.NativeDetector{}.Detect(context.Background(), ds.Clean, StandardCFDs())
+	rep, err := detect.ColumnarDetector{Workers: 1}.Detect(context.Background(), ds.Clean, StandardCFDs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestCleanDataSatisfiesStandardCFDs(t *testing.T) {
 // "clean" data.
 func TestCleanDataSatisfiesCFDsAtLargeZipPools(t *testing.T) {
 	ds := Generate(Config{Tuples: 6000, Seed: 2, ZipsPerCity: 1500})
-	rep, err := detect.NativeDetector{}.Detect(context.Background(), ds.Clean, StandardCFDs())
+	rep, err := detect.ColumnarDetector{Workers: 1}.Detect(context.Background(), ds.Clean, StandardCFDs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestNoiseRateHonored(t *testing.T) {
 
 func TestDirtyDataHasViolations(t *testing.T) {
 	ds := Generate(Config{Tuples: 1000, Seed: 7, NoiseRate: 0.05})
-	rep, err := detect.NativeDetector{}.Detect(context.Background(), ds.Dirty, StandardCFDs())
+	rep, err := detect.ColumnarDetector{Workers: 1}.Detect(context.Background(), ds.Dirty, StandardCFDs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,11 @@ func TestGroupSizesControllable(t *testing.T) {
 		}
 		groups := map[string]bool{}
 		for _, row := range tab.Snapshot().Rows() {
-			groups[row.KeyOn(pos)] = true
+			var key []byte
+			for _, p := range pos {
+				key = row[p].AppendGroupKey(key)
+			}
+			groups[string(key)] = true
 		}
 		return len(groups)
 	}

@@ -3,6 +3,8 @@ package detect
 import (
 	"context"
 	"errors"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -10,18 +12,6 @@ import (
 	"semandaq/internal/datagen"
 	"semandaq/internal/relstore"
 )
-
-// cancelEngines is the engine matrix for the cancellation tests: every
-// kind, built the way NewDetector builds it (the SQL engine over a store
-// holding the table).
-func cancelEngines(store *relstore.Store) map[string]Detector {
-	return map[string]Detector{
-		"sql":      NewSQLDetector(store),
-		"native":   NativeDetector{},
-		"columnar": ColumnarDetector{Workers: 1},
-		"parallel": ColumnarDetector{Workers: 4},
-	}
-}
 
 // TestPreCancelledContext asserts every engine refuses to scan under an
 // already-cancelled context and surfaces ctx.Err().
@@ -32,7 +22,7 @@ func TestPreCancelledContext(t *testing.T) {
 	cfds := datagen.StandardCFDs()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for name, det := range cancelEngines(store) {
+	for name, det := range detectors(t, store) {
 		rep, err := det.Detect(ctx, ds.Dirty, cfds)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", name, err)
@@ -48,7 +38,7 @@ func TestPreCancelledContext(t *testing.T) {
 // scan, not the snapshot construction.
 var bigDirty = sync.OnceValue(func() *datagen.Dataset {
 	ds := datagen.Generate(datagen.Config{Tuples: 1_000_000, Seed: 7, NoiseRate: 0.05})
-	ds.Dirty.Columnar()
+	ds.Dirty.Snapshot().Columnar()
 	return ds
 })
 
@@ -63,7 +53,7 @@ func TestMidScanCancellation(t *testing.T) {
 	cfds := datagen.StandardCFDs()
 	store := relstore.NewStore()
 	store.Put(ds.Dirty)
-	for name, det := range cancelEngines(store) {
+	for name, det := range detectors(t, store) {
 		t.Run(name, func(t *testing.T) {
 			// 30ms is deep inside any engine's 1M-tuple pass (the fastest,
 			// sharded columnar, needs hundreds of milliseconds) yet late
@@ -123,13 +113,13 @@ func TestCancelErrorsDoNotPoisonDetectors(t *testing.T) {
 	store := relstore.NewStore()
 	store.Put(ds.Dirty)
 	cfds := datagen.StandardCFDs()
-	want, err := NativeDetector{}.Detect(context.Background(), ds.Dirty, cfds)
+	want, err := NewSQLDetector(store).Detect(context.Background(), ds.Dirty, cfds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	for name, det := range cancelEngines(store) {
+	for name, det := range detectors(t, store) {
 		if _, err := det.Detect(cancelled, ds.Dirty, cfds); err == nil {
 			t.Fatalf("%s: cancelled run succeeded", name)
 		}
@@ -144,20 +134,25 @@ func TestCancelErrorsDoNotPoisonDetectors(t *testing.T) {
 }
 
 // TestEngineRegistry pins the engine-kind round-trip: every kind resolves
-// to a working detector and parses back from its name.
+// to a working detector and parses back from its name, and "native" is an
+// alias of columnar.
 func TestEngineRegistry(t *testing.T) {
 	kinds := EngineKinds()
-	if len(kinds) != 4 {
+	if !reflect.DeepEqual(kinds, []EngineKind{SQLEngine, ParallelEngine, ColumnarEngine}) {
 		t.Fatalf("EngineKinds() = %v", kinds)
+	}
+	if k, err := ParseEngineKind("native"); err != nil || k != ColumnarEngine {
+		t.Errorf(`ParseEngineKind("native") = %v, %v; want the columnar alias`, k, err)
 	}
 	ds := datagen.Generate(datagen.Config{Tuples: 300, Seed: 2, NoiseRate: 0.1})
 	store := relstore.NewStore()
 	store.Put(ds.Dirty)
 	cfds := datagen.StandardCFDs()
-	want, err := NativeDetector{}.Detect(context.Background(), ds.Dirty, cfds)
+	want, err := ColumnarDetector{Workers: 1}.Detect(context.Background(), ds.Dirty, cfds)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkDefinition(t, "columnar", ds.Dirty.Snapshot(), cfds, want)
 	for _, k := range kinds {
 		parsed, err := ParseEngineKind(k.String())
 		if err != nil || parsed != k {
@@ -175,8 +170,8 @@ func TestEngineRegistry(t *testing.T) {
 			t.Errorf("%v: %v", k, err)
 		}
 	}
-	if _, err := ParseEngineKind("vectorized"); err == nil {
-		t.Error("ParseEngineKind accepted an unknown engine")
+	if _, err := ParseEngineKind("vectorized"); err == nil || !strings.HasSuffix(err.Error(), "(want one of [sql parallel columnar])") {
+		t.Errorf("ParseEngineKind(\"vectorized\") error = %v, want one listing sql, parallel and columnar", err)
 	}
 	if _, err := NewDetector(EngineKind(99), Config{}); err == nil {
 		t.Error("NewDetector accepted an unknown kind")

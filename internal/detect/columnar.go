@@ -8,11 +8,11 @@ import (
 	"semandaq/internal/relstore"
 )
 
-// ColumnarDetector computes the NativeDetector report over the table's
-// columnar snapshot (relstore.Columnar) instead of the row store: it runs
-// the factorised core (factor.go) and explodes the result at this compat
-// edge. The semantics and the produced report are identical — same
-// violations, same group and member order — but the work is integer work:
+// ColumnarDetector computes the detection report over the table's columnar
+// snapshot (relstore.Columnar): it runs the factorised core (factor.go) and
+// explodes the result at this compat edge. The report is the SQL engine's —
+// same violations, same group and member order — but the work is integer
+// work:
 //
 //   - a pattern constant is translated once per detection into the
 //     column's Equal-class code, so matching a tuple against a pattern

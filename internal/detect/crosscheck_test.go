@@ -16,8 +16,9 @@ import (
 )
 
 // TestCrossCheckRandomized generates random tables and random CFD sets and
-// verifies that the SQL detection technique and the native detector agree
-// on every report — the central correctness property of the SQL generation
+// verifies that the SQL detection technique agrees with the paper's
+// definition (cfddef.Check) and that the factorised core and the tracker
+// agree with it — the central correctness property of the SQL generation
 // path (and of the engine underneath it).
 func TestCrossCheckRandomized(t *testing.T) {
 	attrs := []string{"A", "B", "C", "D", "E"}
@@ -70,23 +71,17 @@ func TestCrossCheckRandomized(t *testing.T) {
 			cfds = append(cfds, cc)
 		}
 
-		native, err := NativeDetector{}.Detect(context.Background(), tab, cfds)
-		if err != nil {
-			t.Fatalf("trial %d: native: %v", trial, err)
-		}
 		sqlRep, err := NewSQLDetector(store).Detect(context.Background(), tab, cfds)
 		if err != nil {
 			t.Fatalf("trial %d: sql: %v", trial, err)
 		}
-		if err := Equivalent(native, sqlRep); err != nil {
-			t.Fatalf("trial %d: detectors disagree: %v\ncfds:\n%v", trial, err, cfds)
-		}
+		checkDefinition(t, fmt.Sprintf("trial %d: sql", trial), tab.Snapshot(), cfds, sqlRep)
 		workers := []int{1, 2, 8}[trial%3]
 		parRep, err := ColumnarDetector{Workers: workers}.Detect(context.Background(), tab, cfds)
 		if err != nil {
 			t.Fatalf("trial %d: parallel: %v", trial, err)
 		}
-		if err := Equivalent(native, parRep); err != nil {
+		if err := Equivalent(sqlRep, parRep); err != nil {
 			t.Fatalf("trial %d: parallel (workers=%d) disagrees: %v\ncfds:\n%v",
 				trial, workers, err, cfds)
 		}
@@ -94,10 +89,10 @@ func TestCrossCheckRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: columnar: %v", trial, err)
 		}
-		// The columnar report must be byte-identical to the native one,
-		// not merely equivalent: same violations, same order, same groups.
-		if !reflect.DeepEqual(native, colRep) {
-			t.Fatalf("trial %d: columnar report not identical to native\ncfds:\n%v", trial, cfds)
+		// The columnar report must be byte-identical to the SQL one, not
+		// merely equivalent: same violations, same order, same groups.
+		if !reflect.DeepEqual(sqlRep, colRep) {
+			t.Fatalf("trial %d: columnar report not identical to sql\ncfds:\n%v", trial, cfds)
 		}
 
 		// And the tracker, seeded from the same table, agrees too.
@@ -105,16 +100,16 @@ func TestCrossCheckRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: tracker: %v", trial, err)
 		}
-		if err := Equivalent(native, tr.Report()); err != nil {
+		if err := Equivalent(sqlRep, tr.Report()); err != nil {
 			t.Fatalf("trial %d: tracker disagrees: %v", trial, err)
 		}
 	}
 }
 
-// TestParallelCrossCheckDatagen runs the three detectors over generated
-// customer tables at several noise rates and worker counts: the
-// multi-worker ColumnarDetector must be Equivalent to both NativeDetector
-// and SQLDetector on realistic workloads (the standard CFD set mixes
+// TestParallelCrossCheckDatagen runs the detectors over generated customer
+// tables at several noise rates and worker counts: SQLDetector must agree
+// with the paper's definition, and the multi-worker ColumnarDetector must
+// be Equivalent to it on realistic workloads (the standard CFD set mixes
 // constant and variable patterns).
 func TestParallelCrossCheckDatagen(t *testing.T) {
 	for _, noise := range []float64{0, 0.02, 0.10} {
@@ -122,27 +117,18 @@ func TestParallelCrossCheckDatagen(t *testing.T) {
 		store := relstore.NewStore()
 		store.Put(ds.Dirty)
 		cfds := datagen.StandardCFDs()
-		native, err := NativeDetector{}.Detect(context.Background(), ds.Dirty, cfds)
-		if err != nil {
-			t.Fatalf("noise=%.2f: native: %v", noise, err)
-		}
 		sqlRep, err := NewSQLDetector(store).Detect(context.Background(), ds.Dirty, cfds)
 		if err != nil {
 			t.Fatalf("noise=%.2f: sql: %v", noise, err)
 		}
-		if err := Equivalent(native, sqlRep); err != nil {
-			t.Fatalf("noise=%.2f: native vs sql: %v", noise, err)
-		}
-		if noise > 0 && len(native.Vio) == 0 {
+		checkDefinition(t, fmt.Sprintf("noise=%.2f: sql", noise), ds.Dirty.Snapshot(), cfds, sqlRep)
+		if noise > 0 && len(sqlRep.Vio) == 0 {
 			t.Fatalf("noise=%.2f produced no violations; test is vacuous", noise)
 		}
 		for _, workers := range []int{1, 2, 8} {
 			par, err := ColumnarDetector{Workers: workers}.Detect(context.Background(), ds.Dirty, cfds)
 			if err != nil {
 				t.Fatalf("noise=%.2f workers=%d: %v", noise, workers, err)
-			}
-			if err := Equivalent(native, par); err != nil {
-				t.Errorf("noise=%.2f workers=%d: parallel vs native: %v", noise, workers, err)
 			}
 			if err := Equivalent(sqlRep, par); err != nil {
 				t.Errorf("noise=%.2f workers=%d: parallel vs sql: %v", noise, workers, err)
@@ -154,18 +140,15 @@ func TestParallelCrossCheckDatagen(t *testing.T) {
 // TestColumnarByteIdenticalDatagen is the cross-snapshot acceptance check
 // for the columnar read path: at noise 0, 2% and 10%, the sequential
 // columnar report and every sharded configuration must be deep-equal to
-// the native row-scan report — same violation records in the same order,
+// the SQL engine's report — same violation records in the same order,
 // same groups, same members, same value representatives — not merely
 // statistics-equivalent.
 func TestColumnarByteIdenticalDatagen(t *testing.T) {
 	for _, noise := range []float64{0, 0.02, 0.10} {
 		ds := datagen.Generate(datagen.Config{Tuples: 2000, Seed: 77, NoiseRate: noise})
 		cfds := datagen.StandardCFDs()
-		native, err := NativeDetector{}.Detect(context.Background(), ds.Dirty, cfds)
-		if err != nil {
-			t.Fatalf("noise=%.2f: native: %v", noise, err)
-		}
-		if noise > 0 && len(native.Vio) == 0 {
+		sqlRep := sqlReport(t, ds.Dirty.Snapshot(), cfds)
+		if noise > 0 && len(sqlRep.Vio) == 0 {
 			t.Fatalf("noise=%.2f produced no violations; test is vacuous", noise)
 		}
 		for _, workers := range []int{1, 2, 8} {
@@ -173,8 +156,8 @@ func TestColumnarByteIdenticalDatagen(t *testing.T) {
 			if err != nil {
 				t.Fatalf("noise=%.2f workers=%d: columnar: %v", noise, workers, err)
 			}
-			if !reflect.DeepEqual(native, col) {
-				t.Errorf("noise=%.2f workers=%d: columnar report not byte-identical to native", noise, workers)
+			if !reflect.DeepEqual(sqlRep, col) {
+				t.Errorf("noise=%.2f workers=%d: columnar report not byte-identical to sql", noise, workers)
 			}
 		}
 	}
@@ -208,12 +191,7 @@ func TestVioDefinitionOnKnownGroups(t *testing.T) {
 	ins("k2", "z")
 	ins("k2", "z")
 	fd := cfd.NewFD("f", "r", []string{"K"}, []string{"V"})
-	for name, det := range map[string]Detector{
-		"native":   NativeDetector{},
-		"sql":      NewSQLDetector(store),
-		"parallel": ColumnarDetector{Workers: 3},
-		"columnar": ColumnarDetector{Workers: 1},
-	} {
+	for name, det := range detectors(t, store) {
 		t.Run(name, func(t *testing.T) {
 			rep, err := det.Detect(context.Background(), tab, []*cfd.CFD{fd})
 			if err != nil {
@@ -253,26 +231,27 @@ func TestColumnarIdenticalOnFloatEdgeCases(t *testing.T) {
 		}),
 		cfd.NewFD("c2", "r", []string{"A"}, []string{"B"}),
 	}
-	native, err := NativeDetector{}.Detect(context.Background(), tab, cfds)
+	sqlRep, err := NewSQLDetector(store).Detect(context.Background(), tab, cfds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if native.Vio[nanID] != 2 { // one single-tuple + one multi-tuple partner
-		t.Fatalf("native vio(NaN row) = %d, want 2", native.Vio[nanID])
+	if sqlRep.Vio[nanID] != 2 { // one single-tuple + one multi-tuple partner
+		t.Fatalf("sql vio(NaN row) = %d, want 2", sqlRep.Vio[nanID])
 	}
+	checkDefinition(t, "sql", tab.Snapshot(), cfds, sqlRep)
 	for _, workers := range []int{1, 4} {
 		col, err := ColumnarDetector{Workers: workers}.Detect(context.Background(), tab, cfds)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if err := Equivalent(native, col); err != nil {
+		if err := Equivalent(sqlRep, col); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(col.Violations) != len(native.Violations) {
-			t.Fatalf("workers=%d: %d violations, native %d",
-				workers, len(col.Violations), len(native.Violations))
+		if len(col.Violations) != len(sqlRep.Violations) {
+			t.Fatalf("workers=%d: %d violations, sql %d",
+				workers, len(col.Violations), len(sqlRep.Violations))
 		}
-		for i, nv := range native.Violations {
+		for i, nv := range sqlRep.Violations {
 			cv := col.Violations[i]
 			if cv.CFDID != nv.CFDID || cv.Kind != nv.Kind || cv.TupleID != nv.TupleID ||
 				cv.Pattern != nv.Pattern || cv.Partners != nv.Partners ||
@@ -291,20 +270,21 @@ func TestColumnarIdenticalOnFloatEdgeCases(t *testing.T) {
 	tab2.MustInsert(relstore.Tuple{types.NewFloat(0), types.NewInt(2)})
 	tab2.MustInsert(relstore.Tuple{types.NewInt(0), types.NewInt(2)})
 	fd := cfd.NewFD("c2", "r", []string{"A"}, []string{"B"})
-	native2, err := NativeDetector{}.Detect(context.Background(), tab2, []*cfd.CFD{fd})
+	sql2, err := NewSQLDetector(store2).Detect(context.Background(), tab2, []*cfd.CFD{fd})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(native2.Vio) != 3 {
-		t.Fatalf("-0.0 group: native dirty = %v, want all 3 tuples", native2.Vio)
+	if len(sql2.Vio) != 3 {
+		t.Fatalf("-0.0 group: sql dirty = %v, want all 3 tuples", sql2.Vio)
 	}
+	checkDefinition(t, "sql", tab2.Snapshot(), []*cfd.CFD{fd}, sql2)
 	for _, workers := range []int{1, 4} {
 		col, err := ColumnarDetector{Workers: workers}.Detect(context.Background(), tab2, []*cfd.CFD{fd})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if !reflect.DeepEqual(native2, col) {
-			t.Errorf("workers=%d: columnar diverges from native on -0.0/0.0/0 grouping", workers)
+		if !reflect.DeepEqual(sql2, col) {
+			t.Errorf("workers=%d: columnar diverges from sql on -0.0/0.0/0 grouping", workers)
 		}
 	}
 }

@@ -15,16 +15,15 @@
 // single-tuple violation, and by the cardinality of the set of tuples that
 // jointly conflict with t per CFD with a multi-tuple violation.
 //
-// The package provides interchangeable detectors producing one report:
+// The package provides two interchangeable detectors producing one report:
 // SQLDetector generates the two SQL queries of the TODS paper per merged
 // CFD and runs them on the sqleng engine (the paper's technique, end to
-// end); NativeDetector computes the same report with hand-rolled hash
-// grouping over the row store (the reference semantics and the row-path
-// baseline); ColumnarDetector evaluates over the table's columnar snapshot
-// with the factorised core — dictionary-code pattern matching,
-// PLI-partition grouping — and explodes the result (the parallel engine is
-// the same detector with Workers > 1). The incremental layer builds on the
-// native semantics.
+// end); ColumnarDetector evaluates over the table's columnar snapshot with
+// the factorised core — dictionary-code pattern matching, PLI-partition
+// grouping — and explodes the result (the parallel engine is the same
+// detector with Workers > 1). The Tracker maintains the same report under
+// updates. The reference all three are checked against is
+// internal/cfddef, which runs the definition above literally.
 package detect
 
 import (
@@ -250,8 +249,7 @@ func finish(rep *Report) {
 // lhsKey encodes an LHS value vector as a grouping key, in the shared
 // collision-free encoding (types.Value.WriteGroupKey): with a plain
 // separator, values containing the separator byte could make distinct LHS
-// vectors collide into one group. It matches relstore's Tuple.KeyOn, which
-// the detectors use when grouping whole-row projections.
+// vectors collide into one group.
 func lhsKey(vals []types.Value) string {
 	var b strings.Builder
 	for _, v := range vals {
@@ -276,217 +274,8 @@ func majorityKey(counts map[string]int) string {
 	return best
 }
 
-// NativeDetector computes the report with in-memory scans and hash
-// grouping. It is the reference implementation of the semantics and the
-// baseline the SQL technique is compared against in the benches.
-type NativeDetector struct{}
-
-// Detect implements Detector.
-func (d NativeDetector) Detect(ctx context.Context, tab *relstore.Table, cfds []*cfd.CFD) (*Report, error) {
-	return d.DetectSnapshot(ctx, tab.Snapshot(), cfds)
-}
-
-// DetectSnapshot implements SnapshotDetector: the row-scan evaluation over
-// one pinned table version.
-func (NativeDetector) DetectSnapshot(ctx context.Context, snap *relstore.Snapshot, cfds []*cfd.CFD) (*Report, error) {
-	preps, err := prepare(snap.Schema(), cfds)
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{
-		Table:      snap.Schema().Name,
-		TupleCount: snap.Len(),
-		Version:    snap.Version(),
-		PerCFD:     make(map[string]*CFDStats),
-	}
-	for _, p := range preps {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		st := &CFDStats{}
-		rep.PerCFD[p.c.ID] = st
-		if err := detectOne(ctx, snap, p, rep, st); err != nil {
-			return nil, err
-		}
-	}
-	finish(rep)
-	return rep, nil
-}
-
-// detectOne processes one prepared CFD over the whole snapshot. The
-// columnar core (factor.go) shares none of this: its exploded report must
-// stay byte-identical to this row scan.
-func detectOne(ctx context.Context, snap *relstore.Snapshot, p prepared, rep *Report, st *CFDStats) error {
-	constPatterns, varPatterns := splitPatterns(p)
-	groups := map[string]*groupAcc{}
-	n := 0
-	snap.Scan(func(id relstore.TupleID, row relstore.Tuple) bool {
-		if n++; n%cancelStride == 0 && ctx.Err() != nil {
-			return false
-		}
-		var fired bool
-		rep.Violations, fired = appendConstViolations(rep.Violations, p, constPatterns, id, row)
-		if fired {
-			st.SingleTuple++
-		}
-		if matchesVarPattern(p, varPatterns, row) {
-			addToGroup(groups, row.KeyOn(p.lhsPos), p, id, row)
-		}
-		return true
-	})
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	var ng, nm int
-	rep.Groups, rep.Violations, ng, nm = flushGroups(groups, p, rep.Groups, rep.Violations)
-	st.Groups += ng
-	st.MultiTuple += nm
-	return nil
-}
-
-// splitPatterns classifies the tableau indexes: constant-RHS patterns can
-// only be violated by single tuples, wildcard-RHS patterns only by tuple
-// groups.
-func splitPatterns(p prepared) (constPatterns, varPatterns []int) {
-	for i := range p.c.Tableau {
-		if p.c.Tableau[i].RHS[0].Wildcard {
-			varPatterns = append(varPatterns, i)
-		} else {
-			constPatterns = append(constPatterns, i)
-		}
-	}
-	return constPatterns, varPatterns
-}
-
-// appendConstViolations appends row's single-tuple violations against the
-// constant patterns to dst and reports whether any fired (the per-CFD
-// SingleTuple statistic counts tuples, not pattern firings). NULL RHS
-// values are not flagged — matching the SQL technique, where t.Y <> tp.Y
-// is unknown on NULL.
-func appendConstViolations(dst []Violation, p prepared, constPatterns []int,
-	id relstore.TupleID, row relstore.Tuple) ([]Violation, bool) {
-	fired := false
-	for _, i := range constPatterns {
-		if !p.c.MatchLHS(i, row, p.lhsPos) {
-			continue
-		}
-		want := p.c.Tableau[i].RHS[0].Const
-		got := row[p.rhsPos]
-		if got.IsNull() || got.Equal(want) {
-			continue
-		}
-		dst = append(dst, Violation{
-			CFDID:    p.c.ID,
-			Kind:     SingleTuple,
-			Pattern:  i,
-			TupleID:  id,
-			Attr:     p.c.RHS[0],
-			Expected: want,
-			Got:      got,
-		})
-		fired = true
-	}
-	return dst, fired
-}
-
-// matchesVarPattern reports whether row matches at least one variable
-// pattern's LHS. Tuples with equal LHS match the same patterns, so one
-// group membership per tuple suffices.
-func matchesVarPattern(p prepared, varPatterns []int, row relstore.Tuple) bool {
-	for _, i := range varPatterns {
-		if p.c.MatchLHS(i, row, p.lhsPos) {
-			return true
-		}
-	}
-	return false
-}
-
-// groupAcc accumulates one multi-tuple candidate group: the tuples sharing
-// an LHS value, with their RHS value keys and counts.
-type groupAcc struct {
-	lhsVals   []types.Value
-	members   []relstore.TupleID
-	rhsOf     map[relstore.TupleID]string
-	rhsCounts map[string]int
-}
-
-// addToGroup folds one tuple into its LHS group, creating the group on
-// first use. Callers must present tuples in snapshot order: member order is
-// part of the detectors' byte-identical-report contract.
-func addToGroup(groups map[string]*groupAcc, key string, p prepared,
-	id relstore.TupleID, row relstore.Tuple) {
-	g, ok := groups[key]
-	if !ok {
-		lhsVals := make([]types.Value, len(p.lhsPos))
-		for k, pos := range p.lhsPos {
-			lhsVals[k] = row[pos]
-		}
-		g = &groupAcc{
-			lhsVals:   lhsVals,
-			rhsOf:     map[relstore.TupleID]string{},
-			rhsCounts: map[string]int{},
-		}
-		groups[key] = g
-	}
-	g.members = append(g.members, id)
-	rk := row[p.rhsPos].Key()
-	g.rhsOf[id] = rk
-	g.rhsCounts[rk]++
-}
-
-// flushGroups emits every accumulated group that disagrees on the RHS: the
-// Group record plus one multi-tuple Violation per member, with the vio(t)
-// partner count. It returns the grown slices and the group/member counts
-// for the per-CFD statistics.
-func flushGroups(groups map[string]*groupAcc, p prepared,
-	outGroups []*Group, outViols []Violation) ([]*Group, []Violation, int, int) {
-	ng, nm := 0, 0
-	// Pre-grow the violation slice: a dirty group emits one record per
-	// member, and at millions of members the append-doubling copies would
-	// otherwise dominate the flush.
-	total := 0
-	for _, g := range groups {
-		if len(g.rhsCounts) > 1 {
-			total += len(g.members)
-		}
-	}
-	if free := cap(outViols) - len(outViols); free < total {
-		grown := make([]Violation, len(outViols), len(outViols)+total)
-		copy(grown, outViols)
-		outViols = grown
-	}
-	for _, g := range groups {
-		if len(g.rhsCounts) <= 1 {
-			continue
-		}
-		ng++
-		outGroups = append(outGroups, &Group{
-			CFDID:       p.c.ID,
-			Attr:        p.c.RHS[0],
-			LHSAttrs:    append([]string(nil), p.c.LHS...),
-			LHSValues:   g.lhsVals,
-			Members:     g.members,
-			RHSOf:       g.rhsOf,
-			RHSCounts:   g.rhsCounts,
-			MajorityKey: majorityKey(g.rhsCounts),
-		})
-		for _, id := range g.members {
-			outViols = append(outViols, Violation{
-				CFDID:    p.c.ID,
-				Kind:     MultiTuple,
-				Pattern:  -1,
-				TupleID:  id,
-				Attr:     p.c.RHS[0],
-				Partners: len(g.members) - g.rhsCounts[g.rhsOf[id]],
-			})
-			nm++
-		}
-	}
-	return outGroups, outViols, ng, nm
-}
-
 // Equivalent reports whether two reports agree on vio(t) and per-CFD
-// statistics; used by tests to cross-check the SQL and native detectors.
+// statistics; used by tests to cross-check the detectors.
 func Equivalent(a, b *Report) error {
 	if a.TupleCount != b.TupleCount {
 		return fmt.Errorf("tuple counts differ: %d vs %d", a.TupleCount, b.TupleCount)

@@ -2,10 +2,12 @@ package detect
 
 import (
 	"context"
+	"maps"
 	"strings"
 	"testing"
 
 	"semandaq/internal/cfd"
+	"semandaq/internal/cfddef"
 	"semandaq/internal/relstore"
 	"semandaq/internal/schema"
 	"semandaq/internal/types"
@@ -49,16 +51,61 @@ phi4@ customer: [CC=44] -> [CNT=UK]
 	return store, tab, cfds
 }
 
-func detectors(store *relstore.Store) map[string]Detector {
-	return map[string]Detector{
-		"native": NativeDetector{},
-		"sql":    NewSQLDetector(store),
+// detectors builds the detector of every engine name the CLI and the wire
+// accept, the "native" alias of columnar included, keyed by that name; the
+// parallel engine runs on four workers.
+func detectors(t testing.TB, store *relstore.Store) map[string]Detector {
+	t.Helper()
+	dets := map[string]Detector{}
+	for _, name := range []string{"sql", "native", "columnar", "parallel"} {
+		kind, err := ParseEngineKind(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dets[name], err = NewDetector(kind, Config{Workers: 4, Store: store}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dets
+}
+
+// sqlReport is the SQL engine's report over snap, the flat report the
+// factorised core's must DeepEqual.
+func sqlReport(t testing.TB, snap *relstore.Snapshot, cfds []*cfd.CFD) *Report {
+	t.Helper()
+	store := relstore.NewStore()
+	if _, err := store.Create(snap.Schema()); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := NewSQLDetector(store).DetectSnapshot(context.Background(), snap, cfds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// checkDefinition holds a report's vio(t) and per-CFD counts to the paper's
+// definition, run literally over snap (cfddef.Check), which shares no code
+// with the engines.
+func checkDefinition(t testing.TB, who string, snap *relstore.Snapshot, cfds []*cfd.CFD, rep *Report) {
+	t.Helper()
+	vio, per := cfddef.Check(snap, cfds)
+	if !maps.Equal(rep.Vio, vio) {
+		t.Errorf("%s: vio(t) differs from the definition:\n got  %v\n want %v", who, rep.Vio, vio)
+	}
+	if len(rep.PerCFD) != len(per) {
+		t.Errorf("%s: %d per-CFD entries, the definition has %d", who, len(rep.PerCFD), len(per))
+	}
+	for id, n := range per {
+		if st := rep.PerCFD[id]; st == nil || cfddef.Counts(*st) != n {
+			t.Errorf("%s: CFD %s counts %+v, the definition's %+v", who, id, st, n)
+		}
 	}
 }
 
 func TestPaperExampleBothDetectors(t *testing.T) {
 	store, tab, cfds := paperStore(t)
-	for name, det := range detectors(store) {
+	for name, det := range detectors(t, store) {
 		t.Run(name, func(t *testing.T) {
 			rep, err := det.Detect(context.Background(), tab, cfds)
 			if err != nil {
@@ -104,7 +151,7 @@ func TestPaperExampleBothDetectors(t *testing.T) {
 
 func TestSingleTupleViolationDetails(t *testing.T) {
 	_, tab, cfds := paperStore(t)
-	rep, err := NativeDetector{}.Detect(context.Background(), tab, cfds)
+	rep, err := ColumnarDetector{Workers: 1}.Detect(context.Background(), tab, cfds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +178,7 @@ func TestSingleTupleViolationDetails(t *testing.T) {
 
 func TestGroupsStructure(t *testing.T) {
 	store, tab, cfds := paperStore(t)
-	for name, det := range detectors(store) {
+	for name, det := range detectors(t, store) {
 		t.Run(name, func(t *testing.T) {
 			rep, err := det.Detect(context.Background(), tab, cfds)
 			if err != nil {
@@ -176,7 +223,7 @@ r: [CC=1] -> [CNT=US]
 	if len(cfds) != 1 || len(cfds[0].Tableau) != 2 {
 		t.Fatalf("expected merged CFD, got %+v", cfds)
 	}
-	for name, det := range detectors(store) {
+	for name, det := range detectors(t, store) {
 		t.Run(name, func(t *testing.T) {
 			rep, err := det.Detect(context.Background(), tab, cfds)
 			if err != nil {
@@ -206,7 +253,7 @@ func TestVioCountsPartners(t *testing.T) {
 	d := ins("Z1", "Elm")
 	ins("Z2", "Oak") // other group, clean
 	fd := cfd.NewFD("f", "r", []string{"ZIP"}, []string{"STR"})
-	for name, det := range detectors(store) {
+	for name, det := range detectors(t, store) {
 		t.Run(name, func(t *testing.T) {
 			rep, err := det.Detect(context.Background(), tab, []*cfd.CFD{fd})
 			if err != nil {
@@ -233,7 +280,7 @@ func TestCleanTable(t *testing.T) {
 	tab.MustInsert(relstore.Tuple{types.NewString("x"), types.NewString("1")})
 	tab.MustInsert(relstore.Tuple{types.NewString("y"), types.NewString("2")})
 	fd := cfd.NewFD("f", "r", []string{"A"}, []string{"B"})
-	for name, det := range detectors(store) {
+	for name, det := range detectors(t, store) {
 		t.Run(name, func(t *testing.T) {
 			rep, err := det.Detect(context.Background(), tab, []*cfd.CFD{fd})
 			if err != nil {
@@ -249,7 +296,7 @@ func TestCleanTable(t *testing.T) {
 func TestNullSemanticsConsistent(t *testing.T) {
 	// NULLs: a NULL LHS never matches a constant pattern cell; NULL RHS is
 	// not a single-tuple violation; NULL groups as an ordinary value in
-	// multi-tuple detection. Both detectors must agree.
+	// multi-tuple detection. Both engines must agree with the definition.
 	store := relstore.NewStore()
 	tab, _ := store.Create(schema.New("r", "A", "B"))
 	ins := func(a, b types.Value) { tab.MustInsert(relstore.Tuple{a, b}) }
@@ -264,7 +311,7 @@ r: [A=k] -> [B=v]
 	if err != nil {
 		t.Fatal(err)
 	}
-	native, err := NativeDetector{}.Detect(context.Background(), tab, cfds)
+	columnar, err := ColumnarDetector{Workers: 1}.Detect(context.Background(), tab, cfds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,16 +319,17 @@ r: [A=k] -> [B=v]
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Equivalent(native, sqlRep); err != nil {
+	if err := Equivalent(sqlRep, columnar); err != nil {
 		t.Fatalf("detectors disagree: %v", err)
 	}
+	checkDefinition(t, "sql", tab.Snapshot(), cfds, sqlRep)
 	// The k-group {NULL, v} counts NULL as a distinct value: group of 2.
 	// The NULL-LHS group {x, y} also violates.
-	if len(native.Groups) != 2 {
-		t.Errorf("groups = %d", len(native.Groups))
+	if len(columnar.Groups) != 2 {
+		t.Errorf("groups = %d", len(columnar.Groups))
 	}
 	// No single-tuple violation: B=NULL under [A=k]->[B=v] is not flagged.
-	for _, v := range native.Violations {
+	for _, v := range columnar.Violations {
 		if v.Kind == SingleTuple {
 			t.Errorf("unexpected single-tuple violation %+v", v)
 		}
@@ -294,7 +342,7 @@ func TestDetectValidatesCFDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, det := range detectors(store) {
+	for name, det := range detectors(t, store) {
 		t.Run(name, func(t *testing.T) {
 			if _, err := det.Detect(context.Background(), tab, bad); err == nil {
 				t.Error("unknown attribute should fail")
@@ -409,7 +457,7 @@ func TestMultiAttributeRHSNormalized(t *testing.T) {
 	ins("k1", "a1", "b1")
 	ins("k1", "a2", "b1") // violates K->A only
 	c := cfd.NewFD("f", "r", []string{"K"}, []string{"A", "B"})
-	for name, det := range detectors(store) {
+	for name, det := range detectors(t, store) {
 		t.Run(name, func(t *testing.T) {
 			rep, err := det.Detect(context.Background(), tab, []*cfd.CFD{c})
 			if err != nil {

@@ -9,18 +9,16 @@ import (
 
 // EngineKind identifies one of the interchangeable detection engines. All
 // engines produce byte-identical reports; they differ only in
-// evaluation strategy (generated SQL, row scan, factorised columnar
-// evaluation on one or several workers).
+// evaluation strategy (generated SQL, factorised columnar evaluation on
+// one or several workers).
 type EngineKind int
 
-// The engines. The constants double as the wire/CLI order, so
-// their values are part of the public surface (core re-exports them).
+// The engines, in wire/CLI order (core re-exports them). Nothing stores a
+// kind's integer value.
 const (
 	// SQLEngine generates and runs the two SQL queries per CFD (the
 	// paper's technique).
 	SQLEngine EngineKind = iota
-	// NativeEngine is the single-threaded in-memory row scan.
-	NativeEngine
 	// ParallelEngine is ColumnarEngine on Config.Workers workers; the report
 	// does not depend on the count.
 	ParallelEngine
@@ -34,8 +32,6 @@ func (k EngineKind) String() string {
 	switch k {
 	case SQLEngine:
 		return "sql"
-	case NativeEngine:
-		return "native"
 	case ParallelEngine:
 		return "parallel"
 	case ColumnarEngine:
@@ -45,9 +41,13 @@ func (k EngineKind) String() string {
 	}
 }
 
-// ParseEngineKind maps the CLI/HTTP engine names ("sql", "native",
-// "parallel", "columnar") to an EngineKind.
+// ParseEngineKind maps the CLI/HTTP engine names ("sql", "parallel",
+// "columnar") to an EngineKind. "native" is accepted as an alias of
+// "columnar", so clients that still send it get the same report.
 func ParseEngineKind(s string) (EngineKind, error) {
+	if s == "native" {
+		return ColumnarEngine, nil
+	}
 	for _, k := range EngineKinds() {
 		if k.String() == s {
 			return k, nil
@@ -72,8 +72,6 @@ func NewDetector(kind EngineKind, cfg Config) (Detector, error) {
 	switch kind {
 	case SQLEngine:
 		return NewSQLDetector(cfg.Store), nil
-	case NativeEngine:
-		return NativeDetector{}, nil
 	case ParallelEngine:
 		workers := cfg.Workers
 		if workers <= 0 {
@@ -90,5 +88,5 @@ func NewDetector(kind EngineKind, cfg Config) (Detector, error) {
 // EngineKinds lists the engine kinds in ascending order — the
 // cache-invalidation and matrix-test iteration order.
 func EngineKinds() []EngineKind {
-	return []EngineKind{SQLEngine, NativeEngine, ParallelEngine, ColumnarEngine}
+	return []EngineKind{SQLEngine, ParallelEngine, ColumnarEngine}
 }

@@ -14,8 +14,9 @@
 // result un-exploded, and the detect endpoint encodes its Digest (totals
 // plus the dense vio(t)). Explode() lowers it to the exact flat Report at
 // the compat edge (ColumnarDetector.DetectSnapshot, Tracker.Report, the
-// facade's flat Detect — byte-identity with NativeDetector is the oracle,
-// enforced by the fuzz and cross-check tiers). Audit, explore and both
+// facade's flat Detect — byte-identity with the SQL engine's report, and
+// agreement with internal/cfddef's definition, is the oracle, enforced by
+// the fuzz and cross-check tiers). Audit, explore and both
 // repairers read the factorised form on column codes (the batch repairer's
 // first pass from the facade's cache); calling Explode() inside those hot
 // paths is forbidden by the noexplode vet analyzer.
@@ -175,8 +176,8 @@ func (fr *FactorReport) Digest() *Digest {
 }
 
 // Digest summarizes a flat report for the wire: the same digest the
-// factorised report over the same snapshot produces, so SQL, native and
-// tracker reports share the endpoint's encoder.
+// factorised report over the same snapshot produces, so SQL and tracker
+// reports share the endpoint's encoder.
 func (r *Report) Digest() *Digest {
 	d := &Digest{
 		Table:      r.Table,
@@ -542,8 +543,8 @@ func (fr *FactorReport) fillVio() {
 
 // Explode lowers the factorised report to the exact flat Report: every
 // member's Violation row, the RHSOf maps, vio(t) and the finish() sort
-// order — byte-identical (DeepEqual) to what NativeDetector produces over
-// the same snapshot. It is the compatibility edge for consumers that want
+// order — byte-identical (DeepEqual) to what SQLDetector produces over the
+// same snapshot. It is the compatibility edge for consumers that want
 // the exploded form; hot paths consume the factorised report directly
 // instead (the noexplode analyzer enforces this).
 func (fr *FactorReport) Explode() *Report {

@@ -14,30 +14,27 @@ import (
 	"semandaq/internal/types"
 )
 
-// TestFactorisedExplodeMatchesNative is the byte-identity oracle on the
-// generated workload: DetectFactorised().Explode() must DeepEqual the
-// reference row-scan report — violations, groups, member order, RHSOf
-// maps, vio(t), everything — across noise rates. StandardCFDs cover both
+// TestFactorisedExplodeMatchesSQL is the byte-identity oracle on the
+// generated workload: DetectFactorised().Explode() must DeepEqual the SQL
+// engine's report — violations, groups, member order, RHSOf maps, vio(t),
+// everything — across noise rates. StandardCFDs cover both
 // grouping shapes: phi1/phi4 have all-wildcard variable patterns (every
 // partition class is a candidate), phi2 conditions on CNT=UK (classes are
 // filtered by the pattern).
-func TestFactorisedExplodeMatchesNative(t *testing.T) {
+func TestFactorisedExplodeMatchesSQL(t *testing.T) {
 	ctx := context.Background()
 	cfds := datagen.StandardCFDs()
 	for _, noise := range []float64{0, 0.05, 0.2} {
 		ds := datagen.Generate(datagen.Config{Tuples: 900, Seed: 11, NoiseRate: noise})
 		snap := ds.Dirty.Snapshot()
-		want, err := NativeDetector{}.DetectSnapshot(ctx, snap, cfds)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := sqlReport(t, snap, cfds)
 		fr, err := DetectFactorised(ctx, snap, cfds)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := fr.Explode()
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("noise=%.2f: exploded factorised report != native report", noise)
+			t.Fatalf("noise=%.2f: exploded factorised report != sql report", noise)
 		}
 		// Exploding twice must not corrupt the factorised form (it is served
 		// repeatedly): the second explosion matches too.
@@ -90,16 +87,14 @@ func TestFactorisedAdversarial(t *testing.T) {
 	}
 	for name, cfds := range suites {
 		snap := tab.Snapshot()
-		want, err := NativeDetector{}.DetectSnapshot(ctx, snap, cfds)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		want := sqlReport(t, snap, cfds)
+		checkDefinition(t, name, snap, cfds, want)
 		fr, err := DetectFactorised(ctx, snap, cfds)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if got := fr.Explode(); !reflect.DeepEqual(keyNormalize(got), keyNormalize(want)) {
-			t.Fatalf("%s: exploded factorised report != native report\ngot:  %+v\nwant: %+v",
+			t.Fatalf("%s: exploded factorised report != sql report\ngot:  %+v\nwant: %+v",
 				name, got, want)
 		}
 	}
@@ -209,16 +204,6 @@ func TestFactorisedAllocsSublinear(t *testing.T) {
 	}
 }
 
-// digestOfNative is the reference digest: the native report's own.
-func digestOfNative(t *testing.T, snap *relstore.Snapshot, cfds []*cfd.CFD) *Digest {
-	t.Helper()
-	rep, err := NativeDetector{}.DetectSnapshot(context.Background(), snap, cfds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep.Digest()
-}
-
 // dirtyOnly drops a factorised digest's clean tuples (listed at vio 0), the
 // form a flat report's digest has.
 func dirtyOnly(d *Digest) *Digest {
@@ -234,7 +219,7 @@ func dirtyOnly(d *Digest) *Digest {
 
 // TestFactorisedWorkerIndependent: the factorised report — groups, row
 // refs, the dense vio(t), every field — is DeepEqual whatever the worker
-// count, and its digest is the native report's.
+// count, and its digest is the SQL report's.
 func TestFactorisedWorkerIndependent(t *testing.T) {
 	ctx := context.Background()
 	cfds := datagen.StandardCFDs()
@@ -254,8 +239,8 @@ func TestFactorisedWorkerIndependent(t *testing.T) {
 				t.Errorf("noise=%v: factorised report at %d workers differs from the single-worker one", noise, workers)
 			}
 		}
-		if got, ref := dirtyOnly(want.Digest()), digestOfNative(t, snap, cfds); !reflect.DeepEqual(got, ref) {
-			t.Errorf("noise=%v: factorised digest differs from the native report's\ngot:  %+v\nwant: %+v", noise, got, ref)
+		if got, ref := dirtyOnly(want.Digest()), sqlReport(t, snap, cfds).Digest(); !reflect.DeepEqual(got, ref) {
+			t.Errorf("noise=%v: factorised digest differs from the sql report's\ngot:  %+v\nwant: %+v", noise, got, ref)
 		}
 	}
 }
@@ -287,9 +272,9 @@ func TestFactorisedDenseVioEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, ref := dirtyOnly(fr.Digest()), digestOfNative(t, snap, cfds)
+		got, ref := dirtyOnly(fr.Digest()), sqlReport(t, snap, cfds).Digest()
 		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("%s: factorised digest differs from the native report's\ngot:  %+v\nwant: %+v", name, got, ref)
+			t.Errorf("%s: factorised digest differs from the sql report's\ngot:  %+v\nwant: %+v", name, got, ref)
 		}
 		if ref.Dirty == 0 {
 			t.Errorf("%s: fixture produced no violations", name)

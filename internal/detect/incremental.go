@@ -119,6 +119,20 @@ func NewTracker(tab *relstore.Table, cfds []*cfd.CFD) (*Tracker, error) {
 	return t, nil
 }
 
+// splitPatterns classifies the tableau indexes: constant-RHS patterns can
+// only be violated by single tuples, wildcard-RHS patterns only by tuple
+// groups.
+func splitPatterns(p prepared) (constPatterns, varPatterns []int) {
+	for i := range p.c.Tableau {
+		if p.c.Tableau[i].RHS[0].Wildcard {
+			varPatterns = append(varPatterns, i)
+		} else {
+			constPatterns = append(constPatterns, i)
+		}
+	}
+	return constPatterns, varPatterns
+}
+
 // Vio computes vio(t) for the given tuple on demand: one unit per CFD with
 // a single-tuple violation plus the partner count per violating group.
 func (t *Tracker) Vio(id relstore.TupleID) int {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"semandaq/internal/cfd"
@@ -19,11 +20,7 @@ func TestTrackerMatchesBatchInitially(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := NativeDetector{}.Detect(context.Background(), tab, cfds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Equivalent(batch, tr.Report()); err != nil {
+	if err := Equivalent(sqlReport(t, tab.Snapshot(), cfds), tr.Report()); err != nil {
 		t.Fatalf("initial state disagrees: %v", err)
 	}
 	if tr.DirtyCount() != 3 {
@@ -152,16 +149,16 @@ func TestTrackerVioMapCopy(t *testing.T) {
 }
 
 // assertMatchesBatch verifies that the tracker state equals a from-scratch
-// batch detection on the current table.
+// batch detection on the current table, and the paper's definition.
 func assertMatchesBatch(t *testing.T, tab *relstore.Table, cfds []*cfd.CFD, tr *Tracker) {
 	t.Helper()
-	batch, err := NativeDetector{}.Detect(context.Background(), tab, cfds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Equivalent(batch, tr.Report()); err != nil {
+	snap := tab.Snapshot()
+	batch := sqlReport(t, snap, cfds)
+	rep := tr.Report()
+	if err := Equivalent(batch, rep); err != nil {
 		t.Fatalf("tracker diverged from batch: %v", err)
 	}
+	checkDefinition(t, "tracker", snap, cfds, rep)
 	// vio maps agree too.
 	for id, n := range batch.Vio {
 		if tr.Vio(id) != n {
@@ -202,7 +199,7 @@ r: [K1=a] -> [W=ok]
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := tab.IDs()
+	ids := slices.Clone(tab.Snapshot().IDs())
 	for step := 0; step < 200; step++ {
 		switch op := rng.Intn(3); {
 		case op == 0:

@@ -8,11 +8,14 @@ package detect_test
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"semandaq/internal/cfd"
+	"semandaq/internal/cfddef"
 	"semandaq/internal/datagen"
 	"semandaq/internal/detect"
 	"semandaq/internal/discovery"
@@ -59,7 +62,7 @@ func TestOracleAcrossNoiseRates(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(noise * 100)))
 			cities := []string{"Edinburgh", "London", "New York", "Chicago"}
 			countries := []string{"UK", "US"}
-			ids := tab.IDs()
+			ids := slices.Clone(tab.Snapshot().IDs())
 			for step := 0; step < 12; step++ {
 				id := ids[rng.Intn(len(ids))]
 				switch rng.Intn(3) {
@@ -191,14 +194,20 @@ func TestTrackerConcurrentUseRace(t *testing.T) {
 	batchCheck(t, tab, cfds, tr)
 }
 
-// batchCheck cross-checks a live tracker's report against a batch pass.
+// batchCheck cross-checks a live tracker's report against a batch SQL pass
+// and its vio(t) against the paper's definition.
 func batchCheck(t *testing.T, tab *relstore.Table, cfds []*cfd.CFD, tr *detect.Tracker) {
 	t.Helper()
-	batch, err := detect.NativeDetector{}.Detect(t.Context(), tab, cfds)
+	store := relstore.NewStore()
+	store.Put(tab)
+	batch, err := detect.NewSQLDetector(store).Detect(t.Context(), tab, cfds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := detect.Equivalent(batch, tr.Report()); err != nil {
 		t.Fatalf("tracker diverged from batch: %v", err)
+	}
+	if vio, _ := cfddef.Check(tab.Snapshot(), cfds); !maps.Equal(tr.VioMap(), vio) {
+		t.Fatalf("tracker vio(t) %v, the definition's %v", tr.VioMap(), vio)
 	}
 }

@@ -39,7 +39,6 @@ func TestLHSKeySeparatorCollision(t *testing.T) {
 	want := map[relstore.TupleID]int{d1: 1, d2: 1}
 
 	dets := map[string]Detector{
-		"native":    NativeDetector{},
 		"sql":       NewSQLDetector(store),
 		"parallel1": ColumnarDetector{Workers: 1},
 		"parallel4": ColumnarDetector{Workers: 4},
@@ -64,11 +63,11 @@ func TestLHSKeySeparatorCollision(t *testing.T) {
 	}
 }
 
-// TestParallelIdenticalToNative checks the strongest form of the contract:
-// the parallel report is deep-equal to the native one — same violation
+// TestParallelIdenticalToSQL checks the strongest form of the contract:
+// the parallel report is deep-equal to the SQL engine's — same violation
 // order, same group order, same member order — for several worker counts,
 // including counts that exceed the tuple count.
-func TestParallelIdenticalToNative(t *testing.T) {
+func TestParallelIdenticalToSQL(t *testing.T) {
 	store := relstore.NewStore()
 	tab, _ := store.Create(schema.New("r", "K", "L", "V", "W"))
 	for i := 0; i < 200; i++ {
@@ -86,11 +85,11 @@ func TestParallelIdenticalToNative(t *testing.T) {
 			RHS: []cfd.PatternValue{cfd.ConstStr("w0")},
 		}),
 	}
-	native, err := NativeDetector{}.Detect(context.Background(), tab, cfds)
+	sqlRep, err := NewSQLDetector(store).Detect(context.Background(), tab, cfds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(native.Vio) == 0 {
+	if len(sqlRep.Vio) == 0 {
 		t.Fatal("workload produced no violations; test is vacuous")
 	}
 	for _, w := range []int{0, 1, 2, 3, 8, 500} {
@@ -98,8 +97,8 @@ func TestParallelIdenticalToNative(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
-		if !reflect.DeepEqual(native, par) {
-			t.Errorf("workers=%d: parallel report differs from native", w)
+		if !reflect.DeepEqual(sqlRep, par) {
+			t.Errorf("workers=%d: parallel report differs from sql", w)
 		}
 	}
 }
@@ -131,7 +130,7 @@ func TestParallelEmptyAndCleanTables(t *testing.T) {
 	}
 }
 
-// TestParallelValidatesCFDs confirms error paths surface like the native
+// TestParallelValidatesCFDs confirms error paths surface like the SQL
 // detector's.
 func TestParallelValidatesCFDs(t *testing.T) {
 	store := relstore.NewStore()

@@ -82,7 +82,7 @@ func TestPinnedReaderDuringPatch(t *testing.T) {
 		// The writer: novel NAMEs and STRs, an insert and a delete per
 		// version, each version read (and so patched) before the next.
 		for patches := 0; patches < 8 || passes[0].Load() < 3 || passes[1].Load() < 3; patches++ {
-			ids := tab.IDs()
+			ids := tab.Snapshot().IDs()
 			serial++
 			if _, err := tab.SetCell(ids[patches%len(ids)], name, novel(serial)); err != nil {
 				t.Fatal(err)

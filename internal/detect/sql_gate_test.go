@@ -3,6 +3,7 @@ package detect
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -18,7 +19,7 @@ import (
 // CFDs): the five statements decide their tableau join once per distinct
 // code vector of the columns the patterns read, so at least nine driver rows
 // in ten are replayed; Qv's join-back hashes once per (CNT, ZIP) class that
-// has a group to join, not once per dirty tuple; the report is the native
+// has a group to join, not once per dirty tuple; the report is the columnar
 // detector's; and the tables the memo keeps cost fewer allocations than the
 // per-row work they replace — 10 209 per detection at the parent commit
 // (a7f862a, this test's AllocsPerRun there).
@@ -32,12 +33,12 @@ func TestSQLDetectDecidesTheJoinPerClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	native, err := NativeDetector{}.DetectSnapshot(context.Background(), snap, cfds)
+	columnar, err := ColumnarDetector{Workers: 1}.DetectSnapshot(context.Background(), snap, cfds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Equivalent(native, rep); err != nil {
-		t.Errorf("sql vs native: %v", err)
+	if !reflect.DeepEqual(columnar, rep) {
+		t.Error("sql report differs from the columnar one")
 	}
 	ops, scanned := d.Engine.OpStats(), int64(statements*snap.Len())
 	if statements != 5 || len(rep.Groups) == 0 {

@@ -20,9 +20,10 @@ import (
 // the relationally encoded tableau. The number of queries is independent of
 // the number of pattern tuples, which is the technique's selling point.
 //
-// NULL is a value like any other to a CFD (the native detector groups it
-// by Key()), so the generated SQL compares LHS values null-safely (IS NOT
-// DISTINCT FROM) and counts NULL as one more distinct RHS class.
+// NULL is a value like any other to a CFD (the factorised core groups it
+// as one more dictionary value), so the generated SQL compares LHS values
+// null-safely (IS NOT DISTINCT FROM) and counts NULL as one more distinct
+// RHS class.
 type SQLDetector struct {
 	// Engine runs the generated SQL. Its store must contain the data table.
 	// A run pins its tableau and group tables on the engine, so concurrent

@@ -208,7 +208,7 @@ func TestDiscoverOnGeneratedData(t *testing.T) {
 		}
 	}
 	// Every discovered CFD must actually hold on the clean data.
-	det, err := detect.NativeDetector{}.Detect(context.Background(), ds.Clean, cfds)
+	det, err := detect.ColumnarDetector{Workers: 1}.Detect(context.Background(), ds.Clean, cfds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestDiscoverOnGeneratedData(t *testing.T) {
 	}
 	// Discovered CFDs catch injected errors on dirty data.
 	dirty := datagen.Generate(datagen.Config{Tuples: 600, Seed: 9, NoiseRate: 0.05})
-	det, err = detect.NativeDetector{}.Detect(context.Background(), dirty.Dirty, cfds)
+	det, err = detect.ColumnarDetector{Workers: 1}.Detect(context.Background(), dirty.Dirty, cfds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func TestMinedCFDsHoldOnOwnSnapshot(t *testing.T) {
 				for i, c := range merged {
 					c.ID = fmt.Sprintf("x%d", i+1)
 				}
-				det, err := detect.NativeDetector{}.DetectSnapshot(context.Background(), snap, merged)
+				det, err := detect.ColumnarDetector{Workers: 1}.DetectSnapshot(context.Background(), snap, merged)
 				if err != nil {
 					t.Fatal(err)
 				}

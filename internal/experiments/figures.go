@@ -57,7 +57,7 @@ func RunF2(ctx context.Context, w io.Writer, quick bool) error {
 	header(w, "F2", "data exploration drill-down (paper Fig. 2)")
 	tab := fig2Table()
 	cfds := fig2CFDs()
-	rep, err := detect.NativeDetector{}.Detect(ctx, tab, cfds)
+	rep, err := detect.ColumnarDetector{Workers: 1}.Detect(ctx, tab, cfds)
 	if err != nil {
 		return err
 	}
@@ -197,7 +197,7 @@ func sortedCFDIDs(rep *detect.Report) []string {
 func RunF4(ctx context.Context, w io.Writer, quick bool) error {
 	header(w, "F4", "data quality report (paper Fig. 4)")
 	ds, cfds := f3Workload(quick)
-	rep, err := detect.NativeDetector{}.Detect(ctx, ds.Dirty, cfds)
+	rep, err := detect.ColumnarDetector{Workers: 1}.Detect(ctx, ds.Dirty, cfds)
 	if err != nil {
 		return err
 	}

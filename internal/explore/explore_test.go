@@ -39,7 +39,7 @@ phi4@ customer: [CC=44] -> [CNT=UK]
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := detect.NativeDetector{}.Detect(context.Background(), tab, cfds)
+	rep, err := detect.ColumnarDetector{Workers: 1}.Detect(context.Background(), tab, cfds)
 	if err != nil {
 		t.Fatal(err)
 	}

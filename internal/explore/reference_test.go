@@ -121,7 +121,7 @@ func (x *ref) lhsGroups(e *Explorer, cfdID string, pattern int) []LHSGroup {
 		if !c.MatchLHS(pattern, row, lhsPos) {
 			return true
 		}
-		key := row.KeyOn(lhsPos)
+		key := keyOn(row, lhsPos)
 		g, ok := groups[key]
 		if !ok {
 			vals := make([]types.Value, len(lhsPos))
@@ -164,7 +164,7 @@ func (x *ref) rhsValues(e *Explorer, cfdID string, pattern int, lhsVals []types.
 	vals := map[string]*acc{}
 	var order []string
 	e.tab.Scan(func(id relstore.TupleID, row relstore.Tuple) bool {
-		if !c.MatchLHS(pattern, row, lhsPos) || row.KeyOn(lhsPos) != want {
+		if !c.MatchLHS(pattern, row, lhsPos) || keyOn(row, lhsPos) != want {
 			return true
 		}
 		k := row[rhsPos].Key()
@@ -199,12 +199,21 @@ func (x *ref) tuples(e *Explorer, cfdID string, pattern int, lhsVals []types.Val
 	want := groupKey(lhsVals)
 	var out []TupleRow
 	e.tab.Scan(func(id relstore.TupleID, row relstore.Tuple) bool {
-		if c.MatchLHS(pattern, row, lhsPos) && row.KeyOn(lhsPos) == want && row[rhsPos].Equal(rhsVal) {
+		if c.MatchLHS(pattern, row, lhsPos) && keyOn(row, lhsPos) == want && row[rhsPos].Equal(rhsVal) {
 			out = append(out, TupleRow{ID: id, Row: row.Clone(), Vio: x.rep.Vio[id]})
 		}
 		return true
 	})
 	return out
+}
+
+// keyOn is row's group key on the positions, in groupKey's encoding.
+func keyOn(row relstore.Tuple, pos []int) string {
+	var key []byte
+	for _, p := range pos {
+		key = row[p].AppendGroupKey(key)
+	}
+	return string(key)
 }
 
 func (x *ref) qualityMap(e *Explorer) ([]MapEntry, [5]int) {

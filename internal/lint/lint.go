@@ -13,7 +13,6 @@ import (
 	"semandaq/internal/lint/lockorder"
 	"semandaq/internal/lint/mutationlog"
 	"semandaq/internal/lint/noexplode"
-	"semandaq/internal/lint/snapshotpin"
 	"semandaq/internal/lint/versionstamp"
 )
 
@@ -22,7 +21,6 @@ import (
 // interprocedural analyzers' Requires when analysis.Plan expands the run.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		snapshotpin.Analyzer,
 		versionstamp.Analyzer,
 		ctxloop.Analyzer,
 		lockdiscipline.Analyzer,

@@ -81,7 +81,7 @@ func TestConcurrentApplyBatches(t *testing.T) {
 	}
 	wg.Wait()
 
-	batch, err := detect.NativeDetector{}.Detect(context.Background(), tab, cfds)
+	batch, err := detect.ColumnarDetector{Workers: 1}.Detect(context.Background(), tab, cfds)
 	if err != nil {
 		t.Fatal(err)
 	}

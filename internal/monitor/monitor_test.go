@@ -172,7 +172,7 @@ func TestDeleteAndSetUpdates(t *testing.T) {
 		t.Errorf("dirty after delete = %d", res.Dirty)
 	}
 	// Tracker state still matches batch detection.
-	batch, err := detect.NativeDetector{}.Detect(context.Background(), tab, cfds)
+	batch, err := detect.ColumnarDetector{Workers: 1}.Detect(context.Background(), tab, cfds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestRejectedBatchChangesNothing(t *testing.T) {
 		if _, err := m.Apply(good); err != nil {
 			t.Fatalf("cleansed=%v: %v", cleansed, err)
 		}
-		batch, err := detect.NativeDetector{}.Detect(context.Background(), tab, cfds)
+		batch, err := detect.ColumnarDetector{Workers: 1}.Detect(context.Background(), tab, cfds)
 		if err != nil {
 			t.Fatal(err)
 		}

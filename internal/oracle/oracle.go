@@ -12,12 +12,12 @@
 //     model's batch build up to a renaming of dictionary codes
 //     (relstore.DiffSnapshots);
 //   - the tracker's materialized report, and its factorised report over
-//     either snapshot exploded, equal a batch NativeDetector pass and the
-//     factorised core's exploded report (ColumnarDetector at 1, 2 and 8
-//     workers) and the SQL engine's report, each over the model's snapshot
-//     and over the folded one the server serves (DeepEqual) — lossless,
-//     schedule-independent and blind to code numbering — and the tracker's
-//     own VioMap and DirtyCount equal the batch pass's vio(t);
+//     either snapshot exploded, equal the factorised core's exploded report
+//     (ColumnarDetector at 1, 2 and 8 workers) and the SQL engine's report,
+//     each over the model's snapshot and over the folded one the server
+//     serves (DeepEqual) — lossless, schedule-independent and blind to code
+//     numbering — and its vio(t) and per-CFD counts, and the tracker's own
+//     VioMap and DirtyCount, equal the definition's (cfddef.Check);
 //   - the discovery session's refreshed report, and a cold Mine over the
 //     served snapshot, equal a cold Mine over the model's (DeepEqual).
 //
@@ -36,6 +36,7 @@ import (
 	"slices"
 
 	"semandaq/internal/cfd"
+	"semandaq/internal/cfddef"
 	"semandaq/internal/detect"
 	"semandaq/internal/discovery"
 	"semandaq/internal/relstore"
@@ -264,26 +265,31 @@ func (h *Harness) CheckStore() error {
 }
 
 // CheckDetect asserts the tracker's materialized report is DeepEqual to
-// batch detection — the row-scan engine on the live table and the
-// columnar and SQL engines on both the row model's snapshot and the
-// folded one the serving path hands out — and so is its factorised report
-// over each of the two snapshots, exploded.
+// batch detection — the columnar engine at 1, 2 and 8 workers and the SQL
+// engine, on both the row model's snapshot and the folded one the serving
+// path hands out — and so is its factorised report over each of the two
+// snapshots, exploded; and that the report's vio(t) and per-CFD counts, and
+// the tracker's own VioMap and DirtyCount, are the definition's
+// (cfddef.Check over the row model).
 func (h *Harness) CheckDetect(ctx context.Context) error {
 	got := h.Tracker.Report()
-	batch, err := detect.NativeDetector{}.Detect(ctx, h.Tab, h.Cfg.CFDs)
-	if err != nil {
-		return err
+	model := h.model()
+	vio, per := cfddef.Check(model, h.Cfg.CFDs)
+	if !maps.Equal(got.Vio, vio) {
+		return fmt.Errorf("detect: tracker report's vio(t) %v != the definition's %v", got.Vio, vio)
 	}
-	if !deepEqual(batch, got) {
-		if err := detect.Equivalent(batch, got); err != nil {
-			return fmt.Errorf("detect: tracker diverged from batch: %w", err)
+	if len(got.PerCFD) != len(per) {
+		return fmt.Errorf("detect: tracker report has %d per-CFD entries, the definition %d", len(got.PerCFD), len(per))
+	}
+	for id, n := range per {
+		if st := got.PerCFD[id]; st == nil || cfddef.Counts(*st) != n {
+			return fmt.Errorf("detect: CFD %s counts %+v in the tracker report, %+v by the definition", id, st, n)
 		}
-		return fmt.Errorf("detect: tracker report equivalent but not byte-identical to batch\nbatch: %+v\ntracker: %+v", batch, got)
 	}
 	// The tracker's own vio(t) bookkeeping, which the updates endpoint and a
 	// cleansed monitor read, not only the report recomputed from columns.
-	if vio := h.Tracker.VioMap(); !maps.Equal(vio, batch.Vio) || h.Tracker.DirtyCount() != len(batch.Vio) {
-		return fmt.Errorf("detect: tracker vio(t) %v (dirty %d) != batch %v", vio, h.Tracker.DirtyCount(), batch.Vio)
+	if v := h.Tracker.VioMap(); !maps.Equal(v, vio) || h.Tracker.DirtyCount() != len(vio) {
+		return fmt.Errorf("detect: tracker vio(t) %v (dirty %d) != the definition's %v", v, h.Tracker.DirtyCount(), vio)
 	}
 	// The factorised core, exploded, at several worker counts, and the SQL
 	// engine: the report must depend neither on how the passes were
@@ -296,7 +302,7 @@ func (h *Harness) CheckDetect(ctx context.Context) error {
 		"columnar, 8 workers": detect.ColumnarDetector{Workers: 8},
 		"sql":                 detect.NewSQLDetector(store),
 	}
-	for side, snap := range map[string]*relstore.Snapshot{"model": h.model(), "served": h.Tab.Snapshot()} {
+	for side, snap := range map[string]*relstore.Snapshot{"model": model, "served": h.Tab.Snapshot()} {
 		// The tracker's factorised report over either snapshot of its version.
 		fr, ok := h.Tracker.FactorReport(snap)
 		if !ok {
@@ -311,6 +317,9 @@ func (h *Harness) CheckDetect(ctx context.Context) error {
 				return err
 			}
 			if !deepEqual(rep, got) {
+				if err := detect.Equivalent(rep, got); err != nil {
+					return fmt.Errorf("detect: tracker diverged from the %s engine over the %s snapshot: %w", name, side, err)
+				}
 				return fmt.Errorf("detect: tracker report != %s engine over %s snapshot\ntracker: %+v\nengine: %+v", name, side, got, rep)
 			}
 		}

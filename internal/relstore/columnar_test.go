@@ -28,7 +28,7 @@ func TestColumnarRoundTrip(t *testing.T) {
 	del := tab.MustInsert(Tuple{types.NewString("gone"), types.Null, types.Null})
 	tab.Delete(del)
 
-	snap := tab.Columnar()
+	snap := tab.Snapshot().Columnar()
 	if snap.Len() != len(rows) {
 		t.Fatalf("Len = %d, want %d", snap.Len(), len(rows))
 	}
@@ -56,8 +56,8 @@ func TestColumnarCaching(t *testing.T) {
 	tab := NewTable(schema.New("r", "A"))
 	id := tab.MustInsert(Tuple{types.NewString("a")})
 
-	s1 := tab.Columnar()
-	if s2 := tab.Columnar(); s2 != s1 {
+	s1 := tab.Snapshot().Columnar()
+	if s2 := tab.Snapshot().Columnar(); s2 != s1 {
 		t.Fatal("unchanged table rebuilt its snapshot")
 	}
 	if s1.Version() != tab.Version() {
@@ -84,7 +84,7 @@ func TestColumnarCaching(t *testing.T) {
 	prev := s1
 	for _, m := range mutations {
 		m.do()
-		next := tab.Columnar()
+		next := tab.Snapshot().Columnar()
 		if next == prev {
 			t.Errorf("%s did not invalidate the snapshot", m.name)
 		}
@@ -133,7 +133,7 @@ func TestColumnarNoAliasing(t *testing.T) {
 		stored = append(stored, v)
 		tab.MustInsert(Tuple{v})
 	}
-	col := tab.Columnar().Col(0)
+	col := tab.Snapshot().Columnar().Col(0)
 
 	// Exact codes: equal code <=> identical stored value (same kind, same
 	// payload — floats bit-for-bit, so -0.0 keeps its sign and NaN its
@@ -198,7 +198,7 @@ func TestColumnarKeyOfMatchesValueKey(t *testing.T) {
 	for _, v := range vals {
 		tab.MustInsert(Tuple{v})
 	}
-	col := tab.Columnar().Col(0)
+	col := tab.Snapshot().Columnar().Col(0)
 	for i, v := range vals {
 		if got := col.KeyOf(col.Code(i)); got != v.Key() {
 			t.Errorf("KeyOf(row %d) = %q, want %q", i, got, v.Key())
@@ -223,7 +223,7 @@ func TestColumnarConcurrentReaders(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 50; i++ {
-		snap := tab.Columnar()
+		snap := tab.Snapshot().Columnar()
 		n := snap.Len()
 		for j := 0; j < snap.NumCols(); j++ {
 			if snap.Col(j).Len() != n {

@@ -31,7 +31,7 @@ func TestIngestBuildsTheLineage(t *testing.T) {
 		t.Errorf("load ops = %+v, want %+v", ops, want)
 	}
 	before = relstore.ReadBuildOps()
-	tab.Columnar()
+	tab.Snapshot().Columnar()
 	if ops := relstore.ReadBuildOps().Sub(before); ops != (relstore.BuildOps{}) {
 		t.Errorf("first Columnar() after the load built something: %+v", ops)
 	}

@@ -33,7 +33,7 @@ func TestReadCSV(t *testing.T) {
 	if sc.Arity() != 7 || sc.Name != "customer" {
 		t.Fatalf("schema = %v", sc)
 	}
-	ids := tab.IDs()
+	ids := tab.Snapshot().IDs()
 	row, _ := tab.Get(ids[0])
 	if row[sc.MustPos("NAME")].Str() != "Mike" {
 		t.Errorf("row = %v", row)

@@ -35,7 +35,7 @@ func TestPLISingleAttribute(t *testing.T) {
 	tab := pliTable(t, []string{"A", "B"}, [][]string{
 		{"x", "1"}, {"y", "2"}, {"x", "3"}, {"z", "4"}, {"y", "5"},
 	})
-	col := tab.Columnar().Col(0)
+	col := tab.Snapshot().Columnar().Col(0)
 	p := col.PLI()
 	if p.NumRows() != 5 || p.NumClasses() != 3 {
 		t.Fatalf("rows=%d classes=%d", p.NumRows(), p.NumClasses())
@@ -45,7 +45,7 @@ func TestPLISingleAttribute(t *testing.T) {
 		t.Errorf("classes = %v, want %v", got, want)
 	}
 	// The cache returns the same partition per snapshot.
-	if tab.Columnar().Col(0).PLI() != p {
+	if tab.Snapshot().Columnar().Col(0).PLI() != p {
 		t.Error("PLI not cached on the snapshot")
 	}
 }
@@ -56,7 +56,7 @@ func TestPLIEqualClassesCollapseNumericKinds(t *testing.T) {
 	tab := pliTable(t, []string{"A"}, [][]string{
 		{"1"}, {"1.0"}, {""}, {""}, {"2"},
 	})
-	p := tab.Columnar().Col(0).PLI()
+	p := tab.Snapshot().Columnar().Col(0).PLI()
 	if p.NumClasses() != 3 {
 		t.Fatalf("classes = %d, want 3 (1/1.0 merged, NULLs merged, 2)", p.NumClasses())
 	}
@@ -71,7 +71,7 @@ func TestPartitionRefinesIsFDCheck(t *testing.T) {
 	tab := pliTable(t, []string{"ZIP", "CITY"}, [][]string{
 		{"z1", "Edi"}, {"z1", "Edi"}, {"z2", "Edi"}, {"z2", "Edi"}, {"z3", "Lon"},
 	})
-	col := tab.Columnar()
+	col := tab.Snapshot().Columnar()
 	zip, city := col.Col(0), col.Col(1)
 	if pure, _ := zip.PLI().Refines(city.EqProbe(), 1<<20, nil); !pure {
 		t.Error("ZIP -> CITY should hold")
@@ -91,7 +91,7 @@ func TestPartitionIntersectStripsSingletons(t *testing.T) {
 	tab := pliTable(t, []string{"A", "B"}, [][]string{
 		{"x", "p"}, {"x", "p"}, {"x", "q"}, {"x", "q"}, {"y", "r"},
 	})
-	col := tab.Columnar()
+	col := tab.Snapshot().Columnar()
 	p := col.Col(0).PLI().Intersect(col.Col(1).EqProbe())
 	if p.NumClasses() != 2 || p.Size() != 4 {
 		t.Fatalf("classes=%d size=%d", p.NumClasses(), p.Size())
@@ -111,7 +111,7 @@ func TestPartitionKeepConfidence(t *testing.T) {
 	tab := pliTable(t, []string{"A", "B"}, [][]string{
 		{"x", "p"}, {"x", "p"}, {"x", "p"}, {"x", "q"}, {"y", "r"},
 	})
-	col := tab.Columnar()
+	col := tab.Snapshot().Columnar()
 	keep := col.Col(0).PLI().Keep(col.Col(1).EqProbe())
 	if keep != 4 {
 		t.Errorf("Keep = %d, want 4", keep)
@@ -124,7 +124,7 @@ func TestPartitionKeepConfidence(t *testing.T) {
 
 func TestPLIEmptyTable(t *testing.T) {
 	tab := pliTable(t, []string{"A", "B"}, nil)
-	col := tab.Columnar()
+	col := tab.Snapshot().Columnar()
 	p := col.Col(0).PLI()
 	if p.NumRows() != 0 || p.NumClasses() != 0 || p.Size() != 0 {
 		t.Fatalf("empty PLI: rows=%d classes=%d size=%d", p.NumRows(), p.NumClasses(), p.Size())
@@ -149,7 +149,7 @@ func TestPLIAllSingletonColumn(t *testing.T) {
 	tab := pliTable(t, []string{"A", "B"}, [][]string{
 		{"a", "p"}, {"b", "p"}, {"c", "q"}, {"d", "q"},
 	})
-	col := tab.Columnar()
+	col := tab.Snapshot().Columnar()
 	p := col.Col(0).PLI()
 	if p.NumClasses() != 4 || p.Size() != 4 {
 		t.Fatalf("classes=%d size=%d, want 4/4", p.NumClasses(), p.Size())
@@ -182,7 +182,7 @@ func TestPLISingleClassColumn(t *testing.T) {
 	tab := pliTable(t, []string{"A", "B"}, [][]string{
 		{"x", "p"}, {"x", "p"}, {"x", "q"}, {"x", "p"},
 	})
-	col := tab.Columnar()
+	col := tab.Snapshot().Columnar()
 	p := col.Col(0).PLI()
 	if p.NumClasses() != 1 || p.Size() != 4 {
 		t.Fatalf("classes=%d size=%d, want 1/4", p.NumClasses(), p.Size())
@@ -301,7 +301,7 @@ func TestPLIClassesByKeyDeterministicOrder(t *testing.T) {
 	tab := pliTable(t, []string{"A"}, [][]string{
 		{"zz"}, {"aa"}, {"mm"}, {"aa"},
 	})
-	col := tab.Columnar().Col(0)
+	col := tab.Snapshot().Columnar().Col(0)
 	order := col.PLIClassesByKey()
 	var got []string
 	for _, cl := range order {
@@ -321,7 +321,7 @@ func TestEqProbeAliasesCodesWhenIdentity(t *testing.T) {
 	for i, n := range []types.Value{types.NewInt(1), types.NewFloat(1.0), types.NewInt(2), types.NewInt(1)} {
 		tab.MustInsert(Tuple{types.NewString([]string{"a", "b", "a", "c"}[i]), n})
 	}
-	col := tab.Columnar()
+	col := tab.Snapshot().Columnar()
 	for j, wantAlias := range []bool{true, false} {
 		c := col.Col(j)
 		probe := c.EqProbe()
@@ -341,7 +341,7 @@ func TestEqProbeAliasesCodesWhenIdentity(t *testing.T) {
 	if err := DiffSnapshots(tab.Snapshot(), tab.RebuildSnapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if c := tab.Columnar().Col(0); &c.EqProbe()[0] != &c.codes[0] {
+	if c := tab.Snapshot().Columnar().Col(0); &c.EqProbe()[0] != &c.codes[0] {
 		t.Error("patched string column materialized a separate probe vector")
 	}
 }

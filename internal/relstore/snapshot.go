@@ -134,9 +134,3 @@ func tableFromColumns(sc *schema.Relation, cols []*Column) *Table {
 	return &Table{schema: sc, base: &Snapshot{c: Columnar{schema: sc, version: v, ids: ids, cols: cols}},
 		over: map[TupleID]int32{}, live: n, nextID: TupleID(n), version: v, chfloor: v}
 }
-
-// Columnar returns the columnar snapshot of the table's current version. It
-// is the columnar face of Snapshot(): same cache, same version, same rows.
-func (t *Table) Columnar() *Columnar {
-	return t.Snapshot().Columnar()
-}

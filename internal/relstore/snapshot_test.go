@@ -133,7 +133,7 @@ func TestSnapshotPinsVersion(t *testing.T) {
 	}
 	// Table-level Columnar() is the same object for the current version.
 	fresh := tab.Snapshot()
-	if tab.Columnar() != fresh.Columnar() {
+	if tab.Snapshot().Columnar() != fresh.Columnar() {
 		t.Error("Table.Columnar must be the snapshot's columnar view")
 	}
 }

@@ -48,18 +48,6 @@ func (t Tuple) Equal(o Tuple) bool {
 	return true
 }
 
-// KeyOn returns the grouping key of the tuple projected on positions. Each
-// component is length-prefixed (types.Value.WriteGroupKey) so a value whose
-// Key() contains the byte used as a separator cannot alias distinct
-// projections into one key.
-func (t Tuple) KeyOn(pos []int) string {
-	var b strings.Builder
-	for _, p := range pos {
-		t[p].WriteGroupKey(&b)
-	}
-	return b.String()
-}
-
 // String renders the tuple as (v1, v2, ...).
 func (t Tuple) String() string {
 	parts := make([]string, len(t))
@@ -271,11 +259,6 @@ func (t *Table) locateLocked(id TupleID) (k int32, i int, live bool) {
 	}
 	i, live = t.base.pos(id)
 	return -1, i, live
-}
-
-// IDs returns the live tuple IDs in insertion order.
-func (t *Table) IDs() []TupleID {
-	return slices.Clone(t.Snapshot().IDs())
 }
 
 // Clone returns an independent mutable table holding the source's current

@@ -47,7 +47,7 @@ accity@  customer: [CNT=_, AC=_] -> [CITY=_]
 	if !res.Converged {
 		t.Fatalf("not converged: %d remaining after %d passes", res.Remaining, res.Passes)
 	}
-	rep, err := detect.NativeDetector{}.Detect(context.Background(), res.Repaired, cfds)
+	rep, err := detect.ColumnarDetector{Workers: 1}.Detect(context.Background(), res.Repaired, cfds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ r: [C=_] -> [B=_]
 		t.Errorf("passes = %d", res.Passes)
 	}
 	if res.Converged {
-		rep, _ := detect.NativeDetector{}.Detect(context.Background(), res.Repaired, cfds)
+		rep, _ := detect.ColumnarDetector{Workers: 1}.Detect(context.Background(), res.Repaired, cfds)
 		if len(rep.Violations) != 0 {
 			t.Error("claims convergence but table is dirty")
 		}

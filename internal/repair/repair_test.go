@@ -47,7 +47,7 @@ func TestRepairConvergesAndIsClean(t *testing.T) {
 	if !res.Converged {
 		t.Fatalf("did not converge: %d remaining", res.Remaining)
 	}
-	rep, err := detect.NativeDetector{}.Detect(context.Background(), res.Repaired, cfds)
+	rep, err := detect.ColumnarDetector{Workers: 1}.Detect(context.Background(), res.Repaired, cfds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestApply(t *testing.T) {
 	if applied != len(res.Modifications) || len(skipped) != 0 {
 		t.Fatalf("applied=%d skipped=%d", applied, len(skipped))
 	}
-	rep, err := detect.NativeDetector{}.Detect(context.Background(), tab, cfds)
+	rep, err := detect.ColumnarDetector{Workers: 1}.Detect(context.Background(), tab, cfds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ var perRun = regexp.MustCompile(`"(version|durationMs)":[0-9.eE+-]+`)
 // every version was patched from the one before — so its dictionaries carry
 // the whole history as dead and out-of-order codes. The other was loaded
 // with the final rows and batch-built. Nothing served may tell them apart:
-// the detect endpoint's bytes under all four engines, the mined rules, the
+// the detect endpoint's bytes under every engine name, the mined rules, the
 // planner's EXPLAIN text and the query results.
 func TestEditHistoryMetamorphic(t *testing.T) {
 	ctx := context.Background()
@@ -59,7 +59,7 @@ func TestEditHistoryMetamorphic(t *testing.T) {
 	}
 	before := relstore.ReadBuildOps()
 	for op := 0; op < 320; op++ {
-		ids := tab.IDs()
+		ids := tab.Snapshot().IDs()
 		id := ids[rng.Intn(len(ids))]
 		switch k := rng.Intn(10); {
 		case k < 3: // a name nobody has had
@@ -101,7 +101,6 @@ func TestEditHistoryMetamorphic(t *testing.T) {
 			if rec := serve(h, "/api/detect/customer?engine="+engines[op/4%4]+"&workers=2"); rec.Code != http.StatusOK {
 				t.Fatalf("op %d: status %d: %s", op, rec.Code, rec.Body)
 			}
-			tab.Snapshot().Columnar() // the native engine reads rows only, which would end the lineage
 		}
 		if op%40 == 39 {
 			if _, err := edited.Discover(ctx, "customer", core.WithMinSupport(mineOpts.MinSupport), core.WithMaxLHS(mineOpts.MaxLHS)); err != nil {

@@ -68,7 +68,7 @@ func (sv *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /api/cfds/{table}", sv.handleRegisterCFDs)
 	mux.HandleFunc("GET /api/cfds/{table}", sv.handleListCFDs)
 	mux.HandleFunc("GET /api/consistency/{table}", sv.handleConsistency)
-	// ?engine=sql|native|parallel|columnar&workers=N&cfds=id1,id2&limit=K
+	// ?engine=sql|parallel|columnar (native: an alias of columnar)&workers=N&cfds=id1,id2&limit=K
 	// — and &stream=1 switches to NDJSON streaming over the columnar
 	// detector, one violation per line as it is found.
 	mux.HandleFunc("POST /api/detect/{table}", sv.handleDetect)

@@ -192,7 +192,11 @@ func TestDetectEndpoint(t *testing.T) {
 		t.Error("no SQL")
 	}
 	do(t, ts, "POST", "/api/detect/nope", "", http.StatusNotFound)
-	do(t, ts, "POST", "/api/detect/customer?engine=warp", "", http.StatusBadRequest)
+	// The 400 lists the engines; native is an alias, not one of them.
+	out = do(t, ts, "POST", "/api/detect/customer?engine=warp", "", http.StatusBadRequest)
+	if msg, _ := out["error"].(string); !strings.HasSuffix(msg, `"warp" (want one of [sql parallel columnar])`) {
+		t.Errorf("error %q does not list exactly sql, parallel and columnar", msg)
+	}
 	do(t, ts, "POST", "/api/detect/customer?engine=parallel&workers=x", "", http.StatusBadRequest)
 }
 

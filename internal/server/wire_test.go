@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -75,17 +76,20 @@ func rawField(t *testing.T, body []byte, key string) []byte {
 	return top[key]
 }
 
-// TestDetectWireOracle holds the streaming encoder to the oracle: for all
-// four engines, across noise rates, limits and CFD scopes, the decoded
+// TestDetectWireOracle holds the streaming encoder to the oracle: for every
+// engine name, across noise rates, limits and CFD scopes, the decoded
 // response equals what reportJSON + encoding/json produce from the facade's
 // flat report; perCFD is byte-identical across engines; vio's members run
-// in ascending tuple-id order.
+// in ascending tuple-id order; and engine=native, an alias of columnar,
+// answers columnar's bytes but for the request's own duration.
 func TestDetectWireOracle(t *testing.T) {
+	duration := regexp.MustCompile(`"durationMs":[0-9.e+-]+`)
 	for _, noise := range []float64{0, 0.02, 0.05} {
 		sys := datasetSession(t, 600, noise)
 		h := New(sys).Handler()
 		for _, query := range []string{"", "&limit=7", "&cfds=phi1,phi3", "&cfds=phi2&limit=1"} {
 			var firstPerCFD []byte
+			bodies := map[string][]byte{}
 			for _, engine := range []string{"sql", "native", "columnar", "parallel"} {
 				name := fmt.Sprintf("noise=%v engine=%s%s", noise, engine, query)
 				rec := serve(h, "/api/detect/customer?engine="+engine+"&workers=2"+query)
@@ -96,6 +100,7 @@ func TestDetectWireOracle(t *testing.T) {
 				if !json.Valid(body) || body[len(body)-1] != '\n' {
 					t.Fatalf("%s: response is not one JSON value and a newline", name)
 				}
+				bodies[engine] = duration.ReplaceAll(body, nil)
 
 				// The oracle: the flat report through the facade, same options.
 				kind, err := core.ParseDetectorKind(engine)
@@ -167,6 +172,9 @@ func TestDetectWireOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
+			}
+			if !bytes.Equal(bodies["native"], bodies["columnar"]) {
+				t.Errorf("noise=%v%s: engine=native answered\n%.400s\nengine=columnar\n%.400s", noise, query, bodies["native"], bodies["columnar"])
 			}
 		}
 	}

@@ -206,6 +206,21 @@ func TestAppendGroupKeyMatchesWriteGroupKey(t *testing.T) {
 	}
 }
 
+// TestGroupKeyProperty pins the composite key's injectivity: two pairs of
+// strings have equal concatenated group keys iff the pairs are equal, so no
+// byte sequence inside one value can alias the boundary between values.
+func TestGroupKeyProperty(t *testing.T) {
+	key := func(a, b string) string {
+		return string(NewString(b).AppendGroupKey(NewString(a).AppendGroupKey(nil)))
+	}
+	f := func(a1, a2, b1, b2 string) bool {
+		return (key(a1, a2) == key(b1, b2)) == (a1 == b1 && a2 == b2)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestParse(t *testing.T) {
 	cases := []struct {
 		raw  string

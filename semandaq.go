@@ -10,13 +10,13 @@
 // violations interactively, repair the data with a cost-based heuristic,
 // and monitor updates incrementally.
 //
-// Four interchangeable detection engines produce the same report:
-// SQLDetection (the paper's generated-SQL technique), NativeDetection (a
-// single-threaded in-memory row scan), ColumnarDetection (the factorised
-// evaluation over the table's columnar snapshot: patterns match on
-// dictionary codes, groups are classes of the columns' partition indexes)
-// and ParallelDetection (the same evaluation with its per-CFD passes
-// fanned over the CPU cores). docs/ENGINES.md has the full matrix and
+// Three interchangeable detection engines produce the same report:
+// SQLDetection (the paper's generated-SQL technique), ColumnarDetection
+// (the factorised evaluation over the table's columnar snapshot: patterns
+// match on dictionary codes, groups are classes of the columns' partition
+// indexes) and ParallelDetection (the same evaluation with its per-CFD
+// passes fanned over the CPU cores). The engine name "native" is accepted
+// as an alias of "columnar". docs/ENGINES.md has the full matrix and
 // when-to-use guidance.
 //
 // Requests take a context.Context and functional options, so callers can
@@ -209,16 +209,13 @@ const (
 	// SQLDetection runs the two generated SQL queries per CFD (the
 	// paper's technique).
 	SQLDetection = core.SQLDetection
-	// NativeDetection runs the in-memory baseline.
-	NativeDetection = core.NativeDetection
-	// ParallelDetection shards detection over the table's columnar
-	// snapshot across all CPU cores by a hash of each CFD's LHS code
-	// vector; the report is identical to NativeDetection's. Tune the
-	// goroutine count with System.SetWorkers.
+	// ParallelDetection is ColumnarDetection with its per-CFD passes
+	// fanned over all CPU cores; the report is identical to
+	// SQLDetection's. Tune the goroutine count with System.SetWorkers.
 	ParallelDetection = core.ParallelDetection
 	// ColumnarDetection runs the sequential columnar-snapshot scan with
 	// dictionary-code group keys; the report is identical to
-	// NativeDetection's.
+	// SQLDetection's.
 	ColumnarDetection = core.ColumnarDetection
 )
 
