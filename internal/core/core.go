@@ -97,12 +97,11 @@ type tableReports struct {
 	entries map[DetectorKind]*reportEntry // by cacheKind
 }
 
-// reportEntry is one detection result in the form its producer built it:
-// factorised (fr) for the columnar kinds and the monitor's tracker, flat
-// (rep) for SQL. The flat form of a factorised entry is exploded
-// lazily, once, and only for callers that ask the facade for a
-// *detect.Report; the detect endpoint, the audit and the explorer (also
-// built once, lazily) never do.
+// reportEntry is one detection result: the factorised report every engine
+// and the monitor's tracker produce. Its flat form is exploded lazily,
+// once, and only for callers that ask the facade for a *detect.Report; the
+// detect endpoint, the audit and the explorer (also built once, lazily)
+// never do.
 type reportEntry struct {
 	fr   *detect.FactorReport
 	once sync.Once
@@ -113,21 +112,14 @@ type reportEntry struct {
 	exErr  error
 }
 
-// flat returns the entry's flat report, exploding a factorised one on
-// first use.
+// flat returns the entry's flat report, exploded on first use.
 func (e *reportEntry) flat() *detect.Report {
-	e.once.Do(func() {
-		if e.rep == nil {
-			e.rep = e.fr.Explode()
-		}
-	})
+	e.once.Do(func() { e.rep = e.fr.Explode() })
 	return e.rep
 }
 
 // explorer returns the entry's explorer over snap, the snapshot of its
-// version, building it on first use from the factorised report. Explore
-// only reads the columnar slot, whose entries are always factorised (the
-// factorised core's or the tracker's), so there is no flat-report path.
+// version, building it on first use from the factorised report.
 func (e *reportEntry) explorer(snap *relstore.Snapshot, cfds []*cfd.CFD) (*explore.Explorer, error) {
 	e.exOnce.Do(func() {
 		e.ex, e.exErr = explore.NewFactorised(snap, cfds, e.fr)
@@ -138,12 +130,7 @@ func (e *reportEntry) explorer(snap *relstore.Snapshot, cfds []*cfd.CFD) (*explo
 // digest returns the entry's wire digest with the violation count clipped
 // to limit (0: unclipped), as limited() clips the flat report's records.
 func (e *reportEntry) digest(limit int) *detect.Digest {
-	var d *detect.Digest
-	if e.fr != nil {
-		d = e.fr.Digest()
-	} else {
-		d = e.rep.Digest()
-	}
+	d := e.fr.Digest()
 	if limit > 0 {
 		d.Violations = min(d.Violations, limit)
 	}
@@ -303,7 +290,7 @@ func (s *Semandaq) Table(name string) (*relstore.Table, error) {
 func (s *Semandaq) Tables() []string {
 	var out []string
 	for _, n := range s.store.Names() {
-		if strings.HasPrefix(n, "_tp_") || strings.HasPrefix(n, "_vg_") || strings.HasPrefix(n, "cfd_tp_") {
+		if strings.HasPrefix(n, "_tp_") || strings.HasPrefix(n, "cfd_tp_") {
 			continue
 		}
 		out = append(out, n)
@@ -555,16 +542,12 @@ func (s *Semandaq) detectEntry(ctx context.Context, table string, snap *relstore
 	if err != nil {
 		return nil, err
 	}
-	e := &reportEntry{}
-	if fd, ok := det.(detect.FactorDetector); ok {
-		e.fr, err = fd.DetectFactorised(ctx, snap, cfds)
-	} else {
-		// Every engine kind evaluates a pinned snapshot.
-		e.rep, err = det.(detect.SnapshotDetector).DetectSnapshot(ctx, snap, cfds)
-	}
+	// Every engine kind evaluates a pinned snapshot to the factorised report.
+	fr, err := det.DetectFactorised(ctx, snap, cfds)
 	if err != nil {
 		return nil, err
 	}
+	e := &reportEntry{fr: fr}
 	if cacheable {
 		s.cacheEntry(key, o.kind, snap.Version(), e)
 	}
@@ -674,10 +657,7 @@ func (s *Semandaq) Audit(ctx context.Context, table string, opts ...Option) (*au
 	if err != nil {
 		return nil, err
 	}
-	if e.fr != nil {
-		return audit.AuditFactorised(snap, cfds, e.fr)
-	}
-	return audit.Audit(snap, cfds, e.rep)
+	return audit.AuditFactorised(snap, cfds, e.fr)
 }
 
 // Explore returns the drill-down explorer over the current detection state,

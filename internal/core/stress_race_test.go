@@ -278,10 +278,11 @@ func TestConcurrentReadWriteStressMonitored(t *testing.T) {
 
 // TestConcurrentSQLDetections runs four SQL detections at once over a dirty
 // table while a writer churns NAME, a column no CFD mentions: the report
-// cache misses on every read, every run executes Qv's join-back, and every
-// run must report exactly what a quiet run does. Runs that kept their
-// tableau and group tables in the shared store replaced and dropped each
-// other's (`sql: no table "_vg_3_phi4"`, or another run's groups joined).
+// cache misses on every read, and every run must report exactly what a
+// quiet run does. Each run pins its tableaux on its own engine (runs that
+// shared them through the store replaced and dropped each other's) and
+// resolves Qv's keys on the column artefacts — PLIs, probe vectors, key
+// tables — that concurrent runs build lazily on one patched lineage.
 func TestConcurrentSQLDetections(t *testing.T) {
 	s, _ := datasetSession(t)
 	ctx := context.Background()

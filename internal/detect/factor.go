@@ -8,18 +8,19 @@
 // in O(1) from the columnar dictionaries, so reporting a 10k-member dirty
 // group allocates O(distinct RHS values), not O(members).
 //
-// The factorised report is the primary form: this file is the one columnar
-// scan→group core and the one report assembly (the incremental Tracker
-// emits the same report from its maintained state), the facade caches its
-// result un-exploded, and the detect endpoint encodes its Digest (totals
-// plus the dense vio(t)). Explode() lowers it to the exact flat Report at
-// the compat edge (ColumnarDetector.DetectSnapshot, Tracker.Report, the
-// facade's flat Detect — byte-identity with the SQL engine's report, and
+// The factorised report is every engine's result: this file is the one
+// columnar scan→group core and the one report assembly (the SQL detector's
+// Qv keys pick their groups from the same LHS partitions, and the
+// incremental Tracker emits the same report from its maintained state), the
+// facade caches it un-exploded, and the detect endpoint encodes its Digest
+// (totals plus the dense vio(t)). Explode() lowers it to the exact flat
+// Report at the compat edge (the detectors' DetectSnapshot, Tracker.Report,
+// the facade's flat Detect). Byte-identity between the engines' reports, and
 // agreement with internal/cfddef's definition, is the oracle, enforced by
-// the fuzz and cross-check tiers). Audit, explore and both
-// repairers read the factorised form on column codes (the batch repairer's
-// first pass from the facade's cache); calling Explode() inside those hot
-// paths is forbidden by the noexplode vet analyzer.
+// the fuzz and cross-check tiers. Audit, explore and both repairers read
+// the factorised form on column codes (the batch repairer's first pass from
+// the facade's cache); calling Explode() inside those hot paths is
+// forbidden by the noexplode vet analyzer.
 package detect
 
 import (
@@ -45,7 +46,8 @@ type FactorGroup struct {
 	// Attr is the RHS attribute the group disagrees on.
 	Attr string
 	// LHSAttrs names the embedded FD's LHS attributes (parallel to
-	// LHSValues).
+	// LHSValues). It is the prepared CFD's slice: callers must not mutate
+	// it.
 	LHSAttrs []string
 	// LHSValues is the shared LHS value vector (exact values of the first
 	// member, matching the legacy Group contract).
@@ -175,27 +177,6 @@ func (fr *FactorReport) Digest() *Digest {
 	}
 }
 
-// Digest summarizes a flat report for the wire: the same digest the
-// factorised report over the same snapshot produces, so SQL and tracker
-// reports share the endpoint's encoder.
-func (r *Report) Digest() *Digest {
-	d := &Digest{
-		Table:      r.Table,
-		TupleCount: r.TupleCount,
-		Version:    r.Version,
-		Violations: len(r.Violations),
-		Dirty:      len(r.Vio),
-		PerCFD:     r.PerCFD,
-		IDs:        r.DirtyTuples(),
-		Vio:        make([]int32, len(r.Vio)),
-	}
-	for i, id := range d.IDs {
-		d.Vio[i] = int32(r.Vio[id])
-		d.MaxVio = max(d.MaxVio, r.Vio[id])
-	}
-	return d
-}
-
 // DetectFactorised evaluates the CFDs over one pinned snapshot and
 // returns the factorised report: the single-worker run of the columnar
 // core every columnar entry point (ColumnarDetector, the violation stream)
@@ -278,14 +259,9 @@ func detectFactorised(ctx context.Context, rsnap *relstore.Snapshot, cfds []*cfd
 			out.groups, err = factorGroups(ctx, cp, ids)
 			return err
 		}
-		last := relstore.TupleID(-1)
 		for v, err := range constScan(ctx, cp, ids) {
 			if err != nil {
 				return err
-			}
-			if v.TupleID != last { // the statistic counts tuples, not pattern firings
-				last = v.TupleID
-				out.singles++
 			}
 			out.viols = append(out.viols, v)
 		}
@@ -298,11 +274,10 @@ func detectFactorised(ctx context.Context, rsnap *relstore.Snapshot, cfds []*cfd
 }
 
 // cfdPart is one prepared CFD's share of a report: its single-tuple
-// violations with the number of tuples they name, and its violating groups.
+// violations and its violating groups.
 type cfdPart struct {
-	viols   []Violation
-	singles int
-	groups  []*FactorGroup
+	viols  []Violation
+	groups []*FactorGroup
 }
 
 // assemble merges the per-CFD parts over snap in CFD order and applies the
@@ -317,7 +292,7 @@ func assemble(snap *relstore.Columnar, cps []colPrep, parts []cfdPart) *FactorRe
 		ids:        snap.IDs(),
 	}
 	for i, pt := range parts {
-		st := &CFDStats{SingleTuple: pt.singles, Groups: len(pt.groups)}
+		st := &CFDStats{Groups: len(pt.groups)}
 		for _, g := range pt.groups {
 			st.MultiTuple += len(g.Rows)
 		}
@@ -424,15 +399,31 @@ func factorGroups(ctx context.Context, cp *colPrep, ids []relstore.TupleID) ([]*
 	if len(cp.varPats) == 0 {
 		return nil, nil
 	}
+	var out []*FactorGroup
+	codeCounts := make(map[uint32]int, 8)
+	err := eachCandidate(ctx, cp, func(rows []int32) error {
+		if !matchesVarColumnar(cp, int(rows[0])) {
+			return nil
+		}
+		if g := newFactorGroup(cp, rows, codeCounts, ids); g != nil {
+			out = append(out, g)
+		}
+		return nil
+	})
+	return out, err
+}
+
+// eachCandidate calls fn on every multi-row class of the CFD's LHS
+// partition, in class order, polling ctx per cancelStride rows, and stops
+// at fn's first error.
+func eachCandidate(ctx context.Context, cp *colPrep, fn func(rows []int32) error) error {
 	if err := ctx.Err(); err != nil {
-		return nil, err // polled per pass: a shared partition may need no build here
+		return err // polled per pass: a shared partition may need no build here
 	}
 	part, err := cp.part.get(ctx, cp.lhsCols)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var out []*FactorGroup
-	codeCounts := make(map[uint32]int, 8)
 	seen := 0
 	for c := 0; c < part.NumClasses(); c++ {
 		rows := part.Class(c)
@@ -442,17 +433,23 @@ func factorGroups(ctx context.Context, cp *colPrep, ids []relstore.TupleID) ([]*
 		if seen += len(rows); seen >= cancelStride {
 			seen = 0
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		if !matchesVarColumnar(cp, int(rows[0])) {
-			continue
-		}
-		if g := newFactorGroup(cp, rows, codeCounts, ids); g != nil {
-			out = append(out, g)
+		if err := fn(rows); err != nil {
+			return err
 		}
 	}
-	return out, nil
+	return nil
+}
+
+// lhsValues returns row's LHS value vector: the exact stored values.
+func lhsValues(cp *colPrep, row int32) []types.Value {
+	vals := make([]types.Value, len(cp.lhsCols))
+	for k, col := range cp.lhsCols {
+		vals[k] = col.Value(col.Code(int(row)))
+	}
+	return vals
 }
 
 // newFactorGroup computes one candidate group's RHS histogram over exact
@@ -486,15 +483,11 @@ func newFactorGroup(cp *colPrep, rows []int32, codeCounts map[uint32]int,
 	if len(counts) <= 1 {
 		return nil // distinct exact codes sharing one key: INT 1 and FLOAT 1.0 agree
 	}
-	lhsVals := make([]types.Value, len(cp.lhsCols))
-	for k, col := range cp.lhsCols {
-		lhsVals[k] = col.Value(col.Code(int(rows[0])))
-	}
 	return &FactorGroup{
 		CFDID:       cp.p.c.ID,
 		Attr:        cp.p.c.RHS[0],
-		LHSAttrs:    append([]string(nil), cp.p.c.LHS...),
-		LHSValues:   lhsVals,
+		LHSAttrs:    cp.p.c.LHS,
+		LHSValues:   lhsValues(cp, rows[0]),
 		Rows:        rows,
 		RHSCounts:   counts,
 		MajorityKey: majorityKey(counts),
@@ -503,10 +496,11 @@ func newFactorGroup(cp *colPrep, rows []int32, codeCounts map[uint32]int,
 	}
 }
 
-// fillVio computes the dense vio(t) and its totals with integer adds: +1
-// per (tuple, CFD) with a single-tuple violation — equal pairs are adjacent
-// in the sorted slice, however many patterns fired — and +partners per
-// group member, resolved per distinct RHS code instead of per member key.
+// fillVio computes the dense vio(t), its totals and the per-CFD
+// single-tuple counts with integer adds: +1 per (tuple, CFD) with a
+// single-tuple violation — equal pairs are adjacent in the sorted slice,
+// however many patterns fired — and +partners per group member, resolved
+// per distinct RHS code instead of per member key.
 func (fr *FactorReport) fillVio() {
 	fr.vio = make([]int32, len(fr.ids))
 	row := 0
@@ -519,6 +513,7 @@ func (fr *FactorReport) fillVio() {
 			row++
 		}
 		fr.vio[row]++
+		fr.PerCFD[v.CFDID].SingleTuple++
 	}
 	partners := make(map[uint32]int32, 8)
 	for _, g := range fr.FactorGroups {
@@ -543,10 +538,10 @@ func (fr *FactorReport) fillVio() {
 
 // Explode lowers the factorised report to the exact flat Report: every
 // member's Violation row, the RHSOf maps, vio(t) and the finish() sort
-// order — byte-identical (DeepEqual) to what SQLDetector produces over the
-// same snapshot. It is the compatibility edge for consumers that want
-// the exploded form; hot paths consume the factorised report directly
-// instead (the noexplode analyzer enforces this).
+// order — byte-identical (DeepEqual) whichever engine built the report.
+// It is the compatibility edge for consumers that want the exploded form;
+// hot paths consume the factorised report directly instead (the noexplode
+// analyzer enforces this).
 func (fr *FactorReport) Explode() *Report {
 	rep := &Report{
 		Table:      fr.Table,

@@ -204,22 +204,9 @@ func TestFactorisedAllocsSublinear(t *testing.T) {
 	}
 }
 
-// dirtyOnly drops a factorised digest's clean tuples (listed at vio 0), the
-// form a flat report's digest has.
-func dirtyOnly(d *Digest) *Digest {
-	out := *d
-	out.IDs, out.Vio = []relstore.TupleID{}, []int32{}
-	for i, n := range d.Vio {
-		if n > 0 {
-			out.IDs, out.Vio = append(out.IDs, d.IDs[i]), append(out.Vio, n)
-		}
-	}
-	return &out
-}
-
 // TestFactorisedWorkerIndependent: the factorised report — groups, row
 // refs, the dense vio(t), every field — is DeepEqual whatever the worker
-// count, and its digest is the SQL report's.
+// count, and it is the SQL report.
 func TestFactorisedWorkerIndependent(t *testing.T) {
 	ctx := context.Background()
 	cfds := datagen.StandardCFDs()
@@ -239,15 +226,17 @@ func TestFactorisedWorkerIndependent(t *testing.T) {
 				t.Errorf("noise=%v: factorised report at %d workers differs from the single-worker one", noise, workers)
 			}
 		}
-		if got, ref := dirtyOnly(want.Digest()), sqlReport(t, snap, cfds).Digest(); !reflect.DeepEqual(got, ref) {
-			t.Errorf("noise=%v: factorised digest differs from the sql report's\ngot:  %+v\nwant: %+v", noise, got, ref)
+		if !reflect.DeepEqual(want, sqlFactorised(t, snap, cfds)) {
+			t.Errorf("noise=%v: factorised report differs from the sql one", noise)
 		}
 	}
 }
 
 // TestFactorisedDenseVioEdgeCases pins the integer vio(t) on the shapes
 // that would break it: several constant patterns firing for one (tuple,
-// CFD) count once; INT 1 / FLOAT 1.0 members share a partner count.
+// CFD) count once; INT 1 / FLOAT 1.0 members share a partner count. Both
+// engines assemble through the same group core, so the definition
+// (cfddef.Check) is the independent side; the SQL digest rides along.
 func TestFactorisedDenseVioEdgeCases(t *testing.T) {
 	ctx := context.Background()
 	tab := adversarialTable()
@@ -272,11 +261,11 @@ func TestFactorisedDenseVioEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, ref := dirtyOnly(fr.Digest()), sqlReport(t, snap, cfds).Digest()
-		if !reflect.DeepEqual(got, ref) {
+		checkDefinition(t, name, snap, cfds, fr.Explode())
+		if got, ref := fr.Digest(), sqlFactorised(t, snap, cfds).Digest(); !reflect.DeepEqual(got, ref) {
 			t.Errorf("%s: factorised digest differs from the sql report's\ngot:  %+v\nwant: %+v", name, got, ref)
 		}
-		if ref.Dirty == 0 {
+		if fr.Digest().Dirty == 0 {
 			t.Errorf("%s: fixture produced no violations", name)
 		}
 	}

@@ -363,10 +363,7 @@ func (t *Tracker) factorReportLocked(snap *relstore.Snapshot) (fr *FactorReport,
 				complete = false
 				continue
 			}
-			n := len(pt.viols)
-			if cp.constAt(r, id, add); len(pt.viols) > n {
-				pt.singles++
-			}
+			cp.constAt(r, id, add)
 		}
 		for _, g := range cs.groups {
 			if !g.violating() {

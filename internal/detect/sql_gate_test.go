@@ -13,18 +13,19 @@ import (
 	"semandaq/internal/types"
 )
 
-// TestSQLDetectDecidesTheJoinPerClass is the count face of the SQL engine's
-// driver-signature memo, on the shape of the benchmark's sqldetect-sparse
-// table (datagen's 20 000-tuple relation, 100 UK street typos, the standard
-// CFDs): the five statements decide their tableau join once per distinct
-// code vector of the columns the patterns read, so at least nine driver rows
-// in ten are replayed; Qv's join-back hashes once per (CNT, ZIP) class that
-// has a group to join, not once per dirty tuple; the report is the columnar
-// detector's; and the tables the memo keeps cost fewer allocations than the
-// per-row work they replace — 10 209 per detection at the parent commit
-// (a7f862a, this test's AllocsPerRun there).
-func TestSQLDetectDecidesTheJoinPerClass(t *testing.T) {
-	const parentAllocs = 10209
+// TestSQLDetectReplaysPerClassWithoutJoinBack is the count face of the SQL
+// detector on the shape of the benchmark's sqldetect-sparse table (datagen's
+// 20 000-tuple relation, 100 UK street typos, the standard CFDs): the four
+// statements — Qv for phi1, phi2 and phi4, Qc for phi3 — decide their
+// tableau join once per distinct code vector of the columns the patterns
+// read, so at least nine driver rows in ten are replayed; Qv's keys pick
+// their groups from the LHS partition on codes, so no statement joins the
+// groups back and nothing is hashed; the report is the columnar detector's;
+// and a factorised detection allocates at most 5 % over 2 686, its
+// AllocsPerRun when the join-back went (DetectSnapshot made 10 209 with the
+// join-back, at 07331e3).
+func TestSQLDetectReplaysPerClassWithoutJoinBack(t *testing.T) {
+	const allocCeiling = 2686 * 105 / 100
 	store, tab := sparseCustomers(t, 20000, 100)
 	snap, cfds := tab.Snapshot(), datagen.StandardCFDs()
 	statements := 0
@@ -41,21 +42,22 @@ func TestSQLDetectDecidesTheJoinPerClass(t *testing.T) {
 		t.Error("sql report differs from the columnar one")
 	}
 	ops, scanned := d.Engine.OpStats(), int64(statements*snap.Len())
-	if statements != 5 || len(rep.Groups) == 0 {
-		t.Fatalf("%d statements, %d groups: want the five statements of a phi2-only dirty table", statements, len(rep.Groups))
+	if statements != 4 || len(rep.Groups) == 0 {
+		t.Fatalf("%d statements, %d groups: want the four statements of a phi2-only dirty table", statements, len(rep.Groups))
 	}
 	if ops.MemoReplays*10 < scanned*9 {
 		t.Errorf("MemoReplays = %d of %d driver rows scanned (%d classes recorded), want >= 90 %%", ops.MemoReplays, scanned, ops.MemoClasses)
 	}
-	if ops.HashProbes > int64(len(rep.Groups)) {
-		t.Errorf("HashProbes = %d for %d violating groups, want one per class with a partner", ops.HashProbes, len(rep.Groups))
+	if ops.HashProbes != 0 {
+		t.Errorf("HashProbes = %d, want 0: no statement joins the groups back", ops.HashProbes)
 	}
-	if allocs := testing.AllocsPerRun(5, func() {
-		if _, err := NewSQLDetector(store).DetectSnapshot(context.Background(), snap, cfds); err != nil {
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := NewSQLDetector(store).DetectFactorised(context.Background(), snap, cfds); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs > parentAllocs {
-		t.Errorf("a detection made %.0f allocations, the parent commit %d", allocs, parentAllocs)
+	})
+	if allocs > allocCeiling {
+		t.Errorf("a detection made %.0f allocations, the ceiling is %d", allocs, allocCeiling)
 	}
 }
 
@@ -80,8 +82,8 @@ func TestExplainSaysWhichPathServes(t *testing.T) {
 	}
 	col := func(name string) int { return snap.Columnar().Col(snap.Schema().MustPos(name)).Card() }
 	eng, std := statements("phi2@ customer: [CNT=UK, ZIP=_] -> [STR=_]\nphi3@ customer: [CC=44] -> [CNT=UK]")
-	if len(std) != 3 {
-		t.Fatalf("%d statements, want phi2's Qv pair and phi3's Qc", len(std))
+	if len(std) != 2 {
+		t.Fatalf("%d statements, want phi2's Qv and phi3's Qc", len(std))
 	}
 	wideEng, wide := statements("w@ customer: [NAME=_, ZIP=_] -> [CITY=_]")
 	for _, tc := range []struct {
@@ -93,17 +95,14 @@ func TestExplainSaysWhichPathServes(t *testing.T) {
 		{"Qv groups", eng, std[0], []string{
 			fmt.Sprintf("driver memo on [t.CNT t.ZIP] space=%d rows=20000", col("CNT")*col("ZIP")),
 			"sink group on codes(2) aggs=3, group index from memo, having on counts, project 2 cols"}},
-		{"Qv join-back", eng, std[1], []string{
-			fmt.Sprintf("driver memo on [t.CNT t.ZIP] space=%d rows=20000", col("CNT")*col("ZIP")),
-			"sink project 4 cols"}},
-		{"Qc", eng, std[2], []string{
+		{"Qc", eng, std[1], []string{
 			fmt.Sprintf("driver memo on [t.CC t.CNT] space=%d rows=20000", col("CC")*col("CNT")),
 			"sink project 4 cols"}},
 		{"Qv over a key", wideEng, wide[0], []string{
 			fmt.Sprintf("driver memo off: space %d > half of rows 20000", col("NAME")),
 			"sink group on codes(2) aggs=3, having on counts, project 2 cols"}},
-		{"Qc reading _tid", eng, std[2] + " AND t._tid >= 0", []string{"driver memo off: reads t._tid"}},
-		{"Qc with arithmetic", eng, std[2] + " AND t.CC + 0 = 44", []string{"driver memo off: impure plan"}},
+		{"Qc reading _tid", eng, std[1] + " AND t._tid >= 0", []string{"driver memo off: reads t._tid"}},
+		{"Qc with arithmetic", eng, std[1] + " AND t.CC + 0 = 44", []string{"driver memo off: impure plan"}},
 		{"Qv with a value-level HAVING", eng, std[0] + " AND COUNT(*) > 1.5", []string{
 			"sink group on codes(2) aggs=3, group index from memo, having, project 2 cols"}},
 	} {

@@ -2,13 +2,12 @@ package detect
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
-	"slices"
 	"strings"
 
 	"semandaq/internal/cfd"
 	"semandaq/internal/relstore"
-	"semandaq/internal/schema"
 	"semandaq/internal/sqleng"
 	"semandaq/internal/types"
 )
@@ -20,17 +19,24 @@ import (
 // the relationally encoded tableau. The number of queries is independent of
 // the number of pattern tuples, which is the technique's selling point.
 //
+// The result is the factorised report (factor.go). Qc's rows are its
+// single-tuple violations. Qv returns the violating LHS values; each is
+// resolved on column codes to its class of the CFD's LHS partition, the
+// one the columnar core groups by, and becomes a group there. A Qv key
+// without a class, or whose class is pure, is an error: SQL's HAVING stays
+// an independent check on the group core.
+//
 // NULL is a value like any other to a CFD (the factorised core groups it
 // as one more dictionary value), so the generated SQL compares LHS values
 // null-safely (IS NOT DISTINCT FROM) and counts NULL as one more distinct
 // RHS class.
 type SQLDetector struct {
 	// Engine runs the generated SQL. Its store must contain the data table.
-	// A run pins its tableau and group tables on the engine, so concurrent
-	// runs need an engine each (NewSQLDetector makes one).
+	// A run pins its tableau tables on the engine, so concurrent runs need
+	// an engine each (NewSQLDetector makes one).
 	Engine *sqleng.Engine
-	// KeepArtifacts, when set, also publishes the tableau and group tables
-	// to the store and leaves them there (the CLI uses it for -explain).
+	// KeepArtifacts, when set, also publishes the tableau tables to the
+	// store and leaves them there (the CLI uses it for -explain).
 	KeepArtifacts bool
 	// Trace receives every generated SQL statement, when non-nil.
 	Trace func(sql string)
@@ -50,14 +56,27 @@ func (d *SQLDetector) Detect(ctx context.Context, tab *relstore.Table, cfds []*c
 	return d.DetectSnapshot(ctx, tab.Snapshot(), cfds)
 }
 
-// DetectSnapshot implements SnapshotDetector. The snapshot is pinned in the
-// detector's SQL engine for the duration of the run, so the several
-// generated queries (Qc and the two Qv steps, per merged CFD) all read the
-// data table at one version even while writers mutate it; the report is
-// stamped with that version. The snapshot's table must be registered in
-// the engine's store under its schema name.
+// DetectSnapshot implements SnapshotDetector: DetectFactorised, exploded
+// to the flat report.
 func (d *SQLDetector) DetectSnapshot(ctx context.Context, snap *relstore.Snapshot, cfds []*cfd.CFD) (*Report, error) {
-	preps, err := prepare(snap.Schema(), cfds)
+	fr, err := d.DetectFactorised(ctx, snap, cfds)
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err // the explosion below is not interruptible
+	}
+	return fr.Explode(), nil
+}
+
+// DetectFactorised implements FactorDetector. The snapshot is pinned in the
+// detector's SQL engine for the duration of the run, so the generated
+// queries (Qc and Qv, per merged CFD) all read the data table at one
+// version even while writers mutate it, and the report's groups are
+// classes of that same version. The snapshot's table must be registered in
+// the engine's store under its schema name.
+func (d *SQLDetector) DetectFactorised(ctx context.Context, rsnap *relstore.Snapshot, cfds []*cfd.CFD) (*FactorReport, error) {
+	snap, cps, err := bindCFDs(rsnap, cfds)
 	if err != nil {
 		return nil, err
 	}
@@ -65,26 +84,18 @@ func (d *SQLDetector) DetectSnapshot(ctx context.Context, snap *relstore.Snapsho
 	if _, ok := d.Engine.Store().Table(dataName); !ok {
 		return nil, fmt.Errorf("detect: table %q is not registered in the detector's store", dataName)
 	}
-	d.Engine.Pin(snap)
+	d.Engine.Pin(rsnap)
 	defer d.Engine.Unpin(dataName)
-	rep := &Report{
-		Table:      dataName,
-		TupleCount: snap.Len(),
-		Version:    snap.Version(),
-		PerCFD:     make(map[string]*CFDStats),
-	}
-	for i, p := range preps {
+	parts := make([]cfdPart, len(cps))
+	for i := range cps {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		st := &CFDStats{}
-		rep.PerCFD[p.c.ID] = st
-		if err := d.detectOneSQL(ctx, dataName, p, i, rep, st); err != nil {
+		if err := d.detectOneSQL(ctx, dataName, &cps[i], i, snap.IDs(), &parts[i]); err != nil {
 			return nil, err
 		}
 	}
-	finish(rep)
-	return rep, nil
+	return assemble(snap, cps, parts), nil
 }
 
 // sanitizeIdent makes a CFD ID usable inside a table name.
@@ -102,9 +113,8 @@ func sanitizeIdent(id string) string {
 }
 
 // stream runs sql through the engine's lazy executor, calling yield once
-// per output row. The non-grouped Qc and Qv join-back queries go through
-// here so violations are assembled as the join produces rows, without the
-// engine ever materializing the full result set.
+// per output row, so violations and group keys are consumed as the engine
+// produces them, without it ever materializing the full result set.
 func (d *SQLDetector) stream(ctx context.Context, sql string, yield func(row []types.Value) bool) error {
 	if d.Trace != nil {
 		d.Trace(sql)
@@ -116,11 +126,11 @@ func (d *SQLDetector) stream(ctx context.Context, sql string, yield func(row []t
 	return ss.Each(ctx, yield)
 }
 
-// artefact makes a tableau or group table readable by this run's queries
-// alone: pinned on the detector's engine, never in the shared store (where
-// a concurrent run's table of the same name would replace it mid-query) —
-// unless KeepArtifacts asks for it to be published too. The returned func
-// unpins it.
+// artefact makes a tableau readable by this run's queries alone: pinned on
+// the detector's engine, never in the shared store (where a concurrent
+// run's table of the same name would replace it mid-query) — unless
+// KeepArtifacts asks for it to be published too. The returned func unpins
+// it.
 func (d *SQLDetector) artefact(tab *relstore.Table) (release func()) {
 	d.Engine.Pin(tab.Snapshot())
 	if d.KeepArtifacts {
@@ -162,21 +172,32 @@ func sqlFor(c *cfd.CFD, seq int) cfdSQL {
 	return out
 }
 
-// detectOneSQL generates and runs Qc and Qv for one merged CFD. The
-// context reaches the SQL engine's scan loops, so a mid-query cancel
-// aborts inside the generated query rather than between queries.
-func (d *SQLDetector) detectOneSQL(ctx context.Context, dataName string, p prepared, seq int, rep *Report, st *CFDStats) error {
-	gen := sqlFor(p.c, seq)
-	tpName, match := gen.tpName, gen.match
+// qv is Qv's text: the data tuples matching some wildcard-RHS pattern,
+// grouped by the embedded FD's LHS, keeping the groups with more than one
+// distinct RHS class. It returns one row per violating group: its LHS
+// values.
+func (g cfdSQL) qv(data string, c *cfd.CFD) string {
+	q := quoteIdent
+	return fmt.Sprintf("SELECT %s FROM %s t, %s tp WHERE %s AND tp.%s = '%s' GROUP BY %s HAVING %s",
+		g.lhs, q(data), q(g.tpName), g.match, q(c.RHS[0]), cfd.WildcardToken, g.lhs, g.having)
+}
+
+// detectOneSQL generates and runs Qc and Qv for one merged CFD into its
+// report part. The context reaches the SQL engine's scan loops, so a
+// mid-query cancel aborts inside the generated query rather than between
+// queries.
+func (d *SQLDetector) detectOneSQL(ctx context.Context, dataName string, cp *colPrep, seq int, ids []relstore.TupleID, out *cfdPart) error {
+	c := cp.p.c
+	gen := sqlFor(c, seq)
 	// Encoded into a scratch store: the table is this run's own.
-	tp, err := cfd.EncodeTableau(relstore.NewStore(), p.c, tpName)
+	tp, err := cfd.EncodeTableau(relstore.NewStore(), c, gen.tpName)
 	if err != nil {
 		return err
 	}
 	defer d.artefact(tp)()
 
 	q := quoteIdent
-	rhs := p.c.RHS[0]
+	rhs := c.RHS[0]
 
 	// Qc — single-tuple violations: the tuple matches the LHS pattern but
 	// its RHS value differs from the pattern's RHS constant.
@@ -184,133 +205,80 @@ func (d *SQLDetector) detectOneSQL(ctx context.Context, dataName string, p prepa
 		qc := fmt.Sprintf(
 			"SELECT t.%s, tp.%s, tp.%s, t.%s FROM %s t, %s tp WHERE %s AND tp.%s <> '%s' AND t.%s <> tp.%s",
 			sqleng.TIDColumn, sqleng.TIDColumn, q(rhs), q(rhs),
-			q(dataName), q(tpName), match,
+			q(dataName), q(gen.tpName), gen.match,
 			q(rhs), cfd.WildcardToken, q(rhs), q(rhs))
-		seen := map[relstore.TupleID]bool{}
 		if err := d.stream(ctx, qc, func(row []types.Value) bool {
-			id := relstore.TupleID(row[0].Int())
-			rep.Violations = append(rep.Violations, Violation{
-				CFDID:    p.c.ID,
+			out.viols = append(out.viols, Violation{
+				CFDID:    c.ID,
 				Kind:     SingleTuple,
 				Pattern:  int(row[1].Int()),
-				TupleID:  id,
+				TupleID:  relstore.TupleID(row[0].Int()),
 				Attr:     rhs,
 				Expected: row[2],
 				Got:      row[3],
 			})
-			if !seen[id] {
-				seen[id] = true
-				st.SingleTuple++
-			}
 			return true
 		}); err != nil {
-			return fmt.Errorf("detect: Qc for %s: %w", p.c.ID, err)
+			return fmt.Errorf("detect: Qc for %s: %w", c.ID, err)
 		}
 	}
 
-	// Qv — multi-tuple violations, in two SQL steps: (1) group the tuples
-	// matching some wildcard-RHS pattern by the embedded FD's LHS and keep
-	// groups with more than one distinct RHS value; (2) join the groups
-	// back to fetch the member tuples.
+	// Qv — multi-tuple violations: each violating group's LHS values,
+	// resolved to their Equal-class codes, name a class of the LHS
+	// partition. A key that names no class, or a second key of one class,
+	// or a class that agrees on the RHS after all, is an error: the check
+	// is SQL's own, independent of the group core's.
 	if gen.hasVar {
-		var selCols, joinConds []string
-		for _, a := range p.c.LHS {
-			selCols = append(selCols, fmt.Sprintf("t.%s AS %s", q(a), q(a)))
-			joinConds = append(joinConds, fmt.Sprintf("t.%s IS NOT DISTINCT FROM g.%s", q(a), q(a)))
-		}
-		qv1 := fmt.Sprintf(
-			"SELECT %s FROM %s t, %s tp WHERE %s AND tp.%s = '%s' GROUP BY %s HAVING %s",
-			strings.Join(selCols, ", "),
-			q(dataName), q(tpName), match,
-			q(rhs), cfd.WildcardToken, gen.lhs, gen.having)
-		// Stream the violating group keys straight into the group table:
-		// the engine yields each finished group without materializing a
-		// result, and the table is the only buffer the keys ever occupy.
-		gName := fmt.Sprintf("_vg_%d_%s", seq, sanitizeIdent(p.c.ID))
-		if d.KeepArtifacts {
-			d.Engine.Store().Drop(gName) // a kept table of an earlier run
-		}
-		gTab := relstore.NewTable(schema.New(gName, p.c.LHS...))
-		var insErr error
-		if err := d.stream(ctx, qv1, func(row []types.Value) bool {
-			if _, insErr = gTab.Insert(relstore.Tuple(row)); insErr != nil {
+		keys := map[string]struct{}{}
+		var buf []byte
+		var keyErr error
+		if err := d.stream(ctx, gen.qv(dataName, c), func(row []types.Value) bool {
+			buf = buf[:0]
+			for k, col := range cp.lhsCols {
+				code, ok := col.EqCodeOf(row[k])
+				if !ok {
+					keyErr = fmt.Errorf("detect: Qv for %s returned %v, which no %s value equals", c.ID, row, c.LHS[k])
+					return false
+				}
+				buf = binary.LittleEndian.AppendUint32(buf, code)
+			}
+			if _, dup := keys[string(buf)]; dup {
+				keyErr = fmt.Errorf("detect: Qv for %s returned a second group of the class of %v", c.ID, row)
 				return false
 			}
+			keys[string(buf)] = struct{}{}
 			return true
 		}); err != nil {
-			return fmt.Errorf("detect: Qv step 1 for %s: %w", p.c.ID, err)
+			return fmt.Errorf("detect: Qv for %s: %w", c.ID, err)
 		}
-		if insErr != nil {
-			return insErr
+		if keyErr != nil {
+			return keyErr
 		}
-		if gTab.Len() == 0 {
+		if len(keys) == 0 {
 			return nil
 		}
-		defer d.artefact(gTab)()
-		qv2 := fmt.Sprintf(
-			"SELECT t.%s, t.%s, %s FROM %s t, %s g WHERE %s",
-			sqleng.TIDColumn, q(rhs), gen.lhs,
-			q(dataName), q(gName), strings.Join(joinConds, " AND "))
-		// Assemble groups in Go as the join streams: key on the LHS vector.
-		type acc struct {
-			lhsVals   []types.Value
-			members   []relstore.TupleID
-			rhsOf     map[relstore.TupleID]string
-			rhsCounts map[string]int
-		}
-		groups := map[string]*acc{}
-		if err := d.stream(ctx, qv2, func(row []types.Value) bool {
-			id := relstore.TupleID(row[0].Int())
-			rhsVal := row[1]
-			lhsVals := row[2:]
-			key := lhsKey(lhsVals)
-			g, ok := groups[key]
-			if !ok {
-				g = &acc{
-					lhsVals:   slices.Clone(lhsVals), // the streamed row is the engine's to reuse
-					rhsOf:     map[relstore.TupleID]string{},
-					rhsCounts: map[string]int{},
-				}
-				groups[key] = g
+		codeCounts := make(map[uint32]int, 8)
+		err := eachCandidate(ctx, cp, func(rows []int32) error {
+			buf = buf[:0]
+			for _, col := range cp.lhsCols {
+				buf = binary.LittleEndian.AppendUint32(buf, col.EqCode(int(rows[0])))
 			}
-			g.members = append(g.members, id)
-			rk := rhsVal.Key()
-			g.rhsOf[id] = rk
-			g.rhsCounts[rk]++
-			return true
-		}); err != nil {
-			return fmt.Errorf("detect: Qv step 2 for %s: %w", p.c.ID, err)
-		}
-		n := 0
-		for _, g := range groups {
-			st.Groups++
-			rep.Groups = append(rep.Groups, &Group{
-				CFDID:       p.c.ID,
-				Attr:        rhs,
-				LHSAttrs:    append([]string(nil), p.c.LHS...),
-				LHSValues:   g.lhsVals,
-				Members:     g.members,
-				RHSOf:       g.rhsOf,
-				RHSCounts:   g.rhsCounts,
-				MajorityKey: majorityKey(g.rhsCounts),
-			})
-			for _, id := range g.members {
-				if n++; n%cancelStride == 0 {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-				}
-				partners := len(g.members) - g.rhsCounts[g.rhsOf[id]]
-				rep.Violations = append(rep.Violations, Violation{
-					CFDID:    p.c.ID,
-					Kind:     MultiTuple,
-					Pattern:  -1,
-					TupleID:  id,
-					Attr:     rhs,
-					Partners: partners,
-				})
-				st.MultiTuple++
+			if _, ok := keys[string(buf)]; !ok {
+				return nil
 			}
+			delete(keys, string(buf))
+			g := newFactorGroup(cp, rows, codeCounts, ids)
+			if g == nil {
+				return fmt.Errorf("detect: Qv for %s returned the group %v, which agrees on %s", c.ID, lhsValues(cp, rows[0]), rhs)
+			}
+			out.groups = append(out.groups, g)
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		if len(keys) > 0 {
+			return fmt.Errorf("detect: Qv for %s returned %d groups that are no class of its LHS partition", c.ID, len(keys))
 		}
 	}
 	return nil
@@ -336,11 +304,8 @@ func GenerateSQL(tab *relstore.Table, cfds []*cfd.CFD) ([]string, error) {
 				q(rhs), cfd.WildcardToken, q(rhs), q(rhs)))
 		}
 		if gen.hasVar {
-			out = append(out, fmt.Sprintf(
-				"-- %s: Qv (multi-tuple violation groups)\nSELECT %s FROM %s t, %s tp WHERE %s AND tp.%s = '%s' GROUP BY %s HAVING %s",
-				p.c.ID, gen.lhs,
-				q(tab.Schema().Name), q(gen.tpName), gen.match,
-				q(rhs), cfd.WildcardToken, gen.lhs, gen.having))
+			out = append(out, fmt.Sprintf("-- %s: Qv (multi-tuple violation groups)\n%s",
+				p.c.ID, gen.qv(tab.Schema().Name, p.c)))
 		}
 	}
 	return out, nil

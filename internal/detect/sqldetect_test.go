@@ -16,8 +16,8 @@ import (
 
 // TestSQLNullIsNotASentinel: NULL and the string "\x00null" (the value the
 // generated SQL used to COALESCE NULL onto) are different values, on the
-// LHS — where the join-back matched each tuple with both groups and
-// reported every member twice — and on the RHS, where a group holding
+// LHS — where a join of the groups back to the data matched each tuple with
+// both groups and reported every member twice — and on the RHS, where a group holding
 // exactly {NULL, "\x00null"} counted one distinct value and went
 // unreported. The definition is the reference, and the columnar detector
 // the reference for the groups.
@@ -97,8 +97,8 @@ func TestSQLDetectMaterialisesOnlyOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stmts) != 5 || len(rep.Groups) == 0 {
-		t.Fatalf("%d statements, %d groups: want the five statements of a phi2-only dirty table", len(stmts), len(rep.Groups))
+	if len(stmts) != 4 || len(rep.Groups) == 0 {
+		t.Fatalf("%d statements, %d groups: want the four statements of a phi2-only dirty table", len(stmts), len(rep.Groups))
 	}
 	out := 0
 	for _, sql := range stmts {
@@ -136,5 +136,104 @@ func TestSQLDetectAllocsIndependentOfSize(t *testing.T) {
 	small, large := allocs(5000), allocs(20000)
 	if large > small*1.05 || large < small*0.95 {
 		t.Errorf("allocations per detection: %.0f on 5k tuples, %.0f on 20k", small, large)
+	}
+}
+
+// TestSQLGroupsResolveOnCodes holds the SQL detector's factorised report —
+// Qv's keys resolved on column codes to classes of the LHS partition — to
+// the columnar core's (DeepEqual) and to the definition (cfddef.Check) on
+// the shapes that step can get wrong. A case with leave re-checks after
+// deleting those rows from a warmed snapshot, so the detection reads a
+// patched lineage whose dictionaries keep the departed values as dead
+// codes.
+func TestSQLGroupsResolveOnCodes(t *testing.T) {
+	str, num, flt := types.NewString, types.NewInt, types.NewFloat
+	null := types.Null
+	fd := "r: [A=_] -> [B=_]"
+	for _, tc := range []struct {
+		name  string
+		cfds  string
+		rows  [][]types.Value // A, B, C, D
+		leave []int           // rows deleted after the first check; each holds a value no other row does
+	}{
+		{"null-lhs", fd, [][]types.Value{
+			{null, str("x0"), null, null}, {null, str("y"), null, null}, {null, str("x"), null, null},
+			{str("a"), str("p"), null, null}, {str("a"), str("p"), null, null},
+		}, []int{0}},
+		{"null-rhs-class", fd, [][]types.Value{
+			{str("k"), null, null, null}, {str("k"), str("x"), null, null}, {str("m"), null, null, null}, {str("m"), null, null, null},
+		}, nil},
+		{"int-float-lhs", fd, [][]types.Value{
+			{num(1), str("x"), null, null}, {flt(1), str("y"), null, null}, {flt(1), str("x"), null, null},
+		}, []int{0}},
+		{"int-float-rhs", fd, [][]types.Value{
+			{str("k"), num(1), null, null}, {str("k"), flt(1), null, null}, {str("k"), num(2), null, null},
+			{str("m"), flt(1), null, null}, {str("m"), flt(1), null, null},
+		}, []int{0}},
+		{"shared-lhs", "phi1@ r: [A=_, B=_] -> [C=_]\nphi2@ r: [A=x, B=_] -> [D=_]", [][]types.Value{
+			{str("x"), num(1), str("c1"), str("d1")}, {str("x"), num(1), str("c2"), str("d9")},
+			{str("x"), num(2), str("c1"), str("d1")}, {str("x"), num(2), str("c1"), str("d2")},
+			{str("y"), num(1), str("c1"), str("d1")}, {str("y"), num(1), str("c2"), str("d1")},
+		}, []int{1}},
+		{"separator", "r: [A=_, B=_] -> [C=_]", [][]types.Value{
+			{str("a\x1f"), str("b"), str("c1"), null}, {str("a"), str("\x1fb"), str("c2"), null},
+			{str("2:sa"), str(""), str("c1"), null}, {str(""), str("2:sa"), str("c2"), null},
+			{str("1:s"), str("a"), str("c0"), null}, {str("1:s"), str("a"), str("c2"), null}, {str("1:s"), str("a"), str("c3"), null},
+		}, []int{4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfds, err := cfd.ParseSet(tc.cfds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			store := relstore.NewStore()
+			tab, err := store.Create(schema.New("r", "A", "B", "C", "D"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ids []relstore.TupleID
+			for _, row := range tc.rows {
+				ids = append(ids, tab.MustInsert(row))
+			}
+			check := func(when string) {
+				t.Helper()
+				snap := tab.Snapshot()
+				sql, err := NewSQLDetector(store).DetectFactorised(context.Background(), snap, cfds)
+				if err != nil {
+					t.Fatalf("%s: %v", when, err)
+				}
+				col, err := DetectFactorised(context.Background(), snap, cfds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(sql, col) {
+					t.Errorf("%s: the sql report differs from the columnar one\nsql:      %+v\ncolumnar: %+v", when, sql.Explode(), col.Explode())
+				}
+				checkDefinition(t, when, snap, cfds, sql.Explode())
+				if len(sql.FactorGroups) == 0 {
+					t.Errorf("%s: no violating group: the case does not exercise Qv", when)
+				}
+			}
+			check("built")
+			if tc.leave == nil {
+				return
+			}
+			cols := tab.Snapshot().Columnar()
+			for j := 0; j < cols.NumCols(); j++ {
+				cols.Col(j).PLI()
+				cols.Col(j).EnsureKeys()
+			}
+			for _, i := range tc.leave {
+				tab.Delete(ids[i])
+			}
+			check("patched")
+			dead := false
+			for j, cols := 0, tab.Snapshot().Columnar(); j < cols.NumCols(); j++ {
+				dead = dead || cols.Col(j).CodeSpace() > cols.Col(j).Card()
+			}
+			if !dead {
+				t.Error("patched: no dictionary keeps a dead code: the snapshot was rebuilt, not patched")
+			}
+		})
 	}
 }

@@ -367,3 +367,27 @@ func render(cfds []*cfd.CFD) string {
 	}
 	return b.String()
 }
+
+// TestFrequentClassesSortedByKey: the miner enumerates a column's classes
+// that clear MinSupport, NULL's excepted, in Key order, whatever order
+// their first rows put them in.
+func TestFrequentClassesSortedByKey(t *testing.T) {
+	tab := relstore.NewTable(schema.New("r", "A"))
+	for _, s := range []string{"zz", "aa", "", "mm", "aa", "", "zz", "mm", "b", ""} {
+		v := types.Null
+		if s != "" {
+			v = types.NewString(s)
+		}
+		tab.MustInsert(relstore.Tuple{v})
+	}
+	col := tab.Snapshot().Columnar().Col(0)
+	for minSupport, want := range map[int]string{1: "aa b mm zz", 2: "aa mm zz", 3: ""} {
+		var got []string
+		for _, cl := range frequentClasses(col, minSupport) {
+			got = append(got, col.PLIClassValue(cl).String())
+		}
+		if strings.Join(got, " ") != want {
+			t.Errorf("MinSupport %d: classes %q, want %q", minSupport, got, want)
+		}
+	}
+}

@@ -13,9 +13,9 @@
 // that are bitwise stable for unchanged columns under a stable row set:
 //
 //   - a variable-lattice check (X → a: purity, confidence, conditional
-//     patterns) reads the PLIs, probes and class orders of X ∪ {a} plus the
-//     resolved options — cached under the column set, reused iff no member
-//     column changed;
+//     patterns) reads the PLIs, probes and frequent classes of X ∪ {a}
+//     plus the resolved options — cached under the column set, reused iff
+//     no member column changed;
 //   - a constant-lattice itemset is identified by its (position, PLI class
 //     index) pairs — classes are indexed in order of their first rows, a
 //     function of the column's rows alone, so the key survives for

@@ -58,9 +58,10 @@ type miner struct {
 	workers int
 	// probes[p][i] is row i's Equal-class code in column p.
 	probes [][]uint32
-	// classOrder[p] lists column p's PLI classes by representative Key,
-	// the deterministic enumeration order for condition values and items.
-	classOrder [][]int
+	// frequent[p] lists column p's non-null PLI classes covering at least
+	// MinSupport rows, by representative Key: the deterministic enumeration
+	// order for condition values and items.
+	frequent [][]int
 	// Incremental refresh state (see incremental.go): reuse is the previous
 	// run's read-only caches (nil on a cold mine), rec collects this run's
 	// decisions for the next one (nil outside a Session), stats counts what
@@ -81,27 +82,28 @@ type miner struct {
 func newMiner(ctx context.Context, snap *relstore.Snapshot, opts Options) *miner {
 	col := snap.Columnar()
 	m := &miner{
-		snap:       snap,
-		col:        col,
-		sc:         snap.Schema(),
-		opts:       opts,
-		n:          snap.Len(),
-		arity:      snap.Schema().Arity(),
-		workers:    opts.Workers, // already resolved by withDefaults
-		probes:     make([][]uint32, snap.Schema().Arity()),
-		classOrder: make([][]int, snap.Schema().Arity()),
+		snap:     snap,
+		col:      col,
+		sc:       snap.Schema(),
+		opts:     opts,
+		n:        snap.Len(),
+		arity:    snap.Schema().Arity(),
+		workers:  opts.Workers, // already resolved by withDefaults
+		probes:   make([][]uint32, snap.Schema().Arity()),
+		frequent: make([][]int, snap.Schema().Arity()),
 	}
 	if !opts.disableClosure {
 		m.exact = fdset.New(m.arity)
 	}
-	// Materialize every column's probe vector, PLI and class order up
+	// Materialize every column's probe vector, PLI and frequent classes up
 	// front, one goroutine per column: all of them are needed by both
-	// lattices, and the builds are cached on the snapshot so a second
-	// mining pass over the same version pays nothing. Each build stage is
-	// an indivisible sync.Once unit, so cancellation is polled between
-	// stages — a dead request stops paying the cold build within one
-	// column-stage, and the stages already built stay cached for the next
-	// caller. Callers must check ctx after newMiner returns.
+	// lattices, and the probe and PLI builds are cached on the snapshot so a
+	// second mining pass over the same version pays only the sort of the
+	// classes it reads. Each build stage is an indivisible sync.Once unit,
+	// so cancellation is polled between stages — a dead request stops
+	// paying the cold build within one column-stage, and the stages already
+	// built stay cached for the next caller. Callers must check ctx after
+	// newMiner returns.
 	var wg sync.WaitGroup
 	for p := 0; p < m.arity; p++ {
 		wg.Add(1)
@@ -115,12 +117,31 @@ func newMiner(ctx context.Context, snap *relstore.Snapshot, opts Options) *miner
 			if ctx.Err() != nil {
 				return
 			}
-			c.PLI()
-			m.classOrder[p] = c.PLIClassesByKey()
+			m.frequent[p] = frequentClasses(c, opts.MinSupport)
 		}(p)
 	}
 	wg.Wait()
 	return m
+}
+
+// frequentClasses lists col's non-null PLI classes covering at least
+// minSupport rows, ordered by their representative's Key(). Class-mates
+// share their Key(), so any member's stands for the class, and distinct
+// classes have distinct keys, so the order is total.
+func frequentClasses(col *relstore.Column, minSupport int) []int {
+	pli := col.PLI()
+	// Built even when no class is frequent, so the patcher carries the key
+	// table to the next version instead of a later reader rebuilding it.
+	col.EnsureKeys()
+	var out []int
+	for cl := 0; cl < pli.NumClasses(); cl++ {
+		if len(pli.Class(cl)) >= minSupport && !col.PLIClassValue(cl).IsNull() {
+			out = append(out, cl)
+		}
+	}
+	key := func(cl int) string { return col.KeyOf(col.Code(int(pli.Class(cl)[0]))) }
+	slices.SortFunc(out, func(a, b int) int { return strings.Compare(key(a), key(b)) })
+	return out
 }
 
 // forEach fans n independent node tasks across the miner's workers and
@@ -366,18 +387,11 @@ func (m *miner) mineConditional(ctx context.Context, nd *vnode, a int) ([]Candid
 		}
 		colB := m.col.Col(b)
 		pli := colB.PLI()
-		for _, cl := range m.classOrder[b] {
+		for _, cl := range m.frequent[b] {
 			if len(emits) >= m.opts.MaxPatternsPerFD {
 				break
 			}
-			rep := colB.PLIClassValue(cl)
-			if rep.IsNull() {
-				continue
-			}
-			rows := pli.Class(cl)
-			if len(rows) < m.opts.MinSupport {
-				continue
-			}
+			rep, rows := colB.PLIClassValue(cl), pli.Class(cl)
 			conf, ok, err := m.condCheck(ctx, nd.xs, b, a, rows)
 			if err != nil {
 				return nil, err
@@ -711,16 +725,8 @@ func (m *miner) frequentItems() []citem {
 	for p := 0; p < m.arity; p++ {
 		col := m.col.Col(p)
 		pli := col.PLI()
-		for _, cl := range m.classOrder[p] {
-			rep := col.PLIClassValue(cl)
-			if rep.IsNull() {
-				continue
-			}
-			rows := pli.Class(cl)
-			if len(rows) < m.opts.MinSupport {
-				continue
-			}
-			items = append(items, citem{pos: p, cl: cl, val: rep, rows: rows})
+		for _, cl := range m.frequent[p] {
+			items = append(items, citem{pos: p, cl: cl, val: col.PLIClassValue(cl), rows: pli.Class(cl)})
 		}
 	}
 	return items

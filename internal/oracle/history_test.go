@@ -20,7 +20,6 @@ func warm(tab *relstore.Table) {
 	col := tab.Snapshot().Columnar()
 	for j := 0; j < col.NumCols(); j++ {
 		col.Col(j).PLI()
-		col.Col(j).PLIClassesByKey()
 	}
 }
 

@@ -157,6 +157,11 @@ func FuzzIncrementalOracle(f *testing.F) {
 	f.Add([]byte{2, 3, 1, 1, 2, 3, 1, 4, 2, 3, 1, 1, 0, 0, 4, 0})             // k0's NaN class empties, re-forms by SetCell, empties, re-forms by insert
 	f.Add([]byte{2, 1, 1, 3, 2, 1, 1, 0, 2, 1, 1, 3, 2, 7, 1, 3, 2, 2, 1, 2}) // INT 1 <-> FLOAT 1.0: kept as Equal, then written across v0
 	f.Add([]byte{2, 0, 1, 4, 2, 3, 1, 4, 2, 0, 1, 1, 2, 6, 1, 4})             // NaN written into, kept in, and moved out of a group and a class
+	// NULL on both sides of [V=_] -> [W=_]: two inserted V=NULL rows join
+	// id 4's NULL group with W = bad and W = NULL, v1's group gains a NULL
+	// RHS class beside good, then id 4 — the NULL group's first member —
+	// moves out and the group still disagrees.
+	f.Add([]byte{0, 0, 5, 1, 0, 1, 5, 2, 2, 0, 2, 0, 2, 4, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			data = data[:512] // bound per-exec cost, not coverage

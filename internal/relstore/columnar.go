@@ -91,8 +91,6 @@ type Column struct {
 	pliOnce    sync.Once
 	pli        *Partition
 	pliClassOf []int32
-	orderOnce  sync.Once
-	classOrder []int
 	probeOnce  sync.Once
 	probe      []uint32
 	// The ready flags mirror the sync.Once states above: each is set (with
@@ -102,7 +100,6 @@ type Column struct {
 	// patched column leaves that artifact lazy too.
 	keysReady  atomic.Bool
 	pliReady   atomic.Bool
-	orderReady atomic.Bool
 	probeReady atomic.Bool
 	// Interner state, retained so EqCodeOf stays O(1) after the build.
 	// Strings, bools, NULL and NaN are their own Equal-classes; only the

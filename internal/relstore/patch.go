@@ -266,9 +266,8 @@ func (p *snapPatch) patchColumn(pcol *Column, j int, fork bool) *Column {
 	buildOps.patchedCells.Add(int64(len(p.drops) + len(edits) + p.nAppend))
 	buildOps.patchedColumns.Add(1)
 
-	sameClasses := false
 	if pcol.pliReady.Load() {
-		sameClasses = p.patchPLI(pcol, out, edits)
+		p.patchPLI(pcol, out, edits)
 	}
 	if pcol.probeReady.Load() {
 		out.EqProbe()
@@ -287,14 +286,6 @@ func (p *snapPatch) patchColumn(pcol *Column, j int, fork bool) *Column {
 			out.keysReady.Store(true)
 		})
 	}
-	if pcol.orderReady.Load() && sameClasses {
-		// Same classes at the same indices: the key-sorted class
-		// enumeration is unchanged and can be shared.
-		out.orderOnce.Do(func() {
-			out.classOrder = pcol.classOrder
-			out.orderReady.Store(true)
-		})
-	}
 	return out
 }
 
@@ -302,9 +293,8 @@ func (p *snapPatch) patchColumn(pcol *Column, j int, fork bool) *Column {
 // so the classes the delta leaves alone keep their relative order and only
 // the touched ones — rows moved in or out, a member dropped, a novel or
 // revived Equal-class — are re-formed and merged back in by their new
-// first row; a class left without rows disappears. It reports whether
-// every class kept its index, i.e. the class list is pcol's.
-func (p *snapPatch) patchPLI(pcol, out *Column, edits []cellEdit) bool {
+// first row; a class left without rows disappears.
+func (p *snapPatch) patchPLI(pcol, out *Column, edits []cellEdit) {
 	n, oldP := out.Len(), pcol.pli
 	newPos := func(pos int32) int32 {
 		if p.remap == nil {
@@ -373,10 +363,8 @@ func (p *snapPatch) patchPLI(pcol, out *Column, edits []cellEdit) bool {
 	// re-formed classes that now start before it.
 	elems := make([]int32, 0, n)
 	offsets := make([]int32, 1, oldP.NumClasses()+len(formed)+1)
-	same := true
 	emit := func(canon uint32, rows []int32) {
 		cl := int32(len(offsets) - 1)
-		same = same && oldClass(canon) == cl
 		classOf[canon] = cl
 		elems = append(elems, rows...)
 		offsets = append(offsets, int32(len(elems)))
@@ -412,7 +400,6 @@ func (p *snapPatch) patchPLI(pcol, out *Column, edits []cellEdit) bool {
 		out.pliReady.Store(true)
 	})
 	buildOps.pliPatches.Add(1)
-	return same && len(offsets) == len(oldP.offsets)
 }
 
 // splice copies src with the (ascending) drop positions removed, leaving

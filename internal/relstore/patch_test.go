@@ -176,7 +176,6 @@ func warm(tab *Table) {
 	for j := 0; j < col.NumCols(); j++ {
 		col.Col(j).PLI()
 		col.Col(j).EqProbe()
-		col.Col(j).PLIClassesByKey()
 		col.Col(j).EnsureKeys()
 	}
 }

@@ -16,11 +16,7 @@
 // are not cached here.
 package relstore
 
-import (
-	"sort"
-
-	"semandaq/internal/types"
-)
+import "semandaq/internal/types"
 
 // Partition is the partition of a snapshot's rows into value-equality
 // classes, stored flat: class c spans elems[offsets[c]:offsets[c+1]], each
@@ -207,28 +203,6 @@ func (c *Column) PLI() *Partition {
 // the lineage interned the class's members in.
 func (c *Column) PLIClassValue(cl int) types.Value {
 	return c.dict[c.codes[c.pli.Class(cl)[0]]]
-}
-
-// PLIClassesByKey returns the PLI's class indices ordered by the
-// representative value's Key() — the canonical enumeration order miners use
-// so their output is deterministic. Sorted on first use and cached for the
-// snapshot's lifetime (the sort compares key strings, which is worth
-// paying once, not per mining pass); callers must not mutate the slice.
-func (c *Column) PLIClassesByKey() []int {
-	c.orderOnce.Do(func() {
-		p := c.PLI()
-		c.EnsureKeys()
-		order := make([]int, p.NumClasses())
-		for i := range order {
-			order[i] = i
-		}
-		// Class-mates share their Key(), so any member's stands for the class.
-		key := func(cl int) string { return c.keys[c.codes[p.Class(cl)[0]]] }
-		sort.Slice(order, func(i, j int) bool { return key(order[i]) < key(order[j]) })
-		c.classOrder = order
-		c.orderReady.Store(true)
-	})
-	return c.classOrder
 }
 
 // ClassRows returns the ascending row indices of the PLI class holding the

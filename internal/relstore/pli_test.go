@@ -297,21 +297,6 @@ func FuzzPartitionIntersect(f *testing.F) {
 	})
 }
 
-func TestPLIClassesByKeyDeterministicOrder(t *testing.T) {
-	tab := pliTable(t, []string{"A"}, [][]string{
-		{"zz"}, {"aa"}, {"mm"}, {"aa"},
-	})
-	col := tab.Snapshot().Columnar().Col(0)
-	order := col.PLIClassesByKey()
-	var got []string
-	for _, cl := range order {
-		got = append(got, col.PLIClassValue(cl).String())
-	}
-	if fmt.Sprint(got) != "[aa mm zz]" {
-		t.Errorf("order = %v", got)
-	}
-}
-
 // TestEqProbeAliasesCodesWhenIdentity: a column whose every dictionary
 // entry is its own Equal-class serves its exact codes as the probe vector
 // (no second 4 B/row copy); a column where INT 1 and FLOAT 1.0 collapse
