@@ -75,14 +75,14 @@ type Semandaq struct {
 	// between the snapshot a new tracker seeds from and the moment it
 	// takes over.
 	gates map[string]*sync.Mutex
-	// sessions holds the incremental discovery session per table
-	// (lowercased name): Discover refreshes the previous mining run in
-	// O(changed columns) instead of re-mining from scratch.
+	// sessions holds the discovery session per table (lowercased name):
+	// Discover serves the previous run's report while the table's version
+	// holds.
 	sessions map[string]*tableSession
 }
 
 // tableSession binds a discovery session to the table instance it was
-// created over, so a replaced table never reuses the old session's caches.
+// created over, so a replaced table never serves the old session's report.
 type tableSession struct {
 	tab  *relstore.Table
 	sess *discovery.Session
@@ -947,13 +947,11 @@ func (s *Semandaq) Discover(ctx context.Context, refTable string, opts ...Option
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Incremental-first serving: route through the table's discovery
-	// session, which refreshes the previous mining run by re-verifying only
-	// the lattice nodes whose columns changed — and answers an unchanged
-	// version without mining at all. The report is identical to a cold Mine
-	// over the same snapshot (the discovery cross-check tier), so callers
-	// see no behavioral difference. The returned report may be served again
-	// while the version holds; treat it as immutable.
+	// Route through the table's discovery session, which answers an
+	// unchanged version without mining at all. The report is identical to
+	// a cold Mine over the same snapshot (the discovery cross-check tier).
+	// The returned report may be served again while the version holds;
+	// treat it as immutable.
 	rep, err := s.discoverySession(refTable, tab).Discover(ctx, discovery.Options{
 		MinSupport:       o.minSupport,
 		MaxLHS:           o.maxLHS,
@@ -973,7 +971,7 @@ func (s *Semandaq) Discover(ctx context.Context, refTable string, opts ...Option
 	return rep, nil
 }
 
-// discoverySession returns the table's incremental discovery session,
+// discoverySession returns the table's discovery session,
 // creating or replacing it when the registered table instance changed.
 func (s *Semandaq) discoverySession(name string, tab *relstore.Table) *discovery.Session {
 	s.mu.Lock()

@@ -192,8 +192,8 @@ func runStress(t *testing.T, s *Semandaq, withMonitor bool) {
 	}
 
 	// Discovery readers: each Discover routes through the table's
-	// incremental session (cache-refresh over the changed columns, full
-	// mine after inserts/deletes). Every served report must reflect exactly
+	// session (the same-version report, or a mine of the pinned
+	// snapshot). Every served report must reflect exactly
 	// one pinned version — and in this workload K -> V holds at EVERY
 	// version, so a report missing that global FD can only come from mining
 	// state torn across versions.

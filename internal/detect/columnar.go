@@ -2,7 +2,6 @@ package detect
 
 import (
 	"context"
-	"runtime"
 
 	"semandaq/internal/cfd"
 	"semandaq/internal/relstore"
@@ -166,11 +165,4 @@ func (d ColumnarDetector) DetectSnapshot(ctx context.Context, snap *relstore.Sna
 // un-exploded form.
 func (d ColumnarDetector) DetectFactorised(ctx context.Context, snap *relstore.Snapshot, cfds []*cfd.CFD) (*FactorReport, error) {
 	return detectFactorised(ctx, snap, cfds, d.Workers)
-}
-
-// clampWorkers bounds untrusted worker counts (the HTTP API forwards
-// them): beyond the core count extra workers only add scheduling overhead,
-// and beyond the task count they do nothing at all.
-func clampWorkers(workers, tasks int) int {
-	return min(workers, 8*runtime.GOMAXPROCS(0), tasks)
 }

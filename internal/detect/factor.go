@@ -33,6 +33,7 @@ import (
 	"sync"
 
 	"semandaq/internal/cfd"
+	"semandaq/internal/par"
 	"semandaq/internal/relstore"
 	"semandaq/internal/types"
 )
@@ -252,7 +253,7 @@ func detectFactorised(ctx context.Context, rsnap *relstore.Snapshot, cfds []*cfd
 	parts := make([]cfdPart, len(cps))
 	// Task 2i is CFD i's constant scan, task 2i+1 its grouping: they write
 	// disjoint fields of parts[i].
-	err = runTasks(clampWorkers(workers, 2*len(cps)), 2*len(cps), func(t int) error {
+	err = par.Each(ctx, workers, 2*len(cps), func(t int) error {
 		cp, out := &cps[t/2], &parts[t/2]
 		if t%2 == 1 {
 			var err error
@@ -304,39 +305,6 @@ func assemble(snap *relstore.Columnar, cps []colPrep, parts []cfdPart) *FactorRe
 	sortByLHS(fr.FactorGroups, func(g *FactorGroup) (string, []types.Value) { return g.CFDID, g.LHSValues })
 	fr.fillVio()
 	return fr
-}
-
-// runTasks runs task(0..n-1), at most workers at a time (inline when
-// workers <= 1), and returns the first error in task order — here always
-// the context's: a done ctx fails every task at its next stride.
-func runTasks(workers, n int, task func(i int) error) error {
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := task(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := range errs {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = task(i)
-			<-sem
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // constScan yields one CFD's single-tuple violations in row order: each

@@ -97,10 +97,10 @@ func TestClosureIdentityOnGeneratedData(t *testing.T) {
 	}
 }
 
-// TestClosureSurvivesSessionReuse mutates the FD table through rounds of
-// edits that break and restore A → B, asserting after each round that the
-// session's cache-assisted, closure-pruned report equals a cold mine.
-func TestClosureSurvivesSessionReuse(t *testing.T) {
+// TestSessionMatchesColdMineAcrossFDFlips mutates the FD table through
+// rounds of edits that break and restore A → B, asserting after each round
+// that the session's closure-pruned report equals a cold mine.
+func TestSessionMatchesColdMineAcrossFDFlips(t *testing.T) {
 	ctx := context.Background()
 	tab := fdTable(t, 48)
 	opts := Options{MinSupport: 2, MaxLHS: 2, Workers: 2}

@@ -25,10 +25,12 @@ package discovery
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 
 	"semandaq/internal/cfd"
 	"semandaq/internal/fdset"
+	"semandaq/internal/par"
 	"semandaq/internal/relstore"
 	"semandaq/internal/schema"
 )
@@ -57,7 +59,9 @@ type Options struct {
 	// Constant CFDs are always mined exactly (confidence 1).
 	MinConfidence float64
 	// Workers is the goroutine count for per-level parallel lattice
-	// expansion. Non-positive selects runtime.GOMAXPROCS.
+	// expansion. Non-positive selects runtime.GOMAXPROCS; any count is
+	// capped at 8 × GOMAXPROCS (par.Workers), and a level runs at most one
+	// worker per task.
 	Workers int
 	// disableClosure is the closure tests' hook: it turns off FD-closure
 	// pruning of the variable lattice (partition collapse and derived
@@ -67,9 +71,9 @@ type Options struct {
 }
 
 // withDefaults resolves the defaulting rule against a table of n tuples:
-// only non-positive fields are replaced (see Options). The result is fully
-// resolved — Report.Options echoes it, so Workers names the actual
-// goroutine count the search ran with.
+// only non-positive fields are replaced (see Options), and Workers is
+// capped. The result is fully resolved — Report.Options echoes it, so
+// Workers names the most goroutines any level of the search ran with.
 func (o Options) withDefaults(n int) Options {
 	if o.MinSupport <= 0 {
 		o.MinSupport = max(2, n/100)
@@ -86,6 +90,7 @@ func (o Options) withDefaults(n int) Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
+	o.Workers = par.Workers(o.Workers, math.MaxInt)
 	return o
 }
 
@@ -151,7 +156,7 @@ func (r *Report) ExactFDs(sc *schema.Relation) (*fdset.Set, error) {
 // versioned report. A cancelled ctx aborts the search between strides and
 // returns ctx.Err().
 func Mine(ctx context.Context, snap *relstore.Snapshot, opts Options) (*Report, error) {
-	return mineSession(ctx, snap, opts, nil, nil, &mineStats{})
+	return mine(ctx, snap, opts, &mineStats{})
 }
 
 // MineStats profiles one cold mining run's lattice work — the counters
@@ -174,7 +179,7 @@ type MineStats struct {
 // MineWithStats is Mine plus the run's lattice work profile.
 func MineWithStats(ctx context.Context, snap *relstore.Snapshot, opts Options) (*Report, MineStats, error) {
 	stats := &mineStats{}
-	rep, err := mineSession(ctx, snap, opts, nil, nil, stats)
+	rep, err := mine(ctx, snap, opts, stats)
 	if err != nil {
 		return nil, MineStats{}, err
 	}
@@ -186,18 +191,14 @@ func MineWithStats(ctx context.Context, snap *relstore.Snapshot, opts Options) (
 	}, nil
 }
 
-// mineSession is Mine with the incremental hooks attached: reuse answers
-// lattice decisions from the previous run where valid (nil = cold), rec
-// collects this run's decisions for the next (nil = don't record). Reuse
-// only short-circuits per-node work; the walk and hence the Report are
-// identical to a cold Mine over the same snapshot.
-func mineSession(ctx context.Context, snap *relstore.Snapshot, opts Options, reuse *reuseState, rec *recorder, stats *mineStats) (*Report, error) {
+// mine is Mine counting its lattice work into stats.
+func mine(ctx context.Context, snap *relstore.Snapshot, opts Options, stats *mineStats) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err // don't pay the columnar/PLI build for a dead request
 	}
 	opts = opts.withDefaults(snap.Len())
 	m := newMiner(ctx, snap, opts)
-	m.reuse, m.rec, m.stats = reuse, rec, stats
+	m.stats = stats
 	if err := ctx.Err(); err != nil {
 		return nil, err // the cold build stopped early; its outputs are partial
 	}

@@ -47,9 +47,9 @@ func mutateCells(t *testing.T, tab *relstore.Table, rng *rand.Rand, k int) {
 }
 
 // TestSessionMatchesColdMine is the discovery half of the incremental
-// oracle: after every batch of edits, the session's cache-assisted report
-// must be DeepEqual to a cold Mine over a rebuilt snapshot — at clean,
-// lightly dirty and heavily dirty noise rates.
+// oracle: after every batch of edits, the session's report must be
+// DeepEqual to a cold Mine over a rebuilt snapshot — at clean, lightly
+// dirty and heavily dirty noise rates.
 func TestSessionMatchesColdMine(t *testing.T) {
 	for _, noise := range []float64{0, 0.02, 0.10} {
 		ds := datagen.Generate(datagen.Config{Tuples: 400, Seed: 17, NoiseRate: noise})
@@ -69,12 +69,8 @@ func TestSessionMatchesColdMine(t *testing.T) {
 			}
 			mutateCells(t, tab, rng, 3)
 		}
-		st := sess.LastStats()
-		if st.IncrementalRuns == 0 {
-			t.Errorf("noise=%v: no incremental run recorded: %+v", noise, st)
-		}
-		if st.VAChecksReused == 0 && st.ConstVerdictsReused == 0 {
-			t.Errorf("noise=%v: refresh reused nothing: %+v", noise, st)
+		if st := sess.LastStats(); st.FullRuns != 5 || st.VAChecksReused != 0 {
+			t.Errorf("noise=%v: stats = %+v, want 5 full runs and nothing reused", noise, st)
 		}
 	}
 }
@@ -101,54 +97,8 @@ func TestSessionServesReportOnUnchangedVersion(t *testing.T) {
 	}
 }
 
-// TestSessionReuseIsColumnScoped edits exactly one column and asserts the
-// refresh re-verified only that column's lattice neighborhood: the bulk of
-// the variable checks and constant verdicts are served from cache.
-func TestSessionReuseIsColumnScoped(t *testing.T) {
-	ds := datagen.Generate(datagen.Config{Tuples: 400, Seed: 23})
-	tab := ds.Dirty
-	sess := NewSession(tab)
-	opts := Options{MinSupport: 4, MaxLHS: 2, Workers: 2}
-	if _, err := sess.Discover(context.Background(), opts); err != nil {
-		t.Fatal(err)
-	}
-	// One real edit in one column.
-	posCITY := tab.Schema().MustPos("CITY")
-	id := tab.Snapshot().IDs()[7]
-	row, _ := tab.Get(id)
-	nv := "Edinburgh"
-	if row[posCITY].Str() == nv {
-		nv = "London"
-	}
-	if _, err := tab.SetCell(id, posCITY, types.NewString(nv)); err != nil {
-		t.Fatal(err)
-	}
-	got, err := sess.Discover(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := coldMine(t, tab, opts); !reflect.DeepEqual(got, want) {
-		t.Fatal("refreshed report diverges from cold mine")
-	}
-	st := sess.LastStats()
-	if st.IncrementalRuns != 1 {
-		t.Fatalf("stats = %+v, want one incremental run", st)
-	}
-	// 7 attributes, one changed: a depth-1 variable check touches the edit
-	// iff its LHS or RHS is CITY — 6 of 42 pairs at depth 1 — so reused
-	// checks must dominate recomputed ones.
-	if st.VAChecksReused <= st.VAChecksComputed {
-		t.Errorf("variable checks: reused=%d computed=%d, want reuse to dominate after a 1-column edit",
-			st.VAChecksReused, st.VAChecksComputed)
-	}
-	if st.ConstVerdictsReused == 0 {
-		t.Errorf("constant verdicts: reused=%d computed=%d, want some reuse",
-			st.ConstVerdictsReused, st.ConstVerdictsComputed)
-	}
-}
-
-// TestSessionFallsBackOnStructuralChange verifies inserts/deletes (row set
-// not stable) force a full mine that still matches the cold oracle.
+// TestSessionFallsBackOnStructuralChange verifies inserts/deletes force a
+// full mine that matches the cold oracle.
 func TestSessionFallsBackOnStructuralChange(t *testing.T) {
 	ds := datagen.Generate(datagen.Config{Tuples: 200, Seed: 31})
 	tab := ds.Dirty
@@ -170,13 +120,13 @@ func TestSessionFallsBackOnStructuralChange(t *testing.T) {
 	if want := coldMine(t, tab, opts); !reflect.DeepEqual(got, want) {
 		t.Fatal("post-insert report diverges from cold mine")
 	}
-	if st := sess.LastStats(); st.FullRuns != 2 || st.IncrementalRuns != 0 {
-		t.Errorf("stats = %+v, want 2 full runs (structural change disables reuse)", st)
+	if st := sess.LastStats(); st.FullRuns != 2 || st.ReportHits != 0 {
+		t.Errorf("stats = %+v, want 2 full runs", st)
 	}
 }
 
 // TestSessionOptionsChangeForcesFullRun verifies a different Options value
-// never reuses caches built under another configuration.
+// never serves the report mined under another configuration.
 func TestSessionOptionsChangeForcesFullRun(t *testing.T) {
 	ds := datagen.Generate(datagen.Config{Tuples: 200, Seed: 37})
 	sess := NewSession(ds.Dirty)

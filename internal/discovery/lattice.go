@@ -15,9 +15,10 @@
 //
 // Constant CFDs: an itemset lattice over the PLI classes themselves — a
 // frequent item is a (attribute, Equal-class) pair whose class covers >=
-// MinSupport rows; itemset covers refine by sorted-list intersection, and
-// an itemset emits [items] -> [p=v] when column p is constant over its
-// cover and no proper sub-itemset already implies p.
+// MinSupport rows; a node's cover refines into its children's by counting
+// its rows per later item on Equal-class codes (growCNode), and an itemset
+// emits [items] -> [p=v] when column p is constant over its cover and no
+// proper sub-itemset already implies p.
 //
 // Both lattices expand each level across Workers goroutines; results merge
 // in deterministic node order, so the output is independent of the worker
@@ -32,10 +33,10 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"semandaq/internal/cfd"
 	"semandaq/internal/fdset"
+	"semandaq/internal/par"
 	"semandaq/internal/relstore"
 	"semandaq/internal/schema"
 	"semandaq/internal/types"
@@ -62,12 +63,7 @@ type miner struct {
 	// MinSupport rows, by representative Key: the deterministic enumeration
 	// order for condition values and items.
 	frequent [][]int
-	// Incremental refresh state (see incremental.go): reuse is the previous
-	// run's read-only caches (nil on a cold mine), rec collects this run's
-	// decisions for the next one (nil outside a Session), stats counts what
-	// was reused (always non-nil).
-	reuse *reuseState
-	rec   *recorder
+	// stats counts the run's lattice work (always non-nil).
 	stats *mineStats
 	// exact accumulates the exact (confidence 1.0) global FDs emitted by
 	// completed levels; nil under the disableClosure test hook. The lattice
@@ -144,49 +140,6 @@ func frequentClasses(col *relstore.Column, minSupport int) []int {
 	return out
 }
 
-// forEach fans n independent node tasks across the miner's workers and
-// returns the first error. fn must be safe to run concurrently for
-// distinct indices; results must be written only into the task's own node
-// so merge order stays deterministic.
-func (m *miner) forEach(ctx context.Context, n int, fn func(i int) error) error {
-	workers := min(m.workers, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || ctx.Err() != nil {
-					return
-				}
-				if err := fn(i); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	return ctx.Err()
-}
-
 // ---------------------------------------------------------------------------
 // Variable CFDs: the attribute lattice.
 
@@ -197,8 +150,8 @@ type vnode struct {
 	cand []int // RHS candidates: not implied by any proper subset
 	// parent/added derive part by one intersection (depth > 1 only). The
 	// partition is materialized lazily through partition(): a node whose
-	// every candidate check is answered from the incremental cache never
-	// pays the intersection — nor do its ancestors.
+	// every candidate verdict the exact-FD cover derives never pays the
+	// intersection — nor do its ancestors.
 	parent *vnode
 	added  int
 	// collapse marks that the emitted exact-FD cover proves parent.xs →
@@ -258,8 +211,8 @@ func (m *miner) mineVariable(ctx context.Context) ([]Candidate, error) {
 	var out []Candidate
 	for depth := 1; len(level) > 0; depth++ {
 		// Partitions are NOT derived here: checkCandidate materializes them
-		// lazily via nd.partition, so cache-answered nodes skip the
-		// intersection entirely.
+		// lazily via nd.partition, so nodes whose verdicts the closure
+		// derives skip the intersection entirely.
 		// Check every (node, candidate) pair in parallel; results land in
 		// the pair's own slot so the merge below is order-deterministic.
 		type pair struct {
@@ -273,7 +226,7 @@ func (m *miner) mineVariable(ctx context.Context) ([]Candidate, error) {
 				pairs = append(pairs, pair{nd, ai})
 			}
 		}
-		if err := m.forEach(ctx, len(pairs), func(i int) error {
+		if err := par.Each(ctx, m.workers, len(pairs), func(i int) error {
 			return m.checkCandidate(ctx, pairs[i].nd, pairs[i].ai)
 		}); err != nil {
 			return nil, err
@@ -289,11 +242,6 @@ func (m *miner) mineVariable(ctx context.Context) ([]Candidate, error) {
 					if m.exact != nil && len(r.emits) == 1 && r.emits[0].Confidence >= 1 {
 						m.exact.Add(nd.xs, a)
 					}
-				}
-				if m.rec != nil {
-					// Cache a private clone: the report's Candidates stay
-					// the caller's, the cached CFDs stay ours.
-					m.rec.va[vaKey(nd.xs, a)] = r.clone()
 				}
 				out = append(out, r.emits...)
 			}
@@ -316,13 +264,6 @@ func (m *miner) mineVariable(ctx context.Context) ([]Candidate, error) {
 // partition purity test first, conditional mining when it fails.
 func (m *miner) checkCandidate(ctx context.Context, nd *vnode, ai int) error {
 	a := nd.cand[ai]
-	if m.reuse != nil && m.reuse.unchanged(nd.xs, a) {
-		if r, ok := m.reuse.va[vaKey(nd.xs, a)]; ok {
-			m.stats.vaReused.Add(1)
-			nd.res[ai] = r.clone()
-			return nil
-		}
-	}
 	m.stats.vaComputed.Add(1)
 	// Closure short-circuit: when the exact cover from completed levels
 	// already entails X → a, the dependency provably holds on the data
@@ -381,6 +322,7 @@ func (m *miner) checkCandidate(ctx context.Context, nd *vnode, ai int) error {
 // [B=b, rest=_] -> [a=_] up to MaxPatternsPerFD patterns per (X, a).
 func (m *miner) mineConditional(ctx context.Context, nd *vnode, a int) ([]Candidate, error) {
 	var emits []Candidate
+	sc := condScratch{rest: make([]int, 0, len(nd.xs)-1)}
 	for _, b := range nd.xs {
 		if len(emits) >= m.opts.MaxPatternsPerFD {
 			break
@@ -392,7 +334,7 @@ func (m *miner) mineConditional(ctx context.Context, nd *vnode, a int) ([]Candid
 				break
 			}
 			rep, rows := colB.PLIClassValue(cl), pli.Class(cl)
-			conf, ok, err := m.condCheck(ctx, nd.xs, b, a, rows)
+			conf, ok, err := m.condCheck(ctx, &sc, nd.xs, b, a, rows)
 			if err != nil {
 				return nil, err
 			}
@@ -409,33 +351,54 @@ func (m *miner) mineConditional(ctx context.Context, nd *vnode, a int) ([]Candid
 	return emits, nil
 }
 
+// condScratch is one conditional (X, a) check's scratch, reused across the
+// condition classes it tries: the grouping attributes, the key buffer and
+// the group maps are emptied per class, not allocated per class.
+type condScratch struct {
+	rest  []int
+	buf   []byte
+	seen1 map[uint32]uint32 // exact, one rest attribute: its code → a's code
+	seen  map[string]uint32 // exact, more: packed rest codes → a's code
+	pairs map[string]int32  // approximate: packed rest and a codes → rows
+	best  map[string]int32  // approximate: packed rest codes → plurality rows
+}
+
+// key packs row r's rest-attribute codes into the scratch buffer.
+func (sc *condScratch) key(probes [][]uint32, r int32) []byte {
+	sc.buf = sc.buf[:0]
+	for _, x := range sc.rest {
+		sc.buf = binary.LittleEndian.AppendUint32(sc.buf, probes[x][r])
+	}
+	return sc.buf
+}
+
+// emptied returns m ready for the next class, or nil for the caller to
+// make afresh: clearing costs a map's capacity, not its length, so a map
+// one large class grew is dropped rather than cleared for every small
+// class after it.
+func emptied[K comparable, V any](m map[K]V) map[K]V {
+	if len(m) > 256 {
+		return nil
+	}
+	clear(m)
+	return m
+}
+
 // condCheck decides X → a on the given row subset (a B=b condition class;
 // B is constant there, so grouping uses X \ {B}). It returns the g3
 // confidence over the subset and whether it clears MinConfidence.
-func (m *miner) condCheck(ctx context.Context, xs []int, b, a int, rows []int32) (float64, bool, error) {
-	rest := make([]int, 0, len(xs)-1)
+func (m *miner) condCheck(ctx context.Context, sc *condScratch, xs []int, b, a int, rows []int32) (float64, bool, error) {
+	sc.rest = sc.rest[:0]
 	for _, x := range xs {
 		if x != b {
-			rest = append(rest, x)
+			sc.rest = append(sc.rest, x)
 		}
 	}
 	probeA := m.probes[a]
-	exact := m.opts.MinConfidence >= 1
 
-	// groupKey packs the rest-attribute codes of one row; with zero or one
-	// rest attribute the key is direct.
-	var buf []byte
-	groupKey := func(r int32) string {
-		buf = buf[:0]
-		for _, x := range rest {
-			buf = binary.LittleEndian.AppendUint32(buf, m.probes[x][r])
-		}
-		return string(buf)
-	}
-
-	if exact {
+	if m.opts.MinConfidence >= 1 {
 		// Purity per group; first conflict fails.
-		switch len(rest) {
+		switch len(sc.rest) {
 		case 0:
 			want := probeA[rows[0]]
 			for i, r := range rows {
@@ -447,63 +410,67 @@ func (m *miner) condCheck(ctx context.Context, xs []int, b, a int, rows []int32)
 				}
 			}
 		case 1:
-			probeX := m.probes[rest[0]]
-			seen := make(map[uint32]uint32, 16)
+			probeX := m.probes[sc.rest[0]]
+			if sc.seen1 = emptied(sc.seen1); sc.seen1 == nil {
+				sc.seen1 = make(map[uint32]uint32, 16)
+			}
 			for i, r := range rows {
 				if i%cancelStride == 0 && ctx.Err() != nil {
 					return 0, false, ctx.Err()
 				}
-				if av, ok := seen[probeX[r]]; ok {
+				if av, ok := sc.seen1[probeX[r]]; ok {
 					if av != probeA[r] {
 						return 0, false, nil
 					}
 				} else {
-					seen[probeX[r]] = probeA[r]
+					sc.seen1[probeX[r]] = probeA[r]
 				}
 			}
 		default:
-			seen := make(map[string]uint32, 16)
+			if sc.seen = emptied(sc.seen); sc.seen == nil {
+				sc.seen = make(map[string]uint32, 16)
+			}
 			for i, r := range rows {
 				if i%cancelStride == 0 && ctx.Err() != nil {
 					return 0, false, ctx.Err()
 				}
-				k := groupKey(r)
-				if av, ok := seen[k]; ok {
+				k := sc.key(m.probes, r)
+				if av, ok := sc.seen[string(k)]; ok {
 					if av != probeA[r] {
 						return 0, false, nil
 					}
 				} else {
-					seen[k] = probeA[r]
+					sc.seen[string(k)] = probeA[r]
 				}
 			}
 		}
 		return 1.0, true, nil
 	}
 
-	// Approximate path: per (group, a-class) counts; keep each group's
-	// plurality.
-	counts := map[string]map[uint32]int32{}
+	// Approximate path: count rows per (group, a-class) and keep each
+	// group's plurality. Counts grow by one, so a group's plurality grows
+	// exactly when a pair count passes it: kept sums the pluralities as
+	// the rows go by.
+	if sc.pairs = emptied(sc.pairs); sc.pairs == nil {
+		sc.pairs = map[string]int32{}
+	}
+	if sc.best = emptied(sc.best); sc.best == nil {
+		sc.best = map[string]int32{}
+	}
+	kept := 0
 	for i, r := range rows {
 		if i%cancelStride == 0 && ctx.Err() != nil {
 			return 0, false, ctx.Err()
 		}
-		k := groupKey(r)
-		g := counts[k]
-		if g == nil {
-			g = map[uint32]int32{}
-			counts[k] = g
+		g := sc.key(m.probes, r)
+		pair := binary.LittleEndian.AppendUint32(g, probeA[r])
+		sc.buf = pair
+		c := sc.pairs[string(pair)] + 1
+		sc.pairs[string(pair)] = c
+		if c > sc.best[string(pair[:len(g)])] {
+			sc.best[string(pair[:len(g)])] = c
+			kept++
 		}
-		g[probeA[r]]++
-	}
-	kept := 0
-	for _, g := range counts {
-		best := int32(0)
-		for _, c := range g {
-			if c > best {
-				best = c
-			}
-		}
-		kept += int(best)
 	}
 	conf := float64(kept) / float64(len(rows))
 	return conf, conf >= m.opts.MinConfidence, nil
@@ -607,14 +574,27 @@ func xsKeyOfInts(xs []int) string {
 // Constant CFDs: the itemset lattice.
 
 // citem is one frequent item: an (attribute, Equal-class) pair whose class
-// covers at least MinSupport rows. cl is the class's PLI index — stable
-// across versions for unchanged columns, so (pos, cl) identifies the item
-// in the incremental caches.
+// covers at least MinSupport rows.
 type citem struct {
 	pos  int
-	cl   int
 	val  types.Value
 	rows []int32
+}
+
+// clattice is the constant lattice's read-only index for one mine: the
+// frequent items, where each position's run of them starts, and which
+// item an Equal-class code names. Its workers share it without locking.
+type clattice struct {
+	// items lists the frequent items in (position, Key) order.
+	items []citem
+	// first[p] is the index of position p's first item; position p's items
+	// are items[first[p]:first[p+1]] (first has arity+1 entries).
+	first []int
+	// itemOf[p][eq] is the index of the item whose class is Equal-class
+	// code eq of column p, or -1; codes past its end name no item. An
+	// item's rows are exactly its code's PLI class, so counting a cover's
+	// rows by itemOf is intersecting the cover with every item of p.
+	itemOf [][]int32
 }
 
 // cnode is one itemset node: item indices (ascending by the items slice's
@@ -622,20 +602,9 @@ type citem struct {
 type cnode struct {
 	items []int
 	rows  []int32
-	// key is the itemset's (pos, class)-pair identity for the incremental
-	// caches.
-	key string
-	// Outputs of the parallel phase, merged in node order. verd records
-	// every RHS verdict (constant or not) for the next run's cache.
+	// Outputs of the parallel phase, merged in node order.
 	consts   []constHit
-	children []*cnode
-	verd     []posVerdict
-}
-
-// posVerdict pairs an RHS position with its constant verdict for recording.
-type posVerdict struct {
-	pos int
-	v   constVerdict
+	children []cnode
 }
 
 // constHit records a column found constant over a node's cover.
@@ -645,127 +614,102 @@ type constHit struct {
 }
 
 func (m *miner) mineConstant(ctx context.Context) ([]Candidate, error) {
-	items := m.frequentItems()
-	// itemsAfter[p] is the index of the first item on a strictly later
-	// position — the join range for a node whose last item sits on p.
-	itemsAfter := make([]int, m.arity)
-	for p, idx := 0, 0; p < m.arity; p++ {
-		for idx < len(items) && items[idx].pos <= p {
-			idx++
-		}
-		itemsAfter[p] = idx
-	}
-
-	level := make([]*cnode, len(items))
-	for i := range items {
-		level[i] = &cnode{items: []int{i}, rows: items[i].rows, key: itemPairKey("", items[i])}
+	lat := m.constLattice()
+	level := make([]cnode, len(lat.items))
+	singles := make([]int, len(lat.items))
+	for i, it := range lat.items {
+		singles[i] = i
+		level[i] = cnode{items: singles[i : i+1 : i+1], rows: it.rows}
 	}
 	var out []Candidate
 	implied := map[string]bool{}
 	for depth := 1; depth <= m.opts.MaxLHS && len(level) > 0; depth++ {
 		grow := depth < m.opts.MaxLHS
-		if err := m.forEach(ctx, len(level), func(i int) error {
-			if err := m.constHits(ctx, items, level[i]); err != nil {
+		if err := par.Each(ctx, m.workers, len(level), func(i int) error {
+			nd := &level[i]
+			if err := m.constHits(ctx, lat, nd); err != nil {
 				return err
 			}
 			if grow {
-				m.growCNode(items, itemsAfter, level[i])
+				nd.children = m.growCNode(lat, nd)
 			}
 			return nil
 		}); err != nil {
 			return nil, err
-		}
-		if m.rec != nil {
-			// Record this level's verdicts and the children's covers for the
-			// next run — sequentially, after the parallel phase.
-			for _, nd := range level {
-				for _, pv := range nd.verd {
-					m.rec.verdict[verdictKey(nd.key, pv.pos)] = pv.v
-				}
-				nd.verd = nil
-				for _, ch := range nd.children {
-					m.rec.putCover(ch.key, ch.rows)
-				}
-			}
 		}
 		// Minimality and emission are sequential in node order: a rule is
 		// pruned iff a proper sub-itemset already implies the same RHS.
 		// Pruned itemsets are marked implied too — implication must
 		// propagate transitively down the lattice, or a depth-ℓ+2 superset
 		// whose only marked ancestor is ℓ levels up would slip through.
+		var next []cnode
 		for _, nd := range level {
 			for _, h := range nd.consts {
-				redundant := m.subsetImplies(implied, items, nd.items, h.pos)
-				implied[itemsetKey(items, nd.items, h.pos)] = true
+				redundant := subsetImplies(implied, nd.items, h.pos)
+				implied[string(appendItemsetKey(nil, nd.items, -1, h.pos))] = true
 				if redundant {
 					continue
 				}
 				out = append(out, Candidate{
-					CFD:        constantCFD(m.sc, items, nd.items, h),
+					CFD:        constantCFD(m.sc, lat.items, nd.items, h),
 					Kind:       "constant",
 					Support:    len(nd.rows),
 					Confidence: 1.0,
 				})
 			}
-		}
-		var next []*cnode
-		for _, nd := range level {
 			next = append(next, nd.children...)
-			nd.children = nil
 		}
 		level = next
 	}
 	return out, nil
 }
 
-// frequentItems enumerates the single frequent items in (position, Key)
-// order: every non-null PLI class covering at least MinSupport rows.
-func (m *miner) frequentItems() []citem {
-	var items []citem
+// constLattice indexes the frequent items: every non-null PLI class
+// covering at least MinSupport rows, in (position, Key) order.
+func (m *miner) constLattice() *clattice {
+	lat := &clattice{first: make([]int, m.arity+1), itemOf: make([][]int32, m.arity)}
 	for p := 0; p < m.arity; p++ {
+		lat.first[p] = len(lat.items)
+		if len(m.frequent[p]) == 0 {
+			continue
+		}
 		col := m.col.Col(p)
 		pli := col.PLI()
+		// The table runs to the largest frequent code, not the code space:
+		// a wide column with a few frequent values stays a short table.
+		var space uint32
 		for _, cl := range m.frequent[p] {
-			items = append(items, citem{pos: p, cl: cl, val: col.PLIClassValue(cl), rows: pli.Class(cl)})
+			space = max(space, m.probes[p][pli.Class(cl)[0]]+1)
 		}
+		itemOf := make([]int32, space)
+		for i := range itemOf {
+			itemOf[i] = -1
+		}
+		for _, cl := range m.frequent[p] {
+			rows := pli.Class(cl)
+			itemOf[m.probes[p][rows[0]]] = int32(len(lat.items))
+			lat.items = append(lat.items, citem{pos: p, val: col.PLIClassValue(cl), rows: rows})
+		}
+		lat.itemOf[p] = itemOf
 	}
-	return items
+	lat.first[m.arity] = len(lat.items)
+	return lat
 }
 
 // constHits finds the columns constant (and non-null) over the node's
-// cover.
-func (m *miner) constHits(ctx context.Context, items []citem, nd *cnode) error {
-	inLHS := make(map[int]bool, len(nd.items))
-	for _, it := range nd.items {
-		inLHS[items[it].pos] = true
-	}
-	colsOK := m.reuse != nil && m.reuse.itemsetUnchanged(items, nd.items)
+// cover, skipping the node's own positions as the walk meets them.
+func (m *miner) constHits(ctx context.Context, lat *clattice, nd *cnode) error {
+	k := 0
 	for p := 0; p < m.arity; p++ {
-		if inLHS[p] {
+		if k < len(nd.items) && lat.items[nd.items[k]].pos == p {
+			k++
 			continue
 		}
-		// A cached verdict is valid iff neither the itemset's columns (the
-		// cover) nor p (the scanned values) changed.
-		if colsOK && !m.reuse.changed[p] {
-			if v, ok := m.reuse.verdict[verdictKey(nd.key, p)]; ok {
-				m.stats.verdictReused.Add(1)
-				if v.constant {
-					nd.consts = append(nd.consts, constHit{pos: p, val: v.val})
-				}
-				nd.verd = append(nd.verd, posVerdict{pos: p, v: v})
-				continue
-			}
-		}
-		m.stats.verdictComputed.Add(1)
 		col := m.col.Col(p)
 		probe := m.probes[p]
-		nullEq, hasNull := col.NullCode()
 		want := probe[nd.rows[0]]
-		if hasNull && want == nullEq {
-			// Null-led covers never emit; cache the negative so a reused
-			// node does not re-scan.
-			nd.verd = append(nd.verd, posVerdict{pos: p})
-			continue
+		if nullEq, hasNull := col.NullCode(); hasNull && want == nullEq {
+			continue // null-led covers never emit
 		}
 		constant := true
 		for i, r := range nd.rows {
@@ -777,79 +721,107 @@ func (m *miner) constHits(ctx context.Context, items []citem, nd *cnode) error {
 				break
 			}
 		}
-		v := constVerdict{constant: constant}
 		if constant {
 			// Emit the first covered row's exact value, bit-identical to
 			// what a row scan would report.
-			v.val = col.Value(col.Code(int(nd.rows[0])))
-			nd.consts = append(nd.consts, constHit{pos: p, val: v.val})
+			nd.consts = append(nd.consts, constHit{pos: p, val: col.Value(col.Code(int(nd.rows[0])))})
 		}
-		nd.verd = append(nd.verd, posVerdict{pos: p, v: v})
 	}
 	return nil
 }
 
-// growCNode joins the node with every frequent item on a later attribute
-// position, keeping children whose cover intersection clears MinSupport.
-func (m *miner) growCNode(items []citem, itemsAfter []int, nd *cnode) {
-	last := items[nd.items[len(nd.items)-1]].pos
-	colsOK := m.reuse != nil && m.reuse.itemsetUnchanged(items, nd.items)
-	for j := itemsAfter[last]; j < len(items); j++ {
-		key := itemPairKey(nd.key, items[j])
-		var inter []int32
-		if colsOK && !m.reuse.changed[items[j].pos] {
-			// Row positions are stable and no member column changed, so the
-			// previous run's cover is this run's cover.
-			if c, ok := m.reuse.cover[key]; ok {
-				inter = c
-				m.stats.coverReused.Add(1)
+// growCNode returns the node's children: its itemset joined with every
+// frequent item on a later position whose class meets the cover in at
+// least MinSupport rows. One pass per later position counts the cover's
+// rows per item on Equal-class codes; a second scatters the kept items'
+// rows into one backing array, so each child's cover is an ascending run
+// of it, in item order. The children, their item lists and their covers
+// take one allocation each, whatever the number of items.
+func (m *miner) growCNode(lat *clattice, nd *cnode) []cnode {
+	lastPos := lat.items[nd.items[len(nd.items)-1]].pos
+	lo := lat.first[lastPos+1]
+	if lo == len(lat.items) {
+		return nil
+	}
+	// at[j-lo] counts item j's rows in the cover, then becomes its write
+	// cursor, or -1 when the item falls short of MinSupport.
+	at := make([]int32, len(lat.items)-lo)
+	scan := func(visit func(j int, r int32)) {
+		for q := lastPos + 1; q < m.arity; q++ {
+			if lat.first[q] == lat.first[q+1] {
+				continue
+			}
+			probe, itemOf := m.probes[q], lat.itemOf[q]
+			for _, r := range nd.rows {
+				if c := probe[r]; c < uint32(len(itemOf)) && itemOf[c] >= 0 {
+					visit(int(itemOf[c])-lo, r)
+				}
 			}
 		}
-		if inter == nil {
-			inter = intersectSorted32(nd.rows, items[j].rows)
-			m.stats.coverComputed.Add(1)
-		}
-		if len(inter) < m.opts.MinSupport {
+	}
+	scan(func(j int, _ int32) { at[j]++ })
+	kids, total := 0, int32(0)
+	for j, c := range at {
+		if int(c) < m.opts.MinSupport {
+			at[j] = -1
 			continue
 		}
-		child := &cnode{
-			items: append(append(make([]int, 0, len(nd.items)+1), nd.items...), j),
-			rows:  inter,
-			key:   key,
-		}
-		nd.children = append(nd.children, child)
+		at[j] = total
+		total += c
+		kids++
 	}
+	if kids == 0 {
+		return nil
+	}
+	rows := make([]int32, total)
+	scan(func(j int, r int32) {
+		if at[j] >= 0 {
+			rows[at[j]] = r
+			at[j]++
+		}
+	})
+	width := len(nd.items) + 1
+	items := make([]int, kids*width)
+	children := make([]cnode, 0, kids)
+	start := int32(0)
+	for j, end := range at {
+		if end < 0 {
+			continue
+		}
+		set := items[:width:width]
+		items = items[width:]
+		copy(set, nd.items)
+		set[width-1] = lo + j
+		children = append(children, cnode{items: set, rows: rows[start:end:end]})
+		start = end
+	}
+	return children
 }
 
 // subsetImplies reports whether a proper sub-itemset already emitted a
 // rule for rhsPos.
-func (m *miner) subsetImplies(implied map[string]bool, items []citem, set []int, rhsPos int) bool {
+func subsetImplies(implied map[string]bool, set []int, rhsPos int) bool {
 	if len(set) == 1 {
 		return false
 	}
-	sub := make([]int, len(set)-1)
+	var buf [64]byte
 	for skip := range set {
-		k := 0
-		for i, it := range set {
-			if i != skip {
-				sub[k] = it
-				k++
-			}
-		}
-		if implied[itemsetKey(items, sub, rhsPos)] {
+		if implied[string(appendItemsetKey(buf[:0], set, skip, rhsPos))] {
 			return true
 		}
 	}
 	return false
 }
 
-func itemsetKey(items []citem, set []int, rhsPos int) string {
-	buf := make([]byte, 0, 4*len(set)+4)
-	for _, it := range set {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(it))
+// appendItemsetKey appends the key of (set without its skip-th item,
+// rhsPos) to dst; skip -1 keeps every item.
+func appendItemsetKey(dst []byte, set []int, skip, rhsPos int) []byte {
+	for i, it := range set {
+		if i != skip {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(it))
+		}
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(rhsPos)|0x80000000)
-	return string(buf)
+	return binary.LittleEndian.AppendUint32(dst, uint32(rhsPos)|0x80000000)
 }
 
 // wildcardCFD builds the variable CFD xs -> a: every LHS cell a wildcard,
@@ -885,23 +857,4 @@ func constantCFD(sc *schema.Relation, items []citem, set []int, h constHit) *cfd
 		fmt.Sprintf("const_%s_%d", strings.Join(lhsAttrs, "_"), h.pos),
 		sc.Name, lhsAttrs, []string{sc.Attrs[h.pos].Name},
 		cfd.PatternTuple{LHS: pats, RHS: []cfd.PatternValue{cfd.Constant(h.val)}})
-}
-
-// intersectSorted32 intersects two ascending row-index slices.
-func intersectSorted32(a, b []int32) []int32 {
-	var out []int32
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
 }

@@ -1,8 +1,8 @@
-// Package mutationlog enforces the relstore change-log contract that the
+// Package mutationlog enforces the relstore mutation-epilogue contract the
 // O(delta) fold depends on: every code path that writes a Table's storage —
 // its column lineage (base) or its write overlay (over, vals, order) — must
 // reach noteMutationLocked before the table lock is released or the
-// function returns. A write that escapes the log leaves the cached
+// function returns. A write that escapes the epilogue leaves the cached
 // snapshot and the version counter stale: the next read serves the old
 // version without folding the write, which silently corrupts every
 // incremental consumer downstream.

@@ -18,7 +18,7 @@
 //     serves (DeepEqual) — lossless, schedule-independent and blind to code
 //     numbering — and its vio(t) and per-CFD counts, and the tracker's own
 //     VioMap and DirtyCount, equal the definition's (cfddef.Check);
-//   - the discovery session's refreshed report, and a cold Mine over the
+//   - the discovery session's report, and a cold Mine over the
 //     served snapshot, equal a cold Mine over the model's (DeepEqual).
 //
 // The detect-package cross-check tests and the FuzzIncrementalOracle fuzz
@@ -327,7 +327,7 @@ func (h *Harness) CheckDetect(ctx context.Context) error {
 	return nil
 }
 
-// CheckDiscovery asserts the session's (possibly cache-refreshed) report
+// CheckDiscovery asserts the session's (possibly re-served) report
 // and a cold Mine over the served snapshot are both DeepEqual to a cold
 // Mine over the row model's.
 func (h *Harness) CheckDiscovery(ctx context.Context) error {

@@ -39,70 +39,17 @@ const (
 	// The flat part keeps a low-cardinality column from paying an O(rows)
 	// compaction for every value that dies.
 	compactDead = 64
-	// maxChangeLog bounds the ChangesSince log; on overflow the oldest
-	// half is evicted and the floor advances.
-	maxChangeLog = 4096
 )
 
 // deadLimit is how many dead codes a column with live distinct values may
 // carry before it is compacted.
 func deadLimit(live int) int { return live/8 + compactDead }
 
-// structuralChange marks a change-log record (and mutation note) that adds
-// or removes a row, as opposed to editing one column's cell in place.
-const structuralChange = int32(-1)
-
-// chRec is one change-log record: at version ver, column col changed
-// (structuralChange for a row insert/delete).
-type chRec struct {
-	ver int64
-	col int32
-}
-
 // noteMutationLocked is the single mutation epilogue: it advances the
-// version — so the next Snapshot() folds the overlay — and logs which
-// columns changed. cols holds one entry per changed cell's schema position,
-// or structuralChange per row added or removed; a mutation that changes no
-// stored representation passes none (version still advances, nothing is
-// logged — no cache content depends on it). Caller holds t.mu.
-func (t *Table) noteMutationLocked(cols ...int32) {
+// version, so the next Snapshot() folds the overlay and every cache keyed
+// by version invalidates. Caller holds t.mu.
+func (t *Table) noteMutationLocked() {
 	t.version++
-	for _, col := range cols {
-		t.chlog = append(t.chlog, chRec{ver: t.version, col: col})
-	}
-	if len(t.chlog) > maxChangeLog {
-		half := len(t.chlog) / 2
-		t.chfloor = t.chlog[half-1].ver
-		t.chlog = append(t.chlog[:0], t.chlog[half:]...)
-	}
-}
-
-// ChangesSince reports, for each schema position, whether any cell of that
-// column has changed after version since, and whether the row set
-// (membership and order) is unchanged. ok is false when the change log no
-// longer covers the interval — the caller must then assume everything
-// changed. Incremental discovery uses this to re-verify only lattice nodes
-// whose attribute partitions could have moved.
-func (t *Table) ChangesSince(since int64) (changed []bool, rowsStable bool, ok bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if since > t.version || since < t.chfloor {
-		return nil, false, false
-	}
-	changed = make([]bool, t.schema.Arity())
-	rowsStable = true
-	for i := len(t.chlog) - 1; i >= 0; i-- {
-		rec := t.chlog[i]
-		if rec.ver <= since {
-			break
-		}
-		if rec.col == structuralChange {
-			rowsStable = false
-		} else {
-			changed[rec.col] = true
-		}
-	}
-	return changed, rowsStable, true
 }
 
 // snapPatch is the overlay of one fold in the coordinates the column

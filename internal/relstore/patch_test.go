@@ -265,71 +265,6 @@ func TestChurnBoundsDeadCodes(t *testing.T) {
 	}
 }
 
-func TestChangesSince(t *testing.T) {
-	tab := NewTable(schema.New("p", "A", "B"))
-	v0 := tab.Version()
-	id := tab.MustInsert(strs("x", "y"))
-	if _, err := tab.SetCell(id, 1, types.NewString("z")); err != nil {
-		t.Fatal(err)
-	}
-	changed, rowsStable, ok := tab.ChangesSince(v0)
-	if !ok || rowsStable || !changed[1] || changed[0] {
-		t.Fatalf("ChangesSince(v0) = %v stable=%v ok=%v", changed, rowsStable, ok)
-	}
-	v2 := tab.Version()
-	if _, err := tab.SetCell(id, 0, types.NewString("w")); err != nil {
-		t.Fatal(err)
-	}
-	changed, rowsStable, ok = tab.ChangesSince(v2)
-	if !ok || !rowsStable || !changed[0] || changed[1] {
-		t.Fatalf("ChangesSince(v2) = %v stable=%v ok=%v", changed, rowsStable, ok)
-	}
-	// A no-op update (same representation) advances the version but logs
-	// no changes.
-	v3 := tab.Version()
-	if err := tab.Update(id, strs("w", "z")); err != nil {
-		t.Fatal(err)
-	}
-	if tab.Version() == v3 {
-		t.Fatal("no-op update did not advance the version")
-	}
-	changed, rowsStable, ok = tab.ChangesSince(v3)
-	if !ok || !rowsStable || changed[0] || changed[1] {
-		t.Fatalf("ChangesSince(v3) = %v stable=%v ok=%v", changed, rowsStable, ok)
-	}
-	// Future versions are not answerable.
-	if _, _, ok := tab.ChangesSince(tab.Version() + 1); ok {
-		t.Error("ChangesSince answered for a future version")
-	}
-}
-
-func TestChangesSinceLogOverflow(t *testing.T) {
-	tab := NewTable(schema.New("p", "A"))
-	id := tab.MustInsert(strs("x"))
-	since := tab.Version()
-	for i := 0; i < maxChangeLog+10; i++ {
-		v := "a"
-		if i%2 == 0 {
-			v = "b"
-		}
-		if _, err := tab.SetCell(id, 0, types.NewString(v)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, ok := tab.ChangesSince(since); ok {
-		t.Error("ChangesSince answered past the evicted log floor")
-	}
-	// Recent intervals stay answerable after eviction.
-	recent := tab.Version()
-	if _, err := tab.SetCell(id, 0, types.NewString("q")); err != nil {
-		t.Fatal(err)
-	}
-	changed, rowsStable, ok := tab.ChangesSince(recent)
-	if !ok || !rowsStable || !changed[0] {
-		t.Fatalf("ChangesSince(recent) = %v stable=%v ok=%v", changed, rowsStable, ok)
-	}
-}
-
 // TestLargeOverlayFolds: there is no delta too large to fold — the overlay
 // is the only copy of what changed. 4 097 rewrites of one cell, then 4 097
 // inserts into the same version, fold into one patched snapshot with no batch

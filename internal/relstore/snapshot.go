@@ -119,8 +119,7 @@ func (t *Table) Snapshot() *Snapshot {
 
 // tableFromColumns returns the table whose rows a bulk loader has interned
 // into cols (one per attribute, equal lengths), as n Inserts and a read
-// would leave it — ids 0..n-1, version n, where its change log starts — with
-// cols as its lineage.
+// would leave it — ids 0..n-1, version n — with cols as its lineage.
 func tableFromColumns(sc *schema.Relation, cols []*Column) *Table {
 	n := cols[0].Len()
 	ids := make([]TupleID, n)
@@ -132,5 +131,5 @@ func tableFromColumns(sc *schema.Relation, cols []*Column) *Table {
 	buildOps.batchSnapshots.Add(1)
 	v := int64(n)
 	return &Table{schema: sc, base: &Snapshot{c: Columnar{schema: sc, version: v, ids: ids, cols: cols}},
-		over: map[TupleID]int32{}, live: n, nextID: TupleID(n), version: v, chfloor: v}
+		over: map[TupleID]int32{}, live: n, nextID: TupleID(n), version: v}
 }

@@ -83,12 +83,6 @@ type Table struct {
 	// mutation and lets caches invalidate.
 	nextID  TupleID
 	version int64
-	// chlog is a bounded, version-ascending log of (version, column) change
-	// records backing ChangesSince; chfloor is the newest version whose
-	// records may have been evicted, i.e. queries reach back to it but no
-	// further.
-	chlog   []chRec
-	chfloor int64
 }
 
 // NewTable creates an empty table with the given schema.
@@ -131,7 +125,7 @@ func (t *Table) Insert(row Tuple) (TupleID, error) {
 	t.vals = append(t.vals, row...)
 	t.order = append(t.order, id)
 	t.live++
-	t.noteMutationLocked(structuralChange)
+	t.noteMutationLocked()
 	return id, nil
 }
 
@@ -183,7 +177,7 @@ func (t *Table) Delete(id TupleID) bool {
 	}
 	t.over[id] = -1
 	t.live--
-	t.noteMutationLocked(structuralChange)
+	t.noteMutationLocked()
 	return true
 }
 
@@ -204,18 +198,8 @@ func (t *Table) Update(id TupleID, row Tuple) error {
 		t.over[id] = k
 		t.vals = t.base.c.appendRow(t.vals, i)
 	}
-	// Log the columns whose stored representation actually changed —
-	// exactEqual, not Equal: replacing INT 1 with FLOAT 1.0 re-shapes the
-	// columnar dictionary even though the values compare Equal.
-	var cols []int32
-	at := int(k) * len(row)
-	for j, v := range row {
-		if !exactEqual(t.vals[at+j], v) {
-			cols = append(cols, int32(j))
-		}
-		t.vals[at+j] = v
-	}
-	t.noteMutationLocked(cols...)
+	copy(t.vals[int(k)*len(row):], row)
+	t.noteMutationLocked()
 	return nil
 }
 
@@ -247,7 +231,7 @@ func (t *Table) SetCell(id TupleID, pos int, v types.Value) (types.Value, error)
 		t.vals = t.base.c.appendRow(t.vals, i)
 	}
 	t.vals[int(k)*a+pos] = v
-	t.noteMutationLocked(int32(pos))
+	t.noteMutationLocked()
 	return old, nil
 }
 
@@ -284,7 +268,6 @@ func (t *Table) Clone() *Table {
 		live:    t.live,
 		nextID:  t.nextID,
 		version: t.version,
-		chfloor: t.version,
 	}
 }
 

@@ -119,7 +119,7 @@ func TestRejectedUpdateBatchChangesNothing(t *testing.T) {
 }
 
 // TestMutationEndpointsDriveIncrementalServing: edits arriving over the
-// HTTP mutation API feed the relstore change log, so the next detection's
+// HTTP mutation API land in the table's write overlay, so the next detection's
 // snapshot is delta-patched from the previous version's caches instead of
 // batch-rebuilt. Asserted on the global build-ops counters (this package's
 // tests run sequentially, so the measurement window is ours).

@@ -1059,24 +1059,31 @@ func (sv *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	out := make([]map[string]any, 0, len(rep.CFDs))
-	for _, c := range rep.CFDs {
-		out = append(out, map[string]any{"id": c.ID, "text": c.String()})
+	// Fields in key order: the bytes a map would encode, without reflecting
+	// over a map per rule.
+	type rule struct {
+		ID   string `json:"id"`
+		Text string `json:"text"`
 	}
-	cands := make([]map[string]any, 0, len(rep.Candidates))
-	for _, c := range rep.Candidates {
-		cands = append(cands, map[string]any{
-			"text":       c.CFD.String(),
-			"kind":       c.Kind,
-			"support":    c.Support,
-			"confidence": c.Confidence,
-		})
+	type candidate struct {
+		Confidence float64 `json:"confidence"`
+		Kind       string  `json:"kind"`
+		Support    int     `json:"support"`
+		Text       string  `json:"text"`
 	}
-	writeJSON(w, map[string]any{
-		"discovered": out,
-		"candidates": cands,
-		"version":    rep.Version,
-		"tuples":     rep.Tuples,
-		"durationMs": time.Since(start).Milliseconds(),
-	})
+	out := make([]rule, len(rep.CFDs))
+	for i, c := range rep.CFDs {
+		out[i] = rule{c.ID, c.String()}
+	}
+	cands := make([]candidate, len(rep.Candidates))
+	for i, c := range rep.Candidates {
+		cands[i] = candidate{c.Confidence, c.Kind, c.Support, c.CFD.String()}
+	}
+	writeJSON(w, struct {
+		Candidates []candidate `json:"candidates"`
+		Discovered []rule      `json:"discovered"`
+		DurationMs int64       `json:"durationMs"`
+		Tuples     int         `json:"tuples"`
+		Version    int64       `json:"version"`
+	}{cands, out, time.Since(start).Milliseconds(), rep.Tuples, rep.Version})
 }
