@@ -229,15 +229,12 @@ func (s *Semandaq) Workers() int {
 	return s.workers
 }
 
-// SQL executes an ad-hoc SQL statement against the store (the paper's data
-// explorer lets users navigate the data; this is the programmatic hatch).
-// A cancelled ctx aborts the engine's scan loops and returns ctx.Err().
-//
-// SQL DML writes the store directly — it does NOT route through a table's
-// active monitor or the session's mutation gate, so running UPDATE/DELETE/
-// INSERT against a monitored table desynchronizes its tracker. Use the
-// session's Insert/Delete/SetCell/ApplyUpdates for monitored tables; keep
-// SQL DML for unmonitored ones.
+// SQL runs an ad-hoc SELECT (or EXPLAIN SELECT) against the store (the
+// paper's data explorer lets users navigate the data; this is the
+// programmatic hatch). The engine only reads: any other statement is a
+// *sqleng.ParseError, and writes go through the session's Insert, Delete,
+// SetCell and ApplyUpdates. A cancelled ctx aborts the engine's scan loops
+// and returns ctx.Err().
 func (s *Semandaq) SQL(ctx context.Context, query string) (*sqleng.Result, error) {
 	return s.engine.QueryContext(ctx, query)
 }
@@ -930,13 +927,9 @@ func (s *Semandaq) SetCell(table string, id relstore.TupleID, attr string, v typ
 // The search runs over one pinned snapshot of the table and the returned
 // discovery.Report carries that snapshot's version alongside every mined
 // candidate's support and confidence. No constraint is registered — inspect
-// the report and RegisterCFDs explicitly. The mined exact (confidence 1.0)
-// global FDs, however, are registered with the SQL engine as plan-time
-// facts (sqleng.Engine.RegisterFDs): they license FD-collapsed joins, which
-// re-verify every key equality per candidate, so a fact later mutations
-// invalidate can only cost work, never change a query result.
-// WithMinConfidence below 1 admits approximate CFDs; WithWorkers tunes the
-// per-level parallel expansion (defaulting to the session's worker count).
+// the report and RegisterCFDs explicitly. WithMinConfidence below 1 admits
+// approximate CFDs; WithWorkers tunes the per-level parallel expansion
+// (defaulting to the session's worker count).
 // A cancelled ctx aborts the search mid-level and returns ctx.Err().
 func (s *Semandaq) Discover(ctx context.Context, refTable string, opts ...Option) (*discovery.Report, error) {
 	o := s.resolve(DefaultEngine, opts)
@@ -952,23 +945,13 @@ func (s *Semandaq) Discover(ctx context.Context, refTable string, opts ...Option
 	// a cold Mine over the same snapshot (the discovery cross-check tier).
 	// The returned report may be served again while the version holds;
 	// treat it as immutable.
-	rep, err := s.discoverySession(refTable, tab).Discover(ctx, discovery.Options{
+	return s.discoverySession(refTable, tab).Discover(ctx, discovery.Options{
 		MinSupport:       o.minSupport,
 		MaxLHS:           o.maxLHS,
 		MaxPatternsPerFD: o.maxPatterns,
 		MinConfidence:    o.minConfidence,
 		Workers:          o.workers,
 	})
-	if err != nil {
-		return nil, err
-	}
-	// Refresh the SQL engine's FD facts from the run (copy-on-write and
-	// guard-verified, so racing queries and later mutations are both safe).
-	// A projection failure only skips the optimization, never the report.
-	if fds, ferr := rep.ExactFDs(tab.Schema()); ferr == nil {
-		s.engine.RegisterFDs(refTable, fds)
-	}
-	return rep, nil
 }
 
 // discoverySession returns the table's discovery session,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"semandaq/internal/detect"
 	"semandaq/internal/monitor"
 	"semandaq/internal/relstore"
+	"semandaq/internal/sqleng"
 	"semandaq/internal/types"
 )
 
@@ -253,6 +255,38 @@ func TestDetectionSQLAndAdHocSQL(t *testing.T) {
 	}
 	if res.Rows[0][0].Int() != 3 {
 		t.Errorf("count = %v", res.Rows[0][0])
+	}
+}
+
+// TestSQLRejectsWrites: SQL only reads. Each write statement is a
+// *sqleng.ParseError, and the table keeps its version and its rows.
+func TestSQLRejectsWrites(t *testing.T) {
+	s := session(t)
+	tab, err := s.Table("customer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	version, rows := tab.Version(), tab.Len()
+	for _, q := range []string{
+		"INSERT INTO customer VALUES ('Zed', 'US', 'Boston', '02101', 'Main', 1, 617)",
+		"UPDATE customer SET CITY = 'Glasgow' WHERE CNT = 'UK'",
+		"DELETE FROM customer WHERE CNT = 'UK'",
+		"CREATE TABLE customer2 (NAME STRING)",
+		"DROP TABLE customer",
+	} {
+		var perr *sqleng.ParseError
+		if _, err := s.SQL(context.Background(), q); !errors.As(err, &perr) {
+			t.Errorf("%s: err = %v, want a *sqleng.ParseError", q, err)
+		}
+		if tab.Version() != version || tab.Len() != rows {
+			t.Fatalf("%s: table at version %d with %d rows, want %d with %d", q, tab.Version(), tab.Len(), version, rows)
+		}
+	}
+	if got, ok := s.Store().Table("customer"); !ok || got != tab {
+		t.Error("DROP TABLE dropped the table")
+	}
+	if _, ok := s.Store().Table("customer2"); ok {
+		t.Error("CREATE TABLE created a table")
 	}
 }
 

@@ -102,7 +102,8 @@ func TestExplainSaysWhichPathServes(t *testing.T) {
 			fmt.Sprintf("driver memo off: space %d > half of rows 20000", col("NAME")),
 			"sink group on codes(2) aggs=3, having on counts, project 2 cols"}},
 		{"Qc reading _tid", eng, std[1] + " AND t._tid >= 0", []string{"driver memo off: reads t._tid"}},
-		{"Qc with arithmetic", eng, std[1] + " AND t.CC + 0 = 44", []string{"driver memo off: impure plan"}},
+		{"Qc with arithmetic", eng, std[1] + " AND t.CC + 0 = 44", []string{
+			fmt.Sprintf("driver memo on [t.CC t.CNT] space=%d rows=20000", col("CC")*col("CNT"))}},
 		{"Qv with a value-level HAVING", eng, std[0] + " AND COUNT(*) > 1.5", []string{
 			"sink group on codes(2) aggs=3, group index from memo, having, project 2 cols"}},
 	} {

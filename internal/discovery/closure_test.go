@@ -125,25 +125,3 @@ func TestSessionMatchesColdMineAcrossFDFlips(t *testing.T) {
 		}
 	}
 }
-
-// TestExactFDsProjection asserts ExactFDs keeps exactly the confidence-1
-// global FDs and that closure queries over it answer implication.
-func TestExactFDsProjection(t *testing.T) {
-	tab := fdTable(t, 40)
-	rep, err := Mine(context.Background(), tab.Snapshot(), Options{MinSupport: 2, MaxLHS: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := tab.Schema()
-	set, err := rep.ExactFDs(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b, c := sc.MustPos("A"), sc.MustPos("B"), sc.MustPos("C")
-	if !set.Implies([]int{a}, b) {
-		t.Fatalf("A -> B missing from exact set %s", set)
-	}
-	if set.Implies([]int{a}, c) || set.Implies([]int{b}, a) {
-		t.Fatalf("spurious implication in exact set %s", set)
-	}
-}

@@ -29,10 +29,8 @@ import (
 	"runtime"
 
 	"semandaq/internal/cfd"
-	"semandaq/internal/fdset"
 	"semandaq/internal/par"
 	"semandaq/internal/relstore"
-	"semandaq/internal/schema"
 )
 
 // Options tunes the search. The zero value selects every default; the
@@ -125,31 +123,6 @@ type Report struct {
 	// CFDs is the registrable rule set: candidates merged by embedded FD
 	// (tableaux of one FD combined), IDs assigned disc1, disc2, ...
 	CFDs []*cfd.CFD
-}
-
-// ExactFDs projects the report's exact (confidence 1.0) global FDs into
-// an fdset.Set over the schema's attribute positions — the algebraic
-// facts the sqleng planner (Engine.RegisterFDs) and the factorised
-// evaluation paths consume. Conditional and approximate candidates are
-// excluded: they hold only on a condition class or only statistically,
-// so they are not sound as universal rewrite facts.
-func (r *Report) ExactFDs(sc *schema.Relation) (*fdset.Set, error) {
-	s := fdset.New(sc.Arity())
-	for _, c := range r.Candidates {
-		if c.Kind != "global-fd" || c.Confidence < 1 {
-			continue
-		}
-		lhs, err := sc.Positions(c.CFD.LHS)
-		if err != nil {
-			return nil, err
-		}
-		rhs, err := sc.Positions(c.CFD.RHS)
-		if err != nil {
-			return nil, err
-		}
-		s.Add(lhs, rhs[0])
-	}
-	return s, nil
 }
 
 // Mine runs the lattice search over one pinned snapshot and returns the

@@ -1,6 +1,7 @@
 package sqleng
 
 import (
+	"strconv"
 	"strings"
 
 	"semandaq/internal/types"
@@ -51,49 +52,6 @@ type OrderItem struct {
 	Desc bool
 }
 
-// InsertStmt is INSERT INTO t [(cols)] VALUES (...), (...).
-type InsertStmt struct {
-	Table string
-	Cols  []string
-	Rows  [][]Expr
-}
-
-// UpdateStmt is UPDATE t SET a = e, ... [WHERE e].
-type UpdateStmt struct {
-	Table string
-	Set   []SetClause
-	Where Expr
-}
-
-// SetClause is one assignment in UPDATE.
-type SetClause struct {
-	Col  string
-	Expr Expr
-}
-
-// DeleteStmt is DELETE FROM t [WHERE e].
-type DeleteStmt struct {
-	Table string
-	Where Expr
-}
-
-// CreateTableStmt is CREATE TABLE t (col type, ...).
-type CreateTableStmt struct {
-	Table string
-	Cols  []ColumnDef
-}
-
-// ColumnDef is one column in CREATE TABLE.
-type ColumnDef struct {
-	Name string
-	Type types.Kind
-}
-
-// DropTableStmt is DROP TABLE t.
-type DropTableStmt struct {
-	Table string
-}
-
 // ExplainStmt is EXPLAIN SELECT ...: plan the query and return the chosen
 // join order, pushed-down predicates and the exact statistics behind each
 // choice, one plan line per result row, without executing it.
@@ -101,13 +59,8 @@ type ExplainStmt struct {
 	Select *SelectStmt
 }
 
-func (*SelectStmt) stmt()      {}
-func (*ExplainStmt) stmt()     {}
-func (*InsertStmt) stmt()      {}
-func (*UpdateStmt) stmt()      {}
-func (*DeleteStmt) stmt()      {}
-func (*CreateTableStmt) stmt() {}
-func (*DropTableStmt) stmt()   {}
+func (*SelectStmt) stmt()  {}
+func (*ExplainStmt) stmt() {}
 
 // Expr is an expression tree node.
 type Expr interface{ expr() }
@@ -237,28 +190,43 @@ func hasAggregate(e Expr) bool {
 	return false
 }
 
-// exprString renders an expression back to SQL-ish text, used for error
-// messages and as the synthesized column name of unaliased projections.
+// exprString renders an expression back to SQL text that parses to the
+// same tree (FuzzParseSQL holds it to that). It names unaliased
+// projections and aggregate slots and quotes expressions in errors and
+// EXPLAIN.
 func exprString(e Expr) string {
 	switch n := e.(type) {
 	case nil:
 		return ""
 	case *ColumnRef:
 		if n.Table != "" {
-			return n.Table + "." + n.Column
+			return quoteIdent(n.Table) + "." + quoteIdent(n.Column)
 		}
-		return n.Column
+		return quoteIdent(n.Column)
 	case *Literal:
+		if n.Value.Kind() == types.KindFloat { // keep the point: 1.0 is no INT
+			s := strconv.FormatFloat(n.Value.Float(), 'f', -1, 64)
+			if !strings.Contains(s, ".") {
+				s += ".0"
+			}
+			return s
+		}
 		return n.Value.SQLString()
 	case *BinaryExpr:
-		return "(" + exprString(n.L) + " " + n.Op + " " + exprString(n.R) + ")"
+		if n.Op == "AND" || n.Op == "OR" {
+			return "(" + exprString(n.L) + " " + n.Op + " " + exprString(n.R) + ")"
+		}
+		return "(" + operand(n.L) + " " + n.Op + " " + operand(n.R) + ")"
 	case *UnaryExpr:
-		return n.Op + " " + exprString(n.E)
+		if n.Op == "NOT" {
+			return "NOT " + exprString(n.E)
+		}
+		return n.Op + " " + operand(n.E)
 	case *IsNullExpr:
 		if n.Not {
-			return exprString(n.E) + " IS NOT NULL"
+			return operand(n.E) + " IS NOT NULL"
 		}
-		return exprString(n.E) + " IS NULL"
+		return operand(n.E) + " IS NULL"
 	case *InExpr:
 		var parts []string
 		for _, v := range n.List {
@@ -268,13 +236,13 @@ func exprString(e Expr) string {
 		if n.Not {
 			op = " NOT IN ("
 		}
-		return exprString(n.E) + op + strings.Join(parts, ", ") + ")"
+		return operand(n.E) + op + strings.Join(parts, ", ") + ")"
 	case *BetweenExpr:
 		op := " BETWEEN "
 		if n.Not {
 			op = " NOT BETWEEN "
 		}
-		return exprString(n.E) + op + exprString(n.Lo) + " AND " + exprString(n.Hi)
+		return operand(n.E) + op + operand(n.Lo) + " AND " + operand(n.Hi)
 	case *CaseExpr:
 		var b strings.Builder
 		b.WriteString("CASE")
@@ -287,8 +255,12 @@ func exprString(e Expr) string {
 		b.WriteString(" END")
 		return b.String()
 	case *FuncExpr:
+		name := n.Name
+		if !aggregateFuncs[name] {
+			name = quoteIdent(name)
+		}
 		if n.Star {
-			return n.Name + "(*)"
+			return name + "(*)"
 		}
 		var parts []string
 		for _, a := range n.Args {
@@ -298,7 +270,51 @@ func exprString(e Expr) string {
 		if n.Distinct {
 			d = "DISTINCT "
 		}
-		return n.Name + "(" + d + strings.Join(parts, ", ") + ")"
+		return name + "(" + d + strings.Join(parts, ", ") + ")"
 	}
 	return "?"
+}
+
+// operand renders e where the grammar wants an additive expression (an
+// operand of a comparison, arithmetic, unary minus, IS, IN or BETWEEN):
+// a predicate or a NOT there needs parentheses.
+func operand(e Expr) string {
+	switch n := e.(type) {
+	case *IsNullExpr, *InExpr, *BetweenExpr:
+		return "(" + exprString(e) + ")"
+	case *UnaryExpr:
+		if n.Op == "NOT" {
+			return "(" + exprString(e) + ")"
+		}
+	}
+	return exprString(e)
+}
+
+// quoteIdent renders a name as a bare identifier when it lexes as one and
+// double-quoted otherwise.
+func quoteIdent(name string) string {
+	plain := name != "" && isIdentStart(name[0])
+	for i := 1; plain && i < len(name); i++ {
+		plain = isIdentPart(name[i])
+	}
+	if plain && !isKeyword(name) {
+		return name
+	}
+	return `"` + name + `"`
+}
+
+// isKeyword reports whether an identifier-shaped name lexes as a keyword,
+// without allocating its upper-cased form.
+func isKeyword(name string) bool {
+	var up [16]byte
+	if len(name) > len(up) {
+		return false // longer than every keyword
+	}
+	for i := 0; i < len(name); i++ {
+		up[i] = name[i]
+		if 'a' <= up[i] && up[i] <= 'z' {
+			up[i] -= 'a' - 'A'
+		}
+	}
+	return keywords[string(up[:len(name)])]
 }

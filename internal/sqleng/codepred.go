@@ -1,5 +1,5 @@
 // Code compilation. The pipeline carries a cursor — one snapshot row index
-// per scan — instead of a row of Values, and every pure conjunct, join key,
+// per scan — instead of a row of Values, and every conjunct, join key,
 // GROUP BY key and COUNT operand whose leaves are bare columns, literals and
 // COALESCE(col, literal) under =, <>, IS NOT DISTINCT FROM, IS [NOT] NULL,
 // IN (literals), AND/OR/NOT is decided at the cursor by three-valued integer
@@ -222,8 +222,7 @@ func (p *selectPlan) codeCmp(l, r Expr, nullSafe, negate bool) (codeFn, bool) {
 
 // compileCode compiles a boolean expression to a code predicate, reporting
 // false for any shape outside the code-compilable subset (which then runs
-// value-level on the lazily filled row buffer). Every shape accepted here
-// is pure.
+// value-level on the lazily filled row buffer).
 func (p *selectPlan) compileCode(e Expr) (codeFn, bool) {
 	switch n := e.(type) {
 	case *BinaryExpr:
@@ -353,8 +352,7 @@ func (s *streamSink) compileCounts(e Expr, env map[string]int) countFn {
 	}
 	li, lv, ok1 := side(b.L)
 	ri, rv, ok2 := side(b.R)
-	// The signs of a three-way compare the operator accepts: bit 0 <, 1 =, 2 >.
-	signs, ok3 := map[string]uint8{"<": 1, "=": 2, "<=": 3, ">": 4, "<>": 5, ">=": 6}[b.Op]
+	signs, ok3 := cmpSigns[b.Op]
 	if !ok1 || !ok2 || !ok3 || (li < 0 && ri < 0) { // two literals are the evaluator's
 		return nil
 	}

@@ -125,9 +125,6 @@ func TestExplainThreeTableJoin(t *testing.T) {
 	if indexOfLine(lines, "sink", "project 2 cols") < 0 {
 		t.Errorf("sink line wrong:\n%s", text)
 	}
-	if !strings.Contains(lines[len(lines)-1], "pure plan") {
-		t.Errorf("expected pure-plan note last:\n%s", text)
-	}
 }
 
 // TestExplainCodePipeline pins what EXPLAIN says about the cursor pipeline:
@@ -201,18 +198,6 @@ func TestExplainGreedyProbeOrder(t *testing.T) {
 	}
 	if prodProbe > wideProbe {
 		t.Errorf("greedy order wrong: selective probe after coarse one:\n%s", text)
-	}
-}
-
-// TestExplainImpurePlan: a plan with an impure predicate must refuse the
-// optimizations and say so.
-func TestExplainImpurePlan(t *testing.T) {
-	e := New(newJoinStore(t))
-	lines := planLines(t, e,
-		`EXPLAIN SELECT o.OID FROM orders o, cust c
-		 WHERE o.CID = c.CID AND o.OID / c.CID > 10`)
-	if indexOfLine(lines, "impure predicates: legacy staging preserved") < 0 {
-		t.Errorf("expected impure note:\n%s", strings.Join(lines, "\n"))
 	}
 }
 

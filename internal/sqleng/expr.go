@@ -47,13 +47,15 @@ func (c catalog) resolve(ref *ColumnRef) (int, error) {
 	return found, nil
 }
 
-// evalFn is a compiled expression: evaluated against one intermediate row.
-type evalFn func(row []types.Value) (types.Value, error)
+// evalFn is a compiled expression, evaluated against one intermediate row.
+// Evaluation is total: an operand of the wrong kind or a zero divisor makes
+// the result NULL (as SQLite does for x/0), so where a predicate runs can
+// never change whether a query fails. Only compilation can fail.
+type evalFn func(row []types.Value) types.Value
 
 // compileExpr resolves column references against cat and returns an
 // evaluator implementing SQL three-valued logic. Aggregate calls are
-// rejected here; the grouping stage compiles them separately via
-// compileWithAggs.
+// rejected here; the grouping stage compiles them through compileExprAgg.
 func compileExpr(e Expr, cat catalog) (evalFn, error) {
 	return compileExprAgg(e, cat, nil)
 }
@@ -65,14 +67,14 @@ func compileExprAgg(e Expr, cat catalog, aggEnv map[string]int) (evalFn, error) 
 	switch n := e.(type) {
 	case *Literal:
 		v := n.Value
-		return func([]types.Value) (types.Value, error) { return v, nil }, nil
+		return func([]types.Value) types.Value { return v }, nil
 
 	case *ColumnRef:
 		idx, err := cat.resolve(n)
 		if err != nil {
 			return nil, err
 		}
-		return func(row []types.Value) (types.Value, error) { return row[idx], nil }, nil
+		return func(row []types.Value) types.Value { return row[idx] }, nil
 
 	case *UnaryExpr:
 		sub, err := compileExprAgg(n.E, cat, aggEnv)
@@ -81,32 +83,21 @@ func compileExprAgg(e Expr, cat catalog, aggEnv map[string]int) (evalFn, error) 
 		}
 		switch n.Op {
 		case "NOT":
-			return func(row []types.Value) (types.Value, error) {
-				v, err := sub(row)
-				if err != nil {
-					return types.Null, err
+			return func(row []types.Value) types.Value {
+				if v := sub(row); v.Kind() == types.KindBool {
+					return types.NewBool(!v.Bool())
 				}
-				if v.IsNull() {
-					return types.Null, nil
-				}
-				if v.Kind() != types.KindBool {
-					return types.Null, fmt.Errorf("sql: NOT applied to %s", v.Kind())
-				}
-				return types.NewBool(!v.Bool()), nil
+				return types.Null
 			}, nil
 		case "-":
-			return func(row []types.Value) (types.Value, error) {
-				v, err := sub(row)
-				if err != nil || v.IsNull() {
-					return types.Null, err
-				}
-				switch v.Kind() {
+			return func(row []types.Value) types.Value {
+				switch v := sub(row); v.Kind() {
 				case types.KindInt:
-					return types.NewInt(-v.Int()), nil
+					return types.NewInt(-v.Int())
 				case types.KindFloat:
-					return types.NewFloat(-v.Float()), nil
+					return types.NewFloat(-v.Float())
 				}
-				return types.Null, fmt.Errorf("sql: unary - applied to %s", v.Kind())
+				return types.Null
 			}, nil
 		}
 		return nil, fmt.Errorf("sql: unknown unary operator %q", n.Op)
@@ -120,12 +111,8 @@ func compileExprAgg(e Expr, cat catalog, aggEnv map[string]int) (evalFn, error) 
 			return nil, err
 		}
 		not := n.Not
-		return func(row []types.Value) (types.Value, error) {
-			v, err := sub(row)
-			if err != nil {
-				return types.Null, err
-			}
-			return types.NewBool(v.IsNull() != not), nil
+		return func(row []types.Value) types.Value {
+			return types.NewBool(sub(row).IsNull() != not)
 		}, nil
 
 	case *InExpr:
@@ -133,49 +120,35 @@ func compileExprAgg(e Expr, cat catalog, aggEnv map[string]int) (evalFn, error) 
 		if err != nil {
 			return nil, err
 		}
-		list := make([]evalFn, len(n.List))
-		for i, le := range n.List {
-			f, err := compileExprAgg(le, cat, aggEnv)
-			if err != nil {
-				return nil, err
-			}
-			list[i] = f
+		list, err := compileList(n.List, cat, aggEnv)
+		if err != nil {
+			return nil, err
 		}
 		not := n.Not
-		return func(row []types.Value) (types.Value, error) {
-			v, err := sub(row)
-			if err != nil {
-				return types.Null, err
-			}
+		return func(row []types.Value) types.Value {
+			v := sub(row)
 			if v.IsNull() {
-				return types.Null, nil
+				return types.Null
 			}
 			sawNull := false
 			for _, f := range list {
-				lv, err := f(row)
-				if err != nil {
-					return types.Null, err
-				}
+				lv := f(row)
 				if lv.IsNull() {
 					sawNull = true
 					continue
 				}
 				if v.Equal(lv) {
-					return types.NewBool(!not), nil
+					return types.NewBool(!not)
 				}
 			}
 			if sawNull {
-				return types.Null, nil
+				return types.Null
 			}
-			return types.NewBool(not), nil
+			return types.NewBool(not)
 		}, nil
 
 	case *BetweenExpr:
-		sub, err := compileExprAgg(n.E, cat, aggEnv)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := compileExprAgg(n.Lo, cat, aggEnv)
+		sub, lo, err := compilePair(n.E, n.Lo, cat, aggEnv)
 		if err != nil {
 			return nil, err
 		}
@@ -184,41 +157,26 @@ func compileExprAgg(e Expr, cat catalog, aggEnv map[string]int) (evalFn, error) 
 			return nil, err
 		}
 		not := n.Not
-		return func(row []types.Value) (types.Value, error) {
-			v, err := sub(row)
-			if err != nil {
-				return types.Null, err
-			}
-			lv, err := lo(row)
-			if err != nil {
-				return types.Null, err
-			}
-			hv, err := hi(row)
-			if err != nil {
-				return types.Null, err
-			}
+		return func(row []types.Value) types.Value {
+			v, lv, hv := sub(row), lo(row), hi(row)
 			if v.IsNull() || lv.IsNull() || hv.IsNull() {
-				return types.Null, nil
+				return types.Null
 			}
 			in := v.Compare(lv) >= 0 && v.Compare(hv) <= 0
-			return types.NewBool(in != not), nil
+			return types.NewBool(in != not)
 		}, nil
 
 	case *CaseExpr:
 		type arm struct{ cond, then evalFn }
 		arms := make([]arm, len(n.Whens))
 		for i, w := range n.Whens {
-			c, err := compileExprAgg(w.Cond, cat, aggEnv)
-			if err != nil {
-				return nil, err
-			}
-			th, err := compileExprAgg(w.Then, cat, aggEnv)
+			c, th, err := compilePair(w.Cond, w.Then, cat, aggEnv)
 			if err != nil {
 				return nil, err
 			}
 			arms[i] = arm{c, th}
 		}
-		var els evalFn
+		els := func([]types.Value) types.Value { return types.Null }
 		if n.Else != nil {
 			f, err := compileExprAgg(n.Else, cat, aggEnv)
 			if err != nil {
@@ -226,20 +184,13 @@ func compileExprAgg(e Expr, cat catalog, aggEnv map[string]int) (evalFn, error) 
 			}
 			els = f
 		}
-		return func(row []types.Value) (types.Value, error) {
+		return func(row []types.Value) types.Value {
 			for _, a := range arms {
-				c, err := a.cond(row)
-				if err != nil {
-					return types.Null, err
-				}
-				if truthy(c) {
+				if truthy(a.cond(row)) {
 					return a.then(row)
 				}
 			}
-			if els != nil {
-				return els(row)
-			}
-			return types.Null, nil
+			return els(row)
 		}, nil
 
 	case *FuncExpr:
@@ -251,133 +202,85 @@ func compileExprAgg(e Expr, cat catalog, aggEnv map[string]int) (evalFn, error) 
 			if !ok {
 				return nil, fmt.Errorf("sql: internal: aggregate %s not registered", exprString(n))
 			}
-			return func(row []types.Value) (types.Value, error) {
-				return row[slot], nil
-			}, nil
+			return func(row []types.Value) types.Value { return row[slot] }, nil
 		}
 		return compileScalarFunc(n, cat, aggEnv)
 	}
 	return nil, fmt.Errorf("sql: cannot compile expression %q", exprString(e))
 }
 
-func compileBinary(n *BinaryExpr, cat catalog, aggEnv map[string]int) (evalFn, error) {
-	l, err := compileExprAgg(n.L, cat, aggEnv)
+// cmpSigns maps a comparison operator to the signs of a three-way compare
+// it accepts: bit 0 <, bit 1 =, bit 2 >.
+var cmpSigns = map[string]uint8{"<": 1, "=": 2, "<=": 3, ">": 4, "<>": 5, ">=": 6}
+
+// compilePair compiles two expressions.
+func compilePair(a, b Expr, cat catalog, aggEnv map[string]int) (evalFn, evalFn, error) {
+	fa, err := compileExprAgg(a, cat, aggEnv)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	r, err := compileExprAgg(n.R, cat, aggEnv)
+	fb, err := compileExprAgg(b, cat, aggEnv)
+	return fa, fb, err
+}
+
+// compileList compiles each expression of es.
+func compileList(es []Expr, cat catalog, aggEnv map[string]int) ([]evalFn, error) {
+	fs := make([]evalFn, len(es))
+	for i, e := range es {
+		f, err := compileExprAgg(e, cat, aggEnv)
+		if err != nil {
+			return nil, err
+		}
+		fs[i] = f
+	}
+	return fs, nil
+}
+
+func compileBinary(n *BinaryExpr, cat catalog, aggEnv map[string]int) (evalFn, error) {
+	l, r, err := compilePair(n.L, n.R, cat, aggEnv)
 	if err != nil {
 		return nil, err
 	}
 	switch n.Op {
-	case "AND":
-		return func(row []types.Value) (types.Value, error) {
-			lv, err := l(row)
-			if err != nil {
-				return types.Null, err
+	case "AND", "OR":
+		stop := n.Op == "OR" // the operand value that decides
+		return func(row []types.Value) types.Value {
+			lv := l(row)
+			if lv.Kind() == types.KindBool && lv.Bool() == stop {
+				return lv
 			}
-			// Short-circuit FALSE.
-			if !lv.IsNull() && lv.Kind() == types.KindBool && !lv.Bool() {
-				return types.NewBool(false), nil
+			if stop {
+				return or3(lv, r(row))
 			}
-			rv, err := r(row)
-			if err != nil {
-				return types.Null, err
-			}
-			return and3(lv, rv), nil
+			return and3(lv, r(row))
 		}, nil
-	case "OR":
-		return func(row []types.Value) (types.Value, error) {
-			lv, err := l(row)
-			if err != nil {
-				return types.Null, err
-			}
-			if !lv.IsNull() && lv.Kind() == types.KindBool && lv.Bool() {
-				return types.NewBool(true), nil
-			}
-			rv, err := r(row)
-			if err != nil {
-				return types.Null, err
-			}
-			return or3(lv, rv), nil
+	case opNullSafeEq:
+		return func(row []types.Value) types.Value {
+			return types.NewBool(l(row).Equal(r(row))) // Equal: NULL equals only NULL
 		}, nil
-	case "=", "<>", "<", "<=", ">", ">=", opNullSafeEq:
-		op := n.Op
-		return func(row []types.Value) (types.Value, error) {
-			lv, err := l(row)
-			if err != nil {
-				return types.Null, err
-			}
-			rv, err := r(row)
-			if err != nil {
-				return types.Null, err
-			}
-			if op == opNullSafeEq {
-				return types.NewBool(lv.Equal(rv)), nil // Equal: NULL equals only NULL
-			}
+	case "=", "<>", "<", "<=", ">", ">=":
+		signs := cmpSigns[n.Op]
+		return func(row []types.Value) types.Value {
+			lv, rv := l(row), r(row)
 			if lv.IsNull() || rv.IsNull() {
-				return types.Null, nil
+				return types.Null
 			}
-			c := lv.Compare(rv)
-			var b bool
-			switch op {
-			case "=":
-				b = c == 0
-			case "<>":
-				b = c != 0
-			case "<":
-				b = c < 0
-			case "<=":
-				b = c <= 0
-			case ">":
-				b = c > 0
-			case ">=":
-				b = c >= 0
-			}
-			return types.NewBool(b), nil
+			return types.NewBool(signs>>(lv.Compare(rv)+1)&1 == 1)
 		}, nil
 	case "+", "-", "*", "/", "%":
-		op := n.Op
-		return func(row []types.Value) (types.Value, error) {
-			lv, err := l(row)
-			if err != nil {
-				return types.Null, err
+		op := n.Op[0]
+		return func(row []types.Value) types.Value { return arith(op, l(row), r(row)) }, nil
+	case "||", "LIKE":
+		like := n.Op == "LIKE"
+		return func(row []types.Value) types.Value {
+			lv, rv := l(row), r(row)
+			switch {
+			case lv.IsNull() || rv.IsNull():
+				return types.Null
+			case like:
+				return types.NewBool(likeMatch(rv.CoerceString(), lv.CoerceString()))
 			}
-			rv, err := r(row)
-			if err != nil {
-				return types.Null, err
-			}
-			return arith(op, lv, rv)
-		}, nil
-	case "||":
-		return func(row []types.Value) (types.Value, error) {
-			lv, err := l(row)
-			if err != nil {
-				return types.Null, err
-			}
-			rv, err := r(row)
-			if err != nil {
-				return types.Null, err
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return types.Null, nil
-			}
-			return types.NewString(lv.CoerceString() + rv.CoerceString()), nil
-		}, nil
-	case "LIKE":
-		return func(row []types.Value) (types.Value, error) {
-			lv, err := l(row)
-			if err != nil {
-				return types.Null, err
-			}
-			rv, err := r(row)
-			if err != nil {
-				return types.Null, err
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return types.Null, nil
-			}
-			return types.NewBool(likeMatch(rv.CoerceString(), lv.CoerceString())), nil
+			return types.NewString(lv.CoerceString() + rv.CoerceString())
 		}, nil
 	}
 	return nil, fmt.Errorf("sql: unknown binary operator %q", n.Op)
@@ -422,62 +325,45 @@ func boolState(v types.Value) int {
 // truthy reports whether a predicate result selects the row.
 func truthy(v types.Value) bool { return boolState(v) == 1 }
 
-func arith(op string, a, b types.Value) (types.Value, error) {
-	if a.IsNull() || b.IsNull() {
-		return types.Null, nil
+// arith applies +, -, *, / or %: NULL when an operand is not a number, for
+// a zero divisor, and for % on a FLOAT.
+func arith(op byte, a, b types.Value) types.Value {
+	ak, bk := a.Kind(), b.Kind()
+	if (ak != types.KindInt && ak != types.KindFloat) || (bk != types.KindInt && bk != types.KindFloat) {
+		return types.Null
 	}
-	num := func(v types.Value) (float64, bool, error) {
-		switch v.Kind() {
-		case types.KindInt:
-			return float64(v.Int()), true, nil
-		case types.KindFloat:
-			return v.Float(), false, nil
+	if ak == types.KindInt && bk == types.KindInt {
+		x, y := a.Int(), b.Int()
+		switch op {
+		case '+':
+			return types.NewInt(x + y)
+		case '-':
+			return types.NewInt(x - y)
+		case '*':
+			return types.NewInt(x * y)
 		}
-		return 0, false, fmt.Errorf("sql: arithmetic on %s value", v.Kind())
+		if y == 0 {
+			return types.Null
+		}
+		if op == '/' {
+			return types.NewInt(x / y)
+		}
+		return types.NewInt(x % y)
 	}
-	af, aInt, err := num(a)
-	if err != nil {
-		return types.Null, err
-	}
-	bf, bInt, err := num(b)
-	if err != nil {
-		return types.Null, err
-	}
-	bothInt := aInt && bInt
+	x, y := a.Float(), b.Float()
 	switch op {
-	case "+":
-		if bothInt {
-			return types.NewInt(a.Int() + b.Int()), nil
+	case '+':
+		return types.NewFloat(x + y)
+	case '-':
+		return types.NewFloat(x - y)
+	case '*':
+		return types.NewFloat(x * y)
+	case '/':
+		if y != 0 {
+			return types.NewFloat(x / y)
 		}
-		return types.NewFloat(af + bf), nil
-	case "-":
-		if bothInt {
-			return types.NewInt(a.Int() - b.Int()), nil
-		}
-		return types.NewFloat(af - bf), nil
-	case "*":
-		if bothInt {
-			return types.NewInt(a.Int() * b.Int()), nil
-		}
-		return types.NewFloat(af * bf), nil
-	case "/":
-		if bf == 0 {
-			return types.Null, fmt.Errorf("sql: division by zero")
-		}
-		if bothInt {
-			return types.NewInt(a.Int() / b.Int()), nil
-		}
-		return types.NewFloat(af / bf), nil
-	case "%":
-		if !bothInt {
-			return types.Null, fmt.Errorf("sql: %% requires integers")
-		}
-		if b.Int() == 0 {
-			return types.Null, fmt.Errorf("sql: division by zero")
-		}
-		return types.NewInt(a.Int() % b.Int()), nil
 	}
-	return types.Null, fmt.Errorf("sql: unknown arithmetic operator %q", op)
+	return types.Null
 }
 
 // likeMatch implements SQL LIKE with % (any run) and _ (any one byte),
@@ -508,153 +394,90 @@ func likeMatch(pattern, s string) bool {
 	return p == len(pattern)
 }
 
+// scalarArity gives each scalar function its least and greatest argument
+// count, -1 for no greatest.
+var scalarArity = map[string][2]int{"UPPER": {1, 1}, "LOWER": {1, 1}, "TRIM": {1, 1}, "LENGTH": {1, 1},
+	"ABS": {1, 1}, "SUBSTR": {2, 3}, "COALESCE": {1, -1}, "CONCAT": {0, -1}}
+
 // compileScalarFunc compiles the supported scalar functions.
 func compileScalarFunc(n *FuncExpr, cat catalog, aggEnv map[string]int) (evalFn, error) {
-	args := make([]evalFn, len(n.Args))
-	for i, a := range n.Args {
-		f, err := compileExprAgg(a, cat, aggEnv)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = f
+	args, err := compileList(n.Args, cat, aggEnv)
+	if err != nil {
+		return nil, err
 	}
-	requireArgs := func(min, max int) error {
-		if len(args) < min || (max >= 0 && len(args) > max) {
-			return fmt.Errorf("sql: %s: wrong number of arguments (%d)", n.Name, len(args))
-		}
-		return nil
+	bounds, ok := scalarArity[n.Name]
+	if !ok {
+		return nil, fmt.Errorf("sql: unknown function %q", n.Name)
 	}
-	evalArgs := func(row []types.Value) ([]types.Value, error) {
-		vals := make([]types.Value, len(args))
-		for i, f := range args {
-			v, err := f(row)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
-		}
-		return vals, nil
+	if len(args) < bounds[0] || (bounds[1] >= 0 && len(args) > bounds[1]) {
+		return nil, fmt.Errorf("sql: %s: wrong number of arguments (%d)", n.Name, len(args))
 	}
 	switch n.Name {
-	case "UPPER", "LOWER", "TRIM", "LENGTH":
-		if err := requireArgs(1, 1); err != nil {
-			return nil, err
-		}
-		name := n.Name
-		return func(row []types.Value) (types.Value, error) {
-			vals, err := evalArgs(row)
-			if err != nil {
-				return types.Null, err
-			}
-			v := vals[0]
-			if v.IsNull() {
-				return types.Null, nil
-			}
-			s := v.CoerceString()
-			switch name {
-			case "UPPER":
-				return types.NewString(strings.ToUpper(s)), nil
-			case "LOWER":
-				return types.NewString(strings.ToLower(s)), nil
-			case "TRIM":
-				return types.NewString(strings.TrimSpace(s)), nil
-			default: // LENGTH
-				return types.NewInt(int64(len(s))), nil
-			}
-		}, nil
-	case "SUBSTR":
-		if err := requireArgs(2, 3); err != nil {
-			return nil, err
-		}
-		return func(row []types.Value) (types.Value, error) {
-			vals, err := evalArgs(row)
-			if err != nil {
-				return types.Null, err
-			}
-			if vals[0].IsNull() || vals[1].IsNull() {
-				return types.Null, nil
-			}
-			if vals[1].Kind() != types.KindInt {
-				return types.Null, fmt.Errorf("sql: SUBSTR position must be an integer, got %s", vals[1].Kind())
-			}
-			s := vals[0].CoerceString()
-			start := int(vals[1].Int()) - 1 // SQL is 1-based
-			if start < 0 {
-				start = 0
-			}
-			if start > len(s) {
-				start = len(s)
-			}
-			end := len(s)
-			if len(vals) == 3 && !vals[2].IsNull() {
-				if vals[2].Kind() != types.KindInt {
-					return types.Null, fmt.Errorf("sql: SUBSTR length must be an integer, got %s", vals[2].Kind())
-				}
-				n := int(vals[2].Int())
-				if n < 0 {
-					n = 0
-				}
-				if start+n < end {
-					end = start + n
-				}
-			}
-			return types.NewString(s[start:end]), nil
-		}, nil
 	case "COALESCE":
-		if err := requireArgs(1, -1); err != nil {
-			return nil, err
-		}
-		return func(row []types.Value) (types.Value, error) {
+		return func(row []types.Value) types.Value {
 			for _, f := range args {
-				v, err := f(row)
-				if err != nil {
-					return types.Null, err
-				}
-				if !v.IsNull() {
-					return v, nil
+				if v := f(row); !v.IsNull() {
+					return v
 				}
 			}
-			return types.Null, nil
+			return types.Null
 		}, nil
 	case "CONCAT":
-		return func(row []types.Value) (types.Value, error) {
-			vals, err := evalArgs(row)
-			if err != nil {
-				return types.Null, err
-			}
+		return func(row []types.Value) types.Value {
 			var b strings.Builder
-			for _, v := range vals {
-				b.WriteString(v.CoerceString())
+			for _, f := range args {
+				b.WriteString(f(row).CoerceString())
 			}
-			return types.NewString(b.String()), nil
+			return types.NewString(b.String())
+		}, nil
+	case "SUBSTR":
+		return func(row []types.Value) types.Value {
+			v, pos := args[0](row), args[1](row)
+			if v.IsNull() || pos.Kind() != types.KindInt {
+				return types.Null
+			}
+			s := v.CoerceString()
+			start := min(max(pos.Int()-1, 0), int64(len(s))) // SQL is 1-based
+			end := int64(len(s))
+			if len(args) == 3 {
+				switch n := args[2](row); n.Kind() {
+				case types.KindNull:
+				case types.KindInt:
+					end = start + min(max(n.Int(), 0), end-start)
+				default:
+					return types.Null
+				}
+			}
+			return types.NewString(s[start:end])
 		}, nil
 	case "ABS":
-		if err := requireArgs(1, 1); err != nil {
-			return nil, err
-		}
-		return func(row []types.Value) (types.Value, error) {
-			vals, err := evalArgs(row)
-			if err != nil {
-				return types.Null, err
+		return func(row []types.Value) types.Value {
+			switch v := args[0](row); {
+			case v.Kind() == types.KindInt && v.Int() < 0:
+				return types.NewInt(-v.Int())
+			case v.Kind() == types.KindFloat && v.Float() < 0:
+				return types.NewFloat(-v.Float())
+			case v.Kind() == types.KindInt || v.Kind() == types.KindFloat:
+				return v
 			}
-			v := vals[0]
-			if v.IsNull() {
-				return types.Null, nil
-			}
-			switch v.Kind() {
-			case types.KindInt:
-				if v.Int() < 0 {
-					return types.NewInt(-v.Int()), nil
-				}
-				return v, nil
-			case types.KindFloat:
-				if v.Float() < 0 {
-					return types.NewFloat(-v.Float()), nil
-				}
-				return v, nil
-			}
-			return types.Null, fmt.Errorf("sql: ABS on %s value", v.Kind())
+			return types.Null
 		}, nil
 	}
-	return nil, fmt.Errorf("sql: unknown function %q", n.Name)
+	name := n.Name
+	return func(row []types.Value) types.Value {
+		v := args[0](row)
+		if v.IsNull() {
+			return types.Null
+		}
+		s := v.CoerceString()
+		switch name {
+		case "UPPER":
+			return types.NewString(strings.ToUpper(s))
+		case "LOWER":
+			return types.NewString(strings.ToLower(s))
+		case "TRIM":
+			return types.NewString(strings.TrimSpace(s))
+		}
+		return types.NewInt(int64(len(s))) // LENGTH
+	}, nil
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"semandaq/internal/fdset"
 	"semandaq/internal/relstore"
 	"semandaq/internal/schema"
 	"semandaq/internal/types"
@@ -65,67 +64,23 @@ func fuzzStore(tb testing.TB) *relstore.Store {
 	return store
 }
 
-// fuzzFDs returns deliberately FALSE dependencies over the seed tables
-// (r's A does not determine B, s's A does not determine D). The collapsed
-// executor re-verifies every key equality per candidate, so registering
-// facts the data violates is the sharpest soundness probe: any missing
-// guard shows up as a result divergence.
-func fuzzFDs() (rFDs, sFDs *fdset.Set) {
-	rFDs = fdset.New(3)
-	rFDs.Add([]int{0}, 1)
-	rFDs.Add([]int{1}, 2)
-	sFDs = fdset.New(2)
-	sFDs.Add([]int{0}, 1)
-	return
-}
-
-// checkSQLIdentity runs one SELECT (or EXPLAIN) on the streaming engine,
-// on a streaming engine with (false) FDs registered for every table, and
-// on the legacy row-scan oracle, and asserts identical outcomes: the same
-// error presence, and on mutual success deeply equal Results. Error
-// messages may differ between the schedules; presence may not.
+// checkSQLIdentity runs one SELECT (or EXPLAIN) on the engine and on the
+// nested-loop reference and asserts identical outcomes: the same error
+// presence, and on mutual success deeply equal Results. Error messages may
+// differ; presence may not. An EXPLAIN's plan text is the engine's own.
 func checkSQLIdentity(t *testing.T, sql string) {
-	st, err := Parse(sql)
-	if err != nil {
+	if _, err := Parse(sql); err != nil {
 		return // not this target's concern
 	}
-	switch st.(type) {
-	case *SelectStmt, *ExplainStmt:
-	default:
-		return // DML would mutate the shared seed store
-	}
-
 	store := fuzzStore(t)
-	stream := New(store)
-	collapsed := New(store)
-	rf, sf := fuzzFDs()
-	collapsed.RegisterFDs("r", rf)
-	collapsed.RegisterFDs("s", sf)
-	legacy := New(store)
-	legacy.rowScan = true
-
-	sres, serr := stream.QueryContext(context.Background(), sql)
-	cres, cerr := collapsed.QueryContext(context.Background(), sql)
-	lres, lerr := legacy.QueryContext(context.Background(), sql)
-	if (serr == nil) != (lerr == nil) {
-		t.Fatalf("error presence diverged for %q:\n streaming: %v\n legacy:    %v", sql, serr, lerr)
+	res, err := New(store).QueryContext(context.Background(), sql)
+	want, werr := refQuery(New(store), sql)
+	if (err == nil) != (werr == nil) {
+		t.Fatalf("error presence diverged for %q:\n engine:    %v\n reference: %v", sql, err, werr)
 	}
-	if (cerr == nil) != (lerr == nil) {
-		t.Fatalf("error presence diverged for %q:\n fd-collapsed: %v\n legacy:       %v", sql, cerr, lerr)
-	}
-	if serr != nil {
-		return
-	}
-	if _, isExplain := st.(*ExplainStmt); isExplain {
-		return // plan text is streaming-only by design
-	}
-	if !reflect.DeepEqual(sres, lres) {
-		t.Fatalf("results diverged for %q:\n streaming: cols=%v rows=%v versions=%v\n legacy:    cols=%v rows=%v versions=%v",
-			sql, sres.Columns, sres.Rows, sres.Versions, lres.Columns, lres.Rows, lres.Versions)
-	}
-	if !reflect.DeepEqual(cres, lres) {
-		t.Fatalf("results diverged for %q:\n fd-collapsed: cols=%v rows=%v\n legacy:       cols=%v rows=%v",
-			sql, cres.Columns, cres.Rows, lres.Columns, lres.Rows)
+	if err == nil && want != nil && !reflect.DeepEqual(res, want) {
+		t.Fatalf("results diverged for %q:\n engine:    cols=%v rows=%v versions=%v\n reference: cols=%v rows=%v versions=%v",
+			sql, res.Columns, res.Rows, res.Versions, want.Columns, want.Rows, want.Versions)
 	}
 }
 
@@ -192,49 +147,65 @@ func TestMemoSeedsReplay(t *testing.T) {
 		if lines := planLines(t, e, "EXPLAIN "+sql); indexOfLine(lines, "driver memo on") < 0 {
 			t.Errorf("%s\nis planned without a memo:\n%s", sql, strings.Join(lines, "\n"))
 		}
-		e.QueryContext(context.Background(), sql) // SUM(B) errors, on a replayed row
+		if _, err := e.QueryContext(context.Background(), sql); err != nil {
+			t.Errorf("%s: %v", sql, err)
+		}
 		if ops := e.OpStats(); ops.MemoReplays == 0 || ops.MemoClasses == 0 {
 			t.Errorf("%s\nreplayed %d rows of %d recorded classes", sql, ops.MemoReplays, ops.MemoClasses)
 		}
 	}
 }
 
-// FuzzSQLExec feeds arbitrary SQL text through both executors and demands
-// byte-identical results. The seed corpus (testdata/fuzz/FuzzSQLExec)
-// covers every pipeline stage: code filters, PLI/hash/nested joins, outer
-// joins, residuals, impure predicates, grouping, HAVING, DISTINCT, ORDER
-// BY and LIMIT/OFFSET.
+// fuzzSeeds is the seed list FuzzSQLExec starts from and
+// TestFuzzSeedsIdentity replays: every pipeline stage — code filters,
+// PLI/hash/nested joins, outer joins, residuals, value-level predicates,
+// grouping, HAVING, DISTINCT, ORDER BY and LIMIT/OFFSET — then codeSeeds
+// and memoSeeds. The arithmetic, SUBSTR and SUM seeds meet operands of the
+// wrong kind and zero divisors, which evaluate to NULL.
+var fuzzSeeds = slices.Concat([]string{
+	"SELECT * FROM r",
+	"SELECT A, B FROM r WHERE A = 1",
+	"SELECT * FROM r WHERE B IS NULL",
+	"SELECT * FROM r WHERE B IS NOT NULL AND A <> 2",
+	"SELECT r.A, s.D FROM r, s WHERE r.A = s.A",
+	"SELECT r.B, s.D FROM r LEFT JOIN s ON r.A = s.A",
+	"SELECT * FROM r, s WHERE r.A = s.A AND s.D = 'q'",
+	"SELECT * FROM r, s",
+	"SELECT r.A FROM r INNER JOIN s ON r.A = s.A AND s.D <> 'p'",
+	"SELECT A, COUNT(*) AS n FROM r GROUP BY A HAVING COUNT(*) > 1",
+	"SELECT COUNT(DISTINCT B) FROM r",
+	"SELECT DISTINCT A FROM r ORDER BY A DESC LIMIT 2 OFFSET 1",
+	"SELECT A + C FROM r",
+	"SELECT 1 / A FROM r",
+	"SELECT * FROM r WHERE C > 0.5 OR B LIKE 'x%'",
+	"SELECT COALESCE(B, 'none') FROM r WHERE A IN (1, 3)",
+	"SELECT SUBSTR(B, 1, A) FROM r",
+	"SELECT CASE WHEN A = 1 THEN 'one' ELSE B END FROM r",
+	"SELECT r1.A FROM r r1, r r2 WHERE r1.A = r2.A AND r1.B <> r2.B",
+	"SELECT * FROM r WHERE A BETWEEN 1 AND 2 LIMIT 3",
+	"EXPLAIN SELECT r.A FROM r, s WHERE r.A = s.A",
+	"SELECT MIN(C), MAX(C), SUM(A), AVG(A) FROM r",
+	"SELECT UPPER(B) || '!' FROM r WHERE NOT (A = 2)",
+	"SELECT r.A FROM r, s WHERE r.A = s.A AND r.B = s.D",
+	"SELECT r.B, s.D FROM r LEFT JOIN s ON r.A = s.A AND r.B = s.D",
+	"SELECT r1.A FROM r r1, r r2 WHERE r1.A = r2.A AND r1.B = r2.B AND r1.C = r2.C",
+	"SELECT A, B FROM r ORDER BY C LIMIT 3",
+}, codeSeeds, memoSeeds, []string{
+	// An ON reads only the tables joined so far: a later one is an unknown
+	// column, not a stale cursor.
+	"SELECT r.A FROM r JOIN s ON r.A = s.A AND u.B = 'x' JOIN u ON u.A = r.A",
+	"SELECT r.A, u.B FROM r LEFT JOIN s ON r.A = s.A JOIN u ON u.A = s.A AND u.C = 'p' WHERE 10 / r.A > 3",
+	"SELECT * FROM r, s WHERE r.C % 2 = s.A - 1 AND NOT s.D",
+	"SELECT B, SUM(B), AVG(C), SUM(DISTINCT C) FROM r GROUP BY B",
+	"SELECT 1 / 0, -'a', ABS('x'), SUBSTR('abc', 'x')",
+	"EXPLAIN SELECT *",
+})
+
+// FuzzSQLExec feeds arbitrary SQL text through the engine and the
+// nested-loop reference and demands identical results. The seed corpus
+// (testdata/fuzz/FuzzSQLExec) adds the committed inputs.
 func FuzzSQLExec(f *testing.F) {
-	seeds := []string{
-		"SELECT * FROM r",
-		"SELECT A, B FROM r WHERE A = 1",
-		"SELECT * FROM r WHERE B IS NULL",
-		"SELECT * FROM r WHERE B IS NOT NULL AND A <> 2",
-		"SELECT r.A, s.D FROM r, s WHERE r.A = s.A",
-		"SELECT r.B, s.D FROM r LEFT JOIN s ON r.A = s.A",
-		"SELECT * FROM r, s WHERE r.A = s.A AND s.D = 'q'",
-		"SELECT * FROM r, s",
-		"SELECT r.A FROM r INNER JOIN s ON r.A = s.A AND s.D <> 'p'",
-		"SELECT A, COUNT(*) AS n FROM r GROUP BY A HAVING COUNT(*) > 1",
-		"SELECT COUNT(DISTINCT B) FROM r",
-		"SELECT DISTINCT A FROM r ORDER BY A DESC LIMIT 2 OFFSET 1",
-		"SELECT A + C FROM r",
-		"SELECT 1 / A FROM r",
-		"SELECT * FROM r WHERE C > 0.5 OR B LIKE 'x%'",
-		"SELECT COALESCE(B, 'none') FROM r WHERE A IN (1, 3)",
-		"SELECT SUBSTR(B, 1, A) FROM r",
-		"SELECT CASE WHEN A = 1 THEN 'one' ELSE B END FROM r",
-		"SELECT r1.A FROM r r1, r r2 WHERE r1.A = r2.A AND r1.B <> r2.B",
-		"SELECT * FROM r WHERE A BETWEEN 1 AND 2 LIMIT 3",
-		"EXPLAIN SELECT r.A FROM r, s WHERE r.A = s.A",
-		"SELECT MIN(C), MAX(C), SUM(A), AVG(A) FROM r",
-		"SELECT UPPER(B) || '!' FROM r WHERE NOT (A = 2)",
-		"SELECT r.A FROM r, s WHERE r.A = s.A AND r.B = s.D",
-		"SELECT r.B, s.D FROM r LEFT JOIN s ON r.A = s.A AND r.B = s.D",
-		"SELECT r1.A FROM r r1, r r2 WHERE r1.A = r2.A AND r1.B = r2.B AND r1.C = r2.C",
-		"SELECT A, B FROM r ORDER BY C LIMIT 3",
-	}
-	for _, s := range slices.Concat(seeds, codeSeeds, memoSeeds) {
+	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, sql string) {
@@ -245,24 +216,10 @@ func FuzzSQLExec(f *testing.F) {
 	})
 }
 
-// TestFuzzSeedsIdentity replays the fuzz seed corpus as a plain test so
-// the identity gate runs on every `go test`, not only under -fuzz.
+// TestFuzzSeedsIdentity replays the seed list as a plain test so the
+// identity gate runs on every `go test`, not only under -fuzz.
 func TestFuzzSeedsIdentity(t *testing.T) {
-	seeds := []string{
-		"SELECT * FROM r",
-		"SELECT r.A, s.D FROM r, s WHERE r.A = s.A",
-		"SELECT r.B, s.D FROM r LEFT JOIN s ON r.A = s.A",
-		"SELECT A, COUNT(*) AS n FROM r GROUP BY A HAVING COUNT(*) > 1",
-		"SELECT SUBSTR(B, 1, A) FROM r",
-		"SELECT 1 / A FROM r",
-		"SELECT r1.A FROM r r1, r r2 WHERE r1.A = r2.A AND r1.B <> r2.B",
-		"SELECT DISTINCT A FROM r ORDER BY A DESC LIMIT 2 OFFSET 1",
-		"SELECT r.A FROM r, s WHERE r.A = s.A AND r.B = s.D",
-		"SELECT r.B, s.D FROM r LEFT JOIN s ON r.A = s.A AND r.B = s.D",
-		"SELECT r1.A FROM r r1, r r2 WHERE r1.A = r2.A AND r1.B = r2.B AND r1.C = r2.C",
-		"SELECT A, B FROM r ORDER BY C LIMIT 3",
-	}
-	for _, sql := range slices.Concat(seeds, codeSeeds, memoSeeds) {
+	for _, sql := range fuzzSeeds {
 		if _, err := Parse(sql); err != nil {
 			t.Errorf("seed %q does not parse (checkSQLIdentity would skip it): %v", sql, err)
 		}

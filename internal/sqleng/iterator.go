@@ -6,16 +6,13 @@
 // classes or hash indexes keyed by packed codes; the sink groups on codes
 // and keeps a group's representative as a cursor. One row buffer exists
 // beside the cursor for value-level expressions (arithmetic, LIKE, SUBSTR,
-// ordering compares, impure plans): a scan fills just the columns such an
-// expression reads as its cursor moves, and the sink fills projected
-// columns for the rows that survived. No intermediate relation is ever
-// materialized.
+// ordering compares): a scan fills just the columns such an expression
+// reads as its cursor moves, and the sink fills projected columns for the
+// rows that survived. No intermediate relation is ever materialized.
 //
-// Identity with the legacy materializing path is by construction: rows are
-// enumerated in exactly the legacy nested order (driver scan in snapshot
+// Rows are enumerated in the nested-loop order: driver scan in snapshot
 // order, each join step's matches in right-side snapshot order, unmatched
-// outer rows null-extended in place), and every predicate was placed by the
-// planner at the stage the legacy executor evaluated it.
+// outer rows null-extended in place.
 //
 // All hot loops share one monotonic counter and check the context every
 // cancelStride rows, preserving the engine's cancellation contract.
@@ -27,6 +24,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"semandaq/internal/relstore"
 	"semandaq/internal/types"
@@ -39,11 +37,6 @@ type rightIndex struct {
 	survRows []int32 // stepNested: surviving rows in snapshot order
 	buckets  map[string][]int32
 	pliCol   *relstore.Column
-	// FD-collapsed steps: the guarded key columns, and the memoized
-	// guard-filtered candidates per (lead class, guard codes) probe key.
-	guardCols []*relstore.Column
-	guard     []uint32 // scratch: guard codes of the current probe
-	memo      map[string][]int32
 }
 
 // planExec is one execution of a selectPlan.
@@ -70,6 +63,61 @@ func (px *planExec) stride() error {
 	return nil
 }
 
+// OpCounters profiles the executor's work. Counters accumulate across
+// queries on one engine, atomically (concurrent queries on a shared engine
+// each add their work); read a consistent copy via OpStats. The
+// late-materialisation, memo and probe gates read them.
+type OpCounters struct {
+	// PLIProbes counts single-column PLI class lookups.
+	PLIProbes int64
+	// HashProbes counts hash-bucket lookups, HashBuildRows the right-side
+	// rows scanned to build hash indexes.
+	HashProbes    int64
+	HashBuildRows int64
+	// ValuesMaterialized counts the Values fetched from dictionaries (and
+	// tuple ids boxed) into the row buffer. A query whose predicates, keys
+	// and aggregates all compile to codes fetches output rows x projected
+	// columns and nothing else.
+	ValuesMaterialized int64
+	// MemoClasses counts the driver-row classes whose tails the
+	// driver-signature memo recorded, MemoReplays the driver rows it served
+	// from a recording instead of running the pipeline.
+	MemoClasses int64
+	MemoReplays int64
+}
+
+// fields lists the counters, for the whole-struct atomic operations.
+func (o *OpCounters) fields() []*int64 {
+	return []*int64{&o.PLIProbes, &o.HashProbes, &o.HashBuildRows,
+		&o.ValuesMaterialized, &o.MemoClasses, &o.MemoReplays}
+}
+
+// flushOps folds the execution's locally accumulated counters into the
+// engine's, one atomic add per field — the hot loops count on plain ints.
+func (px *planExec) flushOps() {
+	local := px.ops.fields()
+	for i, f := range px.p.ops.fields() {
+		atomic.AddInt64(f, *local[i])
+	}
+}
+
+// OpStats returns a copy of the accumulated executor operation counters.
+func (e *Engine) OpStats() OpCounters {
+	var out OpCounters
+	dst := out.fields()
+	for i, f := range e.ops.fields() {
+		*dst[i] = atomic.LoadInt64(f)
+	}
+	return out
+}
+
+// ResetOpStats zeroes the executor operation counters.
+func (e *Engine) ResetOpStats() {
+	for _, f := range e.ops.fields() {
+		atomic.StoreInt64(f, 0)
+	}
+}
+
 // run drives the pipeline to completion (or early stop) into the plan's
 // sink. It may be called once per plan.
 func (p *selectPlan) run(ctx context.Context) error {
@@ -84,10 +132,6 @@ func (p *selectPlan) run(ctx context.Context) error {
 	}
 	p.sink.px = px
 	defer px.flushOps()
-	// Build every join index eagerly, in step order: the legacy path
-	// evaluates right-side filters and hash keys over the full right side
-	// before probing, even when the left side turns out empty, so building
-	// up front keeps evaluation (and error) coverage identical.
 	for si := range p.steps {
 		if err := px.buildIndex(si); err != nil {
 			return err
@@ -126,12 +170,11 @@ func (px *planExec) setCur(s int, r int32) {
 }
 
 // pass decides one predicate at the cursor.
-func (px *planExec) pass(f *filterPred) (bool, error) {
+func (px *planExec) pass(f *filterPred) bool {
 	if f.code != nil {
-		return f.code(px.cur) == 1, nil
+		return f.code(px.cur) == 1
 	}
-	v, err := f.fn(px.buf)
-	return err == nil && truthy(v), err
+	return truthy(f.fn(px.buf))
 }
 
 // appendCode packs one non-negative code into a byte key.
@@ -150,13 +193,6 @@ func (px *planExec) buildIndex(si int) error {
 	px.idx[si] = idx
 	if step.kind == stepPLI {
 		idx.pliCol = sc.cnr.Col(step.keyRCol)
-	}
-	if step.collapsed {
-		idx.memo = make(map[string][]int32)
-		idx.guard = make([]uint32, len(step.guardCols))
-		for _, c := range step.guardCols {
-			idx.guardCols = append(idx.guardCols, sc.cnr.Col(c))
-		}
 	}
 	if len(sc.filters) == 0 && step.kind == stepPLI {
 		// Candidates come straight from the cached partition: with no
@@ -177,9 +213,7 @@ rows:
 		}
 		px.setCur(step.rightIdx, int32(r))
 		for i := range sc.filters {
-			if ok, err := px.pass(&sc.filters[i]); err != nil {
-				return err
-			} else if !ok {
+			if !px.pass(&sc.filters[i]) {
 				continue rows
 			}
 		}
@@ -200,10 +234,7 @@ rows:
 					key = appendCode(key, c)
 					continue
 				}
-				v, err := jk.rfn(px.buf)
-				if err != nil {
-					return err
-				}
+				v := jk.rfn(px.buf)
 				if v.IsNull() && !jk.nullSafe {
 					px.keyBuf = key
 					continue rows
@@ -220,13 +251,13 @@ rows:
 }
 
 // driverMemo decides the join once per class of driver rows. Below the driver
-// scan a pure plan's pipeline is a function of the row's exact values on the
-// columns D that WHERE and ON read (selectPlan.planMemo), so a class's first
-// row runs it and records the cursor suffixes cur[1:] that reach the sink
-// (the tails, null-extended -1s included) and every later row replays them.
-// Rows are served in driver order and tails in recorded order: enumeration
-// order, group numbering and early stops are the unmemoised loop's, and
-// purity licenses skipping the repeated evaluations.
+// scan the pipeline is a function of the row's exact values on the columns D
+// that WHERE and ON read (selectPlan.planMemo), so a class's first row runs
+// it and records the cursor suffixes cur[1:] that reach the sink (the tails,
+// null-extended -1s included) and every later row replays them. Rows are
+// served in driver order and tails in recorded order: enumeration order,
+// group numbering and early stops are the unmemoised loop's, and total
+// evaluation makes skipping the repeated evaluations unobservable.
 type driverMemo struct {
 	cols    []*relstore.Column // D
 	dense   [][]int32          // per column left with dead codes (patch.go): code -> index among the live ones
@@ -316,9 +347,7 @@ func (px *planExec) scanDriver() error {
 				continue
 			}
 		}
-		if ok, err := px.stageGate(0); err != nil {
-			return err
-		} else if ok {
+		if px.stageGate(0) {
 			if err := px.descend(0); err != nil {
 				return err
 			}
@@ -342,92 +371,81 @@ func (px *planExec) replay(e []int32) error {
 		for s := 1; s <= w; s++ {
 			px.setCur(s, e[1+i*w+s])
 		}
-		stop, err := px.p.sink.add(e[1])
-		if err != nil {
-			return err
-		}
-		px.stop = stop
+		px.stop = px.p.sink.add(e[1])
 	}
 	return nil
 }
 
 // stageGate runs stage d's filters and hoisted probes over the current
 // prefix, reporting whether the prefix survives.
-func (px *planExec) stageGate(d int) (bool, error) {
+func (px *planExec) stageGate(d int) bool {
 	stage := px.p.stages[d]
 	for i := range stage {
-		if ok, err := px.pass(&stage[i]); err != nil || !ok {
-			return false, err
+		if !px.pass(&stage[i]) {
+			return false
 		}
 	}
 	for _, si := range px.p.probesAt[d] {
-		if ok, err := px.probe(si); err != nil || !ok {
-			return false, err
+		if !px.probe(si) {
+			return false
 		}
 	}
-	return true, nil
+	return true
 }
 
 // keyCode returns the current prefix's value of a code-keyed join key in
 // the right term's code space: through the translation table when the left
 // side is a term (one array load), else by looking the evaluated value up.
 // Negative: NULL, or a value the right column lacks — no partner.
-func (px *planExec) keyCode(jk *joinKey) (int32, error) {
+func (px *planExec) keyCode(jk *joinKey) int32 {
 	if jk.tab != nil {
-		return jk.tab.get()[jk.lt.exact(px.cur)], nil
+		return jk.tab.get()[jk.lt.exact(px.cur)]
 	}
-	v, err := jk.lfn(px.buf)
-	return jk.rt.codeOf(v), err
+	return jk.rt.codeOf(jk.lfn(px.buf))
 }
 
 // lookup finds step si's candidate right rows for the current prefix key,
 // nil when the key is NULL or has no partner.
-func (px *planExec) lookup(si int) ([]int32, error) {
+func (px *planExec) lookup(si int) []int32 {
 	step := px.p.steps[si]
 	idx := px.idx[si]
 	if step.kind == stepPLI {
-		eq, err := px.keyCode(&step.keys[step.leadKey])
-		if err != nil || eq < 0 {
-			return nil, err
-		}
-		if step.collapsed {
-			return px.collapsedLookup(si, uint32(eq))
+		eq := px.keyCode(&step.keys[0])
+		if eq < 0 {
+			return nil
 		}
 		px.ops.PLIProbes++
-		return idx.pliCol.ClassRows(uint32(eq)), nil
+		return idx.pliCol.ClassRows(uint32(eq))
 	}
 	key := px.keyBuf[:0]
 	for k := range step.keys {
 		jk := &step.keys[k]
 		if jk.rt != nil {
-			c, err := px.keyCode(jk)
-			if err != nil || c < 0 {
+			c := px.keyCode(jk)
+			if c < 0 {
 				px.keyBuf = key
-				return nil, err
+				return nil
 			}
 			key = appendCode(key, c)
 			continue
 		}
-		v, err := jk.lfn(px.buf)
-		if err != nil || (v.IsNull() && !jk.nullSafe) {
+		v := jk.lfn(px.buf)
+		if v.IsNull() && !jk.nullSafe {
 			px.keyBuf = key
-			return nil, err
+			return nil
 		}
 		key = v.AppendGroupKey(key)
 	}
 	px.keyBuf = key
 	px.ops.HashProbes++
-	return idx.buckets[string(key)], nil
+	return idx.buckets[string(key)]
 }
 
 // probe runs step si's index lookup early, at a stage before the step's
 // own, and caches the candidates for the step to consume. A prefix with no
 // surviving partner is killed on the spot.
-func (px *planExec) probe(si int) (bool, error) {
-	cands, err := px.lookup(si)
-	if err != nil {
-		return false, err
-	}
+func (px *planExec) probe(si int) bool {
+	cands := px.lookup(si)
 	idx := px.idx[si]
 	if idx.surv != nil {
 		any := false
@@ -442,19 +460,18 @@ func (px *planExec) probe(si int) (bool, error) {
 		}
 	}
 	px.cached[si] = cands
-	return len(cands) > 0, nil
+	return len(cands) > 0
 }
 
 // descend runs the pipeline below stage d: the next join step, or the sink
 // when every scan's cursor is set.
 func (px *planExec) descend(d int) error {
 	if d == len(px.p.scans)-1 {
-		stop, err := px.p.sink.add(-1)
-		px.stop = px.stop || stop
+		px.stop = px.p.sink.add(-1) || px.stop
 		if m := px.memo; m != nil && m.rec >= 0 {
 			m.record(px.cur[1:], px.p.sink.gid)
 		}
-		return err
+		return nil
 	}
 	step := px.p.steps[d]
 	idx := px.idx[d]
@@ -465,11 +482,7 @@ func (px *planExec) descend(d int) error {
 	case step.probeAt < d:
 		cands = px.cached[d] // the hoisted probe already looked it up
 	default:
-		var err error
-		cands, err = px.lookup(d)
-		if err != nil {
-			return err
-		}
+		cands = px.lookup(d)
 	}
 
 	matched := false
@@ -479,16 +492,15 @@ func (px *planExec) descend(d int) error {
 		}
 		px.setCur(d+1, r)
 		for i := range step.residuals {
-			if ok, err := px.pass(&step.residuals[i]); err != nil || !ok {
-				return err
+			if !px.pass(&step.residuals[i]) {
+				return nil
 			}
 		}
-		// The legacy path counts a pair as matched once the ON residuals
-		// pass, before the later WHERE conjuncts run — the distinction
-		// decides null-extension, so it is preserved exactly.
+		// A pair is matched once the whole ON holds, before the later WHERE
+		// conjuncts run: the distinction decides null-extension.
 		matched = true
-		if ok, err := px.stageGate(d + 1); err != nil || !ok {
-			return err
+		if !px.stageGate(d + 1) {
+			return nil
 		}
 		return px.descend(d + 1)
 	}
@@ -510,11 +522,10 @@ func (px *planExec) descend(d int) error {
 
 	if step.outer && !matched {
 		// Null-extend: a cursor of -1 reads as NULL in every column of the
-		// right scan, which is the unmatched-left row the legacy path
-		// appends; the later-stage WHERE conjuncts see it as such.
+		// right scan; the later-stage WHERE conjuncts see it as such.
 		px.setCur(d+1, -1)
-		if ok, err := px.stageGate(d + 1); err != nil || !ok {
-			return err
+		if !px.stageGate(d + 1) {
+			return nil
 		}
 		return px.descend(d + 1)
 	}
@@ -534,7 +545,6 @@ func (p *selectPlan) collect(ctx context.Context) (*Result, error) {
 type sinkProj struct {
 	name string
 	fn   evalFn
-	pure bool
 }
 
 // sinkOrderKey is one compiled ORDER BY key: an expression over the
@@ -557,8 +567,7 @@ type sinkOutRow struct {
 
 // streamSink terminates the pipeline: grouping/aggregation, HAVING,
 // projection, DISTINCT, ORDER BY, OFFSET/LIMIT. It is fully compiled at
-// plan time, mirroring the legacy projectAndFinish semantics stage by
-// stage, and consumes the pipeline incrementally — for non-grouped queries
+// plan time and consumes the pipeline incrementally — for non-grouped queries
 // only the projected output rows are retained; a group retains a cursor
 // (its first member) and its aggregate states.
 type streamSink struct {
@@ -589,18 +598,16 @@ type streamSink struct {
 	// grouping, the projection); havingCols per group from its
 	// representative cursor; outCols per group that passed HAVING.
 	rowCols, havingCols, outCols []int32
-	// earlyStop: with a LIMIT, no ORDER BY, no grouping and a pure plan
-	// and projection, the pipeline can stop as soon as OFFSET+LIMIT output
-	// rows exist — no later row could change the result.
+	// earlyStop: with a LIMIT, no ORDER BY and no grouping, the pipeline
+	// can stop as soon as OFFSET+LIMIT output rows exist — no later row
+	// could change the result.
 	earlyStop bool
 	target    int // earlyStop: rows to accumulate before stopping
 	// heapK: with ORDER BY and a LIMIT, only the OFFSET+LIMIT best rows
 	// can reach the output, so the sink retains exactly that many in a
 	// bounded max-heap (s.out is the heap storage) instead of the full
 	// sorted set; rows that cannot make the cut are rejected before any
-	// copy is allocated. -1 disables (no LIMIT, or no ORDER BY). Every
-	// projection and key expression is still evaluated for every row, so
-	// error presence matches the unbounded path exactly.
+	// copy is allocated. -1 disables (no LIMIT, or no ORDER BY).
 	heapK int
 
 	// Runtime state.
@@ -624,9 +631,7 @@ type streamSink struct {
 }
 
 // newStreamSink compiles the sink for p's statement over the pipeline
-// catalog. The compile steps and error messages mirror the legacy
-// projectAndFinish exactly; only the point in time moves (plan time instead
-// of interleaved with execution), which preserves error presence.
+// catalog.
 func newStreamSink(p *selectPlan) (*streamSink, error) {
 	st, cat, hidden := p.st, p.cat, p.hidden
 	s := &streamSink{st: st, width: len(cat), nscans: len(p.scans), heapK: -1, gid: -1}
@@ -714,8 +719,8 @@ func newStreamSink(p *selectPlan) (*streamSink, error) {
 					continue
 				}
 				idx := i
-				s.projs = append(s.projs, sinkProj{name: ci.name, pure: true,
-					fn: func(row []types.Value) (types.Value, error) { return row[idx], nil }})
+				s.projs = append(s.projs, sinkProj{name: ci.name,
+					fn: func(row []types.Value) types.Value { return row[idx] }})
 				if !slices.Contains(s.outCols, int32(i)) {
 					s.outCols = append(s.outCols, int32(i))
 				}
@@ -726,7 +731,7 @@ func newStreamSink(p *selectPlan) (*streamSink, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.projs = append(s.projs, sinkProj{name: itemName(it), fn: f, pure: pureExpr(it.Expr)})
+		s.projs = append(s.projs, sinkProj{name: itemName(it), fn: f})
 	}
 	if len(s.projs) == 0 {
 		return nil, fmt.Errorf("sql: empty select list")
@@ -764,8 +769,7 @@ func newStreamSink(p *selectPlan) (*streamSink, error) {
 		s.heapK = st.Offset + st.Limit
 	}
 	s.valBuf = make([]types.Value, len(s.projs))
-	s.earlyStop = p.pure && !s.needsGroup && len(s.orderKeys) == 0 && st.Limit >= 0 &&
-		!slices.ContainsFunc(s.projs, func(pr sinkProj) bool { return !pr.pure })
+	s.earlyStop = !s.needsGroup && len(s.orderKeys) == 0 && st.Limit >= 0
 	s.target = st.Offset + st.Limit
 	return s, nil
 }
@@ -826,10 +830,10 @@ func (s *streamSink) describe() string {
 }
 
 // add consumes the pipeline row under the cursor, a row of group known when
-// the memo replays it (else -1). Returns stop=true when the pipeline may
+// the memo replays it (else -1). Returns true when the pipeline may
 // terminate early (LIMIT satisfied, or a streaming consumer declined more
 // rows).
-func (s *streamSink) add(known int32) (bool, error) {
+func (s *streamSink) add(known int32) bool {
 	px := s.px
 	px.materialise(s.rowCols, px.cur)
 	if !s.needsGroup {
@@ -847,11 +851,7 @@ func (s *streamSink) add(known int32) (bool, error) {
 		if t != nil {
 			c = uint32(t.own(px.cur) + 2) // NULL (-2) groups as a value of its own
 		} else {
-			v, err := s.keyFns[i](px.buf)
-			if err != nil {
-				return false, err
-			}
-			c = s.internValue(s.intern[i], v)
+			c = s.internValue(s.intern[i], s.keyFns[i](px.buf))
 		}
 		id, ok := s.levels[i][gid<<32|uint64(c)]
 		if !ok {
@@ -876,19 +876,14 @@ func (s *streamSink) add(known int32) (bool, error) {
 				n.n++
 			}
 		default:
-			v, err := c.arg(px.buf)
-			if err != nil {
-				return false, err
-			}
+			v := c.arg(px.buf)
 			if v.IsNull() || (c.fn.Distinct && !n.firstSeen(c, gid, s.internValue(c.intern, v))) {
 				continue // aggregates skip NULLs, DISTINCT ones repeats
 			}
-			if err := s.vals[int(gid)*len(s.fresh)+c.vslot].accumulate(v); err != nil {
-				return false, err
-			}
+			s.vals[int(gid)*len(s.fresh)+c.vslot].accumulate(v)
 		}
 	}
-	return false, nil
+	return false
 }
 
 // aggCount is a group's pointer-free state for one call: the count a
@@ -937,20 +932,17 @@ func (st *aggCount) firstSeen(call *aggCall, gid uint64, c uint32) bool {
 }
 
 // emit projects one (grouped) row and routes it: through DISTINCT, then to
-// the streaming consumer, the bounded heap or the output set. The sequence
-// of expression evaluations (and hence of possible errors) is the same on
-// every route; only the retention differs: a row the heap rejects or a
+// the streaming consumer, the bounded heap or the output set. Only the
+// retention differs between the routes: a row the heap rejects or a
 // consumer takes allocates nothing.
-func (s *streamSink) emit(row []types.Value) (stop bool, err error) {
+func (s *streamSink) emit(row []types.Value) (stop bool) {
 	bounded := s.heapK >= 0 && s.yield == nil
 	vals := s.valBuf
 	if !bounded && s.yield == nil {
 		vals = make([]types.Value, len(s.projs))
 	}
 	for i, pr := range s.projs {
-		if vals[i], err = pr.fn(row); err != nil {
-			return false, err
-		}
+		vals[i] = pr.fn(row)
 	}
 	if s.seen != nil {
 		key := s.keyBuf[:0]
@@ -959,19 +951,17 @@ func (s *streamSink) emit(row []types.Value) (stop bool, err error) {
 		}
 		s.keyBuf = key
 		if s.seen[string(key)] {
-			return false, nil
+			return false
 		}
 		s.seen[string(key)] = true
 	}
 	keys := s.ordBuf[:0]
 	for _, okey := range s.orderKeys {
-		v := types.Null
 		if okey.byOut >= 0 {
-			v = vals[okey.byOut]
-		} else if v, err = okey.fn(row); err != nil {
-			return false, err
+			keys = append(keys, vals[okey.byOut])
+		} else {
+			keys = append(keys, okey.fn(row))
 		}
-		keys = append(keys, v)
 	}
 	s.ordBuf = keys
 
@@ -981,29 +971,29 @@ func (s *streamSink) emit(row []types.Value) (stop bool, err error) {
 		// over instead of retaining it.
 		s.streamed++
 		if s.streamed <= s.st.Offset {
-			return false, nil
+			return false
 		}
 		if s.st.Limit >= 0 && s.streamed > s.st.Offset+s.st.Limit {
-			return true, nil
+			return true
 		}
 		if !s.yield(vals) {
 			s.yieldend = true
-			return true, nil
+			return true
 		}
-		return s.st.Limit >= 0 && s.streamed == s.st.Offset+s.st.Limit, nil
+		return s.st.Limit >= 0 && s.streamed == s.st.Offset+s.st.Limit
 	case bounded:
 		cand := sinkOutRow{vals: vals, keys: keys, seq: s.seq}
 		s.seq++
 		if s.heapK == 0 || (len(s.out) == s.heapK && !s.outLess(&cand, &s.out[0])) {
-			return false, nil // cannot enter the top k: rejected without a copy
+			return false // cannot enter the top k: rejected without a copy
 		}
 		cand.vals = append([]types.Value(nil), vals...)
 		cand.keys = append([]types.Value(nil), keys...)
 		s.boundedInsert(cand)
-		return false, nil
+		return false
 	}
 	s.out = append(s.out, sinkOutRow{vals: vals, keys: append([]types.Value(nil), keys...)})
-	return s.earlyStop && len(s.out) >= s.target, nil
+	return s.earlyStop && len(s.out) >= s.target
 }
 
 // outLess is the total order the heap maintains: ORDER BY keys first, then
@@ -1126,18 +1116,12 @@ func (s *streamSink) finishGroups(ctx context.Context) error {
 				row[s.width+ci] = s.vals[gi*len(s.fresh)+c.vslot].result()
 			}
 		}
-		if s.having != nil {
-			v, err := s.having(row)
-			if err != nil {
-				return err
-			}
-			if !truthy(v) {
-				continue
-			}
+		if s.having != nil && !truthy(s.having(row)) {
+			continue
 		}
 		s.px.materialise(s.outCols, rep)
-		if stop, err := s.emit(row); err != nil || stop {
-			return err
+		if s.emit(row) {
+			return nil
 		}
 	}
 	return nil
@@ -1155,14 +1139,13 @@ type SelectStream struct {
 	Versions map[string]int64
 
 	plan  *selectPlan
-	eager *Result // legacy-path fallback: fully materialized
+	eager *Result // a SELECT without FROM: its one row
 }
 
-// Stream plans a SELECT for incremental consumption. For plans with a
-// grouping or ordering barrier (and on the legacy row-scan path) the
-// result is materialized on the first Each call; otherwise rows flow
-// straight from the pipeline. A stream is single-use: Each may be called
-// once.
+// Stream plans a SELECT for incremental consumption. For plans with an
+// ordering barrier the result is materialized on the first Each call;
+// otherwise rows flow straight from the pipeline. A stream is single-use:
+// Each may be called once.
 func (e *Engine) Stream(ctx context.Context, sql string) (*SelectStream, error) {
 	st, err := Parse(sql)
 	if err != nil {
@@ -1172,7 +1155,7 @@ func (e *Engine) Stream(ctx context.Context, sql string) (*SelectStream, error) 
 	if !ok {
 		return nil, fmt.Errorf("sql: Stream requires a SELECT statement")
 	}
-	if len(sel.From) == 0 || e.rowScan {
+	if len(sel.From) == 0 {
 		res, err := e.RunContext(ctx, sel)
 		if err != nil {
 			return nil, err

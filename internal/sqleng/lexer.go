@@ -5,11 +5,13 @@
 // the relstore tables.
 //
 // Supported surface: SELECT [DISTINCT] with expressions and aliases,
-// multi-table FROM (comma joins and INNER JOIN ... ON) executed as hash
-// equi-joins where possible, WHERE with three-valued logic, GROUP BY,
-// HAVING, aggregates (COUNT, COUNT(DISTINCT), SUM, AVG, MIN, MAX), ORDER
-// BY, LIMIT/OFFSET, EXPLAIN SELECT, and the DML statements INSERT, UPDATE,
-// DELETE plus CREATE/DROP TABLE.
+// multi-table FROM (comma joins, [INNER] JOIN ... ON and LEFT JOIN ... ON)
+// executed through PLI and hash indexes where possible, WHERE with
+// three-valued logic, GROUP BY, HAVING, aggregates (COUNT,
+// COUNT(DISTINCT), SUM, AVG, MIN, MAX), ORDER BY, LIMIT/OFFSET, and
+// EXPLAIN SELECT. The engine only reads: tables are written through the
+// relstore API. Expression evaluation is total — a data-dependent failure
+// such as x/0 is NULL — so only compilation can fail.
 package sqleng
 
 import (
@@ -42,11 +44,8 @@ var keywords = map[string]bool{
 	"DESC": true, "LIMIT": true, "OFFSET": true, "AS": true, "AND": true,
 	"OR": true, "NOT": true, "NULL": true, "TRUE": true, "FALSE": true,
 	"IS": true, "IN": true, "LIKE": true, "JOIN": true, "INNER": true,
-	"LEFT": true, "ON": true, "INSERT": true, "INTO": true, "VALUES": true,
-	"UPDATE": true, "SET": true, "DELETE": true, "CREATE": true,
-	"TABLE": true, "DROP": true, "COUNT": true, "SUM": true, "AVG": true,
-	"MIN": true, "MAX": true, "INT": true, "FLOAT": true, "STRING": true,
-	"BOOL": true, "TEXT": true, "VARCHAR": true, "UNION": true, "ALL": true,
+	"LEFT": true, "ON": true, "COUNT": true, "SUM": true, "AVG": true,
+	"MIN": true, "MAX": true, "UNION": true, "ALL": true,
 	"EXISTS": true, "BETWEEN": true, "CASE": true, "WHEN": true,
 	"THEN": true, "ELSE": true, "END": true, "EXPLAIN": true,
 }

@@ -24,7 +24,8 @@ type parser struct {
 	i    int
 }
 
-// Parse parses a single SQL statement (a trailing semicolon is allowed).
+// Parse parses a single SQL statement (a trailing semicolon is allowed): a
+// SELECT or an EXPLAIN SELECT. Anything else is a *ParseError.
 func Parse(src string) (Statement, error) {
 	toks, err := lex(src)
 	if err != nil {
@@ -74,8 +75,7 @@ func (p *parser) expect(kind tokenKind, text string) (token, error) {
 	return token{}, p.errorf("expected %q, got %q", text, t.text)
 }
 
-// expectIdent consumes an identifier (or non-reserved keyword usable as a
-// name, such as type names) and returns its text.
+// expectIdent consumes an identifier and returns its text.
 func (p *parser) expectIdent() (string, error) {
 	t := p.peek()
 	if t.kind == tokIdent {
@@ -104,16 +104,6 @@ func (p *parser) parseStatement() (Statement, error) {
 			return nil, err
 		}
 		return &ExplainStmt{Select: sel}, nil
-	case "INSERT":
-		return p.parseInsert()
-	case "UPDATE":
-		return p.parseUpdate()
-	case "DELETE":
-		return p.parseDelete()
-	case "CREATE":
-		return p.parseCreateTable()
-	case "DROP":
-		return p.parseDropTable()
 	default:
 		return nil, p.errorf("unsupported statement %q", t.text)
 	}
@@ -302,207 +292,6 @@ func (p *parser) parseFromItem() (FromItem, error) {
 		fi.Alias = p.advance().text
 	}
 	return fi, nil
-}
-
-func (p *parser) parseInsert() (*InsertStmt, error) {
-	if _, err := p.expect(tokKeyword, "INSERT"); err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokKeyword, "INTO"); err != nil {
-		return nil, err
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	st := &InsertStmt{Table: name}
-	if p.accept(tokSymbol, "(") {
-		for {
-			c, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			st.Cols = append(st.Cols, c)
-			if !p.accept(tokSymbol, ",") {
-				break
-			}
-		}
-		if _, err := p.expect(tokSymbol, ")"); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := p.expect(tokKeyword, "VALUES"); err != nil {
-		return nil, err
-	}
-	for {
-		if _, err := p.expect(tokSymbol, "("); err != nil {
-			return nil, err
-		}
-		var row []Expr
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, e)
-			if !p.accept(tokSymbol, ",") {
-				break
-			}
-		}
-		if _, err := p.expect(tokSymbol, ")"); err != nil {
-			return nil, err
-		}
-		st.Rows = append(st.Rows, row)
-		if !p.accept(tokSymbol, ",") {
-			break
-		}
-	}
-	return st, nil
-}
-
-func (p *parser) parseUpdate() (*UpdateStmt, error) {
-	if _, err := p.expect(tokKeyword, "UPDATE"); err != nil {
-		return nil, err
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokKeyword, "SET"); err != nil {
-		return nil, err
-	}
-	st := &UpdateStmt{Table: name}
-	for {
-		col, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokSymbol, "="); err != nil {
-			return nil, err
-		}
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Set = append(st.Set, SetClause{Col: col, Expr: e})
-		if !p.accept(tokSymbol, ",") {
-			break
-		}
-	}
-	if p.acceptKeyword("WHERE") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Where = e
-	}
-	return st, nil
-}
-
-func (p *parser) parseDelete() (*DeleteStmt, error) {
-	if _, err := p.expect(tokKeyword, "DELETE"); err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokKeyword, "FROM"); err != nil {
-		return nil, err
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	st := &DeleteStmt{Table: name}
-	if p.acceptKeyword("WHERE") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Where = e
-	}
-	return st, nil
-}
-
-func (p *parser) parseCreateTable() (*CreateTableStmt, error) {
-	if _, err := p.expect(tokKeyword, "CREATE"); err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokKeyword, "TABLE"); err != nil {
-		return nil, err
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokSymbol, "("); err != nil {
-		return nil, err
-	}
-	st := &CreateTableStmt{Table: name}
-	for {
-		col, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		kind, err := p.parseTypeName()
-		if err != nil {
-			return nil, err
-		}
-		st.Cols = append(st.Cols, ColumnDef{Name: col, Type: kind})
-		if !p.accept(tokSymbol, ",") {
-			break
-		}
-	}
-	if _, err := p.expect(tokSymbol, ")"); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-func (p *parser) parseTypeName() (types.Kind, error) {
-	t := p.peek()
-	if t.kind != tokKeyword {
-		// Untyped column: no type name given.
-		return types.KindNull, nil
-	}
-	switch t.text {
-	case "INT":
-		p.advance()
-		return types.KindInt, nil
-	case "FLOAT":
-		p.advance()
-		return types.KindFloat, nil
-	case "BOOL":
-		p.advance()
-		return types.KindBool, nil
-	case "STRING", "TEXT":
-		p.advance()
-		return types.KindString, nil
-	case "VARCHAR":
-		p.advance()
-		if p.accept(tokSymbol, "(") {
-			if _, err := p.parseNonNegInt(); err != nil {
-				return 0, err
-			}
-			if _, err := p.expect(tokSymbol, ")"); err != nil {
-				return 0, err
-			}
-		}
-		return types.KindString, nil
-	default:
-		return types.KindNull, nil
-	}
-}
-
-func (p *parser) parseDropTable() (*DropTableStmt, error) {
-	if _, err := p.expect(tokKeyword, "DROP"); err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokKeyword, "TABLE"); err != nil {
-		return nil, err
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	return &DropTableStmt{Table: name}, nil
 }
 
 // Expression grammar (precedence climbing):

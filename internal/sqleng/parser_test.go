@@ -1,9 +1,9 @@
 package sqleng
 
 import (
+	"errors"
+	"reflect"
 	"testing"
-
-	"semandaq/internal/types"
 )
 
 func mustParse(t *testing.T, src string) Statement {
@@ -131,44 +131,28 @@ func TestParsePredicates(t *testing.T) {
 	}
 }
 
+// TestParseDML: the grammar has no writes. INSERT, UPDATE and DELETE are
+// parse errors.
 func TestParseDML(t *testing.T) {
-	ins := mustParse(t, "INSERT INTO r (a, b) VALUES (1, 'x'), (2, 'y')").(*InsertStmt)
-	if ins.Table != "r" || len(ins.Cols) != 2 || len(ins.Rows) != 2 {
-		t.Errorf("insert = %+v", ins)
-	}
-	ins2 := mustParse(t, "INSERT INTO r VALUES (1, 2)").(*InsertStmt)
-	if len(ins2.Cols) != 0 || len(ins2.Rows[0]) != 2 {
-		t.Errorf("insert2 = %+v", ins2)
-	}
-	upd := mustParse(t, "UPDATE r SET a = 1, b = 'z' WHERE c = 2").(*UpdateStmt)
-	if len(upd.Set) != 2 || upd.Where == nil {
-		t.Errorf("update = %+v", upd)
-	}
-	del := mustParse(t, "DELETE FROM r WHERE a = 1").(*DeleteStmt)
-	if del.Table != "r" || del.Where == nil {
-		t.Errorf("delete = %+v", del)
-	}
-	del2 := mustParse(t, "DELETE FROM r").(*DeleteStmt)
-	if del2.Where != nil {
-		t.Error("delete without where")
+	for _, src := range []string{
+		"INSERT INTO r (a, b) VALUES (1, 'x'), (2, 'y')",
+		"UPDATE r SET a = 1, b = 'z' WHERE c = 2",
+		"DELETE FROM r WHERE a = 1",
+	} {
+		var perr *ParseError
+		if st, err := Parse(src); !errors.As(err, &perr) {
+			t.Errorf("Parse(%q) = %v, %v; want a *ParseError", src, st, err)
+		}
 	}
 }
 
+// TestParseDDL: CREATE TABLE and DROP TABLE are parse errors.
 func TestParseDDL(t *testing.T) {
-	ct := mustParse(t, "CREATE TABLE r (a INT, b STRING, c VARCHAR(20), d FLOAT, e BOOL, f TEXT)").(*CreateTableStmt)
-	if ct.Table != "r" || len(ct.Cols) != 6 {
-		t.Fatalf("create = %+v", ct)
-	}
-	wantKinds := []types.Kind{types.KindInt, types.KindString, types.KindString,
-		types.KindFloat, types.KindBool, types.KindString}
-	for i, w := range wantKinds {
-		if ct.Cols[i].Type != w {
-			t.Errorf("col %d type = %v, want %v", i, ct.Cols[i].Type, w)
+	for _, src := range []string{"CREATE TABLE r (a INT, b STRING)", "DROP TABLE r"} {
+		var perr *ParseError
+		if st, err := Parse(src); !errors.As(err, &perr) {
+			t.Errorf("Parse(%q) = %v, %v; want a *ParseError", src, st, err)
 		}
-	}
-	dt := mustParse(t, "DROP TABLE r").(*DropTableStmt)
-	if dt.Table != "r" {
-		t.Errorf("drop = %+v", dt)
 	}
 }
 
@@ -241,4 +225,45 @@ func TestHasAggregate(t *testing.T) {
 			t.Errorf("hasAggregate(%q) = %v", c.sql, got)
 		}
 	}
+}
+
+// FuzzParseSQL: Parse never panics and returns a statement or an error, and
+// every item, WHERE and HAVING expression of an accepted SELECT prints
+// (exprString) to text that re-parses, as SELECT <expr>, to the same AST.
+// The seeds are the executor's seeds plus the printer's corners in
+// testdata/fuzz/FuzzParseSQL.
+func FuzzParseSQL(f *testing.F) {
+	for _, s := range fuzzSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		st, err := Parse(src)
+		if (st == nil) == (err == nil) {
+			t.Fatalf("Parse(%q) = %v, %v: want a statement or an error", src, st, err)
+		}
+		sel, ok := st.(*SelectStmt)
+		if x, isExplain := st.(*ExplainStmt); isExplain {
+			sel, ok = x.Select, true
+		}
+		if !ok {
+			return
+		}
+		exprs := []Expr{sel.Where, sel.Having}
+		for _, it := range sel.Items {
+			exprs = append(exprs, it.Expr)
+		}
+		for _, e := range exprs {
+			if e == nil {
+				continue
+			}
+			text := exprString(e)
+			re, err := Parse("SELECT " + text)
+			if err != nil {
+				t.Fatalf("%q prints %q, which does not parse: %v", src, text, err)
+			}
+			if items := re.(*SelectStmt).Items; len(items) != 1 || !reflect.DeepEqual(items[0].Expr, e) {
+				t.Fatalf("%q prints %q, which parses to a different expression", src, text)
+			}
+		}
+	})
 }

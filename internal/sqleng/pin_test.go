@@ -25,42 +25,45 @@ func pinTable(t *testing.T) (*relstore.Store, *relstore.Table) {
 
 // TestEnginePinFreezesReads: a pinned engine keeps answering from the
 // pinned version while the live table mutates; unpinning follows the live
-// table again. Both scan paths honor the pin.
+// table again. The engine and the reference both honor the pin.
 func TestEnginePinFreezesReads(t *testing.T) {
-	for _, rowScan := range []bool{false, true} {
-		store, tab := pinTable(t)
-		e := New(store)
-		e.rowScan = rowScan
-		snap := tab.Snapshot()
+	store, tab := pinTable(t)
+	e := New(store)
+	snap := tab.Snapshot()
+	e.Pin(snap)
+
+	tab.MustInsert(relstore.Tuple{types.NewString("c"), types.NewString("3")})
+	tab.SetCell(0, 1, types.NewString("mutated"))
+
+	for _, run := range []func(*Engine, string) (*Result, error){
+		func(e *Engine, q string) (*Result, error) { return e.QueryContext(context.Background(), q) },
+		refQuery,
+	} {
 		e.Pin(snap)
-
-		tab.MustInsert(relstore.Tuple{types.NewString("c"), types.NewString("3")})
-		tab.SetCell(0, 1, types.NewString("mutated"))
-
-		res, err := e.QueryContext(context.Background(), `SELECT K, V FROM p`)
+		res, err := run(e, `SELECT K, V FROM p`)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(res.Rows) != 3 {
-			t.Fatalf("rowScan=%v: pinned read saw %d rows, want 3", rowScan, len(res.Rows))
+			t.Fatalf("pinned read saw %d rows, want 3", len(res.Rows))
 		}
 		if got := res.Rows[0][1].Str(); got != "1" {
-			t.Fatalf("rowScan=%v: pinned read saw mutated cell %q", rowScan, got)
+			t.Fatalf("pinned read saw mutated cell %q", got)
 		}
 		if v := res.Versions["p"]; v != snap.Version() {
-			t.Fatalf("rowScan=%v: result version %d, want pinned %d", rowScan, v, snap.Version())
+			t.Fatalf("result version %d, want pinned %d", v, snap.Version())
 		}
 
 		e.Unpin("p")
-		res, err = e.QueryContext(context.Background(), `SELECT K, V FROM p`)
+		res, err = run(e, `SELECT K, V FROM p`)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(res.Rows) != 4 || res.Rows[0][1].Str() != "mutated" {
-			t.Fatalf("rowScan=%v: unpinned read still frozen: %v", rowScan, res.Rows)
+			t.Fatalf("unpinned read still frozen: %v", res.Rows)
 		}
 		if v := res.Versions["p"]; v != tab.Version() {
-			t.Fatalf("rowScan=%v: unpinned version %d, want %d", rowScan, v, tab.Version())
+			t.Fatalf("unpinned version %d, want %d", v, tab.Version())
 		}
 	}
 }
@@ -80,33 +83,5 @@ func TestSelfJoinSingleVersion(t *testing.T) {
 	}
 	if len(res.Versions) != 1 || res.Versions["p"] != tab.Version() {
 		t.Fatalf("self-join versions = %v, want one entry at %d", res.Versions, tab.Version())
-	}
-}
-
-// TestDMLStampsVersion: INSERT/UPDATE/DELETE results carry the table
-// version the statement produced.
-func TestDMLStampsVersion(t *testing.T) {
-	store, tab := pinTable(t)
-	e := New(store)
-	res, err := e.QueryContext(context.Background(), `INSERT INTO p VALUES ('d', '4')`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Versions["p"] != tab.Version() {
-		t.Fatalf("insert version %d, want %d", res.Versions["p"], tab.Version())
-	}
-	res, err = e.QueryContext(context.Background(), `UPDATE p SET V = '9' WHERE K = 'b'`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Affected != 1 || res.Versions["p"] != tab.Version() {
-		t.Fatalf("update = %+v, table at %d", res, tab.Version())
-	}
-	res, err = e.QueryContext(context.Background(), `DELETE FROM p WHERE K = 'a'`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Affected != 2 || res.Versions["p"] != tab.Version() {
-		t.Fatalf("delete = %+v, table at %d", res, tab.Version())
 	}
 }

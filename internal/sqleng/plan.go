@@ -1,36 +1,33 @@
-// The planner for the streaming SELECT path: buildSelectPlan lowers a
-// SelectStmt onto the query's pinned snapshots as a left-deep pipeline of
-// columnar scans and join steps, placing every WHERE/ON conjunct at exactly
-// the stage the legacy materializing executor would have applied it. That
-// placement discipline is the identity contract: the streaming executor in
-// iterator.go enumerates the same logical rows in the same order as
-// exec.go's legacy path, so the two produce byte-identical Results (the
-// cross-check battery and FuzzSQLExec hold both paths to it).
+// The planner for the SELECT path: buildSelectPlan lowers a SelectStmt onto
+// the query's pinned snapshots as a left-deep pipeline of columnar scans and
+// join steps. Join steps run in written order and each enumerates its
+// matches in right-side snapshot order, so the pipeline yields the rows of
+// the nested-loop definition (cross product in FROM order, left-outer
+// extension, then WHERE) in that definition's order. The nested-loop
+// evaluator in the package tests is that definition, and FuzzSQLExec holds
+// the pipeline to it.
 //
-// On top of the legacy-faithful skeleton the planner layers optimizations
-// that provably cannot change the result:
+// Expression evaluation is total (expr.go): no predicate can fail on a row.
+// Where and how often a conjunct is evaluated is therefore unobservable,
+// and the planner is free to:
 //
-//   - code compilation (codepred.go): the pipeline carries a cursor of
+//   - decide on codes (codepred.go): the pipeline carries a cursor of
 //     snapshot row indices, and every conjunct, join key, GROUP BY key and
 //     COUNT operand in the code-compilable subset is decided on dictionary
 //     codes; a Value is fetched only for a column some value-level
 //     expression reads, and for projected columns only at the sink;
-//   - join indexes: equi-join steps probe the right side through its PLI
-//     classes (single bare column) or a hash index over composite keys,
+//   - run a WHERE conjunct at the first stage where it resolves, and push a
+//     right-only one into an inner join's build;
+//   - join through indexes: equi-join steps probe the right side through its
+//     PLI classes (single bare column) or a hash index over composite keys,
 //     instead of nesting loops;
-//   - greedy probe ordering by exact statistics: every indexed inner join
+//   - order probes greedily by exact statistics: every indexed inner join
 //     whose left key is computable from an earlier prefix is probed as soon
 //     as that prefix is filled, most selective first, ranked by expected
 //     matches = right rows / PLI class count (or dictionary-cardinality
 //     product) — numbers the snapshot carries exactly, never estimates;
-//   - filter pushdown of pure right-only WHERE conjuncts into inner join
-//     builds, and LIMIT-driven early termination through the pipeline.
-//
-// Everything that changes *which* rows an expression is evaluated on is
-// gated on purity (pureExpr): a pure expression can never return an
-// evaluation error, so reordering or skipping its evaluations cannot make
-// an error appear or disappear relative to the legacy path. Impure plans
-// simply run the legacy staging verbatim, streamed.
+//   - replay a driver row's pipeline from an earlier row with the same
+//     values (the driver memo), and stop early once a LIMIT is met.
 package sqleng
 
 import (
@@ -38,9 +35,7 @@ import (
 	"slices"
 	"strings"
 
-	"semandaq/internal/fdset"
 	"semandaq/internal/relstore"
-	"semandaq/internal/types"
 )
 
 // filterPred is one compiled conjunct: a code predicate over the cursor
@@ -107,10 +102,9 @@ type joinKey struct {
 	nullSafe   bool
 }
 
-// joinStep joins the pipeline prefix with one more scan. Keys were
-// harvested exactly like the legacy takeKey (bare `=` conjuncts bridging
-// the sides, from ON first, then — inner joins only — from the pending
-// WHERE list).
+// joinStep joins the pipeline prefix with one more scan. Its keys are the
+// bare `=` conjuncts bridging the sides, from ON first, then — inner joins
+// only — from the pending WHERE list.
 type joinStep struct {
 	right    *scanNode
 	rightIdx int // scan index of the right side (= step index + 1)
@@ -118,8 +112,7 @@ type joinStep struct {
 	kind     stepKind
 
 	keys    []joinKey
-	keyRCol int  // stepPLI: snapshot column index of the key column
-	keyPure bool // every key expression on both sides is pure
+	keyRCol int // stepPLI: snapshot column index of the key column
 
 	residuals []filterPred // leftover ON conjuncts, against the combined prefix
 
@@ -132,21 +125,10 @@ type joinStep struct {
 	expected float64 // rightLen / classes (rightLen when classes == 0)
 
 	// probeAt is the earliest stage (number of scans filled minus one) at
-	// which the step's left key is computable. When the plan is pure and
-	// probeAt precedes the step's own stage, the executor probes the index
-	// there and kills doomed prefixes early; otherwise probeAt equals the
-	// step's own stage.
+	// which the step's left key is computable. When probeAt precedes the
+	// step's own stage, the executor probes the index there and kills
+	// doomed prefixes early; otherwise probeAt equals the step's own stage.
 	probeAt int
-
-	// FD collapse (fdjoin.go): a composite key whose lead column
-	// functionally determines the others per the registered FDs probes as
-	// stepPLI on the lead, with the remaining key columns checked per
-	// candidate by dictionary-code equality.
-	collapsed bool
-	leadKey   int      // index into keyL/keyR of the PLI probe key (0 unless collapsed)
-	guardKeys []int    // collapsed: other key indexes, guarded per candidate
-	guardCols []int    // collapsed: right snapshot columns parallel to guardKeys
-	fdLines   []string // collapsed: rendered licensing derivations for EXPLAIN
 }
 
 // selectPlan is a fully compiled SELECT: scans, join steps, stage filters,
@@ -159,34 +141,27 @@ type selectPlan struct {
 	scans  []*scanNode
 	steps  []*joinStep
 	// stages[d] holds the WHERE conjuncts that become evaluable once scans
-	// 0..d are filled, in original WHERE order — exactly the conjuncts the
-	// legacy path's applyResolvable claims after join d.
+	// 0..d are filled, in original WHERE order.
 	stages [][]filterPred
 	// probesAt[d] lists indexes of steps probed right after stage d's
 	// filters pass, most selective first (ascending expected matches).
 	probesAt [][]int
 	versions map[string]int64
-	// pure: WHERE and every ON are pure, so no predicate or key of the plan
-	// can return an evaluation error, which licenses the optimizer to change
-	// evaluation sets (probe hoisting, right pushdown, early termination, the
-	// driver memo) without risking error-presence divergence from the legacy
-	// path.
-	pure    bool
-	sink    *streamSink
-	posScan []int32    // row-buffer position -> owning scan
-	xlats   []*xlatTab // the plan's code translation tables (codepred.go)
+	sink     *streamSink
+	posScan  []int32    // row-buffer position -> owning scan
+	xlats    []*xlatTab // the plan's code translation tables (codepred.go)
 	// The driver-signature memo (planMemo): its columns D, the number of
 	// value vectors over them, and why the plan has none.
 	memoCols  []int32
 	memoSpace int
 	memoOff   string
-	// ops points at the owning engine's executor operation counters
-	// (fdjoin.go); the executor increments them as it probes and builds.
+	// ops points at the owning engine's executor operation counters; a run
+	// adds what it probed and built when it ends (planExec.flushOps).
 	ops *OpCounters
 }
 
-// prefixCat returns the catalog covering scans 0..i — the same catalog the
-// legacy path's joinRelations would have as combinedCat after join i.
+// prefixCat returns the catalog covering scans 0..i: what the join of the
+// first i+1 tables can see.
 func (p *selectPlan) prefixCat(i int) catalog {
 	sc := p.scans[i]
 	return p.cat[:sc.start+sc.arity]
@@ -238,9 +213,8 @@ func (p *selectPlan) fillInPipe(e Expr) {
 }
 
 // buildSelectPlan compiles st against the engine's store and pins. Every
-// compile error the legacy path would eventually hit surfaces here instead
-// (compilation is deterministic, so error presence is preserved; only the
-// point in time moves).
+// error a SELECT can return, short of cancellation, surfaces here: running
+// the plan cannot fail.
 func (e *Engine) buildSelectPlan(st *SelectStmt) (*selectPlan, error) {
 	qp := e.newQueryPins()
 	if err := validateRefs(st, qp); err != nil {
@@ -296,8 +270,7 @@ func (e *Engine) buildSelectPlan(st *SelectStmt) (*selectPlan, error) {
 	// to the same position in the full one, validateRefs having rejected
 	// the ambiguous ones. The per-stage catalogs only decide placement.
 
-	// Driver scan: claim WHERE conjuncts resolvable on the first table in
-	// order, exactly as the legacy applyResolvable does.
+	// Driver scan: claim the WHERE conjuncts resolvable on the first table.
 	pending, err := p.claimStage(0, pending)
 	if err != nil {
 		return nil, err
@@ -310,11 +283,14 @@ func (e *Engine) buildSelectPlan(st *SelectStmt) (*selectPlan, error) {
 		right := p.scans[i+1]
 		step := &joinStep{right: right, rightIdx: i + 1, outer: spec.outer, rightLen: right.cnr.Len()}
 
-		// ON conjuncts resolvable on the right side alone are pushed into
-		// the right scan (legacy does this for both join kinds, before key
-		// harvesting).
+		// An ON conjunct reads only the tables joined so far. One resolvable
+		// on the right side alone is pushed into the right scan, for both
+		// join kinds: it decides which right rows can match.
 		var onRest []Expr
 		for _, c := range spec.on {
+			if _, err := compileExpr(c, p.prefixCat(i+1)); err != nil {
+				return nil, err
+			}
 			if resolvable(c, right.cat) {
 				f, err := p.pred(c)
 				if err != nil {
@@ -353,8 +329,7 @@ func (e *Engine) buildSelectPlan(st *SelectStmt) (*selectPlan, error) {
 		p.steps = append(p.steps, step)
 
 		// WHERE conjuncts that become resolvable on the widened prefix run
-		// as stage i+1 filters (the legacy tail applyResolvable after each
-		// join).
+		// as stage i+1 filters.
 		pending, err = p.claimStage(i+1, pending)
 		if err != nil {
 			return nil, err
@@ -363,8 +338,8 @@ func (e *Engine) buildSelectPlan(st *SelectStmt) (*selectPlan, error) {
 
 	// Leftover WHERE conjuncts must now compile against the full catalog;
 	// since every resolvable aggregate-free conjunct was claimed above, a
-	// leftover is an unknown column or a misplaced aggregate and this
-	// reproduces the legacy error.
+	// leftover is an unknown column or a misplaced aggregate, and compiling
+	// it returns that error.
 	for _, c := range pending {
 		f, err := p.pred(c)
 		if err != nil {
@@ -374,8 +349,7 @@ func (e *Engine) buildSelectPlan(st *SelectStmt) (*selectPlan, error) {
 		p.stages[last] = append(p.stages[last], f)
 	}
 
-	p.finalizeSteps(e.snapshotFDs())
-	p.pure = !slices.ContainsFunc(p.conds(), func(e Expr) bool { return !pureExpr(e) })
+	p.finalizeSteps()
 	p.optimize()
 
 	p.planMemo()
@@ -389,16 +363,12 @@ func (e *Engine) buildSelectPlan(st *SelectStmt) (*selectPlan, error) {
 // planMemo decides whether the driver-signature memo (iterator.go) serves
 // the plan. D is every driver column WHERE and ON read: what the stage
 // filters, join keys and residuals below the driver scan see of its row. The
-// memo is on when the plan is pure, D holds no _tid and the product of D's
+// memo is on when D holds no _tid and the product of D's
 // distinct counts is at most half the driver's row count, so that at least
 // every other row is a replay (on a key the memo is all cost) — exact
 // statistics, like finalizeSteps' choices, so a patched snapshot plans like
 // a rebuilt one.
 func (p *selectPlan) planMemo() {
-	if !p.pure {
-		p.memoOff = "impure plan"
-		return
-	}
 	drv, rows := p.scans[0], p.scans[0].cnr.Len()
 	p.memoSpace = 1
 	for _, pos := range p.colsOf(nil, nil, p.conds()...) {
@@ -436,12 +406,11 @@ func (p *selectPlan) claimStage(d int, pending []Expr) ([]Expr, error) {
 	return rest, nil
 }
 
-// takeKey harvests one equi-join key from conjunct c if it has the legacy
+// takeKey harvests one equi-join key from conjunct c if it has the key
 // shape: a bare `=` (or IS NOT DISTINCT FROM) whose sides resolve
-// exclusively on the left prefix and the right scan. Mirrors exec.go's
-// takeKey, including treating a compile failure as "not a key" (the
-// conjunct then falls to the residual compile, which surfaces the same
-// error the legacy path would).
+// exclusively on the left prefix and the right scan. A side that does not
+// compile makes c no key: it then falls to the residual compile, which
+// returns the error.
 func (p *selectPlan) takeKey(step *joinStep, c Expr, leftCat, rightCat catalog) bool {
 	b, ok := c.(*BinaryExpr)
 	if !ok || (b.Op != "=" && b.Op != opNullSafeEq) || hasAggregate(c) {
@@ -484,17 +453,9 @@ func (p *selectPlan) takeKey(step *joinStep, c Expr, leftCat, rightCat catalog) 
 }
 
 // finalizeSteps picks each step's algorithm and fills in the exact
-// statistics that justify it. fds holds the engine's registered exact-FD
-// sets (lowercased table name); a composite key one of whose columns
-// determines the rest collapses to a PLI probe (fdjoin.go).
-func (p *selectPlan) finalizeSteps(fds map[string]*fdset.Set) {
+// statistics that justify it.
+func (p *selectPlan) finalizeSteps() {
 	for _, step := range p.steps {
-		step.keyPure = true
-		for _, k := range step.keys {
-			if !pureExpr(k.lsrc) || !pureExpr(k.rsrc) {
-				step.keyPure = false
-			}
-		}
 		step.probeAt = step.rightIdx - 1 // own stage by default
 		step.expected = float64(step.rightLen)
 		if len(step.keys) == 0 {
@@ -516,9 +477,6 @@ func (p *selectPlan) finalizeSteps(fds map[string]*fdset.Set) {
 			}
 		}
 		step.kind = stepHash
-		if collapseStep(step, fds[strings.ToLower(step.right.table)]) {
-			continue
-		}
 		// Composite bare-column keys: the dictionary-cardinality product
 		// bounds the class count exactly from below per column; cap it at
 		// the row count (there cannot be more occupied classes than rows).
@@ -567,19 +525,15 @@ func (p *selectPlan) conds() []Expr {
 	return out
 }
 
-// optimize applies the result-preserving rewrites gated on plan purity:
-// pushing pure right-only stage filters into inner join builds, and
-// scheduling index probes greedily at the earliest stage their left key is
-// computable, most selective first by exact expected matches.
+// optimize applies the result-preserving rewrites: pushing right-only
+// stage filters into inner join builds, and scheduling index probes
+// greedily at the earliest stage their left key is computable, most
+// selective first by exact expected matches.
 func (p *selectPlan) optimize() {
 	p.probesAt = make([][]int, len(p.scans))
-	if !p.pure {
-		return
-	}
 	// Right pushdown: a stage-d filter whose references all live in scan d
 	// filters the same rows whether applied to the joined row or to the
-	// right side before the (inner) join — and being pure it cannot error
-	// on the extra right rows it now sees.
+	// right side before the (inner) join.
 	for d := 1; d < len(p.scans); d++ {
 		step := p.steps[d-1]
 		if step.outer {
@@ -600,7 +554,7 @@ func (p *selectPlan) optimize() {
 	// Probe hoisting: an indexed inner step whose left key only reads
 	// scans 0..s with s before its own stage is probed at stage s — a
 	// prefix with no partner cannot contribute any output row, so killing
-	// it early is sound for pure plans.
+	// it early is sound.
 	for i, step := range p.steps {
 		if step.outer || step.kind == stepNested {
 			continue
@@ -655,83 +609,6 @@ func (p *selectPlan) keyDepth(step *joinStep, i int) int {
 		}
 	}
 	return depth
-}
-
-// pureExpr reports whether evaluating e can never return an error, for any
-// input row. Only pure predicates may be re-sited relative to the legacy
-// evaluation order: moving an impure one could make an evaluation error
-// appear on rows the legacy path never evaluated it on (or vice versa).
-// The analysis is conservative: arithmetic (division by zero, type
-// errors), unary minus, SUBSTR/ABS (type errors) and aggregates are impure.
-func pureExpr(e Expr) bool {
-	switch n := e.(type) {
-	case nil:
-		return true
-	case *Literal, *ColumnRef:
-		return true
-	case *BinaryExpr:
-		switch n.Op {
-		case "=", "<>", "<", "<=", ">", ">=", "AND", "OR", "LIKE", "||", opNullSafeEq:
-			return pureExpr(n.L) && pureExpr(n.R)
-		}
-		return false // arithmetic can error (type mismatch, division by zero)
-	case *UnaryExpr:
-		// NOT over a boolean-shaped operand always sees BOOL or NULL and
-		// cannot error; unary minus errors on non-numeric values.
-		return n.Op == "NOT" && boolShaped(n.E) && pureExpr(n.E)
-	case *IsNullExpr:
-		return pureExpr(n.E)
-	case *InExpr:
-		if !pureExpr(n.E) {
-			return false
-		}
-		for _, v := range n.List {
-			if !pureExpr(v) {
-				return false
-			}
-		}
-		return true
-	case *BetweenExpr:
-		return pureExpr(n.E) && pureExpr(n.Lo) && pureExpr(n.Hi)
-	case *CaseExpr:
-		for _, w := range n.Whens {
-			if !pureExpr(w.Cond) || !pureExpr(w.Then) {
-				return false
-			}
-		}
-		return pureExpr(n.Else)
-	case *FuncExpr:
-		switch n.Name {
-		case "UPPER", "LOWER", "TRIM", "LENGTH", "COALESCE", "CONCAT":
-			for _, a := range n.Args {
-				if !pureExpr(a) {
-					return false
-				}
-			}
-			return true
-		}
-		return false // aggregates, SUBSTR/ABS (type errors), unknown funcs
-	}
-	return false
-}
-
-// boolShaped reports whether e always evaluates to BOOL or NULL.
-func boolShaped(e Expr) bool {
-	switch n := e.(type) {
-	case *BinaryExpr:
-		switch n.Op {
-		case "=", "<>", "<", "<=", ">", ">=", "AND", "OR", "LIKE", opNullSafeEq:
-			return true
-		}
-		return false
-	case *UnaryExpr:
-		return n.Op == "NOT" && boolShaped(n.E)
-	case *IsNullExpr, *InExpr, *BetweenExpr:
-		return true
-	case *Literal:
-		return n.Value.IsNull() || n.Value.Kind() == types.KindBool
-	}
-	return false
 }
 
 // describe renders the plan for EXPLAIN: one line per scan, join step and
@@ -794,16 +671,10 @@ func (p *selectPlan) describe() []string {
 			} else {
 				line += fmt.Sprintf(" expect=%.3g", step.expected)
 			}
-			if step.collapsed {
-				line += " fd-collapsed"
-			}
 			if step.probeAt < i-1 {
 				line += fmt.Sprintf(" probe@%d", step.probeAt)
 			}
 			add("%s", line)
-			for _, fl := range step.fdLines {
-				add("  %s", fl)
-			}
 			preds("residual", step.residuals)
 		}
 		preds("stage-filter", p.stages[i])
@@ -829,11 +700,6 @@ func (p *selectPlan) describe() []string {
 	}
 	if len(late) > 0 {
 		add("  materialise %s at the sink", p.colNames(late))
-	}
-	if p.pure {
-		out = append(out, "pure plan: probe hoisting, pushdown and early-stop enabled")
-	} else {
-		out = append(out, "impure predicates: legacy staging preserved verbatim")
 	}
 	return out
 }

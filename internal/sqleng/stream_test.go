@@ -149,29 +149,6 @@ func TestStreamGroupedQuery(t *testing.T) {
 	}
 }
 
-// TestStreamLegacyEngine: the row-scan oracle path still supports Stream
-// (materialized eagerly) with identical output.
-func TestStreamLegacyEngine(t *testing.T) {
-	e := New(newJoinStore(t))
-	e.rowScan = true
-	sql := "SELECT OID FROM orders WHERE CID = 1"
-	want := mustQuery(e, sql)
-	ss, err := e.Stream(context.Background(), sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got [][]types.Value
-	if err := ss.Each(context.Background(), func(row []types.Value) bool {
-		got = append(got, slices.Clone(row)) // the row is the stream's to reuse
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want.Rows) {
-		t.Errorf("rows = %v, want %v", got, want.Rows)
-	}
-}
-
 // TestStreamGroupedYield: grouped queries WITHOUT an ORDER BY stream each
 // finished group straight through yield (no output materialization), in
 // first-appearance order, with HAVING/DISTINCT/OFFSET/LIMIT applied inline
@@ -261,18 +238,21 @@ func TestStreamedQueryAllocsFlat(t *testing.T) {
 // TestMemoTailBudget: a driver memo records at most as many tails as the
 // driver has rows. t1.CITY <> t2.CITY on 2 000 tuples has 6 classes of some
 // 1 670 tails each: the first fits the budget, the others are given up and
-// run the pipeline row by row, so the count is what the legacy executor's
-// city sizes add up to and the run allocates a bounded table — 57 kB against
+// run the pipeline row by row, so the count is what the reference's city
+// sizes add up to and the run allocates a bounded table — 57 kB against
 // the 33 kB of the parent commit (a7f862a), which had no memo — not one
 // entry per joined pair.
 func TestMemoTailBudget(t *testing.T) {
 	store := relstore.NewStore()
 	store.Put(datagen.Generate(datagen.Config{Tuples: 2_000, Seed: 7}).Clean)
-	e, legacy := New(store), New(store)
-	legacy.rowScan = true
+	e := New(store)
 	const q = `SELECT COUNT(*) FROM customer t1, customer t2 WHERE t1.CITY <> t2.CITY`
 	want := int64(2_000 * 2_000) // less the pairs within a city
-	for _, row := range mustQuery(legacy, `SELECT COUNT(*) FROM customer GROUP BY CITY`).Rows {
+	cities, err := refQuery(e, `SELECT COUNT(*) FROM customer GROUP BY CITY`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range cities.Rows {
 		want -= row[0].Int() * row[0].Int()
 	}
 	mustQuery(e, q) // warm the snapshot's columnar caches

@@ -2,7 +2,6 @@ package sqleng
 
 import (
 	"context"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,7 +13,7 @@ import (
 
 // newTopKStore builds a single table with heavy order-key ties (B cycles
 // through 7 values, C through 3) so the heap's seq tie-break is exercised
-// against the legacy stable sort on every query.
+// against the reference's stable sort on every query.
 func newTopKStore(t *testing.T, rows int) *relstore.Store {
 	t.Helper()
 	store := relstore.NewStore()
@@ -33,14 +32,12 @@ func newTopKStore(t *testing.T, rows int) *relstore.Store {
 }
 
 // TestTopKHeapIdentity holds the bounded-heap ORDER BY ... LIMIT path to
-// the legacy materializing oracle across ties, DESC, OFFSET, DISTINCT and
+// the nested-loop reference across ties, DESC, OFFSET, DISTINCT and
 // grouped queries. The tie-heavy fixture makes any deviation from the
 // stable sort's first-arrival tie-break visible.
 func TestTopKHeapIdentity(t *testing.T) {
 	store := newTopKStore(t, 64)
 	heap := New(store)
-	oracle := New(store)
-	oracle.rowScan = true
 
 	queries := []string{
 		`SELECT A, B FROM t ORDER BY B LIMIT 5`,
@@ -57,12 +54,12 @@ func TestTopKHeapIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		want, err := oracle.QueryContext(context.Background(), q)
+		want, err := refQuery(heap, q)
 		if err != nil {
-			t.Fatalf("%s: oracle: %v", q, err)
+			t.Fatalf("%s: reference: %v", q, err)
 		}
 		if !reflect.DeepEqual(got.Columns, want.Columns) || !reflect.DeepEqual(got.Rows, want.Rows) {
-			t.Errorf("%s:\nheap:   %v\noracle: %v", q, got.Rows, want.Rows)
+			t.Errorf("%s:\nheap:   %v\nreference: %v", q, got.Rows, want.Rows)
 		}
 	}
 }
@@ -85,7 +82,7 @@ func TestTopKHeapExplain(t *testing.T) {
 // ... LIMIT k retains only the k best rows, so once the heap stabilizes,
 // further input costs no allocations. The order key cycles through a fixed
 // set of values, so a 10x larger scan does the same small number of heap
-// insertions — while the legacy path provably allocates two slices per row.
+// insertions — where a full sort would allocate two slices per row.
 func TestTopKHeapAllocsBounded(t *testing.T) {
 	const query = `SELECT A, B FROM t ORDER BY B LIMIT 5`
 	allocsAt := func(rows int) float64 {
@@ -109,10 +106,9 @@ func TestTopKHeapAllocsBounded(t *testing.T) {
 	}
 }
 
-// TestTopKHeapErrorParity: the heap path must evaluate every projection and
-// order key for every row, so an error on a late row surfaces exactly as it
-// does on the unbounded path — even when that row could never enter the
-// top k.
+// TestTopKHeapErrorParity: rows whose projection divides by zero project
+// NULL, and the heap path returns them exactly where the reference does —
+// first, since their ORDER BY key is the smallest.
 func TestTopKHeapErrorParity(t *testing.T) {
 	store := relstore.NewStore()
 	tab, err := store.Create(schema.New("t", "A", "B"))
@@ -122,32 +118,22 @@ func TestTopKHeapErrorParity(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tab.MustInsert(relstore.Tuple{types.NewInt(int64(i)), types.NewInt(int64(i))})
 	}
-	// Division by zero on the last row only; it would lose the ORDER BY.
 	tab.MustInsert(relstore.Tuple{types.NewInt(100), types.NewInt(0)})
 
 	const q = `SELECT A, 10 / B FROM t ORDER BY B LIMIT 2`
 	heap := New(store)
-	if _, err := heap.QueryContext(context.Background(), q); err == nil {
-		t.Fatal("heap path swallowed the projection error")
+	got, err := heap.QueryContext(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	oracle := New(store)
-	oracle.rowScan = true
-	if _, err := oracle.QueryContext(context.Background(), q); err == nil {
-		t.Fatal("oracle did not error; fixture is wrong")
+	want, err := refQuery(heap, q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wantMsg := fmt.Sprintf("%v", errQuery(t, oracle, q))
-	gotMsg := fmt.Sprintf("%v", errQuery(t, heap, q))
-	if gotMsg != wantMsg {
-		t.Errorf("error text diverged:\nheap:   %s\noracle: %s", gotMsg, wantMsg)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("heap: %v\nreference: %v", got.Rows, want.Rows)
 	}
-}
-
-// errQuery runs q expecting an error and returns it.
-func errQuery(t *testing.T, e *Engine, q string) error {
-	t.Helper()
-	_, err := e.QueryContext(context.Background(), q)
-	if err == nil {
-		t.Fatalf("%s: expected error", q)
+	if rows := rowStrings(got); !reflect.DeepEqual(rows, []string{"0|NULL", "100|NULL"}) {
+		t.Errorf("rows = %v, want the two B = 0 rows with NULL quotients", rows)
 	}
-	return err
 }
