@@ -43,10 +43,10 @@ type refSource struct {
 }
 
 // refSelect evaluates st by the definition. Without FROM it is one row of
-// no columns, and takes a select list of no aggregates only.
+// no columns, and takes a select list of no * and no aggregate only.
 func refSelect(e *Engine, st *SelectStmt) (*Result, error) {
 	clauses := st.Where != nil || st.GroupBy != nil || st.Having != nil || st.OrderBy != nil || st.Limit >= 0 || st.Offset > 0
-	if len(st.From) == 0 && (clauses || slices.ContainsFunc(st.Items, func(it SelectItem) bool { return hasAggregate(it.Expr) })) {
+	if len(st.From) == 0 && (clauses || slices.ContainsFunc(st.Items, func(it SelectItem) bool { return it.Star || hasAggregate(it.Expr) })) {
 		return nil, fmt.Errorf("sql: a SELECT without FROM takes only a select list")
 	}
 	qp := e.newQueryPins()
