@@ -627,7 +627,6 @@ type streamSink struct {
 	ordBuf   []types.Value // order keys before acceptance
 	streamed int           // rows already passed to yield
 	yield    func(row []types.Value) bool
-	yieldend bool // yield returned false: consumer stopped
 }
 
 // newStreamSink compiles the sink for p's statement over the pipeline
@@ -977,8 +976,7 @@ func (s *streamSink) emit(row []types.Value) (stop bool) {
 			return true
 		}
 		if !s.yield(vals) {
-			s.yieldend = true
-			return true
+			return true // the consumer stopped
 		}
 		return s.st.Limit >= 0 && s.streamed == s.st.Offset+s.st.Limit
 	case bounded:
