@@ -1,16 +1,16 @@
 // Command semandaq-vet is the repo's contract checker: a multichecker
-// over the custom analyzers in internal/lint that machine-check the
-// snapshot/version/context invariants (see docs/INVARIANTS.md).
+// over the custom analyzers in internal/lint that machine-check the lock
+// and context invariants no dynamic gate catches (see docs/INVARIANTS.md).
 //
 //	semandaq-vet ./...            # check the whole module (CI does this)
 //	semandaq-vet -list            # list analyzers
 //	semandaq-vet -json ./...      # machine-readable diagnostics on stdout
-//	semandaq-vet -run versionstamp ./internal/detect/...
+//	semandaq-vet -run lockdiscipline ./internal/detect/...
 //
 // Packages are analyzed in import-DAG order so interprocedural analyzers
-// (lockorder, mutationlog, ctxflow) see their dependencies' facts before
-// the importers; module-wide End phases (lock-order cycle detection) run
-// once after the last package. A //semandaq:vet-ignore directive that
+// (lockorder, ctxflow) see their dependencies' facts before the importers;
+// module-wide End phases (lock-order cycle detection) run once after the
+// last package. A //semandaq:vet-ignore directive that
 // suppresses nothing is itself reported (as the pseudo-analyzer
 // "suppression") — stale suppressions would otherwise hide real findings
 // at that line forever.

@@ -56,7 +56,7 @@ func TestStaleSuppressions(t *testing.T) {
 // not condemn directives of analyzers it skipped (the unknown name is
 // still always stale).
 func TestStaleNotJudgedOnSubsetRun(t *testing.T) {
-	code, stdout, _ := runIn(t, "testdata/stalemod", "-run", "versionstamp", "./...")
+	code, stdout, _ := runIn(t, "testdata/stalemod", "-run", "lockdiscipline", "./...")
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1 (the unknown-name directive is always stale)\nstdout: %s", code, stdout)
 	}

@@ -19,8 +19,8 @@
 // agreement with internal/cfddef's definition, is the oracle, enforced by
 // the fuzz and cross-check tiers. Audit, explore and both repairers read
 // the factorised form on column codes (the batch repairer's first pass from
-// the facade's cache); calling Explode() inside those hot paths is
-// forbidden by the noexplode vet analyzer.
+// the facade's cache); an Explode() in their loops fails an allocation
+// gate (docs/INVARIANTS.md, "Held dynamically", names each).
 package detect
 
 import (
@@ -508,8 +508,8 @@ func (fr *FactorReport) fillVio() {
 // member's Violation row, the RHSOf maps, vio(t) and the finish() sort
 // order — byte-identical (DeepEqual) whichever engine built the report.
 // It is the compatibility edge for consumers that want the exploded form;
-// hot paths consume the factorised report directly instead (the noexplode
-// analyzer enforces this).
+// hot paths consume the factorised report directly instead (their
+// allocation gates fail on an Explode in a loop).
 func (fr *FactorReport) Explode() *Report {
 	rep := &Report{
 		Table:      fr.Table,

@@ -235,34 +235,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Diagnostics returns the findings recorded so far, in report order.
 func (p *Pass) Diagnostics() []Diagnostic { return p.diagnostics }
 
-// ExportObjectFact attaches fact to obj for downstream passes. obj must be
-// a package-level function, method or type of any package in the module
-// (facts about dependency objects let a summary grow monotonically).
-func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) error {
-	if p.store == nil {
-		return fmt.Errorf("%s: no fact store in this run", p.Analyzer.Name)
-	}
-	key, ok := KeyOf(obj)
-	if !ok {
-		return fmt.Errorf("%s: cannot attach a fact to %v: not a package-level function, method or type", p.Analyzer.Name, obj)
-	}
-	return p.store.export(p.Analyzer.Name, key, fact)
-}
-
-// ImportObjectFact decodes the fact of fact's type attached to obj by this
-// analyzer (over any previously analyzed package) into fact, reporting
-// whether one existed.
-func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
-	key, ok := KeyOf(obj)
-	if !ok {
-		return false
-	}
-	return p.ImportFactByKey(key, fact)
-}
-
-// ExportFactByKey attaches a fact addressed by an explicit key — for
-// summaries computed about functions identified positionally rather than
-// through a types.Object in hand.
+// ExportFactByKey attaches fact to key (KeyOf a package-level function,
+// method or type of any package in the module) for downstream passes.
 func (p *Pass) ExportFactByKey(key ObjKey, fact Fact) error {
 	if p.store == nil {
 		return fmt.Errorf("%s: no fact store in this run", p.Analyzer.Name)
@@ -270,9 +244,9 @@ func (p *Pass) ExportFactByKey(key ObjKey, fact Fact) error {
 	return p.store.export(p.Analyzer.Name, key, fact)
 }
 
-// ImportFactByKey is ImportObjectFact by explicit key; fact-space graph
-// walks (transitive call-graph closures) use it when no types.Object for
-// the key is in scope.
+// ImportFactByKey decodes the fact of fact's type this analyzer attached
+// to key (over any previously analyzed package) into fact, reporting
+// whether one existed.
 func (p *Pass) ImportFactByKey(key ObjKey, fact Fact) bool {
 	if p.store == nil {
 		return false

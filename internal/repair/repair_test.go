@@ -2,6 +2,7 @@ package repair
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"semandaq/internal/cfd"
@@ -392,5 +393,64 @@ func TestIncRepairLeavesPreexistingConflicts(t *testing.T) {
 	}
 	if tr.DirtyCount() != 2 {
 		t.Errorf("pre-existing dirty = %d, want 2", tr.DirtyCount())
+	}
+}
+
+// TestIncRepairAllocs gates the incremental repairer at allocations that
+// grow with the delta and not with group membership. The trusted data
+// holds four violating groups of `members` tuples each, which every pass's
+// report carries and RepairDelta walks and skips (a conflict among trusted
+// tuples is not the delta's problem), beside eight clean groups; the delta
+// is one dirty tuple per clean group, re-dirtied before every run. The
+// repair reads the groups on codes, so 200- and 2 000-member groups cost
+// about the same: 242 and 246 allocations here, under the bound of 160 +
+// 25 per delta tuple (360; a delta of 32 made 540 and 544). An Explode of
+// the report per group in RepairDelta's loop made 2 042 and 2 910.
+func TestIncRepairAllocs(t *testing.T) {
+	const deltaSize = 8
+	for _, members := range []int{200, 2000} {
+		tab := relstore.NewTable(schema.New("r", "K", "V"))
+		str := types.NewString
+		for g := 0; g < 4; g++ {
+			for i := 0; i < members; i++ {
+				tab.MustInsert(relstore.Tuple{str(fmt.Sprintf("big%d", g)), str([]string{"a", "b"}[i%2])})
+			}
+		}
+		for g := 0; g < deltaSize; g++ {
+			for i := 0; i < 3; i++ {
+				tab.MustInsert(relstore.Tuple{str(fmt.Sprintf("k%d", g)), str("good")})
+			}
+		}
+		fd := cfd.NewFD("f", "r", []string{"K"}, []string{"V"})
+		tr, err := detect.NewTracker(tab, []*cfd.CFD{fd})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var delta []relstore.TupleID
+		for g := 0; g < deltaSize; g++ {
+			id, err := tr.Insert(relstore.Tuple{str(fmt.Sprintf("k%d", g)), str("bad")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			delta = append(delta, id)
+		}
+		ir := NewIncRepairer()
+		repairDelta := func() {
+			for _, id := range delta {
+				if err := tr.SetCell(id, "V", str("bad")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mods, err := ir.RepairDelta(tr, tab, []*cfd.CFD{fd}, delta)
+			if err != nil || len(mods) != deltaSize {
+				t.Fatalf("%d modifications, err %v; want %d", len(mods), err, deltaSize)
+			}
+		}
+		repairDelta()
+		allocs := testing.AllocsPerRun(10, repairDelta)
+		t.Logf("delta of %d beside 4 groups of %d: %.0f allocations", deltaSize, members, allocs)
+		if limit := 160 + 25*float64(deltaSize); allocs > limit {
+			t.Errorf("delta of %d beside 4 groups of %d allocates %.0f times, more than %.0f", deltaSize, members, allocs, limit)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package sqleng
 
 import (
 	"context"
+	"maps"
 	"strings"
 	"testing"
 
@@ -207,5 +208,44 @@ func TestExplainNoFrom(t *testing.T) {
 	lines := planLines(t, e, "EXPLAIN SELECT 1 + 2")
 	if len(lines) != 1 || !strings.Contains(lines[0], "constant select") {
 		t.Errorf("lines = %v", lines)
+	}
+}
+
+// TestExplainStampsVersions: an EXPLAIN names the version of every base
+// table its plan would read — the engine-level pin where there is one, the
+// live version otherwise, one entry per table however often the statement
+// names it — and a statement without FROM reads no table, which the stamp
+// records as an empty, non-nil map.
+func TestExplainStampsVersions(t *testing.T) {
+	store := newJoinStore(t)
+	orders, _ := store.Table("orders")
+	cust, _ := store.Table("cust")
+	prod, _ := store.Table("prod")
+	e := New(store)
+	pinned := orders.Snapshot()
+	e.Pin(pinned)
+	orders.MustInsert(relstore.Tuple{types.NewInt(200), types.NewInt(0), types.NewInt(0)})
+	cust.SetCell(0, 1, types.NewString("Leeds"))
+	if pinned.Version() == orders.Version() {
+		t.Fatal("the pinned orders snapshot is the live version; the pin case proves nothing")
+	}
+	for _, c := range []struct {
+		sql  string
+		want map[string]int64
+	}{
+		{`EXPLAIN SELECT o.OID, p.PNAME FROM orders o, cust c, prod p
+		  WHERE o.CID = c.CID AND o.PID = p.PID AND c.CITY = 'York'`,
+			map[string]int64{"orders": pinned.Version(), "cust": cust.Version(), "prod": prod.Version()}},
+		{`EXPLAIN SELECT c1.CITY FROM cust c1, cust c2 WHERE c1.CID = c2.CID`,
+			map[string]int64{"cust": cust.Version()}},
+		{`EXPLAIN SELECT 1 + 2`, map[string]int64{}},
+	} {
+		res, err := e.QueryContext(context.Background(), c.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if res.Versions == nil || !maps.Equal(res.Versions, c.want) {
+			t.Errorf("%s: versions = %#v, want %#v", c.sql, res.Versions, c.want)
+		}
 	}
 }
