@@ -1,6 +1,6 @@
 // Command semandaq-vet is the repo's contract checker: a multichecker
 // over the custom analyzers in internal/lint that machine-check the lock
-// and context invariants no dynamic gate catches (see docs/INVARIANTS.md).
+// invariants no dynamic gate catches (see docs/INVARIANTS.md).
 //
 //	semandaq-vet ./...            # check the whole module (CI does this)
 //	semandaq-vet -list            # list analyzers
@@ -8,7 +8,7 @@
 //	semandaq-vet -run lockdiscipline ./internal/detect/...
 //
 // Packages are analyzed in import-DAG order so interprocedural analyzers
-// (lockorder, ctxflow) see their dependencies' facts before the importers;
+// (lockorder) see their dependencies' facts before the importers;
 // module-wide End phases (lock-order cycle detection) run once after the
 // last package. A //semandaq:vet-ignore directive that
 // suppresses nothing is itself reported (as the pseudo-analyzer
@@ -16,8 +16,7 @@
 // at that line forever.
 //
 // Exit status is 1 if any analyzer reports a diagnostic, 2 on load
-// errors. Non-test files only: tests exercise deprecated and
-// context-free surfaces on purpose. A finding can be suppressed at the
+// errors. Non-test files only. A finding can be suppressed at the
 // line with `//semandaq:vet-ignore <analyzer> <reason>`; the reason is
 // mandatory by convention.
 package main
@@ -33,7 +32,6 @@ import (
 
 	"semandaq/internal/lint"
 	"semandaq/internal/lint/analysis"
-	"semandaq/internal/lint/ctxloop"
 	"semandaq/internal/lint/loader"
 )
 
@@ -57,8 +55,6 @@ func run(stdout, stderr io.Writer, argv []string) int {
 	list := fs.Bool("list", false, "list analyzers and exit")
 	runNames := fs.String("run", "", "comma-separated analyzer names to run (default all)")
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array on stdout")
-	allowBackground := fs.String("allow-background", "",
-		"comma-separated import paths exempt from ctxloop's context.Background/TODO rule")
 	fs.Parse(argv)
 
 	analyzers := lint.All()
@@ -86,11 +82,6 @@ func run(stdout, stderr io.Writer, argv []string) int {
 			return 2
 		}
 		analyzers = sel
-	}
-	for _, p := range strings.Split(*allowBackground, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			ctxloop.AllowBackground[p] = true
-		}
 	}
 
 	// Expand Requires into the execution plan (this also registers every

@@ -41,7 +41,7 @@ func TestStaleSuppressions(t *testing.T) {
 		t.Fatalf("exit code = %d, want 1\nstdout: %s\nstderr: %s", code, stdout, stderr)
 	}
 	for _, want := range []string{
-		"stale //semandaq:vet-ignore ctxloop",
+		"stale //semandaq:vet-ignore lockorder",
 		"stale //semandaq:vet-ignore nosuchanalyzer",
 		"no analyzer by that name",
 		"[suppression]",
@@ -60,8 +60,8 @@ func TestStaleNotJudgedOnSubsetRun(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1 (the unknown-name directive is always stale)\nstdout: %s", code, stdout)
 	}
-	if strings.Contains(stdout, "vet-ignore ctxloop") {
-		t.Errorf("ctxloop directive judged although ctxloop did not run:\n%s", stdout)
+	if strings.Contains(stdout, "vet-ignore lockorder") {
+		t.Errorf("lockorder directive judged although lockorder did not run:\n%s", stdout)
 	}
 	if !strings.Contains(stdout, "vet-ignore nosuchanalyzer") {
 		t.Errorf("unknown-name directive not reported on subset run:\n%s", stdout)

@@ -3,7 +3,7 @@
 // "suppression" pseudo-analyzer and exit 1.
 package stalemod
 
-//semandaq:vet-ignore ctxloop nothing on this line ever triggers ctxloop
+//semandaq:vet-ignore lockorder nothing on this line ever takes a lock
 func Fine() int {
 	return 1
 }

@@ -730,8 +730,8 @@ func (s *Semandaq) ApplyRepair(table string, mods []repair.Modification) (int, [
 // seeding, mutations and ActiveMonitor return ErrMonitorBusy instead of
 // racing the handover. WithCleansed(true) selects incremental repair over
 // incremental detection; WithCFDs scopes the monitored constraints. A done
-// ctx prevents the monitor from starting; the tracker's initial seeding
-// pass itself is not yet cancellable.
+// ctx prevents the monitor from starting. The tracker's seed is the one served
+// row-scale pass that polls no context: monitor.New takes none.
 func (s *Semandaq) Monitor(ctx context.Context, table string, opts ...Option) (*monitor.Monitor, error) {
 	o := s.resolve(DefaultEngine, opts)
 	tab, cfds, err := s.requestCFDs(table, o)

@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"errors"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"semandaq/internal/audit"
@@ -251,72 +249,5 @@ func TestLazyExplodeRunsOnce(t *testing.T) {
 	}
 	if !reflect.DeepEqual(audits[0], flatAudit) {
 		t.Error("factorised audit differs from the flat audit")
-	}
-}
-
-// countdownCtx is done from its n-th Err() poll on: it cancels a pass at an
-// exact stride instead of at a wall-clock instant.
-type countdownCtx struct {
-	context.Context
-	left atomic.Int64
-}
-
-func (c *countdownCtx) Err() error {
-	if c.left.Add(-1) < 0 {
-		return context.Canceled
-	}
-	return nil
-}
-
-// TestCancelAtEveryStride cancels the factorised pass, and one SQL
-// detection (the detector's per-CFD polls, the engine's stride checks in
-// index builds, scans, joins and group finishing), at each of its context
-// polls in turn. Every cancelled request must fail with the context's error
-// and cache nothing, so that the next request at the same version equals a
-// cold run.
-func TestCancelAtEveryStride(t *testing.T) {
-	for _, run := range []struct {
-		engine  DetectorKind
-		workers int
-	}{{ParallelDetection, 1}, {ParallelDetection, 4}, {SQLDetection, 1}} {
-		engine, workers := run.engine, run.workers
-		s, _ := datasetSession(t) // 3000 tuples: each scan polls once, each grouping several times
-		cold, err := s.DetectDigest(context.Background(), "customer", WithEngine(engine), WithWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tab, _ := s.Table("customer")
-		cancelled := 0
-		for n := int64(0); ; n++ {
-			s.mu.Lock()
-			delete(s.reports, "customer")
-			s.mu.Unlock()
-			ctx := &countdownCtx{Context: context.Background()}
-			ctx.left.Store(n)
-			d, err := s.DetectDigest(ctx, "customer", WithEngine(engine), WithWorkers(workers))
-			if err == nil {
-				if !reflect.DeepEqual(d, cold) {
-					t.Fatalf("%v workers=%d: run that survived %d polls differs from the cold run", engine, workers, n)
-				}
-				break
-			}
-			cancelled++
-			if !errors.Is(err, context.Canceled) || d != nil {
-				t.Fatalf("%v workers=%d poll %d: got (%v, %v), want a bare cancellation", engine, workers, n, d, err)
-			}
-			if _, ok := s.cachedEntry("customer", engine, tab.Version()); ok {
-				t.Fatalf("%v workers=%d poll %d: a cancelled pass left an entry cached", engine, workers, n)
-			}
-			again, err := s.DetectDigest(context.Background(), "customer", WithEngine(engine), WithWorkers(workers))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(again, cold) {
-				t.Fatalf("%v workers=%d: request after a cancellation at poll %d differs from the cold run", engine, workers, n)
-			}
-		}
-		if cancelled < 5 {
-			t.Errorf("%v workers=%d: only %d cancellation points exercised", engine, workers, cancelled)
-		}
 	}
 }

@@ -287,14 +287,15 @@ func (m *miner) checkCandidate(ctx context.Context, nd *vnode, ai int) error {
 	stop := func() bool { return ctx.Err() != nil }
 	part := nd.partition(m)
 	pure, aborted := part.Refines(probe, cancelStride, stop)
+	conf, holds := 1.0, pure
+	if !pure && !aborted && m.opts.MinConfidence < 1 {
+		var kept int
+		kept, aborted = part.Keep(probe, cancelStride, stop)
+		conf = float64(kept) / float64(m.n)
+		holds = conf >= m.opts.MinConfidence
+	}
 	if aborted {
 		return ctx.Err()
-	}
-	conf := 1.0
-	holds := pure
-	if !pure && m.opts.MinConfidence < 1 {
-		conf = float64(part.Keep(probe)) / float64(m.n)
-		holds = conf >= m.opts.MinConfidence
 	}
 	if holds {
 		nd.res[ai] = vaResult{

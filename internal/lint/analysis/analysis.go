@@ -78,7 +78,7 @@ func (d Diagnostic) Position(fset *token.FileSet) token.Position {
 // IgnoreDirective is the comment prefix that suppresses a diagnostic on
 // the same line or on the line immediately below the comment:
 //
-//	//semandaq:vet-ignore ctxloop deprecated context-free wrapper
+//	//semandaq:vet-ignore lockorder both locks are private to one call
 //
 // The first word after the prefix names the analyzer (or "all"); the rest
 // of the line is a free-form reason, which is mandatory by convention so
@@ -295,17 +295,6 @@ func (p *EndPass) PackageFactKeys(fact Fact) []string {
 // ImportPackageFact decodes the package fact of fact's type for pkgPath.
 func (p *EndPass) ImportPackageFact(pkgPath string, fact Fact) bool {
 	return p.store.importInto(p.Analyzer.Name, ObjKey{Pkg: pkgPath}, fact)
-}
-
-// ObjectFactKeys returns every object key this analyzer attached a fact of
-// fact's type to, in sorted order.
-func (p *EndPass) ObjectFactKeys(fact Fact) []ObjKey {
-	return p.store.objectFacts(p.Analyzer.Name, fact)
-}
-
-// ImportObjectFact decodes the fact of fact's type attached to key.
-func (p *EndPass) ImportObjectFact(key ObjKey, fact Fact) bool {
-	return p.store.importInto(p.Analyzer.Name, key, fact)
 }
 
 // Reportf records a module-level finding at a pre-resolved position

@@ -45,20 +45,13 @@ func TestFactRoundTrip(t *testing.T) {
 	if s.importInto("an", ObjKey{Pkg: "p", Name: "absent"}, &got) {
 		t.Error("import of absent key reported ok")
 	}
-	keys := s.objectFacts("an", &tfact{})
-	if len(keys) != 2 || keys[0] != k2 || keys[1] != k1 {
-		t.Errorf("objectFacts = %v, want [%v %v]", keys, k2, k1)
-	}
 
-	// Package facts (empty Name) enumerate separately from object facts.
+	// Package facts (empty Name) enumerate by package path; object facts do not.
 	if err := s.export("an", ObjKey{Pkg: "q"}, &tfact{N: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if paths := s.packageFacts("an", &tfact{}); len(paths) != 1 || paths[0] != "q" {
 		t.Errorf("packageFacts = %v, want [q]", paths)
-	}
-	if keys := s.objectFacts("an", &tfact{}); len(keys) != 2 {
-		t.Errorf("package fact leaked into objectFacts: %v", keys)
 	}
 }
 

@@ -130,29 +130,6 @@ func (s *FactStore) importInto(analyzer string, obj ObjKey, fact Fact) bool {
 	return true
 }
 
-// objectFacts returns the keys of every object the analyzer attached a fact
-// of fact's type to, sorted for determinism.
-func (s *FactStore) objectFacts(analyzer string, fact Fact) []ObjKey {
-	typ := factTypeName(fact)
-	var keys []ObjKey
-	for k := range s.facts {
-		if k.analyzer == analyzer && k.typ == typ && k.obj.Name != "" {
-			keys = append(keys, k.obj)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Pkg != b.Pkg {
-			return a.Pkg < b.Pkg
-		}
-		if a.Recv != b.Recv {
-			return a.Recv < b.Recv
-		}
-		return a.Name < b.Name
-	})
-	return keys
-}
-
 // packageFacts returns the package paths the analyzer attached a fact of
 // fact's type to, sorted.
 func (s *FactStore) packageFacts(analyzer string, fact Fact) []string {

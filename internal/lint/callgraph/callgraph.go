@@ -11,9 +11,8 @@
 //     imports).
 //
 // Calls through function values (callbacks, stored closures) are not
-// resolvable statically and are omitted; analyzers that must be sound
-// around them handle callbacks lexically (the way ctxloop treats a
-// ctx-mentioning closure as discharging the obligation).
+// resolvable statically and are omitted (lockorder lists them among its
+// blind spots).
 //
 // The pass reports no diagnostics; it exists for its facts and for the
 // resolution helpers (Resolver, Functions) the downstream analyzers reuse.

@@ -64,11 +64,12 @@ func TestCallees(t *testing.T) {
 	if _, err := analysis.RunPass(callgraph.Analyzer, fset, files, pkg, info, store, nil); err != nil {
 		t.Fatal(err)
 	}
-	ep := analysis.NewEndPass(callgraph.Analyzer, store, nil)
+	pass := analysis.NewPass(callgraph.Analyzer, fset, files, pkg, info, store, nil)
 	got := map[string][]string{}
-	for _, key := range ep.ObjectFactKeys(&callgraph.Callees{}) {
+	for _, fi := range callgraph.Functions(files, info) {
+		key := fi.Key
 		var fact callgraph.Callees
-		if !ep.ImportObjectFact(key, &fact) {
+		if !pass.ImportFactByKey(key, &fact) {
 			t.Fatalf("no Callees fact for %s", key)
 		}
 		var callees []string

@@ -81,10 +81,11 @@ func (p *Partition) Refines(probe []uint32, every int, stop func() bool) (pure, 
 // Keep returns how many of the snapshot's rows survive if, within every
 // class, only the plurality probe-code group is kept — the g3 measure of
 // an approximate FD: confidence(X → a) = Keep(EqProbe(a)) / NumRows.
-// Rows outside stored classes are trivially kept.
-func (p *Partition) Keep(probe []uint32) int {
-	kept := p.n - len(p.elems) // rows in stripped-away singleton classes
+// Stripped rows are trivially kept; every and stop poll as in Refines.
+func (p *Partition) Keep(probe []uint32, every int, stop func() bool) (kept int, aborted bool) {
+	kept = p.n - len(p.elems) // rows in stripped-away singleton classes
 	counts := make(map[uint32]int32, 16)
+	seen := 0
 	for c := 0; c < p.NumClasses(); c++ {
 		cls := p.Class(c)
 		if len(cls) == 1 {
@@ -101,8 +102,14 @@ func (p *Partition) Keep(probe []uint32) int {
 			}
 		}
 		kept += int(best)
+		if seen += len(cls); seen >= every {
+			seen = 0
+			if stop != nil && stop() {
+				return 0, true
+			}
+		}
 	}
-	return kept
+	return kept, false
 }
 
 // Intersect refines the partition by a probe vector: rows of one class that

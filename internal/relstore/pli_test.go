@@ -112,7 +112,7 @@ func TestPartitionKeepConfidence(t *testing.T) {
 		{"x", "p"}, {"x", "p"}, {"x", "p"}, {"x", "q"}, {"y", "r"},
 	})
 	col := tab.Snapshot().Columnar()
-	keep := col.Col(0).PLI().Keep(col.Col(1).EqProbe())
+	keep, _ := col.Col(0).PLI().Keep(col.Col(1).EqProbe(), 1, nil)
 	if keep != 4 {
 		t.Errorf("Keep = %d, want 4", keep)
 	}
@@ -133,7 +133,7 @@ func TestPLIEmptyTable(t *testing.T) {
 	if pure, aborted := p.Refines(probe, 1, nil); !pure || aborted {
 		t.Errorf("Refines on empty = %v,%v, want true,false (vacuously pure)", pure, aborted)
 	}
-	if keep := p.Keep(probe); keep != 0 {
+	if keep, _ := p.Keep(probe, 1, nil); keep != 0 {
 		t.Errorf("Keep on empty = %d, want 0", keep)
 	}
 	q := p.Intersect(probe)
@@ -158,7 +158,7 @@ func TestPLIAllSingletonColumn(t *testing.T) {
 	if pure, _ := p.Refines(probe, 1, nil); !pure {
 		t.Error("all-singleton LHS must satisfy any FD")
 	}
-	if keep := p.Keep(probe); keep != 4 {
+	if keep, _ := p.Keep(probe, 1, nil); keep != 4 {
 		t.Errorf("Keep = %d, want 4", keep)
 	}
 	q := p.Intersect(probe)
@@ -191,7 +191,7 @@ func TestPLISingleClassColumn(t *testing.T) {
 	if pure, _ := p.Refines(probe, 1, nil); pure {
 		t.Error("A -> B must fail: B is not constant")
 	}
-	if keep := p.Keep(probe); keep != 3 {
+	if keep, _ := p.Keep(probe, 1, nil); keep != 3 {
 		t.Errorf("Keep = %d, want 3 (plurality p)", keep)
 	}
 	q := p.Intersect(probe)
