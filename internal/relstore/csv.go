@@ -1,10 +1,12 @@
 package relstore
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"strings"
 
 	"semandaq/internal/schema"
@@ -16,21 +18,20 @@ import (
 // empty and case-insensitively repeated names are errors); field values are
 // inferred with types.Parse. name becomes the table name.
 // The result is what NewTable plus one Insert per record would build, built
-// column-direct: each column interns its fields by raw text as they stream
-// by (one Parse per distinct text) and heads the lineage later edits patch;
-// the table comes back with its snapshot pinned on those columns.
+// in one pass from the buffered body to columns that head the lineage later
+// edits patch; each distinct text is parsed and copied once.
 func ReadCSV(name string, r io.Reader) (*Table, error) {
-	br := bufio.NewReader(r)
-	bom, err := br.Peek(3)
-	if err != nil && err != io.EOF { // bufio reports a read error once: report it here
-		return nil, fmt.Errorf("relstore: read csv header: %w", err)
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + bytes.MinRead) // with MinRead spare, ReadFrom meets EOF without growing
 	}
-	if string(bom) == "\xef\xbb\xbf" {
-		_, _ = br.Discard(3) // cannot fail: the bytes are buffered
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, fmt.Errorf("relstore: read csv: %w", err)
 	}
-	cr := csv.NewReader(br)
+	body := bytes.TrimPrefix(buf.Bytes(), []byte("\xef\xbb\xbf"))
+	cr := csv.NewReader(bytes.NewReader(body)) // reads the header, and past the tokenizer's first error for its own
 	cr.FieldsPerRecord = -1
-	header, err := cr.Read() // its own slice: records are reused only from here on
+	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("relstore: read csv header: %w", err)
 	}
@@ -44,46 +45,145 @@ func ReadCSV(name string, r io.Reader) (*Table, error) {
 		}
 		first[strings.ToLower(h)] = j
 	}
-	cr.ReuseRecord = true
+	tk := tokenizer{rest: body[cr.InputOffset():]}
+	n := bytes.Count(tk.rest, []byte{'\n'}) + 1 // a record takes a line at least
 	cols := make([]*Column, len(header))
-	// memo[j]: column j's raw texts that parse to anything but a STRING, to
-	// their codes. A STRING's payload is its raw text, so find is its memo.
-	memo := make([]map[string]uint32, len(header))
 	for j := range cols {
-		cols[j], memo[j] = newColumn(0), map[string]uint32{}
+		cols[j] = newColumn(n)
 	}
-	line := 1
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
+	var a arena
+	for rec := 0; ; rec++ {
+		if err := tk.next(); err == io.EOF {
 			break
-		}
-		if err != nil {
+		} else if err != nil { // encoding/csv fails on the same record: its error, word for word
+			for _, err = cr.Read(); err == nil; _, err = cr.Read() {
+			}
 			return nil, fmt.Errorf("relstore: read csv: %w", err)
 		}
-		line++
-		if len(rec) != len(header) {
-			return nil, fmt.Errorf("relstore: csv line %d: %d fields, want %d", line, len(rec), len(header))
+		if len(tk.ends)-1 != len(cols) {
+			return nil, fmt.Errorf("relstore: csv line %d: %d fields, want %d", rec+2, len(tk.ends)-1, len(cols))
 		}
-		for j, f := range rec {
-			c := cols[j]
-			code, seen := c.find(types.NewString(f))
-			if !seen {
-				code, seen = memo[j][f]
+		for j, c := range cols {
+			if rec == presizeAfter && len(c.dict) == presizeAfter {
+				c.presize(n)
 			}
-			if seen {
-				c.retain(code)
-			} else {
-				f = strings.Clone(f) // out of the reader's per-record line, which nothing kept may pin
-				v := types.Parse(f)
-				if code = c.acquire(v); v.Kind() != types.KindString {
-					memo[j][f] = code
-				}
-			}
-			c.codes = append(c.codes, code)
+			c.ingest(tk.buf[tk.ends[j]:tk.ends[j+1]], &a)
+		}
+	}
+	for _, c := range cols { // edits look STRING payloads up in byStr: other kinds' raw texts go
+		k := len(c.in.byStr)
+		if maps.DeleteFunc(c.in.byStr, func(_ string, code uint32) bool { return c.dict[code].Kind() != types.KindString }); len(c.in.byStr) < k/2 {
+			c.in.byStr = maps.Clone(c.in.byStr) // not the room of the texts that went
 		}
 	}
 	return tableFromColumns(schema.New(name, header...), cols), nil
+}
+
+// tokenizer splits a CSV body into records in place, as encoding/csv's Reader
+// does with FieldsPerRecord -1: blank lines are skipped, CRLF reads as LF and
+// a '\r' ending the body is dropped. Field j is buf[ends[j]:ends[j+1]].
+type tokenizer struct {
+	rest, buf []byte
+	ends      []int
+}
+
+// line cuts the next line off rest; nl reports that a '\n' ended it.
+func (t *tokenizer) line() (text []byte, nl bool) {
+	text, t.rest, nl = bytes.Cut(t.rest, []byte{'\n'})
+	return bytes.TrimSuffix(text, []byte{'\r'}), nl
+}
+
+// next reads the next record into buf: io.EOF at the end of the body,
+// csv.ErrQuote where encoding/csv would fail.
+func (t *tokenizer) next() error {
+	text, nl := []byte(nil), false
+	for len(text) == 0 {
+		if len(t.rest) == 0 {
+			return io.EOF
+		}
+		text, nl = t.line()
+	}
+	t.buf, t.ends = t.buf[:0], append(t.ends[:0], 0)
+	for {
+		if len(text) == 0 || text[0] != '"' {
+			field, _, _ := bytes.Cut(text, []byte{','})
+			if bytes.IndexByte(field, '"') >= 0 {
+				return csv.ErrQuote
+			}
+			t.buf, text = append(t.buf, field...), text[len(field):]
+		} else {
+			for text = text[1:]; ; {
+				field, after, closed := bytes.Cut(text, []byte{'"'})
+				if t.buf = append(t.buf, field...); !closed { // the field runs on past the line
+					if !nl || len(t.rest) == 0 {
+						return csv.ErrQuote
+					}
+					t.buf = append(t.buf, '\n')
+					text, nl = t.line()
+				} else if text = after; len(text) > 0 && text[0] == '"' {
+					t.buf, text = append(t.buf, '"'), text[1:]
+				} else {
+					break
+				}
+			}
+		}
+		if t.ends = append(t.ends, len(t.buf)); len(text) == 0 {
+			return nil
+		} else if text[0] != ',' {
+			return csv.ErrQuote
+		}
+		text = text[1:]
+	}
+}
+
+// presizeAfter distinct values in as many records make a column a key: room for
+// n rows and a quarter more spares the first edits' novel values a full copy.
+const presizeAfter = 1024
+
+func (c *Column) presize(n int) {
+	n += n / 4
+	c.dict, c.eq = slices.Grow(c.dict, n-len(c.dict)), slices.Grow(c.eq, n-len(c.eq))
+	c.counts, c.clsCounts = slices.Grow(c.counts, n-len(c.counts)), slices.Grow(c.clsCounts, n-len(c.clsCounts))
+	byStr := make(map[string]uint32, n)
+	maps.Copy(byStr, c.in.byStr)
+	c.in.byStr = byStr
+}
+
+// ingest appends a field's code. While loading, in.byStr maps each raw text to
+// its code whatever its kind (types.Parse fixes a text's kind, so no two kinds
+// share a key), and a STRING, being its text, goes straight to addEntry.
+func (c *Column) ingest(text []byte, a *arena) {
+	code, seen := c.in.byStr[string(text)]
+	if !seen {
+		s := a.copy(text)
+		if v := types.Parse(s); v.Kind() == types.KindString {
+			code = c.addEntry(v)
+		} else {
+			if code, seen = c.find(v); !seen {
+				code = c.addEntry(v)
+			}
+			c.in.byStr[s] = code
+		}
+	}
+	c.retain(code)
+	c.codes = append(c.codes, code)
+}
+
+// arena copies a load's distinct texts into shared chunks, doubling up to
+// arenaChunk bytes: a string it returns keeps its chunk alive, never the body.
+type arena struct{ strings.Builder }
+
+const arenaChunk = 32 << 10
+
+func (a *arena) copy(text []byte) string {
+	if a.Cap()-a.Len() < len(text) {
+		size := max(len(text), min(2*a.Cap(), arenaChunk))
+		a.Builder = strings.Builder{}
+		a.Grow(size)
+	}
+	start := a.Len()
+	a.Write(text)
+	return a.String()[start:]
 }
 
 // WriteCSV writes the table (header + live rows in insertion order) as CSV.

@@ -250,6 +250,11 @@ var csvSeeds = []string{
 	"A,B\nx,\"bad\"quote\n",
 	"A,B\n\xff,\xfe\xff\n\xff,z\n",
 	"A\n" + strings.Repeat("v\n", 300) + strings.Repeat("w\n", 300),
+	"A,B\nx,\"multi\nline\"",                          // a quoted multi-line last record, no final newline
+	"A,B\nx,1\r",                                      // a '\r' before the end of the body is dropped
+	"A,B\nx,\"crlf\r\ninside\"\r\n",                   // CRLF inside quotes is LF
+	"A,B\n\nx,1\n\r\n\n\ny,2\n\n",                     // blank lines between records
+	"A,B\nx,\"\"\"q\"\"\"\n\"a\nb\r\",\"\"\r\n\"open", // escaped quotes, then an unterminated one
 }
 
 func TestReadCSVMatchesRowAPI(t *testing.T) {
@@ -269,19 +274,66 @@ func FuzzReadCSV(f *testing.F) {
 	})
 }
 
-// TestReadCSVDoesNotPinTheInput: csv.Reader allocates one string per record
-// and hands out fields as slices of it. What the table keeps of a field is a
-// copy, so a short NAME does not keep its whole line — here a kilobyte of a
-// value the dictionary stores once — alive.
+// TestReadCSVBoundaries runs checkBulkLoad on what the fuzzer's small inputs
+// never reach: more records than the presize sample — a key-like column of
+// STRINGs and one of INTs, a column that turns key-like only after the
+// sample, an all-NULL one — and texts longer than an arena chunk or
+// straddling a chunk's end.
+func TestReadCSVBoundaries(t *testing.T) {
+	const n = 3 * presizeAfter
+	var in strings.Builder
+	in.WriteString("KEY,ID,LATE,NULLS\n")
+	for i := 0; i < n; i++ {
+		late := fmt.Sprint(i % 7)
+		if i >= presizeAfter {
+			late = fmt.Sprintf("late%d", i)
+		}
+		fmt.Fprintf(&in, "k%05d,%d,%s,\n", i, i, late)
+	}
+	checkBulkLoad(t, []byte(in.String()))
+	tab, err := ReadCSV("x", strings.NewReader(in.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := tab.Snapshot().Columnar().cols
+	if key, late := cols[0], cols[2]; cap(key.dict) < n+n/4 || cap(late.dict) >= n+n/4 {
+		t.Errorf("dictionary capacities KEY %d LATE %d: want KEY presized to %d and LATE not", cap(key.dict), cap(late.dict), n+n/4)
+	}
+	for j, c := range cols[1:] {
+		for text, code := range c.in.byStr {
+			if c.dict[code].Kind() != types.KindString {
+				t.Errorf("column %d: the load left raw text %q (%v) among the STRING payloads", j+1, text, c.dict[code])
+			}
+		}
+	}
+
+	in.Reset()
+	in.WriteString("A,B\n")
+	long := strings.Repeat("L", arenaChunk+10)
+	fmt.Fprintf(&in, "%s,1\n\"%s\n\",2\n", long, long[1:])
+	for i := 0; i < 3*arenaChunk/1000; i++ { // about 1 KB each: some cross a chunk's end
+		fmt.Fprintf(&in, "%04d%s,%d\n", i, strings.Repeat("s", 997+i%5), i)
+	}
+	fmt.Fprintf(&in, "%s,3\n", long)
+	checkBulkLoad(t, []byte(in.String()))
+}
+
+// TestReadCSVDoesNotPinTheInput: the loader reads the body into one buffer
+// and hands fields out as slices of a record buffer. What the table keeps of
+// a field is an arena copy of its distinct text, so it keeps distinct bytes,
+// never lines: a NOTE every row shares (a kilobyte the dictionary stores
+// once) costs once, and a MEMO distinct per row (another kilobyte) costs a
+// kilobyte a row.
 func TestReadCSVDoesNotPinTheInput(t *testing.T) {
 	const n = 2000
 	var in strings.Builder
-	in.WriteString("NAME,NOTE\n")
-	note := strings.Repeat("x", 1<<10)
+	in.WriteString("NAME,NOTE,MEMO\n")
+	note, memo := strings.Repeat("x", 1<<10), strings.Repeat("y", 1<<10-5)
 	for i := 0; i < n; i++ {
-		fmt.Fprintf(&in, "name%05d,%s\n", i, note)
+		fmt.Fprintf(&in, "name%05d,%s,%05d%s\n", i, note, i, memo)
 	}
 	body := in.String() // live across both readings, so it cancels out
+	distinct := n*(len("name00000")+1<<10) + len(note)
 	var m0, m1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
@@ -291,8 +343,8 @@ func TestReadCSVDoesNotPinTheInput(t *testing.T) {
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&m1)
-	if kept := int64(m1.HeapAlloc) - int64(m0.HeapAlloc); kept > n<<10/2 {
-		t.Errorf("%d rows of a 1 KB line keep %d bytes live: the fields pin their lines", n, kept)
+	if kept := int(int64(m1.HeapAlloc) - int64(m0.HeapAlloc)); kept > distinct+(len(body)-distinct)/2 {
+		t.Errorf("%d rows of %d distinct bytes in %d bytes of lines keep %d bytes live: the fields pin their lines", n, distinct, len(body), kept)
 	}
 	runtime.KeepAlive(tab)
 	runtime.KeepAlive(body)

@@ -64,13 +64,16 @@ func do(t *testing.T, ts *httptest.Server, method, path, body string, wantStatus
 
 // TestOversizedBodiesAre413: a body past maxBodyBytes — a CSV load, or a
 // JSON document on any route that decodes one — is a 413, and the table the
-// request named is still registered and unchanged.
+// request named is still registered and unchanged. The CSV loader reads the
+// whole body before it parses a byte, so an oversized CSV is a 413 even when
+// a line before the cap is malformed.
 func TestOversizedBodiesAre413(t *testing.T) {
 	ts := testServer(t)
 	before := do(t, ts, "GET", "/api/tables/customer", "", http.StatusOK)
 	huge := strings.Repeat("x", maxBodyBytes)
 	for _, c := range []struct{ method, path, body string }{
 		{"POST", "/api/tables/customer", "NAME,CNT\n" + huge + ",UK\n"},
+		{"POST", "/api/tables/customer", "NAME,CNT\nMike,UK,ragged\n" + huge + ",UK\n"},
 		{"POST", "/api/cfds/customer", `{"text": "` + huge + `"}`},
 		{"POST", "/api/tables/customer/rows", `{"row": ["` + huge + `"]}`},
 		{"PATCH", "/api/tables/customer/rows/1", `{"attr": "CNT", "value": "` + huge + `"}`},
