@@ -29,54 +29,80 @@ func ReadCSV(name string, r io.Reader) (*Table, error) {
 		return nil, fmt.Errorf("relstore: read csv: %w", err)
 	}
 	body := bytes.TrimPrefix(buf.Bytes(), []byte("\xef\xbb\xbf"))
-	cr := csv.NewReader(bytes.NewReader(body)) // reads the header, and past the tokenizer's first error for its own
-	cr.FieldsPerRecord = -1
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("relstore: read csv header: %w", err)
+	tk := tokenizer{rest: body}
+	if tk.next() != nil {
+		return nil, csvError(body)
 	}
+	names, header := string(tk.buf), make([]string, len(tk.ends)-1)
 	first := make(map[string]int, len(header))
-	for j, h := range header {
+	for j := range header {
+		h := names[tk.ends[j]:tk.ends[j+1]]
 		if h == "" {
 			return nil, fmt.Errorf("relstore: csv header: column %d has no name", j+1)
 		}
 		if i, dup := first[strings.ToLower(h)]; dup {
 			return nil, fmt.Errorf("relstore: csv header: column %d (%q) repeats column %d (%q)", j+1, h, i+1, header[i])
 		}
-		first[strings.ToLower(h)] = j
+		header[j], first[strings.ToLower(h)] = h, j
 	}
-	tk := tokenizer{rest: body[cr.InputOffset():]}
-	n := bytes.Count(tk.rest, []byte{'\n'}) + 1 // a record takes a line at least
+	// Blank lines hold no record, so n, the lines that are not blank, bounds
+	// the rows; columns are sized once the first block's bytes per record show
+	// what the rest of the body can hold.
+	rest, n := tk.rest, 0
+	for lines := (tokenizer{rest: rest}); len(lines.rest) > 0; {
+		if text, _ := lines.line(); len(text) > 0 {
+			n++
+		}
+	}
 	cols := make([]*Column, len(header))
 	for j := range cols {
-		cols[j] = newColumn(n)
+		cols[j] = newColumn(min(n, presizeAfter+1))
 	}
-	var a arena
+	var keep, load arena
 	for rec := 0; ; rec++ {
 		if err := tk.next(); err == io.EOF {
 			break
-		} else if err != nil { // encoding/csv fails on the same record: its error, word for word
-			for _, err = cr.Read(); err == nil; _, err = cr.Read() {
-			}
-			return nil, fmt.Errorf("relstore: read csv: %w", err)
+		} else if err != nil {
+			return nil, csvError(body)
 		}
 		if len(tk.ends)-1 != len(cols) {
 			return nil, fmt.Errorf("relstore: csv line %d: %d fields, want %d", rec+2, len(tk.ends)-1, len(cols))
 		}
-		for j, c := range cols {
-			if rec == presizeAfter && len(c.dict) == presizeAfter {
-				c.presize(n)
+		if rec == presizeAfter {
+			est := (rec + 1) * len(rest) / (len(rest) - len(tk.rest))
+			rows := min(n, est+est/4)
+			for _, c := range cols {
+				if c.codes = slices.Grow(c.codes, rows-len(c.codes)); len(c.dict) == presizeAfter {
+					c.presize(rows)
+				}
 			}
-			c.ingest(tk.buf[tk.ends[j]:tk.ends[j+1]], &a)
+		}
+		for j, c := range cols {
+			c.ingest(tk.buf[tk.ends[j]:tk.ends[j+1]], &keep, &load)
 		}
 	}
-	for _, c := range cols { // edits look STRING payloads up in byStr: other kinds' raw texts go
+	for _, c := range cols { // edits look STRING payloads up in byStr: other kinds' raw texts go, and load with them
 		k := len(c.in.byStr)
-		if maps.DeleteFunc(c.in.byStr, func(_ string, code uint32) bool { return c.dict[code].Kind() != types.KindString }); len(c.in.byStr) < k/2 {
+		if maps.DeleteFunc(c.in.byStr, func(_ string, code uint32) bool { return c.dict[code].Kind() != types.KindString }); len(c.in.byStr) < k {
 			c.in.byStr = maps.Clone(c.in.byStr) // not the room of the texts that went
 		}
 	}
 	return tableFromColumns(schema.New(name, header...), cols), nil
+}
+
+// csvError reads body with encoding/csv up to the record the tokenizer
+// rejected, so the error is encoding/csv's, word for word.
+func csvError(body []byte) error {
+	cr := csv.NewReader(bytes.NewReader(body))
+	cr.FieldsPerRecord = -1
+	if _, err := cr.Read(); err != nil {
+		return fmt.Errorf("relstore: read csv header: %w", err)
+	}
+	for {
+		if _, err := cr.Read(); err != nil {
+			return fmt.Errorf("relstore: read csv: %w", err)
+		}
+	}
 }
 
 // tokenizer splits a CSV body into records in place, as encoding/csv's Reader
@@ -118,6 +144,9 @@ func (t *tokenizer) next() error {
 					if !nl || len(t.rest) == 0 {
 						return csv.ErrQuote
 					}
+					if len(t.buf) == cap(t.buf) { // a field of many lines doubles its buffer, not append's quarter
+						t.buf = slices.Grow(t.buf, len(t.buf))
+					}
 					t.buf = append(t.buf, '\n')
 					text, nl = t.line()
 				} else if text = after; len(text) > 0 && text[0] == '"' {
@@ -151,18 +180,27 @@ func (c *Column) presize(n int) {
 
 // ingest appends a field's code. While loading, in.byStr maps each raw text to
 // its code whatever its kind (types.Parse fixes a text's kind, so no two kinds
-// share a key), and a STRING, being its text, goes straight to addEntry.
-func (c *Column) ingest(text []byte, a *arena) {
+// share a key), and a STRING, being its text, goes straight to addEntry. Only
+// a STRING's text outlives the load: a text that may parse to another kind (a
+// short one, as TRUE is, or one led by a number's first byte) is copied to
+// the load's arena first, and again to the kept one if it is a STRING after all.
+func (c *Column) ingest(text []byte, keep, load *arena) {
 	code, seen := c.in.byStr[string(text)]
 	if !seen {
+		a := keep
+		if len(text) <= len("false") || strings.IndexByte("0123456789+-.iInN", text[0]) >= 0 {
+			a = load
+		}
 		s := a.copy(text)
-		if v := types.Parse(s); v.Kind() == types.KindString {
-			code = c.addEntry(v)
-		} else {
+		if v := types.Parse(s); v.Kind() != types.KindString {
 			if code, seen = c.find(v); !seen {
 				code = c.addEntry(v)
 			}
 			c.in.byStr[s] = code
+		} else if a == load {
+			code = c.addEntry(types.NewString(keep.copy(text)))
+		} else {
+			code = c.addEntry(v)
 		}
 	}
 	c.retain(code)

@@ -3,8 +3,10 @@ package relstore_test
 import (
 	"bytes"
 	"encoding/csv"
+	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"testing"
 
 	"semandaq/internal/datagen"
@@ -146,4 +148,74 @@ func BenchmarkReadCSV(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestReadCSVReservesWhatTheBodyHolds: lines that hold no record reserve no
+// rows. A wide table of 1 025 distinct records (every column key-like past
+// the presize sample) followed by 2 MiB of blank lines, or of one quoted
+// field of empty lines, allocates at most 12x the body: the body buffer,
+// grown through a reader that hides its length, takes up to 4x, and the
+// quoted field is copied from body to record buffer to dictionary. Short
+// lines that fail the field count only when the loader reaches them are
+// capped by the first block's bytes per record: they reserve at most 1.5x
+// what a body of as many bytes of such records takes.
+func TestReadCSVReservesWhatTheBodyHolds(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates on the runtime's own paths")
+	}
+	const arity, rows, filler = 16, 1025, 2 << 20
+	record := func(i int) string {
+		line := make([]string, arity)
+		for j := range line {
+			line[j] = fmt.Sprintf("v%05d", i)
+		}
+		return "\n" + strings.Join(line, ",")
+	}
+	names := make([]string, arity)
+	for j := range names {
+		names[j] = fmt.Sprintf("C%d", j)
+	}
+	var records strings.Builder
+	records.WriteString(strings.Join(names, ","))
+	for i := 0; i < rows; i++ {
+		records.WriteString(record(i))
+	}
+	load := func(body string) (uint64, error) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		_, err := relstore.ReadCSV("wide", struct{ io.Reader }{strings.NewReader(body)})
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc, err
+	}
+	last := record(rows - 1)
+	prefix := strings.TrimSuffix(records.String(), last[strings.LastIndexByte(last, ','):]) // the last field is the case's
+	for _, tc := range []struct{ name, tail string }{
+		{"blank lines", ",x" + strings.Repeat("\n", filler)},
+		{"a quoted field of newlines", ",\"" + strings.Repeat("\n", filler) + "\"\n"},
+	} {
+		body := prefix + tc.tail
+		got, err := load(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got > 12*uint64(len(body)) {
+			t.Errorf("%s: ReadCSV allocated %d bytes for a %d-byte body, want <= 12x", tc.name, got, len(body))
+		}
+	}
+
+	short := records.String() + strings.Repeat("\na", filler/2)
+	for i := rows; records.Len() < len(short); i++ {
+		records.WriteString(record(i))
+	}
+	got, err := load(short)
+	if err == nil {
+		t.Fatal("short lines loaded")
+	}
+	want, err := load(records.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if 2*got > 3*want {
+		t.Errorf("short lines: ReadCSV allocated %d bytes, a body of as many bytes of records %d: want <= 1.5x", got, want)
+	}
 }

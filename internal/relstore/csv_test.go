@@ -322,15 +322,16 @@ func TestReadCSVBoundaries(t *testing.T) {
 // and hands fields out as slices of a record buffer. What the table keeps of
 // a field is an arena copy of its distinct text, so it keeps distinct bytes,
 // never lines: a NOTE every row shares (a kilobyte the dictionary stores
-// once) costs once, and a MEMO distinct per row (another kilobyte) costs a
-// kilobyte a row.
+// once) costs once, a MEMO distinct per row (another kilobyte) costs a
+// kilobyte a row, and a NUM whose kilobyte of text differs per row but always
+// parses to the FLOAT 1 costs nothing: only a STRING's text outlives the load.
 func TestReadCSVDoesNotPinTheInput(t *testing.T) {
 	const n = 2000
 	var in strings.Builder
-	in.WriteString("NAME,NOTE,MEMO\n")
-	note, memo := strings.Repeat("x", 1<<10), strings.Repeat("y", 1<<10-5)
+	in.WriteString("NAME,NOTE,MEMO,NUM\n")
+	note, memo, num := strings.Repeat("x", 1<<10), strings.Repeat("y", 1<<10-5), "1."+strings.Repeat("0", 1<<10-7)
 	for i := 0; i < n; i++ {
-		fmt.Fprintf(&in, "name%05d,%s,%05d%s\n", i, note, i, memo)
+		fmt.Fprintf(&in, "name%05d,%s,%05d%s,%s%05d\n", i, note, i, memo, num, i)
 	}
 	body := in.String() // live across both readings, so it cancels out
 	distinct := n*(len("name00000")+1<<10) + len(note)
