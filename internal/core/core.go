@@ -231,10 +231,12 @@ func (s *Semandaq) Workers() int {
 
 // SQL runs an ad-hoc SELECT (or EXPLAIN SELECT) against the store (the
 // paper's data explorer lets users navigate the data; this is the
-// programmatic hatch). The engine only reads: any other statement is a
-// *sqleng.ParseError, and writes go through the session's Insert, Delete,
-// SetCell and ApplyUpdates. A cancelled ctx aborts the engine's scan loops
-// and returns ctx.Err().
+// programmatic hatch). The engine takes the fragment its detection queries
+// use (package sqleng: comma joins, WHERE, GROUP BY with COUNT, HAVING) and
+// only reads: any other construct or statement is a *sqleng.ParseError
+// naming it, and writes go through the session's Insert, Delete, SetCell and
+// ApplyUpdates. A cancelled ctx aborts the engine's scan loops and returns
+// ctx.Err().
 func (s *Semandaq) SQL(ctx context.Context, query string) (*sqleng.Result, error) {
 	return s.engine.QueryContext(ctx, query)
 }

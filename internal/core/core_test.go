@@ -256,6 +256,18 @@ func TestDetectionSQLAndAdHocSQL(t *testing.T) {
 	if res.Rows[0][0].Int() != 3 {
 		t.Errorf("count = %v", res.Rows[0][0])
 	}
+	// What the engine's fragment leaves out is a *sqleng.ParseError naming
+	// the construct.
+	for _, c := range []struct{ sql, name string }{
+		{"SELECT NAME FROM customer ORDER BY NAME", "ORDER BY"},
+		{"SELECT c.NAME FROM customer c LEFT JOIN customer d ON c.ZIP = d.ZIP", "LEFT JOIN"},
+		{"SELECT SUM(CC) FROM customer", "SUM"},
+	} {
+		var perr *sqleng.ParseError
+		if _, err := s.SQL(context.Background(), c.sql); !errors.As(err, &perr) || !strings.Contains(err.Error(), c.name) {
+			t.Errorf("%s: err = %v, want a *sqleng.ParseError naming %s", c.sql, err, c.name)
+		}
+	}
 }
 
 // TestSQLRejectsWrites: SQL only reads. Each write statement is a

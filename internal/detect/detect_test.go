@@ -10,6 +10,7 @@ import (
 	"semandaq/internal/cfddef"
 	"semandaq/internal/relstore"
 	"semandaq/internal/schema"
+	"semandaq/internal/sqleng"
 	"semandaq/internal/types"
 )
 
@@ -412,8 +413,12 @@ func TestSQLTrace(t *testing.T) {
 	}
 }
 
+// TestGenerateSQL: the printed statements have the paper's shape and run
+// as printed on the tableau tables a detection leaves behind: Qc (SELECT
+// t.*) returns one row of the data table per single-tuple violation of its
+// CFD, Qv one row per violating group.
 func TestGenerateSQL(t *testing.T) {
-	_, tab, cfds := paperStore(t)
+	store, tab, cfds := paperStore(t)
 	stmts, err := GenerateSQL(tab, cfds)
 	if err != nil {
 		t.Fatal(err)
@@ -428,6 +433,44 @@ func TestGenerateSQL(t *testing.T) {
 	}
 	if !strings.Contains(joined, "Qc") || !strings.Contains(joined, "Qv") {
 		t.Errorf("comments missing:\n%s", joined)
+	}
+
+	d := &SQLDetector{Engine: sqleng.New(store), KeepArtifacts: true}
+	rep, err := d.Detect(context.Background(), tab, cfds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	singles, groups := map[string]int{}, map[string]int{}
+	for _, v := range rep.Violations {
+		if v.Kind == SingleTuple {
+			singles[v.CFDID]++
+		}
+	}
+	for _, g := range rep.Groups {
+		groups[g.CFDID]++
+	}
+	rows := 0
+	for _, stmt := range stmts {
+		header, _, _ := strings.Cut(stmt, "\n")
+		id, kind, _ := strings.Cut(strings.TrimPrefix(header, "-- "), ": ")
+		res, err := sqleng.New(store).QueryContext(context.Background(), stmt)
+		if err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+		want := groups[id]
+		if strings.HasPrefix(kind, "Qc") {
+			want = singles[id]
+			if len(res.Columns) != len(tab.Schema().Attrs) {
+				t.Errorf("%s\nprojects %v, want the data table's columns", stmt, res.Columns)
+			}
+		}
+		if len(res.Rows) != want {
+			t.Errorf("%s\nreturned %d rows, want %d", stmt, len(res.Rows), want)
+		}
+		rows += len(res.Rows)
+	}
+	if rows == 0 {
+		t.Error("no statement returned a row; the test lost its subject")
 	}
 }
 

@@ -27,9 +27,10 @@ import (
 // an independent check on the group core.
 //
 // NULL is a value like any other to a CFD (the factorised core groups it
-// as one more dictionary value), so the generated SQL compares LHS values
-// null-safely (IS NOT DISTINCT FROM) and counts NULL as one more distinct
-// RHS class.
+// as one more dictionary value). The generated SQL matches an LHS value to
+// its pattern with tp.A = '_' OR t.A = tp.A, groups NULL as an ordinary
+// GROUP BY value and counts it as one more distinct RHS class (HAVING
+// compares COUNT(rhs) with COUNT(*)).
 type SQLDetector struct {
 	// Engine runs the generated SQL. Its store must contain the data table.
 	// A run pins its tableau tables on the engine, so concurrent runs need

@@ -162,13 +162,6 @@ func TestEditHistoryMetamorphic(t *testing.T) {
 		t.Error("nothing mined; the test lost its subject")
 	}
 
-	// Mining registers its exact FDs with the session's SQL planner: give
-	// both planners the final version's.
-	for _, sys := range []*core.Semandaq{edited, direct} {
-		if _, err := sys.Discover(ctx, "customer", core.WithMinSupport(mineOpts.MinSupport), core.WithMaxLHS(mineOpts.MaxLHS)); err != nil {
-			t.Fatal(err)
-		}
-	}
 	for _, sql := range []string{
 		`SELECT CITY, COUNT(*), COUNT(DISTINCT STR) FROM customer GROUP BY CITY`,
 		`SELECT t1.NAME, t2.NAME FROM customer t1, customer t2 WHERE t1.ZIP = t2.ZIP AND t1.STR <> t2.STR AND t1.CNT = 'UK'`,

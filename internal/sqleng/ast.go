@@ -10,18 +10,13 @@ import (
 // Statement is any parsed SQL statement.
 type Statement interface{ stmt() }
 
-// SelectStmt is a SELECT query.
+// SelectStmt is a SELECT query over a comma-joined FROM list.
 type SelectStmt struct {
-	Distinct bool
-	Items    []SelectItem
-	From     []FromItem
-	Joins    []JoinClause
-	Where    Expr
-	GroupBy  []Expr
-	Having   Expr
-	OrderBy  []OrderItem
-	Limit    int // -1 if absent
-	Offset   int // 0 if absent
+	Items   []SelectItem
+	From    []FromItem
+	Where   Expr
+	GroupBy []Expr
+	Having  Expr
 }
 
 // SelectItem is one projection: either Star (optionally qualified) or an
@@ -39,21 +34,8 @@ type FromItem struct {
 	Alias string
 }
 
-// JoinClause is an INNER/LEFT JOIN ... ON clause following the FROM list.
-type JoinClause struct {
-	Left bool // LEFT OUTER join; false means INNER
-	Item FromItem
-	On   Expr
-}
-
-// OrderItem is one ORDER BY key.
-type OrderItem struct {
-	Expr Expr
-	Desc bool
-}
-
 // ExplainStmt is EXPLAIN SELECT ...: plan the query and return the chosen
-// join order, pushed-down predicates and the exact statistics behind each
+// join steps, pushed-down predicates and the exact statistics behind each
 // choice, one plan line per result row, without executing it.
 type ExplainStmt struct {
 	Select *SelectStmt
@@ -78,7 +60,7 @@ type Literal struct {
 
 // BinaryExpr applies a binary operator.
 type BinaryExpr struct {
-	Op   string // =, <>, <, <=, >, >=, +, -, *, /, AND, OR, LIKE, ||, opNullSafeEq
+	Op   string // =, <>, <, <=, >, >=, AND, OR, opNullSafeEq
 	L, R Expr
 }
 
@@ -86,9 +68,9 @@ type BinaryExpr struct {
 // the result is never unknown. As a join key it matches NULL with NULL.
 const opNullSafeEq = "IS NOT DISTINCT FROM"
 
-// UnaryExpr applies NOT or unary minus.
+// UnaryExpr applies NOT, the one unary operator.
 type UnaryExpr struct {
-	Op string // NOT, -
+	Op string // NOT
 	E  Expr
 }
 
@@ -98,70 +80,34 @@ type IsNullExpr struct {
 	Not bool
 }
 
-// InExpr is `e [NOT] IN (v1, v2, ...)`.
+// InExpr is `e [NOT] IN (v1, v2, ...)` over literals.
 type InExpr struct {
 	E    Expr
 	Not  bool
 	List []Expr
 }
 
-// BetweenExpr is `e [NOT] BETWEEN lo AND hi`.
-type BetweenExpr struct {
-	E      Expr
-	Not    bool
-	Lo, Hi Expr
-}
-
-// CaseExpr is a searched CASE: CASE WHEN c THEN v ... [ELSE v] END.
-type CaseExpr struct {
-	Whens []WhenClause
-	Else  Expr
-}
-
-// WhenClause is one WHEN ... THEN ... arm.
-type WhenClause struct {
-	Cond Expr
-	Then Expr
-}
-
-// FuncExpr is a function call: aggregate or scalar.
+// FuncExpr is COUNT(*), COUNT([DISTINCT] e) or COALESCE(column, literal).
 type FuncExpr struct {
-	Name     string // uppercased
+	Name     string // COUNT or COALESCE
 	Distinct bool   // COUNT(DISTINCT e)
 	Star     bool   // COUNT(*)
 	Args     []Expr
 }
 
-func (*ColumnRef) expr()   {}
-func (*Literal) expr()     {}
-func (*BinaryExpr) expr()  {}
-func (*UnaryExpr) expr()   {}
-func (*IsNullExpr) expr()  {}
-func (*InExpr) expr()      {}
-func (*BetweenExpr) expr() {}
-func (*CaseExpr) expr()    {}
-func (*FuncExpr) expr()    {}
+func (*ColumnRef) expr()  {}
+func (*Literal) expr()    {}
+func (*BinaryExpr) expr() {}
+func (*UnaryExpr) expr()  {}
+func (*IsNullExpr) expr() {}
+func (*InExpr) expr()     {}
+func (*FuncExpr) expr()   {}
 
-// aggregateFuncs names the supported aggregates.
-var aggregateFuncs = map[string]bool{
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-}
-
-// hasAggregate reports whether the expression contains an aggregate call
-// (not descending into nested aggregates, which are rejected elsewhere).
+// hasAggregate reports whether the expression contains a COUNT call.
 func hasAggregate(e Expr) bool {
 	switch n := e.(type) {
-	case nil:
-		return false
 	case *FuncExpr:
-		if aggregateFuncs[n.Name] {
-			return true
-		}
-		for _, a := range n.Args {
-			if hasAggregate(a) {
-				return true
-			}
-		}
+		return n.Name == "COUNT"
 	case *BinaryExpr:
 		return hasAggregate(n.L) || hasAggregate(n.R)
 	case *UnaryExpr:
@@ -169,23 +115,7 @@ func hasAggregate(e Expr) bool {
 	case *IsNullExpr:
 		return hasAggregate(n.E)
 	case *InExpr:
-		if hasAggregate(n.E) {
-			return true
-		}
-		for _, v := range n.List {
-			if hasAggregate(v) {
-				return true
-			}
-		}
-	case *BetweenExpr:
-		return hasAggregate(n.E) || hasAggregate(n.Lo) || hasAggregate(n.Hi)
-	case *CaseExpr:
-		for _, w := range n.Whens {
-			if hasAggregate(w.Cond) || hasAggregate(w.Then) {
-				return true
-			}
-		}
-		return hasAggregate(n.Else)
+		return hasAggregate(n.E)
 	}
 	return false
 }
@@ -218,10 +148,7 @@ func exprString(e Expr) string {
 		}
 		return "(" + operand(n.L) + " " + n.Op + " " + operand(n.R) + ")"
 	case *UnaryExpr:
-		if n.Op == "NOT" {
-			return "NOT " + exprString(n.E)
-		}
-		return n.Op + " " + operand(n.E)
+		return "NOT " + exprString(n.E)
 	case *IsNullExpr:
 		if n.Not {
 			return operand(n.E) + " IS NOT NULL"
@@ -237,30 +164,9 @@ func exprString(e Expr) string {
 			op = " NOT IN ("
 		}
 		return operand(n.E) + op + strings.Join(parts, ", ") + ")"
-	case *BetweenExpr:
-		op := " BETWEEN "
-		if n.Not {
-			op = " NOT BETWEEN "
-		}
-		return operand(n.E) + op + operand(n.Lo) + " AND " + operand(n.Hi)
-	case *CaseExpr:
-		var b strings.Builder
-		b.WriteString("CASE")
-		for _, w := range n.Whens {
-			b.WriteString(" WHEN " + exprString(w.Cond) + " THEN " + exprString(w.Then))
-		}
-		if n.Else != nil {
-			b.WriteString(" ELSE " + exprString(n.Else))
-		}
-		b.WriteString(" END")
-		return b.String()
 	case *FuncExpr:
-		name := n.Name
-		if !aggregateFuncs[name] {
-			name = quoteIdent(name)
-		}
 		if n.Star {
-			return name + "(*)"
+			return n.Name + "(*)"
 		}
 		var parts []string
 		for _, a := range n.Args {
@@ -270,22 +176,17 @@ func exprString(e Expr) string {
 		if n.Distinct {
 			d = "DISTINCT "
 		}
-		return name + "(" + d + strings.Join(parts, ", ") + ")"
+		return n.Name + "(" + d + strings.Join(parts, ", ") + ")"
 	}
 	return "?"
 }
 
-// operand renders e where the grammar wants an additive expression (an
-// operand of a comparison, arithmetic, unary minus, IS, IN or BETWEEN):
-// a predicate or a NOT there needs parentheses.
+// operand renders e where the grammar wants a primary (an operand of a
+// comparison, IS or IN): a predicate or a NOT there needs parentheses.
 func operand(e Expr) string {
-	switch n := e.(type) {
-	case *IsNullExpr, *InExpr, *BetweenExpr:
+	switch e.(type) {
+	case *IsNullExpr, *InExpr, *UnaryExpr:
 		return "(" + exprString(e) + ")"
-	case *UnaryExpr:
-		if n.Op == "NOT" {
-			return "(" + exprString(e) + ")"
-		}
 	}
 	return exprString(e)
 }

@@ -52,7 +52,7 @@ func TestQueryContextPreCancelled(t *testing.T) {
 // does not change results: a run under a live context equals the reference.
 func TestQueryContextBackgroundUnaffected(t *testing.T) {
 	e := cancelFixture(t, 500)
-	const q = "SELECT A, COUNT(*) AS n FROM r GROUP BY A ORDER BY n DESC, A LIMIT 5"
+	const q = "SELECT A, COUNT(*) AS n, COUNT(DISTINCT B) FROM r GROUP BY A HAVING COUNT(*) > 5"
 	got, err := e.QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)

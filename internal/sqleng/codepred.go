@@ -50,14 +50,10 @@ func (p *selectPlan) termOf(e Expr, nullSafe bool) (*codeTerm, types.Value, bool
 	case *Literal:
 		return nil, n.Value, true
 	case *FuncExpr:
-		if n.Name != "COALESCE" || len(n.Args) != 2 {
+		if n.Name != "COALESCE" {
 			return nil, types.Null, false
 		}
-		lit, ok := n.Args[1].(*Literal)
-		if !ok {
-			return nil, types.Null, false
-		}
-		ref, dflt = n.Args[0], lit.Value
+		ref, dflt = n.Args[0], n.Args[1].(*Literal).Value
 	}
 	cr, ok := ref.(*ColumnRef)
 	if !ok {
@@ -91,27 +87,17 @@ func (p *selectPlan) termOf(e Expr, nullSafe bool) (*codeTerm, types.Value, bool
 	return t, types.Null, true
 }
 
-// own returns the term's code at the cursor (a null-extended scan reads as
-// NULL in every column).
+// own returns the term's code at the cursor.
 func (t *codeTerm) own(cur []int32) int32 {
-	r := cur[t.scan]
-	if r < 0 {
-		return t.def
-	}
-	if c := int32(t.col.EqCode(int(r))); c != t.null {
+	if c := int32(t.col.EqCode(int(cur[t.scan]))); c != t.null {
 		return c
 	}
 	return t.def
 }
 
 // exact returns the index of the cursor's row into a translation table out
-// of this term: the exact dictionary code, CodeSpace() when null-extended.
-func (t *codeTerm) exact(cur []int32) int {
-	if r := cur[t.scan]; r >= 0 {
-		return int(t.col.Code(int(r)))
-	}
-	return t.col.CodeSpace()
-}
+// of this term: its exact dictionary code.
+func (t *codeTerm) exact(cur []int32) int { return int(t.col.Code(int(cur[t.scan]))) }
 
 // codeOf maps an arbitrary value into the term's own code space.
 func (t *codeTerm) codeOf(v types.Value) int32 {
@@ -138,8 +124,8 @@ type xlatTab struct {
 
 func (x *xlatTab) get() []int32 {
 	if x.tab == nil {
-		a, b, n := x.a, x.b, x.a.col.CodeSpace()
-		x.tab = make([]int32, n+1)
+		a, b := x.a, x.b
+		x.tab = make([]int32, a.col.CodeSpace())
 		// A smaller b is looked up in a instead, one lookup per value of b:
 		// its classes are filed under a's canonical codes first, every other
 		// code of a then reads its canonical's entry.
@@ -160,7 +146,7 @@ func (x *xlatTab) get() []int32 {
 		}
 		for c := range x.tab {
 			switch {
-			case c == n || int32(c) == a.null:
+			case int32(c) == a.null:
 				x.tab[c] = b.codeOf(a.dflt)
 			case a.col == b.col: // a self-join: the dictionary is shared
 				x.tab[c] = int32(a.col.EqOf(uint32(c)))
@@ -253,9 +239,6 @@ func (p *selectPlan) compileCode(e Expr) (codeFn, bool) {
 			}, true
 		}
 	case *UnaryExpr:
-		if n.Op != "NOT" {
-			return nil, false
-		}
 		if sub, ok := p.compileCode(n.E); ok {
 			return func(cur []int32) uint8 {
 				if v := sub(cur); v != 2 {
@@ -314,11 +297,11 @@ func (p *selectPlan) compileCode(e Expr) (codeFn, bool) {
 // countFn is a HAVING decided on a group's counts alone.
 type countFn func(counts []aggCount) bool
 
-// compileCounts compiles a HAVING made of =, <>, <, <=, >, >= between
-// code-level COUNTs (aggCall.vslot < 0) and INT literals under AND/OR: such a
-// COUNT is an INT and never NULL, so the logic is two-valued and a compare is
-// Value.Compare's int64 one. Any other shape — a FLOAT or STRING literal, SUM,
-// NOT — reports nil and stays value-level.
+// compileCounts compiles a HAVING made of =, <>, <, <=, >, >= between COUNTs
+// and INT literals under AND/OR: a COUNT is an INT and never NULL, so the
+// logic is two-valued and a compare is Value.Compare's int64 one. Any other
+// shape — a FLOAT or STRING literal, a column, NOT — reports nil and stays
+// value-level.
 func (s *streamSink) compileCounts(e Expr, env map[string]int) countFn {
 	b, ok := e.(*BinaryExpr)
 	if !ok {
@@ -344,7 +327,7 @@ func (s *streamSink) compileCounts(e Expr, env map[string]int) countFn {
 				return -1, n.Value.Int(), true
 			}
 		case *FuncExpr:
-			if slot, ok := env[exprString(n)]; ok && s.calls[slot-s.width].vslot < 0 {
+			if slot, ok := env[exprString(n)]; ok {
 				return slot - s.width, 0, true
 			}
 		}

@@ -2,7 +2,6 @@ package sqleng
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 
@@ -151,14 +150,12 @@ func splitConjuncts(e Expr) []Expr {
 }
 
 // columnRefs collects every column reference in an expression; with
-// inAggs false it stays outside aggregate calls (whose values a grouped row
+// inAggs false it stays outside COUNT calls (whose values a grouped row
 // reads from the aggregate slots, not from the columns).
 func columnRefs(e Expr, inAggs bool, out *[]*ColumnRef) {
 	switch n := e.(type) {
-	case nil:
 	case *ColumnRef:
 		*out = append(*out, n)
-	case *Literal:
 	case *BinaryExpr:
 		columnRefs(n.L, inAggs, out)
 		columnRefs(n.R, inAggs, out)
@@ -168,25 +165,11 @@ func columnRefs(e Expr, inAggs bool, out *[]*ColumnRef) {
 		columnRefs(n.E, inAggs, out)
 	case *InExpr:
 		columnRefs(n.E, inAggs, out)
-		for _, v := range n.List {
-			columnRefs(v, inAggs, out)
-		}
-	case *BetweenExpr:
-		columnRefs(n.E, inAggs, out)
-		columnRefs(n.Lo, inAggs, out)
-		columnRefs(n.Hi, inAggs, out)
-	case *CaseExpr:
-		for _, w := range n.Whens {
-			columnRefs(w.Cond, inAggs, out)
-			columnRefs(w.Then, inAggs, out)
-		}
-		columnRefs(n.Else, inAggs, out)
 	case *FuncExpr:
-		if !inAggs && aggregateFuncs[n.Name] {
-			return
-		}
-		for _, a := range n.Args {
-			columnRefs(a, inAggs, out)
+		if inAggs || n.Name != "COUNT" {
+			for _, a := range n.Args {
+				columnRefs(a, inAggs, out)
+			}
 		}
 	}
 }
@@ -203,70 +186,9 @@ func resolvable(e Expr, cat catalog) bool {
 	return true
 }
 
-// validateRefs rejects ambiguous unqualified column references against the
-// final joined catalog. Without this up-front pass, an ambiguous WHERE
-// conjunct could be silently pushed down to the first table it resolves on.
-// Tables resolve through the query's pins (engine pins before the store).
-func validateRefs(st *SelectStmt, qp *queryPins) error {
-	var fullCat catalog
-	load := func(fi FromItem) error {
-		snap, ok := qp.snapshot(fi.Table)
-		if !ok {
-			return fmt.Errorf("sql: no table %q", fi.Table)
-		}
-		fullCat = append(fullCat, colInfo{qual: fi.Alias, name: TIDColumn})
-		for _, a := range snap.Schema().Attrs {
-			fullCat = append(fullCat, colInfo{qual: fi.Alias, name: a.Name})
-		}
-		return nil
-	}
-	for _, fi := range st.From {
-		if err := load(fi); err != nil {
-			return err
-		}
-	}
-	for _, jc := range st.Joins {
-		if err := load(jc.Item); err != nil {
-			return err
-		}
-	}
-	check := func(exprs ...Expr) error {
-		var refs []*ColumnRef
-		for _, ex := range exprs {
-			columnRefs(ex, true, &refs)
-		}
-		for _, r := range refs {
-			if _, err := fullCat.resolve(r); err != nil {
-				var amb *AmbiguousColumnError
-				if errors.As(err, &amb) {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	all := []Expr{st.Where, st.Having}
-	all = append(all, st.GroupBy...)
-	for _, it := range st.Items {
-		if !it.Star {
-			all = append(all, it.Expr)
-		}
-	}
-	for _, jc := range st.Joins {
-		all = append(all, jc.On)
-	}
-	for _, oi := range st.OrderBy {
-		all = append(all, oi.Expr)
-	}
-	return check(all...)
-}
-
 // runSelect plans a SELECT onto the streaming executor (plan.go,
 // iterator.go) and collects its result.
 func (e *Engine) runSelect(ctx context.Context, st *SelectStmt) (*Result, error) {
-	if len(st.From) == 0 {
-		return e.selectNoFrom(st)
-	}
 	p, err := e.buildSelectPlan(st)
 	if err != nil {
 		return nil, err
@@ -274,22 +196,10 @@ func (e *Engine) runSelect(ctx context.Context, st *SelectStmt) (*Result, error)
 	return p.collect(ctx)
 }
 
-// runExplain plans the SELECT (without running it) and renders the chosen
-// join order, pushed-down predicates and the exact statistics behind each
+// runExplain plans the SELECT (without running it) and renders the join
+// steps, pushed-down predicates and the exact statistics behind each
 // choice, one line per plan element.
 func (e *Engine) runExplain(st *ExplainStmt) (*Result, error) {
-	if len(st.Select.From) == 0 {
-		// No FROM clause: nothing to scan, join or push down; the select
-		// list still has to compile.
-		if _, err := e.selectNoFrom(st.Select); err != nil {
-			return nil, err
-		}
-		return &Result{
-			Columns:  []string{"plan"},
-			Rows:     [][]types.Value{{types.NewString("constant select (no FROM)")}},
-			Versions: map[string]int64{},
-		}, nil
-	}
 	p, err := e.buildSelectPlan(st.Select)
 	if err != nil {
 		return nil, err
@@ -301,83 +211,41 @@ func (e *Engine) runExplain(st *ExplainStmt) (*Result, error) {
 	return res, nil
 }
 
-// selectNoFrom handles SELECT <exprs> with no FROM clause (constants): one
-// row, so it takes a select list and nothing else.
-func (e *Engine) selectNoFrom(st *SelectStmt) (*Result, error) {
-	if st.Where != nil || st.GroupBy != nil || st.Having != nil || st.OrderBy != nil || st.Limit >= 0 || st.Offset > 0 {
-		return nil, fmt.Errorf("sql: a SELECT without FROM takes only a select list")
-	}
-	// The statement touches no base table, which the stamp records as an
-	// explicitly empty version map.
-	res := &Result{Versions: map[string]int64{}}
-	var row []types.Value
-	for _, item := range st.Items {
-		if item.Star {
-			return nil, fmt.Errorf("sql: * requires FROM")
-		}
-		f, err := compileExpr(item.Expr, nil)
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, f(nil))
-		res.Columns = append(res.Columns, itemName(item))
-	}
-	res.Rows = [][]types.Value{row}
-	return res, nil
-}
-
-// aggCall pairs an aggregate expression with its compiled operand. The
-// streaming sink adds what lets it count on dictionary codes: term when
-// the operand of a COUNT compiles to a code term (vslot is then -1, else
-// the call's slot among the value-level states), and the call's DISTINCT
-// bookkeeping — intern maps a value-level operand to a code, dseen holds
-// every (group, code) pair past a group's first code.
+// aggCall is one distinct COUNT call of a grouped statement. The sink
+// counts on dictionary codes when the operand compiles to a code term (term),
+// else on the value arg evaluates, which intern gives a code under DISTINCT;
+// dseen holds every (group, code) pair past a group's first code.
 type aggCall struct {
 	fn     *FuncExpr
 	arg    evalFn // nil for COUNT(*)
 	term   *codeTerm
-	vslot  int
 	intern map[string]uint32
 	dseen  map[uint64]struct{}
 }
 
-// collectAggs finds the distinct aggregate calls in the given expressions.
+// collectAggs finds the distinct COUNT calls in the given expressions,
+// slotting them after the row's len(cat) columns.
 func collectAggs(cat catalog, exprs ...Expr) (map[string]int, []aggCall, error) {
 	env := map[string]int{}
 	var calls []aggCall
 	var walk func(e Expr) error
 	walk = func(e Expr) error {
 		switch n := e.(type) {
-		case nil, *Literal, *ColumnRef:
 		case *FuncExpr:
-			if aggregateFuncs[n.Name] {
-				key := exprString(n)
-				if _, ok := env[key]; ok {
-					return nil
-				}
-				var arg evalFn
-				if !n.Star {
-					if len(n.Args) != 1 {
-						return fmt.Errorf("sql: %s takes one argument", n.Name)
-					}
-					if hasAggregate(n.Args[0]) {
-						return fmt.Errorf("sql: nested aggregates are not allowed")
-					}
-					f, err := compileExpr(n.Args[0], cat)
-					if err != nil {
-						return err
-					}
-					arg = f
-				}
-				env[key] = len(cat) + len(calls)
-				calls = append(calls, aggCall{fn: n, arg: arg})
+			key := exprString(n)
+			if _, seen := env[key]; n.Name != "COUNT" || seen {
 				return nil
 			}
-			for _, a := range n.Args {
-				if err := walk(a); err != nil {
+			c := aggCall{fn: n}
+			if !n.Star {
+				f, err := compileExpr(n.Args[0], cat)
+				if err != nil {
 					return err
 				}
+				c.arg = f
 			}
+			env[key] = len(cat) + len(calls)
+			calls = append(calls, c)
 		case *BinaryExpr:
 			if err := walk(n.L); err != nil {
 				return err
@@ -388,32 +256,7 @@ func collectAggs(cat catalog, exprs ...Expr) (map[string]int, []aggCall, error) 
 		case *IsNullExpr:
 			return walk(n.E)
 		case *InExpr:
-			if err := walk(n.E); err != nil {
-				return err
-			}
-			for _, v := range n.List {
-				if err := walk(v); err != nil {
-					return err
-				}
-			}
-		case *BetweenExpr:
-			if err := walk(n.E); err != nil {
-				return err
-			}
-			if err := walk(n.Lo); err != nil {
-				return err
-			}
-			return walk(n.Hi)
-		case *CaseExpr:
-			for _, w := range n.Whens {
-				if err := walk(w.Cond); err != nil {
-					return err
-				}
-				if err := walk(w.Then); err != nil {
-					return err
-				}
-			}
-			return walk(n.Else)
+			return walk(n.E)
 		}
 		return nil
 	}
@@ -423,66 +266,6 @@ func collectAggs(cat catalog, exprs ...Expr) (map[string]int, []aggCall, error) 
 		}
 	}
 	return env, calls, nil
-}
-
-// aggState accumulates one aggregate over one group.
-type aggState struct {
-	call   *aggCall
-	count  int64
-	sumI   int64
-	sumF   float64
-	allInt bool
-	ext    types.Value // the running MIN or MAX
-}
-
-// accumulate folds one non-NULL (and, under DISTINCT, first-seen) operand
-// value into the aggregate. SUM and AVG skip a value that is not a number
-// the way every aggregate skips NULL.
-func (s *aggState) accumulate(v types.Value) {
-	switch s.call.fn.Name {
-	case "SUM", "AVG":
-		switch v.Kind() {
-		case types.KindInt:
-			s.sumI += v.Int()
-		case types.KindFloat:
-			s.allInt = false
-		default:
-			return
-		}
-		s.sumF += v.Float()
-	case "MIN":
-		if s.ext.IsNull() || v.Compare(s.ext) < 0 {
-			s.ext = v
-		}
-	case "MAX":
-		if s.ext.IsNull() || v.Compare(s.ext) > 0 {
-			s.ext = v
-		}
-	}
-	s.count++
-}
-
-func (s *aggState) result() types.Value {
-	switch s.call.fn.Name {
-	case "COUNT":
-		return types.NewInt(s.count)
-	case "SUM":
-		if s.count == 0 {
-			return types.Null
-		}
-		if s.allInt {
-			return types.NewInt(s.sumI)
-		}
-		return types.NewFloat(s.sumF)
-	case "AVG":
-		if s.count == 0 {
-			return types.Null
-		}
-		return types.NewFloat(s.sumF / float64(s.count))
-	case "MIN", "MAX":
-		return s.ext
-	}
-	return types.Null
 }
 
 // itemName returns the output column name of a projection item.

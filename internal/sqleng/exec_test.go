@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -83,12 +84,12 @@ func TestSelectWhere(t *testing.T) {
 
 func TestSelectProjectionAndAlias(t *testing.T) {
 	e := newTestEngine(t)
-	res := mustQuery(e, "SELECT NAME AS who, CC + 1 AS cc1 FROM customer WHERE NAME = 'Joe'")
-	if res.Columns[0] != "who" || res.Columns[1] != "cc1" {
+	res := mustQuery(e, "SELECT NAME AS who, CC cc1, CC = 1 FROM customer WHERE NAME = 'Joe'")
+	if res.Columns[0] != "who" || res.Columns[1] != "cc1" || res.Columns[2] != "(CC = 1)" {
 		t.Errorf("columns = %v", res.Columns)
 	}
-	if res.Rows[0][1].Int() != 2 {
-		t.Errorf("cc1 = %v", res.Rows[0][1])
+	if res.Rows[0][1].Int() != 1 || !res.Rows[0][2].Bool() {
+		t.Errorf("row = %v", res.Rows[0])
 	}
 }
 
@@ -122,12 +123,11 @@ func TestComparisonOperators(t *testing.T) {
 		{"SELECT * FROM customer WHERE CC <= 44", 5},
 		{"SELECT * FROM customer WHERE CC > 1", 3},
 		{"SELECT * FROM customer WHERE CC >= 44", 3},
-		{"SELECT * FROM customer WHERE NAME LIKE 'M%'", 1},
-		{"SELECT * FROM customer WHERE NAME LIKE '_ick'", 1},
-		{"SELECT * FROM customer WHERE NAME NOT LIKE '%e%'", 2},
+		{"SELECT * FROM customer WHERE CC != 44", 2},
 		{"SELECT * FROM customer WHERE CITY IN ('London', 'Chicago')", 2},
-		{"SELECT * FROM customer WHERE CC BETWEEN 2 AND 50", 3},
-		{"SELECT * FROM customer WHERE AC NOT BETWEEN 100 AND 1000", 1},
+		{"SELECT * FROM customer WHERE CITY NOT IN ('London', 'Chicago')", 3},
+		{"SELECT * FROM customer WHERE CC >= 2 AND CC <= 50", 3},
+		{"SELECT * FROM customer WHERE CC IS NOT DISTINCT FROM 44", 3},
 	}
 	for _, c := range cases {
 		res := mustQuery(e, c.sql)
@@ -173,37 +173,17 @@ func TestThreeValuedLogic(t *testing.T) {
 
 func TestAggregatesGlobal(t *testing.T) {
 	e := newTestEngine(t)
-	res := mustQuery(e, "SELECT COUNT(*), COUNT(DISTINCT CNT), MIN(CC), MAX(AC), SUM(CC), AVG(CC) FROM customer")
-	row := res.Rows[0]
-	if row[0].Int() != 5 {
-		t.Errorf("COUNT(*) = %v", row[0])
-	}
-	if row[1].Int() != 2 {
-		t.Errorf("COUNT(DISTINCT CNT) = %v", row[1])
-	}
-	if row[2].Int() != 1 {
-		t.Errorf("MIN = %v", row[2])
-	}
-	if row[3].Int() != 908 {
-		t.Errorf("MAX = %v", row[3])
-	}
-	if row[4].Int() != 44*3+2 {
-		t.Errorf("SUM = %v", row[4])
-	}
-	if got := row[5].Float(); got != (44.0*3+2)/5 {
-		t.Errorf("AVG = %v", got)
+	res := mustQuery(e, "SELECT COUNT(*), COUNT(DISTINCT CNT), COUNT(CC), COUNT(DISTINCT COALESCE(CITY, 'x')), COUNT(NULL) FROM customer")
+	if got := rowStrings(res); len(got) != 1 || got[0] != "5|2|5|4|0" {
+		t.Errorf("rows = %v, want 5|2|5|4|0", got)
 	}
 }
 
 func TestAggregatesEmptyInput(t *testing.T) {
 	e := newTestEngine(t)
-	res := mustQuery(e, "SELECT COUNT(*), SUM(CC), MIN(CC) FROM customer WHERE CNT = 'FR'")
-	row := res.Rows[0]
-	if row[0].Int() != 0 {
-		t.Errorf("COUNT over empty = %v", row[0])
-	}
-	if !row[1].IsNull() || !row[2].IsNull() {
-		t.Errorf("SUM/MIN over empty = %v %v", row[1], row[2])
+	res := mustQuery(e, "SELECT COUNT(*), COUNT(CC), COUNT(DISTINCT CC), NAME FROM customer WHERE CNT = 'FR'")
+	if got := rowStrings(res); len(got) != 1 || got[0] != "0|0|0|NULL" {
+		t.Errorf("rows = %v, want one row 0|0|0|NULL", got)
 	}
 }
 
@@ -211,7 +191,7 @@ func TestGroupByHaving(t *testing.T) {
 	e := newTestEngine(t)
 	res := mustQuery(e, `
 		SELECT CNT, COUNT(*) AS n FROM customer
-		GROUP BY CNT HAVING COUNT(*) >= 2 ORDER BY CNT`)
+		GROUP BY CNT HAVING COUNT(*) >= 2`)
 	got := rowStrings(res)
 	if len(got) != 2 || got[0] != "UK|3" || got[1] != "US|2" {
 		t.Errorf("rows = %v", got)
@@ -229,54 +209,12 @@ func TestGroupByMultiKey(t *testing.T) {
 	}
 }
 
-func TestOrderByLimitOffset(t *testing.T) {
+// TestCommaJoinCompositeKey: a self-join keyed on two columns probes the
+// PLI of the one with more classes and checks the other as a code
+// predicate — the shape of the paper's multi-tuple violation query, pairs
+// in the same CNT and ZIP with different STR.
+func TestCommaJoinCompositeKey(t *testing.T) {
 	e := newTestEngine(t)
-	res := mustQuery(e, "SELECT NAME FROM customer ORDER BY NAME")
-	got := rowStrings(res)
-	want := []string{"Ann", "Ben", "Joe", "Mike", "Rick"}
-	for i, w := range want {
-		if got[i] != w {
-			t.Errorf("order %d = %q, want %q", i, got[i], w)
-		}
-	}
-	res = mustQuery(e, "SELECT NAME FROM customer ORDER BY NAME DESC LIMIT 2")
-	got = rowStrings(res)
-	if len(got) != 2 || got[0] != "Rick" || got[1] != "Mike" {
-		t.Errorf("desc limit = %v", got)
-	}
-	res = mustQuery(e, "SELECT NAME FROM customer ORDER BY NAME LIMIT 2 OFFSET 4")
-	got = rowStrings(res)
-	if len(got) != 1 || got[0] != "Rick" {
-		t.Errorf("offset = %v", got)
-	}
-	res = mustQuery(e, "SELECT NAME FROM customer ORDER BY NAME OFFSET 99")
-	if len(res.Rows) != 0 {
-		t.Errorf("big offset rows = %d", len(res.Rows))
-	}
-}
-
-func TestOrderByOutputAlias(t *testing.T) {
-	e := newTestEngine(t)
-	res := mustQuery(e, "SELECT CNT, COUNT(*) AS n FROM customer GROUP BY CNT ORDER BY n DESC")
-	got := rowStrings(res)
-	if got[0] != "UK|3" {
-		t.Errorf("rows = %v", got)
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	e := newTestEngine(t)
-	res := mustQuery(e, "SELECT DISTINCT CNT FROM customer ORDER BY CNT")
-	got := rowStrings(res)
-	if len(got) != 2 || got[0] != "UK" || got[1] != "US" {
-		t.Errorf("rows = %v", got)
-	}
-}
-
-func TestCommaJoinWithHash(t *testing.T) {
-	e := newTestEngine(t)
-	// Self-join: pairs in the same CNT+ZIP with different STR — the shape
-	// of the paper's multi-tuple violation query.
 	res := mustQuery(e, `
 		SELECT t1.NAME, t2.NAME FROM customer t1, customer t2
 		WHERE t1.CNT = t2.CNT AND t1.ZIP = t2.ZIP AND t1.STR <> t2.STR`)
@@ -285,6 +223,9 @@ func TestCommaJoinWithHash(t *testing.T) {
 	}
 }
 
+// TestInnerJoinOn: an inner join on a key, its ON condition written in
+// WHERE: each left row pairs with every matching right row, in right-side
+// order, and a row without a partner drops out.
 func TestInnerJoinOn(t *testing.T) {
 	store := relstore.NewStore()
 	c, _ := store.Create(schema.New("c", "ID", "NAME"))
@@ -295,24 +236,9 @@ func TestInnerJoinOn(t *testing.T) {
 	o.MustInsert(relstore.Tuple{types.NewInt(1), types.NewString("y")})
 	o.MustInsert(relstore.Tuple{types.NewInt(3), types.NewString("z")})
 	e := New(store)
-	res := mustQuery(e, "SELECT c.NAME, o.ITEM FROM c JOIN o ON c.ID = o.CID ORDER BY o.ITEM")
+	res := mustQuery(e, "SELECT c.NAME, o.ITEM FROM c, o WHERE c.ID = o.CID")
 	got := rowStrings(res)
 	if len(got) != 2 || got[0] != "a|x" || got[1] != "a|y" {
-		t.Errorf("rows = %v", got)
-	}
-}
-
-func TestLeftJoin(t *testing.T) {
-	store := relstore.NewStore()
-	c, _ := store.Create(schema.New("c", "ID", "NAME"))
-	o, _ := store.Create(schema.New("o", "CID", "ITEM"))
-	c.MustInsert(relstore.Tuple{types.NewInt(1), types.NewString("a")})
-	c.MustInsert(relstore.Tuple{types.NewInt(2), types.NewString("b")})
-	o.MustInsert(relstore.Tuple{types.NewInt(1), types.NewString("x")})
-	e := New(store)
-	res := mustQuery(e, "SELECT c.NAME, o.ITEM FROM c LEFT JOIN o ON c.ID = o.CID ORDER BY c.NAME")
-	got := rowStrings(res)
-	if len(got) != 2 || got[0] != "a|x" || got[1] != "b|NULL" {
 		t.Errorf("rows = %v", got)
 	}
 }
@@ -347,85 +273,45 @@ func TestJoinThreeTables(t *testing.T) {
 	}
 	e := New(store)
 	res := mustQuery(e, `SELECT a.Va, b.Vb, c.Vc FROM a, b, c
-		WHERE a.K = b.K AND b.K = c.K AND a.K >= 2 ORDER BY a.Va`)
+		WHERE a.K = b.K AND b.K = c.K AND a.K >= 2`)
 	got := rowStrings(res)
 	if len(got) != 2 || got[0] != "a2|b2|c2" || got[1] != "a3|b3|c3" {
 		t.Errorf("rows = %v", got)
 	}
 }
 
+// TestScalarFunctions: COALESCE(column, literal) is the one scalar
+// function; any other is a *ParseError naming it.
 func TestScalarFunctions(t *testing.T) {
-	e := newTestEngine(t)
-	res := mustQuery(e, `SELECT UPPER(NAME), LOWER(CNT), LENGTH(NAME),
-		SUBSTR(NAME, 1, 2), COALESCE(NULL, NAME), CONCAT(NAME, '-', CNT), ABS(-5)
-		FROM customer WHERE NAME = 'Mike'`)
-	row := res.Rows[0]
-	want := []string{"MIKE", "uk", "4", "Mi", "Mike", "Mike-UK", "5"}
-	for i, w := range want {
-		if row[i].String() != w {
-			t.Errorf("func %d = %v, want %q", i, row[i], w)
-		}
-	}
-}
-
-func TestCaseExpression(t *testing.T) {
-	e := newTestEngine(t)
-	res := mustQuery(e, `SELECT NAME, CASE WHEN CC = 44 THEN 'gb' WHEN CC = 1 THEN 'us' ELSE 'other' END AS tag
-		FROM customer ORDER BY NAME`)
-	got := rowStrings(res)
-	if got[0] != "Ann|gb" || got[2] != "Joe|us" {
+	store := relstore.NewStore()
+	tab, _ := store.Create(schema.New("r", "A"))
+	tab.MustInsert(relstore.Tuple{types.NewString("x")})
+	tab.MustInsert(relstore.Tuple{types.Null})
+	e := New(store)
+	if got := rowStrings(mustQuery(e, "SELECT COALESCE(A, 'none'), COALESCE(_tid, 7) FROM r")); !reflect.DeepEqual(got, []string{"x|0", "none|1"}) {
 		t.Errorf("rows = %v", got)
 	}
-}
-
-func TestArithmetic(t *testing.T) {
-	e := newTestEngine(t)
-	res := mustQuery(e, "SELECT 2 + 3 * 4, 10 / 3, 10 % 3, 1.5 + 1, -(2 - 5)")
-	row := res.Rows[0]
-	if row[0].Int() != 14 || row[1].Int() != 3 || row[2].Int() != 1 {
-		t.Errorf("ints = %v", row)
-	}
-	if row[3].Float() != 2.5 {
-		t.Errorf("float = %v", row[3])
-	}
-	if row[4].Int() != 3 {
-		t.Errorf("neg = %v", row[4])
+	var perr *ParseError
+	if _, err := e.QueryContext(context.Background(), "SELECT UPPER(A) FROM r"); !errors.As(err, &perr) || !strings.Contains(err.Error(), "UPPER") {
+		t.Errorf("UPPER: err = %v, want a *ParseError naming it", err)
 	}
 }
 
-// TestDivisionByZero: x/0 and x%0 are NULL, as in SQLite.
-func TestDivisionByZero(t *testing.T) {
-	e := newTestEngine(t)
-	for _, q := range []string{"SELECT 1 / 0", "SELECT 1 % 0", "SELECT 1.5 / 0.0"} {
-		res, err := e.QueryContext(context.Background(), q)
-		if err != nil || !res.Rows[0][0].IsNull() {
-			t.Errorf("%s = %v (%v), want NULL", q, res, err)
-		}
-	}
-}
-
-// TestTotalExpressions pins evaluation as total: an operand of the wrong
-// kind or a zero divisor is NULL, and SUM and AVG skip an operand that is
-// not a number the way they skip NULL.
+// TestTotalExpressions pins evaluation as total: a predicate over an
+// operand of the wrong kind is unknown, never an error, and kinds compare in
+// the one total order.
 func TestTotalExpressions(t *testing.T) {
 	e := newTestEngine(t)
 	for _, c := range []struct{ sql, want string }{
-		{"SELECT 1 / 0", "NULL"},
-		{"SELECT 1 % 0", "NULL"},
-		{"SELECT 1.5 % 2", "NULL"},
-		{"SELECT 'a' + 1", "NULL"},
-		{"SELECT -'a'", "NULL"},
-		{"SELECT NOT 'a'", "NULL"},
-		{"SELECT NOT 1", "NULL"},
-		{"SELECT SUBSTR('abc', 'x')", "NULL"},
-		{"SELECT SUBSTR('abc', 1, 'x')", "NULL"},
-		{"SELECT ABS('x')", "NULL"},
-		{"SELECT SUM(NAME) FROM customer", "NULL"},
-		{"SELECT AVG(NAME) FROM customer", "NULL"},
-		{"SELECT SUM(CASE WHEN CNT = 'UK' THEN CC ELSE NAME END) FROM customer", "132"},
-		{"SELECT AVG(CASE WHEN CNT = 'UK' THEN CC ELSE NAME END) FROM customer", "44"},
-		{"SELECT COUNT(*) FROM customer WHERE 1 / (CC - 44) IS NULL", "3"},
-		{"SELECT COUNT(*) FROM customer t1, customer t2 WHERE t1.CC = t2.CC AND t1.AC % (t2.CC - 1) IS NULL", "4"},
+		{"SELECT NOT 'a' FROM customer WHERE NAME = 'Mike'", "NULL"},
+		{"SELECT NOT 1 FROM customer WHERE NAME = 'Mike'", "NULL"},
+		{"SELECT NOT NAME FROM customer WHERE NAME = 'Mike'", "NULL"},
+		{"SELECT 'a' < 1 FROM customer WHERE NAME = 'Mike'", "FALSE"},
+		{"SELECT COUNT(*) FROM customer WHERE NAME", "0"},
+		{"SELECT COUNT(*) FROM customer WHERE NOT NAME", "0"},
+		{"SELECT COUNT(*) FROM customer WHERE NAME OR CC = 44", "3"},
+		{"SELECT COUNT(*) FROM customer WHERE CC < 'x'", "5"},
+		{"SELECT COUNT(*) FROM customer t1, customer t2 WHERE t1.CC = t2.NAME", "0"},
 	} {
 		res, err := e.QueryContext(context.Background(), c.sql)
 		if err != nil {
@@ -483,14 +369,13 @@ func TestExecErrors(t *testing.T) {
 		"SELECT nope FROM customer",
 		"SELECT * FROM nope",
 		"SELECT t1.NAME FROM customer t1, customer t2 WHERE NAME = 'x'", // ambiguous
-		"SELECT COUNT(*) + MAX(COUNT(*)) FROM customer",                 // nested aggregate
-		"SELECT * FROM customer WHERE SUM(CC) > 1",                      // aggregate in WHERE
-		"SELECT *",
-		"SELECT COUNT(*)", // an aggregate without FROM
-		"SELECT 1 WHERE 1 = 0",
-		"SELECT c.NAME FROM customer c JOIN customer d ON d.NAME = x.NAME JOIN customer x ON x.CC = c.CC", // an ON reads only the tables joined so far
-		"SELECT SUBSTR('abc', 1, 2, 3)",
-		"SELECT NOPE(1)",
+		"SELECT COUNT(COUNT(*)) FROM customer",                          // nested aggregate
+		"SELECT * FROM customer WHERE COUNT(CC) > 1",                    // aggregate in WHERE
+		"SELECT CNT, COUNT(*) FROM customer GROUP BY COUNT(*)",          // aggregate in GROUP BY
+		"SELECT COUNT(nope) FROM customer",
+		"SELECT x.* FROM customer",
+		"SELECT t1.NAME FROM customer t1, customer t2 WHERE t1.CC = t2.CC AND CITY = t2.CITY", // ambiguous in a join key's residual
+		"SELECT NOPE(1) FROM customer",
 	}
 	for _, sql := range cases {
 		if _, err := e.QueryContext(context.Background(), sql); err == nil {
@@ -506,50 +391,14 @@ func TestAggregateInWhereRejected(t *testing.T) {
 	}
 }
 
-func TestLikeMatch(t *testing.T) {
-	cases := []struct {
-		pattern, s string
-		want       bool
-	}{
-		{"%", "", true},
-		{"%", "anything", true},
-		{"a%", "abc", true},
-		{"a%", "bac", false},
-		{"%c", "abc", true},
-		{"a_c", "abc", true},
-		{"a_c", "ac", false},
-		{"%b%", "abc", true},
-		{"", "", true},
-		{"", "x", false},
-		{"a%b%c", "aXbYc", true},
-		{"a%b%c", "acb", false},
-		{"__", "ab", true},
-		{"__", "a", false},
-	}
-	for _, c := range cases {
-		if got := likeMatch(c.pattern, c.s); got != c.want {
-			t.Errorf("likeMatch(%q,%q) = %v", c.pattern, c.s, got)
-		}
-	}
-}
-
-func TestSelectNoFrom(t *testing.T) {
-	e := New(relstore.NewStore())
-	res := mustQuery(e, "SELECT 1 + 1 AS two, 'x'")
-	if res.Rows[0][0].Int() != 2 || res.Rows[0][1].Str() != "x" {
-		t.Errorf("rows = %v", rowStrings(res))
-	}
-	if res.Columns[0] != "two" {
-		t.Errorf("columns = %v", res.Columns)
-	}
-}
-
+// TestGroupByExpression: a group key may be any expression — a COALESCE,
+// a predicate — grouped by its value.
 func TestGroupByExpression(t *testing.T) {
 	e := newTestEngine(t)
-	res := mustQuery(e, `SELECT SUBSTR(NAME, 1, 1) AS initial, COUNT(*) FROM customer
-		GROUP BY SUBSTR(NAME, 1, 1) ORDER BY initial`)
-	if len(res.Rows) != 5 {
-		t.Errorf("rows = %v", rowStrings(res))
+	res := mustQuery(e, `SELECT CC = 44 AS gb, COALESCE(CNT, 'none'), COUNT(*) FROM customer
+		GROUP BY CC = 44, COALESCE(CNT, 'none')`)
+	if got := rowStrings(res); !reflect.DeepEqual(got, []string{"TRUE|UK|3", "FALSE|US|2"}) {
+		t.Errorf("rows = %v", got)
 	}
 }
 

@@ -82,8 +82,8 @@ func indexOfLine(lines []string, subs ...string) int {
 }
 
 // TestExplainThreeTableJoin pins the plan shape of a 3-table join: exact
-// cardinalities from the relstore statistics, the pushed-down filter on
-// cust, and the hoisting of the selective prod probe into the driver scan.
+// cardinalities from the relstore statistics, a PLI step per join keyed on
+// the driver, and the filter on cust pushed into its side.
 func TestExplainThreeTableJoin(t *testing.T) {
 	e := New(newJoinStore(t))
 	lines := planLines(t, e,
@@ -99,32 +99,46 @@ func TestExplainThreeTableJoin(t *testing.T) {
 	if !strings.Contains(lines[0], "OID:8") || !strings.Contains(lines[0], "CID:2") || !strings.Contains(lines[0], "PID:8") {
 		t.Errorf("driver stats wrong: %q", lines[0])
 	}
-
-	// The prod join keys only on the driver, is the most selective
-	// (expect=1 vs cust's expect=2), and must be probed at the driver
-	// stage, before any cust pairing happens.
-	probe := indexOfLine(lines, "probe join#2", "pli", "expect=1")
+	// Joins run in FROM order, each through the right side's PLI classes
+	// with exact counts.
 	custScan := indexOfLine(lines, "scan cust AS c rows=4")
-	if probe < 0 || custScan < 0 || probe > custScan {
-		t.Errorf("prod probe not hoisted above cust scan:\n%s", text)
+	custJoin := indexOfLine(lines, "join pli on o.CID = c.CID", "classes=2", "expect=2")
+	prodJoin := indexOfLine(lines, "join pli on o.PID = p.PID", "classes=8", "expect=1")
+	if custScan < 0 || custJoin < custScan || prodJoin < custJoin {
+		t.Errorf("join lines wrong:\n%s", text)
 	}
-
 	// WHERE c.CITY = 'York' is pushed into the cust scan, compiled to codes.
-	filter := indexOfLine(lines, "filter code-pred", "c.CITY", "York")
-	if filter < custScan {
-		t.Errorf("cust filter not pushed down below its scan:\n%s", text)
+	if filter := indexOfLine(lines, "filter code-pred", "c.CITY", "York"); filter < custScan || filter > custJoin {
+		t.Errorf("cust filter not pushed down into its scan:\n%s", text)
 	}
-
-	// Both joins go through PLI classes with exact counts.
-	if indexOfLine(lines, "join inner pli on o.CID = c.CID", "classes=2", "expect=2") < 0 {
-		t.Errorf("cust join line wrong:\n%s", text)
-	}
-	if indexOfLine(lines, "join inner pli on o.PID = p.PID", "classes=8", "expect=1", "probe@0") < 0 {
-		t.Errorf("prod join line wrong:\n%s", text)
-	}
-
 	if indexOfLine(lines, "sink", "project 2 cols") < 0 {
 		t.Errorf("sink line wrong:\n%s", text)
+	}
+}
+
+// TestExplainJoinKinds: a step keyed by an equality with a bare right column
+// and a left code term probes a PLI — of the key column with the most
+// classes, the other keys checked as code predicates after it — and every
+// other step is a nested loop.
+func TestExplainJoinKinds(t *testing.T) {
+	e := New(newJoinStore(t))
+	for _, c := range []struct{ sql, join, residual string }{
+		{"SELECT c1.CITY FROM cust c1, cust c2 WHERE c1.CID = c2.CID AND c1.CITY = c2.CITY",
+			"join pli on c1.CITY = c2.CITY classes=3", "stage-filter code-pred (c1.CID = c2.CID)"},
+		{"SELECT o.OID FROM orders o, cust c WHERE c.CID IS NOT DISTINCT FROM COALESCE(o.CID, 0)",
+			"join pli on COALESCE(o.CID, 0) IS NOT DISTINCT FROM c.CID classes=2", ""},
+		{"SELECT o.OID FROM orders o, cust c WHERE o._tid = c.CID",
+			"join nested expect=4", "stage-filter (o._tid = c.CID)"},
+		{"SELECT o.OID FROM orders o, cust c WHERE COALESCE(c.CID, 0) = o.CID",
+			"join nested expect=4", "stage-filter code-pred (COALESCE(c.CID, 0) = o.CID)"},
+		{"SELECT o.OID FROM orders o, cust c WHERE o.CID = c.CID OR c.CITY = 'York'",
+			"join nested expect=4", "stage-filter code-pred"},
+	} {
+		lines := planLines(t, e, "EXPLAIN "+c.sql)
+		join := indexOfLine(lines, c.join)
+		if join < 0 || (c.residual != "" && indexOfLine(lines[join:], c.residual) < 0) {
+			t.Errorf("%s: want %q then %q in:\n%s", c.sql, c.join, c.residual, strings.Join(lines, "\n"))
+		}
 	}
 }
 
@@ -141,7 +155,7 @@ func TestExplainCodePipeline(t *testing.T) {
 	for _, want := range [][]string{
 		{"filter code-pred (s.D = 's')"},
 		{"stage-filter code-pred ((s.A = 9) OR (r.A = s.A))"},
-		{"xlat r.A→s.A (5 codes)"},
+		{"xlat r.A→s.A (4 codes)"},
 		{"sink group on codes(1) aggs=3", "having"},
 		{"materialise [r.A] at the sink"},
 	} {
@@ -153,14 +167,15 @@ func TestExplainCodePipeline(t *testing.T) {
 		t.Errorf("a fully code-compiled plan fills no column per row:\n%s", strings.Join(lines, "\n"))
 	}
 
-	lines = planLines(t, e, `EXPLAIN SELECT r.A + 1, s.D FROM r, s
-		WHERE r.A IS NOT DISTINCT FROM s.A AND COALESCE(r.B, 'q') = s.D AND r.C > 0.5 GROUP BY r.A + 1, s.D`)
+	lines = planLines(t, e, `EXPLAIN SELECT r.A > 1, s.D FROM r, s
+		WHERE r.A IS NOT DISTINCT FROM s.A AND COALESCE(r.B, 'q') = s.D AND r.C > 0.5 GROUP BY r.A > 1, s.D`)
 	for _, want := range [][]string{
 		{"materialise [r.C] per row"},
 		{"stage-filter (r.C > 0.5)"},
-		{"join inner hash on r.A IS NOT DISTINCT FROM s.A, COALESCE(r.B, 'q') = s.D"},
-		{"xlat r.A→s.A null-safe (5 codes)"},
-		{"xlat COALESCE(r.B, 'q')→s.D (6 codes)"},
+		{"join pli on COALESCE(r.B, 'q') = s.D classes=5 expect=1"},
+		{"stage-filter code-pred (r.A IS NOT DISTINCT FROM s.A)"},
+		{"xlat COALESCE(r.B, 'q')→s.D (5 codes)"},
+		{"xlat r.A→s.A null-safe (4 codes)"},
 		{"sink group(keys=2 aggs=0)"},
 		{"materialise [r.A s.D] at the sink"},
 	} {
@@ -173,49 +188,10 @@ func TestExplainCodePipeline(t *testing.T) {
 	}
 }
 
-// TestExplainGreedyProbeOrder checks that when two hoisted probes land on
-// the same stage, the one with fewer expected matches is probed first.
-func TestExplainGreedyProbeOrder(t *testing.T) {
-	store := newJoinStore(t)
-	wide, err := store.Create(schema.New("wide", "CID", "W"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		wide.MustInsert(relstore.Tuple{types.NewInt(int64(i % 2)), types.NewInt(int64(i))})
-	}
-	e := New(store)
-	// cust joins at its own stage; wide (expect=3) and prod (expect=1) both
-	// key on the driver alone, so both hoist to stage 0; greedy ordering
-	// must put the selective prod probe first.
-	lines := planLines(t, e,
-		`EXPLAIN SELECT o.OID FROM orders o, cust c, wide w, prod p
-		 WHERE o.CID = c.CID AND o.CID = w.CID AND o.PID = p.PID`)
-	text := strings.Join(lines, "\n")
-	prodProbe := indexOfLine(lines, "probe join#3", "expect=1")
-	wideProbe := indexOfLine(lines, "probe join#2", "expect=3")
-	if prodProbe < 0 || wideProbe < 0 {
-		t.Fatalf("missing hoisted probes:\n%s", text)
-	}
-	if prodProbe > wideProbe {
-		t.Errorf("greedy order wrong: selective probe after coarse one:\n%s", text)
-	}
-}
-
-// TestExplainNoFrom covers the constant-select guard.
-func TestExplainNoFrom(t *testing.T) {
-	e := New(relstore.NewStore())
-	lines := planLines(t, e, "EXPLAIN SELECT 1 + 2")
-	if len(lines) != 1 || !strings.Contains(lines[0], "constant select") {
-		t.Errorf("lines = %v", lines)
-	}
-}
-
 // TestExplainStampsVersions: an EXPLAIN names the version of every base
 // table its plan would read — the engine-level pin where there is one, the
 // live version otherwise, one entry per table however often the statement
-// names it — and a statement without FROM reads no table, which the stamp
-// records as an empty, non-nil map.
+// names it.
 func TestExplainStampsVersions(t *testing.T) {
 	store := newJoinStore(t)
 	orders, _ := store.Table("orders")
@@ -238,7 +214,6 @@ func TestExplainStampsVersions(t *testing.T) {
 			map[string]int64{"orders": pinned.Version(), "cust": cust.Version(), "prod": prod.Version()}},
 		{`EXPLAIN SELECT c1.CITY FROM cust c1, cust c2 WHERE c1.CID = c2.CID`,
 			map[string]int64{"cust": cust.Version()}},
-		{`EXPLAIN SELECT 1 + 2`, map[string]int64{}},
 	} {
 		res, err := e.QueryContext(context.Background(), c.sql)
 		if err != nil {

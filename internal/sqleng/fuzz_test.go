@@ -88,7 +88,7 @@ func checkSQLIdentity(t *testing.T, sql string) {
 // cross-dictionary joins (FLOAT 1.0 meets INT 1 through a translation
 // table), COALESCE keys with present and absent defaults, null-safe keys,
 // grouped COUNT(DISTINCT) with NULLs (the detector's HAVING), value-level
-// group keys beside coded ones, outer-join null extension under a cursor,
+// group keys beside coded ones, a pushed-down OR on the right side,
 // three-valued IN/NOT, and the retired NULL sentinel as an ordinary string.
 var codeSeeds = []string{
 	"SELECT r.B, s.D FROM r, s WHERE r.B = s.D",
@@ -96,12 +96,12 @@ var codeSeeds = []string{
 	"SELECT r.A, s.D FROM r, s WHERE COALESCE(r.A, 0) = COALESCE(s.A, 0)",
 	"SELECT r.B FROM r, s WHERE COALESCE(r.B, 'q') = s.D AND COALESCE(s.D, 'none') <> 'none'",
 	"SELECT r.A, s.D FROM r, s WHERE r.A IS NOT DISTINCT FROM s.A",
-	"SELECT r.B, s.D FROM r LEFT JOIN s ON r.A IS NOT DISTINCT FROM s.A AND r.B IS NOT DISTINCT FROM s.D",
+	"SELECT r.B, s.D FROM r, s WHERE r.A IS NOT DISTINCT FROM s.A AND r.B IS NOT DISTINCT FROM s.D",
 	"SELECT A, COUNT(DISTINCT B), COUNT(B), COUNT(*) FROM r GROUP BY A HAVING COUNT(DISTINCT B) > 1 OR (COUNT(DISTINCT B) = 1 AND COUNT(B) < COUNT(*))",
-	"SELECT COALESCE(B, 'none'), COUNT(DISTINCT C), SUM(DISTINCT A) FROM r GROUP BY COALESCE(B, 'none')",
-	"SELECT A + 0, COUNT(DISTINCT C) FROM r GROUP BY A + 0, B",
-	"SELECT r.A, s.D FROM r LEFT JOIN s ON r.A = s.A WHERE s.D IS NULL OR COALESCE(s.D, 'x') <> 'q'",
-	"SELECT r.B, COUNT(s.D), COUNT(DISTINCT s.A) FROM r LEFT JOIN s ON r.A = s.A AND s.D <> 'q' GROUP BY r.B",
+	"SELECT COALESCE(B, 'none'), COUNT(DISTINCT C), COUNT(DISTINCT A) FROM r GROUP BY COALESCE(B, 'none')",
+	"SELECT A > 1, COUNT(DISTINCT C) FROM r GROUP BY A > 1, B",
+	"SELECT r.A, s.D FROM r, s WHERE r.A = s.A AND (s.D IS NULL OR COALESCE(s.D, 'x') <> 'q')",
+	"SELECT r.B, COUNT(s.D), COUNT(DISTINCT s.A) FROM r, s WHERE r.A = s.A AND s.D <> 'q' GROUP BY r.B",
 	"SELECT * FROM r WHERE B NOT IN ('x', NULL) OR A IN (1.0, 7) OR NOT (C = 1 AND B <> 'y')",
 	"SELECT r.B, s.D FROM r, s WHERE COALESCE(r.B, '\x00null') = COALESCE(s.D, '\x00null')",
 }
@@ -109,10 +109,9 @@ var codeSeeds = []string{
 // memoSeeds aim at the driver-signature memo's replay path over u: each is
 // served by a memo (TestMemoSeedsReplay holds them to it), and between them
 // they replay two- and three-column signatures, the detector's Qc and Qv
-// shapes, a null-extended tail, LIMIT/OFFSET stopping inside a class's
-// replay, DISTINCT, a hoisted probe in a three-table join, a self-join, a
-// group key outside the signature, classes that outrun the tail budget, a
-// value-level predicate and aggregate, and HAVING on both sides of the
+// shapes, a right-side _tid fetched at the sink, a group key outside the
+// signature, a three-table join, a self-join, classes that outrun the tail
+// budget, a value-level predicate and COUNT, and HAVING on both sides of the
 // integer compile.
 var memoSeeds = []string{
 	"SELECT u.A, s.D FROM u, s WHERE u.A = s.A AND u.B <> s.D",
@@ -120,21 +119,21 @@ var memoSeeds = []string{
 	"SELECT u._tid, s._tid, s.D, u.B FROM u, s WHERE (s.A = 9 OR u.A = s.A) AND s.D <> 's' AND u.B <> s.D",
 	"SELECT u.A AS A, u.B AS B FROM u, s WHERE (s.A = 9 OR u.A = s.A) AND (s.D = 's' OR u.B = s.D) GROUP BY u.A, u.B HAVING COUNT(DISTINCT u.C) > 1 OR (COUNT(DISTINCT u.C) = 1 AND COUNT(u.C) < COUNT(*))",
 	"SELECT u._tid, u.C, u.A, u.B FROM u, r WHERE u.A IS NOT DISTINCT FROM r.A AND u.B IS NOT DISTINCT FROM r.B",
-	"SELECT u.A, u.B, s.D FROM u LEFT JOIN s ON u.D = s.A AND s.D <> 'q' AND u.B <> s.D",
-	"SELECT u.A, s.D FROM u, s WHERE u.A = s.A LIMIT 7 OFFSET 5",
-	"SELECT DISTINCT u.B, s.D FROM u, s WHERE u.A = s.A",
+	"SELECT u.A, u.B, s.D FROM u, s WHERE u.D = s.A AND s.D <> 'q' AND u.B <> s.D",
+	"SELECT u.A, s.D, s._tid FROM u, s WHERE u.A = s.A",
+	"SELECT u.B, s.D FROM u, s WHERE u.A = s.A GROUP BY u.B, s.D",
 	"SELECT u.A, s.D, r.B FROM u, s, r WHERE u.A = s.A AND u.B = r.B",
 	"SELECT u1.A, u2.C FROM u u1, u u2 WHERE u1.A = u2.A AND u1.B = u2.B AND u1.C <> u2.C",
 	"SELECT u.A, u.C, COUNT(*), COUNT(s.D) FROM u, s WHERE u.A = s.A GROUP BY u.A, u.C",
 	"SELECT COUNT(*) FROM u u1, u u2 WHERE u1.A <> u2.A",
-	"SELECT u.A, s.A FROM u, s WHERE u.D < s.A AND u.C LIKE 'p%'",
-	"SELECT B, SUM(D), MIN(C) FROM u WHERE A = 1 GROUP BY B",
-	"SELECT C, SUM(B) FROM u WHERE A = 2 GROUP BY C",
+	"SELECT u.A, s.A FROM u, s WHERE u.D < s.A AND u.C <> 'q'",
+	"SELECT B, COUNT(D), COUNT(DISTINCT C) FROM u WHERE A = 1 GROUP BY B",
+	"SELECT C, COUNT(DISTINCT _tid) FROM u WHERE A = 2 GROUP BY C",
 	"SELECT A, COUNT(*) FROM u WHERE B <> 'x' GROUP BY A HAVING COUNT(B) <= COUNT(*) AND 2 < COUNT(*)",
 	"SELECT A, COUNT(*) FROM u WHERE B <> 'x' GROUP BY A HAVING COUNT(*) > 1.5",
 	"SELECT A, COUNT(*) FROM u WHERE B <> 'x' GROUP BY A HAVING COUNT(*) > 9 OR COUNT(*) > 1.5",
 	"SELECT A, COUNT(*) FROM u WHERE B <> 'x' GROUP BY A HAVING COUNT(*) > '1'",
-	"SELECT A, COUNT(*) FROM u WHERE B <> 'x' GROUP BY A HAVING SUM(A) > 1",
+	"SELECT A, COUNT(*) FROM u WHERE B <> 'x' GROUP BY A HAVING COUNT(_tid) > 1 AND A <> 2",
 	"SELECT C, COUNT(B) FROM u WHERE A = 1 GROUP BY C HAVING NOT (COUNT(B) = COUNT(*))",
 }
 
@@ -157,48 +156,46 @@ func TestMemoSeedsReplay(t *testing.T) {
 }
 
 // fuzzSeeds is the seed list FuzzSQLExec starts from and
-// TestFuzzSeedsIdentity replays: every pipeline stage — code filters,
-// PLI/hash/nested joins, outer joins, residuals, value-level predicates,
-// grouping, HAVING, DISTINCT, ORDER BY and LIMIT/OFFSET — then codeSeeds
-// and memoSeeds. The arithmetic, SUBSTR and SUM seeds meet operands of the
-// wrong kind and zero divisors, which evaluate to NULL.
+// TestFuzzSeedsIdentity replays: every pipeline stage — code filters, PLI
+// and nested joins, composite keys checked as code residuals, right-side
+// pushdown, value-level predicates and projections, _tid, grouping, HAVING —
+// then codeSeeds and memoSeeds. Operands of the wrong kind make a predicate
+// unknown.
 var fuzzSeeds = slices.Concat([]string{
 	"SELECT * FROM r",
 	"SELECT A, B FROM r WHERE A = 1",
 	"SELECT * FROM r WHERE B IS NULL",
 	"SELECT * FROM r WHERE B IS NOT NULL AND A <> 2",
 	"SELECT r.A, s.D FROM r, s WHERE r.A = s.A",
-	"SELECT r.B, s.D FROM r LEFT JOIN s ON r.A = s.A",
+	"SELECT r.*, s.D FROM r, s WHERE r.A = s.A AND s.D IS NOT NULL",
 	"SELECT * FROM r, s WHERE r.A = s.A AND s.D = 'q'",
 	"SELECT * FROM r, s",
-	"SELECT r.A FROM r INNER JOIN s ON r.A = s.A AND s.D <> 'p'",
+	"SELECT r.A FROM r, s WHERE r.A = s.A AND s.D <> 'p'",
 	"SELECT A, COUNT(*) AS n FROM r GROUP BY A HAVING COUNT(*) > 1",
 	"SELECT COUNT(DISTINCT B) FROM r",
-	"SELECT DISTINCT A FROM r ORDER BY A DESC LIMIT 2 OFFSET 1",
-	"SELECT A + C FROM r",
-	"SELECT 1 / A FROM r",
-	"SELECT * FROM r WHERE C > 0.5 OR B LIKE 'x%'",
+	"SELECT A FROM r GROUP BY A",
+	"SELECT A < C, A >= C FROM r",
+	"SELECT -1, -0.5, A FROM r WHERE A > -1",
+	"SELECT * FROM r WHERE C > 0.5 OR B = 'x'",
 	"SELECT COALESCE(B, 'none') FROM r WHERE A IN (1, 3)",
-	"SELECT SUBSTR(B, 1, A) FROM r",
-	"SELECT CASE WHEN A = 1 THEN 'one' ELSE B END FROM r",
+	"SELECT COALESCE(_tid, 0), COUNT(DISTINCT _tid) FROM r GROUP BY COALESCE(_tid, 0)",
+	"SELECT A = 1, B IS NULL, A IN (1, 2) FROM r",
 	"SELECT r1.A FROM r r1, r r2 WHERE r1.A = r2.A AND r1.B <> r2.B",
-	"SELECT * FROM r WHERE A BETWEEN 1 AND 2 LIMIT 3",
+	"SELECT * FROM r WHERE A >= 1 AND A <= 2",
 	"EXPLAIN SELECT r.A FROM r, s WHERE r.A = s.A",
-	"SELECT MIN(C), MAX(C), SUM(A), AVG(A) FROM r",
-	"SELECT UPPER(B) || '!' FROM r WHERE NOT (A = 2)",
+	"SELECT COUNT(C), COUNT(DISTINCT C), COUNT(*) FROM r",
+	"SELECT B FROM r WHERE NOT (A = 2)",
 	"SELECT r.A FROM r, s WHERE r.A = s.A AND r.B = s.D",
-	"SELECT r.B, s.D FROM r LEFT JOIN s ON r.A = s.A AND r.B = s.D",
+	"SELECT r.B, s.D FROM r, s WHERE s.D = r.B AND s.A = r.A",
 	"SELECT r1.A FROM r r1, r r2 WHERE r1.A = r2.A AND r1.B = r2.B AND r1.C = r2.C",
-	"SELECT A, B FROM r ORDER BY C LIMIT 3",
+	"SELECT t.* FROM r t WHERE t._tid > 2",
 }, codeSeeds, memoSeeds, []string{
-	// An ON reads only the tables joined so far: a later one is an unknown
-	// column, not a stale cursor.
-	"SELECT r.A FROM r JOIN s ON r.A = s.A AND u.B = 'x' JOIN u ON u.A = r.A",
-	"SELECT r.A, u.B FROM r LEFT JOIN s ON r.A = s.A JOIN u ON u.A = s.A AND u.C = 'p' WHERE 10 / r.A > 3",
-	"SELECT * FROM r, s WHERE r.C % 2 = s.A - 1 AND NOT s.D",
-	"SELECT B, SUM(B), AVG(C), SUM(DISTINCT C) FROM r GROUP BY B",
-	"SELECT 1 / 0, -'a', ABS('x'), SUBSTR('abc', 'x')",
-	"EXPLAIN SELECT *",
+	"SELECT r.A FROM r, s, u WHERE r.A = s.A AND u.B = 'x' AND u.A = r.A",
+	"SELECT r.A, u.B FROM r, s, u WHERE r.A = s.A AND u.A = s.A AND u.C = 'p' AND r.A > 1",
+	"SELECT * FROM r, s WHERE r.C = s.A AND NOT s.D",
+	"SELECT B, COUNT(B), COUNT(DISTINCT C), COUNT(DISTINCT 1), COUNT(NULL) FROM r GROUP BY B",
+	"SELECT NOT 'a', 'a' < 1, TRUE = 1 FROM r",
+	"EXPLAIN SELECT x.* FROM r",
 })
 
 // FuzzSQLExec feeds arbitrary SQL text through the engine and the

@@ -2,17 +2,16 @@
 // the pinned columnar snapshots. What flows through it is a cursor — one
 // snapshot row index per scan — not a row of Values: code-compiled
 // predicates, join keys, GROUP BY keys and COUNT operands (codepred.go) read
-// dictionary codes at the cursor; join steps look partners up through PLI
-// classes or hash indexes keyed by packed codes; the sink groups on codes
-// and keeps a group's representative as a cursor. One row buffer exists
-// beside the cursor for value-level expressions (arithmetic, LIKE, SUBSTR,
-// ordering compares): a scan fills just the columns such an expression
-// reads as its cursor moves, and the sink fills projected columns for the
-// rows that survived. No intermediate relation is ever materialized.
+// dictionary codes at the cursor; a PLI step looks partners up in the right
+// column's position list index; the sink groups on codes and keeps a group's
+// representative as a cursor. One row buffer exists beside the cursor for
+// value-level expressions (ordering compares, _tid): a scan fills just the
+// columns such an expression reads as its cursor moves, and the sink fills
+// projected columns for the rows that survived. No intermediate relation is
+// ever materialized.
 //
 // Rows are enumerated in the nested-loop order: driver scan in snapshot
-// order, each join step's matches in right-side snapshot order, unmatched
-// outer rows null-extended in place.
+// order, each join step's matches in right-side snapshot order.
 //
 // All hot loops share one monotonic counter and check the context every
 // cancelStride rows, preserving the engine's cancellation contract.
@@ -22,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -31,27 +29,23 @@ import (
 )
 
 // rightIndex is the build side of one join step: which right rows survive
-// the pushed-down filters, plus the lookup structure of the step's kind.
+// the pushed-down filters.
 type rightIndex struct {
-	surv     []bool  // nil: every row survives (no right-side filters)
+	surv     []bool  // stepPLI: nil when every row survives (no right-side filters)
 	survRows []int32 // stepNested: surviving rows in snapshot order
-	buckets  map[string][]int32
-	pliCol   *relstore.Column
 }
 
 // planExec is one execution of a selectPlan.
 type planExec struct {
-	p      *selectPlan
-	ctx    context.Context
-	cur    []int32       // the cursor: one snapshot row per scan, -1 null-extended
-	buf    []types.Value // the lazily filled row, plus the sink's aggregate slots
-	idx    []*rightIndex // per step
-	cached [][]int32     // per step: candidates from a hoisted probe
-	memo   *driverMemo   // nil when the plan does not qualify (selectPlan.planMemo)
-	keyBuf []byte
-	ops    OpCounters // local counters, flushed to the engine once per run
-	n      int        // shared row counter for stride context checks
-	stop   bool
+	p    *selectPlan
+	ctx  context.Context
+	cur  []int32       // the cursor: one snapshot row per scan
+	buf  []types.Value // the lazily filled row, plus the sink's aggregate slots
+	idx  []rightIndex  // per step
+	memo *driverMemo   // nil when the plan does not qualify (selectPlan.planMemo)
+	ops  OpCounters    // local counters, flushed to the engine once per run
+	n    int           // shared row counter for stride context checks
+	stop bool
 }
 
 // stride ticks the shared row counter and returns ctx.Err() every
@@ -68,10 +62,10 @@ func (px *planExec) stride() error {
 // each add their work); read a consistent copy via OpStats. The
 // late-materialisation, memo and probe gates read them.
 type OpCounters struct {
-	// PLIProbes counts single-column PLI class lookups.
+	// PLIProbes counts PLI class lookups.
 	PLIProbes int64
-	// HashProbes counts hash-bucket lookups, HashBuildRows the right-side
-	// rows scanned to build hash indexes.
+	// HashProbes and HashBuildRows are always 0: the engine has no hash
+	// join. They stay while the benchmark's trace reads them.
 	HashProbes    int64
 	HashBuildRows int64
 	// ValuesMaterialized counts the Values fetched from dictionaries (and
@@ -118,17 +112,16 @@ func (e *Engine) ResetOpStats() {
 	}
 }
 
-// run drives the pipeline to completion (or early stop) into the plan's
-// sink. It may be called once per plan.
+// run drives the pipeline to completion (or until a streaming consumer
+// stops) into the plan's sink. It may be called once per plan.
 func (p *selectPlan) run(ctx context.Context) error {
 	px := &planExec{
-		p:      p,
-		ctx:    ctx,
-		cur:    make([]int32, len(p.scans)),
-		buf:    make([]types.Value, len(p.cat)+len(p.sink.calls)),
-		idx:    make([]*rightIndex, len(p.steps)),
-		cached: make([][]int32, len(p.steps)),
-		memo:   p.newMemo(),
+		p:    p,
+		ctx:  ctx,
+		cur:  make([]int32, len(p.scans)),
+		buf:  make([]types.Value, len(p.cat)+len(p.sink.calls)),
+		idx:  make([]rightIndex, len(p.steps)),
+		memo: p.newMemo(),
 	}
 	p.sink.px = px
 	defer px.flushOps()
@@ -142,8 +135,8 @@ func (p *selectPlan) run(ctx context.Context) error {
 
 // materialise fetches the row-buffer positions cols at cursor cur: the
 // tuple id for a scan's hidden _tid, else the value straight from the exact
-// dictionary (bit-identical to the stored tuple), NULL on a null-extended
-// scan.
+// dictionary (bit-identical to the stored tuple), NULL at row -1 (the
+// representative of a global COUNT over no rows).
 func (px *planExec) materialise(cols, cur []int32) {
 	for _, pos := range cols {
 		sc := px.p.scans[px.p.posScan[pos]]
@@ -160,8 +153,8 @@ func (px *planExec) materialise(cols, cur []int32) {
 	px.ops.ValuesMaterialized += int64(len(cols))
 }
 
-// setCur moves scan s's cursor to snapshot row r (-1: null-extended) and
-// fills the columns the pipeline's value-level expressions read there.
+// setCur moves scan s's cursor to snapshot row r and fills the columns the
+// pipeline's value-level expressions read there.
 func (px *planExec) setCur(s int, r int32) {
 	px.cur[s] = r
 	if fill := px.p.scans[s].fill; len(fill) > 0 {
@@ -177,34 +170,21 @@ func (px *planExec) pass(f *filterPred) bool {
 	return truthy(f.fn(px.buf))
 }
 
-// appendCode packs one non-negative code into a byte key.
-func appendCode(key []byte, c int32) []byte {
-	return append(key, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
-}
-
 // buildIndex builds step si's right-side index: applies the pushed-down
-// filters row by row at the right scan's cursor, then indexes the
-// survivors according to the step's kind.
+// filters row by row at the right scan's cursor, keeping the survivors —
+// as a row set for a PLI step, in snapshot order for a nested one.
 func (px *planExec) buildIndex(si int) error {
 	step := px.p.steps[si]
 	sc := step.right
 	n := sc.cnr.Len()
-	idx := &rightIndex{}
-	px.idx[si] = idx
-	if step.kind == stepPLI {
-		idx.pliCol = sc.cnr.Col(step.keyRCol)
-	}
+	idx := &px.idx[si]
 	if len(sc.filters) == 0 && step.kind == stepPLI {
 		// Candidates come straight from the cached partition: with no
 		// filters there is nothing to precompute.
 		return nil
 	}
-	if len(sc.filters) > 0 {
+	if step.kind == stepPLI {
 		idx.surv = make([]bool, n)
-	}
-	if step.kind == stepHash {
-		idx.buckets = make(map[string][]int32, n)
-		px.ops.HashBuildRows += int64(n)
 	}
 rows:
 	for r := 0; r < n; r++ {
@@ -219,31 +199,7 @@ rows:
 		}
 		if idx.surv != nil {
 			idx.surv[r] = true
-		}
-		switch step.kind {
-		case stepHash:
-			key := px.keyBuf[:0]
-			for k := range step.keys {
-				jk := &step.keys[k]
-				if jk.rt != nil {
-					c := jk.rt.own(px.cur)
-					if c == codeNull {
-						px.keyBuf = key
-						continue rows // NULL never equi-joins
-					}
-					key = appendCode(key, c)
-					continue
-				}
-				v := jk.rfn(px.buf)
-				if v.IsNull() && !jk.nullSafe {
-					px.keyBuf = key
-					continue rows
-				}
-				key = v.AppendGroupKey(key)
-			}
-			px.keyBuf = key
-			idx.buckets[string(key)] = append(idx.buckets[string(key)], int32(r))
-		case stepNested:
+		} else {
 			idx.survRows = append(idx.survRows, int32(r))
 		}
 	}
@@ -252,12 +208,12 @@ rows:
 
 // driverMemo decides the join once per class of driver rows. Below the driver
 // scan the pipeline is a function of the row's exact values on the columns D
-// that WHERE and ON read (selectPlan.planMemo), so a class's first row runs
-// it and records the cursor suffixes cur[1:] that reach the sink (the tails,
-// null-extended -1s included) and every later row replays them. Rows are
-// served in driver order and tails in recorded order: enumeration order,
-// group numbering and early stops are the unmemoised loop's, and total
-// evaluation makes skipping the repeated evaluations unobservable.
+// that WHERE reads (selectPlan.planMemo), so a class's first row runs it and
+// records the cursor suffixes cur[1:] that reach the sink (the tails) and
+// every later row replays them. Rows are served in driver order and tails in
+// recorded order: enumeration order, group numbering and a consumer's stop
+// are the unmemoised loop's, and total evaluation makes skipping the
+// repeated evaluations unobservable.
 type driverMemo struct {
 	cols    []*relstore.Column // D
 	dense   [][]int32          // per column left with dead codes (patch.go): code -> index among the live ones
@@ -320,7 +276,7 @@ func (m *driverMemo) record(tail []int32, gid int32) {
 }
 
 // scanDriver iterates the driver scan: each row — with a memo, each class's
-// first — through the stage-0 filters and probes, then down the join steps.
+// first — through the stage-0 filters, then down the join steps.
 func (px *planExec) scanDriver() error {
 	n, m := px.p.scans[0].cnr.Len(), px.memo
 	for r := 0; r < n && !px.stop; r++ {
@@ -376,8 +332,8 @@ func (px *planExec) replay(e []int32) error {
 	return nil
 }
 
-// stageGate runs stage d's filters and hoisted probes over the current
-// prefix, reporting whether the prefix survives.
+// stageGate runs stage d's filters over the current prefix, reporting
+// whether the prefix survives.
 func (px *planExec) stageGate(d int) bool {
 	stage := px.p.stages[d]
 	for i := range stage {
@@ -385,82 +341,7 @@ func (px *planExec) stageGate(d int) bool {
 			return false
 		}
 	}
-	for _, si := range px.p.probesAt[d] {
-		if !px.probe(si) {
-			return false
-		}
-	}
 	return true
-}
-
-// keyCode returns the current prefix's value of a code-keyed join key in
-// the right term's code space: through the translation table when the left
-// side is a term (one array load), else by looking the evaluated value up.
-// Negative: NULL, or a value the right column lacks — no partner.
-func (px *planExec) keyCode(jk *joinKey) int32 {
-	if jk.tab != nil {
-		return jk.tab.get()[jk.lt.exact(px.cur)]
-	}
-	return jk.rt.codeOf(jk.lfn(px.buf))
-}
-
-// lookup finds step si's candidate right rows for the current prefix key,
-// nil when the key is NULL or has no partner.
-func (px *planExec) lookup(si int) []int32 {
-	step := px.p.steps[si]
-	idx := px.idx[si]
-	if step.kind == stepPLI {
-		eq := px.keyCode(&step.keys[0])
-		if eq < 0 {
-			return nil
-		}
-		px.ops.PLIProbes++
-		return idx.pliCol.ClassRows(uint32(eq))
-	}
-	key := px.keyBuf[:0]
-	for k := range step.keys {
-		jk := &step.keys[k]
-		if jk.rt != nil {
-			c := px.keyCode(jk)
-			if c < 0 {
-				px.keyBuf = key
-				return nil
-			}
-			key = appendCode(key, c)
-			continue
-		}
-		v := jk.lfn(px.buf)
-		if v.IsNull() && !jk.nullSafe {
-			px.keyBuf = key
-			return nil
-		}
-		key = v.AppendGroupKey(key)
-	}
-	px.keyBuf = key
-	px.ops.HashProbes++
-	return idx.buckets[string(key)]
-}
-
-// probe runs step si's index lookup early, at a stage before the step's
-// own, and caches the candidates for the step to consume. A prefix with no
-// surviving partner is killed on the spot.
-func (px *planExec) probe(si int) bool {
-	cands := px.lookup(si)
-	idx := px.idx[si]
-	if idx.surv != nil {
-		any := false
-		for _, r := range cands {
-			if idx.surv[r] {
-				any = true
-				break
-			}
-		}
-		if !any {
-			cands = nil
-		}
-	}
-	px.cached[si] = cands
-	return len(cands) > 0
 }
 
 // descend runs the pipeline below stage d: the next join step, or the sink
@@ -473,38 +354,18 @@ func (px *planExec) descend(d int) error {
 		}
 		return nil
 	}
-	step := px.p.steps[d]
-	idx := px.idx[d]
-
+	step, idx := px.p.steps[d], &px.idx[d]
 	cands := idx.survRows // a nested step pairs with every surviving row
-	switch {
-	case step.kind == stepNested:
-	case step.probeAt < d:
-		cands = px.cached[d] // the hoisted probe already looked it up
-	default:
-		cands = px.lookup(d)
-	}
-
-	matched := false
-	tryRight := func(r int32) error {
-		if err := px.stride(); err != nil {
-			return err
-		}
-		px.setCur(d+1, r)
-		for i := range step.residuals {
-			if !px.pass(&step.residuals[i]) {
-				return nil
-			}
-		}
-		// A pair is matched once the whole ON holds, before the later WHERE
-		// conjuncts run: the distinction decides null-extension.
-		matched = true
-		if !px.stageGate(d + 1) {
+	if step.kind == stepPLI {
+		// The left side's code in the key column's Equal-class space;
+		// negative: NULL, or a value the column lacks — no partner.
+		eq := step.key.tab.get()[step.key.lt.exact(px.cur)]
+		if eq < 0 {
 			return nil
 		}
-		return px.descend(d + 1)
+		px.ops.PLIProbes++
+		cands = step.key.rt.col.ClassRows(uint32(eq))
 	}
-
 	for _, r := range cands {
 		if px.stop {
 			return nil
@@ -512,22 +373,15 @@ func (px *planExec) descend(d int) error {
 		if idx.surv != nil && !idx.surv[r] {
 			continue
 		}
-		if err := tryRight(r); err != nil {
+		if err := px.stride(); err != nil {
 			return err
 		}
-	}
-	if px.stop {
-		return nil
-	}
-
-	if step.outer && !matched {
-		// Null-extend: a cursor of -1 reads as NULL in every column of the
-		// right scan; the later-stage WHERE conjuncts see it as such.
-		px.setCur(d+1, -1)
-		if !px.stageGate(d + 1) {
-			return nil
+		px.setCur(d+1, r)
+		if px.stageGate(d + 1) {
+			if err := px.descend(d + 1); err != nil {
+				return err
+			}
 		}
-		return px.descend(d + 1)
 	}
 	return nil
 }
@@ -547,29 +401,10 @@ type sinkProj struct {
 	fn   evalFn
 }
 
-// sinkOrderKey is one compiled ORDER BY key: an expression over the
-// (grouped) relation row, or a reference to an output column by alias.
-type sinkOrderKey struct {
-	fn    evalFn // nil when byOut >= 0
-	byOut int
-	desc  bool
-}
-
-// sinkOutRow pairs an output row with its materialized order keys. seq is
-// the arrival index, used by the bounded-heap path to replicate the
-// stable sort's tie-break (earlier arrival wins); the unbounded path
-// leaves it zero and sorts stably instead.
-type sinkOutRow struct {
-	vals []types.Value
-	keys []types.Value
-	seq  int
-}
-
-// streamSink terminates the pipeline: grouping/aggregation, HAVING,
-// projection, DISTINCT, ORDER BY, OFFSET/LIMIT. It is fully compiled at
-// plan time and consumes the pipeline incrementally — for non-grouped queries
-// only the projected output rows are retained; a group retains a cursor
-// (its first member) and its aggregate states.
+// streamSink terminates the pipeline: grouping and counting, HAVING and
+// the projection. It is compiled at plan time and consumes the pipeline row
+// by row: a non-grouped query projects each arriving row, a group retains a
+// cursor (its first member) and its counts.
 type streamSink struct {
 	st         *SelectStmt
 	px         *planExec // the running execution: cursor, row buffer, counters
@@ -591,69 +426,44 @@ type streamSink struct {
 	havingCounts countFn
 	having       evalFn
 	projs        []sinkProj
-	orderKeys    []sinkOrderKey
 	// Late materialisation: the row-buffer positions the sink's value-level
 	// expressions read, by when they are fetched. rowCols per arriving
-	// pipeline row (value-level group keys and aggregate operands; when not
+	// pipeline row (value-level group keys and COUNT operands; when not
 	// grouping, the projection); havingCols per group from its
 	// representative cursor; outCols per group that passed HAVING.
 	rowCols, havingCols, outCols []int32
-	// earlyStop: with a LIMIT, no ORDER BY and no grouping, the pipeline
-	// can stop as soon as OFFSET+LIMIT output rows exist — no later row
-	// could change the result.
-	earlyStop bool
-	target    int // earlyStop: rows to accumulate before stopping
-	// heapK: with ORDER BY and a LIMIT, only the OFFSET+LIMIT best rows
-	// can reach the output, so the sink retains exactly that many in a
-	// bounded max-heap (s.out is the heap storage) instead of the full
-	// sorted set; rows that cannot make the cut are rejected before any
-	// copy is allocated. -1 disables (no LIMIT, or no ORDER BY).
-	heapK int
 
 	// Runtime state.
-	levels   []map[uint64]int32
-	intern   []map[string]uint32
-	reps     []int32    // per group: its first member's cursor, nscans wide
-	gid      int32      // memoGroups: the group add last resolved, else -1
-	counts   []aggCount // per group: one per call
-	vals     []aggState // per group: one per value-level call (aggCall.vslot)
-	zero     []aggCount // a new group's counts
-	fresh    []aggState // a new group's vals
-	out      []sinkOutRow
-	seen     map[string]bool
-	keyBuf   []byte
-	seq      int           // arrival counter for heap tie-breaks
-	valBuf   []types.Value // heap path: projected row before acceptance
-	ordBuf   []types.Value // order keys before acceptance
-	streamed int           // rows already passed to yield
-	yield    func(row []types.Value) bool
+	levels []map[uint64]int32
+	intern []map[string]uint32
+	reps   []int32    // per group: its first member's cursor, nscans wide
+	gid    int32      // memoGroups: the group add last resolved, else -1
+	counts []aggCount // per group: one per call
+	zero   []aggCount // a new group's counts
+	rows   [][]types.Value
+	vals   []types.Value // the projected row a streaming consumer is handed
+	keyBuf []byte
+	yield  func(row []types.Value) bool
 }
 
 // newStreamSink compiles the sink for p's statement over the pipeline
 // catalog.
 func newStreamSink(p *selectPlan) (*streamSink, error) {
 	st, cat, hidden := p.st, p.cat, p.hidden
-	s := &streamSink{st: st, width: len(cat), nscans: len(p.scans), heapK: -1, gid: -1}
+	s := &streamSink{st: st, width: len(cat), nscans: len(p.scans), gid: -1}
 
-	var outExprs []Expr // the select items, then the ORDER BY keys
+	var outExprs []Expr
 	for _, it := range st.Items {
 		if !it.Star {
 			outExprs = append(outExprs, it.Expr)
 		}
 	}
-	for _, oi := range st.OrderBy {
-		outExprs = append(outExprs, oi.Expr)
-	}
 	s.needsGroup = len(st.GroupBy) > 0 || st.Having != nil || slices.ContainsFunc(outExprs, hasAggregate)
 
 	var aggEnv map[string]int
-	gcat := cat // the grouped row: the pipeline row, then one slot per aggregate
+	gcat := cat // the grouped row: the pipeline row, then one slot per COUNT
 	if s.needsGroup {
-		all := outExprs
-		if st.Having != nil {
-			all = append(append([]Expr{}, outExprs...), st.Having)
-		}
-		env, calls, err := collectAggs(cat, all...)
+		env, calls, err := collectAggs(cat, append(slices.Clone(outExprs), st.Having)...)
 		if err != nil {
 			return nil, err
 		}
@@ -661,17 +471,12 @@ func newStreamSink(p *selectPlan) (*streamSink, error) {
 		s.calls, s.zero = calls, make([]aggCount, len(calls))
 		for i := range s.calls {
 			c := &s.calls[i]
-			c.vslot = -1
 			if c.fn.Star {
 				continue
 			}
 			// COUNT only asks whether the operand is NULL and, under
 			// DISTINCT, which class it is in: codes answer both.
-			if t, _, _ := p.termOf(c.fn.Args[0], false); t != nil && c.fn.Name == "COUNT" {
-				c.term = t
-			} else {
-				c.vslot = len(s.fresh)
-				s.fresh = append(s.fresh, aggState{call: c, allInt: true})
+			if c.term, _, _ = p.termOf(c.fn.Args[0], false); c.term == nil {
 				s.rowCols = p.colsOf(s.rowCols, nil, c.fn.Args[0])
 			}
 			if c.fn.Distinct {
@@ -736,21 +541,6 @@ func newStreamSink(p *selectPlan) (*streamSink, error) {
 		return nil, fmt.Errorf("sql: empty select list")
 	}
 
-	for _, oi := range st.OrderBy {
-		ok := sinkOrderKey{byOut: -1, desc: oi.Desc}
-		if f, err := compileExprAgg(oi.Expr, gcat, aggEnv); err == nil {
-			ok.fn = f
-		} else if cr, isRef := oi.Expr.(*ColumnRef); isRef && cr.Table == "" {
-			ok.byOut = slices.IndexFunc(s.projs, func(pr sinkProj) bool { return strings.EqualFold(pr.name, cr.Column) })
-			if ok.byOut < 0 {
-				return nil, err
-			}
-		} else {
-			return nil, err
-		}
-		s.orderKeys = append(s.orderKeys, ok)
-	}
-
 	// What the output expressions read is fetched per surviving group, or,
 	// when not grouping, per arriving row beside what the scans filled.
 	s.outCols = p.colsOf(s.outCols, s.havingCols, outExprs...)
@@ -760,16 +550,7 @@ func newStreamSink(p *selectPlan) (*streamSink, error) {
 	for _, sc := range p.scans {
 		s.rowCols = slices.DeleteFunc(s.rowCols, func(pos int32) bool { return slices.Contains(sc.fill, pos) })
 	}
-
-	if st.Distinct {
-		s.seen = map[string]bool{}
-	}
-	if len(s.orderKeys) > 0 && st.Limit >= 0 {
-		s.heapK = st.Offset + st.Limit
-	}
-	s.valBuf = make([]types.Value, len(s.projs))
-	s.earlyStop = !s.needsGroup && len(s.orderKeys) == 0 && st.Limit >= 0
-	s.target = st.Offset + st.Limit
+	s.vals = make([]types.Value, len(s.projs))
 	return s, nil
 }
 
@@ -780,14 +561,6 @@ func (s *streamSink) columns() []string {
 		cols[i] = pr.name
 	}
 	return cols
-}
-
-// canYield reports whether a streaming consumer can receive output rows
-// without the sink ever materializing them: directly from the pipeline, or
-// group by group out of finishGroups — only an ORDER BY forces the full
-// output to exist at once.
-func (s *streamSink) canYield() bool {
-	return len(s.orderKeys) == 0
 }
 
 // describe renders the sink stage for EXPLAIN output.
@@ -807,31 +580,12 @@ func (s *streamSink) describe() string {
 		parts = append(parts, "having")
 	}
 	parts = append(parts, fmt.Sprintf("project %d cols", len(s.projs)))
-	if s.st.Distinct {
-		parts = append(parts, "distinct")
-	}
-	if len(s.orderKeys) > 0 {
-		parts = append(parts, fmt.Sprintf("order by %d keys", len(s.orderKeys)))
-	}
-	if s.heapK >= 0 {
-		parts = append(parts, fmt.Sprintf("top-k heap k=%d", s.heapK))
-	}
-	if s.st.Offset > 0 {
-		parts = append(parts, fmt.Sprintf("offset %d", s.st.Offset))
-	}
-	if s.st.Limit >= 0 {
-		parts = append(parts, fmt.Sprintf("limit %d", s.st.Limit))
-	}
-	if s.earlyStop {
-		parts = append(parts, "early-stop")
-	}
 	return strings.Join(parts, ", ")
 }
 
 // add consumes the pipeline row under the cursor, a row of group known when
-// the memo replays it (else -1). Returns true when the pipeline may
-// terminate early (LIMIT satisfied, or a streaming consumer declined more
-// rows).
+// the memo replays it (else -1). It reports whether a streaming consumer
+// declined more rows.
 func (s *streamSink) add(known int32) bool {
 	px := s.px
 	px.materialise(s.rowCols, px.cur)
@@ -874,20 +628,17 @@ func (s *streamSink) add(known int32) bool {
 			if x := c.term.own(px.cur); x != codeNull && (!c.fn.Distinct || n.firstSeen(c, gid, uint32(x))) {
 				n.n++
 			}
-		default:
-			v := c.arg(px.buf)
-			if v.IsNull() || (c.fn.Distinct && !n.firstSeen(c, gid, s.internValue(c.intern, v))) {
-				continue // aggregates skip NULLs, DISTINCT ones repeats
+		default: // COUNT skips NULLs, and a DISTINCT one repeats
+			if v := c.arg(px.buf); !v.IsNull() && (!c.fn.Distinct || n.firstSeen(c, gid, s.internValue(c.intern, v))) {
+				n.n++
 			}
-			s.vals[int(gid)*len(s.fresh)+c.vslot].accumulate(v)
 		}
 	}
 	return false
 }
 
-// aggCount is a group's pointer-free state for one call: the count a
-// code-level COUNT reports and, under DISTINCT, the first operand code the
-// group saw.
+// aggCount is a group's pointer-free state for one COUNT: the count and,
+// under DISTINCT, the first operand code the group saw.
 type aggCount struct {
 	n    int64
 	d0   uint32
@@ -898,7 +649,6 @@ type aggCount struct {
 func (s *streamSink) newGroup(cur []int32) {
 	s.reps = appendDoubling(s.reps, cur...)
 	s.counts = appendDoubling(s.counts, s.zero...)
-	s.vals = appendDoubling(s.vals, s.fresh...)
 }
 
 // internValue gives v's Equal-class a dense code, by its group-key bytes.
@@ -930,167 +680,42 @@ func (st *aggCount) firstSeen(call *aggCall, gid uint64, c uint32) bool {
 	return !dup
 }
 
-// emit projects one (grouped) row and routes it: through DISTINCT, then to
-// the streaming consumer, the bounded heap or the output set. Only the
-// retention differs between the routes: a row the heap rejects or a
-// consumer takes allocates nothing.
+// emit projects one (grouped) row and hands it to the streaming consumer,
+// reporting whether it declined more, or else keeps it for the Result.
 func (s *streamSink) emit(row []types.Value) (stop bool) {
-	bounded := s.heapK >= 0 && s.yield == nil
-	vals := s.valBuf
-	if !bounded && s.yield == nil {
+	vals := s.vals
+	if s.yield == nil {
 		vals = make([]types.Value, len(s.projs))
 	}
 	for i, pr := range s.projs {
 		vals[i] = pr.fn(row)
 	}
-	if s.seen != nil {
-		key := s.keyBuf[:0]
-		for _, v := range vals {
-			key = v.AppendGroupKey(key)
-		}
-		s.keyBuf = key
-		if s.seen[string(key)] {
-			return false
-		}
-		s.seen[string(key)] = true
+	if s.yield != nil {
+		return !s.yield(vals)
 	}
-	keys := s.ordBuf[:0]
-	for _, okey := range s.orderKeys {
-		if okey.byOut >= 0 {
-			keys = append(keys, vals[okey.byOut])
-		} else {
-			keys = append(keys, okey.fn(row))
-		}
-	}
-	s.ordBuf = keys
-
-	switch {
-	case s.yield != nil:
-		// Streaming consumer: apply OFFSET/LIMIT inline and hand the row
-		// over instead of retaining it.
-		s.streamed++
-		if s.streamed <= s.st.Offset {
-			return false
-		}
-		if s.st.Limit >= 0 && s.streamed > s.st.Offset+s.st.Limit {
-			return true
-		}
-		if !s.yield(vals) {
-			return true // the consumer stopped
-		}
-		return s.st.Limit >= 0 && s.streamed == s.st.Offset+s.st.Limit
-	case bounded:
-		cand := sinkOutRow{vals: vals, keys: keys, seq: s.seq}
-		s.seq++
-		if s.heapK == 0 || (len(s.out) == s.heapK && !s.outLess(&cand, &s.out[0])) {
-			return false // cannot enter the top k: rejected without a copy
-		}
-		cand.vals = append([]types.Value(nil), vals...)
-		cand.keys = append([]types.Value(nil), keys...)
-		s.boundedInsert(cand)
-		return false
-	}
-	s.out = append(s.out, sinkOutRow{vals: vals, keys: append([]types.Value(nil), keys...)})
-	return s.earlyStop && len(s.out) >= s.target
+	s.rows = append(s.rows, vals)
+	return false
 }
 
-// outLess is the total order the heap maintains: ORDER BY keys first, then
-// arrival sequence — the first k rows under this order are exactly the
-// first k rows of a stable sort by the keys alone, which is what the
-// unbounded path produces.
-func (s *streamSink) outLess(a, b *sinkOutRow) bool {
-	for k, okey := range s.orderKeys {
-		c := a.keys[k].Compare(b.keys[k])
-		if c == 0 {
-			continue
-		}
-		if okey.desc {
-			return c > 0
-		}
-		return c < 0
-	}
-	return a.seq < b.seq
-}
-
-// boundedInsert places or into the max-heap rooted at s.out[0] (the worst
-// retained row), evicting the root when the heap is at capacity. The
-// caller has already established that or beats the root in that case.
-func (s *streamSink) boundedInsert(or sinkOutRow) {
-	if len(s.out) < s.heapK {
-		s.out = append(s.out, or)
-		i := len(s.out) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if !s.outLess(&s.out[p], &s.out[i]) {
-				break
-			}
-			s.out[p], s.out[i] = s.out[i], s.out[p]
-			i = p
-		}
-		return
-	}
-	s.out[0] = or
-	i, n := 0, len(s.out)
-	for {
-		big, l, r := i, 2*i+1, 2*i+2
-		if l < n && s.outLess(&s.out[big], &s.out[l]) {
-			big = l
-		}
-		if r < n && s.outLess(&s.out[big], &s.out[r]) {
-			big = r
-		}
-		if big == i {
-			return
-		}
-		s.out[i], s.out[big] = s.out[big], s.out[i]
-		i = big
-	}
-}
-
-// finish completes grouping/having, sorts, applies OFFSET/LIMIT and builds
-// the eager Result, stamped with the plan-time pinned versions.
+// finish completes grouping and HAVING and builds the eager Result, stamped
+// with the plan-time pinned versions.
 func (s *streamSink) finish(ctx context.Context, versions map[string]int64) (*Result, error) {
 	if s.needsGroup {
 		if err := s.finishGroups(ctx); err != nil {
 			return nil, err
 		}
 	}
-	res := &Result{Columns: s.columns(), Versions: versions}
-	out := s.out
-	if len(s.orderKeys) > 0 {
-		// outLess breaks key ties by arrival sequence; on the unbounded
-		// path every seq is zero and SliceStable supplies the stability, on
-		// the heap path the recorded seqs reproduce it under sort.Slice.
-		if s.heapK >= 0 {
-			sort.Slice(out, func(i, j int) bool { return s.outLess(&out[i], &out[j]) })
-		} else {
-			sort.SliceStable(out, func(i, j int) bool { return s.outLess(&out[i], &out[j]) })
-		}
-	}
-	if s.st.Offset > 0 {
-		if s.st.Offset >= len(out) {
-			out = nil
-		} else {
-			out = out[s.st.Offset:]
-		}
-	}
-	if s.st.Limit >= 0 && s.st.Limit < len(out) {
-		out = out[:s.st.Limit]
-	}
-	for _, or := range out {
-		res.Rows = append(res.Rows, or.vals)
-	}
-	return res, nil
+	return &Result{Columns: s.columns(), Rows: s.rows, Versions: versions}, nil
 }
 
 // finishGroups turns the accumulated groups into output rows: one row per
 // group in first-appearance order (the representative's columns that HAVING
-// and the projection read, fetched at its cursor, plus the aggregate
-// results), filtered by HAVING, projected like the non-grouped path. A
-// group HAVING rejects materialises nothing the projection alone reads.
+// and the projection read, fetched at its cursor, plus the counts),
+// filtered by HAVING, projected like the non-grouped path. A group HAVING
+// rejects materialises nothing the projection alone reads.
 func (s *streamSink) finishGroups(ctx context.Context) error {
-	// A global aggregate over an empty input still yields one group, with
-	// an all-NULL representative row.
+	// A global COUNT over an empty input still yields one group, with an
+	// all-NULL representative row.
 	if len(s.reps) == 0 && len(s.st.GroupBy) == 0 {
 		for i := range s.px.cur {
 			s.px.cur[i] = -1
@@ -1102,17 +727,14 @@ func (s *streamSink) finishGroups(ctx context.Context) error {
 		if err := strideCheck(ctx, gi); err != nil {
 			return err
 		}
-		if s.havingCounts != nil && !s.havingCounts(s.counts[gi*len(s.calls):]) {
+		counts := s.counts[gi*len(s.calls):]
+		if s.havingCounts != nil && !s.havingCounts(counts) {
 			continue // decided on the counts: nothing fetched, nothing boxed
 		}
 		rep := s.reps[gi*s.nscans : (gi+1)*s.nscans]
 		s.px.materialise(s.havingCols, rep)
-		for ci, c := range s.calls {
-			if c.vslot < 0 {
-				row[s.width+ci] = types.NewInt(s.counts[gi*len(s.calls)+ci].n)
-			} else {
-				row[s.width+ci] = s.vals[gi*len(s.fresh)+c.vslot].result()
-			}
+		for ci := range s.calls {
+			row[s.width+ci] = types.NewInt(counts[ci].n)
 		}
 		if s.having != nil && !truthy(s.having(row)) {
 			continue
@@ -1136,15 +758,13 @@ type SelectStream struct {
 	// stream was created (pin time), not when rows are consumed.
 	Versions map[string]int64
 
-	plan  *selectPlan
-	eager *Result // a SELECT without FROM: its one row
+	plan *selectPlan
 }
 
-// Stream plans a SELECT for incremental consumption. For plans with an
-// ordering barrier the result is materialized on the first Each call;
-// otherwise rows flow straight from the pipeline. A stream is single-use:
-// Each may be called once.
-func (e *Engine) Stream(ctx context.Context, sql string) (*SelectStream, error) {
+// Stream plans a SELECT for incremental consumption: rows flow straight
+// from the pipeline, a grouped statement's group by group once the input
+// is consumed. A stream is single-use: Each may be called once.
+func (e *Engine) Stream(_ context.Context, sql string) (*SelectStream, error) {
 	st, err := Parse(sql)
 	if err != nil {
 		return nil, err
@@ -1152,13 +772,6 @@ func (e *Engine) Stream(ctx context.Context, sql string) (*SelectStream, error) 
 	sel, ok := st.(*SelectStmt)
 	if !ok {
 		return nil, fmt.Errorf("sql: Stream requires a SELECT statement")
-	}
-	if len(sel.From) == 0 {
-		res, err := e.RunContext(ctx, sel)
-		if err != nil {
-			return nil, err
-		}
-		return &SelectStream{Columns: res.Columns, Versions: res.Versions, eager: res}, nil
 	}
 	p, err := e.buildSelectPlan(sel)
 	if err != nil {
@@ -1172,33 +785,12 @@ func (e *Engine) Stream(ctx context.Context, sql string) (*SelectStream, error) 
 // next one — so a consumer that keeps a row copies it. A false return from
 // yield stops iteration early (no error). Each may be called once.
 func (s *SelectStream) Each(ctx context.Context, yield func(row []types.Value) bool) error {
-	res := s.eager
-	if res == nil && s.plan.sink.canYield() {
-		s.plan.sink.yield = yield
-		if err := s.plan.run(ctx); err != nil {
-			return err
-		}
-		if s.plan.sink.needsGroup {
-			// Grouped but unordered: the pipeline has accumulated the
-			// groups; hand each finished group row straight to the
-			// consumer, never building the output set.
-			return s.plan.sink.finishGroups(ctx)
-		}
-		return nil
+	s.plan.sink.yield = yield
+	if err := s.plan.run(ctx); err != nil {
+		return err
 	}
-	if res == nil {
-		var err error
-		if res, err = s.plan.collect(ctx); err != nil {
-			return err
-		}
-	}
-	for i, row := range res.Rows {
-		if err := strideCheck(ctx, i); err != nil {
-			return err
-		}
-		if !yield(row) {
-			return nil
-		}
+	if s.plan.sink.needsGroup {
+		return s.plan.sink.finishGroups(ctx)
 	}
 	return nil
 }

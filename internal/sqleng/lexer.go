@@ -4,14 +4,16 @@
 // Fan et al., TODS 2008) and this engine parses, plans and executes it over
 // the relstore tables.
 //
-// Supported surface: SELECT [DISTINCT] with expressions and aliases,
-// multi-table FROM (comma joins, [INNER] JOIN ... ON and LEFT JOIN ... ON)
-// executed through PLI and hash indexes where possible, WHERE with
-// three-valued logic, GROUP BY, HAVING, aggregates (COUNT,
-// COUNT(DISTINCT), SUM, AVG, MIN, MAX), ORDER BY, LIMIT/OFFSET, and
-// EXPLAIN SELECT. The engine only reads: tables are written through the
-// relstore API. Expression evaluation is total — a data-dependent failure
-// such as x/0 is NULL — so only compilation can fail.
+// The surface is what its callers send: [EXPLAIN] SELECT over a comma-joined
+// FROM list, WHERE with three-valued logic over =, <>, <, <=, >, >=,
+// IS [NOT] NULL, IS NOT DISTINCT FROM, [NOT] IN (literals) and AND/OR/NOT,
+// operands that are columns (_tid included), literals and
+// COALESCE(column, literal), GROUP BY, HAVING, and COUNT(*) and
+// COUNT([DISTINCT] x) as the only aggregates. Anything else — JOIN ... ON,
+// DISTINCT, ORDER BY, LIMIT, arithmetic, other functions, writes — is a
+// *ParseError naming the construct. The engine only reads: tables are
+// written through the relstore API. Expression evaluation is total, so only
+// compilation can fail.
 package sqleng
 
 import (
@@ -37,7 +39,9 @@ type token struct {
 	pos  int    // byte offset in the input, for error messages
 }
 
-// keywords recognized by the lexer. Everything else is an identifier.
+// keywords recognized by the lexer. Everything else is an identifier. The
+// constructs the grammar leaves out keep their keywords reserved, so a name
+// prints and quotes the same whichever constructs the parser accepts.
 var keywords = map[string]bool{
 	"SELECT": true, "DISTINCT": true, "FROM": true, "WHERE": true,
 	"GROUP": true, "BY": true, "HAVING": true, "ORDER": true, "ASC": true,

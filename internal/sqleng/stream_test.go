@@ -126,12 +126,12 @@ func TestStreamEarlyStop(t *testing.T) {
 	}
 }
 
-// TestStreamGroupedQuery: grouping queries materialize behind Each but
-// must produce identical output.
+// TestStreamGroupedQuery: a grouped query streams its groups once the
+// input is consumed and must produce the eager output.
 func TestStreamGroupedQuery(t *testing.T) {
 	e := New(newJoinStore(t))
-	sql := `SELECT c.CITY, COUNT(*) AS n FROM orders o, cust c
-	        WHERE o.CID = c.CID GROUP BY c.CITY ORDER BY n DESC, c.CITY`
+	sql := `SELECT c.CITY, COUNT(*) AS n, COUNT(DISTINCT o.PID) FROM orders o, cust c
+	        WHERE o.CID = c.CID GROUP BY c.CITY HAVING COUNT(*) > 1`
 	want := mustQuery(e, sql)
 	ss, err := e.Stream(context.Background(), sql)
 	if err != nil {
@@ -149,10 +149,9 @@ func TestStreamGroupedQuery(t *testing.T) {
 	}
 }
 
-// TestStreamGroupedYield: grouped queries WITHOUT an ORDER BY stream each
-// finished group straight through yield (no output materialization), in
-// first-appearance order, with HAVING/DISTINCT/OFFSET/LIMIT applied inline
-// and early-stop honored.
+// TestStreamGroupedYield: grouped queries stream each finished group
+// straight through yield (no output materialization), in first-appearance
+// order, with HAVING applied inline and early-stop honored.
 func TestStreamGroupedYield(t *testing.T) {
 	e := New(newJoinStore(t))
 	queries := []string{
@@ -160,7 +159,7 @@ func TestStreamGroupedYield(t *testing.T) {
 		 WHERE o.CID = c.CID GROUP BY c.CITY`,
 		`SELECT c.CITY FROM orders o, cust c
 		 WHERE o.CID = c.CID GROUP BY c.CITY HAVING COUNT(*) > 4`,
-		`SELECT CID, MAX(OID) FROM orders GROUP BY CID LIMIT 1 OFFSET 1`,
+		`SELECT CID, COUNT(DISTINCT OID) FROM orders GROUP BY CID HAVING CID = 1`,
 		`SELECT COUNT(*) FROM orders WHERE OID < 0`,
 	}
 	for _, sql := range queries {
