@@ -108,16 +108,42 @@ func TestParsePredicates(t *testing.T) {
 	}
 }
 
-// TestParseRejectsWhatTheGrammarLeavesOut: every construct outside the
-// fragment, and every write, is a *ParseError that names it. Seeds of the
-// fuzz targets whose path went with the grammar are kept here.
-func TestParseRejectsWhatTheGrammarLeavesOut(t *testing.T) {
-	for _, c := range []struct{ sql, name string }{
+// rejects reports each statement that Parse accepts, or rejects with an
+// error other than a *ParseError naming the construct.
+func rejects(t *testing.T, cases []struct{ sql, name string }) {
+	t.Helper()
+	for _, c := range cases {
+		var perr *ParseError
+		if st, err := Parse(c.sql); !errors.As(err, &perr) || !strings.Contains(perr.Msg, c.name) {
+			t.Errorf("Parse(%q) = %v, %v; want a *ParseError naming %s", c.sql, st, err, c.name)
+		}
+	}
+}
+
+// TestParseDML: INSERT, UPDATE and DELETE are parse errors that name the
+// statement.
+func TestParseDML(t *testing.T) {
+	rejects(t, []struct{ sql, name string }{
 		{"INSERT INTO r (a, b) VALUES (1, 'x'), (2, 'y')", "INSERT"},
 		{"UPDATE r SET a = 1, b = 'z' WHERE c = 2", "UPDATE"},
 		{"DELETE FROM r WHERE a = 1", "DELETE"},
+	})
+}
+
+// TestParseDDL: CREATE TABLE and DROP TABLE are parse errors that name the
+// statement.
+func TestParseDDL(t *testing.T) {
+	rejects(t, []struct{ sql, name string }{
 		{"CREATE TABLE r (a INT, b STRING)", "CREATE"},
 		{"DROP TABLE r", "DROP"},
+	})
+}
+
+// TestParseRejectsWhatTheGrammarLeavesOut: every construct outside the
+// fragment is a *ParseError that names it. Seeds of the fuzz targets whose
+// path went with the grammar are kept here.
+func TestParseRejectsWhatTheGrammarLeavesOut(t *testing.T) {
+	rejects(t, []struct{ sql, name string }{
 		{"SELECT * FROM a JOIN b ON a.x = b.y", "JOIN"},
 		{"SELECT r.A FROM r JOIN s ON r.A = s.A AND u.B = 'x' JOIN u ON u.A = r.A", "JOIN"},
 		{"SELECT * FROM a INNER JOIN b ON a.x = b.y", "INNER JOIN"},
@@ -156,12 +182,7 @@ func TestParseRejectsWhatTheGrammarLeavesOut(t *testing.T) {
 		{"SELECT -A FROM r", "-"},
 		{"SELECT A - 1 FROM r", "-"},
 		{"SELECT 1 / 0, -'a', ABS('x'), SUBSTR('abc', 'x')", "/"},
-	} {
-		var perr *ParseError
-		if st, err := Parse(c.sql); !errors.As(err, &perr) || !strings.Contains(perr.Msg, c.name) {
-			t.Errorf("Parse(%q) = %v, %v; want a *ParseError naming %s", c.sql, st, err, c.name)
-		}
-	}
+	})
 }
 
 func TestParseErrors(t *testing.T) {
