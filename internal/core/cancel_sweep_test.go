@@ -207,15 +207,20 @@ const (
 	// The stream: the same scan, walk and partition, and a poll per
 	// violation it yields: 10 single-tuple, then 10 groups of 4.
 	streamPolls = 3 + (1 + 2) + 1 + 10 + 4*10
-	// SQL detection: a poll per CFD. Qv visits 12 000 driver rows, 3 000
-	// joined pairs and 9 000 memo replays, ⌊24000/S⌋ = 5, and polls once
-	// finishing its 3 000 groups; Qc visits the 12 000 driver rows and a
-	// few pairs, 2. Qv's keys resolve on phiV's class walk and partition.
-	sqlPolls = 2 + (5 + 1) + 2 + (1 + 2) + 1
-	// The grouped query: 12 000 driver rows and the 11 940 the driver memo
-	// replays (one class per K1 value), ⌊23940/S⌋ = 5, and one poll
-	// finishing its 60 groups.
-	groupedPolls = 5 + 1
+	// SQL detection: a poll per CFD. The class walk's steps (sqleng): Qv
+	// classifies the 12 000 driver rows into the 3 000 [K1, K2] classes,
+	// deciding each on the one tableau row, counts each class, and replays
+	// the 40 rows of the ten classes V breaks (mixed) with one tail each,
+	// ⌊(12000 + 3000 + 3000 + 2·40)/S⌋ = 4, then polls once finishing its
+	// 3 000 groups; Qc classifies the rows into the four [C, D] classes,
+	// deciding each on one tableau row, and replays the ten rows of the one
+	// class that meets it, ⌊(12000 + 4 + 1 + 2·10)/S⌋ = 2. Qv's keys
+	// resolve on phiV's class walk and partition.
+	sqlPolls = 2 + (4 + 1) + 2 + (1 + 2) + 1
+	// The grouped query: no WHERE, so the walk has one class; K1 is off its
+	// (empty) D, so the class's 12 000 rows replay its one tail,
+	// ⌊(12000 + 1 + 2·12000)/S⌋ = 8, and one poll finishes its 60 groups.
+	groupedPolls = 8 + 1
 	// Repair: pass 1 detects, fixes ten tuples by constant and merges ten
 	// groups, a poll each; pass 2 detects the repaired copy, which is clean.
 	repairPolls = detectPolls + 10 + 10 + detectPolls

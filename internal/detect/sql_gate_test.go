@@ -18,14 +18,14 @@ import (
 // 20 000-tuple relation, 100 UK street typos, the standard CFDs): the four
 // statements — Qv for phi1, phi2 and phi4, Qc for phi3 — decide their
 // tableau join once per distinct code vector of the columns the patterns
-// read, so at least nine driver rows in ten are replayed; Qv's keys pick
-// their groups from the LHS partition on codes, so no statement joins the
-// groups back and nothing is hashed; the report is the columnar detector's;
-// and a factorised detection allocates at most 5 % over 2 686, its
-// AllocsPerRun when the join-back went (DetectSnapshot made 10 209 with the
-// join-back, at 07331e3).
+// read (the class walk), so at least nine driver rows in ten are served by
+// their class's decision; Qv's keys pick their groups from the LHS
+// partition on codes, so no statement joins the groups back and nothing is
+// hashed; the report is the columnar detector's; and a factorised detection
+// allocates at most 5 % over 2 508, its AllocsPerRun once the walk counted
+// whole classes.
 func TestSQLDetectReplaysPerClassWithoutJoinBack(t *testing.T) {
-	const allocCeiling = 2686 * 105 / 100
+	const allocCeiling = 2508 * 105 / 100
 	store, tab := sparseCustomers(t, 20000, 100)
 	snap, cfds := tab.Snapshot(), datagen.StandardCFDs()
 	statements := 0
@@ -45,8 +45,8 @@ func TestSQLDetectReplaysPerClassWithoutJoinBack(t *testing.T) {
 	if statements != 4 || len(rep.Groups) == 0 {
 		t.Fatalf("%d statements, %d groups: want the four statements of a phi2-only dirty table", statements, len(rep.Groups))
 	}
-	if ops.MemoReplays*10 < scanned*9 {
-		t.Errorf("MemoReplays = %d of %d driver rows scanned (%d classes recorded), want >= 90 %%", ops.MemoReplays, scanned, ops.MemoClasses)
+	if ops.ClassRows*10 < scanned*9 {
+		t.Errorf("ClassRows = %d of %d driver rows scanned (%d classes decided), want >= 90 %%", ops.ClassRows, scanned, ops.DriverClasses)
 	}
 	if ops.HashProbes != 0 {
 		t.Errorf("HashProbes = %d, want 0: no statement joins the groups back", ops.HashProbes)
@@ -62,8 +62,8 @@ func TestSQLDetectReplaysPerClassWithoutJoinBack(t *testing.T) {
 }
 
 // TestExplainSaysWhichPathServes pins, on the detector's own statements
-// (SQLDetector.Trace), the EXPLAIN lines that say whether the driver memo,
-// the memo's group index and the integer HAVING will run — and, on the same
+// (SQLDetector.Trace), the EXPLAIN lines that say whether the class walk,
+// its per-class counts and the integer HAVING will run — and, on the same
 // text pushed out of each rule, the line that says why not.
 func TestExplainSaysWhichPathServes(t *testing.T) {
 	store, tab := sparseCustomers(t, 20000, 100)
@@ -93,19 +93,22 @@ func TestExplainSaysWhichPathServes(t *testing.T) {
 		want []string
 	}{
 		{"Qv groups", eng, std[0], []string{
-			fmt.Sprintf("driver memo on [t.CNT t.ZIP] space=%d rows=20000", col("CNT")*col("ZIP")),
-			"sink group on codes(2) aggs=3, group index from memo, having on counts, project 2 cols"}},
+			fmt.Sprintf("class walk on [t.CNT t.ZIP] space=%d rows=20000", col("CNT")*col("ZIP")),
+			"sink group on codes(2) aggs=3, counts per class, having on counts, project 2 cols"}},
 		{"Qc", eng, std[1], []string{
-			fmt.Sprintf("driver memo on [t.CC t.CNT] space=%d rows=20000", col("CC")*col("CNT")),
+			fmt.Sprintf("class walk on [t.CC t.CNT] space=%d rows=20000", col("CC")*col("CNT")),
 			"sink project 4 cols"}},
 		{"Qv over a key", wideEng, wide[0], []string{
-			fmt.Sprintf("driver memo off: space %d > half of rows 20000", col("NAME")),
+			fmt.Sprintf("class walk off: space %d > half of rows 20000", col("NAME")),
 			"sink group on codes(2) aggs=3, having on counts, project 2 cols"}},
-		{"Qc reading _tid", eng, std[1] + " AND t._tid >= 0", []string{"driver memo off: reads t._tid"}},
+		{"Qc reading _tid", eng, std[1] + " AND t._tid >= 0", []string{"class walk off: reads t._tid"}},
 		{"Qc with a value-level compare", eng, std[1] + " AND t.CC > 43", []string{
-			fmt.Sprintf("driver memo on [t.CC t.CNT] space=%d rows=20000", col("CC")*col("CNT"))}},
+			fmt.Sprintf("class walk on [t.CC t.CNT] space=%d rows=20000", col("CC")*col("CNT"))}},
 		{"Qv with a value-level HAVING", eng, std[0] + " AND COUNT(*) > 1.5", []string{
-			"sink group on codes(2) aggs=3, group index from memo, having, project 2 cols"}},
+			"sink group on codes(2) aggs=3, counts per class, having, project 2 cols"}},
+		{"Qv counting a value-level operand", eng, std[0] + " AND COUNT(t._tid) > 0", []string{
+			fmt.Sprintf("class walk on [t.CNT t.ZIP] space=%d rows=20000", col("CNT")*col("ZIP")),
+			"sink group on codes(2) aggs=4, having on counts, project 2 cols"}},
 	} {
 		res, err := tc.eng.QueryContext(context.Background(), "EXPLAIN "+tc.sql)
 		if err != nil {
@@ -115,6 +118,35 @@ func TestExplainSaysWhichPathServes(t *testing.T) {
 			if !slices.ContainsFunc(res.Rows, func(row []types.Value) bool { return row[0].Str() == want }) {
 				t.Errorf("%s: no line %q in the plan of\n%s\n%v", tc.name, want, tc.sql, res.Rows)
 			}
+		}
+	}
+}
+
+// BenchmarkSQLDetectSparse times one SQL detection (four statements) on the
+// sqldetect-sparse workload's table: 20 000 generated tuples, 100 UK street
+// typos, the standard CFDs. Compare with BenchmarkFactorisedDetectSparse,
+// the columnar core on the same snapshot.
+func BenchmarkSQLDetectSparse(b *testing.B) {
+	store, tab := sparseCustomers(b, 20000, 100)
+	snap, cfds := tab.Snapshot(), datagen.StandardCFDs()
+	d := NewSQLDetector(store)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := d.DetectFactorised(context.Background(), snap, cfds); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFactorisedDetectSparse times the columnar core's detection on
+// BenchmarkSQLDetectSparse's snapshot and CFDs.
+func BenchmarkFactorisedDetectSparse(b *testing.B) {
+	_, tab := sparseCustomers(b, 20000, 100)
+	snap, cfds := tab.Snapshot(), datagen.StandardCFDs()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := DetectFactorised(context.Background(), snap, cfds); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

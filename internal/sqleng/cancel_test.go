@@ -80,19 +80,21 @@ func (c *countdownCtx) Err() error {
 	return nil
 }
 
-// TestCancelAtEveryPollOfMemoisedPlan cancels a self-join the driver memo
-// serves (97 classes, every later row of a class replayed) at each of its
-// context polls in turn: every cancelled run fails bare, the first run that
-// survives equals the uncancelled result, and the number of polls a full run
-// makes is one per cancelStride rows visited — driver rows plus joined pairs,
-// replayed or not — so a replayed tail is no further from a poll than a
-// probed one was.
+// TestCancelAtEveryPollOfMemoisedPlan cancels a self-join the class walk
+// serves (97 classes of t1.A, every row past a class's first served by its
+// decision) at each of its context polls in turn: every cancelled run fails
+// bare, the first run that survives equals the uncancelled result, and a
+// full run polls once per cancelStride steps, plus once as the global group
+// finishes. The steps: classification visits the 2S driver rows, and the
+// decision of each class at its first row the t2 rows its PLI probe pairs
+// it with — the A-classes partition t2, so 2S pairs in all; the count adds
+// each of the 97 classes at once, |class| × tails, visiting no row.
 func TestCancelAtEveryPollOfMemoisedPlan(t *testing.T) {
 	e := cancelFixture(t, 2*cancelStride)
 	const q = "SELECT COUNT(*) FROM r t1, r t2 WHERE t1.A = t2.A"
 	want := mustQuery(e, q)
-	if ops := e.OpStats(); ops.MemoClasses != 97 || ops.MemoReplays != 2*cancelStride-97 {
-		t.Fatalf("the memo recorded %d classes and replayed %d rows, want 97 and the rest", ops.MemoClasses, ops.MemoReplays)
+	if ops := e.OpStats(); ops.DriverClasses != 97 || ops.ClassRows != 2*cancelStride-97 {
+		t.Fatalf("the walk kept %d classes serving %d further rows, want 97 and the rest", ops.DriverClasses, ops.ClassRows)
 	}
 	polls := 0
 	for ; ; polls++ {
@@ -107,8 +109,8 @@ func TestCancelAtEveryPollOfMemoisedPlan(t *testing.T) {
 			t.Fatalf("poll %d: got (%v, %v), want a bare cancellation", polls, res, err)
 		}
 	}
-	visited := 2*cancelStride + int(want.Rows[0][0].Int())
-	if polls < visited/cancelStride || polls > visited/cancelStride+2 {
-		t.Errorf("a full run polled %d times over %d rows visited, want one poll per %d", polls, visited, cancelStride)
+	steps := 2*cancelStride + 2*cancelStride + 97
+	if polls != steps/cancelStride+1 {
+		t.Errorf("a full run polled %d times over %d steps, want one poll per %d and one finishing", polls, steps, cancelStride)
 	}
 }

@@ -67,7 +67,9 @@ func fuzzStore(tb testing.TB) *relstore.Store {
 // checkSQLIdentity runs one SELECT (or EXPLAIN) on the engine and on the
 // nested-loop reference and asserts identical outcomes: the same error
 // presence, and on mutual success deeply equal Results. Error messages may
-// differ; presence may not. An EXPLAIN's plan text is the engine's own.
+// differ; presence may not. An EXPLAIN's plan text is the engine's own. A
+// SELECT of two rows or more is streamed again by a consumer that stops
+// halfway, which must have been handed the reference's first half.
 func checkSQLIdentity(t *testing.T, sql string) {
 	if _, err := Parse(sql); err != nil {
 		return // not this target's concern
@@ -81,6 +83,17 @@ func checkSQLIdentity(t *testing.T, sql string) {
 	if err == nil && want != nil && !reflect.DeepEqual(res, want) {
 		t.Fatalf("results diverged for %q:\n engine:    cols=%v rows=%v versions=%v\n reference: cols=%v rows=%v versions=%v",
 			sql, res.Columns, res.Rows, res.Versions, want.Columns, want.Rows, want.Versions)
+	}
+	ss, serr := New(store).Stream(context.Background(), sql)
+	if err != nil || want == nil || serr != nil || len(want.Rows) < 2 {
+		return // an EXPLAIN does not stream
+	}
+	half, got := len(want.Rows)/2, [][]types.Value(nil)
+	if err := ss.Each(context.Background(), func(row []types.Value) bool {
+		got = append(got, slices.Clone(row))
+		return len(got) < half
+	}); err != nil || !reflect.DeepEqual(got, want.Rows[:half]) {
+		t.Fatalf("a consumer stopping after %d rows of %q got %v (err %v), want %v", half, sql, got, err, want.Rows[:half])
 	}
 }
 
@@ -106,13 +119,12 @@ var codeSeeds = []string{
 	"SELECT r.B, s.D FROM r, s WHERE COALESCE(r.B, '\x00null') = COALESCE(s.D, '\x00null')",
 }
 
-// memoSeeds aim at the driver-signature memo's replay path over u: each is
-// served by a memo (TestMemoSeedsReplay holds them to it), and between them
-// they replay two- and three-column signatures, the detector's Qc and Qv
-// shapes, a right-side _tid fetched at the sink, a group key outside the
-// signature, a three-table join, a self-join, classes that outrun the tail
-// budget, a value-level predicate and COUNT, and HAVING on both sides of the
-// integer compile.
+// memoSeeds aim at the class walk over u (TestMemoSeedsReplay holds them to
+// it): between them they classify on two- and three-column vectors, take
+// the detector's Qc and Qv shapes, a right-side _tid fetched at the sink, a
+// group key outside D, a three-table join, a self-join, classes that
+// outrun the tail budget, a value-level predicate and COUNT, and HAVING on
+// both sides of the integer compile.
 var memoSeeds = []string{
 	"SELECT u.A, s.D FROM u, s WHERE u.A = s.A AND u.B <> s.D",
 	"SELECT u.B, s.D FROM u, s WHERE u.A = s.A AND (u.B = s.D OR u.C = 'p')",
@@ -137,20 +149,21 @@ var memoSeeds = []string{
 	"SELECT C, COUNT(B) FROM u WHERE A = 1 GROUP BY C HAVING NOT (COUNT(B) = COUNT(*))",
 }
 
-// TestMemoSeedsReplay: every memo seed is planned with a driver memo, and
-// running it replays rows — the identity battery would otherwise pass
-// without ever entering the path the seeds exist for.
+// TestMemoSeedsReplay: every memo and walk seed is planned with the class
+// walk, and running it serves rows from their class's decision — the
+// identity battery would otherwise pass without ever entering the path the
+// seeds exist for.
 func TestMemoSeedsReplay(t *testing.T) {
-	for _, sql := range memoSeeds {
+	for _, sql := range slices.Concat(memoSeeds, walkSeeds) {
 		e := New(fuzzStore(t))
-		if lines := planLines(t, e, "EXPLAIN "+sql); indexOfLine(lines, "driver memo on") < 0 {
-			t.Errorf("%s\nis planned without a memo:\n%s", sql, strings.Join(lines, "\n"))
+		if lines := planLines(t, e, "EXPLAIN "+sql); indexOfLine(lines, "class walk on") < 0 {
+			t.Errorf("%s\nis planned without the class walk:\n%s", sql, strings.Join(lines, "\n"))
 		}
 		if _, err := e.QueryContext(context.Background(), sql); err != nil {
 			t.Errorf("%s: %v", sql, err)
 		}
-		if ops := e.OpStats(); ops.MemoReplays == 0 || ops.MemoClasses == 0 {
-			t.Errorf("%s\nreplayed %d rows of %d recorded classes", sql, ops.MemoReplays, ops.MemoClasses)
+		if ops := e.OpStats(); ops.ClassRows == 0 || ops.DriverClasses == 0 {
+			t.Errorf("%s\nserved %d rows from %d decided classes", sql, ops.ClassRows, ops.DriverClasses)
 		}
 	}
 }
@@ -196,7 +209,25 @@ var fuzzSeeds = slices.Concat([]string{
 	"SELECT B, COUNT(B), COUNT(DISTINCT C), COUNT(DISTINCT 1), COUNT(NULL) FROM r GROUP BY B",
 	"SELECT NOT 'a', 'a' < 1, TRUE = 1 FROM r",
 	"EXPLAIN SELECT x.* FROM r",
-})
+}, walkSeeds)
+
+// walkSeeds aim at the class walk's edges, after every earlier seed so
+// that seed#N names stay: GROUP BY on a strict subset of D, so that several
+// classes fall in one group; a grouped key holding INT 1 and FLOAT 1.0 (two
+// classes, one group) beside a value-level <; a grouped fan-out join whose
+// last class is given up past the tail budget, and one whose given-up
+// classes come before a counted one of another group (groups open in class
+// order); COUNT(DISTINCT) over a column that differs within classes and
+// holds NULL; and a non-grouped walk whose rows a stopping consumer
+// (checkSQLIdentity) leaves mid-class.
+var walkSeeds = []string{
+	"SELECT u.A, COUNT(*), COUNT(DISTINCT u.C), COUNT(s.D) FROM u, s WHERE u.A = s.A AND u.B <> s.D GROUP BY u.A",
+	"SELECT u.A, COUNT(*), COUNT(u.D) FROM u WHERE u.A < 2 GROUP BY u.A",
+	"SELECT u1.A, COUNT(*), COUNT(u2.D), COUNT(DISTINCT u2.B) FROM u u1, u u2 WHERE u1.A <> u2.A GROUP BY u1.A",
+	"SELECT u1.A, COUNT(*), COUNT(u2.B) FROM u u1, u u2, s WHERE u1.A <> u2.A AND (u1.A = 1 OR s.A = 9) GROUP BY u1.A",
+	"SELECT u.C, COUNT(DISTINCT u.D), COUNT(u.D), COUNT(*) FROM u WHERE u.C <> 'z' GROUP BY u.C",
+	"SELECT u._tid, u.A, s.D FROM u, s WHERE u.A = s.A",
+}
 
 // FuzzSQLExec feeds arbitrary SQL text through the engine and the
 // nested-loop reference and demands identical results. The seed corpus

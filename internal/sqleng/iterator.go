@@ -60,7 +60,7 @@ func (px *planExec) stride() error {
 // OpCounters profiles the executor's work. Counters accumulate across
 // queries on one engine, atomically (concurrent queries on a shared engine
 // each add their work); read a consistent copy via OpStats. The
-// late-materialisation, memo and probe gates read them.
+// late-materialisation, class-walk and probe gates read them.
 type OpCounters struct {
 	// PLIProbes counts PLI class lookups.
 	PLIProbes int64
@@ -73,17 +73,16 @@ type OpCounters struct {
 	// and aggregates all compile to codes fetches output rows x projected
 	// columns and nothing else.
 	ValuesMaterialized int64
-	// MemoClasses counts the driver-row classes whose tails the
-	// driver-signature memo recorded, MemoReplays the driver rows it served
-	// from a recording instead of running the pipeline.
-	MemoClasses int64
-	MemoReplays int64
+	// DriverClasses counts the driver-row classes the class walk decided and
+	// kept, ClassRows the rows past their first that those decisions served.
+	DriverClasses int64
+	ClassRows     int64
 }
 
 // fields lists the counters, for the whole-struct atomic operations.
 func (o *OpCounters) fields() []*int64 {
 	return []*int64{&o.PLIProbes, &o.HashProbes, &o.HashBuildRows,
-		&o.ValuesMaterialized, &o.MemoClasses, &o.MemoReplays}
+		&o.ValuesMaterialized, &o.DriverClasses, &o.ClassRows}
 }
 
 // flushOps folds the execution's locally accumulated counters into the
@@ -130,7 +129,10 @@ func (p *selectPlan) run(ctx context.Context) error {
 			return err
 		}
 	}
-	return px.scanDriver()
+	if px.memo != nil {
+		return px.walkClasses()
+	}
+	return px.feedRows(p.scans[0].cnr.Len())
 }
 
 // materialise fetches the row-buffer positions cols at cursor cur: the
@@ -206,47 +208,61 @@ rows:
 	return nil
 }
 
-// driverMemo decides the join once per class of driver rows. Below the driver
-// scan the pipeline is a function of the row's exact values on the columns D
-// that WHERE reads (selectPlan.planMemo), so a class's first row runs it and
-// records the cursor suffixes cur[1:] that reach the sink (the tails) and
-// every later row replays them. Rows are served in driver order and tails in
-// recorded order: enumeration order, group numbering and a consumer's stop
-// are the unmemoised loop's, and total evaluation makes skipping the
-// repeated evaluations unobservable.
+// driverMemo is the class walk's state for one run. Below the driver scan the
+// pipeline is a function of a row's exact codes (a value-level < tells INT 1
+// from FLOAT 1.0) on the columns D that WHERE reads (planMemo), so it runs
+// once per class, recording the cursor suffixes cur[1:] that reach the sink,
+// the class's tails: the sink gets ⋃ class × tails.
 type driverMemo struct {
-	cols    []*relstore.Column // D
-	dense   [][]int32          // per column left with dead codes (patch.go): code -> index among the live ones
-	classOf []int32            // value vector -> 1 + its class's entry in tails; 0: not seen yet
-	// tails holds per class its tail count (-1: given up), the group its rows
-	// fall in (-1: the sink resolves it) and the tails, a cursor per
-	// non-driver scan each. Every class's header fits without growing it.
-	tails  []int32
-	budget int // tails that may still be recorded, of one per driver row in total
-	rec    int // the entry being recorded, -1: none
+	cols     []*relstore.Column // D
+	wts      [][]int32          // per column of D: code -> its share of the vector's index into classes
+	classes  []memoClass        // per value vector: its class, if it has rows
+	order    []int32            // the vectors of the classes, in first-appearance order
+	tails    []int32            // every class's tails, a cursor per non-driver scan each
+	budget   int                // tails that may still be recorded, of one per driver row in total
+	deciding int                // the vector of the class being decided, -1: none (the pipeline emits)
+}
+
+// memoClass is one class of driver rows and its decision.
+type memoClass struct {
+	first, size int32 // its first driver row and its row count (0: no class)
+	off, tails  int32 // its tails' offset in driverMemo.tails and their count; tails -1: given up
+	mixed, fed  bool  // its rows differ on a column of streamSink.pureCols; feedRows feeds them
 }
 
 func (p *selectPlan) newMemo() *driverMemo {
 	if p.memoOff != "" {
 		return nil
 	}
-	m := &driverMemo{classOf: make([]int32, p.memoSpace), tails: make([]int32, 0, 2*p.memoSpace),
-		budget: p.scans[0].cnr.Len(), rec: -1}
+	rows, mult := p.scans[0].cnr.Len(), int32(1)
+	m := &driverMemo{classes: make([]memoClass, p.memoSpace), order: make([]int32, 0, min(p.memoSpace, rows)),
+		tails: make([]int32, 0, min(p.memoSpace, rows)*(len(p.scans)-1)), budget: rows, deciding: -1}
+	// A vector's index is a mixed-radix number of its codes' ranks among the
+	// live ones, so dead codes (patch.go) do not outgrow what the plan admitted.
 	for _, pos := range p.memoCols {
-		col, dense := p.scans[0].cnr.Col(int(pos)-1), []int32(nil)
-		if col.CodeSpace() > col.Card() { // keep the table the size the plan admitted
-			dense = make([]int32, col.CodeSpace())
-			for r := 0; r < col.Len(); r++ {
-				dense[col.Code(r)] = 1
-			}
-			next := int32(0)
-			for c, live := range dense {
-				dense[c], next = next, next+live
+		col := p.scans[0].cnr.Col(int(pos) - 1)
+		wt, dead := make([]int32, col.CodeSpace()), col.CodeSpace() > col.Card()
+		for r := 0; dead && r < col.Len(); r++ {
+			wt[col.Code(r)] = 1
+		}
+		next := int32(0)
+		for c, live := range wt {
+			if wt[c] = next * mult; !dead || live == 1 {
+				next++
 			}
 		}
-		m.cols, m.dense = append(m.cols, col), append(m.dense, dense)
+		m.cols, m.wts, mult = append(m.cols, col), append(m.wts, wt), mult*int32(col.Card())
 	}
 	return m
+}
+
+// sig returns driver row r's code vector on D, as an index into classes.
+func (m *driverMemo) sig(r int) int32 {
+	sig := int32(0)
+	for i, c := range m.cols {
+		sig += m.wts[i][c.Code(r)]
+	}
+	return sig
 }
 
 // appendDoubling is append for the vectors that grow with the classes and
@@ -259,75 +275,117 @@ func appendDoubling[T any](s []T, v ...T) []T {
 	return append(s, v...)
 }
 
-// record notes that the cursor suffix tail reached the sink as a row of
-// group gid. A class that outruns the budget is given up — it runs the
-// pipeline for each of its rows — so a fan-out join cannot blow memory.
-func (m *driverMemo) record(tail []int32, gid int32) {
+// record notes that tail reached the sink from the class being decided. A
+// class past the budget is given up — its rows run the pipeline when fed,
+// so a fan-out join cannot blow memory — keeping the first tail, where its
+// group opens; record then reports false, to cut the descent short.
+func (m *driverMemo) record(tail []int32) bool {
+	c := &m.classes[m.deciding]
 	if m.budget == 0 {
-		m.budget += int(m.tails[m.rec])
-		m.tails = m.tails[:m.rec+2]
-		m.tails[m.rec], m.rec = -1, -1
-		return
+		m.budget += int(c.tails)
+		m.tails, c.tails = append(m.tails, tail...)[:int(c.off)+len(tail)], -1
+		return false
 	}
-	m.tails = appendDoubling(m.tails, tail...)
-	m.tails[m.rec]++
-	m.tails[m.rec+1] = gid
-	m.budget--
+	m.tails, c.tails, m.budget = appendDoubling(m.tails, tail...), c.tails+1, m.budget-1
+	return true
 }
 
-// scanDriver iterates the driver scan: each row — with a memo, each class's
-// first — through the stage-0 filters, then down the join steps.
-func (px *planExec) scanDriver() error {
-	n, m := px.p.scans[0].cnr.Len(), px.memo
-	for r := 0; r < n && !px.stop; r++ {
+// walkClasses classifies the driver's rows, deciding each class at its first
+// row, then feeds a sink that counts per class each class whole, in class
+// order so that groups open in row order; other rows go through feedRows.
+func (px *planExec) walkClasses() error {
+	m, s, n, pure, groups := px.memo, px.p.sink, px.p.scans[0].cnr.Len(), px.p.sink.pureCols, 0
+	for r := 0; r < n; r++ {
 		if err := px.stride(); err != nil {
 			return err
 		}
-		px.setCur(0, int32(r))
-		if m != nil {
-			sig := 0
-			for i, c := range m.cols {
-				code := int32(c.Code(r))
-				if m.dense[i] != nil {
-					code = m.dense[i][code]
-				}
-				sig = sig*c.Card() + int(code)
-			}
-			if e := int(m.classOf[sig]) - 1; e < 0 {
-				m.classOf[sig], m.rec = int32(len(m.tails))+1, len(m.tails)
-				m.tails = appendDoubling(m.tails, 0, -1)
-			} else if m.tails[e] >= 0 {
-				if err := px.replay(m.tails[e:]); err != nil {
+		sig := m.sig(r)
+		c := &m.classes[sig]
+		if c.size == 0 {
+			c.first, c.off, m.order = int32(r), int32(len(m.tails)), append(m.order, sig)
+			if px.setCur(0, int32(r)); px.stageGate(0) {
+				m.deciding = int(sig)
+				if err := px.descend(0); err != nil {
 					return err
+				}
+				px.stop, m.deciding = false, -1 // a given-up class cut its descent short
+			}
+			if c.tails != 0 {
+				groups++ // a class lies in one group of a sink that counts per class
+			}
+		}
+		c.size++
+		for i := 0; i < len(pure) && c.tails > 0 && !c.mixed; i++ { // on exact codes, which tell some Equal values apart
+			c.mixed = pure[i].Code(r) != pure[i].Code(int(c.first))
+		}
+	}
+	if s.perClass {
+		s.reps, s.counts = slices.Grow(s.reps, groups*s.nscans), slices.Grow(s.counts, groups*len(s.calls))
+		if len(s.levels) > 0 {
+			s.levels[len(s.levels)-1] = make(map[uint64]int32, groups)
+		}
+	}
+	rows := 0 // for feedRows
+	for _, sig := range m.order {
+		c := &m.classes[sig]
+		if c.tails >= 0 {
+			px.ops.DriverClasses++
+			px.ops.ClassRows += int64(c.size - 1)
+		}
+		if c.tails == 0 {
+			continue
+		}
+		if err := px.stride(); err != nil {
+			return err
+		}
+		if s.perClass {
+			px.cur[0] = c.first
+			if c.tails > 0 && !c.mixed {
+				for i := range int(c.tails) { // the class's rows joined with a tail agree on every operand
+					copy(px.cur[1:], m.tails[int(c.off)+i*(len(px.cur)-1):])
+					s.count(int64(c.size))
 				}
 				continue
 			}
+			copy(px.cur[1:], m.tails[c.off:])
+			s.group() // opened in class order; its rows come in feedRows
 		}
-		if px.stageGate(0) {
-			if err := px.descend(0); err != nil {
-				return err
-			}
-		}
-		if m != nil && m.rec >= 0 {
-			m.rec = -1
-			px.ops.MemoClasses++
-		}
+		rows, c.fed = rows+int(c.size), true
 	}
-	return nil
+	return px.feedRows(rows)
 }
 
-// replay feeds a recorded class entry's tails to the sink for the driver row
-// under the cursor, polling the context as the join steps would have.
-func (px *planExec) replay(e []int32) error {
-	px.ops.MemoReplays++
-	for i, w := 0, len(px.cur)-1; i < int(e[0]) && !px.stop; i++ {
+// feedRows feeds the sink, in driver order, rows rows of the fed classes
+// (without a memo, of the driver): a row of a given-up class runs the
+// pipeline, another replays its class's tails, polling once per tail.
+func (px *planExec) feedRows(rows int) error {
+	m, w, all := px.memo, len(px.cur)-1, &memoClass{tails: -1}
+	for r := 0; rows > 0 && !px.stop; r++ {
+		c := all // without a memo, every row runs the pipeline
+		if m != nil {
+			if c = &m.classes[m.sig(r)]; !c.fed {
+				continue
+			}
+		}
+		rows--
 		if err := px.stride(); err != nil {
 			return err
 		}
-		for s := 1; s <= w; s++ {
-			px.setCur(s, e[1+i*w+s])
+		if px.setCur(0, int32(r)); c.tails < 0 && px.stageGate(0) { // else it has no tails to replay
+			if err := px.descend(0); err != nil {
+				return err
+			}
+			continue
 		}
-		px.stop = px.p.sink.add(e[1])
+		for i := 0; i < int(c.tails) && !px.stop; i++ {
+			if err := px.stride(); err != nil {
+				return err
+			}
+			for j := 1; j <= w; j++ {
+				px.setCur(j, m.tails[int(c.off)+i*w+j-1])
+			}
+			px.stop = px.p.sink.add()
+		}
 	}
 	return nil
 }
@@ -348,9 +406,10 @@ func (px *planExec) stageGate(d int) bool {
 // when every scan's cursor is set.
 func (px *planExec) descend(d int) error {
 	if d == len(px.p.scans)-1 {
-		px.stop = px.p.sink.add(-1) || px.stop
-		if m := px.memo; m != nil && m.rec >= 0 {
-			m.record(px.cur[1:], px.p.sink.gid)
+		if m := px.memo; m != nil && m.deciding >= 0 {
+			px.stop = !m.record(px.cur[1:])
+		} else {
+			px.stop = px.p.sink.add() || px.stop
 		}
 		return nil
 	}
@@ -418,9 +477,12 @@ type streamSink struct {
 	// through levels[i]: (index so far, next code) -> index.
 	keyTerms []*codeTerm
 	keyFns   []evalFn
-	// memoGroups: every key is a code term over a column of the memo's D, so
-	// a class lies in one group and a replayed row arrives with its index.
-	memoGroups bool
+	// perClass: every key is a code term on D, so a class of driver rows lies
+	// in one group, and every COUNT operand is * or a code term: the walk
+	// counts a class at once unless its rows differ on pureCols, the driver
+	// columns outside D that operands read.
+	perClass bool
+	pureCols []*relstore.Column
 	// HAVING: on the group's counts alone when its shape allows
 	// (compileCounts), else value-level.
 	havingCounts countFn
@@ -437,7 +499,6 @@ type streamSink struct {
 	levels []map[uint64]int32
 	intern []map[string]uint32
 	reps   []int32    // per group: its first member's cursor, nscans wide
-	gid    int32      // memoGroups: the group add last resolved, else -1
 	counts []aggCount // per group: one per call
 	zero   []aggCount // a new group's counts
 	rows   [][]types.Value
@@ -450,7 +511,7 @@ type streamSink struct {
 // catalog.
 func newStreamSink(p *selectPlan) (*streamSink, error) {
 	st, cat, hidden := p.st, p.cat, p.hidden
-	s := &streamSink{st: st, width: len(cat), nscans: len(p.scans), gid: -1}
+	s := &streamSink{st: st, width: len(cat), nscans: len(p.scans)}
 
 	var outExprs []Expr
 	for _, it := range st.Items {
@@ -509,11 +570,18 @@ func newStreamSink(p *selectPlan) (*streamSink, error) {
 				s.having = nil
 			}
 		}
-		s.memoGroups = p.memoOff == "" && !slices.ContainsFunc(s.keyTerms, func(t *codeTerm) bool {
-			return t == nil || t.scan != 0 || !slices.ContainsFunc(p.memoCols, func(pos int32) bool {
+		onD := func(t *codeTerm) bool {
+			return t != nil && t.scan == 0 && slices.ContainsFunc(p.memoCols, func(pos int32) bool {
 				return p.scans[0].cnr.Col(int(pos)-1) == t.col
 			})
-		})
+		}
+		s.perClass = p.memoOff == "" && !slices.ContainsFunc(s.keyTerms, func(t *codeTerm) bool { return !onD(t) }) &&
+			!slices.ContainsFunc(s.calls, func(c aggCall) bool { return !c.fn.Star && c.term == nil })
+		for _, c := range s.calls {
+			if t := c.term; s.perClass && t != nil && t.scan == 0 && !onD(t) && !slices.Contains(s.pureCols, t.col) {
+				s.pureCols = append(s.pureCols, t.col)
+			}
+		}
 	}
 
 	for _, it := range st.Items {
@@ -571,8 +639,8 @@ func (s *streamSink) describe() string {
 	} else if s.needsGroup {
 		parts = append(parts, fmt.Sprintf("group(keys=%d aggs=%d)", len(s.keyFns), len(s.calls)))
 	}
-	if s.memoGroups {
-		parts = append(parts, "group index from memo")
+	if s.perClass {
+		parts = append(parts, "counts per class")
 	}
 	if s.havingCounts != nil {
 		parts = append(parts, "having on counts")
@@ -583,28 +651,54 @@ func (s *streamSink) describe() string {
 	return strings.Join(parts, ", ")
 }
 
-// add consumes the pipeline row under the cursor, a row of group known when
-// the memo replays it (else -1). It reports whether a streaming consumer
-// declined more rows.
-func (s *streamSink) add(known int32) bool {
+// add consumes the pipeline row under the cursor. It reports whether a
+// streaming consumer declined more rows.
+func (s *streamSink) add() bool {
 	px := s.px
 	px.materialise(s.rowCols, px.cur)
 	if !s.needsGroup {
 		return s.emit(px.buf)
 	}
-	// Resolve the group: its keys' codes, interned level by level. Indexes
-	// are handed out in first-appearance order, so a fresh index is a new
-	// group.
-	gid, keys := uint64(0), s.keyTerms
-	if known >= 0 {
-		gid, keys = uint64(known), nil
+	s.count(1)
+	return false
+}
+
+// count adds the pipeline row under the cursor to its group's counts, times
+// over: for a class of times driver rows that agree on every operand.
+func (s *streamSink) count(times int64) {
+	gid := uint64(s.group())
+	for ci := range s.calls {
+		c, n := &s.calls[ci], &s.counts[int(gid)*len(s.calls)+ci]
+		switch {
+		case c.fn.Star:
+			n.n += times
+		case c.term != nil:
+			switch x := c.term.own(s.px.cur); {
+			case x == codeNull:
+			case !c.fn.Distinct:
+				n.n += times
+			case n.firstSeen(c, gid, uint32(x)):
+				n.n++
+			}
+		default: // COUNT skips NULLs, and a DISTINCT one repeats
+			if v := c.arg(s.px.buf); !v.IsNull() && (!c.fn.Distinct || n.firstSeen(c, gid, s.internValue(c.intern, v))) {
+				n.n++
+			}
+		}
 	}
-	for i, t := range keys {
+}
+
+// group resolves the group of the pipeline row under the cursor: its keys'
+// codes, interned level by level. Indexes are handed out in first-appearance
+// order, so a fresh index opens a new group, represented by the cursor.
+func (s *streamSink) group() int32 {
+	gid := uint64(0)
+	for i, t := range s.keyTerms {
 		var c uint32
 		if t != nil {
-			c = uint32(t.own(px.cur) + 2) // NULL (-2) groups as a value of its own
+			c = uint32(t.own(s.px.cur) + 2) // NULL (-2) groups as a value of its own
 		} else {
-			c = s.internValue(s.intern[i], s.keyFns[i](px.buf))
+			c = s.internValue(s.intern[i], s.keyFns[i](s.px.buf))
 		}
 		id, ok := s.levels[i][gid<<32|uint64(c)]
 		if !ok {
@@ -614,27 +708,9 @@ func (s *streamSink) add(known int32) bool {
 		gid = uint64(id)
 	}
 	if int(gid) == len(s.reps)/s.nscans {
-		s.newGroup(px.cur)
+		s.newGroup(s.px.cur)
 	}
-	if s.memoGroups {
-		s.gid = int32(gid)
-	}
-	for ci := range s.calls {
-		c, n := &s.calls[ci], &s.counts[int(gid)*len(s.calls)+ci]
-		switch {
-		case c.fn.Star:
-			n.n++
-		case c.term != nil:
-			if x := c.term.own(px.cur); x != codeNull && (!c.fn.Distinct || n.firstSeen(c, gid, uint32(x))) {
-				n.n++
-			}
-		default: // COUNT skips NULLs, and a DISTINCT one repeats
-			if v := c.arg(px.buf); !v.IsNull() && (!c.fn.Distinct || n.firstSeen(c, gid, s.internValue(c.intern, v))) {
-				n.n++
-			}
-		}
-	}
-	return false
+	return int32(gid)
 }
 
 // aggCount is a group's pointer-free state for one COUNT: the count and,

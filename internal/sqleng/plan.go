@@ -21,8 +21,8 @@
 //     bare column probes that column's position list index with the left
 //     side's code, and checks any further keys as code predicates; a step
 //     without such a key is a nested loop over the right side's survivors;
-//   - replay a driver row's pipeline from an earlier row with the same
-//     values (the driver memo).
+//   - decide the pipeline once per class of driver rows with the same
+//     values, and count a class at once (the class walk).
 package sqleng
 
 import (
@@ -112,8 +112,8 @@ type selectPlan struct {
 	sink     *streamSink
 	posScan  []int32    // row-buffer position -> owning scan
 	xlats    []*xlatTab // the plan's code translation tables (codepred.go)
-	// The driver-signature memo (planMemo): its columns D, the number of
-	// value vectors over them, and why the plan has none.
+	// The class walk (planMemo): its columns D, the number of value
+	// vectors over them, and why the plan has none.
 	memoCols  []int32
 	memoSpace int
 	memoOff   string
@@ -248,13 +248,13 @@ func (e *Engine) buildSelectPlan(st *SelectStmt) (*selectPlan, error) {
 	return p, nil
 }
 
-// planMemo decides whether the driver-signature memo (iterator.go) serves
+// planMemo decides whether the class walk (driverMemo, iterator.go) serves
 // the plan. D is every driver column WHERE reads: what the stage filters
-// and join keys below the driver scan see of its row. The memo is on when D
+// and join keys below the driver scan see of its row. The walk is on when D
 // holds no _tid and the product of D's distinct counts is at most half the
-// driver's row count, so that at least every other row is a replay (on a
-// key the memo is all cost) — exact statistics, like the join steps'
-// choices, so a patched snapshot plans like a rebuilt one.
+// driver's row count, so that a class holds two rows on average (on a key
+// the walk is all cost) — exact statistics, like the join steps' choices,
+// so a patched snapshot plans like a rebuilt one.
 func (p *selectPlan) planMemo() {
 	drv, rows := p.scans[0], p.scans[0].cnr.Len()
 	p.memoSpace = 1
@@ -382,9 +382,9 @@ func (p *selectPlan) describe() []string {
 		add("xlat %s (%d codes)", x.label, x.a.col.Card())
 	}
 	if p.memoOff != "" {
-		add("driver memo off: %s", p.memoOff)
+		add("class walk off: %s", p.memoOff)
 	} else {
-		add("driver memo on %s space=%d rows=%d", p.colNames(p.memoCols), p.memoSpace, p.scans[0].cnr.Len())
+		add("class walk on %s space=%d rows=%d", p.colNames(p.memoCols), p.memoSpace, p.scans[0].cnr.Len())
 	}
 	add("sink %s", p.sink.describe())
 	late := slices.Clone(p.sink.rowCols)

@@ -202,10 +202,11 @@ func TestStreamGroupedYield(t *testing.T) {
 // state: a filter-count, a GROUP BY over a fixed set of groups and an
 // equi-self-join count stream their input through the aggregate, so a 10x
 // larger table costs no more allocations once the snapshot's columnar
-// caches are warm. The driver memo's tables keep to it: they are sized from
-// the dictionaries for every class's header, and the tail store doubles past
-// that, log2(tails per class) times whatever the size — the self-join's
-// eight tails per ZIP class cost three doublings at both.
+// caches are warm. The class walk's tables keep to it: they are sized from
+// the dictionaries — the class and tail vectors for one tail per class, at
+// most — and the tail store doubles past that, log2(tails per class) times
+// whatever the size: the self-join's eight tails per ZIP class cost three
+// doublings at both.
 func TestStreamedQueryAllocsFlat(t *testing.T) {
 	queries := []string{
 		`SELECT COUNT(*) FROM customer WHERE CNT = 'UK' AND CITY = 'Edinburgh'`,
@@ -234,13 +235,13 @@ func TestStreamedQueryAllocsFlat(t *testing.T) {
 	}
 }
 
-// TestMemoTailBudget: a driver memo records at most as many tails as the
-// driver has rows. t1.CITY <> t2.CITY on 2 000 tuples has 6 classes of some
-// 1 670 tails each: the first fits the budget, the others are given up and
-// run the pipeline row by row, so the count is what the reference's city
-// sizes add up to and the run allocates a bounded table — 57 kB against
-// the 33 kB of the parent commit (a7f862a), which had no memo — not one
-// entry per joined pair.
+// TestMemoTailBudget: the class walk records at most as many tails as the
+// driver has rows, and the first tail of each class it gives up.
+// t1.CITY <> t2.CITY on 2 000 tuples has 6 classes of some 1 670 tails
+// each: the first fits the budget, the others are given up and run the
+// pipeline row by row, so the count is what the reference's city sizes add
+// up to and the run allocates a bounded table — 57 kB against the 33 kB of
+// a7f862a, which had no memo — not one entry per joined pair.
 func TestMemoTailBudget(t *testing.T) {
 	store := relstore.NewStore()
 	store.Put(datagen.Generate(datagen.Config{Tuples: 2_000, Seed: 7}).Clean)
@@ -263,8 +264,8 @@ func TestMemoTailBudget(t *testing.T) {
 	if len(got.Rows) != 1 || got.Rows[0][0].Int() != want {
 		t.Errorf("count = %v, want %d", got.Rows, want)
 	}
-	if ops := e.OpStats(); ops.MemoClasses < 1 || ops.MemoClasses >= 6 || ops.MemoReplays == 0 {
-		t.Errorf("recorded %d classes, replayed %d rows: want some classes within the budget and some past it", ops.MemoClasses, ops.MemoReplays)
+	if ops := e.OpStats(); ops.DriverClasses < 1 || ops.DriverClasses >= 6 || ops.ClassRows == 0 {
+		t.Errorf("recorded %d classes, replayed %d rows: want some classes within the budget and some past it", ops.DriverClasses, ops.ClassRows)
 	}
 	if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 33<<10+64<<10 {
 		t.Errorf("the run allocated %d bytes, want at most 64 kB over the parent's 33 kB", bytes)
