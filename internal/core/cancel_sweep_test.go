@@ -217,10 +217,11 @@ const (
 	// class that meets it, ⌊(12000 + 4 + 1 + 2·10)/S⌋ = 2. Qv's keys
 	// resolve on phiV's class walk and partition.
 	sqlPolls = 2 + (4 + 1) + 2 + (1 + 2) + 1
-	// The grouped query: no WHERE, so the walk has one class; K1 is off its
-	// (empty) D, so the class's 12 000 rows replay its one tail,
-	// ⌊(12000 + 1 + 2·12000)/S⌋ = 8, and one poll finishes its 60 groups.
-	groupedPolls = 8 + 1
+	// The grouped query: no WHERE, so D is empty, and the sink's key K1 is
+	// off it: the class walk is off (its one class would replay every row),
+	// the rows run the pipeline one by one, ⌊12000/S⌋ = 2, and one poll
+	// finishes its 60 groups.
+	groupedPolls = 2 + 1
 	// Repair: pass 1 detects, fixes ten tuples by constant and merges ten
 	// groups, a poll each; pass 2 detects the repaired copy, which is clean.
 	repairPolls = detectPolls + 10 + 10 + detectPolls

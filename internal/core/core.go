@@ -22,6 +22,7 @@ import (
 	"semandaq/internal/detect"
 	"semandaq/internal/discovery"
 	"semandaq/internal/explore"
+	"semandaq/internal/lockcheck"
 	"semandaq/internal/monitor"
 	"semandaq/internal/relstore"
 	"semandaq/internal/repair"
@@ -51,7 +52,7 @@ var (
 
 // Semandaq is one data-quality session over a store of tables.
 type Semandaq struct {
-	mu     sync.Mutex
+	mu     lockcheck.Mutex[Semandaq]
 	store  *relstore.Store
 	engine *sqleng.Engine
 	// cfds maps lowercased table name to its registered constraints.
@@ -74,7 +75,7 @@ type Semandaq struct {
 	// flips monitorBusy under the same gate — so no write can slip
 	// between the snapshot a new tracker seeds from and the moment it
 	// takes over.
-	gates map[string]*sync.Mutex
+	gates map[string]*lockcheck.Mutex[tableGate]
 	// sessions holds the discovery session per table (lowercased name):
 	// Discover serves the previous run's report while the table's version
 	// holds.
@@ -188,18 +189,21 @@ func NewWithStore(store *relstore.Store) *Semandaq {
 		reports:     map[string]*tableReports{},
 		monitors:    map[string]*monitor.Monitor{},
 		monitorBusy: map[string]bool{},
-		gates:       map[string]*sync.Mutex{},
+		gates:       map[string]*lockcheck.Mutex[tableGate]{},
 		sessions:    map[string]*tableSession{},
 	}
 }
 
+// tableGate is the lock class of the per-table mutation gates.
+type tableGate struct{}
+
 // gate returns the per-table mutation gate, creating it on first use.
-func (s *Semandaq) gate(key string) *sync.Mutex {
+func (s *Semandaq) gate(key string) *lockcheck.Mutex[tableGate] {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	g, ok := s.gates[key]
 	if !ok {
-		g = &sync.Mutex{}
+		g = &lockcheck.Mutex[tableGate]{}
 		s.gates[key] = g
 	}
 	return g

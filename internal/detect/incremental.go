@@ -3,9 +3,9 @@ package detect
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"semandaq/internal/cfd"
+	"semandaq/internal/lockcheck"
 	"semandaq/internal/relstore"
 	"semandaq/internal/types"
 )
@@ -36,7 +36,7 @@ import (
 // lock, so any number of readers proceed concurrently between updates and
 // always observe a fully applied update — never a half-indexed tuple.
 type Tracker struct {
-	mu    sync.RWMutex
+	mu    lockcheck.RWMutex[Tracker]
 	tab   *relstore.Table
 	state []*cfdState
 	// dirtyRef counts, per tuple, how many sources make it dirty: CFDs

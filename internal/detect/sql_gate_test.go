@@ -109,6 +109,10 @@ func TestExplainSaysWhichPathServes(t *testing.T) {
 		{"Qv counting a value-level operand", eng, std[0] + " AND COUNT(t._tid) > 0", []string{
 			fmt.Sprintf("class walk on [t.CNT t.ZIP] space=%d rows=20000", col("CNT")*col("ZIP")),
 			"sink group on codes(2) aggs=4, having on counts, project 2 cols"}},
+		{"no driver column in WHERE, grouped off it", eng, "SELECT t.CNT, COUNT(*) FROM customer t GROUP BY t.CNT", []string{
+			"class walk off: WHERE reads no driver column and the sink takes rows one by one"}},
+		{"no driver column in WHERE, counted whole", eng, "SELECT COUNT(*) FROM customer t", []string{
+			"class walk on [] space=1 rows=20000", "sink group on codes(0) aggs=1, counts per class, project 1 cols"}},
 	} {
 		res, err := tc.eng.QueryContext(context.Background(), "EXPLAIN "+tc.sql)
 		if err != nil {

@@ -8,9 +8,9 @@ package discovery
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 
+	"semandaq/internal/lockcheck"
 	"semandaq/internal/relstore"
 )
 
@@ -51,7 +51,7 @@ type SessionStats struct {
 // last report and serves it while the table's version and the options
 // hold. A Session is safe for concurrent use; runs serialize.
 type Session struct {
-	mu      sync.Mutex
+	mu      lockcheck.Mutex[Session]
 	tab     *relstore.Table
 	rawOpts Options // as passed by the caller, pre-defaulting
 	report  *Report

@@ -1,4 +1,5 @@
-// Package locks exercises the blocking-under-lock rule.
+// Package locks holds TestLockDiscipline's cases: each `want` comment is
+// the finding its line must draw, and a line without one must draw none.
 package locks
 
 import (
@@ -51,7 +52,7 @@ func (b *box) sleepHeld() {
 
 func (b *box) waitHeld(wg *sync.WaitGroup) {
 	b.mu.Lock()
-	wg.Wait() // want `sync.Wait while holding b.mu`
+	wg.Wait() // want `wg.Wait while holding b.mu`
 	b.mu.Unlock()
 }
 
@@ -94,12 +95,5 @@ func (b *box) twoLocks() {
 	b.rw.Lock()
 	b.rw.Unlock()
 	b.ch <- 1 // want `channel send while holding b.mu`
-	b.mu.Unlock()
-}
-
-func (b *box) suppressed() {
-	b.mu.Lock()
-	//semandaq:vet-ignore lockdiscipline fixture exercises the directive
-	b.ch <- 1
 	b.mu.Unlock()
 }

@@ -8,10 +8,10 @@ package monitor
 
 import (
 	"fmt"
-	"sync"
 
 	"semandaq/internal/cfd"
 	"semandaq/internal/detect"
+	"semandaq/internal/lockcheck"
 	"semandaq/internal/relstore"
 	"semandaq/internal/repair"
 	"semandaq/internal/types"
@@ -58,7 +58,7 @@ type BatchResult struct {
 // surface (Report, DirtyCount, Tracker reads) proceeds concurrently
 // through the tracker's read lock.
 type Monitor struct {
-	mu       sync.Mutex // serializes Apply batches and mode flips
+	mu       lockcheck.Mutex[Monitor] // serializes Apply batches and mode flips
 	tab      *relstore.Table
 	cfds     []*cfd.CFD
 	tracker  *detect.Tracker

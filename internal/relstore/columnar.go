@@ -37,6 +37,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"semandaq/internal/lockcheck"
 	"semandaq/internal/schema"
 	"semandaq/internal/types"
 )
@@ -50,7 +51,7 @@ import (
 // derivation from the same column heads a lineage of its own with a copy of
 // what that column can see (fork).
 type interner struct {
-	mu    sync.RWMutex
+	mu    lockcheck.RWMutex[interner]
 	byInt map[int64]uint32  // KindInt
 	byFlt map[uint64]uint32 // KindFloat, keyed by Float64bits so -0.0
 	// and 0.0 (and distinct NaN payloads) keep distinct exact codes

@@ -16,8 +16,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
+	"semandaq/internal/lockcheck"
 	"semandaq/internal/schema"
 	"semandaq/internal/types"
 )
@@ -64,7 +64,7 @@ func (t Tuple) String() string {
 // the next lineage member (foldLocked); point reads (Get) decode from the
 // overlay or the base without folding.
 type Table struct {
-	mu     sync.RWMutex
+	mu     lockcheck.RWMutex[Table]
 	schema *schema.Relation
 	// base is the latest column lineage member: what the last fold produced,
 	// or what a bulk load or a Clone handed over. Its version is the table's
@@ -274,7 +274,7 @@ func (t *Table) Clone() *Table {
 // Store is a named collection of tables — the "database" a Semandaq
 // instance connects to.
 type Store struct {
-	mu     sync.RWMutex
+	mu     lockcheck.RWMutex[Store]
 	tables map[string]*Table
 }
 

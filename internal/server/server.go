@@ -25,6 +25,7 @@ import (
 	"semandaq/internal/core"
 	"semandaq/internal/detect"
 	"semandaq/internal/explore"
+	"semandaq/internal/lockcheck"
 	"semandaq/internal/monitor"
 	"semandaq/internal/relstore"
 	"semandaq/internal/repair"
@@ -37,7 +38,7 @@ import (
 // and any embedded library callers share one write path.
 type Server struct {
 	s  *core.Semandaq
-	mu sync.Mutex
+	mu lockcheck.Mutex[Server]
 	// pending holds the modifications of the last computed candidate repair
 	// per lowercased table name, for the review-then-apply flow — not the
 	// result, whose working table would stay alive until applied.

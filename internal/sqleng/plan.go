@@ -245,6 +245,11 @@ func (e *Engine) buildSelectPlan(st *SelectStmt) (*selectPlan, error) {
 	if err != nil {
 		return nil, err
 	}
+	if p.memoOff == "" && len(p.memoCols) == 0 && !p.sink.perClass {
+		// One class of every row: deciding it saves nothing, and a sink
+		// that takes rows one by one would replay them all after it.
+		p.memoOff = "WHERE reads no driver column and the sink takes rows one by one"
+	}
 	return p, nil
 }
 
@@ -254,7 +259,9 @@ func (e *Engine) buildSelectPlan(st *SelectStmt) (*selectPlan, error) {
 // holds no _tid and the product of D's distinct counts is at most half the
 // driver's row count, so that a class holds two rows on average (on a key
 // the walk is all cost) — exact statistics, like the join steps' choices,
-// so a patched snapshot plans like a rebuilt one.
+// so a patched snapshot plans like a rebuilt one. An empty D passes that
+// test but only serves a sink that counts per class; buildSelectPlan turns
+// the walk off otherwise, once the sink is compiled.
 func (p *selectPlan) planMemo() {
 	drv, rows := p.scans[0], p.scans[0].cnr.Len()
 	p.memoSpace = 1
