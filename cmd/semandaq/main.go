@@ -106,7 +106,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 		table = strings.TrimSuffix(base, ".csv")
 	}
-	tab, err := s.LoadCSV(table, f)
+	body := io.Reader(f)
+	if st, err := f.Stat(); err == nil && st.Mode().IsRegular() {
+		body = relstore.Sized{Reader: f, N: int(st.Size())}
+	}
+	tab, err := s.LoadCSV(table, body)
 	if err != nil {
 		return err
 	}

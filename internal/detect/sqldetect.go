@@ -37,7 +37,8 @@ type SQLDetector struct {
 	// an engine each (NewSQLDetector makes one).
 	Engine *sqleng.Engine
 	// KeepArtifacts, when set, also publishes the tableau tables to the
-	// store and leaves them there (the CLI uses it for -explain).
+	// store and leaves them there, for tests and the benchmark's traced
+	// SQL to query; nothing served sets it.
 	KeepArtifacts bool
 	// Trace receives every generated SQL statement, when non-nil.
 	Trace func(sql string)
@@ -286,8 +287,9 @@ func (d *SQLDetector) detectOneSQL(ctx context.Context, dataName string, cp *col
 }
 
 // GenerateSQL returns the detection SQL that Detect would run for the given
-// CFDs (after normalization and merging), without executing anything. The
-// CLI's -explain mode and the docs use it.
+// CFDs (after normalization and merging), without executing anything.
+// core's DetectionSQL serves it: the CLI's sql command prints it, and so
+// does GET /api/detect/{table}/sql.
 func GenerateSQL(tab *relstore.Table, cfds []*cfd.CFD) ([]string, error) {
 	preps, err := prepare(tab.Schema(), cfds)
 	if err != nil {

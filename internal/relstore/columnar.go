@@ -228,29 +228,6 @@ func (c *Column) find(v types.Value) (uint32, bool) {
 	return 0, false
 }
 
-// exactEqual reports whether two values share their exact (kind, payload)
-// representation — stricter than Equal, which collapses INT 1 / FLOAT 1.0
-// and all NaNs. The patcher compares exactly: representation changes move
-// dictionary entries even when the values are Equal.
-func exactEqual(a, b types.Value) bool {
-	if a.Kind() != b.Kind() {
-		return false
-	}
-	switch a.Kind() {
-	case types.KindNull:
-		return true
-	case types.KindBool:
-		return a.Bool() == b.Bool()
-	case types.KindInt:
-		return a.Int() == b.Int()
-	case types.KindFloat:
-		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
-	case types.KindString:
-		return a.Str() == b.Str()
-	}
-	return false
-}
-
 // addEntry registers a new dictionary entry and returns its code.
 func (c *Column) addEntry(v types.Value) uint32 {
 	code := uint32(len(c.dict))

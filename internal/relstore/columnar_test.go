@@ -12,7 +12,7 @@ import (
 
 // TestColumnarRoundTrip verifies the exact-code contract: the snapshot
 // reproduces every stored row bit-for-bit, in insertion order, with live
-// IDs only.
+// IDs only. != on Values is that identity: the kind and the payload's bits.
 func TestColumnarRoundTrip(t *testing.T) {
 	tab := NewTable(schema.New("r", "A", "B", "C"))
 	rows := []Tuple{

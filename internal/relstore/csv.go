@@ -19,7 +19,9 @@ import (
 // inferred with types.Parse. name becomes the table name.
 // The result is what NewTable plus one Insert per record would build, built
 // in one pass from the buffered body to columns that head the lineage later
-// edits patch; each distinct text is parsed and copied once.
+// edits patch; each distinct text is parsed and copied once. A reader with a
+// Len method (a bytes.Reader, a Sized) is read into one buffer of that
+// length; any other doubles its buffer as it reads.
 func ReadCSV(name string, r io.Reader) (*Table, error) {
 	var buf bytes.Buffer
 	if l, ok := r.(interface{ Len() int }); ok {
@@ -89,6 +91,17 @@ func ReadCSV(name string, r io.Reader) (*Table, error) {
 	}
 	return tableFromColumns(schema.New(name, header...), cols), nil
 }
+
+// Sized declares the N bytes a reader holds, as a request's Content-Length or
+// a file's size does, so ReadCSV reads it into one buffer of that size. N
+// only sizes the buffer: the body is whatever Reader yields.
+type Sized struct {
+	io.Reader
+	N int
+}
+
+// Len is the declared length.
+func (s Sized) Len() int { return s.N }
 
 // csvError reads body with encoding/csv up to the record the tokenizer
 // rejected, so the error is encoding/csv's, word for word.

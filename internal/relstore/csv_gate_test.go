@@ -58,8 +58,8 @@ func TestIngestBuildsTheLineage(t *testing.T) {
 		t.Errorf("ReadCSV(WriteCSV(t)) differs from t: %v", err)
 	}
 
-	// Through a reader that hides the body's length, as the server's
-	// http.MaxBytesReader does, so the body buffer grows as it reads.
+	// Through a reader that hides the body's length, as a chunked request
+	// body does, so the body buffer grows as it reads.
 	load := func() {
 		if _, err := relstore.ReadCSV("customer", struct{ io.Reader }{bytes.NewReader(body.Bytes())}); err != nil {
 			t.Fatal(err)
@@ -116,24 +116,34 @@ func TestIngestBuildsTheLineage(t *testing.T) {
 }
 
 // BenchmarkReadCSV loads the benchmark's reload-clean body; for profiling the
-// loader (`-cpuprofile`, `-memprofile`) outside the HTTP round trip. The
-// reader hides the body's length, as the server's http.MaxBytesReader does.
-// encoding-csv is the floor: encoding/csv alone reading the same bytes, each
-// record into one reused slice, with nothing interned.
+// loader (`-cpuprofile`, `-memprofile`) outside the HTTP round trip.
+// relstore's reader hides the body's length, as a chunked request body does,
+// so the body buffer doubles; sized declares it, as the server does from a
+// Content-Length. encoding-csv is the floor: encoding/csv alone reading the
+// same bytes, each record into one reused slice, with nothing interned.
 func BenchmarkReadCSV(b *testing.B) {
 	clean := datagen.Generate(datagen.Config{Tuples: 20000, Seed: 1}).Clean
 	var body bytes.Buffer
 	if err := relstore.WriteCSV(clean, &body); err != nil {
 		b.Fatal(err)
 	}
-	b.Run("relstore", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := relstore.ReadCSV("customer", struct{ io.Reader }{bytes.NewReader(body.Bytes())}); err != nil {
-				b.Fatal(err)
+	for _, c := range []struct {
+		name  string
+		sized bool
+	}{{"relstore", false}, {"sized", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r := io.Reader(struct{ io.Reader }{bytes.NewReader(body.Bytes())})
+				if c.sized {
+					r = relstore.Sized{Reader: r, N: body.Len()}
+				}
+				if _, err := relstore.ReadCSV("customer", r); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 	b.Run("encoding-csv", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -153,9 +163,10 @@ func BenchmarkReadCSV(b *testing.B) {
 // TestReadCSVReservesWhatTheBodyHolds: lines that hold no record reserve no
 // rows. A wide table of 1 025 distinct records (every column key-like past
 // the presize sample) followed by 2 MiB of blank lines, or of one quoted
-// field of empty lines, allocates at most 12x the body: the body buffer,
-// grown through a reader that hides its length, takes up to 4x, and the
-// quoted field is copied from body to record buffer to dictionary. Short
+// field of empty lines, allocates at most 12x the body through a reader that
+// hides its length, whose buffer grows to take up to 4x, and at most 9x
+// through a Sized reader, whose buffer is the body once; the quoted field is
+// copied from body to record buffer to dictionary. Short
 // lines that fail the field count only when the loader reaches them are
 // capped by the first block's bytes per record: they reserve at most 1.5x
 // what a body of as many bytes of such records takes.
@@ -180,10 +191,14 @@ func TestReadCSVReservesWhatTheBodyHolds(t *testing.T) {
 	for i := 0; i < rows; i++ {
 		records.WriteString(record(i))
 	}
-	load := func(body string) (uint64, error) {
+	load := func(body string, sized bool) (uint64, error) {
+		r := io.Reader(struct{ io.Reader }{strings.NewReader(body)})
+		if sized {
+			r = relstore.Sized{Reader: r, N: len(body)}
+		}
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		_, err := relstore.ReadCSV("wide", struct{ io.Reader }{strings.NewReader(body)})
+		_, err := relstore.ReadCSV("wide", r)
 		runtime.ReadMemStats(&m1)
 		return m1.TotalAlloc - m0.TotalAlloc, err
 	}
@@ -194,12 +209,17 @@ func TestReadCSVReservesWhatTheBodyHolds(t *testing.T) {
 		{"a quoted field of newlines", ",\"" + strings.Repeat("\n", filler) + "\"\n"},
 	} {
 		body := prefix + tc.tail
-		got, err := load(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got > 12*uint64(len(body)) {
-			t.Errorf("%s: ReadCSV allocated %d bytes for a %d-byte body, want <= 12x", tc.name, got, len(body))
+		for _, c := range []struct {
+			sized bool
+			bound uint64
+		}{{false, 12}, {true, 9}} {
+			got, err := load(body, c.sized)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got > c.bound*uint64(len(body)) {
+				t.Errorf("%s (sized %v): ReadCSV allocated %d bytes for a %d-byte body, want <= %dx", tc.name, c.sized, got, len(body), c.bound)
+			}
 		}
 	}
 
@@ -207,11 +227,11 @@ func TestReadCSVReservesWhatTheBodyHolds(t *testing.T) {
 	for i := rows; records.Len() < len(short); i++ {
 		records.WriteString(record(i))
 	}
-	got, err := load(short)
+	got, err := load(short, false)
 	if err == nil {
 		t.Fatal("short lines loaded")
 	}
-	want, err := load(records.String())
+	want, err := load(records.String(), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func (w *twin) setCell(id TupleID, pos int, v types.Value) types.Value {
 		panic(err)
 	}
 	i, _ := w.m.pos(id)
-	if row := w.m.rows[i]; !exactEqual(old, row[pos]) {
+	if row := w.m.rows[i]; old != row[pos] {
 		panic(fmt.Sprintf("SetCell(%d, %d) returned old %v, model holds %v", id, pos, old, row[pos]))
 	} else if !old.Equal(v) {
 		row[pos] = v
@@ -116,7 +116,7 @@ func (w *twin) check() error {
 			return fmt.Errorf("Get(%d) = %v, %v; model holds it: %v", id, got, ok, live)
 		}
 		for j := range got {
-			if !exactEqual(got[j], w.m.rows[i][j]) {
+			if got[j] != w.m.rows[i][j] {
 				return fmt.Errorf("Get(%d)[%d] = %v, model %v (exact)", id, j, got[j], w.m.rows[i][j])
 			}
 		}

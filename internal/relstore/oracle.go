@@ -76,7 +76,7 @@ func DiffSnapshots(got, want *Snapshot) error {
 			return fmt.Errorf("ids[%d]: got %d, want %d", i, got.c.ids[i], id)
 		}
 		for j, wcol := range wc.cols {
-			if g, w := gc.cols[j].cell(i), wcol.cell(i); !exactEqual(g, w) {
+			if g, w := gc.cols[j].cell(i), wcol.cell(i); g != w {
 				return fmt.Errorf("row %d (id %d) cell %d: got %v, want %v (exact)", i, id, j, g, w)
 			}
 		}
@@ -204,7 +204,7 @@ func diffColumn(g, w *Column) error {
 	g.EnsureKeys()
 	w.EnsureKeys()
 	for gc, wc := range exact.fwd {
-		if !exactEqual(g.dict[gc], w.dict[wc]) {
+		if g.dict[gc] != w.dict[wc] {
 			return fmt.Errorf("dict[%d~%d]: got %v, want %v (exact)", gc, wc, g.dict[gc], w.dict[wc])
 		}
 		if g.keys[gc] != w.keys[wc] {
@@ -243,7 +243,7 @@ func diffColumn(g, w *Column) error {
 		return err
 	}
 	for cl := 0; cl < wp.NumClasses(); cl++ {
-		if gv, wv := g.PLIClassValue(cl), w.PLIClassValue(cl); !exactEqual(gv, wv) {
+		if gv, wv := g.PLIClassValue(cl), w.PLIClassValue(cl); gv != wv {
 			return fmt.Errorf("PLIClassValue(%d): got %v, want %v (exact)", cl, gv, wv)
 		}
 	}

@@ -98,7 +98,7 @@ func (t *Table) foldLocked() {
 		}
 		newPos := i - int32(len(p.drops))
 		for j, v := range t.vals[int(k)*arity : int(k+1)*arity] {
-			if !exactEqual(base.cols[j].cell(int(i)), v) {
+			if base.cols[j].cell(int(i)) != v {
 				p.edits[j] = append(p.edits[j], cellEdit{prevPos: i, newPos: newPos, v: v})
 			}
 		}

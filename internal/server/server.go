@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"iter"
 	"log"
 	"net/http"
@@ -221,9 +222,15 @@ func (sv *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"tables": sv.s.Tables()})
 }
 
+// handleLoadCSV reads a body of declared length into one buffer of that
+// length; the server stops the body there, so the buffer is at most
+// maxBodyBytes. A body of unknown length (chunked) doubles as it reads.
 func (sv *Server) handleLoadCSV(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	tab, err := sv.s.LoadCSV(name, http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body := io.Reader(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		body = relstore.Sized{Reader: body, N: int(n)}
+	}
+	tab, err := sv.s.LoadCSV(r.PathValue("name"), body)
 	if err != nil {
 		writeError(w, err)
 		return

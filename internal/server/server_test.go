@@ -1,13 +1,17 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -564,6 +568,82 @@ func TestEveryRouteErrorContract(t *testing.T) {
 	// The malformed load above must not have registered anything.
 	if status, _ := request("GET", "/api/tables/ghost"); status != http.StatusNotFound {
 		t.Errorf("a refused load left table ghost behind (status %d)", status)
+	}
+}
+
+// TestLoadReadsTheDeclaredLength: a CSV load that declares its length
+// (Content-Length) reads the body into one buffer of that length, so serving
+// it allocates within half a body of a bare relstore.ReadCSV of the same
+// bytes, where a body of unknown length (ContentLength -1, as a chunked one
+// arrives) doubles its buffer, at least half a body more, and still loads. A
+// declared length over maxBodyBytes is a 413; one the client never sends in
+// full is a 400, and neither registers the table.
+func TestLoadReadsTheDeclaredLength(t *testing.T) {
+	var csv bytes.Buffer
+	if err := relstore.WriteCSV(datagen.Generate(datagen.Config{Tuples: 20000, Seed: 1}).Clean, &csv); err != nil {
+		t.Fatal(err)
+	}
+	body, h := csv.Bytes(), New(core.New()).Handler()
+	allocated := func(load func()) uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		load()
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	serve := func(r io.Reader) uint64 {
+		req, rec := httptest.NewRequest("POST", "/api/tables/customer", r), httptest.NewRecorder()
+		got := allocated(func() { h.ServeHTTP(rec, req) })
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"tuples":20000`) {
+			t.Fatalf("load (ContentLength %d): status %d: %s", req.ContentLength, rec.Code, rec.Body)
+		}
+		return got
+	}
+	bare := allocated(func() {
+		if _, err := relstore.ReadCSV("customer", bytes.NewReader(body)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	sized, chunked := serve(bytes.NewReader(body)), serve(struct{ io.Reader }{bytes.NewReader(body)})
+	if !raceEnabled && (sized > bare+uint64(len(body))/2 || chunked < sized+uint64(len(body))/2) {
+		t.Errorf("a %d-byte load allocated %d bytes with its length declared, %d without, %d bare: want declared <= bare + body/2 and undeclared >= declared + body/2",
+			len(body), sized, chunked, bare)
+	}
+
+	ts := testServer(t)
+	req, err := http.NewRequest("POST", ts.URL+"/api/tables/chunked", struct{ io.Reader }{strings.NewReader(customersCSV)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("chunked load: status %d", resp.StatusCode)
+	}
+	do(t, ts, "GET", "/api/tables/chunked", "", http.StatusOK)
+
+	do(t, ts, "POST", "/api/tables/huge", "NAME\n"+strings.Repeat("x", maxBodyBytes), http.StatusRequestEntityTooLarge)
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /api/tables/short HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s", len(customersCSV)+100, customersCSV)
+	conn.(*net.TCPConn).CloseWrite()
+	if resp, err = http.ReadResponse(bufio.NewReader(conn), nil); err != nil {
+		t.Fatal(err)
+	}
+	var out map[string]string
+	json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || out["error"] == "" {
+		t.Errorf("a body short of its Content-Length: status %d, error %q; want 400 and an error", resp.StatusCode, out["error"])
+	}
+	for _, name := range []string{"huge", "short"} {
+		do(t, ts, "GET", "/api/tables/"+name, "", http.StatusNotFound)
 	}
 }
 

@@ -29,13 +29,6 @@ func parseRef(raw string) Value {
 	return NewString(raw)
 }
 
-// sameValue is exact identity: kind, and the payload bit for bit (so -0 and
-// 0.0, or two NaN payloads, differ).
-func sameValue(a, b Value) bool {
-	return a.kind == b.kind && a.i == b.i && a.s == b.s &&
-		math.Float64bits(a.f) == math.Float64bits(b.f)
-}
-
 // parseCorners are the inputs where the gate or the fold could plausibly
 // part ways with the reference.
 var parseCorners = []string{
@@ -50,7 +43,7 @@ var parseCorners = []string{
 
 func TestParseMatchesReference(t *testing.T) {
 	for _, raw := range parseCorners {
-		if got, want := Parse(raw), parseRef(raw); !sameValue(got, want) {
+		if got, want := Parse(raw), parseRef(raw); got != want {
 			t.Errorf("Parse(%q) = %v (%v), reference %v (%v)", raw, got, got.Kind(), want, want.Kind())
 		}
 	}
@@ -67,7 +60,7 @@ func TestParseMatchesReference(t *testing.T) {
 		"1e0":      NewFloat(1),
 		"North St": NewString("North St"),
 	} {
-		if got := Parse(raw); !sameValue(got, want) {
+		if got := Parse(raw); got != want {
 			t.Errorf("Parse(%q) = %v (%v), want %v (%v)", raw, got, got.Kind(), want, want.Kind())
 		}
 	}
@@ -86,7 +79,7 @@ func TestParseGateIsExact(t *testing.T) {
 		for _, tail := range tails {
 			for _, head := range append(heads, "") {
 				raw := head + string([]byte{byte(b)}) + tail
-				if got, want := Parse(raw), parseRef(raw); !sameValue(got, want) {
+				if got, want := Parse(raw), parseRef(raw); got != want {
 					t.Errorf("Parse(%q) = %v (%v), reference %v (%v)", raw, got, got.Kind(), want, want.Kind())
 				}
 			}
@@ -111,7 +104,7 @@ func FuzzParse(f *testing.F) {
 		f.Add(raw)
 	}
 	f.Fuzz(func(t *testing.T, raw string) {
-		if got, want := Parse(raw), parseRef(raw); !sameValue(got, want) {
+		if got, want := Parse(raw), parseRef(raw); got != want {
 			t.Fatalf("Parse(%q) = %v (%v), reference %v (%v)", raw, got, got.Kind(), want, want.Kind())
 		}
 	})

@@ -45,12 +45,14 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is an immutable scalar. The zero Value is NULL.
+// Value is an immutable scalar. The zero Value is NULL. A FLOAT keeps its
+// bits in i, so a Value is 32 bytes and == is exact identity: the kind and
+// the payload bit for bit (-0 and 0 differ, a NaN is itself). Equal compares
+// values (1 and 1.0, -0 and 0, any two NaNs are Equal).
 type Value struct {
 	kind Kind
-	i    int64   // KindInt, KindBool (0/1)
-	f    float64 // KindFloat
-	s    string  // KindString
+	i    int64  // KindInt, KindBool (0/1), KindFloat (math.Float64bits)
+	s    string // KindString
 }
 
 // Null is the NULL value.
@@ -60,7 +62,10 @@ var Null = Value{}
 func NewInt(v int64) Value { return Value{kind: KindInt, i: v} }
 
 // NewFloat returns a floating-point value.
-func NewFloat(v float64) Value { return Value{kind: KindFloat, f: v} }
+func NewFloat(v float64) Value { return Value{kind: KindFloat, i: int64(math.Float64bits(v))} }
+
+// f is a FLOAT's payload.
+func (v Value) f() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // NewString returns a string value.
 func NewString(v string) Value { return Value{kind: KindString, s: v} }
@@ -92,7 +97,7 @@ func (v Value) Int() int64 {
 func (v Value) Float() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
+		return v.f()
 	case KindInt:
 		return float64(v.i)
 	default:
@@ -130,7 +135,7 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	default:
@@ -173,12 +178,12 @@ func (v Value) Compare(o Value) int {
 		if o.kind == KindInt {
 			return cmpInt64(v.i, o.i)
 		}
-		return cmpFloat64(float64(v.i), o.f)
+		return cmpFloat64(float64(v.i), o.f())
 	case KindFloat:
 		if o.kind == KindInt {
-			return cmpFloat64(v.f, float64(o.i))
+			return cmpFloat64(v.f(), float64(o.i))
 		}
-		return cmpFloat64(v.f, o.f)
+		return cmpFloat64(v.f(), o.f())
 	case KindString:
 		return strings.Compare(v.s, o.s)
 	default:
@@ -252,7 +257,7 @@ func (v Value) Key() string {
 	case KindInt:
 		return "d" + strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		f := v.f
+		f := v.f()
 		if f == float64(int64(f)) {
 			// Key integral floats like ints so 1 and 1.0 group together.
 			return "d" + strconv.FormatInt(int64(f), 10)
@@ -303,7 +308,7 @@ func (v Value) AppendGroupKey(dst []byte) []byte {
 	case KindInt:
 		k = strconv.AppendInt(append(scratch[:0], 'd'), v.i, 10)
 	case KindFloat:
-		if f := v.f; f == float64(int64(f)) {
+		if f := v.f(); f == float64(int64(f)) {
 			k = strconv.AppendInt(append(scratch[:0], 'd'), int64(f), 10)
 		} else {
 			k = strconv.AppendFloat(append(scratch[:0], 'f'), f, 'g', -1, 64)

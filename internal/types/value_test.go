@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValueConstructorsAndAccessors(t *testing.T) {
@@ -298,5 +299,50 @@ func TestCompareNaN(t *testing.T) {
 	// Key agrees: NaN is its own class.
 	if nan.Key() == NewFloat(5).Key() {
 		t.Error("NaN Key must differ from a number's Key")
+	}
+}
+
+// TestValueLayout holds the value's size: every dictionary, row and report
+// is a slice of Values. A FLOAT's bits share the INT payload's word.
+func TestValueLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 32", got)
+	}
+}
+
+// TestFloatIdentity round-trips the floats whose bits a shared word could
+// lose: each comes back from NewFloat bit for bit, == on Values is that
+// identity (-0 is not 0, a NaN is itself and no other payload), and Key,
+// Compare and String read the float, not the word.
+func TestFloatIdentity(t *testing.T) {
+	nan := math.Float64frombits(0xfff8_0000_0000_beef) // a NaN with a payload and the sign bit set
+	cases := []struct {
+		f         float64
+		key, text string
+	}{
+		{math.Copysign(0, -1), "d0", "-0"},
+		{math.Inf(1), "f+Inf", "+Inf"},
+		{math.Inf(-1), "f-Inf", "-Inf"},
+		{nan, "fNaN", "NaN"},
+		{math.Float64frombits(1), "f5e-324", "5e-324"}, // the smallest subnormal
+	}
+	for _, c := range cases {
+		v := NewFloat(c.f)
+		if v.Kind() != KindFloat || math.Float64bits(v.Float()) != math.Float64bits(c.f) {
+			t.Errorf("NewFloat(%#x).Float() = %#x", math.Float64bits(c.f), math.Float64bits(v.Float()))
+		}
+		if v != NewFloat(c.f) || v.Key() != c.key || v.String() != c.text || v.Compare(NewFloat(c.f)) != 0 {
+			t.Errorf("%s: Key %q String %q, want %q %q", c.text, v.Key(), v.String(), c.key, c.text)
+		}
+	}
+	zero, negZero := NewFloat(0), NewFloat(math.Copysign(0, -1))
+	if zero == negZero || !zero.Equal(negZero) || zero.Key() != negZero.Key() {
+		t.Error("-0 and 0: want distinct Values that are Equal and share a Key")
+	}
+	if other := NewFloat(math.NaN()); other == NewFloat(nan) || !other.Equal(NewFloat(nan)) || NewFloat(nan).Compare(NewFloat(math.Inf(-1))) != -1 {
+		t.Error("NaN payloads: want distinct Values that are Equal and sort before -Inf")
+	}
+	if sub := NewFloat(math.Float64frombits(1)); sub.Compare(zero) != 1 || sub.Compare(NewInt(1)) != -1 || NewFloat(math.Inf(1)).Compare(NewInt(math.MaxInt64)) != 1 {
+		t.Error("subnormal and +Inf: want 0 < subnormal < 1 and +Inf above every INT")
 	}
 }
