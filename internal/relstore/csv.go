@@ -19,18 +19,14 @@ import (
 // inferred with types.Parse. name becomes the table name.
 // The result is what NewTable plus one Insert per record would build, built
 // in one pass from the buffered body to columns that head the lineage later
-// edits patch; each distinct text is parsed and copied once. A reader with a
-// Len method (a bytes.Reader, a Sized) is read into one buffer of that
-// length; any other doubles its buffer as it reads.
+// edits patch; each distinct text is parsed and copied once. The body is
+// read whole first (see readBody).
 func ReadCSV(name string, r io.Reader) (*Table, error) {
-	var buf bytes.Buffer
-	if l, ok := r.(interface{ Len() int }); ok {
-		buf.Grow(l.Len() + bytes.MinRead) // with MinRead spare, ReadFrom meets EOF without growing
-	}
-	if _, err := buf.ReadFrom(r); err != nil {
+	buf, err := readBody(r)
+	if err != nil {
 		return nil, fmt.Errorf("relstore: read csv: %w", err)
 	}
-	body := bytes.TrimPrefix(buf.Bytes(), []byte("\xef\xbb\xbf"))
+	body := bytes.TrimPrefix(buf, []byte("\xef\xbb\xbf"))
 	tk := tokenizer{rest: body}
 	if tk.next() != nil {
 		return nil, csvError(body)
@@ -92,9 +88,38 @@ func ReadCSV(name string, r io.Reader) (*Table, error) {
 	return tableFromColumns(schema.New(name, header...), cols), nil
 }
 
+// readBody reads r whole. A reader with a Len method (a bytes.Reader, a
+// Sized) ends in a buffer of that length n, reserved in steps n/16^k from the
+// largest of at most 64 KiB, each taken once the last is full: a reader that
+// yields less than it declares (a client that stalls or lies) holds at most
+// 64 KiB or 16 times what it sent, and one that yields all pays at most a
+// fifteenth more in the steps it outgrew. Any other reader doubles its buffer.
+func readBody(r io.Reader) ([]byte, error) {
+	n, shift := 0, 0
+	if l, ok := r.(interface{ Len() int }); ok {
+		n = max(l.Len(), 0)
+	}
+	for n>>shift > 64<<10 {
+		shift += 4
+	}
+	buf := make([]byte, 0, n>>shift+bytes.MinRead) // with MinRead spare, the last step meets EOF without growing
+	for {
+		if len(buf) == cap(buf) {
+			shift = max(shift-4, 0)
+			buf = append(make([]byte, 0, max(n>>shift, 2*len(buf))+bytes.MinRead), buf...)
+		}
+		m, err := r.Read(buf[len(buf):cap(buf)])
+		if buf = buf[:len(buf)+m]; err == io.EOF {
+			return buf, nil
+		} else if err != nil {
+			return nil, err
+		}
+	}
+}
+
 // Sized declares the N bytes a reader holds, as a request's Content-Length or
-// a file's size does, so ReadCSV reads it into one buffer of that size. N
-// only sizes the buffer: the body is whatever Reader yields.
+// a file's size does, so ReadCSV reads it into a buffer of that size. N only
+// sizes the buffer: the body is whatever Reader yields.
 type Sized struct {
 	io.Reader
 	N int

@@ -165,7 +165,8 @@ func BenchmarkReadCSV(b *testing.B) {
 // the presize sample) followed by 2 MiB of blank lines, or of one quoted
 // field of empty lines, allocates at most 12x the body through a reader that
 // hides its length, whose buffer grows to take up to 4x, and at most 9x
-// through a Sized reader, whose buffer is the body once; the quoted field is
+// through a Sized reader, whose buffer is the body and its outgrown steps,
+// at most a fifteenth more; the quoted field is
 // copied from body to record buffer to dictionary. Short
 // lines that fail the field count only when the loader reaches them are
 // capped by the first block's bytes per record: they reserve at most 1.5x

@@ -222,8 +222,9 @@ func (sv *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"tables": sv.s.Tables()})
 }
 
-// handleLoadCSV reads a body of declared length into one buffer of that
-// length; the server stops the body there, so the buffer is at most
+// handleLoadCSV reads a body of declared length into a buffer of that
+// length, reserved in steps that follow what has arrived (relstore's
+// readBody); the server stops the body there, so the buffer is at most
 // maxBodyBytes. A body of unknown length (chunked) doubles as it reads.
 func (sv *Server) handleLoadCSV(w http.ResponseWriter, r *http.Request) {
 	body := io.Reader(http.MaxBytesReader(w, r.Body, maxBodyBytes))

@@ -576,8 +576,8 @@ func TestEveryRouteErrorContract(t *testing.T) {
 // it allocates within half a body of a bare relstore.ReadCSV of the same
 // bytes, where a body of unknown length (ContentLength -1, as a chunked one
 // arrives) doubles its buffer, at least half a body more, and still loads. A
-// declared length over maxBodyBytes is a 413; one the client never sends in
-// full is a 400, and neither registers the table.
+// declared length the client never sends in full is a 400 that registers
+// nothing, and what the server reserves follows what arrived.
 func TestLoadReadsTheDeclaredLength(t *testing.T) {
 	var csv bytes.Buffer
 	if err := relstore.WriteCSV(datagen.Generate(datagen.Config{Tuples: 20000, Seed: 1}).Clean, &csv); err != nil {
@@ -625,25 +625,37 @@ func TestLoadReadsTheDeclaredLength(t *testing.T) {
 	}
 	do(t, ts, "GET", "/api/tables/chunked", "", http.StatusOK)
 
-	do(t, ts, "POST", "/api/tables/huge", "NAME\n"+strings.Repeat("x", maxBodyBytes), http.StatusRequestEntityTooLarge)
-	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	fmt.Fprintf(conn, "POST /api/tables/short HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s", len(customersCSV)+100, customersCSV)
-	conn.(*net.TCPConn).CloseWrite()
-	if resp, err = http.ReadResponse(bufio.NewReader(conn), nil); err != nil {
-		t.Fatal(err)
-	}
-	var out map[string]string
-	json.NewDecoder(resp.Body).Decode(&out)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || out["error"] == "" {
-		t.Errorf("a body short of its Content-Length: status %d, error %q; want 400 and an error", resp.StatusCode, out["error"])
-	}
-	for _, name := range []string{"huge", "short"} {
-		do(t, ts, "GET", "/api/tables/"+name, "", http.StatusNotFound)
+	// A body short of its Content-Length, over a raw connection: by 100
+	// bytes, and by all but a few bytes of the largest length the server
+	// reserves for. Each is a 400 that registers nothing, and the reservation
+	// follows what arrived: the request allocates under a sixteenth of 16 MiB.
+	for _, c := range []struct {
+		name, body string
+		declared   int
+	}{{"short", customersCSV, len(customersCSV) + 100}, {"stalled", "NAME\nx\n", maxBodyBytes}} {
+		got := allocated(func() {
+			conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			fmt.Fprintf(conn, "POST /api/tables/%s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s", c.name, c.declared, c.body)
+			conn.(*net.TCPConn).CloseWrite()
+			resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out map[string]string
+			json.NewDecoder(resp.Body).Decode(&out)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || out["error"] == "" {
+				t.Errorf("%s: a body short of its Content-Length: status %d, error %q; want 400 and an error", c.name, resp.StatusCode, out["error"])
+			}
+		})
+		if got > maxBodyBytes/16 {
+			t.Errorf("%s: %d bytes sent of %d declared allocated %d bytes, want <= %d", c.name, len(c.body), c.declared, got, maxBodyBytes/16)
+		}
+		do(t, ts, "GET", "/api/tables/"+c.name, "", http.StatusNotFound)
 	}
 }
 
