@@ -199,24 +199,24 @@ func (fx *sweepFixture) unchanged() error {
 const (
 	// detectFactorised: the entry poll; par.Each's poll per task, two tasks
 	// per CFD; phiC's constant scan, ⌈12000/S⌉ = 3; phiV's class walk, an
-	// entry poll and ⌊12000/S⌋ = 2 (every row is in a multi-row class); the
-	// [K1, K2] partition's poll before intersecting its second column. phiV
+	// entry poll and ⌊12000/S⌋ = 2 (every row is in a multi-row class). The
+	// [K1, K2] classes come from the run's memo, which does not poll. phiV
 	// has no constant pattern and phiC no variable one, so neither polls in
 	// the other's pass.
-	detectPolls = 1 + 2*2 + 3 + (1 + 2) + 1
-	// The stream: the same scan, walk and partition, and a poll per
-	// violation it yields: 10 single-tuple, then 10 groups of 4.
-	streamPolls = 3 + (1 + 2) + 1 + 10 + 4*10
+	detectPolls = 1 + 2*2 + 3 + (1 + 2)
+	// The stream: the same scan and walk, and a poll per violation it
+	// yields: 10 single-tuple, then 10 groups of 4.
+	streamPolls = 3 + (1 + 2) + 10 + 4*10
 	// SQL detection: a poll per CFD. The class walk's steps (sqleng): Qv
-	// classifies the 12 000 driver rows into the 3 000 [K1, K2] classes,
-	// deciding each on the one tableau row, counts each class, and replays
-	// the 40 rows of the ten classes V breaks (mixed) with one tail each,
-	// ⌊(12000 + 3000 + 3000 + 2·40)/S⌋ = 4, then polls once finishing its
-	// 3 000 groups; Qc classifies the rows into the four [C, D] classes,
-	// deciding each on one tableau row, and replays the ten rows of the one
-	// class that meets it, ⌊(12000 + 4 + 1 + 2·10)/S⌋ = 2. Qv's keys
-	// resolve on phiV's class walk and partition.
-	sqlPolls = 2 + (4 + 1) + 2 + (1 + 2) + 1
+	// takes the 3 000 [K1, K2] classes from the memo, deciding each on the
+	// one tableau row, counts each class, and replays the 40 rows of the
+	// ten classes V breaks (mixed) with one tail each,
+	// ⌊(3000 + 3000 + 3000 + 2·40)/S⌋ = 2, then polls once finishing its
+	// 3 000 groups; Qc decides the four [C, D] classes on one tableau row
+	// each and replays the ten rows of the one class that meets it,
+	// ⌊(4 + 4 + 1 + 2·10)/S⌋ = 0. Qv's keys resolve by the memo's lookup
+	// into the classes the walk took, which does not poll.
+	sqlPolls = 2 + (2 + 1) + 0
 	// The grouped query: no WHERE, so D is empty, and the sink's key K1 is
 	// off it: the class walk is off (its one class would replay every row),
 	// the rows run the pipeline one by one, ⌊12000/S⌋ = 2, and one poll

@@ -103,8 +103,15 @@ type colPrep struct {
 	hasNull   bool
 	constPats []colPattern
 	varPats   []colPattern
-	part      *lhsPartition // shared with the call's CFDs of the same LHS
+	// lhsSet is the LHS's column positions, ascending: its key in classes,
+	// the run's memo.
+	lhsSet  []int
+	classes *relstore.ClassMemo
 }
+
+// lhsClasses returns the Equal-class partition of the CFD's LHS from the
+// run's memo.
+func (cp *colPrep) lhsClasses() *relstore.EqClasses { return cp.classes.Get(cp.lhsSet) }
 
 // newColPrep resolves the prepared CFD's patterns into snapshot codes.
 func newColPrep(p prepared, snap *relstore.Columnar) colPrep {

@@ -1,16 +1,16 @@
-// Factorised violation reports: the PLI partitions the columnar layer
-// already maintains *are* a factorised representation of the relation, so
-// multi-tuple violations don't need exploding into per-tuple rows and
-// per-member maps to be reported. A FactorGroup carries the group's row
-// refs (for a single-attribute LHS a zero-copy alias of the column's
-// partition class) plus an RHS histogram; everything per-member — the
+// Factorised violation reports: the Equal-class partitions of the LHS
+// columns (relstore.EqClasses, built once per run per column set) *are* a
+// factorised representation of the relation, so multi-tuple violations
+// don't need exploding into per-tuple rows and per-member maps to be
+// reported. A FactorGroup carries the group's row refs (a zero-copy alias
+// of its LHS class) plus an RHS histogram; everything per-member — the
 // member's RHS key, its partner count, its Violation row — is derivable
 // in O(1) from the columnar dictionaries, so reporting a 10k-member dirty
 // group allocates O(distinct RHS values), not O(members).
 //
 // The factorised report is every engine's result: this file is the one
 // columnar scan→group core and the one report assembly (the SQL detector's
-// Qv keys pick their groups from the same LHS partitions, and the
+// Qv keys look their groups up among the same LHS classes, and the
 // incremental Tracker emits the same report from its maintained state), the
 // facade caches it un-exploded, and the detect endpoint encodes its Digest
 // (totals plus the dense vio(t)). Explode() lowers it to the exact flat
@@ -26,11 +26,9 @@ package detect
 import (
 	"cmp"
 	"context"
-	"fmt"
 	"maps"
 	"slices"
 	"strings"
-	"sync"
 
 	"semandaq/internal/cfd"
 	"semandaq/internal/par"
@@ -187,52 +185,24 @@ func DetectFactorised(ctx context.Context, rsnap *relstore.Snapshot, cfds []*cfd
 }
 
 // bindCFDs prepares the CFDs and resolves their patterns into the
-// snapshot's code space. CFDs with one LHS attribute list share one
-// lhsPartition.
-func bindCFDs(rsnap *relstore.Snapshot, cfds []*cfd.CFD) (*relstore.Columnar, []colPrep, error) {
+// snapshot's code space. It creates the run's class memo: every CFD groups
+// by its LHS set's classes from it, so CFDs with one LHS attribute set
+// (phi1 and phi2 of the running example group on [CNT, ZIP]) share one
+// build, and the memo goes with the run.
+func bindCFDs(rsnap *relstore.Snapshot, cfds []*cfd.CFD) (*relstore.Columnar, []colPrep, *relstore.ClassMemo, error) {
 	preps, err := prepare(rsnap.Schema(), cfds)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	snap := rsnap.Columnar()
+	memo := relstore.NewClassMemo(snap)
 	cps := make([]colPrep, len(preps))
-	parts := make(map[string]*lhsPartition, len(preps))
 	for i, p := range preps {
 		cps[i] = newColPrep(p, snap)
-		lhs := fmt.Sprint(p.lhsPos)
-		if parts[lhs] == nil {
-			parts[lhs] = new(lhsPartition)
-		}
-		cps[i].part = parts[lhs]
+		cps[i].lhsSet, cps[i].classes = slices.Clone(p.lhsPos), memo
+		slices.Sort(cps[i].lhsSet)
 	}
-	return snap, cps, nil
-}
-
-// lhsPartition is the partition of a snapshot's rows by one LHS attribute
-// list, computed once per detect call by the first grouping pass that needs
-// it and shared with every CFD grouping on the same list (phi1 and phi2 of
-// the running example both group on [CNT, ZIP]). It is not cached on the
-// snapshot.
-type lhsPartition struct {
-	once sync.Once
-	part *relstore.Partition
-	err  error
-}
-
-// get returns the partition of cols: the first column's cached PLI, refined
-// by Intersect per further column.
-func (lp *lhsPartition) get(ctx context.Context, cols []*relstore.Column) (*relstore.Partition, error) {
-	lp.once.Do(func() {
-		part := cols[0].PLI() // prepare() rejects an empty LHS
-		for _, col := range cols[1:] {
-			if lp.err = ctx.Err(); lp.err != nil {
-				return
-			}
-			part = part.Intersect(col.EqProbe())
-		}
-		lp.part = part
-	})
-	return lp.part, lp.err
+	return snap, cps, memo, nil
 }
 
 // detectFactorised is the columnar scan→group core. Each prepared CFD
@@ -245,7 +215,7 @@ func detectFactorised(ctx context.Context, rsnap *relstore.Snapshot, cfds []*cfd
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	snap, cps, err := bindCFDs(rsnap, cfds)
+	snap, cps, _, err := bindCFDs(rsnap, cfds)
 	if err != nil {
 		return nil, err
 	}
@@ -382,16 +352,13 @@ func factorGroups(ctx context.Context, cp *colPrep, ids []relstore.TupleID) ([]*
 }
 
 // eachCandidate calls fn on every multi-row class of the CFD's LHS
-// partition, in class order, polling ctx per cancelStride rows, and stops
-// at fn's first error.
+// classes, in class order, polling ctx per cancelStride rows, and stops at
+// fn's first error.
 func eachCandidate(ctx context.Context, cp *colPrep, fn func(rows []int32) error) error {
 	if err := ctx.Err(); err != nil {
-		return err // polled per pass: a shared partition may need no build here
+		return err // polled per pass: the memo may hold the classes already
 	}
-	part, err := cp.part.get(ctx, cp.lhsCols)
-	if err != nil {
-		return err
-	}
+	part := cp.lhsClasses()
 	seen := 0
 	for c := 0; c < part.NumClasses(); c++ {
 		rows := part.Class(c)

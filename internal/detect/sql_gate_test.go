@@ -3,12 +3,15 @@ package detect
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
 	"semandaq/internal/cfd"
 	"semandaq/internal/datagen"
+	"semandaq/internal/relstore"
 	"semandaq/internal/sqleng"
 	"semandaq/internal/types"
 )
@@ -17,22 +20,29 @@ import (
 // detector on the shape of the benchmark's sqldetect-sparse table (datagen's
 // 20 000-tuple relation, 100 UK street typos, the standard CFDs): the four
 // statements — Qv for phi1, phi2 and phi4, Qc for phi3 — decide their
-// tableau join once per distinct code vector of the columns the patterns
-// read (the class walk), so at least nine driver rows in ten are served by
-// their class's decision; Qv's keys pick their groups from the LHS
-// partition on codes, so no statement joins the groups back and nothing is
-// hashed; the report is the columnar detector's; and a factorised detection
-// allocates at most 5 % over 2 508, its AllocsPerRun once the walk counted
-// whole classes.
+// tableau join once per Equal class of the columns the patterns read (the
+// class walk), so at least nine driver rows in ten are served by their
+// class's decision; the run groups each column set once, [CNT ZIP] for
+// phi1's and phi2's walks and keys, [CNT AC] and [CC CNT], with no
+// Intersect; Qv's keys look their classes up in those groupings, so no
+// statement joins the groups back and nothing is hashed; the report is the
+// columnar detector's; and a factorised detection allocates at most 5 %
+// over 2 368, its AllocsPerRun once one grouping served each column set
+// (2 508 when each statement classified its rows and Qv's keys had a
+// partition of their own).
 func TestSQLDetectReplaysPerClassWithoutJoinBack(t *testing.T) {
-	const allocCeiling = 2508 * 105 / 100
+	const allocCeiling = 2368 * 105 / 100
 	store, tab := sparseCustomers(t, 20000, 100)
 	snap, cfds := tab.Snapshot(), datagen.StandardCFDs()
 	statements := 0
 	d := &SQLDetector{Engine: sqleng.New(store), Trace: func(string) { statements++ }}
+	before := relstore.ReadBuildOps()
 	rep, err := d.DetectSnapshot(context.Background(), snap, cfds)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ops := relstore.ReadBuildOps().Sub(before); ops.ClassBuilds != 3 || ops.Intersects != 0 {
+		t.Errorf("%d class builds and %d Intersects, want 3 and 0: [CNT ZIP], [CNT AC] and [CC CNT] once each", ops.ClassBuilds, ops.Intersects)
 	}
 	columnar, err := ColumnarDetector{Workers: 1}.DetectSnapshot(context.Background(), snap, cfds)
 	if err != nil {
@@ -63,7 +73,7 @@ func TestSQLDetectReplaysPerClassWithoutJoinBack(t *testing.T) {
 
 // TestExplainSaysWhichPathServes pins, on the detector's own statements
 // (SQLDetector.Trace), the EXPLAIN lines that say whether the class walk,
-// its per-class counts and the integer HAVING will run — and, on the same
+// its per-class counts and groups and the integer HAVING will run — and, on the same
 // text pushed out of each rule, the line that says why not.
 func TestExplainSaysWhichPathServes(t *testing.T) {
 	store, tab := sparseCustomers(t, 20000, 100)
@@ -94,7 +104,7 @@ func TestExplainSaysWhichPathServes(t *testing.T) {
 	}{
 		{"Qv groups", eng, std[0], []string{
 			fmt.Sprintf("class walk on [t.CNT t.ZIP] space=%d rows=20000", col("CNT")*col("ZIP")),
-			"sink group on codes(2) aggs=3, counts per class, having on counts, project 2 cols"}},
+			"sink group on codes(2) aggs=3, counts per class, a group per class, having on counts, project 2 cols"}},
 		{"Qc", eng, std[1], []string{
 			fmt.Sprintf("class walk on [t.CC t.CNT] space=%d rows=20000", col("CC")*col("CNT")),
 			"sink project 4 cols"}},
@@ -105,14 +115,17 @@ func TestExplainSaysWhichPathServes(t *testing.T) {
 		{"Qc with a value-level compare", eng, std[1] + " AND t.CC > 43", []string{
 			fmt.Sprintf("class walk on [t.CC t.CNT] space=%d rows=20000", col("CC")*col("CNT"))}},
 		{"Qv with a value-level HAVING", eng, std[0] + " AND COUNT(*) > 1.5", []string{
-			"sink group on codes(2) aggs=3, counts per class, having, project 2 cols"}},
+			"sink group on codes(2) aggs=3, counts per class, a group per class, having, project 2 cols"}},
 		{"Qv counting a value-level operand", eng, std[0] + " AND COUNT(t._tid) > 0", []string{
 			fmt.Sprintf("class walk on [t.CNT t.ZIP] space=%d rows=20000", col("CNT")*col("ZIP")),
 			"sink group on codes(2) aggs=4, having on counts, project 2 cols"}},
 		{"no driver column in WHERE, grouped off it", eng, "SELECT t.CNT, COUNT(*) FROM customer t GROUP BY t.CNT", []string{
 			"class walk off: WHERE reads no driver column and the sink takes rows one by one"}},
 		{"no driver column in WHERE, counted whole", eng, "SELECT COUNT(*) FROM customer t", []string{
-			"class walk on [] space=1 rows=20000", "sink group on codes(0) aggs=1, counts per class, project 1 cols"}},
+			"class walk on [] space=1 rows=20000", "sink group on codes(0) aggs=1, counts per class, a group per class, project 1 cols"}},
+		{"grouped on part of D", eng, "SELECT t.CNT, COUNT(*) FROM customer t WHERE t.CNT <> 'x' AND t.ZIP <> 'y' GROUP BY t.CNT", []string{
+			fmt.Sprintf("class walk on [t.CNT t.ZIP] space=%d rows=20000", col("CNT")*col("ZIP")),
+			"sink group on codes(1) aggs=1, counts per class, project 2 cols"}},
 	} {
 		res, err := tc.eng.QueryContext(context.Background(), "EXPLAIN "+tc.sql)
 		if err != nil {
@@ -152,5 +165,35 @@ func BenchmarkFactorisedDetectSparse(b *testing.B) {
 		if _, err := DetectFactorised(context.Background(), snap, cfds); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestFactorisedGroupsFromProbes is the bytes face of the factorised core
+// on a fresh snapshot, which the reload-clean, redetect-dense and
+// steward-cycle workloads detect on: the standard CFDs' LHS sets all have
+// two columns, so a detection builds their classes from the probe vectors
+// and no single-column PLI, and allocates at most 5 % over 681 000 bytes,
+// the least of three fresh runs when the gate was set (772 000 when the
+// core built the first LHS column's PLI and intersected it).
+func TestFactorisedGroupsFromProbes(t *testing.T) {
+	const byteCeiling = 681000 * 105 / 100
+	cfds, least := datagen.StandardCFDs(), uint64(math.MaxUint64)
+	for range 3 {
+		snap := datagen.Generate(datagen.Config{Tuples: 20000, Seed: 1, NoiseRate: 0.05}).Dirty.Snapshot()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		before := relstore.ReadBuildOps()
+		if _, err := DetectFactorised(context.Background(), snap, cfds); err != nil {
+			t.Fatal(err)
+		}
+		ops := relstore.ReadBuildOps().Sub(before)
+		runtime.ReadMemStats(&m1)
+		if ops.PLIBuilds != 0 || ops.Intersects != 0 || ops.ClassBuilds != 2 {
+			t.Fatalf("%d PLI builds, %d Intersects, %d class builds; want 0, 0 and 2", ops.PLIBuilds, ops.Intersects, ops.ClassBuilds)
+		}
+		least = min(least, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	if least > byteCeiling {
+		t.Errorf("a detection on a fresh snapshot allocated %d bytes, the ceiling is %d", least, byteCeiling)
 	}
 }

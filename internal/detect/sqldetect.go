@@ -2,8 +2,8 @@ package detect
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 
 	"semandaq/internal/cfd"
@@ -21,10 +21,12 @@ import (
 //
 // The result is the factorised report (factor.go). Qc's rows are its
 // single-tuple violations. Qv returns the violating LHS values; each is
-// resolved on column codes to its class of the CFD's LHS partition, the
-// one the columnar core groups by, and becomes a group there. A Qv key
-// without a class, or whose class is pure, is an error: SQL's HAVING stays
-// an independent check on the group core.
+// looked up on column codes among the classes of the CFD's LHS partition,
+// the one the columnar core groups by, and its class becomes a group. The
+// run builds each column set's classes once (relstore.ClassMemo) and pins
+// them with the snapshot, so Qv's class walk and its key lookups read one
+// build. A Qv key without a class, or whose class is pure, is an error:
+// SQL's HAVING stays an independent check on the group core.
 //
 // NULL is a value like any other to a CFD (the factorised core groups it
 // as one more dictionary value). The generated SQL matches an LHS value to
@@ -72,13 +74,13 @@ func (d *SQLDetector) DetectSnapshot(ctx context.Context, snap *relstore.Snapsho
 }
 
 // DetectFactorised implements FactorDetector. The snapshot is pinned in the
-// detector's SQL engine for the duration of the run, so the generated
-// queries (Qc and Qv, per merged CFD) all read the data table at one
-// version even while writers mutate it, and the report's groups are
-// classes of that same version. The snapshot's table must be registered in
-// the engine's store under its schema name.
+// detector's SQL engine, with the run's class memo, for the duration of the
+// run, so the generated queries (Qc and Qv, per merged CFD) all read the
+// data table at one version even while writers mutate it, and the report's
+// groups are classes of that same version. The snapshot's table must be
+// registered in the engine's store under its schema name.
 func (d *SQLDetector) DetectFactorised(ctx context.Context, rsnap *relstore.Snapshot, cfds []*cfd.CFD) (*FactorReport, error) {
-	snap, cps, err := bindCFDs(rsnap, cfds)
+	snap, cps, classes, err := bindCFDs(rsnap, cfds)
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +88,7 @@ func (d *SQLDetector) DetectFactorised(ctx context.Context, rsnap *relstore.Snap
 	if _, ok := d.Engine.Store().Table(dataName); !ok {
 		return nil, fmt.Errorf("detect: table %q is not registered in the detector's store", dataName)
 	}
-	d.Engine.Pin(rsnap)
+	d.Engine.PinClasses(rsnap, classes)
 	defer d.Engine.Unpin(dataName)
 	parts := make([]cfdPart, len(cps))
 	for i := range cps {
@@ -227,61 +229,43 @@ func (d *SQLDetector) detectOneSQL(ctx context.Context, dataName string, cp *col
 
 	// Qv — multi-tuple violations: each violating group's LHS values,
 	// resolved to their Equal-class codes, name a class of the LHS
-	// partition. A key that names no class, or a second key of one class,
-	// or a class that agrees on the RHS after all, is an error: the check
-	// is SQL's own, independent of the group core's.
+	// partition, the one the class walk on Qv's WHERE grouped by. A key that
+	// names no class, or a second key of one class, or a class that agrees
+	// on the RHS after all, is an error: the check is SQL's own,
+	// independent of the group core's.
 	if gen.hasVar {
-		keys := map[string]struct{}{}
-		var buf []byte
+		cls := cp.lhsClasses()
+		codes, met := make([]uint32, len(cp.lhsSet)), make([]bool, cls.NumClasses())
+		codeCounts := make(map[uint32]int, 8)
 		var keyErr error
 		if err := d.stream(ctx, gen.qv(dataName, c), func(row []types.Value) bool {
-			buf = buf[:0]
 			for k, col := range cp.lhsCols {
 				code, ok := col.EqCodeOf(row[k])
 				if !ok {
 					keyErr = fmt.Errorf("detect: Qv for %s returned %v, which no %s value equals", c.ID, row, c.LHS[k])
 					return false
 				}
-				buf = binary.LittleEndian.AppendUint32(buf, code)
+				codes[slices.Index(cp.lhsSet, cp.p.lhsPos[k])] = code
 			}
-			if _, dup := keys[string(buf)]; dup {
+			cl, ok := cls.Lookup(codes)
+			switch {
+			case !ok:
+				keyErr = fmt.Errorf("detect: Qv for %s returned %v, which is no class of its LHS partition", c.ID, row)
+			case met[cl]:
 				keyErr = fmt.Errorf("detect: Qv for %s returned a second group of the class of %v", c.ID, row)
-				return false
+			default:
+				met[cl] = true
+				if g := newFactorGroup(cp, cls.Class(cl), codeCounts, ids); g != nil {
+					out.groups = append(out.groups, g)
+				} else {
+					keyErr = fmt.Errorf("detect: Qv for %s returned the group %v, which agrees on %s", c.ID, row, rhs)
+				}
 			}
-			keys[string(buf)] = struct{}{}
-			return true
+			return keyErr == nil
 		}); err != nil {
 			return fmt.Errorf("detect: Qv for %s: %w", c.ID, err)
 		}
-		if keyErr != nil {
-			return keyErr
-		}
-		if len(keys) == 0 {
-			return nil
-		}
-		codeCounts := make(map[uint32]int, 8)
-		err := eachCandidate(ctx, cp, func(rows []int32) error {
-			buf = buf[:0]
-			for _, col := range cp.lhsCols {
-				buf = binary.LittleEndian.AppendUint32(buf, col.EqCode(int(rows[0])))
-			}
-			if _, ok := keys[string(buf)]; !ok {
-				return nil
-			}
-			delete(keys, string(buf))
-			g := newFactorGroup(cp, rows, codeCounts, ids)
-			if g == nil {
-				return fmt.Errorf("detect: Qv for %s returned the group %v, which agrees on %s", c.ID, lhsValues(cp, rows[0]), rhs)
-			}
-			out.groups = append(out.groups, g)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if len(keys) > 0 {
-			return fmt.Errorf("detect: Qv for %s returned %d groups that are no class of its LHS partition", c.ID, len(keys))
-		}
+		return keyErr
 	}
 	return nil
 }

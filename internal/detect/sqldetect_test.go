@@ -2,6 +2,7 @@ package detect
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -59,6 +60,49 @@ func TestSQLNullIsNotASentinel(t *testing.T) {
 			t.Errorf("%s: columnar has %d violations, members %v; sql %d, members %v", name,
 				len(columnar.Violations), members(columnar), len(sql.Violations), members(sql))
 		}
+	}
+}
+
+// TestSQLDetectOnClassesThatMixKinds: the LHS column A holds INT 1 beside
+// FLOAT 1.0 and FLOAT -0 beside +0, two exact codes per Equal class, so
+// the class walk decides each of Qv's and Qc's classes on Equal codes and
+// Qv's keys resolve to classes that mix codes. The SQL report is the
+// columnar one, and both are the definition's.
+func TestSQLDetectOnClassesThatMixKinds(t *testing.T) {
+	store := relstore.NewStore()
+	tab, err := store.Create(schema.New("v", "A", "B", "C"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	as := []types.Value{types.NewInt(1), types.NewFloat(1.0), types.NewFloat(math.Copysign(0, -1)), types.NewFloat(0), types.NewInt(2)}
+	for i := range 40 {
+		tab.MustInsert(relstore.Tuple{as[i%5], types.NewString([]string{"x", "y"}[i%2]), types.NewString([]string{"p", "q"}[i%7%2])})
+	}
+	cfds, err := cfd.ParseSet("v: [A=_, B=_] -> [C=_]\nv: [A=1, B=_] -> [C=p]\nv: [A=0, B=x] -> [C=q]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := tab.Snapshot()
+	sql, err := NewSQLDetector(store).DetectSnapshot(context.Background(), snap, cfds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	columnar, err := ColumnarDetector{Workers: 1}.DetectSnapshot(context.Background(), snap, cfds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sql, columnar) {
+		t.Error("the SQL report differs from the columnar one")
+	}
+	checkDefinition(t, "sql", snap, cfds, sql)
+	broken := map[int]bool{} // the merged CFD's constant patterns that rows break
+	for _, v := range sql.Violations {
+		if v.Kind == SingleTuple {
+			broken[v.Pattern] = true
+		}
+	}
+	if len(sql.Groups) == 0 || len(broken) != 2 {
+		t.Errorf("%d groups, constant patterns broken %v: want groups and both patterns", len(sql.Groups), broken)
 	}
 }
 

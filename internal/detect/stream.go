@@ -39,7 +39,7 @@ func (d ColumnarDetector) DetectStream(ctx context.Context, tab *relstore.Table,
 // Report; a consumer that stops iterating simply ends the scan.
 func (d ColumnarDetector) DetectStreamSnapshot(ctx context.Context, rsnap *relstore.Snapshot, cfds []*cfd.CFD) ViolationSeq {
 	return func(yield func(Violation, error) bool) {
-		snap, cps, err := bindCFDs(rsnap, cfds)
+		snap, cps, _, err := bindCFDs(rsnap, cfds)
 		if err != nil {
 			yield(Violation{}, err)
 			return

@@ -376,6 +376,8 @@ var buildOps struct {
 	batchColumns     atomic.Int64
 	pliBuilds        atomic.Int64
 	pliPatches       atomic.Int64
+	classBuilds      atomic.Int64
+	intersects       atomic.Int64
 }
 
 // BuildOps is a monotone snapshot of the package's artifact-build counters.
@@ -395,6 +397,10 @@ type BuildOps struct {
 	BatchColumns     int64 `json:"batch_columns"`
 	PLIBuilds        int64 `json:"pli_builds"`
 	PLIPatches       int64 `json:"pli_patches"`
+	// ClassBuilds counts EqClasses built on two or more columns (one
+	// column's are its PLI), Intersects calls of Partition.Intersect.
+	ClassBuilds int64 `json:"class_builds"`
+	Intersects  int64 `json:"intersects"`
 }
 
 // ReadBuildOps returns the current counter values.
@@ -410,6 +416,8 @@ func ReadBuildOps() BuildOps {
 		BatchColumns:     buildOps.batchColumns.Load(),
 		PLIBuilds:        buildOps.pliBuilds.Load(),
 		PLIPatches:       buildOps.pliPatches.Load(),
+		ClassBuilds:      buildOps.classBuilds.Load(),
+		Intersects:       buildOps.intersects.Load(),
 	}
 }
 
@@ -426,5 +434,7 @@ func (o BuildOps) Sub(prev BuildOps) BuildOps {
 		BatchColumns:     o.BatchColumns - prev.BatchColumns,
 		PLIBuilds:        o.PLIBuilds - prev.PLIBuilds,
 		PLIPatches:       o.PLIPatches - prev.PLIPatches,
+		ClassBuilds:      o.ClassBuilds - prev.ClassBuilds,
+		Intersects:       o.Intersects - prev.Intersects,
 	}
 }

@@ -43,3 +43,20 @@ func BenchmarkIntersectCNTxZIP(b *testing.B) {
 		cnt.Intersect(zip)
 	}
 }
+
+// BenchmarkEqClassesCNTxZIP times the Equal-class build of [CNT, ZIP] on
+// cntZip's table, which phi1 and phi2 group by and their Qv statements walk.
+func BenchmarkEqClassesCNTxZIP(b *testing.B) {
+	tab := datagen.Generate(datagen.Config{Tuples: 20000, Seed: 1, NoiseRate: 0.05}).Dirty
+	pos, err := tab.Schema().Positions([]string{"CNT", "ZIP"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	col := tab.Snapshot().Columnar()
+	col.Col(pos[0]).EqProbe()
+	col.Col(pos[1]).EqProbe()
+	b.ReportAllocs()
+	for b.Loop() {
+		col.EqClasses(pos)
+	}
+}

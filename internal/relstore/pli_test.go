@@ -297,6 +297,155 @@ func FuzzPartitionIntersect(f *testing.F) {
 	})
 }
 
+// eqClassesRef is EqClasses by its definition: rows keyed by their tuple
+// of Equal-class codes on cols in a map, the classes in first-row order.
+func eqClassesRef(c *Columnar, cols []int) (*Partition, map[string]int) {
+	out, index := &Partition{n: c.Len(), offsets: []int32{0}}, map[string]int{}
+	var order []string
+	rows := map[string][]int32{}
+	for r := range c.Len() {
+		key := codeKey(c, cols, r)
+		if _, ok := rows[key]; !ok {
+			index[key] = len(order)
+			order = append(order, key)
+		}
+		rows[key] = append(rows[key], int32(r))
+	}
+	for _, key := range order {
+		out.elems = append(out.elems, rows[key]...)
+		out.offsets = append(out.offsets, int32(len(out.elems)))
+	}
+	return out, index
+}
+
+func codeKey(c *Columnar, cols []int, r int) string {
+	codes := make([]uint32, len(cols))
+	for k, j := range cols {
+		codes[k] = c.Col(j).EqCode(r)
+	}
+	return fmt.Sprint(codes)
+}
+
+// FuzzEqClasses checks the Equal-class builder on every column set of
+// FuzzPartitionIntersect's tables (fresh columns, then columns patched to
+// leave dead codes): its classes are eqClassesRef's, in first-row order;
+// its multi-row classes are the PLI → Intersect product's; ClassOf files
+// every row under its class; and Lookup finds each class by its code
+// tuple and fails on every other tuple of codes up to each CodeSpace.
+func FuzzEqClasses(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1, 1}, []byte{})
+	f.Add([]byte{1, 2, 3, 2, 2, 3, 1, 2, 4, 6, 6, 6, 7, 7, 7}, []byte{0, 0, 5})
+	f.Add([]byte{0, 3, 5, 0, 3, 5, 0, 4, 5, 1, 3, 5, 1, 3, 6, 2, 2, 2}, []byte{3, 1, 1, 4, 2, 7})
+	f.Add([]byte{}, []byte{})
+	alphabet := []types.Value{
+		types.NewInt(1), types.NewFloat(1.0), types.Null, types.NewFloat(math.NaN()),
+		types.NewString("a"), types.NewString("b"), types.NewInt(2), types.NewString("a\x1f"),
+	}
+	f.Fuzz(func(t *testing.T, cells, edits []byte) {
+		const arity = 3
+		n := min(len(cells)/arity, 256)
+		tab := NewTable(schema.New("r", "A", "B", "C"))
+		for i := range n {
+			row := make(Tuple, arity)
+			for j := range row {
+				row[j] = alphabet[cells[i*arity+j]%8]
+			}
+			tab.MustInsert(row)
+		}
+		check := func(stage string, c *Columnar) {
+			for _, cols := range [][]int{{}, {0}, {1}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2}} {
+				got := c.EqClasses(cols)
+				want, index := eqClassesRef(c, cols)
+				if diff := samePartition(got.Partition, want); diff != "" {
+					t.Fatalf("%s %v: %s", stage, cols, diff)
+				}
+				for r := range c.Len() {
+					if cl := got.ClassOf(r); index[codeKey(c, cols, r)] != cl {
+						t.Fatalf("%s %v: ClassOf(%d) = %d", stage, cols, r, cl)
+					}
+				}
+				if len(cols) > 1 {
+					p := c.Col(cols[0]).PLI()
+					for _, j := range cols[1:] {
+						p = p.Intersect(c.Col(j).EqProbe())
+					}
+					multi := map[string]bool{}
+					for cl := range got.NumClasses() {
+						if len(got.Class(cl)) > 1 {
+							multi[fmt.Sprint(got.Class(cl))] = true
+						}
+					}
+					if prod := classSets(p); fmt.Sprint(prod) != fmt.Sprint(multi) {
+						t.Fatalf("%s %v: multi-row classes %v, the product's %v", stage, cols, multi, prod)
+					}
+				}
+				// Every tuple of codes up to one past each CodeSpace.
+				codes := make([]uint32, len(cols))
+				var walk func(k int)
+				walk = func(k int) {
+					if k < len(cols) {
+						for q := range c.Col(cols[k]).CodeSpace() + 1 {
+							codes[k] = uint32(q)
+							walk(k + 1)
+						}
+						return
+					}
+					if len(cols) == 0 {
+						return
+					}
+					cl, ok := got.Lookup(codes)
+					want, has := index[fmt.Sprint(codes)]
+					if ok != has || (ok && cl != want) {
+						t.Fatalf("%s %v: Lookup(%v) = %d, %v; want %d, %v", stage, cols, codes, cl, ok, want, has)
+					}
+				}
+				walk(0)
+			}
+		}
+		check("fresh", tab.Snapshot().Columnar())
+		for i := 0; i+2 < len(edits) && n > 0; i += 3 {
+			if _, err := tab.SetCell(TupleID(int(edits[i])%n), int(edits[i+1])%arity, alphabet[edits[i+2]%8]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check("patched", tab.Snapshot().Columnar())
+	})
+}
+
+// TestClassMemoBuildsEachSetOnce: a memo hands every caller of one column
+// set the same classes, built once however many goroutines ask, and a
+// second set its own.
+func TestClassMemoBuildsEachSetOnce(t *testing.T) {
+	tab := pliTable(t, []string{"A", "B", "C"}, [][]string{{"1", "x", "p"}, {"1.0", "x", "q"}, {"2", "y", "p"}})
+	m := NewClassMemo(tab.Snapshot().Columnar())
+	before := ReadBuildOps()
+	got := make([]*EqClasses, 8)
+	done := make(chan int)
+	for i := range got {
+		go func() {
+			got[i] = m.Get([]int{0, 1})
+			done <- i
+		}()
+	}
+	for range got {
+		<-done
+	}
+	for _, e := range got[1:] {
+		if e != got[0] {
+			t.Fatal("two builds of one column set")
+		}
+	}
+	if other := m.Get([]int{0, 2}); other == got[0] || other.NumClasses() != 3 {
+		t.Errorf("[A C] has %d classes, want its own 3", other.NumClasses())
+	}
+	if ops := ReadBuildOps().Sub(before); ops.ClassBuilds != 2 || ops.Intersects != 0 {
+		t.Errorf("ClassBuilds = %d, Intersects = %d; want 2, 0", ops.ClassBuilds, ops.Intersects)
+	}
+	if got[0].NumClasses() != 2 || len(got[0].Class(0)) != 2 {
+		t.Errorf("[A B]: %d classes, want INT 1 and FLOAT 1.0 in one of two", got[0].NumClasses())
+	}
+}
+
 // TestEqProbeAliasesCodesWhenIdentity: a column whose every dictionary
 // entry is its own Equal-class serves its exact codes as the probe vector
 // (no second 4 B/row copy); a column where INT 1 and FLOAT 1.0 collapse

@@ -44,8 +44,8 @@ type Engine struct {
 	store *relstore.Store
 	// pins maps lowercased table names to externally pinned snapshots;
 	// queries read a pinned table at that exact version regardless of
-	// concurrent mutations. Set via Pin/Unpin.
-	pins map[string]*relstore.Snapshot
+	// concurrent mutations. Set via Pin/PinClasses/Unpin.
+	pins map[string]pin
 	// ops accumulates executor operation counters (iterator.go), read via
 	// OpStats and zeroed via ResetOpStats. Every run adds its counts
 	// atomically when it ends, so concurrent queries on a shared engine all
@@ -62,11 +62,23 @@ func New(store *relstore.Store) *Engine { return &Engine{store: store} }
 // generated queries of one run all see a single version. Pin configures
 // the engine and must not race with running queries: use it on a private
 // engine, not a shared one.
-func (e *Engine) Pin(snap *relstore.Snapshot) {
+func (e *Engine) Pin(snap *relstore.Snapshot) { e.PinClasses(snap, nil) }
+
+// PinClasses is Pin with the run's class memo over snap (nil: none): the
+// class walk of a query driven by the pinned table takes its classes from
+// the memo, so the queries of one run, and the run's own code, group each
+// column set once. Without a memo a query builds the classes it walks.
+func (e *Engine) PinClasses(snap *relstore.Snapshot, classes *relstore.ClassMemo) {
 	if e.pins == nil {
-		e.pins = map[string]*relstore.Snapshot{}
+		e.pins = map[string]pin{}
 	}
-	e.pins[strings.ToLower(snap.Schema().Name)] = snap
+	e.pins[strings.ToLower(snap.Schema().Name)] = pin{snap, classes}
+}
+
+// pin is a pinned snapshot and its class memo, if it has one.
+type pin struct {
+	snap    *relstore.Snapshot
+	classes *relstore.ClassMemo
 }
 
 // Unpin removes a Pin for the named table.
@@ -81,37 +93,41 @@ func (e *Engine) Store() *relstore.Store { return e.store }
 // item — reuses it, so one statement never mixes two versions of a table.
 type queryPins struct {
 	e     *Engine
-	snaps map[string]*relstore.Snapshot
+	snaps map[string]pin
 }
 
 func (e *Engine) newQueryPins() *queryPins {
-	return &queryPins{e: e, snaps: map[string]*relstore.Snapshot{}}
+	return &queryPins{e: e, snaps: map[string]pin{}}
 }
 
 // snapshot returns the query's pinned snapshot of the named table.
 func (q *queryPins) snapshot(name string) (*relstore.Snapshot, bool) {
 	key := strings.ToLower(name)
 	if s, ok := q.snaps[key]; ok {
-		return s, true
+		return s.snap, true
 	}
 	if s, ok := q.e.pins[key]; ok {
 		q.snaps[key] = s
-		return s, true
+		return s.snap, true
 	}
 	tab, ok := q.e.store.Table(name)
 	if !ok {
 		return nil, false
 	}
-	s := tab.Snapshot()
-	q.snaps[key] = s
-	return s, true
+	q.snaps[key] = pin{snap: tab.Snapshot()}
+	return q.snaps[key].snap, true
+}
+
+// classes returns the class memo pinned with the named table, nil if none.
+func (q *queryPins) classes(name string) *relstore.ClassMemo {
+	return q.snaps[strings.ToLower(name)].classes
 }
 
 // versions reports the pinned version per table read by the query.
 func (q *queryPins) versions() map[string]int64 {
 	out := make(map[string]int64, len(q.snaps))
 	for name, s := range q.snaps {
-		out[name] = s.Version()
+		out[name] = s.snap.Version()
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package sqleng
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -61,6 +62,31 @@ func fuzzStore(tb testing.TB) *relstore.Store {
 	for i := 0; i < 40; i++ {
 		u.MustInsert(relstore.Tuple{uA[i%3], uB[i%5%3], uC[i%7%2], uD[i%4]})
 	}
+	// v and its tableau vp take the detector's two statement shapes: v.A's
+	// Equal classes hold INT 1 with FLOAT 1.0 and FLOAT -0 with +0, each
+	// pair two exact codes, so a value-level compare on v.A splits classes.
+	// v.E is constant on each class of v.A but the second.
+	v, err := store.Create(schema.New("v", "A", "B", "C", "E"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	vA := []types.Value{types.NewInt(1), types.NewFloat(1.0), types.NewFloat(math.Copysign(0, -1)), types.NewFloat(0), types.NewInt(2)}
+	for i := 0; i < 40; i++ {
+		e := types.NewString("e")
+		if i%5 == 2 && i%2 == 1 {
+			e = types.NewString("f")
+		}
+		v.MustInsert(relstore.Tuple{vA[i%5], []types.Value{types.NewString("x"), types.NewString("y")}[i%2],
+			[]types.Value{types.NewString("p"), types.NewString("q")}[i%7%2], e})
+	}
+	vp, err := store.Create(schema.New("vp", "A", "B", "C"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	wild := types.NewString("_")
+	vp.MustInsert(relstore.Tuple{wild, wild, wild})
+	vp.MustInsert(relstore.Tuple{types.NewInt(1), wild, types.NewString("p")})
+	vp.MustInsert(relstore.Tuple{types.NewInt(0), types.NewString("x"), types.NewString("q")})
 	return store
 }
 
@@ -218,8 +244,10 @@ var fuzzSeeds = slices.Concat([]string{
 // last class is given up past the tail budget, and one whose given-up
 // classes come before a counted one of another group (groups open in class
 // order); COUNT(DISTINCT) over a column that differs within classes and
-// holds NULL; and a non-grouped walk whose rows a stopping consumer
-// (checkSQLIdentity) leaves mid-class.
+// holds NULL; a non-grouped walk whose rows a stopping consumer
+// (checkSQLIdentity) leaves mid-class; the detector's Qv and Qc over v,
+// as generated and with a value-level < on D (splitSeeds); and a group per
+// class of D, counted whole but for the second class, which its rows feed.
 var walkSeeds = []string{
 	"SELECT u.A, COUNT(*), COUNT(DISTINCT u.C), COUNT(s.D) FROM u, s WHERE u.A = s.A AND u.B <> s.D GROUP BY u.A",
 	"SELECT u.A, COUNT(*), COUNT(u.D) FROM u WHERE u.A < 2 GROUP BY u.A",
@@ -227,6 +255,54 @@ var walkSeeds = []string{
 	"SELECT u1.A, COUNT(*), COUNT(u2.B) FROM u u1, u u2, s WHERE u1.A <> u2.A AND (u1.A = 1 OR s.A = 9) GROUP BY u1.A",
 	"SELECT u.C, COUNT(DISTINCT u.D), COUNT(u.D), COUNT(*) FROM u WHERE u.C <> 'z' GROUP BY u.C",
 	"SELECT u._tid, u.A, s.D FROM u, s WHERE u.A = s.A",
+	splitSeeds[0], splitSeeds[1], splitSeeds[2], splitSeeds[3],
+	"SELECT v.A, COUNT(DISTINCT v.E), COUNT(*) FROM v WHERE v.A <> 9 GROUP BY v.A",
+}
+
+// splitSeeds are the detector's Qv and Qc shapes over v and its tableau
+// vp, each as generated (classes decided on Equal codes whole) and with a
+// value-level < on v.A (classes that mix INT 1 with FLOAT 1.0, or -0 with
+// +0, given up).
+var splitSeeds = []string{
+	qvOverV, qvOverV[:strings.Index(qvOverV, " GROUP BY")] + " AND t.A < 2" + qvOverV[strings.Index(qvOverV, " GROUP BY"):],
+	qcOverV, qcOverV + " AND t.A < 1",
+}
+
+const (
+	qvOverV = "SELECT t.A, t.B FROM v t, vp tp WHERE (tp.A = '_' OR t.A = tp.A) AND (tp.B = '_' OR t.B = tp.B) AND tp.C = '_' " +
+		"GROUP BY t.A, t.B HAVING COUNT(DISTINCT t.C) > 1 OR (COUNT(DISTINCT t.C) = 1 AND COUNT(t.C) < COUNT(*))"
+	qcOverV = "SELECT t._tid, tp._tid, tp.C, t.C FROM v t, vp tp WHERE (tp.A = '_' OR t.A = tp.A) AND (tp.B = '_' OR t.B = tp.B) " +
+		"AND tp.C <> '_' AND t.C <> tp.C"
+)
+
+// TestClassWalkSplitsMixedKinds runs the detector's statement shapes over
+// v, whose A classes each hold two exact codes: as generated, every class
+// is decided once on its Equal codes; with a value-level < on A, the
+// classes that mix codes run row by row. Either way the pipeline's result
+// is the nested-loop reference's.
+func TestClassWalkSplitsMixedKinds(t *testing.T) {
+	store := fuzzStore(t)
+	tab, _ := store.Table("v")
+	a := tab.Snapshot().Columnar().Col(0)
+	if a.CodeSpace() != 5 || a.EqCode(0) != a.EqCode(1) || a.EqCode(2) != a.EqCode(3) || a.EqCode(0) == a.EqCode(2) {
+		t.Fatalf("v.A has %d exact codes; want INT 1 ~ FLOAT 1.0 and -0 ~ +0, two codes a class", a.CodeSpace())
+	}
+	for i, sql := range splitSeeds {
+		checkSQLIdentity(t, sql)
+		e := New(store)
+		if _, err := e.QueryContext(context.Background(), sql); err != nil {
+			t.Fatal(err)
+		}
+		// D's classes: A's three times B's two, times C's two for Qc.
+		classes := int64(3 * 2)
+		if i >= 2 {
+			classes *= 2
+		}
+		ops, split := e.OpStats(), i%2 == 1
+		if decided := ops.DriverClasses; (decided < classes) != split || decided == 0 {
+			t.Errorf("%s\ndecided %d of its %d classes whole, want all of them unless < splits some", sql, decided, classes)
+		}
+	}
 }
 
 // FuzzSQLExec feeds arbitrary SQL text through the engine and the

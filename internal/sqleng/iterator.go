@@ -132,7 +132,7 @@ func (p *selectPlan) run(ctx context.Context) error {
 	if px.memo != nil {
 		return px.walkClasses()
 	}
-	return px.feedRows(p.scans[0].cnr.Len())
+	return px.feedRows()
 }
 
 // materialise fetches the row-buffer positions cols at cursor cur: the
@@ -208,61 +208,55 @@ rows:
 	return nil
 }
 
-// driverMemo is the class walk's state for one run. Below the driver scan the
-// pipeline is a function of a row's exact codes (a value-level < tells INT 1
-// from FLOAT 1.0) on the columns D that WHERE reads (planMemo), so it runs
-// once per class, recording the cursor suffixes cur[1:] that reach the sink,
-// the class's tails: the sink gets ⋃ class × tails.
+// driverMemo is the class walk's state for one run. Below the driver scan
+// the pipeline reads a driver row only on D, the columns WHERE reads
+// (planMemo), and a code-compiled predicate reads their Equal-class codes
+// (codeTerm.own), so the pipeline runs once per class of D's Equal-class
+// partition, at the class's first row, recording the cursor suffixes
+// cur[1:] that reach the sink, the class's tails: the sink gets ⋃ class ×
+// tails. A value-level expression tells some Equal values apart (a < sees
+// INT 1 and FLOAT 1.0 as two values): a class whose rows differ in exact
+// codes on a column one reads is given up, and its rows run the pipeline
+// one by one.
 type driverMemo struct {
-	cols     []*relstore.Column // D
-	wts      [][]int32          // per column of D: code -> its share of the vector's index into classes
-	classes  []memoClass        // per value vector: its class, if it has rows
-	order    []int32            // the vectors of the classes, in first-appearance order
-	tails    []int32            // every class's tails, a cursor per non-driver scan each
-	budget   int                // tails that may still be recorded, of one per driver row in total
-	deciding int                // the vector of the class being decided, -1: none (the pipeline emits)
+	cls      *relstore.EqClasses // D's classes
+	classes  []memoClass         // per class of cls, its decision
+	exact    []*relstore.Column  // the columns of D a value-level expression reads
+	split    bool                // a class was given up on exact codes
+	tails    []int32             // every class's tails, a cursor per non-driver scan each
+	budget   int                 // tails that may still be recorded, of one per driver row in total
+	deciding int                 // the class being decided, -1: none (the pipeline emits)
 }
 
-// memoClass is one class of driver rows and its decision.
+// memoClass is the decision on one class of driver rows.
 type memoClass struct {
-	first, size int32 // its first driver row and its row count (0: no class)
-	off, tails  int32 // its tails' offset in driverMemo.tails and their count; tails -1: given up
-	mixed, fed  bool  // its rows differ on a column of streamSink.pureCols; feedRows feeds them
+	off, tails int32 // its tails' offset in driverMemo.tails and their count; tails -1: given up
+	mixed, fed bool  // its rows differ on a column of streamSink.pureCols; feedRows feeds them
 }
 
+// newMemo takes D's classes from the memo pinned with the driver table, or
+// builds them for this run.
 func (p *selectPlan) newMemo() *driverMemo {
 	if p.memoOff != "" {
 		return nil
 	}
-	rows, mult := p.scans[0].cnr.Len(), int32(1)
-	m := &driverMemo{classes: make([]memoClass, p.memoSpace), order: make([]int32, 0, min(p.memoSpace, rows)),
-		tails: make([]int32, 0, min(p.memoSpace, rows)*(len(p.scans)-1)), budget: rows, deciding: -1}
-	// A vector's index is a mixed-radix number of its codes' ranks among the
-	// live ones, so dead codes (patch.go) do not outgrow what the plan admitted.
-	for _, pos := range p.memoCols {
-		col := p.scans[0].cnr.Col(int(pos) - 1)
-		wt, dead := make([]int32, col.CodeSpace()), col.CodeSpace() > col.Card()
-		for r := 0; dead && r < col.Len(); r++ {
-			wt[col.Code(r)] = 1
-		}
-		next := int32(0)
-		for c, live := range wt {
-			if wt[c] = next * mult; !dead || live == 1 {
-				next++
-			}
-		}
-		m.cols, m.wts, mult = append(m.cols, col), append(m.wts, wt), mult*int32(col.Card())
+	drv, pos := p.scans[0], make([]int, len(p.memoCols))
+	for i, c := range p.memoCols {
+		pos[i] = int(c) - 1
+	}
+	slices.Sort(pos)
+	m := &driverMemo{budget: drv.cnr.Len(), deciding: -1}
+	if p.classes != nil {
+		m.cls = p.classes.Get(pos)
+	} else {
+		m.cls = drv.cnr.EqClasses(pos)
+	}
+	m.classes = make([]memoClass, m.cls.NumClasses())
+	m.tails = make([]int32, 0, len(m.classes)*(len(p.scans)-1))
+	for _, pos := range drv.fill {
+		m.exact = append(m.exact, drv.cnr.Col(int(pos)-1))
 	}
 	return m
-}
-
-// sig returns driver row r's code vector on D, as an index into classes.
-func (m *driverMemo) sig(r int) int32 {
-	sig := int32(0)
-	for i, c := range m.cols {
-		sig += m.wts[i][c.Code(r)]
-	}
-	return sig
 }
 
 // appendDoubling is append for the vectors that grow with the classes and
@@ -290,47 +284,47 @@ func (m *driverMemo) record(tail []int32) bool {
 	return true
 }
 
-// walkClasses classifies the driver's rows, deciding each class at its first
-// row, then feeds a sink that counts per class each class whole, in class
-// order so that groups open in row order; other rows go through feedRows.
+// walkClasses decides each class of driver rows at its first row, then
+// feeds a sink that counts per class each class whole, in class order so
+// that groups open in row order; other rows go through feedRows. A class
+// given up on exact codes opens its group only where feedRows brings its
+// first row to the sink, so then every class goes through feedRows.
 func (px *planExec) walkClasses() error {
-	m, s, n, pure, groups := px.memo, px.p.sink, px.p.scans[0].cnr.Len(), px.p.sink.pureCols, 0
-	for r := 0; r < n; r++ {
+	m, s, groups := px.memo, px.p.sink, 0
+	for ci := range m.classes {
 		if err := px.stride(); err != nil {
 			return err
 		}
-		sig := m.sig(r)
-		c := &m.classes[sig]
-		if c.size == 0 {
-			c.first, c.off, m.order = int32(r), int32(len(m.tails)), append(m.order, sig)
-			if px.setCur(0, int32(r)); px.stageGate(0) {
-				m.deciding = int(sig)
-				if err := px.descend(0); err != nil {
-					return err
-				}
-				px.stop, m.deciding = false, -1 // a given-up class cut its descent short
-			}
-			if c.tails != 0 {
-				groups++ // a class lies in one group of a sink that counts per class
-			}
+		c, rows := &m.classes[ci], m.cls.Class(ci)
+		c.off = int32(len(m.tails))
+		if differ(m.exact, rows) {
+			c.tails, m.split = -1, true
+			continue
 		}
-		c.size++
-		for i := 0; i < len(pure) && c.tails > 0 && !c.mixed; i++ { // on exact codes, which tell some Equal values apart
-			c.mixed = pure[i].Code(r) != pure[i].Code(int(c.first))
+		if px.setCur(0, rows[0]); px.stageGate(0) {
+			m.deciding = ci
+			if err := px.descend(0); err != nil {
+				return err
+			}
+			px.stop, m.deciding = false, -1 // a given-up class cut its descent short
+		}
+		if c.tails != 0 {
+			groups++ // a class lies in one group of a sink that counts per class
+			c.mixed = c.tails > 0 && differ(s.pureCols, rows)
 		}
 	}
-	if s.perClass {
+	whole := s.perClass && !m.split
+	if whole {
 		s.reps, s.counts = slices.Grow(s.reps, groups*s.nscans), slices.Grow(s.counts, groups*len(s.calls))
-		if len(s.levels) > 0 {
+		if len(s.levels) > 0 && !s.byClass {
 			s.levels[len(s.levels)-1] = make(map[uint64]int32, groups)
 		}
 	}
-	rows := 0 // for feedRows
-	for _, sig := range m.order {
-		c := &m.classes[sig]
+	for ci := range m.classes {
+		c, size := &m.classes[ci], len(m.cls.Class(ci))
 		if c.tails >= 0 {
 			px.ops.DriverClasses++
-			px.ops.ClassRows += int64(c.size - 1)
+			px.ops.ClassRows += int64(size - 1)
 		}
 		if c.tails == 0 {
 			continue
@@ -338,36 +332,72 @@ func (px *planExec) walkClasses() error {
 		if err := px.stride(); err != nil {
 			return err
 		}
-		if s.perClass {
-			px.cur[0] = c.first
+		if whole {
+			px.cur[0] = m.cls.Class(ci)[0]
 			if c.tails > 0 && !c.mixed {
+				if s.byClass { // the class is a group of its own, opened at its first tail
+					copy(px.cur[1:], m.tails[c.off:])
+					s.newGroup(px.cur)
+				}
+				gid := int32(len(s.reps)/s.nscans - 1)
 				for i := range int(c.tails) { // the class's rows joined with a tail agree on every operand
 					copy(px.cur[1:], m.tails[int(c.off)+i*(len(px.cur)-1):])
-					s.count(int64(c.size))
+					if !s.byClass {
+						gid = s.group()
+					}
+					s.count(gid, int64(size))
 				}
 				continue
 			}
 			copy(px.cur[1:], m.tails[c.off:])
 			s.group() // opened in class order; its rows come in feedRows
 		}
-		rows, c.fed = rows+int(c.size), true
+		c.fed = true
 	}
-	return px.feedRows(rows)
+	return px.feedRows()
 }
 
-// feedRows feeds the sink, in driver order, rows rows of the fed classes
-// (without a memo, of the driver): a row of a given-up class runs the
-// pipeline, another replays its class's tails, polling once per tail.
-func (px *planExec) feedRows(rows int) error {
-	m, w, all := px.memo, len(px.cur)-1, &memoClass{tails: -1}
-	for r := 0; rows > 0 && !px.stop; r++ {
-		c := all // without a memo, every row runs the pipeline
-		if m != nil {
-			if c = &m.classes[m.sig(r)]; !c.fed {
-				continue
+// differ reports whether rows differ in exact codes on a column of cols.
+func differ(cols []*relstore.Column, rows []int32) bool {
+	for _, col := range cols {
+		first := col.Code(int(rows[0]))
+		for _, r := range rows[1:] {
+			if col.Code(int(r)) != first {
+				return true
 			}
 		}
-		rows--
+	}
+	return false
+}
+
+// feedRows feeds the sink, in driver order, the rows of the fed classes
+// (without a memo, every driver row): a row of a given-up class runs the
+// pipeline, another replays its class's tails, polling once per tail.
+func (px *planExec) feedRows() error {
+	m, w, all, n := px.memo, len(px.cur)-1, &memoClass{tails: -1}, px.p.scans[0].cnr.Len()
+	var fed []uint64 // with a memo, a bit per driver row of a fed class
+	if m != nil {
+		fed = make([]uint64, (n+63)/64)
+		for ci := range m.classes {
+			if m.classes[ci].fed {
+				for _, r := range m.cls.Class(ci) {
+					fed[r/64] |= 1 << (r % 64)
+				}
+			}
+		}
+	}
+	for r := 0; r < n && !px.stop; r++ {
+		c := all // without a memo, every row runs the pipeline
+		if m != nil {
+			if fed[r/64] == 0 {
+				r |= 63 // no row of this word is fed
+				continue
+			}
+			if fed[r/64]&(1<<(r%64)) == 0 {
+				continue
+			}
+			c = &m.classes[m.cls.ClassOf(r)]
+		}
 		if err := px.stride(); err != nil {
 			return err
 		}
@@ -483,6 +513,9 @@ type streamSink struct {
 	// columns outside D that operands read.
 	perClass bool
 	pureCols []*relstore.Column
+	// byClass: every column of D is a bare key, so a class of driver rows
+	// is a group of its own, which the walk opens without the key maps.
+	byClass bool
 	// HAVING: on the group's counts alone when its shape allows
 	// (compileCounts), else value-level.
 	havingCounts countFn
@@ -582,6 +615,11 @@ func newStreamSink(p *selectPlan) (*streamSink, error) {
 				s.pureCols = append(s.pureCols, t.col)
 			}
 		}
+		s.byClass = s.perClass && !slices.ContainsFunc(p.memoCols, func(pos int32) bool {
+			return !slices.ContainsFunc(s.keyTerms, func(t *codeTerm) bool {
+				return t.col == p.scans[0].cnr.Col(int(pos)-1) && t.dflt.IsNull()
+			})
+		})
 	}
 
 	for _, it := range st.Items {
@@ -642,6 +680,9 @@ func (s *streamSink) describe() string {
 	if s.perClass {
 		parts = append(parts, "counts per class")
 	}
+	if s.byClass {
+		parts = append(parts, "a group per class")
+	}
 	if s.havingCounts != nil {
 		parts = append(parts, "having on counts")
 	} else if s.having != nil {
@@ -659,14 +700,14 @@ func (s *streamSink) add() bool {
 	if !s.needsGroup {
 		return s.emit(px.buf)
 	}
-	s.count(1)
+	s.count(s.group(), 1)
 	return false
 }
 
 // count adds the pipeline row under the cursor to its group's counts, times
 // over: for a class of times driver rows that agree on every operand.
-func (s *streamSink) count(times int64) {
-	gid := uint64(s.group())
+func (s *streamSink) count(g int32, times int64) {
+	gid := uint64(g)
 	for ci := range s.calls {
 		c, n := &s.calls[ci], &s.counts[int(gid)*len(s.calls)+ci]
 		switch {
@@ -703,6 +744,9 @@ func (s *streamSink) group() int32 {
 		id, ok := s.levels[i][gid<<32|uint64(c)]
 		if !ok {
 			id = int32(len(s.levels[i]))
+			if i == len(s.keyTerms)-1 {
+				id = int32(len(s.reps) / s.nscans) // the last level numbers the groups, some opened without it (byClass)
+			}
 			s.levels[i][gid<<32|uint64(c)] = id
 		}
 		gid = uint64(id)

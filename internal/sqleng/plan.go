@@ -112,11 +112,13 @@ type selectPlan struct {
 	sink     *streamSink
 	posScan  []int32    // row-buffer position -> owning scan
 	xlats    []*xlatTab // the plan's code translation tables (codepred.go)
-	// The class walk (planMemo): its columns D, the number of value
-	// vectors over them, and why the plan has none.
+	// The class walk (planMemo): its columns D, the product of their
+	// distinct counts, why the plan has none, and the memo pinned with the
+	// driver table, if any, which holds D's classes.
 	memoCols  []int32
 	memoSpace int
 	memoOff   string
+	classes   *relstore.ClassMemo
 	// ops points at the owning engine's executor operation counters; a run
 	// adds what it probed when it ends (planExec.flushOps).
 	ops *OpCounters
@@ -179,6 +181,9 @@ func (e *Engine) buildSelectPlan(st *SelectStmt) (*selectPlan, error) {
 		snap, ok := qp.snapshot(fi.Table)
 		if !ok {
 			return nil, fmt.Errorf("sql: no table %q", fi.Table)
+		}
+		if len(p.scans) == 0 {
+			p.classes = qp.classes(fi.Table)
 		}
 		sc := &scanNode{alias: fi.Alias, table: fi.Table, snap: snap, cnr: snap.Columnar(), start: len(p.cat)}
 		sc.cat = append(sc.cat, colInfo{qual: fi.Alias, name: TIDColumn})

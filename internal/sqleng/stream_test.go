@@ -202,11 +202,11 @@ func TestStreamGroupedYield(t *testing.T) {
 // state: a filter-count, a GROUP BY over a fixed set of groups and an
 // equi-self-join count stream their input through the aggregate, so a 10x
 // larger table costs no more allocations once the snapshot's columnar
-// caches are warm. The class walk's tables keep to it: they are sized from
-// the dictionaries — the class and tail vectors for one tail per class, at
-// most — and the tail store doubles past that, log2(tails per class) times
-// whatever the size: the self-join's eight tails per ZIP class cost three
-// doublings at both.
+// caches are warm. The class walk's tables keep to it: its classes are a
+// build of a fixed number of vectors, its decisions one slot per class,
+// its tail store sized for one tail per class, at most — and the tail
+// store doubles past that, log2(tails per class) times whatever the size:
+// the self-join's eight tails per ZIP class cost three doublings at both.
 func TestStreamedQueryAllocsFlat(t *testing.T) {
 	queries := []string{
 		`SELECT COUNT(*) FROM customer WHERE CNT = 'UK' AND CITY = 'Edinburgh'`,
