@@ -524,9 +524,14 @@ func (s *Semandaq) detectEntry(ctx context.Context, table string, snap *relstore
 		}
 		// Incremental-first serving: when the table's active monitor tracks
 		// exactly the requested constraints, its tracker has maintained the
-		// violation state in O(delta) per write — materializing its
-		// factorised report is far cheaper than a batch scan and provably
-		// identical to one (the mutation cross-check tier). Served only when
+		// violation state in O(delta) per write, and its factorised report
+		// is identical to a batch detection's (the mutation cross-check
+		// tier). Its edge narrows as dirt accumulates, since it assembles
+		// every violating group's rows from the tracked ids by binary
+		// search: on the 10 000-row datagen table (fastest of five runs) it
+		// took 0.12 ms against a factorised detection's 0.48 ms after one
+		// steward-sized batch of typos and flips (494 dirty tuples), and
+		// 1.2 ms against 1.4 ms after twelve (3 311). Served only when
 		// the tracker's version matches the pinned snapshot's, so a racing
 		// write falls through to the batch engine instead of answering for
 		// the wrong version. The report does not depend on the engine, so it

@@ -195,6 +195,13 @@ func bindCFDs(rsnap *relstore.Snapshot, cfds []*cfd.CFD) (*relstore.Columnar, []
 		return nil, nil, nil, err
 	}
 	snap := rsnap.Columnar()
+	cps, memo := bind(snap, preps)
+	return snap, cps, memo, nil
+}
+
+// bind resolves prepared CFDs into snap's code space over one new class
+// memo.
+func bind(snap *relstore.Columnar, preps []prepared) ([]colPrep, *relstore.ClassMemo) {
 	memo := relstore.NewClassMemo(snap)
 	cps := make([]colPrep, len(preps))
 	for i, p := range preps {
@@ -202,7 +209,7 @@ func bindCFDs(rsnap *relstore.Snapshot, cfds []*cfd.CFD) (*relstore.Columnar, []
 		cps[i].lhsSet, cps[i].classes = slices.Clone(p.lhsPos), memo
 		slices.Sort(cps[i].lhsSet)
 	}
-	return snap, cps, memo, nil
+	return cps, memo
 }
 
 // detectFactorised is the columnar scan→group core. Each prepared CFD

@@ -27,6 +27,12 @@ import (
 // scratch buffer and looks them up without allocating, and a key string is
 // allocated only for a new RHS class (its group's key is a prefix of it).
 //
+// Per-tuple state is dense and pointer-free, indexed by slot: the seed
+// snapshot's tuples hold slots 0..n-1 in id order, a later tuple n plus its
+// id's distance from the first later id. Ids are never reused, so when the
+// slots pass 2 × live + 256 the tracker re-bases — re-seeds from the
+// table's current snapshot — and its memory stays O(live) under churn.
+//
 // The Tracker owns mutations: route inserts, deletes and cell updates
 // through it so the violation index stays in sync with the table.
 //
@@ -39,98 +45,220 @@ type Tracker struct {
 	mu    lockcheck.RWMutex[Tracker]
 	tab   *relstore.Table
 	state []*cfdState
-	// dirtyRef counts, per tuple, how many sources make it dirty: CFDs
-	// with a single-tuple violation plus violating groups it belongs to.
-	dirtyRef map[relstore.TupleID]int
+	// seeded is the seed snapshot's ids, next the first id after them.
+	seeded []relstore.TupleID
+	next   relstore.TupleID
+	// dirtyRef counts per slot how many sources make the tuple dirty (CFDs
+	// with a single-tuple violation, violating groups), dirty the slots
+	// above 0.
+	dirtyRef []int32
+	dirty    int
 	// key and row are write-path scratch: the key being looked up and the
 	// row SetCell decodes. Only the holder of the write lock touches them.
 	key []byte
 	row relstore.Tuple
 }
 
-// cfdState is the per-CFD violation index.
+// cfdState is the per-CFD violation index. single marks the slots of
+// single-tuple violations, member gives a slot's class and place among its
+// group's members; each is nil without patterns of its RHS kind. groups
+// and classes index groupAt and classAt by LHS group key and by LHS key
+// followed by RHS key.
 type cfdState struct {
-	p prepared
-	// constPatterns / varPatterns split the tableau by RHS kind.
-	constPatterns []int
-	varPatterns   []int
-	// single holds the tuples violating a constant pattern.
-	single map[relstore.TupleID]bool
-	// groups indexes multi-tuple state by LHS group key, and classes the
-	// groups' live RHS Equal-classes by LHS key followed by RHS key; member
-	// records each grouped tuple's class and place in its group.
-	groups  map[string]*groupState
-	classes map[string]*rhsClass
-	member  map[relstore.TupleID]membership
+	p            prepared
+	consts, vars bool // has constant-RHS / wildcard-RHS patterns
+	single       []bool
+	member       []membership
+	groups       map[string]int32
+	classes      map[string]int32
+	groupAt      slab[groupState]
+	classAt      slab[rhsClass]
 }
 
 // groupState is one LHS-value group of tuples matching a variable pattern.
 type groupState struct {
 	key     string
-	members []relstore.TupleID
-	classes int // live RHS Equal-classes
+	members []int32 // slots
+	classes int32   // live RHS Equal-classes
 }
 
 func (g *groupState) violating() bool { return g.classes > 1 }
 
 // rhsClass is one RHS Equal-class of a group and its member count.
 type rhsClass struct {
-	key string
-	g   *groupState
-	n   int
+	key      string
+	group, n int32
 }
 
-// membership is a grouped tuple's class and index in the group's members.
-type membership struct {
-	c  *rhsClass
-	at int
+// membership is a grouped tuple's class (-1 for none) and index in the
+// group's members.
+type membership struct{ class, at int32 }
+
+var noMember = membership{class: -1}
+
+// slab holds values addressed by int32, recycling the ones it frees.
+type slab[T any] struct {
+	items []T
+	free  []int32
 }
 
-// NewTracker builds a tracker over the table and CFD set, performing one
-// initial full pass to seed the violation index.
+func (s *slab[T]) add(v T) int32 {
+	if n := len(s.free); n > 0 {
+		i := s.free[n-1]
+		s.free, s.items[i] = s.free[:n-1], v
+		return i
+	}
+	s.items = append(s.items, v)
+	return int32(len(s.items) - 1)
+}
+
+func (s *slab[T]) drop(i int32) {
+	var zero T
+	s.items[i], s.free = zero, append(s.free, i)
+}
+
+// NewTracker builds a tracker over the table and CFD set, seeded from the
+// table's current snapshot.
 func NewTracker(tab *relstore.Table, cfds []*cfd.CFD) (*Tracker, error) {
 	preps, err := prepare(tab.Schema(), cfds)
 	if err != nil {
 		return nil, err
 	}
-	t := &Tracker{
-		tab:      tab,
-		dirtyRef: make(map[relstore.TupleID]int),
-	}
+	t := &Tracker{tab: tab}
 	for _, p := range preps {
-		cs := &cfdState{
-			p:       p,
-			single:  map[relstore.TupleID]bool{},
-			groups:  map[string]*groupState{},
-			classes: map[string]*rhsClass{},
-			member:  map[relstore.TupleID]membership{},
-		}
-		cs.constPatterns, cs.varPatterns = splitPatterns(p)
-		t.state = append(t.state, cs)
+		consts := slices.ContainsFunc(p.c.Tableau, func(pt cfd.PatternTuple) bool { return !pt.RHS[0].Wildcard })
+		t.state = append(t.state, &cfdState{p: p, consts: consts, vars: p.c.HasVariablePattern()})
 	}
-	// Seed from one pinned snapshot (the index keeps no borrowed row); the
-	// tracker is not shared yet, so no locking either.
-	tab.Snapshot().Scan(func(id relstore.TupleID, row relstore.Tuple) bool {
-		for _, cs := range t.state {
-			t.index(cs, id, row)
-		}
-		return true
-	})
+	t.seed(tab.Snapshot()) // not shared yet: no locking
 	return t, nil
 }
 
-// splitPatterns classifies the tableau indexes: constant-RHS patterns can
-// only be violated by single tuples, wildcard-RHS patterns only by tuple
-// groups.
-func splitPatterns(p prepared) (constPatterns, varPatterns []int) {
-	for i := range p.c.Tableau {
-		if p.c.Tableau[i].RHS[0].Wildcard {
-			varPatterns = append(varPatterns, i)
-		} else {
-			constPatterns = append(constPatterns, i)
+// seed rebuilds the state from rsnap, decoding no row. Single-tuple
+// violations are the batch core's constant check (colPrep.constAt). Groups
+// are the classes of the LHS's Equal-class partition (one per LHS set, from
+// a class memo) that match a variable pattern — a class matches as a
+// whole — and their rows split by RHS Equal-class code. Equal-class codes
+// are Key() classes, so the keys, each encoded once from a class's first
+// row, are the bytes an insert writes: the index is the one inserting
+// every row builds.
+func (t *Tracker) seed(rsnap *relstore.Snapshot) {
+	snap := rsnap.Columnar()
+	ids := snap.IDs()
+	t.seeded, t.next, t.dirtyRef, t.dirty = ids, 0, make([]int32, len(ids)), 0
+	if len(ids) > 0 {
+		t.next = ids[len(ids)-1] + 1
+	}
+	preps := make([]prepared, len(t.state))
+	for i, cs := range t.state {
+		preps[i] = cs.p
+	}
+	cps, _ := bind(snap, preps)
+	var opened []uint32
+	for i, cs := range t.state {
+		cp := &cps[i]
+		*cs = cfdState{p: cs.p, consts: cs.consts, vars: cs.vars}
+		if cs.consts {
+			cs.single = make([]bool, len(ids))
+			var at int
+			mark := func(Violation) bool { cs.single[at] = true; t.ref(int32(at), 1); return false }
+			for at = range ids {
+				cp.constAt(at, ids[at], mark)
+			}
+		}
+		if !cs.vars {
+			continue
+		}
+		part, rhs := cp.lhsClasses(), cp.rhsCol
+		var matched []int
+		grouped := 0
+		for c := range part.NumClasses() {
+			if rows := part.Class(c); matchesVarColumnar(cp, int(rows[0])) {
+				matched, grouped = append(matched, c), grouped+len(rows)
+			}
+		}
+		cs.member = slices.Repeat([]membership{noMember}, len(ids))
+		cs.groups, cs.classes = make(map[string]int32, len(matched)), make(map[string]int32, len(matched))
+		cs.groupAt.items = make([]groupState, 0, len(matched))
+		members := make([]int32, grouped)      // every group's, back to back
+		seen := make([]int32, rhs.CodeSpace()) // RHS Equal-class code -> its class in the group, plus 1
+		for _, c := range matched {
+			rows := part.Class(c)
+			t.key = t.key[:0]
+			for _, col := range cp.lhsCols {
+				t.key = col.Value(col.Code(int(rows[0]))).AppendGroupKey(t.key)
+			}
+			lhs := len(t.key)
+			for _, r := range rows {
+				q := rhs.EqCode(int(r))
+				if seen[q] == 0 {
+					t.key = rhs.Value(rhs.Code(int(r))).AppendGroupKey(t.key[:lhs])
+					seen[q], opened = t.class(cs, lhs)+1, append(opened, q)
+					if len(opened) == 1 {
+						g := &cs.groupAt.items[cs.classAt.items[seen[q]-1].group]
+						g.members, members = members[:0:len(rows)], members[len(rows):]
+					}
+				}
+				t.join(cs, r, seen[q]-1)
+			}
+			for _, q := range opened {
+				seen[q] = 0
+			}
+			opened = opened[:0]
 		}
 	}
-	return constPatterns, varPatterns
+}
+
+// slot returns id's slot and whether it has one.
+func (t *Tracker) slot(id relstore.TupleID) (int32, bool) {
+	if id < t.next {
+		r, ok := slices.BinarySearch(t.seeded, id)
+		return int32(r), ok
+	}
+	s := len(t.seeded) + int(id-t.next)
+	return int32(s), s < len(t.dirtyRef)
+}
+
+// idOf returns the id of the tuple at slot s.
+func (t *Tracker) idOf(s int) relstore.TupleID {
+	if s < len(t.seeded) {
+		return t.seeded[s]
+	}
+	return t.next + relstore.TupleID(s-len(t.seeded))
+}
+
+// fits reports whether n slots stay within 2 × live + 256: the allowance
+// spares a small table a re-seed every few inserts (1 024 let a 1 000-row
+// tracker's slots triple).
+func (t *Tracker) fits(n int) bool { return n <= 2*t.tab.Len()+256 }
+
+// cover returns the slot of id, a tuple of the table's, adding slots up to
+// it. When id cannot take one (it lies below the slots added since the
+// seed) or the slots would outgrow fits, it re-bases instead — re-seeds
+// from the table's current snapshot, which holds id — and reports false.
+func (t *Tracker) cover(id relstore.TupleID) (int32, bool) {
+	if s, ok := t.slot(id); ok {
+		return s, true
+	}
+	if len(t.dirtyRef) == len(t.seeded) && id >= t.next {
+		t.next = id // the first slot past the seed's
+	}
+	n := len(t.seeded) + int(id-t.next) + 1
+	if id < t.next || !t.fits(n) {
+		t.seed(t.tab.Snapshot())
+		return 0, false
+	}
+	for len(t.dirtyRef) < n {
+		t.dirtyRef = append(t.dirtyRef, 0)
+		for _, cs := range t.state {
+			if cs.consts {
+				cs.single = append(cs.single, false)
+			}
+			if cs.vars {
+				cs.member = append(cs.member, noMember)
+			}
+		}
+	}
+	return int32(n - 1), true
 }
 
 // Vio computes vio(t) for the given tuple on demand: one unit per CFD with
@@ -138,21 +266,28 @@ func splitPatterns(p prepared) (constPatterns, varPatterns []int) {
 func (t *Tracker) Vio(id relstore.TupleID) int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.vioLocked(id)
+	if s, ok := t.slot(id); ok {
+		return t.vioAt(s)
+	}
+	return 0
 }
 
-// vioLocked is Vio under an already-held lock (any mode).
-func (t *Tracker) vioLocked(id relstore.TupleID) int {
-	if t.dirtyRef[id] == 0 {
+// vioAt is Vio of slot at under an already-held lock (any mode).
+func (t *Tracker) vioAt(at int32) int {
+	if t.dirtyRef[at] == 0 {
 		return 0
 	}
 	n := 0
 	for _, cs := range t.state {
-		if cs.single[id] {
+		if cs.consts && cs.single[at] {
 			n++
 		}
-		if m, ok := cs.member[id]; ok && m.c.g.violating() {
-			n += len(m.c.g.members) - m.c.n
+		if !cs.vars || cs.member[at].class < 0 {
+			continue
+		}
+		c := &cs.classAt.items[cs.member[at].class]
+		if g := &cs.groupAt.items[c.group]; g.violating() {
+			n += len(g.members) - int(c.n)
 		}
 	}
 	return n
@@ -162,10 +297,10 @@ func (t *Tracker) vioLocked(id relstore.TupleID) int {
 func (t *Tracker) VioMap() map[relstore.TupleID]int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make(map[relstore.TupleID]int, len(t.dirtyRef))
-	for id := range t.dirtyRef {
-		if v := t.vioLocked(id); v > 0 {
-			out[id] = v
+	out := make(map[relstore.TupleID]int, t.dirty)
+	for at, n := range t.dirtyRef {
+		if n > 0 {
+			out[t.idOf(at)] = t.vioAt(int32(at))
 		}
 	}
 	return out
@@ -175,15 +310,16 @@ func (t *Tracker) VioMap() map[relstore.TupleID]int {
 func (t *Tracker) DirtyCount() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.dirtyRef)
+	return t.dirty
 }
 
-// ref adjusts a tuple's dirty reference count.
-func (t *Tracker) ref(id relstore.TupleID, diff int) {
-	if n := t.dirtyRef[id] + diff; n > 0 {
-		t.dirtyRef[id] = n
-	} else {
-		delete(t.dirtyRef, id)
+// ref adjusts slot at's dirty reference count by diff (±1).
+func (t *Tracker) ref(at int32, diff int32) {
+	switch t.dirtyRef[at] += diff; t.dirtyRef[at] {
+	case 0:
+		t.dirty--
+	case diff:
+		t.dirty++
 	}
 }
 
@@ -195,8 +331,10 @@ func (t *Tracker) Insert(row relstore.Tuple) (relstore.TupleID, error) {
 	if err != nil {
 		return 0, err
 	}
-	for _, cs := range t.state {
-		t.index(cs, id, row)
+	if at, ok := t.cover(id); ok {
+		for _, cs := range t.state {
+			t.index(cs, at, row)
+		}
 	}
 	return id, nil
 }
@@ -208,8 +346,13 @@ func (t *Tracker) Delete(id relstore.TupleID) error {
 	if !t.tab.Delete(id) {
 		return fmt.Errorf("detect: tracker delete: no tuple %d", id)
 	}
-	for _, cs := range t.state {
-		t.unindex(cs, id)
+	if at, ok := t.slot(id); ok {
+		for _, cs := range t.state {
+			t.unindex(cs, at)
+		}
+	}
+	if !t.fits(len(t.dirtyRef)) {
+		t.seed(t.tab.Snapshot()) // re-base
 	}
 	return nil
 }
@@ -226,27 +369,40 @@ func (t *Tracker) SetCell(id relstore.TupleID, attr string, v types.Value) error
 	if _, err := t.tab.SetCell(id, pos, v); err != nil {
 		return fmt.Errorf("detect: tracker set: %w", err)
 	}
+	at, ok := t.cover(id)
+	if !ok {
+		return nil
+	}
 	t.row, _ = t.tab.AppendRow(t.row[:0], id)
 	for _, cs := range t.state {
 		if pos == cs.p.rhsPos || slices.Contains(cs.p.lhsPos, pos) {
-			t.unindex(cs, id)
-			t.index(cs, id, t.row)
+			t.unindex(cs, at)
+			t.index(cs, at, t.row)
 		}
 	}
 	return nil
 }
 
-// index adds a tuple to one CFD's state, under the write lock.
-func (t *Tracker) index(cs *cfdState, id relstore.TupleID, row relstore.Tuple) {
-	// Single-tuple violations: a non-NULL RHS unlike a matched constant.
-	if got := row[cs.p.rhsPos]; !got.IsNull() && slices.ContainsFunc(cs.constPatterns, func(i int) bool {
-		return cs.p.c.MatchLHS(i, row, cs.p.lhsPos) && !got.Equal(cs.p.c.Tableau[i].RHS[0].Const)
-	}) {
-		cs.single[id] = true
-		t.ref(id, 1)
+// index adds slot at, holding row, to one CFD's state, under the write
+// lock: a single-tuple violation for a non-NULL RHS unlike a matched
+// constant, a group membership for a matched wildcard RHS.
+func (t *Tracker) index(cs *cfdState, at int32, row relstore.Tuple) {
+	single, grouped := false, false
+	for i, pt := range cs.p.c.Tableau {
+		if !cs.p.c.MatchLHS(i, row, cs.p.lhsPos) {
+			continue
+		}
+		if rhs, got := pt.RHS[0], row[cs.p.rhsPos]; rhs.Wildcard {
+			grouped = true
+		} else if !got.IsNull() && !got.Equal(rhs.Const) {
+			single = true
+		}
 	}
-	// Multi-tuple group membership.
-	if !slices.ContainsFunc(cs.varPatterns, func(i int) bool { return cs.p.c.MatchLHS(i, row, cs.p.lhsPos) }) {
+	if single {
+		cs.single[at] = true
+		t.ref(at, 1)
+	}
+	if !grouped {
 		return
 	}
 	t.key = t.key[:0]
@@ -255,71 +411,87 @@ func (t *Tracker) index(cs *cfdState, id relstore.TupleID, row relstore.Tuple) {
 	}
 	lhs := len(t.key)
 	t.key = row[cs.p.rhsPos].AppendGroupKey(t.key)
-	c := cs.classes[string(t.key)]
-	if c == nil {
-		key := string(t.key)
-		g := cs.groups[key[:lhs]]
-		if g == nil {
-			g = &groupState{key: key[:lhs]}
-			cs.groups[g.key] = g
-		}
-		c = &rhsClass{key: key, g: g}
-		cs.classes[key] = c
+	t.join(cs, at, t.class(cs, lhs))
+}
+
+// class returns the RHS class t.key names — an LHS key of lhs bytes, then
+// an RHS key — creating it, and its group, when the index holds neither.
+func (t *Tracker) class(cs *cfdState, lhs int) int32 {
+	if ci, ok := cs.classes[string(t.key)]; ok {
+		return ci
 	}
-	g := c.g
+	key := string(t.key)
+	gi, ok := cs.groups[key[:lhs]]
+	if !ok {
+		gi = cs.groupAt.add(groupState{key: key[:lhs]})
+		cs.groups[key[:lhs]] = gi
+	}
+	ci := cs.classAt.add(rhsClass{key: key, group: gi})
+	cs.classes[key] = ci
+	return ci
+}
+
+// join adds slot at to class ci and its group.
+func (t *Tracker) join(cs *cfdState, at, ci int32) {
+	c := &cs.classAt.items[ci]
+	g := &cs.groupAt.items[c.group]
 	wasViolating := g.violating()
 	if c.n++; c.n == 1 {
 		g.classes++
 	}
-	cs.member[id] = membership{c, len(g.members)}
-	g.members = append(g.members, id)
+	cs.member[at] = membership{ci, int32(len(g.members))}
+	g.members = append(g.members, at)
 	switch {
 	case !wasViolating && g.violating():
 		// The group flipped: every member becomes dirty.
-		for _, mid := range g.members {
-			t.ref(mid, 1)
+		for _, m := range g.members {
+			t.ref(m, 1)
 		}
 	case g.violating():
-		t.ref(id, 1)
+		t.ref(at, 1)
 	}
 }
 
-// unindex removes a tuple from one CFD's state, reading only the index.
-func (t *Tracker) unindex(cs *cfdState, id relstore.TupleID) {
-	if cs.single[id] {
-		delete(cs.single, id)
-		t.ref(id, -1)
+// unindex removes slot at from one CFD's state, reading only the index.
+func (t *Tracker) unindex(cs *cfdState, at int32) {
+	if cs.consts && cs.single[at] {
+		cs.single[at] = false
+		t.ref(at, -1)
 	}
-	m, ok := cs.member[id]
-	if !ok {
+	if !cs.vars || cs.member[at].class < 0 {
 		return
 	}
-	delete(cs.member, id)
-	c, g := m.c, m.c.g
+	m := cs.member[at]
+	cs.member[at] = noMember
+	c := &cs.classAt.items[m.class]
+	gi := c.group
+	g := &cs.groupAt.items[gi]
 	wasViolating := g.violating()
-	// Swap-delete id from the members, re-pointing the member moved.
-	if last := g.members[len(g.members)-1]; last != id {
+	// Swap-delete at from the members, re-pointing the member moved.
+	if last := g.members[len(g.members)-1]; last != at {
 		g.members[m.at] = last
-		cs.member[last] = membership{cs.member[last].c, m.at}
+		cs.member[last].at = m.at
 	}
 	g.members = g.members[:len(g.members)-1]
 	if c.n--; c.n == 0 {
 		delete(cs.classes, c.key)
+		cs.classAt.drop(m.class)
 		g.classes--
-	}
-	if len(g.members) == 0 {
-		delete(cs.groups, g.key)
 	}
 	switch {
 	case wasViolating && !g.violating():
 		// The group healed: the removed member plus all remaining
 		// members lose this dirty source.
-		t.ref(id, -1)
-		for _, mid := range g.members {
-			t.ref(mid, -1)
+		t.ref(at, -1)
+		for _, m := range g.members {
+			t.ref(m, -1)
 		}
 	case wasViolating:
-		t.ref(id, -1)
+		t.ref(at, -1)
+	}
+	if len(g.members) == 0 {
+		delete(cs.groups, g.key)
+		cs.groupAt.drop(gi)
 	}
 }
 
@@ -353,30 +525,34 @@ func (t *Tracker) factorReportLocked(snap *relstore.Snapshot) (fr *FactorReport,
 	parts := make([]cfdPart, len(t.state))
 	codeCounts := make(map[uint32]int, 8)
 	complete = true
+	// row finds the tuple at slot at among snap's rows.
+	row := func(at int) (int32, bool) {
+		r, ok := slices.BinarySearch(ids, t.idOf(at))
+		complete = complete && ok
+		return int32(r), ok
+	}
 	for i, cs := range t.state {
 		cp, pt := &cps[i], &parts[i]
 		*cp = newColPrep(cs.p, cols)
 		add := func(v Violation) bool { pt.viols = append(pt.viols, v); return true }
-		for id := range cs.single {
-			r, ok := slices.BinarySearch(ids, id)
-			if !ok {
-				complete = false
+		for at, hit := range cs.single {
+			if !hit {
 				continue
 			}
-			cp.constAt(r, id, add)
+			if r, ok := row(at); ok {
+				cp.constAt(int(r), ids[r], add)
+			}
 		}
-		for _, g := range cs.groups {
+		for gi := range cs.groupAt.items {
+			g := &cs.groupAt.items[gi]
 			if !g.violating() {
 				continue
 			}
 			rows := make([]int32, 0, len(g.members))
-			for _, id := range g.members {
-				r, ok := slices.BinarySearch(ids, id)
-				if !ok {
-					complete = false
-					continue
+			for _, at := range g.members {
+				if r, ok := row(int(at)); ok {
+					rows = append(rows, r)
 				}
-				rows = append(rows, int32(r))
 			}
 			if len(rows) < 2 {
 				continue

@@ -7,7 +7,6 @@ package explore
 
 import (
 	"cmp"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -300,38 +299,35 @@ func (e *Explorer) LHSGroups(cfdID string, pattern int) ([]LHSGroup, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Groups are keyed by the LHS columns' Equal-class codes, and a group's
-	// distinct RHS values are its distinct (group, RHS Equal-class) pairs.
-	out := []LHSGroup{}
-	index := map[string]int{}
-	pairs := map[uint64]struct{}{}
-	key := make([]byte, 0, 4*len(s.lhs))
-	for idx := range s.viol {
-		if !s.match.Match(idx) {
-			continue
+	// A group is a class of the LHS columns' Equal-class partition, which
+	// matches the pattern as a whole, and its distinct RHS values are its
+	// rows' distinct RHS Equal-class codes. Classes come in order of their
+	// first rows.
+	part := e.tab.Columnar().EqClasses(slices.Sorted(slices.Values(e.lhsPos[cfdID])))
+	var matched []int
+	for c := range part.NumClasses() {
+		if s.match.Match(int(part.Class(c)[0])) {
+			matched = append(matched, c)
 		}
-		key = key[:0]
-		for _, col := range s.lhs {
-			key = binary.LittleEndian.AppendUint32(key, col.EqCode(idx))
+	}
+	out := make([]LHSGroup, len(matched))
+	vals, arity := make([]types.Value, len(matched)*len(s.lhs)), len(s.lhs)
+	counted := make([]int32, s.rhs.CodeSpace()) // RHS Equal-class code -> the last group counting it, plus 1
+	for g, c := range matched {
+		rows := part.Class(c)
+		v := vals[g*arity : (g+1)*arity : (g+1)*arity]
+		for k, col := range s.lhs {
+			v[k] = col.Value(col.Code(int(rows[0])))
 		}
-		g, ok := index[string(key)]
-		if !ok {
-			g = len(out)
-			index[string(key)] = g
-			vals := make([]types.Value, len(s.lhs))
-			for k, col := range s.lhs {
-				vals[k] = col.Value(col.Code(idx))
+		out[g] = LHSGroup{Values: v, Tuples: len(rows)}
+		for _, r := range rows {
+			if q := s.rhs.EqCode(int(r)); counted[q] != int32(g+1) {
+				counted[q] = int32(g + 1)
+				out[g].RHSValues++
 			}
-			out = append(out, LHSGroup{Values: vals})
-		}
-		out[g].Tuples++
-		pair := uint64(g)<<32 | uint64(s.rhs.EqCode(idx))
-		if _, seen := pairs[pair]; !seen {
-			pairs[pair] = struct{}{}
-			out[g].RHSValues++
-		}
-		if s.viol[idx] != clean {
-			out[g].Violations++
+			if s.viol[r] != clean {
+				out[g].Violations++
+			}
 		}
 	}
 	// Violating groups first, then by size.

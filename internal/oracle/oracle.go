@@ -270,7 +270,8 @@ func (h *Harness) CheckStore() error {
 // path hands out — and so is its factorised report over each of the two
 // snapshots, exploded; and that the report's vio(t) and per-CFD counts, and
 // the tracker's own VioMap and DirtyCount, are the definition's
-// (cfddef.Check over the row model).
+// (cfddef.Check over the row model), and a tracker seeded from the table
+// now serves the same.
 func (h *Harness) CheckDetect(ctx context.Context) error {
 	got := h.Tracker.Report()
 	model := h.model()
@@ -290,6 +291,19 @@ func (h *Harness) CheckDetect(ctx context.Context) error {
 	// cleansed monitor read, not only the report recomputed from columns.
 	if v := h.Tracker.VioMap(); !maps.Equal(v, vio) || h.Tracker.DirtyCount() != len(vio) {
 		return fmt.Errorf("detect: tracker vio(t) %v (dirty %d) != the definition's %v", v, h.Tracker.DirtyCount(), vio)
+	}
+	// A tracker seeded from the table as it stands — grouped on its
+	// snapshot's Equal classes, whatever edit history numbered their codes
+	// — holds what this one built update by update.
+	seeded, err := detect.NewTracker(h.Tab, h.Cfg.CFDs)
+	if err != nil {
+		return err
+	}
+	if v := seeded.VioMap(); !maps.Equal(v, vio) || seeded.DirtyCount() != len(vio) {
+		return fmt.Errorf("detect: seeded tracker vio(t) %v (dirty %d) != the definition's %v", v, seeded.DirtyCount(), vio)
+	}
+	if rep := seeded.Report(); !deepEqual(rep, got) {
+		return fmt.Errorf("detect: seeded tracker's report != the updated tracker's\nseeded: %+v\nupdated: %+v", rep, got)
 	}
 	// The factorised core, exploded, at several worker counts, and the SQL
 	// engine: the report must depend neither on how the passes were

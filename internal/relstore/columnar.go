@@ -163,9 +163,7 @@ func numClass(v types.Value) (int64, bool) {
 	case types.KindInt:
 		return v.Int(), true
 	case types.KindFloat:
-		if f := v.Float(); f == float64(int64(f)) {
-			return int64(f), true
-		}
+		return types.IntOf(v.Float())
 	}
 	return 0, false
 }

@@ -7,7 +7,10 @@
 // meet through a translation table built once per plan from EqCodeOf: one
 // dictionary lookup per distinct value, none per row. Code compares agree
 // with the value-level evaluator because two stored values share an
-// Equal-class code iff they Compare as equal (relstore/columnar.go).
+// Equal-class code iff they Compare as equal: the codes are the classes
+// Value.Key() induces (relstore/columnar.go), and Compare orders INT
+// against FLOAT exactly, so Equal is that same equivalence (types/value.go,
+// TestCompareIntFloatExactly).
 package sqleng
 
 import (

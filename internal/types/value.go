@@ -160,7 +160,10 @@ func (v Value) Equal(o Value) bool { return v.Compare(o) == 0 }
 
 // Compare orders two values: -1, 0, +1. The total order is
 // NULL < BOOL < numbers < STRING across kinds, with numeric kinds compared
-// by value.
+// by value, exactly: an INT and a FLOAT compare as two ints when the float
+// is integral and within int64 range (IntOf), never through float64, which
+// would round an INT past 2^53 onto its float neighbours and make Equal
+// intransitive. So Equal is exactly the equivalence Key() encodes.
 func (v Value) Compare(o Value) int {
 	vr, or := v.rank(), o.rank()
 	if vr != or {
@@ -178,16 +181,44 @@ func (v Value) Compare(o Value) int {
 		if o.kind == KindInt {
 			return cmpInt64(v.i, o.i)
 		}
-		return cmpFloat64(float64(v.i), o.f())
+		return cmpIntFloat(v.i, o.f())
 	case KindFloat:
 		if o.kind == KindInt {
-			return cmpFloat64(v.f(), float64(o.i))
+			return -cmpIntFloat(o.i, v.f())
 		}
 		return cmpFloat64(v.f(), o.f())
 	case KindString:
 		return strings.Compare(v.s, o.s)
 	default:
 		return 0
+	}
+}
+
+// IntOf reports whether f is an integral number within int64 range, and
+// which int64 it is: the floats Key() renders like INTs ("d<n>"), so that
+// 1 and 1.0 group together, and Compare orders as ints. -0.0 is 0; NaN and
+// ±Inf are not integral.
+func IntOf(f float64) (int64, bool) {
+	if f >= -(1<<63) && f < 1<<63 && f == math.Trunc(f) {
+		return int64(f), true
+	}
+	return 0, false
+}
+
+// cmpIntFloat orders an INT against a FLOAT without rounding either: NaN
+// sorts before every number, a float past int64's range beyond every int,
+// and a non-integral float in range between its floor and the next int.
+func cmpIntFloat(i int64, f float64) int {
+	if n, ok := IntOf(f); ok {
+		return cmpInt64(i, n)
+	}
+	switch {
+	case math.IsNaN(f), f < -(1 << 63):
+		return 1
+	case f >= 1<<63, i <= int64(math.Floor(f)):
+		return -1
+	default:
+		return 1
 	}
 }
 
@@ -258,9 +289,9 @@ func (v Value) Key() string {
 		return "d" + strconv.FormatInt(v.i, 10)
 	case KindFloat:
 		f := v.f()
-		if f == float64(int64(f)) {
+		if n, ok := IntOf(f); ok {
 			// Key integral floats like ints so 1 and 1.0 group together.
-			return "d" + strconv.FormatInt(int64(f), 10)
+			return "d" + strconv.FormatInt(n, 10)
 		}
 		return "f" + strconv.FormatFloat(f, 'g', -1, 64)
 	case KindString:
@@ -308,10 +339,10 @@ func (v Value) AppendGroupKey(dst []byte) []byte {
 	case KindInt:
 		k = strconv.AppendInt(append(scratch[:0], 'd'), v.i, 10)
 	case KindFloat:
-		if f := v.f(); f == float64(int64(f)) {
-			k = strconv.AppendInt(append(scratch[:0], 'd'), int64(f), 10)
+		if n, ok := IntOf(v.f()); ok {
+			k = strconv.AppendInt(append(scratch[:0], 'd'), n, 10)
 		} else {
-			k = strconv.AppendFloat(append(scratch[:0], 'f'), f, 'g', -1, 64)
+			k = strconv.AppendFloat(append(scratch[:0], 'f'), v.f(), 'g', -1, 64)
 		}
 	case KindString:
 		dst = strconv.AppendInt(dst, int64(len(v.s))+1, 10)

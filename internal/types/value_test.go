@@ -2,6 +2,7 @@ package types
 
 import (
 	"math"
+	"math/big"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -344,5 +345,93 @@ func TestFloatIdentity(t *testing.T) {
 	}
 	if sub := NewFloat(math.Float64frombits(1)); sub.Compare(zero) != 1 || sub.Compare(NewInt(1)) != -1 || NewFloat(math.Inf(1)).Compare(NewInt(math.MaxInt64)) != 1 {
 		t.Error("subnormal and +Inf: want 0 < subnormal < 1 and +Inf above every INT")
+	}
+}
+
+// TestCompareIntFloatExactly: an INT and a FLOAT compare exactly, not
+// through float64, so Equal holds iff Key() agrees at the edges where
+// float64 rounds an int: ±2^53 (INT 2^53+1 used to Equal FLOAT 2^53 while
+// keying apart, making Equal intransitive through INT 2^53), ±2^63 (the
+// ends of int64's range, where only -2^63 is an integral float in range),
+// −0 and the infinities.
+func TestCompareIntFloatExactly(t *testing.T) {
+	const p53, p63 = 1 << 53, 1 << 63
+	cases := []struct {
+		i    int64
+		f    float64
+		want int // Compare(INT i, FLOAT f)
+	}{
+		{p53, p53, 0},
+		{p53 + 1, p53, 1},
+		{p53 - 1, p53, -1},
+		{-p53 - 1, -p53, -1},
+		{-p53, -p53, 0},
+		{math.MaxInt64, p63, -1}, // 2^63 is one past int64's range
+		{math.MinInt64, -p63, 0},
+		{math.MinInt64 + 1, -p63, 1},
+		{math.MinInt64, -p63 * 2, 1},
+		{0, math.Copysign(0, -1), 0},
+		{1, math.Copysign(0, -1), 1},
+		{-1, 0.5, -1},
+		{0, 0.5, -1},
+		{1, 0.5, 1},
+		{-1, -0.5, -1},
+		{0, -0.5, 1},
+		{math.MaxInt64, math.Inf(1), -1},
+		{math.MinInt64, math.Inf(-1), 1},
+		{math.MinInt64, math.NaN(), 1},
+	}
+	for _, c := range cases {
+		iv, fv := NewInt(c.i), NewFloat(c.f)
+		if got := iv.Compare(fv); got != c.want {
+			t.Errorf("Compare(INT %d, FLOAT %v) = %d, want %d", c.i, c.f, got, c.want)
+		}
+		if got := fv.Compare(iv); got != -c.want {
+			t.Errorf("Compare(FLOAT %v, INT %d) = %d, want %d", c.f, c.i, got, -c.want)
+		}
+		if keyEq := iv.Key() == fv.Key(); keyEq != (c.want == 0) {
+			t.Errorf("INT %d and FLOAT %v: Key equal %v, Equal %v", c.i, c.f, keyEq, c.want == 0)
+		}
+	}
+	// The keys at the edges, and IntOf's answer on them.
+	keys := []struct {
+		f   float64
+		key string
+	}{
+		{p53, "d9007199254740992"},
+		{-p53, "d-9007199254740992"},
+		{-p63, "d-9223372036854775808"},
+		{p63, "f9.223372036854776e+18"},
+		{math.Copysign(0, -1), "d0"},
+	}
+	for _, c := range keys {
+		if got := NewFloat(c.f).Key(); got != c.key {
+			t.Errorf("Key(FLOAT %v) = %q, want %q", c.f, got, c.key)
+		}
+		if _, ok := IntOf(c.f); ok != (c.key[0] == 'd') {
+			t.Errorf("IntOf(%v) reports %v", c.f, ok)
+		}
+	}
+	// Transitivity through INT 2^53: FLOAT 2^53 is Equal to it, INT 2^53+1
+	// to neither.
+	a, b, c := NewInt(p53+1), NewFloat(p53), NewInt(p53)
+	if a.Equal(b) || !b.Equal(c) || a.Equal(c) {
+		t.Errorf("Equal over INT 2^53+1, FLOAT 2^53, INT 2^53: %v %v %v", a.Equal(b), b.Equal(c), a.Equal(c))
+	}
+}
+
+// TestCompareKeyAgreeProperty: an INT near the float64 rounding boundary
+// against the FLOAT of a neighbour compares as math/big orders the two
+// exactly, and Equal holds iff the keys agree.
+func TestCompareKeyAgreeProperty(t *testing.T) {
+	f := func(n int64, shift uint8, d int8) bool {
+		n >>= shift % 64
+		fl := float64(n + int64(d))
+		a, b := NewInt(n), NewFloat(fl)
+		want := new(big.Float).SetInt64(n).Cmp(big.NewFloat(fl))
+		return a.Compare(b) == want && b.Compare(a) == -want && (a.Key() == b.Key()) == a.Equal(b)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
 	}
 }
