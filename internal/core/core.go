@@ -26,7 +26,6 @@ import (
 	"semandaq/internal/monitor"
 	"semandaq/internal/relstore"
 	"semandaq/internal/repair"
-	"semandaq/internal/sqleng"
 	"semandaq/internal/types"
 )
 
@@ -52,9 +51,8 @@ var (
 
 // Semandaq is one data-quality session over a store of tables.
 type Semandaq struct {
-	mu     lockcheck.Mutex[Semandaq]
-	store  *relstore.Store
-	engine *sqleng.Engine
+	mu    lockcheck.Mutex[Semandaq]
+	store *relstore.Store
 	// cfds maps lowercased table name to its registered constraints.
 	cfds map[string][]*cfd.CFD
 	// reports caches the last detection per table (lowercased name): one
@@ -184,7 +182,6 @@ func New() *Semandaq { return NewWithStore(relstore.NewStore()) }
 func NewWithStore(store *relstore.Store) *Semandaq {
 	return &Semandaq{
 		store:       store,
-		engine:      sqleng.New(store),
 		cfds:        map[string][]*cfd.CFD{},
 		reports:     map[string]*tableReports{},
 		monitors:    map[string]*monitor.Monitor{},
@@ -231,18 +228,6 @@ func (s *Semandaq) Workers() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.workers
-}
-
-// SQL runs an ad-hoc SELECT (or EXPLAIN SELECT) against the store (the
-// paper's data explorer lets users navigate the data; this is the
-// programmatic hatch). The engine takes the fragment its detection queries
-// use (package sqleng: comma joins, WHERE, GROUP BY with COUNT, HAVING) and
-// only reads: any other construct or statement is a *sqleng.ParseError
-// naming it, and writes go through the session's Insert, Delete, SetCell and
-// ApplyUpdates. A cancelled ctx aborts the engine's scan loops and returns
-// ctx.Err().
-func (s *Semandaq) SQL(ctx context.Context, query string) (*sqleng.Result, error) {
-	return s.engine.QueryContext(ctx, query)
 }
 
 // LoadCSV reads a CSV stream into a new table.

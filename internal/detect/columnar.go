@@ -16,11 +16,11 @@ import (
 //   - a pattern constant is translated once per detection into the
 //     column's Equal-class code, so matching a tuple against a pattern
 //     cell is one uint32 comparison instead of a Value.Equal call;
-//   - multi-tuple groups are classes of the LHS columns' cached PLI
-//     partitions, refined by intersection, instead of a length-prefixed
-//     Key() string rebuilt per tuple per CFD (the WriteGroupKey encoding
-//     remains the cross-snapshot key format, used by the incremental
-//     tracker and the SQL engine's generic paths);
+//   - multi-tuple groups are classes of the LHS columns' Equal-class
+//     codes (relstore.EqClasses, built once per run per column set from
+//     the columns' probe vectors), instead of a length-prefixed Key()
+//     string rebuilt per tuple per CFD (the WriteGroupKey encoding remains
+//     the cross-snapshot key format, used by the incremental tracker);
 //   - the RHS value key of a group member is the dictionary's precomputed
 //     Key() string, shared by every member with that value.
 //

@@ -109,13 +109,12 @@ func TestCanonicalRowDeleted(t *testing.T) {
 	}
 }
 
-// TestPlansIgnoreDeadCodes: statistics and EXPLAIN read the live distinct
-// count, table sizing the code space. After churn leaves column A with more
-// dead codes than B has codes at all, the planner must still translate the
-// smaller dictionary (A's four live values, not B's twelve), print the same
-// EXPLAIN text and return the same rows on the patched snapshot as on a
-// rebuilt one — and a code past the rebuilt dictionary's length must not
-// overrun a translation table.
+// TestPlansIgnoreDeadCodes: statistics read the live distinct count, not
+// the code space. After churn leaves column A with more dead codes than B
+// has codes at all, queries must return the same rows on the patched
+// snapshot as on a rebuilt one — and a code past the rebuilt dictionary's
+// length must not overrun a translation table. (That the two plan alike is
+// TestPlansMatchOnRebuiltSnapshot in internal/sqleng.)
 func TestPlansIgnoreDeadCodes(t *testing.T) {
 	tab := relstore.NewTable(schema.New("t", "A", "B"))
 	var ids []relstore.TupleID
@@ -145,22 +144,18 @@ func TestPlansIgnoreDeadCodes(t *testing.T) {
 	if pa.Card() != ra.Card() || pa.CodeSpace() <= patched.Columnar().Col(1).CodeSpace() || ra.CodeSpace() != ra.Card() {
 		t.Fatalf("set-up: patched A has %d live of %d codes, rebuilt %d of %d", pa.Card(), pa.CodeSpace(), ra.Card(), ra.CodeSpace())
 	}
-	if pa.Card() != ra.Card() || patched.ColClassCount(0) != rebuilt.ColClassCount(0) {
+	if pa.Card() != ra.Card() || pa.PLI().NumClasses() != ra.PLI().NumClasses() {
 		t.Errorf("statistics differ: cardinality %d vs %d, classes %d vs %d", pa.Card(),
-			ra.Card(), patched.ColClassCount(0), rebuilt.ColClassCount(0))
+			ra.Card(), pa.PLI().NumClasses(), ra.PLI().NumClasses())
 	}
 	for _, sql := range []string{
 		`SELECT COUNT(*) FROM t WHERE A = B`,
 		`SELECT t1.A, COUNT(*) FROM t t1, t t2 WHERE t1.A = t2.B GROUP BY t1.A`,
-		`SELECT A, B FROM t WHERE COALESCE(A, 'none') <> B AND A IN ('v7', 'gone3', 'v1')`,
-		`SELECT t1.B FROM t t1, t t2 WHERE t1.B = t2.A AND t2.A IS NOT DISTINCT FROM t1.A`,
+		`SELECT A, B FROM t WHERE A <> B AND (A = 'v7' OR A = 'gone3' OR A = 'v1')`,
+		`SELECT t1.B FROM t t1, t t2 WHERE t1.B = t2.A AND t2.A = t1.A`,
 	} {
 		if g, w := query(t, tab, patched, sql), query(t, tab, rebuilt, sql); !deepEqual(g.Rows, w.Rows) {
 			t.Errorf("%s\npatched: %v\nrebuilt: %v", sql, g.Rows, w.Rows)
-		}
-		g, w := query(t, tab, patched, "EXPLAIN "+sql), query(t, tab, rebuilt, "EXPLAIN "+sql)
-		if !deepEqual(g.Rows, w.Rows) {
-			t.Errorf("EXPLAIN %s\npatched: %v\nrebuilt: %v", sql, g.Rows, w.Rows)
 		}
 	}
 }

@@ -272,7 +272,7 @@ func (c *Column) addEntry(v types.Value) uint32 {
 func (c *Column) Len() int { return len(c.codes) }
 
 // Card returns the number of distinct exact values the column stores: the
-// statistic planners and EXPLAIN read, a function of the rows alone.
+// statistic planners read, a function of the rows alone.
 func (c *Column) Card() int { return c.live }
 
 // CodeSpace returns the size of the exact code space, dead codes included:

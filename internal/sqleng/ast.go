@@ -7,24 +7,21 @@ import (
 	"semandaq/internal/types"
 )
 
-// Statement is any parsed SQL statement.
-type Statement interface{ stmt() }
-
 // SelectStmt is a SELECT query over a comma-joined FROM list.
 type SelectStmt struct {
 	Items   []SelectItem
 	From    []FromItem
 	Where   Expr
-	GroupBy []Expr
+	GroupBy []*ColumnRef
 	Having  Expr
 }
 
-// SelectItem is one projection: either Star (optionally qualified) or an
-// expression with an optional alias.
+// SelectItem is one projection: either Star (optionally qualified) or a
+// column or COUNT with an optional alias.
 type SelectItem struct {
 	Star      bool
 	StarTable string // for t.*
-	Expr      Expr
+	Expr      Expr   // *ColumnRef or *CountExpr
 	Alias     string
 }
 
@@ -33,16 +30,6 @@ type FromItem struct {
 	Table string
 	Alias string
 }
-
-// ExplainStmt is EXPLAIN SELECT ...: plan the query and return the chosen
-// join steps, pushed-down predicates and the exact statistics behind each
-// choice, one plan line per result row, without executing it.
-type ExplainStmt struct {
-	Select *SelectStmt
-}
-
-func (*SelectStmt) stmt()  {}
-func (*ExplainStmt) stmt() {}
 
 // Expr is an expression tree node.
 type Expr interface{ expr() }
@@ -58,76 +45,31 @@ type Literal struct {
 	Value types.Value
 }
 
-// BinaryExpr applies a binary operator.
+// BinaryExpr applies a binary operator: AND and OR over conditions, = and
+// <> between WHERE operands, and =, <>, <, <=, >, >= between HAVING's
+// counts and INT literals.
 type BinaryExpr struct {
-	Op   string // =, <>, <, <=, >, >=, AND, OR, opNullSafeEq
+	Op   string
 	L, R Expr
 }
 
-// opNullSafeEq is null-safe equality: NULL equals NULL and nothing else, so
-// the result is never unknown. As a join key it matches NULL with NULL.
-const opNullSafeEq = "IS NOT DISTINCT FROM"
-
-// UnaryExpr applies NOT, the one unary operator.
-type UnaryExpr struct {
-	Op string // NOT
-	E  Expr
-}
-
-// IsNullExpr is `e IS [NOT] NULL`.
-type IsNullExpr struct {
-	E   Expr
-	Not bool
-}
-
-// InExpr is `e [NOT] IN (v1, v2, ...)` over literals.
-type InExpr struct {
-	E    Expr
-	Not  bool
-	List []Expr
-}
-
-// FuncExpr is COUNT(*), COUNT([DISTINCT] e) or COALESCE(column, literal).
-type FuncExpr struct {
-	Name     string // COUNT or COALESCE
-	Distinct bool   // COUNT(DISTINCT e)
-	Star     bool   // COUNT(*)
-	Args     []Expr
+// CountExpr is COUNT(*) (Arg nil) or COUNT([DISTINCT] column).
+type CountExpr struct {
+	Distinct bool
+	Arg      *ColumnRef
 }
 
 func (*ColumnRef) expr()  {}
 func (*Literal) expr()    {}
 func (*BinaryExpr) expr() {}
-func (*UnaryExpr) expr()  {}
-func (*IsNullExpr) expr() {}
-func (*InExpr) expr()     {}
-func (*FuncExpr) expr()   {}
-
-// hasAggregate reports whether the expression contains a COUNT call.
-func hasAggregate(e Expr) bool {
-	switch n := e.(type) {
-	case *FuncExpr:
-		return n.Name == "COUNT"
-	case *BinaryExpr:
-		return hasAggregate(n.L) || hasAggregate(n.R)
-	case *UnaryExpr:
-		return hasAggregate(n.E)
-	case *IsNullExpr:
-		return hasAggregate(n.E)
-	case *InExpr:
-		return hasAggregate(n.E)
-	}
-	return false
-}
+func (*CountExpr) expr()  {}
 
 // exprString renders an expression back to SQL text that parses to the
-// same tree (FuzzParseSQL holds it to that). It names unaliased
+// same tree (FuzzParseSQL holds it to that). It names unaliased COUNT
 // projections and aggregate slots and quotes expressions in errors and
-// EXPLAIN.
+// plans.
 func exprString(e Expr) string {
 	switch n := e.(type) {
-	case nil:
-		return ""
 	case *ColumnRef:
 		if n.Table != "" {
 			return quoteIdent(n.Table) + "." + quoteIdent(n.Column)
@@ -143,52 +85,17 @@ func exprString(e Expr) string {
 		}
 		return n.Value.SQLString()
 	case *BinaryExpr:
-		if n.Op == "AND" || n.Op == "OR" {
-			return "(" + exprString(n.L) + " " + n.Op + " " + exprString(n.R) + ")"
+		return "(" + exprString(n.L) + " " + n.Op + " " + exprString(n.R) + ")"
+	case *CountExpr:
+		switch {
+		case n.Arg == nil:
+			return "COUNT(*)"
+		case n.Distinct:
+			return "COUNT(DISTINCT " + exprString(n.Arg) + ")"
 		}
-		return "(" + operand(n.L) + " " + n.Op + " " + operand(n.R) + ")"
-	case *UnaryExpr:
-		return "NOT " + exprString(n.E)
-	case *IsNullExpr:
-		if n.Not {
-			return operand(n.E) + " IS NOT NULL"
-		}
-		return operand(n.E) + " IS NULL"
-	case *InExpr:
-		var parts []string
-		for _, v := range n.List {
-			parts = append(parts, exprString(v))
-		}
-		op := " IN ("
-		if n.Not {
-			op = " NOT IN ("
-		}
-		return operand(n.E) + op + strings.Join(parts, ", ") + ")"
-	case *FuncExpr:
-		if n.Star {
-			return n.Name + "(*)"
-		}
-		var parts []string
-		for _, a := range n.Args {
-			parts = append(parts, exprString(a))
-		}
-		d := ""
-		if n.Distinct {
-			d = "DISTINCT "
-		}
-		return n.Name + "(" + d + strings.Join(parts, ", ") + ")"
+		return "COUNT(" + exprString(n.Arg) + ")"
 	}
-	return "?"
-}
-
-// operand renders e where the grammar wants a primary (an operand of a
-// comparison, IS or IN): a predicate or a NOT there needs parentheses.
-func operand(e Expr) string {
-	switch e.(type) {
-	case *IsNullExpr, *InExpr, *UnaryExpr:
-		return "(" + exprString(e) + ")"
-	}
-	return exprString(e)
+	return ""
 }
 
 // quoteIdent renders a name as a bare identifier when it lexes as one and

@@ -85,14 +85,14 @@ func (c *countdownCtx) Err() error {
 // decision) at each of its context polls in turn: every cancelled run fails
 // bare, the first run that survives equals the uncancelled result, and a
 // full run polls once per cancelStride steps, plus once as the global group
-// finishes. The steps: the walk takes the 97 classes of t1.A from their
-// partition, visiting no driver row, and the decision of each class at its
-// first row visits the t2 rows its PLI probe pairs it with — the A-classes
-// partition t2, so 2S pairs in all; the count adds each of the 97 classes
-// at once, |class| × tails, visiting no row.
+// finishes. The steps: the joined scan t2 filters its 2S rows on B, 631
+// surviving; the walk takes the 97 classes of t1.A from their partition,
+// visiting no driver row, and the decision of each class at its first row
+// loops over the 631 survivors; the count adds each of the 97 classes at
+// once, |class| × tails, visiting no row.
 func TestCancelAtEveryPollOfMemoisedPlan(t *testing.T) {
 	e := cancelFixture(t, 2*cancelStride)
-	const q = "SELECT COUNT(*) FROM r t1, r t2 WHERE t1.A = t2.A"
+	const q = "SELECT COUNT(*) FROM r t1, r t2 WHERE t1.A = t2.A AND t2.B = 'v0'"
 	want := mustQuery(e, q)
 	if ops := e.OpStats(); ops.DriverClasses != 97 || ops.ClassRows != 2*cancelStride-97 {
 		t.Fatalf("the walk kept %d classes serving %d further rows, want 97 and the rest", ops.DriverClasses, ops.ClassRows)
@@ -110,7 +110,7 @@ func TestCancelAtEveryPollOfMemoisedPlan(t *testing.T) {
 			t.Fatalf("poll %d: got (%v, %v), want a bare cancellation", polls, res, err)
 		}
 	}
-	steps := 97 + 2*cancelStride + 97
+	steps := 2*cancelStride + 97 + 97*631 + 97
 	if polls != steps/cancelStride+1 {
 		t.Errorf("a full run polled %d times over %d steps, want one poll per %d and one finishing", polls, steps, cancelStride)
 	}

@@ -78,13 +78,12 @@ func TestColumnarScanMatchesRowScan(t *testing.T) {
 		"SELECT * FROM t WHERE A = ''",       // empty string is not NULL
 		"SELECT * FROM t WHERE A = 'absent'", // no dictionary entry
 		"SELECT * FROM t WHERE A = NULL",     // never truthy
-		// IS [NOT] NULL pushdown.
-		"SELECT * FROM t WHERE B IS NULL",
-		"SELECT * FROM t WHERE B IS NOT NULL",
-		// Mixed pushdown + residual predicates.
+		"SELECT * FROM t WHERE B <> NULL",    // neither
+		// Conjunctions and disjunctions across columns.
 		"SELECT * FROM t WHERE A = 'uk' AND C = 1",
-		"SELECT * FROM t WHERE A = 'UK' AND B IS NOT NULL AND C > 0",
-		"SELECT * FROM t WHERE A = 'uk' OR A = 'UK'", // disjunction: no pushdown
+		"SELECT * FROM t WHERE A = 'UK' AND B <> 'd1' AND C <> 0",
+		"SELECT * FROM t WHERE A = 'uk' OR A = 'UK'",
+		"SELECT * FROM t WHERE A = B OR C = D",
 		// Grouping over the loaded relation.
 		"SELECT A, COUNT(*) AS n FROM t GROUP BY A",
 		"SELECT A, B FROM t GROUP BY A, B",

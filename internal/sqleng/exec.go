@@ -132,7 +132,7 @@ func (q *queryPins) versions() map[string]int64 {
 	return out
 }
 
-// QueryContext parses and executes a single statement under a context: a
+// QueryContext parses and executes a single SELECT under a context: a
 // cancelled ctx aborts the executor's scan, join and grouping loops
 // promptly and returns ctx.Err().
 func (e *Engine) QueryContext(ctx context.Context, sql string) (*Result, error) {
@@ -140,18 +140,51 @@ func (e *Engine) QueryContext(ctx context.Context, sql string) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	return e.RunContext(ctx, st)
+	p, err := e.buildSelectPlan(st)
+	if err != nil {
+		return nil, err
+	}
+	return p.collect(ctx)
 }
 
-// RunContext executes a pre-parsed statement under a context.
-func (e *Engine) RunContext(ctx context.Context, st Statement) (*Result, error) {
-	switch s := st.(type) {
-	case *SelectStmt:
-		return e.runSelect(ctx, s)
-	case *ExplainStmt:
-		return e.runExplain(s)
+// colInfo describes one column of the pipeline row: the table alias it
+// came from and its name.
+type colInfo struct {
+	qual string
+	name string
+}
+
+// catalog is the ordered column layout of the pipeline row.
+type catalog []colInfo
+
+// AmbiguousColumnError reports an unqualified column name matching several
+// catalog columns.
+type AmbiguousColumnError struct{ Name string }
+
+func (e *AmbiguousColumnError) Error() string {
+	return fmt.Sprintf("sql: ambiguous column %q", e.Name)
+}
+
+// resolve finds the position of a column reference. Unqualified names must
+// be unambiguous across the catalog.
+func (c catalog) resolve(ref *ColumnRef) (int, error) {
+	found := -1
+	for i, ci := range c {
+		if !strings.EqualFold(ci.name, ref.Column) {
+			continue
+		}
+		if ref.Table != "" && !strings.EqualFold(ci.qual, ref.Table) {
+			continue
+		}
+		if found >= 0 {
+			return 0, &AmbiguousColumnError{Name: exprString(ref)}
+		}
+		found = i
 	}
-	return nil, fmt.Errorf("sql: unsupported statement %T", st)
+	if found < 0 {
+		return 0, fmt.Errorf("sql: unknown column %q", exprString(ref))
+	}
+	return found, nil
 }
 
 // splitConjuncts flattens nested ANDs into a conjunct list.
@@ -165,123 +198,27 @@ func splitConjuncts(e Expr) []Expr {
 	return []Expr{e}
 }
 
-// columnRefs collects every column reference in an expression; with
-// inAggs false it stays outside COUNT calls (whose values a grouped row
-// reads from the aggregate slots, not from the columns).
-func columnRefs(e Expr, inAggs bool, out *[]*ColumnRef) {
+// columnRefs collects every column reference in a WHERE condition.
+func columnRefs(e Expr, out *[]*ColumnRef) {
 	switch n := e.(type) {
 	case *ColumnRef:
 		*out = append(*out, n)
 	case *BinaryExpr:
-		columnRefs(n.L, inAggs, out)
-		columnRefs(n.R, inAggs, out)
-	case *UnaryExpr:
-		columnRefs(n.E, inAggs, out)
-	case *IsNullExpr:
-		columnRefs(n.E, inAggs, out)
-	case *InExpr:
-		columnRefs(n.E, inAggs, out)
-	case *FuncExpr:
-		if inAggs || n.Name != "COUNT" {
-			for _, a := range n.Args {
-				columnRefs(a, inAggs, out)
-			}
-		}
+		columnRefs(n.L, out)
+		columnRefs(n.R, out)
 	}
 }
 
 // resolvable reports whether every column reference in e resolves in cat.
 func resolvable(e Expr, cat catalog) bool {
 	var refs []*ColumnRef
-	columnRefs(e, true, &refs)
+	columnRefs(e, &refs)
 	for _, r := range refs {
 		if _, err := cat.resolve(r); err != nil {
 			return false
 		}
 	}
 	return true
-}
-
-// runSelect plans a SELECT onto the streaming executor (plan.go,
-// iterator.go) and collects its result.
-func (e *Engine) runSelect(ctx context.Context, st *SelectStmt) (*Result, error) {
-	p, err := e.buildSelectPlan(st)
-	if err != nil {
-		return nil, err
-	}
-	return p.collect(ctx)
-}
-
-// runExplain plans the SELECT (without running it) and renders the join
-// steps, pushed-down predicates and the exact statistics behind each
-// choice, one line per plan element.
-func (e *Engine) runExplain(st *ExplainStmt) (*Result, error) {
-	p, err := e.buildSelectPlan(st.Select)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Columns: []string{"plan"}, Versions: p.versions}
-	for _, line := range p.describe() {
-		res.Rows = append(res.Rows, []types.Value{types.NewString(line)})
-	}
-	return res, nil
-}
-
-// aggCall is one distinct COUNT call of a grouped statement. The sink
-// counts on dictionary codes when the operand compiles to a code term (term),
-// else on the value arg evaluates, which intern gives a code under DISTINCT;
-// dseen holds every (group, code) pair past a group's first code.
-type aggCall struct {
-	fn     *FuncExpr
-	arg    evalFn // nil for COUNT(*)
-	term   *codeTerm
-	intern map[string]uint32
-	dseen  map[uint64]struct{}
-}
-
-// collectAggs finds the distinct COUNT calls in the given expressions,
-// slotting them after the row's len(cat) columns.
-func collectAggs(cat catalog, exprs ...Expr) (map[string]int, []aggCall, error) {
-	env := map[string]int{}
-	var calls []aggCall
-	var walk func(e Expr) error
-	walk = func(e Expr) error {
-		switch n := e.(type) {
-		case *FuncExpr:
-			key := exprString(n)
-			if _, seen := env[key]; n.Name != "COUNT" || seen {
-				return nil
-			}
-			c := aggCall{fn: n}
-			if !n.Star {
-				f, err := compileExpr(n.Args[0], cat)
-				if err != nil {
-					return err
-				}
-				c.arg = f
-			}
-			env[key] = len(cat) + len(calls)
-			calls = append(calls, c)
-		case *BinaryExpr:
-			if err := walk(n.L); err != nil {
-				return err
-			}
-			return walk(n.R)
-		case *UnaryExpr:
-			return walk(n.E)
-		case *IsNullExpr:
-			return walk(n.E)
-		case *InExpr:
-			return walk(n.E)
-		}
-		return nil
-	}
-	for _, e := range exprs {
-		if err := walk(e); err != nil {
-			return nil, nil, err
-		}
-	}
-	return env, calls, nil
 }
 
 // itemName returns the output column name of a projection item.

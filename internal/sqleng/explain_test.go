@@ -1,7 +1,6 @@
 package sqleng
 
 import (
-	"context"
 	"maps"
 	"strings"
 	"testing"
@@ -47,19 +46,12 @@ func newJoinStore(t *testing.T) *relstore.Store {
 	return store
 }
 
-// planLines runs EXPLAIN and returns the plan rows as strings.
+// planLines returns the plan lines of a SELECT.
 func planLines(t *testing.T, e *Engine, sql string) []string {
 	t.Helper()
-	res, err := e.QueryContext(context.Background(), sql)
+	lines, err := Plan(e, sql)
 	if err != nil {
-		t.Fatalf("EXPLAIN failed: %v", err)
-	}
-	if len(res.Columns) != 1 || res.Columns[0] != "plan" {
-		t.Fatalf("EXPLAIN columns = %v", res.Columns)
-	}
-	lines := make([]string, len(res.Rows))
-	for i, row := range res.Rows {
-		lines[i] = row[0].String()
+		t.Fatalf("planning %s: %v", sql, err)
 	}
 	return lines
 }
@@ -82,116 +74,102 @@ func indexOfLine(lines []string, subs ...string) int {
 }
 
 // TestExplainThreeTableJoin pins the plan shape of a 3-table join: exact
-// cardinalities from the relstore statistics, a PLI step per join keyed on
-// the driver, and the filter on cust pushed into its side.
+// cardinalities from the relstore statistics, the scans in FROM order, the
+// filter on cust pushed into its scan and each key equality run on codes at
+// the stage that resolves it.
 func TestExplainThreeTableJoin(t *testing.T) {
 	e := New(newJoinStore(t))
 	lines := planLines(t, e,
-		`EXPLAIN SELECT o.OID, p.PNAME FROM orders o, cust c, prod p
+		`SELECT o.OID, p.PNAME FROM orders o, cust c, prod p
 		 WHERE o.CID = c.CID AND o.PID = p.PID AND c.CITY = 'York'`)
 	text := strings.Join(lines, "\n")
 
-	drive := indexOfLine(lines, "drive orders AS o rows=8")
-	if drive != 0 {
+	if drive := indexOfLine(lines, "drive orders AS o rows=8"); drive != 0 {
 		t.Fatalf("expected driver scan first, got:\n%s", text)
 	}
-	// Exact statistics: distinct class counts straight from the PLIs.
+	// Exact statistics: distinct class counts straight from the columns.
 	if !strings.Contains(lines[0], "OID:8") || !strings.Contains(lines[0], "CID:2") || !strings.Contains(lines[0], "PID:8") {
 		t.Errorf("driver stats wrong: %q", lines[0])
 	}
-	// Joins run in FROM order, each through the right side's PLI classes
-	// with exact counts.
 	custScan := indexOfLine(lines, "scan cust AS c rows=4")
-	custJoin := indexOfLine(lines, "join pli on o.CID = c.CID", "classes=2", "expect=2")
-	prodJoin := indexOfLine(lines, "join pli on o.PID = p.PID", "classes=8", "expect=1")
-	if custScan < 0 || custJoin < custScan || prodJoin < custJoin {
-		t.Errorf("join lines wrong:\n%s", text)
+	filter := indexOfLine(lines, "  filter (c.CITY = 'York')")
+	custKey := indexOfLine(lines, "  stage-filter (o.CID = c.CID)")
+	prodScan := indexOfLine(lines, "scan prod AS p rows=8")
+	prodKey := indexOfLine(lines, "  stage-filter (o.PID = p.PID)")
+	if custScan < 1 || filter != custScan+1 || custKey != custScan+2 || prodScan != custKey+1 || prodKey != prodScan+1 {
+		t.Errorf("scan lines wrong:\n%s", text)
 	}
-	// WHERE c.CITY = 'York' is pushed into the cust scan, compiled to codes.
-	if filter := indexOfLine(lines, "filter code-pred", "c.CITY", "York"); filter < custScan || filter > custJoin {
-		t.Errorf("cust filter not pushed down into its scan:\n%s", text)
-	}
-	if indexOfLine(lines, "sink", "project 2 cols") < 0 {
-		t.Errorf("sink line wrong:\n%s", text)
+	if indexOfLine(lines, "sink project 2 cols") < 0 || indexOfLine(lines, "materialise [o.OID p.PNAME] at the sink") < 0 {
+		t.Errorf("sink lines wrong:\n%s", text)
 	}
 }
 
-// TestExplainJoinKinds: a step keyed by an equality with a bare right column
-// and a left code term probes a PLI — of the key column with the most
-// classes, the other keys checked as code predicates after it — and every
-// other step is a nested loop.
+// TestExplainJoinKinds: there is one join kind, a nested loop over the
+// joined scan's surviving rows. An equality between two scans runs as the
+// later scan's stage filter, whatever the key's class count; a conjunct
+// that reads the joined scan alone filters it before the join.
 func TestExplainJoinKinds(t *testing.T) {
 	e := New(newJoinStore(t))
-	for _, c := range []struct{ sql, join, residual string }{
+	for _, c := range []struct{ sql, scan, filter string }{
 		{"SELECT c1.CITY FROM cust c1, cust c2 WHERE c1.CID = c2.CID AND c1.CITY = c2.CITY",
-			"join pli on c1.CITY = c2.CITY classes=3", "stage-filter code-pred (c1.CID = c2.CID)"},
-		{"SELECT o.OID FROM orders o, cust c WHERE c.CID IS NOT DISTINCT FROM COALESCE(o.CID, 0)",
-			"join pli on COALESCE(o.CID, 0) IS NOT DISTINCT FROM c.CID classes=2", ""},
-		{"SELECT o.OID FROM orders o, cust c WHERE o._tid = c.CID",
-			"join nested expect=4", "stage-filter (o._tid = c.CID)"},
-		{"SELECT o.OID FROM orders o, cust c WHERE COALESCE(c.CID, 0) = o.CID",
-			"join nested expect=4", "stage-filter code-pred (COALESCE(c.CID, 0) = o.CID)"},
+			"scan cust AS c2 rows=4", "  stage-filter (c1.CID = c2.CID)"},
+		{"SELECT o.OID FROM orders o, cust c WHERE c.CID = o.CID",
+			"scan cust AS c rows=4", "  stage-filter (c.CID = o.CID)"},
 		{"SELECT o.OID FROM orders o, cust c WHERE o.CID = c.CID OR c.CITY = 'York'",
-			"join nested expect=4", "stage-filter code-pred"},
+			"scan cust AS c rows=4", "  stage-filter ((o.CID = c.CID) OR (c.CITY = 'York'))"},
+		{"SELECT o.OID FROM orders o, cust c WHERE c.CITY = 'York' OR c.CID = 0",
+			"scan cust AS c rows=4", "  filter ((c.CITY = 'York') OR (c.CID = 0))"},
 	} {
-		lines := planLines(t, e, "EXPLAIN "+c.sql)
-		join := indexOfLine(lines, c.join)
-		if join < 0 || (c.residual != "" && indexOfLine(lines[join:], c.residual) < 0) {
-			t.Errorf("%s: want %q then %q in:\n%s", c.sql, c.join, c.residual, strings.Join(lines, "\n"))
+		lines := planLines(t, e, c.sql)
+		if scan := indexOfLine(lines, c.scan); scan < 0 || indexOfLine(lines[scan:], c.filter) != 1 {
+			t.Errorf("%s: want %q then %q in:\n%s", c.sql, c.scan, c.filter, strings.Join(lines, "\n"))
+		}
+		if indexOfLine(lines, "join") >= 0 {
+			t.Errorf("%s: a join line in\n%s", c.sql, strings.Join(lines, "\n"))
 		}
 	}
 }
 
-// TestExplainCodePipeline pins what EXPLAIN says about the cursor pipeline:
-// which predicates run on codes, the translation tables they read, grouping
-// on codes, and which columns are materialised where — late, at the sink,
-// for a fully code-compiled statement (the detector's Qv shape), per row for
-// the column a value-level predicate still reads.
+// TestExplainCodePipeline pins what a plan says about the cursor pipeline:
+// the conjuncts each stage runs, the translation tables between two
+// dictionaries, grouping and HAVING on codes and counts, and which columns
+// the sink fetches — the projected ones, at the sink.
 func TestExplainCodePipeline(t *testing.T) {
 	e := New(fuzzStore(t))
-	lines := planLines(t, e, `EXPLAIN SELECT r.A AS A FROM r, s
+	lines := planLines(t, e, `SELECT r.A AS A FROM r, s
 		WHERE (s.A = 9 OR r.A = s.A) AND s.D = 's' GROUP BY r.A
 		HAVING COUNT(DISTINCT r.B) > 1 OR (COUNT(DISTINCT r.B) = 1 AND COUNT(r.B) < COUNT(*))`)
 	for _, want := range [][]string{
-		{"filter code-pred (s.D = 's')"},
-		{"stage-filter code-pred ((s.A = 9) OR (r.A = s.A))"},
+		{"  filter (s.D = 's')"},
+		{"  stage-filter ((s.A = 9) OR (r.A = s.A))"},
 		{"xlat r.A→s.A (4 codes)"},
-		{"sink group on codes(1) aggs=3", "having"},
+		{"sink group on codes(1) aggs=3, having on counts, project 1 cols"},
 		{"materialise [r.A] at the sink"},
 	} {
 		if indexOfLine(lines, want...) < 0 {
 			t.Errorf("missing %q in:\n%s", want, strings.Join(lines, "\n"))
 		}
 	}
-	if indexOfLine(lines, "per row") >= 0 {
-		t.Errorf("a fully code-compiled plan fills no column per row:\n%s", strings.Join(lines, "\n"))
-	}
 
-	lines = planLines(t, e, `EXPLAIN SELECT r.A > 1, s.D FROM r, s
-		WHERE r.A IS NOT DISTINCT FROM s.A AND COALESCE(r.B, 'q') = s.D AND r.C > 0.5 GROUP BY r.A > 1, s.D`)
+	lines = planLines(t, e, `SELECT r._tid, s.D, r.B FROM r, s WHERE r.A = s.A AND r.B = s.D AND r.C <> 0.5`)
 	for _, want := range [][]string{
-		{"materialise [r.C] per row"},
-		{"stage-filter (r.C > 0.5)"},
-		{"join pli on COALESCE(r.B, 'q') = s.D classes=5 expect=1"},
-		{"stage-filter code-pred (r.A IS NOT DISTINCT FROM s.A)"},
-		{"xlat COALESCE(r.B, 'q')→s.D (5 codes)"},
-		{"xlat r.A→s.A null-safe (4 codes)"},
-		{"sink group(keys=2 aggs=0)"},
-		{"materialise [r.A s.D] at the sink"},
+		{"  stage-filter (r.C <> 0.5)"},
+		{"  stage-filter (r.A = s.A)"},
+		{"  stage-filter (r.B = s.D)"},
+		{"xlat r.A→s.A (4 codes)"},
+		{"xlat r.B→s.D (5 codes)"},
+		{"sink project 3 cols"},
+		{"materialise [r._tid s.D r.B] at the sink"},
 	} {
 		if indexOfLine(lines, want...) < 0 {
 			t.Errorf("missing %q in:\n%s", want, strings.Join(lines, "\n"))
 		}
 	}
-	if indexOfLine(lines, "code-pred", "r.C") >= 0 {
-		t.Errorf("an ordering compare cannot run on codes:\n%s", strings.Join(lines, "\n"))
-	}
 }
 
-// TestExplainStampsVersions: an EXPLAIN names the version of every base
-// table its plan would read — the engine-level pin where there is one, the
-// live version otherwise, one entry per table however often the statement
-// names it.
+// TestExplainStampsVersions: a plan names the version of every base table
+// it reads — the engine-level pin where there is one, the live version
+// otherwise, one entry per table however often the statement names it.
 func TestExplainStampsVersions(t *testing.T) {
 	store := newJoinStore(t)
 	orders, _ := store.Table("orders")
@@ -209,18 +187,22 @@ func TestExplainStampsVersions(t *testing.T) {
 		sql  string
 		want map[string]int64
 	}{
-		{`EXPLAIN SELECT o.OID, p.PNAME FROM orders o, cust c, prod p
+		{`SELECT o.OID, p.PNAME FROM orders o, cust c, prod p
 		  WHERE o.CID = c.CID AND o.PID = p.PID AND c.CITY = 'York'`,
 			map[string]int64{"orders": pinned.Version(), "cust": cust.Version(), "prod": prod.Version()}},
-		{`EXPLAIN SELECT c1.CITY FROM cust c1, cust c2 WHERE c1.CID = c2.CID`,
+		{`SELECT c1.CITY FROM cust c1, cust c2 WHERE c1.CID = c2.CID`,
 			map[string]int64{"cust": cust.Version()}},
 	} {
-		res, err := e.QueryContext(context.Background(), c.sql)
+		st, err := Parse(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := e.buildSelectPlan(st)
 		if err != nil {
 			t.Fatalf("%s: %v", c.sql, err)
 		}
-		if res.Versions == nil || !maps.Equal(res.Versions, c.want) {
-			t.Errorf("%s: versions = %#v, want %#v", c.sql, res.Versions, c.want)
+		if p.versions == nil || !maps.Equal(p.versions, c.want) {
+			t.Errorf("%s: versions = %#v, want %#v", c.sql, p.versions, c.want)
 		}
 	}
 }

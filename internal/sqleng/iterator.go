@@ -1,17 +1,15 @@
 // The streaming executor: runs a selectPlan as a push-style pipeline over
 // the pinned columnar snapshots. What flows through it is a cursor — one
-// snapshot row index per scan — not a row of Values: code-compiled
-// predicates, join keys, GROUP BY keys and COUNT operands (codepred.go) read
-// dictionary codes at the cursor; a PLI step looks partners up in the right
-// column's position list index; the sink groups on codes and keeps a group's
-// representative as a cursor. One row buffer exists beside the cursor for
-// value-level expressions (ordering compares, _tid): a scan fills just the
-// columns such an expression reads as its cursor moves, and the sink fills
-// projected columns for the rows that survived. No intermediate relation is
-// ever materialized.
+// snapshot row index per scan — not a row of Values: WHERE comparisons,
+// GROUP BY keys and COUNT operands (codepred.go) read dictionary codes at
+// the cursor, and the sink groups on codes and keeps a group's
+// representative as a cursor. Values are fetched only for the projected
+// columns, at the sink: per arriving row when the statement does not
+// group, per group that passed HAVING when it does. No intermediate
+// relation is ever materialized.
 //
 // Rows are enumerated in the nested-loop order: driver scan in snapshot
-// order, each join step's matches in right-side snapshot order.
+// order, each joined scan's surviving rows in snapshot order.
 //
 // All hot loops share one monotonic counter and check the context every
 // cancelStride rows, preserving the engine's cancellation contract.
@@ -28,20 +26,13 @@ import (
 	"semandaq/internal/types"
 )
 
-// rightIndex is the build side of one join step: which right rows survive
-// the pushed-down filters.
-type rightIndex struct {
-	surv     []bool  // stepPLI: nil when every row survives (no right-side filters)
-	survRows []int32 // stepNested: surviving rows in snapshot order
-}
-
 // planExec is one execution of a selectPlan.
 type planExec struct {
 	p    *selectPlan
 	ctx  context.Context
 	cur  []int32       // the cursor: one snapshot row per scan
-	buf  []types.Value // the lazily filled row, plus the sink's aggregate slots
-	idx  []rightIndex  // per step
+	buf  []types.Value // the sink's row: the fetched columns, then one slot per COUNT
+	surv [][]int32     // per joined scan: its rows that pass its filters, in snapshot order
 	memo *driverMemo   // nil when the plan does not qualify (selectPlan.planMemo)
 	ops  OpCounters    // local counters, flushed to the engine once per run
 	n    int           // shared row counter for stride context checks
@@ -60,18 +51,16 @@ func (px *planExec) stride() error {
 // OpCounters profiles the executor's work. Counters accumulate across
 // queries on one engine, atomically (concurrent queries on a shared engine
 // each add their work); read a consistent copy via OpStats. The
-// late-materialisation, class-walk and probe gates read them.
+// materialisation and class-walk gates read them.
 type OpCounters struct {
-	// PLIProbes counts PLI class lookups.
-	PLIProbes int64
-	// HashProbes and HashBuildRows are always 0: the engine has no hash
-	// join. They stay while the benchmark's trace reads them.
+	// PLIProbes, HashProbes and HashBuildRows are always 0: every join is a
+	// nested loop over the joined scan's surviving rows. They stay while the
+	// benchmark's trace reads them.
+	PLIProbes     int64
 	HashProbes    int64
 	HashBuildRows int64
 	// ValuesMaterialized counts the Values fetched from dictionaries (and
-	// tuple ids boxed) into the row buffer. A query whose predicates, keys
-	// and aggregates all compile to codes fetches output rows x projected
-	// columns and nothing else.
+	// tuple ids boxed) for the output: output rows x projected columns.
 	ValuesMaterialized int64
 	// DriverClasses counts the driver-row classes the class walk decided and
 	// kept, ClassRows the rows past their first that those decisions served.
@@ -119,13 +108,13 @@ func (p *selectPlan) run(ctx context.Context) error {
 		ctx:  ctx,
 		cur:  make([]int32, len(p.scans)),
 		buf:  make([]types.Value, len(p.cat)+len(p.sink.calls)),
-		idx:  make([]rightIndex, len(p.steps)),
+		surv: make([][]int32, len(p.scans)),
 		memo: p.newMemo(),
 	}
 	p.sink.px = px
 	defer px.flushOps()
-	for si := range p.steps {
-		if err := px.buildIndex(si); err != nil {
+	for s := 1; s < len(p.scans); s++ {
+		if err := px.filterScan(s); err != nil {
 			return err
 		}
 	}
@@ -155,74 +144,35 @@ func (px *planExec) materialise(cols, cur []int32) {
 	px.ops.ValuesMaterialized += int64(len(cols))
 }
 
-// setCur moves scan s's cursor to snapshot row r and fills the columns the
-// pipeline's value-level expressions read there.
-func (px *planExec) setCur(s int, r int32) {
-	px.cur[s] = r
-	if fill := px.p.scans[s].fill; len(fill) > 0 {
-		px.materialise(fill, px.cur)
-	}
-}
-
-// pass decides one predicate at the cursor.
-func (px *planExec) pass(f *filterPred) bool {
-	if f.code != nil {
-		return f.code(px.cur) == 1
-	}
-	return truthy(f.fn(px.buf))
-}
-
-// buildIndex builds step si's right-side index: applies the pushed-down
-// filters row by row at the right scan's cursor, keeping the survivors —
-// as a row set for a PLI step, in snapshot order for a nested one.
-func (px *planExec) buildIndex(si int) error {
-	step := px.p.steps[si]
-	sc := step.right
-	n := sc.cnr.Len()
-	idx := &px.idx[si]
-	if len(sc.filters) == 0 && step.kind == stepPLI {
-		// Candidates come straight from the cached partition: with no
-		// filters there is nothing to precompute.
-		return nil
-	}
-	if step.kind == stepPLI {
-		idx.surv = make([]bool, n)
-	}
+// filterScan lists joined scan s's rows that pass its pushed-down filters,
+// in snapshot order.
+func (px *planExec) filterScan(s int) error {
+	sc := px.p.scans[s]
 rows:
-	for r := 0; r < n; r++ {
+	for r := range int32(sc.cnr.Len()) {
 		if err := px.stride(); err != nil {
 			return err
 		}
-		px.setCur(step.rightIdx, int32(r))
-		for i := range sc.filters {
-			if !px.pass(&sc.filters[i]) {
+		px.cur[s] = r
+		for _, f := range sc.filters {
+			if !f.code(px.cur) {
 				continue rows
 			}
 		}
-		if idx.surv != nil {
-			idx.surv[r] = true
-		} else {
-			idx.survRows = append(idx.survRows, int32(r))
-		}
+		px.surv[s] = append(px.surv[s], r)
 	}
 	return nil
 }
 
 // driverMemo is the class walk's state for one run. Below the driver scan
 // the pipeline reads a driver row only on D, the columns WHERE reads
-// (planMemo), and a code-compiled predicate reads their Equal-class codes
-// (codeTerm.own), so the pipeline runs once per class of D's Equal-class
-// partition, at the class's first row, recording the cursor suffixes
-// cur[1:] that reach the sink, the class's tails: the sink gets ⋃ class ×
-// tails. A value-level expression tells some Equal values apart (a < sees
-// INT 1 and FLOAT 1.0 as two values): a class whose rows differ in exact
-// codes on a column one reads is given up, and its rows run the pipeline
-// one by one.
+// (planMemo), and only their Equal-class codes (codeTerm.own), so the
+// pipeline runs once per class of D's Equal-class partition, at the class's
+// first row, recording the cursor suffixes cur[1:] that reach the sink, the
+// class's tails: the sink gets ⋃ class × tails.
 type driverMemo struct {
 	cls      *relstore.EqClasses // D's classes
 	classes  []memoClass         // per class of cls, its decision
-	exact    []*relstore.Column  // the columns of D a value-level expression reads
-	split    bool                // a class was given up on exact codes
 	tails    []int32             // every class's tails, a cursor per non-driver scan each
 	budget   int                 // tails that may still be recorded, of one per driver row in total
 	deciding int                 // the class being decided, -1: none (the pipeline emits)
@@ -253,9 +203,6 @@ func (p *selectPlan) newMemo() *driverMemo {
 	}
 	m.classes = make([]memoClass, m.cls.NumClasses())
 	m.tails = make([]int32, 0, len(m.classes)*(len(p.scans)-1))
-	for _, pos := range drv.fill {
-		m.exact = append(m.exact, drv.cnr.Col(int(pos)-1))
-	}
 	return m
 }
 
@@ -286,9 +233,7 @@ func (m *driverMemo) record(tail []int32) bool {
 
 // walkClasses decides each class of driver rows at its first row, then
 // feeds a sink that counts per class each class whole, in class order so
-// that groups open in row order; other rows go through feedRows. A class
-// given up on exact codes opens its group only where feedRows brings its
-// first row to the sink, so then every class goes through feedRows.
+// that groups open in row order; other rows go through feedRows.
 func (px *planExec) walkClasses() error {
 	m, s, groups := px.memo, px.p.sink, 0
 	for ci := range m.classes {
@@ -297,11 +242,7 @@ func (px *planExec) walkClasses() error {
 		}
 		c, rows := &m.classes[ci], m.cls.Class(ci)
 		c.off = int32(len(m.tails))
-		if differ(m.exact, rows) {
-			c.tails, m.split = -1, true
-			continue
-		}
-		if px.setCur(0, rows[0]); px.stageGate(0) {
+		if px.cur[0] = rows[0]; px.stageGate(0) {
 			m.deciding = ci
 			if err := px.descend(0); err != nil {
 				return err
@@ -310,11 +251,10 @@ func (px *planExec) walkClasses() error {
 		}
 		if c.tails != 0 {
 			groups++ // a class lies in one group of a sink that counts per class
-			c.mixed = c.tails > 0 && differ(s.pureCols, rows)
+			c.mixed = c.tails > 0 && s.mixed(rows)
 		}
 	}
-	whole := s.perClass && !m.split
-	if whole {
+	if s.perClass {
 		s.reps, s.counts = slices.Grow(s.reps, groups*s.nscans), slices.Grow(s.counts, groups*len(s.calls))
 		if len(s.levels) > 0 && !s.byClass {
 			s.levels[len(s.levels)-1] = make(map[uint64]int32, groups)
@@ -332,7 +272,7 @@ func (px *planExec) walkClasses() error {
 		if err := px.stride(); err != nil {
 			return err
 		}
-		if whole {
+		if s.perClass {
 			px.cur[0] = m.cls.Class(ci)[0]
 			if c.tails > 0 && !c.mixed {
 				if s.byClass { // the class is a group of its own, opened at its first tail
@@ -355,19 +295,6 @@ func (px *planExec) walkClasses() error {
 		c.fed = true
 	}
 	return px.feedRows()
-}
-
-// differ reports whether rows differ in exact codes on a column of cols.
-func differ(cols []*relstore.Column, rows []int32) bool {
-	for _, col := range cols {
-		first := col.Code(int(rows[0]))
-		for _, r := range rows[1:] {
-			if col.Code(int(r)) != first {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // feedRows feeds the sink, in driver order, the rows of the fed classes
@@ -401,7 +328,7 @@ func (px *planExec) feedRows() error {
 		if err := px.stride(); err != nil {
 			return err
 		}
-		if px.setCur(0, int32(r)); c.tails < 0 && px.stageGate(0) { // else it has no tails to replay
+		if px.cur[0] = int32(r); c.tails < 0 && px.stageGate(0) { // else it has no tails to replay
 			if err := px.descend(0); err != nil {
 				return err
 			}
@@ -411,9 +338,7 @@ func (px *planExec) feedRows() error {
 			if err := px.stride(); err != nil {
 				return err
 			}
-			for j := 1; j <= w; j++ {
-				px.setCur(j, m.tails[int(c.off)+i*w+j-1])
-			}
+			copy(px.cur[1:], m.tails[int(c.off)+i*w:])
 			px.stop = px.p.sink.add()
 		}
 	}
@@ -423,17 +348,16 @@ func (px *planExec) feedRows() error {
 // stageGate runs stage d's filters over the current prefix, reporting
 // whether the prefix survives.
 func (px *planExec) stageGate(d int) bool {
-	stage := px.p.stages[d]
-	for i := range stage {
-		if !px.pass(&stage[i]) {
+	for _, f := range px.p.stages[d] {
+		if !f.code(px.cur) {
 			return false
 		}
 	}
 	return true
 }
 
-// descend runs the pipeline below stage d: the next join step, or the sink
-// when every scan's cursor is set.
+// descend runs the pipeline below stage d: a nested loop over the next
+// scan's surviving rows, or the sink when every scan's cursor is set.
 func (px *planExec) descend(d int) error {
 	if d == len(px.p.scans)-1 {
 		if m := px.memo; m != nil && m.deciding >= 0 {
@@ -443,30 +367,14 @@ func (px *planExec) descend(d int) error {
 		}
 		return nil
 	}
-	step, idx := px.p.steps[d], &px.idx[d]
-	cands := idx.survRows // a nested step pairs with every surviving row
-	if step.kind == stepPLI {
-		// The left side's code in the key column's Equal-class space;
-		// negative: NULL, or a value the column lacks — no partner.
-		eq := step.key.tab.get()[step.key.lt.exact(px.cur)]
-		if eq < 0 {
-			return nil
-		}
-		px.ops.PLIProbes++
-		cands = step.key.rt.col.ClassRows(uint32(eq))
-	}
-	for _, r := range cands {
+	for _, r := range px.surv[d+1] {
 		if px.stop {
 			return nil
-		}
-		if idx.surv != nil && !idx.surv[r] {
-			continue
 		}
 		if err := px.stride(); err != nil {
 			return err
 		}
-		px.setCur(d+1, r)
-		if px.stageGate(d + 1) {
+		if px.cur[d+1] = r; px.stageGate(d + 1) {
 			if err := px.descend(d + 1); err != nil {
 				return err
 			}
@@ -481,13 +389,28 @@ func (p *selectPlan) collect(ctx context.Context) (*Result, error) {
 	if err := p.run(ctx); err != nil {
 		return nil, err
 	}
-	return p.sink.finish(ctx, p.versions)
+	if p.sink.needsGroup {
+		if err := p.sink.finishGroups(ctx); err != nil {
+			return nil, err
+		}
+	}
+	return &Result{Columns: p.sink.columns(), Rows: p.sink.rows, Versions: p.versions}, nil
 }
 
-// sinkProj is one compiled output column.
+// aggCall is one distinct COUNT call of a grouped statement, counted on
+// its operand's codes (term; nil for COUNT(*)). Under DISTINCT, dseen holds
+// every (group, code) pair past a group's first code.
+type aggCall struct {
+	fn    *CountExpr
+	term  *codeTerm
+	dseen map[uint64]struct{}
+}
+
+// sinkProj is one output column: its name and its position in the sink's
+// row, a pipeline column or, past them, a COUNT's slot.
 type sinkProj struct {
 	name string
-	fn   evalFn
+	pos  int
 }
 
 // streamSink terminates the pipeline: grouping and counting, HAVING and
@@ -501,160 +424,135 @@ type streamSink struct {
 	nscans     int
 	needsGroup bool
 	calls      []aggCall
-	// GROUP BY keys: keyTerms[i] when key i is a code term, else keyFns[i]
-	// evaluates it and intern[i] gives its value a code. Either way a group
-	// is a vector of uint32s, resolved to its index one key at a time
-	// through levels[i]: (index so far, next code) -> index.
+	// GROUP BY keys. A group is a vector of their codes, resolved to its
+	// index one key at a time through levels[i]: (index so far, next code)
+	// -> index.
 	keyTerms []*codeTerm
-	keyFns   []evalFn
-	// perClass: every key is a code term on D, so a class of driver rows lies
-	// in one group, and every COUNT operand is * or a code term: the walk
-	// counts a class at once unless its rows differ on pureCols, the driver
-	// columns outside D that operands read.
+	// perClass: every key is on D, so a class of driver rows lies in one
+	// group: the walk counts a class at once unless its rows differ on
+	// pureCols, the driver columns outside D that COUNT operands read.
 	perClass bool
 	pureCols []*relstore.Column
-	// byClass: every column of D is a bare key, so a class of driver rows
-	// is a group of its own, which the walk opens without the key maps.
+	// byClass: every column of D is a key, so a class of driver rows is a
+	// group of its own, which the walk opens without the key maps.
 	byClass bool
-	// HAVING: on the group's counts alone when its shape allows
-	// (compileCounts), else value-level.
-	havingCounts countFn
-	having       evalFn
-	projs        []sinkProj
-	// Late materialisation: the row-buffer positions the sink's value-level
-	// expressions read, by when they are fetched. rowCols per arriving
-	// pipeline row (value-level group keys and COUNT operands; when not
-	// grouping, the projection); havingCols per group from its
-	// representative cursor; outCols per group that passed HAVING.
-	rowCols, havingCols, outCols []int32
+	having  countFn // nil without HAVING
+	projs   []sinkProj
+	// The columns the projection reads, fetched per arriving pipeline row
+	// when not grouping (rowCols), per group that passed HAVING from its
+	// representative cursor when grouping (outCols).
+	rowCols, outCols []int32
 
 	// Runtime state.
 	levels []map[uint64]int32
-	intern []map[string]uint32
 	reps   []int32    // per group: its first member's cursor, nscans wide
 	counts []aggCount // per group: one per call
 	zero   []aggCount // a new group's counts
 	rows   [][]types.Value
 	vals   []types.Value // the projected row a streaming consumer is handed
-	keyBuf []byte
 	yield  func(row []types.Value) bool
 }
 
 // newStreamSink compiles the sink for p's statement over the pipeline
 // catalog.
 func newStreamSink(p *selectPlan) (*streamSink, error) {
-	st, cat, hidden := p.st, p.cat, p.hidden
+	st, cat := p.st, p.cat
 	s := &streamSink{st: st, width: len(cat), nscans: len(p.scans)}
-
-	var outExprs []Expr
+	slot := map[string]int{} // a COUNT's text -> its call index
+	var addCalls func(e Expr) error
+	addCalls = func(e Expr) error {
+		switch n := e.(type) {
+		case *BinaryExpr:
+			if err := addCalls(n.L); err != nil {
+				return err
+			}
+			return addCalls(n.R)
+		case *CountExpr:
+			if _, seen := slot[exprString(n)]; seen {
+				return nil
+			}
+			c := aggCall{fn: n}
+			if n.Arg != nil {
+				var err error
+				if c.term, err = p.termOf(n.Arg); err != nil {
+					return err
+				}
+			}
+			if n.Distinct {
+				c.dseen = map[uint64]struct{}{}
+			}
+			slot[exprString(n)] = len(s.calls)
+			s.calls = append(s.calls, c)
+		}
+		return nil
+	}
 	for _, it := range st.Items {
-		if !it.Star {
-			outExprs = append(outExprs, it.Expr)
+		if err := addCalls(it.Expr); err != nil {
+			return nil, err
 		}
 	}
-	s.needsGroup = len(st.GroupBy) > 0 || st.Having != nil || slices.ContainsFunc(outExprs, hasAggregate)
-
-	var aggEnv map[string]int
-	gcat := cat // the grouped row: the pipeline row, then one slot per COUNT
-	if s.needsGroup {
-		env, calls, err := collectAggs(cat, append(slices.Clone(outExprs), st.Having)...)
+	if err := addCalls(st.Having); err != nil {
+		return nil, err
+	}
+	s.needsGroup = len(st.GroupBy) > 0 || st.Having != nil || len(s.calls) > 0
+	for _, g := range st.GroupBy {
+		t, err := p.termOf(g)
 		if err != nil {
 			return nil, err
 		}
-		aggEnv = env
-		s.calls, s.zero = calls, make([]aggCount, len(calls))
-		for i := range s.calls {
-			c := &s.calls[i]
-			if c.fn.Star {
-				continue
-			}
-			// COUNT only asks whether the operand is NULL and, under
-			// DISTINCT, which class it is in: codes answer both.
-			if c.term, _, _ = p.termOf(c.fn.Args[0], false); c.term == nil {
-				s.rowCols = p.colsOf(s.rowCols, nil, c.fn.Args[0])
-			}
-			if c.fn.Distinct {
-				c.dseen, c.intern = map[uint64]struct{}{}, map[string]uint32{}
-			}
-		}
-		for _, g := range st.GroupBy {
-			f, err := compileExpr(g, cat)
-			if err != nil {
-				return nil, err
-			}
-			t, _, _ := p.termOf(g, false)
-			if t == nil {
-				s.rowCols = p.colsOf(s.rowCols, nil, g)
-			}
-			s.keyTerms = append(s.keyTerms, t)
-			s.keyFns = append(s.keyFns, f)
-			s.levels = append(s.levels, map[uint64]int32{})
-			s.intern = append(s.intern, map[string]uint32{})
-		}
-		gcat = append(append(catalog{}, cat...), make(catalog, len(calls))...)
-		if st.Having != nil {
-			f, err := compileExprAgg(st.Having, gcat, aggEnv)
-			if err != nil {
-				return nil, err
-			}
-			s.having = f
-			s.havingCols = p.colsOf(nil, nil, st.Having)
-			if s.havingCounts = s.compileCounts(st.Having, aggEnv); s.havingCounts != nil {
-				s.having = nil
-			}
-		}
+		s.keyTerms = append(s.keyTerms, t)
+		s.levels = append(s.levels, map[uint64]int32{})
+	}
+	if st.Having != nil {
+		s.having = compileCounts(st.Having, slot)
+	}
+	if s.needsGroup {
+		s.zero = make([]aggCount, len(s.calls))
+		colOf := func(pos int32) *relstore.Column { return p.scans[0].cnr.Col(int(pos) - 1) }
 		onD := func(t *codeTerm) bool {
-			return t != nil && t.scan == 0 && slices.ContainsFunc(p.memoCols, func(pos int32) bool {
-				return p.scans[0].cnr.Col(int(pos)-1) == t.col
-			})
+			return t.scan == 0 && slices.ContainsFunc(p.memoCols, func(pos int32) bool { return colOf(pos) == t.col })
 		}
-		s.perClass = p.memoOff == "" && !slices.ContainsFunc(s.keyTerms, func(t *codeTerm) bool { return !onD(t) }) &&
-			!slices.ContainsFunc(s.calls, func(c aggCall) bool { return !c.fn.Star && c.term == nil })
+		s.perClass = p.memoOff == "" && !slices.ContainsFunc(s.keyTerms, func(t *codeTerm) bool { return !onD(t) })
 		for _, c := range s.calls {
 			if t := c.term; s.perClass && t != nil && t.scan == 0 && !onD(t) && !slices.Contains(s.pureCols, t.col) {
 				s.pureCols = append(s.pureCols, t.col)
 			}
 		}
 		s.byClass = s.perClass && !slices.ContainsFunc(p.memoCols, func(pos int32) bool {
-			return !slices.ContainsFunc(s.keyTerms, func(t *codeTerm) bool {
-				return t.col == p.scans[0].cnr.Col(int(pos)-1) && t.dflt.IsNull()
-			})
+			return !slices.ContainsFunc(s.keyTerms, func(t *codeTerm) bool { return t.col == colOf(pos) })
 		})
 	}
 
 	for _, it := range st.Items {
-		if it.Star {
+		switch e := it.Expr.(type) {
+		case nil: // * or t.*
 			for i, ci := range cat {
-				if hidden[i] || (it.StarTable != "" && !strings.EqualFold(ci.qual, it.StarTable)) {
-					continue
-				}
-				idx := i
-				s.projs = append(s.projs, sinkProj{name: ci.name,
-					fn: func(row []types.Value) types.Value { return row[idx] }})
-				if !slices.Contains(s.outCols, int32(i)) {
-					s.outCols = append(s.outCols, int32(i))
+				if !p.hidden[i] && (it.StarTable == "" || strings.EqualFold(ci.qual, it.StarTable)) {
+					s.projs = append(s.projs, sinkProj{ci.name, i})
 				}
 			}
-			continue
+		case *ColumnRef:
+			pos, err := cat.resolve(e)
+			if err != nil {
+				return nil, err
+			}
+			s.projs = append(s.projs, sinkProj{itemName(it), pos})
+		case *CountExpr:
+			s.projs = append(s.projs, sinkProj{itemName(it), len(cat) + slot[exprString(e)]})
 		}
-		f, err := compileExprAgg(it.Expr, gcat, aggEnv)
-		if err != nil {
-			return nil, err
-		}
-		s.projs = append(s.projs, sinkProj{name: itemName(it), fn: f})
 	}
 	if len(s.projs) == 0 {
 		return nil, fmt.Errorf("sql: empty select list")
 	}
-
-	// What the output expressions read is fetched per surviving group, or,
-	// when not grouping, per arriving row beside what the scans filled.
-	s.outCols = p.colsOf(s.outCols, s.havingCols, outExprs...)
+	// What the projection reads is fetched per surviving group, or, when not
+	// grouping, per arriving row.
+	for _, pr := range s.projs {
+		if pos := int32(pr.pos); pr.pos < len(cat) && !slices.Contains(s.outCols, pos) {
+			s.outCols = append(s.outCols, pos)
+		}
+	}
 	if !s.needsGroup {
 		s.rowCols, s.outCols = s.outCols, nil
-	}
-	for _, sc := range p.scans {
-		s.rowCols = slices.DeleteFunc(s.rowCols, func(pos int32) bool { return slices.Contains(sc.fill, pos) })
 	}
 	s.vals = make([]types.Value, len(s.projs))
 	return s, nil
@@ -669,13 +567,11 @@ func (s *streamSink) columns() []string {
 	return cols
 }
 
-// describe renders the sink stage for EXPLAIN output.
+// describe renders the sink stage for the plan's description.
 func (s *streamSink) describe() string {
 	var parts []string
-	if s.needsGroup && !slices.Contains(s.keyTerms, nil) {
+	if s.needsGroup {
 		parts = append(parts, fmt.Sprintf("group on codes(%d) aggs=%d", len(s.keyTerms), len(s.calls)))
-	} else if s.needsGroup {
-		parts = append(parts, fmt.Sprintf("group(keys=%d aggs=%d)", len(s.keyFns), len(s.calls)))
 	}
 	if s.perClass {
 		parts = append(parts, "counts per class")
@@ -683,22 +579,33 @@ func (s *streamSink) describe() string {
 	if s.byClass {
 		parts = append(parts, "a group per class")
 	}
-	if s.havingCounts != nil {
+	if s.having != nil {
 		parts = append(parts, "having on counts")
-	} else if s.having != nil {
-		parts = append(parts, "having")
 	}
 	parts = append(parts, fmt.Sprintf("project %d cols", len(s.projs)))
 	return strings.Join(parts, ", ")
 }
 
+// mixed reports whether rows differ in Equal-class code on a column of
+// pureCols.
+func (s *streamSink) mixed(rows []int32) bool {
+	for _, col := range s.pureCols {
+		first := col.EqCode(int(rows[0]))
+		for _, r := range rows[1:] {
+			if col.EqCode(int(r)) != first {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // add consumes the pipeline row under the cursor. It reports whether a
 // streaming consumer declined more rows.
 func (s *streamSink) add() bool {
-	px := s.px
-	px.materialise(s.rowCols, px.cur)
 	if !s.needsGroup {
-		return s.emit(px.buf)
+		s.px.materialise(s.rowCols, s.px.cur)
+		return s.emit()
 	}
 	s.count(s.group(), 1)
 	return false
@@ -707,24 +614,18 @@ func (s *streamSink) add() bool {
 // count adds the pipeline row under the cursor to its group's counts, times
 // over: for a class of times driver rows that agree on every operand.
 func (s *streamSink) count(g int32, times int64) {
-	gid := uint64(g)
 	for ci := range s.calls {
-		c, n := &s.calls[ci], &s.counts[int(gid)*len(s.calls)+ci]
-		switch {
-		case c.fn.Star:
+		c, n := &s.calls[ci], &s.counts[int(g)*len(s.calls)+ci]
+		if c.term == nil {
 			n.n += times
-		case c.term != nil:
-			switch x := c.term.own(s.px.cur); {
-			case x == codeNull:
-			case !c.fn.Distinct:
-				n.n += times
-			case n.firstSeen(c, gid, uint32(x)):
-				n.n++
-			}
-		default: // COUNT skips NULLs, and a DISTINCT one repeats
-			if v := c.arg(s.px.buf); !v.IsNull() && (!c.fn.Distinct || n.firstSeen(c, gid, s.internValue(c.intern, v))) {
-				n.n++
-			}
+			continue
+		}
+		switch x := c.term.own(s.px.cur); { // COUNT skips NULLs, and a DISTINCT one repeats
+		case x == codeNull:
+		case !c.fn.Distinct:
+			n.n += times
+		case n.firstSeen(c, uint64(g), uint32(x)):
+			n.n++
 		}
 	}
 }
@@ -735,12 +636,7 @@ func (s *streamSink) count(g int32, times int64) {
 func (s *streamSink) group() int32 {
 	gid := uint64(0)
 	for i, t := range s.keyTerms {
-		var c uint32
-		if t != nil {
-			c = uint32(t.own(s.px.cur) + 2) // NULL (-2) groups as a value of its own
-		} else {
-			c = s.internValue(s.intern[i], s.keyFns[i](s.px.buf))
-		}
+		c := uint32(t.own(s.px.cur) + 2) // NULL (-2) groups as a value of its own
 		id, ok := s.levels[i][gid<<32|uint64(c)]
 		if !ok {
 			id = int32(len(s.levels[i]))
@@ -771,17 +667,6 @@ func (s *streamSink) newGroup(cur []int32) {
 	s.counts = appendDoubling(s.counts, s.zero...)
 }
 
-// internValue gives v's Equal-class a dense code, by its group-key bytes.
-func (s *streamSink) internValue(m map[string]uint32, v types.Value) uint32 {
-	s.keyBuf = v.AppendGroupKey(s.keyBuf[:0])
-	c, ok := m[string(s.keyBuf)]
-	if !ok {
-		c = uint32(len(m))
-		m[string(s.keyBuf)] = c
-	}
-	return c
-}
-
 // firstSeen records call's operand code c under DISTINCT for group gid,
 // reporting whether the group had not seen it. A group's first code lives
 // inline — most groups never see a second — and later ones in the call's
@@ -800,15 +685,15 @@ func (st *aggCount) firstSeen(call *aggCall, gid uint64, c uint32) bool {
 	return !dup
 }
 
-// emit projects one (grouped) row and hands it to the streaming consumer,
+// emit projects the sink's row and hands it to the streaming consumer,
 // reporting whether it declined more, or else keeps it for the Result.
-func (s *streamSink) emit(row []types.Value) (stop bool) {
+func (s *streamSink) emit() (stop bool) {
 	vals := s.vals
 	if s.yield == nil {
 		vals = make([]types.Value, len(s.projs))
 	}
 	for i, pr := range s.projs {
-		vals[i] = pr.fn(row)
+		vals[i] = s.px.buf[pr.pos]
 	}
 	if s.yield != nil {
 		return !s.yield(vals)
@@ -817,22 +702,10 @@ func (s *streamSink) emit(row []types.Value) (stop bool) {
 	return false
 }
 
-// finish completes grouping and HAVING and builds the eager Result, stamped
-// with the plan-time pinned versions.
-func (s *streamSink) finish(ctx context.Context, versions map[string]int64) (*Result, error) {
-	if s.needsGroup {
-		if err := s.finishGroups(ctx); err != nil {
-			return nil, err
-		}
-	}
-	return &Result{Columns: s.columns(), Rows: s.rows, Versions: versions}, nil
-}
-
 // finishGroups turns the accumulated groups into output rows: one row per
-// group in first-appearance order (the representative's columns that HAVING
-// and the projection read, fetched at its cursor, plus the counts),
-// filtered by HAVING, projected like the non-grouped path. A group HAVING
-// rejects materialises nothing the projection alone reads.
+// group in first-appearance order (the representative's projected columns,
+// fetched at its cursor, then the counts), filtered by HAVING on the
+// counts before anything is fetched.
 func (s *streamSink) finishGroups(ctx context.Context) error {
 	// A global COUNT over an empty input still yields one group, with an
 	// all-NULL representative row.
@@ -842,25 +715,19 @@ func (s *streamSink) finishGroups(ctx context.Context) error {
 		}
 		s.newGroup(s.px.cur)
 	}
-	row := s.px.buf
 	for gi := 0; gi*s.nscans < len(s.reps); gi++ {
 		if err := strideCheck(ctx, gi); err != nil {
 			return err
 		}
 		counts := s.counts[gi*len(s.calls):]
-		if s.havingCounts != nil && !s.havingCounts(counts) {
-			continue // decided on the counts: nothing fetched, nothing boxed
-		}
-		rep := s.reps[gi*s.nscans : (gi+1)*s.nscans]
-		s.px.materialise(s.havingCols, rep)
-		for ci := range s.calls {
-			row[s.width+ci] = types.NewInt(counts[ci].n)
-		}
-		if s.having != nil && !truthy(s.having(row)) {
+		if s.having != nil && !s.having(counts) {
 			continue
 		}
-		s.px.materialise(s.outCols, rep)
-		if s.emit(row) {
+		s.px.materialise(s.outCols, s.reps[gi*s.nscans:(gi+1)*s.nscans])
+		for ci := range s.calls {
+			s.px.buf[s.width+ci] = types.NewInt(counts[ci].n)
+		}
+		if s.emit() {
 			return nil
 		}
 	}
@@ -889,11 +756,7 @@ func (e *Engine) Stream(_ context.Context, sql string) (*SelectStream, error) {
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("sql: Stream requires a SELECT statement")
-	}
-	p, err := e.buildSelectPlan(sel)
+	p, err := e.buildSelectPlan(st)
 	if err != nil {
 		return nil, err
 	}

@@ -4,16 +4,15 @@
 // Fan et al., TODS 2008) and this engine parses, plans and executes it over
 // the relstore tables.
 //
-// The surface is what its callers send: [EXPLAIN] SELECT over a comma-joined
-// FROM list, WHERE with three-valued logic over =, <>, <, <=, >, >=,
-// IS [NOT] NULL, IS NOT DISTINCT FROM, [NOT] IN (literals) and AND/OR/NOT,
-// operands that are columns (_tid included), literals and
-// COALESCE(column, literal), GROUP BY, HAVING, and COUNT(*) and
-// COUNT([DISTINCT] x) as the only aggregates. Anything else — JOIN ... ON,
-// DISTINCT, ORDER BY, LIMIT, arithmetic, other functions, writes — is a
-// *ParseError naming the construct. The engine only reads: tables are
-// written through the relstore API. Expression evaluation is total, so only
-// compilation can fail.
+// The surface is the two statement shapes the detector generates, Qc and
+// Qv, and the SELECT t.* its printed SQL shows (Parse gives the grammar): a
+// comma-joined FROM list; WHERE as AND/OR over = and <> between a column
+// and a column or literal; GROUP BY columns; HAVING as AND/OR over
+// comparisons of COUNT(*), COUNT([DISTINCT] column) and INT literals; and a
+// select list of *, t.*, columns (_tid included) and COUNTs. Anything else
+// is a *ParseError naming the construct. Every comparison and key runs on
+// dictionary codes: there is no value-level evaluator. The engine only
+// reads: tables are written through the relstore API.
 package sqleng
 
 import (

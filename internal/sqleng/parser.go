@@ -24,8 +24,9 @@ func (e *ParseError) Error() string {
 var removed = map[string]string{
 	"DISTINCT": "SELECT DISTINCT", "JOIN": "JOIN ... ON", "INNER": "INNER JOIN", "LEFT": "LEFT JOIN",
 	"ORDER": "ORDER BY", "LIMIT": "LIMIT", "OFFSET": "OFFSET", "UNION": "UNION", "EXISTS": "EXISTS",
-	"LIKE": "LIKE", "BETWEEN": "BETWEEN", "CASE": "CASE",
+	"LIKE": "LIKE", "BETWEEN": "BETWEEN", "CASE": "CASE", "EXPLAIN": "EXPLAIN",
 	"SUM": "aggregate SUM", "AVG": "aggregate AVG", "MIN": "aggregate MIN", "MAX": "aggregate MAX",
+	"NOT": "NOT", "IN": "IN", "IS": "IS [NOT] NULL",
 	"+": "arithmetic +", "-": "arithmetic -", "*": "arithmetic *", "/": "arithmetic /", "%": "arithmetic %",
 	"||": "concatenation ||",
 }
@@ -36,15 +37,32 @@ type parser struct {
 	i    int
 }
 
-// Parse parses a single SQL statement (a trailing semicolon is allowed): a
-// SELECT or an EXPLAIN SELECT. Anything else is a *ParseError.
-func Parse(src string) (Statement, error) {
+// Parse parses a single SELECT (a trailing semicolon is allowed) of the
+// grammar the detector's statements use:
+//
+//	select   := SELECT item (, item)* FROM table [[AS] alias] (, table [[AS] alias])*
+//	            [WHERE cond] [GROUP BY column (, column)*] [HAVING having]
+//	item     := * | name.* | (column | count) [[AS] alias]
+//	cond     := and (OR and)*,  and := atom (AND atom)*,  atom := ( cond ) | operand (= | <> | !=) operand
+//	operand  := column | literal, not both literals, no _tid
+//	having   := cond over counts: count or INT literal (= | <> | < | <= | > | >=) count or INT literal
+//	count    := COUNT(*) | COUNT([DISTINCT] column), no _tid
+//	literal  := [-]number | string | NULL | TRUE | FALSE
+//
+// Anything else is a *ParseError naming the construct.
+func Parse(src string) (*SelectStmt, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	st, err := p.parseStatement()
+	if t := p.peek(); t.kind != tokKeyword || t.text != "SELECT" {
+		if _, ok := removed[t.text]; ok {
+			return nil, p.fail("")
+		}
+		return nil, p.errorf("unsupported statement %q: only SELECT", t.text)
+	}
+	st, err := p.parseSelect()
 	if err != nil {
 		return nil, err
 	}
@@ -104,26 +122,20 @@ func (p *parser) errorf(format string, args ...any) error {
 // construct it opens when the grammar leaves that construct out.
 func (p *parser) fail(want string) error {
 	t := p.peek()
-	if what, ok := removed[t.text]; ok && (t.kind == tokKeyword || t.kind == tokSymbol) {
-		return p.errorf("%s is not supported", what)
+	what, ok := removed[t.text]
+	if !ok || (t.kind != tokKeyword && t.kind != tokSymbol) {
+		return p.errorf("expected %s, got %q", want, t.text)
 	}
-	return p.errorf("expected %s, got %q", want, t.text)
-}
-
-func (p *parser) parseStatement() (Statement, error) {
-	t := p.peek()
+	next := func(i int) string { return p.toks[min(p.i+i, len(p.toks)-1)].text }
 	switch {
-	case t.kind == tokKeyword && t.text == "SELECT":
-		return p.parseSelect()
-	case t.kind == tokKeyword && t.text == "EXPLAIN":
-		p.advance()
-		sel, err := p.parseSelect()
-		if err != nil {
-			return nil, err
-		}
-		return &ExplainStmt{Select: sel}, nil
+	case t.text == "IS" && next(1) == "DISTINCT":
+		what = "IS DISTINCT FROM"
+	case t.text == "IS" && next(1) == "NOT" && next(2) == "DISTINCT":
+		what = "IS NOT DISTINCT FROM"
+	case t.text == "NOT" && (next(1) == "IN" || next(1) == "LIKE" || next(1) == "BETWEEN"):
+		what = removed[next(1)]
 	}
-	return nil, p.errorf("unsupported statement %q: only SELECT and EXPLAIN SELECT", t.text)
+	return p.errorf("%s is not supported", what)
 }
 
 func (p *parser) parseSelect() (*SelectStmt, error) {
@@ -159,7 +171,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 	}
 	var err error
 	if p.acceptKeyword("WHERE") {
-		if st.Where, err = p.parseExpr(); err != nil {
+		if st.Where, err = p.parseCond(p.parseOperand, false); err != nil {
 			return nil, err
 		}
 	}
@@ -168,18 +180,18 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 			return nil, err
 		}
 		for {
-			e, err := p.parseExpr()
+			c, err := p.parseColumn()
 			if err != nil {
 				return nil, err
 			}
-			st.GroupBy = append(st.GroupBy, e)
+			st.GroupBy = append(st.GroupBy, c)
 			if !p.accept(tokSymbol, ",") {
 				break
 			}
 		}
 	}
 	if p.acceptKeyword("HAVING") {
-		if st.Having, err = p.parseExpr(); err != nil {
+		if st.Having, err = p.parseCond(p.parseCountOperand, true); err != nil {
 			return nil, err
 		}
 	}
@@ -199,11 +211,24 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 		p.advance() // *
 		return SelectItem{Star: true, StarTable: tbl}, nil
 	}
-	e, err := p.parseExpr()
-	if err != nil {
-		return SelectItem{}, err
+	var item SelectItem
+	var err error
+	switch t := p.peek(); {
+	case t.kind == tokKeyword && t.text == "COUNT":
+		item.Expr, err = p.parseCount()
+	case t.kind == tokIdent:
+		item.Expr, err = p.parseRef()
+	case t.kind == tokNumber || t.kind == tokString || t.text == "NULL" || t.text == "TRUE" || t.text == "FALSE":
+		return item, p.errorf("a literal in the select list is not supported")
+	default:
+		return item, p.fail("a column or COUNT")
 	}
-	item := SelectItem{Expr: e}
+	if err != nil {
+		return item, err
+	}
+	if t := p.peek(); t.kind == tokSymbol && (cmpSigns[t.text] != 0 || t.text == "!=") {
+		return item, p.errorf("a comparison in the select list is not supported")
+	}
 	item.Alias, err = p.parseAlias()
 	return item, err
 }
@@ -231,197 +256,150 @@ func (p *parser) parseFromItem() (FromItem, error) {
 	return FromItem{Table: name, Alias: alias}, err
 }
 
-// Expression grammar (precedence climbing):
-//   expr      := orExpr
-//   orExpr    := andExpr (OR andExpr)*
-//   andExpr   := notExpr (AND notExpr)*
-//   notExpr   := NOT notExpr | predicate
-//   predicate := primary ((=|<>|!=|<|<=|>|>=) primary
-//                | IS [NOT] NULL | IS NOT DISTINCT FROM primary
-//                | [NOT] IN (literal, ...))?
-//   primary   := operand | COUNT(*) | COUNT([DISTINCT] operand) | ( expr )
-//   operand   := literal | column | COALESCE(column, literal)
-//   literal   := [-]number | string | NULL | TRUE | FALSE
+// parseCond reads comparisons of side operands (parseCompare) under AND
+// and OR, AND binding tighter, a parenthesised condition standing for a
+// comparison.
+func (p *parser) parseCond(side func() (Expr, error), ordered bool) (Expr, error) {
+	return p.parseJoined("OR", func() (Expr, error) {
+		return p.parseJoined("AND", func() (Expr, error) {
+			if !p.accept(tokSymbol, "(") {
+				return p.parseCompare(side, ordered)
+			}
+			e, err := p.parseCond(side, ordered)
+			if err != nil {
+				return nil, err
+			}
+			return e, p.expect(tokSymbol, ")")
+		})
+	})
+}
 
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
-
-func (p *parser) parseOr() (Expr, error) {
-	l, err := p.parseAnd()
+// parseJoined reads next (op next)*, folding to the left.
+func (p *parser) parseJoined(op string, next func() (Expr, error)) (Expr, error) {
+	l, err := next()
+	for err == nil && p.acceptKeyword(op) {
+		var r Expr
+		if r, err = next(); err == nil {
+			l = &BinaryExpr{Op: op, L: l, R: r}
+		}
+	}
 	if err != nil {
 		return nil, err
-	}
-	for p.acceptKeyword("OR") {
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryExpr{Op: "OR", L: l, R: r}
 	}
 	return l, nil
 }
 
-func (p *parser) parseAnd() (Expr, error) {
-	l, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKeyword("AND") {
-		r, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryExpr{Op: "AND", L: l, R: r}
-	}
-	return l, nil
-}
+// cmpSigns maps a comparison operator to the signs of a three-way compare
+// it accepts: bit 0 <, bit 1 =, bit 2 >.
+var cmpSigns = map[string]uint8{"<": 1, "=": 2, "<=": 3, ">": 4, "<>": 5, ">=": 6}
 
-func (p *parser) parseNot() (Expr, error) {
-	if p.acceptKeyword("NOT") {
-		e, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: "NOT", E: e}, nil
-	}
-	return p.parsePredicate()
-}
-
-func (p *parser) parsePredicate() (Expr, error) {
-	l, err := p.parsePrimary()
+// parseCompare reads side op side, not both literals: op is = or <>, or
+// with ordered also <, <=, > or >=.
+func (p *parser) parseCompare(side func() (Expr, error), ordered bool) (Expr, error) {
+	start := p.peek().pos
+	l, err := side()
 	if err != nil {
 		return nil, err
 	}
 	t := p.peek()
 	switch {
-	case t.kind == tokSymbol && (cmpSigns[t.text] != 0 || t.text == "!="):
-		p.advance()
-		r, err := p.parsePrimary()
-		if err != nil {
-			return nil, err
-		}
-		op := t.text
-		if op == "!=" {
-			op = "<>"
-		}
-		return &BinaryExpr{Op: op, L: l, R: r}, nil
-	case t.kind == tokKeyword && t.text == "IS":
-		p.advance()
-		not := p.acceptKeyword("NOT")
-		if p.acceptKeyword("DISTINCT") {
-			// l IS NOT DISTINCT FROM r: null-safe equality.
-			if !not {
-				return nil, p.errorf("IS DISTINCT FROM is not supported")
-			}
-			if err := p.expect(tokKeyword, "FROM"); err != nil {
-				return nil, err
-			}
-			r, err := p.parsePrimary()
-			if err != nil {
-				return nil, err
-			}
-			return &BinaryExpr{Op: opNullSafeEq, L: l, R: r}, nil
-		}
-		if err := p.expect(tokKeyword, "NULL"); err != nil {
-			return nil, err
-		}
-		return &IsNullExpr{E: l, Not: not}, nil
-	case t.kind == tokKeyword && (t.text == "IN" || t.text == "NOT"):
-		in := &InExpr{E: l, Not: p.acceptKeyword("NOT")}
-		if err := p.expect(tokKeyword, "IN"); err != nil {
-			return nil, err
-		}
-		if err := p.expect(tokSymbol, "("); err != nil {
-			return nil, err
-		}
-		for {
-			v, err := p.parseLiteral()
-			if err != nil {
-				return nil, err
-			}
-			in.List = append(in.List, v)
-			if !p.accept(tokSymbol, ",") {
-				break
-			}
-		}
-		return in, p.expect(tokSymbol, ")")
+	case t.kind != tokSymbol || (cmpSigns[t.text] == 0 && t.text != "!="):
+		return nil, p.fail("a comparison")
+	case !ordered && t.text != "=" && t.text != "<>" && t.text != "!=":
+		return nil, p.errorf("ordering compare %s in WHERE is not supported", t.text)
 	}
-	return l, nil
+	p.advance()
+	r, err := side()
+	if err != nil {
+		return nil, err
+	}
+	_, lit1 := l.(*Literal)
+	if _, lit2 := r.(*Literal); lit1 && lit2 {
+		return nil, &ParseError{Pos: start, Msg: "a comparison of two literals is not supported"}
+	}
+	return &BinaryExpr{Op: strings.Replace(t.text, "!=", "<>", 1), L: l, R: r}, nil
 }
 
-func (p *parser) parsePrimary() (Expr, error) {
+// parseCountOperand reads a HAVING operand: a COUNT or an INT literal.
+func (p *parser) parseCountOperand() (Expr, error) {
+	t := p.peek()
 	switch {
-	case p.accept(tokSymbol, "("):
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		return e, p.expect(tokSymbol, ")")
-	case p.acceptKeyword("COUNT"):
+	case t.kind == tokKeyword && t.text == "COUNT":
 		return p.parseCount()
+	case t.kind == tokIdent:
+		return nil, p.errorf("a column in HAVING is not supported")
 	}
-	return p.parseOperand()
+	lit, err := p.parseLiteral()
+	if err != nil {
+		return nil, err
+	}
+	if k := lit.(*Literal).Value.Kind(); k != types.KindInt {
+		return nil, &ParseError{Pos: t.pos, Msg: fmt.Sprintf("a %s literal in HAVING is not supported", k)}
+	}
+	return lit, nil
 }
 
-// parseCount reads the tail of COUNT(*) or COUNT([DISTINCT] operand).
+// parseCount reads COUNT(*) or COUNT([DISTINCT] column).
 func (p *parser) parseCount() (Expr, error) {
+	if err := p.expect(tokKeyword, "COUNT"); err != nil {
+		return nil, err
+	}
 	if err := p.expect(tokSymbol, "("); err != nil {
 		return nil, err
 	}
-	fe := &FuncExpr{Name: "COUNT"}
+	c := &CountExpr{}
 	if p.accept(tokSymbol, "*") {
-		fe.Star = true
-		return fe, p.expect(tokSymbol, ")")
+		return c, p.expect(tokSymbol, ")")
 	}
-	fe.Distinct = p.acceptKeyword("DISTINCT")
-	arg, err := p.parseOperand()
+	c.Distinct = p.acceptKeyword("DISTINCT")
+	var err error
+	if c.Arg, err = p.parseColumn(); err != nil {
+		return nil, err
+	}
+	return c, p.expect(tokSymbol, ")")
+}
+
+// parseOperand reads a WHERE operand: a column other than _tid, or a
+// literal.
+func (p *parser) parseOperand() (Expr, error) {
+	switch t := p.peek(); {
+	case t.kind == tokIdent:
+		return p.parseColumn()
+	case t.kind == tokKeyword && t.text == "COUNT":
+		return nil, p.errorf("COUNT in WHERE is not supported")
+	}
+	return p.parseLiteral()
+}
+
+// parseColumn reads a column other than _tid, which only the select list
+// may name.
+func (p *parser) parseColumn() (*ColumnRef, error) {
+	t := p.peek()
+	if t.kind != tokIdent {
+		return nil, p.fail("a column")
+	}
+	c, err := p.parseRef()
+	if err == nil && strings.EqualFold(c.Column, TIDColumn) {
+		return nil, &ParseError{Pos: t.pos, Msg: TIDColumn + " outside the select list is not supported"}
+	}
+	return c, err
+}
+
+// parseRef reads a column reference, c or t.c; a name followed by ( is a
+// function call, which the grammar leaves out.
+func (p *parser) parseRef() (*ColumnRef, error) {
+	name, err := p.expectIdent()
 	if err != nil {
 		return nil, err
 	}
-	fe.Args = []Expr{arg}
-	return fe, p.expect(tokSymbol, ")")
-}
-
-// parseOperand reads a literal, a column or COALESCE(column, literal).
-func (p *parser) parseOperand() (Expr, error) {
-	t := p.peek()
-	if t.kind != tokIdent {
-		return p.parseLiteral()
-	}
-	p.advance()
 	if p.peek().kind == tokSymbol && p.peek().text == "(" {
-		if name := strings.ToUpper(t.text); name != "COALESCE" {
-			return nil, p.errorf("function %s is not supported", name)
-		}
-		p.advance()
-		c := p.peek()
-		if c.kind != tokIdent {
-			return nil, p.fail("a column")
-		}
-		p.advance()
-		col, err := p.parseColumn(c)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(tokSymbol, ","); err != nil {
-			return nil, err
-		}
-		dflt, err := p.parseLiteral()
-		if err != nil {
-			return nil, err
-		}
-		return &FuncExpr{Name: "COALESCE", Args: []Expr{col, dflt}}, p.expect(tokSymbol, ")")
+		return nil, p.errorf("function %s is not supported", strings.ToUpper(name))
 	}
-	return p.parseColumn(t)
-}
-
-// parseColumn reads a column reference whose first name, the identifier
-// t, is consumed: c or t.c.
-func (p *parser) parseColumn(t token) (Expr, error) {
 	if !p.accept(tokSymbol, ".") {
-		return &ColumnRef{Column: t.text}, nil
+		return &ColumnRef{Column: name}, nil
 	}
 	col, err := p.expectIdent()
-	return &ColumnRef{Table: t.text, Column: col}, err
+	return &ColumnRef{Table: name, Column: col}, err
 }
 
 // parseLiteral reads a constant; a leading - is the sign of a number.

@@ -1,10 +1,10 @@
 package sqleng
 
-// The nested-loop reference defines the supported SELECT fragment: the
-// cross product of FROM in written order, WHERE, GROUP BY, HAVING and the
-// projection. It shares the parser, the expression compiler and
-// collectAggs' slot mapping with the engine, and nothing of the planner, the
-// pipeline or the code predicates.
+// The nested-loop reference defines the supported SELECT fragment on
+// Values: the cross product of FROM in written order, WHERE under SQL's
+// three-valued logic, GROUP BY, HAVING and the projection. It shares the
+// parser, the table pins and name resolution with the engine, and nothing
+// of its evaluation: no plan, no pipeline, no code.
 
 import (
 	"cmp"
@@ -16,23 +16,21 @@ import (
 	"semandaq/internal/types"
 )
 
-// refQuery runs one statement through the reference. An EXPLAIN fails
-// exactly when its SELECT does; the plan it prints is the engine's own, so
-// a successful one returns a nil Result.
+// tri is a truth value of SQL's three-valued logic.
+type tri uint8
+
+const (
+	triFalse tri = iota
+	triTrue
+	triUnknown
+)
+
+// refQuery runs one statement through the reference.
 func refQuery(e *Engine, sql string) (*Result, error) {
 	st, err := Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	if x, ok := st.(*ExplainStmt); ok {
-		_, err := refSelect(e, x.Select)
-		return nil, err
-	}
-	return refSelect(e, st.(*SelectStmt))
-}
-
-// refSelect evaluates st by the definition.
-func refSelect(e *Engine, st *SelectStmt) (*Result, error) {
 	qp := e.newQueryPins()
 	var cat catalog
 	var hidden []bool
@@ -53,7 +51,7 @@ func refSelect(e *Engine, st *SelectStmt) (*Result, error) {
 		})
 		tables = append(tables, rows)
 	}
-	where, err := compileExpr(cmp.Or[Expr](st.Where, &Literal{Value: types.NewBool(true)}), cat)
+	where, err := refCond(st.Where, cat)
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +60,7 @@ func refSelect(e *Engine, st *SelectStmt) (*Result, error) {
 	var walk func(d int, row []types.Value)
 	walk = func(d int, row []types.Value) {
 		if d == len(tables) {
-			if truthy(where(row)) {
+			if where(row) == triTrue {
 				rows = append(rows, row)
 			}
 			return
@@ -73,51 +71,67 @@ func refSelect(e *Engine, st *SelectStmt) (*Result, error) {
 	}
 	walk(0, nil)
 
-	var outExprs []Expr
-	for _, it := range st.Items {
-		if !it.Star {
-			outExprs = append(outExprs, it.Expr)
+	// The COUNT calls, each once, in the order the select list and then
+	// HAVING name them; a grouped row carries their counts past the columns.
+	var calls []*CountExpr
+	var collect func(e Expr)
+	collect = func(e Expr) {
+		switch n := e.(type) {
+		case *BinaryExpr:
+			collect(n.L)
+			collect(n.R)
+		case *CountExpr:
+			if !slices.ContainsFunc(calls, func(c *CountExpr) bool { return exprString(c) == exprString(n) }) {
+				calls = append(calls, n)
+			}
 		}
 	}
-	gcat, env := cat, map[string]int(nil)
-	if st.GroupBy != nil || st.Having != nil || slices.ContainsFunc(outExprs, hasAggregate) {
-		var calls []aggCall
-		if env, calls, err = collectAggs(cat, append(slices.Clone(outExprs), st.Having)...); err != nil {
-			return nil, err
-		}
-		keys := make([]evalFn, len(st.GroupBy))
+	for _, it := range st.Items {
+		collect(it.Expr)
+	}
+	collect(st.Having)
+	slot := func(c *CountExpr) int {
+		return len(cat) + slices.IndexFunc(calls, func(x *CountExpr) bool { return exprString(x) == exprString(c) })
+	}
+	if st.GroupBy != nil || st.Having != nil || len(calls) > 0 {
+		keys := make([]int, len(st.GroupBy))
 		for i, g := range st.GroupBy {
-			if keys[i], err = compileExpr(g, cat); err != nil {
+			if keys[i], err = cat.resolve(g); err != nil {
 				return nil, err
 			}
 		}
-		rows = refGroup(rows, keys, calls, len(cat), st.GroupBy == nil)
-		gcat = append(slices.Clone(cat), make(catalog, len(calls))...)
-		if st.Having != nil {
-			having, err := compileExprAgg(st.Having, gcat, env)
-			if err != nil {
-				return nil, err
+		args := make([]int, len(calls))
+		for i, c := range calls {
+			if args[i] = -1; c.Arg != nil {
+				if args[i], err = cat.resolve(c.Arg); err != nil {
+					return nil, err
+				}
 			}
-			rows = slices.DeleteFunc(rows, func(r []types.Value) bool { return !truthy(having(r)) })
+		}
+		rows = refGroup(rows, keys, calls, args, len(cat), st.GroupBy == nil)
+		if st.Having != nil {
+			rows = slices.DeleteFunc(rows, func(r []types.Value) bool { return !refHaving(st.Having, r, slot) })
 		}
 	}
 
 	var names []string
-	var projs []evalFn
+	var projs []int
 	for _, it := range st.Items {
-		if !it.Star {
-			f, err := compileExprAgg(it.Expr, gcat, env)
+		switch e := it.Expr.(type) {
+		case nil:
+			for i, ci := range cat {
+				if !hidden[i] && (it.StarTable == "" || strings.EqualFold(ci.qual, it.StarTable)) {
+					names, projs = append(names, ci.name), append(projs, i)
+				}
+			}
+		case *ColumnRef:
+			pos, err := cat.resolve(e)
 			if err != nil {
 				return nil, err
 			}
-			names, projs = append(names, itemName(it)), append(projs, f)
-			continue
-		}
-		for i, ci := range cat {
-			if !hidden[i] && (it.StarTable == "" || strings.EqualFold(ci.qual, it.StarTable)) {
-				names = append(names, ci.name)
-				projs = append(projs, func(r []types.Value) types.Value { return r[i] })
-			}
+			names, projs = append(names, itemName(it)), append(projs, pos)
+		case *CountExpr:
+			names, projs = append(names, itemName(it)), append(projs, slot(e))
 		}
 	}
 	if len(projs) == 0 {
@@ -126,24 +140,113 @@ func refSelect(e *Engine, st *SelectStmt) (*Result, error) {
 	res := &Result{Columns: names, Versions: qp.versions()}
 	for _, r := range rows {
 		var out []types.Value
-		for _, f := range projs {
-			out = append(out, f(r))
+		for _, pos := range projs {
+			out = append(out, r[pos])
 		}
 		res.Rows = append(res.Rows, out)
 	}
 	return res, nil
 }
 
-// refGroup groups rows by their keys' values, in first-appearance order,
-// into one row per group: its first member, then one count per COUNT call.
-// With no GROUP BY (global) an empty input is one group of NULLs.
-func refGroup(rows [][]types.Value, keys []evalFn, calls []aggCall, width int, global bool) [][]types.Value {
+// refCond compiles a WHERE condition to its three-valued truth on a row:
+// a comparison with NULL is unknown, AND and OR are Kleene's.
+func refCond(e Expr, cat catalog) (func(row []types.Value) tri, error) {
+	if e == nil {
+		return func([]types.Value) tri { return triTrue }, nil
+	}
+	b := e.(*BinaryExpr)
+	if b.Op == "AND" || b.Op == "OR" {
+		l, err := refCond(b.L, cat)
+		if err != nil {
+			return nil, err
+		}
+		r, err := refCond(b.R, cat)
+		if err != nil {
+			return nil, err
+		}
+		decides := triFalse // the operand value that decides an AND
+		if b.Op == "OR" {
+			decides = triTrue
+		}
+		return func(row []types.Value) tri {
+			switch x, y := l(row), r(row); {
+			case x == decides || y == decides:
+				return decides
+			case x == triUnknown || y == triUnknown:
+				return triUnknown
+			}
+			return 1 - decides
+		}, nil
+	}
+	operand := func(e Expr) (func(row []types.Value) types.Value, error) {
+		if lit, ok := e.(*Literal); ok {
+			return func([]types.Value) types.Value { return lit.Value }, nil
+		}
+		pos, err := cat.resolve(e.(*ColumnRef))
+		return func(row []types.Value) types.Value { return row[pos] }, err
+	}
+	l, err := operand(b.L)
+	if err != nil {
+		return nil, err
+	}
+	r, err := operand(b.R)
+	if err != nil {
+		return nil, err
+	}
+	return func(row []types.Value) tri {
+		x, y := l(row), r(row)
+		switch {
+		case x.IsNull() || y.IsNull():
+			return triUnknown
+		case x.Equal(y) == (b.Op == "="):
+			return triTrue
+		}
+		return triFalse
+	}, nil
+}
+
+// refHaving decides HAVING on a grouped row, whose counts sit at slot.
+func refHaving(e Expr, row []types.Value, slot func(*CountExpr) int) bool {
+	b := e.(*BinaryExpr)
+	switch b.Op {
+	case "AND":
+		return refHaving(b.L, row, slot) && refHaving(b.R, row, slot)
+	case "OR":
+		return refHaving(b.L, row, slot) || refHaving(b.R, row, slot)
+	}
+	side := func(e Expr) int64 {
+		if lit, ok := e.(*Literal); ok {
+			return lit.Value.Int()
+		}
+		return row[slot(e.(*CountExpr))].Int()
+	}
+	c := cmp.Compare(side(b.L), side(b.R))
+	switch b.Op {
+	case "=":
+		return c == 0
+	case "<>":
+		return c != 0
+	case "<":
+		return c < 0
+	case "<=":
+		return c <= 0
+	case ">":
+		return c > 0
+	}
+	return c >= 0
+}
+
+// refGroup groups rows by the values at keys, in first-appearance order,
+// into one row per group: its first member, then one count per call over
+// the operand at args (-1: COUNT(*)). With no GROUP BY (global) an empty
+// input is one group of NULLs.
+func refGroup(rows [][]types.Value, keys []int, calls []*CountExpr, args []int, width int, global bool) [][]types.Value {
 	var order []string
 	members := map[string][][]types.Value{}
 	for _, r := range rows {
 		var k []byte
-		for _, f := range keys {
-			k = f(r).AppendGroupKey(k)
+		for _, pos := range keys {
+			k = r[pos].AppendGroupKey(k)
 		}
 		if members[string(k)] == nil {
 			order = append(order, string(k))
@@ -160,26 +263,26 @@ func refGroup(rows [][]types.Value, keys []evalFn, calls []aggCall, width int, g
 		if len(ms) > 0 {
 			rep = slices.Clone(ms[0])
 		}
-		for _, c := range calls {
-			rep = append(rep, types.NewInt(refCount(c, ms)))
+		for i, c := range calls {
+			rep = append(rep, types.NewInt(refCount(c.Distinct, args[i], ms)))
 		}
 		out = append(out, rep)
 	}
 	return out
 }
 
-// refCount evaluates one COUNT call over a group's rows: every row for
-// COUNT(*), else the non-NULL operands, under DISTINCT the distinct ones.
-func refCount(c aggCall, ms [][]types.Value) int64 {
-	if c.fn.Star {
+// refCount evaluates one COUNT over a group's rows: every row for
+// COUNT(*) (arg -1), else the non-NULL operands, the distinct ones under
+// DISTINCT.
+func refCount(distinct bool, arg int, ms [][]types.Value) int64 {
+	if arg < 0 {
 		return int64(len(ms))
 	}
 	seen := map[string]bool{}
 	n := int64(0)
 	for _, r := range ms {
-		v := c.arg(r)
-		k := string(v.AppendGroupKey(nil))
-		if v.IsNull() || (c.fn.Distinct && seen[k]) {
+		k := string(r[arg].AppendGroupKey(nil))
+		if r[arg].IsNull() || (distinct && seen[k]) {
 			continue
 		}
 		seen[k] = true

@@ -159,8 +159,8 @@ func TestStreamGroupedYield(t *testing.T) {
 		 WHERE o.CID = c.CID GROUP BY c.CITY`,
 		`SELECT c.CITY FROM orders o, cust c
 		 WHERE o.CID = c.CID GROUP BY c.CITY HAVING COUNT(*) > 4`,
-		`SELECT CID, COUNT(DISTINCT OID) FROM orders GROUP BY CID HAVING CID = 1`,
-		`SELECT COUNT(*) FROM orders WHERE OID < 0`,
+		`SELECT CID, COUNT(DISTINCT OID) FROM orders GROUP BY CID HAVING COUNT(*) = 4`,
+		`SELECT COUNT(*) FROM orders WHERE OID = -5`,
 	}
 	for _, sql := range queries {
 		want := mustQuery(e, sql)
@@ -199,23 +199,31 @@ func TestStreamGroupedYield(t *testing.T) {
 }
 
 // TestStreamedQueryAllocsFlat pins the pipeline's constant intermediate
-// state: a filter-count, a GROUP BY over a fixed set of groups and an
-// equi-self-join count stream their input through the aggregate, so a 10x
-// larger table costs no more allocations once the snapshot's columnar
-// caches are warm. The class walk's tables keep to it: its classes are a
-// build of a fixed number of vectors, its decisions one slot per class,
-// its tail store sized for one tail per class, at most — and the tail
-// store doubles past that, log2(tails per class) times whatever the size:
-// the self-join's eight tails per ZIP class cost three doublings at both.
+// state: a filter-count, a GROUP BY over a fixed set of groups and a count
+// of the detector's tableau join stream their input through the
+// aggregate, so a 10x larger table costs no more allocations once the
+// snapshot's columnar caches are warm. The class walk's tables keep to it:
+// its classes are a build of a fixed number of vectors, its decisions one
+// slot per class, its tail store sized for one tail per class, at most —
+// and the tail store doubles past that, log2(tails per class) times
+// whatever the size: the tableau join's two tails per [CNT ZIP] class cost
+// one doubling at both.
 func TestStreamedQueryAllocsFlat(t *testing.T) {
 	queries := []string{
 		`SELECT COUNT(*) FROM customer WHERE CNT = 'UK' AND CITY = 'Edinburgh'`,
 		`SELECT CITY, COUNT(*) AS n FROM customer GROUP BY CITY`,
-		`SELECT COUNT(*) FROM customer t1, customer t2 WHERE t1.ZIP = t2.ZIP`,
+		`SELECT COUNT(*) FROM customer t, tp WHERE (tp.CNT = '_' OR t.CNT = tp.CNT) AND (tp.ZIP = '_' OR t.ZIP = tp.ZIP)`,
 	}
 	engineAt := func(tuples int) *Engine {
 		store := relstore.NewStore()
 		store.Put(datagen.Generate(datagen.Config{Tuples: tuples, Seed: 7}).Clean)
+		tp, err := store.Create(schema.New("tp", "CNT", "ZIP"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cnt := range []string{"_", "UK", "US"} {
+			tp.MustInsert(relstore.Tuple{types.NewString(cnt), types.NewString("_")})
+		}
 		return New(store)
 	}
 	small, large := engineAt(2_000), engineAt(20_000)

@@ -47,10 +47,9 @@
 //
 // The store serves live traffic: System.Insert, Delete and SetCell mutate
 // tables (routed through the table's data monitor when one is active)
-// while detection, audit, exploration and SQL queries keep running. Every
-// read path evaluates an immutable, pinned Snapshot, so each report or
-// query result reflects exactly one table version and carries it in its
-// Version field.
+// while detection, audit, exploration and discovery keep running. Every
+// read path evaluates an immutable, pinned Snapshot, so each report
+// reflects exactly one table version and carries it in its Version field.
 //
 // This package re-exports the library's public surface; implementation
 // lives under internal/.
@@ -119,9 +118,9 @@ type (
 	// writers proceed.
 	Table = relstore.Table
 	// Snapshot is an immutable, versioned read view of a table: every
-	// read path (detection, streaming, audit, explore, SQL) evaluates one
-	// pinned Snapshot, so results reflect exactly one table version and
-	// carry it in their Version field.
+	// read path (detection, streaming, audit, explore, discovery)
+	// evaluates one pinned Snapshot, so results reflect exactly one table
+	// version and carry it in their Version field.
 	Snapshot = relstore.Snapshot
 	// Tuple is one row.
 	Tuple = relstore.Tuple
