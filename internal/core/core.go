@@ -363,7 +363,7 @@ const (
 	// fanned over runtime.GOMAXPROCS workers; same report, same cache entry.
 	ParallelDetection = detect.ParallelEngine
 	// ColumnarDetection runs the factorised evaluation over the table's
-	// columnar snapshot (dictionary-code matching, PLI-partition grouping);
+	// columnar snapshot (dictionary-code matching, Equal-class grouping);
 	// the report is identical to SQLDetection's.
 	ColumnarDetection = detect.ColumnarEngine
 )

@@ -279,8 +279,8 @@ func TestConcurrentReadWriteStressMonitored(t *testing.T) {
 // cache misses on every read, and every run must report exactly what a
 // quiet run does. Each run pins its tableaux on its own engine (runs that
 // shared them through the store replaced and dropped each other's) and
-// resolves Qv's keys on the column artefacts — PLIs, probe vectors, key
-// tables — that concurrent runs build lazily on one patched lineage.
+// resolves Qv's keys on the column artefacts — probe vectors, key tables —
+// that concurrent runs build lazily on one patched lineage.
 func TestConcurrentSQLDetections(t *testing.T) {
 	s, _ := datasetSession(t)
 	ctx := context.Background()

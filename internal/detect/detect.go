@@ -21,7 +21,7 @@
 // technique, end to end), resolving Qv's violating keys to classes of the
 // LHS partition on codes; ColumnarDetector evaluates over the table's
 // columnar snapshot with the factorised core — dictionary-code pattern
-// matching, PLI-partition grouping (the parallel engine is the same
+// matching, Equal-class grouping (the parallel engine is the same
 // detector with Workers > 1). The Tracker maintains the same report under
 // updates. The reference all three are checked against is
 // internal/cfddef, which runs the definition above literally.

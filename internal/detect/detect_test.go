@@ -3,11 +3,13 @@ package detect
 import (
 	"context"
 	"maps"
+	"slices"
 	"strings"
 	"testing"
 
 	"semandaq/internal/cfd"
 	"semandaq/internal/cfddef"
+	"semandaq/internal/datagen"
 	"semandaq/internal/relstore"
 	"semandaq/internal/schema"
 	"semandaq/internal/sqleng"
@@ -456,9 +458,9 @@ func TestSQLTrace(t *testing.T) {
 }
 
 // TestGenerateSQL: the printed statements have the paper's shape and run
-// as printed on the tableau tables a detection leaves behind: Qc (SELECT
-// t.*) returns one row of the data table per single-tuple violation of its
-// CFD, Qv one row per violating group.
+// as printed on the tableau tables a detection leaves behind: Qc returns
+// one row per single-tuple violation of its CFD, led by the ids the report
+// holds, and Qv one row per violating group.
 func TestGenerateSQL(t *testing.T) {
 	store, tab, cfds := paperStore(t)
 	stmts, err := GenerateSQL(tab, cfds)
@@ -482,10 +484,10 @@ func TestGenerateSQL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	singles, groups := map[string]int{}, map[string]int{}
+	singles, groups := map[string][]int64{}, map[string]int{}
 	for _, v := range rep.Violations {
 		if v.Kind == SingleTuple {
-			singles[v.CFDID]++
+			singles[v.CFDID] = append(singles[v.CFDID], int64(v.TupleID))
 		}
 	}
 	for _, g := range rep.Groups {
@@ -499,20 +501,56 @@ func TestGenerateSQL(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", stmt, err)
 		}
-		want := groups[id]
 		if strings.HasPrefix(kind, "Qc") {
-			want = singles[id]
-			if len(res.Columns) != len(tab.Schema().Attrs) {
-				t.Errorf("%s\nprojects %v, want the data table's columns", stmt, res.Columns)
+			// One row per single-tuple violation, led by the tuple's id.
+			var ids []int64
+			for _, row := range res.Rows {
+				if row[0].Kind() != types.KindInt {
+					t.Fatalf("%s\nreturned a row led by %v, not a tuple id", stmt, row[0])
+				}
+				ids = append(ids, row[0].Int())
 			}
-		}
-		if len(res.Rows) != want {
-			t.Errorf("%s\nreturned %d rows, want %d", stmt, len(res.Rows), want)
+			slices.Sort(ids)
+			slices.Sort(singles[id])
+			if !slices.Equal(ids, singles[id]) {
+				t.Errorf("%s\nreturned tuples %v, the report's single-tuple violations are %v", stmt, ids, singles[id])
+			}
+		} else if len(res.Rows) != groups[id] {
+			t.Errorf("%s\nreturned %d rows, want %d", stmt, len(res.Rows), groups[id])
 		}
 		rows += len(res.Rows)
 	}
 	if rows == 0 {
 		t.Error("no statement returned a row; the test lost its subject")
+	}
+}
+
+// TestGenerateSQLIsWhatDetectRuns: GenerateSQL's statements, without their
+// "-- " header lines, are the statements a detection of the same table and
+// CFDs runs, in the order it runs them.
+func TestGenerateSQLIsWhatDetectRuns(t *testing.T) {
+	store, tab, cfds := paperStore(t)
+	for _, set := range [][]*cfd.CFD{cfds, datagen.StandardCFDs()} {
+		stmts, err := GenerateSQL(tab, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for _, stmt := range stmts {
+			header, text, _ := strings.Cut(stmt, "\n")
+			if !strings.HasPrefix(header, "-- ") {
+				t.Fatalf("statement without a header line:\n%s", stmt)
+			}
+			want = append(want, text)
+		}
+		var ran []string
+		d := &SQLDetector{Engine: sqleng.New(store), Trace: func(sql string) { ran = append(ran, sql) }}
+		if _, err := d.Detect(context.Background(), tab, set); err != nil {
+			t.Fatal(err)
+		}
+		if len(ran) == 0 || !slices.Equal(ran, want) {
+			t.Errorf("GenerateSQL printed\n%s\ndetection ran\n%s", strings.Join(want, "\n"), strings.Join(ran, "\n"))
+		}
 	}
 }
 

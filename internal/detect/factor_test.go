@@ -189,7 +189,7 @@ func TestFactorisedAllocsSublinear(t *testing.T) {
 	allocsAt := func(n int) float64 {
 		snap := giantGroupTable(n).Snapshot()
 		if _, err := DetectFactorised(ctx, snap, cfds); err != nil {
-			t.Fatal(err) // warm the dictionaries, PLI, key tables
+			t.Fatal(err) // warm the dictionaries, probe vectors, key tables
 		}
 		return testing.AllocsPerRun(5, func() {
 			if _, err := DetectFactorised(ctx, snap, cfds); err != nil {

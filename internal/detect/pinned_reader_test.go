@@ -32,7 +32,7 @@ func TestPinnedReaderDuringPatch(t *testing.T) {
 	serial := 0
 	for round := 0; round < 4; round++ {
 		pinned := tab.Snapshot()
-		col := pinned.Columnar() // built, so the successor patches from it; PLIs and keys stay lazy
+		col := pinned.Columnar() // built, so the successor patches from it; probes and keys stay lazy
 		fr, err := detect.DetectFactorised(ctx, pinned, cfds)
 		if err != nil {
 			t.Fatal(err)
@@ -63,8 +63,8 @@ func TestPinnedReaderDuringPatch(t *testing.T) {
 							}
 						}
 						c.EnsureKeys()
-						if c.PLI().NumRows() != pinned.Len() {
-							t.Errorf("column %d PLI covers %d rows, snapshot has %d", j, c.PLI().NumRows(), pinned.Len())
+						if p := col.EqClasses([]int{j}); p.NumRows() != pinned.Len() {
+							t.Errorf("column %d's partition covers %d rows, snapshot has %d", j, p.NumRows(), pinned.Len())
 						}
 					}
 					fr, err := detect.DetectFactorised(ctx, pinned, cfds)

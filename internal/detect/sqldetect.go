@@ -176,6 +176,16 @@ func sqlFor(c *cfd.CFD, seq int) cfdSQL {
 	return out
 }
 
+// qc is Qc's text: the data tuples matching some constant-RHS pattern
+// whose RHS value differs from the pattern's constant. It returns one row
+// per single-tuple violation: the tuple's id, the pattern's, the pattern's
+// RHS constant and the tuple's RHS value.
+func (g cfdSQL) qc(data string, c *cfd.CFD) string {
+	q, rhs := quoteIdent, quoteIdent(c.RHS[0])
+	return fmt.Sprintf("SELECT t.%s, tp.%s, tp.%s, t.%s FROM %s t, %s tp WHERE %s AND tp.%s <> '%s' AND t.%s <> tp.%s",
+		sqleng.TIDColumn, sqleng.TIDColumn, rhs, rhs, q(data), q(g.tpName), g.match, rhs, cfd.WildcardToken, rhs, rhs)
+}
+
 // qv is Qv's text: the data tuples matching some wildcard-RHS pattern,
 // grouped by the embedded FD's LHS, keeping the groups with more than one
 // distinct RHS class. It returns one row per violating group: its LHS
@@ -199,19 +209,12 @@ func (d *SQLDetector) detectOneSQL(ctx context.Context, dataName string, cp *col
 		return err
 	}
 	defer d.artefact(tp)()
-
-	q := quoteIdent
 	rhs := c.RHS[0]
 
 	// Qc — single-tuple violations: the tuple matches the LHS pattern but
 	// its RHS value differs from the pattern's RHS constant.
 	if gen.hasConst {
-		qc := fmt.Sprintf(
-			"SELECT t.%s, tp.%s, tp.%s, t.%s FROM %s t, %s tp WHERE %s AND tp.%s <> '%s' AND t.%s <> tp.%s",
-			sqleng.TIDColumn, sqleng.TIDColumn, q(rhs), q(rhs),
-			q(dataName), q(gen.tpName), gen.match,
-			q(rhs), cfd.WildcardToken, q(rhs), q(rhs))
-		if err := d.stream(ctx, qc, func(row []types.Value) bool {
+		if err := d.stream(ctx, gen.qc(dataName, c), func(row []types.Value) bool {
 			out.viols = append(out.viols, Violation{
 				CFDID:    c.ID,
 				Kind:     SingleTuple,
@@ -270,25 +273,22 @@ func (d *SQLDetector) detectOneSQL(ctx context.Context, dataName string, cp *col
 	return nil
 }
 
-// GenerateSQL returns the detection SQL that Detect would run for the given
-// CFDs (after normalization and merging), without executing anything.
-// core's DetectionSQL serves it: the CLI's sql command prints it, and so
-// does GET /api/detect/{table}/sql.
+// GenerateSQL returns the detection SQL that Detect runs for the given CFDs
+// (after normalization and merging), in the order it runs it, without
+// executing anything: each statement is a "-- " header line naming the CFD
+// and the query, then the query's text. core's DetectionSQL serves it: the
+// CLI's sql command prints it, and so does GET /api/detect/{table}/sql.
 func GenerateSQL(tab *relstore.Table, cfds []*cfd.CFD) ([]string, error) {
 	preps, err := prepare(tab.Schema(), cfds)
 	if err != nil {
 		return nil, err
 	}
 	var out []string
-	q := quoteIdent
 	for seq, p := range preps {
 		gen := sqlFor(p.c, seq)
-		rhs := p.c.RHS[0]
 		if gen.hasConst {
-			out = append(out, fmt.Sprintf(
-				"-- %s: Qc (single-tuple violations)\nSELECT t.* FROM %s t, %s tp WHERE %s AND tp.%s <> '%s' AND t.%s <> tp.%s",
-				p.c.ID, q(tab.Schema().Name), q(gen.tpName), gen.match,
-				q(rhs), cfd.WildcardToken, q(rhs), q(rhs)))
+			out = append(out, fmt.Sprintf("-- %s: Qc (single-tuple violations)\n%s",
+				p.c.ID, gen.qc(tab.Schema().Name, p.c)))
 		}
 		if gen.hasVar {
 			out = append(out, fmt.Sprintf("-- %s: Qv (multi-tuple violation groups)\n%s",

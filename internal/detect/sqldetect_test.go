@@ -264,7 +264,7 @@ func TestSQLGroupsResolveOnCodes(t *testing.T) {
 			}
 			cols := tab.Snapshot().Columnar()
 			for j := 0; j < cols.NumCols(); j++ {
-				cols.Col(j).PLI()
+				cols.Col(j).EqProbe()
 				cols.Col(j).EnsureKeys()
 			}
 			for _, i := range tc.leave {

@@ -167,7 +167,7 @@ func MineWithStats(ctx context.Context, snap *relstore.Snapshot, opts Options) (
 // mine is Mine counting its lattice work into stats.
 func mine(ctx context.Context, snap *relstore.Snapshot, opts Options, stats *mineStats) (*Report, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err // don't pay the columnar/PLI build for a dead request
+		return nil, err // don't pay the columnar/partition builds for a dead request
 	}
 	opts = opts.withDefaults(snap.Len())
 	m := newMiner(ctx, snap, opts)

@@ -380,11 +380,12 @@ func TestFrequentClassesSortedByKey(t *testing.T) {
 		}
 		tab.MustInsert(relstore.Tuple{v})
 	}
-	col := tab.Snapshot().Columnar().Col(0)
+	cnr := tab.Snapshot().Columnar()
+	col, part := cnr.Col(0), cnr.EqClasses([]int{0}).Partition
 	for minSupport, want := range map[int]string{1: "aa b mm zz", 2: "aa mm zz", 3: ""} {
 		var got []string
-		for _, cl := range frequentClasses(col, minSupport) {
-			got = append(got, col.PLIClassValue(cl).String())
+		for _, cl := range frequentClasses(col, part, minSupport) {
+			got = append(got, classValue(col, part.Class(cl)).String())
 		}
 		if strings.Join(got, " ") != want {
 			t.Errorf("MinSupport %d: classes %q, want %q", minSupport, got, want)

@@ -9,11 +9,11 @@
 // depth). X → a holds iff every class of π_X is pure in a's Equal-class
 // probe — an integer purity test; below MinConfidence 1.0 the g3 kept
 // fraction decides. Dependencies that fail globally are retried under
-// single-attribute conditions B=b over the frequent classes of B's PLI.
+// single-attribute conditions B=b over the frequent classes of π_B.
 // Level ℓ+1 nodes are generated by prefix join from level ℓ (all ℓ-subsets
 // must survive) and each new partition is one Intersect of its parent's.
 //
-// Constant CFDs: an itemset lattice over the PLI classes themselves — a
+// Constant CFDs: an itemset lattice over the one-column classes — a
 // frequent item is a (attribute, Equal-class) pair whose class covers >=
 // MinSupport rows; a node's cover refines into its children's by counting
 // its rows per later item on Equal-class codes (growCNode), and an itemset
@@ -47,8 +47,8 @@ import (
 const cancelStride = 4096
 
 // miner holds the per-run state of one lattice search: the pinned
-// snapshot's columnar view, the per-attribute probe vectors and PLI class
-// orders (shared, immutable during the run), and the resolved options.
+// snapshot's columnar view, the per-attribute probe vectors, partitions and
+// class orders (shared, immutable during the run), and the resolved options.
 type miner struct {
 	snap    *relstore.Snapshot
 	col     *relstore.Columnar
@@ -59,7 +59,10 @@ type miner struct {
 	workers int
 	// probes[p][i] is row i's Equal-class code in column p.
 	probes [][]uint32
-	// frequent[p] lists column p's non-null PLI classes covering at least
+	// parts[p] is π_p, column p's one-column partition, built for this run:
+	// every class kept, in first-row order.
+	parts []*relstore.Partition
+	// frequent[p] lists the non-null classes of parts[p] covering at least
 	// MinSupport rows, by representative Key: the deterministic enumeration
 	// order for condition values and items.
 	frequent [][]int
@@ -86,20 +89,19 @@ func newMiner(ctx context.Context, snap *relstore.Snapshot, opts Options) *miner
 		arity:    snap.Schema().Arity(),
 		workers:  opts.Workers, // already resolved by withDefaults
 		probes:   make([][]uint32, snap.Schema().Arity()),
+		parts:    make([]*relstore.Partition, snap.Schema().Arity()),
 		frequent: make([][]int, snap.Schema().Arity()),
 	}
 	if !opts.disableClosure {
 		m.exact = fdset.New(m.arity)
 	}
-	// Materialize every column's probe vector, PLI and frequent classes up
-	// front, one goroutine per column: all of them are needed by both
-	// lattices, and the probe and PLI builds are cached on the snapshot so a
-	// second mining pass over the same version pays only the sort of the
-	// classes it reads. Each build stage is an indivisible sync.Once unit,
-	// so cancellation is polled between stages — a dead request stops
-	// paying the cold build within one column-stage, and the stages already
-	// built stay cached for the next caller. Callers must check ctx after
-	// newMiner returns.
+	// Materialize every column's probe vector, partition and frequent
+	// classes up front, one goroutine per column: all of them are needed by
+	// both lattices. The probe vectors are cached on the snapshot; the
+	// partitions are this run's, built once here and dropped with the
+	// miner. Cancellation is polled between the probe and the partition
+	// stages — a dead request stops paying within one column-stage.
+	// Callers must check ctx after newMiner returns.
 	var wg sync.WaitGroup
 	for p := 0; p < m.arity; p++ {
 		wg.Add(1)
@@ -113,31 +115,39 @@ func newMiner(ctx context.Context, snap *relstore.Snapshot, opts Options) *miner
 			if ctx.Err() != nil {
 				return
 			}
-			m.frequent[p] = frequentClasses(c, opts.MinSupport)
+			m.parts[p] = col.EqClasses([]int{p}).Partition
+			m.frequent[p] = frequentClasses(c, m.parts[p], opts.MinSupport)
 		}(p)
 	}
 	wg.Wait()
 	return m
 }
 
-// frequentClasses lists col's non-null PLI classes covering at least
-// minSupport rows, ordered by their representative's Key(). Class-mates
-// share their Key(), so any member's stands for the class, and distinct
-// classes have distinct keys, so the order is total.
-func frequentClasses(col *relstore.Column, minSupport int) []int {
-	pli := col.PLI()
+// frequentClasses lists the non-null classes of col's partition part
+// covering at least minSupport rows, ordered by their representative's
+// Key(). Class-mates share their Key(), so any member's stands for the
+// class, and distinct classes have distinct keys, so the order is total.
+func frequentClasses(col *relstore.Column, part *relstore.Partition, minSupport int) []int {
 	// Built even when no class is frequent, so the patcher carries the key
 	// table to the next version instead of a later reader rebuilding it.
 	col.EnsureKeys()
 	var out []int
-	for cl := 0; cl < pli.NumClasses(); cl++ {
-		if len(pli.Class(cl)) >= minSupport && !col.PLIClassValue(cl).IsNull() {
+	for cl := 0; cl < part.NumClasses(); cl++ {
+		if len(part.Class(cl)) >= minSupport && !classValue(col, part.Class(cl)).IsNull() {
 			out = append(out, cl)
 		}
 	}
-	key := func(cl int) string { return col.KeyOf(col.Code(int(pli.Class(cl)[0]))) }
+	key := func(cl int) string { return col.KeyOf(col.Code(int(part.Class(cl)[0]))) }
 	slices.SortFunc(out, func(a, b int) int { return strings.Compare(key(a), key(b)) })
 	return out
+}
+
+// classValue returns the representative value of a class of col's rows:
+// the stored value of its first row, which is what a row scan meeting the
+// class would see first — a function of the rows alone, whatever order the
+// lineage interned the class's members in.
+func classValue(col *relstore.Column, rows []int32) types.Value {
+	return col.Value(col.Code(int(rows[0])))
 }
 
 // ---------------------------------------------------------------------------
@@ -167,7 +177,7 @@ type vnode struct {
 }
 
 // partition materializes the node's partition on first use, deriving it
-// from the parent chain (depth-1 nodes carry their column PLI directly).
+// from the parent chain (depth-1 nodes carry their column's partition).
 // Safe for concurrent callers: each node's intersection runs once, and the
 // recursion only walks toward depth 1, so the Onces cannot deadlock.
 func (nd *vnode) partition(m *miner) *relstore.Partition {
@@ -206,7 +216,7 @@ func (m *miner) mineVariable(ctx context.Context) ([]Candidate, error) {
 				cand = append(cand, a)
 			}
 		}
-		level = append(level, &vnode{xs: []int{p}, part: m.col.Col(p).PLI(), cand: cand})
+		level = append(level, &vnode{xs: []int{p}, part: m.parts[p], cand: cand})
 	}
 	var out []Candidate
 	for depth := 1; len(level) > 0; depth++ {
@@ -318,7 +328,7 @@ func (m *miner) checkCandidate(ctx context.Context, nd *vnode, ai int) error {
 }
 
 // mineConditional retries a failed X → a under single-attribute conditions
-// B=b, B ∈ X: for each frequent non-null class of B's PLI (by Key order)
+// B=b, B ∈ X: for each frequent non-null class of π_B (by Key order)
 // it checks the dependency on the class's rows, emitting
 // [B=b, rest=_] -> [a=_] up to MaxPatternsPerFD patterns per (X, a).
 func (m *miner) mineConditional(ctx context.Context, nd *vnode, a int) ([]Candidate, error) {
@@ -328,13 +338,12 @@ func (m *miner) mineConditional(ctx context.Context, nd *vnode, a int) ([]Candid
 		if len(emits) >= m.opts.MaxPatternsPerFD {
 			break
 		}
-		colB := m.col.Col(b)
-		pli := colB.PLI()
 		for _, cl := range m.frequent[b] {
 			if len(emits) >= m.opts.MaxPatternsPerFD {
 				break
 			}
-			rep, rows := colB.PLIClassValue(cl), pli.Class(cl)
+			rows := m.parts[b].Class(cl)
+			rep := classValue(m.col.Col(b), rows)
 			conf, ok, err := m.condCheck(ctx, &sc, nd.xs, b, a, rows)
 			if err != nil {
 				return nil, err
@@ -593,7 +602,7 @@ type clattice struct {
 	first []int
 	// itemOf[p][eq] is the index of the item whose class is Equal-class
 	// code eq of column p, or -1; codes past its end name no item. An
-	// item's rows are exactly its code's PLI class, so counting a cover's
+	// item's rows are exactly its code's class of π_p, so counting a cover's
 	// rows by itemOf is intersecting the cover with every item of p.
 	itemOf [][]int32
 }
@@ -665,7 +674,7 @@ func (m *miner) mineConstant(ctx context.Context) ([]Candidate, error) {
 	return out, nil
 }
 
-// constLattice indexes the frequent items: every non-null PLI class
+// constLattice indexes the frequent items: every non-null one-column class
 // covering at least MinSupport rows, in (position, Key) order.
 func (m *miner) constLattice() *clattice {
 	lat := &clattice{first: make([]int, m.arity+1), itemOf: make([][]int32, m.arity)}
@@ -674,22 +683,21 @@ func (m *miner) constLattice() *clattice {
 		if len(m.frequent[p]) == 0 {
 			continue
 		}
-		col := m.col.Col(p)
-		pli := col.PLI()
+		col, part := m.col.Col(p), m.parts[p]
 		// The table runs to the largest frequent code, not the code space:
 		// a wide column with a few frequent values stays a short table.
 		var space uint32
 		for _, cl := range m.frequent[p] {
-			space = max(space, m.probes[p][pli.Class(cl)[0]]+1)
+			space = max(space, m.probes[p][part.Class(cl)[0]]+1)
 		}
 		itemOf := make([]int32, space)
 		for i := range itemOf {
 			itemOf[i] = -1
 		}
 		for _, cl := range m.frequent[p] {
-			rows := pli.Class(cl)
+			rows := part.Class(cl)
 			itemOf[m.probes[p][rows[0]]] = int32(len(lat.items))
-			lat.items = append(lat.items, citem{pos: p, val: col.PLIClassValue(cl), rows: rows})
+			lat.items = append(lat.items, citem{pos: p, val: classValue(col, rows), rows: rows})
 		}
 		lat.itemOf[p] = itemOf
 	}

@@ -8,9 +8,9 @@
 // data only in the columns the fold writes, so the model is the one place a
 // wrong value would show):
 //
-//   - the served Snapshot/Columnar/PLI artifacts and decoded rows equal the
-//     model's batch build up to a renaming of dictionary codes
-//     (relstore.DiffSnapshots);
+//   - the served Snapshot/Columnar artifacts (one-column partitions
+//     included) and decoded rows equal the model's batch build up to a
+//     renaming of dictionary codes (relstore.DiffSnapshots);
 //   - the tracker's materialized report, and its factorised report over
 //     either snapshot exploded, equal the factorised core's exploded report
 //     (ColumnarDetector at 1, 2 and 8 workers) and the SQL engine's report,
@@ -254,9 +254,9 @@ func (h *Harness) Check(ctx context.Context) error {
 	return h.CheckDiscovery(ctx)
 }
 
-// CheckStore asserts the (folded) snapshot's rows and all its columnar/PLI
-// artifacts equal a batch build of the row model up to a renaming of
-// dictionary codes.
+// CheckStore asserts the (folded) snapshot's rows and all its columnar
+// artifacts, one-column partitions included, equal a batch build of the
+// row model up to a renaming of dictionary codes.
 func (h *Harness) CheckStore() error {
 	if err := relstore.DiffSnapshots(h.Tab.Snapshot(), h.model()); err != nil {
 		return fmt.Errorf("relstore: served snapshot != batch build of the row model: %w", err)

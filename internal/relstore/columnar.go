@@ -84,23 +84,17 @@ type Column struct {
 	// high-cardinality columns.
 	keysOnce sync.Once
 	keys     []string
-	// pli and probe are the column's position list index and per-row
-	// Equal-class probe vector (pli.go), built lazily for the CFD miner and
-	// shared by every discovery pass over this snapshot. pliClassOf maps an
-	// Equal-class canonical code to its PLI class index, -1 for codes no
-	// row's class is filed under.
-	pliOnce    sync.Once
-	pli        *Partition
-	pliClassOf []int32
-	probeOnce  sync.Once
-	probe      []uint32
+	// probe is the column's per-row Equal-class probe vector (pli.go),
+	// built lazily and shared by every reader of this snapshot. Partitions
+	// are not kept here: each run builds the classes it reads (EqClasses).
+	probeOnce sync.Once
+	probe     []uint32
 	// The ready flags mirror the sync.Once states above: each is set (with
 	// release semantics) after its lazy artifact is built, so the delta
 	// patcher can ask "did anyone build this on the previous version?"
 	// without racing concurrent builders — a nil answer just means the
 	// patched column leaves that artifact lazy too.
 	keysReady  atomic.Bool
-	pliReady   atomic.Bool
 	probeReady atomic.Bool
 	// Interner state, retained so EqCodeOf stays O(1) after the build.
 	// Strings, bools, NULL and NaN are their own Equal-classes; only the

@@ -95,7 +95,7 @@ func TestCloneForksTheLineage(t *testing.T) {
 		t.Fatalf("the clone's first read built something: %+v", ops)
 	}
 	for j, col := range snap.Columnar().cols {
-		if col != src.cols[j] || !col.pliReady.Load() {
+		if col != src.cols[j] || !col.probeReady.Load() {
 			t.Fatalf("column %d of the clone's first view is not the source's warm column", j)
 		}
 	}

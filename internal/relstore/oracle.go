@@ -1,15 +1,15 @@
 // The snapshot oracle: DiffSnapshots force-builds every artifact two
 // snapshots can materialize — decoded rows, columnar dictionaries, code
-// vectors, occurrence counts, lookups, PLIs, probe vectors, key tables,
-// class orders — and compares them. Rows, ids, PLIs and class orders must
-// match exactly; dictionary codes are opaque (columnar.go), so everything
-// indexed by code is compared under the renaming the two code vectors
-// induce row by row. The columns are the only copy of the data, so the
-// ground truth lives with the caller: the fuzz targets and cross-check
-// harnesses keep a naive (ids, rows) model of every op they apply and run
-// DiffSnapshots between the served snapshot and BuildSnapshot of that model
-// at every intermediate version; any divergence is a fold bug, reported with
-// enough coordinates to reproduce.
+// vectors, occurrence counts, lookups, one-column partitions, probe
+// vectors, key tables, class orders — and compares them. Rows, ids,
+// partitions and class orders must match exactly; dictionary codes are
+// opaque (columnar.go), so everything indexed by code is compared under
+// the renaming the two code vectors induce row by row. The columns are the
+// only copy of the data, so the ground truth lives with the caller: the
+// fuzz targets and cross-check harnesses keep a naive (ids, rows) model of
+// every op they apply and run DiffSnapshots between the served snapshot and
+// BuildSnapshot of that model at every intermediate version; any divergence
+// is a fold bug, reported with enough coordinates to reproduce.
 //
 // reflect.DeepEqual over whole Snapshots would be both too strict (codes,
 // sync.Once and atomic scheduling state differ between a warm and a cold
@@ -82,7 +82,7 @@ func DiffSnapshots(got, want *Snapshot) error {
 		}
 	}
 	for j := 0; j < wc.NumCols(); j++ {
-		if err := diffColumn(gc.Col(j), wc.Col(j)); err != nil {
+		if err := diffColumn(gc, wc, j); err != nil {
 			return fmt.Errorf("column %d (%s): %w", j, want.Schema().Attrs[j].Name, err)
 		}
 	}
@@ -135,8 +135,9 @@ func (r renaming) pair(got, want uint32) bool {
 
 // checkColumn verifies what one column must satisfy on its own: the counts
 // are those of its code vector, dead codes are within the compaction
-// bound, and the PLI's class index and the probe vector agree with eq.
-func checkColumn(c *Column) error {
+// bound, and its partition's class index and the probe vector agree with
+// eq.
+func checkColumn(c *Column, p *EqClasses) error {
 	counts, cls, live := make([]int32, len(c.dict)), make([]int32, len(c.dict)), 0
 	for _, code := range c.codes {
 		if counts[code]++; counts[code] == 1 {
@@ -156,18 +157,18 @@ func checkColumn(c *Column) error {
 	if dead := len(c.dict) - live; dead > deadLimit(live) {
 		return fmt.Errorf("%d dead codes beside %d live: past the compaction threshold", dead, live)
 	}
-	p, filed := c.PLI(), 0
-	for canon, cl := range c.pliClassOf {
+	filed := 0
+	for canon, cl := range p.slots {
 		if cl < 0 {
 			continue
 		}
 		filed++
 		if got := c.eq[c.codes[p.Class(int(cl))[0]]]; got != uint32(canon) {
-			return fmt.Errorf("pliClassOf[%d] = %d, whose rows are of class %d", canon, cl, got)
+			return fmt.Errorf("slots[%d] = %d, whose rows are of class %d", canon, cl, got)
 		}
 	}
 	if filed != p.NumClasses() {
-		return fmt.Errorf("pliClassOf files %d classes, pli has %d", filed, p.NumClasses())
+		return fmt.Errorf("slots file %d classes, the partition has %d", filed, p.NumClasses())
 	}
 	for i, pv := range c.EqProbe() {
 		if pv != c.eq[c.codes[i]] {
@@ -177,14 +178,17 @@ func checkColumn(c *Column) error {
 	return nil
 }
 
-func diffColumn(g, w *Column) error {
+// diffColumn compares column j of got with column j of want.
+func diffColumn(got, want *Columnar, j int) error {
+	g, w := got.Col(j), want.Col(j)
 	if len(g.codes) != len(w.codes) {
 		return fmt.Errorf("codes len: got %d, want %d", len(g.codes), len(w.codes))
 	}
-	if err := checkColumn(g); err != nil {
+	gp, wp := got.EqClasses([]int{j}), want.EqClasses([]int{j})
+	if err := checkColumn(g, gp); err != nil {
 		return fmt.Errorf("got: %w", err)
 	}
-	if err := checkColumn(w); err != nil {
+	if err := checkColumn(w, wp); err != nil {
 		return fmt.Errorf("want: %w", err)
 	}
 	// The row-wise walk induces the renaming of exact codes and, through
@@ -230,21 +234,21 @@ func diffColumn(g, w *Column) error {
 	if _, gok := g.NullCode(); gok != (w.nullCode >= 0 && w.counts[w.nullCode] > 0) {
 		return fmt.Errorf("NullCode: got %v", gok)
 	}
-	// PLIs list classes by first row and rows ascending, so they match
-	// exactly, codes or no codes; so do the class representatives.
-	gp, wp := g.PLI(), w.PLI()
+	// Partitions list classes by first row and rows ascending, so they
+	// match exactly, codes or no codes; so do the class representatives,
+	// the values of the classes' first rows.
 	if gp.NumRows() != wp.NumRows() {
-		return fmt.Errorf("pli rows: got %d, want %d", gp.NumRows(), wp.NumRows())
+		return fmt.Errorf("partition rows: got %d, want %d", gp.NumRows(), wp.NumRows())
 	}
-	if err := diffSeq("pli elems", gp.elems, wp.elems); err != nil {
+	if err := diffSeq("partition elems", gp.elems, wp.elems); err != nil {
 		return err
 	}
-	if err := diffSeq("pli offsets", gp.offsets, wp.offsets); err != nil {
+	if err := diffSeq("partition offsets", gp.offsets, wp.offsets); err != nil {
 		return err
 	}
 	for cl := 0; cl < wp.NumClasses(); cl++ {
-		if gv, wv := g.PLIClassValue(cl), w.PLIClassValue(cl); gv != wv {
-			return fmt.Errorf("PLIClassValue(%d): got %v, want %v (exact)", cl, gv, wv)
+		if gv, wv := g.cell(int(gp.Class(cl)[0])), w.cell(int(wp.Class(cl)[0])); gv != wv {
+			return fmt.Errorf("class %d's representative: got %v, want %v (exact)", cl, gv, wv)
 		}
 	}
 	return nil

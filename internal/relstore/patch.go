@@ -1,9 +1,11 @@
 // Delta folding: a table stores its data once, as the column lineage of its
 // latest snapshot plus a write overlay (store.go), and the first read after a
 // mutation folds the overlay into the next lineage member — dictionaries,
-// code vectors and per-column PLI partitions patched in O(delta) hashing —
-// instead of re-interning every cell of every column. The overlay's keys are
-// the touched rows, so the fold never diffs the rows it did not touch.
+// code vectors and counts patched in O(delta) hashing — instead of
+// re-interning every cell of every column. No partition is patched: the
+// fold keeps none, since every run builds the classes it reads (pli.go).
+// The overlay's keys are the touched rows, so the fold never diffs the rows
+// it did not touch.
 //
 // Every delta patches; there is no case the patcher hands back. Exact
 // dictionary codes are stable along a column's lineage (columnar.go): a
@@ -12,11 +14,11 @@
 // revived by its value. So a patched column equals a batch build of the
 // same rows up to a renaming of codes, and the contract is on what a
 // consumer can observe — rows, ids, stored values, the Equal-class
-// partition, the PLI (classes by first row, rows ascending: history-free,
-// so patched to the very bytes a batch build emits), class representatives
-// and statistics are exactly the batch build's. Dead codes are bounded:
-// past compactDead below the column is re-interned from its own values,
-// which starts a fresh lineage.
+// partition, its one-column partitions (classes by first row, rows
+// ascending: history-free, so built to the very bytes a batch build's
+// give), class representatives and statistics are exactly the batch
+// build's. Dead codes are bounded: past compactDead below the column is
+// re-interned from its own values, which starts a fresh lineage.
 //
 // The oracle (oracle.go, the fuzz targets and the cross-check tests) holds
 // the fold to the contract at every intermediate version, comparing against
@@ -56,14 +58,12 @@ func (t *Table) noteMutationLocked() {
 // patcher consumes: drops are ascending predecessor row positions that were
 // removed, edits[j] are the in-place cell changes of column j at surviving
 // rows (ascending), and tail holds the nAppend rows appended at the end,
-// arity cells each. remap — present iff rows were dropped — maps every
-// predecessor position to its final position, -1 for dropped rows.
+// arity cells each.
 type snapPatch struct {
 	drops   []int32
 	edits   [][]cellEdit
 	nAppend int
 	tail    []types.Value
-	remap   []int32
 }
 
 // cellEdit is one surviving row whose cell in some column changed its exact
@@ -113,18 +113,6 @@ func (t *Table) foldLocked() {
 			}
 		}
 		p.nAppend = len(ids) - (len(base.ids) - len(p.drops))
-	}
-	if len(p.drops) > 0 {
-		p.remap = make([]int32, len(base.ids))
-		d := 0
-		for i := range p.remap {
-			if d < len(p.drops) && p.drops[d] == int32(i) {
-				p.remap[i] = -1
-				d++
-			} else {
-				p.remap[i] = int32(i - d)
-			}
-		}
 	}
 	// Patch each column in turn: a patch is microseconds of work. A column
 	// the base borrowed stays borrowed while it is shared.
@@ -213,9 +201,6 @@ func (p *snapPatch) patchColumn(pcol *Column, j int, fork bool) *Column {
 	buildOps.patchedCells.Add(int64(len(p.drops) + len(edits) + p.nAppend))
 	buildOps.patchedColumns.Add(1)
 
-	if pcol.pliReady.Load() {
-		p.patchPLI(pcol, out, edits)
-	}
 	if pcol.probeReady.Load() {
 		out.EqProbe()
 	}
@@ -234,119 +219,6 @@ func (p *snapPatch) patchColumn(pcol *Column, j int, fork bool) *Column {
 		})
 	}
 	return out
-}
-
-// patchPLI derives out's PLI from pcol's. Classes are listed by first row,
-// so the classes the delta leaves alone keep their relative order and only
-// the touched ones — rows moved in or out, a member dropped, a novel or
-// revived Equal-class — are re-formed and merged back in by their new
-// first row; a class left without rows disappears.
-func (p *snapPatch) patchPLI(pcol, out *Column, edits []cellEdit) {
-	n, oldP := out.Len(), pcol.pli
-	newPos := func(pos int32) int32 {
-		if p.remap == nil {
-			return pos
-		}
-		return p.remap[pos]
-	}
-	oldClass := func(canon uint32) int32 {
-		if int(canon) >= len(pcol.pliClassOf) {
-			return -1
-		}
-		return pcol.pliClassOf[canon]
-	}
-	// The touched Equal-classes, by canonical code, each with the new
-	// positions joining it (ascending: edits precede the appended tail).
-	touched := map[uint32][]int32{}
-	touch := func(canon uint32, joining ...int32) { touched[canon] = append(touched[canon], joining...) }
-	for _, d := range p.drops {
-		touch(pcol.eq[pcol.codes[d]])
-	}
-	for _, e := range edits {
-		oldEq, newEq := pcol.eq[pcol.codes[e.prevPos]], out.eq[out.codes[e.newPos]]
-		if oldEq != newEq { // else same Equal-class: membership unchanged
-			touch(oldEq)
-			touch(newEq, e.newPos)
-		}
-	}
-	for pos := n - p.nAppend; pos < n; pos++ {
-		touch(out.eq[out.codes[pos]], int32(pos))
-	}
-	// Re-form them — the members that stayed, merged with the joiners —
-	// and mark them in classOf so the emit loop skips their old selves.
-	const touchedMark = -2
-	classOf := make([]int32, len(out.dict))
-	for i := range classOf {
-		classOf[i] = -1
-	}
-	type class struct {
-		canon uint32
-		rows  []int32
-	}
-	var formed []class
-	for canon, add := range touched {
-		classOf[canon] = touchedMark
-		var old []int32
-		if cl := oldClass(canon); cl >= 0 {
-			old = oldP.Class(int(cl))
-		}
-		rows := make([]int32, 0, len(old)+len(add))
-		for _, pos := range old {
-			if pos = newPos(pos); pos < 0 || out.eq[out.codes[pos]] != canon {
-				continue // dropped, or edited out of the class
-			}
-			for ; len(add) > 0 && add[0] < pos; add = add[1:] {
-				rows = append(rows, add[0])
-			}
-			rows = append(rows, pos)
-		}
-		if rows = append(rows, add...); len(rows) > 0 {
-			formed = append(formed, class{canon, rows})
-		}
-	}
-	slices.SortFunc(formed, func(a, b class) int { return int(a.rows[0] - b.rows[0]) })
-
-	// Emit: untouched classes in their old order, each preceded by the
-	// re-formed classes that now start before it.
-	elems := make([]int32, 0, n)
-	offsets := make([]int32, 1, oldP.NumClasses()+len(formed)+1)
-	emit := func(canon uint32, rows []int32) {
-		cl := int32(len(offsets) - 1)
-		classOf[canon] = cl
-		elems = append(elems, rows...)
-		offsets = append(offsets, int32(len(elems)))
-	}
-	for c := 0; c < oldP.NumClasses(); c++ {
-		rows := oldP.Class(c)
-		canon := pcol.eq[pcol.codes[rows[0]]]
-		if classOf[canon] != -1 {
-			continue // touched: emitted from formed, or emptied
-		}
-		for ; len(formed) > 0 && formed[0].rows[0] < newPos(rows[0]); formed = formed[1:] {
-			emit(formed[0].canon, formed[0].rows)
-		}
-		at := len(elems)
-		emit(canon, rows)
-		if p.remap != nil {
-			for i, pos := range elems[at:] {
-				elems[at+i] = p.remap[pos]
-			}
-		}
-	}
-	for _, f := range formed {
-		emit(f.canon, f.rows)
-	}
-	for canon := range touched {
-		if classOf[canon] == touchedMark {
-			classOf[canon] = -1 // the class emptied
-		}
-	}
-	out.pliOnce.Do(func() {
-		out.pli = &Partition{n: n, elems: elems, offsets: offsets}
-		out.pliClassOf = classOf
-		out.pliReady.Store(true)
-	})
-	buildOps.pliPatches.Add(1)
 }
 
 // splice copies src with the (ascending) drop positions removed, leaving
@@ -375,7 +247,6 @@ var buildOps struct {
 	rebuiltColumns   atomic.Int64
 	batchColumns     atomic.Int64
 	pliBuilds        atomic.Int64
-	pliPatches       atomic.Int64
 	classBuilds      atomic.Int64
 	intersects       atomic.Int64
 }
@@ -395,10 +266,13 @@ type BuildOps struct {
 	PatchedColumns   int64 `json:"patched_columns"`
 	RebuiltColumns   int64 `json:"rebuilt_columns"`
 	BatchColumns     int64 `json:"batch_columns"`
-	PLIBuilds        int64 `json:"pli_builds"`
-	PLIPatches       int64 `json:"pli_patches"`
-	// ClassBuilds counts EqClasses built on two or more columns (one
-	// column's are its PLI), Intersects calls of Partition.Intersect.
+	// PLIBuilds counts EqClasses built on one column, a run's one-column
+	// partition. PLIPatches is always 0: the fold patches no partition. It
+	// stays while the benchmark's trace reads it.
+	PLIBuilds  int64 `json:"pli_builds"`
+	PLIPatches int64 `json:"pli_patches"`
+	// ClassBuilds counts the other EqClasses builds, Intersects calls of
+	// Partition.Intersect.
 	ClassBuilds int64 `json:"class_builds"`
 	Intersects  int64 `json:"intersects"`
 }
@@ -415,7 +289,6 @@ func ReadBuildOps() BuildOps {
 		RebuiltColumns:   buildOps.rebuiltColumns.Load(),
 		BatchColumns:     buildOps.batchColumns.Load(),
 		PLIBuilds:        buildOps.pliBuilds.Load(),
-		PLIPatches:       buildOps.pliPatches.Load(),
 		ClassBuilds:      buildOps.classBuilds.Load(),
 		Intersects:       buildOps.intersects.Load(),
 	}
@@ -433,7 +306,6 @@ func (o BuildOps) Sub(prev BuildOps) BuildOps {
 		RebuiltColumns:   o.RebuiltColumns - prev.RebuiltColumns,
 		BatchColumns:     o.BatchColumns - prev.BatchColumns,
 		PLIBuilds:        o.PLIBuilds - prev.PLIBuilds,
-		PLIPatches:       o.PLIPatches - prev.PLIPatches,
 		ClassBuilds:      o.ClassBuilds - prev.ClassBuilds,
 		Intersects:       o.Intersects - prev.Intersects,
 	}

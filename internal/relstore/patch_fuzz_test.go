@@ -15,9 +15,9 @@ import (
 // mutation that the table's point reads agree with the model and the served
 // (folded) snapshot equals a batch build of the model up to a renaming of
 // dictionary codes — rows, dictionaries, code vectors, occurrence counts,
-// lookups, PLIs, probe vectors, key tables and class orders included. The
-// per-version check force-builds every artifact, so each next version
-// patches a fully warm predecessor.
+// lookups, one-column partitions, probe vectors, key tables and class
+// orders included. The per-version check force-builds every artifact, so
+// each next version patches a fully warm predecessor.
 //
 // Byte vocabulary: each op reads an opcode byte (low two bits select
 // insert/delete/setcell/update) and then value/row/column selector bytes

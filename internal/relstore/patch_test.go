@@ -174,7 +174,6 @@ func (c *churn) round() {
 func warm(tab *Table) {
 	col := tab.Snapshot().Columnar()
 	for j := 0; j < col.NumCols(); j++ {
-		col.Col(j).PLI()
 		col.Col(j).EqProbe()
 		col.Col(j).EnsureKeys()
 	}
@@ -215,15 +214,14 @@ func TestPatchOpsAreODelta(t *testing.T) {
 	if ops.InternedCells > 64 {
 		t.Errorf("InternedCells = %d, want <= 64 for 64 row edits", ops.InternedCells)
 	}
-	if ops.PLIPatches != arity || ops.PLIBuilds != 0 {
-		t.Errorf("PLIPatches = %d PLIBuilds = %d, want %d/0", ops.PLIPatches, ops.PLIBuilds, arity)
+	if ops.PLIPatches != 0 || ops.PLIBuilds != 0 {
+		t.Errorf("PLIPatches = %d PLIBuilds = %d, want 0/0: the fold keeps no partition", ops.PLIPatches, ops.PLIBuilds)
 	}
 	// What a fold may allocate: the spliced id vector (8 B a row) and, per
-	// column, the spliced code vector, the PLI's elems (4 B a row each), and
-	// a handful of vectors indexed by code (counts, class counts, class
-	// index, offsets: 4 B a code each). Cloning NAME's 20 000-entry string
-	// map alone would add ~0.5 MB.
-	budget := uint64(8*n+4*(2*n*arity+5*dicts)) * 5 / 4
+	// column, the spliced code vector (4 B a row) and vectors indexed by
+	// code: counts and class counts, 4 B a code each, with a third to
+	// spare. Cloning NAME's 20 000-entry string map alone would add ~0.5 MB.
+	budget := uint64(8*n+4*(n*arity+3*dicts)) * 5 / 4
 	if got := m1.TotalAlloc - m0.TotalAlloc; got > budget {
 		t.Errorf("patch allocated %d bytes, budget %d: something O(cardinality) beyond flat code vectors", got, budget)
 	}

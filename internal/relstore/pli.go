@@ -1,5 +1,5 @@
 // Position list indexes (PLIs, a.k.a. stripped partitions): the equivalence
-// classes a column's Equal-classes induce over a snapshot's rows, in the
+// classes a column set's Equal-classes induce over a snapshot's rows, in the
 // representation the TANE/CTANE family of dependency miners searches over.
 // Two rows are in one class iff their values are Equal under the
 // types.Value model — exactly the classes detection groups by — so a
@@ -8,13 +8,12 @@
 // intersection instead of rebuilding string-keyed group maps per attribute
 // set.
 //
-// Like the dictionaries and key tables, single-attribute PLIs and the
-// per-row Equal-class probe vectors are built lazily and cached on the
-// snapshot's columns: every miner pass over one table version shares one
-// build, and the cache dies with the snapshot when the table mutates.
-// Partitions on more than one column are not cached on the snapshot. The
-// miner's lattice derives its own by Intersect; detection groups by
-// EqClasses, which a ClassMemo shares for the length of one run.
+// Like the dictionaries and key tables, the per-row Equal-class probe
+// vectors are built lazily and cached on the snapshot's columns. Partitions
+// are not, on one column or on several: the run that reads them builds
+// them. The miner builds each column's once per mining run and derives the
+// rest of its lattice by Intersect; detection groups by EqClasses, which a
+// ClassMemo shares for the length of one run.
 package relstore
 
 import (
@@ -22,18 +21,15 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-
-	"semandaq/internal/types"
 )
 
 // Partition is the partition of a snapshot's rows into value-equality
 // classes, stored flat: class c spans elems[offsets[c]:offsets[c+1]], each
-// class holding ascending row indices. Single-attribute partitions and
-// EqClasses keep every class (constant-CFD mining needs low-support and
-// singleton covers, detection looks any class up);
-// Intersect strips singleton classes from its result, which is lossless for
-// dependency checking — a lone row can neither violate an FD nor lower its
-// confidence.
+// class holding ascending row indices. EqClasses keep every class
+// (constant-CFD mining needs low-support and singleton covers, detection
+// looks any class up); Intersect strips singleton classes from its result,
+// which is lossless for dependency checking — a lone row can neither
+// violate an FD nor lower its confidence.
 //
 // A Partition is immutable after construction and safe for concurrent use.
 type Partition struct {
@@ -173,73 +169,6 @@ func (p *Partition) Intersect(probe []uint32) *Partition {
 	return out
 }
 
-// PLI returns the column's position list index over the snapshot: one class
-// per Equal-class that occurs, in order of the classes' first rows,
-// singletons included. Built on first use and cached for the snapshot's
-// lifetime.
-func (c *Column) PLI() *Partition {
-	c.pliOnce.Do(func() {
-		probe := c.EqProbe()
-		// Class slots in first-occurrence order of the Equal-class code.
-		classOf := make([]int32, len(c.dict))
-		for i := range classOf {
-			classOf[i] = -1
-		}
-		p := &Partition{n: len(probe)}
-		var nc int32
-		starts := make([]int32, 0, len(c.dict))
-		for _, pv := range probe {
-			if classOf[pv] < 0 {
-				classOf[pv] = nc
-				nc++
-				starts = append(starts, c.clsCounts[pv])
-			}
-		}
-		p.offsets = make([]int32, nc+1)
-		for i, sz := range starts {
-			p.offsets[i+1] = p.offsets[i] + sz
-		}
-		fill := append([]int32(nil), p.offsets[:nc]...)
-		p.elems = make([]int32, len(probe))
-		for r, pv := range probe {
-			cl := classOf[pv]
-			p.elems[fill[cl]] = int32(r)
-			fill[cl]++
-		}
-		c.pli = p
-		c.pliClassOf = classOf
-		c.pliReady.Store(true)
-		buildOps.pliBuilds.Add(1)
-	})
-	return c.pli
-}
-
-// PLIClassValue returns the representative value of PLI class cl: the
-// stored value of the class's first row, which is what a row scan meeting
-// the class would see first — a function of the rows alone, whatever order
-// the lineage interned the class's members in.
-func (c *Column) PLIClassValue(cl int) types.Value {
-	return c.dict[c.codes[c.pli.Class(cl)[0]]]
-}
-
-// ClassRows returns the ascending row indices of the PLI class holding the
-// Equal-class code eq, nil when no stored row belongs to that class. This
-// is the lookup side of a PLI-class join: EqCodeOf resolves a probe value
-// to its Equal-class code and ClassRows returns the matching rows straight
-// from the cached partition — no per-row hashing, no materialization. The
-// slice is backing storage: callers must not mutate it.
-func (c *Column) ClassRows(eq uint32) []int32 {
-	c.PLI()
-	if int(eq) >= len(c.pliClassOf) {
-		return nil
-	}
-	cl := c.pliClassOf[eq]
-	if cl < 0 {
-		return nil
-	}
-	return c.pli.Class(int(cl))
-}
-
 // EqProbe returns the per-row Equal-class code vector (probe[i] =
 // EqCode(i), materialized): the lookup side of partition intersection and
 // purity checks. Built on first use and cached for the snapshot's lifetime.
@@ -275,8 +204,8 @@ type EqClasses struct {
 	*Partition
 	cols []eqCol // the set, in ascending position
 	// slots files each class under its code tuple, -1 marking a free slot.
-	// A tuple has the one slot Σ code_k·radix_k (a one-column set's slots
-	// are its PLI's class table), unless hashed: then slots is a hash table
+	// A tuple has the one slot Σ code_k·radix_k (a one-column set's slot is
+	// its Equal-class code), unless hashed: then slots is a hash table
 	// probed linearly from the tuple's hash.
 	slots  []int32
 	hashed bool
@@ -291,10 +220,11 @@ type eqCol struct {
 
 // EqClasses builds the Equal-class partition of the snapshot's rows on the
 // columns at positions pos, given in ascending order, straight from their
-// probe vectors: a column's classes are its cached PLI; a set's rows are
-// filed under their code tuples, the classes numbered as they are met. The
-// tuples index a table directly when it needs no more slots than there
-// are rows, and go through a hash table otherwise.
+// probe vectors: the rows are filed under their code tuples, the classes
+// numbered as they are met, counted, then filled. The tuples index a table
+// directly when it needs no more slots than there are rows, and go through
+// a hash table otherwise. One column's codes always index the table: its
+// code space is within deadLimit of its rows.
 func (c *Columnar) EqClasses(pos []int) *EqClasses {
 	n := c.Len()
 	e, space := &EqClasses{cols: make([]eqCol, len(pos))}, 1
@@ -305,12 +235,12 @@ func (c *Columnar) EqClasses(pos []int) *EqClasses {
 		}
 	}
 	if len(pos) == 1 {
-		e.Partition, e.slots = e.cols[0].PLI(), e.cols[0].pliClassOf
-		return e
+		buildOps.pliBuilds.Add(1)
+	} else {
+		buildOps.classBuilds.Add(1)
 	}
-	buildOps.classBuilds.Add(1)
 	most := min(space, n) // classes there can be
-	if space > max(n, 1) {
+	if len(pos) > 1 && space > max(n, 1) {
 		e.hashed, space, most = true, 2<<bits.Len(uint(n)), 64
 	}
 	slots, hashed := make([]int32, space), e.hashed

@@ -22,6 +22,9 @@ func pliTable(t *testing.T, attrs []string, rows [][]string) *Table {
 	return tab
 }
 
+// pli is column j's one-column partition.
+func pli(c *Columnar, j int) *Partition { return c.EqClasses([]int{j}).Partition }
+
 // classSets renders a partition as a set of row-index lists for comparison.
 func classSets(p *Partition) map[string]bool {
 	out := map[string]bool{}
@@ -31,32 +34,13 @@ func classSets(p *Partition) map[string]bool {
 	return out
 }
 
-func TestPLISingleAttribute(t *testing.T) {
-	tab := pliTable(t, []string{"A", "B"}, [][]string{
-		{"x", "1"}, {"y", "2"}, {"x", "3"}, {"z", "4"}, {"y", "5"},
-	})
-	col := tab.Snapshot().Columnar().Col(0)
-	p := col.PLI()
-	if p.NumRows() != 5 || p.NumClasses() != 3 {
-		t.Fatalf("rows=%d classes=%d", p.NumRows(), p.NumClasses())
-	}
-	want := map[string]bool{"[0 2]": true, "[1 4]": true, "[3]": true}
-	if got := classSets(p); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("classes = %v, want %v", got, want)
-	}
-	// The cache returns the same partition per snapshot.
-	if tab.Snapshot().Columnar().Col(0).PLI() != p {
-		t.Error("PLI not cached on the snapshot")
-	}
-}
-
 func TestPLIEqualClassesCollapseNumericKinds(t *testing.T) {
 	// INT 1 and FLOAT 1.0 are Equal and must land in one class; NULLs form
 	// their own class.
 	tab := pliTable(t, []string{"A"}, [][]string{
 		{"1"}, {"1.0"}, {""}, {""}, {"2"},
 	})
-	p := tab.Snapshot().Columnar().Col(0).PLI()
+	p := pli(tab.Snapshot().Columnar(), 0)
 	if p.NumClasses() != 3 {
 		t.Fatalf("classes = %d, want 3 (1/1.0 merged, NULLs merged, 2)", p.NumClasses())
 	}
@@ -73,14 +57,14 @@ func TestPartitionRefinesIsFDCheck(t *testing.T) {
 	})
 	col := tab.Snapshot().Columnar()
 	zip, city := col.Col(0), col.Col(1)
-	if pure, _ := zip.PLI().Refines(city.EqProbe(), 1<<20, nil); !pure {
+	if pure, _ := pli(col, 0).Refines(city.EqProbe(), 1<<20, nil); !pure {
 		t.Error("ZIP -> CITY should hold")
 	}
-	if pure, _ := city.PLI().Refines(zip.EqProbe(), 1<<20, nil); pure {
+	if pure, _ := pli(col, 1).Refines(zip.EqProbe(), 1<<20, nil); pure {
 		t.Error("CITY -> ZIP should not hold")
 	}
 	// Refines aborts when stop fires.
-	if _, aborted := zip.PLI().Refines(city.EqProbe(), 1, func() bool { return true }); !aborted {
+	if _, aborted := pli(col, 0).Refines(city.EqProbe(), 1, func() bool { return true }); !aborted {
 		t.Error("Refines ignored stop")
 	}
 }
@@ -92,7 +76,7 @@ func TestPartitionIntersectStripsSingletons(t *testing.T) {
 		{"x", "p"}, {"x", "p"}, {"x", "q"}, {"x", "q"}, {"y", "r"},
 	})
 	col := tab.Snapshot().Columnar()
-	p := col.Col(0).PLI().Intersect(col.Col(1).EqProbe())
+	p := pli(col, 0).Intersect(col.Col(1).EqProbe())
 	if p.NumClasses() != 2 || p.Size() != 4 {
 		t.Fatalf("classes=%d size=%d", p.NumClasses(), p.Size())
 	}
@@ -112,7 +96,7 @@ func TestPartitionKeepConfidence(t *testing.T) {
 		{"x", "p"}, {"x", "p"}, {"x", "p"}, {"x", "q"}, {"y", "r"},
 	})
 	col := tab.Snapshot().Columnar()
-	keep, _ := col.Col(0).PLI().Keep(col.Col(1).EqProbe(), 1, nil)
+	keep, _ := pli(col, 0).Keep(col.Col(1).EqProbe(), 1, nil)
 	if keep != 4 {
 		t.Errorf("Keep = %d, want 4", keep)
 	}
@@ -125,7 +109,7 @@ func TestPartitionKeepConfidence(t *testing.T) {
 func TestPLIEmptyTable(t *testing.T) {
 	tab := pliTable(t, []string{"A", "B"}, nil)
 	col := tab.Snapshot().Columnar()
-	p := col.Col(0).PLI()
+	p := pli(col, 0)
 	if p.NumRows() != 0 || p.NumClasses() != 0 || p.Size() != 0 {
 		t.Fatalf("empty PLI: rows=%d classes=%d size=%d", p.NumRows(), p.NumClasses(), p.Size())
 	}
@@ -150,7 +134,7 @@ func TestPLIAllSingletonColumn(t *testing.T) {
 		{"a", "p"}, {"b", "p"}, {"c", "q"}, {"d", "q"},
 	})
 	col := tab.Snapshot().Columnar()
-	p := col.Col(0).PLI()
+	p := pli(col, 0)
 	if p.NumClasses() != 4 || p.Size() != 4 {
 		t.Fatalf("classes=%d size=%d, want 4/4", p.NumClasses(), p.Size())
 	}
@@ -183,7 +167,7 @@ func TestPLISingleClassColumn(t *testing.T) {
 		{"x", "p"}, {"x", "p"}, {"x", "q"}, {"x", "p"},
 	})
 	col := tab.Snapshot().Columnar()
-	p := col.Col(0).PLI()
+	p := pli(col, 0)
 	if p.NumClasses() != 1 || p.Size() != 4 {
 		t.Fatalf("classes=%d size=%d, want 1/4", p.NumClasses(), p.Size())
 	}
@@ -285,7 +269,7 @@ func FuzzPartitionIntersect(f *testing.F) {
 			}
 		}
 		col := tab.Snapshot().Columnar()
-		p := col.Col(0).PLI()
+		p := pli(col, 0)
 		for j := 1; j < arity; j++ {
 			probe := col.Col(j).EqProbe()
 			got, want := p.Intersect(probe), intersectRef(p, probe)
@@ -365,7 +349,7 @@ func FuzzEqClasses(f *testing.F) {
 					}
 				}
 				if len(cols) > 1 {
-					p := c.Col(cols[0]).PLI()
+					p := pli(c, cols[0])
 					for _, j := range cols[1:] {
 						p = p.Intersect(c.Col(j).EqProbe())
 					}

@@ -248,7 +248,7 @@ func (t *Table) locateLocked(id TupleID) (k int32, i int, live bool) {
 // Clone returns an independent mutable table holding the source's current
 // version (same schema object, ids, version and next id): a copy-on-write
 // fork, not a deep copy, in O(columns + overlay). The clone borrows the
-// source's column lineage — dictionaries, code vectors, built PLIs — and
+// source's column lineage — dictionaries, code vectors, built probe vectors and key tables — and
 // copies its overlay. A borrowed column still belongs to the source's
 // lineage, whose one in-place successor is the source's next fold: the
 // clone's first fold that touches it forks it (patchColumn), so neither

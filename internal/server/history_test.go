@@ -95,8 +95,8 @@ func TestEditHistoryMetamorphic(t *testing.T) {
 			}
 		}
 		// Read between edits, rotating the engines and mining now and then,
-		// so each version's columns, PLIs and key tables are patched from
-		// warm predecessors rather than built fresh.
+		// so each version's columns, probe vectors and key tables are
+		// patched from warm predecessors rather than built fresh.
 		if op%4 == 3 {
 			if rec := serve(h, "/api/detect/customer?engine="+engines[op/4%4]+"&workers=2"); rec.Code != http.StatusOK {
 				t.Fatalf("op %d: status %d: %s", op, rec.Code, rec.Body)

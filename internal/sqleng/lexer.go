@@ -5,14 +5,14 @@
 // the relstore tables.
 //
 // The surface is the two statement shapes the detector generates, Qc and
-// Qv, and the SELECT t.* its printed SQL shows (Parse gives the grammar): a
-// comma-joined FROM list; WHERE as AND/OR over = and <> between a column
-// and a column or literal; GROUP BY columns; HAVING as AND/OR over
-// comparisons of COUNT(*), COUNT([DISTINCT] column) and INT literals; and a
-// select list of *, t.*, columns (_tid included) and COUNTs. Anything else
-// is a *ParseError naming the construct. Every comparison and key runs on
-// dictionary codes: there is no value-level evaluator. The engine only
-// reads: tables are written through the relstore API.
+// Qv (Parse gives the grammar): a comma-joined FROM list; WHERE as AND/OR
+// over = and <> between a column and a column or literal; GROUP BY columns;
+// HAVING as AND/OR over comparisons of COUNT(*), COUNT([DISTINCT] column)
+// and INT literals; and a select list of *, t.*, columns (_tid included)
+// and COUNTs. Anything else is a *ParseError naming the construct. Every
+// comparison and key runs on dictionary codes: there is no value-level
+// evaluator. The engine only reads: tables are written through the
+// relstore API.
 package sqleng
 
 import (

@@ -118,7 +118,7 @@ func TestPlansMatchOnRebuiltSnapshot(t *testing.T) {
 	warm := func(tab *relstore.Table) {
 		col := tab.Snapshot().Columnar()
 		for j := 0; j < col.NumCols(); j++ {
-			col.Col(j).PLI()
+			col.Col(j).EqProbe()
 		}
 	}
 	check := func(name string, store *relstore.Store, tab *relstore.Table, sqls []string) {
