@@ -29,8 +29,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 
 	"semandaq/internal/core"
@@ -213,7 +215,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "%d violations over %d tuples at version %d; %d dirty (max vio %d)\n",
 			rep.TotalViolations(), rep.TupleCount, rep.Version, len(rep.Vio), rep.MaxVio())
-		for id, st := range rep.PerCFD {
+		for _, id := range slices.Sorted(maps.Keys(rep.PerCFD)) {
+			st := rep.PerCFD[id]
 			fmt.Fprintf(out, "  %-12s single=%d multi=%d groups=%d\n",
 				id, st.SingleTuple, st.MultiTuple, st.Groups)
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -76,6 +77,39 @@ func TestCLIDetect(t *testing.T) {
 	// Unknown engine fails.
 	if _, err := runCLI(t, "-data", csv, "-cfds", cfds, "-engine", "warp", "detect"); err == nil {
 		t.Error("unknown engine should fail")
+	}
+}
+
+// TestCLIDetectPerCFDOrder: detect prints one line per CFD, in CFD id
+// order, so ten runs on one input print the same bytes.
+func TestCLIDetectPerCFDOrder(t *testing.T) {
+	csv, _ := writeFixture(t)
+	cfds := filepath.Join(t.TempDir(), "four.cfd")
+	rules := testCFDs + "customer: [CC=44, AC=131] -> [CITY=Edinburgh]\ncustomer: [ZIP=_] -> [CITY=_]\n"
+	if err := os.WriteFile(cfds, []byte(rules), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	first, err := runCLI(t, "-data", csv, "-cfds", cfds, "detect")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, line := range strings.Split(first, "\n") {
+		if f := strings.Fields(line); len(f) > 0 && strings.HasPrefix(f[0], "phi") {
+			ids = append(ids, f[0])
+		}
+	}
+	if !slices.Equal(ids, []string{"phi1", "phi2", "phi3", "phi4"}) {
+		t.Fatalf("per-CFD lines name %v, want phi1..phi4 in order:\n%s", ids, first)
+	}
+	for i := 1; i < 10; i++ {
+		out, err := runCLI(t, "-data", csv, "-cfds", cfds, "detect")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != first {
+			t.Fatalf("run %d printed\n%s\nafter run 0 printed\n%s", i, out, first)
+		}
 	}
 }
 

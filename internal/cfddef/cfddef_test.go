@@ -26,8 +26,8 @@ import (
 
 // TestSharesNothingWithWhatItChecks pins the package's independence: it may
 // import the value model, the CFD syntax tree and the row store's accessors,
-// and nothing that groups, keys or partitions — no detect, discovery, sqleng
-// or fdset, no Value.Key(), no dictionary/PLI method.
+// and nothing that groups, keys or partitions — no detect, discovery or
+// sqleng, no Value.Key(), no dictionary/PLI method.
 func TestSharesNothingWithWhatItChecks(t *testing.T) {
 	allowed := map[string]bool{ // of this module; the standard library is free
 		"semandaq/internal/cfd": true, "semandaq/internal/relstore": true,

@@ -220,7 +220,7 @@ const (
 	// The grouped query: no WHERE, so D is empty, and the sink's key K1 is
 	// off it: the class walk is off (its one class would replay every row),
 	// the rows run the pipeline one by one, ⌊12000/S⌋ = 2, and one poll
-	// finishes its 60 groups.
+	// finishes its 60 groups, all of which HAVING keeps.
 	groupedPolls = 2 + 1
 	// Repair: pass 1 detects, fixes ten tuples by constant and merges ten
 	// groups, a poll each; pass 2 detects the repaired copy, which is clean.
@@ -293,7 +293,7 @@ func result[T any](v T, err error) (any, error) {
 
 func (fx *sweepFixture) rows() []sweepRow {
 	s, r, d, cfds := fx.s, fx.r, fx.d, fx.cfds
-	const grouped = "SELECT K1, COUNT(*) FROM r GROUP BY K1"
+	const grouped = "SELECT K1 FROM r GROUP BY K1 HAVING COUNT(*) > 0"
 	mineOpts := discovery.Options{MinSupport: 2048, MaxLHS: 3, Workers: 2}
 	approx := discovery.Options{MinSupport: 2048, MaxLHS: 1, MinConfidence: 0.9, Workers: 2}
 	const factorised = "detect.DetectFactorised/workers=1"

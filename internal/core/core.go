@@ -589,8 +589,8 @@ func (s *Semandaq) DetectStreamVersion(ctx context.Context, table string, opts .
 	snap := tab.Snapshot()
 	seq := func(yield func(detect.Violation, error) bool) {
 		n := 0
-		if str, ok := det.(detect.SnapshotStreamer); ok {
-			for v, err := range str.DetectStreamSnapshot(ctx, snap, cfds) {
+		if o.kind != SQLDetection { // the columnar kinds stream from the factorised core
+			for v, err := range det.(detect.ColumnarDetector).DetectStreamSnapshot(ctx, snap, cfds) {
 				if err != nil {
 					yield(detect.Violation{}, err)
 					return

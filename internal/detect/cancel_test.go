@@ -88,7 +88,7 @@ func TestMidScanCancellationStream(t *testing.T) {
 	defer cancel()
 	var n int
 	var terminal error
-	for v, err := range (ColumnarDetector{Workers: 4}).DetectStream(ctx, ds.Dirty, cfds) {
+	for v, err := range (ColumnarDetector{Workers: 4}).DetectStreamSnapshot(ctx, ds.Dirty.Snapshot(), cfds) {
 		if err != nil {
 			terminal = err
 			break

@@ -80,12 +80,6 @@ func (g *FactorGroup) RHSKeyAt(i int) string {
 	return g.rhsCol.KeyOf(g.rhsCol.Code(int(g.Rows[i])))
 }
 
-// PartnersAt returns the i-th member's vio(t) increment: the number of
-// members disagreeing with it.
-func (g *FactorGroup) PartnersAt(i int) int {
-	return len(g.Rows) - g.RHSCounts[g.RHSKeyAt(i)]
-}
-
 // violationAt returns the i-th member's multi-tuple violation record, as
 // the exploded report and the violation stream carry it, given the member's
 // RHS key.

@@ -158,8 +158,8 @@ func TestFactorGroupAccessors(t *testing.T) {
 			if g.RHSKeyAt(i) != eg.RHSOf[eg.Members[i]] {
 				t.Fatalf("group %d member %d: RHSKeyAt != RHSOf", gi, i)
 			}
-			if g.PartnersAt(i) != len(eg.Members)-eg.RHSCounts[eg.RHSOf[eg.Members[i]]] {
-				t.Fatalf("group %d member %d: PartnersAt mismatch", gi, i)
+			if len(g.Rows)-g.RHSCounts[g.RHSKeyAt(i)] != len(eg.Members)-eg.RHSCounts[eg.RHSOf[eg.Members[i]]] {
+				t.Fatalf("group %d member %d: partner count mismatch", gi, i)
 			}
 		}
 	}

@@ -146,13 +146,13 @@ func TestSQLDetectMaterialisesOnlyOutput(t *testing.T) {
 	}
 	out := 0
 	for _, sql := range stmts {
-		d.Engine.ResetOpStats()
+		before := d.Engine.OpStats().ValuesMaterialized
 		res, err := d.Engine.QueryContext(context.Background(), sql)
 		if err != nil {
 			t.Fatal(err)
 		}
 		out += len(res.Rows)
-		if got, want := d.Engine.OpStats().ValuesMaterialized, int64(len(res.Rows)*len(res.Columns)); got > want {
+		if got, want := d.Engine.OpStats().ValuesMaterialized-before, int64(len(res.Rows)*len(res.Columns)); got > want {
 			t.Errorf("%d values materialised for %d rows x %d columns by\n%s", got, len(res.Rows), len(res.Columns), sql)
 		}
 	}

@@ -15,26 +15,13 @@ import (
 // only the order differs: single-tuple violations first, then groups.
 type ViolationSeq = iter.Seq2[Violation, error]
 
-// SnapshotStreamer is implemented by detectors that can emit violations
-// incrementally instead of materializing a full Report; a consumer that
-// stops iterating early ends the scan. The stream evaluates exactly the
-// given table version, so the caller can surface the version alongside the
-// violations (the HTTP streaming endpoint stamps its terminal line with
-// it).
-type SnapshotStreamer interface {
-	DetectStreamSnapshot(ctx context.Context, snap *relstore.Snapshot, cfds []*cfd.CFD) ViolationSeq
-}
-
-// DetectStream streams the table's current snapshot.
-func (d ColumnarDetector) DetectStream(ctx context.Context, tab *relstore.Table, cfds []*cfd.CFD) ViolationSeq {
-	return d.DetectStreamSnapshot(ctx, tab.Snapshot(), cfds)
-}
-
-// DetectStreamSnapshot implements SnapshotStreamer: the factorised core
-// with the consumer as its sink. The constant scans run first and yield
-// their single-tuple violations inline — on a large table the first
-// violation reaches the consumer long before the pass completes — then
-// each CFD's factor groups yield their members. The stream runs on the
+// DetectStreamSnapshot streams the violations of exactly the given table
+// version, so the caller can surface the version alongside them (the HTTP
+// streaming endpoint stamps its terminal line with it). It is the
+// factorised core with the consumer as its sink. The constant scans run
+// first and yield their single-tuple violations inline — on a large table
+// the first violation reaches the consumer long before the pass completes
+// — then each CFD's factor groups yield their members. The stream runs on the
 // consumer's goroutine (Workers does not apply) and never materializes a
 // Report; a consumer that stops iterating simply ends the scan.
 func (d ColumnarDetector) DetectStreamSnapshot(ctx context.Context, rsnap *relstore.Snapshot, cfds []*cfd.CFD) ViolationSeq {

@@ -22,7 +22,7 @@ func TestStreamMatchesBlockingReport(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 8} {
 			var got []Violation
-			for v, err := range (ColumnarDetector{Workers: workers}).DetectStream(context.Background(), ds.Dirty, cfds) {
+			for v, err := range (ColumnarDetector{Workers: workers}).DetectStreamSnapshot(context.Background(), ds.Dirty.Snapshot(), cfds) {
 				if err != nil {
 					t.Fatalf("noise=%v workers=%d: %v", noise, workers, err)
 				}
@@ -48,7 +48,7 @@ func TestStreamEarlyBreak(t *testing.T) {
 	cfds := datagen.StandardCFDs()
 	d := ColumnarDetector{Workers: 4}
 	n := 0
-	for v, err := range d.DetectStream(context.Background(), ds.Dirty, cfds) {
+	for v, err := range d.DetectStreamSnapshot(context.Background(), ds.Dirty.Snapshot(), cfds) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestStreamEarlyBreak(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, err := range d.DetectStream(context.Background(), ds.Dirty, cfds) {
+	for _, err := range d.DetectStreamSnapshot(context.Background(), ds.Dirty.Snapshot(), cfds) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestStreamBadCFDs(t *testing.T) {
 	bad := datagen.StandardCFDs()[:1]
 	bad[0].LHS = []string{"NO_SUCH_ATTR"}
 	sawErr := false
-	for _, err := range (ColumnarDetector{Workers: 2}).DetectStream(context.Background(), ds.Dirty, bad) {
+	for _, err := range (ColumnarDetector{Workers: 2}).DetectStreamSnapshot(context.Background(), ds.Dirty.Snapshot(), bad) {
 		if err == nil {
 			t.Fatal("stream yielded a violation for invalid CFDs")
 		}
@@ -98,7 +98,7 @@ func TestStreamBadCFDs(t *testing.T) {
 // terminates.
 func TestStreamCleanTable(t *testing.T) {
 	ds := datagen.Generate(datagen.Config{Tuples: 1000, Seed: 9})
-	for v, err := range (ColumnarDetector{Workers: 4}).DetectStream(context.Background(), ds.Clean, datagen.StandardCFDs()) {
+	for v, err := range (ColumnarDetector{Workers: 4}).DetectStreamSnapshot(context.Background(), ds.Clean.Snapshot(), datagen.StandardCFDs()) {
 		if err != nil {
 			t.Fatal(err)
 		}

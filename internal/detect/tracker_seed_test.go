@@ -11,7 +11,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"semandaq/internal/cfd"
 	"semandaq/internal/datagen"
@@ -398,36 +397,5 @@ func TestTrackerLiveHeap(t *testing.T) {
 	const limit = 780_000 * 105 / 100
 	if held > limit {
 		t.Errorf("the tracker holds %d B, more than %d", held, limit)
-	}
-}
-
-// TestTrackerSeedTime: the seed groups on the snapshot's Equal classes, as
-// the batch core does, and decodes no row, so it takes at most three times
-// a factorised detection of the same snapshot (the fastest of interleaved
-// runs each). The row-by-row seed took 14 times as long.
-func TestTrackerSeedTime(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation weighs on the seed's writes")
-	}
-	tab := datagen.Generate(datagen.Config{Tuples: 10000, Seed: 5}).Clean
-	cfds := datagen.StandardCFDs()
-	snap := tab.Snapshot()
-	best := func(d *time.Duration, f func() error) {
-		start := time.Now()
-		if err := f(); err != nil {
-			t.Fatal(err)
-		}
-		if el := time.Since(start); *d == 0 || el < *d {
-			*d = el
-		}
-	}
-	var detect, seed time.Duration
-	for range 9 {
-		best(&detect, func() error { _, err := DetectFactorised(context.Background(), snap, cfds); return err })
-		best(&seed, func() error { _, err := NewTracker(tab, cfds); return err })
-	}
-	t.Logf("seed %v, factorised detection %v", seed, detect)
-	if seed > 3*detect {
-		t.Errorf("the seed took %v, more than three times a factorised detection's %v", seed, detect)
 	}
 }

@@ -125,3 +125,121 @@ func TestSessionMatchesColdMineAcrossFDFlips(t *testing.T) {
 		}
 	}
 }
+
+func TestClosureTransitivity(t *testing.T) {
+	s := newFDSet(5)
+	s.add([]int{0}, 1)
+	s.add([]int{1}, 2)
+	s.add([]int{2, 3}, 4)
+	if got := s.closure(bitsOf(5, []int{0})); !reflect.DeepEqual(got, bitsOf(5, []int{0, 1, 2})) {
+		t.Fatalf("closure(0) = %b", got)
+	}
+	if got := s.closure(bitsOf(5, []int{0, 3})); !reflect.DeepEqual(got, bitsOf(5, []int{0, 1, 2, 3, 4})) {
+		t.Fatalf("closure(0,3) = %b", got)
+	}
+	if !s.implies([]int{0, 3}, 4) {
+		t.Fatal("0,3 -> 4 should be implied (transitivity)")
+	}
+	if s.implies([]int{3}, 4) {
+		t.Fatal("3 -> 4 must not be implied")
+	}
+	if !s.implies([]int{4}, 4) {
+		t.Fatal("trivial implication must hold")
+	}
+}
+
+func TestAddDropsTrivialAndDuplicate(t *testing.T) {
+	s := newFDSet(3)
+	s.add([]int{0, 1}, 1) // trivial
+	if len(s.fds) != 0 {
+		t.Fatalf("trivial FD stored: %v", s.fds)
+	}
+	s.add([]int{0}, 1)
+	s.add([]int{0}, 1) // duplicate
+	if len(s.fds) != 1 {
+		t.Fatalf("duplicate FD stored: %v", s.fds)
+	}
+}
+
+// TestAgainstArmstrongAxioms checks closure and implies against the
+// definition of entailment: the set of FDs over <= 8 attributes obtained by
+// saturating the input under reflexivity, augmentation and transitivity,
+// held as one bit per (LHS subset, RHS attribute).
+func TestAgainstArmstrongAxioms(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	derived := 0 // non-trivial entailments met, so the sweep is not vacuous
+	for round := 0; round < 60; round++ {
+		arity := 2 + rng.Intn(7)
+		s := newFDSet(arity)
+		// derives[x] is the set of attributes the subset x is known to determine.
+		derives := make([]uint, 1<<arity)
+		for x := range derives {
+			derives[x] = uint(x) // reflexivity
+		}
+		for i, n := 0, rng.Intn(7); i < n; i++ {
+			// One- and two-attribute LHSs, so chains form.
+			lhs := 1<<rng.Intn(arity) | 1<<rng.Intn(arity)
+			rhs := rng.Intn(arity)
+			var pos []int
+			for a := 0; a < arity; a++ {
+				if lhs&(1<<a) != 0 {
+					pos = append(pos, a)
+				}
+			}
+			s.add(pos, rhs)
+			derives[lhs] |= 1 << rhs
+		}
+		for changed := true; changed; {
+			changed = false
+			for x := range derives {
+				for y := range derives {
+					// Augmentation: x → A gives y → A for every y ⊇ x.
+					if x&y == x && derives[y]|derives[x] != derives[y] {
+						derives[y] |= derives[x]
+						changed = true
+					}
+					// Transitivity: x → y and y → A give x → A.
+					if derives[x]&uint(y) == uint(y) && derives[x]|derives[y] != derives[x] {
+						derives[x] |= derives[y]
+						changed = true
+					}
+				}
+			}
+		}
+		for x := 1; x < 1<<arity; x++ {
+			var pos []int
+			for a := 0; a < arity; a++ {
+				if x&(1<<a) != 0 {
+					pos = append(pos, a)
+				}
+			}
+			clo := s.closure(bitsOf(arity, pos))
+			for a := 0; a < arity; a++ {
+				want := derives[x]&(1<<a) != 0
+				if clo.has(a) != want || s.implies(pos, a) != want {
+					t.Fatalf("round %d: %v: %v -> %d: closure %v, implies %v, axioms %v",
+						round, s.fds, pos, a, clo.has(a), s.implies(pos, a), want)
+				}
+				if want && x&(1<<a) == 0 {
+					derived++
+				}
+			}
+		}
+	}
+	if derived < 1000 {
+		t.Fatalf("only %d non-trivial entailments checked", derived)
+	}
+}
+
+func TestWideArity(t *testing.T) {
+	s := newFDSet(130) // multi-word bitsets
+	s.add([]int{129}, 0)
+	s.add([]int{0}, 64)
+	if !s.implies([]int{129}, 64) {
+		t.Fatal("129 -> 64 via 0 should hold across words")
+	}
+	b := bitsOf(130, []int{1, 64, 129})
+	if len(b) != 3 || !b.has(1) || !b.has(64) || !b.has(129) || b.has(128) || b.has(0) {
+		t.Fatalf("bitset bookkeeping broken: %b", b)
+	}
+}

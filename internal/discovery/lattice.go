@@ -35,7 +35,6 @@ import (
 	"sync"
 
 	"semandaq/internal/cfd"
-	"semandaq/internal/fdset"
 	"semandaq/internal/par"
 	"semandaq/internal/relstore"
 	"semandaq/internal/schema"
@@ -75,7 +74,7 @@ type miner struct {
 	// of paying an O(n) Intersect, and a candidate already implied holds
 	// without a purity scan. Writes happen only in the sequential per-level
 	// merge; the parallel check phase only reads.
-	exact *fdset.Set
+	exact *fdSet
 }
 
 func newMiner(ctx context.Context, snap *relstore.Snapshot, opts Options) *miner {
@@ -93,7 +92,7 @@ func newMiner(ctx context.Context, snap *relstore.Snapshot, opts Options) *miner
 		frequent: make([][]int, snap.Schema().Arity()),
 	}
 	if !opts.disableClosure {
-		m.exact = fdset.New(m.arity)
+		m.exact = newFDSet(m.arity)
 	}
 	// Materialize every column's probe vector, partition and frequent
 	// classes up front, one goroutine per column: all of them are needed by
@@ -250,7 +249,7 @@ func (m *miner) mineVariable(ctx context.Context) ([]Candidate, error) {
 					// levels prune with; approximate holds (g3 < 1) do not
 					// compose under Armstrong's axioms and stay out.
 					if m.exact != nil && len(r.emits) == 1 && r.emits[0].Confidence >= 1 {
-						m.exact.Add(nd.xs, a)
+						m.exact.add(nd.xs, a)
 					}
 				}
 				out = append(out, r.emits...)
@@ -280,7 +279,7 @@ func (m *miner) checkCandidate(ctx context.Context, nd *vnode, ai int) error {
 	// (Armstrong soundness over FDs that each held exactly), so the
 	// verdict — and the emitted candidate — is exactly what the purity
 	// scan would produce, without materializing or scanning the partition.
-	if m.exact != nil && m.exact.Implies(nd.xs, a) {
+	if m.exact != nil && m.exact.implies(nd.xs, a) {
 		m.stats.verdictsDerived.Add(1)
 		nd.res[ai] = vaResult{
 			holds: true,
@@ -502,7 +501,7 @@ func (m *miner) generateVNodes(level []*vnode) []*vnode {
 	}
 	var next []*vnode
 	for i, ndA := range level {
-		var parentClo fdset.Bits // closure(ndA.xs), computed on first use
+		var parentClo bitset // closure(ndA.xs), computed on first use
 		for _, ndB := range level[i+1:] {
 			if ell := len(ndA.xs) - 1; !slices.Equal(ndA.xs[:ell], ndB.xs[:ell]) {
 				break // level is sorted; prefix group is contiguous
@@ -522,9 +521,9 @@ func (m *miner) generateVNodes(level []*vnode) []*vnode {
 			}
 			if m.exact != nil {
 				if parentClo == nil {
-					parentClo = m.exact.Closure(fdset.BitsOf(m.arity, ndA.xs))
+					parentClo = m.exact.closure(bitsOf(m.arity, ndA.xs))
 				}
-				nd.collapse = parentClo.Has(nd.added)
+				nd.collapse = parentClo.has(nd.added)
 			}
 			next = append(next, nd)
 		}

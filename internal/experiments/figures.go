@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"strings"
 
 	"semandaq/internal/audit"
@@ -153,7 +155,7 @@ func RunF3(ctx context.Context, w io.Writer, quick bool) error {
 	fmt.Fprintf(w, "%d tuples, %d injected errors -> %d dirty tuples, %d violation records\n",
 		rep.TupleCount, len(ds.Corruptions), len(rep.Vio), rep.TotalViolations())
 	fmt.Fprintln(w, "per CFD:")
-	for _, id := range sortedCFDIDs(rep) {
+	for _, id := range slices.Sorted(maps.Keys(rep.PerCFD)) {
 		st := rep.PerCFD[id]
 		fmt.Fprintf(w, "  %-12s single=%-5d multi=%-5d groups=%d\n", id, st.SingleTuple, st.MultiTuple, st.Groups)
 	}
@@ -177,19 +179,6 @@ func RunF3(ctx context.Context, w io.Writer, quick bool) error {
 		}
 	}
 	return nil
-}
-
-func sortedCFDIDs(rep *detect.Report) []string {
-	ids := make([]string, 0, len(rep.PerCFD))
-	for id := range rep.PerCFD {
-		ids = append(ids, id)
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	return ids
 }
 
 // RunF4 regenerates Fig. 4: the data quality report with the

@@ -312,18 +312,6 @@ func (s *Store) Table(name string) (*Table, bool) {
 	return t, ok
 }
 
-// Drop removes the named table; it reports whether it existed.
-func (s *Store) Drop(name string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	key := strings.ToLower(name)
-	if _, ok := s.tables[key]; !ok {
-		return false
-	}
-	delete(s.tables, key)
-	return true
-}
-
 // Names returns the sorted table names.
 func (s *Store) Names() []string {
 	s.mu.RLock()

@@ -225,12 +225,6 @@ func TestStoreCRUD(t *testing.T) {
 	if len(names) != 2 || names[0] != "customer" || names[1] != "orders" {
 		t.Errorf("Names = %v", names)
 	}
-	if !s.Drop("ORDERS") {
-		t.Error("Drop failed")
-	}
-	if s.Drop("orders") {
-		t.Error("double Drop returned true")
-	}
 }
 
 func TestConcurrentAccess(t *testing.T) {

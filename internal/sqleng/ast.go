@@ -1,28 +1,16 @@
 package sqleng
 
-import (
-	"strconv"
-	"strings"
+import "semandaq/internal/types"
 
-	"semandaq/internal/types"
-)
-
-// SelectStmt is a SELECT query over a comma-joined FROM list.
+// SelectStmt is a SELECT query over a comma-joined FROM list. Its select
+// list names columns, _tid included: Qc projects ids and values, Qv its
+// group keys.
 type SelectStmt struct {
-	Items   []SelectItem
+	Items   []*ColumnRef
 	From    []FromItem
 	Where   Expr
 	GroupBy []*ColumnRef
 	Having  Expr
-}
-
-// SelectItem is one projection: either Star (optionally qualified) or a
-// column or COUNT with an optional alias.
-type SelectItem struct {
-	Star      bool
-	StarTable string // for t.*
-	Expr      Expr   // *ColumnRef or *CountExpr
-	Alias     string
 }
 
 // FromItem is a base table reference with an optional alias.
@@ -40,14 +28,14 @@ type ColumnRef struct {
 	Column string
 }
 
-// Literal is a constant value.
+// Literal is a constant value: a STRING, or an unsigned INT.
 type Literal struct {
 	Value types.Value
 }
 
 // BinaryExpr applies a binary operator: AND and OR over conditions, = and
-// <> between WHERE operands, and =, <>, <, <=, >, >= between HAVING's
-// counts and INT literals.
+// <> between WHERE operands, and =, <>, < and > between HAVING's counts
+// and INT literals.
 type BinaryExpr struct {
 	Op   string
 	L, R Expr
@@ -65,9 +53,8 @@ func (*BinaryExpr) expr() {}
 func (*CountExpr) expr()  {}
 
 // exprString renders an expression back to SQL text that parses to the
-// same tree (FuzzParseSQL holds it to that). It names unaliased COUNT
-// projections and aggregate slots and quotes expressions in errors and
-// plans.
+// same tree (FuzzParseSQL holds it to that). It names HAVING's aggregate
+// slots and quotes expressions in errors and plans.
 func exprString(e Expr) string {
 	switch n := e.(type) {
 	case *ColumnRef:
@@ -76,13 +63,6 @@ func exprString(e Expr) string {
 		}
 		return quoteIdent(n.Column)
 	case *Literal:
-		if n.Value.Kind() == types.KindFloat { // keep the point: 1.0 is no INT
-			s := strconv.FormatFloat(n.Value.Float(), 'f', -1, 64)
-			if !strings.Contains(s, ".") {
-				s += ".0"
-			}
-			return s
-		}
 		return n.Value.SQLString()
 	case *BinaryExpr:
 		return "(" + exprString(n.L) + " " + n.Op + " " + exprString(n.R) + ")"

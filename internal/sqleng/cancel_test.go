@@ -34,8 +34,8 @@ func cancelFixture(t *testing.T, rows int) *Engine {
 // a grouping and a join.
 func TestQueryContextPreCancelled(t *testing.T) {
 	queries := []string{
-		"SELECT COUNT(*) FROM r",
-		"SELECT A, COUNT(*) FROM r GROUP BY A",
+		"SELECT A FROM r HAVING COUNT(*) > 0",
+		"SELECT A FROM r GROUP BY A HAVING COUNT(*) > 1",
 		"SELECT t1.A FROM r t1, r t2 WHERE t1.A = t2.A",
 	}
 	e := cancelFixture(t, 3*cancelStride)
@@ -52,7 +52,7 @@ func TestQueryContextPreCancelled(t *testing.T) {
 // does not change results: a run under a live context equals the reference.
 func TestQueryContextBackgroundUnaffected(t *testing.T) {
 	e := cancelFixture(t, 500)
-	const q = "SELECT A, COUNT(*) AS n, COUNT(DISTINCT B) FROM r GROUP BY A HAVING COUNT(*) > 5"
+	const q = "SELECT A FROM r GROUP BY A HAVING COUNT(*) > 5 AND COUNT(DISTINCT B) > 1"
 	got, err := e.QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func (c *countdownCtx) Err() error {
 // once, |class| × tails, visiting no row.
 func TestCancelAtEveryPollOfMemoisedPlan(t *testing.T) {
 	e := cancelFixture(t, 2*cancelStride)
-	const q = "SELECT COUNT(*) FROM r t1, r t2 WHERE t1.A = t2.A AND t2.B = 'v0'"
+	const q = "SELECT t1.A FROM r t1, r t2 WHERE t1.A = t2.A AND t2.B = 'v0' HAVING COUNT(*) > 0"
 	want := mustQuery(e, q)
 	if ops := e.OpStats(); ops.DriverClasses != 97 || ops.ClassRows != 2*cancelStride-97 {
 		t.Fatalf("the walk kept %d classes serving %d further rows, want 97 and the rest", ops.DriverClasses, ops.ClassRows)

@@ -140,9 +140,6 @@ func (p *selectPlan) compileCode(e Expr) (codeFn, error) {
 	}
 	if !rok {
 		x := a.codeOf(n.R.(*Literal).Value)
-		if x == codeNull {
-			return func([]int32) bool { return false }, nil
-		}
 		return func(cur []int32) bool {
 			c := a.own(cur)
 			return c != codeNull && (c == x) != negate

@@ -22,19 +22,19 @@ var codePool = []types.Value{
 	types.NewBool(true), types.NewBool(false),
 }
 
-// absentPool holds literals no table cell carries.
-var absentPool = []types.Value{types.NewInt(99), types.NewFloat(7.25), types.NewString("zz")}
+// litPool holds the literals the grammar has, strings and unsigned INTs:
+// some equal cells of several kinds (INT 1 and FLOAT 1.0, 0 and -0.0), some
+// no cell carries.
+var litPool = []types.Value{
+	types.NewInt(1), types.NewInt(2), types.NewInt(0), types.NewString("x"), types.NewString(""), types.NewString("1"),
+	types.NewInt(99), types.NewString("zz"),
+}
 
 // randomCodeExpr builds a random WHERE condition over r(A,B), s(A,B): =
 // and <> between columns and between a column and a literal (present,
-// absent, NULL, NaN, cross-kind), under AND and OR.
+// absent, cross-kind), under AND and OR.
 func randomCodeExpr(rng *rand.Rand, depth int) Expr {
-	lit := func() Expr {
-		if rng.Intn(4) == 0 {
-			return &Literal{Value: absentPool[rng.Intn(len(absentPool))]}
-		}
-		return &Literal{Value: codePool[rng.Intn(len(codePool))]}
-	}
+	lit := func() Expr { return &Literal{Value: litPool[rng.Intn(len(litPool))]} }
 	col := func() Expr {
 		return &ColumnRef{Table: []string{"r", "s"}[rng.Intn(2)], Column: []string{"A", "B"}[rng.Intn(2)]}
 	}
@@ -70,7 +70,7 @@ func TestCodePredicatesMatchValueEvaluation(t *testing.T) {
 			tab.MustInsert(relstore.Tuple{codePool[rng.Intn(len(codePool))], codePool[rng.Intn(len(codePool))]})
 		}
 	}
-	st, err := Parse("SELECT * FROM r, s")
+	st, err := Parse("SELECT r.A FROM r, s")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,29 +65,28 @@ func newColumnarCrossStore(t *testing.T) *relstore.Store {
 func TestColumnarScanMatchesRowScan(t *testing.T) {
 	queries := []string{
 		// Plain scans and projections.
-		"SELECT * FROM t",
+		"SELECT _tid, A, B, C, D FROM t",
 		"SELECT A, C FROM t",
 		"SELECT t._tid FROM t",
 		// Equality pushdown, both operand orders, every kind.
-		"SELECT * FROM t WHERE A = 'd1'",
-		"SELECT * FROM t WHERE 'x\x1fy' = B",
-		"SELECT * FROM t WHERE C = 1",   // matches INT 1 (and any FLOAT 1)
-		"SELECT * FROM t WHERE C = 1.0", // same Equal-class as above
-		"SELECT * FROM t WHERE D = 2.5",
-		"SELECT * FROM t WHERE C = 0",        // matches INT 0 and FLOAT -0.0 alike
-		"SELECT * FROM t WHERE A = ''",       // empty string is not NULL
-		"SELECT * FROM t WHERE A = 'absent'", // no dictionary entry
-		"SELECT * FROM t WHERE A = NULL",     // never truthy
-		"SELECT * FROM t WHERE B <> NULL",    // neither
+		"SELECT _tid, A, B, C, D FROM t WHERE A = 'd1'",
+		"SELECT _tid, A, B, C, D FROM t WHERE 'x\x1fy' = B",
+		"SELECT _tid, A, B, C, D FROM t WHERE C = 1",        // matches INT 1 (and any FLOAT 1)
+		"SELECT _tid, A, B, C, D FROM t WHERE D = 2",        // no cell of D holds 2
+		"SELECT _tid, A, B, C, D FROM t WHERE C = 0",        // matches INT 0 and FLOAT -0.0 alike
+		"SELECT _tid, A, B, C, D FROM t WHERE A = ''",       // empty string is not NULL
+		"SELECT _tid, A, B, C, D FROM t WHERE A = 'absent'", // no dictionary entry
+		"SELECT _tid, A, B, C, D FROM t WHERE A = 'NULL'",   // a string, never a NULL cell
+		"SELECT _tid, A, B, C, D FROM t WHERE B <> '1'",     // a NULL cell is neither
 		// Conjunctions and disjunctions across columns.
-		"SELECT * FROM t WHERE A = 'uk' AND C = 1",
-		"SELECT * FROM t WHERE A = 'UK' AND B <> 'd1' AND C <> 0",
-		"SELECT * FROM t WHERE A = 'uk' OR A = 'UK'",
-		"SELECT * FROM t WHERE A = B OR C = D",
+		"SELECT _tid, A, B, C, D FROM t WHERE A = 'uk' AND C = 1",
+		"SELECT _tid, A, B, C, D FROM t WHERE A = 'UK' AND B <> 'd1' AND C <> 0",
+		"SELECT _tid, A, B, C, D FROM t WHERE A = 'uk' OR A = 'UK'",
+		"SELECT _tid, A, B, C, D FROM t WHERE A = B OR C = D",
 		// Grouping over the loaded relation.
-		"SELECT A, COUNT(*) AS n FROM t GROUP BY A",
+		"SELECT A FROM t GROUP BY A HAVING COUNT(*) > 9",
 		"SELECT A, B FROM t GROUP BY A, B",
-		"SELECT COUNT(DISTINCT D) AS d, COUNT(D) AS n FROM t WHERE C = 1",
+		"SELECT D FROM t WHERE C = 1 HAVING COUNT(DISTINCT D) > 1 AND COUNT(D) < COUNT(*)",
 		// Joins.
 		"SELECT t.A, u.N FROM t, u WHERE t.A = u.A AND u.N = 3",
 		"SELECT t.A, u.N FROM t, u WHERE t.A = u.A AND t.B <> u.N",
@@ -119,9 +118,8 @@ func TestColumnarScanAfterMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := New(store)
-	count := func() int64 {
-		res := mustQuery(eng, "SELECT COUNT(*) AS n FROM t WHERE A = 'x'")
-		return res.Rows[0][0].Int()
+	count := func() int {
+		return len(mustQuery(eng, "SELECT _tid FROM t WHERE A = 'x'").Rows)
 	}
 	if count() != 0 {
 		t.Fatal("expected empty table")

@@ -23,9 +23,9 @@ func strideCheck(ctx context.Context, i int) error {
 	return nil
 }
 
-// TIDColumn is the hidden pseudo-column exposing each base tuple's store ID.
+// TIDColumn is the pseudo-column exposing each base tuple's store ID.
 // Detection queries select it to attribute violations back to tuples, e.g.
-// SELECT t._tid FROM customer t WHERE ...; it never appears in `*` output.
+// SELECT t._tid FROM customer t WHERE ...
 const TIDColumn = "_tid"
 
 // Result is a materialized query result.
@@ -47,7 +47,7 @@ type Engine struct {
 	// concurrent mutations. Set via Pin/PinClasses/Unpin.
 	pins map[string]pin
 	// ops accumulates executor operation counters (iterator.go), read via
-	// OpStats and zeroed via ResetOpStats. Every run adds its counts
+	// OpStats. Every run adds its counts
 	// atomically when it ends, so concurrent queries on a shared engine all
 	// count; a read while queries run sees only the runs that have ended.
 	ops OpCounters
@@ -219,15 +219,4 @@ func resolvable(e Expr, cat catalog) bool {
 		}
 	}
 	return true
-}
-
-// itemName returns the output column name of a projection item.
-func itemName(it SelectItem) string {
-	if it.Alias != "" {
-		return it.Alias
-	}
-	if cr, ok := it.Expr.(*ColumnRef); ok {
-		return cr.Column
-	}
-	return exprString(it.Expr)
 }

@@ -59,9 +59,15 @@ func rowStrings(res *Result) []string {
 	return out
 }
 
+// TestSelectStar: the select list names its columns. The star is a
+// *ParseError naming it, and naming every column gives the whole relation.
 func TestSelectStar(t *testing.T) {
 	e := newTestEngine(t)
-	res := mustQuery(e, "SELECT * FROM customer")
+	var perr *ParseError
+	if _, err := e.QueryContext(context.Background(), "SELECT * FROM customer"); !errors.As(err, &perr) || !strings.Contains(err.Error(), "star") {
+		t.Errorf("SELECT *: err = %v, want a *ParseError naming the star", err)
+	}
+	res := mustQuery(e, "SELECT NAME, CNT, CITY, ZIP, STR, CC, AC FROM customer")
 	if len(res.Columns) != 7 {
 		t.Fatalf("columns = %v", res.Columns)
 	}
@@ -82,18 +88,22 @@ func TestSelectWhere(t *testing.T) {
 	}
 }
 
+// TestSelectProjectionAndAlias: an output column is named after its
+// column; an alias or a COUNT in the select list is a *ParseError.
 func TestSelectProjectionAndAlias(t *testing.T) {
 	e := newTestEngine(t)
-	res := mustQuery(e, "SELECT NAME AS who, CC cc1, CITY FROM customer WHERE NAME = 'Joe'")
-	if !reflect.DeepEqual(res.Columns, []string{"who", "cc1", "CITY"}) {
+	res := mustQuery(e, "SELECT NAME, t.CC, CITY FROM customer t WHERE NAME = 'Joe'")
+	if !reflect.DeepEqual(res.Columns, []string{"NAME", "CC", "CITY"}) {
 		t.Errorf("columns = %v", res.Columns)
 	}
 	if res.Rows[0][1].Int() != 1 || res.Rows[0][2].Str() != "New York" {
 		t.Errorf("row = %v", res.Rows[0])
 	}
-	res = mustQuery(e, "SELECT COUNT(*) AS n, COUNT(DISTINCT CNT) FROM customer")
-	if !reflect.DeepEqual(res.Columns, []string{"n", "COUNT(DISTINCT CNT)"}) {
-		t.Errorf("columns = %v", res.Columns)
+	for _, q := range []string{"SELECT NAME AS who FROM customer", "SELECT CC cc1, CITY FROM customer", "SELECT COUNT(*) FROM customer"} {
+		var perr *ParseError
+		if _, err := e.QueryContext(context.Background(), q); !errors.As(err, &perr) {
+			t.Errorf("%s: err = %v, want a *ParseError", q, err)
+		}
 	}
 }
 
@@ -106,12 +116,9 @@ func TestSelectTIDPseudoColumn(t *testing.T) {
 	if res.Rows[0][0].Kind() != types.KindInt {
 		t.Errorf("_tid kind = %v", res.Rows[0][0].Kind())
 	}
-	// _tid must not leak through *.
-	star := mustQuery(e, "SELECT * FROM customer")
-	for _, c := range star.Columns {
-		if c == TIDColumn {
-			t.Error("_tid leaked into *")
-		}
+	if both := mustQuery(e, "SELECT _tid, t._tid FROM customer t"); !reflect.DeepEqual(both.Columns, []string{TIDColumn, TIDColumn}) ||
+		len(both.Rows) != 5 || both.Rows[1][0] != res.Rows[0][0] || both.Rows[1][1] != res.Rows[0][0] {
+		t.Errorf("_tid twice = %v %v, want Rick's id %v in row 1", both.Columns, rowStrings(both), res.Rows[0][0])
 	}
 }
 
@@ -121,15 +128,14 @@ func TestComparisonOperators(t *testing.T) {
 		sql  string
 		want int
 	}{
-		{"SELECT * FROM customer WHERE CC = 44", 3},
-		{"SELECT * FROM customer WHERE 44 = CC", 3},
-		{"SELECT * FROM customer WHERE CC = 44.0", 3},
-		{"SELECT * FROM customer WHERE CC <> 44", 2},
-		{"SELECT * FROM customer WHERE CC != 44", 2},
-		{"SELECT * FROM customer WHERE CITY = 'London' OR CITY = 'Chicago'", 2},
-		{"SELECT * FROM customer WHERE CITY <> 'London' AND CITY <> 'Chicago'", 3},
-		{"SELECT * FROM customer WHERE CC = AC OR (CNT = 'UK' AND CITY <> 'London')", 2},
-		{"SELECT * FROM customer WHERE CC = 'absent'", 0},
+		{"SELECT NAME FROM customer WHERE CC = 44", 3},
+		{"SELECT NAME FROM customer WHERE 44 = CC", 3},
+		{"SELECT NAME FROM customer WHERE CC <> 44", 2},
+		{"SELECT NAME FROM customer WHERE CC = '44'", 0},
+		{"SELECT NAME FROM customer WHERE CITY = 'London' OR CITY = 'Chicago'", 2},
+		{"SELECT NAME FROM customer WHERE CITY <> 'London' AND CITY <> 'Chicago'", 3},
+		{"SELECT NAME FROM customer WHERE CC = AC OR (CNT = 'UK' AND CITY <> 'London')", 2},
+		{"SELECT NAME FROM customer WHERE CC = 'absent'", 0},
 	}
 	for _, c := range cases {
 		res := mustQuery(e, c.sql)
@@ -152,53 +158,58 @@ func TestThreeValuedLogic(t *testing.T) {
 		want  int
 	}{
 		{"B = 5", 1},
-		{"B <> 5", 0},   // NULL <> 5 is unknown
-		{"B = NULL", 0}, // and so is NULL = NULL
-		{"B <> NULL", 0},
+		{"B <> 5", 0}, // NULL <> 5 is unknown
+		{"A = B", 0},  // and so is 1 = NULL
+		{"A <> B", 1},
 		{"B = 999 OR A = 1", 1}, // OR with one true side survives a NULL
 		{"B <> 999 AND A = 1", 0},
 		{"A = B OR A <> B", 1},
 	} {
-		if res := mustQuery(e, "SELECT * FROM r WHERE "+c.where); len(res.Rows) != c.want {
+		if res := mustQuery(e, "SELECT A FROM r WHERE "+c.where); len(res.Rows) != c.want {
 			t.Errorf("%s: %d rows, want %d", c.where, len(res.Rows), c.want)
 		}
 	}
 }
 
+// TestAggregatesGlobal: HAVING without GROUP BY counts the whole input as
+// one group, represented by its first row.
 func TestAggregatesGlobal(t *testing.T) {
 	e := newTestEngine(t)
-	res := mustQuery(e, "SELECT COUNT(*), COUNT(DISTINCT CNT), COUNT(CC), COUNT(DISTINCT CITY) FROM customer")
-	if got := rowStrings(res); len(got) != 1 || got[0] != "5|2|5|4" {
-		t.Errorf("rows = %v, want 5|2|5|4", got)
+	res := mustQuery(e, "SELECT NAME FROM customer HAVING COUNT(*) = 5 AND COUNT(DISTINCT CNT) = 2 AND COUNT(CC) = 5 AND COUNT(DISTINCT CITY) = 4")
+	if got := rowStrings(res); len(got) != 1 || got[0] != "Mike" {
+		t.Errorf("rows = %v, want Mike", got)
+	}
+	if res := mustQuery(e, "SELECT NAME FROM customer HAVING COUNT(DISTINCT CITY) <> 4"); len(res.Rows) != 0 {
+		t.Errorf("COUNT(DISTINCT CITY) <> 4 kept %v", rowStrings(res))
 	}
 }
 
+// TestAggregatesEmptyInput: over no rows the global group still stands,
+// its counts 0 and its representative NULL.
 func TestAggregatesEmptyInput(t *testing.T) {
 	e := newTestEngine(t)
-	res := mustQuery(e, "SELECT COUNT(*), COUNT(CC), COUNT(DISTINCT CC), NAME FROM customer WHERE CNT = 'FR'")
-	if got := rowStrings(res); len(got) != 1 || got[0] != "0|0|0|NULL" {
-		t.Errorf("rows = %v, want one row 0|0|0|NULL", got)
+	res := mustQuery(e, "SELECT NAME FROM customer WHERE CNT = 'FR' HAVING COUNT(*) = 0 AND COUNT(CC) = 0 AND COUNT(DISTINCT CC) = 0")
+	if got := rowStrings(res); len(got) != 1 || got[0] != "NULL" {
+		t.Errorf("rows = %v, want one row NULL", got)
 	}
 }
 
 func TestGroupByHaving(t *testing.T) {
 	e := newTestEngine(t)
-	res := mustQuery(e, `
-		SELECT CNT, COUNT(*) AS n FROM customer
-		GROUP BY CNT HAVING COUNT(*) >= 2`)
-	got := rowStrings(res)
-	if len(got) != 2 || got[0] != "UK|3" || got[1] != "US|2" {
-		t.Errorf("rows = %v", got)
+	for having, want := range map[string][]string{"COUNT(*) > 1": {"UK", "US"}, "COUNT(*) > 2": {"UK"}, "COUNT(*) = 2": {"US"}} {
+		if got := rowStrings(mustQuery(e, "SELECT CNT FROM customer GROUP BY CNT HAVING "+having)); !reflect.DeepEqual(got, want) {
+			t.Errorf("HAVING %s: rows = %v, want %v", having, got, want)
+		}
 	}
 }
 
 func TestGroupByMultiKey(t *testing.T) {
 	e := newTestEngine(t)
 	res := mustQuery(e, `
-		SELECT CNT, ZIP, COUNT(DISTINCT STR) AS streets FROM customer
+		SELECT CNT, ZIP FROM customer
 		GROUP BY CNT, ZIP HAVING COUNT(DISTINCT STR) > 1`)
 	got := rowStrings(res)
-	if len(got) != 1 || got[0] != "UK|EH2 4SD|2" {
+	if len(got) != 1 || got[0] != "UK|EH2 4SD" {
 		t.Errorf("rows = %v", got)
 	}
 }
@@ -245,12 +256,12 @@ func TestCrossJoinNoKeys(t *testing.T) {
 		b.MustInsert(relstore.Tuple{types.NewInt(int64(i))})
 	}
 	e := New(store)
-	res := mustQuery(e, "SELECT * FROM a, b")
+	res := mustQuery(e, "SELECT a.X, b.Y FROM a, b")
 	if len(res.Rows) != 9 {
 		t.Errorf("cross join rows = %d", len(res.Rows))
 	}
 	// A condition without an equality filters the cross product.
-	res = mustQuery(e, "SELECT * FROM a, b WHERE a.X <> b.Y")
+	res = mustQuery(e, "SELECT a.X, b.Y FROM a, b WHERE a.X <> b.Y")
 	if len(res.Rows) != 6 {
 		t.Errorf("filtered cross join rows = %d", len(res.Rows))
 	}
@@ -293,26 +304,27 @@ func TestScalarFunctions(t *testing.T) {
 }
 
 // TestTotalExpressions pins evaluation as total: a comparison between
-// operands of different kinds is false, never an error, and INT and FLOAT
-// compare by value.
+// operands of different kinds is false, never an error.
 func TestTotalExpressions(t *testing.T) {
 	e := newTestEngine(t)
-	for _, c := range []struct{ sql, want string }{
-		{"SELECT COUNT(*) FROM customer WHERE NAME = 1", "0"},
-		{"SELECT COUNT(*) FROM customer WHERE NAME <> 1", "5"},
-		{"SELECT COUNT(*) FROM customer WHERE CC = 'x' OR CC = 44", "3"},
-		{"SELECT COUNT(*) FROM customer WHERE CC = TRUE", "0"},
-		{"SELECT COUNT(*) FROM customer WHERE CC = 1.0", "2"},
-		{"SELECT COUNT(*) FROM customer t1, customer t2 WHERE t1.CC = t2.NAME", "0"},
-		{"SELECT COUNT(*) FROM customer t1, customer t2 WHERE t1.CC <> t2.NAME", "25"},
+	for _, c := range []struct {
+		sql  string
+		want int
+	}{
+		{"SELECT _tid FROM customer WHERE NAME = 1", 0},
+		{"SELECT _tid FROM customer WHERE NAME <> 1", 5},
+		{"SELECT _tid FROM customer WHERE CC = 'x' OR CC = 44", 3},
+		{"SELECT _tid FROM customer WHERE CC = '1'", 0},
+		{"SELECT t1._tid FROM customer t1, customer t2 WHERE t1.CC = t2.NAME", 0},
+		{"SELECT t1._tid FROM customer t1, customer t2 WHERE t1.CC <> t2.NAME", 25},
 	} {
 		res, err := e.QueryContext(context.Background(), c.sql)
 		if err != nil {
 			t.Errorf("%s: %v", c.sql, err)
 			continue
 		}
-		if got := rowStrings(res); len(got) != 1 || got[0] != c.want {
-			t.Errorf("%s = %v, want %s", c.sql, got, c.want)
+		if len(res.Rows) != c.want {
+			t.Errorf("%s: %d rows, want %d", c.sql, len(res.Rows), c.want)
 		}
 	}
 }
@@ -351,7 +363,7 @@ func TestCreateDropTable(t *testing.T) {
 	if _, ok := e.Store().Table("t"); ok {
 		t.Error("CREATE TABLE created a table")
 	}
-	if n := mustQuery(e, "SELECT COUNT(*) FROM customer").Rows[0][0].Int(); n != 5 {
+	if n := len(mustQuery(e, "SELECT _tid FROM customer").Rows); n != 5 {
 		t.Errorf("customer has %d rows after DROP TABLE, want 5", n)
 	}
 }
@@ -360,13 +372,13 @@ func TestExecErrors(t *testing.T) {
 	e := newTestEngine(t)
 	cases := []string{
 		"SELECT nope FROM customer",
-		"SELECT * FROM nope",
+		"SELECT a FROM nope",
 		"SELECT t1.NAME FROM customer t1, customer t2 WHERE NAME = 'x'", // ambiguous
 		"SELECT COUNT(COUNT(*)) FROM customer",                          // nested aggregate
-		"SELECT * FROM customer WHERE COUNT(CC) > 1",                    // aggregate in WHERE
+		"SELECT NAME FROM customer WHERE COUNT(CC) > 1",                 // aggregate in WHERE
 		"SELECT CNT, COUNT(*) FROM customer GROUP BY COUNT(*)",          // aggregate in GROUP BY
-		"SELECT COUNT(nope) FROM customer",
-		"SELECT x.* FROM customer",
+		"SELECT NAME FROM customer HAVING COUNT(nope) > 0",
+		"SELECT x.NAME FROM customer",
 		"SELECT t1.NAME FROM customer t1, customer t2 WHERE t1.CC = t2.CC AND CITY = t2.CITY", // ambiguous in a join key's residual
 		"SELECT NOPE(1) FROM customer",
 	}
@@ -396,12 +408,18 @@ func TestGroupByExpression(t *testing.T) {
 		tab.MustInsert(row)
 	}
 	e := New(store)
-	res := mustQuery(e, "SELECT A, COUNT(*), COUNT(B), COUNT(DISTINCT B) FROM r GROUP BY A")
-	if got := rowStrings(res); !reflect.DeepEqual(got, []string{"1|3|1|1", "NULL|2|2|2"}) {
-		t.Errorf("rows = %v", got)
+	for having, want := range map[string][]string{
+		"":                                      {"1", "NULL"},
+		" HAVING COUNT(*) = 3 AND COUNT(B) = 1": {"1"},
+		" HAVING COUNT(*) = 2 AND COUNT(B) = 2 AND COUNT(DISTINCT B) = 2": {"NULL"},
+		" HAVING COUNT(DISTINCT B) = 1":                                   {"1"},
+	} {
+		if got := rowStrings(mustQuery(e, "SELECT A FROM r GROUP BY A"+having)); !reflect.DeepEqual(got, want) {
+			t.Errorf("GROUP BY A%s: rows = %v, want %v", having, got, want)
+		}
 	}
 	var perr *ParseError
-	if _, err := e.QueryContext(context.Background(), "SELECT A, COUNT(*) FROM r GROUP BY A = 1"); !errors.As(err, &perr) {
+	if _, err := e.QueryContext(context.Background(), "SELECT A FROM r GROUP BY A = 1"); !errors.As(err, &perr) {
 		t.Errorf("GROUP BY A = 1: err = %v, want a *ParseError", err)
 	}
 }

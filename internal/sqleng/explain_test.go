@@ -136,7 +136,7 @@ func TestExplainJoinKinds(t *testing.T) {
 // the sink fetches — the projected ones, at the sink.
 func TestExplainCodePipeline(t *testing.T) {
 	e := New(fuzzStore(t))
-	lines := planLines(t, e, `SELECT r.A AS A FROM r, s
+	lines := planLines(t, e, `SELECT r.A FROM r, s
 		WHERE (s.A = 9 OR r.A = s.A) AND s.D = 's' GROUP BY r.A
 		HAVING COUNT(DISTINCT r.B) > 1 OR (COUNT(DISTINCT r.B) = 1 AND COUNT(r.B) < COUNT(*))`)
 	for _, want := range [][]string{
@@ -151,9 +151,9 @@ func TestExplainCodePipeline(t *testing.T) {
 		}
 	}
 
-	lines = planLines(t, e, `SELECT r._tid, s.D, r.B FROM r, s WHERE r.A = s.A AND r.B = s.D AND r.C <> 0.5`)
+	lines = planLines(t, e, `SELECT r._tid, s.D, r.B FROM r, s WHERE r.A = s.A AND r.B = s.D AND r.C <> 5`)
 	for _, want := range [][]string{
-		{"  stage-filter (r.C <> 0.5)"},
+		{"  stage-filter (r.C <> 5)"},
 		{"  stage-filter (r.A = s.A)"},
 		{"  stage-filter (r.B = s.D)"},
 		{"xlat r.A→s.A (4 codes)"},

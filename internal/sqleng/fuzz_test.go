@@ -125,22 +125,22 @@ func checkSQLIdentity(t *testing.T, sql string) {
 
 // codeSeeds cover what the cursor pipeline decides on dictionary codes:
 // cross-dictionary joins (FLOAT 1.0 meets INT 1 through a translation
-// table), keys under OR, NULL literals, grouped COUNT(DISTINCT) with NULLs
-// (the detector's HAVING), a pushed-down OR on the joined side, and the
-// retired NULL sentinel as an ordinary string.
+// table), keys under OR, strings that spell NULL, grouped COUNT(DISTINCT)
+// with NULLs (the detector's HAVING), a pushed-down OR on the joined side,
+// and the retired NULL sentinel as an ordinary string.
 var codeSeeds = []string{
 	"SELECT r.B, s.D FROM r, s WHERE r.B = s.D",
 	"SELECT r.C, s.A FROM r, s WHERE r.C = s.A AND r.A <> s.A",
 	"SELECT r.A, s.D FROM r, s WHERE r.A = s.A OR r.A = 0",
 	"SELECT r.B FROM r, s WHERE (r.B = s.D OR s.D = 'q') AND s.D <> 'none'",
-	"SELECT r.A, s.D FROM r, s WHERE r.A = s.A OR s.A = NULL",
+	"SELECT r.A, s.D FROM r, s WHERE r.A = s.A OR s.A = 9",
 	"SELECT r.B, s.D FROM r, s WHERE r.A <> s.A AND r.B <> s.D",
-	"SELECT A, COUNT(DISTINCT B), COUNT(B), COUNT(*) FROM r GROUP BY A HAVING COUNT(DISTINCT B) > 1 OR (COUNT(DISTINCT B) = 1 AND COUNT(B) < COUNT(*))",
-	"SELECT B, COUNT(DISTINCT C), COUNT(DISTINCT A) FROM r GROUP BY B",
-	"SELECT A, COUNT(DISTINCT C) FROM r GROUP BY A, B",
-	"SELECT r.A, s.D FROM r, s WHERE r.A = s.A AND (s.D = NULL OR s.D <> 'q')",
-	"SELECT r.B, COUNT(s.D), COUNT(DISTINCT s.A) FROM r, s WHERE r.A = s.A AND s.D <> 'q' GROUP BY r.B",
-	"SELECT * FROM r WHERE (B <> 'x' AND B <> NULL) OR A = 1.0 OR A = 7 OR C <> 1 OR B = 'y'",
+	"SELECT A FROM r GROUP BY A HAVING COUNT(DISTINCT B) > 1 OR (COUNT(DISTINCT B) = 1 AND COUNT(B) < COUNT(*))",
+	"SELECT B FROM r GROUP BY B HAVING COUNT(DISTINCT C) > 1 OR COUNT(DISTINCT A) = 1",
+	"SELECT A FROM r GROUP BY A, B HAVING COUNT(DISTINCT C) = 1",
+	"SELECT r.A, s.D FROM r, s WHERE r.A = s.A AND (s.D = 'NULL' OR s.D <> 'q')",
+	"SELECT r.B FROM r, s WHERE r.A = s.A AND s.D <> 'q' GROUP BY r.B HAVING COUNT(s.D) > COUNT(DISTINCT s.A) OR COUNT(s.D) = 1",
+	"SELECT A, B, C FROM r WHERE (B <> 'x' AND B <> 'NULL') OR A = 1 OR A = 7 OR C <> 1 OR B = 'y'",
 	"SELECT r.B, s.D FROM r, s WHERE r.B = s.D OR r.B = '\x00null'",
 }
 
@@ -153,24 +153,24 @@ var memoSeeds = []string{
 	"SELECT u.A, s.D FROM u, s WHERE u.A = s.A AND u.B <> s.D",
 	"SELECT u.B, s.D FROM u, s WHERE u.A = s.A AND (u.B = s.D OR u.C = 'p')",
 	"SELECT u._tid, s._tid, s.D, u.B FROM u, s WHERE (s.A = 9 OR u.A = s.A) AND s.D <> 's' AND u.B <> s.D",
-	"SELECT u.A AS A, u.B AS B FROM u, s WHERE (s.A = 9 OR u.A = s.A) AND (s.D = 's' OR u.B = s.D) GROUP BY u.A, u.B HAVING COUNT(DISTINCT u.C) > 1 OR (COUNT(DISTINCT u.C) = 1 AND COUNT(u.C) < COUNT(*))",
+	"SELECT u.A, u.B FROM u, s WHERE (s.A = 9 OR u.A = s.A) AND (s.D = 's' OR u.B = s.D) GROUP BY u.A, u.B HAVING COUNT(DISTINCT u.C) > 1 OR (COUNT(DISTINCT u.C) = 1 AND COUNT(u.C) < COUNT(*))",
 	"SELECT u._tid, u.C, u.A, u.B FROM u, r WHERE u.A = r.A AND u.B = r.B",
 	"SELECT u.A, u.B, s.D FROM u, s WHERE u.D = s.A AND s.D <> 'q' AND u.B <> s.D",
 	"SELECT u.A, s.D, s._tid FROM u, s WHERE u.A = s.A",
 	"SELECT u.B, s.D FROM u, s WHERE u.A = s.A GROUP BY u.B, s.D",
 	"SELECT u.A, s.D, r.B FROM u, s, r WHERE u.A = s.A AND u.B = r.B",
 	"SELECT u1.A, u2.C FROM u u1, u u2 WHERE u1.A = u2.A AND u1.B = u2.B AND u1.C <> u2.C",
-	"SELECT u.A, u.C, COUNT(*), COUNT(s.D) FROM u, s WHERE u.A = s.A GROUP BY u.A, u.C",
-	"SELECT COUNT(*) FROM u u1, u u2 WHERE u1.A <> u2.A",
+	"SELECT u.A, u.C FROM u, s WHERE u.A = s.A GROUP BY u.A, u.C HAVING COUNT(*) > COUNT(s.D)",
+	"SELECT u1.A FROM u u1, u u2 WHERE u1.A <> u2.A HAVING COUNT(*) > 1",
 	"SELECT u.A, s.A FROM u, s WHERE u.D <> s.A AND u.C <> 'q'",
-	"SELECT B, COUNT(D), COUNT(DISTINCT C) FROM u WHERE A = 1 GROUP BY B",
-	"SELECT C, _tid, COUNT(DISTINCT D) FROM u WHERE A = 2 GROUP BY C",
-	"SELECT A, COUNT(*) FROM u WHERE B <> 'x' GROUP BY A HAVING COUNT(B) <= COUNT(*) AND 2 < COUNT(*)",
-	"SELECT A, COUNT(*) FROM u WHERE B <> 'x' GROUP BY A HAVING COUNT(*) >= 2",
-	"SELECT A, COUNT(*) FROM u WHERE B <> 'x' GROUP BY A HAVING COUNT(*) > 9 OR COUNT(*) = 2",
-	"SELECT A, COUNT(*) FROM u WHERE B <> 'x' GROUP BY A HAVING COUNT(*) <> -1",
-	"SELECT A, COUNT(*) FROM u WHERE B <> 'x' AND A <> 2 GROUP BY A HAVING COUNT(D) > 1",
-	"SELECT C, COUNT(B) FROM u WHERE A = 1 GROUP BY C HAVING COUNT(B) <> COUNT(*)",
+	"SELECT B FROM u WHERE A = 1 GROUP BY B HAVING COUNT(D) > COUNT(DISTINCT C)",
+	"SELECT C, _tid FROM u WHERE A = 2 GROUP BY C HAVING COUNT(DISTINCT D) > 1",
+	"SELECT A FROM u WHERE B <> 'x' GROUP BY A HAVING (COUNT(B) < COUNT(*) OR COUNT(B) = COUNT(*)) AND 2 < COUNT(*)",
+	"SELECT A FROM u WHERE B <> 'x' GROUP BY A HAVING COUNT(*) > 2 OR COUNT(*) = 2",
+	"SELECT A FROM u WHERE B <> 'x' GROUP BY A HAVING COUNT(*) > 9 OR COUNT(*) = 2",
+	"SELECT A FROM u WHERE B <> 'x' GROUP BY A HAVING COUNT(*) <> 1",
+	"SELECT A FROM u WHERE B <> 'x' AND A <> 2 GROUP BY A HAVING COUNT(D) > 1",
+	"SELECT C FROM u WHERE A = 1 GROUP BY C HAVING COUNT(B) <> COUNT(*)",
 }
 
 // TestMemoSeedsReplay: every memo and walk seed is planned with the class
@@ -194,44 +194,44 @@ func TestMemoSeedsReplay(t *testing.T) {
 
 // fuzzSeeds is the seed list FuzzSQLExec starts from and
 // TestFuzzSeedsIdentity replays: every pipeline stage — code filters, joins
-// with composite keys, joined-scan pushdown, _tid and * projections,
-// grouping, HAVING, errors — then codeSeeds and memoSeeds. Operands of the
-// wrong kind make a comparison false.
+// with composite keys, joined-scan pushdown, _tid projections, grouping,
+// HAVING (global and grouped), errors — then codeSeeds and memoSeeds.
+// Operands of the wrong kind make a comparison false.
 var fuzzSeeds = slices.Concat([]string{
-	"SELECT * FROM r",
+	"SELECT _tid, A, B, C FROM r",
 	"SELECT A, B FROM r WHERE A = 1",
-	"SELECT * FROM r WHERE B = NULL OR B = 'x'",
-	"SELECT * FROM r WHERE B <> 'y' AND A <> 2",
+	"SELECT A, B, C FROM r WHERE B = 'NULL' OR B = 'x'",
+	"SELECT A, B, C FROM r WHERE B <> 'y' AND A <> 2",
 	"SELECT r.A, s.D FROM r, s WHERE r.A = s.A",
-	"SELECT r.*, s.D FROM r, s WHERE r.A = s.A AND s.D <> 'q'",
-	"SELECT * FROM r, s WHERE r.A = s.A AND s.D = 'q'",
-	"SELECT * FROM r, s",
+	"SELECT r._tid, r.A, r.B, r.C, s.D FROM r, s WHERE r.A = s.A AND s.D <> 'q'",
+	"SELECT r.A, r.B, r.C, s._tid, s.A, s.D FROM r, s WHERE r.A = s.A AND s.D = 'q'",
+	"SELECT r.A, s.A FROM r, s",
 	"SELECT r.A FROM r, s WHERE r.A = s.A AND s.D <> 'p'",
-	"SELECT A, COUNT(*) AS n FROM r GROUP BY A HAVING COUNT(*) > 1",
-	"SELECT COUNT(DISTINCT B) FROM r",
+	"SELECT A FROM r GROUP BY A HAVING COUNT(*) > 1",
+	"SELECT B FROM r HAVING COUNT(DISTINCT B) = 4",
 	"SELECT A FROM r GROUP BY A",
 	"SELECT A, C FROM r WHERE A = C OR A <> C",
-	"SELECT A FROM r WHERE A <> -1 AND C <> -0.5",
-	"SELECT * FROM r WHERE C = 1.5 OR B = 'x'",
+	"SELECT A FROM r WHERE A <> 1 AND C <> 0",
+	"SELECT A, B, C FROM r WHERE C = 1 OR B = 'x'",
 	"SELECT B FROM r WHERE A = 1 OR A = 3",
-	"SELECT _tid, COUNT(DISTINCT C) FROM r GROUP BY B",
-	"SELECT A, B FROM r WHERE A = 1 OR B = NULL OR A = 2.0",
+	"SELECT _tid FROM r GROUP BY B HAVING COUNT(DISTINCT C) < 2",
+	"SELECT A, B FROM r WHERE A = 1 OR B = 'NULL' OR A = 2",
 	"SELECT r1.A FROM r r1, r r2 WHERE r1.A = r2.A AND r1.B <> r2.B",
-	"SELECT * FROM r WHERE (A = 1 OR A = 2) AND (B = 'x' OR C = 1)",
+	"SELECT A, B, C FROM r WHERE (A = 1 OR A = 2) AND (B = 'x' OR C = 1)",
 	"SELECT r.A FROM r, s WHERE r.A = s.A AND r.C = s.A",
-	"SELECT COUNT(C), COUNT(DISTINCT C), COUNT(*) FROM r",
+	"SELECT C FROM r HAVING COUNT(C) = 5 AND COUNT(DISTINCT C) = 4 AND COUNT(*) = 6",
 	"SELECT B FROM r WHERE A <> 2",
 	"SELECT r.A FROM r, s WHERE r.A = s.A AND r.B = s.D",
 	"SELECT r.B, s.D FROM r, s WHERE s.D = r.B AND s.A = r.A",
 	"SELECT r1.A FROM r r1, r r2 WHERE r1.A = r2.A AND r1.B = r2.B AND r1.C = r2.C",
-	"SELECT t._tid, t.* FROM r t WHERE t.C = 1",
+	"SELECT t._tid, t.A, t.B, t.C FROM r t WHERE t.C = 1",
 }, codeSeeds, memoSeeds, []string{
 	"SELECT r.A FROM r, s, u WHERE r.A = s.A AND u.B = 'x' AND u.A = r.A",
 	"SELECT r.A, u.B FROM r, s, u WHERE r.A = s.A AND u.A = s.A AND u.C = 'p' AND r.A <> 1",
-	"SELECT * FROM r, s WHERE r.C = s.A AND s.D <> r.B",
-	"SELECT B, COUNT(B), COUNT(DISTINCT C), COUNT(DISTINCT A), COUNT(C) FROM r GROUP BY B",
-	"SELECT A FROM r WHERE A = 'a' OR C = TRUE OR B = 1",
-	"SELECT x.* FROM r",
+	"SELECT r.A, r.B, r.C, s.A, s.D FROM r, s WHERE r.C = s.A AND s.D <> r.B",
+	"SELECT B FROM r GROUP BY B HAVING COUNT(B) = COUNT(DISTINCT C) OR COUNT(DISTINCT A) < COUNT(C)",
+	"SELECT A FROM r WHERE A = 'a' OR C = 'TRUE' OR B = 1",
+	"SELECT x.A FROM r",
 }, walkSeeds)
 
 // walkSeeds aim at the class walk's edges, after every earlier seed so
@@ -245,14 +245,14 @@ var fuzzSeeds = slices.Concat([]string{
 // the detector's Qv and Qc over v (mixedKindSeeds); and a group per class
 // of D, counted whole but for the second class, which its rows feed.
 var walkSeeds = []string{
-	"SELECT u.A, COUNT(*), COUNT(DISTINCT u.C), COUNT(s.D) FROM u, s WHERE u.A = s.A AND u.B <> s.D GROUP BY u.A",
-	"SELECT u.A, COUNT(*), COUNT(u.D) FROM u WHERE u.A <> 2 GROUP BY u.A",
-	"SELECT u1.A, COUNT(*), COUNT(u2.D), COUNT(DISTINCT u2.B) FROM u u1, u u2 WHERE u1.A <> u2.A GROUP BY u1.A",
-	"SELECT u1.A, COUNT(*), COUNT(u2.B) FROM u u1, u u2, s WHERE u1.A <> u2.A AND (u1.A = 1 OR s.A = 9) GROUP BY u1.A",
-	"SELECT u.C, COUNT(DISTINCT u.D), COUNT(u.D), COUNT(*) FROM u WHERE u.C <> 'z' GROUP BY u.C",
+	"SELECT u.A FROM u, s WHERE u.A = s.A AND u.B <> s.D GROUP BY u.A HAVING COUNT(*) > COUNT(s.D) OR COUNT(DISTINCT u.C) = 2",
+	"SELECT u.A FROM u WHERE u.A <> 2 GROUP BY u.A HAVING COUNT(*) > COUNT(u.D)",
+	"SELECT u1.A FROM u u1, u u2 WHERE u1.A <> u2.A GROUP BY u1.A HAVING COUNT(*) > COUNT(u2.D) AND COUNT(DISTINCT u2.B) > 1",
+	"SELECT u1.A FROM u u1, u u2, s WHERE u1.A <> u2.A AND (u1.A = 1 OR s.A = 9) GROUP BY u1.A HAVING COUNT(*) > COUNT(u2.B)",
+	"SELECT u.C FROM u WHERE u.C <> 'z' GROUP BY u.C HAVING COUNT(DISTINCT u.D) < COUNT(u.D) AND COUNT(u.D) < COUNT(*)",
 	"SELECT u._tid, u.A, s.D FROM u, s WHERE u.A = s.A",
 	mixedKindSeeds[0], mixedKindSeeds[1], mixedKindSeeds[2], mixedKindSeeds[3],
-	"SELECT v.A, COUNT(DISTINCT v.E), COUNT(*) FROM v WHERE v.A <> 9 GROUP BY v.A",
+	"SELECT v.A FROM v WHERE v.A <> 9 GROUP BY v.A HAVING COUNT(DISTINCT v.E) = 1 OR COUNT(*) > 8",
 }
 
 // mixedKindSeeds are the detector's Qv and Qc shapes over v and its

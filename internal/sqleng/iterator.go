@@ -31,7 +31,7 @@ type planExec struct {
 	p    *selectPlan
 	ctx  context.Context
 	cur  []int32       // the cursor: one snapshot row per scan
-	buf  []types.Value // the sink's row: the fetched columns, then one slot per COUNT
+	buf  []types.Value // the sink's row: the fetched columns
 	surv [][]int32     // per joined scan: its rows that pass its filters, in snapshot order
 	memo *driverMemo   // nil when the plan does not qualify (selectPlan.planMemo)
 	ops  OpCounters    // local counters, flushed to the engine once per run
@@ -93,13 +93,6 @@ func (e *Engine) OpStats() OpCounters {
 	return out
 }
 
-// ResetOpStats zeroes the executor operation counters.
-func (e *Engine) ResetOpStats() {
-	for _, f := range e.ops.fields() {
-		atomic.StoreInt64(f, 0)
-	}
-}
-
 // run drives the pipeline to completion (or until a streaming consumer
 // stops) into the plan's sink. It may be called once per plan.
 func (p *selectPlan) run(ctx context.Context) error {
@@ -107,7 +100,7 @@ func (p *selectPlan) run(ctx context.Context) error {
 		p:    p,
 		ctx:  ctx,
 		cur:  make([]int32, len(p.scans)),
-		buf:  make([]types.Value, len(p.cat)+len(p.sink.calls)),
+		buf:  make([]types.Value, len(p.cat)),
 		surv: make([][]int32, len(p.scans)),
 		memo: p.newMemo(),
 	}
@@ -125,9 +118,9 @@ func (p *selectPlan) run(ctx context.Context) error {
 }
 
 // materialise fetches the row-buffer positions cols at cursor cur: the
-// tuple id for a scan's hidden _tid, else the value straight from the exact
+// tuple id for a scan's _tid, else the value straight from the exact
 // dictionary (bit-identical to the stored tuple), NULL at row -1 (the
-// representative of a global COUNT over no rows).
+// representative of a global HAVING group over no rows).
 func (px *planExec) materialise(cols, cur []int32) {
 	for _, pos := range cols {
 		sc := px.p.scans[px.p.posScan[pos]]
@@ -406,8 +399,8 @@ type aggCall struct {
 	dseen map[uint64]struct{}
 }
 
-// sinkProj is one output column: its name and its position in the sink's
-// row, a pipeline column or, past them, a COUNT's slot.
+// sinkProj is one output column: its name and its position in the
+// pipeline row.
 type sinkProj struct {
 	name string
 	pos  int
@@ -420,7 +413,6 @@ type sinkProj struct {
 type streamSink struct {
 	st         *SelectStmt
 	px         *planExec // the running execution: cursor, row buffer, counters
-	width      int       // width of the pipeline row
 	nscans     int
 	needsGroup bool
 	calls      []aggCall
@@ -457,7 +449,7 @@ type streamSink struct {
 // catalog.
 func newStreamSink(p *selectPlan) (*streamSink, error) {
 	st, cat := p.st, p.cat
-	s := &streamSink{st: st, width: len(cat), nscans: len(p.scans)}
+	s := &streamSink{st: st, nscans: len(p.scans)}
 	slot := map[string]int{} // a COUNT's text -> its call index
 	var addCalls func(e Expr) error
 	addCalls = func(e Expr) error {
@@ -486,15 +478,10 @@ func newStreamSink(p *selectPlan) (*streamSink, error) {
 		}
 		return nil
 	}
-	for _, it := range st.Items {
-		if err := addCalls(it.Expr); err != nil {
-			return nil, err
-		}
-	}
 	if err := addCalls(st.Having); err != nil {
 		return nil, err
 	}
-	s.needsGroup = len(st.GroupBy) > 0 || st.Having != nil || len(s.calls) > 0
+	s.needsGroup = len(st.GroupBy) > 0 || st.Having != nil
 	for _, g := range st.GroupBy {
 		t, err := p.termOf(g)
 		if err != nil {
@@ -523,32 +510,16 @@ func newStreamSink(p *selectPlan) (*streamSink, error) {
 		})
 	}
 
-	for _, it := range st.Items {
-		switch e := it.Expr.(type) {
-		case nil: // * or t.*
-			for i, ci := range cat {
-				if !p.hidden[i] && (it.StarTable == "" || strings.EqualFold(ci.qual, it.StarTable)) {
-					s.projs = append(s.projs, sinkProj{ci.name, i})
-				}
-			}
-		case *ColumnRef:
-			pos, err := cat.resolve(e)
-			if err != nil {
-				return nil, err
-			}
-			s.projs = append(s.projs, sinkProj{itemName(it), pos})
-		case *CountExpr:
-			s.projs = append(s.projs, sinkProj{itemName(it), len(cat) + slot[exprString(e)]})
-		}
-	}
-	if len(s.projs) == 0 {
-		return nil, fmt.Errorf("sql: empty select list")
-	}
 	// What the projection reads is fetched per surviving group, or, when not
 	// grouping, per arriving row.
-	for _, pr := range s.projs {
-		if pos := int32(pr.pos); pr.pos < len(cat) && !slices.Contains(s.outCols, pos) {
-			s.outCols = append(s.outCols, pos)
+	for _, it := range st.Items {
+		pos, err := cat.resolve(it)
+		if err != nil {
+			return nil, err
+		}
+		s.projs = append(s.projs, sinkProj{it.Column, pos})
+		if !slices.Contains(s.outCols, int32(pos)) {
+			s.outCols = append(s.outCols, int32(pos))
 		}
 	}
 	if !s.needsGroup {
@@ -704,11 +675,11 @@ func (s *streamSink) emit() (stop bool) {
 
 // finishGroups turns the accumulated groups into output rows: one row per
 // group in first-appearance order (the representative's projected columns,
-// fetched at its cursor, then the counts), filtered by HAVING on the
-// counts before anything is fetched.
+// fetched at its cursor), filtered by HAVING on the counts before anything
+// is fetched.
 func (s *streamSink) finishGroups(ctx context.Context) error {
-	// A global COUNT over an empty input still yields one group, with an
-	// all-NULL representative row.
+	// HAVING without GROUP BY over an empty input still has one group, with
+	// an all-NULL representative row.
 	if len(s.reps) == 0 && len(s.st.GroupBy) == 0 {
 		for i := range s.px.cur {
 			s.px.cur[i] = -1
@@ -724,9 +695,6 @@ func (s *streamSink) finishGroups(ctx context.Context) error {
 			continue
 		}
 		s.px.materialise(s.outCols, s.reps[gi*s.nscans:(gi+1)*s.nscans])
-		for ci := range s.calls {
-			s.px.buf[s.width+ci] = types.NewInt(counts[ci].n)
-		}
 		if s.emit() {
 			return nil
 		}

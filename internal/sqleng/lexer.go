@@ -5,11 +5,12 @@
 // the relstore tables.
 //
 // The surface is the two statement shapes the detector generates, Qc and
-// Qv (Parse gives the grammar): a comma-joined FROM list; WHERE as AND/OR
-// over = and <> between a column and a column or literal; GROUP BY columns;
-// HAVING as AND/OR over comparisons of COUNT(*), COUNT([DISTINCT] column)
-// and INT literals; and a select list of *, t.*, columns (_tid included)
-// and COUNTs. Anything else is a *ParseError naming the construct. Every
+// Qv (Parse gives the grammar): a select list of columns (_tid included); a
+// comma-joined FROM list; WHERE as AND/OR over = and <> between a column
+// and a column or a literal (a string or an unsigned INT); GROUP BY
+// columns; and HAVING as AND/OR over =, <>, < and > between COUNT(*),
+// COUNT([DISTINCT] column) and INT literals. Anything else is a
+// *ParseError naming the construct. Every
 // comparison and key runs on dictionary codes: there is no value-level
 // evaluator. The engine only reads: tables are written through the
 // relstore API.
@@ -146,20 +147,11 @@ func (l *lexer) lexWord(start int) token {
 	return token{kind: tokIdent, text: word, pos: start}
 }
 
+// lexNumber reads a run of digits: a decimal point ends the number, and the
+// parser names the decimal it opens.
 func (l *lexer) lexNumber(start int) (token, error) {
-	seenDot := false
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c >= '0' && c <= '9' {
-			l.pos++
-			continue
-		}
-		if c == '.' && !seenDot {
-			seenDot = true
-			l.pos++
-			continue
-		}
-		break
+	for l.pos < len(l.src) && l.src[l.pos] >= '0' && l.src[l.pos] <= '9' {
+		l.pos++
 	}
 	if l.pos < len(l.src) && isIdentStart(l.src[l.pos]) {
 		return token{}, l.errorf(l.pos, "malformed number")

@@ -11,7 +11,7 @@ func kinds(toks []token) []tokenKind {
 }
 
 func TestLexBasics(t *testing.T) {
-	toks, err := lex("SELECT a, t.b FROM r WHERE a = 'x''y' AND b >= 1.5 -- comment\n;")
+	toks, err := lex("SELECT a, t.b FROM r WHERE a = 'x''y' AND b >= 15 -- comment\n;")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func TestLexBasics(t *testing.T) {
 		texts = append(texts, tok.text)
 	}
 	want := []string{"SELECT", "a", ",", "t", ".", "b", "FROM", "r", "WHERE",
-		"a", "=", "x'y", "AND", "b", ">=", "1.5", ";", ""}
+		"a", "=", "x'y", "AND", "b", ">=", "15", ";", ""}
 	if len(texts) != len(want) {
 		t.Fatalf("got %d tokens %v, want %d", len(texts), texts, len(want))
 	}
@@ -93,14 +93,16 @@ func TestLexErrors(t *testing.T) {
 	}
 }
 
+// TestLexNumbers: a number is a run of digits; a decimal point ends it, and
+// the parser names the decimal.
 func TestLexNumbers(t *testing.T) {
-	toks, err := lex("42 3.25 0.5")
+	toks, err := lex("42 3.25")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range []string{"42", "3.25", "0.5"} {
-		if toks[i].kind != tokNumber || toks[i].text != want {
-			t.Errorf("number %d = %v", i, toks[i])
+	for i, want := range []token{{tokNumber, "42", 0}, {tokNumber, "3", 3}, {tokSymbol, ".", 4}, {tokNumber, "25", 5}} {
+		if toks[i] != want {
+			t.Errorf("token %d = %v, want %v", i, toks[i], want)
 		}
 	}
 }

@@ -19,15 +19,17 @@ func (e *ParseError) Error() string {
 }
 
 // removed names the constructs the grammar leaves out by the token that
-// opens them, so that meeting one is an error saying which. Their keywords
-// stay reserved.
+// opens or is them, so that meeting one is an error saying which. Their
+// keywords stay reserved.
 var removed = map[string]string{
 	"DISTINCT": "SELECT DISTINCT", "JOIN": "JOIN ... ON", "INNER": "INNER JOIN", "LEFT": "LEFT JOIN",
 	"ORDER": "ORDER BY", "LIMIT": "LIMIT", "OFFSET": "OFFSET", "UNION": "UNION", "EXISTS": "EXISTS",
 	"LIKE": "LIKE", "BETWEEN": "BETWEEN", "CASE": "CASE", "EXPLAIN": "EXPLAIN",
 	"SUM": "aggregate SUM", "AVG": "aggregate AVG", "MIN": "aggregate MIN", "MAX": "aggregate MAX",
 	"NOT": "NOT", "IN": "IN", "IS": "IS [NOT] NULL",
-	"+": "arithmetic +", "-": "arithmetic -", "*": "arithmetic *", "/": "arithmetic /", "%": "arithmetic %",
+	"NULL": "the NULL literal", "TRUE": "the TRUE literal", "FALSE": "the FALSE literal",
+	"!=": "!= (write <>)", "<=": "<=", ">=": ">=",
+	"+": "arithmetic +", "-": "a sign or arithmetic -", "*": "arithmetic *", "/": "arithmetic /", "%": "arithmetic %",
 	"||": "concatenation ||",
 }
 
@@ -40,14 +42,13 @@ type parser struct {
 // Parse parses a single SELECT (a trailing semicolon is allowed) of the
 // grammar the detector's statements use:
 //
-//	select   := SELECT item (, item)* FROM table [[AS] alias] (, table [[AS] alias])*
+//	select   := SELECT column (, column)* FROM table [[AS] alias] (, table [[AS] alias])*
 //	            [WHERE cond] [GROUP BY column (, column)*] [HAVING having]
-//	item     := * | name.* | (column | count) [[AS] alias]
-//	cond     := and (OR and)*,  and := atom (AND atom)*,  atom := ( cond ) | operand (= | <> | !=) operand
+//	cond     := and (OR and)*,  and := atom (AND atom)*,  atom := ( cond ) | operand (= | <>) operand
 //	operand  := column | literal, not both literals, no _tid
-//	having   := cond over counts: count or INT literal (= | <> | < | <= | > | >=) count or INT literal
+//	having   := cond over counts: count or INT literal (= | <> | < | >) count or INT literal
 //	count    := COUNT(*) | COUNT([DISTINCT] column), no _tid
-//	literal  := [-]number | string | NULL | TRUE | FALSE
+//	literal  := digits | string
 //
 // Anything else is a *ParseError naming the construct.
 func Parse(src string) (*SelectStmt, error) {
@@ -126,8 +127,10 @@ func (p *parser) fail(want string) error {
 	if !ok || (t.kind != tokKeyword && t.kind != tokSymbol) {
 		return p.errorf("expected %s, got %q", want, t.text)
 	}
-	next := func(i int) string { return p.toks[min(p.i+i, len(p.toks)-1)].text }
+	next := func(i int) string { return p.toks[max(min(p.i+i, len(p.toks)-1), 0)].text }
 	switch {
+	case t.text == "*" && (next(-1) == "SELECT" || next(-1) == "," || next(-1) == "."):
+		what = "the star (* or t.*)"
 	case t.text == "IS" && next(1) == "DISTINCT":
 		what = "IS DISTINCT FROM"
 	case t.text == "IS" && next(1) == "NOT" && next(2) == "DISTINCT":
@@ -198,62 +201,39 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 	return st, nil
 }
 
-func (p *parser) parseSelectItem() (SelectItem, error) {
-	// Bare * or t.*
-	if p.accept(tokSymbol, "*") {
-		return SelectItem{Star: true}, nil
-	}
-	if p.peek().kind == tokIdent && p.i+2 < len(p.toks) &&
-		p.toks[p.i+1].kind == tokSymbol && p.toks[p.i+1].text == "." &&
-		p.toks[p.i+2].kind == tokSymbol && p.toks[p.i+2].text == "*" {
-		tbl := p.advance().text
-		p.advance() // .
-		p.advance() // *
-		return SelectItem{Star: true, StarTable: tbl}, nil
-	}
-	var item SelectItem
-	var err error
+// parseSelectItem reads a column of the select list, _tid included.
+func (p *parser) parseSelectItem() (*ColumnRef, error) {
 	switch t := p.peek(); {
 	case t.kind == tokKeyword && t.text == "COUNT":
-		item.Expr, err = p.parseCount()
-	case t.kind == tokIdent:
-		item.Expr, err = p.parseRef()
-	case t.kind == tokNumber || t.kind == tokString || t.text == "NULL" || t.text == "TRUE" || t.text == "FALSE":
-		return item, p.errorf("a literal in the select list is not supported")
-	default:
-		return item, p.fail("a column or COUNT")
+		return nil, p.errorf("COUNT in the select list is not supported")
+	case t.kind == tokNumber || t.kind == tokString:
+		return nil, p.errorf("a literal in the select list is not supported")
+	case t.kind != tokIdent:
+		return nil, p.fail("a column")
 	}
-	if err != nil {
-		return item, err
+	c, err := p.parseRef()
+	switch t := p.peek(); {
+	case err != nil:
+		return nil, err
+	case t.kind == tokSymbol && cmpSigns[t.text] != 0:
+		return nil, p.errorf("a comparison in the select list is not supported")
+	case t.kind == tokIdent || t.text == "AS":
+		return nil, p.errorf("an alias in the select list is not supported")
 	}
-	if t := p.peek(); t.kind == tokSymbol && (cmpSigns[t.text] != 0 || t.text == "!=") {
-		return item, p.errorf("a comparison in the select list is not supported")
-	}
-	item.Alias, err = p.parseAlias()
-	return item, err
+	return c, nil
 }
 
-// parseAlias reads an optional `[AS] name`.
-func (p *parser) parseAlias() (string, error) {
-	if p.acceptKeyword("AS") {
-		return p.expectIdent()
-	}
-	if p.peek().kind == tokIdent {
-		return p.advance().text, nil
-	}
-	return "", nil
-}
-
+// parseFromItem reads a table and its optional `[AS] alias`.
 func (p *parser) parseFromItem() (FromItem, error) {
 	name, err := p.expectIdent()
 	if err != nil {
 		return FromItem{}, err
 	}
-	alias, err := p.parseAlias()
-	if alias == "" {
-		alias = name
+	fi := FromItem{Table: name, Alias: name}
+	if p.acceptKeyword("AS") || p.peek().kind == tokIdent {
+		fi.Alias, err = p.expectIdent()
 	}
-	return FromItem{Table: name, Alias: alias}, err
+	return fi, err
 }
 
 // parseCond reads comparisons of side operands (parseCompare) under AND
@@ -291,10 +271,10 @@ func (p *parser) parseJoined(op string, next func() (Expr, error)) (Expr, error)
 
 // cmpSigns maps a comparison operator to the signs of a three-way compare
 // it accepts: bit 0 <, bit 1 =, bit 2 >.
-var cmpSigns = map[string]uint8{"<": 1, "=": 2, "<=": 3, ">": 4, "<>": 5, ">=": 6}
+var cmpSigns = map[string]uint8{"<": 1, "=": 2, ">": 4, "<>": 5}
 
 // parseCompare reads side op side, not both literals: op is = or <>, or
-// with ordered also <, <=, > or >=.
+// with ordered also < or >.
 func (p *parser) parseCompare(side func() (Expr, error), ordered bool) (Expr, error) {
 	start := p.peek().pos
 	l, err := side()
@@ -303,9 +283,9 @@ func (p *parser) parseCompare(side func() (Expr, error), ordered bool) (Expr, er
 	}
 	t := p.peek()
 	switch {
-	case t.kind != tokSymbol || (cmpSigns[t.text] == 0 && t.text != "!="):
+	case t.kind != tokSymbol || cmpSigns[t.text] == 0:
 		return nil, p.fail("a comparison")
-	case !ordered && t.text != "=" && t.text != "<>" && t.text != "!=":
+	case !ordered && t.text != "=" && t.text != "<>":
 		return nil, p.errorf("ordering compare %s in WHERE is not supported", t.text)
 	}
 	p.advance()
@@ -317,7 +297,7 @@ func (p *parser) parseCompare(side func() (Expr, error), ordered bool) (Expr, er
 	if _, lit2 := r.(*Literal); lit1 && lit2 {
 		return nil, &ParseError{Pos: start, Msg: "a comparison of two literals is not supported"}
 	}
-	return &BinaryExpr{Op: strings.Replace(t.text, "!=", "<>", 1), L: l, R: r}, nil
+	return &BinaryExpr{Op: t.text, L: l, R: r}, nil
 }
 
 // parseCountOperand reads a HAVING operand: a COUNT or an INT literal.
@@ -402,38 +382,24 @@ func (p *parser) parseRef() (*ColumnRef, error) {
 	return &ColumnRef{Table: name, Column: col}, err
 }
 
-// parseLiteral reads a constant; a leading - is the sign of a number.
+// parseLiteral reads a constant: a string, or an unsigned INT.
 func (p *parser) parseLiteral() (Expr, error) {
-	sign := ""
-	if p.accept(tokSymbol, "-") {
-		if sign = "-"; p.peek().kind != tokNumber {
-			return nil, p.errorf("- is supported only as the sign of a number")
-		}
-	}
 	t := p.peek()
 	var v types.Value
-	switch {
-	case t.kind == tokNumber && strings.Contains(t.text, "."):
-		f, err := strconv.ParseFloat(sign+t.text, 64)
-		if err != nil {
-			return nil, p.errorf("bad number %q", t.text)
-		}
-		v = types.NewFloat(f)
-	case t.kind == tokNumber:
-		n, err := strconv.ParseInt(sign+t.text, 10, 64)
+	switch t.kind {
+	case tokNumber:
+		n, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
 			return nil, p.errorf("bad number %q", t.text)
 		}
 		v = types.NewInt(n)
-	case t.kind == tokString:
+	case tokString:
 		v = types.NewString(t.text)
-	case t.kind == tokKeyword && t.text == "NULL":
-		v = types.Null
-	case t.kind == tokKeyword && (t.text == "TRUE" || t.text == "FALSE"):
-		v = types.NewBool(t.text == "TRUE")
 	default:
 		return nil, p.fail("an operand")
 	}
-	p.advance()
+	if p.advance(); t.kind == tokNumber && p.peek().kind == tokSymbol && p.peek().text == "." {
+		return nil, p.errorf("a decimal literal is not supported")
+	}
 	return &Literal{Value: v}, nil
 }

@@ -37,7 +37,7 @@ type filterPred struct {
 
 // scanNode is one base-table access: a pinned columnar snapshot plus the
 // predicates pushed down to it. start/arity locate the scan's segment
-// (hidden _tid first, then the attributes) inside the full pipeline row.
+// (_tid first, then the attributes) inside the full pipeline row.
 type scanNode struct {
 	alias string
 	table string
@@ -55,10 +55,9 @@ type scanNode struct {
 // result sink, with the per-table pinned versions captured at plan (pin)
 // time.
 type selectPlan struct {
-	st     *SelectStmt
-	cat    catalog
-	hidden []bool
-	scans  []*scanNode
+	st    *SelectStmt
+	cat   catalog
+	scans []*scanNode
 	// stages[d] holds the WHERE conjuncts that become evaluable once scans
 	// 0..d are set, in original WHERE order.
 	stages   [][]filterPred
@@ -98,9 +97,9 @@ func (e *Engine) buildSelectPlan(st *SelectStmt) (*selectPlan, error) {
 			p.classes = qp.classes(fi.Table)
 		}
 		sc := &scanNode{alias: fi.Alias, table: fi.Table, snap: snap, cnr: snap.Columnar(), start: len(p.cat)}
-		p.cat, p.hidden = append(p.cat, colInfo{qual: fi.Alias, name: TIDColumn}), append(p.hidden, true)
+		p.cat = append(p.cat, colInfo{qual: fi.Alias, name: TIDColumn})
 		for _, a := range snap.Schema().Attrs {
-			p.cat, p.hidden = append(p.cat, colInfo{qual: fi.Alias, name: a.Name}), append(p.hidden, false)
+			p.cat = append(p.cat, colInfo{qual: fi.Alias, name: a.Name})
 		}
 		sc.arity = len(p.cat) - sc.start
 		for range sc.arity {

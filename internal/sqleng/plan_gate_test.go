@@ -89,13 +89,13 @@ func TestExplainSaysWhichPathServes(t *testing.T) {
 		{"Qv over a key", wide[0], []string{
 			fmt.Sprintf("class walk off: space %d > half of rows 20000", col("NAME")),
 			"sink group on codes(2) aggs=3, having on counts, project 2 cols"}},
-		{"no driver column in WHERE, grouped off it", "SELECT t.CNT, COUNT(*) FROM customer t GROUP BY t.CNT", []string{
+		{"no driver column in WHERE, grouped off it", "SELECT t.CNT FROM customer t GROUP BY t.CNT HAVING COUNT(*) > 1", []string{
 			"class walk off: WHERE reads no driver column and the sink takes rows one by one"}},
-		{"no driver column in WHERE, counted whole", "SELECT COUNT(*) FROM customer t", []string{
-			"class walk on [] space=1 rows=20000", "sink group on codes(0) aggs=1, counts per class, a group per class, project 1 cols"}},
-		{"grouped on part of D", "SELECT t.CNT, COUNT(*) FROM customer t WHERE t.CNT <> 'x' AND t.ZIP <> 'y' GROUP BY t.CNT", []string{
+		{"no driver column in WHERE, counted whole", "SELECT t.CNT FROM customer t HAVING COUNT(*) > 1", []string{
+			"class walk on [] space=1 rows=20000", "sink group on codes(0) aggs=1, counts per class, a group per class, having on counts, project 1 cols"}},
+		{"grouped on part of D", "SELECT t.CNT FROM customer t WHERE t.CNT <> 'x' AND t.ZIP <> 'y' GROUP BY t.CNT HAVING COUNT(*) > 1", []string{
 			fmt.Sprintf("class walk on [t.CNT t.ZIP] space=%d rows=20000", col("CNT")*col("ZIP")),
-			"sink group on codes(1) aggs=1, counts per class, project 2 cols"}},
+			"sink group on codes(1) aggs=1, counts per class, having on counts, project 1 cols"}},
 	} {
 		lines, err := sqleng.Plan(e, tc.sql)
 		if err != nil {
@@ -168,8 +168,8 @@ func TestPlansMatchOnRebuiltSnapshot(t *testing.T) {
 	store := relstore.NewStore()
 	store.Put(dead)
 	check("dead codes", store, dead, []string{
-		`SELECT COUNT(*) FROM t WHERE A = B`,
-		`SELECT t1.A, COUNT(*) FROM t t1, t t2 WHERE t1.A = t2.B GROUP BY t1.A`,
+		`SELECT A FROM t WHERE A = B HAVING COUNT(*) > 0`,
+		`SELECT t1.A FROM t t1, t t2 WHERE t1.A = t2.B GROUP BY t1.A HAVING COUNT(*) > 1`,
 		`SELECT A, B FROM t WHERE A <> B AND (A = 'v7' OR A = 'gone3' OR A = 'v1')`,
 	})
 
@@ -186,7 +186,7 @@ func TestPlansMatchOnRebuiltSnapshot(t *testing.T) {
 	store = relstore.NewStore()
 	store.Put(canon)
 	check("dead canonical", store, canon, []string{
-		`SELECT A, B, COUNT(*) FROM t WHERE A = 1 GROUP BY A, B`,
+		`SELECT A, B FROM t WHERE A = 1 GROUP BY A, B HAVING COUNT(*) > 1`,
 		`SELECT t1.A FROM t t1, t t2 WHERE t1.A = t2.A AND t1.B <> t2.B`,
 	})
 
@@ -225,7 +225,7 @@ func TestPlansMatchOnRebuiltSnapshot(t *testing.T) {
 	store.Put(tab)
 	sqls := traced(t, store, tab.Snapshot(), "customer: [CNT=_, ZIP=_] -> [STR=_]\ncustomer: [CC=44, AC=131] -> [CITY=Edinburgh]\ncustomer: [CNT=UK, ZIP=_] -> [STR=_]")
 	check("edit history", store, tab, append(sqls,
-		`SELECT t1.CC, COUNT(*) FROM customer t1, customer t2 WHERE t1.CC = t2.AC OR t1.STR = t2.CITY GROUP BY t1.CC`,
+		`SELECT t1.CC FROM customer t1, customer t2 WHERE t1.CC = t2.AC OR t1.STR = t2.CITY GROUP BY t1.CC HAVING COUNT(*) > 1`,
 		`SELECT NAME, CC FROM customer WHERE CC = 44 AND (STR = 'typo1' OR STR = 'Mayfield')`,
 	))
 }

@@ -10,7 +10,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"strings"
 
 	"semandaq/internal/relstore"
 	"semandaq/internal/types"
@@ -33,16 +32,15 @@ func refQuery(e *Engine, sql string) (*Result, error) {
 	}
 	qp := e.newQueryPins()
 	var cat catalog
-	var hidden []bool
 	var tables [][][]types.Value // per FROM item: its rows, hidden _tid first, in snapshot order
 	for _, fi := range st.From {
 		snap, ok := qp.snapshot(fi.Table)
 		if !ok {
 			return nil, fmt.Errorf("sql: no table %q", fi.Table)
 		}
-		cat, hidden = append(cat, colInfo{qual: fi.Alias, name: TIDColumn}), append(hidden, true)
+		cat = append(cat, colInfo{qual: fi.Alias, name: TIDColumn})
 		for _, a := range snap.Schema().Attrs {
-			cat, hidden = append(cat, colInfo{qual: fi.Alias, name: a.Name}), append(hidden, false)
+			cat = append(cat, colInfo{qual: fi.Alias, name: a.Name})
 		}
 		var rows [][]types.Value
 		snap.Scan(func(id relstore.TupleID, row relstore.Tuple) bool {
@@ -71,8 +69,8 @@ func refQuery(e *Engine, sql string) (*Result, error) {
 	}
 	walk(0, nil)
 
-	// The COUNT calls, each once, in the order the select list and then
-	// HAVING name them; a grouped row carries their counts past the columns.
+	// The COUNT calls, each once, in the order HAVING names them; a grouped
+	// row carries their counts past the columns.
 	var calls []*CountExpr
 	var collect func(e Expr)
 	collect = func(e Expr) {
@@ -86,14 +84,11 @@ func refQuery(e *Engine, sql string) (*Result, error) {
 			}
 		}
 	}
-	for _, it := range st.Items {
-		collect(it.Expr)
-	}
 	collect(st.Having)
 	slot := func(c *CountExpr) int {
 		return len(cat) + slices.IndexFunc(calls, func(x *CountExpr) bool { return exprString(x) == exprString(c) })
 	}
-	if st.GroupBy != nil || st.Having != nil || len(calls) > 0 {
+	if st.GroupBy != nil || st.Having != nil {
 		keys := make([]int, len(st.GroupBy))
 		for i, g := range st.GroupBy {
 			if keys[i], err = cat.resolve(g); err != nil {
@@ -117,25 +112,11 @@ func refQuery(e *Engine, sql string) (*Result, error) {
 	var names []string
 	var projs []int
 	for _, it := range st.Items {
-		switch e := it.Expr.(type) {
-		case nil:
-			for i, ci := range cat {
-				if !hidden[i] && (it.StarTable == "" || strings.EqualFold(ci.qual, it.StarTable)) {
-					names, projs = append(names, ci.name), append(projs, i)
-				}
-			}
-		case *ColumnRef:
-			pos, err := cat.resolve(e)
-			if err != nil {
-				return nil, err
-			}
-			names, projs = append(names, itemName(it)), append(projs, pos)
-		case *CountExpr:
-			names, projs = append(names, itemName(it)), append(projs, slot(e))
+		pos, err := cat.resolve(it)
+		if err != nil {
+			return nil, err
 		}
-	}
-	if len(projs) == 0 {
-		return nil, fmt.Errorf("sql: empty select list")
+		names, projs = append(names, it.Column), append(projs, pos)
 	}
 	res := &Result{Columns: names, Versions: qp.versions()}
 	for _, r := range rows {
@@ -228,12 +209,8 @@ func refHaving(e Expr, row []types.Value, slot func(*CountExpr) int) bool {
 		return c != 0
 	case "<":
 		return c < 0
-	case "<=":
-		return c <= 0
-	case ">":
-		return c > 0
 	}
-	return c >= 0
+	return c > 0
 }
 
 // refGroup groups rows by the values at keys, in first-appearance order,
