@@ -10,7 +10,7 @@
 //
 //	check      check the CFD set for satisfiability
 //	detect     run violation detection (use -engine sql|parallel|columnar;
-//	           -stream prints violations as NDJSON while the scan runs)
+//	           -stream prints the violations as NDJSON)
 //	sql        print the generated detection SQL without running it
 //	audit      print the data quality report
 //	map        print the tuple-level data quality map
@@ -57,7 +57,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	cfdPath := fs.String("cfds", "", "file with CFDs, one pattern per line")
 	engine := fs.String("engine", "sql", "detection engine: sql, parallel or columnar (native is an alias of columnar)")
 	workers := fs.Int("workers", 0, "parallel engine worker count (default GOMAXPROCS)")
-	stream := fs.Bool("stream", false, "detect: print violations as NDJSON while the scan runs")
+	stream := fs.Bool("stream", false, "detect: print the violations as NDJSON")
 	timeout := fs.Duration("timeout", 0, "abort the command after this duration (0 = none)")
 	apply := fs.Bool("apply", false, "repair: apply the candidate repair and write the CSV back")
 	outPath := fs.String("o", "", "repair -apply: output CSV path (default: overwrite -data)")
@@ -68,12 +68,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	engineSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "engine" {
-			engineSet = true
-		}
-	})
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
@@ -162,16 +156,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		opts := []core.Option{core.WithWorkers(*workers)}
-		// For -stream an unset -engine keeps DetectStream's default (the
-		// columnar detector) instead of forcing the flag's "sql"
-		// default through the blocking fallback.
-		if engineSet || !*stream {
-			opts = append(opts, core.WithEngine(kind))
-		}
+		opts := []core.Option{core.WithWorkers(*workers), core.WithEngine(kind)}
 		if *stream {
-			// Violations print as they are found; the report is never
-			// materialized.
+			// Violations print one by one, in the report's canonical
+			// order; the report is never exploded.
 			type line struct {
 				CFD      string `json:"cfd"`
 				Kind     string `json:"kind"`
@@ -209,14 +197,14 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			fmt.Fprintf(out, "# %d violations streamed at version %d\n", n, version)
 			return nil
 		}
-		rep, err := s.Detect(ctx, table, opts...)
+		d, err := s.DetectDigest(ctx, table, opts...)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "%d violations over %d tuples at version %d; %d dirty (max vio %d)\n",
-			rep.TotalViolations(), rep.TupleCount, rep.Version, len(rep.Vio), rep.MaxVio())
-		for _, id := range slices.Sorted(maps.Keys(rep.PerCFD)) {
-			st := rep.PerCFD[id]
+			d.Violations, d.TupleCount, d.Version, d.Dirty, d.MaxVio)
+		for _, id := range slices.Sorted(maps.Keys(d.PerCFD)) {
+			st := d.PerCFD[id]
 			fmt.Fprintf(out, "  %-12s single=%d multi=%d groups=%d\n",
 				id, st.SingleTuple, st.MultiTuple, st.Groups)
 		}
@@ -354,12 +342,11 @@ func demo(ctx context.Context, s *core.Semandaq, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintln(out, "== Semandaq demo: 1000 customers, 5% noise, standard CFD set ==")
-	rep, err := s.Detect(ctx, "customer", core.WithEngine(core.SQLDetection))
+	d, err := s.DetectDigest(ctx, "customer", core.WithEngine(core.SQLDetection))
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "detected %d dirty tuples (%d violation records)\n",
-		len(rep.Vio), rep.TotalViolations())
+	fmt.Fprintf(out, "detected %d dirty tuples (%d violation records)\n", d.Dirty, d.Violations)
 	a, err := s.Audit(ctx, "customer")
 	if err != nil {
 		return err

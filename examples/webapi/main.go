@@ -86,9 +86,9 @@ customer: [CC=44] -> [CNT=UK]`})
 	fmt.Printf("after repair: dirty=%v (%.2fms)\n", out["dirty"], out["durationMs"])
 
 	// Streaming detection: ?stream=1 returns NDJSON, one violation per
-	// line as the sharded columnar scan finds it — what `curl -N` would
-	// show. The table is clean now, so only the terminal done line
-	// arrives; on a dirty table violations stream before the scan ends.
+	// line in the report's canonical order — what `curl -N` would show —
+	// read from the report the detect above cached. The table is clean
+	// now, so only the terminal done line arrives.
 	resp, err := http.Get(ts.URL + "/api/detect/customer?stream=1")
 	if err != nil {
 		log.Fatal(err)

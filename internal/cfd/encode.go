@@ -21,22 +21,15 @@ import (
 // string "_" would read back as the wildcard, so it is refused: the CFD
 // stays valid for the engines that do not go through this encoding.
 
-// TableauTableName returns the canonical name for a CFD's encoded tableau.
-func TableauTableName(c *CFD) string { return "cfd_tp_" + c.ID }
-
 // wildcardValue is the stored representation of "_".
 var wildcardValue = types.NewString(WildcardToken)
 
-// EncodeTableau materializes the CFD's tableau as a table named name (or
-// TableauTableName(c) if name is empty) and registers it in the store,
-// replacing any previous version. A STRING constant equal to WildcardToken
-// is an error naming the CFD and the attribute.
-func EncodeTableau(store *relstore.Store, c *CFD, name string) (*relstore.Table, error) {
+// EncodeTableau materializes the CFD's tableau as a new table named name.
+// A STRING constant equal to WildcardToken is an error naming the CFD and
+// the attribute.
+func EncodeTableau(c *CFD, name string) (*relstore.Table, error) {
 	if err := c.checkArity(); err != nil {
 		return nil, err
-	}
-	if name == "" {
-		name = TableauTableName(c)
 	}
 	attrs := append(append([]string{}, c.LHS...), c.RHS...)
 	tab := relstore.NewTable(schema.New(name, attrs...))
@@ -52,7 +45,6 @@ func EncodeTableau(store *relstore.Store, c *CFD, name string) (*relstore.Table,
 			return nil, err
 		}
 	}
-	store.Put(tab)
 	return tab, nil
 }
 

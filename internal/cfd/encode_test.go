@@ -3,22 +3,20 @@ package cfd
 import (
 	"testing"
 
-	"semandaq/internal/relstore"
 	"semandaq/internal/types"
 )
 
 func TestEncodeTableau(t *testing.T) {
-	store := relstore.NewStore()
 	c := phi2()
 	c.AddPattern(PatternTuple{
 		LHS: []PatternValue{ConstStr("US"), Wild},
 		RHS: []PatternValue{Wild},
 	})
-	tab, err := EncodeTableau(store, c, "")
+	tab, err := EncodeTableau(c, "tp2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Schema().Name != "cfd_tp_phi2" {
+	if tab.Schema().Name != "tp2" {
 		t.Errorf("name = %q", tab.Schema().Name)
 	}
 	if tab.Schema().Arity() != 3 || tab.Len() != 2 {
@@ -28,15 +26,10 @@ func TestEncodeTableau(t *testing.T) {
 	if rows[0][0].Str() != "UK" || rows[0][1].Str() != "_" || rows[0][2].Str() != "_" {
 		t.Errorf("row0 = %v", rows[0])
 	}
-	// Registered in the store.
-	if _, ok := store.Table("cfd_tp_phi2"); !ok {
-		t.Error("tableau not registered")
-	}
 }
 
 func TestEncodePreservesTypes(t *testing.T) {
-	store := relstore.NewStore()
-	tab, err := EncodeTableau(store, phi4(), "tp4")
+	tab, err := EncodeTableau(phi4(), "tp4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,25 +39,24 @@ func TestEncodePreservesTypes(t *testing.T) {
 	}
 }
 
+// TestEncodeReplacesPrevious: an encoding is a new table of the tableau as
+// it stands; re-encoding after a pattern is added replaces it for the
+// caller and leaves the earlier table as it was.
 func TestEncodeReplacesPrevious(t *testing.T) {
-	store := relstore.NewStore()
 	c := phi2()
-	if _, err := EncodeTableau(store, c, ""); err != nil {
+	old, err := EncodeTableau(c, "tp2")
+	if err != nil {
 		t.Fatal(err)
 	}
 	c.AddPattern(PatternTuple{
 		LHS: []PatternValue{ConstStr("US"), Wild},
 		RHS: []PatternValue{Wild},
 	})
-	tab, err := EncodeTableau(store, c, "")
+	tab, err := EncodeTableau(c, "tp2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Len() != 2 {
-		t.Errorf("re-encode rows = %d", tab.Len())
-	}
-	got, _ := store.Table("cfd_tp_phi2")
-	if got != tab {
-		t.Error("store should hold the new tableau")
+	if tab.Len() != 2 || old.Len() != 1 || tab == old {
+		t.Errorf("re-encode rows = %d, the earlier encoding's %d", tab.Len(), old.Len())
 	}
 }

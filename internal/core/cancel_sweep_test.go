@@ -204,9 +204,9 @@ const (
 	// has no constant pattern and phiC no variable one, so neither polls in
 	// the other's pass.
 	detectPolls = 1 + 2*2 + 3 + (1 + 2)
-	// The stream: the same scan and walk, and a poll per violation it
-	// yields: 10 single-tuple, then 10 groups of 4.
-	streamPolls = 3 + (1 + 2) + 10 + 4*10
+	// A stream's polls past its detection: one per record it yields,
+	// 10 single-tuple and 10 groups of 4.
+	streamPolls = 10 + 4*10
 	// SQL detection: a poll per CFD. The class walk's steps (sqleng): Qv
 	// takes the 3 000 [K1, K2] classes from the memo, deciding each on the
 	// one tableau row, counts each class, and replays the 40 rows of the
@@ -308,9 +308,6 @@ func (fx *sweepFixture) rows() []sweepRow {
 		{name: "ColumnarDetector.DetectSnapshot", polls: detectPolls + 1, callee: factorised, run: func(ctx context.Context) (any, error) {
 			return result(detect.ColumnarDetector{Workers: 1}.DetectSnapshot(ctx, r.Snapshot(), cfds))
 		}},
-		{name: "ColumnarDetector.DetectStreamSnapshot", polls: streamPolls, run: func(ctx context.Context) (any, error) {
-			return collect(detect.ColumnarDetector{}.DetectStreamSnapshot(ctx, r.Snapshot(), cfds))
-		}},
 		{name: "SQLDetector.DetectFactorised", polls: sqlPolls, run: func(ctx context.Context) (any, error) {
 			return result(detect.NewSQLDetector(s.Store()).DetectFactorised(ctx, r.Snapshot(), cfds))
 		}},
@@ -358,11 +355,11 @@ func (fx *sweepFixture) rows() []sweepRow {
 		{name: "Semandaq.DetectDigest/sql", polls: sqlPolls, callee: "SQLDetector.DetectFactorised", run: func(ctx context.Context) (any, error) {
 			return result(s.DetectDigest(ctx, "r", WithEngine(SQLDetection)))
 		}},
-		{name: "Semandaq.DetectStream/columnar", polls: streamPolls, callee: "ColumnarDetector.DetectStreamSnapshot", run: func(ctx context.Context) (any, error) {
+		// A stream reads the report its detection cached, a poll per record.
+		{name: "Semandaq.DetectStream/columnar", polls: detectPolls + streamPolls, callee: factorised, caches: true, run: func(ctx context.Context) (any, error) {
 			return collect(s.DetectStream(ctx, "r"))
 		}},
-		// A sql stream replays the blocking report, a poll per violation.
-		{name: "Semandaq.DetectStream/sql", polls: sqlPolls + 50, callee: "SQLDetector.DetectFactorised", caches: true, run: func(ctx context.Context) (any, error) {
+		{name: "Semandaq.DetectStream/sql", polls: sqlPolls + streamPolls, callee: "SQLDetector.DetectFactorised", caches: true, run: func(ctx context.Context) (any, error) {
 			return collect(s.DetectStream(ctx, "r", WithEngine(SQLDetection)))
 		}},
 		{name: "Semandaq.Audit", polls: detectPolls, callee: factorised, run: func(ctx context.Context) (any, error) {

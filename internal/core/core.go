@@ -547,15 +547,13 @@ func (s *Semandaq) detectEntry(ctx context.Context, table string, snap *relstore
 	return e, nil
 }
 
-// DetectStream runs violation detection as a stream: the returned iterator
-// yields each violation as the engine finds it, never materializing the
-// full report — on a million-tuple table the first violation arrives while
-// the scan is still running. Breaking out of the loop (or a done ctx)
-// cancels the underlying scan. The default engine is ParallelDetection,
-// whose factorised core yields straight into the stream; engines without a
-// streaming path (sql) fall back to a blocking pass whose report is
-// then replayed. Over a full iteration the yielded set equals the blocking
-// report's Violations, in engine order.
+// DetectStream yields the violation records of Detect's report, in its
+// canonical (tuple, CFD, kind, pattern) order: the same options, scoping,
+// cache, monitor fast path and version pinning as Detect, read one record
+// at a time from the factorised report, so a stream of a version just read
+// (or of a monitored table) starts at once and none is ever exploded.
+// WithLimit stops it after k records; breaking out of the loop ends it, and
+// a done ctx ends it with ctx.Err().
 func (s *Semandaq) DetectStream(ctx context.Context, table string, opts ...Option) iter.Seq2[detect.Violation, error] {
 	return func(yield func(detect.Violation, error) bool) {
 		seq, _, err := s.DetectStreamVersion(ctx, table, opts...)
@@ -572,48 +570,19 @@ func (s *Semandaq) DetectStream(ctx context.Context, table string, opts ...Optio
 }
 
 // DetectStreamVersion is DetectStream with the pinned table version
-// surfaced: the returned stream evaluates exactly that version, so callers
-// relaying violations (the NDJSON endpoint) can stamp their output with
-// it. Request-shape errors (unknown table, unknown CFD id, unknown
-// engine) are returned eagerly instead of through the stream.
+// surfaced, so callers relaying violations (the NDJSON endpoint) can stamp
+// their output with it. Request and detection errors are returned eagerly:
+// the stream reads a finished report, and its only error is a done ctx,
+// polled per record.
 func (s *Semandaq) DetectStreamVersion(ctx context.Context, table string, opts ...Option) (iter.Seq2[detect.Violation, error], int64, error) {
-	o := s.resolve(ParallelDetection, opts)
-	tab, cfds, err := s.requestCFDs(table, o)
+	o := s.resolve(DefaultEngine, opts)
+	e, _, _, err := s.detectRequest(ctx, table, o)
 	if err != nil {
 		return nil, 0, err
 	}
-	det, err := detect.NewDetector(o.kind, detect.Config{Workers: o.workers, Store: s.store})
-	if err != nil {
-		return nil, 0, err
-	}
-	snap := tab.Snapshot()
 	seq := func(yield func(detect.Violation, error) bool) {
 		n := 0
-		if o.kind != SQLDetection { // the columnar kinds stream from the factorised core
-			for v, err := range det.(detect.ColumnarDetector).DetectStreamSnapshot(ctx, snap, cfds) {
-				if err != nil {
-					yield(detect.Violation{}, err)
-					return
-				}
-				if !yield(v, nil) {
-					return
-				}
-				if n++; o.limit > 0 && n >= o.limit {
-					return
-				}
-			}
-			return
-		}
-		// Non-streaming engine: replay a blocking pass through the
-		// iterator. detectEntry keeps the report cache in play, so a
-		// repeated sql stream on an unchanged table is served from
-		// cache.
-		e, err := s.detectEntry(ctx, table, snap, cfds, o)
-		if err != nil {
-			yield(detect.Violation{}, err)
-			return
-		}
-		for _, v := range limited(e.flat(), o.limit).Violations {
+		for v := range e.fr.Records() {
 			if err := ctx.Err(); err != nil {
 				yield(detect.Violation{}, err)
 				return
@@ -621,9 +590,12 @@ func (s *Semandaq) DetectStreamVersion(ctx context.Context, table string, opts .
 			if !yield(v, nil) {
 				return
 			}
+			if n++; o.limit > 0 && n >= o.limit {
+				return
+			}
 		}
 	}
-	return seq, snap.Version(), nil
+	return seq, e.fr.Version, nil
 }
 
 // DetectionSQL returns the SQL statements Detect would generate (the

@@ -7,13 +7,11 @@ type Option func(*requestOptions)
 
 // requestOptions is the resolved per-request configuration.
 type requestOptions struct {
-	kind    DetectorKind
-	kindSet bool
-	// workers overrides the session's ParallelDetection worker count when
-	// workersSet; 0 still means GOMAXPROCS (servers rely on that for
-	// per-request overrides).
-	workers    int
-	workersSet bool
+	kind DetectorKind
+	// workers overrides the session's ParallelDetection worker count; 0
+	// still means GOMAXPROCS (servers rely on that for per-request
+	// overrides).
+	workers int
 	// cfdIDs scopes detection to the named registered CFDs; empty means
 	// all of them.
 	cfdIDs []string
@@ -32,13 +30,9 @@ type requestOptions struct {
 }
 
 // WithEngine selects the detection engine for this request. The default is
-// ColumnarDetection for Detect/Audit/Explore/Repair and ParallelDetection
-// for DetectStream; every engine produces an identical report.
+// DefaultEngine; every engine produces an identical report.
 func WithEngine(kind DetectorKind) Option {
-	return func(o *requestOptions) {
-		o.kind = kind
-		o.kindSet = true
-	}
+	return func(o *requestOptions) { o.kind = kind }
 }
 
 // WithWorkers overrides the worker count for the parallel engine for this
@@ -50,7 +44,6 @@ func WithWorkers(n int) Option {
 			n = 0
 		}
 		o.workers = n
-		o.workersSet = true
 	}
 }
 
@@ -66,8 +59,7 @@ func WithCFDs(ids ...string) Option {
 // WithLimit caps the violation records a request returns: Detect truncates
 // the report's Violations slice to k (the per-tuple counts and per-CFD
 // statistics still describe the full scan), and DetectStream stops after
-// yielding k violations, cancelling the underlying scan. k <= 0 means
-// unlimited.
+// yielding k violations. k <= 0 means unlimited.
 func WithLimit(k int) Option {
 	return func(o *requestOptions) {
 		if k < 0 {

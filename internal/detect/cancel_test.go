@@ -75,37 +75,6 @@ func TestMidScanCancellation(t *testing.T) {
 	}
 }
 
-// TestMidScanCancellationStream covers the streaming path: a consumer that
-// stops reading (context cancelled while the producer is mid-scan) gets
-// the terminal ctx error and no further violations.
-func TestMidScanCancellationStream(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1M-tuple workload; skipped under -short")
-	}
-	ds := bigDirty()
-	cfds := datagen.StandardCFDs()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var n int
-	var terminal error
-	for v, err := range (ColumnarDetector{Workers: 4}).DetectStreamSnapshot(ctx, ds.Dirty.Snapshot(), cfds) {
-		if err != nil {
-			terminal = err
-			break
-		}
-		_ = v
-		if n++; n == 10 {
-			cancel() // drop the client mid-stream
-		}
-		if n > 10_000_000 {
-			t.Fatal("stream did not stop after cancellation")
-		}
-	}
-	if !errors.Is(terminal, context.Canceled) {
-		t.Errorf("terminal err = %v, want context.Canceled", terminal)
-	}
-}
-
 // TestCancelErrorsDoNotPoisonDetectors asserts an engine remains usable
 // after a cancelled run (no shared state is corrupted).
 func TestCancelErrorsDoNotPoisonDetectors(t *testing.T) {

@@ -224,36 +224,6 @@ func prepare(sc *schema.Relation, cfds []*cfd.CFD) ([]prepared, error) {
 	return out, nil
 }
 
-// finish sorts the report deterministically and fills vio(t): per the
-// paper, +1 per CFD with a single-tuple violation (however many patterns
-// fire), +partners per CFD with a multi-tuple violation. After the sort
-// records with equal (tuple, CFD, kind) are adjacent, so both the dirty
-// count that sizes the map and the per-CFD deduplication are adjacency
-// checks.
-func finish(rep *Report) {
-	vs := rep.Violations
-	sortViolations(vs)
-	dirty := 0
-	for i := range vs {
-		if i == 0 || vs[i].TupleID != vs[i-1].TupleID {
-			dirty++
-		}
-	}
-	rep.Vio = make(map[relstore.TupleID]int, dirty)
-	for i := range vs {
-		v := &vs[i]
-		if i > 0 && vs[i-1].TupleID == v.TupleID && vs[i-1].CFDID == v.CFDID && vs[i-1].Kind == v.Kind {
-			continue
-		}
-		if v.Kind == SingleTuple {
-			rep.Vio[v.TupleID]++
-		} else {
-			rep.Vio[v.TupleID] += v.Partners
-		}
-	}
-	sortByLHS(rep.Groups, func(g *Group) (string, []types.Value) { return g.CFDID, g.LHSValues })
-}
-
 // lhsKey encodes an LHS value vector as a grouping key, in the shared
 // collision-free encoding (types.Value.AppendGroupKey): with a plain
 // separator, values containing the separator byte could make distinct LHS

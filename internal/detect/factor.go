@@ -26,6 +26,7 @@ package detect
 import (
 	"cmp"
 	"context"
+	"iter"
 	"maps"
 	"slices"
 	"strings"
@@ -81,16 +82,15 @@ func (g *FactorGroup) RHSKeyAt(i int) string {
 }
 
 // violationAt returns the i-th member's multi-tuple violation record, as
-// the exploded report and the violation stream carry it, given the member's
-// RHS key.
-func (g *FactorGroup) violationAt(i int, rhsKey string) Violation {
+// Records yields it.
+func (g *FactorGroup) violationAt(i int) Violation {
 	return Violation{
 		CFDID:    g.CFDID,
 		Kind:     MultiTuple,
 		Pattern:  -1,
 		TupleID:  g.MemberAt(i),
 		Attr:     g.Attr,
-		Partners: len(g.Rows) - g.RHSCounts[rhsKey],
+		Partners: len(g.Rows) - g.RHSCounts[g.RHSKeyAt(i)],
 	}
 }
 
@@ -107,9 +107,9 @@ func (g *FactorGroup) Members() []relstore.TupleID {
 // violations stay explicit (they are one row each by nature), multi-tuple
 // violations are factorised into FactorGroups. PerCFD statistics match
 // the legacy report's exactly. Ordering is deterministic: violations in
-// the legacy sort order, groups by (CFDID, LHS key) — the same order
-// finish() gives the exploded report. A report is immutable once built and
-// safe to share.
+// the canonical (tuple, CFD, kind, pattern) order, groups by (CFDID, LHS
+// key). A report is immutable once built and safe to share; Records
+// flattens it one record at a time.
 type FactorReport struct {
 	Table      string
 	TupleCount int
@@ -172,8 +172,7 @@ func (fr *FactorReport) Digest() *Digest {
 
 // DetectFactorised evaluates the CFDs over one pinned snapshot and
 // returns the factorised report: the single-worker run of the columnar
-// core every columnar entry point (ColumnarDetector, the violation stream)
-// is built on.
+// core ColumnarDetector is built on.
 func DetectFactorised(ctx context.Context, rsnap *relstore.Snapshot, cfds []*cfd.CFD) (*FactorReport, error) {
 	return detectFactorised(ctx, rsnap, cfds, 1)
 }
@@ -231,11 +230,19 @@ func detectFactorised(ctx context.Context, rsnap *relstore.Snapshot, cfds []*cfd
 			out.groups, err = factorGroups(ctx, cp, ids)
 			return err
 		}
-		for v, err := range constScan(ctx, cp, ids) {
-			if err != nil {
-				return err
+		// The constant scan: each row's single-tuple violations, in row
+		// order (colPrep.constAt).
+		if len(cp.constPats) == 0 {
+			return nil
+		}
+		add := func(v Violation) bool { out.viols = append(out.viols, v); return true }
+		for idx, id := range ids {
+			if idx%cancelStride == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
 			}
-			out.viols = append(out.viols, v)
+			cp.constAt(idx, id, add)
 		}
 		return nil
 	})
@@ -272,33 +279,10 @@ func assemble(snap *relstore.Columnar, cps []colPrep, parts []cfdPart) *FactorRe
 		fr.Violations = append(fr.Violations, pt.viols...)
 		fr.FactorGroups = append(fr.FactorGroups, pt.groups...)
 	}
-	sortViolations(fr.Violations)
-	sortByLHS(fr.FactorGroups, func(g *FactorGroup) (string, []types.Value) { return g.CFDID, g.LHSValues })
+	slices.SortFunc(fr.Violations, CompareViolations)
+	sortByLHS(fr.FactorGroups)
 	fr.fillVio()
 	return fr
-}
-
-// constScan yields one CFD's single-tuple violations in row order: each
-// row's RHS code is checked against every live constant pattern its LHS
-// codes match. A done ctx ends the sequence with one terminal error.
-func constScan(ctx context.Context, cp *colPrep, ids []relstore.TupleID) ViolationSeq {
-	return func(yield func(Violation, error) bool) {
-		if len(cp.constPats) == 0 {
-			return
-		}
-		emit := func(v Violation) bool { return yield(v, nil) }
-		for idx, id := range ids {
-			if idx%cancelStride == 0 {
-				if err := ctx.Err(); err != nil {
-					yield(Violation{}, err)
-					return
-				}
-			}
-			if !cp.constAt(idx, id, emit) {
-				return
-			}
-		}
-	}
 }
 
 // constAt passes emit row idx's single-tuple violations — one per live
@@ -472,33 +456,140 @@ func (fr *FactorReport) fillVio() {
 	}
 }
 
-// Explode lowers the factorised report to the exact flat Report: every
-// member's Violation row, the RHSOf maps, vio(t) and the finish() sort
-// order — byte-identical (DeepEqual) whichever engine built the report.
-// It is the compatibility edge for consumers that want the exploded form;
-// hot paths consume the factorised report directly instead (their
-// allocation gates fail on an Explode in a loop).
+// Records yields the report's violation records — the single-tuple rows and
+// one row per group member — in the canonical (tuple, CFD, kind, pattern)
+// order, building each as the consumer asks for it. The single-tuple rows
+// are stored in that order and each group's members ascend by row (so by
+// tuple id); a heap over the groups' next members merges them, so a full
+// iteration allocates O(groups) and writes nothing into the shared report.
+func (fr *FactorReport) Records() iter.Seq[Violation] {
+	return func(yield func(Violation) bool) {
+		h := fr.firstMembers()
+		singles := fr.Violations
+		for len(singles) > 0 || len(h) > 0 {
+			if len(h) == 0 || len(singles) > 0 && singleFirst(&singles[0], h[0], fr.FactorGroups[h[0].g]) {
+				if !yield(singles[0]) {
+					return
+				}
+				singles = singles[1:]
+				continue
+			}
+			c := &h[0]
+			g := fr.FactorGroups[c.g]
+			i := int(c.i)
+			if !yield(g.violationAt(i)) {
+				return
+			}
+			if i++; i < len(g.Rows) {
+				c.i, c.id = int32(i), g.MemberAt(i)
+				h.down(0)
+			} else {
+				h.pop()
+			}
+		}
+	}
+}
+
+// memberCursor is a group's next member in Records' merge: its tuple id,
+// the rank of the group's CFD id among the report's (groups are sorted by
+// CFD id, so ranks compare as the ids do), the group and the member index.
+type memberCursor struct {
+	id   relstore.TupleID
+	rank int32
+	g, i int32
+}
+
+// memberHeap is a min-heap of cursors by (tuple id, CFD rank). A tuple is
+// in at most one group per CFD, so the key is unique.
+type memberHeap []memberCursor
+
+// firstMembers returns the heap of every group's first member.
+func (fr *FactorReport) firstMembers() memberHeap {
+	h := make(memberHeap, 0, len(fr.FactorGroups))
+	rank := int32(0)
+	for gi, g := range fr.FactorGroups {
+		if gi > 0 && g.CFDID != fr.FactorGroups[gi-1].CFDID {
+			rank++
+		}
+		h = append(h, memberCursor{id: g.MemberAt(0), rank: rank, g: int32(gi)})
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	return h
+}
+
+func (h memberHeap) less(a, b int) bool {
+	return h[a].id < h[b].id || (h[a].id == h[b].id && h[a].rank < h[b].rank)
+}
+
+// down restores the heap order below i.
+func (h memberHeap) down(i int) {
+	for {
+		m, l := i, 2*i+1
+		if l < len(h) && h.less(l, m) {
+			m = l
+		}
+		if r := l + 1; r < len(h) && h.less(r, m) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+// pop removes the heap's minimum.
+func (h *memberHeap) pop() {
+	n := len(*h) - 1
+	(*h)[0] = (*h)[n]
+	*h = (*h)[:n]
+	h.down(0)
+}
+
+// singleFirst reports whether the single-tuple row v precedes the member
+// at c, of group g: by tuple id, then CFD id — a single-tuple row sorts
+// before a member row of the same tuple and CFD.
+func singleFirst(v *Violation, c memberCursor, g *FactorGroup) bool {
+	if v.TupleID != c.id {
+		return v.TupleID < c.id
+	}
+	return v.CFDID <= g.CFDID
+}
+
+// Explode lowers the factorised report to the exact flat Report: Records,
+// the RHSOf maps and vio(t), groups in the report's order — byte-identical
+// (DeepEqual) whichever engine built the report. It is the compatibility
+// edge for consumers that want the exploded form; hot paths consume the
+// factorised report directly instead (their allocation gates fail on an
+// Explode in a loop).
 func (fr *FactorReport) Explode() *Report {
 	rep := &Report{
 		Table:      fr.Table,
 		TupleCount: fr.TupleCount,
 		Version:    fr.Version,
 		PerCFD:     make(map[string]*CFDStats, len(fr.PerCFD)),
+		Vio:        make(map[relstore.TupleID]int, fr.dirty),
 	}
 	for id, st := range fr.PerCFD {
 		cp := *st
 		rep.PerCFD[id] = &cp
 	}
 	if total := fr.records(); total > 0 {
-		rep.Violations = make([]Violation, 0, total)
-		rep.Violations = append(rep.Violations, fr.Violations...)
+		rep.Violations = slices.AppendSeq(make([]Violation, 0, total), fr.Records())
+	}
+	for i, n := range fr.vio {
+		if n > 0 {
+			rep.Vio[fr.ids[i]] = int(n)
+		}
 	}
 	for _, g := range fr.FactorGroups {
 		members := g.Members()
 		rhsOf := make(map[relstore.TupleID]string, len(members))
 		for i, id := range members {
 			rhsOf[id] = g.RHSKeyAt(i)
-			rep.Violations = append(rep.Violations, g.violationAt(i, rhsOf[id]))
 		}
 		rep.Groups = append(rep.Groups, &Group{
 			CFDID:       g.CFDID,
@@ -511,36 +602,32 @@ func (fr *FactorReport) Explode() *Report {
 			MajorityKey: g.MajorityKey,
 		})
 	}
-	finish(rep)
 	return rep
 }
 
-// sortViolations applies the canonical report order: (tuple, CFD, kind,
+// CompareViolations is the canonical report order: (tuple, CFD, kind,
 // pattern). The key is unique per record, so the order is total.
-func sortViolations(vs []Violation) {
-	slices.SortFunc(vs, func(a, b Violation) int {
-		if c := cmp.Compare(a.TupleID, b.TupleID); c != 0 {
-			return c // the common case, decided without the string compare
-		}
-		return cmp.Or(
-			strings.Compare(a.CFDID, b.CFDID),
-			cmp.Compare(a.Kind, b.Kind),
-			cmp.Compare(a.Pattern, b.Pattern),
-		)
-	})
+func CompareViolations(a, b Violation) int {
+	if c := cmp.Compare(a.TupleID, b.TupleID); c != 0 {
+		return c // the common case, decided without the string compare
+	}
+	return cmp.Or(
+		strings.Compare(a.CFDID, b.CFDID),
+		cmp.Compare(a.Kind, b.Kind),
+		cmp.Compare(a.Pattern, b.Pattern),
+	)
 }
 
-// sortByLHS orders groups (of either form) by (CFD id, LHS group key),
-// encoding each group's key once instead of per comparison.
-func sortByLHS[G any](gs []G, groupKey func(G) (cfdID string, lhs []types.Value)) {
+// sortByLHS orders groups by (CFD id, LHS group key), encoding each
+// group's key once instead of per comparison.
+func sortByLHS(gs []*FactorGroup) {
 	type keyed struct {
 		cfdID, lhs string
-		g          G
+		g          *FactorGroup
 	}
 	ks := make([]keyed, len(gs))
 	for i, g := range gs {
-		id, lhs := groupKey(g)
-		ks[i] = keyed{id, lhsKey(lhs), g}
+		ks[i] = keyed{g.CFDID, lhsKey(g.LHSValues), g}
 	}
 	slices.SortFunc(ks, func(a, b keyed) int {
 		return cmp.Or(strings.Compare(a.cfdID, b.cfdID), strings.Compare(a.lhs, b.lhs))

@@ -203,8 +203,8 @@ func (g cfdSQL) qv(data string, c *cfd.CFD) string {
 func (d *SQLDetector) detectOneSQL(ctx context.Context, dataName string, cp *colPrep, seq int, ids []relstore.TupleID, out *cfdPart) error {
 	c := cp.p.c
 	gen := sqlFor(c, seq)
-	// Encoded into a scratch store: the table is this run's own.
-	tp, err := cfd.EncodeTableau(relstore.NewStore(), c, gen.tpName)
+	// The table is this run's own.
+	tp, err := cfd.EncodeTableau(c, gen.tpName)
 	if err != nil {
 		return err
 	}

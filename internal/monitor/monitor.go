@@ -58,7 +58,7 @@ type BatchResult struct {
 // surface (Report, DirtyCount, Tracker reads) proceeds concurrently
 // through the tracker's read lock.
 type Monitor struct {
-	mu       lockcheck.Mutex[Monitor] // serializes Apply batches and mode flips
+	mu       lockcheck.Mutex[Monitor] // serializes Apply batches
 	tab      *relstore.Table
 	cfds     []*cfd.CFD
 	tracker  *detect.Tracker
@@ -68,7 +68,8 @@ type Monitor struct {
 
 // New builds a monitor. cleansed declares whether the table has already
 // been cleaned: if true, the monitor repairs incoming errors incrementally;
-// if false, it only detects them.
+// if false, it only detects them. The mode is fixed for the monitor's
+// life.
 func New(tab *relstore.Table, cfds []*cfd.CFD, cleansed bool) (*Monitor, error) {
 	tr, err := detect.NewTracker(tab, cfds)
 	if err != nil {
@@ -81,21 +82,6 @@ func New(tab *relstore.Table, cfds []*cfd.CFD, cleansed bool) (*Monitor, error) 
 		cleansed: cleansed,
 		inc:      repair.NewIncRepairer(),
 	}, nil
-}
-
-// Cleansed reports the monitor's mode.
-func (m *Monitor) Cleansed() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cleansed
-}
-
-// MarkCleansed switches the monitor into incremental-repair mode (call
-// after running the data cleanser on the table).
-func (m *Monitor) MarkCleansed() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.cleansed = true
 }
 
 // Tracker exposes the underlying violation index (read-only use).

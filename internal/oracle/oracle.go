@@ -322,6 +322,9 @@ func (h *Harness) CheckDetect(ctx context.Context) error {
 		if !ok {
 			return fmt.Errorf("detect: tracker refused the %s snapshot of its own version %d", side, snap.Version())
 		}
+		if err := CheckRecords(fr); err != nil {
+			return err
+		}
 		if rep := fr.Explode(); !deepEqual(rep, got) {
 			return fmt.Errorf("detect: tracker's factorised report over the %s snapshot != its report\nfactorised: %+v\nreport: %+v", side, rep, got)
 		}
@@ -337,6 +340,32 @@ func (h *Harness) CheckDetect(ctx context.Context) error {
 				return fmt.Errorf("detect: tracker report != %s engine over %s snapshot\ntracker: %+v\nengine: %+v", name, side, got, rep)
 			}
 		}
+	}
+	return nil
+}
+
+// CheckRecords asserts, without Records' merge, that fr.Records() yields
+// the report's records in the canonical order: strictly increasing under
+// detect.CompareViolations and, as a multiset, the single-tuple rows plus
+// one row per group member.
+func CheckRecords(fr *detect.FactorReport) error {
+	var got []detect.Violation
+	for v := range fr.Records() {
+		if n := len(got); n > 0 && detect.CompareViolations(got[n-1], v) >= 0 {
+			return fmt.Errorf("detect: record %d %+v does not follow %+v in the canonical order", n, v, got[n-1])
+		}
+		got = append(got, v)
+	}
+	want := append([]detect.Violation(nil), fr.Violations...)
+	for _, g := range fr.FactorGroups {
+		for i := range g.Rows {
+			want = append(want, detect.Violation{CFDID: g.CFDID, Kind: detect.MultiTuple, Pattern: -1,
+				TupleID: g.MemberAt(i), Attr: g.Attr, Partners: g.Size() - g.RHSCounts[g.RHSKeyAt(i)]})
+		}
+	}
+	slices.SortFunc(want, detect.CompareViolations)
+	if !deepEqual(got, want) {
+		return fmt.Errorf("detect: Records yielded %d records, not the report's %d single-tuple and member rows", len(got), len(want))
 	}
 	return nil
 }

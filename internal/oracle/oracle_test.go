@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"semandaq/internal/datagen"
+	"semandaq/internal/detect"
 	"semandaq/internal/relstore"
 )
 
@@ -129,39 +131,82 @@ func TestHarnessOverForkedTable(t *testing.T) {
 	}
 }
 
-func FuzzIncrementalOracle(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 1, 2, 0, 2, 0, 1, 3, 1, 1, 2, 0, 0, 4})
-	f.Add([]byte{2, 0, 1, 3, 2, 1, 1, 4, 2, 2, 1, 5, 3, 3, 1, 2})
-	f.Add([]byte{1, 0, 1, 1, 1, 2, 0, 1, 1, 1, 0, 2, 2, 2})
-	f.Add([]byte{0, 2, 5, 2, 2, 4, 1, 3, 3, 5, 1, 0, 2, 6, 1, 1, 0, 1, 2, 0})
+// incrementalSeeds are FuzzIncrementalOracle's seed programs.
+var incrementalSeeds = [][]byte{
+	{},
+	{0, 1, 2, 0, 2, 0, 1, 3, 1, 1, 2, 0, 0, 4},
+	{2, 0, 1, 3, 2, 1, 1, 4, 2, 2, 1, 5, 3, 3, 1, 2},
+	{1, 0, 1, 1, 1, 2, 0, 1, 1, 1, 0, 2, 2, 2},
+	{0, 2, 5, 2, 2, 4, 1, 3, 3, 5, 1, 0, 2, 6, 1, 1, 0, 1, 2, 0},
 	// Pile inserts onto one K class while flipping V through the numeric
 	// corner values: drives a single large multi-tuple group through RHS
 	// histogram ties, the MajorityKey tie-break the factorised report must
 	// reproduce byte for byte when exploded.
-	f.Add([]byte{0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 2, 0, 0, 0, 3, 0, 2, 0, 1, 5, 2, 1, 1, 4})
+	{0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 2, 0, 0, 0, 3, 0, 2, 0, 1, 5, 2, 1, 1, 4},
 	// Set-heavy program: rewrite V across existing rows so groups flip
 	// clean <-> violating without membership changes.
-	f.Add([]byte{3, 0, 1, 0, 3, 1, 1, 1, 3, 2, 1, 2, 3, 3, 1, 3, 3, 4, 1, 4, 3, 5, 1, 5})
+	{3, 0, 1, 0, 3, 1, 1, 1, 3, 2, 1, 2, 3, 3, 1, 3, 3, 4, 1, 4, 3, 5, 1, 5},
 	// The deltas a first-occurrence code numbering could not patch. Column V
 	// of the seed table reads v1, INT 1, FLOAT 1.0, NaN, NULL, v0, v1, INT 1.
-	f.Add([]byte{1, 0})                               // delete a first occurrence
-	f.Add([]byte{2, 0, 1, 0xC0, 2, 3, 0, 0xC1})       // novel-value edits (V, then K)
-	f.Add([]byte{2, 5, 1, 1, 2, 5, 1, 0})             // v0 dies, then returns to its old code
-	f.Add([]byte{2, 1, 1, 0, 2, 7, 1, 0, 2, 0, 1, 2}) // canonical INT 1 dies beside FLOAT 1.0, then revives
-	f.Add([]byte{2, 1, 1, 0, 2, 7, 1, 0, 2, 2, 1, 0}) // the {INT 1, FLOAT 1.0} class empties
-	f.Add(bytes.Repeat([]byte{2, 0, 1, 0xC0}, 100))   // dead codes pile up past the compaction threshold
+	{1, 0},                                   // delete a first occurrence
+	{2, 0, 1, 0xC0, 2, 3, 0, 0xC1},           // novel-value edits (V, then K)
+	{2, 5, 1, 1, 2, 5, 1, 0},                 // v0 dies, then returns to its old code
+	{2, 1, 1, 0, 2, 7, 1, 0, 2, 0, 1, 2},     // canonical INT 1 dies beside FLOAT 1.0, then revives
+	{2, 1, 1, 0, 2, 7, 1, 0, 2, 2, 1, 0},     // the {INT 1, FLOAT 1.0} class empties
+	bytes.Repeat([]byte{2, 0, 1, 0xC0}, 100), // dead codes pile up past the compaction threshold
 	// The tracker's index. V is the RHS of [K=_] -> [V=_] and the LHS of
 	// [V=_] -> [W=_], so each V write below lands in both roles. Group k0
 	// holds ids 0 (v1), 3 (NaN) and 6 (v1).
-	f.Add([]byte{2, 3, 1, 1, 2, 3, 1, 4, 2, 3, 1, 1, 0, 0, 4, 0})             // k0's NaN class empties, re-forms by SetCell, empties, re-forms by insert
-	f.Add([]byte{2, 1, 1, 3, 2, 1, 1, 0, 2, 1, 1, 3, 2, 7, 1, 3, 2, 2, 1, 2}) // INT 1 <-> FLOAT 1.0: kept as Equal, then written across v0
-	f.Add([]byte{2, 0, 1, 4, 2, 3, 1, 4, 2, 0, 1, 1, 2, 6, 1, 4})             // NaN written into, kept in, and moved out of a group and a class
+	{2, 3, 1, 1, 2, 3, 1, 4, 2, 3, 1, 1, 0, 0, 4, 0},             // k0's NaN class empties, re-forms by SetCell, empties, re-forms by insert
+	{2, 1, 1, 3, 2, 1, 1, 0, 2, 1, 1, 3, 2, 7, 1, 3, 2, 2, 1, 2}, // INT 1 <-> FLOAT 1.0: kept as Equal, then written across v0
+	{2, 0, 1, 4, 2, 3, 1, 4, 2, 0, 1, 1, 2, 6, 1, 4},             // NaN written into, kept in, and moved out of a group and a class
 	// NULL on both sides of [V=_] -> [W=_]: two inserted V=NULL rows join
 	// id 4's NULL group with W = bad and W = NULL, v1's group gains a NULL
 	// RHS class beside good, then id 4 — the NULL group's first member —
 	// moves out and the group still disagrees.
-	f.Add([]byte{0, 0, 5, 1, 0, 1, 5, 2, 2, 0, 2, 0, 2, 4, 1, 0})
+	{0, 0, 5, 1, 0, 1, 5, 2, 2, 0, 2, 0, 2, 4, 1, 0},
+}
+
+// TestRecordsAreCanonical holds Records to the canonical order without its
+// merge (CheckRecords): over datagen at three noise rates and three worker
+// counts, and over the tracker's report at every step of each
+// FuzzIncrementalOracle seed program.
+func TestRecordsAreCanonical(t *testing.T) {
+	cfds := datagen.StandardCFDs()
+	for _, noise := range []float64{0, 0.05, 0.2} {
+		ds := datagen.Generate(datagen.Config{Tuples: 4000, Seed: 21, NoiseRate: noise})
+		for _, workers := range []int{1, 2, 8} {
+			fr, err := detect.ColumnarDetector{Workers: workers}.DetectFactorised(t.Context(), ds.Dirty.Snapshot(), cfds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := CheckRecords(fr); err != nil {
+				t.Errorf("noise=%v workers=%d: %v", noise, workers, err)
+			}
+		}
+	}
+	for i, seed := range incrementalSeeds {
+		h, err := New(DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = h.Drive(seed, 1, func() error {
+			fr, ok := h.Tracker.FactorReport(h.Tab.Snapshot())
+			if !ok {
+				return fmt.Errorf("the tracker refused its table's snapshot")
+			}
+			return CheckRecords(fr)
+		})
+		if err != nil {
+			t.Errorf("seed program %d: %v", i, err)
+		}
+	}
+}
+
+func FuzzIncrementalOracle(f *testing.F) {
+	for _, seed := range incrementalSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			data = data[:512] // bound per-exec cost, not coverage

@@ -67,8 +67,9 @@ var sweepRoutes = []sweepRoute{
 	{"POST", "/api/detect/customer?engine=parallel&workers=4", "", func(ctx context.Context, s *core.Semandaq) error {
 		return errOf(s.DetectDigest(ctx, "customer", core.WithEngine(core.ParallelDetection), core.WithWorkers(4)))
 	}},
+	// A stream defaults to the blocking route's engine.
 	{"GET", "/api/detect/customer?stream=1", "", func(ctx context.Context, s *core.Semandaq) error {
-		return drain(ctx, s)
+		return drain(ctx, s, core.WithEngine(core.SQLDetection))
 	}},
 	{"GET", "/api/detect/customer?stream=1&engine=sql", "", func(ctx context.Context, s *core.Semandaq) error {
 		return drain(ctx, s, core.WithEngine(core.SQLDetection))

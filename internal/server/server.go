@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"iter"
 	"log"
 	"net/http"
 	"net/url"
@@ -71,8 +70,8 @@ func (sv *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /api/cfds/{table}", sv.handleListCFDs)
 	mux.HandleFunc("GET /api/consistency/{table}", sv.handleConsistency)
 	// ?engine=sql|parallel|columnar (native: an alias of columnar)&workers=N&cfds=id1,id2&limit=K
-	// — and &stream=1 switches to NDJSON streaming over the columnar
-	// detector, one violation per line as it is found.
+	// — and &stream=1 switches to NDJSON streaming of the same report, one
+	// violation per line in its canonical order.
 	mux.HandleFunc("POST /api/detect/{table}", sv.handleDetect)
 	mux.HandleFunc("GET /api/detect/{table}", sv.handleDetect) // curl -N friendly
 	mux.HandleFunc("GET /api/detect/{table}/sql", sv.handleDetectSQL)
@@ -346,21 +345,19 @@ func (sv *Server) handleConsistency(w http.ResponseWriter, r *http.Request) {
 }
 
 // detectOptions maps the detect endpoint's query parameters onto request
-// options. The engine defaults to the paper's SQL technique for blocking
-// requests (the original endpoint contract) and to the columnar detector
-// for streaming ones.
-func detectOptions(r *http.Request, stream bool) ([]core.Option, error) {
+// options. The engine defaults to the paper's SQL technique (the original
+// endpoint contract), streamed or not, so a stream after a blocking read
+// of the same version reads the cached report.
+func detectOptions(r *http.Request) ([]core.Option, error) {
 	q := r.URL.Query()
-	var opts []core.Option
+	kind := core.SQLDetection
 	if e := q.Get("engine"); e != "" {
-		kind, err := core.ParseDetectorKind(e)
-		if err != nil {
+		var err error
+		if kind, err = core.ParseDetectorKind(e); err != nil {
 			return nil, err
 		}
-		opts = append(opts, core.WithEngine(kind))
-	} else if !stream {
-		opts = append(opts, core.WithEngine(core.SQLDetection))
 	}
+	opts := []core.Option{core.WithEngine(kind)}
 	workers, err := intParam(q, "workers", -1)
 	limit, lerr := intParam(q, "limit", -1)
 	if err := errors.Join(err, lerr); err != nil {
@@ -465,18 +462,14 @@ func violationJSON(v detect.Violation) map[string]any {
 }
 
 func (sv *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
-	stream := false
-	if s := r.URL.Query().Get("stream"); s == "1" || s == "true" {
-		stream = true
-	}
-	opts, err := detectOptions(r, stream)
+	opts, err := detectOptions(r)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	table := r.PathValue("table")
 	start := time.Now()
-	if stream {
+	if s := r.URL.Query().Get("stream"); s == "1" || s == "true" {
 		sv.streamDetect(w, r, table, opts, start)
 		return
 	}
@@ -493,23 +486,14 @@ func (sv *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamDetect writes the detection stream as NDJSON: one violation object
-// per line as the scan finds it, flushed eagerly so a `curl -N`
-// client sees the first violation long before the scan completes, and a
-// terminal {"done":true,...} line with the totals and the pinned table
-// version the whole stream evaluated. A dropped client cancels the scan
-// via the request context. The full Report is never materialized.
+// per line in the report's canonical order, flushed eagerly so a `curl -N`
+// client sees the first lines at once, and a terminal {"done":true,...}
+// line with the totals and the pinned table version the whole stream
+// evaluated. Request and detection errors come before the 200; a dropped
+// client ends the stream via the request context.
 func (sv *Server) streamDetect(w http.ResponseWriter, r *http.Request, table string, opts []core.Option, start time.Time) {
 	seq, version, err := sv.s.DetectStreamVersion(r.Context(), table, opts...)
 	if err != nil {
-		writeError(w, err)
-		return
-	}
-	next, stop := iter.Pull2(seq)
-	defer stop()
-	// Pull the first element before committing to a 200: a bad table,
-	// unknown CFD id or empty constraint set still gets a proper status.
-	v, err, ok := next()
-	if ok && err != nil {
 		writeError(w, err)
 		return
 	}
@@ -517,8 +501,7 @@ func (sv *Server) streamDetect(w http.ResponseWriter, r *http.Request, table str
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	count := 0
-	lastFlush := time.Now()
-	for ; ok; v, err, ok = next() {
+	for v, err := range seq {
 		if err != nil {
 			// Mid-stream errors ride on a line of their own: the status
 			// header is long gone.
@@ -526,16 +509,13 @@ func (sv *Server) streamDetect(w http.ResponseWriter, r *http.Request, table str
 			return
 		}
 		if enc.Encode(violationJSON(v)) != nil {
-			return // client went away; loop exit cancels the scan
+			return // client went away
 		}
 		count++
 		// Eager flushing keeps the stream live without a syscall per
-		// line: the first lines go out immediately (the whole point of
-		// streaming), then batches, with a time floor so a slow scan
-		// with rare violations still trickles.
-		if flusher != nil && (count <= 16 || count%256 == 0 || time.Since(lastFlush) > 100*time.Millisecond) {
+		// line: the first lines go out immediately, then batches.
+		if flusher != nil && (count <= 16 || count%256 == 0) {
 			flusher.Flush()
-			lastFlush = time.Now()
 		}
 	}
 	enc.Encode(map[string]any{

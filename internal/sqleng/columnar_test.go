@@ -86,7 +86,7 @@ func TestColumnarScanMatchesRowScan(t *testing.T) {
 		// Grouping over the loaded relation.
 		"SELECT A FROM t GROUP BY A HAVING COUNT(*) > 9",
 		"SELECT A, B FROM t GROUP BY A, B",
-		"SELECT D FROM t WHERE C = 1 HAVING COUNT(DISTINCT D) > 1 AND COUNT(D) < COUNT(*)",
+		"SELECT D FROM t WHERE C = 1 GROUP BY A HAVING COUNT(DISTINCT D) > 1 AND COUNT(D) < COUNT(*)",
 		// Joins.
 		"SELECT t.A, u.N FROM t, u WHERE t.A = u.A AND u.N = 3",
 		"SELECT t.A, u.N FROM t, u WHERE t.A = u.A AND t.B <> u.N",

@@ -171,26 +171,31 @@ func TestThreeValuedLogic(t *testing.T) {
 	}
 }
 
-// TestAggregatesGlobal: HAVING without GROUP BY counts the whole input as
-// one group, represented by its first row.
+// TestAggregatesGlobal: a group's COUNTs read all of its rows, and the
+// group is represented by its first row.
 func TestAggregatesGlobal(t *testing.T) {
 	e := newTestEngine(t)
-	res := mustQuery(e, "SELECT NAME FROM customer HAVING COUNT(*) = 5 AND COUNT(DISTINCT CNT) = 2 AND COUNT(CC) = 5 AND COUNT(DISTINCT CITY) = 4")
+	res := mustQuery(e, "SELECT NAME FROM customer GROUP BY CC HAVING COUNT(*) = 3 AND COUNT(DISTINCT CNT) = 1 AND COUNT(AC) = 3 AND COUNT(DISTINCT CITY) = 2")
 	if got := rowStrings(res); len(got) != 1 || got[0] != "Mike" {
 		t.Errorf("rows = %v, want Mike", got)
 	}
-	if res := mustQuery(e, "SELECT NAME FROM customer HAVING COUNT(DISTINCT CITY) <> 4"); len(res.Rows) != 0 {
-		t.Errorf("COUNT(DISTINCT CITY) <> 4 kept %v", rowStrings(res))
+	if res := mustQuery(e, "SELECT NAME FROM customer GROUP BY CC HAVING COUNT(DISTINCT CITY) <> 2"); len(res.Rows) != 0 {
+		t.Errorf("COUNT(DISTINCT CITY) <> 2 kept %v", rowStrings(res))
 	}
 }
 
-// TestAggregatesEmptyInput: over no rows the global group still stands,
-// its counts 0 and its representative NULL.
+// TestAggregatesEmptyInput: over no rows there is no group, so even
+// HAVING COUNT(*) = 0 keeps nothing; HAVING without GROUP BY is a
+// *ParseError.
 func TestAggregatesEmptyInput(t *testing.T) {
 	e := newTestEngine(t)
-	res := mustQuery(e, "SELECT NAME FROM customer WHERE CNT = 'FR' HAVING COUNT(*) = 0 AND COUNT(CC) = 0 AND COUNT(DISTINCT CC) = 0")
-	if got := rowStrings(res); len(got) != 1 || got[0] != "NULL" {
-		t.Errorf("rows = %v, want one row NULL", got)
+	res := mustQuery(e, "SELECT NAME FROM customer WHERE CNT = 'FR' GROUP BY CNT HAVING COUNT(*) = 0 AND COUNT(CC) = 0")
+	if len(res.Rows) != 0 {
+		t.Errorf("rows = %v, want none", rowStrings(res))
+	}
+	var perr *ParseError
+	if _, err := e.QueryContext(context.Background(), "SELECT NAME FROM customer WHERE CNT = 'FR' HAVING COUNT(*) = 0"); !errors.As(err, &perr) || !strings.Contains(perr.Msg, "HAVING without GROUP BY") {
+		t.Errorf("HAVING without GROUP BY: err = %v, want a *ParseError naming it", err)
 	}
 }
 
@@ -377,7 +382,7 @@ func TestExecErrors(t *testing.T) {
 		"SELECT COUNT(COUNT(*)) FROM customer",                          // nested aggregate
 		"SELECT NAME FROM customer WHERE COUNT(CC) > 1",                 // aggregate in WHERE
 		"SELECT CNT, COUNT(*) FROM customer GROUP BY COUNT(*)",          // aggregate in GROUP BY
-		"SELECT NAME FROM customer HAVING COUNT(nope) > 0",
+		"SELECT NAME FROM customer GROUP BY NAME HAVING COUNT(nope) > 0",
 		"SELECT x.NAME FROM customer",
 		"SELECT t1.NAME FROM customer t1, customer t2 WHERE t1.CC = t2.CC AND CITY = t2.CITY", // ambiguous in a join key's residual
 		"SELECT NOPE(1) FROM customer",

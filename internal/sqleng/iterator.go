@@ -119,14 +119,11 @@ func (p *selectPlan) run(ctx context.Context) error {
 
 // materialise fetches the row-buffer positions cols at cursor cur: the
 // tuple id for a scan's _tid, else the value straight from the exact
-// dictionary (bit-identical to the stored tuple), NULL at row -1 (the
-// representative of a global HAVING group over no rows).
+// dictionary (bit-identical to the stored tuple).
 func (px *planExec) materialise(cols, cur []int32) {
 	for _, pos := range cols {
 		sc := px.p.scans[px.p.posScan[pos]]
 		switch r, j := cur[px.p.posScan[pos]], int(pos)-sc.start; {
-		case r < 0:
-			px.buf[pos] = types.Null
 		case j == 0:
 			px.buf[pos] = types.NewInt(int64(sc.cnr.IDs()[r]))
 		default:
@@ -481,7 +478,7 @@ func newStreamSink(p *selectPlan) (*streamSink, error) {
 	if err := addCalls(st.Having); err != nil {
 		return nil, err
 	}
-	s.needsGroup = len(st.GroupBy) > 0 || st.Having != nil
+	s.needsGroup = len(st.GroupBy) > 0
 	for _, g := range st.GroupBy {
 		t, err := p.termOf(g)
 		if err != nil {
@@ -678,14 +675,6 @@ func (s *streamSink) emit() (stop bool) {
 // fetched at its cursor), filtered by HAVING on the counts before anything
 // is fetched.
 func (s *streamSink) finishGroups(ctx context.Context) error {
-	// HAVING without GROUP BY over an empty input still has one group, with
-	// an all-NULL representative row.
-	if len(s.reps) == 0 && len(s.st.GroupBy) == 0 {
-		for i := range s.px.cur {
-			s.px.cur[i] = -1
-		}
-		s.newGroup(s.px.cur)
-	}
 	for gi := 0; gi*s.nscans < len(s.reps); gi++ {
 		if err := strideCheck(ctx, gi); err != nil {
 			return err

@@ -8,12 +8,11 @@
 // Qv (Parse gives the grammar): a select list of columns (_tid included); a
 // comma-joined FROM list; WHERE as AND/OR over = and <> between a column
 // and a column or a literal (a string or an unsigned INT); GROUP BY
-// columns; and HAVING as AND/OR over =, <>, < and > between COUNT(*),
-// COUNT([DISTINCT] column) and INT literals. Anything else is a
-// *ParseError naming the construct. Every
-// comparison and key runs on dictionary codes: there is no value-level
-// evaluator. The engine only reads: tables are written through the
-// relstore API.
+// columns; and, after GROUP BY, HAVING as AND/OR over =, <>, < and >
+// between COUNT(*), COUNT([DISTINCT] column) and INT literals. Anything
+// else is a *ParseError naming the construct. Every comparison and key runs
+// on dictionary codes: there is no value-level evaluator. The engine only
+// reads: tables are written through the relstore API.
 package sqleng
 
 import (

@@ -43,7 +43,7 @@ type parser struct {
 // grammar the detector's statements use:
 //
 //	select   := SELECT column (, column)* FROM table [[AS] alias] (, table [[AS] alias])*
-//	            [WHERE cond] [GROUP BY column (, column)*] [HAVING having]
+//	            [WHERE cond] [GROUP BY column (, column)* [HAVING having]]
 //	cond     := and (OR and)*,  and := atom (AND atom)*,  atom := ( cond ) | operand (= | <>) operand
 //	operand  := column | literal, not both literals, no _tid
 //	having   := cond over counts: count or INT literal (= | <> | < | >) count or INT literal
@@ -178,19 +178,23 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 			return nil, err
 		}
 	}
-	if p.acceptKeyword("GROUP") {
-		if err := p.expect(tokKeyword, "BY"); err != nil {
+	if t := p.peek(); t.kind == tokKeyword && t.text == "HAVING" {
+		return nil, p.errorf("HAVING without GROUP BY is not supported")
+	}
+	if !p.acceptKeyword("GROUP") {
+		return st, nil
+	}
+	if err := p.expect(tokKeyword, "BY"); err != nil {
+		return nil, err
+	}
+	for {
+		c, err := p.parseColumn()
+		if err != nil {
 			return nil, err
 		}
-		for {
-			c, err := p.parseColumn()
-			if err != nil {
-				return nil, err
-			}
-			st.GroupBy = append(st.GroupBy, c)
-			if !p.accept(tokSymbol, ",") {
-				break
-			}
+		st.GroupBy = append(st.GroupBy, c)
+		if !p.accept(tokSymbol, ",") {
+			break
 		}
 	}
 	if p.acceptKeyword("HAVING") {

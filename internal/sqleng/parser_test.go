@@ -102,7 +102,7 @@ func TestParsePredicates(t *testing.T) {
 		"SELECT _tid, t._tid, a FROM r t",
 		"SELECT a, b FROM r GROUP BY a, b HAVING COUNT(DISTINCT c) > 1 OR (COUNT(DISTINCT c) = 1 AND COUNT(c) < COUNT(*))",
 		"SELECT t._tid, tp._tid, tp.STR, t.STR FROM customer t, tp WHERE (tp.CNT = '_' OR t.CNT = tp.CNT) AND tp.STR <> '_' AND t.STR <> tp.STR",
-		"SELECT a FROM r HAVING COUNT(*) > 0",
+		"SELECT a FROM r GROUP BY a HAVING COUNT(*) > 0",
 	}
 	for _, src := range cases {
 		if _, err := Parse(src); err != nil {
@@ -240,6 +240,7 @@ func TestParseRejectsValueLevelConstructs(t *testing.T) {
 		{"SELECT A FROM r GROUP BY A HAVING COUNT(*) > 1.5", "a decimal literal"},
 		{"SELECT A FROM r GROUP BY A HAVING COUNT(*) > '1'", "a STRING literal in HAVING"},
 		{"SELECT A FROM r WHERE COUNT(*) > 1", "COUNT in WHERE"},
+		{"SELECT A FROM r WHERE A = 1 HAVING COUNT(*) > 0", "HAVING without GROUP BY"},
 		{qcOverV + " AND t._tid >= 0", "_tid outside the select list"},       // Qc reading _tid
 		{qcOverV + " AND t.C > 43", "ordering compare >"},                    // Qc with a value-level compare
 		{qvOverV + " AND COUNT(*) > 1.5", "a decimal literal"},               // Qv with a value-level HAVING
@@ -283,8 +284,8 @@ func TestExprString(t *testing.T) {
 		{"SELECT a FROM r t WHERE t.a <> 'it''s'", "(t.a <> 'it''s')"},
 		{"SELECT a FROM r WHERE a <> 15", "(a <> 15)"},
 		{"SELECT a FROM r WHERE a = 10 OR b = 'NULL' AND \"select\" = 'TRUE'", "((a = 10) OR ((b = 'NULL') AND (\"select\" = 'TRUE')))"},
-		{"SELECT a FROM r HAVING COUNT(*) > 2", "(COUNT(*) > 2)"},
-		{"SELECT a FROM r HAVING COUNT(DISTINCT a) < COUNT(t.b)", "(COUNT(DISTINCT a) < COUNT(t.b))"},
+		{"SELECT a FROM r GROUP BY a HAVING COUNT(*) > 2", "(COUNT(*) > 2)"},
+		{"SELECT a FROM r GROUP BY a HAVING COUNT(DISTINCT a) < COUNT(t.b)", "(COUNT(DISTINCT a) < COUNT(t.b))"},
 	}
 	for _, c := range cases {
 		st := mustParse(t, c.sql)
@@ -298,10 +299,10 @@ func TestExprString(t *testing.T) {
 	}
 }
 
-// TestHasAggregate: COUNT stands in HAVING, and nowhere else.
+// TestHasAggregate: COUNT stands in a grouped HAVING, and nowhere else.
 func TestHasAggregate(t *testing.T) {
 	for _, src := range []string{
-		"SELECT a FROM r HAVING COUNT(*) > 0",
+		"SELECT a FROM r GROUP BY a HAVING COUNT(*) > 0",
 		"SELECT a FROM r GROUP BY a HAVING COUNT(DISTINCT b) > 1",
 	} {
 		if _, err := Parse(src); err != nil {
@@ -326,7 +327,8 @@ func TestHasAggregate(t *testing.T) {
 // FuzzParseSQL: Parse never panics and returns a statement or an error, and
 // every item, WHERE and HAVING expression of an accepted SELECT prints
 // (exprString) to text that re-parses, in the same place of
-// "SELECT <item> FROM t WHERE <where> HAVING <having>", to the same AST.
+// "SELECT <item> FROM t WHERE <where> GROUP BY x HAVING <having>", to the
+// same AST.
 // The seeds are the executor's seeds plus the printer's corners in
 // testdata/fuzz/FuzzParseSQL.
 func FuzzParseSQL(f *testing.F) {
@@ -357,7 +359,7 @@ func FuzzParseSQL(f *testing.F) {
 			reparse("SELECT x FROM t WHERE "+exprString(st.Where), st.Where, func(re *SelectStmt) Expr { return re.Where })
 		}
 		if st.Having != nil {
-			reparse("SELECT x FROM t HAVING "+exprString(st.Having), st.Having, func(re *SelectStmt) Expr { return re.Having })
+			reparse("SELECT x FROM t GROUP BY x HAVING "+exprString(st.Having), st.Having, func(re *SelectStmt) Expr { return re.Having })
 		}
 	})
 }

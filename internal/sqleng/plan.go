@@ -130,11 +130,6 @@ func (e *Engine) buildSelectPlan(st *SelectStmt) (*selectPlan, error) {
 	if p.sink, err = newStreamSink(p); err != nil {
 		return nil, err
 	}
-	if p.memoOff == "" && len(p.memoCols) == 0 && !p.sink.perClass {
-		// One class of every row: deciding it saves nothing, and a sink
-		// that takes rows one by one would replay them all after it.
-		p.memoOff = "WHERE reads no driver column and the sink takes rows one by one"
-	}
 	return p, nil
 }
 
@@ -144,8 +139,8 @@ func (e *Engine) buildSelectPlan(st *SelectStmt) (*selectPlan, error) {
 // D's distinct counts is at most half the driver's row count, so that a
 // class holds two rows on average (on a key the walk is all cost) — exact
 // statistics, so a patched snapshot plans like a rebuilt one. An empty D
-// passes that test but only serves a sink that counts per class;
-// buildSelectPlan turns the walk off otherwise, once the sink is compiled.
+// would be one class of every row: deciding it saves nothing, and the sink,
+// whose GROUP BY keys are then all off D, would replay every row after it.
 func (p *selectPlan) planMemo() {
 	drv, rows := p.scans[0], p.scans[0].cnr.Len()
 	p.memoSpace = 1
@@ -158,7 +153,10 @@ func (p *selectPlan) planMemo() {
 			p.memoSpace *= drv.cnr.Col(pos - 1).Card()
 		}
 	}
-	if 2*p.memoSpace > rows {
+	switch {
+	case len(p.memoCols) == 0:
+		p.memoOff = "WHERE reads no driver column and the sink takes rows one by one"
+	case 2*p.memoSpace > rows:
 		p.memoOff = fmt.Sprintf("space %d > half of rows %d", p.memoSpace, rows)
 	}
 }

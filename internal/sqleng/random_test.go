@@ -11,7 +11,7 @@ import (
 // comma joins of up to three tables, comparisons between columns and
 // between a column and a literal of both kinds under AND and OR, _tid in
 // the select list, grouping, and HAVING over every COUNT form and INT
-// literals, with and without GROUP BY.
+// literals.
 type sqlGen struct {
 	rng  *rand.Rand
 	cols []string // the columns in scope, qualified
@@ -86,12 +86,9 @@ func (g *sqlGen) query() string {
 	if g.rng.Intn(4) > 0 {
 		b.WriteString(" WHERE " + g.pred(2))
 	}
-	if grouped {
-		global := len(keys) == 0 || g.rng.Intn(4) == 0
-		if !global {
-			b.WriteString(" GROUP BY " + strings.Join(keys, ", "))
-		}
-		if global || g.rng.Intn(2) == 0 {
+	if grouped && len(keys) > 0 {
+		b.WriteString(" GROUP BY " + strings.Join(keys, ", "))
+		if g.rng.Intn(2) == 0 {
 			b.WriteString(" HAVING " + g.having(1))
 		}
 	}

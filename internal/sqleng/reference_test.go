@@ -88,7 +88,7 @@ func refQuery(e *Engine, sql string) (*Result, error) {
 	slot := func(c *CountExpr) int {
 		return len(cat) + slices.IndexFunc(calls, func(x *CountExpr) bool { return exprString(x) == exprString(c) })
 	}
-	if st.GroupBy != nil || st.Having != nil {
+	if st.GroupBy != nil {
 		keys := make([]int, len(st.GroupBy))
 		for i, g := range st.GroupBy {
 			if keys[i], err = cat.resolve(g); err != nil {
@@ -103,7 +103,7 @@ func refQuery(e *Engine, sql string) (*Result, error) {
 				}
 			}
 		}
-		rows = refGroup(rows, keys, calls, args, len(cat), st.GroupBy == nil)
+		rows = refGroup(rows, keys, calls, args)
 		if st.Having != nil {
 			rows = slices.DeleteFunc(rows, func(r []types.Value) bool { return !refHaving(st.Having, r, slot) })
 		}
@@ -215,9 +215,8 @@ func refHaving(e Expr, row []types.Value, slot func(*CountExpr) int) bool {
 
 // refGroup groups rows by the values at keys, in first-appearance order,
 // into one row per group: its first member, then one count per call over
-// the operand at args (-1: COUNT(*)). With no GROUP BY (global) an empty
-// input is one group of NULLs.
-func refGroup(rows [][]types.Value, keys []int, calls []*CountExpr, args []int, width int, global bool) [][]types.Value {
+// the operand at args (-1: COUNT(*)).
+func refGroup(rows [][]types.Value, keys []int, calls []*CountExpr, args []int) [][]types.Value {
 	var order []string
 	members := map[string][][]types.Value{}
 	for _, r := range rows {
@@ -230,16 +229,10 @@ func refGroup(rows [][]types.Value, keys []int, calls []*CountExpr, args []int, 
 		}
 		members[string(k)] = append(members[string(k)], r)
 	}
-	if len(order) == 0 && global {
-		order = []string{""}
-	}
 	var out [][]types.Value
 	for _, k := range order {
 		ms := members[k]
-		rep := slices.Repeat([]types.Value{types.Null}, width)
-		if len(ms) > 0 {
-			rep = slices.Clone(ms[0])
-		}
+		rep := slices.Clone(ms[0])
 		for i, c := range calls {
 			rep = append(rep, types.NewInt(refCount(c.Distinct, args[i], ms)))
 		}

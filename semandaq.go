@@ -33,8 +33,9 @@
 //	audit, _  := sys.Audit(ctx, "customer")
 //	repair, _ := sys.Repair(ctx, "customer")
 //
-// DetectStream yields violations as the columnar scan finds them, without
-// materializing the report:
+// DetectStream yields the report's violation records one at a time, in
+// the canonical (tuple, CFD, kind, pattern) order, from the same cached or
+// monitor-tracked report Detect reads, without exploding it:
 //
 //	for v, err := range sys.DetectStream(ctx, "customer") { ... }
 //
@@ -181,7 +182,8 @@ type (
 
 // Request options.
 var (
-	// WithEngine selects the detection engine for one request.
+	// WithEngine selects the detection engine for one request; without it
+	// every read, the stream included, uses ColumnarDetection.
 	WithEngine = core.WithEngine
 	// WithWorkers overrides the parallel engine's worker count for one
 	// request (n <= 0 means GOMAXPROCS).
