@@ -261,14 +261,11 @@ func AuditFactorised(snap *relstore.Snapshot, cfds []*cfd.CFD, fr *detect.Factor
 func auditCore(ev *evidence, cfds []*cfd.CFD, table string, tupleCount int, version int64,
 	perCFD map[string]*detect.CFDStats) (*Report, error) {
 	sc, cols := ev.snap.Schema(), ev.snap.Columnar()
-	// Normalize + merge the same way detection does so pattern bookkeeping
-	// lines up with violation records.
-	var normalized []*cfd.CFD
-	for _, c := range cfds {
-		if err := c.Validate(sc); err != nil {
-			return nil, err
-		}
-		normalized = append(normalized, c.Normalize()...)
+	// Prepared as detection prepares them, so pattern bookkeeping lines up
+	// with violation records.
+	preps, err := detect.Prepare(sc, cfds)
+	if err != nil {
+		return nil, err
 	}
 	// A verifier is one constant-RHS pattern bound to the snapshot's codes:
 	// a row it applies to and whose RHS cell it matches is vouched for on rhs.
@@ -277,26 +274,18 @@ func auditCore(ev *evidence, cfds []*cfd.CFD, table string, tupleCount int, vers
 		rhs          int
 	}
 	var verifiers []verifier
-	for _, c := range cfd.MergeByFD(normalized) {
-		lhsPos, err := sc.Positions(c.LHS)
-		if err != nil {
-			return nil, err
-		}
-		rhsPos, err := sc.Positions(c.RHS)
-		if err != nil {
-			return nil, err
-		}
-		lhs := make([]*relstore.Column, len(lhsPos))
-		for k, pos := range lhsPos {
+	for _, p := range preps {
+		lhs := make([]*relstore.Column, len(p.LHSPos))
+		for k, pos := range p.LHSPos {
 			lhs[k] = cols.Col(pos)
 		}
-		rhs := []*relstore.Column{cols.Col(rhsPos[0])}
-		for _, pt := range c.Tableau {
+		rhs := []*relstore.Column{cols.Col(p.RHSPos)}
+		for _, pt := range p.CFD.Tableau {
 			if !pt.RHS[0].Wildcard {
 				verifiers = append(verifiers, verifier{
 					lhs:     detect.BindLHS(pt, lhs),
 					rhsCell: detect.BindLHS(cfd.PatternTuple{LHS: pt.RHS}, rhs),
-					rhs:     rhsPos[0],
+					rhs:     p.RHSPos,
 				})
 			}
 		}

@@ -95,11 +95,12 @@ type sweepFixture struct {
 	models map[*relstore.Table]*relstore.Snapshot
 	pinned map[*relstore.Table]*relstore.Snapshot // each table's snapshot after its build
 	sess   *discovery.Session                     // the engine rows' discovery session
+	store  *relstore.Store                        // r and d, for the SQL engine rows
 }
 
 func newSweepFixture(t *testing.T) *sweepFixture {
 	t.Helper()
-	fx := &sweepFixture{s: New(), models: map[*relstore.Table]*relstore.Snapshot{}, pinned: map[*relstore.Table]*relstore.Snapshot{}}
+	fx := &sweepFixture{s: New(), store: relstore.NewStore(), models: map[*relstore.Table]*relstore.Snapshot{}, pinned: map[*relstore.Table]*relstore.Snapshot{}}
 	str := types.NewString
 	fx.r = fx.build("r", []string{"K1", "K2", "V", "C", "D"}, sweepRows, func(i int) relstore.Tuple {
 		key := i / 4
@@ -136,6 +137,7 @@ func (fx *sweepFixture) build(name string, attrs []string, n int, row func(i int
 		ids[i] = tab.MustInsert(rows[i])
 	}
 	fx.s.RegisterTable(tab)
+	fx.store.Put(tab)
 	fx.models[tab] = relstore.BuildSnapshot(tab.Schema(), tab.Version(), ids, rows)
 	fx.pinned[tab] = tab.Snapshot()
 	return tab
@@ -157,23 +159,21 @@ func (fx *sweepFixture) reset() {
 func (fx *sweepFixture) residue(cold *detect.FactorReport) error {
 	fx.s.mu.Lock()
 	defer fx.s.mu.Unlock()
-	for key, tr := range fx.s.reports {
-		for kind, e := range tr.entries {
+	for key, st := range fx.s.tables {
+		for kind, e := range st.entries {
 			if cold == nil || !reflect.DeepEqual(e.fr, cold) {
 				return fmt.Errorf("the report cache holds a %v entry for %s", kind, key)
 			}
 		}
-	}
-	for key, ts := range fx.s.sessions {
-		if ts.sess.LastStats().FullRuns != 0 {
+		if st.discovery != nil && st.discovery.LastStats().FullRuns != 0 {
 			return fmt.Errorf("the discovery session of %s holds a report", key)
+		}
+		if st.monitor != nil || st.starting {
+			return fmt.Errorf("a monitor of %s is registered or starting", key)
 		}
 	}
 	if fx.sess.LastStats().FullRuns != 0 {
 		return errors.New("the discovery session holds a report")
-	}
-	if len(fx.s.monitors) != 0 || len(fx.s.monitorBusy) != 0 {
-		return errors.New("a monitor is registered or marked busy")
 	}
 	for tab, snap := range fx.pinned {
 		if tab.Snapshot() != snap {
@@ -309,16 +309,16 @@ func (fx *sweepFixture) rows() []sweepRow {
 			return result(detect.ColumnarDetector{Workers: 1}.DetectSnapshot(ctx, r.Snapshot(), cfds))
 		}},
 		{name: "SQLDetector.DetectFactorised", polls: sqlPolls, run: func(ctx context.Context) (any, error) {
-			return result(detect.NewSQLDetector(s.Store()).DetectFactorised(ctx, r.Snapshot(), cfds))
+			return result(detect.NewSQLDetector(fx.store).DetectFactorised(ctx, r.Snapshot(), cfds))
 		}},
 		{name: "SQLDetector.DetectSnapshot", polls: sqlPolls + 1, callee: "SQLDetector.DetectFactorised", run: func(ctx context.Context) (any, error) {
-			return result(detect.NewSQLDetector(s.Store()).DetectSnapshot(ctx, r.Snapshot(), cfds))
+			return result(detect.NewSQLDetector(fx.store).DetectSnapshot(ctx, r.Snapshot(), cfds))
 		}},
 		{name: "sqleng.QueryContext", polls: groupedPolls, run: func(ctx context.Context) (any, error) {
-			return result(sqleng.New(s.Store()).QueryContext(ctx, grouped))
+			return result(sqleng.New(fx.store).QueryContext(ctx, grouped))
 		}},
 		{name: "sqleng.Stream+Each", polls: groupedPolls, run: func(ctx context.Context) (any, error) {
-			ss, err := sqleng.New(s.Store()).Stream(ctx, grouped)
+			ss, err := sqleng.New(fx.store).Stream(ctx, grouped)
 			if err != nil {
 				return nil, err
 			}
@@ -420,7 +420,7 @@ func TestCancelSweep(t *testing.T) {
 			}
 			var coldReport *detect.FactorReport
 			if row.caches {
-				for _, e := range fx.s.reports["r"].entries {
+				for _, e := range fx.s.tables["r"].entries {
 					coldReport = e.fr
 				}
 			}

@@ -49,52 +49,53 @@ var (
 	ErrUnknownCFD = errors.New("semandaq: no CFD")
 )
 
-// Semandaq is one data-quality session over a store of tables.
+// Semandaq is one data-quality session over a catalog of tables.
 type Semandaq struct {
-	mu    lockcheck.Mutex[Semandaq]
-	store *relstore.Store
-	// cfds maps lowercased table name to its registered constraints.
-	cfds map[string][]*cfd.CFD
-	// reports caches the last detection per table (lowercased name): one
-	// table version at a time, one entry per report producer.
-	reports map[string]*tableReports
+	mu lockcheck.Mutex[Semandaq]
+	// tables is the catalog: one record per registered table, by
+	// lowercased name.
+	tables map[string]*tableState
 	// workers is the ParallelDetection worker count; 0 means GOMAXPROCS.
 	workers int
-	// monitors holds the active data monitor per table (lowercased name):
-	// the session's mutation API routes writes through it so incremental
-	// detection stays in sync with the data.
-	monitors map[string]*monitor.Monitor
-	// monitorBusy marks tables whose monitor is currently being started or
-	// replaced; mutations are refused (ErrMonitorBusy) until seeding ends.
-	monitorBusy map[string]bool
-	// gates serializes the session's mutations per table: a write checks
-	// for an active monitor and lands (directly or through the monitor's
-	// tracker) while holding the table's gate, and starting a monitor
-	// flips monitorBusy under the same gate — so no write can slip
-	// between the snapshot a new tracker seeds from and the moment it
-	// takes over.
-	gates map[string]*lockcheck.Mutex[tableGate]
-	// sessions holds the discovery session per table (lowercased name):
-	// Discover serves the previous run's report while the table's version
-	// holds.
-	sessions map[string]*tableSession
 }
 
-// tableSession binds a discovery session to the table instance it was
-// created over, so a replaced table never serves the old session's report.
-type tableSession struct {
-	tab  *relstore.Table
-	sess *discovery.Session
-}
+// tableState is the session's record of one registered table instance:
+// the paper's per-relation state (its CFDs, its monitor, its detection
+// results) and the table itself. Registering a table installs a fresh
+// record, so nothing bound to a replaced instance — its monitor, cached
+// reports, discovery session — can serve the new one.
+type tableState struct {
+	tab *relstore.Table
+	// gate serializes the session's mutations of the table: a write reads
+	// the monitor and lands (directly or through the monitor's tracker)
+	// while holding it, and starting a monitor sets starting under it, so
+	// no write can slip between the snapshot a new tracker seeds from and
+	// the moment it takes over. A reload's record inherits the gate.
+	gate *lockcheck.Mutex[tableGate]
 
-// tableReports is one table's report cache. It holds a single version:
-// filling an entry for a newer version drops every entry of the older one,
-// so a superseded report — and the columnar snapshot a factorised one pins
-// — becomes collectable as soon as its readers let go.
-type tableReports struct {
+	// The rest is read and written under Semandaq.mu.
+
+	// cfds is the registered constraint set. It is replaced as a whole,
+	// never edited in place, so a request may share it.
+	cfds []*cfd.CFD
+	// monitor is the active data monitor (nil: none); starting marks a
+	// monitor being started, when mutations are refused (ErrMonitorBusy).
+	monitor  *monitor.Monitor
+	starting bool
+	// version and entries are the report cache: the detections of one
+	// table version under cfds, one entry per report producer (cacheKind).
+	// A fill for a newer version drops the older one's entries, so a
+	// superseded report — and the columnar snapshot it pins — becomes
+	// collectable as soon as its readers let go.
 	version int64
-	entries map[DetectorKind]*reportEntry // by cacheKind
+	entries map[DetectorKind]*reportEntry
+	// discovery serves the previous mining run's report while the
+	// table's version holds; made on first use.
+	discovery *discovery.Session
 }
+
+// tableGate is the lock class of the per-table mutation gates.
+type tableGate struct{}
 
 // reportEntry is one detection result: the factorised report every engine
 // and the monitor's tracker produce. Its flat form is exploded lazily,
@@ -146,68 +147,39 @@ func cacheKind(kind DetectorKind) DetectorKind {
 	return kind
 }
 
-// cachedEntry returns the table's cached entry for the kind at exactly the
-// given version.
-func (s *Semandaq) cachedEntry(key string, kind DetectorKind, version int64) (*reportEntry, bool) {
+// cachedEntry returns st's cached entry for the kind at exactly the given
+// version, when st's constraint set is still cfds.
+func (s *Semandaq) cachedEntry(st *tableState, cfds []*cfd.CFD, kind DetectorKind, version int64) (*reportEntry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tr := s.reports[key]
-	if tr == nil || tr.version != version {
+	if st.entries == nil || st.version != version || !sameCFDSet(st.cfds, cfds) {
 		return nil, false
 	}
-	e, ok := tr.entries[cacheKind(kind)]
+	e, ok := st.entries[cacheKind(kind)]
 	return e, ok
 }
 
-// cacheEntry stores e as the table's report for the kind at version,
-// superseding entries of older versions. A fill that lost the race to a
-// newer version is dropped instead of evicting it.
-func (s *Semandaq) cacheEntry(key string, kind DetectorKind, version int64, e *reportEntry) {
+// cacheEntry stores e as st's report at version for the kinds, superseding
+// entries of older versions. It lands only while cfds is still st's set: a
+// detection that resolved a replaced set is dropped, as is one that lost
+// the race to a newer version. A fill into a replaced record lands where no
+// later request looks, since every request resolves the current record.
+func (s *Semandaq) cacheEntry(st *tableState, cfds []*cfd.CFD, version int64, e *reportEntry, kinds ...DetectorKind) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tr := s.reports[key]
-	if tr == nil || tr.version < version {
-		tr = &tableReports{version: version, entries: map[DetectorKind]*reportEntry{}}
-		s.reports[key] = tr
+	if !sameCFDSet(st.cfds, cfds) || version < st.version {
+		return
 	}
-	if tr.version == version {
-		tr.entries[cacheKind(kind)] = e
+	if st.entries == nil || st.version < version {
+		st.version, st.entries = version, map[DetectorKind]*reportEntry{}
 	}
-}
-
-// New creates a Semandaq instance over an empty store.
-func New() *Semandaq { return NewWithStore(relstore.NewStore()) }
-
-// NewWithStore creates a Semandaq instance over an existing store.
-func NewWithStore(store *relstore.Store) *Semandaq {
-	return &Semandaq{
-		store:       store,
-		cfds:        map[string][]*cfd.CFD{},
-		reports:     map[string]*tableReports{},
-		monitors:    map[string]*monitor.Monitor{},
-		monitorBusy: map[string]bool{},
-		gates:       map[string]*lockcheck.Mutex[tableGate]{},
-		sessions:    map[string]*tableSession{},
+	for _, kind := range kinds {
+		st.entries[cacheKind(kind)] = e
 	}
 }
 
-// tableGate is the lock class of the per-table mutation gates.
-type tableGate struct{}
-
-// gate returns the per-table mutation gate, creating it on first use.
-func (s *Semandaq) gate(key string) *lockcheck.Mutex[tableGate] {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g, ok := s.gates[key]
-	if !ok {
-		g = &lockcheck.Mutex[tableGate]{}
-		s.gates[key] = g
-	}
-	return g
-}
-
-// Store exposes the underlying store.
-func (s *Semandaq) Store() *relstore.Store { return s.store }
+// New creates a Semandaq instance with no tables.
+func New() *Semandaq { return &Semandaq{tables: map[string]*tableState{}} }
 
 // SetWorkers sets the goroutine count ParallelDetection uses; n <= 0 —
 // zero included — resets to the default (runtime.GOMAXPROCS). The
@@ -241,47 +213,54 @@ func (s *Semandaq) LoadCSV(name string, r io.Reader) (*relstore.Table, error) {
 }
 
 // RegisterTable adds an existing table to the session, replacing any table
-// of the same name. Per-table state bound to the replaced instance — its
-// active monitor and cached reports — is detached: a monitor left
-// registered would keep routing writes into the orphaned old table, and a
-// cached report could alias the new table's version counter. Of the
-// replaced table's constraints, exactly those that still validate against
-// the new schema stay registered (all of them, the same pointers, on a
-// same-schema reload); one naming a column the new table lacks would fail
-// every later request, RegisterCFDs included.
+// of the same name. It installs a fresh record: the replaced instance's
+// monitor, cached reports and discovery session stay with its record — a
+// monitor left in place would keep routing writes into the orphaned old
+// table, and a cached report could alias the new table's version counter.
+// Of the replaced table's constraints, exactly those that still validate
+// against the new schema stay registered (all of them, the same pointers,
+// on a same-schema reload); one naming a column the new table lacks would
+// fail every later request, RegisterCFDs included.
 func (s *Semandaq) RegisterTable(tab *relstore.Table) {
 	key := strings.ToLower(tab.Schema().Name)
-	g := s.gate(key)
-	g.Lock()
-	defer g.Unlock()
-	s.store.Put(tab)
 	s.mu.Lock()
-	delete(s.monitors, key)
-	delete(s.sessions, key)
-	delete(s.reports, key)
-	if cur := s.cfds[key]; len(cur) > 0 {
-		s.cfds[key] = slices.DeleteFunc(cur, func(c *cfd.CFD) bool { return c.Validate(tab.Schema()) != nil })
+	defer s.mu.Unlock()
+	st := &tableState{tab: tab, gate: &lockcheck.Mutex[tableGate]{}}
+	if old := s.tables[key]; old != nil {
+		st.gate = old.gate
+		st.cfds = slices.DeleteFunc(slices.Clone(old.cfds), func(c *cfd.CFD) bool { return c.Validate(tab.Schema()) != nil })
 	}
-	s.mu.Unlock()
+	s.tables[key] = st
+}
+
+// record returns the table's current record and its constraint set, read
+// together.
+func (s *Semandaq) record(name string) (*tableState, []*cfd.CFD, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.tables[strings.ToLower(name)]
+	if st == nil {
+		return nil, nil, fmt.Errorf("%w %q", ErrNoTable, name)
+	}
+	return st, st.cfds, nil
 }
 
 // Table returns a registered table.
 func (s *Semandaq) Table(name string) (*relstore.Table, error) {
-	tab, ok := s.store.Table(name)
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrNoTable, name)
+	st, _, err := s.record(name)
+	if err != nil {
+		return nil, err
 	}
-	return tab, nil
+	return st.tab, nil
 }
 
-// Tables lists the registered table names (excluding detection artifacts).
+// Tables lists the registered table names.
 func (s *Semandaq) Tables() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var out []string
-	for _, n := range s.store.Names() {
-		if strings.HasPrefix(n, "_tp_") || strings.HasPrefix(n, "cfd_tp_") {
-			continue
-		}
-		out = append(out, n)
+	for _, st := range s.tables {
+		out = append(out, st.tab.Schema().Name)
 	}
 	sort.Strings(out)
 	return out
@@ -291,33 +270,32 @@ func (s *Semandaq) Tables() []string {
 // against its schema and checking the whole resulting set for
 // satisfiability — the constraint engine's "does this make sense" gate.
 // On an unsatisfiable set nothing is registered and the conflict is
-// returned inside the error.
+// returned inside the error. The new set and an empty report cache are
+// swapped in together.
 func (s *Semandaq) RegisterCFDs(table string, cfds []*cfd.CFD) error {
-	tab, err := s.Table(table)
-	if err != nil {
-		return err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.tables[strings.ToLower(table)]
+	if st == nil {
+		return fmt.Errorf("%w %q", ErrNoTable, table)
 	}
 	for _, c := range cfds {
-		if err := c.Validate(tab.Schema()); err != nil {
+		if err := c.Validate(st.tab.Schema()); err != nil {
 			return err
 		}
 		if c.Table == "" {
-			c.Table = tab.Schema().Name
+			c.Table = st.tab.Schema().Name
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	key := strings.ToLower(table)
-	all := append(append([]*cfd.CFD{}, s.cfds[key]...), cfds...)
-	rep, err := consistency.Check(tab.Schema(), all, nil)
+	all := append(slices.Clip(st.cfds), cfds...)
+	rep, err := consistency.Check(st.tab.Schema(), all, nil)
 	if err != nil {
 		return err
 	}
 	if !rep.Satisfiable {
 		return fmt.Errorf("semandaq: CFD set for %s is unsatisfiable: %s", table, rep.Conflict)
 	}
-	s.cfds[key] = all
-	delete(s.reports, key)
+	st.cfds, st.entries = all, nil
 	return nil
 }
 
@@ -333,21 +311,20 @@ func (s *Semandaq) RegisterCFDText(table, text string) ([]*cfd.CFD, error) {
 	return cfds, nil
 }
 
-// CFDs returns the constraints registered for a table.
+// CFDs returns a copy of the constraints registered for a table.
 func (s *Semandaq) CFDs(table string) []*cfd.CFD {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*cfd.CFD{}, s.cfds[strings.ToLower(table)]...)
+	_, cfds, _ := s.record(table)
+	return append([]*cfd.CFD{}, cfds...)
 }
 
 // CheckConsistency re-runs the satisfiability analysis, optionally with
 // finite attribute domains.
 func (s *Semandaq) CheckConsistency(table string, domains consistency.Domains) (*consistency.Report, error) {
-	tab, err := s.Table(table)
+	st, cfds, err := s.record(table)
 	if err != nil {
 		return nil, err
 	}
-	return consistency.Check(tab.Schema(), s.CFDs(table), domains)
+	return consistency.Check(st.tab.Schema(), cfds, domains)
 }
 
 // DetectorKind selects the detection implementation. It aliases
@@ -378,14 +355,14 @@ func ParseDetectorKind(s string) (DetectorKind, error) {
 	return detect.ParseEngineKind(s)
 }
 
-// requestCFDs resolves a request's table and its constraints, applying the
-// WithCFDs scoping in registration order.
-func (s *Semandaq) requestCFDs(table string, o requestOptions) (*relstore.Table, []*cfd.CFD, error) {
-	tab, err := s.Table(table)
+// requestCFDs resolves a request's table record and its constraints,
+// applying the WithCFDs scoping in registration order. An unscoped request
+// shares the record's set.
+func (s *Semandaq) requestCFDs(table string, o requestOptions) (*tableState, []*cfd.CFD, error) {
+	st, cfds, err := s.record(table)
 	if err != nil {
 		return nil, nil, err
 	}
-	cfds := s.CFDs(table)
 	if len(cfds) == 0 {
 		return nil, nil, fmt.Errorf("%w for %s", ErrNoCFDs, table)
 	}
@@ -411,13 +388,14 @@ func (s *Semandaq) requestCFDs(table string, o requestOptions) (*relstore.Table,
 		}
 		cfds = scoped
 	}
-	return tab, cfds, nil
+	return st, cfds, nil
 }
 
-// sameCFDSet reports whether the monitor tracks exactly the requested
-// constraint instances, in registration order. Pointer identity is the
-// right test: RegisterCFDs hands both the monitor and the request the same
-// *cfd.CFD values, and any re-registration creates new ones.
+// sameCFDSet reports whether two sets hold exactly the same constraint
+// instances, in registration order: a monitor's or a cached report's and a
+// request's. Pointer identity is the right test: RegisterCFDs hands the
+// record, the monitor and the request the same *cfd.CFD values, and any
+// re-registration creates new ones.
 func sameCFDSet(a, b []*cfd.CFD) bool {
 	if len(a) != len(b) {
 		return false
@@ -485,26 +463,26 @@ func (s *Semandaq) DetectDigest(ctx context.Context, table string, opts ...Optio
 // from the returned snapshot, which makes the report and those scans
 // consistent by construction.
 func (s *Semandaq) detectRequest(ctx context.Context, table string, o requestOptions) (*reportEntry, *relstore.Snapshot, []*cfd.CFD, error) {
-	tab, cfds, err := s.requestCFDs(table, o)
+	st, cfds, err := s.requestCFDs(table, o)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	snap := tab.Snapshot()
-	e, err := s.detectEntry(ctx, table, snap, cfds, o)
+	snap := st.tab.Snapshot()
+	e, err := s.detectEntry(ctx, st, snap, cfds, o)
 	return e, snap, cfds, err
 }
 
 // detectEntry is detection after option resolution and CFD scoping: cache
-// lookup, engine dispatch, cache fill. The whole evaluation runs over the
-// given pinned snapshot, so the returned entry reflects exactly
-// snap.Version() (and says so in its report's Version). Only complete
-// results are cached: a cancelled run leaves no entry behind.
-func (s *Semandaq) detectEntry(ctx context.Context, table string, snap *relstore.Snapshot,
+// lookup, engine dispatch, cache fill, all on the record the request
+// resolved. The whole evaluation runs over the given pinned snapshot of
+// st's table, so the returned entry reflects exactly snap.Version() (and
+// says so in its report's Version). Only complete results are cached: a
+// cancelled run leaves no entry behind.
+func (s *Semandaq) detectEntry(ctx context.Context, st *tableState, snap *relstore.Snapshot,
 	cfds []*cfd.CFD, o requestOptions) (*reportEntry, error) {
 	cacheable := len(o.cfdIDs) == 0
-	key := strings.ToLower(table)
 	if cacheable {
-		if e, ok := s.cachedEntry(key, o.kind, snap.Version()); ok {
+		if e, ok := s.cachedEntry(st, cfds, o.kind, snap.Version()); ok {
 			return e, nil
 		}
 		// Incremental-first serving: when the table's active monitor tracks
@@ -521,17 +499,17 @@ func (s *Semandaq) detectEntry(ctx context.Context, table string, snap *relstore
 		// write falls through to the batch engine instead of answering for
 		// the wrong version. The report does not depend on the engine, so it
 		// is cached for every kind.
-		if m, err := s.ActiveMonitor(table); err == nil && m != nil && sameCFDSet(m.CFDs(), cfds) {
+		if m, err := s.monitorOf(st); err == nil && m != nil && sameCFDSet(m.CFDs(), cfds) {
 			if fr, ok := m.FactorReport(snap); ok {
 				e := &reportEntry{fr: fr}
-				for _, kind := range detect.EngineKinds() {
-					s.cacheEntry(key, kind, fr.Version, e)
-				}
+				s.cacheEntry(st, cfds, fr.Version, e, detect.EngineKinds()...)
 				return e, nil
 			}
 		}
 	}
-	det, err := detect.NewDetector(o.kind, detect.Config{Workers: o.workers, Store: s.store})
+	// The SQL engine reads only what its run pins: the snapshot and the
+	// tableaux, so it needs no store.
+	det, err := detect.NewDetector(o.kind, detect.Config{Workers: o.workers})
 	if err != nil {
 		return nil, err
 	}
@@ -542,7 +520,7 @@ func (s *Semandaq) detectEntry(ctx context.Context, table string, snap *relstore
 	}
 	e := &reportEntry{fr: fr}
 	if cacheable {
-		s.cacheEntry(key, o.kind, snap.Version(), e)
+		s.cacheEntry(st, cfds, snap.Version(), e, o.kind)
 	}
 	return e, nil
 }
@@ -601,15 +579,11 @@ func (s *Semandaq) DetectStreamVersion(ctx context.Context, table string, opts .
 // DetectionSQL returns the SQL statements Detect would generate (the
 // explain view of the error detector).
 func (s *Semandaq) DetectionSQL(table string) ([]string, error) {
-	tab, err := s.Table(table)
+	st, cfds, err := s.requestCFDs(table, requestOptions{})
 	if err != nil {
 		return nil, err
 	}
-	cfds := s.CFDs(table)
-	if len(cfds) == 0 {
-		return nil, fmt.Errorf("%w for %s", ErrNoCFDs, table)
-	}
-	return detect.GenerateSQL(tab, cfds)
+	return detect.GenerateSQL(st.tab, cfds)
 }
 
 // Audit produces the data quality report (detecting first if needed). The
@@ -645,15 +619,15 @@ func (s *Semandaq) Explore(ctx context.Context, table string) (*explore.Explorer
 // version it clones, which a read of that version has usually cached.
 func (s *Semandaq) Repair(ctx context.Context, table string, opts ...Option) (*repair.Result, error) {
 	o := s.resolve(DefaultEngine, opts)
-	tab, cfds, err := s.requestCFDs(table, o)
+	st, cfds, err := s.requestCFDs(table, o)
 	if err != nil {
 		return nil, err
 	}
-	e, err := s.detectEntry(ctx, table, tab.Snapshot(), cfds, o)
+	e, err := s.detectEntry(ctx, st, st.tab.Snapshot(), cfds, o)
 	if err != nil {
 		return nil, err
 	}
-	return repair.NewRepairer().RepairFrom(ctx, tab, cfds, e.fr)
+	return repair.NewRepairer().RepairFrom(ctx, st.tab, cfds, e.fr)
 }
 
 // ApplyRepair commits reviewed modifications to the live table, through
@@ -702,63 +676,59 @@ func (s *Semandaq) ApplyRepair(table string, mods []repair.Modification) (int, [
 // row-scale pass that polls no context: monitor.New takes none.
 func (s *Semandaq) Monitor(ctx context.Context, table string, opts ...Option) (*monitor.Monitor, error) {
 	o := s.resolve(DefaultEngine, opts)
-	tab, cfds, err := s.requestCFDs(table, o)
+	st, cfds, err := s.requestCFDs(table, o)
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	key := strings.ToLower(table)
-	// Flip the busy flag under the table's mutation gate: in-flight writes
-	// finish first, later writes see the flag and back off, so the
+	// Set the starting flag under the table's mutation gate: in-flight
+	// writes finish first, later writes see the flag and back off, so the
 	// snapshot the new tracker seeds from cannot miss a concurrent write.
-	g := s.gate(key)
-	g.Lock()
+	st.gate.Lock()
 	s.mu.Lock()
-	if s.monitorBusy[key] {
-		s.mu.Unlock()
-		g.Unlock()
+	busy := st.starting
+	st.starting = true
+	s.mu.Unlock()
+	st.gate.Unlock()
+	if busy {
 		return nil, ErrMonitorBusy
 	}
-	s.monitorBusy[key] = true
-	s.mu.Unlock()
-	g.Unlock()
 	defer func() {
 		s.mu.Lock()
-		delete(s.monitorBusy, key)
+		st.starting = false
 		s.mu.Unlock()
 	}()
-	m, err := monitor.New(tab, cfds, o.cleansed)
+	m, err := monitor.New(st.tab, cfds, o.cleansed)
 	if err != nil {
 		return nil, err
 	}
-	if cur, ok := s.store.Table(table); !ok || cur != tab {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.tables[strings.ToLower(table)] != st {
 		return nil, fmt.Errorf("semandaq: table %q was replaced while its monitor was starting", table)
 	}
-	s.mu.Lock()
-	s.monitors[key] = m
-	s.mu.Unlock()
+	st.monitor = m
 	return m, nil
 }
 
-// withTableWrite resolves the table and runs fn under the table's mutation
-// gate with the active monitor (nil when none). It is the single write-path
-// preamble: serialized against the session's other writes and refused with
-// ErrMonitorBusy while a monitor is being (re)started.
+// withTableWrite resolves the table's record and runs fn under its
+// mutation gate with the active monitor (nil when none). It is the single
+// write-path preamble: serialized against the session's other writes and
+// refused with ErrMonitorBusy while a monitor is being (re)started.
 func (s *Semandaq) withTableWrite(table string, fn func(tab *relstore.Table, m *monitor.Monitor) error) error {
-	tab, err := s.Table(table)
+	st, _, err := s.record(table)
 	if err != nil {
 		return err
 	}
-	g := s.gate(strings.ToLower(table))
-	g.Lock()
-	defer g.Unlock()
-	m, err := s.ActiveMonitor(table)
+	st.gate.Lock()
+	defer st.gate.Unlock()
+	m, err := s.monitorOf(st)
 	if err != nil {
 		return err
 	}
-	return fn(tab, m)
+	return fn(st.tab, m)
 }
 
 // ActiveMonitor returns the table's registered monitor, or nil when none
@@ -766,13 +736,21 @@ func (s *Semandaq) withTableWrite(table string, fn func(tab *relstore.Table, m *
 // returns ErrMonitorBusy: the outgoing monitor is about to be detached and
 // updates routed to it would be lost to the replacement's tracker.
 func (s *Semandaq) ActiveMonitor(table string) (*monitor.Monitor, error) {
+	st, _, err := s.record(table)
+	if err != nil {
+		return nil, nil
+	}
+	return s.monitorOf(st)
+}
+
+// monitorOf is ActiveMonitor on a record.
+func (s *Semandaq) monitorOf(st *tableState) (*monitor.Monitor, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	key := strings.ToLower(table)
-	if s.monitorBusy[key] {
+	if st.starting {
 		return nil, ErrMonitorBusy
 	}
-	return s.monitors[key], nil
+	return st.monitor, nil
 }
 
 // StopMonitor detaches the table's active monitor; it reports whether one
@@ -780,10 +758,12 @@ func (s *Semandaq) ActiveMonitor(table string) (*monitor.Monitor, error) {
 func (s *Semandaq) StopMonitor(table string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	key := strings.ToLower(table)
-	_, ok := s.monitors[key]
-	delete(s.monitors, key)
-	return ok
+	st := s.tables[strings.ToLower(table)]
+	if st == nil || st.monitor == nil {
+		return false
+	}
+	st.monitor = nil
+	return true
 }
 
 // ApplyUpdates runs one update batch through the table's active monitor.
@@ -805,85 +785,68 @@ func (s *Semandaq) ApplyUpdates(table string, batch []monitor.Update) (*monitor.
 
 // Insert appends a row to the table through the session's write path: via
 // the active monitor when one exists (incremental detection sees the row
-// immediately), directly into the store otherwise. It returns the new
+// immediately), directly into the table otherwise. It returns the new
 // tuple's ID and the table version after the write.
 func (s *Semandaq) Insert(table string, row relstore.Tuple) (relstore.TupleID, int64, error) {
+	return s.writeOne(table, monitor.Update{Op: monitor.OpInsert, Row: row}, func(tab *relstore.Table) (relstore.TupleID, error) {
+		return tab.Insert(row)
+	})
+}
+
+// Delete removes the tuple through the session's write path (see Insert).
+// It returns the table version after the write.
+func (s *Semandaq) Delete(table string, id relstore.TupleID) (int64, error) {
+	_, version, err := s.writeOne(table, monitor.Update{Op: monitor.OpDelete, ID: id}, func(tab *relstore.Table) (relstore.TupleID, error) {
+		if !tab.Delete(id) {
+			return 0, fmt.Errorf("semandaq: no tuple %d in %s", id, table)
+		}
+		return id, nil
+	})
+	return version, err
+}
+
+// SetCell updates one attribute of a tuple through the session's write
+// path (see Insert). It returns the table version after the write.
+func (s *Semandaq) SetCell(table string, id relstore.TupleID, attr string, v types.Value) (int64, error) {
+	_, version, err := s.writeOne(table, monitor.Update{Op: monitor.OpSet, ID: id, Attr: attr, Value: v}, func(tab *relstore.Table) (relstore.TupleID, error) {
+		pos, ok := tab.Schema().Pos(attr)
+		if !ok {
+			return 0, fmt.Errorf("semandaq: no attribute %q in %s", attr, table)
+		}
+		_, err := tab.SetCell(id, pos, v)
+		return id, err
+	})
+	return version, err
+}
+
+// writeOne lands one write through withTableWrite: as a batch of one
+// through the active monitor, or by direct on the table when there is
+// none. It returns the tuple the write touched (an insert's new ID) and the
+// table version after it.
+func (s *Semandaq) writeOne(table string, u monitor.Update, direct func(*relstore.Table) (relstore.TupleID, error)) (relstore.TupleID, int64, error) {
 	var id relstore.TupleID
 	var version int64
 	err := s.withTableWrite(table, func(tab *relstore.Table, m *monitor.Monitor) error {
-		if m != nil {
-			res, err := m.Apply([]monitor.Update{{Op: monitor.OpInsert, Row: row}})
-			if err != nil {
-				return err
-			}
-			id, version = res.Inserted[0], res.Version
-			return nil
-		}
-		var err error
-		if id, err = tab.Insert(row); err != nil {
+		if m == nil {
+			var err error
+			id, err = direct(tab)
+			version = tab.Version()
 			return err
 		}
-		version = tab.Version()
+		res, err := m.Apply([]monitor.Update{u})
+		if err != nil {
+			return err
+		}
+		id, version = u.ID, res.Version
+		if u.Op == monitor.OpInsert {
+			id = res.Inserted[0]
+		}
 		return nil
 	})
 	if err != nil {
 		return 0, 0, err
 	}
 	return id, version, nil
-}
-
-// Delete removes the tuple through the session's write path (see Insert).
-// It returns the table version after the write.
-func (s *Semandaq) Delete(table string, id relstore.TupleID) (int64, error) {
-	var version int64
-	err := s.withTableWrite(table, func(tab *relstore.Table, m *monitor.Monitor) error {
-		if m != nil {
-			res, err := m.Apply([]monitor.Update{{Op: monitor.OpDelete, ID: id}})
-			if err != nil {
-				return err
-			}
-			version = res.Version
-			return nil
-		}
-		if !tab.Delete(id) {
-			return fmt.Errorf("semandaq: no tuple %d in %s", id, table)
-		}
-		version = tab.Version()
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return version, nil
-}
-
-// SetCell updates one attribute of a tuple through the session's write
-// path (see Insert). It returns the table version after the write.
-func (s *Semandaq) SetCell(table string, id relstore.TupleID, attr string, v types.Value) (int64, error) {
-	var version int64
-	err := s.withTableWrite(table, func(tab *relstore.Table, m *monitor.Monitor) error {
-		if m != nil {
-			res, err := m.Apply([]monitor.Update{{Op: monitor.OpSet, ID: id, Attr: attr, Value: v}})
-			if err != nil {
-				return err
-			}
-			version = res.Version
-			return nil
-		}
-		pos, ok := tab.Schema().Pos(attr)
-		if !ok {
-			return fmt.Errorf("semandaq: no attribute %q in %s", attr, table)
-		}
-		if _, err := tab.SetCell(id, pos, v); err != nil {
-			return err
-		}
-		version = tab.Version()
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return version, nil
 }
 
 // Discover mines constraints from a reference table with the PLI lattice
@@ -901,37 +864,29 @@ func (s *Semandaq) SetCell(table string, id relstore.TupleID, attr string, v typ
 // A cancelled ctx aborts the search mid-level and returns ctx.Err().
 func (s *Semandaq) Discover(ctx context.Context, refTable string, opts ...Option) (*discovery.Report, error) {
 	o := s.resolve(DefaultEngine, opts)
-	tab, err := s.Table(refTable)
+	st, _, err := s.record(refTable)
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	s.mu.Lock()
+	if st.discovery == nil {
+		st.discovery = discovery.NewSession(st.tab)
+	}
+	sess := st.discovery
+	s.mu.Unlock()
 	// Route through the table's discovery session, which answers an
 	// unchanged version without mining at all. The report is identical to
 	// a cold Mine over the same snapshot (the discovery cross-check tier).
 	// The returned report may be served again while the version holds;
 	// treat it as immutable.
-	return s.discoverySession(refTable, tab).Discover(ctx, discovery.Options{
+	return sess.Discover(ctx, discovery.Options{
 		MinSupport:       o.minSupport,
 		MaxLHS:           o.maxLHS,
 		MaxPatternsPerFD: o.maxPatterns,
 		MinConfidence:    o.minConfidence,
 		Workers:          o.workers,
 	})
-}
-
-// discoverySession returns the table's discovery session,
-// creating or replacing it when the registered table instance changed.
-func (s *Semandaq) discoverySession(name string, tab *relstore.Table) *discovery.Session {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	key := strings.ToLower(name)
-	ts, ok := s.sessions[key]
-	if !ok || ts.tab != tab {
-		ts = &tableSession{tab: tab, sess: discovery.NewSession(tab)}
-		s.sessions[key] = ts
-	}
-	return ts.sess
 }

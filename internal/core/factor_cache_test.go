@@ -33,44 +33,48 @@ func TestReportCacheHoldsOneVersion(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.mu.Lock()
-			if len(s.reports) != 1 {
-				t.Fatalf("round %d: %d tables cached, want 1", round, len(s.reports))
+			st := s.tables["customer"]
+			if st.version != tab.Version() {
+				t.Fatalf("round %d %v: cache holds version %d, table is at %d", round, kind, st.version, tab.Version())
 			}
-			tr := s.reports["customer"]
-			if tr.version != tab.Version() {
-				t.Fatalf("round %d %v: cache holds version %d, table is at %d", round, kind, tr.version, tab.Version())
-			}
-			if len(tr.entries) > 2 {
-				t.Fatalf("round %d: %d entries for one version, want at most 2 (sql, columnar)", round, len(tr.entries))
+			if len(st.entries) > 2 {
+				t.Fatalf("round %d: %d entries for one version, want at most 2 (sql, columnar)", round, len(st.entries))
 			}
 			s.mu.Unlock()
 		}
-		col, _ := s.cachedEntry("customer", ColumnarDetection, tab.Version())
-		par, _ := s.cachedEntry("customer", ParallelDetection, tab.Version())
+		col, _ := cached(s, ColumnarDetection, tab.Version())
+		par, _ := cached(s, ParallelDetection, tab.Version())
 		if col == nil || col != par || col.fr == nil {
 			t.Fatalf("round %d: columnar and parallel do not share one factorised entry", round)
 		}
 	}
 	// A fill for a version the cache has moved past must not evict the
 	// newer one.
-	s.cacheEntry("customer", SQLDetection, tab.Version()-1, &reportEntry{})
-	if _, ok := s.cachedEntry("customer", ColumnarDetection, tab.Version()); !ok {
+	st, cfds, _ := s.record("customer")
+	s.cacheEntry(st, cfds, tab.Version()-1, &reportEntry{}, SQLDetection)
+	if _, ok := cached(s, ColumnarDetection, tab.Version()); !ok {
 		t.Error("a stale fill evicted the current version's entries")
 	}
 	// Both invalidation paths cover the entry shape.
 	if err := s.RegisterCFDs("customer", nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.reports) != 0 {
+	if st.entries != nil {
 		t.Error("RegisterCFDs left reports cached")
 	}
 	if _, err := s.Detect(ctx, "customer"); err != nil {
 		t.Fatal(err)
 	}
 	s.RegisterTable(tab)
-	if len(s.reports) != 0 {
+	if s.tables["customer"].entries != nil {
 		t.Error("RegisterTable left reports cached")
 	}
+}
+
+// cached is the customer table's cache entry for the kind at version.
+func cached(s *Semandaq, kind DetectorKind, version int64) (*reportEntry, bool) {
+	st, cfds, _ := s.record("customer")
+	return s.cachedEntry(st, cfds, kind, version)
 }
 
 // TestDigestMatchesFlatReport pins the digest entry point to the flat
@@ -152,12 +156,12 @@ func TestTrackerReportServesEveryKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, ok := s.cachedEntry("customer", SQLDetection, tab.Version())
+	e, ok := cached(s, SQLDetection, tab.Version())
 	if !ok || e.fr == nil {
 		t.Fatal("the SQL request was not served from the tracker's factorised report")
 	}
 	for _, kind := range allKinds {
-		if got, _ := s.cachedEntry("customer", kind, tab.Version()); got != e {
+		if got, _ := cached(s, kind, tab.Version()); got != e {
 			t.Errorf("%v: the tracker's report is not cached for this kind", kind)
 		}
 	}
@@ -173,7 +177,7 @@ func TestTrackerReportServesEveryKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after, _ := s.cachedEntry("customer", ColumnarDetection, tab.Version()); after != e || ex1 != ex2 {
+	if after, _ := cached(s, ColumnarDetection, tab.Version()); after != e || ex1 != ex2 {
 		t.Error("the audit or the drill-down built a second report or explorer for the version")
 	}
 	batch, err := detect.ColumnarDetector{Workers: 1}.Detect(ctx, tab, s.CFDs("customer"))
@@ -202,7 +206,7 @@ func TestLazyExplodeRunsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab, _ := s.Table("customer")
-	e, ok := s.cachedEntry("customer", DefaultEngine, tab.Version())
+	e, ok := cached(s, DefaultEngine, tab.Version())
 	if !ok || e.fr == nil || e.rep != nil {
 		t.Fatal("DetectDigest should cache the factorised report without exploding it")
 	}

@@ -19,7 +19,7 @@ import (
 //   - multi-tuple groups are classes of the LHS columns' Equal-class
 //     codes (relstore.EqClasses, built once per run per column set from
 //     the columns' probe vectors), instead of a length-prefixed Key()
-//     string rebuilt per tuple per CFD (the WriteGroupKey encoding remains
+//     string rebuilt per tuple per CFD (the AppendGroupKey encoding remains
 //     the cross-snapshot key format, used by the incremental tracker);
 //   - the RHS value key of a group member is the dictionary's precomputed
 //     Key() string, shared by every member with that value.
@@ -96,7 +96,7 @@ type colPattern struct {
 
 // colPrep is one prepared CFD bound to a columnar snapshot.
 type colPrep struct {
-	p         prepared
+	p         Prepared
 	lhsCols   []*relstore.Column
 	rhsCol    *relstore.Column
 	rhsNull   uint32 // exact (= Equal-class) code of NULL in the RHS column
@@ -114,22 +114,22 @@ type colPrep struct {
 func (cp *colPrep) lhsClasses() *relstore.EqClasses { return cp.classes.Get(cp.lhsSet) }
 
 // newColPrep resolves the prepared CFD's patterns into snapshot codes.
-func newColPrep(p prepared, snap *relstore.Columnar) colPrep {
+func newColPrep(p Prepared, snap *relstore.Columnar) colPrep {
 	cp := colPrep{
 		p:       p,
-		lhsCols: make([]*relstore.Column, len(p.lhsPos)),
-		rhsCol:  snap.Col(p.rhsPos),
+		lhsCols: make([]*relstore.Column, len(p.LHSPos)),
+		rhsCol:  snap.Col(p.RHSPos),
 	}
 	cp.rhsNull, cp.hasNull = cp.rhsCol.NullCode()
-	for k, pos := range p.lhsPos {
+	for k, pos := range p.LHSPos {
 		cp.lhsCols[k] = snap.Col(pos)
 	}
-	if p.c.HasVariablePattern() {
+	if p.CFD.HasVariablePattern() {
 		cp.rhsCol.EnsureKeys() // group RHS keys sit in the scan's hot loop
 	}
-	for i := range p.c.Tableau {
-		pat := colPattern{idx: i, lhs: BindLHS(p.c.Tableau[i], cp.lhsCols)}
-		if rhs := p.c.Tableau[i].RHS[0]; rhs.Wildcard {
+	for i := range p.CFD.Tableau {
+		pat := colPattern{idx: i, lhs: BindLHS(p.CFD.Tableau[i], cp.lhsCols)}
+		if rhs := p.CFD.Tableau[i].RHS[0]; rhs.Wildcard {
 			cp.varPats = append(cp.varPats, pat)
 		} else {
 			pat.expCode, pat.expOK = cp.rhsCol.EqCodeOf(rhs.Const)

@@ -191,16 +191,19 @@ type EngineDetector interface {
 	FactorDetector
 }
 
-// prepared is a normalized CFD with resolved attribute positions.
-type prepared struct {
-	c      *cfd.CFD
-	lhsPos []int
-	rhsPos int // single RHS attribute after normalization
+// Prepared is a normalized, merged CFD with its attribute positions
+// resolved against a schema.
+type Prepared struct {
+	CFD    *cfd.CFD
+	LHSPos []int
+	RHSPos int // single RHS attribute after normalization
 }
 
-// prepare validates, normalizes (single-attribute RHS) and merges the CFDs
+// Prepare validates, normalizes (single-attribute RHS) and merges the CFDs
 // by embedded FD, then resolves attribute positions against the schema.
-func prepare(sc *schema.Relation, cfds []*cfd.CFD) ([]prepared, error) {
+// Detection, the audit and the explorer all read a CFD set through it, so
+// their pattern indexes and CFD IDs line up.
+func Prepare(sc *schema.Relation, cfds []*cfd.CFD) ([]Prepared, error) {
 	var normalized []*cfd.CFD
 	for _, c := range cfds {
 		if err := c.Validate(sc); err != nil {
@@ -209,7 +212,7 @@ func prepare(sc *schema.Relation, cfds []*cfd.CFD) ([]prepared, error) {
 		normalized = append(normalized, c.Normalize()...)
 	}
 	merged := cfd.MergeByFD(normalized)
-	out := make([]prepared, 0, len(merged))
+	out := make([]Prepared, 0, len(merged))
 	for _, c := range merged {
 		lhsPos, err := sc.Positions(c.LHS)
 		if err != nil {
@@ -219,7 +222,7 @@ func prepare(sc *schema.Relation, cfds []*cfd.CFD) ([]prepared, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, prepared{c: c, lhsPos: lhsPos, rhsPos: rhsPos[0]})
+		out = append(out, Prepared{CFD: c, LHSPos: lhsPos, RHSPos: rhsPos[0]})
 	}
 	return out, nil
 }

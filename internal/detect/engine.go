@@ -62,8 +62,8 @@ type Config struct {
 	// Workers is the goroutine count for the parallel engine; <= 0 means
 	// runtime.GOMAXPROCS.
 	Workers int
-	// Store must contain the data table for the SQL engine (the generated
-	// queries join against tableau tables materialized in it).
+	// Store is the SQL engine's store, which its Detect needs to hold the
+	// data table; DetectSnapshot and DetectFactorised need none.
 	Store *relstore.Store
 }
 

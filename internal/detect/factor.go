@@ -183,7 +183,7 @@ func DetectFactorised(ctx context.Context, rsnap *relstore.Snapshot, cfds []*cfd
 // (phi1 and phi2 of the running example group on [CNT, ZIP]) share one
 // build, and the memo goes with the run.
 func bindCFDs(rsnap *relstore.Snapshot, cfds []*cfd.CFD) (*relstore.Columnar, []colPrep, *relstore.ClassMemo, error) {
-	preps, err := prepare(rsnap.Schema(), cfds)
+	preps, err := Prepare(rsnap.Schema(), cfds)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -194,12 +194,12 @@ func bindCFDs(rsnap *relstore.Snapshot, cfds []*cfd.CFD) (*relstore.Columnar, []
 
 // bind resolves prepared CFDs into snap's code space over one new class
 // memo.
-func bind(snap *relstore.Columnar, preps []prepared) ([]colPrep, *relstore.ClassMemo) {
+func bind(snap *relstore.Columnar, preps []Prepared) ([]colPrep, *relstore.ClassMemo) {
 	memo := relstore.NewClassMemo(snap)
 	cps := make([]colPrep, len(preps))
 	for i, p := range preps {
 		cps[i] = newColPrep(p, snap)
-		cps[i].lhsSet, cps[i].classes = slices.Clone(p.lhsPos), memo
+		cps[i].lhsSet, cps[i].classes = slices.Clone(p.LHSPos), memo
 		slices.Sort(cps[i].lhsSet)
 	}
 	return cps, memo
@@ -275,7 +275,7 @@ func assemble(snap *relstore.Columnar, cps []colPrep, parts []cfdPart) *FactorRe
 		for _, g := range pt.groups {
 			st.MultiTuple += len(g.Rows)
 		}
-		fr.PerCFD[cps[i].p.c.ID] = st
+		fr.PerCFD[cps[i].p.CFD.ID] = st
 		fr.Violations = append(fr.Violations, pt.viols...)
 		fr.FactorGroups = append(fr.FactorGroups, pt.groups...)
 	}
@@ -300,12 +300,12 @@ func (cp *colPrep) constAt(idx int, id relstore.TupleID, emit func(Violation) bo
 			continue
 		}
 		if !emit(Violation{
-			CFDID:    cp.p.c.ID,
+			CFDID:    cp.p.CFD.ID,
 			Kind:     SingleTuple,
 			Pattern:  pat.idx,
 			TupleID:  id,
-			Attr:     cp.p.c.RHS[0],
-			Expected: cp.p.c.Tableau[pat.idx].RHS[0].Const,
+			Attr:     cp.p.CFD.RHS[0],
+			Expected: cp.p.CFD.Tableau[pat.idx].RHS[0].Const,
 			Got:      cp.rhsCol.Value(rhsExact),
 		}) {
 			return false
@@ -404,9 +404,9 @@ func newFactorGroup(cp *colPrep, rows []int32, codeCounts map[uint32]int,
 		return nil // distinct exact codes sharing one key: INT 1 and FLOAT 1.0 agree
 	}
 	return &FactorGroup{
-		CFDID:       cp.p.c.ID,
-		Attr:        cp.p.c.RHS[0],
-		LHSAttrs:    cp.p.c.LHS,
+		CFDID:       cp.p.CFD.ID,
+		Attr:        cp.p.CFD.RHS[0],
+		LHSAttrs:    cp.p.CFD.LHS,
 		LHSValues:   lhsValues(cp, rows[0]),
 		Rows:        rows,
 		RHSCounts:   counts,

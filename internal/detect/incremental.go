@@ -22,7 +22,7 @@ import (
 // reference count per tuple (transitions are O(1) amortized; a whole group
 // flipping between clean and violating costs O(|group|) exactly once per
 // flip) and computes vio(t) on demand in O(#CFDs); an update returns no
-// delta. Keys are WriteGroupKey bytes, not dictionary codes, which mean
+// delta. Keys are AppendGroupKey bytes, not dictionary codes, which mean
 // nothing across a column's compaction: an update writes them into a
 // scratch buffer and looks them up without allocating, and a key string is
 // allocated only for a new RHS class (its group's key is a prefix of it).
@@ -65,7 +65,7 @@ type Tracker struct {
 // and classes index groupAt and classAt by LHS group key and by LHS key
 // followed by RHS key.
 type cfdState struct {
-	p            prepared
+	p            Prepared
 	consts, vars bool // has constant-RHS / wildcard-RHS patterns
 	single       []bool
 	member       []membership
@@ -120,14 +120,14 @@ func (s *slab[T]) drop(i int32) {
 // NewTracker builds a tracker over the table and CFD set, seeded from the
 // table's current snapshot.
 func NewTracker(tab *relstore.Table, cfds []*cfd.CFD) (*Tracker, error) {
-	preps, err := prepare(tab.Schema(), cfds)
+	preps, err := Prepare(tab.Schema(), cfds)
 	if err != nil {
 		return nil, err
 	}
 	t := &Tracker{tab: tab}
 	for _, p := range preps {
-		consts := slices.ContainsFunc(p.c.Tableau, func(pt cfd.PatternTuple) bool { return !pt.RHS[0].Wildcard })
-		t.state = append(t.state, &cfdState{p: p, consts: consts, vars: p.c.HasVariablePattern()})
+		consts := slices.ContainsFunc(p.CFD.Tableau, func(pt cfd.PatternTuple) bool { return !pt.RHS[0].Wildcard })
+		t.state = append(t.state, &cfdState{p: p, consts: consts, vars: p.CFD.HasVariablePattern()})
 	}
 	t.seed(tab.Snapshot()) // not shared yet: no locking
 	return t, nil
@@ -148,7 +148,7 @@ func (t *Tracker) seed(rsnap *relstore.Snapshot) {
 	if len(ids) > 0 {
 		t.next = ids[len(ids)-1] + 1
 	}
-	preps := make([]prepared, len(t.state))
+	preps := make([]Prepared, len(t.state))
 	for i, cs := range t.state {
 		preps[i] = cs.p
 	}
@@ -375,7 +375,7 @@ func (t *Tracker) SetCell(id relstore.TupleID, attr string, v types.Value) error
 	}
 	t.row, _ = t.tab.AppendRow(t.row[:0], id)
 	for _, cs := range t.state {
-		if pos == cs.p.rhsPos || slices.Contains(cs.p.lhsPos, pos) {
+		if pos == cs.p.RHSPos || slices.Contains(cs.p.LHSPos, pos) {
 			t.unindex(cs, at)
 			t.index(cs, at, t.row)
 		}
@@ -388,11 +388,11 @@ func (t *Tracker) SetCell(id relstore.TupleID, attr string, v types.Value) error
 // constant, a group membership for a matched wildcard RHS.
 func (t *Tracker) index(cs *cfdState, at int32, row relstore.Tuple) {
 	single, grouped := false, false
-	for i, pt := range cs.p.c.Tableau {
-		if !cs.p.c.MatchLHS(i, row, cs.p.lhsPos) {
+	for i, pt := range cs.p.CFD.Tableau {
+		if !cs.p.CFD.MatchLHS(i, row, cs.p.LHSPos) {
 			continue
 		}
-		if rhs, got := pt.RHS[0], row[cs.p.rhsPos]; rhs.Wildcard {
+		if rhs, got := pt.RHS[0], row[cs.p.RHSPos]; rhs.Wildcard {
 			grouped = true
 		} else if !got.IsNull() && !got.Equal(rhs.Const) {
 			single = true
@@ -406,11 +406,11 @@ func (t *Tracker) index(cs *cfdState, at int32, row relstore.Tuple) {
 		return
 	}
 	t.key = t.key[:0]
-	for _, p := range cs.p.lhsPos {
+	for _, p := range cs.p.LHSPos {
 		t.key = row[p].AppendGroupKey(t.key)
 	}
 	lhs := len(t.key)
-	t.key = row[cs.p.rhsPos].AppendGroupKey(t.key)
+	t.key = row[cs.p.RHSPos].AppendGroupKey(t.key)
 	t.join(cs, at, t.class(cs, lhs))
 }
 

@@ -34,7 +34,8 @@ import (
 // GROUP BY value and counts it as one more distinct RHS class (HAVING
 // compares COUNT(rhs) with COUNT(*)).
 type SQLDetector struct {
-	// Engine runs the generated SQL. Its store must contain the data table.
+	// Engine runs the generated SQL. Detect needs the data table in its
+	// store; DetectSnapshot and DetectFactorised read the pinned snapshot.
 	// A run pins its tableau tables on the engine, so concurrent runs need
 	// an engine each (NewSQLDetector makes one).
 	Engine *sqleng.Engine
@@ -46,7 +47,8 @@ type SQLDetector struct {
 	Trace func(sql string)
 }
 
-// NewSQLDetector builds a SQL detector over the store holding the data.
+// NewSQLDetector builds a SQL detector over the store holding the data
+// (nil: none; the snapshot entry points need none).
 func NewSQLDetector(store *relstore.Store) *SQLDetector {
 	return &SQLDetector{Engine: sqleng.New(store)}
 }
@@ -77,17 +79,14 @@ func (d *SQLDetector) DetectSnapshot(ctx context.Context, snap *relstore.Snapsho
 // detector's SQL engine, with the run's class memo, for the duration of the
 // run, so the generated queries (Qc and Qv, per merged CFD) all read the
 // data table at one version even while writers mutate it, and the report's
-// groups are classes of that same version. The snapshot's table must be
-// registered in the engine's store under its schema name.
+// groups are classes of that same version. The queries read only what
+// the run pins, so the engine needs no store (sqleng.New(nil)).
 func (d *SQLDetector) DetectFactorised(ctx context.Context, rsnap *relstore.Snapshot, cfds []*cfd.CFD) (*FactorReport, error) {
 	snap, cps, classes, err := bindCFDs(rsnap, cfds)
 	if err != nil {
 		return nil, err
 	}
 	dataName := snap.Schema().Name
-	if _, ok := d.Engine.Store().Table(dataName); !ok {
-		return nil, fmt.Errorf("detect: table %q is not registered in the detector's store", dataName)
-	}
 	d.Engine.PinClasses(rsnap, classes)
 	defer d.Engine.Unpin(dataName)
 	parts := make([]cfdPart, len(cps))
@@ -201,7 +200,7 @@ func (g cfdSQL) qv(data string, c *cfd.CFD) string {
 // mid-query cancel aborts inside the generated query rather than between
 // queries.
 func (d *SQLDetector) detectOneSQL(ctx context.Context, dataName string, cp *colPrep, seq int, ids []relstore.TupleID, out *cfdPart) error {
-	c := cp.p.c
+	c := cp.p.CFD
 	gen := sqlFor(c, seq)
 	// The table is this run's own.
 	tp, err := cfd.EncodeTableau(c, gen.tpName)
@@ -248,7 +247,7 @@ func (d *SQLDetector) detectOneSQL(ctx context.Context, dataName string, cp *col
 					keyErr = fmt.Errorf("detect: Qv for %s returned %v, which no %s value equals", c.ID, row, c.LHS[k])
 					return false
 				}
-				codes[slices.Index(cp.lhsSet, cp.p.lhsPos[k])] = code
+				codes[slices.Index(cp.lhsSet, cp.p.LHSPos[k])] = code
 			}
 			cl, ok := cls.Lookup(codes)
 			switch {
@@ -279,20 +278,20 @@ func (d *SQLDetector) detectOneSQL(ctx context.Context, dataName string, cp *col
 // and the query, then the query's text. core's DetectionSQL serves it: the
 // CLI's sql command prints it, and so does GET /api/detect/{table}/sql.
 func GenerateSQL(tab *relstore.Table, cfds []*cfd.CFD) ([]string, error) {
-	preps, err := prepare(tab.Schema(), cfds)
+	preps, err := Prepare(tab.Schema(), cfds)
 	if err != nil {
 		return nil, err
 	}
 	var out []string
 	for seq, p := range preps {
-		gen := sqlFor(p.c, seq)
+		gen := sqlFor(p.CFD, seq)
 		if gen.hasConst {
 			out = append(out, fmt.Sprintf("-- %s: Qc (single-tuple violations)\n%s",
-				p.c.ID, gen.qc(tab.Schema().Name, p.c)))
+				p.CFD.ID, gen.qc(tab.Schema().Name, p.CFD)))
 		}
 		if gen.hasVar {
 			out = append(out, fmt.Sprintf("-- %s: Qv (multi-tuple violation groups)\n%s",
-				p.c.ID, gen.qv(tab.Schema().Name, p.c)))
+				p.CFD.ID, gen.qv(tab.Schema().Name, p.CFD)))
 		}
 	}
 	return out, nil

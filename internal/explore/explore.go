@@ -25,11 +25,8 @@ import (
 // while the live table keeps mutating. Build a new Explorer to see fresher
 // data. An Explorer is immutable once built and safe for concurrent use.
 type Explorer struct {
-	tab    *relstore.Snapshot
-	merged []*cfd.CFD
-
-	lhsPos map[string][]int // by CFD ID
-	rhsPos map[string]int
+	tab   *relstore.Snapshot
+	preps []detect.Prepared
 	// The report's index, dense over the snapshot's rows: per CFD, each
 	// row's violation of it and the number of violating rows; per CFD, the
 	// majority RHS key of each violating group by LHS group key; vio(t).
@@ -93,37 +90,20 @@ func NewFactorised(snap *relstore.Snapshot, cfds []*cfd.CFD, fr *detect.FactorRe
 // newExplorer validates and merges cfds against snap, sizes the index and
 // marks the rows of the report's violation records viols.
 func newExplorer(snap *relstore.Snapshot, cfds []*cfd.CFD, viols []detect.Violation) (*Explorer, error) {
-	sc := snap.Schema()
-	var normalized []*cfd.CFD
-	for _, c := range cfds {
-		if err := c.Validate(sc); err != nil {
-			return nil, err
-		}
-		normalized = append(normalized, c.Normalize()...)
+	preps, err := detect.Prepare(snap.Schema(), cfds)
+	if err != nil {
+		return nil, err
 	}
-	merged := cfd.MergeByFD(normalized)
 	e := &Explorer{
 		tab:      snap,
-		merged:   merged,
-		lhsPos:   map[string][]int{},
-		rhsPos:   map[string]int{},
+		preps:    preps,
 		viol:     map[string][]violation{},
 		nViol:    map[string]int{},
 		majority: map[string]map[string]string{},
 	}
-	for _, c := range merged {
-		lp, err := sc.Positions(c.LHS)
-		if err != nil {
-			return nil, err
-		}
-		rp, err := sc.Positions(c.RHS)
-		if err != nil {
-			return nil, err
-		}
-		e.lhsPos[c.ID] = lp
-		e.rhsPos[c.ID] = rp[0]
-		e.viol[c.ID] = make([]violation, snap.Len())
-		e.majority[c.ID] = map[string]string{}
+	for _, p := range preps {
+		e.viol[p.CFD.ID] = make([]violation, snap.Len())
+		e.majority[p.CFD.ID] = map[string]string{}
 	}
 	for _, v := range viols {
 		if r, ok := slices.BinarySearch(snap.IDs(), v.TupleID); ok {
@@ -155,15 +135,16 @@ func (e *Explorer) addMajority(cfdID string, lhs []types.Value, key string) {
 	}
 }
 
-// groupKey encodes an LHS value vector in the shared WriteGroupKey form:
+// groupKey encodes an LHS value vector in the shared AppendGroupKey form:
 // the key the majorities are indexed by and RHSValues looks its group's
 // majority up with, once per call.
 func groupKey(vals []types.Value) string {
-	var b strings.Builder
+	var scratch [64]byte
+	b := scratch[:0]
 	for _, v := range vals {
-		v.WriteGroupKey(&b)
+		b = v.AppendGroupKey(b)
 	}
-	return b.String()
+	return string(b)
 }
 
 // CFDInfo is the first drill-down level: one embedded FD with its tableau
@@ -177,8 +158,9 @@ type CFDInfo struct {
 
 // CFDs lists the constraints, in registration order.
 func (e *Explorer) CFDs() []CFDInfo {
-	out := make([]CFDInfo, 0, len(e.merged))
-	for _, c := range e.merged {
+	out := make([]CFDInfo, 0, len(e.preps))
+	for _, p := range e.preps {
+		c := p.CFD
 		out = append(out, CFDInfo{
 			ID:         c.ID,
 			FD:         fmt.Sprintf("%s: [%s] -> [%s]", c.Table, strings.Join(c.LHS, ", "), strings.Join(c.RHS, ", ")),
@@ -189,10 +171,10 @@ func (e *Explorer) CFDs() []CFDInfo {
 	return out
 }
 
-func (e *Explorer) find(cfdID string) (*cfd.CFD, error) {
-	for _, c := range e.merged {
-		if c.ID == cfdID {
-			return c, nil
+func (e *Explorer) find(cfdID string) (*detect.Prepared, error) {
+	for i := range e.preps {
+		if e.preps[i].CFD.ID == cfdID {
+			return &e.preps[i], nil
 		}
 	}
 	return nil, fmt.Errorf("explore: no CFD %q", cfdID)
@@ -210,11 +192,12 @@ type PatternInfo struct {
 
 // Patterns lists the tableau of one CFD with per-pattern statistics.
 func (e *Explorer) Patterns(cfdID string) ([]PatternInfo, error) {
-	c, err := e.find(cfdID)
+	p, err := e.find(cfdID)
 	if err != nil {
 		return nil, err
 	}
-	lhs, _ := e.cols(cfdID)
+	c := p.CFD
+	lhs, _ := e.cols(p)
 	out := make([]PatternInfo, len(c.Tableau))
 	match := make([]detect.LHSMatcher, len(c.Tableau))
 	for i := range c.Tableau {
@@ -242,35 +225,36 @@ func (e *Explorer) Patterns(cfdID string) ([]PatternInfo, error) {
 
 // cols returns the pinned snapshot's columns of one CFD's LHS attributes,
 // in order, and of its RHS attribute.
-func (e *Explorer) cols(cfdID string) ([]*relstore.Column, *relstore.Column) {
+func (e *Explorer) cols(p *detect.Prepared) ([]*relstore.Column, *relstore.Column) {
 	snap := e.tab.Columnar()
-	lhs := make([]*relstore.Column, len(e.lhsPos[cfdID]))
-	for k, pos := range e.lhsPos[cfdID] {
+	lhs := make([]*relstore.Column, len(p.LHSPos))
+	for k, pos := range p.LHSPos {
 		lhs[k] = snap.Col(pos)
 	}
-	return lhs, snap.Col(e.rhsPos[cfdID])
+	return lhs, snap.Col(p.RHSPos)
 }
 
 // scope is one (CFD, pattern) bound to the pinned snapshot's codes.
 type scope struct {
-	match detect.LHSMatcher
-	lhs   []*relstore.Column
-	rhs   *relstore.Column
-	viol  []violation
+	match  detect.LHSMatcher
+	lhsPos []int
+	lhs    []*relstore.Column
+	rhs    *relstore.Column
+	viol   []violation
 }
 
 // scope binds pattern of CFD cfdID, failing on an unknown CFD or pattern.
 func (e *Explorer) scope(cfdID string, pattern int) (*scope, error) {
-	c, err := e.find(cfdID)
+	p, err := e.find(cfdID)
 	if err != nil {
 		return nil, err
 	}
-	if pattern < 0 || pattern >= len(c.Tableau) {
+	if pattern < 0 || pattern >= len(p.CFD.Tableau) {
 		return nil, fmt.Errorf("explore: CFD %s has no pattern %d", cfdID, pattern)
 	}
-	s := &scope{viol: e.viol[cfdID]}
-	s.lhs, s.rhs = e.cols(cfdID)
-	s.match = detect.BindLHS(c.Tableau[pattern], s.lhs)
+	s := &scope{lhsPos: p.LHSPos, viol: e.viol[cfdID]}
+	s.lhs, s.rhs = e.cols(p)
+	s.match = detect.BindLHS(p.CFD.Tableau[pattern], s.lhs)
 	return s, nil
 }
 
@@ -303,7 +287,7 @@ func (e *Explorer) LHSGroups(cfdID string, pattern int) ([]LHSGroup, error) {
 	// matches the pattern as a whole, and its distinct RHS values are its
 	// rows' distinct RHS Equal-class codes. Classes come in order of their
 	// first rows.
-	part := e.tab.Columnar().EqClasses(slices.Sorted(slices.Values(e.lhsPos[cfdID])))
+	part := e.tab.Columnar().EqClasses(slices.Sorted(slices.Values(s.lhsPos)))
 	var matched []int
 	for c := range part.NumClasses() {
 		if s.match.Match(int(part.Class(c)[0])) {
@@ -432,10 +416,10 @@ func (e *Explorer) ForTuple(id relstore.TupleID) ([]Relevance, error) {
 	}
 	r, _ := slices.BinarySearch(e.tab.IDs(), id)
 	var out []Relevance
-	for _, c := range e.merged {
-		lhsPos, viol := e.lhsPos[c.ID], e.viol[c.ID][r]
+	for _, p := range e.preps {
+		c, viol := p.CFD, e.viol[p.CFD.ID][r]
 		for i := range c.Tableau {
-			if !c.MatchLHS(i, row, lhsPos) {
+			if !c.MatchLHS(i, row, p.LHSPos) {
 				continue
 			}
 			rel := Relevance{CFDID: c.ID, Pattern: i, Text: c.Tableau[i].String(), Violated: viol != clean}

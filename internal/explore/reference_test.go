@@ -18,7 +18,7 @@ import (
 
 // The row-scan explorer the code-keyed one replaced, kept as its reference:
 // every level decodes each row, matches patterns with Value.Equal and groups
-// by the rows' WriteGroupKey strings, and reads the flat report through the
+// by the rows' AppendGroupKey strings, and reads the flat report through the
 // maps it used to index it by.
 
 // ref is the reference's index of a flat report: the violating tuple ids
@@ -48,7 +48,8 @@ func newRef(rep *detect.Report) *ref {
 
 func (x *ref) cfds(e *Explorer) []CFDInfo {
 	var out []CFDInfo
-	for _, c := range e.merged {
+	for _, p := range e.preps {
+		c := p.CFD
 		out = append(out, CFDInfo{
 			ID:         c.ID,
 			FD:         fmt.Sprintf("%s: [%s] -> [%s]", c.Table, strings.Join(c.LHS, ", "), strings.Join(c.RHS, ", ")),
@@ -73,9 +74,10 @@ func (x *ref) forTuple(e *Explorer, id relstore.TupleID) []Relevance {
 		}
 	}
 	var out []Relevance
-	for _, c := range e.merged {
+	for _, p := range e.preps {
+		c := p.CFD
 		for i := range c.Tableau {
-			if c.MatchLHS(i, row, e.lhsPos[c.ID]) {
+			if c.MatchLHS(i, row, p.LHSPos) {
 				out = append(out, Relevance{CFDID: c.ID, Pattern: i, Text: c.Tableau[i].String(), Violated: violated[c.ID], Kind: kinds[c.ID]})
 			}
 		}
@@ -84,8 +86,8 @@ func (x *ref) forTuple(e *Explorer, id relstore.TupleID) []Relevance {
 }
 
 func (x *ref) patterns(e *Explorer, cfdID string) []PatternInfo {
-	c, _ := e.find(cfdID)
-	lhsPos := e.lhsPos[cfdID]
+	p, _ := e.find(cfdID)
+	c, lhsPos := p.CFD, p.LHSPos
 	out := make([]PatternInfo, len(c.Tableau))
 	for i := range c.Tableau {
 		out[i] = PatternInfo{Index: i, Pattern: c.Tableau[i].String(), Constant: c.IsConstantPattern(i)}
@@ -107,8 +109,8 @@ func (x *ref) patterns(e *Explorer, cfdID string) []PatternInfo {
 }
 
 func (x *ref) lhsGroups(e *Explorer, cfdID string, pattern int) []LHSGroup {
-	c, _ := e.find(cfdID)
-	lhsPos, rhsPos, viol := e.lhsPos[cfdID], e.rhsPos[cfdID], x.viol[cfdID]
+	p, _ := e.find(cfdID)
+	c, lhsPos, rhsPos, viol := p.CFD, p.LHSPos, p.RHSPos, x.viol[cfdID]
 	type acc struct {
 		vals  []types.Value
 		n     int
@@ -154,8 +156,8 @@ func (x *ref) lhsGroups(e *Explorer, cfdID string, pattern int) []LHSGroup {
 }
 
 func (x *ref) rhsValues(e *Explorer, cfdID string, pattern int, lhsVals []types.Value) []RHSValue {
-	c, _ := e.find(cfdID)
-	lhsPos, rhsPos, viol := e.lhsPos[cfdID], e.rhsPos[cfdID], x.viol[cfdID]
+	p, _ := e.find(cfdID)
+	c, lhsPos, rhsPos, viol := p.CFD, p.LHSPos, p.RHSPos, x.viol[cfdID]
 	want := groupKey(lhsVals)
 	type acc struct {
 		val      types.Value
@@ -194,8 +196,8 @@ func (x *ref) rhsValues(e *Explorer, cfdID string, pattern int, lhsVals []types.
 }
 
 func (x *ref) tuples(e *Explorer, cfdID string, pattern int, lhsVals []types.Value, rhsVal types.Value) []TupleRow {
-	c, _ := e.find(cfdID)
-	lhsPos, rhsPos := e.lhsPos[cfdID], e.rhsPos[cfdID]
+	p, _ := e.find(cfdID)
+	c, lhsPos, rhsPos := p.CFD, p.LHSPos, p.RHSPos
 	want := groupKey(lhsVals)
 	var out []TupleRow
 	e.tab.Scan(func(id relstore.TupleID, row relstore.Tuple) bool {

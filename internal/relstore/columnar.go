@@ -28,7 +28,7 @@
 // numbering records edit history and must stay unobservable: nothing may
 // order, emit or compare by code value, and codes mean nothing across
 // lineages or tables — layers comparing keys across snapshots (the
-// incremental tracker, cross-table joins) keep using the WriteGroupKey
+// incremental tracker, cross-table joins) keep using the AppendGroupKey
 // encoding or a translation table.
 package relstore
 

@@ -39,17 +39,25 @@ import (
 type Server struct {
 	s  *core.Semandaq
 	mu lockcheck.Mutex[Server]
-	// pending holds the modifications of the last computed candidate repair
-	// per lowercased table name, for the review-then-apply flow — not the
-	// result, whose working table would stay alive until applied.
-	pending map[string][]repair.Modification
+	// pending holds the last computed candidate repair per lowercased
+	// table name, for the review-then-apply flow: its modifications and the
+	// table instance they were computed on — not the result, whose working
+	// table would stay alive until applied.
+	pending map[string]pendingRepair
+}
+
+// pendingRepair is a reviewed repair waiting to be applied. It applies only
+// to the table it was computed on: a reload drops it.
+type pendingRepair struct {
+	tab  *relstore.Table
+	mods []repair.Modification
 }
 
 // New builds a server over the session.
 func New(s *core.Semandaq) *Server {
 	return &Server{
 		s:       s,
-		pending: map[string][]repair.Modification{},
+		pending: map[string]pendingRepair{},
 	}
 }
 
@@ -235,6 +243,9 @@ func (sv *Server) handleLoadCSV(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
+	sv.mu.Lock()
+	delete(sv.pending, strings.ToLower(tab.Schema().Name))
+	sv.mu.Unlock()
 	writeJSON(w, map[string]any{
 		"table":  tab.Schema().Name,
 		"attrs":  tab.Schema().AttrNames(),
@@ -443,22 +454,25 @@ func appendDetectJSON(b []byte, d *detect.Digest, durationMs float64) []byte {
 	return append(b, '}', '\n')
 }
 
-// violationJSON shapes one streamed violation as an NDJSON line payload.
-func violationJSON(v detect.Violation) map[string]any {
-	out := map[string]any{
-		"cfd":   v.CFDID,
-		"kind":  v.Kind.String(),
-		"tuple": int64(v.TupleID),
-		"attr":  v.Attr,
-	}
-	if v.Kind == detect.SingleTuple {
-		out["pattern"] = v.Pattern
-		out["expected"] = jsonValue(v.Expected)
-		out["got"] = jsonValue(v.Got)
-	} else {
-		out["partners"] = v.Partners
-	}
-	return out
+// singleJSON and multiJSON are the NDJSON lines of a streamed single- and
+// multi-tuple violation. Their fields are in key order, as encoding/json
+// writes a map's keys.
+type singleJSON struct {
+	Attr     string `json:"attr"`
+	CFD      string `json:"cfd"`
+	Expected any    `json:"expected"`
+	Got      any    `json:"got"`
+	Kind     string `json:"kind"`
+	Pattern  int    `json:"pattern"`
+	Tuple    int64  `json:"tuple"`
+}
+
+type multiJSON struct {
+	Attr     string `json:"attr"`
+	CFD      string `json:"cfd"`
+	Kind     string `json:"kind"`
+	Partners int    `json:"partners"`
+	Tuple    int64  `json:"tuple"`
 }
 
 func (sv *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
@@ -501,6 +515,9 @@ func (sv *Server) streamDetect(w http.ResponseWriter, r *http.Request, table str
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	count := 0
+	// One line value of each kind, refilled per record.
+	var single singleJSON
+	var multi multiJSON
 	for v, err := range seq {
 		if err != nil {
 			// Mid-stream errors ride on a line of their own: the status
@@ -508,7 +525,15 @@ func (sv *Server) streamDetect(w http.ResponseWriter, r *http.Request, table str
 			enc.Encode(map[string]any{"error": err.Error()})
 			return
 		}
-		if enc.Encode(violationJSON(v)) != nil {
+		var line any = &multi
+		if v.Kind == detect.SingleTuple {
+			single = singleJSON{Attr: v.Attr, CFD: v.CFDID, Expected: jsonValue(v.Expected), Got: jsonValue(v.Got),
+				Kind: v.Kind.String(), Pattern: v.Pattern, Tuple: int64(v.TupleID)}
+			line = &single
+		} else {
+			multi = multiJSON{Attr: v.Attr, CFD: v.CFDID, Kind: v.Kind.String(), Partners: v.Partners, Tuple: int64(v.TupleID)}
+		}
+		if enc.Encode(line) != nil {
 			return // client went away
 		}
 		count++
@@ -724,13 +749,20 @@ func modsWire(ms []repair.Modification) []modWire {
 
 func (sv *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	table := r.PathValue("table")
+	// The table is resolved before the repair: should a reload slip in
+	// between, the pending repair names the replaced table and is refused.
+	tab, err := sv.s.Table(table)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
 	res, err := sv.s.Repair(r.Context(), table)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	sv.mu.Lock()
-	sv.pending[strings.ToLower(table)] = res.Modifications
+	sv.pending[strings.ToLower(table)] = pendingRepair{tab, res.Modifications}
 	sv.mu.Unlock()
 	writeJSON(w, struct {
 		Converged     bool      `json:"converged"`
@@ -745,17 +777,18 @@ func (sv *Server) handleRepairApply(w http.ResponseWriter, r *http.Request) {
 	table := r.PathValue("table")
 	key := strings.ToLower(table)
 	sv.mu.Lock()
-	mods, ok := sv.pending[key]
+	p, ok := sv.pending[key]
 	sv.mu.Unlock()
-	if _, err := sv.s.Table(table); err != nil {
+	tab, err := sv.s.Table(table)
+	if err != nil {
 		writeError(w, err)
 		return
 	}
-	if !ok {
+	if !ok || p.tab != tab {
 		writeError(w, fmt.Errorf("%w for %s; POST /api/repair/%s first", errNoPendingRepair, table, table))
 		return
 	}
-	applied, skipped, err := sv.s.ApplyRepair(table, mods)
+	applied, skipped, err := sv.s.ApplyRepair(table, p.mods)
 	if err != nil {
 		// The pending repair stays available: a transient 409 (monitor
 		// being replaced) is retryable without recomputing the repair.

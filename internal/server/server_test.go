@@ -338,6 +338,19 @@ func TestRepairReviewApplyFlow(t *testing.T) {
 	do(t, ts, "POST", "/api/repair/customer/apply", "", http.StatusConflict)
 }
 
+// TestReloadDropsPendingRepair: a repair reviewed on a table does not apply
+// to the table that replaced it, even one loaded from the same CSV.
+func TestReloadDropsPendingRepair(t *testing.T) {
+	ts := testServer(t)
+	do(t, ts, "POST", "/api/repair/customer", "", http.StatusOK)
+	do(t, ts, "POST", "/api/tables/customer", customersCSV, http.StatusOK)
+	do(t, ts, "POST", "/api/repair/customer/apply", "", http.StatusConflict)
+	out := do(t, ts, "POST", "/api/detect/customer", "", http.StatusOK)
+	if out["dirty"].(float64) == 0 {
+		t.Error("the reloaded table was repaired")
+	}
+}
+
 // TestRepairApplyMixedCaseTable: table names are case-insensitive on every
 // endpoint, the pending-repair key included.
 func TestRepairApplyMixedCaseTable(t *testing.T) {

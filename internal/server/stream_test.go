@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 
 	"semandaq/internal/core"
 	"semandaq/internal/datagen"
+	"semandaq/internal/detect"
 )
 
 // streamLines performs a streaming detect request and returns the decoded
@@ -199,11 +201,100 @@ func TestDetectStreamMillionTuples(t *testing.T) {
 	}
 	want := make([]map[string]any, 0, len(rep.Violations))
 	for _, v := range rep.Violations {
-		want = append(want, violationJSON(v))
+		want = append(want, violationMap(v))
 	}
 	gotSet := canonicalize(t, streamed)
 	wantSet := canonicalize(t, want)
 	if !reflect.DeepEqual(gotSet, wantSet) {
 		t.Errorf("streamed set (%d) differs from blocking report (%d)", len(gotSet), len(wantSet))
+	}
+}
+
+// violationMap is a streamed violation's line as a map, the shape the
+// stream encoded before its lines became structs: the reference for their
+// bytes.
+func violationMap(v detect.Violation) map[string]any {
+	out := map[string]any{
+		"cfd":   v.CFDID,
+		"kind":  v.Kind.String(),
+		"tuple": int64(v.TupleID),
+		"attr":  v.Attr,
+	}
+	if v.Kind == detect.SingleTuple {
+		out["pattern"] = v.Pattern
+		out["expected"] = jsonValue(v.Expected)
+		out["got"] = jsonValue(v.Got)
+	} else {
+		out["partners"] = v.Partners
+	}
+	return out
+}
+
+// datagenServer serves a 2 000-row datagen table at 5 % noise under the
+// standard CFDs, whose report holds both kinds of violation.
+func datagenServer(t *testing.T) (*core.Semandaq, http.Handler) {
+	t.Helper()
+	ds := datagen.Generate(datagen.Config{Tuples: 2000, Seed: 3, NoiseRate: 0.05})
+	sys := core.New()
+	sys.RegisterTable(ds.Dirty)
+	if err := sys.RegisterCFDs("customer", datagen.StandardCFDs()); err != nil {
+		t.Fatal(err)
+	}
+	return sys, New(sys).Handler()
+}
+
+// TestStreamLinesEncodeAsMaps: every NDJSON violation line is byte for
+// byte json.Marshal of violationMap, in the report's order.
+func TestStreamLinesEncodeAsMaps(t *testing.T) {
+	sys, h := datagenServer(t)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/api/detect/customer?stream=1", nil))
+	rep, err := sys.Detect(context.Background(), "customer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(rec.Body.Bytes(), []byte("\n")), []byte("\n"))
+	if len(lines) != len(rep.Violations)+1 {
+		t.Fatalf("%d lines for %d violations", len(lines), len(rep.Violations))
+	}
+	kinds := map[detect.Kind]int{}
+	for i, v := range rep.Violations {
+		want, err := json.Marshal(violationMap(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(lines[i], want) {
+			t.Fatalf("line %d: %s, want %s", i, lines[i], want)
+		}
+		kinds[v.Kind]++
+	}
+	if kinds[detect.SingleTuple] == 0 || kinds[detect.MultiTuple] == 0 {
+		t.Errorf("the report holds only one kind of violation: %v", kinds)
+	}
+}
+
+// discardWriter is a flushable ResponseWriter that keeps nothing.
+type discardWriter struct{ h http.Header }
+
+func (w discardWriter) Header() http.Header         { return w.h }
+func (w discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w discardWriter) WriteHeader(int)             {}
+func (w discardWriter) Flush()                      {}
+
+// TestStreamAllocsPerRecord bounds what a streamed record costs the
+// handler over a cached report: at most three allocations.
+func TestStreamAllocsPerRecord(t *testing.T) {
+	sys, h := datagenServer(t)
+	d, err := sys.DetectDigest(context.Background(), "customer", core.WithEngine(core.SQLDetection))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest("POST", "/api/detect/customer?stream=1", nil)
+	w := discardWriter{http.Header{}}
+	allocs := testing.AllocsPerRun(3, func() { h.ServeHTTP(w, req) })
+	per := allocs / float64(d.Violations)
+	t.Logf("%.0f allocations for %d records: %.2f per record", allocs, d.Violations, per)
+	if per > 3 {
+		t.Errorf("%.0f allocations for %d records: %.2f per record, want at most 3", allocs, d.Violations, per)
 	}
 }

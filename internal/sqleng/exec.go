@@ -53,7 +53,8 @@ type Engine struct {
 	ops OpCounters
 }
 
-// New creates an engine over the given store.
+// New creates an engine over the given store. With a nil store a query
+// reads pinned tables only.
 func New(store *relstore.Store) *Engine { return &Engine{store: store} }
 
 // Pin makes every subsequent query read the snapshot's table at the
@@ -109,6 +110,9 @@ func (q *queryPins) snapshot(name string) (*relstore.Snapshot, bool) {
 	if s, ok := q.e.pins[key]; ok {
 		q.snaps[key] = s
 		return s.snap, true
+	}
+	if q.e.store == nil {
+		return nil, false
 	}
 	tab, ok := q.e.store.Table(name)
 	if !ok {

@@ -301,30 +301,20 @@ func (v Value) Key() string {
 	}
 }
 
-// WriteGroupKey appends v's Key() to b in length-prefixed form. Composite
-// grouping keys — store indexes, detection groups, SQL joins/GROUP
-// BY/DISTINCT — concatenate several value keys; the length prefix keeps a
-// byte sequence inside one key from aliasing the boundary between values,
-// which a plain separator byte cannot guarantee. Every layer building a
-// multi-value key must use this one encoding: some of the keys are compared
-// across packages.
-func (v Value) WriteGroupKey(b *strings.Builder) {
-	k := v.Key()
-	b.WriteString(strconv.Itoa(len(k)))
-	b.WriteByte(':')
-	b.WriteString(k)
-}
-
-// AppendGroupKey appends exactly the bytes WriteGroupKey would write to a
-// reusable byte slice. Streaming consumers (the SQL engine's hash probes
-// and grouping sink) build composite keys into a scratch buffer and look
-// maps up via string(buf) — which Go compiles to an allocation-free lookup
-// — instead of paying a strings.Builder per row.
+// AppendGroupKey appends v's Key() to dst in length-prefixed form,
+// "len:key". Composite grouping keys — detection groups, the tracker's
+// classes, the explorer's majorities, the SQL engine's grouping sink —
+// concatenate several value keys; the length prefix keeps a byte sequence
+// inside one key from aliasing the boundary between values, which a plain
+// separator byte cannot guarantee. Every layer building a multi-value key
+// must use this one encoding: some of the keys are compared across
+// packages. Consumers build keys into a scratch buffer and look maps up via
+// string(buf), which Go compiles to an allocation-free lookup.
 func (v Value) AppendGroupKey(dst []byte) []byte {
 	// Emit Key()'s bytes without materializing the string: a stack scratch
 	// holds the short numeric/tag keys, and string payloads are appended
-	// straight from the value. The bytes must stay identical to
-	// WriteGroupKey — tests diff the two encodings.
+	// straight from the value. The bytes must stay those of the
+	// length-prefixed Key() — tests diff the two.
 	var scratch [32]byte
 	var k []byte
 	switch v.kind {

@@ -3,7 +3,7 @@ package types
 import (
 	"math"
 	"math/big"
-	"strings"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -175,10 +175,10 @@ func TestKeyDistinctness(t *testing.T) {
 	}
 }
 
-// TestAppendGroupKeyMatchesWriteGroupKey pins the two group-key encoders
-// to identical bytes: AppendGroupKey is the allocation-free fast path the
-// SQL engine's hash probes and grouping sink use, and any drift from
-// WriteGroupKey would silently split (or merge) groups across layers that
+// TestAppendGroupKeyMatchesWriteGroupKey pins the group-key encoder to
+// the length-prefixed Key() it defines, "len:key", value by value and
+// composed: AppendGroupKey emits those bytes without building Key(), and
+// any drift would silently split (or merge) groups across layers that
 // share the composite-key encoding.
 func TestAppendGroupKeyMatchesWriteGroupKey(t *testing.T) {
 	vals := []Value{
@@ -189,22 +189,21 @@ func TestAppendGroupKeyMatchesWriteGroupKey(t *testing.T) {
 		NewString(""), NewString("x"), NewString("12:ab"),
 		NewString("with\x00nul"), NewString("EH2 4SD"),
 	}
-	for _, v := range vals {
-		var b strings.Builder
-		v.WriteGroupKey(&b)
-		if got := string(v.AppendGroupKey(nil)); got != b.String() {
-			t.Errorf("%v: AppendGroupKey = %q, WriteGroupKey = %q", v, got, b.String())
-		}
+	prefixed := func(v Value) string {
+		k := v.Key()
+		return strconv.Itoa(len(k)) + ":" + k
 	}
-	// Composite keys concatenate; both encoders must agree there too.
-	var b strings.Builder
+	var composite string
 	var app []byte
 	for _, v := range vals {
-		v.WriteGroupKey(&b)
+		if got, want := string(v.AppendGroupKey(nil)), prefixed(v); got != want {
+			t.Errorf("%v: AppendGroupKey = %q, want %q", v, got, want)
+		}
+		composite += prefixed(v)
 		app = v.AppendGroupKey(app)
 	}
-	if string(app) != b.String() {
-		t.Errorf("composite: AppendGroupKey = %q, WriteGroupKey = %q", app, b.String())
+	if string(app) != composite {
+		t.Errorf("composite: AppendGroupKey = %q, want %q", app, composite)
 	}
 }
 

@@ -76,11 +76,8 @@ import (
 // operations of the paper's architecture (Fig. 1).
 type System = core.Semandaq
 
-// New creates a System over an empty store.
+// New creates a System with no tables.
 func New() *System { return core.New() }
-
-// NewWithStore creates a System over an existing store.
-func NewWithStore(store *Store) *System { return core.NewWithStore(store) }
 
 // Constraint model.
 type (
@@ -112,8 +109,6 @@ func NewFD(id, table string, lhs, rhs []string) *CFD { return cfd.NewFD(id, tabl
 
 // Data model.
 type (
-	// Store is a named collection of tables.
-	Store = relstore.Store
 	// Table is one mutable relation instance with stable tuple IDs.
 	// Stored rows are copy-on-write, so read snapshots stay stable while
 	// writers proceed.
@@ -132,9 +127,6 @@ type (
 	// Schema describes a relation.
 	Schema = schema.Relation
 )
-
-// NewStore creates an empty store.
-func NewStore() *Store { return relstore.NewStore() }
 
 // NewSchema builds a relation schema from attribute names.
 func NewSchema(name string, attrs ...string) *Schema { return schema.New(name, attrs...) }
