@@ -49,6 +49,11 @@ var (
 	ErrUnknownCFD = errors.New("semandaq: no CFD")
 )
 
+// ErrNoPendingRepair is returned by ApplyPendingRepair when the table's
+// record holds no candidate repair: none was computed on this instance of
+// the table, or it was applied (the HTTP layer maps it to 409).
+var ErrNoPendingRepair = errors.New("semandaq: no pending repair")
+
 // Semandaq is one data-quality session over a catalog of tables.
 type Semandaq struct {
 	mu lockcheck.Mutex[Semandaq]
@@ -61,16 +66,18 @@ type Semandaq struct {
 
 // tableState is the session's record of one registered table instance:
 // the paper's per-relation state (its CFDs, its monitor, its detection
-// results) and the table itself. Registering a table installs a fresh
-// record, so nothing bound to a replaced instance — its monitor, cached
-// reports, discovery session — can serve the new one.
+// results, its candidate repair) and the table itself. Registering a table
+// installs a fresh record, so nothing bound to a replaced instance — its
+// monitor, cached reports, discovery session, pending repair — can serve
+// the new one.
 type tableState struct {
 	tab *relstore.Table
 	// gate serializes the session's mutations of the table: a write reads
-	// the monitor and lands (directly or through the monitor's tracker)
-	// while holding it, and starting a monitor sets starting under it, so
-	// no write can slip between the snapshot a new tracker seeds from and
-	// the moment it takes over. A reload's record inherits the gate.
+	// the monitor (and takes the pending repair it applies) and lands,
+	// directly or through the monitor's tracker, while holding it, and
+	// starting a monitor sets starting under it, so no write can slip
+	// between the snapshot a new tracker seeds from and the moment it
+	// takes over. A reload's record inherits the gate.
 	gate *lockcheck.Mutex[tableGate]
 
 	// The rest is read and written under Semandaq.mu.
@@ -92,6 +99,11 @@ type tableState struct {
 	// discovery serves the previous mining run's report while the
 	// table's version holds; made on first use.
 	discovery *discovery.Session
+	// pending holds the modifications of the candidate repair Repair last
+	// computed on this instance, for ApplyPendingRepair (nil: none; a
+	// repair with no modifications is pending too); not the result, whose
+	// working table would stay alive until applied.
+	pending *[]repair.Modification
 }
 
 // tableGate is the lock class of the per-table mutation gates.
@@ -613,10 +625,13 @@ func (s *Semandaq) Explore(ctx context.Context, table string) (*explore.Explorer
 }
 
 // Repair computes a candidate repair (the original table is not modified;
-// review then ApplyRepair). WithCFDs scopes the constraints being
-// repaired; a cancelled ctx aborts the repairer's detect-resolve passes.
-// The repairer's first pass reads the default engine's report of the
-// version it clones, which a read of that version has usually cached.
+// review, then ApplyPendingRepair or ApplyRepair). Its modifications become
+// the pending repair of the table instance it read, replacing any earlier
+// one; a reload installs a record with none. WithCFDs scopes the
+// constraints being repaired; a cancelled ctx aborts the repairer's
+// detect-resolve passes and leaves the pending repair as it was. The
+// repairer's first pass reads the default engine's report of the version
+// it clones, which a read of that version has usually cached.
 func (s *Semandaq) Repair(ctx context.Context, table string, opts ...Option) (*repair.Result, error) {
 	o := s.resolve(DefaultEngine, opts)
 	st, cfds, err := s.requestCFDs(table, o)
@@ -627,41 +642,68 @@ func (s *Semandaq) Repair(ctx context.Context, table string, opts ...Option) (*r
 	if err != nil {
 		return nil, err
 	}
-	return repair.NewRepairer().RepairFrom(ctx, st.tab, cfds, e.fr)
+	res, err := repair.NewRepairer().RepairFrom(ctx, st.tab, cfds, e.fr)
+	if err != nil {
+		return nil, err
+	}
+	mods := res.Modifications
+	s.mu.Lock()
+	st.pending = &mods
+	s.mu.Unlock()
+	return res, nil
 }
 
-// ApplyRepair commits reviewed modifications to the live table, through
-// the session's write path, under the table's mutation gate. The
-// modifications repair.Fresh finds stale are skipped and reported; the
-// rest land, through repair.Apply or — with a monitor active — as one
-// update batch through its tracker (the violation index follows the
-// repair, and in cleansed mode its incremental repair runs once, after the
-// whole batch). Returns ErrMonitorBusy while a monitor is being
+// ApplyRepair commits reviewed modifications to the live table, as one
+// update batch on the session's write path (see write). The modifications
+// repair.Fresh finds stale under the table's gate are skipped and
+// reported; the rest land, and with a monitor active its tracker follows
+// them and, in cleansed mode, its incremental repair runs once, after the
+// whole batch. Returns ErrMonitorBusy while a monitor is being
 // (re)started.
 func (s *Semandaq) ApplyRepair(table string, mods []repair.Modification) (int, []repair.Modification, error) {
-	applied := 0
-	var skipped []repair.Modification
-	err := s.withTableWrite(table, func(tab *relstore.Table, m *monitor.Monitor) error {
-		if m == nil {
-			var err error
-			applied, skipped, err = repair.Apply(tab, mods)
-			return err
+	return s.applyReviewed(table, func(*tableState) ([]repair.Modification, error) { return mods, nil })
+}
+
+// ApplyPendingRepair is ApplyRepair of the table's pending repair: the
+// modifications Repair last computed on the table instance the write
+// resolves, taken from its record under the gate. It returns
+// ErrNoPendingRepair when there are none, so a repair reviewed on a table
+// that a reload has since replaced applies to nothing. A pending repair is
+// consumed once taken; ErrMonitorBusy comes first and leaves it pending.
+func (s *Semandaq) ApplyPendingRepair(table string) (int, []repair.Modification, error) {
+	return s.applyReviewed(table, func(st *tableState) ([]repair.Modification, error) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		p := st.pending
+		if p == nil {
+			return nil, fmt.Errorf("%w for %s", ErrNoPendingRepair, table)
 		}
-		fresh, stale, err := repair.Fresh(tab.Snapshot(), mods)
+		st.pending = nil
+		return *p, nil
+	})
+}
+
+// applyReviewed lands, as one batch, the reviewed modifications take
+// returns under the table's gate that are still fresh, and returns how
+// many landed and the stale rest.
+func (s *Semandaq) applyReviewed(table string, take func(st *tableState) ([]repair.Modification, error)) (int, []repair.Modification, error) {
+	var fresh, stale []repair.Modification
+	_, err := s.write(table, nil, nil, func(st *tableState, _ *monitor.Monitor) ([]monitor.Update, error) {
+		mods, err := take(st)
 		if err != nil {
-			return err
+			return nil, err
 		}
+		fresh, stale = repair.Fresh(st.tab.Snapshot(), mods)
 		batch := make([]monitor.Update, len(fresh))
 		for i, mod := range fresh {
 			batch[i] = monitor.Update{Op: monitor.OpSet, ID: mod.TupleID, Attr: mod.Attr, Value: mod.New}
 		}
-		if _, err := m.Apply(batch); err != nil {
-			return err
-		}
-		applied, skipped = len(fresh), stale
-		return nil
+		return batch, nil
 	})
-	return applied, skipped, err
+	if err != nil {
+		return 0, nil, err
+	}
+	return len(fresh), stale, nil
 }
 
 // Monitor starts a data monitor on the table and registers it as the
@@ -713,32 +755,15 @@ func (s *Semandaq) Monitor(ctx context.Context, table string, opts ...Option) (*
 	return m, nil
 }
 
-// withTableWrite resolves the table's record and runs fn under its
-// mutation gate with the active monitor (nil when none). It is the single
-// write-path preamble: serialized against the session's other writes and
-// refused with ErrMonitorBusy while a monitor is being (re)started.
-func (s *Semandaq) withTableWrite(table string, fn func(tab *relstore.Table, m *monitor.Monitor) error) error {
-	st, _, err := s.record(table)
-	if err != nil {
-		return err
-	}
-	st.gate.Lock()
-	defer st.gate.Unlock()
-	m, err := s.monitorOf(st)
-	if err != nil {
-		return err
-	}
-	return fn(st.tab, m)
-}
-
 // ActiveMonitor returns the table's registered monitor, or nil when none
-// has been started. While a monitor is being started or replaced it
-// returns ErrMonitorBusy: the outgoing monitor is about to be detached and
-// updates routed to it would be lost to the replacement's tracker.
+// has been started, and ErrNoTable for a table that is not registered.
+// While a monitor is being started or replaced it returns ErrMonitorBusy:
+// the outgoing monitor is about to be detached and updates routed to it
+// would be lost to the replacement's tracker.
 func (s *Semandaq) ActiveMonitor(table string) (*monitor.Monitor, error) {
 	st, _, err := s.record(table)
 	if err != nil {
-		return nil, nil
+		return nil, err
 	}
 	return s.monitorOf(st)
 }
@@ -766,87 +791,106 @@ func (s *Semandaq) StopMonitor(table string) bool {
 	return true
 }
 
-// ApplyUpdates runs one update batch through the table's active monitor.
-// It returns ErrNoMonitor when none is registered and ErrMonitorBusy while
-// a monitor is being (re)started. The batch runs under the table's
-// mutation gate, serialized against the session's other writes.
+// ApplyUpdates runs one update batch through the table's active monitor,
+// on the session's write path (see write). It returns ErrNoMonitor when
+// none is registered and ErrMonitorBusy while a monitor is being
+// (re)started.
 func (s *Semandaq) ApplyUpdates(table string, batch []monitor.Update) (*monitor.BatchResult, error) {
-	var res *monitor.BatchResult
-	err := s.withTableWrite(table, func(_ *relstore.Table, m *monitor.Monitor) error {
+	res, err := s.write(table, nil, nil, func(_ *tableState, m *monitor.Monitor) ([]monitor.Update, error) {
 		if m == nil {
-			return ErrNoMonitor
+			return nil, ErrNoMonitor
 		}
-		var err error
-		res, err = m.Apply(batch)
-		return err
+		return batch, nil
 	})
-	return res, err
+	if err != nil {
+		return nil, err
+	}
+	return &res, nil
 }
 
-// Insert appends a row to the table through the session's write path: via
-// the active monitor when one exists (incremental detection sees the row
-// immediately), directly into the table otherwise. It returns the new
-// tuple's ID and the table version after the write.
+// Insert appends a row to the table, a batch of one on the session's write
+// path (see write): with a monitor active, incremental detection sees the
+// row at once. It returns the new tuple's ID and the table version after
+// the write.
 func (s *Semandaq) Insert(table string, row relstore.Tuple) (relstore.TupleID, int64, error) {
-	return s.writeOne(table, monitor.Update{Op: monitor.OpInsert, Row: row}, func(tab *relstore.Table) (relstore.TupleID, error) {
-		return tab.Insert(row)
-	})
-}
-
-// Delete removes the tuple through the session's write path (see Insert).
-// It returns the table version after the write.
-func (s *Semandaq) Delete(table string, id relstore.TupleID) (int64, error) {
-	_, version, err := s.writeOne(table, monitor.Update{Op: monitor.OpDelete, ID: id}, func(tab *relstore.Table) (relstore.TupleID, error) {
-		if !tab.Delete(id) {
-			return 0, fmt.Errorf("semandaq: no tuple %d in %s", id, table)
-		}
-		return id, nil
-	})
-	return version, err
-}
-
-// SetCell updates one attribute of a tuple through the session's write
-// path (see Insert). It returns the table version after the write.
-func (s *Semandaq) SetCell(table string, id relstore.TupleID, attr string, v types.Value) (int64, error) {
-	_, version, err := s.writeOne(table, monitor.Update{Op: monitor.OpSet, ID: id, Attr: attr, Value: v}, func(tab *relstore.Table) (relstore.TupleID, error) {
-		pos, ok := tab.Schema().Pos(attr)
-		if !ok {
-			return 0, fmt.Errorf("semandaq: no attribute %q in %s", attr, table)
-		}
-		_, err := tab.SetCell(id, pos, v)
-		return id, err
-	})
-	return version, err
-}
-
-// writeOne lands one write through withTableWrite: as a batch of one
-// through the active monitor, or by direct on the table when there is
-// none. It returns the tuple the write touched (an insert's new ID) and the
-// table version after it.
-func (s *Semandaq) writeOne(table string, u monitor.Update, direct func(*relstore.Table) (relstore.TupleID, error)) (relstore.TupleID, int64, error) {
-	var id relstore.TupleID
-	var version int64
-	err := s.withTableWrite(table, func(tab *relstore.Table, m *monitor.Monitor) error {
-		if m == nil {
-			var err error
-			id, err = direct(tab)
-			version = tab.Version()
-			return err
-		}
-		res, err := m.Apply([]monitor.Update{u})
-		if err != nil {
-			return err
-		}
-		id, version = u.ID, res.Version
-		if u.Op == monitor.OpInsert {
-			id = res.Inserted[0]
-		}
-		return nil
-	})
+	var id [1]relstore.TupleID
+	res, err := s.write(table, []monitor.Update{{Op: monitor.OpInsert, Row: row}}, id[:0], nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	return id, version, nil
+	return res.Inserted[0], res.Version, nil
+}
+
+// Delete removes the tuple, a batch of one on the session's write path
+// (see Insert). It returns the table version after the write.
+func (s *Semandaq) Delete(table string, id relstore.TupleID) (int64, error) {
+	res, err := s.write(table, []monitor.Update{{Op: monitor.OpDelete, ID: id}}, nil, nil)
+	return res.Version, err
+}
+
+// SetCell updates one attribute of a tuple, a batch of one on the
+// session's write path (see Insert). It returns the table version after
+// the write.
+func (s *Semandaq) SetCell(table string, id relstore.TupleID, attr string, v types.Value) (int64, error) {
+	res, err := s.write(table, []monitor.Update{{Op: monitor.OpSet, ID: id, Attr: attr, Value: v}}, nil, nil)
+	return res.Version, err
+}
+
+// write is the session's one write path: Insert, Delete, SetCell,
+// ApplyUpdates and both repair applies land here. It resolves the table's
+// current record and takes the record's mutation gate, which serializes
+// the write against the session's others, then lands batch — or, when
+// prep is set, the batch prep makes under the gate from the record and its
+// active monitor (nil: none). With a monitor the batch goes through
+// Monitor.Apply, which validates it; without one it is validated by the
+// same monitor.Validate and written to the table update by update, the
+// IDs it inserts appended to ids (whose capacity spares an allocation).
+// Either way a batch with a bad update changes nothing. Refused with
+// ErrMonitorBusy while a monitor is being (re)started.
+func (s *Semandaq) write(table string, batch []monitor.Update, ids []relstore.TupleID,
+	prep func(st *tableState, m *monitor.Monitor) ([]monitor.Update, error)) (monitor.BatchResult, error) {
+	st, _, err := s.record(table)
+	if err != nil {
+		return monitor.BatchResult{}, err
+	}
+	st.gate.Lock()
+	defer st.gate.Unlock()
+	m, err := s.monitorOf(st)
+	if err != nil {
+		return monitor.BatchResult{}, err
+	}
+	if prep != nil {
+		if batch, err = prep(st, m); err != nil {
+			return monitor.BatchResult{}, err
+		}
+	}
+	if m != nil {
+		res, err := m.Apply(batch)
+		if err != nil {
+			return monitor.BatchResult{}, err
+		}
+		return *res, nil
+	}
+	tab := st.tab
+	if err := monitor.Validate(tab, batch); err != nil {
+		return monitor.BatchResult{}, err
+	}
+	for _, u := range batch {
+		switch u.Op {
+		case monitor.OpInsert:
+			var id relstore.TupleID
+			id, err = tab.Insert(u.Row)
+			ids = append(ids, id)
+		case monitor.OpDelete:
+			tab.Delete(u.ID) // live: validated under the gate
+		case monitor.OpSet:
+			_, err = tab.SetCell(u.ID, tab.Schema().MustPos(u.Attr), u.Value)
+		}
+		if err != nil {
+			return monitor.BatchResult{}, err
+		}
+	}
+	return monitor.BatchResult{Inserted: ids, Version: tab.Version()}, nil
 }
 
 // Discover mines constraints from a reference table with the PLI lattice

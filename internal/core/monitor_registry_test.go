@@ -64,6 +64,15 @@ func TestMonitorRegistryRouting(t *testing.T) {
 	}
 }
 
+// TestActiveMonitorUnknownTable: a table that is not registered is
+// ErrNoTable, not "no monitor".
+func TestActiveMonitorUnknownTable(t *testing.T) {
+	s := registrySession(t, 10)
+	if m, err := s.ActiveMonitor("nope"); m != nil || !errors.Is(err, ErrNoTable) {
+		t.Fatalf("ActiveMonitor of an unknown table = %v, %v; want ErrNoTable", m, err)
+	}
+}
+
 // TestMonitorBusyRefusesWrites: while a replacement monitor seeds its
 // tracker from a large table, concurrent writes and ActiveMonitor return
 // ErrMonitorBusy instead of racing the handover.

@@ -110,13 +110,14 @@ func (m *Monitor) FactorReport(snap *relstore.Snapshot) (*detect.FactorReport, b
 // Apply runs one update batch through the monitor. All updates are applied
 // through the violation tracker (incremental detection); in cleansed mode
 // the monitor then incrementally repairs the tuples the batch touched.
-// The whole batch is validated before its first write, so a batch with a
-// bad update changes nothing. Concurrent Apply calls serialize: one batch
-// fully lands (including its repairs) before the next begins.
+// The whole batch is validated (Validate) before its first write, so a
+// batch with a bad update changes nothing. Concurrent Apply calls
+// serialize: one batch fully lands (including its repairs) before the next
+// begins.
 func (m *Monitor) Apply(batch []Update) (*BatchResult, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.validate(batch); err != nil {
+	if err := Validate(m.tab, batch); err != nil {
 		return nil, err
 	}
 	res := &BatchResult{}
@@ -151,30 +152,36 @@ func (m *Monitor) Apply(batch []Update) (*BatchResult, error) {
 	return res, nil
 }
 
-// validate rejects a batch with an unknown op, an insert of the wrong arity,
-// a set of an unknown attribute, or a set or delete of a tuple not live —
-// deleted by an earlier update of the batch included.
-func (m *Monitor) validate(batch []Update) error {
-	sc := m.tab.Schema()
+// Validate rejects a batch for tab with an unknown op, an insert of the
+// wrong arity, a set of an unknown attribute, or a set or delete of a tuple
+// not live — deleted by an earlier update of the batch included. It is the
+// one check of a write's input: Apply runs it, and so does a session
+// writing a table that has no monitor. An error names the update's
+// position only in a batch of more than one.
+func Validate(tab *relstore.Table, batch []Update) error {
+	sc := tab.Schema()
 	deleted := map[relstore.TupleID]bool{}
 	for i, u := range batch {
 		var err error
-		switch _, known := sc.Pos(u.Attr); {
+		switch {
 		case u.Op == OpInsert:
 			if len(u.Row) != sc.Arity() {
 				err = fmt.Errorf("insert into %s: got %d values, want %d", sc.Name, len(u.Row), sc.Arity())
 			}
 		case u.Op != OpDelete && u.Op != OpSet:
 			err = fmt.Errorf("unknown op %d", u.Op)
-		case !m.tab.Live(u.ID) || deleted[u.ID]:
+		case !tab.Live(u.ID) || deleted[u.ID]:
 			err = fmt.Errorf("no tuple %d in %s", u.ID, sc.Name)
 		case u.Op == OpDelete:
 			deleted[u.ID] = true
-		case !known:
+		case !sc.Has(u.Attr):
 			err = fmt.Errorf("no attribute %q in %s", u.Attr, sc.Name)
 		}
 		if err != nil {
-			return fmt.Errorf("monitor: update %d: %w", i, err)
+			if len(batch) > 1 {
+				err = fmt.Errorf("update %d: %w", i, err)
+			}
+			return err
 		}
 	}
 	return nil

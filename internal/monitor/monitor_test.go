@@ -125,8 +125,10 @@ func TestMarkCleansedSwitchesMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := repair.Apply(tab, rres.Modifications); err != nil {
-		t.Fatal(err)
+	for _, mod := range rres.Modifications {
+		if _, err := tab.SetCell(mod.TupleID, tab.Schema().MustPos(mod.Attr), mod.New); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// The monitor's tracker is stale now; start a new one in cleansed mode
 	// (the flow core follows: the mode is fixed at start).

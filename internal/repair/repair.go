@@ -315,35 +315,19 @@ func pickCheapest(m CostModel, id relstore.TupleID, attr string, old types.Value
 	return alts[0], alts[1:]
 }
 
-// Apply commits a reviewed candidate repair back to the original table.
-// Each Fresh modification is applied through SetCell; the others are
-// skipped and reported (the data changed under the review, mirroring the
-// paper's incremental re-detection during review).
-func Apply(tab *relstore.Table, mods []Modification) (applied int, skipped []Modification, err error) {
-	fresh, skipped, err := Fresh(tab.Snapshot(), mods)
-	if err != nil {
-		return 0, nil, err
-	}
-	for _, m := range fresh {
-		if _, err := tab.SetCell(m.TupleID, tab.Schema().MustPos(m.Attr), m.New); err != nil {
-			return applied, skipped, err
-		}
-		applied++
-	}
-	return applied, skipped, nil
-}
-
 // Fresh splits reviewed modifications, in order, into those that still
 // apply to snap and the stale rest: a modification is fresh when its Old
 // value Equals the cell's value after the fresh modifications before it, or
-// in snap when none of them touched the cell.
-func Fresh(snap *relstore.Snapshot, mods []Modification) (fresh, stale []Modification, err error) {
+// in snap when none of them touched the cell. One of an attribute snap
+// lacks is fresh: it is left to the write it goes into to refuse.
+func Fresh(snap *relstore.Snapshot, mods []Modification) (fresh, stale []Modification) {
 	sc, cols := snap.Schema(), snap.Columnar()
 	accepted := map[cellKey]types.Value{}
 	for _, m := range mods {
 		pos, ok := sc.Pos(m.Attr)
 		if !ok {
-			return nil, nil, fmt.Errorf("repair: apply: no attribute %q", m.Attr)
+			fresh = append(fresh, m)
+			continue
 		}
 		cur, ok := accepted[cellKey{m.TupleID, pos}]
 		if row, live := slices.BinarySearch(cols.IDs(), m.TupleID); !ok && live {
@@ -356,5 +340,5 @@ func Fresh(snap *relstore.Snapshot, mods []Modification) (fresh, stale []Modific
 		accepted[cellKey{m.TupleID, pos}] = m.New
 		fresh = append(fresh, m)
 	}
-	return fresh, stale, nil
+	return fresh, stale
 }

@@ -3,6 +3,7 @@ package repair
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"semandaq/internal/cfd"
@@ -240,67 +241,35 @@ func TestRepairCleanTableNoop(t *testing.T) {
 	}
 }
 
-func TestApply(t *testing.T) {
+// TestFreshSkipsStaleModifications: a reviewed modification whose cell the
+// user edited since, or whose tuple is gone, is stale; the rest are fresh.
+func TestFreshSkipsStaleModifications(t *testing.T) {
 	tab, cfds := customerTable(t)
 	res, err := NewRepairer().Repair(context.Background(), tab, cfds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	applied, skipped, err := Apply(tab, res.Modifications)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != len(res.Modifications) || len(skipped) != 0 {
-		t.Fatalf("applied=%d skipped=%d", applied, len(skipped))
-	}
-	rep, err := detect.ColumnarDetector{Workers: 1}.Detect(context.Background(), tab, cfds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Violations) != 0 {
-		t.Errorf("original after apply has %d violations", len(rep.Violations))
-	}
-}
-
-func TestApplySkipsStaleModifications(t *testing.T) {
-	tab, cfds := customerTable(t)
-	res, err := NewRepairer().Repair(context.Background(), tab, cfds)
-	if err != nil {
-		t.Fatal(err)
+	fresh, stale := Fresh(tab.Snapshot(), res.Modifications)
+	if len(fresh) != len(res.Modifications) || len(stale) != 0 {
+		t.Fatalf("on the reviewed table: %d fresh, %d stale of %d", len(fresh), len(stale), len(res.Modifications))
 	}
 	// The user edits Joe's CNT before applying: the stale mod is skipped.
 	sc := tab.Schema()
 	if _, err := tab.SetCell(3, sc.MustPos("CNT"), types.NewString("IE")); err != nil {
 		t.Fatal(err)
 	}
-	_, skipped, err := Apply(tab, res.Modifications)
-	if err != nil {
-		t.Fatal(err)
+	_, stale = Fresh(tab.Snapshot(), res.Modifications)
+	if !slices.ContainsFunc(stale, func(m Modification) bool { return m.TupleID == 3 && m.Attr == "CNT" }) {
+		t.Errorf("stale modification not skipped: %+v", stale)
 	}
-	found := false
-	for _, m := range skipped {
-		if m.TupleID == 3 && m.Attr == "CNT" {
-			found = true
-		}
+	// A deleted tuple's modifications are stale too.
+	if !slices.ContainsFunc(res.Modifications, func(m Modification) bool { return m.TupleID == 2 }) {
+		t.Fatal("the repair does not modify tuple 2")
 	}
-	if !found {
-		t.Errorf("stale modification not skipped: %+v", skipped)
-	}
-	// A deleted tuple's modification is skipped too.
-	res2, _ := NewRepairer().Repair(context.Background(), tab, cfds)
-	tab.Delete(3)
-	_, skipped2, err := Apply(tab, res2.Modifications)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = skipped2 // may or may not include mods depending on repair shape
-}
-
-func TestApplyUnknownAttr(t *testing.T) {
-	tab, _ := customerTable(t)
-	_, _, err := Apply(tab, []Modification{{TupleID: 0, Attr: "NOPE"}})
-	if err == nil {
-		t.Error("unknown attribute should fail")
+	tab.Delete(2)
+	fresh, _ = Fresh(tab.Snapshot(), res.Modifications)
+	if slices.ContainsFunc(fresh, func(m Modification) bool { return m.TupleID == 2 }) {
+		t.Errorf("a deleted tuple's modification is fresh: %+v", fresh)
 	}
 }
 

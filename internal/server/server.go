@@ -25,7 +25,6 @@ import (
 	"semandaq/internal/core"
 	"semandaq/internal/detect"
 	"semandaq/internal/explore"
-	"semandaq/internal/lockcheck"
 	"semandaq/internal/monitor"
 	"semandaq/internal/relstore"
 	"semandaq/internal/repair"
@@ -33,33 +32,16 @@ import (
 	"semandaq/internal/types"
 )
 
-// Server is the HTTP facade over one Semandaq session. Monitors live in
-// the session's registry (core.Semandaq), so the HTTP mutation endpoints
-// and any embedded library callers share one write path.
+// Server is the HTTP facade over one Semandaq session. Monitors and
+// candidate repairs live on the session's table records (core.Semandaq),
+// so the HTTP mutation endpoints and any embedded library callers share
+// one write path.
 type Server struct {
-	s  *core.Semandaq
-	mu lockcheck.Mutex[Server]
-	// pending holds the last computed candidate repair per lowercased
-	// table name, for the review-then-apply flow: its modifications and the
-	// table instance they were computed on — not the result, whose working
-	// table would stay alive until applied.
-	pending map[string]pendingRepair
-}
-
-// pendingRepair is a reviewed repair waiting to be applied. It applies only
-// to the table it was computed on: a reload drops it.
-type pendingRepair struct {
-	tab  *relstore.Table
-	mods []repair.Modification
+	s *core.Semandaq
 }
 
 // New builds a server over the session.
-func New(s *core.Semandaq) *Server {
-	return &Server{
-		s:       s,
-		pending: map[string]pendingRepair{},
-	}
-}
+func New(s *core.Semandaq) *Server { return &Server{s: s} }
 
 // Handler returns the routed http.Handler.
 func (sv *Server) Handler() http.Handler {
@@ -163,13 +145,8 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// errNoPendingRepair is the apply endpoint's refusal when no candidate
-// repair was computed (or it was already applied); errInternal answers a
-// request whose handler panicked.
-var (
-	errNoPendingRepair = errors.New("no pending repair")
-	errInternal        = errors.New("internal error")
-)
+// errInternal answers a request whose handler panicked.
+var errInternal = errors.New("internal error")
 
 // statusOf is the one place an error becomes an HTTP status: what the
 // request named does not exist (404), the table is not in the state the
@@ -185,7 +162,7 @@ func statusOf(err error) int {
 	case errors.Is(err, core.ErrNoTable), errors.Is(err, explore.ErrNoTuple):
 		return http.StatusNotFound
 	case errors.Is(err, core.ErrNoCFDs), errors.Is(err, core.ErrNoMonitor),
-		errors.Is(err, core.ErrMonitorBusy), errors.Is(err, errNoPendingRepair):
+		errors.Is(err, core.ErrMonitorBusy), errors.Is(err, core.ErrNoPendingRepair):
 		return http.StatusConflict
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return statusClientClosedRequest
@@ -243,9 +220,6 @@ func (sv *Server) handleLoadCSV(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	sv.mu.Lock()
-	delete(sv.pending, strings.ToLower(tab.Schema().Name))
-	sv.mu.Unlock()
 	writeJSON(w, map[string]any{
 		"table":  tab.Schema().Name,
 		"attrs":  tab.Schema().AttrNames(),
@@ -747,23 +721,15 @@ func modsWire(ms []repair.Modification) []modWire {
 	return out
 }
 
+// handleRepair computes a candidate repair for review; the session keeps
+// its modifications as the table's pending repair, which the apply route
+// applies.
 func (sv *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
-	table := r.PathValue("table")
-	// The table is resolved before the repair: should a reload slip in
-	// between, the pending repair names the replaced table and is refused.
-	tab, err := sv.s.Table(table)
+	res, err := sv.s.Repair(r.Context(), r.PathValue("table"))
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	res, err := sv.s.Repair(r.Context(), table)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	sv.mu.Lock()
-	sv.pending[strings.ToLower(table)] = pendingRepair{tab, res.Modifications}
-	sv.mu.Unlock()
 	writeJSON(w, struct {
 		Converged     bool      `json:"converged"`
 		Cost          float64   `json:"cost"`
@@ -773,34 +739,19 @@ func (sv *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	}{res.Converged, res.Cost, modsWire(res.Modifications), res.Passes, res.Remaining})
 }
 
+// handleRepairApply applies the table's pending repair. A 409 while a
+// monitor is being replaced leaves it pending, so a retry needs no new
+// repair.
 func (sv *Server) handleRepairApply(w http.ResponseWriter, r *http.Request) {
 	table := r.PathValue("table")
-	key := strings.ToLower(table)
-	sv.mu.Lock()
-	p, ok := sv.pending[key]
-	sv.mu.Unlock()
-	tab, err := sv.s.Table(table)
+	applied, skipped, err := sv.s.ApplyPendingRepair(table)
+	if errors.Is(err, core.ErrNoPendingRepair) {
+		err = fmt.Errorf("%w; POST /api/repair/%s first", err, table)
+	}
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	if !ok || p.tab != tab {
-		writeError(w, fmt.Errorf("%w for %s; POST /api/repair/%s first", errNoPendingRepair, table, table))
-		return
-	}
-	applied, skipped, err := sv.s.ApplyRepair(table, p.mods)
-	if err != nil {
-		// The pending repair stays available: a transient 409 (monitor
-		// being replaced) is retryable without recomputing the repair.
-		writeError(w, err)
-		return
-	}
-	// Consumed only on success. A concurrent duplicate apply is harmless:
-	// the second pass skips every modification whose Old value no longer
-	// matches.
-	sv.mu.Lock()
-	delete(sv.pending, key)
-	sv.mu.Unlock()
 	writeJSON(w, struct {
 		Applied int       `json:"applied"`
 		Skipped []modWire `json:"skipped"`
@@ -902,38 +853,63 @@ func valueForAttr(sc *schema.Relation, pos int, v any) types.Value {
 	return valueFromJSON(v)
 }
 
-// rowForSchema coerces a JSON row against the table schema.
-func rowForSchema(sc *schema.Relation, in []any) (relstore.Tuple, error) {
-	if len(in) != sc.Arity() {
-		return nil, fmt.Errorf("row has %d values, table %s has %d columns", len(in), sc.Name, sc.Arity())
+// updateFor decodes one wire update into a monitor update, coercing its
+// values to the declared types of the schema's attributes (valueForAttr).
+// It is the one decoding of the row routes and the updates route, and it
+// checks only the op: the session validates the batch it lands, arity and
+// attribute names included.
+func updateFor(sc *schema.Relation, u updateJSON) (monitor.Update, error) {
+	switch u.Op {
+	case "insert":
+		row := make(relstore.Tuple, len(u.Row))
+		for i, v := range u.Row[:min(len(u.Row), sc.Arity())] {
+			row[i] = valueForAttr(sc, i, v)
+		}
+		return monitor.Update{Op: monitor.OpInsert, Row: row}, nil
+	case "delete":
+		return monitor.Update{Op: monitor.OpDelete, ID: relstore.TupleID(u.ID)}, nil
+	case "set":
+		val := valueFromJSON(u.Value)
+		if pos, ok := sc.Pos(u.Attr); ok {
+			val = valueForAttr(sc, pos, u.Value)
+		}
+		return monitor.Update{Op: monitor.OpSet, ID: relstore.TupleID(u.ID), Attr: u.Attr, Value: val}, nil
 	}
-	row := make(relstore.Tuple, len(in))
-	for i, v := range in {
-		row[i] = valueForAttr(sc, i, v)
+	return monitor.Update{}, fmt.Errorf("unknown op %q", u.Op)
+}
+
+// rowUpdate decodes a row route's request into its update: the op is the
+// route's, the tuple id the path's, and the body (none for a delete) is
+// the update's wire form — {"row": [...]} or {"attr": ..., "value": ...}.
+func (sv *Server) rowUpdate(w http.ResponseWriter, r *http.Request, op string) (monitor.Update, error) {
+	tab, err := sv.s.Table(r.PathValue("name"))
+	if err != nil {
+		return monitor.Update{}, err
 	}
-	return row, nil
+	var u updateJSON
+	if op != "delete" {
+		body := new(updateJSON) // apart from u, so that a delete allocates none
+		if err := decodeJSON(w, r, body); err != nil {
+			return monitor.Update{}, err
+		}
+		u = *body
+	}
+	u.Op = op
+	if op != "insert" {
+		if u.ID, err = strconv.ParseInt(r.PathValue("id"), 10, 64); err != nil {
+			return monitor.Update{}, fmt.Errorf("bad tuple id: %w", err)
+		}
+	}
+	return updateFor(tab.Schema(), u)
 }
 
 func (sv *Server) handleInsertRow(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	tab, err := sv.s.Table(name)
+	u, err := sv.rowUpdate(w, r, "insert")
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	var body struct {
-		Row []any `json:"row"`
-	}
-	if err := decodeJSON(w, r, &body); err != nil {
-		writeError(w, err)
-		return
-	}
-	row, err := rowForSchema(tab.Schema(), body.Row)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	id, version, err := sv.s.Insert(name, row)
+	id, version, err := sv.s.Insert(r.PathValue("name"), u.Row)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -942,51 +918,31 @@ func (sv *Server) handleInsertRow(w http.ResponseWriter, r *http.Request) {
 }
 
 func (sv *Server) handleSetCell(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	tab, err := sv.s.Table(name)
+	u, err := sv.rowUpdate(w, r, "set")
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
-	if err != nil {
-		writeError(w, fmt.Errorf("bad tuple id: %w", err))
-		return
-	}
-	var body struct {
-		Attr  string `json:"attr"`
-		Value any    `json:"value"`
-	}
-	if err := decodeJSON(w, r, &body); err != nil {
-		writeError(w, err)
-		return
-	}
-	sc := tab.Schema()
-	pos, ok := sc.Pos(body.Attr)
-	if !ok {
-		writeError(w, fmt.Errorf("no attribute %q in %s", body.Attr, name))
-		return
-	}
-	version, err := sv.s.SetCell(name, relstore.TupleID(id), body.Attr, valueForAttr(sc, pos, body.Value))
+	version, err := sv.s.SetCell(r.PathValue("name"), u.ID, u.Attr, u.Value)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, map[string]any{"id": id, "version": version})
+	writeJSON(w, map[string]any{"id": int64(u.ID), "version": version})
 }
 
 func (sv *Server) handleDeleteRow(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
-	if err != nil {
-		writeError(w, fmt.Errorf("bad tuple id: %w", err))
-		return
-	}
-	version, err := sv.s.Delete(r.PathValue("name"), relstore.TupleID(id))
+	u, err := sv.rowUpdate(w, r, "delete")
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, map[string]any{"deleted": id, "version": version})
+	version, err := sv.s.Delete(r.PathValue("name"), u.ID)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, map[string]any{"deleted": int64(u.ID), "version": version})
 }
 
 func (sv *Server) handleMonitorUpdates(w http.ResponseWriter, r *http.Request) {
@@ -996,7 +952,6 @@ func (sv *Server) handleMonitorUpdates(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	sc := tab.Schema()
 	var body struct {
 		Updates []updateJSON `json:"updates"`
 	}
@@ -1004,28 +959,10 @@ func (sv *Server) handleMonitorUpdates(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	batch := make([]monitor.Update, 0, len(body.Updates))
-	for _, u := range body.Updates {
-		switch u.Op {
-		case "insert":
-			row, err := rowForSchema(sc, u.Row)
-			if err != nil {
-				writeError(w, err)
-				return
-			}
-			batch = append(batch, monitor.Update{Op: monitor.OpInsert, Row: row})
-		case "delete":
-			batch = append(batch, monitor.Update{Op: monitor.OpDelete, ID: relstore.TupleID(u.ID)})
-		case "set":
-			val := valueFromJSON(u.Value)
-			if pos, ok := sc.Pos(u.Attr); ok {
-				val = valueForAttr(sc, pos, u.Value)
-			}
-			batch = append(batch, monitor.Update{
-				Op: monitor.OpSet, ID: relstore.TupleID(u.ID),
-				Attr: u.Attr, Value: val})
-		default:
-			writeError(w, fmt.Errorf("unknown op %q", u.Op))
+	batch := make([]monitor.Update, len(body.Updates))
+	for i, u := range body.Updates {
+		if batch[i], err = updateFor(tab.Schema(), u); err != nil {
+			writeError(w, err)
 			return
 		}
 	}

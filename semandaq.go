@@ -47,8 +47,12 @@
 //	_ = sys.RegisterCFDs("customer", rep.CFDs) // rep.Version says what was mined
 //
 // The store serves live traffic: System.Insert, Delete and SetCell mutate
-// tables (routed through the table's data monitor when one is active)
-// while detection, audit, exploration and discovery keep running. Every
+// tables while detection, audit, exploration and discovery keep running.
+// Each is an update batch of one on the session's one write path, which
+// ApplyUpdates and the repair applies share: validated whole, and routed
+// through the table's data monitor when one is active. Repair keeps its
+// candidate on the table's record until ApplyPendingRepair lands it; a
+// reload of the table drops it. Every
 // read path evaluates an immutable, pinned Snapshot, so each report
 // reflects exactly one table version and carries it in its Version field.
 //
@@ -273,13 +277,15 @@ const (
 // the tracker handover, and ApplyUpdates without a monitor returns
 // ErrNoMonitor. Every request naming an unregistered table returns
 // ErrNoTable, one over a table without constraints ErrNoCFDs, and a
-// WithCFDs id that names none of them ErrUnknownCFD.
+// WithCFDs id that names none of them ErrUnknownCFD. ApplyPendingRepair
+// with no candidate repair on the table returns ErrNoPendingRepair.
 var (
-	ErrMonitorBusy = core.ErrMonitorBusy
-	ErrNoMonitor   = core.ErrNoMonitor
-	ErrNoTable     = core.ErrNoTable
-	ErrNoCFDs      = core.ErrNoCFDs
-	ErrUnknownCFD  = core.ErrUnknownCFD
+	ErrMonitorBusy     = core.ErrMonitorBusy
+	ErrNoMonitor       = core.ErrNoMonitor
+	ErrNoTable         = core.ErrNoTable
+	ErrNoCFDs          = core.ErrNoCFDs
+	ErrUnknownCFD      = core.ErrUnknownCFD
+	ErrNoPendingRepair = core.ErrNoPendingRepair
 )
 
 // GenerateCustomers builds the synthetic customer workload used by the
